@@ -6,10 +6,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-report clean
+	bench-service bench-cc bench-e2e bench-report clean
 
 check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
-	bench-fluid-scale bench-routing bench-service bench-cc
+	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +19,7 @@ smoke:
 	mods = ['repro'] + [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]; \
 	[importlib.import_module(name) for name in mods]; \
 	print('smoke-imported', len(mods), 'modules')"
+	! grep -rn "except Exception" src/
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:
@@ -67,9 +68,9 @@ bench-routing:
 	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore -> continue must be
-# bit-identical to never stopping (packet + both max-min fluid
-# kernels), and sweep warm-starts must splice bit-identically (serial
-# and workers=4).  Appends results/BENCH_service_restore.json.
+# bit-identical to never stopping (packet + max-min fluid engines),
+# and sweep warm-starts must splice bit-identically (serial and
+# workers=4).  Appends results/BENCH_service_restore.json.
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_restore.py -q -o testpaths=
 
@@ -81,6 +82,11 @@ bench-service:
 # results/BENCH_cc_matrix.json.
 bench-cc:
 	$(PYTHON) -m pytest benchmarks/test_cc_matrix.py -q -o testpaths=
+
+# End-to-end benchmark self-check (~20 s): every BENCHMARK.json workload
+# runs, passes its output checks and matches its pinned golden digest.
+bench-e2e:
+	$(PYTHON) -m pytest benchmarks/e2e/test_selfcheck.py -q -o testpaths=
 
 # The scalability benches touched by the batched routing path.
 bench-fig2:

@@ -6,8 +6,8 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   bit-identical to the fixed pure-Python progressive-filling oracle —
   on random scenarios with repeated link traversals and demand caps, on
   a static permutation workload run end-to-end through
-  ``FluidSimulation`` with both kernels, and on the full-scale gravity
-  allocation below.
+  ``FluidSimulation`` (every recorded row recomputed with the oracle),
+  and on the full-scale gravity allocation below.
 * **Scale, gated on machine capability.**  A 100-city gravity matrix
   with >= 1e5 concurrent flows per snapshot must solve at interactive
   speed, >= 10x faster than the per-flow Python solver on the same
@@ -21,10 +21,14 @@ the throughput trajectory across commits/machines is preserved.
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro import Hypatia
 from repro.fluid.engine import (FluidFlow, FluidSimulation,
@@ -35,6 +39,7 @@ from repro.fluid.vectorized import (max_min_fair_allocation_vectorized,
 from repro.traffic import TrafficMatrix
 
 from _common import RESULTS_DIR, scaled, write_result
+from _fluid_oracle import assert_result_matches_oracle
 
 NUM_CITIES = 100
 NUM_FLOWS = scaled(100_000, 1_000_000)
@@ -109,21 +114,15 @@ def test_kernels_bit_identical_on_random_scenarios():
 
 
 def test_static_permutation_bit_identical():
-    """End-to-end FluidSimulation parity on a permutation workload."""
+    """End-to-end FluidSimulation vs the oracle on a permutation workload."""
     from repro import random_permutation_pairs
     hypatia = Hypatia.from_shell_name("K1", num_cities=NUM_CITIES)
     pairs = random_permutation_pairs(NUM_CITIES)
     flows = [FluidFlow(src, dst) for src, dst in pairs]
-    results = {}
-    for kernel in ("reference", "vectorized"):
-        sim = FluidSimulation(hypatia.network, flows,
-                              link_capacity_bps=LINK_CAPACITY_BPS,
-                              kernel=kernel)
-        results[kernel] = sim.run(duration_s=4.0, step_s=2.0)
-    ref, vec = results["reference"], results["vectorized"]
-    assert np.array_equal(ref.flow_rates_bps, vec.flow_rates_bps)
-    assert ref.device_load_bps == vec.device_load_bps
-    assert ref.flow_paths == vec.flow_paths
+    sim = FluidSimulation(hypatia.network, flows,
+                          link_capacity_bps=LINK_CAPACITY_BPS)
+    result = sim.run(duration_s=4.0, step_s=2.0)
+    assert_result_matches_oracle(result, flows)
 
 
 def test_gravity_scale():

@@ -34,7 +34,8 @@ from repro import Hypatia
 from repro.faults import FaultEvent, FaultSchedule
 from repro.routing.engine import RoutingEngine
 from repro.routing.incremental import IncrementalRouter
-from repro.topology.dynamic_state import DynamicState
+from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
+                                          snapshot_times)
 
 from _common import RESULTS_DIR, write_result
 
@@ -190,15 +191,14 @@ def test_faulted_run_parity_serial_and_workers():
     hypatia = Hypatia.from_shell_name(SHELL, num_cities=10, faults=faults)
     pairs = [(0, 5), (1, 7), (2, 9), (8, 3)]
     kwargs = dict(pairs=pairs, duration_s=6.0, step_s=1.0)
-    scratch = DynamicState(hypatia.network, routing="scratch",
-                           **kwargs).compute()
-    serial = DynamicState(hypatia.network, routing="incremental",
-                          **kwargs).compute()
-    parallel = DynamicState(hypatia.network, routing="incremental",
-                            **kwargs).compute(workers=4)
+    scratch = compute_pair_chunk(hypatia.network, pairs,
+                                 snapshot_times(6.0, 1.0),
+                                 engine=RoutingEngine(hypatia.network))
+    serial = DynamicState(hypatia.network, **kwargs).compute()
+    parallel = DynamicState(hypatia.network, **kwargs).compute(workers=4)
     for pair in pairs:
+        distances, paths = scratch[pair]
         for run in (serial, parallel):
-            assert np.array_equal(run[pair].distances_m,
-                                  scratch[pair].distances_m,
+            assert np.array_equal(run[pair].distances_m, distances,
                                   equal_nan=True), pair
-            assert run[pair].paths == scratch[pair].paths, pair
+            assert run[pair].paths == paths, pair

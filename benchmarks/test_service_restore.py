@@ -5,7 +5,7 @@ The live-service contract (DESIGN.md "Live service & checkpointing"):
 a simulation checkpointed mid-run, restored from the file, and advanced
 to the horizon must produce a deterministic report and per-flow FCT
 array bit-identical to a run that never stopped — on the packet engine
-and both max-min fluid kernels.  This gate re-proves the contract at
+and the max-min fluid engine.  This gate re-proves the contract at
 every `make check` and times the checkpoint machinery itself.
 
 Every run appends one record to ``results/BENCH_service_restore.json``
@@ -40,8 +40,7 @@ NUM_FLOWS = 30
 
 TRAJECTORY_PATH = RESULTS_DIR / "BENCH_service_restore.json"
 
-ENGINES = [("packet", "vectorized"), ("fluid", "reference"),
-           ("fluid", "vectorized")]
+ENGINES = ["packet", "fluid"]
 
 _SITES = [
     ("Quito", 0.0, -78.5),
@@ -75,8 +74,8 @@ def _spec() -> NetworkSpec:
         WorkloadSchedule(requests, seed=17))
 
 
-def _service(engine: str, kernel: str) -> LiveSimulationService:
-    return LiveSimulationService(_spec(), engine=engine, kernel=kernel,
+def _service(engine: str) -> LiveSimulationService:
+    return LiveSimulationService(_spec(), engine=engine,
                                  horizon_s=HORIZON_S, epoch_s=EPOCH_S)
 
 
@@ -104,12 +103,11 @@ def test_restore_parity_all_engines(tmp_path):
     record = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
               "horizon_s": HORIZON_S, "flows": NUM_FLOWS}
     total_save_s = total_load_s = 0.0
-    for engine, kernel in ENGINES:
-        label = engine if engine == "packet" else f"{engine}-{kernel}"
-        baseline = _service(engine, kernel)
+    for label in ENGINES:
+        baseline = _service(label)
         baseline.run_to_horizon()
 
-        interrupted = _service(engine, kernel)
+        interrupted = _service(label)
         interrupted.advance_epoch(CHECKPOINT_EPOCH)
         path = tmp_path / f"{label}.ckpt"
         start = time.perf_counter()
@@ -129,9 +127,9 @@ def test_restore_parity_all_engines(tmp_path):
 
         total_save_s += save_s
         total_load_s += load_s
-        record[f"{label.replace('-', '_')}_save_s"] = save_s
-        record[f"{label.replace('-', '_')}_load_s"] = load_s
-        record[f"{label.replace('-', '_')}_bytes"] = size
+        record[f"{label}_save_s"] = save_s
+        record[f"{label}_load_s"] = load_s
+        record[f"{label}_bytes"] = size
         lines.append(f"{label:18s} save {save_s * 1e3:7.1f} ms  "
                      f"load {load_s * 1e3:7.1f} ms  "
                      f"{size / 1024:8.1f} KiB  parity OK")

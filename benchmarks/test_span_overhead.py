@@ -61,7 +61,7 @@ def _build_flows():
 
 
 def _run_scenario(network, flows) -> float:
-    sim = FluidSimulation(network, flows, kernel="vectorized")
+    sim = FluidSimulation(network, flows)
     start = time.perf_counter()
     sim.run(DURATION_S, step_s=STEP_S)
     return time.perf_counter() - start

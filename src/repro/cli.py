@@ -49,11 +49,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("packet", "aimd", "maxmin"),
                         default="packet",
                         help="packet simulator (default) or a fluid engine")
-    parser.add_argument("--kernel", choices=("vectorized", "reference"),
-                        default="vectorized",
-                        help="max-min allocation kernel (maxmin engine "
-                             "only): array waterfilling (default) or the "
-                             "pure-Python oracle")
     parser.add_argument("--duration", type=float, default=10.0)
     parser.add_argument("--step", type=float, default=1.0,
                         help="probe/snapshot interval (seconds)")
@@ -80,9 +75,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
                         default="packet",
                         help="packet simulator (default) or the max-min "
                              "fluid engine (AIMD is not checkpointable)")
-    parser.add_argument("--kernel", choices=("vectorized", "reference"),
-                        default="vectorized",
-                        help="max-min allocation kernel (fluid engine only)")
     parser.add_argument("--cities", type=int, default=100,
                         help="ground stations (top-N cities)")
     parser.add_argument("--horizon", type=float, default=60.0,
@@ -119,11 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     rtt.add_argument("--workers", type=int, default=1,
                      help="snapshot-sweep worker processes "
                           "(1 = serial, 0 = all cores)")
-    rtt.add_argument("--routing", choices=("incremental", "scratch"),
-                     default="incremental",
-                     help="forwarding-state recomputation strategy: "
-                          "repair between snapshots (default) or always "
-                          "from scratch — bit-identical results")
 
     sweep = sub.add_parser(
         "sweep", help="path-evolution sweep over a permutation "
@@ -136,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=1,
                        help="snapshot-sweep worker processes "
                             "(1 = serial, 0 = all cores)")
-    sweep.add_argument("--routing", choices=("incremental", "scratch"),
-                       default="incremental",
-                       help="forwarding-state recomputation strategy: "
-                            "repair between snapshots (default) or "
-                            "always from scratch — bit-identical results")
     sweep.add_argument("-o", "--output", default=None,
                        help="write per-pair stats + sweep metrics JSON")
     sweep.add_argument("--faults", default=None, metavar="SPEC_JSON",
@@ -355,7 +337,7 @@ def _cmd_rtt(args) -> int:
     pair = hypatia.pair(args.src_city, args.dst_city)
     timeline = hypatia.compute_timelines(
         [pair], duration_s=args.duration, step_s=args.step,
-        workers=args.workers, routing=args.routing)[pair]
+        workers=args.workers)[pair]
     rtts = timeline.rtts_s
     finite = rtts[np.isfinite(rtts)]
     if finite.size == 0:
@@ -423,8 +405,7 @@ def _cmd_sweep(args) -> int:
     try:
         timelines = hypatia.compute_timelines(
             pairs, duration_s=args.duration, step_s=args.step,
-            workers=args.workers, metrics=registry,
-            routing=args.routing)
+            workers=args.workers, metrics=registry)
     finally:
         if profiler is not None:
             spans.uninstall()
@@ -588,7 +569,7 @@ def _cmd_report(args) -> int:
                      else [])
             fluid = hypatia.build_fluid_simulation(
                 flows, mode=args.engine, metrics=registry,
-                workload=workload, kernel=args.kernel)
+                workload=workload)
             result = fluid.run(args.duration, step_s=args.step)
             report = result.report(registry=registry)
     finally:
@@ -647,7 +628,7 @@ def _build_service(args):
     if workload is not None:
         spec = spec.with_workload(workload)
     return LiveSimulationService(
-        spec, engine=args.engine, kernel=args.kernel,
+        spec, engine=args.engine,
         horizon_s=args.horizon, epoch_s=args.epoch,
         meta={"shell": args.shell})
 

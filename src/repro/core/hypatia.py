@@ -155,7 +155,6 @@ class Hypatia:
                           duration_s: float, step_s: float = 0.1,
                           workers: Optional[int] = None,
                           metrics: Optional["MetricsRegistry"] = None,
-                          routing: str = "incremental",
                           ) -> Dict[Tuple[int, int], PairTimeline]:
         """Shortest-path RTT/path timelines for the given pairs.
 
@@ -168,14 +167,9 @@ class Hypatia:
                 serial — see :mod:`repro.sweep`.
             metrics: Optional registry receiving per-worker ``sweep.*``
                 timing series.
-            routing: ``"incremental"`` (default: repair forwarding state
-                between consecutive snapshots, falling back to full
-                recompute on large topology deltas) or ``"scratch"``
-                (always recompute) — bit-identical results either way;
-                see :mod:`repro.routing.incremental`.
         """
         state = DynamicState(self.network, pairs, duration_s=duration_s,
-                             step_s=step_s, routing=routing)
+                             step_s=step_s)
         return state.compute(workers=workers, metrics=metrics)
 
     def build_packet_simulator(self, link_config: Optional[LinkConfig] = None,
@@ -199,8 +193,7 @@ class Hypatia:
                                mode: str = "aimd",
                                freeze_topology_at_s: Optional[float] = None,
                                metrics: Optional["MetricsRegistry"] = None,
-                               workload=None,
-                               kernel: str = "vectorized"):
+                               workload=None):
         """A fluid traffic engine over this network.
 
         Args:
@@ -214,10 +207,6 @@ class Hypatia:
             workload: Optional :class:`repro.traffic.WorkloadSchedule`;
                 its finite flows are appended after ``flows`` and the
                 engine re-solves on every arrival/completion.
-            kernel: Max-min allocation kernel for ``mode="maxmin"`` —
-                ``"vectorized"`` (default, array waterfilling) or
-                ``"reference"`` (pure-Python oracle).  Ignored by the
-                AIMD engine.
         """
         flows = list(flows)
         if workload is not None:
@@ -229,8 +218,7 @@ class Hypatia:
         if mode == "maxmin":
             return FluidSimulation(
                 self.network, flows, link_capacity_bps=link_capacity_bps,
-                freeze_topology_at_s=freeze_topology_at_s, metrics=metrics,
-                kernel=kernel)
+                freeze_topology_at_s=freeze_topology_at_s, metrics=metrics)
         raise ValueError(f"unknown fluid mode {mode!r}; "
                          f"use 'aimd' or 'maxmin'")
 

@@ -34,7 +34,6 @@ from ..obs.report import RunReport, fluid_run_report
 from ..routing.engine import RoutingEngine
 from ..topology.dynamic_state import snapshot_times
 from ..topology.network import LeoNetwork, TopologySnapshot
-from .maxmin import max_min_fair_allocation
 from .vectorized import FlowLinkMatrix, waterfill
 
 __all__ = ["FluidFlow", "FluidResult", "FluidRunState", "FluidSimulation",
@@ -212,8 +211,9 @@ class FluidResult:
         num_satellites: Node-numbering split point (satellites below it).
         link_capacity_bps: The uniform device capacity of the run.
         engine: Which engine produced the result ("maxmin" or "aimd").
-        kernel: Allocation kernel the engine ran ("vectorized",
-            "reference", or "" where the engine has only one).
+        kernel: Constant provenance label of the max-min engine's
+            allocator ("vectorized"; "" for AIMD), kept so run reports
+            stay byte-identical.
         perf: Wall-clock accounting of the run (wall_time_s,
             snapshots_computed), filled by the engines.
         duration_s: Simulated horizon of the run.
@@ -399,13 +399,6 @@ class FluidSimulation:
         metrics: Optional registry; when given, the run records the
             per-snapshot series ``fluid.connected_flows``,
             ``fluid.mean_rate_bps`` and ``fluid.peak_utilization``.
-        kernel: ``"vectorized"`` (default) solves each allocation over
-            the flat :class:`~repro.fluid.vectorized.FlowLinkMatrix`
-            incidence; ``"reference"`` keeps the pure-Python
-            progressive-filling oracle.  The two produce bit-identical
-            allocations (``make bench-fluid-scale`` asserts it); the
-            vectorized kernel is the one that scales to 10^5+ concurrent
-            flows per snapshot.
     """
 
     ENGINE = "maxmin"
@@ -415,16 +408,11 @@ class FluidSimulation:
                  freeze_topology_at_s: Optional[float] = None,
                  capacity_overrides: Optional[
                      Dict[Hashable, float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 kernel: str = "vectorized") -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if not flows:
             raise ValueError("need at least one flow")
         if link_capacity_bps <= 0.0:
             raise ValueError("capacity must be positive")
-        if kernel not in ("vectorized", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}; "
-                             f"use 'vectorized' or 'reference'")
-        self.kernel = kernel
         self.network = network
         self.flows = list(flows)
         self.link_capacity_bps = link_capacity_bps
@@ -537,8 +525,6 @@ class FluidSimulation:
                 raise ValueError(f"max_steps must be >= 0, got {max_steps}")
             stop = min(stop, state.next_index + max_steps)
         faults = getattr(self.network, "fault_view", None)
-        step = (self._step_vectorized if self.kernel == "vectorized"
-                else self._step_reference)
         profiler = spans.ACTIVE
         run_span = profiler.begin("fluid.run") if profiler.enabled else -1
         residual_bits = state.residual_bits
@@ -563,7 +549,7 @@ class FluidSimulation:
                 paths = self._paths_at(snapshot, candidates)
                 if span != -1:
                     profiler.end(span)
-            state.solves += step(
+            state.solves += self._step(
                 t_index, time_s, step_end, paths, candidates,
                 starts, state.demand_caps, residual_bits,
                 state.delivered_bits, state.fct_s, state.rates,
@@ -592,7 +578,7 @@ class FluidSimulation:
                            num_satellites=self._num_sats,
                            link_capacity_bps=self.link_capacity_bps,
                            engine=self.ENGINE,
-                           kernel=self.kernel,
+                           kernel="vectorized",
                            perf=perf,
                            duration_s=state.duration_s,
                            flow_offered_bits=(state.offered_bits if dynamic
@@ -601,102 +587,13 @@ class FluidSimulation:
                                                 if dynamic else None),
                            flow_fct_s=state.fct_s if dynamic else None)
 
-    def _step_reference(self, t_index: int, time_s: float, step_end: float,
-                        paths: List[Optional[Tuple[int, ...]]],
-                        candidates: np.ndarray, starts: np.ndarray,
-                        demand_caps: np.ndarray, residual_bits: np.ndarray,
-                        delivered_bits: np.ndarray, fct_s: np.ndarray,
-                        rates: np.ndarray, all_paths: list, all_loads: list,
-                        dynamic: bool, faults) -> int:
-        """One snapshot step through the pure-Python oracle allocator."""
-        flow_links: Dict[int, List[Hashable]] = {
-            i: path_devices(paths[i], self._num_sats)
-            for i in candidates if paths[i] is not None}
-        capacities: Dict[Hashable, float] = {}
-        for links in flow_links.values():
-            for link in links:
-                capacity = self.capacity_overrides.get(
-                    link, self.link_capacity_bps)
-                if faults is not None:
-                    # Cut/outaged devices are zero-capacity (flows
-                    # over them — frozen-topology mode — get rate 0);
-                    # lossy ones shrink to the expected goodput.
-                    capacity *= faults.capacity_factor(
-                        link, self._num_sats, time_s)
-                capacities[link] = capacity
-
-        # Sub-event loop: [time_s, step_end) split at every arrival
-        # and predicted completion; one max-min solve per interval.
-        profiler = spans.ACTIVE
-        loop_span = (profiler.begin("fluid.subevents")
-                     if profiler.enabled else -1)
-        solves = 0
-        tau = time_s
-        recorded = False
-        while True:
-            active = [i for i in candidates
-                      if starts[i] <= tau + _TIME_EPS_S
-                      and residual_bits[i] > 0.0
-                      and i in flow_links]
-            links_list = [flow_links[i] for i in active]
-            solve_span = (profiler.begin("fluid.maxmin_reference")
-                          if profiler.enabled else -1)
-            allocated = max_min_fair_allocation(
-                capacities, links_list, demands=demand_caps[active])
-            if solve_span != -1:
-                profiler.end(solve_span)
-            solves += 1
-            if not recorded:
-                loads: Dict[Hashable, float] = {}
-                for links, rate in zip(links_list, allocated):
-                    for link in links:
-                        loads[link] = loads.get(link, 0.0) + rate
-                for local_index, i in enumerate(active):
-                    rates[t_index, i] = allocated[local_index]
-                all_paths.append(list(paths))
-                all_loads.append(loads)
-                self._record_metrics(
-                    time_s, rates[t_index], loads,
-                    active_count=len(active) if dynamic else None)
-                recorded = True
-            next_tau = step_end
-            for i in candidates:
-                if tau + _TIME_EPS_S < starts[i] < next_tau:
-                    next_tau = starts[i]
-            for local_index, i in enumerate(active):
-                rate = allocated[local_index]
-                if rate > 0.0 and np.isfinite(residual_bits[i]):
-                    done = tau + max(residual_bits[i] / rate,
-                                     _TIME_EPS_S)
-                    if done < next_tau:
-                        next_tau = done
-            dt = next_tau - tau
-            if dt > 0.0:
-                for local_index, i in enumerate(active):
-                    rate = allocated[local_index]
-                    if rate <= 0.0:
-                        continue
-                    served = min(rate * dt, residual_bits[i])
-                    delivered_bits[i] += served
-                    if np.isfinite(residual_bits[i]):
-                        residual_bits[i] -= served
-                        if residual_bits[i] <= _RESIDUAL_EPS_BITS:
-                            residual_bits[i] = 0.0
-                            fct_s[i] = next_tau - starts[i]
-            tau = next_tau
-            if tau >= step_end - _TIME_EPS_S:
-                break
-        if loop_span != -1:
-            profiler.end(loop_span)
-        return solves
-
-    def _step_vectorized(self, t_index: int, time_s: float, step_end: float,
-                         paths: List[Optional[Tuple[int, ...]]],
-                         candidates: np.ndarray, starts: np.ndarray,
-                         demand_caps: np.ndarray, residual_bits: np.ndarray,
-                         delivered_bits: np.ndarray, fct_s: np.ndarray,
-                         rates: np.ndarray, all_paths: list, all_loads: list,
-                         dynamic: bool, faults) -> int:
+    def _step(self, t_index: int, time_s: float, step_end: float,
+              paths: List[Optional[Tuple[int, ...]]],
+              candidates: np.ndarray, starts: np.ndarray,
+              demand_caps: np.ndarray, residual_bits: np.ndarray,
+              delivered_bits: np.ndarray, fct_s: np.ndarray,
+              rates: np.ndarray, all_paths: list, all_loads: list,
+              dynamic: bool, faults) -> int:
         """One snapshot step on the flat incidence representation.
 
         The step's flows-on-links CSR is built once (int-encoded device
@@ -708,6 +605,9 @@ class FluidSimulation:
             capacity = self.capacity_overrides.get(
                 key, self.link_capacity_bps)
             if faults is not None:
+                # Cut/outaged devices are zero-capacity (flows over
+                # them — frozen-topology mode — get rate 0); lossy ones
+                # shrink to the expected goodput.
                 capacity *= faults.capacity_factor(
                     key, self._num_sats, time_s)
             return capacity

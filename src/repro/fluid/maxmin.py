@@ -7,6 +7,9 @@ across the flows traversing a bottleneck", paper §5.4).  Progressive
 filling computes that allocation exactly: repeatedly find the link whose
 equal split among its still-unfrozen flows is smallest, freeze those flows
 at that rate, and continue.
+
+The product solves allocations with :func:`repro.fluid.vectorized.
+waterfill`; this pure-Python version is the oracle it is tested against.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ wall times (lower is better); ``speedup`` / ``*throughput*`` / ``*_per_s``
 are rates (higher is better).  Wall-time metrics are preferred over
 rates when both exist, because rates divide two wall times and double
 the noise (e.g. ``speedup`` in the fluid-scale trajectory swings with
-the *reference* kernel's timing even when the vectorized kernel is
-steady).
+the Python oracle's timing even when ``waterfill`` is steady).
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class RunReport:
         phases: Span-profiler self-time summary
             (:meth:`repro.obs.spans.SpanProfiler.phase_summary`), if a
             profiler was active during the run.
-        provenance: Self-describing run identity — engine/kernel names,
+        provenance: Self-describing run identity — engine name,
             seeds, workers, faults/workload schedule identity — so a
             report (or the profile exported next to it) can be matched
             back to the exact scenario that produced it.

@@ -16,7 +16,7 @@ The batch pipeline (build → run → report) becomes a *platform* here:
 
 The backbone guarantee, enforced by ``tests/test_service.py`` and the
 ``make bench-service`` parity gate: **resume ≡ never-stopped**, bit
-for bit, across the packet engine and both max-min fluid kernels.
+for bit, across the packet engine and the max-min fluid engine.
 """
 
 from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,

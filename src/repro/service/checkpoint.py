@@ -5,7 +5,7 @@ A checkpoint file is::
     MAGIC | header-length (8 bytes, big-endian) | JSON header | pickle
 
 The JSON header carries everything a reader needs *before* trusting the
-payload — format version, engine, kernel, simulated time, and the
+payload — format version, engine, simulated time, and the
 :func:`spec_fingerprint` of the :class:`~repro.sweep.spec.NetworkSpec`
 that built the simulator — so version and spec-compatibility checks
 never unpickle anything.  The pickle payload is the live object graph
@@ -146,7 +146,6 @@ class Checkpoint:
             engines the simulation plus its
             :class:`~repro.fluid.engine.FluidRunState`, for a sweep
             the completed-prefix timelines and the resume cursor.
-        kernel: Fluid allocation kernel (``""`` for the packet engine).
         meta: Free-form provenance (scenario name, epoch length, ...);
             must be JSON-expressible.
         format_version: Stamped automatically; only loads override it.
@@ -155,7 +154,7 @@ class Checkpoint:
     """
 
     def __init__(self, spec: NetworkSpec, engine: str, time_s: float,
-                 payload: Dict[str, Any], kernel: str = "",
+                 payload: Dict[str, Any],
                  meta: Optional[Dict[str, Any]] = None,
                  format_version: int = CHECKPOINT_FORMAT_VERSION,
                  spec_hash: Optional[str] = None) -> None:
@@ -164,7 +163,6 @@ class Checkpoint:
                              f"use 'packet', 'fluid', or 'sweep'")
         self.spec = spec
         self.engine = engine
-        self.kernel = kernel
         self.time_s = float(time_s)
         self.payload = payload
         self.meta = dict(meta or {})
@@ -178,14 +176,12 @@ class Checkpoint:
             "format_version": self.format_version,
             "spec_hash": self.spec_hash,
             "engine": self.engine,
-            "kernel": self.kernel,
             "time_s": self.time_s,
             "meta": self.meta,
         }
 
     def __repr__(self) -> str:
-        return (f"Checkpoint(engine={self.engine!r}, "
-                f"kernel={self.kernel!r}, t={self.time_s}, "
+        return (f"Checkpoint(engine={self.engine!r}, t={self.time_s}, "
                 f"v{self.format_version}, "
                 f"spec={self.spec_hash[:12]})")
 
@@ -293,7 +289,6 @@ def load_checkpoint(path: str,
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")
     return Checkpoint(spec=spec, engine=str(header["engine"]),
-                      kernel=str(header.get("kernel", "")),
                       time_s=float(header["time_s"]),
                       payload=body["payload"],
                       meta=dict(header.get("meta", {})),

@@ -1,7 +1,7 @@
 """The live simulation core: build, advance, mutate, checkpoint.
 
 A :class:`LiveSimulationService` wraps one engine — the packet
-simulator or the max-min fluid engine (either kernel) — built from a
+simulator or the max-min fluid engine — built from a
 picklable :class:`~repro.sweep.spec.NetworkSpec`, and exposes the
 operations a long-lived service needs:
 
@@ -74,8 +74,6 @@ class LiveSimulationService:
             ISL builder) so checkpoints can identify the network.
         engine: ``"packet"`` or ``"fluid"`` (the max-min engine; AIMD
             is not checkpointable and is rejected).
-        kernel: Fluid allocation kernel, ``"vectorized"`` or
-            ``"reference"``; ignored by the packet engine.
         horizon_s: Simulated end of the run.  Required — both engines
             pre-commit their snapshot/epoch schedule to it.
         epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
@@ -97,7 +95,6 @@ class LiveSimulationService:
     """
 
     def __init__(self, spec: NetworkSpec, engine: str = "packet",
-                 kernel: str = "vectorized",
                  horizon_s: float = 60.0,
                  epoch_s: float = 1.0,
                  link_capacity_bps: float = 10_000_000.0,
@@ -121,7 +118,6 @@ class LiveSimulationService:
             raise ServiceError(f"epoch must be positive, got {epoch_s}")
         self.spec = spec
         self.engine = engine
-        self.kernel = kernel if engine == "fluid" else ""
         self.horizon_s = float(horizon_s)
         self.epoch_s = float(epoch_s)
         self.meta = dict(meta or {})
@@ -163,7 +159,7 @@ class LiveSimulationService:
             self.fluid = FluidSimulation(
                 self.network, spec.workload.as_fluid_flows(),
                 link_capacity_bps=link_capacity_bps,
-                metrics=self.metrics, kernel=kernel)
+                metrics=self.metrics)
             self.state = self.fluid.start_run(self.horizon_s,
                                               step_s=self.epoch_s)
 
@@ -451,7 +447,6 @@ class LiveSimulationService:
         """A compact JSON-expressible view of the service state."""
         status: Dict[str, Any] = {
             "engine": self.engine,
-            "kernel": self.kernel,
             "time_s": self.clock_s,
             "horizon_s": self.horizon_s,
             "epoch_s": self.epoch_s,
@@ -558,8 +553,7 @@ class LiveSimulationService:
         merged_meta.setdefault("epoch_s", self.epoch_s)
         return Checkpoint(spec=self.spec, engine=self.engine,
                           time_s=self.clock_s,
-                          payload={"service": self},
-                          kernel=self.kernel, meta=merged_meta)
+                          payload={"service": self}, meta=merged_meta)
 
     def save(self, path: str,
              meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

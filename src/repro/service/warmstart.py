@@ -4,10 +4,10 @@ A snapshot sweep (:func:`repro.sweep.sweep_timelines`) walks an array
 of independent snapshot instants, so it partitions exactly like the
 sweep engine's own chunking: results over ``times_s[:k]`` plus results
 over ``times_s[k:]``, concatenated, are bit-identical to one pass over
-the full schedule — whatever the worker count or routing mode of
-either part (each sweep chunk rebuilds its network and routing state
-from the spec; nothing carries across the cut that isn't already
-recomputed per chunk).
+the full schedule — whatever the worker count of either part (each
+sweep chunk rebuilds its network and routing state from the spec;
+nothing carries across the cut that isn't already recomputed per
+chunk).
 
 :func:`checkpoint_sweep` stores the completed prefix behind the same
 versioned, spec-hashed header as simulator checkpoints;
@@ -80,15 +80,15 @@ def checkpoint_sweep(path: str, spec: NetworkSpec,
 
 
 def resume_sweep(path: str, workers: Optional[int] = None,
-                 metrics=None, routing: str = "incremental",
+                 metrics=None,
                  expected_spec: Optional[NetworkSpec] = None,
                  mp_context=None) -> Dict[PairKey, PairTimeline]:
     """Finish a checkpointed sweep; bit-identical to never stopping.
 
     The remaining snapshots run through :func:`repro.sweep.
-    sweep_timelines` with whatever ``workers``/``routing`` the caller
-    picks — the determinism contract makes every combination agree —
-    and the prefix and remainder concatenate per pair.
+    sweep_timelines` with whatever ``workers`` the caller picks — the
+    determinism contract makes every count agree — and the prefix and
+    remainder concatenate per pair.
     """
     checkpoint = load_checkpoint(path, expected_spec=expected_spec)
     if checkpoint.engine != "sweep":
@@ -107,7 +107,7 @@ def resume_sweep(path: str, workers: Optional[int] = None,
     else:
         remainder = sweep_timelines(
             checkpoint.spec, pairs, times_s[next_index:], workers=workers,
-            metrics=metrics, routing=routing, mp_context=mp_context)
+            metrics=metrics, mp_context=mp_context)
 
     merged: Dict[PairKey, PairTimeline] = {}
     for pair in pairs:
@@ -129,7 +129,7 @@ def sweep_with_checkpoint(spec: NetworkSpec, pairs: Sequence[PairKey],
                           times_s: np.ndarray, checkpoint_path: str,
                           checkpoint_index: int,
                           workers: Optional[int] = None,
-                          metrics=None, routing: str = "incremental",
+                          metrics=None,
                           meta: Optional[Dict[str, Any]] = None
                           ) -> Dict[str, Any]:
     """Run a sweep up to ``checkpoint_index`` and checkpoint there.
@@ -145,7 +145,6 @@ def sweep_with_checkpoint(spec: NetworkSpec, pairs: Sequence[PairKey],
             f"checkpoint_index {checkpoint_index} outside "
             f"(0, {len(times_s)}]")
     prefix = sweep_timelines(spec, pairs, times_s[:checkpoint_index],
-                             workers=workers, metrics=metrics,
-                             routing=routing)
+                             workers=workers, metrics=metrics)
     return checkpoint_sweep(checkpoint_path, spec, pairs, times_s,
                             prefix, checkpoint_index, meta=meta)

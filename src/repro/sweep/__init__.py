@@ -12,8 +12,6 @@ and the ``repro sweep`` / ``repro rtt --workers`` CLI.
 
 from .engine import (record_sweep_metrics, resolve_workers,
                      shard_snapshots, sweep_timelines)
-from .shm import (HAVE_SHARED_MEMORY, AttachedArrays, SharedArrayPack,
-                  attach_arrays)
 from .spec import (ISL_BUILDERS, NetworkSpec, isl_builder_name,
                    register_isl_builder)
 
@@ -26,8 +24,4 @@ __all__ = [
     "shard_snapshots",
     "resolve_workers",
     "record_sweep_metrics",
-    "HAVE_SHARED_MEMORY",
-    "SharedArrayPack",
-    "AttachedArrays",
-    "attach_arrays",
 ]

@@ -30,7 +30,6 @@ import numpy as np
 from ..obs import spans
 from ..topology.dynamic_state import PairTimeline, compute_pair_chunk
 from ..topology.network import LeoNetwork
-from .shm import HAVE_SHARED_MEMORY, SharedArrayPack, attach_arrays
 from .spec import NetworkSpec
 
 __all__ = ["sweep_timelines", "shard_snapshots", "resolve_workers",
@@ -113,25 +112,51 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], object,
-                              bool, str, Optional[dict]]
+def _compute_chunk(spec: NetworkSpec, pairs: List[PairKey],
+                   times_s: np.ndarray,
+                   network: Optional[LeoNetwork] = None,
+                   isl_pairs: Optional[np.ndarray] = None
+                   ) -> Tuple[Dict[PairKey, tuple], float, float]:
+    """Build (unless given) the network and sweep one chunk of snapshots.
+
+    The one build → compute → record sequence behind both the serial
+    walk and every worker, under the ambient span profiler.  Returns
+    ``(chunk_result, build_wall_s, total_wall_s)``.
+    """
+    profiler = spans.ACTIVE
+    profiling = profiler.enabled
+    started = time.perf_counter()
+    chunk_span = profiler.begin("sweep.chunk") if profiling else -1
+    build_span = profiler.begin("sweep.build") if profiling else -1
+    if network is None:
+        network = spec.build(isl_pairs=isl_pairs)
+    if build_span != -1:
+        profiler.end(build_span)
+    build_wall_s = time.perf_counter() - started
+    compute_span = profiler.begin("sweep.compute") if profiling else -1
+    result = compute_pair_chunk(network, pairs, times_s)
+    if compute_span != -1:
+        profiler.end(compute_span)
+    if chunk_span != -1:
+        profiler.end(chunk_span)
+    return result, build_wall_s, time.perf_counter() - started
+
+
+def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
+                              np.ndarray, bool]
                ) -> Tuple[int, Dict[PairKey, tuple], float, float, int,
                           Optional[dict]]:
     """One worker's unit of work: rebuild the network, sweep one chunk.
 
-    Module-level so multiprocessing pickles it by reference.  Returns
-    ``(chunk_index, chunk_result, build_wall_s, total_wall_s, os_pid,
-    span_profile)`` — the profile is the worker's serialized span tree
-    (:meth:`SpanProfiler.as_dict`) when the parent asked for profiling,
-    else None.
-
-    ``times_part`` is either the chunk's snapshot-time array (pickled
-    fallback) or its ``(start, stop)`` bounds into the shared full
-    schedule when ``shared`` carries :mod:`repro.sweep.shm` descriptors
-    (``times_s`` plus the static ``isl_pairs``, attached read-only for
-    the duration of the chunk).
+    Module-level so multiprocessing pickles it by reference.  The
+    payload carries the chunk's snapshot times and the parent's static
+    ``isl_pairs`` by value, so the worker skips the ISL builder.
+    Returns ``(chunk_index, chunk_result, build_wall_s, total_wall_s,
+    os_pid, span_profile)`` — the profile is the worker's serialized
+    span tree (:meth:`SpanProfiler.as_dict`) when the parent asked for
+    profiling, else None.
     """
-    chunk_index, spec, pairs, times_part, profile, routing, shared = payload
+    chunk_index, spec, pairs, times_s, isl_pairs, profile = payload
     profiler = None
     if profile:
         # A fresh local profiler: the fork child inherits the parent's
@@ -139,41 +164,15 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], object,
         # replace it so this chunk's spans travel back in the return.
         profiler = spans.SpanProfiler(label=f"sweep worker {chunk_index}")
         spans.install(profiler)
-    attached = None
     try:
-        if shared is not None:
-            attached = attach_arrays(shared)
-            start, stop = times_part
-            times_s = attached.arrays["times_s"][start:stop]
-            isl_pairs = attached.arrays.get("isl_pairs")
-        else:
-            times_s = times_part
-            isl_pairs = None
-        started = time.perf_counter()
-        chunk_span = (profiler.begin("sweep.chunk")
-                      if profiler is not None else -1)
-        build_span = (profiler.begin("sweep.build")
-                      if profiler is not None else -1)
-        network = spec.build(isl_pairs=isl_pairs)
-        if build_span != -1:
-            profiler.end(build_span)
-        build_wall_s = time.perf_counter() - started
-        compute_span = (profiler.begin("sweep.compute")
-                        if profiler is not None else -1)
-        result = compute_pair_chunk(network, pairs, times_s,
-                                    routing=routing)
-        if compute_span != -1:
-            profiler.end(compute_span)
-        if chunk_span != -1:
-            profiler.end(chunk_span)
+        result, build_wall_s, total_wall_s = _compute_chunk(
+            spec, pairs, times_s, isl_pairs=isl_pairs)
     finally:
-        if attached is not None:
-            attached.close()
         if profile:
             spans.uninstall()
     profile_dict = profiler.as_dict() if profiler is not None else None
-    return (chunk_index, result, build_wall_s,
-            time.perf_counter() - started, os.getpid(), profile_dict)
+    return (chunk_index, result, build_wall_s, total_wall_s, os.getpid(),
+            profile_dict)
 
 
 def sweep_timelines(spec: NetworkSpec,
@@ -182,9 +181,7 @@ def sweep_timelines(spec: NetworkSpec,
                     workers: Optional[int] = None,
                     metrics=None,
                     mp_context=None,
-                    routing: str = "incremental",
                     network: Optional[LeoNetwork] = None,
-                    use_shared_memory: bool = True
                     ) -> Dict[PairKey, PairTimeline]:
     """Evaluate a snapshot sweep, optionally across worker processes.
 
@@ -202,19 +199,10 @@ def sweep_timelines(spec: NetworkSpec,
             time) plus ``sweep.workers`` / ``sweep.wall_s`` gauges and
             a ``sweep.snapshots`` counter.
         mp_context: Multiprocessing context override (tests).
-        routing: Routing mode for every chunk, ``"incremental"``
-            (default: repair destination trees between a chunk's
-            consecutive snapshots) or ``"scratch"`` — bit-identical
-            results either way (see
-            :func:`repro.topology.dynamic_state.make_routing_engine`).
         network: Optional already-built network matching ``spec``.  The
             serial path walks it directly instead of rebuilding, and the
             parallel path reads its static ISL interconnect for the
-            shared-memory segment; workers always rebuild from ``spec``.
-        use_shared_memory: Publish the full schedule and the static ISL
-            pair array through :mod:`repro.sweep.shm` instead of
-            pickling them into every chunk payload.  Falls back to
-            pickling when shared memory is unavailable.
+            chunk payloads; workers always rebuild from ``spec``.
 
     Returns:
         pair -> :class:`PairTimeline` over the full schedule, bit-identical
@@ -230,56 +218,26 @@ def sweep_timelines(spec: NetworkSpec,
     profiling = profiler.enabled
 
     if workers <= 1 or len(times_s) <= 1:
-        chunk_span = (profiler.begin("sweep.chunk") if profiling else -1)
-        started = time.perf_counter()
-        build_span = (profiler.begin("sweep.build") if profiling else -1)
-        if network is None:
-            network = spec.build()
-        if build_span != -1:
-            profiler.end(build_span)
-        build_wall_s = time.perf_counter() - started
-        compute_span = (profiler.begin("sweep.compute")
-                        if profiling else -1)
-        merged = compute_pair_chunk(network, pair_keys, times_s,
-                                    routing=routing)
-        if compute_span != -1:
-            profiler.end(compute_span)
-        if chunk_span != -1:
-            profiler.end(chunk_span)
+        merged, build_wall_s, total_wall_s = _compute_chunk(
+            spec, pair_keys, times_s, network=network)
         chunk_walls: List[ChunkRecord] = [
-            (0, build_wall_s, time.perf_counter() - started,
+            (0, build_wall_s, total_wall_s,
              len(times_s), os.getpid(), 0, len(times_s))]
         effective_workers = 1
     else:
         shards = shard_snapshots(len(times_s), workers)
-        shared_pack = None
-        if use_shared_memory and HAVE_SHARED_MEMORY:
-            try:
-                isl_pairs = (network.isl_pairs if network is not None
-                             else spec.static_isl_pairs())
-                shared_pack = SharedArrayPack.create(
-                    {"times_s": times_s, "isl_pairs": isl_pairs})
-            except Exception:
-                shared_pack = None  # fall back to pickled payloads
-        if shared_pack is not None:
-            payloads = [(index, spec, pair_keys, (start, stop),
-                         profiling, routing, shared_pack.descriptors)
-                        for index, (start, stop) in enumerate(shards)]
-        else:
-            payloads = [(index, spec, pair_keys, times_s[start:stop],
-                         profiling, routing, None)
-                        for index, (start, stop) in enumerate(shards)]
+        isl_pairs = (network.isl_pairs if network is not None
+                     else spec.static_isl_pairs())
+        payloads = [(index, spec, pair_keys, times_s[start:stop],
+                     isl_pairs, profiling)
+                    for index, (start, stop) in enumerate(shards)]
         context = mp_context if mp_context is not None else _mp_context()
         scatter_span = (profiler.begin("sweep.scatter_gather")
                         if profiling else -1)
-        try:
-            with ProcessPoolExecutor(max_workers=len(payloads),
-                                     mp_context=context) as pool:
-                outcomes = sorted(pool.map(_run_chunk, payloads),
-                                  key=lambda item: item[0])
-        finally:
-            if shared_pack is not None:
-                shared_pack.unlink()
+        with ProcessPoolExecutor(max_workers=len(payloads),
+                                 mp_context=context) as pool:
+            outcomes = sorted(pool.map(_run_chunk, payloads),
+                              key=lambda item: item[0])
         if scatter_span != -1:
             profiler.end(scatter_span)
         # Deterministic time-order merge: concatenate chunk arrays in

@@ -152,9 +152,9 @@ class NetworkSpec:
     def static_isl_pairs(self) -> np.ndarray:
         """The ISL interconnect this spec's network would carry.
 
-        Computed without building the full network: the parent side of a
-        shared-memory sweep publishes this array once so workers can
-        skip re-running the ISL builder (see :mod:`repro.sweep.shm`).
+        Computed without building the full network: a parallel sweep
+        ships this array in every chunk payload so workers can skip
+        re-running the ISL builder.
         """
         return np.asarray(ISL_BUILDERS[self.isl_builder](
             self._constellation()))
@@ -163,16 +163,15 @@ class NetworkSpec:
         """Rebuild the network this spec describes (bit-identical).
 
         Args:
-            isl_pairs: Optional precomputed ISL pair array (e.g. a
-                shared-memory view of :meth:`static_isl_pairs`).  Must
-                equal what the registered builder would produce — the
-                network copies it, so the view may be released once the
-                build returns.
+            isl_pairs: Optional precomputed ISL pair array (e.g.
+                :meth:`static_isl_pairs` computed once by a sweep's
+                parent).  Must equal what the registered builder would
+                produce; the network keeps its own copy.
         """
         if isl_pairs is None:
             builder = ISL_BUILDERS[self.isl_builder]
         else:
-            precomputed = np.array(isl_pairs)  # copy: outlive the view
+            precomputed = np.array(isl_pairs)  # copy: never alias the caller's
 
             def builder(constellation: Constellation) -> np.ndarray:
                 return precomputed

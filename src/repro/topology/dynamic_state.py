@@ -115,31 +115,25 @@ def count_path_changes(satellite_sets: Sequence[frozenset]) -> int:
     return changes
 
 
-def make_routing_engine(network: LeoNetwork, routing: str = "incremental"):
-    """Build the routing engine a timeline walk should use.
+def make_routing_engine(network: LeoNetwork):
+    """Build the routing engine a timeline walk uses.
 
-    ``"incremental"`` (the default everywhere) repairs destination trees
-    between consecutive snapshots when the topology delta is sparse and
-    falls back to the batched from-scratch Dijkstra otherwise — always
-    bit-identical to ``"scratch"`` (see :mod:`repro.routing.incremental`).
+    The :class:`~repro.routing.incremental.IncrementalRouter` repairs
+    destination trees between consecutive snapshots when the topology
+    delta is sparse and falls back to the batched from-scratch Dijkstra
+    otherwise — always bit-identical to a plain ``RoutingEngine``, with
+    the choice counted in its ``inc_perf``.
     """
     # Imported here: repro.routing depends on repro.topology for its
     # type signatures, so a module-level import would be circular.
-    if routing == "incremental":
-        from ..routing.incremental import IncrementalRouter
-        return IncrementalRouter(network)
-    if routing == "scratch":
-        from ..routing.engine import RoutingEngine
-        return RoutingEngine(network)
-    raise ValueError(f"unknown routing mode {routing!r}; "
-                     f"expected 'incremental' or 'scratch'")
+    from ..routing.incremental import IncrementalRouter
+    return IncrementalRouter(network)
 
 
 def compute_pair_chunk(network: LeoNetwork,
                        pairs: Sequence[Tuple[int, int]],
                        times_s: np.ndarray,
                        engine=None,
-                       routing: str = "incremental",
                        ) -> Dict[Tuple[int, int],
                                  Tuple[np.ndarray,
                                        List[Optional[Tuple[int, ...]]]]]:
@@ -151,17 +145,14 @@ def compute_pair_chunk(network: LeoNetwork,
     chunk of the snapshot schedule.  All destination trees of one
     snapshot come from a single batched Dijkstra
     (:meth:`RoutingEngine.route_to_many`), repaired incrementally between
-    snapshots when the topology delta is sparse (the default ``routing``).
+    snapshots when the topology delta is sparse.
 
     Args:
         network: The LEO network to snapshot.
         pairs: (src_gid, dst_gid) pairs to track.
         times_s: The snapshot instants of this chunk, ascending.
-        engine: Optional pre-built :class:`RoutingEngine` over ``network``
-            (one is created when omitted; overrides ``routing``).
-        routing: ``"incremental"`` or ``"scratch"`` — see
-            :func:`make_routing_engine`.  Bit-identical results either
-            way; incremental is faster under sparse topology deltas.
+        engine: Optional pre-built routing engine over ``network``
+            (default: :func:`make_routing_engine`).
 
     Returns:
         pair -> ``(distances_m, paths)`` with ``distances_m`` of shape
@@ -169,7 +160,7 @@ def compute_pair_chunk(network: LeoNetwork,
         of node-id tuples (None while disconnected).
     """
     if engine is None:
-        engine = make_routing_engine(network, routing)
+        engine = make_routing_engine(network)
     pairs = [(int(src), int(dst)) for src, dst in pairs]
     distances = {pair: np.full(len(times_s), np.inf) for pair in pairs}
     paths: Dict[Tuple[int, int], List[Optional[Tuple[int, ...]]]] = {
@@ -210,8 +201,7 @@ class DynamicState:
 
     def __init__(self, network: LeoNetwork,
                  pairs: Sequence[Tuple[int, int]],
-                 duration_s: float, step_s: float = 0.1,
-                 routing: str = "incremental") -> None:
+                 duration_s: float, step_s: float = 0.1) -> None:
         if not pairs:
             raise ValueError("need at least one pair to track")
         for src, dst in pairs:
@@ -221,8 +211,7 @@ class DynamicState:
         self.pairs = [(int(s), int(d)) for s, d in pairs]
         self.times_s = snapshot_times(duration_s, step_s)
         self.step_s = step_s
-        self.routing = routing
-        self.engine = make_routing_engine(network, routing)
+        self.engine = make_routing_engine(network)
 
     def compute(self, workers: Optional[int] = None,
                 metrics=None) -> Dict[Tuple[int, int], PairTimeline]:
@@ -254,7 +243,7 @@ class DynamicState:
             return sweep_timelines(
                 NetworkSpec.from_network(self.network), self.pairs,
                 self.times_s, workers=workers, metrics=metrics,
-                routing=self.routing, network=self.network)
+                network=self.network)
         started = time.perf_counter()
         chunk = compute_pair_chunk(self.network, self.pairs, self.times_s,
                                    engine=self.engine)

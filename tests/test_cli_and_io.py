@@ -143,3 +143,16 @@ class TestCli:
     def test_unknown_shell_errors(self, capsys):
         assert main(["info", "Z9"]) == 2
         assert "unknown shell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rtt", "K1", "Manila", "Dalian", "--routing", "scratch"],
+        ["sweep", "K1", "--routing", "incremental"],
+        ["report", "K1", "Manila", "Dalian", "--engine", "maxmin",
+         "--kernel", "reference"],
+        ["serve", "K1", "--engine", "fluid", "--kernel", "vectorized"],
+    ])
+    def test_removed_parity_switches_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

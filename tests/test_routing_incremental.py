@@ -19,7 +19,8 @@ from scipy.sparse import csr_matrix
 from repro.faults import FaultEvent, FaultSchedule
 from repro.routing.engine import RoutingEngine
 from repro.routing.incremental import IncrementalRouter, diff_graphs
-from repro.topology.dynamic_state import DynamicState
+from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
+                                          snapshot_times)
 from repro.topology.network import LeoNetwork
 
 DESTINATIONS = [1, 2, 4, 5]
@@ -203,15 +204,15 @@ class TestTimelineIntegration:
     def test_incremental_equals_scratch_timelines(self, small_constellation,
                                                   small_stations):
         network = self._faulted_network(small_constellation, small_stations)
-        kwargs = dict(pairs=self.PAIRS, duration_s=6.0, step_s=1.0)
-        incremental = DynamicState(network, routing="incremental",
-                                   **kwargs).compute()
-        scratch = DynamicState(network, routing="scratch",
-                               **kwargs).compute()
+        incremental = DynamicState(network, self.PAIRS, duration_s=6.0,
+                                   step_s=1.0).compute()
+        scratch = compute_pair_chunk(network, self.PAIRS,
+                                     snapshot_times(6.0, 1.0),
+                                     engine=RoutingEngine(network))
         for pair in self.PAIRS:
-            assert np.array_equal(incremental[pair].distances_m,
-                                  scratch[pair].distances_m)
-            assert incremental[pair].paths == scratch[pair].paths
+            distances, paths = scratch[pair]
+            assert np.array_equal(incremental[pair].distances_m, distances)
+            assert incremental[pair].paths == paths
 
     def test_workers_parity(self, small_constellation, small_stations):
         network = self._faulted_network(small_constellation, small_stations)
@@ -225,6 +226,7 @@ class TestTimelineIntegration:
             assert serial[pair].paths == parallel[pair].paths
 
     def test_unknown_routing_mode_rejected(self, small_network):
-        with pytest.raises(ValueError, match="unknown routing"):
+        # One timeline router, no switch: the ``routing=`` option is gone.
+        with pytest.raises(TypeError):
             DynamicState(small_network, self.PAIRS, duration_s=2.0,
                          step_s=1.0, routing="magic")

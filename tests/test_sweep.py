@@ -1,14 +1,18 @@
 """Tests for the parallel snapshot-sweep engine (repro.sweep)."""
 
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 from repro.sweep import (
-    HAVE_SHARED_MEMORY,
     ISL_BUILDERS,
     NetworkSpec,
-    SharedArrayPack,
-    attach_arrays,
+    engine,
     isl_builder_name,
     register_isl_builder,
     resolve_workers,
@@ -198,55 +202,10 @@ class TestSweepTimelines:
         assert "sweep.worker.0.wall_s" in registry.series_logs
 
 
-@pytest.mark.skipif(not HAVE_SHARED_MEMORY,
-                    reason="multiprocessing.shared_memory unavailable")
 class TestSharedMemoryArrays:
-    def test_round_trip(self):
-        source = {
-            "times_s": np.arange(10, dtype=np.float64) * 0.1,
-            "isl_pairs": np.array([[0, 1], [1, 2]], dtype=np.int64),
-        }
-        pack = SharedArrayPack.create(source)
-        try:
-            with attach_arrays(pack.descriptors) as attached:
-                for name, array in source.items():
-                    view = attached.arrays[name]
-                    assert np.array_equal(view, array)
-                    assert view.dtype == array.dtype
-                    assert not view.flags.writeable
-        finally:
-            pack.unlink()
-
-    def test_zero_size_array(self):
-        pack = SharedArrayPack.create(
-            {"empty": np.empty((0, 2), dtype=np.int64)})
-        try:
-            assert pack.descriptors["empty"].shm_name is None
-            with attach_arrays(pack.descriptors) as attached:
-                assert attached.arrays["empty"].shape == (0, 2)
-                assert attached.arrays["empty"].dtype == np.int64
-        finally:
-            pack.unlink()
-
-    def test_unlink_idempotent(self):
-        pack = SharedArrayPack.create({"x": np.ones(4)})
-        pack.unlink()
-        pack.unlink()
-
-    def test_sweep_parity_with_and_without_shared_memory(
-            self, small_network):
-        pairs = [(0, 3), (1, 4)]
-        times = snapshot_times(6.0, 1.0)
-        spec = NetworkSpec.from_network(small_network)
-        shared = sweep_timelines(spec, pairs, times, workers=2,
-                                 use_shared_memory=True)
-        pickled = sweep_timelines(spec, pairs, times, workers=2,
-                                  use_shared_memory=False)
-        for pair in pairs:
-            assert np.array_equal(shared[pair].distances_m,
-                                  pickled[pair].distances_m,
-                                  equal_nan=True)
-            assert shared[pair].paths == pickled[pair].paths
+    """The static ISL array every chunk payload carries by value (the
+    class keeps the name it had when a shared-memory transport carried
+    it, so the test id is stable)."""
 
     def test_spec_static_isl_pairs_matches_build(self, small_network):
         spec = NetworkSpec.from_network(small_network)
@@ -254,6 +213,62 @@ class TestSharedMemoryArrays:
                               small_network.isl_pairs)
         rebuilt = spec.build(isl_pairs=spec.static_isl_pairs())
         assert np.array_equal(rebuilt.isl_pairs, small_network.isl_pairs)
+
+
+class TestWorkerFailure:
+    """A dying worker must fail the sweep loudly and leave nothing behind."""
+
+    PAIRS = [(0, 3), (1, 4)]
+    TIMES = snapshot_times(6.0, 1.0)
+
+    def _sweep_with_failing_second_chunk(self, monkeypatch, network, fail):
+        real_chunk = engine._compute_chunk
+        second_chunk_start = self.TIMES[shard_snapshots(
+            len(self.TIMES), 2)[1][0]]
+
+        def chunk(spec, pairs, times_s, **kwargs):
+            if times_s[0] == second_chunk_start:
+                fail()
+            return real_chunk(spec, pairs, times_s, **kwargs)
+
+        # Fork children inherit the patched module global.
+        monkeypatch.setattr(engine, "_compute_chunk", chunk)
+        shm_before = (sorted(os.listdir("/dev/shm"))
+                      if os.path.isdir("/dev/shm") else None)
+        children_before = set(multiprocessing.active_children())
+        started = time.perf_counter()
+        try:
+            sweep_timelines(NetworkSpec.from_network(network), self.PAIRS,
+                            self.TIMES, workers=2,
+                            mp_context=multiprocessing.get_context("fork"))
+        finally:
+            assert time.perf_counter() - started < 60.0
+            assert set(multiprocessing.active_children()) \
+                == children_before
+            if shm_before is not None:
+                assert sorted(os.listdir("/dev/shm")) == shm_before
+
+    def test_worker_exception_surfaces(self, monkeypatch, small_network):
+        def fail():
+            raise RuntimeError("chunk exploded")
+
+        with pytest.raises(RuntimeError, match="chunk exploded"):
+            self._sweep_with_failing_second_chunk(
+                monkeypatch, small_network, fail)
+
+    def test_killed_worker_breaks_pool(self, monkeypatch, small_network):
+        def fail():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(BrokenProcessPool):
+            self._sweep_with_failing_second_chunk(
+                monkeypatch, small_network, fail)
+
+    def test_removed_transport_switch_rejected(self, small_network):
+        with pytest.raises(TypeError):
+            sweep_timelines(NetworkSpec.from_network(small_network),
+                            self.PAIRS, self.TIMES,
+                            use_shared_memory=False)
 
 
 class TestDynamicStateWorkers:
