@@ -6,10 +6,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-e2e bench-report clean
+	bench-service bench-cc bench-e2e bench-fig10 bench-report clean
 
 check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
-	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e
+	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e \
+	bench-fig10
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,6 +21,8 @@ smoke:
 	[importlib.import_module(name) for name in mods]; \
 	print('smoke-imported', len(mods), 'modules')"
 	! grep -rn "except Exception" src/
+	! grep -rnE "_ELASTIC_DEMAND_CAPACITIES|_flow_pairs" src/ \
+	    --exclude-dir=fluid
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:
@@ -87,6 +90,13 @@ bench-cc:
 # runs, passes its output checks and matches its pinned golden digest.
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks/e2e/test_selfcheck.py -q -o testpaths=
+
+# AIMD gate (~9 s): the paper's Fig. 10 run — the one fluid engine no
+# other gate or BENCHMARK.json workload executes — must keep the dynamic
+# network leaving more bandwidth unused than the frozen one.
+bench-fig10:
+	$(PYTHON) -m pytest benchmarks/test_fig10_unused_bandwidth.py -q \
+	    -o testpaths=
 
 # The scalability benches touched by the batched routing path.
 bench-fig2:

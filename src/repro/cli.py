@@ -74,7 +74,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("packet", "fluid"),
                         default="packet",
                         help="packet simulator (default) or the max-min "
-                             "fluid engine (AIMD is not checkpointable)")
+                             "fluid engine (AIMD is not served yet)")
     parser.add_argument("--cities", type=int, default=100,
                         help="ground stations (top-N cities)")
     parser.add_argument("--horizon", type=float, default=60.0,

@@ -32,23 +32,51 @@ lockstep halving a perfectly symmetric fluid model would produce.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
-from ..routing.engine import RoutingEngine
-from ..topology.dynamic_state import snapshot_times
 from ..topology.network import LeoNetwork
-from .engine import FluidFlow, FluidResult, path_devices
+from .engine import (FluidFlow, FluidRunState, FluidSimulation,
+                     decode_device, first_appearance_columns,
+                     flatten_path_devices, no_flows)
 
-__all__ = ["AimdFluidSimulation"]
+__all__ = ["AimdFluidSimulation", "AimdRunState"]
 
 
-class AimdFluidSimulation:
+@dataclass
+class AimdRunState(FluidRunState):
+    """A :class:`FluidRunState` plus what AIMD carries between steps.
+
+    Attributes:
+        send_rates: (F,) current sending rate of each flow.
+        last_decrease: (F,) time of each flow's last multiplicative decrease.
+        active_mask: (F,) whether the flow has started and not completed.
+        previous_sat_sets: Per-flow satellites of the previous path.
+        backlog_codes / backlog_bits: The non-empty drop-tail backlogs as
+            parallel (device code, bits) arrays, in column order.
+    """
+
+    send_rates: np.ndarray = no_flows()
+    last_decrease: np.ndarray = no_flows()
+    active_mask: np.ndarray = no_flows(bool)
+    previous_sat_sets: List[Optional[frozenset]] = field(default_factory=list)
+    backlog_codes: np.ndarray = no_flows(np.int64)
+    backlog_bits: np.ndarray = no_flows()
+
+
+class AimdFluidSimulation(FluidSimulation):
     """TCP-like AIMD rate evolution over shifting shortest paths.
+
+    Supplies only the per-snapshot dynamics to the inherited snapshot
+    loop.  Finite flows (``size_bytes`` set) integrate their residual at
+    substep granularity: a flow entering at ``start_s`` begins at the
+    rate floor (slow-start restart), transfers at its AIMD rate, and
+    leaves the offered load once its residual reaches zero — the
+    completion time lands on the substep grid (within one RTT).
 
     Args:
         network: The LEO network.
@@ -64,6 +92,8 @@ class AimdFluidSimulation:
     """
 
     ENGINE = "aimd"
+    KERNEL = ""
+    STATE = AimdRunState
 
     def __init__(self, network: LeoNetwork, flows: Sequence[FluidFlow],
                  link_capacity_bps: float = 10_000_000.0,
@@ -72,351 +102,189 @@ class AimdFluidSimulation:
                  queue_packets: int = 100,
                  freeze_topology_at_s: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if not flows:
-            raise ValueError("need at least one flow")
-        if link_capacity_bps <= 0.0 or rtt_estimate_s <= 0.0:
-            raise ValueError("capacity and RTT must be positive")
+        super().__init__(network, flows, link_capacity_bps,
+                         freeze_topology_at_s, metrics=metrics)
+        if rtt_estimate_s <= 0.0:
+            raise ValueError("RTT must be positive")
         if queue_packets < 0:
             raise ValueError("queue size must be non-negative")
-        self.network = network
-        self.flows = list(flows)
-        self.link_capacity_bps = link_capacity_bps
         self.rtt_estimate_s = rtt_estimate_s
         self.mss_bytes = mss_bytes
         self.queue_bits = queue_packets * mss_bytes * 8.0
-        self.freeze_topology_at_s = freeze_topology_at_s
-        self.metrics = metrics
-        self._engine = RoutingEngine(network)
-        self._num_sats = network.num_satellites
         from ..simulation.positions import PositionService
         self._positions = PositionService(network, quantum_s=0.1)
         #: Minimum sending rate: one MSS per RTT (nominal).
         self.floor_bps = mss_bytes * 8.0 / rtt_estimate_s
-        self._flow_pairs = [(flow.src_gid, flow.dst_gid)
-                            for flow in self.flows]
 
-    def _paths_at(self, time_s: float,
-                  indices: Optional[Sequence[int]] = None
-                  ) -> List[Optional[Tuple[int, ...]]]:
-        snapshot = self.network.snapshot(time_s)
-        # One batched Dijkstra covers every flow's destination tree, and
-        # each distinct (src, dst) pair is extracted only once — gravity
-        # workloads put thousands of flows on the same few city pairs.
-        pairs = (self._flow_pairs if indices is None
-                 else [self._flow_pairs[i] for i in indices])
-        unique: Dict[Tuple[int, int], int] = {}
-        for pair in pairs:
-            unique.setdefault(pair, len(unique))
-        node_paths = self._engine.paths_many(snapshot, list(unique))
-        unique_paths = [tuple(path) if path is not None else None
-                        for path in node_paths]
-        paths = [unique_paths[unique[pair]] for pair in pairs]
-        if indices is None:
-            return paths
-        full: List[Optional[Tuple[int, ...]]] = [None] * len(self.flows)
-        for i, path in zip(indices, paths):
-            full[i] = path
-        return full
+    def extend_flows(self, state: AimdRunState,
+                     flows: Sequence[FluidFlow]) -> int:
+        first = super().extend_flows(state, flows)
+        count = len(self.flows) - first
 
-    def run(self, duration_s: float, step_s: float = 1.0) -> FluidResult:
-        """Simulate ``duration_s`` at ``step_s`` granularity.
+        def grown(array: np.ndarray, fill: float) -> np.ndarray:
+            return np.concatenate([array, np.full(count, fill)])
 
-        Finite flows (``size_bytes`` set) integrate their residual at
-        substep granularity: a flow entering at ``start_s`` begins at the
-        rate floor (slow-start restart), transfers at its AIMD rate, and
-        leaves the offered load once its residual reaches zero — the
-        completion time lands on the substep grid (within one RTT).
-        """
-        wall_start = time.perf_counter()
-        times = snapshot_times(duration_s, step_s)
-        num_flows = len(self.flows)
         # Start every flow at its fair-share guess: capacity split by a
-        # nominal contention of 2 (flows converge within a few steps).
-        rates = np.full(num_flows, self.link_capacity_bps / 2.0)
+        # nominal contention of 2 (flows converge within a few steps);
+        # flows arriving later enter at the rate floor when they activate.
+        state.send_rates = grown(state.send_rates,
+                                 self.link_capacity_bps / 2.0)
+        state.active_mask = np.concatenate([state.active_mask,
+                                            state.starts[first:] <= 0.0])
+        state.last_decrease = grown(state.last_decrease, -np.inf)
+        state.previous_sat_sets.extend([None] * count)
+        return first
+
+    def _step(self, state: AimdRunState, t_index: int, time_s: float,
+              paths: List[Optional[Tuple[int, ...]]],
+              candidates: np.ndarray, faults) -> None:
+        """One snapshot step: ``substeps`` RTT-granularity AIMD updates
+        over the step's flat (flow, device) incidence."""
+        profiler = spans.ACTIVE
+        num_flows = len(paths)
+        capacity = self.link_capacity_bps
+        rates, last_decrease = state.send_rates, state.last_decrease
+        active_mask, starts = state.active_mask, state.starts
+        residual_bits = state.residual_bits
+        # Invariant per-flow rate ceiling (demand- and capacity-capped).
+        rate_cap = np.minimum(capacity, state.demand_caps)
+        # AIMD and queue dynamics integrate at RTT granularity; paths only
+        # change at the (coarser) snapshot step.
+        substeps = max(1, round(
+            state.step_s / min(state.step_s, self.rtt_estimate_s)))
+        dt = state.step_s / substeps
+        # Per-flow RTT from the current path geometry (propagation plus
+        # a half-full bottleneck queue) drives each flow's AIMD slope:
+        # long paths reclaim bandwidth slowly, exactly the paper's
+        # "transport is often unable to use the available bandwidth".
+        # A path that changed satellites also halves the rate: the
+        # reordering-induced decrease of paper §4.2.
+        flow_rtt = np.full(num_flows, self.rtt_estimate_s)
+        path_cache: Dict[Tuple[int, ...], Tuple[float, frozenset]] = {}
+        for i, path in enumerate(paths):
+            if path is None:
+                state.previous_sat_sets[i] = None
+                continue
+            cached = path_cache.get(path)
+            if cached is None:
+                distance = 0.0
+                for a, b in zip(path, path[1:]):
+                    distance += self._positions.distance_m(a, b, time_s)
+                propagation_rtt = 2.0 * distance / 299_792_458.0
+                queueing = 0.5 * self.queue_bits / capacity
+                cached = path_cache[path] = (
+                    max(propagation_rtt + queueing, 1e-3),
+                    frozenset(n for n in path if n < self._num_sats))
+            flow_rtt[i], sat_set = cached
+            previous = state.previous_sat_sets[i]
+            if previous is not None and sat_set != previous:
+                rates[i] = max(rates[i] / 2.0, self.floor_bps)
+                last_decrease[i] = time_s
+            state.previous_sat_sets[i] = sat_set
+        # Flat per-step device incidence: one entry per (flow, device)
+        # traversal in flow-major path order, devices compacted to
+        # integer columns exactly as the max-min engine's matrix build
+        # does; devices that only hold backlog take the columns after.
+        # Every sub-step below is array arithmetic over these entries.
+        num_nodes = self.network.num_nodes
+        codes, hop_counts = flatten_path_devices(paths, self._num_sats,
+                                                 num_nodes)
+        columns, dev_codes = first_appearance_columns(
+            np.concatenate([codes, state.backlog_codes]))
+        ent_flow = np.repeat(np.arange(num_flows), hop_counts)
+        ent_col = columns[:codes.size]
+        num_devs = dev_codes.size
+        dev_keys = [decode_device(code, num_nodes) for code in dev_codes]
+        backlog = np.zeros(num_devs)
+        backlog[columns[codes.size:]] = state.backlog_bits
+        dev_cap_dt = np.full(num_devs, capacity * dt)
+        if faults is not None:  # effective capacities, snapshot granularity
+            dev_cap_dt = dt * np.array([self._device_capacity(
+                key, faults, time_s) for key in dev_keys])
+        served_bits_arr = np.zeros(num_devs)
+        touched = np.zeros(num_devs, dtype=bool)
+        has_dev = hop_counts > 0
         # Mild desynchronization of the additive slopes (+/-5%): drop-tail
         # queues substantially synchronize co-bottlenecked flows (the
         # classic global-synchronization effect), and that synchronization
         # is part of why utilization dips after loss events.
-        slope_jitter = np.array([
-            1.0 + 0.1 * ((i * 2654435761 % 1000) / 999.0 - 0.5)
-            for i in range(num_flows)
-        ])
-        last_decrease = np.full(num_flows, -np.inf)
-
-        out_rates = np.zeros((len(times), num_flows))
-        all_paths: List[List[Optional[Tuple[int, ...]]]] = []
-        all_loads: List[Dict[Hashable, float]] = []
-
-        starts = np.array([flow.start_s for flow in self.flows])
-        offered_bits = np.array([
-            flow.size_bytes * 8.0 if flow.size_bytes is not None else np.inf
-            for flow in self.flows])
-        # Invariant per-flow rate ceiling (demand- and capacity-capped),
-        # hoisted out of the sub-step loop.
-        rate_cap = np.minimum(
-            self.link_capacity_bps,
-            np.array([flow.demand_bps for flow in self.flows]))
-        residual_bits = offered_bits.copy()
-        delivered_bits = np.zeros(num_flows)
-        fct_s = np.full(num_flows, np.nan)
-        dynamic = bool((starts > 0.0).any()
-                       or np.isfinite(offered_bits).any())
-        # Flows starting at 0 keep the legacy fair-share-guess init; later
-        # arrivals enter at the rate floor when they activate.
-        active_mask = starts <= 0.0
-
-        frozen_paths: Optional[List[Optional[Tuple[int, ...]]]] = None
-        if self.freeze_topology_at_s is not None:
-            frozen_paths = self._paths_at(self.freeze_topology_at_s)
-
-        backlog_bits: Dict[Hashable, float] = {}
-        capacity = self.link_capacity_bps
-        # AIMD and queue dynamics integrate at RTT granularity; paths only
-        # change at the (coarser) snapshot step.
-        dt = min(step_s, self.rtt_estimate_s)
-        substeps = max(1, round(step_s / dt))
-        dt = step_s / substeps
-
-        previous_sat_sets: List[Optional[frozenset]] = [None] * num_flows
-        flow_rtt = np.full(num_flows, self.rtt_estimate_s)
-        faults = getattr(self.network, "fault_view", None)
-        profiler = spans.ACTIVE
-        run_span = profiler.begin("fluid.run") if profiler.enabled else -1
-        for t_index, time_s in enumerate(times):
-            step_span = (profiler.begin("fluid.aimd.step")
-                         if profiler.enabled else -1)
-            step_end = float(time_s) + step_s
-            candidates = [i for i in range(num_flows)
-                          if residual_bits[i] > 0.0
-                          and starts[i] < step_end]
-            if frozen_paths is not None:
-                in_play = set(candidates)
-                paths = [frozen_paths[i] if i in in_play else None
-                         for i in range(num_flows)]
-            else:
-                path_span = (profiler.begin("fluid.paths")
-                             if profiler.enabled else -1)
-                paths = self._paths_at(float(time_s), candidates)
-                if path_span != -1:
-                    profiler.end(path_span)
-            device_cache: Dict[Tuple[int, ...], Sequence[Hashable]] = {}
-            devices: List[Optional[Sequence[Hashable]]] = []
-            for path in paths:
-                if path is None:
-                    devices.append(None)
-                    continue
-                devs = device_cache.get(path)
-                if devs is None:
-                    devs = path_devices(path, self._num_sats)
-                    device_cache[path] = devs
-                devices.append(devs)
-            # Per-device effective capacities under the fault schedule
-            # (snapshot granularity): cut/outaged devices serve nothing —
-            # their backlogs overflow and on-path flows halve — lossy
-            # devices serve at the expected survival rate.
-            dev_caps: Dict[Hashable, float] = {}
-            if faults is not None:
-                known = set(backlog_bits)
-                for devs in devices:
-                    if devs is not None:
-                        known.update(devs)
-                for dev in known:
-                    factor = faults.capacity_factor(
-                        dev, self._num_sats, float(time_s))
-                    if factor < 1.0:
-                        dev_caps[dev] = capacity * factor
-            # Per-flow RTT from the current path geometry (propagation plus
-            # a half-full bottleneck queue) drives each flow's AIMD slope:
-            # long paths reclaim bandwidth slowly, exactly the paper's
-            # "transport is often unable to use the available bandwidth".
-            if self._positions is not None:
-                rtt_cache: Dict[Tuple[int, ...], float] = {}
-                for i, path in enumerate(paths):
-                    if path is None:
-                        continue
-                    cached_rtt = rtt_cache.get(path)
-                    if cached_rtt is None:
-                        distance = 0.0
-                        for a, b in zip(path, path[1:]):
-                            distance += self._positions.distance_m(
-                                a, b, float(time_s))
-                        propagation_rtt = 2.0 * distance / 299_792_458.0
-                        queueing = 0.5 * self.queue_bits / capacity
-                        cached_rtt = max(propagation_rtt + queueing, 1e-3)
-                        rtt_cache[path] = cached_rtt
-                    flow_rtt[i] = cached_rtt
-            # Reordering-induced decreases on path changes (paper §4.2).
-            sat_set_cache: Dict[Tuple[int, ...], frozenset] = {}
-            for i, path in enumerate(paths):
-                if path is None:
-                    sat_set = None
-                else:
-                    sat_set = sat_set_cache.get(path)
-                    if sat_set is None:
-                        sat_set = frozenset(
-                            n for n in path if n < self._num_sats)
-                        sat_set_cache[path] = sat_set
-                previous = previous_sat_sets[i]
-                if (path is not None and previous is not None
-                        and sat_set != previous):
-                    rates[i] = max(rates[i] / 2.0, self.floor_bps)
-                    last_decrease[i] = float(time_s)
-                previous_sat_sets[i] = sat_set
-            # Flat per-step device incidence: one entry per (flow, device)
-            # traversal, devices compacted to integer columns — the same
-            # layout the max-min engine solves over.  Every sub-step below
-            # is array arithmetic over these entries; the backlog dict is
-            # scattered into an array here and gathered back after the
-            # last sub-step.
-            ent_flow_list: List[int] = []
-            ent_dev_list: List[Hashable] = []
-            for i, devs in enumerate(devices):
-                if devs is None:
-                    continue
-                ent_flow_list.extend([i] * len(devs))
-                ent_dev_list.extend(devs)
-            dev_col: Dict[Hashable, int] = {}
-            for dev in ent_dev_list:
-                dev_col.setdefault(dev, len(dev_col))
-            for dev in backlog_bits:
-                dev_col.setdefault(dev, len(dev_col))
-            dev_keys = list(dev_col)
-            num_devs = len(dev_keys)
-            ent_flow = np.fromiter(ent_flow_list, dtype=np.int64,
-                                   count=len(ent_flow_list))
-            ent_col = np.fromiter((dev_col[dev] for dev in ent_dev_list),
-                                  dtype=np.int64, count=len(ent_dev_list))
-            dev_cap_dt = np.full(num_devs, capacity * dt)
-            for dev, cap_bps in dev_caps.items():
-                col = dev_col.get(dev)
-                if col is not None:
-                    dev_cap_dt[col] = cap_bps * dt
-            backlog = np.zeros(num_devs)
-            for dev, bits in backlog_bits.items():
-                backlog[dev_col[dev]] = bits
-            served_bits_arr = np.zeros(num_devs)
-            touched = np.zeros(num_devs, dtype=bool)
-            no_dev = np.fromiter((devs is None for devs in devices),
-                                 dtype=bool, count=num_flows)
-            has_dev = ~no_dev
-            # One MSS per RTT per RTT, at each flow's RTT (hoisted:
-            # flow_rtt only changes at snapshot granularity).
-            increase_dt = (self.mss_bytes * 8.0 / flow_rtt ** 2
-                           * slope_jitter * dt)
-            cand_arr = np.asarray(candidates, dtype=np.int64)
-            finite_res = np.isfinite(residual_bits)
-            sub_span = (profiler.begin("fluid.aimd.substeps")
-                        if profiler.enabled else -1)
-            for sub in range(substeps):
-                sub_time = float(time_s) + sub * dt
-                if dynamic:
-                    # Activate flows whose start time has arrived; they
-                    # enter at the floor (slow-start restart semantics).
-                    newly = cand_arr[~active_mask[cand_arr]
-                                     & (starts[cand_arr] <= sub_time)]
-                    active_mask[newly] = True
-                    rates[newly] = self.floor_bps
-                # Offered load per device from current rates.
-                ent_active = active_mask[ent_flow]
-                act_cols = ent_col[ent_active]
-                loads = np.zeros(num_devs)
-                np.add.at(loads, act_cols, rates[ent_flow[ent_active]])
-                loaded = np.zeros(num_devs, dtype=bool)
-                loaded[act_cols] = True
-                touched |= loaded | (backlog > 0.0)
-                # Virtual drop-tail queues: overload builds backlog, spare
-                # capacity drains it; hitting the cap signals drops.
-                # Devices no flow uses anymore (zero load) still drain.
-                arriving = backlog + loads * dt
-                served = np.minimum(dev_cap_dt, arriving)
-                leftover = arriving - served
-                overflow = loaded & (leftover > self.queue_bits)
-                backlog = np.minimum(leftover, self.queue_bits)
-                served_bits_arr += served
-                if dynamic:
-                    # Residual-size integration: a finite flow transfers
-                    # at its sending rate and completes (leaving the
-                    # offered load) once its residual is gone.
-                    act = cand_arr[active_mask[cand_arr]
-                                   & has_dev[cand_arr]]
-                    infinite = act[~finite_res[act]]
-                    delivered_bits[infinite] += rates[infinite] * dt
-                    finite = act[finite_res[act]]
-                    if finite.size:
-                        served_f = np.minimum(rates[finite] * dt,
-                                              residual_bits[finite])
-                        delivered_bits[finite] += served_f
-                        residual_bits[finite] -= served_f
-                        done_local = residual_bits[finite] <= 1e-3
-                        done = finite[done_local]
-                        if done.size:
-                            residual_bits[done] = 0.0
-                            done_rates = rates[done]
-                            positive = done_rates > 0.0
-                            safe = np.where(positive, done_rates, 1.0)
-                            end_time = np.where(
-                                positive,
-                                sub_time + served_f[done_local] / safe,
-                                sub_time + dt)
-                            fct_s[done] = end_time - starts[done]
-                            active_mask[done] = False
-                # AIMD reaction.
-                rates[no_dev] = self.floor_bps  # restart on reconnection
-                react = active_mask & has_dev
-                drop_hits = np.zeros(num_flows)
-                np.maximum.at(drop_hits, ent_flow,
-                              overflow[ent_col].astype(float))
-                decrease = (react & (drop_hits > 0.0)
-                            & (sub_time - last_decrease >= flow_rtt))
-                rates[decrease] = np.maximum(rates[decrease] / 2.0,
-                                             self.floor_bps)
-                last_decrease[decrease] = sub_time
-                grow = react & ~decrease
-                rates[grow] += increase_dt[grow]
-                rates[react] = np.minimum(rates[react], rate_cap[react])
-            if sub_span != -1:
-                profiler.end(sub_span)
-            backlog_bits = {dev_keys[j]: float(backlog[j])
-                            for j in np.flatnonzero(backlog > 0.0)}
-            # Utilization over the step is what a 1 s monitor would report.
-            utilization = {dev_keys[j]: float(served_bits_arr[j]) / step_s
-                           for j in np.flatnonzero(touched)}
-            recorded = rates.copy()
-            recorded[no_dev | ~active_mask] = 0.0
-            out_rates[t_index] = recorded
-            all_paths.append(list(paths))
-            all_loads.append(utilization)
-            registry = self.metrics
-            if registry is not None:
-                connected = int((recorded > 0.0).sum())
-                registry.series("fluid.connected_flows").append(
-                    float(time_s), connected)
-                registry.series("fluid.mean_rate_bps").append(
-                    float(time_s),
-                    float(recorded.mean()) if recorded.size else 0.0)
-                peak = max(utilization.values()) if utilization else 0.0
-                registry.series("fluid.peak_utilization").append(
-                    float(time_s), peak / capacity)
-                if dynamic:
-                    registry.series("traffic.active_flows").append(
-                        float(time_s), float(int(active_mask.sum())))
-            if step_span != -1:
-                profiler.end(step_span)
-        if run_span != -1:
-            profiler.end(run_span)
-
-        wall = time.perf_counter() - wall_start
-        return FluidResult(times_s=times, flow_rates_bps=out_rates,
-                           flow_paths=all_paths,
-                           device_load_bps=all_loads,
-                           num_satellites=self._num_sats,
-                           link_capacity_bps=self.link_capacity_bps,
-                           engine=self.ENGINE,
-                           perf={"wall_time_s": wall,
-                                 "snapshots_computed": float(len(times))},
-                           duration_s=float(duration_s),
-                           flow_offered_bits=(offered_bits if dynamic
-                                              else None),
-                           flow_delivered_bits=(delivered_bits if dynamic
-                                                else None),
-                           flow_fct_s=fct_s if dynamic else None)
+        slope_jitter = 1.0 + 0.1 * (
+            (np.arange(num_flows) * 2654435761 % 1000) / 999.0 - 0.5)
+        # One MSS per RTT per RTT, at each flow's RTT (hoisted:
+        # flow_rtt only changes at snapshot granularity).
+        increase_dt = (self.mss_bytes * 8.0 / flow_rtt ** 2
+                       * slope_jitter * dt)
+        sub_span = (profiler.begin("fluid.aimd.substeps")
+                    if profiler.enabled else -1)
+        for sub in range(substeps):
+            sub_time = time_s + sub * dt
+            if state.dynamic:
+                # Activate flows whose start time has arrived; they
+                # enter at the floor (slow-start restart semantics).
+                newly = candidates[~active_mask[candidates]
+                                   & (starts[candidates] <= sub_time)]
+                active_mask[newly] = True
+                rates[newly] = self.floor_bps
+            # Offered load per device from current rates.
+            ent_active = active_mask[ent_flow]
+            act_cols = ent_col[ent_active]
+            loads = np.zeros(num_devs)
+            np.add.at(loads, act_cols, rates[ent_flow[ent_active]])
+            loaded = np.zeros(num_devs, dtype=bool)
+            loaded[act_cols] = True
+            touched |= loaded | (backlog > 0.0)
+            # Virtual drop-tail queues: overload builds backlog, spare
+            # capacity drains it; hitting the cap signals drops.
+            # Devices no flow uses anymore (zero load) still drain.
+            arriving = backlog + loads * dt
+            served = np.minimum(dev_cap_dt, arriving)
+            leftover = arriving - served
+            overflow = loaded & (leftover > self.queue_bits)
+            backlog = np.minimum(leftover, self.queue_bits)
+            served_bits_arr += served
+            if state.dynamic:
+                # Residual-size integration: a flow transfers at its
+                # sending rate; a finite one completes (leaving the
+                # offered load) once its residual is gone.
+                act = candidates[active_mask[candidates]
+                                 & has_dev[candidates]]
+                served_f = np.minimum(rates[act] * dt, residual_bits[act])
+                state.delivered_bits[act] += served_f
+                residual_bits[act] -= served_f
+                done_local = residual_bits[act] <= 1e-3
+                done = act[done_local]
+                if done.size:
+                    residual_bits[done] = 0.0
+                    done_rates = rates[done]
+                    positive = done_rates > 0.0
+                    safe = np.where(positive, done_rates, 1.0)
+                    end_time = np.where(
+                        positive,
+                        sub_time + served_f[done_local] / safe,
+                        sub_time + dt)
+                    state.fct_s[done] = end_time - starts[done]
+                    active_mask[done] = False
+            # AIMD reaction.
+            rates[~has_dev] = self.floor_bps  # restart on reconnection
+            react = active_mask & has_dev
+            drop_hit = np.zeros(num_flows, dtype=bool)
+            drop_hit[ent_flow[overflow[ent_col]]] = True
+            decrease = (react & drop_hit
+                        & (sub_time - last_decrease >= flow_rtt))
+            rates[decrease] = np.maximum(rates[decrease] / 2.0,
+                                         self.floor_bps)
+            last_decrease[decrease] = sub_time
+            grow = react & ~decrease
+            rates[grow] += increase_dt[grow]
+            rates[react] = np.minimum(rates[react], rate_cap[react])
+        if sub_span != -1:
+            profiler.end(sub_span)
+        held = np.flatnonzero(backlog > 0.0)
+        state.backlog_codes = dev_codes[held]
+        state.backlog_bits = backlog[held]
+        # Utilization over the step is what a 1 s monitor would report.
+        utilization = {dev_keys[j]: float(served_bits_arr[j]) / state.step_s
+                       for j in np.flatnonzero(touched)}
+        state.rates[t_index] = np.where(has_dev & active_mask, rates, 0.0)
+        self._record_snapshot(state, t_index, time_s, paths, utilization,
+                              active_count=int(active_mask.sum()))

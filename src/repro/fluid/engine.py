@@ -38,7 +38,7 @@ from .vectorized import FlowLinkMatrix, waterfill
 
 __all__ = ["FluidFlow", "FluidResult", "FluidRunState", "FluidSimulation",
            "path_devices", "flatten_path_devices", "decode_device",
-           "flow_link_matrix_from_paths"]
+           "first_appearance_columns", "flow_link_matrix_from_paths"]
 
 #: Demand cap for "elastic" flows: far above any single device, so the
 #: allocation is capacity-limited, but finite so the solver terminates.
@@ -155,16 +155,34 @@ def decode_device(code: int, num_nodes: int) -> Hashable:
     return ("gsl", code - num_nodes * num_nodes)
 
 
+def first_appearance_columns(codes: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct device codes in first-appearance order.
+
+    Returns ``(columns, column_codes)``: each entry's column, and the
+    code each column stands for — the order a dict keyed by device
+    would have after inserting ``codes`` one by one.
+    """
+    if not codes.size:
+        return codes, codes
+    uniq, first_pos, inverse = np.unique(
+        codes, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return rank[inverse.reshape(-1)], uniq[order]
+
+
 def flow_link_matrix_from_paths(
         paths: Sequence[Optional[Sequence[int]]], num_satellites: int,
         num_nodes: int, capacity_of) -> Tuple["FlowLinkMatrix", np.ndarray]:
     """Build one snapshot's flows-on-links CSR from node paths.
 
-    Device codes are flattened in path order and columns numbered in
-    first-appearance order over the traversal sequences — exactly the
-    oracle's link dict insertion order, so :func:`repro.fluid.vectorized.
-    waterfill` over the matrix reproduces ``max_min_fair_allocation``
-    bit-for-bit.  A ``None`` path becomes an empty row.
+    Device codes are flattened in path order and columns numbered by
+    :func:`first_appearance_columns` — exactly the oracle's link dict
+    insertion order, so :func:`repro.fluid.vectorized.waterfill` over
+    the matrix reproduces ``max_min_fair_allocation`` bit-for-bit.  A
+    ``None`` path becomes an empty row.
 
     Args:
         paths: Per-flow node paths (``None`` for disconnected flows).
@@ -180,17 +198,7 @@ def flow_link_matrix_from_paths(
                                              num_nodes)
     indptr = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum(hop_counts, out=indptr[1:])
-    if codes.size:
-        uniq, first_pos, inverse = np.unique(
-            codes, return_index=True, return_inverse=True)
-        order = np.argsort(first_pos, kind="stable")
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size, dtype=np.int64)
-        link_index = rank[inverse.reshape(-1)]
-        step_codes = uniq[order]
-    else:
-        link_index = codes
-        step_codes = codes
+    link_index, step_codes = first_appearance_columns(codes)
     keys = [decode_device(code, num_nodes) for code in step_codes]
     capacities = np.fromiter((capacity_of(key) for key in keys),
                              dtype=float, count=len(keys))
@@ -324,6 +332,11 @@ class FluidResult:
         }
 
 
+def no_flows(dtype=float):
+    """Dataclass default of a per-flow array: no flows yet."""
+    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+
+
 @dataclass
 class FluidRunState:
     """Resumable mid-run state of a :class:`FluidSimulation`.
@@ -358,18 +371,19 @@ class FluidRunState:
     duration_s: float
     step_s: float
     times: np.ndarray
-    next_index: int
     rates: np.ndarray
-    all_paths: List[List[Optional[Tuple[int, ...]]]]
-    all_loads: List[Dict[Hashable, float]]
-    starts: np.ndarray
-    offered_bits: np.ndarray
-    residual_bits: np.ndarray
-    delivered_bits: np.ndarray
-    fct_s: np.ndarray
-    demand_caps: np.ndarray
-    dynamic: bool
-    solves: int
+    next_index: int = 0
+    all_paths: List[List[Optional[Tuple[int, ...]]]] = field(
+        default_factory=list)
+    all_loads: List[Dict[Hashable, float]] = field(default_factory=list)
+    starts: np.ndarray = no_flows()
+    offered_bits: np.ndarray = no_flows()
+    residual_bits: np.ndarray = no_flows()
+    delivered_bits: np.ndarray = no_flows()
+    fct_s: np.ndarray = no_flows()
+    demand_caps: np.ndarray = no_flows()
+    dynamic: bool = False
+    solves: int = 0
     frozen_paths: Optional[List[Optional[Tuple[int, ...]]]] = None
     wall_time_s: float = 0.0
 
@@ -402,6 +416,10 @@ class FluidSimulation:
     """
 
     ENGINE = "maxmin"
+    #: Allocator provenance label stamped on results (see FluidResult).
+    KERNEL = "vectorized"
+    #: The run-state class :meth:`start_run` instantiates.
+    STATE = FluidRunState
 
     def __init__(self, network: LeoNetwork, flows: Sequence[FluidFlow],
                  link_capacity_bps: float = 10_000_000.0,
@@ -475,37 +493,60 @@ class FluidSimulation:
 
     def start_run(self, duration_s: float,
                   step_s: float = 1.0) -> FluidRunState:
-        """Initialize a resumable run (no steps processed yet)."""
+        """Initialize a resumable run (no steps processed yet): an empty
+        state grown to this simulation's flows by :meth:`extend_flows`."""
         times = snapshot_times(duration_s, step_s)
-        num_flows = len(self.flows)
-        starts = np.array([flow.start_s for flow in self.flows])
+        state = self.STATE(float(duration_s), float(step_s), times,
+                           rates=np.zeros((len(times), 0)))
+        self.extend_flows(state, ())
+        return state
+
+    def extend_flows(self, state: FluidRunState,
+                     flows: Sequence[FluidFlow]) -> int:
+        """Add ``flows`` to the simulation and grow ``state`` to cover
+        every flow it holds; returns the index of the first new flow.
+
+        The one place the per-flow array layout lives.  History rows
+        gain ``None`` paths and zero rates — exactly what a from-t=0 run
+        records for flows that have not arrived yet — so attaching flows
+        to a live run at a snapshot boundary is bit-identical to having
+        built the simulation with them.
+        """
+        self.flows.extend(flows)
+        self._flow_pairs.extend((flow.src_gid, flow.dst_gid)
+                                for flow in flows)
+        first = len(state.starts)
+        new = self.flows[first:]
+        starts = np.array([flow.start_s for flow in new])
         offered_bits = np.array([
             flow.size_bytes * 8.0 if flow.size_bytes is not None else np.inf
-            for flow in self.flows])
-        dynamic = bool((starts > 0.0).any()
-                       or np.isfinite(offered_bits).any())
+            for flow in new])
         # Invariant per-flow rate caps, hoisted out of the sub-event loop
         # (elastic flows capped far above any device capacity).
         demand_caps = np.minimum(
-            np.array([flow.demand_bps for flow in self.flows]),
+            np.array([flow.demand_bps for flow in new]),
             _ELASTIC_DEMAND_CAPACITIES * self.link_capacity_bps)
-
-        frozen_paths: Optional[List[Optional[Tuple[int, ...]]]] = None
+        state.starts = np.concatenate([state.starts, starts])
+        state.offered_bits = np.concatenate([state.offered_bits,
+                                             offered_bits])
+        state.residual_bits = np.concatenate([state.residual_bits,
+                                              offered_bits])
+        state.delivered_bits = np.concatenate([state.delivered_bits,
+                                               np.zeros(len(new))])
+        state.fct_s = np.concatenate([state.fct_s,
+                                      np.full(len(new), np.nan)])
+        state.demand_caps = np.concatenate([state.demand_caps, demand_caps])
+        rates = np.zeros((len(state.times), len(self.flows)))
+        rates[:, :first] = state.rates
+        state.rates = rates
+        for row in state.all_paths:
+            row.extend([None] * len(new))
+        state.dynamic = bool(state.dynamic or (starts > 0.0).any()
+                             or np.isfinite(offered_bits).any())
         if self.freeze_topology_at_s is not None:
-            frozen_snapshot = self.network.snapshot(self.freeze_topology_at_s)
-            frozen_paths = self._paths_at(frozen_snapshot)
-
-        return FluidRunState(
-            duration_s=float(duration_s), step_s=float(step_s),
-            times=times, next_index=0,
-            rates=np.zeros((len(times), num_flows)),
-            all_paths=[], all_loads=[],
-            starts=starts, offered_bits=offered_bits,
-            residual_bits=offered_bits.copy(),
-            delivered_bits=np.zeros(num_flows),
-            fct_s=np.full(num_flows, np.nan),
-            demand_caps=demand_caps, dynamic=dynamic, solves=0,
-            frozen_paths=frozen_paths)
+            state.frozen_paths = self._paths_at(
+                self.network.snapshot(self.freeze_topology_at_s))
+        return first
 
     def advance(self, state: FluidRunState,
                 max_steps: Optional[int] = None) -> FluidRunState:
@@ -518,7 +559,6 @@ class FluidSimulation:
         identically in another process.
         """
         wall_start = time.perf_counter()
-        num_flows = len(self.flows)
         stop = len(state.times)
         if max_steps is not None:
             if max_steps < 0:
@@ -527,21 +567,19 @@ class FluidSimulation:
         faults = getattr(self.network, "fault_view", None)
         profiler = spans.ACTIVE
         run_span = profiler.begin("fluid.run") if profiler.enabled else -1
-        residual_bits = state.residual_bits
-        starts = state.starts
         frozen_paths = state.frozen_paths
         for t_index in range(state.next_index, stop):
             time_s = float(state.times[t_index])
-            step_end = time_s + state.step_s
             # Flows that could take capacity somewhere in this step:
             # already or soon started, not yet fully transferred.
-            candidates = np.flatnonzero((residual_bits > 0.0)
-                                        & (starts < step_end))
+            candidates = np.flatnonzero(
+                (state.residual_bits > 0.0)
+                & (state.starts < time_s + state.step_s))
             if frozen_paths is not None:
                 in_play = set(candidates.tolist())
                 paths: List[Optional[Tuple[int, ...]]] = [
                     frozen_paths[i] if i in in_play else None
-                    for i in range(num_flows)]
+                    for i in range(len(frozen_paths))]
             else:
                 span = (profiler.begin("fluid.paths")
                         if profiler.enabled else -1)
@@ -549,11 +587,7 @@ class FluidSimulation:
                 paths = self._paths_at(snapshot, candidates)
                 if span != -1:
                     profiler.end(span)
-            state.solves += self._step(
-                t_index, time_s, step_end, paths, candidates,
-                starts, state.demand_caps, residual_bits,
-                state.delivered_bits, state.fct_s, state.rates,
-                state.all_paths, state.all_loads, state.dynamic, faults)
+            self._step(state, t_index, time_s, paths, candidates, faults)
             state.next_index = t_index + 1
         if run_span != -1:
             profiler.end(run_span)
@@ -569,7 +603,7 @@ class FluidSimulation:
         dynamic = state.dynamic
         perf = {"wall_time_s": state.wall_time_s,
                 "snapshots_computed": float(len(state.times))}
-        if dynamic:
+        if dynamic and state.solves:  # AIMD solves no allocation
             perf["allocations_solved"] = float(state.solves)
         return FluidResult(times_s=state.times,
                            flow_rates_bps=state.rates,
@@ -578,7 +612,7 @@ class FluidSimulation:
                            num_satellites=self._num_sats,
                            link_capacity_bps=self.link_capacity_bps,
                            engine=self.ENGINE,
-                           kernel="vectorized",
+                           kernel=self.KERNEL,
                            perf=perf,
                            duration_s=state.duration_s,
                            flow_offered_bits=(state.offered_bits if dynamic
@@ -587,13 +621,9 @@ class FluidSimulation:
                                                 if dynamic else None),
                            flow_fct_s=state.fct_s if dynamic else None)
 
-    def _step(self, t_index: int, time_s: float, step_end: float,
+    def _step(self, state: FluidRunState, t_index: int, time_s: float,
               paths: List[Optional[Tuple[int, ...]]],
-              candidates: np.ndarray, starts: np.ndarray,
-              demand_caps: np.ndarray, residual_bits: np.ndarray,
-              delivered_bits: np.ndarray, fct_s: np.ndarray,
-              rates: np.ndarray, all_paths: list, all_loads: list,
-              dynamic: bool, faults) -> int:
+              candidates: np.ndarray, faults) -> None:
         """One snapshot step on the flat incidence representation.
 
         The step's flows-on-links CSR is built once (int-encoded device
@@ -601,34 +631,24 @@ class FluidSimulation:
         link dict order); every arrival/completion inside the step is a
         row activation over that fixed matrix, not a rebuild.
         """
-        def capacity_of(key: Hashable) -> float:
-            capacity = self.capacity_overrides.get(
-                key, self.link_capacity_bps)
-            if faults is not None:
-                # Cut/outaged devices are zero-capacity (flows over
-                # them — frozen-topology mode — get rate 0); lossy ones
-                # shrink to the expected goodput.
-                capacity *= faults.capacity_factor(
-                    key, self._num_sats, time_s)
-            return capacity
-
         profiler = spans.ACTIVE
         cand_paths = [paths[i] for i in candidates]
         build_span = (profiler.begin("fluid.matrix_build")
                       if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
             cand_paths, self._num_sats, self.network.num_nodes,
-            capacity_of)
+            lambda key: self._device_capacity(key, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)
         keys = matrix.link_keys
 
+        starts, residual_bits = state.starts, state.residual_bits
+        step_end = time_s + state.step_s
         starts_c = starts[candidates]
-        demands_c = demand_caps[candidates]
+        demands_c = state.demand_caps[candidates]
         has_path = hop_counts > 0
         loop_span = (profiler.begin("fluid.subevents")
                      if profiler.enabled else -1)
-        solves = 0
         tau = time_s
         recorded = False
         while True:
@@ -640,7 +660,7 @@ class FluidSimulation:
             allocated = waterfill(matrix, demands=demands_c, active=active)
             if solve_span != -1:
                 profiler.end(solve_span)
-            solves += 1
+            state.solves += 1
             global_active = candidates[active]
             if not recorded:
                 cols, _, entry_rows = matrix._gather(active)
@@ -648,12 +668,9 @@ class FluidSimulation:
                 np.add.at(load_arr, cols, allocated[entry_rows])
                 loads = {keys[j]: float(load_arr[j])
                          for j in np.unique(cols)}
-                rates[t_index, global_active] = allocated
-                all_paths.append(list(paths))
-                all_loads.append(loads)
-                self._record_metrics(
-                    time_s, rates[t_index], loads,
-                    active_count=len(active) if dynamic else None)
+                state.rates[t_index, global_active] = allocated
+                self._record_snapshot(state, t_index, time_s, paths, loads,
+                                      active_count=len(active))
                 recorded = True
             next_tau = step_end
             pending = starts_c[(starts_c > tau + _TIME_EPS_S)
@@ -674,27 +691,43 @@ class FluidSimulation:
                 g_pos = global_active[positive]
                 served = np.minimum(allocated[positive] * dt,
                                     residual_bits[g_pos])
-                delivered_bits[g_pos] += served
+                state.delivered_bits[g_pos] += served
                 finite = np.isfinite(residual_bits[g_pos])
                 g_fin = g_pos[finite]
                 residual_bits[g_fin] -= served[finite]
                 completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
                 g_done = g_fin[completed]
                 residual_bits[g_done] = 0.0
-                fct_s[g_done] = next_tau - starts[g_done]
+                state.fct_s[g_done] = next_tau - starts[g_done]
             tau = next_tau
             if tau >= step_end - _TIME_EPS_S:
                 break
         if loop_span != -1:
             profiler.end(loop_span)
-        return solves
 
-    def _record_metrics(self, time_s: float, rates_row: np.ndarray,
-                        loads: Dict[Hashable, float],
-                        active_count: Optional[int] = None) -> None:
+    def _device_capacity(self, key: Hashable, faults,
+                         time_s: float) -> float:
+        """A device's capacity at ``time_s`` under the fault schedule:
+        cut/outaged devices are zero-capacity (max-min flows over them
+        — frozen-topology mode — get rate 0, AIMD backlogs overflow and
+        on-path flows halve); lossy ones shrink to the expected goodput."""
+        capacity = self.capacity_overrides.get(key, self.link_capacity_bps)
+        if faults is not None:
+            capacity *= faults.capacity_factor(key, self._num_sats, time_s)
+        return capacity
+
+    def _record_snapshot(self, state: FluidRunState, t_index: int,
+                         time_s: float, paths: list,
+                         loads: Dict[Hashable, float],
+                         active_count: int) -> None:
+        """Append one snapshot (``state.rates[t_index]`` already set) to
+        the run history and to the metric series."""
+        state.all_paths.append(list(paths))
+        state.all_loads.append(loads)
         registry = self.metrics
         if registry is None:
             return
+        rates_row = state.rates[t_index]
         connected = int((rates_row > 0.0).sum())
         registry.series("fluid.connected_flows").append(time_s, connected)
         registry.series("fluid.mean_rate_bps").append(
@@ -702,6 +735,6 @@ class FluidSimulation:
         peak = max(loads.values()) if loads else 0.0
         registry.series("fluid.peak_utilization").append(
             time_s, peak / self.link_capacity_bps)
-        if active_count is not None:
+        if state.dynamic:
             registry.series("traffic.active_flows").append(
                 time_s, float(active_count))

@@ -29,11 +29,10 @@ them present from t=0 (only the demand-driven routing *work* counters
 may differ, since mid-run installs compute their destination trees at
 install time instead of inside a scheduled refresh batch).
 
-The engine choice deliberately excludes the AIMD fluid engine: its
-inner loop carries per-step transients that are not exposed in a
-resumable state object, so a checkpoint could not honor the
-bit-identity contract — asking for it raises :class:`ServiceError`
-rather than silently checkpointing something unresumable.
+The engine choice excludes the AIMD fluid engine: it runs on the same
+resumable loop and state as max-min, but no service test or benchmark
+covers it yet — asking for it raises :class:`ServiceError` rather than
+offering an unproven checkpoint contract.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ import numpy as np
 from ..cc.factory import ControllerFlowFactory
 from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
-from ..fluid.engine import (_ELASTIC_DEMAND_CAPACITIES, FluidRunState,
-                            FluidSimulation)
+from ..fluid.engine import FluidRunState, FluidSimulation
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
 from ..simulation.simulator import LinkConfig, PacketSimulator
@@ -73,7 +71,7 @@ class LiveSimulationService:
         spec: The network recipe; must be spec-expressible (registered
             ISL builder) so checkpoints can identify the network.
         engine: ``"packet"`` or ``"fluid"`` (the max-min engine; AIMD
-            is not checkpointable and is rejected).
+            is not served and is rejected).
         horizon_s: Simulated end of the run.  Required — both engines
             pre-commit their snapshot/epoch schedule to it.
         epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
@@ -105,9 +103,9 @@ class LiveSimulationService:
                  meta: Optional[Dict[str, Any]] = None) -> None:
         if engine not in ("packet", "fluid"):
             raise ServiceError(
-                f"unknown or non-checkpointable engine {engine!r}; the "
-                f"service supports 'packet' and 'fluid' (max-min) — the "
-                f"AIMD fluid engine carries unresumable loop transients")
+                f"unknown or unserved engine {engine!r}; the service "
+                f"supports 'packet' and 'fluid' (max-min) — the AIMD "
+                f"fluid engine has no service coverage yet")
         if controller is not None and engine != "packet":
             raise ServiceError(
                 "congestion controllers steer packet-engine flows; the "
@@ -214,9 +212,10 @@ class LiveSimulationService:
         """Advance ``epochs`` whole epochs (clamped to the horizon)."""
         if epochs < 1:
             raise ServiceError(f"epochs must be >= 1, got {epochs}")
-        # Epoch boundaries come from an integer grid, not repeated
-        # float addition, so long-running services never drift.
-        completed = int(round(self.clock_s / self.epoch_s))
+        # Epoch boundaries come from advance_to's integer floor grid, not
+        # repeated float addition: long-running services never drift and
+        # a mid-epoch clock first stops at the next boundary.
+        completed = int(np.floor(self.clock_s / self.epoch_s + 1e-9))
         return self.advance_to((completed + epochs) * self.epoch_s)
 
     def run_to_horizon(self) -> Dict[str, Any]:
@@ -296,52 +295,12 @@ class LiveSimulationService:
             self._attached[handle] = {"kind": "workload",
                                       "spawner": spawner}
         else:
-            start = self._extend_fluid_flows(requests)
+            assert self.fluid is not None and self.state is not None
+            start = self.fluid.extend_flows(
+                self.state, WorkloadSchedule(requests).as_fluid_flows())
             self._attached[handle] = {"kind": "workload",
                                       "flows": (start, len(requests))}
         return handle
-
-    def _extend_fluid_flows(self, requests: Sequence[FlowRequest]) -> int:
-        """Append flows to a live fluid run; returns their start index.
-
-        Every per-flow array in the run state grows by the new flows;
-        history rows gain ``None`` paths and zero rates, which is
-        exactly what a from-t=0 run records for flows that have not
-        arrived yet — the attach-equivalence test rests on this.
-        """
-        assert self.fluid is not None and self.state is not None
-        fluid, state = self.fluid, self.state
-        if fluid.freeze_topology_at_s is not None:
-            raise ServiceError(
-                "cannot attach flows to a frozen-topology baseline run")
-        schedule = WorkloadSchedule(requests)
-        new_flows = schedule.as_fluid_flows()
-        start = len(fluid.flows)
-        fluid.flows.extend(new_flows)
-        fluid._flow_pairs.extend(
-            (flow.src_gid, flow.dst_gid) for flow in new_flows)
-        count = len(new_flows)
-        new_starts = np.array([flow.start_s for flow in new_flows])
-        new_offered = np.array([flow.size_bytes * 8.0 for flow in new_flows])
-        state.starts = np.concatenate([state.starts, new_starts])
-        state.offered_bits = np.concatenate([state.offered_bits,
-                                             new_offered])
-        state.residual_bits = np.concatenate([state.residual_bits,
-                                              new_offered.copy()])
-        state.delivered_bits = np.concatenate([state.delivered_bits,
-                                               np.zeros(count)])
-        state.fct_s = np.concatenate([state.fct_s,
-                                      np.full(count, np.nan)])
-        new_caps = np.minimum(
-            np.array([flow.demand_bps for flow in new_flows]),
-            _ELASTIC_DEMAND_CAPACITIES * fluid.link_capacity_bps)
-        state.demand_caps = np.concatenate([state.demand_caps, new_caps])
-        state.rates = np.hstack(
-            [state.rates, np.zeros((len(state.times), count))])
-        for row in state.all_paths:
-            row.extend([None] * count)
-        state.dynamic = True
-        return start
 
     def detach_workload(self, handle: int) -> Dict[str, Any]:
         """Stop a previously attached workload offering new traffic.

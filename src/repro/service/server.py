@@ -111,8 +111,8 @@ class ServiceServer:
                     break
                 try:
                     response = self._dispatch(json.loads(line.decode()))
-                except (ServiceError, ValueError, KeyError,
-                        TypeError) as error:
+                except (ServiceError, ValueError, KeyError, TypeError,
+                        OverflowError) as error:
                     response = {"ok": False,
                                 "error": f"{type(error).__name__}: {error}"}
                 writer.write(json.dumps(response).encode() + b"\n")
@@ -123,13 +123,20 @@ class ServiceServer:
             writer.close()
 
     def _dispatch(self, command: Dict[str, Any]) -> Dict[str, Any]:
+        if not isinstance(command, dict):
+            raise ServiceError("a command must be a JSON object")
         service = self.service
         name = command.get("cmd")
         if name == "status":
             return {"ok": True, "status": service.status()}
         if name == "advance":
-            status = service.advance_epoch(int(command.get("epochs", 1)))
-            return {"ok": True, "status": status}
+            epochs = command.get("epochs", 1)
+            if isinstance(epochs, float) and epochs.is_integer():
+                epochs = int(epochs)
+            if not isinstance(epochs, int):
+                raise ServiceError(
+                    f"epochs must be a finite integer, got {epochs!r}")
+            return {"ok": True, "status": service.advance_epoch(epochs)}
         if name == "run_to_horizon":
             return {"ok": True, "status": service.run_to_horizon()}
         if name == "checkpoint":

@@ -298,18 +298,31 @@ class FlowArrivalProcess:
         if duration_s <= 0.0:
             raise ValueError("duration must be positive")
         requests: List[FlowRequest] = []
+        for src, dst, cursor in self._cursors():
+            self._draw_until(src, dst, cursor, duration_s, requests)
+        return WorkloadSchedule(requests, seed=self.seed)
+
+    def _cursors(self) -> Iterator[Tuple[int, int, List[Any]]]:
+        """Each demand-carrying pair with a fresh ``[rng, next_arrival_s]``
+        cursor (lazily: a whole-horizon draw keeps one rng alive)."""
         for src, dst in self.matrix.pairs():
             rate = self.pair_arrival_rate(src, dst)
-            if rate <= 0.0:
-                continue
-            rng = random.Random(f"{self.seed}:{src}:{dst}")
-            t = rng.expovariate(rate)
-            while t < duration_s:
-                requests.append(FlowRequest(
-                    t_start_s=t, src_gid=src, dst_gid=dst,
-                    size_bytes=self._draw_size_bytes(rng)))
-                t += rng.expovariate(rate)
-        return WorkloadSchedule(requests, seed=self.seed)
+            if rate > 0.0:
+                rng = random.Random(f"{self.seed}:{src}:{dst}")
+                yield src, dst, [rng, rng.expovariate(rate)]
+
+    def _draw_until(self, src: int, dst: int, cursor: List[Any],
+                    end_s: float, requests: List[FlowRequest]) -> None:
+        """Append the pair's arrivals before ``end_s``, advancing its
+        cursor — the one draw loop (gap, size, gap, size, ...)."""
+        rate = self.pair_arrival_rate(src, dst)
+        rng, t = cursor
+        while t < end_s:
+            requests.append(FlowRequest(
+                t_start_s=t, src_gid=src, dst_gid=dst,
+                size_bytes=self._draw_size_bytes(rng)))
+            t += rng.expovariate(rate)
+        cursor[1] = t
 
     def stream(self) -> "FlowArrivalStream":
         """An incremental (and picklable) view of the same arrivals."""
@@ -340,13 +353,8 @@ class FlowArrivalStream:
         self.process = process
         self.taken_until_s = 0.0
         #: Per-pair live cursor: (src, dst) -> [rng, next_arrival_s].
-        self._pairs: Dict[Tuple[int, int], List[Any]] = {}
-        for src, dst in process.matrix.pairs():
-            rate = process.pair_arrival_rate(src, dst)
-            if rate <= 0.0:
-                continue
-            rng = random.Random(f"{process.seed}:{src}:{dst}")
-            self._pairs[(src, dst)] = [rng, rng.expovariate(rate)]
+        self._pairs: Dict[Tuple[int, int], List[Any]] = {
+            (src, dst): cursor for src, dst, cursor in process._cursors()}
 
     def take_until(self, end_s: float) -> List[FlowRequest]:
         """Arrivals in ``[taken_until_s, end_s)``, schedule-sorted.
@@ -357,15 +365,7 @@ class FlowArrivalStream:
         if not math.isfinite(end_s):
             raise ValueError(f"horizon must be finite, got {end_s}")
         requests: List[FlowRequest] = []
-        process = self.process
         for (src, dst), cursor in self._pairs.items():
-            rate = process.pair_arrival_rate(src, dst)
-            rng, t = cursor
-            while t < end_s:
-                requests.append(FlowRequest(
-                    t_start_s=t, src_gid=src, dst_gid=dst,
-                    size_bytes=process._draw_size_bytes(rng)))
-                t += rng.expovariate(rate)
-            cursor[1] = t
+            self.process._draw_until(src, dst, cursor, end_s, requests)
         self.taken_until_s = max(self.taken_until_s, end_s)
         return sorted(requests, key=_sort_key)

@@ -1,10 +1,17 @@
 """Tests for the fluid engines: max-min allocation, AIMD dynamics."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.fluid.aimd import AimdFluidSimulation
+from repro import Hypatia, random_permutation_pairs
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.fluid.aimd import AimdFluidSimulation, AimdRunState
 from repro.fluid.engine import FluidFlow, FluidSimulation, path_devices
+from repro.topology.network import LeoNetwork
+from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
 from repro.fluid.maxmin import max_min_fair_allocation
 from repro.fluid.vectorized import (FlowLinkMatrix,
                                     max_min_fair_allocation_vectorized,
@@ -464,3 +471,209 @@ class TestEngineKernelParity:
         with pytest.raises(TypeError):
             FluidSimulation(small_network, [FluidFlow(0, 1)],
                             kernel="reference")
+
+
+# ----------------------------------------------------------------------
+# AIMD on the shared engine skeleton: parity pins and the inherited API
+# ----------------------------------------------------------------------
+
+#: sha256 of every bit-parity output of four AIMD runs, recorded on the
+#: commit before AIMD moved onto FluidSimulation's loop (its own 300-line
+#: ``run``); the refactor must reproduce them unchanged.
+AIMD_PINS = {
+    "moving": {
+        "flow_rates_bps":
+            "e003a57adc26787aa55146013fe59d5d179707b6721815d03aaa648c20dca379",
+        "flow_paths":
+            "0f3a2cf01788b7dd1412a64c724bc0bd5afaee2faf37e8eaded88f995a2a6460",
+        "device_load_bps":
+            "8a8f7b9a242eda4445576534ca3020d6bb744f8a728c6c1c672a3b5f23839aa2",
+        "flow_fct_s":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "flow_delivered_bits":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    },
+    "frozen": {
+        "flow_rates_bps":
+            "26fb46c4f04909dcd60d49ab0338ef7e5fe2f3f862e8457603f08f3d360c0d1f",
+        "flow_paths":
+            "0a5c6900321f056f1b43ef4cf64dd10f92b6667d19b1e2e1b3b7d921eaec5e83",
+        "device_load_bps":
+            "8c82e941eb71ff1b7afa7a7c131455cd27cfc0f4ccfc2d1b73d5a566f30721f9",
+        "flow_fct_s":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "flow_delivered_bits":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    },
+    "faults": {
+        "flow_rates_bps":
+            "ba508a6a288ed9532e7552f19ebae95b8d7b694a40f6c5362e2dcf742715aa3b",
+        "flow_paths":
+            "4e8dc058fb3cd45e3947321d6a538ebbce7f408c24adf529decd43a0347ff456",
+        "device_load_bps":
+            "ab9b72aa99ef54ab5ba4d9daefd15f70506e7239b7ac2879531660c827c30c82",
+        "flow_fct_s":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+        "flow_delivered_bits":
+            "dc937b59892604f5a86ac96936cd7ff09e25f18ae6b758e8014a24c7fa039e91",
+    },
+    "churn": {
+        "flow_rates_bps":
+            "e77d02dbb085a35ecf09fe89e7bbb63963624f97d38fc011b0ecb2ebe361d13a",
+        "flow_paths":
+            "3445094b0f5bfa2aaf6ff2ff9ae8a0841868185f502b18e01a9f37c58009c5b1",
+        "device_load_bps":
+            "f2a48d118d2de5c4a5c0b4b3b70eb86d3ca43c20bd6607cdb71a93bee0810862",
+        "flow_fct_s":
+            "5c960ce846c5ffadd897dd89d5cb1619d334815bc0d7c6f442c5bd925b8006fe",
+        "flow_delivered_bits":
+            "9501bcb2e5f561ab45fed67cad84b628dc92135fb42a530a0c7837956a549bf4",
+    },
+}
+
+_NO_FCT = hashlib.sha256(b"None").hexdigest()
+
+
+def _result_digests(result):
+    """sha256 per output (node ids and device keys normalized to python
+    ints, loads as float hex, so only values and order are hashed)."""
+    def sha(data):
+        return hashlib.sha256(
+            data.encode() if isinstance(data, str) else data).hexdigest()
+
+    def array(values):
+        return "None" if values is None else np.asarray(
+            values, dtype=float).tobytes()
+    paths = [[None if path is None else [int(node) for node in path]
+              for path in row] for row in result.flow_paths]
+    loads = [[((str(key[0]), int(key[1])), float(load).hex())
+              for key, load in step.items()]
+             for step in result.device_load_bps]
+    return {"flow_rates_bps": sha(array(result.flow_rates_bps)),
+            "flow_paths": sha(repr(paths)),
+            "device_load_bps": sha(repr(loads)),
+            "flow_fct_s": sha(array(result.flow_fct_s)),
+            "flow_delivered_bits": sha(array(result.flow_delivered_bits))}
+
+
+@pytest.fixture(scope="module")
+def kuiper_offset_network():
+    return Hypatia.from_shell_name("K1", num_cities=100,
+                                   epoch_offset_s=10.0).network
+
+
+@pytest.fixture
+def aimd_scenario(request, kuiper_offset_network, small_constellation,
+                  small_stations, small_network):
+    """``(simulation, duration_s)`` of one pinned AIMD scenario."""
+    name = request.param
+    if name in ("moving", "frozen"):
+        flows = [FluidFlow(src, dst)
+                 for src, dst in random_permutation_pairs(100)]
+        return AimdFluidSimulation(
+            kuiper_offset_network, flows,
+            freeze_topology_at_s=5.0 if name == "frozen" else None), 30.0
+    if name == "faults":
+        # An ISL of flow 0's initial path is cut (the backlog it holds
+        # can no longer drain), gid 1 turns lossy and gid 2 goes dark.
+        faults = FaultSchedule([
+            FaultEvent.isl_cut(35, 34, 3.0, 9.0),
+            FaultEvent.packet_loss(5.0, 12.0, 0.4, gid=1),
+            FaultEvent.gsl_cut(2, 7.0, 10.0)], seed=3)
+        network = LeoNetwork(small_constellation, small_stations,
+                             min_elevation_deg=10.0, faults=faults)
+        pairs = [(0, 3), (1, 4), (2, 5), (3, 1), (4, 0), (5, 2), (0, 3)]
+        return AimdFluidSimulation(
+            network, [FluidFlow(src, dst) for src, dst in pairs]), 16.0
+    assert name == "churn"
+    workload = WorkloadSchedule([
+        FlowRequest(0.0, 0, 3, 250_000),
+        FlowRequest(0.35, 1, 4, 2_000_000),
+        FlowRequest(1.0, 0, 3, 400_000),
+        FlowRequest(2.5, 2, 5, 125_000),
+        FlowRequest(2.55, 4, 1, 3_000_000),
+        FlowRequest(4.75, 5, 2, 60_000),
+        FlowRequest(9.2, 3, 0, 900_000),
+        FlowRequest(50.0, 3, 0, 900_000)], seed=0)
+    return AimdFluidSimulation(
+        small_network, [FluidFlow(5, 0)] + workload.as_fluid_flows()), 14.0
+
+
+def _assert_same_result(got, expected):
+    assert np.array_equal(got.flow_rates_bps, expected.flow_rates_bps)
+    assert got.flow_paths == expected.flow_paths
+    assert ([list(loads.items()) for loads in got.device_load_bps]
+            == [list(loads.items()) for loads in expected.device_load_bps])
+    for name in ("flow_fct_s", "flow_delivered_bits", "flow_offered_bits"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None and b is None) or np.array_equal(
+            a, b, equal_nan=True)
+
+
+class TestAimdOnSharedSkeleton:
+    def test_is_a_fluid_simulation_without_its_own_loop(self):
+        assert issubclass(AimdFluidSimulation, FluidSimulation)
+        for inherited in ("run", "start_run", "advance", "finish",
+                          "_paths_at", "_record_snapshot"):
+            assert inherited not in vars(AimdFluidSimulation)
+
+    @pytest.mark.parametrize("aimd_scenario", list(AIMD_PINS),
+                             indirect=True)
+    def test_parity_pin(self, request, aimd_scenario):
+        simulation, duration_s = aimd_scenario
+        result = simulation.run(duration_s, step_s=1.0)
+        name = request.node.callspec.params["aimd_scenario"]
+        assert _result_digests(result) == AIMD_PINS[name]
+        assert (AIMD_PINS[name]["flow_fct_s"] == _NO_FCT) == (name != "churn")
+
+    @pytest.mark.parametrize("aimd_scenario", list(AIMD_PINS),
+                             indirect=True)
+    def test_sliced_advance_through_pickle_matches_run(self, aimd_scenario):
+        """No transient lives outside AimdRunState: stepping one snapshot
+        at a time, with the state pickled halfway, is ``run()``."""
+        simulation, duration_s = aimd_scenario
+        expected = simulation.run(duration_s, step_s=1.0)
+        state = simulation.start_run(duration_s, step_s=1.0)
+        assert isinstance(state, AimdRunState)
+        steps = len(state.times)
+        for step in range(steps):
+            if step == steps // 2:
+                state = pickle.loads(pickle.dumps(state))
+            simulation.advance(state, max_steps=1)
+        assert state.done
+        _assert_same_result(simulation.finish(state), expected)
+
+
+class TestExtendFlows:
+    """Build-time and attach-time flow construction are one method."""
+
+    LATE = [FluidFlow(4, 1, start_s=3.0, size_bytes=900_000.0),
+            FluidFlow(0, 3, start_s=3.4, size_bytes=300_000.0),
+            FluidFlow(2, 5, start_s=6.0)]
+
+    @pytest.mark.parametrize("engine", [FluidSimulation,
+                                        AimdFluidSimulation])
+    @pytest.mark.parametrize("freeze_at_s", [None, 1.0])
+    def test_extend_at_step_k_equals_build_from_t0(self, small_network,
+                                                   engine, freeze_at_s):
+        base = [FluidFlow(0, 3), FluidFlow(1, 4, size_bytes=2_000_000.0),
+                FluidFlow(3, 0, start_s=1.5, size_bytes=500_000.0)]
+        expected = engine(
+            small_network, base + self.LATE,
+            freeze_topology_at_s=freeze_at_s).run(8.0, step_s=1.0)
+        simulation = engine(small_network, base,
+                            freeze_topology_at_s=freeze_at_s)
+        state = simulation.start_run(8.0, step_s=1.0)
+        simulation.advance(state, max_steps=3)
+        assert simulation.extend_flows(state, self.LATE) == len(base)
+        assert state.rates.shape == (8, 6)
+        assert all(len(row) == 6 for row in state.all_paths)
+        simulation.advance(state)
+        _assert_same_result(simulation.finish(state), expected)
+
+    def test_start_run_is_repeatable(self, small_network):
+        simulation = FluidSimulation(small_network, [FluidFlow(0, 3)])
+        first = simulation.run(2.0)
+        again = simulation.run(2.0)
+        assert len(simulation.flows) == 1
+        _assert_same_result(again, first)

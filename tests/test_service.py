@@ -458,6 +458,18 @@ class TestLiveMutation:
         with pytest.raises(ServiceError, match="backwards"):
             service.advance_to(1.0)
 
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    @pytest.mark.parametrize("clock_s", [0.5, 1.5, 2.5, 3.5])
+    def test_advance_epoch_from_mid_epoch_clock(self, engine, clock_s):
+        """advance_epoch walks advance_to's floor grid: from a mid-epoch
+        clock it stops at the next boundary, then one epoch at a time
+        (banker's rounding used to jump 1.5 -> 3.0 and 3.5 -> 5.0)."""
+        service = _make_service(engine)
+        service.advance_to(clock_s)
+        boundary = float(np.floor(clock_s)) + 1.0
+        assert service.advance_epoch()["time_s"] == boundary
+        assert service.advance_epoch(2)["time_s"] == boundary + 2.0
+
     def test_attach_then_checkpoint_round_trip(self, tmp_path):
         """Mutations compose with the checkpoint contract: mutate,
         checkpoint, restore, finish == mutate and never stop."""
@@ -574,6 +586,29 @@ class TestServerClient:
         # The checkpoint written over the wire restores like any other.
         restored = LiveSimulationService.resume(str(tmp_path / "live.ckpt"))
         assert restored.clock_s == 3.0
+
+    @pytest.mark.parametrize("line", [
+        b"[1]", b'"status"', b"null",
+        b'{"cmd": "advance", "epochs": 1e400}',
+        b'{"cmd": "advance", "epochs": 1.5}',
+        b'{"cmd": "advance", "epochs": "2"}',
+        b'{"cmd": "advance", "epochs": 1' + b"0" * 400 + b"}",
+    ])
+    def test_bad_line_gets_an_error_and_the_connection_survives(self, line):
+        """Non-object commands and non-integer epochs used to raise past
+        the handler's caught tuple: the client saw EOF, not ok:false."""
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client._stream.write(line + b"\n")
+                client._stream.flush()
+                response = json.loads(client._stream.readline())
+                assert response["ok"] is False
+                assert response["error"].split(":")[0] in (
+                    "ServiceError", "OverflowError")
+                assert client.status()["time_s"] == 0.0
+                assert client.advance(2.0)["time_s"] == 2.0
+                client.stop()
 
     def test_live_mutation_over_the_wire(self):
         service = _make_service("packet")

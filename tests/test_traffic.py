@@ -226,6 +226,20 @@ class TestFlowArrivalProcess:
         second = FlowArrivalProcess(matrix, seed=3).generate(30.0)
         assert first == second
 
+    def test_generate_request_list_pinned(self):
+        """``generate`` and ``FlowArrivalStream`` share one draw loop;
+        this digest was recorded while each had its own."""
+        import hashlib
+        schedule = FlowArrivalProcess(
+            TrafficMatrix.gravity(count=6, total_offered_bps=2e7),
+            mean_size_bytes=100_000.0, seed=7).generate(10.0)
+        rows = [(r.t_start_s.hex(), r.src_gid, r.dst_gid, r.size_bytes)
+                for r in schedule]
+        assert (len(rows), schedule.seed) == (268, 7)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "48b365f9b3f0b25d2a3682ff2eeb34e9"
+            "091b419641942afe2ce69c188ecf8c44")
+
     def test_different_seed_differs(self):
         matrix = self._matrix()
         a = FlowArrivalProcess(matrix, seed=3).generate(30.0)
