@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-e2e bench-fig10 bench-report clean
+	bench-service bench-cc bench-e2e bench-fig10 clean
 
 check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
 	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e \
@@ -23,6 +23,9 @@ smoke:
 	! grep -rn "except Exception" src/
 	! grep -rnE "_ELASTIC_DEMAND_CAPACITIES|_flow_pairs" src/ \
 	    --exclude-dir=fluid
+	! grep -rnwIE "TcpNewRenoFlow|TcpVegasFlow|TcpBbrFlow|bench-report" \
+	    src/ examples/ README.md .github/
+	! grep -rnI "BENCH_" src/ examples/ README.md .github/
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:
@@ -34,11 +37,6 @@ bench:
 bench-obs:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py \
 	    benchmarks/test_span_overhead.py -q -o testpaths=
-
-# Bench-trajectory regression report over results/BENCH_*.json (exits
-# nonzero when the latest run is >20% worse than the rolling best).
-bench-report:
-	$(PYTHON) -m repro bench-report
 
 # Sweep-engine gate: parallel must equal serial bit-for-bit, and reach
 # 1.7x at 4 workers (speedup half auto-skips below 4 cores).
@@ -58,22 +56,21 @@ bench-traffic:
 # Fluid-core scale gate: the vectorized max-min kernel must match the
 # Python oracle bit-for-bit, and solve a 100-city gravity snapshot with
 # >= 1e5 concurrent flows at >= 10x the per-flow solver (throughput
-# half auto-skips below 4 cores).  Appends results/BENCH_fluid_scale.json.
+# half auto-skips below 4 cores).
 bench-fluid-scale:
 	$(PYTHON) -m pytest benchmarks/test_fluid_scale.py -q -o testpaths=
 
 # Incremental-routing gate: repaired destination trees must equal the
 # from-scratch solve bit-for-bit (serial and workers=4), and reach 5x
 # per-snapshot routing time on S1 under sparse topology deltas (speedup
-# half auto-skips below 4 cores).  Appends
-# results/BENCH_routing_incremental.json.
+# half auto-skips below 4 cores).
 bench-routing:
 	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore -> continue must be
 # bit-identical to never stopping (packet + max-min fluid engines),
 # and sweep warm-starts must splice bit-identically (serial and
-# workers=4).  Appends results/BENCH_service_restore.json.
+# workers=4).
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_restore.py -q -o testpaths=
 
@@ -81,8 +78,7 @@ bench-service:
 # to the frozen seed flows (cwnd/RTT traces and counters), and the
 # learned controller must match or beat the best classic's FCT p50 in
 # >= 1 scenario of the fault x weather x churn cc-lab matrix — with the
-# matrix itself bit-identical at any worker count.  Appends
-# results/BENCH_cc_matrix.json.
+# matrix itself bit-identical at any worker count.
 bench-cc:
 	$(PYTHON) -m pytest benchmarks/test_cc_matrix.py -q -o testpaths=
 

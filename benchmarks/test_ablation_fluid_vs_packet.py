@@ -15,7 +15,7 @@ from repro import Hypatia
 from repro.fluid.aimd import AimdFluidSimulation
 from repro.fluid.engine import FluidFlow, FluidSimulation
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -40,7 +40,7 @@ def test_ablation_fluid_vs_packet(kuiper, benchmark):
         sim = PacketSimulator(
             kuiper.network,
             LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS))
-        tcps = [TcpNewRenoFlow(src, dst).install(sim)
+        tcps = [TcpFlow(src, dst).install(sim)
                 for src, dst in pairs]
         sim.run(DURATION_S)
         holder["tcp"] = tcps

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Hypatia
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -34,7 +34,7 @@ def test_ablation_queue_size(benchmark):
                 LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS,
                            isl_queue_packets=queue,
                            gsl_queue_packets=queue))
-            flow = TcpNewRenoFlow(pair[0], pair[1]).install(sim)
+            flow = TcpFlow(pair[0], pair[1]).install(sim)
             sim.run(DURATION_S)
             holder[multiple] = (queue, flow)
         return len(holder)

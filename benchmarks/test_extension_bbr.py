@@ -18,9 +18,7 @@ import pytest
 
 from repro import Hypatia
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.bbr import TcpBbrFlow
-from repro.transport.tcp import TcpNewRenoFlow
-from repro.transport.vegas import TcpVegasFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -29,8 +27,7 @@ RATE_BPS = 10_000_000.0
 QUEUE_PACKETS = 100
 EPOCH_OFFSET_S = 10.0  # window with an ~+9 ms RTT step at t=26 s
 
-FLAVORS = [("newreno", TcpNewRenoFlow), ("vegas", TcpVegasFlow),
-           ("bbr", TcpBbrFlow)]
+FLAVORS = ["newreno", "vegas", "bbr"]
 
 
 def test_extension_bbr_vs_loss_vs_delay(benchmark):
@@ -41,13 +38,13 @@ def test_extension_bbr_vs_loss_vs_delay(benchmark):
 
     def run_all():
         events = 0
-        for label, factory in FLAVORS:
+        for label in FLAVORS:
             sim = PacketSimulator(
                 study.network,
                 LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS,
                            isl_queue_packets=QUEUE_PACKETS,
                            gsl_queue_packets=QUEUE_PACKETS))
-            flow = factory(pair[0], pair[1]).install(sim)
+            flow = TcpFlow(pair[0], pair[1], controller=label).install(sim)
             sim.run(DURATION_S)
             holder[label] = flow
             events += sim.scheduler.events_processed
@@ -61,7 +58,7 @@ def test_extension_bbr_vs_loss_vs_delay(benchmark):
             f"{'after (Mbit/s)':>15} {'overall':>8}"]
     halves = {}
     medians = {}
-    for label, _ in FLAVORS:
+    for label in FLAVORS:
         flow = holder[label]
         _, rtt = flow.rtt_log.as_arrays()
         series = flow.throughput_series_bps()

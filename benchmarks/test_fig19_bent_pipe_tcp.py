@@ -14,7 +14,7 @@ from repro import Hypatia
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import relay_grid_between
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -44,7 +44,7 @@ def test_fig19_tcp_isl_vs_bent_pipe(benchmark):
                 LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS,
                            isl_queue_packets=QUEUE_PACKETS,
                            gsl_queue_packets=QUEUE_PACKETS))
-            flow = TcpNewRenoFlow(pair[0], pair[1]).install(sim)
+            flow = TcpFlow(pair[0], pair[1]).install(sim)
             sim.run(DURATION_S)
             holder[label] = flow
             events += sim.scheduler.events_processed

@@ -14,7 +14,7 @@ import pytest
 
 from repro import Hypatia, random_permutation_pairs
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
 
 from _common import scaled, write_result
@@ -36,7 +36,7 @@ def _run_workload(protocol: str, line_rate: float) -> dict:
     flows = []
     for src, dst in pairs:
         if protocol == "tcp":
-            flows.append(TcpNewRenoFlow(src, dst).install(sim))
+            flows.append(TcpFlow(src, dst).install(sim))
         else:
             flows.append(UdpFlow(src, dst, rate_bps=line_rate).install(sim))
     start = time.perf_counter()

@@ -15,7 +15,7 @@ import pytest
 
 from repro import Hypatia
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -49,7 +49,7 @@ def test_fig4_cwnd_evolution(study, benchmark):
                 LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS,
                            isl_queue_packets=QUEUE_PACKETS,
                            gsl_queue_packets=QUEUE_PACKETS))
-            flow = TcpNewRenoFlow(pair[0], pair[1]).install(sim)
+            flow = TcpFlow(pair[0], pair[1]).install(sim)
             sim.run(DURATION_S)
             flows[pair] = flow
             total_events += sim.scheduler.events_processed

@@ -19,8 +19,7 @@ import pytest
 
 from repro import Hypatia
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
-from repro.transport.vegas import TcpVegasFlow
+from repro.transport.tcp import TcpFlow
 
 from _common import scaled, write_result
 
@@ -48,14 +47,13 @@ def test_fig5_newreno_vs_vegas(study, benchmark):
 
     def run_experiment():
         events = 0
-        for label, factory in [("newreno", TcpNewRenoFlow),
-                               ("vegas", TcpVegasFlow)]:
+        for label in ("newreno", "vegas"):
             sim = PacketSimulator(
                 study.network,
                 LinkConfig(isl_rate_bps=RATE_BPS, gsl_rate_bps=RATE_BPS,
                            isl_queue_packets=QUEUE_PACKETS,
                            gsl_queue_packets=QUEUE_PACKETS))
-            flow = factory(pair[0], pair[1]).install(sim)
+            flow = TcpFlow(pair[0], pair[1], controller=label).install(sim)
             sim.run(DURATION_S)
             flows[label] = flow
             events += sim.scheduler.events_processed

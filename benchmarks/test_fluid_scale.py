@@ -14,12 +14,8 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   workload.  Like the `bench-sweep` speedup gate, the throughput
   thresholds are only enforced on machines with >= 4 cores; the numbers
   are measured and reported everywhere.
-
-Every run appends one record to ``results/BENCH_fluid_scale.json`` so
-the throughput trajectory across commits/machines is preserved.
 """
 
-import json
 import os
 import sys
 import time
@@ -38,7 +34,7 @@ from repro.fluid.vectorized import (max_min_fair_allocation_vectorized,
                                     waterfill)
 from repro.traffic import TrafficMatrix
 
-from _common import RESULTS_DIR, scaled, write_result
+from _common import scaled, write_result
 from _fluid_oracle import assert_result_matches_oracle
 
 NUM_CITIES = 100
@@ -47,7 +43,6 @@ LINK_CAPACITY_BPS = 10e6
 MIN_SPEEDUP = 10.0
 MAX_SOLVE_S = 2.0  # "interactive speed": one snapshot allocation budget
 SPEEDUP_CORES = 4
-TRAJECTORY_PATH = RESULTS_DIR / "BENCH_fluid_scale.json"
 
 _CACHE = {}
 
@@ -79,20 +74,6 @@ def _gravity_paths():
         _CACHE["num_sats"] = hypatia.network.num_satellites
         _CACHE["num_nodes"] = hypatia.network.num_nodes
     return _CACHE
-
-
-def _append_trajectory(record):
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if TRAJECTORY_PATH.exists():
-        try:
-            history = json.loads(TRAJECTORY_PATH.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = []
-    history.append(record)
-    TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def test_kernels_bit_identical_on_random_scenarios():
@@ -178,19 +159,6 @@ def test_gravity_scale():
         f"thresholds_enforced   {('yes' if capable else 'no'):>10}",
     ]
     write_result("fluid_scale", rows)
-    _append_trajectory({
-        "timestamp": time.time(),
-        "flows": len(paths),
-        "links": matrix.num_links,
-        "traversals": matrix.nnz,
-        "paths_wall_s": cache["paths_s"],
-        "matrix_build_s": build_s,
-        "vectorized_solve_s": vec_solve_s,
-        "reference_solve_s": ref_solve_s,
-        "speedup": speedup,
-        "full_scale": NUM_FLOWS != 100_000,
-        "cpu_count": os.cpu_count() or 1,
-    })
 
     assert len(paths) >= NUM_FLOWS, "scale gate lost workload rows"
     if not capable:

@@ -27,7 +27,7 @@ from repro.obs import NULL_TRACER, RingBufferTracer
 from repro.orbits.shell import Shell
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.topology.network import LeoNetwork
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
 
 from _common import scaled, write_result
@@ -62,7 +62,7 @@ def _run_scenario(network: LeoNetwork, tracer=None) -> dict:
         network,
         LinkConfig(isl_rate_bps=10e6, gsl_rate_bps=10e6),
         tracer=tracer)
-    TcpNewRenoFlow(0, 2).install(sim)
+    TcpFlow(0, 2).install(sim)
     UdpFlow(1, 3, rate_bps=5e6).install(sim)
     start = time.perf_counter()
     sim.run(DURATION_S)

@@ -17,13 +17,9 @@ Two gates:
   sparse topology deltas — cumulative ISL failures at a frozen epoch,
   so the delta is the failure, not orbital motion — must be at least
   5x faster than solving each snapshot from scratch.
-
-Every run appends one record to ``results/BENCH_routing_incremental.json``
-so `repro bench-report` can flag wall-time regressions across runs.
 """
 
 import dataclasses
-import json
 import os
 import time
 
@@ -37,7 +33,7 @@ from repro.routing.incremental import IncrementalRouter
 from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
                                           snapshot_times)
 
-from _common import RESULTS_DIR, write_result
+from _common import write_result
 
 SHELL = "S1"
 NUM_CITIES = 100
@@ -46,8 +42,6 @@ DROPS_PER_STEP = 1       # new ISL failures per step (sparse deltas)
 TIMING_REPS = 5
 SPEEDUP_CORES = 4
 MIN_SPEEDUP = 5.0
-
-TRAJECTORY_PATH = RESULTS_DIR / "BENCH_routing_incremental.json"
 
 _CACHE = {}
 
@@ -82,20 +76,6 @@ def _failure_sequence(base, rng):
         failed = np.union1d(failed, fresh)
         snapshots.append(_masked(base, failed))
     return snapshots
-
-
-def _append_trajectory(record):
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if TRAJECTORY_PATH.exists():
-        try:
-            history = json.loads(TRAJECTORY_PATH.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = []
-    history.append(record)
-    TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
 
 def test_sparse_delta_parity_on_every_snapshot():
@@ -142,21 +122,6 @@ def test_incremental_speedup_on_sparse_deltas():
 
     speedup = scratch_best / incremental_best
     assert counters.repairs == NUM_STEPS
-
-    _append_trajectory({
-        "timestamp": time.time(),
-        "shell": SHELL,
-        "cities": NUM_CITIES,
-        "destinations": len(destinations),
-        "snapshots": NUM_STEPS,
-        "drops_per_step": DROPS_PER_STEP,
-        "scratch_snapshot_s": scratch_best,
-        "incremental_snapshot_s": incremental_best,
-        "speedup": speedup,
-        "edges_changed": counters.edges_changed,
-        "vertices_invalidated": counters.vertices_invalidated,
-        "cpu_count": os.cpu_count() or 1,
-    })
 
     rows = [
         "# incremental routing speedup (S1, frozen-epoch ISL failures)",

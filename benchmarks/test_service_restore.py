@@ -6,11 +6,8 @@ a simulation checkpointed mid-run, restored from the file, and advanced
 to the horizon must produce a deterministic report and per-flow FCT
 array bit-identical to a run that never stopped — on the packet engine
 and the max-min fluid engine.  This gate re-proves the contract at
-every `make check` and times the checkpoint machinery itself.
-
-Every run appends one record to ``results/BENCH_service_restore.json``
-(save/load wall times, checkpoint sizes) so `repro bench-report` can
-flag regressions in checkpoint cost across runs.
+every `make check` and times the checkpoint machinery itself (save/load
+wall times and checkpoint sizes, in ``results/service_restore.txt``).
 """
 
 from __future__ import annotations
@@ -31,14 +28,12 @@ from repro.sweep.spec import NetworkSpec
 from repro.topology.network import LeoNetwork
 from repro.traffic import FlowRequest, WorkloadSchedule
 
-from _common import RESULTS_DIR, write_result
+from _common import write_result
 
 HORIZON_S = 12.0
 EPOCH_S = 1.0
 CHECKPOINT_EPOCH = 6
 NUM_FLOWS = 30
-
-TRAJECTORY_PATH = RESULTS_DIR / "BENCH_service_restore.json"
 
 ENGINES = ["packet", "fluid"]
 
@@ -84,25 +79,8 @@ def _parity_form(service: LiveSimulationService) -> str:
                       sort_keys=True)
 
 
-def _append_trajectory(record):
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if TRAJECTORY_PATH.exists():
-        try:
-            history = json.loads(TRAJECTORY_PATH.read_text())
-        except (ValueError, OSError):
-            history = []
-    if not isinstance(history, list):
-        history = []
-    history.append(record)
-    TRAJECTORY_PATH.write_text(json.dumps(history, indent=2) + "\n")
-
-
 def test_restore_parity_all_engines(tmp_path):
     lines = []
-    record = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-              "horizon_s": HORIZON_S, "flows": NUM_FLOWS}
-    total_save_s = total_load_s = 0.0
     for label in ENGINES:
         baseline = _service(label)
         baseline.run_to_horizon()
@@ -125,17 +103,10 @@ def test_restore_parity_all_engines(tmp_path):
                               baseline.fct_values(), equal_nan=True), \
             f"{label}: restored FCT array diverged"
 
-        total_save_s += save_s
-        total_load_s += load_s
-        record[f"{label}_save_s"] = save_s
-        record[f"{label}_load_s"] = load_s
-        record[f"{label}_bytes"] = size
         lines.append(f"{label:18s} save {save_s * 1e3:7.1f} ms  "
                      f"load {load_s * 1e3:7.1f} ms  "
                      f"{size / 1024:8.1f} KiB  parity OK")
 
-    record["wall_time_s"] = total_save_s + total_load_s
-    _append_trajectory(record)
     write_result("service_restore", lines)
 
 

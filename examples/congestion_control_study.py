@@ -20,15 +20,14 @@ from repro import Hypatia
 from repro.obs import (FLOW_CWND, FLOW_RTT, PKT_DROP, MetricsRegistry,
                        RingBufferTracer, TraceFilter)
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.transport.tcp import TcpNewRenoFlow
-from repro.transport.vegas import TcpVegasFlow
+from repro.transport.tcp import TcpFlow
 
 DURATION_S = 44.0
 RATE_BPS = 10e6
 QUEUE = 100
 
 
-def run_flow(hypatia, pair, factory):
+def run_flow(hypatia, pair, controller):
     tracer = RingBufferTracer(
         capacity=200_000,
         trace_filter=TraceFilter(kinds={FLOW_RTT, FLOW_CWND, PKT_DROP}))
@@ -39,7 +38,7 @@ def run_flow(hypatia, pair, factory):
         tracer=tracer)
     registry = MetricsRegistry()
     sim.attach_probe(registry=registry, interval_s=1.0)
-    flow = factory(pair[0], pair[1]).install(sim)
+    flow = TcpFlow(pair[0], pair[1], controller=controller).install(sim)
     sim.run(DURATION_S)
     return flow, tracer, registry
 
@@ -78,9 +77,9 @@ def main() -> None:
           f"t=30s: {rtts[30]:.1f} ms (the path-change step)")
 
     describe("TCP NewReno (loss-based)",
-             *run_flow(hypatia, pair, TcpNewRenoFlow))
+             *run_flow(hypatia, pair, "newreno"))
     describe("TCP Vegas (delay-based)",
-             *run_flow(hypatia, pair, TcpVegasFlow))
+             *run_flow(hypatia, pair, "vegas"))
 
     print("\nTakeaway (paper §4.2): NewReno fills the buffer — its RTT "
           "rides ~a full queue above the path RTT — and reordering at "

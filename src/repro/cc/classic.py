@@ -1,7 +1,7 @@
 """The three classic controllers as plug-ins: NewReno, Vegas, BBR.
 
 These are straight policy ports of the seed flow classes (which hard-coded
-each algorithm as a subclass of ``TcpNewRenoFlow``); the mechanics —
+each algorithm as a flow subclass); the mechanics —
 SACK scoreboard, retransmissions, timers, receiver — stayed behind in
 :class:`repro.transport.tcp.TcpFlow`.  The regression gate in
 ``benchmarks/test_cc_matrix.py`` proves each port bit-identical to its
@@ -9,10 +9,10 @@ seed class (``tests/_seed_transport.py``) on scenarios exercising fast
 recovery and timeouts; do not "improve" the arithmetic here without
 updating that contract.
 
-The algorithm rationale (why NewReno halves on LEO path shortening, why
+The algorithm rationale — why NewReno halves on LEO path shortening, why
 Vegas collapses on path lengthening, why BBR's expiring min-RTT filter
-does not) lives in the module docstrings of :mod:`repro.transport.tcp`,
-:mod:`repro.transport.vegas`, and :mod:`repro.transport.bbr`.
+does not — is in the :mod:`repro.transport.tcp` module docstring and the
+Vegas and BBR class docstrings below.
 """
 
 from __future__ import annotations
@@ -64,7 +64,24 @@ class NewRenoController(CongestionController):
 
 
 class VegasController(NewRenoController):
-    """Delay-based Vegas over a Reno loss-recovery base.
+    """Delay-based Vegas over a Reno loss-recovery base (fast retransmit
+    / RTO, matching how Vegas implementations layer it).
+
+    Paper §4.2 / Fig. 5: Vegas keeps queues nearly empty, but on LEO
+    paths it misreads path-change-induced RTT increases as congestion,
+    drastically cuts its window, and its throughput collapses.  That
+    failure mode needs no special-casing — it falls out of the standard
+    Brakmo-Peterson rules:
+
+    * ``BaseRTT`` is the minimum RTT ever observed on the connection;
+    * once per RTT, Vegas estimates the backlog it keeps in queues as
+      ``diff = cwnd * (RTT - BaseRTT) / RTT`` (in packets);
+    * it nudges cwnd to keep ``alpha <= diff <= beta``.
+
+    When satellite motion lengthens the path, ``RTT - BaseRTT`` grows
+    with no queueing whatsoever, ``diff`` exceeds ``beta``, and Vegas
+    walks its window down toward the floor — exactly the collapse of
+    Fig. 5(b)/(c).
 
     Args:
         alpha: Lower backlog target (packets).
@@ -141,8 +158,31 @@ class VegasController(NewRenoController):
 
 
 class BbrController(CongestionController):
-    """Simplified BBR v1 (see :mod:`repro.transport.bbr`): rate-paced
-    sending at ``gain x BtlBw`` with a ``2 x BDP`` in-flight cap."""
+    """Simplified BBR v1: model-based congestion control.
+
+    Paper §4.2: "once a mature implementation of BBR is available,
+    evaluating its behavior on LEO networks would be of high interest".
+    This controller is that evaluation vehicle:
+
+    * a windowed-max **bottleneck bandwidth** filter over delivery-rate
+      samples (:attr:`btl_bw_bps`);
+    * a windowed-min **RTT** filter (10 s window, :attr:`rt_prop_s`) —
+      crucially, *old samples expire*, so a path-change RTT increase is
+      adopted as the new base within one window instead of being misread
+      as congestion forever (Vegas' LEO failure mode, Fig. 5);
+    * **paced** transmission at ``gain x BtlBw`` with the STARTUP /
+      DRAIN / PROBE_BW gain machinery, and ``cwnd`` held at the
+      in-flight cap of ``2 x BDP``;
+    * loss is repaired through the flow's SACK machinery but does not
+      collapse the sending rate (BBR v1 semantics) — so
+      reordering-induced spurious "losses" at path changes cost
+      retransmissions, not throughput.
+
+    Simplifications vs full BBR: no PROBE_RTT state (the 0.75-gain phase
+    of PROBE_BW drains the queue enough to refresh min-RTT in this
+    setting), and the delivery rate is estimated from cumulative-ACK
+    progress per smoothed RTT rather than per-packet delivered counters.
+    """
 
     name = "bbr"
     paced = True

@@ -60,6 +60,9 @@ class ControllerFlowFactory:
                 self.shared_state = maker(**self.controller_kwargs)
 
     def __call__(self, request: FlowRequest):
+        """The one request → flow rule (``WorkloadSpawner``'s default
+        too): a ``TcpFlow`` of ``ceil(size_bytes / payload)`` packets,
+        never fewer than one."""
         # Imported lazily: repro.transport.tcp itself imports repro.cc
         # for the registry, so a module-level import here would cycle.
         from ..transport.tcp import TcpFlow

@@ -20,7 +20,6 @@ Usage (installed as ``python -m repro``):
    python -m repro sweep K1 --workload workload.json --workers 4
    python -m repro profile K1 Manila Dalian -o trace.json  # Perfetto trace
    python -m repro sweep K1 --workers 4 --profile-out trace.json
-   python -m repro bench-report                  # BENCH_*.json regressions
    python -m repro serve K1 --workload w.json --port 7600 --pace 2
    python -m repro checkpoint K1 --workload w.json --at 30 -o state.ckpt
    python -m repro checkpoint --connect 127.0.0.1:7600 -o state.ckpt
@@ -176,20 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(open at https://ui.perfetto.dev)")
     profile.add_argument("--report-out", default=None, metavar="JSON",
                          help="also write the full RunReport JSON here")
-
-    bench_report = sub.add_parser(
-        "bench-report", help="compare the BENCH_*.json trajectories "
-                             "against their rolling best and flag "
-                             "regressions (nonzero exit)")
-    bench_report.add_argument("--results-dir", default="results",
-                              help="directory holding BENCH_*.json "
-                                   "trajectory files")
-    bench_report.add_argument("--threshold", type=float, default=0.2,
-                              help="relative regression threshold "
-                                   "(default 0.2 = 20%%)")
-    bench_report.add_argument("--metric", default=None,
-                              help="force the headline metric instead of "
-                                   "auto-selecting per trajectory")
 
     serve = sub.add_parser(
         "serve", help="run a live, checkpointable simulation behind a "
@@ -524,7 +509,7 @@ def _cmd_report(args) -> int:
     from .core.hypatia import Hypatia
     from .fluid.engine import FluidFlow
     from .obs import MetricsRegistry, RingBufferTracer, spans
-    from .transport.tcp import TcpNewRenoFlow
+    from .transport.tcp import TcpFlow
     faults = _load_faults(args.faults)
     hypatia = Hypatia.from_shell_name(args.shell, num_cities=100,
                                       faults=faults)
@@ -548,7 +533,7 @@ def _cmd_report(args) -> int:
             registry = MetricsRegistry()
             sim.attach_probe(registry=registry, interval_s=args.step)
             if pair is not None:
-                TcpNewRenoFlow(pair[0], pair[1]).install(sim)
+                TcpFlow(pair[0], pair[1]).install(sim)
             spawner = (WorkloadSpawner(workload,
                                        metrics=registry).install(sim)
                        if workload is not None else None)
@@ -598,18 +583,6 @@ def _cmd_profile(args) -> int:
     args.profile_out = args.output
     args.output = args.report_out
     return _cmd_report(args)
-
-
-def _cmd_bench_report(args) -> int:
-    from .obs.bench import format_reports, scan_results_dir
-    reports = scan_results_dir(args.results_dir, threshold=args.threshold,
-                               metric=args.metric)
-    if not reports:
-        print(f"no BENCH_*.json trajectories under {args.results_dir!r}")
-        return 0
-    for line in format_reports(reports, threshold=args.threshold):
-        print(line)
-    return 1 if any(report.regressed for report in reports) else 0
 
 
 def _build_service(args):
@@ -672,6 +645,8 @@ def _cmd_checkpoint(args) -> int:
     if args.connect is not None:
         from .service import ServiceClient
         host, _, port = args.connect.rpartition(":")
+        if not port.isdigit():
+            raise KeyError(f"--connect wants HOST:PORT, got {args.connect!r}")
         with ServiceClient(host or "127.0.0.1", int(port)) as client:
             if args.advance > 0:
                 client.advance(args.advance)
@@ -799,7 +774,6 @@ _COMMANDS = {
     "sky": _cmd_sky,
     "report": _cmd_report,
     "profile": _cmd_profile,
-    "bench-report": _cmd_bench_report,
     "serve": _cmd_serve,
     "checkpoint": _cmd_checkpoint,
     "resume": _cmd_resume,

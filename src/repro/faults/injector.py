@@ -40,7 +40,7 @@ class LinkFaultInjector:
         True
     """
 
-    __slots__ = ("name", "events", "_rng", "_window_starts")
+    __slots__ = ("name", "events", "_rng")
 
     def __init__(self, name: str, events: Sequence[FaultEvent],
                  seed: int = 0) -> None:
@@ -48,15 +48,10 @@ class LinkFaultInjector:
         self.events: Tuple[FaultEvent, ...] = tuple(
             event for event in events if event.is_stochastic)
         self._rng = random.Random(f"{seed}:{name}")
-        self._window_starts = tuple(event.start_s for event in self.events)
 
     @property
     def has_events(self) -> bool:
         return bool(self.events)
-
-    def earliest_start_s(self) -> float:
-        """When the first loss window opens (inf when none)."""
-        return min(self._window_starts, default=float("inf"))
 
     def extend(self, events: Sequence[FaultEvent], now_s: float) -> None:
         """Add loss/corruption events to a *live* injector.
@@ -77,7 +72,6 @@ class LinkFaultInjector:
                     f"only future windows preserve the draw sequence")
         from .schedule import _sort_key
         self.events = tuple(sorted(self.events + fresh, key=_sort_key))
-        self._window_starts = tuple(e.start_s for e in self.events)
 
     def drop_reason(self, now: float) -> Optional[str]:
         """Decide this packet's fate at transmit time.

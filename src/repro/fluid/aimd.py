@@ -32,6 +32,7 @@ lockstep halving a perfectly symmetric fluid model would produce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -161,15 +162,24 @@ class AimdFluidSimulation(FluidSimulation):
         # reordering-induced decrease of paper §4.2.
         flow_rtt = np.full(num_flows, self.rtt_estimate_s)
         path_cache: Dict[Tuple[int, ...], Tuple[float, frozenset]] = {}
+        # Every lookup of a step shares time_s and paths share satellites:
+        # propagate each node once per step.
+        position: Dict[int, Tuple[float, float, float]] = {}
         for i, path in enumerate(paths):
             if path is None:
                 state.previous_sat_sets[i] = None
                 continue
             cached = path_cache.get(path)
             if cached is None:
+                for node in path:
+                    if node not in position:
+                        position[node] = self._positions.position_m(
+                            node, time_s)
                 distance = 0.0
                 for a, b in zip(path, path[1:]):
-                    distance += self._positions.distance_m(a, b, time_s)
+                    (ax, ay, az), (bx, by, bz) = position[a], position[b]
+                    distance += math.sqrt(
+                        (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
                 propagation_rtt = 2.0 * distance / 299_792_458.0
                 queueing = 0.5 * self.queue_bits / capacity
                 cached = path_cache[path] = (

@@ -117,17 +117,6 @@ class FlowLinkMatrix:
                    np.asarray(indptr, dtype=np.int64),
                    np.asarray(cols, dtype=np.int64))
 
-    def to_csr(self):
-        """Canonical ``scipy.sparse`` view with summed integer
-        multiplicities (one entry per flow-link pair)."""
-        from scipy.sparse import csr_matrix
-        matrix = csr_matrix(
-            (np.ones(self.nnz, dtype=np.int64), self.link_index.copy(),
-             self.indptr.copy()),
-            shape=(self.num_flows, self.num_links))
-        matrix.sum_duplicates()
-        return matrix
-
     def link_loads(self, rates: np.ndarray,
                    active: Optional[np.ndarray] = None) -> np.ndarray:
         """(L,) per-link consumed bandwidth ``sum(rate * multiplicity)``.

@@ -16,16 +16,12 @@ Three parts (see DESIGN.md "Observability"):
 * :mod:`repro.obs.spans` — the hierarchical span profiler measuring
   where the *simulator's* wall-clock goes (``NullSpanProfiler`` by
   default; Chrome trace-event / Perfetto export, cross-process sweep
-  merge, and the report's ``phases`` section when enabled);
-* :mod:`repro.obs.bench` — regression detection over the
-  ``results/BENCH_*.json`` trajectories (``repro bench-report``).
+  merge, and the report's ``phases`` section when enabled).
 
 This package deliberately imports nothing from the simulation, transport,
 routing, or fluid layers — they all import *it*.
 """
 
-from .bench import (TrajectoryReport, compare_trajectory, format_reports,
-                    scan_results_dir)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       TimeSeriesLog)
 from .probes import SimulatorProbe, isl_utilization_from_registry
@@ -45,8 +41,6 @@ __all__ = [
     "RunReport", "fluid_run_report", "packet_run_report",
     "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler", "SpanRecord",
     "NULL_PROFILER", "install", "uninstall", "profiled", "format_phases",
-    "TrajectoryReport", "compare_trajectory", "format_reports",
-    "scan_results_dir",
     "Tracer", "NullTracer", "RingBufferTracer", "TraceEvent", "TraceFilter",
     "NULL_TRACER",
     "PKT_ENQUEUE", "PKT_TX_START", "PKT_TX_FINISH", "PKT_DELIVER",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import io
 import json
 import math
 import pickle
@@ -263,7 +262,9 @@ def load_checkpoint(path: str,
         CheckpointSpecError: ``expected_spec``'s fingerprint (or the
             pickled spec's, when ``check_spec``) does not match the
             header's ``spec_hash``.
-        CheckpointError: Bad magic, truncation, or corrupt header.
+        CheckpointError: Bad magic, truncation, corrupt header, or a
+            body this build cannot unpickle (e.g. it names a class that
+            has since been removed).
     """
     with open(path, "rb") as stream:
         header = _read_header(stream, path)
@@ -282,7 +283,13 @@ def load_checkpoint(path: str,
                     f"network spec (checkpoint {spec_hash[:12]}, "
                     f"expected {expected_hash[:12]}); resume against "
                     f"the original spec")
-        body = pickle.load(stream)
+        try:
+            body = pickle.load(stream)
+        except (AttributeError, ImportError, pickle.UnpicklingError,
+                EOFError) as error:
+            raise CheckpointError(
+                f"{path}: body cannot be unpickled by this build "
+                f"({error})") from error
     spec = body["spec"]
     if check_spec and spec_fingerprint(spec) != spec_hash:
         raise CheckpointSpecError(
@@ -294,10 +301,3 @@ def load_checkpoint(path: str,
                       meta=dict(header.get("meta", {})),
                       format_version=version,
                       spec_hash=spec_hash)
-
-
-def checkpoint_to_bytes(checkpoint: Checkpoint) -> bytes:
-    """The checkpoint file image as bytes (for tests and streaming)."""
-    stream = io.BytesIO()
-    _write(stream, checkpoint)
-    return stream.getvalue()

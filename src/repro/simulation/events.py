@@ -32,7 +32,6 @@ class EventScheduler:
         self._counter = itertools.count()
         self._now = 0.0
         self._events_processed = 0
-        self._peak_queue_len = 0
         self._running = False
 
     @property
@@ -45,11 +44,6 @@ class EventScheduler:
         """Number of events executed so far (for scalability accounting)."""
         return self._events_processed
 
-    @property
-    def peak_queue_len(self) -> int:
-        """High-water mark of pending events (scheduler pressure)."""
-        return self._peak_queue_len
-
     def __len__(self) -> int:
         """Events currently pending."""
         return len(self._queue)
@@ -60,8 +54,6 @@ class EventScheduler:
             raise ValueError(f"cannot schedule into the past: {delay_s}")
         heapq.heappush(self._queue,
                        (self._now + delay_s, next(self._counter), callback))
-        if len(self._queue) > self._peak_queue_len:
-            self._peak_queue_len = len(self._queue)
 
     def schedule_at(self, time_s: float, callback: Callable[[], Any]) -> None:
         """Run ``callback`` at absolute time ``time_s``."""
@@ -70,8 +62,6 @@ class EventScheduler:
                 f"cannot schedule at {time_s}, already at {self._now}")
         heapq.heappush(self._queue,
                        (time_s, next(self._counter), callback))
-        if len(self._queue) > self._peak_queue_len:
-            self._peak_queue_len = len(self._queue)
 
     def run(self, until_s: Optional[float] = None) -> None:
         """Process events in order until the queue drains or ``until_s``.

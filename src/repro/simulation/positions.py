@@ -10,14 +10,18 @@ simulation, so this service:
 
 * evaluates single-satellite positions in O(1) from the constellation's
   cached circular-orbit arrays, and
-* memoizes positions on a configurable time quantum (default 1 ms — over
+* evaluates them on a configurable time quantum (default 1 ms — over
   1 ms a satellite moves ~7.6 m, i.e. a delay error < 0.03 microseconds).
+  No memo sits behind the grid: packet runs rarely repeat a (satellite,
+  bucket), so one costs more CPU and memory than it saves and would be
+  pickled into every packet checkpoint.  A caller whose lookups share one
+  timestamp (an AIMD step) keeps its own step-local dict.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,23 +37,13 @@ class PositionService:
     Args:
         network: The network whose node-numbering is used.
         quantum_s: Positions are evaluated on this time grid; lookups in
-            between reuse the grid point.  Zero disables quantization.
-        cache_entries: Size of one memo generation.  The memo is bounded
-            by keeping *two* generations: when the young generation fills
-            up it becomes the old one, and old-generation hits are promoted
-            back.  Entries touched recently (the simulation's current time
-            buckets) therefore survive eviction — a plain ``clear()`` used
-            to throw away the hot bucket mid-transmission-burst and force
-            recomputation of positions still in active use.
+            between use the grid point at or before them.  Zero disables
+            quantization.
     """
 
-    def __init__(self, network: LeoNetwork, quantum_s: float = 0.001,
-                 cache_entries: int = 200_000) -> None:
+    def __init__(self, network: LeoNetwork, quantum_s: float = 0.001) -> None:
         if quantum_s < 0.0:
             raise ValueError(f"quantum must be >= 0, got {quantum_s}")
-        if cache_entries < 1:
-            raise ValueError(
-                f"cache_entries must be >= 1, got {cache_entries}")
         self._network = network
         self._quantum_s = quantum_s
         constellation = network.constellation
@@ -71,11 +65,7 @@ class PositionService:
             network.gs_node_id(gs.gid): tuple(gs.ecef_m)
             for gs in network.ground_stations
         }
-        self._cache_entries = int(cache_entries)
-        self._cache: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
-        self._old_cache: Dict[Tuple[int, int],
-                              Tuple[float, float, float]] = {}
-        #: Number of actual orbit propagations (cache-miss accounting).
+        #: Number of orbit propagations (one per satellite lookup).
         self.position_computes = 0
 
     def position_m(self, node_id: int, time_s: float
@@ -84,24 +74,7 @@ class PositionService:
         if node_id >= self._num_sats:
             return self._gs_positions[node_id]
         if self._quantum_s > 0.0:
-            bucket = int(time_s / self._quantum_s)
-            key = (node_id, bucket)
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            cached = self._old_cache.get(key)
-            if cached is None:
-                quantized_time = bucket * self._quantum_s
-                cached = self._satellite_position(node_id, quantized_time)
-            # Insert (or promote an old-generation hit) into the young
-            # generation, then rotate generations when it fills up: stale
-            # buckets age out while actively used ones keep getting
-            # promoted and are never recomputed.
-            self._cache[key] = cached
-            if len(self._cache) > self._cache_entries:
-                self._old_cache = self._cache
-                self._cache = {}
-            return cached
+            time_s = int(time_s / self._quantum_s) * self._quantum_s
         return self._satellite_position(node_id, time_s)
 
     def _satellite_position(self, sat_id: int, time_s: float

@@ -192,24 +192,6 @@ class LeoNetwork:
         self.min_elevation_deg = min_elevation_deg
         self.gsl_policy = gsl_policy
         self.weather = weather
-        self.faults = faults
-        # Rain is one producer of GSL attenuation faults: fold a weather
-        # model into the (possibly empty) explicit schedule so snapshot()
-        # evaluates both through a single code path.
-        combined = faults
-        if weather is not None and weather.num_events:
-            from ..faults.schedule import FaultSchedule
-            rain = FaultSchedule.from_weather(weather)
-            combined = rain if combined is None else combined.merged(rain)
-        self._fault_view = \
-            combined if combined is not None and not combined.is_empty \
-            else None
-        # Memo of the last dynamically-masked ISL array: fault windows are
-        # long relative to the 100 ms snapshot grid, so consecutive
-        # snapshots usually share the same (outages, cuts) key.
-        self._isl_mask_key: Optional[Tuple[FrozenSet[int],
-                                           FrozenSet[Tuple[int, int]]]] = None
-        self._isl_mask_pairs: Optional[np.ndarray] = None
         #: The builder callable, kept so :class:`repro.sweep.NetworkSpec`
         #: can reverse-map it to a picklable name for worker rebuilds.
         self.isl_builder = isl_builder
@@ -217,15 +199,7 @@ class LeoNetwork:
         for sat in self.failed_satellites:
             if not 0 <= sat < constellation.num_satellites:
                 raise ValueError(f"failed satellite {sat} out of range")
-        if faults is not None:
-            for event in faults:
-                if event.satellite is not None and not \
-                        0 <= event.satellite < constellation.num_satellites:
-                    raise ValueError(
-                        f"fault satellite {event.satellite} out of range")
-                if event.gid is not None and not \
-                        0 <= event.gid < len(self.ground_stations):
-                    raise ValueError(f"fault gid {event.gid} out of range")
+        self.set_faults(faults)
         self.isl_pairs = np.asarray(isl_builder(constellation))
         validate_isl_pairs(self.isl_pairs, constellation.num_satellites)
         if self.failed_satellites and len(self.isl_pairs):
@@ -244,24 +218,35 @@ class LeoNetwork:
         return self._fault_view
 
     def set_faults(self, faults: Optional["FaultSchedule"]) -> None:
-        """Replace the explicit fault schedule on a live network.
+        """Install the explicit fault schedule (the constructor's path
+        too), replacing any previous one on a live network.
 
         Rebuilds the combined fault view (explicit + weather) and drops
         the ISL-mask memo, so the next snapshot evaluates the new
         schedule; :class:`repro.service.LiveSimulationService` uses this
-        to inject faults while the constellation flies.  Event bounds
-        are validated like at construction.
+        to inject faults while the constellation flies.
+
+        Raises:
+            ValueError: An event targets a satellite, ground station or
+                ISL endpoint outside this network; nothing is installed.
         """
-        if faults is not None:
-            for event in faults:
-                if event.satellite is not None and not \
-                        0 <= event.satellite < self.constellation.num_satellites:
-                    raise ValueError(
-                        f"fault satellite {event.satellite} out of range")
-                if event.gid is not None and not \
-                        0 <= event.gid < len(self.ground_stations):
-                    raise ValueError(f"fault gid {event.gid} out of range")
+        num_satellites = self.constellation.num_satellites
+        for event in faults or ():
+            if event.satellite is not None and not \
+                    0 <= event.satellite < num_satellites:
+                raise ValueError(
+                    f"fault satellite {event.satellite} out of range")
+            if event.gid is not None and not \
+                    0 <= event.gid < len(self.ground_stations):
+                raise ValueError(f"fault gid {event.gid} out of range")
+            if event.isl is not None and not \
+                    0 <= event.isl[0] < event.isl[1] < num_satellites:
+                raise ValueError(
+                    f"fault isl {event.isl} has an endpoint out of range")
         self.faults = faults
+        # Rain is one producer of GSL attenuation faults: fold a weather
+        # model into the (possibly empty) explicit schedule so snapshot()
+        # evaluates both through a single code path.
         combined = faults
         if self.weather is not None and self.weather.num_events:
             from ..faults.schedule import FaultSchedule
@@ -270,8 +255,12 @@ class LeoNetwork:
         self._fault_view = \
             combined if combined is not None and not combined.is_empty \
             else None
-        self._isl_mask_key = None
-        self._isl_mask_pairs = None
+        # Memo of the last dynamically-masked ISL array: fault windows are
+        # long relative to the 100 ms snapshot grid, so consecutive
+        # snapshots usually share the same (outages, cuts) key.
+        self._isl_mask_key: Optional[Tuple[FrozenSet[int],
+                                           FrozenSet[Tuple[int, int]]]] = None
+        self._isl_mask_pairs: Optional[np.ndarray] = None
 
     @property
     def num_satellites(self) -> int:

@@ -15,16 +15,15 @@ at every arrival and completion — which flow into the packet run's
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
+from ..cc.factory import ControllerFlowFactory
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import FCT_BUCKETS
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from ..simulation.simulator import PacketSimulator
 from ..transport.base import Application
-from ..transport.tcp import TcpNewRenoFlow
 from .arrivals import FlowRequest, WorkloadSchedule
 
 __all__ = ["WorkloadSpawner", "FCT_BUCKETS", "controller_fct_rows"]
@@ -65,8 +64,9 @@ class WorkloadSpawner:
         metrics: Optional registry receiving the ``traffic.*``
             instruments.
         flow_factory: Optional override building the application of one
-            request (default: a :class:`TcpNewRenoFlow` sized to the
-            request).  The factory's application must expose
+            request (default: a NewReno
+            :class:`~repro.cc.factory.ControllerFlowFactory`).  The
+            factory's application must expose
             ``on_complete`` and ``completed_at_s`` like the TCP flows do.
 
     Example::
@@ -87,7 +87,8 @@ class WorkloadSpawner:
         self.schedule = schedule
         self.packet_bytes = packet_bytes
         self.metrics = metrics
-        self._factory = flow_factory or self._default_factory
+        self._factory = flow_factory or ControllerFlowFactory(
+            packet_bytes=packet_bytes)
         self.flows: List[Application] = []
         self.fcts_s: List[float] = []
         #: Completion times keyed by the flow's congestion-controller
@@ -98,14 +99,6 @@ class WorkloadSpawner:
         self._active = 0
         self._delivered_bytes = 0.0
         self.sim: Optional[PacketSimulator] = None
-
-    def _default_factory(self, request: FlowRequest) -> Application:
-        payload = self.packet_bytes - DEFAULT_HEADER_BYTES
-        return TcpNewRenoFlow(
-            request.src_gid, request.dst_gid,
-            start_s=request.t_start_s,
-            packet_bytes=self.packet_bytes,
-            max_packets=max(1, math.ceil(request.size_bytes / payload)))
 
     # ------------------------------------------------------------------
 

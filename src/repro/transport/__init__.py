@@ -3,20 +3,15 @@ pluggable congestion control (NewReno, Vegas, BBR, and anything in the
 :mod:`repro.cc` registry via ``TcpFlow(..., controller=name)``)."""
 
 from .base import Application, TimeSeriesLog, allocate_flow_id
-from .bbr import TcpBbrFlow
 from .ping import PingSession
-from .tcp import TcpFlow, TcpNewRenoFlow
+from .tcp import TcpFlow
 from .udp import UdpFlow
-from .vegas import TcpVegasFlow
 
 __all__ = [
     "Application",
     "TimeSeriesLog",
     "allocate_flow_id",
     "PingSession",
-    "TcpBbrFlow",
     "TcpFlow",
-    "TcpNewRenoFlow",
     "UdpFlow",
-    "TcpVegasFlow",
 ]

@@ -15,17 +15,16 @@ This reproduces the ns-3 TCP behaviour the paper's §4 experiments rely on
 The *policy* half — what to do with cwnd and the pacing rate on each ACK,
 loss, RTT sample, or timeout — is delegated to a
 :class:`repro.cc.CongestionController` plug-in selected by registry name
-(``TcpFlow(..., controller="bbr")``); :class:`TcpNewRenoFlow`,
-:class:`~repro.transport.vegas.TcpVegasFlow` and
-:class:`~repro.transport.bbr.TcpBbrFlow` are thin shims pinning the three
-classic controllers and are bit-identical to the pre-plug-in classes
-(gated by ``benchmarks/test_cc_matrix.py``).
+(``TcpFlow(..., controller="bbr")``; ``"newreno"`` when none is given).
+The three classic controllers are bit-identical to the pre-plug-in flow
+classes (gated by ``benchmarks/test_cc_matrix.py``).
 
 The key LEO-specific phenomena emerge without special-casing: when a path
 shortens, later packets overtake earlier ones, the receiver SACKs the
 overtakers, the sender infers loss, and NewReno halves despite zero
 actual loss (paper Fig. 4(c)); when a path lengthens, the RTT inflation is
-misread by delay-based senders (see :mod:`repro.transport.vegas`).
+misread by delay-based senders (see
+:class:`repro.cc.classic.VegasController`).
 
 Sequence numbers are in packet units (1 seq = 1 MSS), matching how the
 paper's plots are scaled ("# of packets").
@@ -46,7 +45,7 @@ from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES, Packet
 from ..simulation.simulator import PacketSimulator
 from .base import Application, TimeSeriesLog
 
-__all__ = ["TcpFlow", "TcpNewRenoFlow"]
+__all__ = ["TcpFlow"]
 
 #: Wire size of a pure ACK.
 ACK_BYTES = DEFAULT_HEADER_BYTES
@@ -577,12 +576,3 @@ class TcpFlow(Application):
         if duration_s <= 0.0:
             raise ValueError("duration must be positive")
         return self.acked_payload_bytes * 8.0 / duration_s
-
-
-class TcpNewRenoFlow(TcpFlow):
-    """A TCP NewReno flow — :class:`TcpFlow` pinned to the ``"newreno"``
-    controller (the historical class name, kept as the default flow)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("controller", "newreno")
-        super().__init__(*args, **kwargs)

@@ -156,3 +156,34 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statement,error", [
+        ("from repro.transport import TcpNewRenoFlow", ImportError),
+        ("from repro.transport.tcp import TcpNewRenoFlow", ImportError),
+        ("import repro.transport.bbr", ImportError),
+        ("import repro.transport.vegas", ImportError),
+        ("import repro.obs.bench", ImportError),
+        ("from repro.cli import main; main(['bench-report'])", SystemExit),
+    ], ids=["transport.TcpNewRenoFlow", "tcp.TcpNewRenoFlow",
+            "transport.bbr", "transport.vegas", "obs.bench",
+            "cli-bench-report"])
+    def test_superseded_names_stay_removed(self, statement, error, capsys):
+        """The transport shim classes and the ``bench-report`` stack were
+        replaced by ``TcpFlow(controller=...)`` and
+        ``benchmarks/e2e/compare.py``; no alias may bring them back."""
+        with pytest.raises(error) as caught:
+            exec(statement, {})
+        if error is SystemExit:
+            assert caught.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["localhost", "localhost:", ":x"])
+    def test_checkpoint_connect_needs_a_port(self, target, tmp_path,
+                                             capsys):
+        """Used to die with ``ValueError: invalid literal for int()``."""
+        argv = ["checkpoint", "--connect", target,
+                "-o", str(tmp_path / "x.ckpt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--connect wants HOST:PORT" in err and target in err

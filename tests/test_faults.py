@@ -304,16 +304,33 @@ class TestSnapshotFaultMasking:
 
     def test_out_of_range_targets_rejected(self, small_constellation,
                                            small_stations):
-        with pytest.raises(ValueError):
-            LeoNetwork(small_constellation, small_stations,
-                       min_elevation_deg=10.0,
-                       faults=FaultSchedule([
-                           FaultEvent.satellite_outage(999, 0.0, 1.0)]))
-        with pytest.raises(ValueError):
-            LeoNetwork(small_constellation, small_stations,
-                       min_elevation_deg=10.0,
-                       faults=FaultSchedule([
-                           FaultEvent.gsl_cut(99, 0.0, 1.0)]))
+        """Constructor and ``set_faults`` are one path: same message for
+        a bad satellite, gid or ISL endpoint (the ISL case used to be
+        accepted silently and never matched a link), nothing installed."""
+        good = FaultSchedule([FaultEvent.gsl_cut(2, 1.0, 4.0)])
+        live = LeoNetwork(small_constellation, small_stations,
+                          min_elevation_deg=10.0, faults=good)
+        num_sats = small_constellation.num_satellites
+        for event, message in [
+            (FaultEvent.satellite_outage(999, 0.0, 1.0),
+             "fault satellite 999 out of range"),
+            (FaultEvent.gsl_cut(99, 0.0, 1.0), "fault gid 99 out of range"),
+            (FaultEvent.isl_cut(0, num_sats + 5, 0.0, 10.0),
+             f"fault isl (0, {num_sats + 5}) has an endpoint out of range"),
+            (FaultEvent.packet_loss(0.0, 1.0, 0.5, isl=(3, num_sats)),
+             f"fault isl (3, {num_sats}) has an endpoint out of range"),
+        ]:
+            bad = FaultSchedule([event])
+            with pytest.raises(ValueError) as at_construction:
+                LeoNetwork(small_constellation, small_stations,
+                           min_elevation_deg=10.0, faults=bad)
+            with pytest.raises(ValueError) as on_live_network:
+                live.set_faults(bad)
+            assert str(at_construction.value) == message
+            assert str(on_live_network.value) == message
+            assert live.faults is good and live.fault_view is good
+        live.set_faults(FaultSchedule([
+            FaultEvent.isl_cut(0, num_sats - 1, 0.0, 10.0)]))
 
 
 class TestMidRunRerouteAndRecovery:

@@ -16,7 +16,7 @@ from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.topology.dynamic_state import DynamicState
 from repro.transport.ping import PingSession
-from repro.transport.tcp import TcpNewRenoFlow
+from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
 
 
@@ -145,7 +145,7 @@ class TestFluidVsPacketAgreement:
         sim = PacketSimulator(small_network,
                               LinkConfig(isl_rate_bps=5e6,
                                          gsl_rate_bps=5e6))
-        tcps = [TcpNewRenoFlow(s, d).install(sim) for s, d in flows]
+        tcps = [TcpFlow(s, d).install(sim) for s, d in flows]
         sim.run(30.0)
         packet_rates = np.array([tcp.goodput_bps(30.0) for tcp in tcps])
         # TCP goodput (payload) runs below the fluid wire rate, and AIMD
@@ -168,7 +168,7 @@ class TestFluidVsPacketAgreement:
         sim = PacketSimulator(small_network,
                               LinkConfig(isl_rate_bps=5e6,
                                          gsl_rate_bps=5e6))
-        tcps = [TcpNewRenoFlow(s, d).install(sim) for s, d in flows]
+        tcps = [TcpFlow(s, d).install(sim) for s, d in flows]
         sim.run(20.0)
         packet_total = sum(tcp.goodput_bps(20.0) for tcp in tcps)
         assert packet_total <= fluid_total * 1.05
@@ -178,13 +178,13 @@ class TestMultiFlowIsolation:
     def test_flows_on_disjoint_paths_unaffected(self, small_network):
         """A congested flow elsewhere must not disturb a disjoint flow."""
         sim = PacketSimulator(small_network)
-        solo = TcpNewRenoFlow(0, 3).install(sim)
+        solo = TcpFlow(0, 3).install(sim)
         sim.run(15.0)
         solo_goodput = solo.goodput_bps(15.0)
 
         sim2 = PacketSimulator(small_network)
-        both_a = TcpNewRenoFlow(0, 3).install(sim2)
-        TcpNewRenoFlow(4, 5).install(sim2)
+        both_a = TcpFlow(0, 3).install(sim2)
+        TcpFlow(4, 5).install(sim2)
         sim2.run(15.0)
         with_other = both_a.goodput_bps(15.0)
         # Paths 0-3 and 4-5 are geographically distant; allow 25% noise

@@ -212,6 +212,48 @@ class TestCheckpointContainer:
         restored.run_to_horizon()
         assert _report_json(restored) == _report_json(baseline)
 
+    def test_truncated_body_fails_clearly(self, tmp_path):
+        """A file cut short inside the pickle used to surface as a raw
+        ``EOFError`` / ``UnpicklingError``."""
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(str(path), Checkpoint(
+            spec=_small_spec(), engine="packet", time_s=0.0,
+            payload={"x": np.arange(1000)}))
+        whole = path.read_bytes()
+        for keep in (len(whole) - 1, len(whole) - 4000):
+            path.write_bytes(whole[:keep])
+            assert read_checkpoint_header(str(path))["engine"] == "packet"
+            with pytest.raises(CheckpointError,
+                               match="body cannot be unpickled"):
+                load_checkpoint(str(path))
+
+    def test_body_naming_a_removed_class_fails_clearly(self, tmp_path,
+                                                       monkeypatch):
+        """Packet checkpoints from builds that still had the transport
+        shim classes pickle their flows as
+        ``repro.transport.tcp.TcpNewRenoFlow``; loading one must name
+        that cause instead of raising ``AttributeError``."""
+        import repro.transport.tcp as tcp
+
+        class TcpNewRenoFlow:
+            pass
+        TcpNewRenoFlow.__module__ = tcp.__name__
+        TcpNewRenoFlow.__qualname__ = "TcpNewRenoFlow"
+        path = tmp_path / "old.ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(tcp, "TcpNewRenoFlow", TcpNewRenoFlow,
+                          raising=False)
+            save_checkpoint(str(path), Checkpoint(
+                spec=_small_spec(), engine="packet", time_s=0.0,
+                payload={"flows": [TcpNewRenoFlow()]}))
+            load_checkpoint(str(path))  # loadable while the class exists
+        with pytest.raises(CheckpointError,
+                           match="cannot be unpickled by this build.*"
+                                 "TcpNewRenoFlow"):
+            load_checkpoint(str(path))
+        with pytest.raises(CheckpointError):
+            LiveSimulationService.resume(str(path))
+
     def test_spec_fingerprint_is_content_hash(self):
         assert spec_fingerprint(_small_spec()) == \
             spec_fingerprint(_small_spec())
@@ -628,6 +670,22 @@ class TestServerClient:
                 assert detached["handle"] == handle
                 client.command("run_to_horizon")
                 assert client.status()["done"]
+                client.stop()
+
+    def test_out_of_range_isl_injection_is_refused(self):
+        """A wire ``inject_fault`` naming an ISL endpoint beyond the
+        constellation used to be accepted and never matched a link."""
+        service = _make_service("packet")
+        beyond = service.network.num_satellites + 5
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceClientError,
+                                   match="ValueError.*endpoint out of "
+                                         "range"):
+                    client.command("inject_fault", events=[
+                        FaultEvent.isl_cut(0, beyond, 5.0, 8.0).as_dict()])
+                assert client.status()["time_s"] == 0.0
+                assert service.network.faults is None
                 client.stop()
 
     def test_paced_server_advances_by_itself(self):

@@ -182,43 +182,6 @@ class TestPositionService:
         d = service.distance_m(0, 1, 0.0)
         assert service.delay_s(0, 1, 0.0) == pytest.approx(d / 299_792_458.0)
 
-    def test_cache_keeps_hot_bucket_across_evictions(self, small_network):
-        """Regression: the memo used to be cleared wholesale at its size
-        limit, evicting the *current* time bucket mid-transmission-burst.
-        The two-generation cache promotes hot entries, so an actively
-        queried bucket is never recomputed no matter how long the run."""
-        service = PositionService(small_network, quantum_s=0.001,
-                                  cache_entries=16)
-        hot_time = 0.0005  # bucket 0 of satellite 0
-        service.position_m(0, hot_time)
-        unique_keys = 1
-        for round_index in range(50):
-            # Flood with fresh buckets to force many generation rotations,
-            # touching the hot entry between floods (as a transmission
-            # burst would).
-            for step in range(10):
-                service.position_m(1, (round_index * 10 + step) * 0.001)
-                unique_keys += 1
-            service.position_m(0, hot_time)
-        # Every unique (node, bucket) was propagated exactly once: the hot
-        # entry survived all rotations via promotion.
-        assert service.position_computes == unique_keys
-
-    def test_old_generation_hit_promoted_not_recomputed(self, small_network):
-        service = PositionService(small_network, quantum_s=0.001,
-                                  cache_entries=4)
-        service.position_m(0, 0.0)
-        computes = service.position_computes
-        # Overflow the young generation so (0, 0) rotates into the old one.
-        for step in range(1, 6):
-            service.position_m(1, step * 0.001)
-        assert service.position_m(0, 0.0) == service.position_m(0, 0.0)
-        assert service.position_computes == computes + 5
-
-    def test_cache_entries_validation(self, small_network):
-        with pytest.raises(ValueError):
-            PositionService(small_network, cache_entries=0)
-
     def test_negative_quantum_rejected(self, small_network):
         with pytest.raises(ValueError):
             PositionService(small_network, quantum_s=-1.0)

@@ -1,4 +1,4 @@
-"""Tests for the span profiler, trace export, and bench-regression tooling."""
+"""Tests for the span profiler and trace export."""
 
 import json
 
@@ -6,14 +6,6 @@ import numpy as np
 import pytest
 
 from repro.obs import spans
-from repro.obs.bench import (
-    DEFAULT_THRESHOLD,
-    choose_metric,
-    compare_trajectory,
-    format_reports,
-    metric_direction,
-    scan_results_dir,
-)
 from repro.obs.spans import (
     MAIN_PID,
     NULL_PROFILER,
@@ -288,97 +280,7 @@ class TestSweepProfileMerge:
         assert {"sweep.chunk", "sweep.build", "sweep.compute"} <= names
 
 
-class TestBenchRegression:
-    def test_metric_direction(self):
-        assert metric_direction("vectorized_solve_s") == "lower"
-        assert metric_direction("wall_s") == "lower"
-        assert metric_direction("speedup") == "higher"
-        assert metric_direction("events_per_s") == "higher"
-
-    def test_choose_metric_prefers_wall_time_over_rate(self):
-        records = [{"speedup": 20.0, "vectorized_solve_s": 0.14}]
-        assert choose_metric(records) == "vectorized_solve_s"
-
-    def test_routing_trajectory_gates_on_wall_time(self):
-        # The bench-routing trajectory: the per-snapshot repair wall
-        # time is the headline (regression-gating) metric, not the
-        # noisier scratch/incremental speedup ratio.
-        records = [
-            {"incremental_snapshot_s": 0.010, "speedup": 8.0},
-            {"incremental_snapshot_s": 0.020, "speedup": 9.0},
-        ]
-        assert choose_metric(records) == "incremental_snapshot_s"
-        report = compare_trajectory(
-            "results/BENCH_routing_incremental.json", records)
-        assert report.direction == "lower"
-        assert report.regressed  # 2x the rolling best
-
-    def test_choose_metric_explicit_and_fallback(self):
-        records = [{"custom_s": 1.0, "other": "text"}]
-        assert choose_metric(records, metric="custom_s") == "custom_s"
-        assert choose_metric(records) == "custom_s"  # *_s fallback
-        assert choose_metric([{"note": "hi"}]) is None
-
-    def test_regression_flagged_against_rolling_best(self):
-        records = [{"wall_s": 1.0}, {"wall_s": 2.0}, {"wall_s": 1.5}]
-        report = compare_trajectory("results/BENCH_x.json", records)
-        assert report.metric == "wall_s"
-        assert report.best == 1.0  # rolling best, not previous record
-        assert report.regressed
-        assert report.status == "REGRESSED"
-
-    def test_within_threshold_is_ok(self):
-        records = [{"wall_s": 1.0}, {"wall_s": 1.15}]
-        report = compare_trajectory("BENCH_y.json", records)
-        assert not report.regressed
-        assert report.status == "ok"
-        assert report.name == "y"
-
-    def test_higher_better_regression(self):
-        records = [{"events_per_s": 100.0}, {"events_per_s": 50.0}]
-        report = compare_trajectory("BENCH_z.json", records)
-        assert report.direction == "higher"
-        assert report.regressed
-
-    def test_single_record_has_no_baseline(self):
-        report = compare_trajectory("BENCH_a.json", [{"wall_s": 1.0}])
-        assert not report.regressed
-        assert "no baseline" in report.status
-
-    def test_scan_and_format(self, tmp_path):
-        good = [{"wall_s": 1.0}, {"wall_s": 1.01}]
-        bad = [{"wall_s": 1.0}, {"wall_s": 9.0}]
-        (tmp_path / "BENCH_good.json").write_text(json.dumps(good))
-        (tmp_path / "BENCH_bad.json").write_text(json.dumps(bad))
-        (tmp_path / "BENCH_broken.json").write_text("{not json")
-        reports = scan_results_dir(str(tmp_path))
-        by_name = {report.name: report for report in reports}
-        assert not by_name["good"].regressed
-        assert by_name["bad"].regressed
-        assert "unreadable" in by_name["BENCH_broken.json"].status
-        lines = format_reports(reports, threshold=DEFAULT_THRESHOLD)
-        assert any("REGRESSED" in line for line in lines)
-        assert any("lower is better" in line for line in lines)
-
-
 class TestCli:
-    def test_bench_report_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        (tmp_path / "BENCH_t.json").write_text(
-            json.dumps([{"wall_s": 1.0}, {"wall_s": 1.05}]))
-        assert main(["bench-report", "--results-dir", str(tmp_path)]) == 0
-        (tmp_path / "BENCH_t.json").write_text(
-            json.dumps([{"wall_s": 1.0}, {"wall_s": 1.5}]))
-        assert main(["bench-report", "--results-dir", str(tmp_path)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_bench_report_empty_dir_is_ok(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["bench-report", "--results-dir", str(tmp_path)]) == 0
-        assert "no BENCH_*.json trajectories" in capsys.readouterr().out
-
     def test_profile_command_exports_trace_report_metrics(self, tmp_path,
                                                           capsys):
         from repro.cli import main
