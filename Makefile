@@ -26,6 +26,8 @@ smoke:
 	! grep -rnwIE "TcpNewRenoFlow|TcpVegasFlow|TcpBbrFlow|bench-report" \
 	    src/ examples/ README.md .github/
 	! grep -rnI "BENCH_" src/ examples/ README.md .github/
+	! grep -n "partial(" src/repro/simulation/devices.py \
+	    src/repro/simulation/events.py
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:

@@ -9,9 +9,12 @@ A pre-instrumentation baseline cannot be measured in-process, so the
 gate combines two measurements:
 
 1. **Hook-cost bound** (deterministic): ``timeit`` the disabled guard
-   (``if tracer.enabled: ...``) and multiply by the measured event rate
-   of a real disabled-tracer run.  That product is the fraction of each
-   event's budget the instrumentation consumes; it must stay below 10%.
+   (``if tracer.enabled: ...``), multiply by the number of guards an
+   event actually evaluates — *counted*, by running the scenario once
+   more under a disabled tracer whose ``enabled`` counts its reads — and
+   by the measured event rate of a real disabled-tracer run.  That
+   product is the fraction of each event's budget the instrumentation
+   consumes; it must stay below 10%.
 2. **On/off comparison** (informational): the same scenario with a
    :class:`RingBufferTracer` enabled, reported alongside — enabled
    tracing is allowed to cost more, the contract is about the default.
@@ -23,7 +26,7 @@ import timeit
 from repro.constellations.builder import Constellation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
-from repro.obs import NULL_TRACER, RingBufferTracer
+from repro.obs import NULL_TRACER, NullTracer, RingBufferTracer
 from repro.orbits.shell import Shell
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.topology.network import LeoNetwork
@@ -37,10 +40,24 @@ from _common import scaled, write_result
 MAX_OVERHEAD_FRACTION = 0.10
 
 DURATION_S = scaled(2.0, 10.0)
-#: Guard evaluations per trace-event site on the packet path (enqueue,
-#: tx_start, tx_finish, deliver is ~4; use a conservative 6 to cover
-#: routing/forwarding/flow sites amortized over packet events).
-GUARDS_PER_EVENT = 6
+#: Ceiling on counted guards per event: 1.597 at 2 s and 1.591 at the
+#: 10 s full scale when the count was introduced, identical before and
+#: after the PR 16 fast path.  The per-event paths may drop guard reads,
+#: never add them.
+MAX_GUARDS_PER_EVENT = 1.6
+
+
+class _CountingNullTracer(NullTracer):
+    """A disabled tracer that counts how often a guard reads ``enabled``
+    (every site, in every layer: devices, forwarding, routing, flows)."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.reads += 1
+        return False
 
 
 def _build_network() -> LeoNetwork:
@@ -72,6 +89,7 @@ def _run_scenario(network: LeoNetwork, tracer=None) -> dict:
         "events": sim.scheduler.events_processed,
         "events_per_s": sim.scheduler.events_processed / wall,
         "delivered": sim.stats.packets_delivered,
+        "guard_reads": getattr(tracer, "reads", 0),
     }
 
 
@@ -92,9 +110,17 @@ def test_disabled_tracer_overhead_within_budget():
                    key=lambda run: run["wall_s"])
     enabled = _run_scenario(network, tracer=RingBufferTracer())
 
+    counted = _run_scenario(network, tracer=_CountingNullTracer())
+    recount = _run_scenario(network, tracer=_CountingNullTracer())
+    # A program-made count may carry a claim only if it repeats exactly.
+    assert (counted["guard_reads"], counted["events"]) == (
+        recount["guard_reads"], recount["events"])
+    assert counted["events"] == disabled["events"]
+    guards_per_event = counted["guard_reads"] / counted["events"]
+
     guard_s = _disabled_guard_cost_s()
     per_event_budget_s = 1.0 / disabled["events_per_s"]
-    overhead_fraction = GUARDS_PER_EVENT * guard_s / per_event_budget_s
+    overhead_fraction = guards_per_event * guard_s / per_event_budget_s
 
     slowdown = (disabled["events_per_s"] - enabled["events_per_s"]) \
         / disabled["events_per_s"]
@@ -105,12 +131,17 @@ def test_disabled_tracer_overhead_within_budget():
         f"events_per_s_enabled      {enabled['events_per_s']:10.0f}",
         f"enabled_slowdown_fraction {slowdown:10.3f}",
         f"guard_cost_ns             {guard_s * 1e9:10.1f}",
-        f"guards_per_event          {GUARDS_PER_EVENT:10d}",
+        f"guard_reads               {counted['guard_reads']:10d}",
+        f"events                    {counted['events']:10d}",
+        f"guards_per_event          {guards_per_event:10.3f}",
         f"disabled_overhead_frac    {overhead_fraction:10.4f}",
         f"budget                    {MAX_OVERHEAD_FRACTION:10.2f}",
     ])
 
     assert disabled["delivered"] > 0 and enabled["delivered"] > 0
+    assert guards_per_event <= MAX_GUARDS_PER_EVENT, (
+        f"{guards_per_event:.3f} disabled-tracer guards per event, was "
+        f"{MAX_GUARDS_PER_EVENT}: the packet path gained a guard read")
     # The contract: disabled instrumentation consumes < 10% of the
     # per-event budget.
     assert overhead_fraction < MAX_OVERHEAD_FRACTION, (

@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 #: Bump on any change to the file layout or the pickled payload shape.
-CHECKPOINT_FORMAT_VERSION = 1
+#: v2: the packet engine's pending events became 5-field records.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

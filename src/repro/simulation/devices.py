@@ -20,7 +20,6 @@ visibly perturbs TCP (Fig. 19(b)).
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable, Deque, Optional, Tuple
 
 from ..obs.trace import (NULL_TRACER, PKT_DROP, PKT_ENQUEUE, PKT_TX_FINISH,
@@ -63,7 +62,7 @@ class DeviceStats:
         self.packets_dropped_fault = 0
         self.busy_time_s = 0.0
 
-    def utilization(self, rate_bps: float, duration_s: float,
+    def utilization(self, duration_s: float,
                     tracer: Optional[Tracer] = None,
                     link_name: str = "",
                     busy_time_s: Optional[float] = None) -> float:
@@ -83,7 +82,6 @@ class DeviceStats:
         """
         if duration_s <= 0.0:
             return 0.0
-        _ = rate_bps
         busy = self.busy_time_s if busy_time_s is None else busy_time_s
         ratio = busy / duration_s
         if ratio > 1.0 and tracer is not None and tracer.enabled:
@@ -180,7 +178,7 @@ class LinkDevice:
         :meth:`DeviceStats.utilization`).
         """
         return self.stats.utilization(
-            self.rate_bps, duration_s, tracer=tracer, link_name=self.name,
+            duration_s, tracer=tracer, link_name=self.name,
             busy_time_s=self.busy_time_s())
 
     def enqueue(self, packet: Packet, to_node: int):
@@ -236,18 +234,19 @@ class LinkDevice:
             tracer.emit(self._scheduler.now, PKT_TX_START, node=self.node_id,
                         flow=packet.flow_id, link=self.name, seq=packet.seq,
                         value=tx_time)
-        # partial of a bound method, not a lambda: pending events must
-        # survive checkpoint pickling (repro.service).
-        self._scheduler.schedule(
-            tx_time, partial(self._finish_transmission, packet, to_node))
+        # A bound method plus record fields, not a closure: pending
+        # events must survive checkpoint pickling (repro.service).
+        self._scheduler.schedule_call(
+            tx_time, self._finish_transmission, packet, to_node)
 
     def _finish_transmission(self, packet: Packet, to_node: int) -> None:
         now = self._scheduler.now
+        stats = self.stats
         # Busy time is credited only once the serialization completed;
         # crediting at start over-counted windows ending mid-packet.
-        self.stats.busy_time_s += now - self._tx_start_s
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
+        stats.busy_time_s += now - self._tx_start_s
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.size_bytes
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(now, PKT_TX_FINISH, node=self.node_id,
@@ -256,8 +255,8 @@ class LinkDevice:
         # leaves the transmitter (paper: "latencies are correctly calculated
         # based on satellite motion").
         propagation = self._positions.delay_s(self.node_id, to_node, now)
-        self._scheduler.schedule(propagation,
-                                 partial(self._deliver, packet, to_node))
+        self._scheduler.schedule_call(propagation, self._deliver,
+                                      packet, to_node)
         if self._queue:
             next_packet, next_to = self._queue.popleft()
             self._start_transmission(next_packet, next_to)

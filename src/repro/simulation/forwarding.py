@@ -24,7 +24,6 @@ from ..obs.trace import FWD_UPDATE, NULL_TRACER, ROUTE_CHANGE, Tracer
 from ..routing.engine import (
     UNREACHABLE,
     DestinationRouting,
-    MultiDestinationRouting,
     RoutingEngine,
 )
 from ..topology.network import LeoNetwork, TopologySnapshot
@@ -32,6 +31,7 @@ from .events import EventScheduler
 
 if TYPE_CHECKING:
     from ..routing.engine import RoutingPerfCounters
+    from .devices import LinkDevice
 
 __all__ = ["ForwardingController"]
 
@@ -68,8 +68,12 @@ class ForwardingController:
                                      tracer=self._tracer)
         self._destinations: Set[int] = set()
         self._routing: Dict[int, DestinationRouting] = {}
-        self._multi: Optional[MultiDestinationRouting] = None
-        self._ingress_cache: Dict[Tuple[int, int], Optional[int]] = {}
+        #: ``(node, dst_node) -> (device, next_hop)`` for the pairs the
+        #: forwarding plane resolved since the last refresh.  Filled by
+        #: :meth:`PacketSimulator._forward` (which owns the devices),
+        #: emptied here whenever the installed state changes.
+        self.hop_memo: Dict[Tuple[int, int],
+                            Tuple["LinkDevice", int]] = {}
         self._snapshot: Optional[TopologySnapshot] = None
         self._started = False
         self._num_sats = network.num_satellites
@@ -123,16 +127,15 @@ class ForwardingController:
         old_routing = self._routing if tracer.enabled else {}
         if self._destinations:
             assert self._snapshot is not None
-            self._multi = self._engine.route_to_many(
+            multi = self._engine.route_to_many(
                 self._snapshot, sorted(self._destinations))
             self._routing = {
-                dst_gid: self._multi.routing_for(dst_gid)
+                dst_gid: multi.routing_for(dst_gid)
                 for dst_gid in self._destinations
             }
         else:
-            self._multi = None
             self._routing = {}
-        self._ingress_cache.clear()
+        self.hop_memo.clear()
         if tracer.enabled:
             now = self._scheduler.now
             tracer.emit(now, FWD_UPDATE, value=float(len(self._routing)))
@@ -177,15 +180,5 @@ class ForwardingController:
         if station.is_relay:
             hop = int(routing.next_hop[node_id])
             return None if hop == UNREACHABLE else hop
-        key = (src_gid, dst_gid)
-        if key not in self._ingress_cache:
-            assert self._snapshot is not None and self._multi is not None
-            # One vectorized minimization fills the cache for this source
-            # against every registered destination at once.
-            ingress, _ = self._multi.source_ingress_many(
-                self._snapshot.gsl_edges[src_gid])
-            for row, gid in enumerate(self._multi.dst_gids):
-                sat = int(ingress[row])
-                self._ingress_cache[(src_gid, gid)] = (
-                    None if sat == UNREACHABLE else sat)
-        return self._ingress_cache[key]
+        assert self._snapshot is not None
+        return routing.source_ingress(self._snapshot.gsl_edges[src_gid])[0]

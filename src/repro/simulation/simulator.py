@@ -131,7 +131,7 @@ class PacketSimulator:
         link_config: Uniform link rates and queue sizes.
         forwarding_interval_s: Forwarding-state update period (default
             100 ms, the paper's default granularity).
-        position_quantum_s: Geometry memoization grid for per-packet delays.
+        position_quantum_s: Time quantisation grid of per-packet delays.
 
     Typical use::
 
@@ -343,6 +343,25 @@ class PacketSimulator:
                             reason="ttl")
             return
         packet.hops += 1
+        hop = self.forwarding.hop_memo.get((node, packet.dst_node))
+        if hop is None:
+            hop = self._resolve_hop(node, packet)
+            if hop is None:
+                return
+        device, next_hop = hop
+        self.stats.packets_forwarded += 1
+        accepted = device.enqueue(packet, next_hop)
+        if not accepted:
+            if accepted is DROPPED_FAULT:
+                self.stats.packets_dropped_fault += 1
+            else:
+                self.stats.packets_dropped_queue += 1
+
+    def _resolve_hop(self, node: int, packet: Packet
+                     ) -> Optional[Tuple[LinkDevice, int]]:
+        """Look the installed next hop up and memoise it with its device
+        until the next forwarding refresh; a missing route drops the
+        packet and is asked again next time."""
         dst_gid = packet.dst_node - self._num_sats
         if node >= self._num_sats:
             next_hop = self.forwarding.next_hop_from_ground(
@@ -356,20 +375,14 @@ class PacketSimulator:
                 tracer.emit(self.scheduler.now, PKT_DROP, node=node,
                             flow=packet.flow_id, seq=packet.seq,
                             reason="no_route")
-            return
-        device = self._device_for(node, next_hop)
-        self.stats.packets_forwarded += 1
-        accepted = device.enqueue(packet, next_hop)
-        if not accepted:
-            if accepted is DROPPED_FAULT:
-                self.stats.packets_dropped_fault += 1
-            else:
-                self.stats.packets_dropped_queue += 1
-
-    def _device_for(self, node: int, next_hop: int) -> LinkDevice:
+            return None
         if node < self._num_sats and next_hop < self._num_sats:
-            return self._isl_devices[(node, next_hop)]
-        return self._gsl_devices[node]
+            device = self._isl_devices[(node, next_hop)]
+        else:
+            device = self._gsl_devices[node]
+        hop = (device, next_hop)
+        self.forwarding.hop_memo[(node, packet.dst_node)] = hop
+        return hop
 
     def _receive(self, packet: Packet, node: int) -> None:
         if node == packet.dst_node:

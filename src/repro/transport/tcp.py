@@ -249,6 +249,8 @@ class TcpFlow(Application):
         SACKed packets have arrived; lost packets have left the network
         unless their retransmission is still out.
         """
+        if not self._sacked and not self._lost:
+            return self.snd_nxt - self.snd_una  # empty scoreboard
         pipe = 0
         for seq in range(self.snd_una, self.snd_nxt):
             if seq in self._sacked:

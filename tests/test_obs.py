@@ -222,13 +222,13 @@ class TestUtilizationAccounting:
     def test_raw_ratio_not_clamped(self):
         stats = DeviceStats()
         stats.busy_time_s = 2.0
-        assert stats.utilization(1e6, 1.0) == pytest.approx(2.0)
+        assert stats.utilization(1.0) == pytest.approx(2.0)
 
     def test_overload_emits_warning(self):
         stats = DeviceStats()
         stats.busy_time_s = 1.5
         tracer = RingBufferTracer()
-        ratio = stats.utilization(1e6, 1.0, tracer=tracer,
+        ratio = stats.utilization(1.0, tracer=tracer,
                                   link_name="isl-0-1")
         assert ratio == pytest.approx(1.5)
         warnings = tracer.events_of(WARNING)
@@ -240,7 +240,7 @@ class TestUtilizationAccounting:
         stats = DeviceStats()
         stats.busy_time_s = 0.5
         tracer = RingBufferTracer()
-        stats.utilization(1e6, 1.0, tracer=tracer, link_name="isl-0-1")
+        stats.utilization(1.0, tracer=tracer, link_name="isl-0-1")
         assert tracer.events_of(WARNING) == []
 
 
@@ -271,6 +271,22 @@ class TestTracedSimulation:
         assert registry.has_series("scheduler.events_per_s")
         series = registry.series_logs[util[0]]
         assert len(series) >= 3  # sampled at 0.5, 1.0, 1.5, (2.0)
+
+    def test_probe_event_rate_series_is_pinned(self, small_network):
+        """The probe reads ``events_processed`` from *inside* an event,
+        so the scheduler must count per event, not once per ``run``;
+        values recorded before the PR 16 event-loop rewrite."""
+        from repro.transport.tcp import TcpFlow
+        sim = PacketSimulator(small_network)
+        registry = MetricsRegistry()
+        sim.attach_probe(registry=registry, interval_s=0.25)
+        UdpFlow(0, 3, rate_bps=2_000_000.0).install(sim)
+        TcpFlow(1, 4).install(sim)
+        sim.run(1.3)
+        assert registry.series_logs["scheduler.events_per_s"].as_dict() == {
+            "times_s": [0.25, 0.5, 0.75, 1.0, 1.25],
+            "values": [4444.0, 11928.0, 18688.0, 18008.0, 2968.0]}
+        assert sim.scheduler.events_processed == 14153
 
     def test_flow_rtt_events_match_flow_log(self, small_network):
         from repro.transport.ping import PingSession

@@ -176,6 +176,20 @@ class TestCheckpointContainer:
         header = read_checkpoint_header(str(path))
         assert header["format_version"] == CHECKPOINT_FORMAT_VERSION + 1
 
+    def test_v1_packet_checkpoint_is_refused(self, tmp_path):
+        """Format v1 held 3-field pending-event tuples; this build's
+        scheduler would mis-dispatch them, so the header gate must stop
+        the load before anything is unpickled."""
+        assert CHECKPOINT_FORMAT_VERSION == 2
+        service = _make_service("packet")
+        service.advance_epoch(1)
+        ckpt = service.checkpoint()
+        ckpt.format_version = 1
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(CheckpointVersionError, match="format v1"):
+            LiveSimulationService.resume(str(path))
+
     def test_spec_mismatch_fails_clearly(self, tmp_path):
         path = tmp_path / "spec.ckpt"
         spec = _small_spec()
@@ -282,6 +296,56 @@ class TestRoundTripDeterminism:
         assert _report_json(restored) == _report_json(baseline)
         assert np.array_equal(restored.fct_values(),
                               baseline.fct_values(), equal_nan=True)
+
+    def test_every_pending_record_kind_round_trips(self, tmp_path):
+        """A packet checkpoint taken while tx-finish and arrival records
+        (bound method + packet + node fields) and RTO, delayed-ACK and
+        forwarding timers are all pending resumes ≡ never stopping."""
+        from repro.cc.lab import lab_network
+        from repro.simulation.simulator import LinkConfig, PacketSimulator
+        from repro.transport.tcp import TcpFlow
+
+        spec = lab_network("8x8")
+
+        def build():
+            sim = PacketSimulator(spec.build(), LinkConfig(
+                isl_rate_bps=2e6, gsl_rate_bps=2e6,
+                isl_queue_packets=25, gsl_queue_packets=25))
+            flows = [TcpFlow(src, (src + 3) % 6, delayed_ack_count=2
+                             ).install(sim) for src in range(6)]
+            return sim, flows
+
+        def outcome(sim, flows):
+            summary = sim.report(include_series=False).as_dict(
+                deterministic=True)["summary"]
+            return json.dumps({
+                "summary": summary,
+                "flows": [(flow.snd_una, flow.retransmissions,
+                           flow.timeouts, flow.cwnd_log.as_dict(),
+                           flow.rtt_log.as_dict()) for flow in flows],
+                "devices": [(device.name, device.stats.packets_sent,
+                             device.stats.busy_time_s.hex())
+                            for device in sim.iter_devices()],
+            }, sort_keys=True)
+
+        baseline_sim, baseline_flows = build()
+        baseline_sim.run(1.5)
+
+        sim, flows = build()
+        sim.run(0.45)
+        pending = {getattr(record[2], "func", record[2]).__name__
+                   for record in sim.scheduler._queue}
+        assert pending >= {"_finish_transmission", "_receive", "_on_rto",
+                           "_on_delack_timer", "_update"}
+        path = tmp_path / "pending.ckpt"
+        save_checkpoint(str(path), Checkpoint(
+            spec=spec, engine="packet", time_s=sim.now,
+            payload={"sim": sim, "flows": flows}))
+        payload = load_checkpoint(str(path)).payload
+        payload["sim"].run(1.5)
+        assert outcome(payload["sim"], payload["flows"]) == outcome(
+            baseline_sim, baseline_flows)
+        assert baseline_sim.stats.packets_dropped_queue > 0
 
     def test_double_restore_same_file(self, tmp_path):
         """One checkpoint file seeds any number of identical futures."""

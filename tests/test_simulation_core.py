@@ -12,6 +12,19 @@ from repro.simulation.packet import DEFAULT_HEADER_BYTES, Packet
 from repro.simulation.positions import PositionService
 
 
+class _Sink:
+    """Picklable event target (module level, so pickle can name it)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def tick(self):
+        self.seen.append("tick")
+
+    def take(self, a, b):
+        self.seen.append((a, b))
+
+
 class TestEventScheduler:
     def test_runs_in_time_order(self):
         sched = EventScheduler()
@@ -105,6 +118,68 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             sched.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_non_finite_or_past_times_rejected(self, bad):
+        """A NaN time used to be accepted, *fire*, and leave the clock
+        at NaN (every later past-check then passes)."""
+        sched = EventScheduler()
+        fired = []
+        with pytest.raises(ValueError):
+            sched.schedule(bad, lambda: fired.append("timer"))
+        with pytest.raises(ValueError):
+            sched.schedule_at(bad, lambda: fired.append("absolute"))
+        with pytest.raises(ValueError):
+            sched.schedule_call(bad, lambda a, b: fired.append("record"),
+                                1, 2)
+        assert len(sched) == 0
+        sched.run(until_s=2.0)
+        assert fired == [] and sched.now == 2.0
+
+    def test_negative_zero_delay_allowed(self):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule(-0.0, lambda: fired.append("timer"))
+        sched.schedule_at(-0.0, lambda: fired.append("absolute"))
+        sched.schedule_call(-0.0, lambda a, b: fired.append((a, b)), 1, 2)
+        sched.run()
+        assert fired == ["timer", "absolute", (1, 2)]
+        assert sched.now == 0.0
+
+    def test_schedule_call_passes_record_fields(self):
+        """``fn(a, b)`` with the two record fields — falsy ones included —
+        interleaved FIFO with plain timers at the same instant."""
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_call(1.0, lambda a, b: fired.append((a, b)), 0, None)
+        sched.schedule(1.0, lambda: fired.append("timer"))
+        sched.schedule_call(1.0, lambda a, b: fired.append((a, b)), "p", 7)
+        sched.run()
+        assert fired == [(0, None), "timer", ("p", 7)]
+        assert sched.events_processed == 3
+
+    def test_pending_records_pickle(self):
+        """The queue is part of a service checkpoint: bound methods plus
+        plain fields must round-trip and fire in the same order."""
+        import pickle
+
+        sched = EventScheduler()
+        sink = _Sink()
+        sched.schedule_call(2.0, sink.take, "late", 2)
+        sched.schedule(1.0, sink.tick)
+        sched.schedule_call(1.0, sink.take, "early", 1)
+        restored, restored_sink = pickle.loads(pickle.dumps((sched, sink)))
+        restored.run()
+        assert restored_sink.seen == ["tick", ("early", 1), ("late", 2)]
+        assert sink.seen == []
+
+    def test_events_processed_is_live_inside_an_event(self):
+        sched = EventScheduler()
+        seen = []
+        for _ in range(3):
+            sched.schedule(1.0, lambda: seen.append(sched.events_processed))
+        sched.run()
+        assert seen == [1, 2, 3]
+
     def test_event_count(self):
         sched = EventScheduler()
         for _ in range(7):
@@ -187,6 +262,108 @@ class TestPositionService:
             PositionService(small_network, quantum_s=-1.0)
 
 
+class _SeedPositionOracle:
+    """The pre-PR-16 ``PositionService`` arithmetic, kept verbatim as the
+    reference: numpy scalars indexed per call, all six cos/sin evaluated
+    in place, the Earth-rotation angle recomputed per endpoint."""
+
+    def __init__(self, network, quantum_s):
+        from repro.geo.constants import EARTH_ROTATION_RATE_RAD_PER_S
+        constellation = network.constellation
+        self._quantum_s = quantum_s
+        self._num_sats = constellation.num_satellites
+        self._epoch_offset_s = constellation.epoch_offset_s
+        self._radius = constellation._radius_m
+        self._raan = constellation._raan_rad
+        self._incl = constellation._inclination_rad
+        self._anom = constellation._anomaly_rad
+        self._motion = constellation._mean_motion
+        self._earth_rate = EARTH_ROTATION_RATE_RAD_PER_S
+        self._gs_positions = {
+            network.gs_node_id(gs.gid): tuple(gs.ecef_m)
+            for gs in network.ground_stations}
+
+    def position_m(self, node_id, time_s):
+        if node_id >= self._num_sats:
+            return self._gs_positions[node_id]
+        if self._quantum_s > 0.0:
+            time_s = int(time_s / self._quantum_s) * self._quantum_s
+        time_s = time_s + self._epoch_offset_s
+        sat_id = node_id
+        u = self._anom[sat_id] + self._motion[sat_id] * time_s
+        r = self._radius[sat_id]
+        cos_u, sin_u = math.cos(u), math.sin(u)
+        cos_o, sin_o = (math.cos(self._raan[sat_id]),
+                        math.sin(self._raan[sat_id]))
+        cos_i, sin_i = (math.cos(self._incl[sat_id]),
+                        math.sin(self._incl[sat_id]))
+        x_eci = r * (cos_u * cos_o - sin_u * cos_i * sin_o)
+        y_eci = r * (cos_u * sin_o + sin_u * cos_i * cos_o)
+        z = r * sin_u * sin_i
+        theta = self._earth_rate * time_s
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        return (x_eci * cos_t + y_eci * sin_t,
+                -x_eci * sin_t + y_eci * cos_t,
+                z)
+
+    def distance_m(self, node_a, node_b, time_s):
+        ax, ay, az = self.position_m(node_a, time_s)
+        bx, by, bz = self.position_m(node_b, time_s)
+        return math.sqrt((ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+
+    def delay_s(self, node_a, node_b, time_s):
+        return self.distance_m(node_a, node_b, time_s) / 299_792_458.0
+
+
+class TestPositionExactness:
+    """The float-table geometry must equal the seed arithmetic bit for
+    bit (``==``, not ≈): every packet's arrival time comes out of it."""
+
+    @pytest.mark.parametrize("quantum_s", [0.0, 0.001, 0.1])
+    def test_bit_identical_to_seed_arithmetic(self, small_shell,
+                                              small_stations, quantum_s):
+        import random
+
+        from repro.constellations.builder import Constellation
+        from repro.topology.network import LeoNetwork
+
+        network = LeoNetwork(
+            Constellation([small_shell], epoch_offset_s=1234.567),
+            small_stations, min_elevation_deg=10.0)
+        service = PositionService(network, quantum_s=quantum_s)
+        oracle = _SeedPositionOracle(network, quantum_s)
+        num_sats = network.num_satellites
+        period_s = 2.0 * math.pi / float(
+            network.constellation._mean_motion[0])
+        rng = random.Random(16)
+        for draw in range(500):
+            sat_a, sat_b = rng.sample(range(num_sats), 2)
+            gs = num_sats + rng.randrange(network.num_ground_stations)
+            node_a, node_b = [(sat_a, sat_b), (sat_a, gs),
+                              (gs, sat_b)][draw % 3]
+            time_s = rng.uniform(0.0, period_s)
+            before = service.position_computes
+            delay = service.delay_s(node_a, node_b, time_s)
+            sat_lookups = (node_a < num_sats) + (node_b < num_sats)
+            assert service.position_computes - before == sat_lookups
+            assert delay == oracle.delay_s(node_a, node_b, time_s)
+            assert type(delay) is float
+            distance = service.distance_m(node_a, node_b, time_s)
+            assert distance == oracle.distance_m(node_a, node_b, time_s)
+            assert type(distance) is float
+            for node in (node_a, node_b):
+                position = service.position_m(node, time_s)
+                assert position == oracle.position_m(node, time_s)
+                assert all(type(axis) is float for axis in position)
+
+    def test_ground_to_ground_distance(self, small_network):
+        service = PositionService(small_network)
+        oracle = _SeedPositionOracle(small_network, 0.001)
+        a, b = small_network.gs_node_id(0), small_network.gs_node_id(3)
+        assert service.distance_m(a, b, 5.0) == oracle.distance_m(a, b, 5.0)
+        assert service.position_computes == 0
+
+
 class TestLinkDevice:
     def _make(self, rate_bps=8000.0, queue=2, delay_s=0.01):
         sched = EventScheduler()
@@ -247,7 +424,7 @@ class TestLinkDevice:
         sched, device, _ = self._make()
         device.enqueue(Packet(1, 0, 1, size_bytes=100), 1)
         sched.run()
-        assert device.stats.utilization(8000.0, 1.0) == pytest.approx(0.1)
+        assert device.stats.utilization(1.0) == pytest.approx(0.1)
 
     def test_invalid_construction(self):
         sched = EventScheduler()
@@ -325,9 +502,9 @@ class TestBusyTimeAccounting:
         stats = DeviceStats()
         stats.busy_time_s = 3.0
         # Without a tracer the raw ratio comes back unclamped, silently.
-        assert stats.utilization(8000.0, 2.0) == pytest.approx(1.5)
+        assert stats.utilization(2.0) == pytest.approx(1.5)
         tracer = RingBufferTracer()
-        ratio = stats.utilization(8000.0, 2.0, tracer=tracer,
+        ratio = stats.utilization(2.0, tracer=tracer,
                                   link_name="isl-0-1")
         assert ratio == pytest.approx(1.5)
         (warning,) = tracer.events_of(WARNING)
@@ -336,7 +513,7 @@ class TestBusyTimeAccounting:
         assert warning.value == pytest.approx(1.5)
         # At or below 1.0 the warning path stays quiet.
         tracer2 = RingBufferTracer()
-        stats.utilization(8000.0, 3.0, tracer=tracer2, link_name="isl-0-1")
+        stats.utilization(3.0, tracer=tracer2, link_name="isl-0-1")
         assert tracer2.events_of(WARNING) == []
 
     def test_window_starting_and_ending_mid_packet(self):
@@ -351,3 +528,70 @@ class TestBusyTimeAccounting:
         # Clock-default accessor agrees with the explicit ``now``.
         assert device.busy_time_s() == pytest.approx(
             device.busy_time_s(sched.now))
+
+
+class TestEventStreamPin:
+    """The packet engine's whole observable outcome on one small run,
+    pinned as a digest recorded *before* the PR 16 hot-path work: the
+    golden ``packet_fig2`` digest says the same in ~20 s of
+    ``make bench-e2e``; this says it inside tier-1."""
+
+    DURATION_S = 3.0
+    DIGEST = (
+        "4e79a8c0725951c0041e1af8108dc2a6461e68a4205a4461f89ef1b4d06a6cb7")
+
+    def test_lab_run_is_bit_identical(self):
+        import hashlib
+        import json
+
+        from repro.cc.lab import lab_network
+        from repro.core.workloads import random_permutation_pairs
+        from repro.simulation.simulator import LinkConfig, PacketSimulator
+        from repro.transport.tcp import TcpFlow
+
+        network = lab_network("8x8").build()
+        sim = PacketSimulator(network, LinkConfig(
+            isl_rate_bps=2e6, gsl_rate_bps=2e6,
+            isl_queue_packets=25, gsl_queue_packets=25))
+        pairs = random_permutation_pairs(network.num_ground_stations, seed=0)
+        assert len(pairs) >= 6
+        # Every other flow delays its ACKs so delayed-ACK timers are in
+        # the pinned stream next to tx-finish, arrival and RTO events.
+        flows = [TcpFlow(src, dst, delayed_ack_count=1 + index % 2
+                         ).install(sim)
+                 for index, (src, dst) in enumerate(pairs)]
+        # Stopping between refreshes does not touch the event stream; it
+        # only lets the test see the installed next hops change.
+        route_changes, previous, refresh = 0, None, 0
+        while (refresh + 0.5) * 0.1 < self.DURATION_S:
+            sim.run((refresh + 0.5) * 0.1)
+            installed = {gid: routing.next_hop.copy() for gid, routing
+                         in sim.forwarding._routing.items()}
+            if previous is not None:
+                route_changes += sum(
+                    int(np.count_nonzero(previous[gid] != installed[gid]))
+                    for gid in installed)
+            previous, refresh = installed, refresh + 1
+        sim.run(self.DURATION_S)
+
+        summary = sim.report(include_series=False).as_dict(
+            deterministic=True)["summary"]
+        assert refresh >= 5 and route_changes >= 1
+        assert summary["packets_dropped_queue"] >= 1
+        assert sum(flow.timeouts for flow in flows) >= 1
+        payload = {
+            "summary": summary,
+            "flows": [(flow.snd_una, flow.retransmissions, flow.timeouts)
+                      for flow in flows],
+            "devices": [(device.name, device.stats.packets_sent,
+                         device.stats.bytes_sent,
+                         device.stats.busy_time_s.hex())
+                        for device in sim.iter_devices()],
+        }
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode())
+        for flow in flows:
+            for log in (flow.cwnd_log, flow.rtt_log):
+                for array in log.as_arrays():
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == self.DIGEST

@@ -284,3 +284,88 @@ class TestPerfAccounting:
         sim.run(0.05)
         assert sim.stats.routing.trees_computed >= 1
         assert sim.stats.routing.csr_rebuilds_avoided >= 0
+
+
+class TestForwardingMemo:
+    """The per-refresh ``(node, dst) -> (device, next hop)`` memo must be
+    invisible: every packet follows the state installed *now*."""
+
+    FAST = LinkConfig(isl_rate_bps=1e9, gsl_rate_bps=1e9)
+
+    def _send_at(self, sim, time_s, src_gid=0, dst_gid=3, flow_id=1):
+        sim.scheduler.schedule_at(time_s, lambda: sim.send(Packet(
+            flow_id, sim.gs_node_id(src_gid), sim.gs_node_id(dst_gid),
+            size_bytes=1500)))
+
+    def test_route_change_takes_effect_on_first_packet(
+            self, small_constellation, small_stations, small_network):
+        from repro.faults import FaultEvent, FaultSchedule
+        from repro.topology.network import LeoNetwork
+        # The first ISL of the 0 -> 3 path at t=0 is cut from t=0.25 on,
+        # so the refresh at t=0.3 must move the flow off it.
+        snapshot = small_network.snapshot(0.0)
+        routing = RoutingEngine(small_network).route_to(snapshot, 3)
+        ingress, _ = routing.source_ingress(snapshot.gsl_edges[0])
+        after = int(routing.next_hop[ingress])
+        assert after < small_network.num_satellites
+        network = LeoNetwork(
+            small_constellation, small_stations, min_elevation_deg=10.0,
+            faults=FaultSchedule(
+                [FaultEvent.isl_cut(ingress, after, 0.25, 10.0)]))
+        sim = PacketSimulator(network, self.FAST)
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        for time_s in (0.21, 0.22):  # a memo miss, then a hit
+            self._send_at(sim, time_s)
+        sim.run(0.29)
+        cut_device = sim.isl_device(ingress, after)
+        assert cut_device.stats.packets_sent == 2
+        assert sim.forwarding.hop_memo[(ingress, sim.gs_node_id(3))] == (
+            cut_device, after)
+        self._send_at(sim, 0.31)
+        sim.run(0.6)
+        assert sim.stats.packets_delivered == 3
+        assert cut_device.stats.packets_sent == 2
+
+    def test_no_route_is_asked_again_after_the_next_refresh(
+            self, small_constellation, small_stations):
+        from repro.faults import FaultEvent, FaultSchedule
+        from repro.topology.network import LeoNetwork
+        network = LeoNetwork(
+            small_constellation, small_stations, min_elevation_deg=10.0,
+            faults=FaultSchedule([FaultEvent.gsl_cut(0, 0.0, 0.25)]))
+        sim = PacketSimulator(network, self.FAST)
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        for time_s in (0.05, 0.06, 0.35):
+            self._send_at(sim, time_s)
+        sim.run(0.2)
+        assert sim.stats.packets_dropped_no_route == 2
+        assert (sim.gs_node_id(0), sim.gs_node_id(3)) \
+            not in sim.forwarding.hop_memo
+        sim.run(0.6)
+        assert sim.stats.packets_dropped_no_route == 2
+        assert sim.stats.packets_delivered == 1
+
+    def test_register_destination_mid_run_clears_the_memo(
+            self, small_network):
+        sim = PacketSimulator(small_network, self.FAST,
+                              forwarding_interval_s=1.0)
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        self._send_at(sim, 0.01)
+        sim.run(0.3)
+        assert sim.forwarding.hop_memo
+        sim.register_handler(sim.gs_node_id(4), 2, lambda p: None)
+        assert not sim.forwarding.hop_memo
+        self._send_at(sim, 0.3, dst_gid=4, flow_id=2)
+        sim.run(0.6)
+        assert sim.stats.packets_delivered == 2
+        assert (sim.gs_node_id(0), sim.gs_node_id(4)) \
+            in sim.forwarding.hop_memo
+
+    def test_unregistered_destination_still_raises(self, small_network):
+        sim = PacketSimulator(small_network, self.FAST)
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        self._send_at(sim, 0.01)
+        sim.run(0.05)
+        with pytest.raises(KeyError, match="never registered"):
+            sim.send(Packet(1, sim.gs_node_id(0), sim.gs_node_id(5),
+                            size_bytes=100))
