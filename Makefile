@@ -65,9 +65,11 @@ bench-fluid-scale:
 # Incremental-routing gate: repaired destination trees must equal the
 # from-scratch solve bit-for-bit (serial and workers=4), and reach 5x
 # per-snapshot routing time on S1 under sparse topology deltas (speedup
-# half auto-skips below 4 cores).
+# half auto-skips below 4 cores); the batched trees must equal the
+# per-destination reference bit for bit and be computed >= 2x faster.
 bench-routing:
-	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py -q -o testpaths=
+	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py \
+	    benchmarks/test_batched_routing.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore -> continue must be
 # bit-identical to never stopping (packet + max-min fluid engines),

@@ -7,7 +7,10 @@ transit CSR once per snapshot and computes every destination tree with a
 single multi-index Dijkstra; this bench pits it against the pre-batching
 algorithm (rebuild the graph and call Dijkstra once per destination) on a
 10-destination forwarding update and checks both the speedup (>= 2x) and
-bit-identical routing state.
+bit-identical routing state.  Both sides derive next hops by the
+product's documented rule, the smallest-id tight in-neighbour; scipy's
+own predecessor is whichever tight neighbour its heap settled first, so
+it is only checked for being tight.
 """
 
 import time
@@ -27,7 +30,8 @@ ROUNDS = scaled(5, 20)
 
 
 def _route_per_destination(network, snapshot, dst_gid):
-    """The pre-batching algorithm: full graph rebuild + one Dijkstra."""
+    """The pre-batching algorithm: full graph rebuild + one Dijkstra,
+    then this one tree's next hops by the smallest-id-tight-edge rule."""
     rows = [snapshot.isl_pairs[:, 0]]
     cols = [snapshot.isl_pairs[:, 1]]
     data = [snapshot.isl_lengths_m]
@@ -45,16 +49,37 @@ def _route_per_destination(network, snapshot, dst_gid):
         rows.append(np.full(len(edges.satellite_ids), dst_node))
         cols.append(edges.satellite_ids)
         data.append(edges.lengths_m)
-    graph = csr_matrix(
-        (np.concatenate(data).astype(np.float64),
-         (np.concatenate(rows).astype(np.int64),
-          np.concatenate(cols).astype(np.int64))),
-        shape=(network.num_nodes, network.num_nodes))
-    distances, predecessors = dijkstra(
-        graph, directed=False, indices=dst_node, return_predecessors=True)
-    next_hop = predecessors.astype(np.int64)
-    next_hop[next_hop < 0] = UNREACHABLE
-    return distances, next_hop
+    rows = np.concatenate(rows).astype(np.int64)
+    cols = np.concatenate(cols).astype(np.int64)
+    data = np.concatenate(data).astype(np.float64)
+    num_nodes = network.num_nodes
+    graph = csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
+    distances = dijkstra(graph, directed=False, indices=dst_node)
+    # Every link both ways: u is a next hop of v iff u -> v is tight.
+    u = np.concatenate([rows, cols])
+    v = np.concatenate([cols, rows])
+    tight = distances[u] + np.concatenate([data, data]) == distances[v]
+    tight &= np.isfinite(distances[v])
+    next_hop = np.full(num_nodes, num_nodes, dtype=np.int64)
+    np.minimum.at(next_hop, v[tight], u[tight])
+    next_hop[next_hop == num_nodes] = UNREACHABLE
+    return distances, next_hop, graph
+
+
+def _assert_scipy_predecessors_tight(graph, dst_node, distances, next_hop):
+    """scipy's predecessor of ``v`` is whichever neighbour its heap
+    settled first: a tight edge (``dist[u] + w(u, v) == dist[v]``
+    exactly), on exactly the nodes that have a canonical next hop."""
+    _, predecessors = dijkstra(graph, directed=False, indices=dst_node,
+                               return_predecessors=True)
+    nodes = np.flatnonzero(predecessors >= 0)
+    np.testing.assert_array_equal(nodes,
+                                  np.flatnonzero(next_hop != UNREACHABLE))
+    via = predecessors[nodes]
+    weights = graph.maximum(graph.T).tocsr()  # both directions
+    np.testing.assert_array_equal(
+        distances[via] + np.asarray(weights[via, nodes]).ravel(),
+        distances[nodes])
 
 
 def test_batched_vs_per_destination(kuiper, benchmark):
@@ -67,11 +92,13 @@ def test_batched_vs_per_destination(kuiper, benchmark):
     engine = RoutingEngine(network)
     multi = engine.route_to_many(snapshot, destinations)
     for dst_gid in destinations:
-        ref_dist, ref_hop = _route_per_destination(network, snapshot,
-                                                   dst_gid)
+        ref_dist, ref_hop, graph = _route_per_destination(
+            network, snapshot, dst_gid)
         batched = multi.routing_for(dst_gid)
         np.testing.assert_array_equal(batched.distance_m, ref_dist)
         np.testing.assert_array_equal(batched.next_hop, ref_hop)
+        _assert_scipy_predecessors_tight(graph, batched.dst_node, ref_dist,
+                                         batched.next_hop)
 
     def per_destination_update():
         for dst_gid in destinations:

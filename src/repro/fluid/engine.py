@@ -173,6 +173,26 @@ def first_appearance_columns(codes: np.ndarray
     return rank[inverse.reshape(-1)], uniq[order]
 
 
+def first_appearance_rows(ids: np.ndarray, num_ids: int
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`first_appearance_columns` for small dense ids, sort-free.
+
+    ``ids`` lie in ``[0, num_ids)`` (flow classes, matrix rows), so one
+    scatter-min over a ``num_ids`` table finds every id's first position
+    in O(len(ids)) — this runs over every candidate flow each step.
+
+    Returns ``(rows, first)``: each entry's row in first-appearance
+    order, and the position in ``ids`` where each row first appears.
+    """
+    first = np.full(num_ids, ids.size, dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int64))
+    present = np.flatnonzero(first < ids.size)
+    order = present[np.argsort(first[present])]
+    rank = np.empty(num_ids, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return rank[ids], first[order]
+
+
 def flow_link_matrix_from_paths(
         paths: Sequence[Optional[Sequence[int]]], num_satellites: int,
         num_nodes: int, capacity_of) -> Tuple["FlowLinkMatrix", np.ndarray]:
@@ -360,9 +380,14 @@ class FluidRunState:
         starts / offered_bits / residual_bits / delivered_bits / fct_s:
             (F,) per-flow workload cursors.
         demand_caps: (F,) invariant per-flow rate caps.
+        flow_class: (F,) int32 id of each flow's class — flows with the
+            same endpoints and demand cap, which therefore share a path
+            and a max-min rate; ids count up in first-flow order (four
+            bytes per flow in a checkpoint).
         dynamic: Whether the workload has arrivals or finite sizes.
         solves: Allocations solved so far.
-        frozen_paths: Static-baseline paths (``freeze_topology_at_s``).
+        frozen_paths: (F,) object array of static-baseline paths
+            (``freeze_topology_at_s``).
         wall_time_s: Wall-clock seconds accumulated across ``advance``
             calls (survives checkpoints; perf-only, excluded from
             parity comparisons).
@@ -382,9 +407,10 @@ class FluidRunState:
     delivered_bits: np.ndarray = no_flows()
     fct_s: np.ndarray = no_flows()
     demand_caps: np.ndarray = no_flows()
+    flow_class: np.ndarray = no_flows(np.int32)
     dynamic: bool = False
     solves: int = 0
-    frozen_paths: Optional[List[Optional[Tuple[int, ...]]]] = None
+    frozen_paths: Optional[np.ndarray] = None
     wall_time_s: float = 0.0
 
     @property
@@ -445,30 +471,33 @@ class FluidSimulation:
         self.metrics = metrics
         self._engine = RoutingEngine(network)
         self._num_sats = network.num_satellites
-        self._flow_pairs = [(flow.src_gid, flow.dst_gid)
-                            for flow in self.flows]
+        #: ((src_gid, dst_gid), demand cap) -> class id, in first-flow
+        #: order (filled by :meth:`extend_flows`).
+        self._class_of: Dict[Tuple[Tuple[int, int], float], int] = {}
 
-    def _paths_at(self, snapshot: TopologySnapshot,
-                  indices: Optional[Sequence[int]] = None
-                  ) -> List[Optional[Tuple[int, ...]]]:
-        # One batched Dijkstra covers every flow's destination tree, and
-        # each distinct (src, dst) pair is extracted only once — gravity
-        # workloads put thousands of flows on the same few city pairs.
-        pairs = (self._flow_pairs if indices is None
-                 else [self._flow_pairs[i] for i in indices])
-        unique: Dict[Tuple[int, int], int] = {}
-        for pair in pairs:
-            unique.setdefault(pair, len(unique))
-        node_paths = self._engine.paths_many(snapshot, list(unique))
-        unique_paths = [tuple(path) if path is not None else None
-                        for path in node_paths]
-        paths = [unique_paths[unique[pair]] for pair in pairs]
-        if indices is None:
-            return paths
-        full: List[Optional[Tuple[int, ...]]] = [None] * len(self.flows)
-        for i, path in zip(indices, paths):
-            full[i] = path
-        return full
+    def _paths_at(self, state: "FluidRunState", snapshot: TopologySnapshot,
+                  indices: Optional[np.ndarray] = None) -> np.ndarray:
+        """(F,) object array of the flows' node-tuple paths at
+        ``snapshot``; ``None`` while disconnected.  Only the classes of
+        the flows in ``indices`` (default: all) are looked up.
+
+        One batched Dijkstra covers every destination tree and one
+        batched walk extracts a path per flow *class* present — gravity
+        workloads put thousands of flows on the same few city pairs —
+        which a single gather then hands to the member flows.
+        """
+        flow_class = state.flow_class
+        classes = list(self._class_of)
+        present = np.flatnonzero(np.bincount(
+            flow_class if indices is None else flow_class[indices],
+            minlength=len(classes)))
+        node_paths = self._engine.paths_many(
+            snapshot, [classes[c][0] for c in present.tolist()])
+        class_paths = np.full(len(classes), None, dtype=object)
+        class_paths[present] = np.fromiter(
+            (None if path is None else tuple(path) for path in node_paths),
+            dtype=object, count=present.size)
+        return class_paths[flow_class]
 
     def run(self, duration_s: float, step_s: float = 1.0) -> FluidResult:
         """Simulate ``duration_s`` at ``step_s`` granularity.
@@ -513,8 +542,6 @@ class FluidSimulation:
         built the simulation with them.
         """
         self.flows.extend(flows)
-        self._flow_pairs.extend((flow.src_gid, flow.dst_gid)
-                                for flow in flows)
         first = len(state.starts)
         new = self.flows[first:]
         starts = np.array([flow.start_s for flow in new])
@@ -536,6 +563,12 @@ class FluidSimulation:
         state.fct_s = np.concatenate([state.fct_s,
                                       np.full(len(new), np.nan)])
         state.demand_caps = np.concatenate([state.demand_caps, demand_caps])
+        class_of = self._class_of
+        state.flow_class = np.concatenate([state.flow_class, np.array(
+            [class_of.setdefault(((flow.src_gid, flow.dst_gid), cap),
+                                 len(class_of))
+             for flow, cap in zip(new, demand_caps.tolist())],
+            dtype=np.int32)])
         rates = np.zeros((len(state.times), len(self.flows)))
         rates[:, :first] = state.rates
         state.rates = rates
@@ -545,7 +578,7 @@ class FluidSimulation:
                              or np.isfinite(offered_bits).any())
         if self.freeze_topology_at_s is not None:
             state.frozen_paths = self._paths_at(
-                self.network.snapshot(self.freeze_topology_at_s))
+                state, self.network.snapshot(self.freeze_topology_at_s))
         return first
 
     def advance(self, state: FluidRunState,
@@ -575,19 +608,19 @@ class FluidSimulation:
             candidates = np.flatnonzero(
                 (state.residual_bits > 0.0)
                 & (state.starts < time_s + state.step_s))
-            if frozen_paths is not None:
-                in_play = set(candidates.tolist())
-                paths: List[Optional[Tuple[int, ...]]] = [
-                    frozen_paths[i] if i in in_play else None
-                    for i in range(len(frozen_paths))]
-            else:
+            routed = frozen_paths
+            if routed is None:
                 span = (profiler.begin("fluid.paths")
                         if profiler.enabled else -1)
                 snapshot = self.network.snapshot(time_s)
-                paths = self._paths_at(snapshot, candidates)
+                routed = self._paths_at(state, snapshot, candidates)
                 if span != -1:
                     profiler.end(span)
-            self._step(state, t_index, time_s, paths, candidates, faults)
+            # Flows out of play (not started, or completed) hold no path.
+            paths = np.full(len(routed), None, dtype=object)
+            paths[candidates] = routed[candidates]
+            self._step(state, t_index, time_s, paths.tolist(), candidates,
+                       faults)
             state.next_index = t_index + 1
         if run_span != -1:
             profiler.end(run_span)
@@ -626,17 +659,24 @@ class FluidSimulation:
               candidates: np.ndarray, faults) -> None:
         """One snapshot step on the flat incidence representation.
 
-        The step's flows-on-links CSR is built once (int-encoded device
-        codes in path order, so the column numbering matches the oracle's
-        link dict order); every arrival/completion inside the step is a
-        row activation over that fixed matrix, not a rebuild.
+        Flows of one class share a path and a max-min rate, so the
+        step's flows-on-links CSR has one row per class among the
+        candidates, in first-candidate order (int-encoded device codes
+        in path order: the column numbering is still the oracle's link
+        dict order over the flows).  It is built once; every
+        arrival/completion inside the step is a row activation over that
+        fixed matrix — each row weighted by its active members — not a
+        rebuild.
         """
         profiler = spans.ACTIVE
-        cand_paths = [paths[i] for i in candidates]
+        row_of_cand, first = first_appearance_rows(
+            state.flow_class[candidates], len(self._class_of))
+        lead = candidates[first]  # each row's first candidate
         build_span = (profiler.begin("fluid.matrix_build")
                       if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
-            cand_paths, self._num_sats, self.network.num_nodes,
+            [paths[i] for i in lead.tolist()], self._num_sats,
+            self.network.num_nodes,
             lambda key: self._device_capacity(key, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)
@@ -645,8 +685,8 @@ class FluidSimulation:
         starts, residual_bits = state.starts, state.residual_bits
         step_end = time_s + state.step_s
         starts_c = starts[candidates]
-        demands_c = state.demand_caps[candidates]
-        has_path = hop_counts > 0
+        row_demands = state.demand_caps[lead]
+        has_path = (hop_counts > 0)[row_of_cand]
         loop_span = (profiler.begin("fluid.subevents")
                      if profiler.enabled else -1)
         tau = time_s
@@ -657,17 +697,34 @@ class FluidSimulation:
                                     & has_path)
             solve_span = (profiler.begin("fluid.waterfill")
                           if profiler.enabled else -1)
-            allocated = waterfill(matrix, demands=demands_c, active=active)
+            # Solve each row once, weighted by its active members, rows
+            # ordered by their first *active* member so the columns keep
+            # the per-flow first-appearance order.  With one member per
+            # row (the common small solve) ``rows`` is that already.
+            rows = row_of_cand[active]
+            members = np.bincount(rows, minlength=matrix.num_flows)
+            solved, slot, copies = rows, slice(None), None
+            if np.count_nonzero(members) < rows.size:
+                slot, opener = first_appearance_rows(rows, members.size)
+                solved = rows[opener]
+                copies = members[solved]
+            allocated = waterfill(matrix, demands=row_demands, active=solved,
+                                  multiplicity=copies)[slot]
             if solve_span != -1:
                 profiler.end(solve_span)
             state.solves += 1
             global_active = candidates[active]
             if not recorded:
-                cols, _, entry_rows = matrix._gather(active)
-                load_arr = np.zeros(matrix.num_links)
-                np.add.at(load_arr, cols, allocated[entry_rows])
+                # Flow by flow in traversal order: the bits of a load
+                # depend on the order its rates were added in.
+                load_arr = matrix.link_loads(allocated, rows)
+                # A link is recorded iff a row with an active member
+                # crosses it, carrying rate or not.
+                crossed = np.zeros(matrix.num_links, dtype=bool)
+                crossed[matrix.link_index[np.repeat(
+                    members > 0, np.diff(matrix.indptr))]] = True
                 loads = {keys[j]: float(load_arr[j])
-                         for j in np.unique(cols)}
+                         for j in np.flatnonzero(crossed)}
                 state.rates[t_index, global_active] = allocated
                 self._record_snapshot(state, t_index, time_s, paths, loads,
                                       active_count=len(active))

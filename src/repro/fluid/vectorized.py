@@ -118,15 +118,17 @@ class FlowLinkMatrix:
                    np.asarray(cols, dtype=np.int64))
 
     def link_loads(self, rates: np.ndarray,
-                   active: Optional[np.ndarray] = None) -> np.ndarray:
+                   rows: Optional[np.ndarray] = None) -> np.ndarray:
         """(L,) per-link consumed bandwidth ``sum(rate * multiplicity)``.
 
-        ``rates`` is aligned with ``active`` when given (else with all
-        rows).  Additions happen in traversal order, matching the
-        oracle-path accounting bit for bit.
+        ``rates`` is aligned with ``rows`` when given (else with all
+        rows).  ``rows`` may repeat — one entry per flow when several
+        flows share a row.  Additions happen entry by entry in traversal
+        order, matching the oracle-path accounting bit for bit.
         """
         loads = np.zeros(self.num_links)
-        rows = np.arange(self.num_flows) if active is None else active
+        if rows is None:
+            rows = np.arange(self.num_flows)
         cols, _, entry_rows = self._gather(np.asarray(rows, dtype=np.int64))
         np.add.at(loads, cols, np.asarray(rates, dtype=float)[entry_rows])
         return loads
@@ -153,20 +155,26 @@ class FlowLinkMatrix:
 
 def waterfill(matrix: FlowLinkMatrix,
               demands: Optional[Sequence[float]] = None,
-              active: Optional[np.ndarray] = None) -> np.ndarray:
+              active: Optional[np.ndarray] = None,
+              multiplicity: Optional[np.ndarray] = None) -> np.ndarray:
     """Batched progressive filling over a :class:`FlowLinkMatrix`.
 
     Args:
         matrix: The incidence (capacities + traversals).
-        demands: Optional per-flow rate caps aligned with the matrix rows
-            (all flows, even when ``active`` restricts the solve).
-        active: Optional ascending flow indices to allocate; other flows
-            take no capacity.  ``None`` solves every row.
+        demands: Optional per-row rate caps aligned with the matrix rows
+            (all rows, even when ``active`` restricts the solve).
+        active: Optional distinct row indices to allocate, in any order;
+            other rows take no capacity.  Links are numbered as they
+            first appear along ``active``, which decides ties between
+            equally loaded bottlenecks.  ``None`` solves every row.
+        multiplicity: Optional positive integer counts aligned with
+            ``active``: row ``i`` stands for that many identical flows
+            (same links, same cap), each of which gets the row's rate.
 
     Returns:
-        Rates aligned with ``active`` (or with all rows when ``None``) —
-        bit-identical to running the pure-Python oracle on the active
-        flows' paths.
+        Per-flow rates aligned with ``active`` (or with all rows when
+        ``None``) — bit-identical to running the pure-Python oracle with
+        every row repeated ``multiplicity`` times in place.
     """
     total_flows = matrix.num_flows
     if active is None:
@@ -207,9 +215,12 @@ def waterfill(matrix: FlowLinkMatrix,
         num_links = 0
         residual = np.zeros(0)
 
-    # Per-link fill weight: traversal count of unfrozen flows.
+    # Per-link fill weight: traversal count of unfrozen flows — an
+    # integer-valued float64, so adding m once is adding 1.0 m times.
+    entry_copies = (1.0 if multiplicity is None else np.repeat(
+        np.asarray(multiplicity, dtype=float), counts))
     weight = np.zeros(num_links)
-    np.add.at(weight, lcol, 1.0)
+    np.add.at(weight, lcol, entry_copies)
     # Per-link flow groups (for freezing a bottleneck's flows).
     grp_order = np.argsort(lcol, kind="stable")
     grp_rows = np.repeat(np.arange(n, dtype=np.int64), counts)[grp_order]
@@ -292,7 +303,9 @@ def waterfill(matrix: FlowLinkMatrix,
                 np.cumsum(widths[:-1], out=prefix[1:])
                 gather = (np.repeat(out_ptr[rows] - prefix, widths)
                           + np.arange(total, dtype=np.int64))
-                np.subtract.at(weight, lcol[gather], 1.0)
+                np.subtract.at(weight, lcol[gather],
+                               1.0 if multiplicity is None
+                               else entry_copies[gather])
         level = best
     return rates
 

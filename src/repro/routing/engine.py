@@ -94,16 +94,15 @@ def canonical_next_hops(rows: np.ndarray, cols: np.ndarray,
         in-edge since all weights are positive).
     """
     num_trees, num_nodes = distances.shape
-    next_hop = np.full((num_trees, num_nodes), UNREACHABLE, dtype=np.int64)
     sentinel = num_nodes  # greater than any node id
+    next_hop = np.full((num_trees, num_nodes), sentinel, dtype=np.int64)
     for tree in range(num_trees):
         dist = distances[tree]
-        tight = dist[rows] + data == dist[cols]
-        tight &= np.isfinite(dist[cols])
-        best = np.full(num_nodes, sentinel, dtype=np.int64)
-        np.minimum.at(best, cols[tight], rows[tight])
-        found = best != sentinel
-        next_hop[tree, found] = best[found]
+        at_col = dist[cols]
+        tight = dist[rows] + data == at_col
+        tight &= at_col != np.inf
+        np.minimum.at(next_hop[tree], cols[tight], rows[tight])
+    next_hop[next_hop == sentinel] = UNREACHABLE
     return next_hop
 
 
@@ -304,8 +303,9 @@ class RoutingEngine:
                 if profiler.enabled else -1)
         start = time.perf_counter()
         unique_gids = self._unique_gids(dst_gids)
-        graph, dst_nodes = self.destination_graph(snapshot, unique_gids)
-        distances, next_hop = self.solve_trees(graph, dst_nodes)
+        graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
+                                                           unique_gids)
+        distances, next_hop = self.solve_trees(graph, dst_nodes, coo)
         elapsed = time.perf_counter() - start
         self.perf.trees_computed += len(unique_gids)
         self.perf.dijkstra_calls += 1
@@ -344,9 +344,11 @@ class RoutingEngine:
             raise ValueError("need at least one destination gid")
         return unique_gids
 
-    def destination_graph(self, snapshot: TopologySnapshot,
-                          unique_gids: Sequence[int]
-                          ) -> Tuple[csr_matrix, np.ndarray]:
+    def destination_graph_coo(self, snapshot: TopologySnapshot,
+                              unique_gids: Sequence[int]
+                              ) -> Tuple[csr_matrix, np.ndarray,
+                                         Tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]]:
         """The directed routing graph of one forwarding update.
 
         Transit edges (cached per snapshot) plus every destination's own
@@ -354,29 +356,20 @@ class RoutingEngine:
         canonical (row-major, column-sorted, duplicate-summed) form, so
         structurally identical updates produce byte-identical matrices.
 
-        Returns:
-            ``(graph, dst_nodes)`` — the (num_nodes, num_nodes) CSR
-            matrix and the (D,) graph node ids of the destinations.
-        """
-        graph, dst_nodes, _ = self.destination_graph_coo(snapshot,
-                                                         unique_gids)
-        return graph, dst_nodes
-
-    def destination_graph_coo(self, snapshot: TopologySnapshot,
-                              unique_gids: Sequence[int]
-                              ) -> Tuple[csr_matrix, np.ndarray,
-                                         Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]]:
-        """:meth:`destination_graph` plus the canonical COO edge arrays.
-
         The CSR matrix is assembled directly from the edge triplets
         sorted by ``row * num_nodes + col`` — one argsort instead of
         scipy's generic COO machinery, which profiles several times
         slower on the per-snapshot hot path.  The sorted triplets are
-        returned as well (they are what the incremental layer diffs), so
-        callers never pay a ``tocoo`` round trip.  In the never-observed
-        case of duplicate entries the build falls back to scipy's
-        duplicate-summing constructor to preserve the canonical form.
+        returned as well (the next-hop derivation reads them and the
+        incremental layer diffs them), so callers never pay a ``tocoo``
+        round trip.  In the never-observed case of duplicate entries the
+        build falls back to scipy's duplicate-summing constructor to
+        preserve the canonical form.
+
+        Returns:
+            ``(graph, dst_nodes, (rows, cols, data))`` — the (num_nodes,
+            num_nodes) CSR matrix, the (D,) graph node ids of the
+            destinations and the matrix's COO triplets.
         """
         num_nodes = self._num_nodes
         rows, cols, data = self._transit_arrays(snapshot)
@@ -413,20 +406,19 @@ class RoutingEngine:
         return graph, dst_nodes, (rows, cols, data)
 
     @staticmethod
-    def solve_trees(graph: csr_matrix, dst_nodes: np.ndarray
+    def solve_trees(graph: csr_matrix, dst_nodes: np.ndarray,
+                    coo: Tuple[np.ndarray, np.ndarray, np.ndarray]
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """All destination trees of one update, from scratch.
 
         One multi-index C-level Dijkstra for the distances, then the
-        canonical next-hop derivation (see :func:`canonical_next_hops`).
+        canonical next-hop derivation (see :func:`canonical_next_hops`)
+        over ``coo``, the graph's triplets as
+        :meth:`destination_graph_coo` returned them.
         """
         distances = np.atleast_2d(dijkstra(graph, directed=True,
                                            indices=dst_nodes))
-        coo = graph.tocoo()
-        next_hop = canonical_next_hops(coo.row.astype(np.int64),
-                                       coo.col.astype(np.int64),
-                                       coo.data, distances)
-        return distances, next_hop
+        return distances, canonical_next_hops(*coo, distances)
 
     def _transit_arrays(self, snapshot: TopologySnapshot
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -500,8 +492,7 @@ class RoutingEngine:
         The list runs ``[src_node, ingress_sat, ..., egress_sat, dst_node]``
         and may include relay GS nodes in bent-pipe mode.
         """
-        routing = self.route_to(snapshot, dst_gid)
-        return self.path_via(routing, snapshot, src_gid)
+        return self.paths_many(snapshot, [(src_gid, dst_gid)])[0]
 
     def path_via(self, routing: DestinationRouting,
                  snapshot: TopologySnapshot,
@@ -513,49 +504,114 @@ class RoutingEngine:
     def path_and_distance_via(self, routing: DestinationRouting,
                               snapshot: TopologySnapshot, src_gid: int
                               ) -> Tuple[Optional[List[int]], float]:
-        """Shortest path *and* its distance, one ingress minimization.
-
-        Like :meth:`path_via`, but also returns the source-to-destination
-        distance the ingress choice already computed — callers that need
-        both (the timeline inner loop) pay a single argmin over the
-        source's GSLs instead of two.
+        """Shortest path *and* its distance over an existing tree.
 
         Returns:
             ``(path, distance_m)``; ``(None, inf)`` while disconnected.
         """
-        src_edges = snapshot.gsl_edges[src_gid]
-        ingress, distance = routing.source_ingress(src_edges)
-        if ingress is None or not np.isfinite(distance):
-            return None, float("inf")
-        nodes = [snapshot.gs_node_id(src_gid)]
-        current = ingress
-        # Walk the shortest-path tree; bounded by node count.
-        for _ in range(self._num_nodes + 1):
-            nodes.append(int(current))
-            if current == routing.dst_node:
-                return nodes, distance
-            current = routing.next_hop[current]
-            if current == UNREACHABLE:
-                return None, float("inf")
-        raise RuntimeError("next-hop walk did not terminate; routing state "
-                           "is inconsistent")
+        multi = MultiDestinationRouting(
+            dst_gids=(routing.dst_gid,),
+            dst_nodes=np.array([routing.dst_node], dtype=np.int64),
+            distance_m=routing.distance_m[np.newaxis],
+            next_hop=routing.next_hop[np.newaxis],
+            _row_of={routing.dst_gid: 0})
+        paths, distances = self.paths_and_distances(
+            multi, snapshot, [(src_gid, routing.dst_gid)])
+        return paths[0], float(distances[0])
+
+    def paths_and_distances(self, multi: MultiDestinationRouting,
+                            snapshot: TopologySnapshot,
+                            pairs: Sequence[Tuple[int, int]]
+                            ) -> Tuple[List[Optional[List[int]]],
+                                       np.ndarray]:
+        """Shortest paths and distances of many pairs, one batched walk.
+
+        Every pair's ingress satellite comes from one (P, K) ``uplink +
+        satellite-to-destination`` table over inf-padded per-source GSL
+        rows — pad slots last, so ``argmin``'s first minimum is the one
+        :meth:`DestinationRouting.source_ingress` picks, from the same
+        float additions — and all pairs then follow their destination's
+        ``next_hop`` row together, one hop per iteration.
+
+        Args:
+            multi: Trees covering every destination in ``pairs``.
+            snapshot: The snapshot ``multi`` was computed on.
+            pairs: (src_gid, dst_gid) pairs; duplicates are fine.
+
+        Returns:
+            ``(paths, distances_m)``: per pair the node-id list
+            ``[src_node, ingress_sat, ..., dst_node]`` (relay GS nodes
+            included in bent-pipe mode) and its length; ``None`` and
+            ``inf`` while the pair is disconnected.
+        """
+        num_pairs = len(pairs)
+        distances = np.full(num_pairs, np.inf)
+        if not num_pairs:
+            return [], distances
+        src_gids, dst_gids = np.array(pairs, dtype=np.int64).T
+        sources, slot = np.unique(src_gids, return_inverse=True)
+        src_nodes = np.array([snapshot.gs_node_id(gid)
+                              for gid in sources.tolist()])[slot]
+        destinations, dst_slot = np.unique(dst_gids, return_inverse=True)
+        rows = np.array([multi._row_of[gid]
+                         for gid in destinations.tolist()])[dst_slot]
+        edges = [snapshot.gsl_edges[gid] for gid in sources.tolist()]
+        widths = [len(edge.satellite_ids) for edge in edges]
+        uplink_sat = np.zeros((len(edges), max(1, *widths)), dtype=np.int64)
+        uplink_m = np.full(uplink_sat.shape, np.inf)
+        for i, (edge, width) in enumerate(zip(edges, widths)):
+            uplink_sat[i, :width] = edge.satellite_ids
+            uplink_m[i, :width] = edge.lengths_m
+        sats = uplink_sat[slot]
+        totals = uplink_m[slot] + multi.distance_m[rows[:, np.newaxis], sats]
+        best = np.argmin(totals, axis=1)
+        best_totals = totals[np.arange(num_pairs), best]
+        walking = np.flatnonzero(np.isfinite(best_totals))
+        current = sats[walking, best[walking]]
+        rows, dst_nodes = rows[walking], multi.dst_nodes[rows[walking]]
+        # Level i holds the (i+1)-th node of every pair still walking.
+        levels: List[Tuple[np.ndarray, np.ndarray]] = []
+        hops = np.zeros(num_pairs, dtype=np.int64)
+        while walking.size:
+            if len(levels) > self._num_nodes:
+                raise RuntimeError("next-hop walk did not terminate; "
+                                   "routing state is inconsistent")
+            levels.append((walking, current))
+            arrived = current == dst_nodes
+            hops[walking[arrived]] = len(levels)
+            current = multi.next_hop[rows, current]
+            # A dead end keeps hops == 0: no path.
+            keep = ~arrived & (current != UNREACHABLE)
+            walking, current = walking[keep], current[keep]
+            rows, dst_nodes = rows[keep], dst_nodes[keep]
+        table = np.empty((num_pairs, len(levels) + 1), dtype=np.int64)
+        table[:, 0] = src_nodes
+        for level, (members, nodes) in enumerate(levels, start=1):
+            table[members, level] = nodes
+        routed = hops > 0
+        distances[routed] = best_totals[routed]
+        # Cut the lists from the used cells only (one flat conversion).
+        counts = hops + routed
+        flat = table[np.arange(table.shape[1])
+                     < counts[:, np.newaxis]].tolist()
+        paths = [flat[end - count:end] if count else None
+                 for end, count in zip(np.cumsum(counts).tolist(),
+                                       counts.tolist())]
+        return paths, distances
 
     def paths_many(self, snapshot: TopologySnapshot,
                    pairs: Sequence[Tuple[int, int]]
                    ) -> List[Optional[List[int]]]:
         """Shortest paths of many (src_gid, dst_gid) pairs, batched.
 
-        All distinct destinations are routed in one Dijkstra call; pairs
-        sharing a destination share its tree.  Returns one path (or None)
-        per input pair, in order.
+        All distinct destinations are routed in one Dijkstra call and all
+        pairs extracted in one walk (:meth:`paths_and_distances`).
+        Returns one path (or None) per input pair, in order.
         """
         if not pairs:
             return []
         multi = self.route_to_many(snapshot, [dst for _, dst in pairs])
-        return [
-            self.path_via(multi.routing_for(dst_gid), snapshot, src_gid)
-            for src_gid, dst_gid in pairs
-        ]
+        return self.paths_and_distances(multi, snapshot, pairs)[0]
 
     def distances_to(self, snapshot: TopologySnapshot, dst_gid: int,
                      src_gids: Sequence[int]) -> np.ndarray:

@@ -252,7 +252,8 @@ class IncrementalRouter(RoutingEngine):
                 self.inc_perf.fallbacks_large_delta += 1
                 delta = None
         if delta is None:
-            distances, next_hop = self.solve_trees(graph, dst_nodes)
+            distances, next_hop = self.solve_trees(graph, dst_nodes,
+                                                   (rows, cols, data))
             self.inc_perf.full_solves += 1
             self.perf.dijkstra_calls += 1
         else:

@@ -45,7 +45,9 @@ __all__ = [
 
 #: Bump on any change to the file layout or the pickled payload shape.
 #: v2: the packet engine's pending events became 5-field records.
-CHECKPOINT_FORMAT_VERSION = 2
+#: v3: fluid run states carry ``flow_class`` (and an object-array
+#: ``frozen_paths``); the simulation keeps classes, not per-flow pairs.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

@@ -161,25 +161,18 @@ def compute_pair_chunk(network: LeoNetwork,
     """
     if engine is None:
         engine = make_routing_engine(network)
-    pairs = [(int(src), int(dst)) for src, dst in pairs]
-    distances = {pair: np.full(len(times_s), np.inf) for pair in pairs}
-    paths: Dict[Tuple[int, int], List[Optional[Tuple[int, ...]]]] = {
-        pair: [] for pair in pairs}
+    pairs = list(dict.fromkeys((int(src), int(dst)) for src, dst in pairs))
+    distances = np.full((len(pairs), len(times_s)), np.inf)
+    paths: List[List[Optional[Tuple[int, ...]]]] = [[] for _ in pairs]
     destinations = sorted({dst for _, dst in pairs})
     for t_index, time_s in enumerate(times_s):
         snapshot = network.snapshot(float(time_s))
         multi = engine.route_to_many(snapshot, destinations)
-        for pair in pairs:
-            src_gid, dst_gid = pair
-            routing_state = multi.routing_for(dst_gid)
-            path, distance = engine.path_and_distance_via(
-                routing_state, snapshot, src_gid)
-            if path is None:
-                paths[pair].append(None)
-                continue
-            distances[pair][t_index] = distance
-            paths[pair].append(tuple(path))
-    return {pair: (distances[pair], paths[pair]) for pair in pairs}
+        step_paths, distances[:, t_index] = engine.paths_and_distances(
+            multi, snapshot, pairs)
+        for history, path in zip(paths, step_paths):
+            history.append(None if path is None else tuple(path))
+    return {pair: (distances[i], paths[i]) for i, pair in enumerate(pairs)}
 
 
 class DynamicState:

@@ -5,11 +5,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Hypatia, random_permutation_pairs
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.fluid.aimd import AimdFluidSimulation, AimdRunState
-from repro.fluid.engine import FluidFlow, FluidSimulation, path_devices
+from repro.fluid.engine import (FluidFlow, FluidSimulation,
+                                first_appearance_columns,
+                                first_appearance_rows, path_devices)
+from repro.routing.engine import RoutingEngine
 from repro.topology.network import LeoNetwork
 from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
 from repro.fluid.maxmin import max_min_fair_allocation
@@ -422,6 +427,110 @@ class TestVectorizedKernel:
         np.testing.assert_allclose(loads, [7.0])
 
 
+@st.composite
+def _class_workloads(draw):
+    """Flows grouped in classes (same links, same cap) over a few links.
+
+    Capacities and caps come from small sets of inexact binary
+    fractions, so that equal shares — the ties the column order breaks —
+    are common and a different freezing order shows in the low bits;
+    paths are sampled with
+    replacement (loop paths: traversal multiplicity times row
+    multiplicity) from a small pool, so the same path under two caps
+    (two classes that must not merge) is common too.
+    """
+    links = [f"l{j}" for j in range(draw(st.integers(1, 5)))]
+    capacity = {link: draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.1, 10 / 3]))
+                for link in links}
+    pool = draw(st.lists(st.lists(st.sampled_from(links), min_size=1,
+                                  max_size=4), min_size=1, max_size=4))
+    classes = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1),
+                  st.sampled_from([0.05, 0.1, 0.35, np.inf])),
+        min_size=1, max_size=6, unique=True))
+    flow_class = draw(st.lists(st.integers(0, len(classes) - 1),
+                               min_size=1, max_size=14))
+    active = draw(st.lists(st.booleans(), min_size=len(flow_class),
+                           max_size=len(flow_class)))
+    paths = [pool[classes[c][0]] for c in flow_class]
+    caps = np.array([classes[c][1] for c in flow_class])
+    return (capacity, paths, caps, np.array(flow_class),
+            np.flatnonzero(active))
+
+
+class TestWaterfillOverClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(_class_workloads())
+    def test_class_rows_with_multiplicity_equal_per_flow_rows(self, case):
+        """One row per class weighted by its active members ≡ one row per
+        flow ≡ the oracle, bit for bit — including active subsets whose
+        first class member is inactive (rows must then sort by the first
+        *active* member)."""
+        capacity, paths, caps, flow_class, active = case
+        expected = max_min_fair_allocation(
+            capacity, [paths[i] for i in active], caps[active])
+        per_flow = FlowLinkMatrix.from_paths(capacity, paths)
+        assert np.array_equal(
+            waterfill(per_flow, demands=caps, active=active), expected)
+        # The engine's step: rows in first-candidate order, each solve
+        # over the rows present, in first-active-member order.
+        row_of_flow, lead = first_appearance_rows(flow_class,
+                                                  int(flow_class.max()) + 1)
+        matrix = FlowLinkMatrix.from_paths(capacity,
+                                           [paths[i] for i in lead])
+        assert matrix.link_keys == per_flow.link_keys
+        rows = row_of_flow[active]
+        members = np.bincount(rows, minlength=matrix.num_flows)
+        slot, first = first_appearance_rows(rows, matrix.num_flows)
+        solved = rows[first]
+        rates = waterfill(matrix, demands=caps[lead], active=solved,
+                          multiplicity=members[solved])[slot]
+        assert np.array_equal(rates, expected)
+        assert np.array_equal(matrix.link_loads(rates, rows),
+                              per_flow.link_loads(expected, active))
+
+    def test_rows_sort_by_first_active_member(self):
+        """Class A's first flow is inactive, so B's link comes first in
+        the per-flow numbering; solving A before B (first-*candidate*
+        order) breaks the l0/l3 tie the other way and moves low bits."""
+        capacity = {"l0": 0.3, "l3": 0.9}
+        matrix = FlowLinkMatrix.from_paths(
+            capacity, [["l0", "l3"], ["l3", "l3"]])  # rows A, B
+        rows = np.array([1, 1, 0, 0])  # flows 1..4 of A B B A A A
+        expected = max_min_fair_allocation(
+            capacity, [["l3", "l3"]] * 2 + [["l0", "l3"]] * 2)
+        twice = np.array([2, 2])
+        by_first_active = waterfill(matrix, active=np.array([1, 0]),
+                                    multiplicity=twice)[[0, 0, 1, 1]]
+        by_first_candidate = waterfill(matrix, active=np.array([0, 1]),
+                                       multiplicity=twice)[[1, 1, 0, 0]]
+        assert np.array_equal(by_first_active, expected)
+        assert not np.array_equal(by_first_candidate, expected)
+        np.testing.assert_allclose(by_first_candidate, expected, rtol=1e-15)
+        assert np.array_equal(
+            first_appearance_rows(rows, 2)[1], [0, 2])
+
+    def test_first_appearance_rows_is_the_dense_columns(self):
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 7, 200):
+            ids = rng.integers(0, 12, size=size)
+            rows, first = first_appearance_rows(ids, 12)
+            columns, codes = first_appearance_columns(ids)
+            assert np.array_equal(rows, columns)
+            assert np.array_equal(ids[first], codes)
+            assert (np.diff(first) > 0).all()
+
+    def test_mixed_caps_on_one_pair_are_two_classes(self, small_network):
+        flows = [FluidFlow(0, 3), FluidFlow(0, 3, demand_bps=1e6),
+                 FluidFlow(0, 3), FluidFlow(0, 3, demand_bps=1e6)]
+        simulation = FluidSimulation(small_network, flows)
+        state = simulation.start_run(2.0)
+        assert state.flow_class.tolist() == [0, 1, 0, 1]
+        result = simulation.finish(simulation.advance(state))
+        assert result.flow_rates_bps[0].tolist() == [4e6, 1e6, 4e6, 1e6]
+        assert_result_matches_oracle(result, flows)
+
+
 class TestEngineKernelParity:
     """FluidSimulation must agree bit-for-bit with the pure-Python
     oracle recomputed from its own recorded paths."""
@@ -456,9 +565,9 @@ class TestEngineKernelParity:
 
     def test_capacity_overrides(self, small_network):
         flows = [FluidFlow(0, 3), FluidFlow(1, 4)]
-        paths = FluidSimulation(small_network, flows)._paths_at(
-            small_network.snapshot(0.0))
-        device = path_devices(paths[0], small_network.num_satellites)[0]
+        path = RoutingEngine(small_network).path(
+            small_network.snapshot(0.0), 0, 3)
+        device = path_devices(path, small_network.num_satellites)[0]
         overrides = {device: 1e6}
         result = self._run(small_network, flows, link_capacity_bps=10e6,
                            capacity_overrides=overrides)
@@ -641,6 +750,157 @@ class TestAimdOnSharedSkeleton:
                 state = pickle.loads(pickle.dumps(state))
             simulation.advance(state, max_steps=1)
         assert state.done
+        _assert_same_result(simulation.finish(state), expected)
+
+
+# ----------------------------------------------------------------------
+# Max-min over flow classes: parity pins recorded on the per-flow engine
+# ----------------------------------------------------------------------
+
+#: sha256 of every output of four duplicate-heavy max-min runs, recorded
+#: on the commit before the engine solved one row per flow class (every
+#: flow its own matrix row); the class step must reproduce them unchanged.
+MAXMIN_PINS = {
+    "churn": {
+        "flow_rates_bps":
+            "2d9b4e85dfacd27896f0f6b9ec25c8fe6c386051978adeb5b9d7a98db5b3e46a",
+        "flow_paths":
+            "d48a976d861e96e747948d1731e2458b14b99708b661e031e84ce35573bec0d7",
+        "device_load_bps":
+            "c1756e394e926e8e44041921ec6ac475332f768f45952bda5cf5620cec54f08d",
+        "flow_fct_s":
+            "55fd00395fbe6ea0b07735b8f5eb6a809a7b6370d17cf0d9a29af14a0d7c3de0",
+        "flow_delivered_bits":
+            "c5151999db84bbb871229b5ea0acbe3fc9e474dd9845dcf9b2188322926b60d2",
+    },
+    "frozen": {
+        "flow_rates_bps":
+            "2e2fc2dfa75546720efcf4b48b44f55b7b20e222899a152d54ee170f3fd7f3cc",
+        "flow_paths":
+            "8a02a52c4f3ed515fbe1a6054f4d1f3c3e1564f02e32e5f6a47ba7e396ee2a4e",
+        "device_load_bps":
+            "068b589829b088d9015712e390d697d5d87ce20a5f296249f1f0d1dd076d8abd",
+        "flow_fct_s":
+            "15599dd59dd19e6f1f70b8f89233e417c998b1cc19cd1da816895d3f3a476712",
+        "flow_delivered_bits":
+            "cd802d3d5fe4c24492cfd640a021aff6dbf5bfa5f1ba83831e8121f62d5ea36c",
+    },
+    "faults": {
+        "flow_rates_bps":
+            "045f1c3ffa3c0132e2ee72cd8e1edd142fcef72ea5fb141af1859f6da698fd43",
+        "flow_paths":
+            "c64e60e65ff8f3554bca1629db0e4d9fd3e7315f42168f8a441629eb645aff80",
+        "device_load_bps":
+            "7cb29a390fc54d52a668324dea62df21c615053a47e33a7061e27e890ab4f78a",
+        "flow_fct_s":
+            "195488e2d6519df21c459977d1d5f83e5b1566e63791911ca497faef80c9dd45",
+        "flow_delivered_bits":
+            "38a1e013528b368ce1c1425fa8371b302ab80ff4550a099983cdf7790ac2f660",
+    },
+    "frozen_faults": {
+        "flow_rates_bps":
+            "aad46cbd2066227c83268f3badf5b0b0910b00cbd38bd7b4b4e18769b297a9e5",
+        "flow_paths":
+            "e757e7cc3bd7860dea6b89b3ef1f81979b22b9292d36c097acf9b95504aa2764",
+        "device_load_bps":
+            "cb24c6227ae1133af57b27af4725ac361897c38c8c024724e0d5b984a766072f",
+        "flow_fct_s":
+            "6ab147d4c89c0081c15acca9d1293812088aed643b4ae81244028b7b90dd893f",
+        "flow_delivered_bits":
+            "99f4aadab4a60a3192549d60d6deab4ddd70fefe2f88b878ac85d1c1a761e0e5",
+    },
+}
+
+
+def duplicate_heavy_flows(pairs, horizon_s):
+    """~200 flows over ``pairs``: many per pair, two caps per pair, finite
+    sizes, arrivals off the snapshot grid, in an order that puts late
+    starters ahead of early ones inside a class."""
+    rng = np.random.default_rng(18)
+    flows = [FluidFlow(*pairs[0]), FluidFlow(*pairs[0], demand_bps=1.5e6),
+             FluidFlow(*pairs[1])]
+    for _ in range(200):
+        src, dst = pairs[int(rng.integers(len(pairs)))]
+        flows.append(FluidFlow(
+            src, dst,
+            demand_bps=1.5e6 if rng.random() < 0.4 else np.inf,
+            size_bytes=float(rng.integers(20_000, 1_500_000)),
+            start_s=(float(np.round(rng.uniform(0.0, horizon_s), 2))
+                     if rng.random() < 0.8 else 0.0)))
+    return flows
+
+
+@pytest.fixture
+def maxmin_scenario(request, kuiper_offset_network, small_constellation,
+                    small_stations):
+    """``(network, flows, freeze_at_s, duration_s)`` of one pinned
+    max-min scenario: 203 flows in 16-20 classes."""
+    name = request.param
+    if name in ("churn", "frozen"):
+        # K1: three of the ten pairs change path inside the 20 s.
+        flows = duplicate_heavy_flows(random_permutation_pairs(100)[:10],
+                                      18.0)
+        return (kuiper_offset_network, flows,
+                5.0 if name == "frozen" else None, 20.0)
+    # The cut ISL is on pair (0, 3)'s path; frozen, it and the dark GSL
+    # stay on paths as zero-capacity devices.
+    faults = FaultSchedule([
+        FaultEvent.isl_cut(35, 34, 3.0, 9.0),
+        FaultEvent.packet_loss(2.0, 8.0, 0.4, gid=1),
+        FaultEvent.gsl_cut(2, 5.0, 7.0)], seed=3)
+    network = LeoNetwork(small_constellation, small_stations,
+                         min_elevation_deg=10.0, faults=faults)
+    pairs = [(0, 3), (1, 4), (2, 5), (3, 0), (4, 1), (5, 2), (0, 5), (3, 1)]
+    return (network, duplicate_heavy_flows(pairs, 9.0),
+            1.0 if name == "frozen_faults" else None, 10.0)
+
+
+@pytest.mark.parametrize("maxmin_scenario", list(MAXMIN_PINS), indirect=True)
+class TestMaxMinOverFlowClasses:
+    def test_parity_pin(self, request, maxmin_scenario):
+        network, flows, freeze_at_s, duration_s = maxmin_scenario
+        result = FluidSimulation(
+            network, flows,
+            freeze_topology_at_s=freeze_at_s).run(duration_s, step_s=1.0)
+        name = request.node.callspec.params["maxmin_scenario"]
+        assert _result_digests(result) == MAXMIN_PINS[name]
+        assert np.isfinite(result.flow_fct_s).sum() > 50
+
+    def test_sliced_advance_through_pickle_matches_run(self,
+                                                       maxmin_scenario):
+        network, flows, freeze_at_s, duration_s = maxmin_scenario
+        simulation = FluidSimulation(network, flows,
+                                     freeze_topology_at_s=freeze_at_s)
+        expected = simulation.run(duration_s, step_s=1.0)
+        state = simulation.start_run(duration_s, step_s=1.0)
+        for step in range(len(state.times)):
+            if step == len(state.times) // 2:
+                simulation, state = pickle.loads(
+                    pickle.dumps((simulation, state)))
+            simulation.advance(state, max_steps=1)
+        _assert_same_result(simulation.finish(state), expected)
+
+    def test_flows_joining_existing_classes_mid_run(self, maxmin_scenario):
+        """Attaching the late arrivals at step k — every one lands in a
+        class an earlier flow already opened — is the build from t = 0."""
+        network, flows, freeze_at_s, duration_s = maxmin_scenario
+        attach_step = int(duration_s // 3)
+        early = [flow for flow in flows if flow.start_s < attach_step]
+        late = [flow for flow in flows if flow.start_s >= attach_step]
+
+        def classes(some):
+            return {(flow.src_gid, flow.dst_gid, flow.demand_bps)
+                    for flow in some}
+        assert len(late) > 50 and classes(late) <= classes(early)
+        expected = FluidSimulation(
+            network, early + late,
+            freeze_topology_at_s=freeze_at_s).run(duration_s, step_s=1.0)
+        simulation = FluidSimulation(network, early,
+                                     freeze_topology_at_s=freeze_at_s)
+        state = simulation.start_run(duration_s, step_s=1.0)
+        simulation.advance(state, max_steps=attach_step)
+        assert simulation.extend_flows(state, late) == len(early)
+        simulation.advance(state)
         _assert_same_result(simulation.finish(state), expected)
 
 

@@ -1,9 +1,19 @@
 """Tests for the shortest-path routing engine."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constellations.builder import Constellation
+from repro.geo.coordinates import GeodeticPosition
+from repro.ground.stations import GroundStation, relay_grid_between
+from repro.orbits.shell import Shell
 from repro.routing.engine import UNREACHABLE, RoutingEngine
+from repro.topology.gsl import GslEdges
 from repro.topology.dynamic_state import (
     DynamicState,
     PairTimeline,
@@ -13,6 +23,8 @@ from repro.topology.dynamic_state import (
 )
 from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
+
+from _routing_oracle import scalar_path_and_distance
 
 
 @pytest.fixture
@@ -228,6 +240,149 @@ class TestPairQueries:
         # no single satellite can see both.
         assert engine.pair_distance_m(snap, 0, 2) == np.inf
         assert engine.path(snap, 0, 2) is None
+
+
+# ----------------------------------------------------------------------
+# Batched path extraction against the scalar walk it replaced
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _extraction_network(mode):
+    """The conftest 10x10 shell + six stations; ``"bent"`` drops the ISLs
+    and adds a 4x4 relay grid (gids 6..21) between Madrid and Nairobi, so
+    every multi-hop path there crosses relay ground stations."""
+    shell = Shell(name="X1", num_orbits=10, satellites_per_orbit=10,
+                  altitude_m=600_000.0, inclination_deg=53.0)
+    sites = [(0.0, -78.5), (-1.3, 36.8), (1.35, 103.8), (21.3, -157.9),
+             (-33.9, 151.2), (40.4, -3.7)]
+    stations = [GroundStation(gid=i, name=f"gs{i}",
+                              position=GeodeticPosition(lat, lon, 0.0))
+                for i, (lat, lon) in enumerate(sites)]
+    if mode == "grid":
+        return LeoNetwork(Constellation([shell]), stations,
+                          min_elevation_deg=10.0)
+    relays = relay_grid_between(stations[5].position, stations[1].position,
+                                rows=4, columns=4, margin_deg=5.0,
+                                first_gid=6)
+    return LeoNetwork(Constellation([shell]), stations + relays,
+                      min_elevation_deg=10.0, isl_builder=no_isls)
+
+
+@functools.lru_cache(maxsize=None)
+def _extraction_snapshot(mode, time_s):
+    return _extraction_network(mode).snapshot(float(time_s))
+
+
+def _faulted(snapshot, dropped_isls, dark_gids):
+    """``snapshot`` without some ISLs and with some stations' GSLs gone."""
+    keep = np.ones(len(snapshot.isl_pairs), dtype=bool)
+    if len(keep):
+        keep[[index % len(keep) for index in dropped_isls]] = False
+    gsl_edges = dict(snapshot.gsl_edges)
+    for gid in dark_gids:
+        gsl_edges[gid] = GslEdges(gid, np.empty(0, dtype=np.int64),
+                                  np.empty(0))
+    return dataclasses.replace(
+        snapshot, isl_pairs=snapshot.isl_pairs[keep],
+        isl_lengths_m=snapshot.isl_lengths_m[keep], gsl_edges=gsl_edges)
+
+
+@st.composite
+def _extraction_cases(draw):
+    mode = draw(st.sampled_from(["grid", "bent"]))
+    gid = st.integers(0, 5 if mode == "grid" else 21)
+    snapshot = _faulted(
+        _extraction_snapshot(mode, draw(st.sampled_from(range(0, 600, 50)))),
+        draw(st.lists(st.integers(0, 199), max_size=60, unique=True)),
+        draw(st.lists(gid, max_size=2, unique=True)))
+    # src == dst and repeated pairs are legal inputs.
+    return mode, snapshot, draw(st.lists(st.tuples(gid, gid), max_size=12))
+
+
+def _oracle(multi, snapshot, pairs):
+    return [scalar_path_and_distance(multi.routing_for(dst), snapshot, src)
+            for src, dst in pairs]
+
+
+class TestBatchedExtraction:
+    @settings(max_examples=150, deadline=None)
+    @given(_extraction_cases())
+    def test_equals_the_scalar_walk(self, case):
+        """Paths ``==`` and distances ``==`` as floats, over random
+        snapshots with ISL and GSL faults: disconnected sources,
+        unreachable destinations, relays on the path, self pairs,
+        duplicates, the empty batch."""
+        mode, snapshot, pairs = case
+        engine = RoutingEngine(_extraction_network(mode))
+        if not pairs:
+            assert engine.paths_many(snapshot, pairs) == []
+            return
+        multi = engine.route_to_many(snapshot, [dst for _, dst in pairs])
+        expected = _oracle(multi, snapshot, pairs)
+        paths, distances = engine.paths_and_distances(multi, snapshot, pairs)
+        assert paths == [path for path, _ in expected]
+        assert distances.tolist() == [distance for _, distance in expected]
+        assert engine.paths_many(snapshot, pairs) == paths
+        src, dst = pairs[-1]
+        assert engine.path_and_distance_via(
+            multi.routing_for(dst), snapshot, src) == expected[-1]
+        assert engine.path(snapshot, src, dst) == expected[-1][0]
+
+    def test_empty_batch(self, small_network, engine):
+        snap = small_network.snapshot(0.0)
+        multi = engine.route_to_many(snap, [3])
+        paths, distances = engine.paths_and_distances(multi, snap, [])
+        assert paths == [] and distances.shape == (0,)
+
+    def test_self_pair_and_duplicates(self, small_network, engine):
+        snap = small_network.snapshot(0.0)
+        pairs = [(3, 3), (0, 3), (0, 3), (3, 3)]
+        multi = engine.route_to_many(snap, [3])
+        paths, distances = engine.paths_and_distances(multi, snap, pairs)
+        assert paths[0] == paths[3] and paths[1] == paths[2]
+        node = snap.gs_node_id(3)
+        assert paths[0][0] == paths[0][-1] == node and len(paths[0]) == 3
+        assert list(zip(paths, distances.tolist())) == _oracle(
+            multi, snap, pairs)
+
+    def test_relays_on_the_path(self):
+        network = _extraction_network("bent")
+        snap = _extraction_snapshot("bent", 100)
+        engine = RoutingEngine(network)
+        pairs = [(5, 1), (1, 5), (5, 2), (9, 1), (5, 20)]
+        multi = engine.route_to_many(snap, [1, 5, 2, 20])
+        paths, distances = engine.paths_and_distances(multi, snap, pairs)
+        relays = [node for node in paths[0][1:-1]
+                  if node >= network.num_satellites]
+        assert len(relays) >= 2 and paths[2] is None
+        assert list(zip(paths, distances.tolist())) == _oracle(
+            multi, snap, pairs)
+
+    def test_out_of_range_gids_rejected(self, small_network, engine):
+        snap = small_network.snapshot(0.0)
+        multi = engine.route_to_many(snap, [3])
+        for src in (-1, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                engine.paths_and_distances(multi, snap, [(0, 3), (src, 3)])
+            with pytest.raises(ValueError, match="out of range"):
+                engine.paths_many(snap, [(0, 3), (0, src)])
+
+    def test_inconsistent_next_hops(self, small_network, engine):
+        """A dead end is "no path"; a cycle is an error — as the scalar
+        walk had it."""
+        snap = small_network.snapshot(0.0)
+        multi = engine.route_to_many(snap, [3])
+        first, second = engine.path(snap, 0, 3)[1:3]
+        dead_end = dataclasses.replace(multi, next_hop=multi.next_hop.copy())
+        dead_end.next_hop[0, first] = UNREACHABLE
+        paths, distances = engine.paths_and_distances(
+            dead_end, snap, [(0, 3), (1, 3)])
+        assert paths[0] is None and distances[0] == np.inf
+        assert paths[1] is not None and np.isfinite(distances[1])
+        cycle = dataclasses.replace(multi, next_hop=multi.next_hop.copy())
+        cycle.next_hop[0, second] = first
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            engine.paths_and_distances(cycle, snap, [(1, 3), (0, 3)])
 
 
 class TestDynamicState:

@@ -180,7 +180,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 2
+        assert CHECKPOINT_FORMAT_VERSION == 3
         service = _make_service("packet")
         service.advance_epoch(1)
         ckpt = service.checkpoint()
@@ -188,6 +188,20 @@ class TestCheckpointContainer:
         path = tmp_path / "v1.ckpt"
         save_checkpoint(str(path), ckpt)
         with pytest.raises(CheckpointVersionError, match="format v1"):
+            LiveSimulationService.resume(str(path))
+
+    def test_v2_fluid_checkpoint_is_refused(self, tmp_path):
+        """Format v2 fluid states carry no ``flow_class`` (and per-flow
+        pair lists this build no longer reads): the header gate must
+        stop the load rather than let ``advance`` fail later."""
+        service = _make_service("fluid")
+        service.advance_epoch(1)
+        ckpt = service.checkpoint()
+        assert service.state.flow_class.shape == (len(service.fluid.flows),)
+        ckpt.format_version = 2
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(CheckpointVersionError, match="format v2"):
             LiveSimulationService.resume(str(path))
 
     def test_spec_mismatch_fails_clearly(self, tmp_path):
