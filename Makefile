@@ -57,8 +57,11 @@ bench-traffic:
 
 # Fluid-core scale gate: the vectorized max-min kernel must match the
 # Python oracle bit-for-bit, and solve a 100-city gravity snapshot with
-# >= 1e5 concurrent flows at >= 10x the per-flow solver (throughput
-# half auto-skips below 4 cores).
+# >= 1e5 concurrent flows at >= 10x the per-flow solver; waterfill's
+# scalar and array kernels must agree bit-for-bit from 8 to 2048
+# traversal entries, the scalar one no slower at SMALL_SOLVE_ENTRIES and
+# the array one no slower at 8x that (results/fluid_small_solves.txt;
+# timing halves auto-skip below 4 cores).
 bench-fluid-scale:
 	$(PYTHON) -m pytest benchmarks/test_fluid_scale.py -q -o testpaths=
 

@@ -18,6 +18,13 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   `bench-sweep` speedup gate, the throughput thresholds are only
   enforced on machines with >= 4 cores; the numbers are measured and
   reported everywhere.
+* **The small-solve bound is measured.**  ``waterfill`` runs solves of
+  at most ``SMALL_SOLVE_ENTRIES`` rows and traversal entries on Python
+  scalars.  Both kernels are timed from 8 to 2048 entries on K1 path
+  rows and on random sparse rows (equality asserted at every size), the
+  table goes to ``results/fluid_small_solves.txt``, and — on capable
+  machines — the scalar kernel must not be slower at the bound, nor the
+  array kernel at 8x the bound.
 """
 
 import os
@@ -35,7 +42,9 @@ from repro.fluid.engine import (FluidFlow, FluidSimulation,
                                 first_appearance_rows,
                                 flow_link_matrix_from_paths, path_devices)
 from repro.fluid.maxmin import max_min_fair_allocation
-from repro.fluid.vectorized import (max_min_fair_allocation_vectorized,
+from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
+                                    _waterfill_arrays, _waterfill_scalars,
+                                    max_min_fair_allocation_vectorized,
                                     waterfill)
 from repro.traffic import TrafficMatrix
 
@@ -48,6 +57,7 @@ LINK_CAPACITY_BPS = 10e6
 MIN_SPEEDUP = 10.0
 MAX_SOLVE_S = 2.0  # "interactive speed": one snapshot allocation budget
 SPEEDUP_CORES = 4
+SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 
 _CACHE = {}
 
@@ -82,6 +92,10 @@ def _gravity_paths():
         _CACHE["num_sats"] = hypatia.network.num_satellites
         _CACHE["num_nodes"] = hypatia.network.num_nodes
     return _CACHE
+
+
+def _uniform_capacities(keys):
+    return np.full(len(keys), LINK_CAPACITY_BPS)
 
 
 def test_kernels_bit_identical_on_random_scenarios():
@@ -127,7 +141,7 @@ def test_gravity_scale():
 
     def build(some_paths):
         return flow_link_matrix_from_paths(
-            some_paths, num_sats, num_nodes, lambda key: LINK_CAPACITY_BPS)[0]
+            some_paths, num_sats, num_nodes, _uniform_capacities)[0]
 
     # Vectorized, as the engine's step runs it: rows are flow classes in
     # first-flow order, weighted by their member counts.
@@ -198,3 +212,101 @@ def test_gravity_scale():
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized kernel reached only {speedup:.1f}x over the "
         f"Python solver (gate {MIN_SPEEDUP:.0f}x)")
+
+
+def _best_us(solve, repeats):
+    """Best-of-5 mean microseconds of ``solve()`` over ``repeats`` calls."""
+    best = np.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            solve()
+        best = min(best, (time.perf_counter() - start) / repeats)
+    return best * 1e6
+
+
+def test_small_solve_crossover():
+    """Where the scalar kernel stops paying: SMALL_SOLVE_ENTRIES is set
+    from this table, and must stay on the right side of the crossover.
+
+    Three row sources: K1 gravity class rows with the engine's elastic
+    cap (few freezing events, links shared by many rows), random sparse
+    rows with the same cap (about one event per row), and those rows
+    with a distinct finite cap each — the scalar kernel's worst case,
+    every row its own event over all still-live links.
+    """
+    cache = _gravity_paths()
+    _, lead = first_appearance_rows(
+        cache["flow_class"], int(cache["flow_class"].max()) + 1)
+    k1 = flow_link_matrix_from_paths(
+        [cache["paths"][i] for i in lead[:400].tolist()], cache["num_sats"],
+        cache["num_nodes"], _uniform_capacities)[0]
+    rng = np.random.default_rng(19)
+    capacity = {j: float(rng.uniform(0.1, 1.0)) * LINK_CAPACITY_BPS
+                for j in range(2000)}
+    sparse = FlowLinkMatrix.from_paths(capacity, [
+        rng.choice(2000, size=6, replace=False).tolist()
+        for _ in range(400)])
+    elastic = np.full(400, 100.0 * LINK_CAPACITY_BPS)
+    distinct = rng.uniform(0.001, 0.1, size=400) * LINK_CAPACITY_BPS
+    sources = [("k1_paths", k1, elastic), ("sparse", sparse, elastic),
+               ("sparse_distinct_caps", sparse, distinct)]
+
+    lines = [
+        "# fluid small-solve crossover (microseconds per solve, best of 5)",
+        f"# SMALL_SOLVE_ENTRIES = {SMALL_SOLVE_ENTRIES}: waterfill solves "
+        "at most that many rows and traversal",
+        "# entries on Python scalars, anything larger on arrays; rates are "
+        "bit-identical.",
+    ]
+    ratios = {}
+    for name, matrix, caps in sources:
+        lines += [f"# {name}",
+                  "entries   rows  rates  arrays_us scalars_us "
+                  "arrays/scalars"]
+        reach = np.cumsum(np.diff(matrix.indptr))
+        keys = matrix.link_keys
+        link_capacity = dict(zip(keys, matrix.capacity_bps.tolist()))
+        for size in SMALL_SOLVE_SIZES:
+            rows = np.arange(int(np.searchsorted(reach, size)) + 1)
+            entries = int(reach[rows[-1]])
+            dem = caps[rows]
+            rates = _waterfill_arrays(matrix, dem, rows, None)
+            assert np.array_equal(
+                rates, _waterfill_scalars(matrix, dem, rows, None))
+            assert np.array_equal(
+                rates, waterfill(matrix, demands=caps[:matrix.num_flows],
+                                 active=rows))
+            assert np.array_equal(rates, max_min_fair_allocation(
+                link_capacity,
+                [[keys[j] for j in matrix.link_index[
+                    matrix.indptr[row]:matrix.indptr[row + 1]]]
+                 for row in rows], dem))
+            repeats = max(3, 2048 // entries)
+            arrays_us = _best_us(
+                lambda: _waterfill_arrays(matrix, dem, rows, None), repeats)
+            scalars_us = _best_us(
+                lambda: _waterfill_scalars(matrix, dem, rows, None), repeats)
+            ratios[name, size] = arrays_us / scalars_us
+            lines.append(
+                f"{entries:7d} {rows.size:6d} {np.unique(rates).size:6d} "
+                f"{arrays_us:10.1f} {scalars_us:10.1f} "
+                f"{arrays_us / scalars_us:14.2f}")
+    capable = (os.cpu_count() or 1) >= SPEEDUP_CORES
+    lines += ["bit_identical                yes",
+              f"thresholds_enforced   {('yes' if capable else 'no'):>10}"]
+    write_result("fluid_small_solves", lines)
+
+    assert SMALL_SOLVE_ENTRIES in SMALL_SOLVE_SIZES
+    assert 8 * SMALL_SOLVE_ENTRIES in SMALL_SOLVE_SIZES
+    if not capable:
+        pytest.skip(f"crossover gate needs >= {SPEEDUP_CORES} cores")
+    for name, _, _ in sources:
+        at_bound = ratios[name, SMALL_SOLVE_ENTRIES]
+        beyond = ratios[name, 8 * SMALL_SOLVE_ENTRIES]
+        assert at_bound >= 1.0, (
+            f"{name}: the scalar kernel is {1 / at_bound:.2f}x slower than "
+            f"the array kernel at the bound ({SMALL_SOLVE_ENTRIES} entries)")
+        assert beyond <= 1.0, (
+            f"{name}: the array kernel is {beyond:.2f}x slower than the "
+            f"scalar kernel at 8x the bound — raise SMALL_SOLVE_ENTRIES")

@@ -364,33 +364,47 @@ class FaultSchedule:
 
     def capacity_factor(self, device: Hashable, num_satellites: int,
                         time_s: float) -> float:
-        """Effective capacity multiplier of a fluid-engine device key.
+        """:meth:`capacity_factors` of one device."""
+        return self.capacity_factors([device], num_satellites, time_s)[0]
+
+    def capacity_factors(self, devices: Sequence[Hashable],
+                         num_satellites: int, time_s: float) -> List[float]:
+        """Effective capacity multipliers of fluid-engine device keys.
 
         Device keys follow :func:`repro.fluid.engine.path_devices`:
         ``(a, b)`` for a directed ISL, ``("gsl", node)`` for a node's
         shared GSL device.  Cut/outaged links are zero-capacity; active
         loss/corruption scales capacity by the expected survival rate.
+        The active sets are evaluated once for the whole batch: the
+        events are scanned per call, not per device.
         """
-        if isinstance(device, tuple) and len(device) == 2 \
-                and device[0] == "gsl":
-            node = int(device[1])
-            if node < num_satellites:
-                if node in self.failed_satellites_at(time_s):
-                    return 0.0
-                return 1.0
-            gid = node - num_satellites
-            if gid in self.cut_gids_at(time_s):
-                return 0.0
-            return 1.0 - self.combined_rate(
-                self.loss_events_for_gid(gid), time_s)
-        a, b = int(device[0]), int(device[1])
         failed = self.failed_satellites_at(time_s)
-        if a in failed or b in failed:
-            return 0.0
-        if (min(a, b), max(a, b)) in self.cut_isls_at(time_s):
-            return 0.0
-        return 1.0 - self.combined_rate(
-            self.loss_events_for_isl(a, b), time_s)
+        cut_isls = self.cut_isls_at(time_s)
+        cut_gids = self.cut_gids_at(time_s)
+        # Active loss/corruption events per target (an ISL pair or a
+        # gid), in schedule order like ``loss_events_for_*``.
+        lossy: Dict[Hashable, List[FaultEvent]] = {}
+        for event in self.events:
+            if event.is_stochastic and event.active_at(time_s):
+                target = event.isl if event.isl is not None else event.gid
+                lossy.setdefault(target, []).append(event)
+        factors = []
+        for device in devices:
+            if isinstance(device, tuple) and len(device) == 2 \
+                    and device[0] == "gsl":
+                node = int(device[1])
+                if node < num_satellites:  # a satellite's GSL device
+                    factors.append(0.0 if node in failed else 1.0)
+                    continue
+                target = node - num_satellites
+                dead = target in cut_gids
+            else:
+                a, b = int(device[0]), int(device[1])
+                target = (min(a, b), max(a, b))
+                dead = a in failed or b in failed or target in cut_isls
+            factors.append(0.0 if dead else 1.0 - self.combined_rate(
+                lossy.get(target, ()), time_s))
+        return factors
 
     # -- producers ------------------------------------------------------
 

@@ -209,8 +209,8 @@ class AimdFluidSimulation(FluidSimulation):
         backlog[columns[codes.size:]] = state.backlog_bits
         dev_cap_dt = np.full(num_devs, capacity * dt)
         if faults is not None:  # effective capacities, snapshot granularity
-            dev_cap_dt = dt * np.array([self._device_capacity(
-                key, faults, time_s) for key in dev_keys])
+            dev_cap_dt = dt * self._device_capacities(dev_keys, faults,
+                                                      time_s)
         served_bits_arr = np.zeros(num_devs)
         touched = np.zeros(num_devs, dtype=bool)
         has_dev = hop_counts > 0

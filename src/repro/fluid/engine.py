@@ -195,7 +195,8 @@ def first_appearance_rows(ids: np.ndarray, num_ids: int
 
 def flow_link_matrix_from_paths(
         paths: Sequence[Optional[Sequence[int]]], num_satellites: int,
-        num_nodes: int, capacity_of) -> Tuple["FlowLinkMatrix", np.ndarray]:
+        num_nodes: int, capacities_of
+        ) -> Tuple["FlowLinkMatrix", np.ndarray]:
     """Build one snapshot's flows-on-links CSR from node paths.
 
     Device codes are flattened in path order and columns numbered by
@@ -208,7 +209,8 @@ def flow_link_matrix_from_paths(
         paths: Per-flow node paths (``None`` for disconnected flows).
         num_satellites: Node-numbering split point.
         num_nodes: Total node count (satellites + ground stations).
-        capacity_of: Callable mapping a device key to its capacity (bps).
+        capacities_of: Callable mapping the list of device keys (one per
+            matrix column) to their capacities (bps), all at once.
 
     Returns:
         ``(matrix, hop_counts)`` — the incidence matrix and the (F,)
@@ -220,9 +222,7 @@ def flow_link_matrix_from_paths(
     np.cumsum(hop_counts, out=indptr[1:])
     link_index, step_codes = first_appearance_columns(codes)
     keys = [decode_device(code, num_nodes) for code in step_codes]
-    capacities = np.fromiter((capacity_of(key) for key in keys),
-                             dtype=float, count=len(keys))
-    matrix = FlowLinkMatrix(keys, capacities, indptr, link_index)
+    matrix = FlowLinkMatrix(keys, capacities_of(keys), indptr, link_index)
     return matrix, hop_counts
 
 
@@ -677,7 +677,7 @@ class FluidSimulation:
         matrix, hop_counts = flow_link_matrix_from_paths(
             [paths[i] for i in lead.tolist()], self._num_sats,
             self.network.num_nodes,
-            lambda key: self._device_capacity(key, faults, time_s))
+            lambda keys: self._device_capacities(keys, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)
         keys = matrix.link_keys
@@ -762,16 +762,19 @@ class FluidSimulation:
         if loop_span != -1:
             profiler.end(loop_span)
 
-    def _device_capacity(self, key: Hashable, faults,
-                         time_s: float) -> float:
-        """A device's capacity at ``time_s`` under the fault schedule:
+    def _device_capacities(self, keys: Sequence[Hashable], faults,
+                           time_s: float) -> np.ndarray:
+        """The devices' capacities at ``time_s`` under the fault schedule:
         cut/outaged devices are zero-capacity (max-min flows over them
         — frozen-topology mode — get rate 0, AIMD backlogs overflow and
         on-path flows halve); lossy ones shrink to the expected goodput."""
-        capacity = self.capacity_overrides.get(key, self.link_capacity_bps)
+        overrides, default = self.capacity_overrides, self.link_capacity_bps
+        capacities = np.array([overrides.get(key, default) for key in keys],
+                              dtype=float)
         if faults is not None:
-            capacity *= faults.capacity_factor(key, self._num_sats, time_s)
-        return capacity
+            capacities *= faults.capacity_factors(keys, self._num_sats,
+                                                  time_s)
+        return capacities
 
     def _record_snapshot(self, state: FluidRunState, t_index: int,
                          time_s: float, paths: list,

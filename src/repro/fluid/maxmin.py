@@ -56,6 +56,8 @@ def max_min_fair_allocation(
     for link, capacity in link_capacity.items():
         if capacity < 0.0:
             raise ValueError(f"negative capacity on link {link!r}")
+        if capacity != capacity:
+            raise ValueError(f"NaN capacity on link {link!r}")
 
     if demands is None:
         demand_arr = np.full(num_flows, np.inf)
@@ -63,7 +65,8 @@ def max_min_fair_allocation(
         demand_arr = np.asarray(demands, dtype=float)
         if len(demand_arr) != num_flows:
             raise ValueError("demands length must match flow count")
-        if (demand_arr < 0.0).any():
+        # ``not (x >= 0)`` also rejects NaN, which ``x < 0`` lets through.
+        if not (demand_arr >= 0.0).all():
             raise ValueError("demands must be non-negative")
 
     # Build link membership with traversal multiplicities; verify link

@@ -23,11 +23,20 @@ like the oracle's strict ``<`` scan, and every floating-point update uses
 the same operation sequence.  On identical inputs the two return
 bit-identical rates — ``make bench-fluid-scale`` asserts exactly that
 before timing anything.
+
+Array calls cost ~100 µs of numpy overhead per solve however little
+there is to solve, and a live service solves thousands of two-row
+problems per epoch.  :func:`waterfill` therefore has a second kernel for
+solves of at most :data:`SMALL_SOLVE_ENTRIES` rows and traversal entries:
+the same float64 operations in the same order on Python floats and
+lists (5-10x cheaper at 1-16 rows).  It picks by the solve's size alone;
+``results/fluid_small_solves.txt`` holds the measured crossover the
+constant is set from (DESIGN.md "Small solves").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +45,18 @@ __all__ = [
     "waterfill",
     "max_min_fair_allocation_vectorized",
 ]
+
+#: Largest solve — rows, and traversal entries over those rows — that
+#: :func:`waterfill` runs on Python scalars instead of arrays.  Measured
+#: (``make bench-fluid-scale``): the scalar kernel is >= 1.5x faster
+#: here, level at 512-1024 entries, and >= 1.5x slower at 2048 — its worst
+#: case is freezing events x live links, so the bound sits below the
+#: crossover.
+SMALL_SOLVE_ENTRIES = 256
+
+_INF = float("inf")
+_UNCONSTRAINED = ("some flows are unconstrained (infinite demand and no "
+                  "saturating link)")
 
 
 class FlowLinkMatrix:
@@ -63,6 +84,10 @@ class FlowLinkMatrix:
             bad = int(np.flatnonzero(self.capacity_bps < 0.0)[0])
             raise ValueError(
                 f"negative capacity on link {self.link_keys[bad]!r}")
+        if np.isnan(self.capacity_bps).any():
+            bad = int(np.flatnonzero(np.isnan(self.capacity_bps))[0])
+            raise ValueError(
+                f"NaN capacity on link {self.link_keys[bad]!r}")
         if self.indptr.ndim != 1 or self.indptr.size == 0 \
                 or self.indptr[0] != 0 \
                 or (np.diff(self.indptr) < 0).any() \
@@ -72,6 +97,9 @@ class FlowLinkMatrix:
                 (self.link_index < 0).any()
                 or (self.link_index >= len(self.link_keys)).any()):
             raise ValueError("link index out of range")
+        #: The scalar kernel's view (see :meth:`_as_lists`), built on the
+        #: first small solve; the arrays above are read-only from here on.
+        self._lists: Optional[Tuple[List[List[int]], List[float]]] = None
 
     @property
     def num_flows(self) -> int:
@@ -133,6 +161,21 @@ class FlowLinkMatrix:
         np.add.at(loads, cols, np.asarray(rates, dtype=float)[entry_rows])
         return loads
 
+    def _as_lists(self) -> Tuple[List[List[int]], List[float]]:
+        """``(row_columns, capacities)`` as Python lists of ints and
+        floats — what :func:`waterfill`'s scalar kernel indexes.
+
+        Converted once per matrix, on the first small solve: a matrix
+        that only ever sees large solves never pays for it, and a step's
+        hundreds of small ones share one conversion.
+        """
+        if self._lists is None:
+            flat = self.link_index.tolist()
+            ptr = self.indptr.tolist()
+            self._lists = ([flat[a:b] for a, b in zip(ptr, ptr[1:])],
+                           self.capacity_bps.tolist())
+        return self._lists
+
     def _gather(self, rows: np.ndarray):
         """Concatenated traversal entries of ``rows``.
 
@@ -175,6 +218,12 @@ def waterfill(matrix: FlowLinkMatrix,
         Per-flow rates aligned with ``active`` (or with all rows when
         ``None``) — bit-identical to running the pure-Python oracle with
         every row repeated ``multiplicity`` times in place.
+
+    Two kernels compute the same IEEE operations in the same order: a
+    solve of at most :data:`SMALL_SOLVE_ENTRIES` rows and traversal
+    entries runs on Python floats and lists, anything larger on arrays.
+    The choice depends on the solve's size alone and cannot show in the
+    rates.
     """
     total_flows = matrix.num_flows
     if active is None:
@@ -182,9 +231,8 @@ def waterfill(matrix: FlowLinkMatrix,
     else:
         act = np.asarray(active, dtype=np.int64)
     n = act.size
-    rates = np.zeros(n)
     if n == 0:
-        return rates
+        return np.zeros(0)
 
     if demands is None:
         dem = np.full(n, np.inf)
@@ -192,9 +240,131 @@ def waterfill(matrix: FlowLinkMatrix,
         dem = np.asarray(demands, dtype=float)
         if dem.shape[0] != total_flows:
             raise ValueError("demands length must match flow count")
-        if (dem < 0.0).any():
+        # ``not (x >= 0)`` also rejects NaN, which ``x < 0`` lets through.
+        if not (dem >= 0.0).all():
             raise ValueError("demands must be non-negative")
         dem = dem[act]
+
+    if n <= SMALL_SOLVE_ENTRIES:
+        row_columns = matrix._as_lists()[0]
+        if sum(len(row_columns[row])
+               for row in act.tolist()) <= SMALL_SOLVE_ENTRIES:
+            return _waterfill_scalars(matrix, dem, act, multiplicity)
+    return _waterfill_arrays(matrix, dem, act, multiplicity)
+
+
+def _waterfill_scalars(matrix: FlowLinkMatrix, dem: np.ndarray,
+                       act: np.ndarray,
+                       multiplicity: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`waterfill`'s kernel for small solves, on Python scalars.
+
+    ``dem`` is the validated (n,) cap of each row of ``act``.  Mirrors
+    :func:`_waterfill_arrays` operation for operation — links numbered
+    as they first appear along ``act``, the strict-``<`` scan keeping
+    the first minimum share like ``argmin``, one stable demand order,
+    ``max(residual - increment * weight, 0)`` per live link — so every
+    share and residual goes through the same float64 roundings.  Weights
+    are integer-valued, so the order rows are frozen in within one event
+    cannot change them.
+    """
+    row_columns, capacity = matrix._as_lists()
+    rows = act.tolist()
+    caps = dem.tolist()
+    n = len(rows)
+    copies = ([1.0] * n if multiplicity is None
+              else [float(m) for m in np.asarray(multiplicity).tolist()])
+    rates = [0.0] * n
+    frozen = [False] * n
+    unfrozen = n
+
+    local: Dict[int, int] = {}  # matrix column -> link of this solve
+    residual: List[float] = []
+    weight: List[float] = []
+    members: List[List[int]] = []  # per link, its rows per traversal
+    row_links: List[List[int]] = []
+    for i, row in enumerate(rows):
+        links = []
+        for column in row_columns[row]:
+            link = local.get(column)
+            if link is None:
+                link = local[column] = len(residual)
+                residual.append(capacity[column])
+                weight.append(0.0)
+                members.append([])
+            weight[link] += copies[i]
+            members[link].append(i)
+            links.append(link)
+        row_links.append(links)
+        if not links:
+            # Limited only by demand (no capacity-constrained links).
+            if caps[i] == _INF:
+                raise ValueError(
+                    f"flow {i} has no links and infinite demand")
+            rates[i] = caps[i]
+            frozen[i] = True
+            unfrozen -= 1
+
+    demand_order = sorted(range(n), key=caps.__getitem__)
+    pointer = 0
+    live = list(range(len(residual)))
+    level = 0.0
+    while unfrozen:
+        live = [link for link in live if weight[link] > 0.0]
+        best = _INF
+        bottleneck = -1
+        for link in live:
+            share = level + residual[link] / weight[link]
+            if share < best:
+                best = share
+                bottleneck = link
+        while pointer < n and frozen[demand_order[pointer]]:
+            pointer += 1
+        capped = caps[demand_order[pointer]] if pointer < n else _INF
+        if capped < best:
+            best = capped
+            bottleneck = -1
+
+        if best == _INF:
+            raise ValueError(_UNCONSTRAINED)
+
+        increment = best - level
+        for link in live:
+            left = residual[link] - increment * weight[link]
+            residual[link] = left if left > 0.0 else 0.0
+
+        newly = []
+        if bottleneck >= 0:
+            for i in members[bottleneck]:
+                if not frozen[i]:
+                    rates[i] = best if best < caps[i] else caps[i]
+                    frozen[i] = True
+                    newly.append(i)
+        while pointer < n:
+            i = demand_order[pointer]
+            if not frozen[i]:
+                if caps[i] > best:
+                    break
+                rates[i] = caps[i]
+                frozen[i] = True
+                newly.append(i)
+            pointer += 1
+        unfrozen -= len(newly)
+        for i in newly:
+            for link in row_links[i]:
+                weight[link] -= copies[i]
+        level = best
+    return np.array(rates)
+
+
+def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
+                      act: np.ndarray,
+                      multiplicity: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`waterfill`'s kernel for large solves, on flat arrays.
+
+    ``dem`` is the validated (n,) cap of each row of ``act``.
+    """
+    n = act.size
+    rates = np.zeros(n)
 
     # Active traversal entries, compacted to first-appearance column
     # order over the active rows (== the oracle's dict order restricted
@@ -263,8 +433,7 @@ def waterfill(matrix: FlowLinkMatrix,
             bottleneck = -1
 
         if not np.isfinite(best):
-            raise ValueError("some flows are unconstrained (infinite demand "
-                             "and no saturating link)")
+            raise ValueError(_UNCONSTRAINED)
 
         increment = best - level
         if live.size:
@@ -327,6 +496,8 @@ def max_min_fair_allocation_vectorized(
     for link, capacity in link_capacity.items():
         if capacity < 0.0:
             raise ValueError(f"negative capacity on link {link!r}")
+        if capacity != capacity:
+            raise ValueError(f"NaN capacity on link {link!r}")
     if demands is not None and len(demands) != num_flows:
         raise ValueError("demands length must match flow count")
     matrix = FlowLinkMatrix.from_paths(link_capacity, flow_links)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
 import pickle
-from typing import Any, BinaryIO, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +74,16 @@ class CheckpointSpecError(CheckpointError):
 # Spec fingerprinting
 # ----------------------------------------------------------------------
 
+_PLAIN_LEAVES = (bool, int, str)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass type's field names (``dataclasses.fields`` rebuilds
+    its tuple per call, and a spec holds ~10^4 ``FlowRequest``s)."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _canonical(value: Any) -> Any:
     """A JSON-expressible canonical form of spec-shaped data.
 
@@ -84,11 +95,17 @@ def _canonical(value: Any) -> Any:
     only on content, never on id()s, dict insertion history, or pickle
     protocol details.
     """
+    # Most of a spec's ~4e4 values are plain leaves: answer those exact
+    # types first (subclasses and non-finite floats take the chain below).
+    kind = type(value)
+    if value is None or kind in _PLAIN_LEAVES or (
+            kind is float and math.isfinite(value)):
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,
-            "fields": {f.name: _canonical(getattr(value, f.name))
-                       for f in dataclasses.fields(value)},
+            "fields": {name: _canonical(getattr(value, name))
+                       for name in _field_names(type(value))},
         }
     if isinstance(value, enum.Enum):
         return {"__enum__": type(value).__name__, "name": value.name}

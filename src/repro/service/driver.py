@@ -38,7 +38,7 @@ offering an unproven checkpoint contract.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from ..traffic.arrivals import (FlowArrivalProcess, FlowArrivalStream,
 from ..traffic.spawner import WorkloadSpawner
 from ..transport.base import ensure_flow_ids_above
 from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
-                         save_checkpoint)
+                         save_checkpoint, spec_fingerprint)
 
 __all__ = ["LiveSimulationService", "ServiceError"]
 
@@ -91,6 +91,11 @@ class LiveSimulationService:
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
     """
+
+    #: ``(spec, its fingerprint)`` as of the last checkpoint (see
+    #: :meth:`_spec_hash`).  Never pickled, so a restored service —
+    #: from this build's files or older ones — starts from this default.
+    _fingerprinted: Optional[Tuple[NetworkSpec, str]] = None
 
     def __init__(self, spec: NetworkSpec, engine: str = "packet",
                  horizon_s: float = 60.0,
@@ -512,7 +517,25 @@ class LiveSimulationService:
         merged_meta.setdefault("epoch_s", self.epoch_s)
         return Checkpoint(spec=self.spec, engine=self.engine,
                           time_s=self.clock_s,
-                          payload={"service": self}, meta=merged_meta)
+                          payload={"service": self}, meta=merged_meta,
+                          spec_hash=self._spec_hash())
+
+    def _spec_hash(self) -> str:
+        """:func:`spec_fingerprint` of the current spec, remembered by
+        spec *identity*: specs are frozen and only ever replaced
+        (``attach_workload`` / ``inject_fault``), so periodic checkpoints
+        of an unchanged spec canonicalize its ~10^4 requests once."""
+        if self._fingerprinted is None \
+                or self._fingerprinted[0] is not self.spec:
+            self._fingerprinted = (self.spec, spec_fingerprint(self.spec))
+        return self._fingerprinted[1]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo stays out of checkpoints: a restored service hashes
+        # the spec it actually holds, like ``load_checkpoint`` does.
+        state = dict(vars(self))
+        state.pop("_fingerprinted", None)
+        return state
 
     def save(self, path: str,
              meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -18,7 +18,9 @@ from repro.routing.engine import RoutingEngine
 from repro.topology.network import LeoNetwork
 from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
 from repro.fluid.maxmin import max_min_fair_allocation
-from repro.fluid.vectorized import (FlowLinkMatrix,
+from repro.fluid import vectorized
+from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
+                                    _waterfill_arrays, _waterfill_scalars,
                                     max_min_fair_allocation_vectorized,
                                     waterfill)
 
@@ -362,6 +364,18 @@ class TestRepeatedLinkRegression:
         np.testing.assert_allclose(rates, [2.5, 7.5])
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of ``waterfill``'s kernels, in the order it ran them."""
+    calls = []
+    for kernel in (_waterfill_scalars, _waterfill_arrays):
+        def spy(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        monkeypatch.setattr(vectorized, kernel.__name__, spy)
+    return calls
+
+
 class TestVectorizedKernel:
     """The array waterfilling kernel against the pure-Python oracle."""
 
@@ -425,6 +439,77 @@ class TestVectorizedKernel:
                                            [["a", "a"], ["a"]])
         loads = matrix.link_loads(np.array([2.0, 3.0]))
         np.testing.assert_allclose(loads, [7.0])
+
+    @pytest.mark.parametrize("capacity, flow_links, message", [
+        ({"l": 1.0}, [["l"], []], "flow 1 has no links and infinite demand"),
+        ({"l": np.inf}, [["l"]], "some flows are unconstrained (infinite "
+                                 "demand and no saturating link)"),
+    ])
+    def test_both_kernels_refuse_in_the_oracles_words(self, capacity,
+                                                      flow_links, message):
+        matrix = FlowLinkMatrix.from_paths(capacity, flow_links)
+        rows = np.arange(len(flow_links))
+        for solve in (
+                lambda: max_min_fair_allocation(capacity, flow_links),
+                lambda: _waterfill_scalars(
+                    matrix, np.full(rows.size, np.inf), rows, None),
+                lambda: _waterfill_arrays(
+                    matrix, np.full(rows.size, np.inf), rows, None)):
+            with pytest.raises(ValueError) as caught:
+                solve()
+            assert str(caught.value) == message
+
+    def test_nan_demand_is_rejected_not_allocated(self):
+        """``(dem < 0).any()`` let NaN through: the array kernel returned
+        ``[nan, 3.]`` where the oracle returned ``[5., 3.]``."""
+        for allocate in BOTH_KERNELS:
+            with pytest.raises(ValueError,
+                               match="demands must be non-negative"):
+                allocate({"l": 10.0}, [["l"], ["l"]],
+                         demands=[np.nan, 3.0])
+        # Past the small-solve bound too (the check is shared).
+        rows = SMALL_SOLVE_ENTRIES + 1
+        matrix = FlowLinkMatrix.from_paths({"l": 10.0}, [["l"]] * rows)
+        demands = np.full(rows, 3.0)
+        demands[-1] = np.nan
+        with pytest.raises(ValueError, match="demands must be non-negative"):
+            waterfill(matrix, demands=demands)
+
+    def test_nan_capacity_is_rejected_by_name(self):
+        """Used to surface as "some flows are unconstrained"."""
+        for allocate in BOTH_KERNELS:
+            with pytest.raises(ValueError, match="NaN capacity on link 'l'"):
+                allocate({"l": np.nan}, [["l"]])
+        with pytest.raises(ValueError, match="NaN capacity on link 'b'"):
+            FlowLinkMatrix(["a", "b"], np.array([1.0, np.nan]),
+                           np.array([0, 1]), np.array([0]))
+
+    def test_kernel_is_chosen_by_solve_size_alone(self, kernel_calls):
+        """At most SMALL_SOLVE_ENTRIES rows *and* traversal entries run
+        on scalars, one more of either on arrays — same rates."""
+        calls = kernel_calls
+        bound = SMALL_SOLVE_ENTRIES
+        capacity = {"a": 7.0, "b": 3.0}
+        linked = bound // 2 + 1  # rows with links; link-less ones follow
+        matrix = FlowLinkMatrix.from_paths(
+            capacity,
+            [["a", "b"]] * (bound // 2) + [["a"]] + [[]] * (bound + 1))
+        caps = np.full(matrix.num_flows, 0.5)
+        for active, expected in [
+                (np.arange(bound // 2), "_waterfill_scalars"),
+                (np.arange(linked), "_waterfill_arrays"),
+                (np.arange(linked, linked + bound), "_waterfill_scalars"),
+                (np.arange(linked, linked + bound + 1), "_waterfill_arrays"),
+                (None, "_waterfill_arrays"),
+                (np.empty(0, dtype=int), None)]:
+            del calls[:]
+            rates = waterfill(matrix, demands=caps, active=active)
+            assert calls == ([expected] if expected else [])
+            rows = np.arange(matrix.num_flows) if active is None else active
+            if rows.size:
+                for kernel in (_waterfill_scalars, _waterfill_arrays):
+                    assert np.array_equal(
+                        rates, kernel(matrix, caps[rows], rows, None))
 
 
 @st.composite
@@ -760,6 +845,8 @@ class TestAimdOnSharedSkeleton:
 #: sha256 of every output of four duplicate-heavy max-min runs, recorded
 #: on the commit before the engine solved one row per flow class (every
 #: flow its own matrix row); the class step must reproduce them unchanged.
+#: "straddle" was recorded on the commit before ``waterfill`` had a
+#: scalar kernel: its solves lie on both sides of SMALL_SOLVE_ENTRIES.
 MAXMIN_PINS = {
     "churn": {
         "flow_rates_bps":
@@ -809,6 +896,18 @@ MAXMIN_PINS = {
         "flow_delivered_bits":
             "99f4aadab4a60a3192549d60d6deab4ddd70fefe2f88b878ac85d1c1a761e0e5",
     },
+    "straddle": {
+        "flow_rates_bps":
+            "1855c1171826fa79a56b0bb39e202658df67545424ef1a388b9eea15560aadef",
+        "flow_paths":
+            "dac4f2484be663f7e4187a73569d817f852830e8ba7bc304d68989c90fad7877",
+        "device_load_bps":
+            "8ca1d21b26a48fef0f287a302d754f6577ab7a9d3149c3daefceef087adb316c",
+        "flow_fct_s":
+            "85ad3c3319be6786d0ad47bd0ba5ee3b82868b3a740a6e6333307cb0335e25be",
+        "flow_delivered_bits":
+            "57b933912fcb730fa44572f9d656b0bdf811771947d9921638a2de9f57193575",
+    },
 }
 
 
@@ -830,12 +929,35 @@ def duplicate_heavy_flows(pairs, horizon_s):
     return flows
 
 
+def straddling_flows(pairs):
+    """Two finite flows per pair over 70 K1 pairs (~9 hops each): five
+    pairs are busy from t = 0, the rest join one by one inside step 0,
+    so that step's solves grow from ~35 traversal entries to ~660 —
+    through ``SMALL_SOLVE_ENTRIES`` — and a second wave joins the same
+    classes from t = 2 while the first drains back below the bound."""
+    rng = np.random.default_rng(19)
+    flows = []
+    for wave_start in (0.0, 2.0):
+        for i, (src, dst) in enumerate(pairs):
+            flows.append(FluidFlow(
+                src, dst,
+                size_bytes=float(rng.integers(400_000, 2_500_000)),
+                start_s=wave_start + (0.0 if i < 5 and not wave_start
+                                      else 0.2 + 0.01 * i)))
+    return flows
+
+
 @pytest.fixture
 def maxmin_scenario(request, kuiper_offset_network, small_constellation,
                     small_stations):
     """``(network, flows, freeze_at_s, duration_s)`` of one pinned
-    max-min scenario: 203 flows in 16-20 classes."""
+    max-min scenario: 203 flows in 16-20 classes, or "straddle"'s 140
+    flows in 70."""
     name = request.param
+    if name == "straddle":
+        return (kuiper_offset_network,
+                straddling_flows(random_permutation_pairs(100)[:70]),
+                None, 8.0)
     if name in ("churn", "frozen"):
         # K1: three of the ten pairs change path inside the 20 s.
         flows = duplicate_heavy_flows(random_permutation_pairs(100)[:10],
@@ -902,6 +1024,26 @@ class TestMaxMinOverFlowClasses:
         assert simulation.extend_flows(state, late) == len(early)
         simulation.advance(state)
         _assert_same_result(simulation.finish(state), expected)
+
+
+@pytest.mark.parametrize("maxmin_scenario", ["straddle"], indirect=True)
+def test_one_step_solves_on_both_sides_of_the_small_solve_bound(
+        maxmin_scenario, kernel_calls):
+    """Inside single steps the active set crosses SMALL_SOLVE_ENTRIES —
+    upwards as flows arrive, downwards as they drain — so one sub-event
+    loop mixes scalar- and array-kernel solves; every recorded row still
+    equals the oracle (and the FCTs the pre-scalar-kernel pin above)."""
+    network, flows, _, duration_s = maxmin_scenario
+    simulation = FluidSimulation(network, flows)
+    state = simulation.start_run(duration_s, step_s=1.0)
+    kernels_per_step = []
+    while not state.done:
+        del kernel_calls[:]
+        simulation.advance(state, max_steps=1)
+        kernels_per_step.append(len(set(kernel_calls)))
+    assert kernels_per_step[0] == 2 and kernels_per_step[-2] == 2
+    assert 1 in kernels_per_step
+    assert_result_matches_oracle(simulation.finish(state), flows)
 
 
 class TestExtendFlows:

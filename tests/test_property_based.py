@@ -263,6 +263,80 @@ class TestMaxMinProperties:
                                                  demands)
         assert np.array_equal(expected, got)
 
+    # --- The two waterfill kernels, each called directly, against each
+    # other and the oracle: whatever SMALL_SOLVE_ENTRIES is, both sides
+    # of it are covered (ISSUE 19).
+
+    @st.composite
+    def _kernel_scenario(draw):
+        """Loop paths, link-less rows, zero and infinite capacities,
+        finite and infinite caps from a few inexact fractions (so ties
+        are common), an ``active`` subset in shuffled order and
+        multiplicities 1-50."""
+        num_links = draw(st.integers(min_value=1, max_value=6))
+        fractions = [0.0, 0.1, 0.3, 0.7, 1.1, 10 / 3, np.inf]
+        capacities = {
+            i: draw(st.one_of(st.sampled_from(fractions),
+                              st.floats(min_value=0.0, max_value=100.0)))
+            for i in range(num_links)
+        }
+        flows = draw(st.lists(
+            st.lists(st.integers(min_value=0, max_value=num_links - 1),
+                     max_size=6),
+            min_size=1, max_size=10))
+        demands = np.array(draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.35, np.inf]),
+                      st.floats(min_value=0.0, max_value=150.0)),
+            min_size=len(flows), max_size=len(flows))))
+        active = np.array(draw(st.permutations(range(len(flows))))[
+            :draw(st.integers(min_value=1, max_value=len(flows)))])
+        copies = draw(st.one_of(st.none(), st.lists(
+            st.integers(min_value=1, max_value=50),
+            min_size=len(active), max_size=len(active))))
+        return capacities, flows, demands, active, copies
+
+    @given(_kernel_scenario())
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_kernel_equals_array_kernel_equals_oracle(self, scenario):
+        from repro.fluid.vectorized import (FlowLinkMatrix,
+                                            _waterfill_arrays,
+                                            _waterfill_scalars, waterfill)
+        capacities, flows, demands, active, copies = scenario
+        matrix = FlowLinkMatrix.from_paths(capacities, flows)
+        weights = None if copies is None else np.array(copies)
+        # The oracle sees every row repeated ``copies`` times in place;
+        # ``first`` is where each row's first copy lands.
+        repeat = np.ones(len(active), int) if copies is None else weights
+        first = np.cumsum(repeat) - repeat
+
+        def outcome(solve):
+            try:
+                return solve()
+            except ValueError as error:
+                return str(error)
+
+        scalars, arrays, public, oracle = (outcome(solve) for solve in (
+            lambda: _waterfill_scalars(matrix, demands[active], active,
+                                       weights),
+            lambda: _waterfill_arrays(matrix, demands[active], active,
+                                      weights),
+            lambda: waterfill(matrix, demands, active, weights),
+            lambda: max_min_fair_allocation(
+                capacities,
+                [flows[i] for i in np.repeat(active, repeat)],
+                np.repeat(demands[active], repeat))))
+        if isinstance(oracle, str):
+            assert "no links and infinite demand" in oracle \
+                or "unconstrained" in oracle
+            assert scalars == arrays == public
+            # Same text as the oracle, whose flow numbers count copies.
+            assert scalars == oracle or copies is not None
+            assert scalars.split(" has ")[-1] == oracle.split(" has ")[-1]
+        else:
+            assert np.array_equal(np.repeat(oracle[first], repeat), oracle)
+            for got in (scalars, arrays, public):
+                assert np.array_equal(got, oracle[first])
+
 
 class TestEcdfProperties:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
@@ -358,6 +432,56 @@ class TestFaultScheduleProperties:
         assert a == b
         assert a.elevation_penalty_deg(gid, t) == pytest.approx(
             b.elevation_penalty_deg(gid, t))
+
+    @given(st.lists(fault_events(), min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=11),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=100)
+    def test_batch_capacity_factors_equal_the_per_device_queries(
+            self, events, pick, fraction):
+        """``capacity_factors`` evaluates the active sets once for the
+        batch; every factor must equal what the per-device public
+        queries give, on the devices the events hit and their
+        neighbours, at a time inside one event's window."""
+        schedule = FaultSchedule(events)
+        probe = events[pick % len(events)]
+        t = probe.start_s + fraction * (probe.end_s - probe.start_s)
+        num_sats = 100
+        devices = [("gsl", 0), (0, 1)]
+        for event in events:
+            if event.satellite is not None:
+                sat = event.satellite
+                devices += [("gsl", sat), (sat, (sat + 1) % num_sats),
+                            ((sat + 1) % num_sats, sat)]
+            elif event.isl is not None:
+                devices += [event.isl, event.isl[::-1]]
+            else:
+                devices += [("gsl", num_sats + event.gid),
+                            ("gsl", event.gid)]
+
+        def per_device(device):
+            failed = schedule.failed_satellites_at(t)
+            if device[0] == "gsl":
+                node = device[1]
+                if node < num_sats:
+                    return 0.0 if node in failed else 1.0
+                gid = node - num_sats
+                if gid in schedule.cut_gids_at(t):
+                    return 0.0
+                return 1.0 - schedule.combined_rate(
+                    schedule.loss_events_for_gid(gid), t)
+            a, b = device
+            if a in failed or b in failed \
+                    or (min(a, b), max(a, b)) in schedule.cut_isls_at(t):
+                return 0.0
+            return 1.0 - schedule.combined_rate(
+                schedule.loss_events_for_isl(a, b), t)
+
+        expected = [per_device(device) for device in devices]
+        assert schedule.capacity_factors(devices, num_sats, t) == expected
+        assert [schedule.capacity_factor(device, num_sats, t)
+                for device in devices] == expected
+        assert set(vars(schedule)) == {"events", "seed"}
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
            st.randoms())

@@ -16,6 +16,7 @@ import json
 import pickle
 import random
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.faults.injector import LinkFaultInjector
 from repro.fluid.engine import FluidSimulation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
+from repro.ground.weather import RainEvent, WeatherModel
 from repro.orbits.shell import Shell
 from repro.service import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                            CheckpointError, CheckpointSpecError,
@@ -289,6 +291,96 @@ class TestCheckpointContainer:
             [FaultEvent.satellite_outage(3, 2.0, 5.0)], seed=1))
         assert spec_fingerprint(with_faults) != \
             spec_fingerprint(_small_spec())
+
+    def test_fingerprint_of_a_fixed_spec_is_pinned(self):
+        """Workload + faults + weather, hashed by the build before
+        ``_canonical`` answered plain leaves first and cached field
+        names: old checkpoints must keep passing the spec gate."""
+        spec = replace(
+            _small_spec(faults=_FAULTS).with_workload(_small_workload()),
+            weather=WeatherModel([RainEvent(
+                gid=2, start_s=1.0, end_s=6.0,
+                elevation_penalty_deg=12.5)]))
+        assert spec_fingerprint(spec) == (
+            "c4c3edd6a2b75b9763cf743ea32456a7"
+            "7a9cec91727bb054cd53d354ccfba88a")
+
+    def test_header_hash_is_checked_against_the_pickled_spec(self,
+                                                             tmp_path):
+        """``spec_hash=`` lets a caller skip the fingerprint on save;
+        the load recomputes it, so a wrong one cannot slip through."""
+        path = tmp_path / "tampered.ckpt"
+        save_checkpoint(str(path), Checkpoint(
+            spec=_small_spec(), engine="packet", time_s=0.0, payload={},
+            spec_hash="0" * 64))
+        with pytest.raises(CheckpointSpecError,
+                           match="corrupt or tampered"):
+            load_checkpoint(str(path))
+
+
+#: An ISL cut, a lossy uplink and a satellite outage inside the horizon.
+_FAULTS = FaultSchedule([
+    FaultEvent.isl_cut(35, 34, 3.0, 9.0),
+    FaultEvent.packet_loss(5.0, 12.0, 0.4, gid=1),
+    FaultEvent.satellite_outage(7, 2.0, 4.5)], seed=3)
+
+
+class TestFingerprintMemo:
+    """The service fingerprints a spec once per spec *object*."""
+
+    @pytest.fixture
+    def fingerprinted(self, monkeypatch):
+        """The specs ``spec_fingerprint`` was asked to hash, in order."""
+        from repro.service import driver
+        specs = []
+
+        def counting(spec):
+            specs.append(spec)
+            return spec_fingerprint(spec)
+        monkeypatch.setattr(driver, "spec_fingerprint", counting)
+        return specs
+
+    def test_recomputed_only_when_the_spec_was_replaced(self,
+                                                        fingerprinted):
+        service = _make_service("fluid")
+        first = service.checkpoint().spec_hash
+        service.advance_epoch(2)
+        assert service.checkpoint().spec_hash == first
+        assert len(fingerprinted) == 1
+        service.inject_fault(FaultEvent.satellite_outage(3, 4.0, 6.0))
+        faulted = service.checkpoint().spec_hash
+        service.attach_workload(_small_workload(seed=5, start_s=3.0,
+                                                horizon_s=6.0))
+        attached = service.checkpoint().spec_hash
+        assert service.checkpoint().spec_hash == attached
+        assert len(fingerprinted) == 3
+        assert len({first, faulted, attached}) == 3
+        assert attached == spec_fingerprint(service.spec)
+
+    def test_memo_is_not_pickled_and_a_restored_service_rehashes(
+            self, fingerprinted, tmp_path):
+        service = _make_service("fluid")
+        service.advance_epoch(3)
+        restored = _round_trip(service, tmp_path / "a.ckpt")
+        assert service._fingerprinted[0] is service.spec
+        assert "_fingerprinted" not in service.__getstate__()
+        assert "_fingerprinted" not in vars(restored)
+        header = restored.save(str(tmp_path / "b.ckpt"))
+        assert fingerprinted == [service.spec, restored.spec]
+        assert header["spec_hash"] == spec_fingerprint(restored.spec)
+        load_checkpoint(str(tmp_path / "b.ckpt"))
+
+    def test_faulted_fluid_steps_leave_the_fingerprint_alone(self):
+        """The engine evaluates the spec's own schedule object every
+        step; anything cached on it would land in ``vars(schedule)`` and
+        change every later checkpoint's ``spec_hash``."""
+        service = _make_service("fluid", faults=_FAULTS)
+        assert service.network.fault_view is service.spec.faults
+        before = spec_fingerprint(service.spec)
+        service.advance_epoch(6)
+        assert service.state.next_index == 6
+        assert spec_fingerprint(service.spec) == before
+        assert set(vars(service.spec.faults)) == {"events", "seed"}
 
 
 # ----------------------------------------------------------------------
