@@ -20,6 +20,8 @@ smoke:
 	mods = ['repro'] + [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]; \
 	[importlib.import_module(name) for name in mods]; \
 	print('smoke-imported', len(mods), 'modules')"
+	$(PYTHON) -c "import sys, repro; \
+	assert 'networkx' not in sys.modules, 'import repro pulled in networkx'"
 	! grep -rn "except Exception" src/
 	! grep -rnE "_ELASTIC_DEMAND_CAPACITIES|_flow_pairs" src/ \
 	    --exclude-dir=fluid
@@ -66,10 +68,14 @@ bench-fluid-scale:
 	$(PYTHON) -m pytest benchmarks/test_fluid_scale.py -q -o testpaths=
 
 # Incremental-routing gate: repaired destination trees must equal the
-# from-scratch solve bit-for-bit (serial and workers=4), and reach 5x
-# per-snapshot routing time on S1 under sparse topology deltas (speedup
-# half auto-skips below 4 cores); the batched trees must equal the
-# per-destination reference bit for bit and be computed >= 2x faster.
+# from-scratch solve bit-for-bit (sparse deltas, moving timelines at
+# 0.1-15 s steps, serial and workers=4); every 1 s step must be repaired
+# and the 15 s walk must give up; repair must reach 5x per-snapshot
+# routing time on S1 under sparse topology deltas and 1.3x on the moving
+# 1 s timeline (speedup halves auto-skip below 4 cores; the step-size
+# crossover table goes to results/routing_incremental.txt); the batched
+# trees must equal the per-destination reference bit for bit and be
+# computed >= 2x faster.
 bench-routing:
 	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py \
 	    benchmarks/test_batched_routing.py -q -o testpaths=

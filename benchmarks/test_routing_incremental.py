@@ -2,38 +2,49 @@
 
 The incremental routing contract (DESIGN.md "Incremental routing"): the
 :class:`repro.routing.incremental.IncrementalRouter` diffs consecutive
-snapshots and repairs only the affected parts of the batched destination
-trees, and whichever path it takes — cache hit, repair, or large-delta
-fallback — its distances and next hops are bit-identical to a
-from-scratch :class:`repro.routing.engine.RoutingEngine`.
+snapshots and repairs the batched destination trees, and whichever path
+it takes — cache hit, affected-vertex repair, re-sum repair, or full
+solve — its distances and next hops are bit-identical to a from-scratch
+:class:`repro.routing.engine.RoutingEngine`.
 
-Two gates:
+Gates:
 
 * **Equality** (always runs): bit-identity on every snapshot of the
-  sparse-delta repair scenario, and on every snapshot of a faulted S1
-  timeline run, both serial and with ``workers=4``.
+  sparse-delta repair scenario, of moving S1 timelines at 0.1 to 15 s
+  steps, and of a faulted S1 timeline run, serial and ``workers=4``.
+* **Decisions** (always runs; they repeat exactly): every 1 s step of
+  the moving timeline is repaired, and the 15 s walk gives up and says
+  so in ``fallbacks_large_delta``.
 * **Speedup** (needs >= 4 cores, like `make bench-sweep`): on S1 with
   the paper's 100 city ground stations, per-snapshot routing under
   sparse topology deltas — cumulative ISL failures at a frozen epoch,
   so the delta is the failure, not orbital motion — must be at least
-  5x faster than solving each snapshot from scratch.
+  5x faster than solving each snapshot from scratch, and on the moving
+  timeline at 1 s steps at least 1.3x faster.
+
+``results/routing_incremental.txt`` carries both sections; its moving-
+timeline table (repair vs full solve vs giving up, per step size, with
+the share of violated (tree, vertex) pairs) is what
+``MAX_VIOLATED_SHARE`` in ``repro.routing.incremental`` rests on.
 """
 
 import dataclasses
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import Hypatia
 from repro.faults import FaultEvent, FaultSchedule
+from repro.routing import incremental
 from repro.routing.engine import RoutingEngine
 from repro.routing.incremental import IncrementalRouter
 from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
                                           snapshot_times)
 
-from _common import write_result
+from _common import RESULTS_DIR, write_result
 
 SHELL = "S1"
 NUM_CITIES = 100
@@ -42,6 +53,12 @@ DROPS_PER_STEP = 1       # new ISL failures per step (sparse deltas)
 TIMING_REPS = 5
 SPEEDUP_CORES = 4
 MIN_SPEEDUP = 5.0
+MOVING_STEPS_S = (0.1, 1.0, 2.0, 4.0, 7.0, 15.0)
+MOVING_UPDATES = 8       # repaired updates per walk (after a cold one)
+MOVING_START_S = 20.0    # past the symmetric t = 0 start
+MOVING_REPS = 3
+MIN_MOVING_SPEEDUP = 1.3
+MOVING_HEADER = "# moving timeline"
 
 _CACHE = {}
 
@@ -144,6 +161,95 @@ def test_incremental_speedup_on_sparse_deltas():
     assert speedup >= MIN_SPEEDUP, (
         f"incremental repair reached only {speedup:.2f}x over scratch "
         f"per snapshot (gate {MIN_SPEEDUP:.1f}x)")
+
+
+def _timed_walk(network, snapshots, destinations, expected=None):
+    """Seconds per update (the cold first one excluded) of a fresh
+    incremental router over ``snapshots``, and its counters; with
+    ``expected`` every update is asserted equal to it."""
+    router = IncrementalRouter(network)
+    elapsed = 0.0
+    for index, snapshot in enumerate(snapshots):
+        start = time.perf_counter()
+        routed = router.route_to_many(snapshot, destinations)
+        if index:
+            elapsed += time.perf_counter() - start
+        if expected is not None:
+            assert np.array_equal(expected[index].distance_m,
+                                  routed.distance_m), index
+            assert np.array_equal(expected[index].next_hop,
+                                  routed.next_hop), index
+    return elapsed / (len(snapshots) - 1), router.inc_perf
+
+
+def test_moving_timeline_repair_and_crossover():
+    network, _ = _network()
+    destinations = list(range(NUM_CITIES))
+    pairs = NUM_CITIES * network.num_nodes
+    rows = [
+        f"{MOVING_HEADER} (S1 x {NUM_CITIES}, ms per update, best of "
+        f"{MOVING_REPS} walks of {MOVING_UPDATES} updates)",
+        "# full: from-scratch solve; repair: re-sum repair with the "
+        "give-up bound lifted;",
+        "# shipped: the router as shipped (MAX_VIOLATED_SHARE "
+        f"{100 * incremental.MAX_VIOLATED_SHARE:.1f} %), "
+        "repaired/gave_up its decisions",
+        f"{'step_s':>7s} {'violated_%':>10s} {'full_ms':>8s} "
+        f"{'repair_ms':>9s} {'shipped_ms':>10s} {'repaired':>8s} "
+        f"{'gave_up':>7s}",
+    ]
+    measured = {}
+    for step_s in MOVING_STEPS_S:
+        snapshots = [network.snapshot(MOVING_START_S + index * step_s)
+                     for index in range(MOVING_UPDATES + 1)]
+        scratch = RoutingEngine(network)
+        full_best = repair_best = shipped_best = float("inf")
+        expected = []
+        for rep in range(MOVING_REPS):
+            start = time.perf_counter()
+            solved = [scratch.route_to_many(snapshot, destinations)
+                      for snapshot in snapshots]
+            full_best = min(full_best, (time.perf_counter() - start)
+                            / len(snapshots))
+            expected = expected or solved
+            # Equality is asserted on the first walk of each router.
+            check = expected if rep == 0 else None
+            with mock.patch.object(incremental, "MAX_VIOLATED_SHARE", 1.0):
+                per_update, lifted = _timed_walk(
+                    network, snapshots, destinations, check)
+            repair_best = min(repair_best, per_update)
+            per_update, shipped = _timed_walk(
+                network, snapshots, destinations, check)
+            shipped_best = min(shipped_best, per_update)
+        assert lifted.reweight_repairs == MOVING_UPDATES
+        assert (shipped.reweight_repairs + shipped.fallbacks_large_delta
+                == MOVING_UPDATES)
+        assert shipped.full_solves == 1 + shipped.fallbacks_large_delta
+        violated = lifted.edges_violated / (MOVING_UPDATES * pairs)
+        measured[step_s] = (full_best, shipped_best, shipped)
+        rows.append(
+            f"{step_s:7.1f} {100 * violated:10.2f} {1e3 * full_best:8.2f} "
+            f"{1e3 * repair_best:9.2f} {1e3 * shipped_best:10.2f} "
+            f"{shipped.reweight_repairs:8d} "
+            f"{shipped.fallbacks_large_delta:7d}")
+    full_s, shipped_s, counters = measured[1.0]
+    speedup = full_s / shipped_s
+    rows.append(f"speedup_at_1s         {speedup:10.2f}")
+    rows.append(f"min_speedup_at_1s     {MIN_MOVING_SPEEDUP:10.2f}")
+
+    # Append to (or refresh in) the file the sparse-delta test wrote.
+    path = RESULTS_DIR / "routing_incremental.txt"
+    head = path.read_text().split(MOVING_HEADER)[0] if path.exists() else ""
+    write_result("routing_incremental", head.splitlines() + rows)
+
+    assert counters.reweight_repairs == MOVING_UPDATES
+    assert measured[15.0][2].fallbacks_large_delta > 0
+    if (os.cpu_count() or 1) < SPEEDUP_CORES:
+        pytest.skip(f"speedup gate needs >= {SPEEDUP_CORES} cores "
+                    f"(measured {speedup:.2f}x at 1 s steps)")
+    assert speedup >= MIN_MOVING_SPEEDUP, (
+        f"re-sum repair reached only {speedup:.2f}x over the full solve "
+        f"at 1 s steps (gate {MIN_MOVING_SPEEDUP:.1f}x)")
 
 
 def test_faulted_run_parity_serial_and_workers():

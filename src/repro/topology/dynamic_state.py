@@ -119,10 +119,12 @@ def make_routing_engine(network: LeoNetwork):
     """Build the routing engine a timeline walk uses.
 
     The :class:`~repro.routing.incremental.IncrementalRouter` repairs
-    destination trees between consecutive snapshots when the topology
-    delta is sparse and falls back to the batched from-scratch Dijkstra
-    otherwise — always bit-identical to a plain ``RoutingEngine``, with
-    the choice counted in its ``inc_perf``.
+    destination trees between consecutive snapshots — the stranded
+    region under a sparse delta, a re-sum and one verify pass when
+    satellites moved and every edge reweighted — and runs the batched
+    from-scratch Dijkstra only for a new destination set or a step too
+    long to repair; always bit-identical to a plain ``RoutingEngine``,
+    with the choice counted in its ``inc_perf``.
     """
     # Imported here: repro.routing depends on repro.topology for its
     # type signatures, so a module-level import would be circular.
@@ -145,7 +147,7 @@ def compute_pair_chunk(network: LeoNetwork,
     chunk of the snapshot schedule.  All destination trees of one
     snapshot come from a single batched Dijkstra
     (:meth:`RoutingEngine.route_to_many`), repaired incrementally between
-    snapshots when the topology delta is sparse.
+    snapshots.
 
     Args:
         network: The LEO network to snapshot.

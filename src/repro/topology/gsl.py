@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from ..ground.stations import GroundStation
-from ..ground.visibility import batched_elevation_angles_deg
+from ..ground.visibility import batched_visible_satellites
 
 __all__ = ["GslPolicy", "GslEdges", "compute_gsl_edges"]
 
@@ -94,9 +94,9 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
         Mapping gid -> :class:`GslEdges`.  Stations that see no satellite
         get an empty edge set (they are disconnected at this instant).
 
-    All stations' elevations and slant ranges come from one batched
-    station x satellite computation
-    (:func:`~repro.ground.visibility.batched_elevation_angles_deg`) —
+    All stations' visible satellites and slant ranges come from one
+    batched station x satellite computation
+    (:func:`~repro.ground.visibility.batched_visible_satellites`) —
     this function sits on the per-snapshot hot path of both the
     forwarding controller and the sweep workers.
     """
@@ -108,31 +108,24 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
     else:
         thresholds = np.array([float(min_elevation_deg[station.gid])
                                for station in stations])
-    elevations, distances = batched_elevation_angles_deg(
-        stations, satellite_positions_ecef_m)
-    visible_mask = elevations >= thresholds[:, None]
-    excluded = None
+    station_index, satellite_ids, distances = batched_visible_satellites(
+        stations, satellite_positions_ecef_m, thresholds)
     if excluded_satellites:
         excluded = np.fromiter(excluded_satellites, dtype=np.int64,
                                count=len(excluded_satellites))
-    for row, station in enumerate(stations):
-        visible = np.nonzero(visible_mask[row])[0]
-        if excluded is not None:
-            # np.isin keeps the int64 dtype even when it empties the set.
-            visible = visible[~np.isin(visible, excluded)]
-        if len(visible) == 0:
-            edges[station.gid] = GslEdges(
-                gid=station.gid,
-                satellite_ids=np.empty(0, dtype=np.int64),
-                lengths_m=np.empty(0))
-            continue
-        lengths = distances[row, visible]
-        if policy is GslPolicy.NEAREST_ONLY:
+        keep = ~np.isin(satellite_ids, excluded)
+        station_index = station_index[keep]
+        satellite_ids = satellite_ids[keep]
+        distances = distances[keep]
+    ends = np.cumsum(np.bincount(station_index,
+                                 minlength=len(stations))).tolist()
+    for station, low, high in zip(stations, [0] + ends, ends):
+        visible = satellite_ids[low:high]
+        lengths = distances[low:high]
+        if policy is GslPolicy.NEAREST_ONLY and low < high:
             best = int(np.argmin(lengths))
             visible = visible[best:best + 1]
             lengths = lengths[best:best + 1]
         edges[station.gid] = GslEdges(
-            gid=station.gid,
-            satellite_ids=visible.astype(np.int64),
-            lengths_m=lengths)
+            gid=station.gid, satellite_ids=visible, lengths_m=lengths)
     return edges

@@ -632,3 +632,124 @@ class TestSnapshotTimesProperties:
         from repro.topology.dynamic_state import snapshot_times
         with pytest.raises(ValueError):
             snapshot_times(duration, step)
+
+
+# ----------------------------------------------------------------------
+# Incremental routing: every repair path against the from-scratch engine
+# ----------------------------------------------------------------------
+
+_WALK_SATELLITES = 8
+_WALK_STATIONS = 4          # gid 3 is a relay
+_WALK_LINKS = [(a, b) for a in range(_WALK_SATELLITES)
+               for b in range(a + 1, _WALK_SATELLITES)]
+_WALK_GSLS = [(gid, sat) for gid in range(_WALK_STATIONS)
+              for sat in range(_WALK_SATELLITES)]
+# Few distinct lengths, so exact float ties between paths are common.
+_walk_length = st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.5])
+
+
+def _walk_network():
+    from repro.constellations.builder import Constellation
+    from repro.ground.stations import GroundStation
+    from repro.orbits.shell import Shell
+    from repro.topology.isl import no_isls
+    from repro.topology.network import LeoNetwork
+    shell = Shell(name="W", num_orbits=2, satellites_per_orbit=4,
+                  altitude_m=600_000.0, inclination_deg=53.0)
+    stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                              position=GeodeticPosition(10.0 * gid, 0.0, 0.0),
+                              is_relay=gid == 3)
+                for gid in range(_WALK_STATIONS)]
+    # The snapshots below carry their own (random) links; the network
+    # only supplies the node numbering.
+    return LeoNetwork(Constellation([shell]), stations,
+                      min_elevation_deg=10.0, isl_builder=no_isls)
+
+
+@st.composite
+def graph_walks(draw):
+    """Snapshots of one random small graph: every step reweights all
+    links and toggles a few of them (ISLs and GSLs alike)."""
+    links = set(draw(st.lists(st.sampled_from(_WALK_LINKS), unique=True,
+                              min_size=3, max_size=14)))
+    gsls = set(draw(st.lists(st.sampled_from(_WALK_GSLS), unique=True,
+                             min_size=2, max_size=10)))
+    steps = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        links ^= set(draw(st.lists(st.sampled_from(_WALK_LINKS),
+                                   unique=True, max_size=2)))
+        gsls ^= set(draw(st.lists(st.sampled_from(_WALK_GSLS),
+                                  unique=True, max_size=2)))
+        steps.append((
+            {link: draw(_walk_length) for link in sorted(links)},
+            {gsl: draw(_walk_length) for gsl in sorted(gsls)}))
+    return steps
+
+
+def _walk_snapshot(index, link_lengths, gsl_lengths):
+    from repro.topology.gsl import GslEdges
+    from repro.topology.network import TopologySnapshot
+    gsl_edges = {}
+    for gid in range(_WALK_STATIONS):
+        visible = sorted(sat for station, sat in gsl_lengths
+                         if station == gid)
+        gsl_edges[gid] = GslEdges(
+            gid=gid, satellite_ids=np.array(visible, dtype=np.int64),
+            lengths_m=np.array([gsl_lengths[gid, sat] for sat in visible],
+                               dtype=np.float64))
+    return TopologySnapshot(
+        time_s=float(index),
+        satellite_positions_m=np.zeros((_WALK_SATELLITES, 3)),
+        isl_pairs=np.array(sorted(link_lengths),
+                           dtype=np.int64).reshape(-1, 2),
+        isl_lengths_m=np.array([link_lengths[link]
+                                for link in sorted(link_lengths)],
+                               dtype=np.float64),
+        gsl_edges=gsl_edges,
+        num_satellites=_WALK_SATELLITES,
+        num_ground_stations=_WALK_STATIONS,
+        relay_gids=frozenset({3}))
+
+
+class TestIncrementalRoutingProperties:
+    """Whatever the delta and whichever repair it takes, the incremental
+    router equals a fresh from-scratch engine bit for bit."""
+
+    NETWORK = None
+
+    @given(graph_walks(),
+           st.lists(st.integers(min_value=0, max_value=_WALK_STATIONS - 1),
+                    unique=True, min_size=1),
+           st.sampled_from([0.0, 0.1, 2.0]),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_update_equals_from_scratch(self, steps, destinations,
+                                              fallback_fraction,
+                                              never_give_up):
+        from unittest import mock
+
+        from repro.routing import incremental
+        from repro.routing.engine import RoutingEngine
+        cls = type(self)
+        if cls.NETWORK is None:
+            cls.NETWORK = _walk_network()
+        network = cls.NETWORK
+        router = incremental.IncrementalRouter(
+            network, fallback_fraction=fallback_fraction)
+        # On graphs this small the give-up bound is a violation or two:
+        # lift it in half the runs so the settle sees real work.
+        share = 1.0 if never_give_up else incremental.MAX_VIOLATED_SHARE
+        with mock.patch.object(incremental, "MAX_VIOLATED_SHARE", share):
+            for index, (link_lengths, gsl_lengths) in enumerate(steps):
+                snapshot = _walk_snapshot(index, link_lengths, gsl_lengths)
+                expected = RoutingEngine(network).route_to_many(
+                    snapshot, destinations)
+                repaired = router.route_to_many(snapshot, destinations)
+                assert np.array_equal(expected.distance_m,
+                                      repaired.distance_m)
+                assert np.array_equal(expected.next_hop, repaired.next_hop)
+        counters = router.inc_perf
+        assert counters.full_solves == 1 + counters.fallbacks_large_delta
+        assert counters.repairs + counters.full_solves == len(steps)
+        if never_give_up:
+            assert counters.fallbacks_large_delta == 0

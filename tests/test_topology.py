@@ -200,6 +200,37 @@ class TestGslPolicies:
                 np.linalg.norm(positions - station.ecef_m, axis=1),
                 rtol=1e-12)
 
+    def test_visible_pairs_equal_the_full_elevation_table(
+            self, small_constellation, small_stations):
+        # The bounded shortcut must select exactly what a threshold on
+        # the full table selects, with the same slant-range bits —
+        # including thresholds at 90 degrees and above (a cut station
+        # carries inf: nothing visible, and no RuntimeWarning).
+        import warnings
+
+        from repro.ground.visibility import (batched_elevation_angles_deg,
+                                             batched_visible_satellites)
+        thresholds = np.array([10.0, 0.0, 37.5, 90.0, np.inf, 62.0])
+        for time_s in (0.0, 7.0, 311.0, 1234.5):
+            positions = small_constellation.positions_ecef_m(time_s)
+            elevations, distances = batched_elevation_angles_deg(
+                small_stations, positions)
+            expected = np.nonzero(elevations >= thresholds[:, None])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                station_index, satellite_ids, lengths = (
+                    batched_visible_satellites(small_stations, positions,
+                                               thresholds))
+            assert np.array_equal(station_index, expected[0])
+            assert np.array_equal(satellite_ids, expected[1])
+            assert np.array_equal(lengths, distances[expected])
+            assert satellite_ids.dtype == np.int64
+            assert not np.any(station_index == 4)
+        assert len(station_index) >= 4  # the loose thresholds see some
+        none = batched_visible_satellites(small_stations, positions,
+                                          np.full(6, np.inf))
+        assert [len(part) for part in none] == [0, 0, 0]
+
     def test_mapping_elevation_still_supported(self, small_constellation,
                                                small_stations):
         positions = small_constellation.positions_ecef_m(0.0)
