@@ -30,6 +30,9 @@ smoke:
 	! grep -rnI "BENCH_" src/ examples/ README.md .github/
 	! grep -n "partial(" src/repro/simulation/devices.py \
 	    src/repro/simulation/events.py
+	! grep -rnIE "fallback_fraction|source_ingress_many|distances_to|\bpath_via\b|_search_graph" \
+	    src/ examples/ README.md .claude/
+	wc -l src/repro/routing/*.py
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:

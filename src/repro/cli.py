@@ -70,10 +70,10 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("shell", nargs="?", default=None,
                         help="shell name (optional with --connect / "
                              "--inspect / --resume)")
-    parser.add_argument("--engine", choices=("packet", "fluid"),
+    parser.add_argument("--engine", choices=("packet", "fluid", "aimd"),
                         default="packet",
-                        help="packet simulator (default) or the max-min "
-                             "fluid engine (AIMD is not served yet)")
+                        help="packet simulator (default), the max-min "
+                             "fluid engine or the AIMD fluid engine")
     parser.add_argument("--cities", type=int, default=100,
                         help="ground stations (top-N cities)")
     parser.add_argument("--horizon", type=float, default=60.0,

@@ -29,9 +29,9 @@ one forwarding update come out of a single multi-index
 ``scipy.sparse.csgraph.dijkstra`` call (:meth:`RoutingEngine.route_to_many`).
 
 A source GS's ingress satellite is chosen afterwards by minimizing
-``uplink + satellite-to-destination`` over its visible satellites; with a
-batched result this minimization is vectorized across destinations
-(:meth:`MultiDestinationRouting.source_ingress_many`).
+``uplink + satellite-to-destination`` over its visible satellites; every
+batched query does this for all its pairs in one table
+(:meth:`MultiDestinationRouting.pair_ingress`).
 
 Next hops are *derived from the distances* rather than taken from the
 Dijkstra run's predecessor bookkeeping: a node's next hop toward the
@@ -228,29 +228,42 @@ class MultiDestinationRouting:
             next_hop=self.next_hop[row],
         )
 
-    def source_ingress_many(self, source_edges: GslEdges
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """Best ingress satellite toward *every* destination, vectorized.
+    def pair_ingress(self, snapshot: TopologySnapshot,
+                     src_gids: np.ndarray, dst_gids: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ingress satellite and distance of many pairs, one table.
+
+        One (P, K) ``uplink + satellite-to-destination`` table over
+        inf-padded per-source GSL rows — pad slots last, so ``argmin``'s
+        first minimum is the one
+        :meth:`DestinationRouting.source_ingress` picks, from the same
+        float additions.
 
         Returns:
-            ``(ingress, totals)`` — (D,) arrays where ``ingress[i]`` is the
-            satellite id minimizing uplink + distance toward
-            ``dst_gids[i]`` (``UNREACHABLE`` if none) and ``totals[i]``
-            the resulting source-to-destination distance (``inf`` if
-            disconnected).
+            ``(rows, ingress, totals_m)``, each (P,): the pair's row of
+            this result, the satellite its source enters at and the
+            source-to-destination distance — ``inf`` (and an arbitrary
+            satellite) while the pair is disconnected.
         """
-        num = self.num_destinations
-        if not source_edges.is_connected:
-            return (np.full(num, UNREACHABLE, dtype=np.int64),
-                    np.full(num, np.inf))
-        # (D, K): uplink length + per-destination satellite distance.
-        totals = (source_edges.lengths_m[np.newaxis, :]
-                  + self.distance_m[:, source_edges.satellite_ids])
+        sources, slot = np.unique(src_gids, return_inverse=True)
+        destinations, dst_slot = np.unique(dst_gids, return_inverse=True)
+        rows = np.array([self._row_of[gid]
+                         for gid in destinations.tolist()])[dst_slot]
+        edges = []
+        for gid in sources.tolist():
+            snapshot.gs_node_id(gid)  # rejects a gid out of range
+            edges.append(snapshot.gsl_edges[gid])
+        widths = [len(edge.satellite_ids) for edge in edges]
+        uplink_sat = np.zeros((len(edges), max([1] + widths)), dtype=np.int64)
+        uplink_m = np.full(uplink_sat.shape, np.inf)
+        for i, (edge, width) in enumerate(zip(edges, widths)):
+            uplink_sat[i, :width] = edge.satellite_ids
+            uplink_m[i, :width] = edge.lengths_m
+        sats = uplink_sat[slot]
+        totals = uplink_m[slot] + self.distance_m[rows[:, np.newaxis], sats]
         best = np.argmin(totals, axis=1)
-        best_totals = totals[np.arange(num), best]
-        ingress = source_edges.satellite_ids[best].astype(np.int64)
-        ingress[~np.isfinite(best_totals)] = UNREACHABLE
-        return ingress, best_totals
+        pick = np.arange(len(rows))
+        return rows, sats[pick, best], totals[pick, best]
 
 
 class RoutingEngine:
@@ -298,17 +311,20 @@ class RoutingEngine:
         into one sparse matrix, and computes every destination tree with a
         single multi-index Dijkstra call.
         """
+        return self._update(snapshot, self._unique_gids(dst_gids))
+
+    def _update(self, snapshot: TopologySnapshot,
+                unique_gids: Tuple[int, ...]) -> MultiDestinationRouting:
+        """One forwarding update: graph, trees (:meth:`_trees`), accounting."""
         profiler = spans.ACTIVE
         span = (profiler.begin("routing.route_to_many")
                 if profiler.enabled else -1)
         start = time.perf_counter()
-        unique_gids = self._unique_gids(dst_gids)
         graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
                                                            unique_gids)
-        distances, next_hop = self.solve_trees(graph, dst_nodes, coo)
+        distances, next_hop = self._trees(graph, dst_nodes, coo, unique_gids)
         elapsed = time.perf_counter() - start
         self.perf.trees_computed += len(unique_gids)
-        self.perf.dijkstra_calls += 1
         self.perf.routing_compute_s += elapsed
         tracer = self._tracer
         if tracer.enabled:
@@ -317,12 +333,20 @@ class RoutingEngine:
         if span != -1:
             profiler.end(span)
         return MultiDestinationRouting(
-            dst_gids=tuple(unique_gids),
+            dst_gids=unique_gids,
             dst_nodes=dst_nodes,
             distance_m=distances,
             next_hop=next_hop,
             _row_of={gid: i for i, gid in enumerate(unique_gids)},
         )
+
+    def _trees(self, graph: csr_matrix, dst_nodes: np.ndarray,
+               coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
+               unique_gids: Tuple[int, ...]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """The update's ``(distances, next_hop)``: here always a solve."""
+        self.perf.dijkstra_calls += 1
+        return self.solve_trees(graph, dst_nodes, coo)
 
     def route_to(self, snapshot: TopologySnapshot,
                  dst_gid: int) -> DestinationRouting:
@@ -331,15 +355,9 @@ class RoutingEngine:
         return multi.routing_for(dst_gid)
 
     @staticmethod
-    def _unique_gids(dst_gids: Sequence[int]) -> List[int]:
+    def _unique_gids(dst_gids: Sequence[int]) -> Tuple[int, ...]:
         """Deduplicated int destination gids, first occurrence wins."""
-        unique_gids: List[int] = []
-        seen = set()
-        for gid in dst_gids:
-            gid = int(gid)
-            if gid not in seen:
-                seen.add(gid)
-                unique_gids.append(gid)
+        unique_gids = tuple(dict.fromkeys(int(gid) for gid in dst_gids))
         if not unique_gids:
             raise ValueError("need at least one destination gid")
         return unique_gids
@@ -471,13 +489,13 @@ class RoutingEngine:
         """Shortest-path distance between two GSes; inf if disconnected.
 
         A station is at distance 0 from itself (consistent with
-        :meth:`distances_to` and :meth:`all_pairs_distance_m`).
+        :meth:`all_pairs_distance_m`).
         """
         if src_gid == dst_gid:
             return 0.0
-        routing = self.route_to(snapshot, dst_gid)
-        _, distance = routing.source_ingress(snapshot.gsl_edges[src_gid])
-        return distance
+        multi = self.route_to_many(snapshot, [dst_gid])
+        return float(multi.pair_ingress(
+            snapshot, np.array([src_gid]), np.array([dst_gid]))[2][0])
 
     def pair_rtt_s(self, snapshot: TopologySnapshot,
                    src_gid: int, dst_gid: int) -> float:
@@ -493,13 +511,6 @@ class RoutingEngine:
         and may include relay GS nodes in bent-pipe mode.
         """
         return self.paths_many(snapshot, [(src_gid, dst_gid)])[0]
-
-    def path_via(self, routing: DestinationRouting,
-                 snapshot: TopologySnapshot,
-                 src_gid: int) -> Optional[List[int]]:
-        """Like :meth:`path` but reusing an existing destination tree."""
-        path, _ = self.path_and_distance_via(routing, snapshot, src_gid)
-        return path
 
     def path_and_distance_via(self, routing: DestinationRouting,
                               snapshot: TopologySnapshot, src_gid: int
@@ -526,12 +537,10 @@ class RoutingEngine:
                                        np.ndarray]:
         """Shortest paths and distances of many pairs, one batched walk.
 
-        Every pair's ingress satellite comes from one (P, K) ``uplink +
-        satellite-to-destination`` table over inf-padded per-source GSL
-        rows — pad slots last, so ``argmin``'s first minimum is the one
-        :meth:`DestinationRouting.source_ingress` picks, from the same
-        float additions — and all pairs then follow their destination's
-        ``next_hop`` row together, one hop per iteration.
+        Every pair enters at the satellite
+        :meth:`MultiDestinationRouting.pair_ingress` picks, and all
+        pairs then follow their destination's ``next_hop`` row together,
+        one hop per iteration.
 
         Args:
             multi: Trees covering every destination in ``pairs``.
@@ -549,25 +558,10 @@ class RoutingEngine:
         if not num_pairs:
             return [], distances
         src_gids, dst_gids = np.array(pairs, dtype=np.int64).T
-        sources, slot = np.unique(src_gids, return_inverse=True)
-        src_nodes = np.array([snapshot.gs_node_id(gid)
-                              for gid in sources.tolist()])[slot]
-        destinations, dst_slot = np.unique(dst_gids, return_inverse=True)
-        rows = np.array([multi._row_of[gid]
-                         for gid in destinations.tolist()])[dst_slot]
-        edges = [snapshot.gsl_edges[gid] for gid in sources.tolist()]
-        widths = [len(edge.satellite_ids) for edge in edges]
-        uplink_sat = np.zeros((len(edges), max(1, *widths)), dtype=np.int64)
-        uplink_m = np.full(uplink_sat.shape, np.inf)
-        for i, (edge, width) in enumerate(zip(edges, widths)):
-            uplink_sat[i, :width] = edge.satellite_ids
-            uplink_m[i, :width] = edge.lengths_m
-        sats = uplink_sat[slot]
-        totals = uplink_m[slot] + multi.distance_m[rows[:, np.newaxis], sats]
-        best = np.argmin(totals, axis=1)
-        best_totals = totals[np.arange(num_pairs), best]
+        rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
+                                                        dst_gids)
         walking = np.flatnonzero(np.isfinite(best_totals))
-        current = sats[walking, best[walking]]
+        current = ingress[walking]
         rows, dst_nodes = rows[walking], multi.dst_nodes[rows[walking]]
         # Level i holds the (i+1)-th node of every pair still walking.
         levels: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -585,7 +579,7 @@ class RoutingEngine:
             walking, current = walking[keep], current[keep]
             rows, dst_nodes = rows[keep], dst_nodes[keep]
         table = np.empty((num_pairs, len(levels) + 1), dtype=np.int64)
-        table[:, 0] = src_nodes
+        table[:, 0] = self._num_sats + src_gids
         for level, (members, nodes) in enumerate(levels, start=1):
             table[members, level] = nodes
         routed = hops > 0
@@ -613,39 +607,23 @@ class RoutingEngine:
         multi = self.route_to_many(snapshot, [dst for _, dst in pairs])
         return self.paths_and_distances(multi, snapshot, pairs)[0]
 
-    def distances_to(self, snapshot: TopologySnapshot, dst_gid: int,
-                     src_gids: Sequence[int]) -> np.ndarray:
-        """Distances from many sources to one destination (meters)."""
-        routing = self.route_to(snapshot, dst_gid)
-        out = np.empty(len(src_gids))
-        for i, src_gid in enumerate(src_gids):
-            if src_gid == dst_gid:
-                out[i] = 0.0
-                continue
-            _, out[i] = routing.source_ingress(snapshot.gsl_edges[src_gid])
-        return out
-
     def all_pairs_distance_m(self, snapshot: TopologySnapshot,
                              gids: Optional[Sequence[int]] = None
                              ) -> np.ndarray:
         """(G, G) matrix of GS-to-GS shortest-path distances.
 
-        All destination trees come from one batched Dijkstra; each row is
-        then a vectorized ingress minimization.  Symmetric by construction
-        (links are symmetric); entry ``[i, j]`` is ``inf`` where no path
-        exists and 0 wherever ``gids[i] == gids[j]``.
+        All destination trees come from one batched Dijkstra, each row
+        from one ingress table.  Symmetric by construction (links are
+        symmetric); entry ``[i, j]`` is ``inf`` where no path exists and
+        0 wherever ``gids[i] == gids[j]``.
         """
         if gids is None:
             gids = range(self.network.num_ground_stations)
-        gids = [int(g) for g in gids]
+        gids = np.asarray(gids, dtype=np.int64)
         multi = self.route_to_many(snapshot, gids)
-        # Column -> batched row (distinct only if gids held duplicates).
-        columns = [multi._row_of[gid] for gid in gids]
-        matrix = np.zeros((len(gids), len(gids)))
+        matrix = np.empty((len(gids), len(gids)))
         for i, src_gid in enumerate(gids):
-            _, totals = multi.source_ingress_many(
-                snapshot.gsl_edges[src_gid])
-            matrix[i, :] = totals[columns]
-        same = np.equal.outer(np.asarray(gids), np.asarray(gids))
-        matrix[same] = 0.0
+            matrix[i] = multi.pair_ingress(
+                snapshot, np.full(len(gids), src_gid), gids)[2]
+        matrix[np.equal.outer(gids, gids)] = 0.0
         return matrix

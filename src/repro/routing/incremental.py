@@ -51,7 +51,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from ..obs import spans
-from ..obs.trace import ROUTING_COMPUTE, Tracer
+from ..obs.trace import Tracer
 from ..topology.network import LeoNetwork, TopologySnapshot
 from .engine import (MultiDestinationRouting, RoutingEngine,
                      RoutingPerfCounters, UNREACHABLE)
@@ -66,6 +66,12 @@ __all__ = ["GraphDelta", "IncrementalPerfCounters", "IncrementalRouter",
 #: S1 x 100) and below the share where settling costs a full solve on
 #: top (about 4 %): the table in results/routing_incremental.txt.
 MAX_VIOLATED_SHARE = 0.025
+
+#: A delta that changes at most this share of the directed edges (an
+#: outage beginning or ending) takes the affected-vertex repair; a
+#: denser one (satellites moved, every edge reweighted) the re-sum
+#: repair.  Real deltas sit far from the boundary on either side.
+SPARSE_DELTA_SHARE = 0.1
 
 #: Edges per block of the verify pass; its (block, D) float temporaries
 #: must stay cache-resident.
@@ -213,40 +219,20 @@ class IncrementalPerfCounters:
 class IncrementalRouter(RoutingEngine):
     """A :class:`RoutingEngine` that repairs trees between snapshots.
 
-    Drop-in replacement: every inherited query (``path_via``,
-    ``paths_many``, ``all_pairs_distance_m``, ...) funnels through the
-    overridden :meth:`route_to_many`, which diffs the new update's
-    routing graph against the previous one and repairs the cached
-    destination trees (see the module docstring for the two repairs).
-
-    Args:
-        network: The LEO network (see :class:`RoutingEngine`).
-        perf: Optional shared routing perf counters.
-        tracer: Optional trace-event sink.
-        fallback_fraction: Affected-vertex repair while
-            ``changed_edges <= fallback_fraction * num_edges``; larger
-            deltas (every ISL length changes when satellites move) take
-            the re-sum repair instead.  Any value >= the maximum
-            possible fraction (e.g. ``2.0``) forces the affected-vertex
-            path always — correct but slow on dense deltas, used by the
-            parity tests.
-        inc_perf: Optional shared :class:`IncrementalPerfCounters`.
+    Drop-in replacement: every inherited query (``paths_many``,
+    ``all_pairs_distance_m``, ...) funnels through :meth:`route_to_many`,
+    whose :meth:`_trees` hook diffs the update's routing graph against
+    the previous one and repairs the remembered destination trees (see
+    the module docstring for the two repairs).  :attr:`inc_perf` counts
+    which path each update took.
     """
 
     def __init__(self, network: LeoNetwork,
                  perf: Optional[RoutingPerfCounters] = None,
-                 tracer: Optional[Tracer] = None,
-                 fallback_fraction: float = 0.1,
-                 inc_perf: Optional[IncrementalPerfCounters] = None) -> None:
+                 tracer: Optional[Tracer] = None) -> None:
         super().__init__(network, perf=perf, tracer=tracer)
-        if fallback_fraction < 0.0:
-            raise ValueError(
-                f"fallback fraction must be >= 0, got {fallback_fraction}")
-        self.fallback_fraction = fallback_fraction
-        self.inc_perf = (inc_perf if inc_perf is not None
-                         else IncrementalPerfCounters())
+        self.inc_perf = IncrementalPerfCounters()
         self._prev_snapshot: Optional[TopologySnapshot] = None
-        self._prev_gids: Optional[Tuple[int, ...]] = None
         self._prev_coo: Optional[Tuple[np.ndarray, np.ndarray,
                                        np.ndarray]] = None
         self._prev_result: Optional[MultiDestinationRouting] = None
@@ -268,50 +254,31 @@ class IncrementalRouter(RoutingEngine):
         solve) runs.
         """
         unique_gids = self._unique_gids(dst_gids)
-        if (self._prev_result is not None
-                and snapshot is self._prev_snapshot
-                and tuple(unique_gids) == self._prev_gids):
+        if (snapshot is self._prev_snapshot
+                and unique_gids == self._prev_result.dst_gids):
             self.inc_perf.snapshot_cache_hits += 1
             return self._prev_result
-        profiler = spans.ACTIVE
-        span = (profiler.begin("routing.route_to_many")
-                if profiler.enabled else -1)
-        start = time.perf_counter()
-        graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
-                                                           unique_gids)
+        self._prev_result = self._update(snapshot, unique_gids)
+        self._prev_snapshot = snapshot
+        return self._prev_result
+
+    def _trees(self, graph: csr_matrix, dst_nodes: np.ndarray,
+               coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
+               unique_gids: Tuple[int, ...]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Repair the remembered trees onto ``graph``, or solve afresh."""
         solved = None
         if self._prev_coo is not None:  # else cold: nothing to repair
-            if tuple(unique_gids) == self._prev_gids:
+            if unique_gids == self._prev_result.dst_gids:
                 solved = self._repair(graph, dst_nodes, coo)
             else:
                 self.inc_perf.destination_changes += 1
         if solved is None:
-            solved = self.solve_trees(graph, dst_nodes, coo)
+            solved = super()._trees(graph, dst_nodes, coo, unique_gids)
             self._prev_parent_edge = None
             self.inc_perf.full_solves += 1
-            self.perf.dijkstra_calls += 1
-        distances, next_hop = solved
-        elapsed = time.perf_counter() - start
-        self.perf.trees_computed += len(unique_gids)
-        self.perf.routing_compute_s += elapsed
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(float(snapshot.time_s), ROUTING_COMPUTE,
-                        seq=len(unique_gids), value=elapsed)
-        result = MultiDestinationRouting(
-            dst_gids=tuple(unique_gids),
-            dst_nodes=dst_nodes,
-            distance_m=distances,
-            next_hop=next_hop,
-            _row_of={gid: i for i, gid in enumerate(unique_gids)},
-        )
-        self._prev_snapshot = snapshot
-        self._prev_gids = tuple(unique_gids)
         self._prev_coo = coo
-        self._prev_result = result
-        if span != -1:
-            profiler.end(span)
-        return result
+        return solved
 
     def _repair(self, graph: csr_matrix, dst_nodes: np.ndarray,
                 coo: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -319,7 +286,7 @@ class IncrementalRouter(RoutingEngine):
         """Repair the previous trees onto ``graph``; None to solve afresh.
 
         The choice rests on the delta alone: a changed-edge share within
-        ``fallback_fraction`` takes the affected-vertex repair, whose
+        ``SPARSE_DELTA_SHARE`` takes the affected-vertex repair, whose
         work is proportional to the stranded region; a denser delta
         (satellites moved, every edge reweighted) takes the re-sum
         repair, whose work is one pass over all (edge, tree) pairs and
@@ -334,7 +301,7 @@ class IncrementalRouter(RoutingEngine):
         delta = diff_graphs(*self._prev_coo, *coo, self._num_nodes)
         counters = self.inc_perf
         counters.edges_changed += delta.num_changed
-        if delta.change_fraction <= self.fallback_fraction:
+        if delta.change_fraction <= SPARSE_DELTA_SHARE:
             solved = self._repair_trees(graph, delta)
         else:
             solved = self._reweight_trees(graph, dst_nodes, coo, delta)

@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import pickle
 from typing import Any, BinaryIO, Dict, Optional, Tuple
 
@@ -158,7 +159,7 @@ class Checkpoint:
 
     Args:
         spec: The network spec the simulator was built from.
-        engine: ``"packet"`` or ``"fluid"``.
+        engine: ``"packet"``, ``"fluid"``, ``"aimd"`` or ``"sweep"``.
         time_s: Simulated time the state was captured at.
         payload: The picklable live object graph — for the packet
             engine the simulator and its applications, for the fluid
@@ -177,9 +178,9 @@ class Checkpoint:
                  meta: Optional[Dict[str, Any]] = None,
                  format_version: int = CHECKPOINT_FORMAT_VERSION,
                  spec_hash: Optional[str] = None) -> None:
-        if engine not in ("packet", "fluid", "sweep"):
+        if engine not in ("packet", "fluid", "aimd", "sweep"):
             raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'packet', 'fluid', or 'sweep'")
+                             f"use 'packet', 'fluid', 'aimd' or 'sweep'")
         self.spec = spec
         self.engine = engine
         self.time_s = float(time_s)
@@ -220,9 +221,21 @@ def _write(stream: BinaryIO, checkpoint: Checkpoint) -> None:
 
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> Dict[str, Any]:
-    """Write a checkpoint file; returns the header that was stamped."""
-    with open(path, "wb") as stream:
-        _write(stream, checkpoint)
+    """Write a checkpoint file; returns the header that was stamped.
+
+    The bytes go to a temporary file beside ``path`` that replaces it
+    only once complete: a write that fails (unpicklable payload, full
+    disk, killed process) leaves the previous checkpoint as it was.
+    """
+    temp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp_path, "wb") as stream:
+            _write(stream, checkpoint)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
     return checkpoint.header()
 
 

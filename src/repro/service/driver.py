@@ -1,7 +1,7 @@
 """The live simulation core: build, advance, mutate, checkpoint.
 
 A :class:`LiveSimulationService` wraps one engine — the packet
-simulator or the max-min fluid engine — built from a
+simulator or one of the fluid engines (max-min, AIMD) — built from a
 picklable :class:`~repro.sweep.spec.NetworkSpec`, and exposes the
 operations a long-lived service needs:
 
@@ -28,11 +28,6 @@ drops, FCTs, ``traffic.*`` metrics — as having built the service with
 them present from t=0 (only the demand-driven routing *work* counters
 may differ, since mid-run installs compute their destination trees at
 install time instead of inside a scheduled refresh batch).
-
-The engine choice excludes the AIMD fluid engine: it runs on the same
-resumable loop and state as max-min, but no service test or benchmark
-covers it yet — asking for it raises :class:`ServiceError` rather than
-offering an unproven checkpoint contract.
 """
 
 from __future__ import annotations
@@ -45,6 +40,7 @@ import numpy as np
 from ..cc.factory import ControllerFlowFactory
 from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
+from ..fluid.aimd import AimdFluidSimulation
 from ..fluid.engine import FluidRunState, FluidSimulation
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
@@ -59,6 +55,10 @@ from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
 
 __all__ = ["LiveSimulationService", "ServiceError"]
 
+#: The fluid engines by ``engine`` name; they share one resumable loop
+#: and run state, so everything past construction is common.
+_FLUID_ENGINES = {"fluid": FluidSimulation, "aimd": AimdFluidSimulation}
+
 
 class ServiceError(RuntimeError):
     """A service command could not be applied to the live simulator."""
@@ -70,8 +70,8 @@ class LiveSimulationService:
     Args:
         spec: The network recipe; must be spec-expressible (registered
             ISL builder) so checkpoints can identify the network.
-        engine: ``"packet"`` or ``"fluid"`` (the max-min engine; AIMD
-            is not served and is rejected).
+        engine: ``"packet"``, ``"fluid"`` (the max-min engine) or
+            ``"aimd"``.
         horizon_s: Simulated end of the run.  Required — both engines
             pre-commit their snapshot/epoch schedule to it.
         epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
@@ -106,11 +106,10 @@ class LiveSimulationService:
                  controller: Optional[str] = None,
                  controller_kwargs: Optional[Dict[str, Any]] = None,
                  meta: Optional[Dict[str, Any]] = None) -> None:
-        if engine not in ("packet", "fluid"):
+        if engine != "packet" and engine not in _FLUID_ENGINES:
             raise ServiceError(
-                f"unknown or unserved engine {engine!r}; the service "
-                f"supports 'packet' and 'fluid' (max-min) — the AIMD "
-                f"fluid engine has no service coverage yet")
+                f"unknown engine {engine!r}; the service supports "
+                f"'packet', 'fluid' (max-min) and 'aimd'")
         if controller is not None and engine != "packet":
             raise ServiceError(
                 "congestion controllers steer packet-engine flows; the "
@@ -159,7 +158,7 @@ class LiveSimulationService:
                     "on the spec (NetworkSpec.with_workload)")
             self.sim = None
             self._spawners = []
-            self.fluid = FluidSimulation(
+            self.fluid = _FLUID_ENGINES[engine](
                 self.network, spec.workload.as_fluid_flows(),
                 link_capacity_bps=link_capacity_bps,
                 metrics=self.metrics)

@@ -34,7 +34,40 @@ from ..obs import spans
 from ..traffic.arrivals import WorkloadSchedule
 from .driver import LiveSimulationService, ServiceError
 
-__all__ = ["ServiceServer", "serve_forever"]
+__all__ = ["MAX_LINE_BYTES", "ServiceServer", "serve_forever"]
+
+#: Longest command line the server buffers (asyncio's default is
+#: 64 KiB, which a large ``attach_workload`` outgrows).  A longer line
+#: is answered with an error and its connection closed.
+MAX_LINE_BYTES = 1 << 18
+
+
+class LineTooLong(ServiceError):
+    """A command line longer than :data:`MAX_LINE_BYTES`."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next command line; what is left (maybe ``b""``) at end of stream.
+
+    An over-long line is read past — in pieces, nothing kept — before
+    :class:`LineTooLong` is raised, so the connection can be answered
+    and closed with no input left unread (closing over unread input
+    resets the connection and can lose the answer).
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as end:
+            line = end.partial
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+            too_long = True
+            continue
+        if too_long:
+            raise LineTooLong(
+                f"command line exceeds {MAX_LINE_BYTES} bytes")
+        return line
 
 
 class ServiceServer:
@@ -70,7 +103,7 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the socket and start the pacing loop (if paced)."""
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port)
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.pace > 0.0:
             self._pacer = asyncio.ensure_future(self._pace_epochs())
@@ -106,15 +139,17 @@ class ServiceServer:
                              writer: asyncio.StreamWriter) -> None:
         try:
             while not self._stopping.is_set():
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
+                    line = await _read_line(reader)
+                    if not line:
+                        break
                     response = self._dispatch(json.loads(line.decode()))
                 except (ServiceError, ValueError, KeyError, TypeError,
                         OverflowError) as error:
                     response = {"ok": False,
                                 "error": f"{type(error).__name__}: {error}"}
+                    if isinstance(error, LineTooLong):
+                        response["bye"] = True
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
                 if response.get("bye"):

@@ -1,6 +1,8 @@
 """Tests for the paper-§7 extension features: multipath routing, the
 weather model, Doppler analysis, and satellite-failure injection."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -99,22 +101,61 @@ class TestEdgeDisjointPaths:
             edge_disjoint_paths(snap, 2, 2, max_paths=4)
 
 
+def _pruned_graph(snap, src, dst):
+    """The pair's search graph built the slow way: every third-party
+    non-relay ground station removed from a fresh copy."""
+    graph = snap.to_networkx()
+    for gid in range(snap.num_ground_stations):
+        if gid not in (src, dst) and gid not in snap.relay_gids:
+            graph.remove_node(snap.gs_node_id(gid))
+    return graph
+
+
 class TestBatchedMultipath:
     PAIRS = [(0, 3), (1, 4), (2, 5), (0, 5)]
 
+    def _assert_well_formed(self, network, snap, pair, found):
+        assert found
+        distances = [distance for _, distance in found]
+        assert distances == sorted(distances)
+        for path, _ in found:
+            assert path[0] == snap.gs_node_id(pair[0])
+            assert path[-1] == snap.gs_node_id(pair[1])
+            assert len(path) == len(set(path))  # loopless
+            assert all(node < network.num_satellites
+                       for node in path[1:-1])  # no third-party GS
+
     def test_k_shortest_many_matches_per_pair(self, small_network):
+        import networkx as nx
         snap = small_network.snapshot(0.0)
         batched = k_shortest_paths_many(snap, self.PAIRS, k=3)
         assert set(batched) == set(self.PAIRS)
-        for pair in self.PAIRS:
-            assert batched[pair] == k_shortest_paths(snap, *pair, k=3)
+        for pair, found in batched.items():
+            self._assert_well_formed(small_network, snap, pair, found)
+            # The overlay search finds what a search of the pair's own
+            # pruned copy does.
+            oracle = nx.shortest_simple_paths(
+                _pruned_graph(snap, *pair), snap.gs_node_id(pair[0]),
+                snap.gs_node_id(pair[1]), weight="distance_m")
+            assert [path for path, _ in found] == list(islice(oracle, 3))
 
     def test_edge_disjoint_many_matches_per_pair(self, small_network):
+        import networkx as nx
         snap = small_network.snapshot(0.0)
         batched = edge_disjoint_paths_many(snap, self.PAIRS, max_paths=3)
-        for pair in self.PAIRS:
-            assert batched[pair] == edge_disjoint_paths(
-                snap, *pair, max_paths=3)
+        assert set(batched) == set(self.PAIRS)
+        for pair, found in batched.items():
+            self._assert_well_formed(small_network, snap, pair, found)
+            edges = [frozenset(edge) for path, _ in found
+                     for edge in zip(path, path[1:])]
+            assert len(edges) == len(set(edges))
+            # Greedy elimination on a pruned copy gives the same set.
+            graph = _pruned_graph(snap, *pair)
+            for path, distance in found:
+                assert path == nx.shortest_path(
+                    graph, path[0], path[-1], weight="distance_m")
+                assert distance == path_distance_m(graph, path)
+                graph.remove_edges_from(list(zip(path, path[1:])))
 
     def test_duplicates_collapse(self, small_network):
         snap = small_network.snapshot(0.0)

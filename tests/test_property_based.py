@@ -724,7 +724,7 @@ class TestIncrementalRoutingProperties:
            st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_every_update_equals_from_scratch(self, steps, destinations,
-                                              fallback_fraction,
+                                              sparse_share,
                                               never_give_up):
         from unittest import mock
 
@@ -734,12 +734,12 @@ class TestIncrementalRoutingProperties:
         if cls.NETWORK is None:
             cls.NETWORK = _walk_network()
         network = cls.NETWORK
-        router = incremental.IncrementalRouter(
-            network, fallback_fraction=fallback_fraction)
+        router = incremental.IncrementalRouter(network)
         # On graphs this small the give-up bound is a violation or two:
         # lift it in half the runs so the settle sees real work.
         share = 1.0 if never_give_up else incremental.MAX_VIOLATED_SHARE
-        with mock.patch.object(incremental, "MAX_VIOLATED_SHARE", share):
+        with mock.patch.multiple(incremental, MAX_VIOLATED_SHARE=share,
+                                 SPARSE_DELTA_SHARE=sparse_share):
             for index, (link_lengths, gsl_lengths) in enumerate(steps):
                 snapshot = _walk_snapshot(index, link_lengths, gsl_lengths)
                 expected = RoutingEngine(network).route_to_many(
@@ -753,3 +753,47 @@ class TestIncrementalRoutingProperties:
         assert counters.repairs + counters.full_solves == len(steps)
         if never_give_up:
             assert counters.fallbacks_large_delta == 0
+
+
+class TestIngressRuleProperties:
+    """One ingress rule: every distance query agrees bit for bit, and
+    all agree with networkx Dijkstra on the snapshot graph."""
+
+    NETWORK = None
+
+    @given(graph_walks())
+    @settings(max_examples=100, deadline=None)
+    def test_distance_queries_agree(self, steps):
+        import networkx as nx
+
+        from repro.routing.engine import RoutingEngine
+        cls = type(self)
+        if cls.NETWORK is None:
+            cls.NETWORK = _walk_network()
+        engine = RoutingEngine(cls.NETWORK)
+        gids = range(_WALK_STATIONS)
+        pairs = [(src, dst) for src in gids for dst in gids if src != dst]
+        for index, (link_lengths, gsl_lengths) in enumerate(steps):
+            snapshot = _walk_snapshot(index, link_lengths, gsl_lengths)
+            multi = engine.route_to_many(snapshot, gids)
+            _, distances = engine.paths_and_distances(multi, snapshot, pairs)
+            matrix = engine.all_pairs_distance_m(snapshot)
+            assert not np.diag(matrix).any()
+            graph = snapshot.to_networkx()
+            for (src, dst), distance in zip(pairs, distances.tolist()):
+                assert matrix[src, dst] == distance
+                assert engine.pair_distance_m(snapshot, src, dst) == distance
+                assert multi.routing_for(dst).source_ingress(
+                    snapshot.gsl_edges[src])[1] == distance
+                # Third-party non-relay stations cannot forward.
+                view = nx.restricted_view(
+                    graph, [snapshot.gs_node_id(gid) for gid in gids
+                            if gid not in (src, dst)
+                            and gid not in snapshot.relay_gids], ())
+                try:
+                    expected = nx.shortest_path_length(
+                        view, snapshot.gs_node_id(src),
+                        snapshot.gs_node_id(dst), weight="distance_m")
+                except nx.NetworkXNoPath:
+                    expected = math.inf
+                assert distance == pytest.approx(expected, rel=1e-9)

@@ -73,7 +73,7 @@ class TestRouteTo:
             for src in range(6):
                 if src == dst:
                     continue
-                path = engine.path_via(routing, snap, src)
+                path, _ = engine.path_and_distance_via(routing, snap, src)
                 if path is None:
                     continue
                 for node in path[1:-1]:
@@ -120,20 +120,20 @@ class TestBatchedRouting:
 
     def test_source_ingress_many_matches_scalar(self, small_network,
                                                 engine):
+        """The batched ingress table picks the scalar rule's satellite
+        and total for every (source, destination) pair."""
         snap = small_network.snapshot(0.0)
         multi = engine.route_to_many(snap, [1, 2, 4])
-        for src_gid in range(6):
-            edges = snap.gsl_edges[src_gid]
-            ingress, totals = multi.source_ingress_many(edges)
-            for row, dst_gid in enumerate(multi.dst_gids):
-                expected_sat, expected_total = \
-                    multi.routing_for(dst_gid).source_ingress(edges)
-                if expected_sat is None:
-                    assert ingress[row] == UNREACHABLE
-                    assert totals[row] == np.inf
-                else:
-                    assert ingress[row] == expected_sat
-                    assert totals[row] == expected_total
+        pairs = [(src, dst) for src in range(6) for dst in multi.dst_gids]
+        rows, ingress, totals = multi.pair_ingress(
+            snap, *np.array(pairs, dtype=np.int64).T)
+        for i, (src_gid, dst_gid) in enumerate(pairs):
+            assert multi.dst_gids[rows[i]] == dst_gid
+            expected_sat, expected_total = multi.routing_for(
+                dst_gid).source_ingress(snap.gsl_edges[src_gid])
+            assert totals[i] == expected_total
+            if expected_sat is not None:
+                assert ingress[i] == expected_sat
 
     def test_transit_cache_reused_within_snapshot(self, small_network,
                                                   engine):
@@ -206,14 +206,11 @@ class TestPairQueries:
             assert actual == pytest.approx(expected, rel=1e-9)
 
     def test_same_gid_distance_is_zero(self, small_network, engine):
-        """Regression: a station is at distance 0 from itself; the old
-        code returned an uplink-based value inconsistent with
-        ``distances_to``."""
+        """Regression: a station is at distance 0 from itself, not an
+        uplink-based value."""
         snap = small_network.snapshot(0.0)
         assert engine.pair_distance_m(snap, 2, 2) == 0.0
         assert engine.pair_rtt_s(snap, 2, 2) == 0.0
-        distances = engine.distances_to(snap, 2, [0, 2, 4])
-        assert distances[1] == 0.0
 
     def test_rtt_is_distance_at_lightspeed(self, small_network, engine):
         snap = small_network.snapshot(0.0)

@@ -6,7 +6,7 @@ vertex repair, re-sum repair, or full solve — its distances and next
 hops are bit-identical to a from-scratch :class:`RoutingEngine` on the
 same snapshot.  ``TestIncrementalParity`` forces the affected-vertex
 path on *dense* deltas (every ISL length changes between snapshots)
-with a huge fallback fraction and exercises its natural sparse-delta
+by patching ``SPARSE_DELTA_SHARE`` and exercises its natural sparse-delta
 case with fault-style masked topologies; ``TestReweightRepair`` walks
 moving timelines through the default router, where dense deltas take
 the re-sum repair.
@@ -112,12 +112,19 @@ class TestDiffGraphs:
         assert delta.change_fraction == pytest.approx(0.5)
 
 
+@pytest.fixture
+def affected_vertex_always(monkeypatch):
+    """Every delta counts as sparse: the affected-vertex repair runs even
+    where satellites moved (correct, just slow on dense deltas)."""
+    monkeypatch.setattr("repro.routing.incremental.SPARSE_DELTA_SHARE", 2.0)
+
+
 class TestIncrementalParity:
-    def test_dense_deltas_forced_through_repair(self, small_network):
-        # Every ISL/GSL length changes as satellites move; a huge
-        # fallback fraction still forces the affected-vertex repair.
+    def test_dense_deltas_forced_through_repair(self, small_network,
+                                                affected_vertex_always):
+        # Every ISL/GSL length changes as satellites move.
         scratch = RoutingEngine(small_network)
-        router = IncrementalRouter(small_network, fallback_fraction=2.0)
+        router = IncrementalRouter(small_network)
         for t in np.arange(0.0, 6.0, 1.0):
             snapshot = small_network.snapshot(float(t))
             assert_same_routing(scratch.route_to_many(snapshot, DESTINATIONS),
@@ -161,7 +168,7 @@ class TestIncrementalParity:
         assert router.inc_perf.vertices_invalidated > 0
 
     def test_fault_schedule_parity(self, small_constellation,
-                                   small_stations):
+                                   small_stations, affected_vertex_always):
         # Outage waves switching on and off between snapshots, on top of
         # orbital motion; repair forced throughout.
         faults = FaultSchedule([
@@ -173,7 +180,7 @@ class TestIncrementalParity:
         network = LeoNetwork(small_constellation, small_stations,
                              min_elevation_deg=10.0, faults=faults)
         scratch = RoutingEngine(network)
-        router = IncrementalRouter(network, fallback_fraction=2.0)
+        router = IncrementalRouter(network)
         for t in np.arange(0.0, 6.0, 0.5):
             snapshot = network.snapshot(float(t))
             assert_same_routing(scratch.route_to_many(snapshot, DESTINATIONS),
@@ -188,8 +195,9 @@ class TestIncrementalParity:
         assert second is first
         assert router.inc_perf.snapshot_cache_hits == 1
 
-    def test_destination_change_forces_full_solve(self, small_network):
-        router = IncrementalRouter(small_network, fallback_fraction=2.0)
+    def test_destination_change_forces_full_solve(self, small_network,
+                                                  affected_vertex_always):
+        router = IncrementalRouter(small_network)
         snapshot = small_network.snapshot(0.0)
         router.route_to_many(snapshot, [1, 2])
         router.route_to_many(small_network.snapshot(1.0), [1, 3])
@@ -210,9 +218,10 @@ class TestIncrementalParity:
         assert summary["reweight_repairs"] == 2
         assert summary["edges_violated"] == 7
 
-    def test_path_queries_match(self, small_network):
+    def test_path_queries_match(self, small_network,
+                                affected_vertex_always):
         scratch = RoutingEngine(small_network)
-        router = IncrementalRouter(small_network, fallback_fraction=2.0)
+        router = IncrementalRouter(small_network)
         for t in (0.0, 1.0, 2.0):
             snapshot = small_network.snapshot(t)
             expected = scratch.route_to_many(snapshot, DESTINATIONS)
@@ -225,10 +234,6 @@ class TestIncrementalParity:
                         expected.routing_for(dst), snapshot, src
                     ) == router.path_and_distance_via(
                         repaired.routing_for(dst), snapshot, src)
-
-    def test_validation(self, small_network):
-        with pytest.raises(ValueError):
-            IncrementalRouter(small_network, fallback_fraction=-0.1)
 
 
 class TestReweightRepair:

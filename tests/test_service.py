@@ -157,6 +157,23 @@ class TestCheckpointContainer:
         assert np.array_equal(loaded.payload["x"], np.arange(4))
         assert spec_fingerprint(loaded.spec) == spec_fingerprint(spec)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("cannot pickle this")
+
+        spec = _small_spec()
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), Checkpoint(
+            spec=spec, engine="packet", time_s=1.0, payload={"x": 1}))
+        good = path.read_bytes()
+        with pytest.raises(RuntimeError, match="cannot pickle this"):
+            save_checkpoint(str(path), Checkpoint(
+                spec=spec, engine="packet", time_s=2.0,
+                payload={"x": Unpicklable()}))
+        assert path.read_bytes() == good
+        assert [entry.name for entry in tmp_path.iterdir()] == ["c.ckpt"]
+
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"definitely not a checkpoint")
@@ -403,6 +420,25 @@ class TestRoundTripDeterminism:
         assert np.array_equal(restored.fct_values(),
                               baseline.fct_values(), equal_nan=True)
 
+    def test_aimd_epoch_boundary_round_trip(self, tmp_path):
+        """The AIMD engine's extra run state (sending rates, holdoffs,
+        drop-tail backlogs) rides in the checkpoint like max-min's."""
+        baseline = _make_service("aimd")
+        baseline.run_to_horizon()
+        assert baseline.report().as_dict()["kind"] == "fluid.aimd"
+
+        interrupted = _make_service("aimd")
+        interrupted.advance_epoch(5)
+        restored = _round_trip(interrupted, tmp_path / "mid.ckpt")
+        assert (restored.engine, restored.clock_s) == ("aimd", 5.0)
+        restored.run_to_horizon()
+
+        assert np.array_equal(restored.state.rates, baseline.state.rates)
+        assert baseline.state.rates.any()
+        assert np.array_equal(restored.fct_values(), baseline.fct_values())
+        assert len(baseline.fct_values()) > 0
+        assert _report_json(restored) == _report_json(baseline)
+
     def test_every_pending_record_kind_round_trips(self, tmp_path):
         """A packet checkpoint taken while tx-finish and arrival records
         (bound method + packet + node fields) and RTO, delayed-ACK and
@@ -473,11 +509,11 @@ class TestRoundTripDeterminism:
             LiveSimulationService.resume(str(tmp_path / "c.ckpt"),
                                          expected_spec=other)
 
-    def test_aimd_engine_rejected(self):
-        with pytest.raises(ServiceError, match="AIMD"):
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ServiceError, match="unknown engine 'warp'"):
             LiveSimulationService(
                 _small_spec().with_workload(_small_workload()),
-                engine="aimd", horizon_s=HORIZON_S)
+                engine="warp", horizon_s=HORIZON_S)
 
     def test_fluid_report_needs_horizon(self):
         service = _make_service("fluid")
@@ -821,6 +857,51 @@ class TestServerClient:
                 assert client.status()["time_s"] == 0.0
                 assert client.advance(2.0)["time_s"] == 2.0
                 client.stop()
+
+    def test_overlong_line_is_answered_and_only_its_connection_closed(self):
+        """A line past the stream limit used to raise out of the handler
+        (``readline`` sat outside the ``try``): the client saw EOF."""
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                sender = threading.Thread(
+                    target=client._sock.sendall,
+                    args=(b"x" * (1 << 20) + b"\n",), daemon=True)
+                sender.start()
+                response = json.loads(client._stream.readline())
+                assert response["ok"] is False
+                assert "exceeds" in response["error"]
+                assert client._stream.readline() == b""  # closed, cleanly
+                sender.join(timeout=10.0)
+                assert not sender.is_alive()
+            assert server.thread.is_alive()
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert client.status()["time_s"] == 0.0
+                client.stop()
+
+    @pytest.mark.parametrize("newline_already_buffered", [True, False])
+    def test_overlong_line_is_skipped_exactly(self,
+                                              newline_already_buffered):
+        """Whether the over-long line's newline is in the buffer when the
+        limit trips or arrives later, exactly that line is discarded."""
+        from repro.service.server import _read_line
+
+        async def scenario():
+            reader = asyncio.StreamReader(limit=64)
+            rest = b"x" * 500 + b"\n" + b"next\n"
+            reader.feed_data(b"x" * 500)
+            if newline_already_buffered:
+                reader.feed_data(rest)
+            task = asyncio.ensure_future(_read_line(reader))
+            await asyncio.sleep(0)
+            if not newline_already_buffered:
+                reader.feed_data(rest)
+            reader.feed_eof()
+            with pytest.raises(ServiceError, match="exceeds"):
+                await task
+            return [await _read_line(reader), await _read_line(reader)]
+
+        assert asyncio.run(scenario()) == [b"next\n", b""]
 
     def test_live_mutation_over_the_wire(self):
         service = _make_service("packet")
