@@ -32,7 +32,11 @@ smoke:
 	    src/repro/simulation/events.py
 	! grep -rnIE "fallback_fraction|source_ingress_many|distances_to|\bpath_via\b|_search_graph" \
 	    src/ examples/ README.md .claude/
+	! grep -rnwIE "check_spec|checkpoint_sweep|record_sweep_metrics|ChunkRecord" \
+	    src/ examples/ README.md .claude/
+	! grep -rnwI "mp_context" src/repro/service/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
+	find src -name '*.py' | xargs wc -l | tail -1
 
 # Full per-figure benchmark harness (writes results/*.txt).
 bench:

@@ -66,10 +66,15 @@ def test_ablation_fluid_vs_packet(kuiper, benchmark):
                 f"{aimd_rates.sum() / 1e6:11.2f} "
                 f"{tcp_rates.sum() / 1e6:11.2f}")
 
-    # Agreement: TCP aggregate within the max-min envelope and above half
-    # of it; AIMD fluid within 30% of packet TCP per flow.
-    assert tcp_rates.sum() <= maxmin_rates.sum() * 1.05
-    assert tcp_rates.sum() >= maxmin_rates.sum() * 0.5
+    # Agreement.  The default-scale run is seeded and deterministic: TCP
+    # delivers 0.923 of the max-min aggregate and AIMD fluid sits 1.07-1.09x
+    # above packet TCP per flow, so the bands are tight enough that a
+    # modelling change in either engine trips them.  The paper-scale run
+    # has not been measured; it keeps the sanity envelope.
+    ratio = tcp_rates.sum() / maxmin_rates.sum()
+    low, high = scaled((0.90, 0.95), (0.5, 1.05))
+    assert low <= ratio <= high, ratio
+    flow_low, flow_high = scaled((0.9, 1.15), (0.5, 2.0))
     for aimd, tcp in zip(aimd_rates, tcp_rates):
-        assert 0.5 * tcp < aimd < 2.0 * tcp + 1e5
+        assert flow_low * tcp < aimd < flow_high * tcp
     write_result("ablation_fluid_vs_packet", rows)

@@ -789,7 +789,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
+        print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     except RuntimeError as error:
         from .service import CheckpointError, ServiceError

@@ -27,7 +27,7 @@ from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
 from .client import ServiceClient, ServiceClientError
 from .driver import LiveSimulationService, ServiceError
 from .server import ServiceServer, serve_forever
-from .warmstart import checkpoint_sweep, resume_sweep, sweep_with_checkpoint
+from .warmstart import resume_sweep, sweep_with_checkpoint
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -40,7 +40,6 @@ __all__ = [
     "ServiceClientError",
     "ServiceError",
     "ServiceServer",
-    "checkpoint_sweep",
     "load_checkpoint",
     "read_checkpoint_header",
     "resume_sweep",

@@ -277,24 +277,20 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
 
 
 def load_checkpoint(path: str,
-                    expected_spec: Optional[NetworkSpec] = None,
-                    check_spec: bool = True) -> Checkpoint:
+                    expected_spec: Optional[NetworkSpec] = None
+                    ) -> Checkpoint:
     """Read, validate, and unpickle a checkpoint file.
 
     Args:
         path: The checkpoint file.
         expected_spec: When given, the spec the caller is about to
             resume against; its fingerprint must match the header's.
-        check_spec: Set ``False`` to skip the internal
-            header-hash-vs-pickled-spec consistency check (never needed
-            outside of corruption forensics).
 
     Raises:
         CheckpointVersionError: Header format version differs from
             :data:`CHECKPOINT_FORMAT_VERSION`.
-        CheckpointSpecError: ``expected_spec``'s fingerprint (or the
-            pickled spec's, when ``check_spec``) does not match the
-            header's ``spec_hash``.
+        CheckpointSpecError: ``expected_spec``'s fingerprint or the
+            pickled spec's does not match the header's ``spec_hash``.
         CheckpointError: Bad magic, truncation, corrupt header, or a
             body this build cannot unpickle (e.g. it names a class that
             has since been removed).
@@ -324,7 +320,7 @@ def load_checkpoint(path: str,
                 f"{path}: body cannot be unpickled by this build "
                 f"({error})") from error
     spec = body["spec"]
-    if check_spec and spec_fingerprint(spec) != spec_hash:
+    if spec_fingerprint(spec) != spec_hash:
         raise CheckpointSpecError(
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")

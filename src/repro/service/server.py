@@ -145,7 +145,7 @@ class ServiceServer:
                         break
                     response = self._dispatch(json.loads(line.decode()))
                 except (ServiceError, ValueError, KeyError, TypeError,
-                        OverflowError) as error:
+                        OverflowError, OSError) as error:
                     response = {"ok": False,
                                 "error": f"{type(error).__name__}: {error}"}
                     if isinstance(error, LineTooLong):

@@ -1,17 +1,19 @@
-"""Parallel snapshot-sweep engine (paper §3.1/§5.3 figure pipeline).
+"""Snapshot-sweep engine (paper §3.1/§5.3 figure pipeline).
 
-Shards a snapshot schedule into contiguous chunks, evaluates each chunk
-in a worker process that rebuilds the network from a picklable
-:class:`NetworkSpec`, and merges per-pair timelines back in deterministic
-time order — ``workers=N`` is bit-identical to serial.
+The one timeline walk: :func:`sweep_timelines` runs a snapshot schedule
+in-process or shards it into contiguous chunks, each evaluated in a
+worker process that rebuilds the network from a picklable
+:class:`NetworkSpec`, and splices per-pair timelines back in
+deterministic time order — ``workers=N`` is bit-identical to serial.
 
-Entry points: :meth:`repro.topology.dynamic_state.DynamicState.compute`
-(``workers=``), :meth:`repro.Hypatia.compute_timelines` (``workers=``),
-and the ``repro sweep`` / ``repro rtt --workers`` CLI.
+Entry points, all through :func:`sweep_timelines`:
+:meth:`repro.topology.dynamic_state.DynamicState.compute`,
+:meth:`repro.Hypatia.compute_timelines`, the ``repro sweep`` /
+``repro rtt --workers`` CLI and the warm start
+(:func:`repro.service.sweep_with_checkpoint` / ``resume_sweep``).
 """
 
-from .engine import (record_sweep_metrics, resolve_workers,
-                     shard_snapshots, sweep_timelines)
+from .engine import resolve_workers, shard_snapshots, sweep_timelines
 from .spec import (ISL_BUILDERS, NetworkSpec, isl_builder_name,
                    register_isl_builder)
 
@@ -23,5 +25,4 @@ __all__ = [
     "sweep_timelines",
     "shard_snapshots",
     "resolve_workers",
-    "record_sweep_metrics",
 ]

@@ -1,14 +1,15 @@
-"""The parallel snapshot-sweep engine.
+"""The snapshot-sweep engine: the one timeline walk, serial or sharded.
 
 The paper's figure pipeline (§3.1/§5.3, Figs. 3, 6-9) is a walk over
 forwarding-state snapshots: at every instant, recompute the topology,
 run the batched per-destination Dijkstra, and record each tracked pair's
-path and distance.  Snapshots are independent of one another, so the walk
-shards cleanly: this engine splits the schedule into contiguous chunks,
-evaluates each chunk in a worker process (rebuilding the network there
-from a picklable :class:`~repro.sweep.spec.NetworkSpec` — live graphs and
-engines never cross the process boundary), and merges the per-pair arrays
-back in time order.
+path and distance.  :func:`sweep_timelines` is that walk for every
+caller: it splits the schedule into contiguous chunks, evaluates each —
+the only chunk in-process on the caller's network, several in worker
+processes that rebuild the network from a picklable
+:class:`~repro.sweep.spec.NetworkSpec` (live graphs and engines never
+cross the process boundary) — and splices the per-pair arrays back in
+time order (:func:`splice_timelines`).
 
 Determinism contract: ``workers=N`` is bit-identical to ``workers=1``.
 Every chunk runs the exact same inner loop
@@ -32,39 +33,54 @@ from ..topology.dynamic_state import PairTimeline, compute_pair_chunk
 from ..topology.network import LeoNetwork
 from .spec import NetworkSpec
 
-__all__ = ["sweep_timelines", "shard_snapshots", "resolve_workers",
-           "record_sweep_metrics", "ChunkRecord"]
+__all__ = ["sweep_timelines", "splice_timelines", "shard_snapshots",
+           "resolve_workers"]
 
 PairKey = Tuple[int, int]
 
-#: One chunk's execution record, in schedule order:
-#: ``(chunk_index, build_wall_s, total_wall_s, num_snapshots, worker_pid,
-#: snapshot_start, snapshot_stop)`` — the pid is the OS pid of whichever
-#: process executed the chunk, the bounds are its half-open snapshot
-#: index range within the full schedule.
-ChunkRecord = Tuple[int, float, float, int, int, int, int]
+
+def splice_timelines(times_s: np.ndarray,
+                     pieces: Sequence[Dict[PairKey, tuple]]
+                     ) -> Dict[PairKey, PairTimeline]:
+    """Join per-pair ``(distances_m, paths)`` pieces into timelines.
+
+    ``pieces`` are consecutive stretches of the schedule ``times_s`` in
+    time order — the chunks of one sweep, or a checkpointed prefix and
+    its remainder.  A pure concatenation, so the result cannot depend on
+    which process computed which piece.
+    """
+    timelines = {}
+    for pair in pieces[0]:
+        paths: List[Optional[Tuple[int, ...]]] = []
+        for piece in pieces:
+            paths.extend(piece[pair][1])
+        timelines[pair] = PairTimeline(
+            src_gid=pair[0], dst_gid=pair[1], times_s=times_s,
+            distances_m=np.concatenate([piece[pair][0] for piece in pieces]),
+            paths=paths)
+    return timelines
 
 
-def record_sweep_metrics(metrics, times_s: np.ndarray,
-                         chunk_walls: Sequence[ChunkRecord],
-                         effective_workers: int, wall_s: float) -> None:
+def _record_metrics(metrics, times_s: np.ndarray,
+                    shards: Sequence[Tuple[int, int]],
+                    outcomes: Sequence[tuple], wall_s: float) -> None:
     """Publish a sweep's timing breakdown to a metrics registry.
 
-    ``chunk_walls`` holds one :data:`ChunkRecord` per chunk, in schedule
-    order.  Each chunk publishes its timings plus its executing worker's
-    OS pid and snapshot-index bounds, so merged span profiles can be
-    attributed unambiguously to the worker/chunk that produced them.
+    One ``sweep.worker.<k>.*`` point per chunk, keyed by the chunk's
+    first snapshot time: its timings, the OS pid of the process that ran
+    it and its half-open snapshot-index range, so merged span profiles
+    can be attributed to the worker/chunk that produced them.
     """
-    metrics.gauge("sweep.workers").set(float(effective_workers))
+    metrics.gauge("sweep.workers").set(float(len(outcomes)))
     metrics.gauge("sweep.wall_s").set(wall_s)
     metrics.counter("sweep.snapshots").inc(float(len(times_s)))
-    for (index, build_wall_s, total_wall_s, count,
-         worker_pid, start, stop) in chunk_walls:
+    for (index, _, build_wall_s, total_wall_s, worker_pid, _), \
+            (start, stop) in zip(outcomes, shards):
         at = float(times_s[start]) if start < len(times_s) else 0.0
         prefix = f"sweep.worker.{index}."
         metrics.series(prefix + "wall_s").append(at, total_wall_s)
         metrics.series(prefix + "build_s").append(at, build_wall_s)
-        metrics.series(prefix + "snapshots").append(at, float(count))
+        metrics.series(prefix + "snapshots").append(at, float(stop - start))
         metrics.series(prefix + "pid").append(at, float(worker_pid))
         metrics.series(prefix + "chunk_start").append(at, float(start))
         metrics.series(prefix + "chunk_stop").append(at, float(stop))
@@ -112,7 +128,7 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _compute_chunk(spec: NetworkSpec, pairs: List[PairKey],
+def _compute_chunk(spec: Optional[NetworkSpec], pairs: List[PairKey],
                    times_s: np.ndarray,
                    network: Optional[LeoNetwork] = None,
                    isl_pairs: Optional[np.ndarray] = None
@@ -175,18 +191,20 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
             profile_dict)
 
 
-def sweep_timelines(spec: NetworkSpec,
+def sweep_timelines(spec: Optional[NetworkSpec],
                     pairs: Sequence[PairKey],
                     times_s: np.ndarray,
                     workers: Optional[int] = None,
                     metrics=None,
-                    mp_context=None,
                     network: Optional[LeoNetwork] = None,
                     ) -> Dict[PairKey, PairTimeline]:
     """Evaluate a snapshot sweep, optionally across worker processes.
 
     Args:
         spec: Picklable recipe for the network (see :class:`NetworkSpec`).
+            ``None`` with a ``network`` derives it from the network, and
+            only when chunks ship to workers — an unregistered ISL
+            builder still sweeps serially.
         pairs: (src_gid, dst_gid) pairs to track.
         times_s: Snapshot instants, ascending (the full schedule).
         workers: Worker process count; ``None``/1 runs in-process, 0 uses
@@ -198,7 +216,6 @@ def sweep_timelines(spec: NetworkSpec,
             / ``.chunk_stop``, keyed by each chunk's first snapshot
             time) plus ``sweep.workers`` / ``sweep.wall_s`` gauges and
             a ``sweep.snapshots`` counter.
-        mp_context: Multiprocessing context override (tests).
         network: Optional already-built network matching ``spec``.  The
             serial path walks it directly instead of rebuilding, and the
             parallel path reads its static ISL interconnect for the
@@ -212,72 +229,52 @@ def sweep_timelines(spec: NetworkSpec,
     pair_keys: List[PairKey] = [(int(src), int(dst)) for src, dst in pairs]
     if not pair_keys:
         raise ValueError("need at least one pair to track")
+    if spec is None and network is None:
+        raise ValueError("need a spec or a built network to sweep")
     workers = resolve_workers(workers)
     sweep_started = time.perf_counter()
     profiler = spans.ACTIVE
     profiling = profiler.enabled
 
+    # One outcome per chunk, in schedule order: ``(chunk_index,
+    # chunk_result, build_wall_s, total_wall_s, os_pid, span_profile)``.
     if workers <= 1 or len(times_s) <= 1:
-        merged, build_wall_s, total_wall_s = _compute_chunk(
-            spec, pair_keys, times_s, network=network)
-        chunk_walls: List[ChunkRecord] = [
-            (0, build_wall_s, total_wall_s,
-             len(times_s), os.getpid(), 0, len(times_s))]
-        effective_workers = 1
+        shards = [(0, len(times_s))]
+        outcomes = [(0, *_compute_chunk(spec, pair_keys, times_s,
+                                        network=network), os.getpid(), None)]
     else:
+        if spec is None:
+            spec = NetworkSpec.from_network(network)
         shards = shard_snapshots(len(times_s), workers)
         isl_pairs = (network.isl_pairs if network is not None
                      else spec.static_isl_pairs())
         payloads = [(index, spec, pair_keys, times_s[start:stop],
                      isl_pairs, profiling)
                     for index, (start, stop) in enumerate(shards)]
-        context = mp_context if mp_context is not None else _mp_context()
         scatter_span = (profiler.begin("sweep.scatter_gather")
                         if profiling else -1)
         with ProcessPoolExecutor(max_workers=len(payloads),
-                                 mp_context=context) as pool:
-            outcomes = sorted(pool.map(_run_chunk, payloads),
-                              key=lambda item: item[0])
+                                 mp_context=_mp_context()) as pool:
+            outcomes = list(pool.map(_run_chunk, payloads))
         if scatter_span != -1:
             profiler.end(scatter_span)
-        # Deterministic time-order merge: concatenate chunk arrays in
-        # shard order, which is schedule order by construction.  The
-        # same order governs span-profile adoption, so merged traces
-        # are identical run-to-run regardless of worker scheduling.
-        merge_span = (profiler.begin("sweep.merge") if profiling else -1)
-        merged = {}
-        for pair in pair_keys:
-            distances = np.concatenate(
-                [outcome[1][pair][0] for outcome in outcomes])
-            paths: List[Optional[Tuple[int, ...]]] = []
-            for outcome in outcomes:
-                paths.extend(outcome[1][pair][1])
-            merged[pair] = (distances, paths)
-        if profiling and isinstance(profiler, spans.SpanProfiler):
-            for (index, _, _, _, _, profile), (start, stop) in zip(
-                    outcomes, shards):
-                if profile is not None:
-                    profiler.adopt(profile, chunk_index=index,
-                                   snapshot_start=start,
-                                   snapshot_stop=stop)
-        if merge_span != -1:
-            profiler.end(merge_span)
-        chunk_walls = [
-            (index, build_wall_s, total_wall_s, stop - start,
-             worker_pid, start, stop)
-            for (index, _, build_wall_s, total_wall_s, worker_pid, _),
-                (start, stop) in zip(outcomes, shards)
-        ]
-        effective_workers = len(payloads)
 
+    # Deterministic time-order merge: shard order is schedule order by
+    # construction.  The same order governs span-profile adoption, so
+    # merged traces are identical run-to-run regardless of worker
+    # scheduling.
+    merge_span = profiler.begin("sweep.merge") if profiling else -1
+    timelines = splice_timelines(times_s,
+                                 [outcome[1] for outcome in outcomes])
+    if profiling and isinstance(profiler, spans.SpanProfiler):
+        for (index, _, _, _, _, profile), (start, stop) in zip(
+                outcomes, shards):
+            if profile is not None:
+                profiler.adopt(profile, chunk_index=index,
+                               snapshot_start=start, snapshot_stop=stop)
+    if merge_span != -1:
+        profiler.end(merge_span)
     if metrics is not None:
-        record_sweep_metrics(metrics, times_s, chunk_walls,
-                             effective_workers,
-                             time.perf_counter() - sweep_started)
-
-    return {
-        pair: PairTimeline(src_gid=pair[0], dst_gid=pair[1],
-                           times_s=times_s, distances_m=distances,
-                           paths=paths)
-        for pair, (distances, paths) in merged.items()
-    }
+        _record_metrics(metrics, times_s, shards, outcomes,
+                        time.perf_counter() - sweep_started)
+    return timelines

@@ -10,8 +10,6 @@ shortest path and distance, and exposes the timelines downstream analyses
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,8 +139,8 @@ def compute_pair_chunk(network: LeoNetwork,
                                        List[Optional[Tuple[int, ...]]]]]:
     """Per-snapshot distances and paths of ``pairs`` over ``times_s``.
 
-    The shared inner loop of :meth:`DynamicState.compute` and the sweep
-    workers (:mod:`repro.sweep`): a module-level function so
+    The inner loop of every timeline walk, called once per chunk by
+    :mod:`repro.sweep.engine`: a module-level function so
     multiprocessing can pickle it by reference, operating on a contiguous
     chunk of the snapshot schedule.  All destination trees of one
     snapshot come from a single batched Dijkstra
@@ -206,56 +204,30 @@ class DynamicState:
         self.pairs = [(int(s), int(d)) for s, d in pairs]
         self.times_s = snapshot_times(duration_s, step_s)
         self.step_s = step_s
-        self.engine = make_routing_engine(network)
 
     def compute(self, workers: Optional[int] = None,
                 metrics=None) -> Dict[Tuple[int, int], PairTimeline]:
         """Run the schedule and return one timeline per tracked pair.
 
-        All destination trees of one snapshot come from a single batched
-        Dijkstra (:meth:`RoutingEngine.route_to_many`), so tracking a full
-        permutation traffic matrix costs one C-level graph sweep per
-        snapshot rather than one Python-level call per destination.
+        One call to :func:`repro.sweep.sweep_timelines` on this network,
+        whatever the worker count: all destination trees of one snapshot
+        come from a single batched Dijkstra
+        (:meth:`RoutingEngine.route_to_many`), repaired between
+        snapshots.
 
         Args:
             workers: Number of worker processes for the snapshot sweep.
-                ``None`` or 1 runs serially in-process; larger values
-                shard the schedule into contiguous chunks evaluated by
-                :func:`repro.sweep.sweep_timelines` — results are
-                bit-identical to the serial walk, merged in time order.
-                Requires the network to be expressible as a picklable
+                ``None`` or 1 walks the schedule in-process; larger
+                values shard it into contiguous chunks — results are
+                bit-identical to the serial walk, merged in time order —
+                and need the network to be expressible as a picklable
                 :class:`repro.sweep.NetworkSpec` (a registered ISL
                 builder; see :func:`repro.sweep.register_isl_builder`).
             metrics: Optional :class:`repro.obs.MetricsRegistry`
                 receiving per-worker timing series (``sweep.*``).
         """
-        if workers is not None:
-            # Imported lazily: repro.sweep builds on this module.
-            from ..sweep import resolve_workers
-            workers = resolve_workers(workers)
-        if workers is not None and workers > 1:
-            from ..sweep import NetworkSpec, sweep_timelines
-            return sweep_timelines(
-                NetworkSpec.from_network(self.network), self.pairs,
-                self.times_s, workers=workers, metrics=metrics,
-                network=self.network)
-        started = time.perf_counter()
-        chunk = compute_pair_chunk(self.network, self.pairs, self.times_s,
-                                   engine=self.engine)
-        if metrics is not None:
-            # Same instrument names the parallel engine publishes, so
-            # consumers (e.g. the sweep CLI) need not special-case serial
-            # runs; build time is 0 — the network already exists here.
-            from ..sweep import record_sweep_metrics
-            wall_s = time.perf_counter() - started
-            record_sweep_metrics(
-                metrics, self.times_s,
-                [(0, 0.0, wall_s, len(self.times_s), os.getpid(),
-                  0, len(self.times_s))],
-                effective_workers=1, wall_s=wall_s)
-        return {
-            pair: PairTimeline(src_gid=pair[0], dst_gid=pair[1],
-                               times_s=self.times_s,
-                               distances_m=distances, paths=paths)
-            for pair, (distances, paths) in chunk.items()
-        }
+        # Imported lazily: repro.sweep builds on this module.
+        from ..sweep.engine import sweep_timelines
+        return sweep_timelines(None, self.pairs, self.times_s,
+                               workers=workers, metrics=metrics,
+                               network=self.network)

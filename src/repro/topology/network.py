@@ -109,7 +109,7 @@ class TopologySnapshot:
                 np.concatenate(sats_list),
                 np.concatenate(lengths_list))
 
-    def to_networkx(self, weight: str = "distance_m") -> nx.Graph:
+    def to_networkx(self) -> nx.Graph:
         """The snapshot as a weighted undirected networkx graph.
 
         Edge attributes: ``distance_m`` and ``delay_s`` (propagation).
@@ -121,7 +121,6 @@ class TopologySnapshot:
         # Imported here: only this export needs networkx, and importing
         # it costs every ``import repro`` ~0.1 s and ~12 MiB.
         import networkx as nx
-        _ = weight  # both weights are always attached
         graph = nx.Graph()
         for sat_id in range(self.num_satellites):
             graph.add_node(sat_id, kind="satellite")

@@ -144,6 +144,14 @@ class TestCli:
         assert main(["info", "Z9"]) == 2
         assert "unknown shell" in capsys.readouterr().err
 
+    def test_usage_errors_print_without_repr_quotes(self, capsys):
+        """A ``KeyError`` formats as the repr of its message."""
+        assert main(["info", "XX"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown shell 'XX'")
+        assert main(["report", "K1"]) == 2
+        assert capsys.readouterr().err.startswith("error: report needs")
+
     @pytest.mark.parametrize("argv", [
         ["rtt", "K1", "Manila", "Dalian", "--routing", "scratch"],
         ["sweep", "K1", "--routing", "incremental"],

@@ -327,12 +327,17 @@ class TestCheckpointContainer:
         """``spec_hash=`` lets a caller skip the fingerprint on save;
         the load recomputes it, so a wrong one cannot slip through."""
         path = tmp_path / "tampered.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=_small_spec(), engine="packet", time_s=0.0, payload={},
-            spec_hash="0" * 64))
-        with pytest.raises(CheckpointSpecError,
-                           match="corrupt or tampered"):
-            load_checkpoint(str(path))
+        for engine in ("packet", "sweep"):
+            save_checkpoint(str(path), Checkpoint(
+                spec=_small_spec(), engine=engine, time_s=0.0, payload={},
+                spec_hash="0" * 64))
+            with pytest.raises(CheckpointSpecError,
+                               match="corrupt or tampered"):
+                load_checkpoint(str(path))
+        with pytest.raises(CheckpointSpecError, match="corrupt or tampered"):
+            resume_sweep(str(path))
+        with pytest.raises(TypeError):  # the check has no off switch
+            load_checkpoint(str(path), check_spec=False)
 
 
 #: An ISL cut, a lossy uplink and a satellite outage inside the horizon.
@@ -764,6 +769,65 @@ class TestSweepWarmStart:
                                   equal_nan=True)
             assert resumed[pair].paths == expected[pair].paths
 
+    def test_checkpoint_at_the_last_index_resumes_without_a_pool(
+            self, tmp_path, monkeypatch):
+        from repro.sweep import engine
+        spec = _small_spec()
+        expected = self._full(spec)
+        path = tmp_path / "done.ckpt"
+        header = sweep_with_checkpoint(
+            spec, self.PAIRS, self.TIMES, str(path),
+            checkpoint_index=len(self.TIMES))
+        assert header["time_s"] == self.TIMES[-1]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("nothing left to compute")
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(engine, "_compute_chunk", no_pool)
+        resumed = resume_sweep(str(path), workers=4)
+        assert list(resumed) == self.PAIRS
+        for pair in self.PAIRS:
+            assert np.array_equal(resumed[pair].distances_m,
+                                  expected[pair].distances_m)
+            assert resumed[pair].paths == expected[pair].paths
+            assert np.array_equal(resumed[pair].times_s, self.TIMES)
+
+    def test_parent_layout_payload_still_resumes(self, tmp_path):
+        """The sweep payload as every earlier build wrote it — ``pairs``,
+        the full ``times_s``, ``next_index`` and a ``prefix`` of
+        ``(distances, paths)`` tuples — saved by hand."""
+        spec = _small_spec()
+        expected = self._full(spec)
+        cut = 5
+        path = tmp_path / "by-hand.ckpt"
+        header = save_checkpoint(str(path), Checkpoint(
+            spec=spec, engine="sweep", time_s=float(self.TIMES[cut]),
+            payload={
+                "pairs": list(self.PAIRS),
+                "times_s": self.TIMES,
+                "next_index": cut,
+                "prefix": {pair: (expected[pair].distances_m[:cut],
+                                  expected[pair].paths[:cut])
+                           for pair in self.PAIRS},
+            }))
+        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        written = sweep_with_checkpoint(spec, self.PAIRS, self.TIMES,
+                                        str(tmp_path / "written.ckpt"),
+                                        checkpoint_index=cut)
+        assert written["time_s"] == header["time_s"]
+        payload = load_checkpoint(str(tmp_path / "written.ckpt")).payload
+        assert sorted(payload) == ["next_index", "pairs", "prefix",
+                                   "times_s"]
+        assert payload["pairs"] == self.PAIRS
+        assert payload["next_index"] == cut
+        assert isinstance(payload["prefix"][self.PAIRS[0]], tuple)
+        for resumed in (resume_sweep(str(path)),
+                        resume_sweep(str(path), workers=2)):
+            for pair in self.PAIRS:
+                assert np.array_equal(resumed[pair].distances_m,
+                                      expected[pair].distances_m)
+                assert resumed[pair].paths == expected[pair].paths
+
     def test_sweep_checkpoint_rejects_service_resume(self, tmp_path):
         spec = _small_spec()
         path = tmp_path / "sweep.ckpt"
@@ -834,6 +898,22 @@ class TestServerClient:
         # The checkpoint written over the wire restores like any other.
         restored = LiveSimulationService.resume(str(tmp_path / "live.ckpt"))
         assert restored.clock_s == 3.0
+
+    def test_checkpoint_into_a_missing_directory_is_answered(self,
+                                                             tmp_path):
+        """``save_checkpoint``'s ``open`` raised ``FileNotFoundError``
+        past the handler's caught tuple: the client saw EOF."""
+        service = _make_service("packet")
+        target = tmp_path / "missing" / "x.ckpt"
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceClientError,
+                                   match="FileNotFoundError"):
+                    client.checkpoint(str(target))
+                assert client.status()["time_s"] == 0.0  # same connection
+                client.stop()
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize("line", [
         b"[1]", b'"status"', b"null",

@@ -239,8 +239,7 @@ class TestWorkerFailure:
         started = time.perf_counter()
         try:
             sweep_timelines(NetworkSpec.from_network(network), self.PAIRS,
-                            self.TIMES, workers=2,
-                            mp_context=multiprocessing.get_context("fork"))
+                            self.TIMES, workers=2)
         finally:
             assert time.perf_counter() - started < 60.0
             assert set(multiprocessing.active_children()) \
@@ -265,10 +264,16 @@ class TestWorkerFailure:
                 monkeypatch, small_network, fail)
 
     def test_removed_transport_switch_rejected(self, small_network):
+        spec = NetworkSpec.from_network(small_network)
+        for removed in ({"use_shared_memory": False},
+                        {"mp_context": multiprocessing.get_context("fork")}):
+            with pytest.raises(TypeError):
+                sweep_timelines(spec, self.PAIRS, self.TIMES, **removed)
+        from repro.service import resume_sweep
         with pytest.raises(TypeError):
-            sweep_timelines(NetworkSpec.from_network(small_network),
-                            self.PAIRS, self.TIMES,
-                            use_shared_memory=False)
+            resume_sweep("unread.ckpt", mp_context=None)
+        with pytest.raises(TypeError):
+            small_network.snapshot(0.0).to_networkx(weight="delay_s")
 
 
 class TestDynamicStateWorkers:
@@ -283,6 +288,56 @@ class TestDynamicStateWorkers:
                                   serial[pair].distances_m,
                                   equal_nan=True)
             assert parallel[pair].paths == serial[pair].paths
+
+    def test_unregistered_builder_walks_serially(self, small_constellation,
+                                                 small_stations):
+        from repro.topology.dynamic_state import compute_pair_chunk
+        from repro.topology.network import LeoNetwork
+
+        def custom_builder(constellation):
+            return plus_grid_isls(constellation)
+
+        network = LeoNetwork(small_constellation, small_stations,
+                             min_elevation_deg=10.0,
+                             isl_builder=custom_builder)
+        pairs = [(0, 3), (2, 4)]
+        state = DynamicState(network, pairs, duration_s=4.0, step_s=1.0)
+        walked = state.compute()
+        chunk = compute_pair_chunk(network, pairs, state.times_s)
+        assert list(walked) == list(chunk) == pairs
+        for pair, (distances, paths) in chunk.items():
+            assert np.array_equal(walked[pair].distances_m, distances)
+            assert walked[pair].paths == paths
+            assert walked[pair].times_s is state.times_s
+        with pytest.raises(ValueError, match="register_isl_builder"):
+            state.compute(workers=2)
+
+    def test_needs_a_spec_or_a_network(self):
+        with pytest.raises(ValueError, match="spec or a built network"):
+            sweep_timelines(None, [(0, 3)], snapshot_times(2.0, 1.0))
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_compute_publishes_the_sweep_instruments(self, small_network,
+                                                     workers):
+        from repro.obs import MetricsRegistry
+        pairs = [(0, 3), (2, 4)]
+        state = DynamicState(small_network, pairs, duration_s=6.0,
+                             step_s=1.0)
+        from_state, from_sweep = MetricsRegistry(), MetricsRegistry()
+        state.compute(workers=workers, metrics=from_state)
+        sweep_timelines(NetworkSpec.from_network(small_network), pairs,
+                        state.times_s, workers=workers, metrics=from_sweep)
+        for kind in ("gauges", "counters", "series_logs"):
+            assert sorted(getattr(from_state, kind)) \
+                == sorted(getattr(from_sweep, kind))
+        chunks = workers or 1
+        assert sorted(from_state.series_logs) == sorted(
+            f"sweep.worker.{index}.{name}" for index in range(chunks)
+            for name in ("wall_s", "build_s", "snapshots", "pid",
+                         "chunk_start", "chunk_stop"))
+        for registry in (from_state, from_sweep):
+            assert registry.counters["sweep.snapshots"].value == 6.0
+            assert registry.gauges["sweep.workers"].value == chunks
 
     def test_compute_rejects_negative_workers(self, small_network):
         state = DynamicState(small_network, [(0, 3)], duration_s=2.0,
