@@ -35,6 +35,8 @@ smoke:
 	! grep -rnwIE "check_spec|checkpoint_sweep|record_sweep_metrics|ChunkRecord" \
 	    src/ examples/ README.md .claude/
 	! grep -rnwI "mp_context" src/repro/service/ examples/ README.md .claude/
+	! grep -rnwIE "rtt_extremes|upper_pairs_mask|DynamicState|all_pairs_distance_m|_scalar_eci|_all_circular|_combined_fct_extras|pair_rtt_stats_over_time|pair_path_stats_over_time" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

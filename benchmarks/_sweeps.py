@@ -1,20 +1,17 @@
 """Shared constellation-wide sweeps for Figs. 6-8 (cached per process).
 
-Figs. 6 and 7 consume the same all-pairs RTT extremes; Fig. 8 consumes the
-per-pair path timelines.  The sweeps are computed once per constellation
-and reused across the benchmark files.
+Figs. 6 and 7 consume the same all-pairs RTT statistics; Fig. 8 consumes
+the per-pair path timelines of the permutation matrix.  Each sweep is one
+:meth:`Hypatia.compute_timelines` call per constellation, reused across
+the benchmark files; the per-pair numbers come from ``repro.analysis``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro import Hypatia, random_permutation_pairs
-from repro.geo.distance import geodesic_rtt_s, great_circle_distance_m
-from repro.geo.constants import SPEED_OF_LIGHT_M_PER_S
-from repro.topology.dynamic_state import DynamicState
+from repro.analysis.rtt import PairRttStats, pair_rtt_stats
 
 from _common import scaled
 
@@ -25,66 +22,24 @@ STEP_S = scaled(4.0, 1.0)
 PATH_STEP_S = scaled(2.0, 0.5)
 NUM_CITIES = 100
 
-_RTT_CACHE: Dict[str, dict] = {}
+_RTT_CACHE: Dict[str, List[PairRttStats]] = {}
 _PATH_CACHE: Dict[str, dict] = {}
 
 
-def rtt_extremes(shell_name: str) -> dict:
-    """Min/max RTT over time for every GS pair, plus geodesic RTTs.
+def rtt_stats(shell_name: str) -> List[PairRttStats]:
+    """RTT statistics of the pairs the paper's Figs. 6-7 retain.
 
-    Returns a dict with (G, G) arrays ``min_rtt_s``, ``max_rtt_s``,
-    ``geodesic_rtt_s``, ``separation_m`` and ``connected_fraction``.
+    Every i<j city pair at least 500 km apart that stayed connected over
+    the whole sweep, in (i, j) order.
     """
-    if shell_name in _RTT_CACHE:
-        return _RTT_CACHE[shell_name]
-    hypatia = Hypatia.from_shell_name(shell_name, num_cities=NUM_CITIES)
-    stations = hypatia.ground_stations
-    num = len(stations)
-    times = np.arange(0.0, DURATION_S, STEP_S)
-    min_d = np.full((num, num), np.inf)
-    max_d = np.zeros((num, num))
-    connected = np.zeros((num, num))
-    for time_s in times:
-        snapshot = hypatia.snapshot(float(time_s))
-        distances = hypatia.routing.all_pairs_distance_m(snapshot)
-        finite = np.isfinite(distances)
-        min_d = np.minimum(min_d, distances)
-        with np.errstate(invalid="ignore"):
-            max_d = np.where(finite, np.maximum(max_d, distances), max_d)
-        connected += finite
-    geodesic = np.zeros((num, num))
-    separation = np.zeros((num, num))
-    for i in range(num):
-        for j in range(num):
-            if i == j:
-                continue
-            geodesic[i, j] = geodesic_rtt_s(stations[i].position,
-                                            stations[j].position)
-            separation[i, j] = great_circle_distance_m(
-                stations[i].position, stations[j].position)
-    result = {
-        "min_rtt_s": 2.0 * min_d / SPEED_OF_LIGHT_M_PER_S,
-        "max_rtt_s": 2.0 * max_d / SPEED_OF_LIGHT_M_PER_S,
-        "geodesic_rtt_s": geodesic,
-        "separation_m": separation,
-        "connected_fraction": connected / len(times),
-        "num_snapshots": len(times),
-    }
-    _RTT_CACHE[shell_name] = result
-    return result
-
-
-def upper_pairs_mask(result: dict, min_separation_m: float = 500_000.0,
-                     require_full_connectivity: bool = True) -> np.ndarray:
-    """Pairs retained by the paper's filters (>=500 km apart), i<j."""
-    num = result["separation_m"].shape[0]
-    mask = np.triu(np.ones((num, num), dtype=bool), k=1)
-    mask &= result["separation_m"] >= min_separation_m
-    if require_full_connectivity:
-        mask &= result["connected_fraction"] >= 0.999
-    else:
-        mask &= result["connected_fraction"] > 0.0
-    return mask
+    if shell_name not in _RTT_CACHE:
+        hypatia = Hypatia.from_shell_name(shell_name, num_cities=NUM_CITIES)
+        pairs = [(i, j) for i in range(NUM_CITIES)
+                 for j in range(i + 1, NUM_CITIES)]
+        _RTT_CACHE[shell_name] = pair_rtt_stats(
+            hypatia.compute_timelines(pairs, DURATION_S, STEP_S),
+            hypatia.ground_stations, require_always_connected=True)
+    return _RTT_CACHE[shell_name]
 
 
 def path_timelines(shell_name: str) -> dict:
@@ -93,11 +48,10 @@ def path_timelines(shell_name: str) -> dict:
         return _PATH_CACHE[shell_name]
     hypatia = Hypatia.from_shell_name(shell_name, num_cities=NUM_CITIES)
     pairs = random_permutation_pairs(NUM_CITIES)
-    state = DynamicState(hypatia.network, pairs, duration_s=DURATION_S,
-                         step_s=PATH_STEP_S)
     result = {
         "hypatia": hypatia,
-        "timelines": state.compute(),
+        "timelines": hypatia.compute_timelines(pairs, DURATION_S,
+                                               PATH_STEP_S),
         "pairs": pairs,
     }
     _PATH_CACHE[shell_name] = result

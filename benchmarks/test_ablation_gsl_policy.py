@@ -10,7 +10,6 @@ import pytest
 
 from repro import Hypatia, random_permutation_pairs
 from repro.analysis.paths import pair_path_stats
-from repro.topology.dynamic_state import DynamicState
 from repro.topology.gsl import GslPolicy
 
 from _common import scaled, write_result
@@ -28,9 +27,8 @@ def test_ablation_gsl_policy(benchmark):
         for policy in (GslPolicy.ALL_VISIBLE, GslPolicy.NEAREST_ONLY):
             hypatia = Hypatia.from_shell_name("K1", num_cities=100,
                                               gsl_policy=policy)
-            state = DynamicState(hypatia.network, pairs,
-                                 duration_s=DURATION_S, step_s=STEP_S)
-            holder[policy] = (hypatia, state.compute())
+            holder[policy] = (hypatia, hypatia.compute_timelines(
+                pairs, duration_s=DURATION_S, step_s=STEP_S))
         return len(holder)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Hypatia
-from repro.analysis.doppler import (
-    doppler_shift_hz,
-    isl_radial_velocities_m_per_s,
-)
-from repro.orbits.shell import SatelliteIndex
+from repro.analysis.doppler import max_isl_doppler_summary
 
 from _common import write_result
 
@@ -40,17 +36,11 @@ def test_extension_isl_doppler(benchmark):
                     intra.append((a, b))
                 else:
                     cross.append((a, b))
-            intra = np.array(intra)
-            cross = np.array(cross)
-            intra_max = cross_max = 0.0
-            for t in SAMPLE_TIMES:
-                v_intra = isl_radial_velocities_m_per_s(
-                    constellation, intra, float(t))
-                v_cross = isl_radial_velocities_m_per_s(
-                    constellation, cross, float(t))
-                intra_max = max(intra_max, float(np.abs(v_intra).max()))
-                cross_max = max(cross_max, float(np.abs(v_cross).max()))
-            holder[shell_name] = (intra_max, cross_max)
+            holder[shell_name] = tuple(
+                max_isl_doppler_summary(constellation, np.array(links),
+                                        carrier_hz=OPTICAL_CARRIER_HZ,
+                                        sample_times_s=SAMPLE_TIMES)
+                for links in (intra, cross))
         return len(holder)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -59,14 +49,15 @@ def test_extension_isl_doppler(benchmark):
             f"{'shell':>6} {'intra-orbit (m/s)':>18} "
             f"{'cross-orbit (m/s)':>18} {'optical shift (GHz)':>20}"]
     for shell_name in SHELLS:
-        intra_max, cross_max = holder[shell_name]
-        shift = abs(float(doppler_shift_hz(
-            OPTICAL_CARRIER_HZ, np.array([cross_max]))[0]))
-        rows.append(f"{shell_name:>6} {intra_max:18.2f} {cross_max:18.2f} "
-                    f"{shift / 1e9:20.3f}")
+        intra, cross = holder[shell_name]
+        rows.append(f"{shell_name:>6} "
+                    f"{intra['max_radial_speed_m_per_s']:18.2f} "
+                    f"{cross['max_radial_speed_m_per_s']:18.2f} "
+                    f"{cross['max_doppler_shift_hz'] / 1e9:20.3f}")
 
     for shell_name in SHELLS:
-        intra_max, cross_max = holder[shell_name]
+        intra_max, cross_max = (link_class["max_radial_speed_m_per_s"]
+                                for link_class in holder[shell_name])
         assert intra_max < 1.0, "same-orbit links must be Doppler-free"
         assert cross_max > 100.0, "cross-orbit links must oscillate"
     write_result("extension_doppler", rows)

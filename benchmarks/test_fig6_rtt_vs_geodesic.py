@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _common import format_cdf_summary, write_result
-from _sweeps import DURATION_S, STEP_S, rtt_extremes, upper_pairs_mask
+from _sweeps import DURATION_S, STEP_S, rtt_stats
 
 SHELLS = ["T1", "K1", "S1"]
 
@@ -22,7 +22,7 @@ def test_fig6_max_rtt_over_geodesic(benchmark):
 
     def sweep_all():
         for shell in SHELLS:
-            results[shell] = rtt_extremes(shell)
+            results[shell] = rtt_stats(shell)
         return len(results)
 
     benchmark.pedantic(sweep_all, rounds=1, iterations=1)
@@ -31,10 +31,7 @@ def test_fig6_max_rtt_over_geodesic(benchmark):
             f"always-connected pairs only"]
     ratios = {}
     for shell in SHELLS:
-        result = results[shell]
-        mask = upper_pairs_mask(result)
-        ratio = (result["max_rtt_s"][mask]
-                 / result["geodesic_rtt_s"][mask])
+        ratio = np.array([s.max_over_geodesic for s in results[shell]])
         ratios[shell] = ratio
         rows += format_cdf_summary(
             f"{shell} max-RTT / geodesic-RTT", ratio, unit="x")

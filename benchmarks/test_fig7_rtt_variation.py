@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _common import format_cdf_summary, write_result
-from _sweeps import DURATION_S, STEP_S, rtt_extremes, upper_pairs_mask
+from _sweeps import DURATION_S, STEP_S, rtt_stats
 
 SHELLS = ["T1", "K1", "S1"]
 
@@ -21,7 +21,7 @@ def test_fig7_rtt_and_variation(benchmark):
 
     def sweep_all():
         for shell in SHELLS:
-            results[shell] = rtt_extremes(shell)
+            results[shell] = rtt_stats(shell)
         return len(results)
 
     benchmark.pedantic(sweep_all, rounds=1, iterations=1)
@@ -31,12 +31,10 @@ def test_fig7_rtt_and_variation(benchmark):
     spreads = {}
     ratios = {}
     for shell in SHELLS:
-        result = results[shell]
-        mask = upper_pairs_mask(result)
-        max_rtt_ms = result["max_rtt_s"][mask] * 1000.0
-        spread_ms = (result["max_rtt_s"][mask]
-                     - result["min_rtt_s"][mask]) * 1000.0
-        ratio = result["max_rtt_s"][mask] / result["min_rtt_s"][mask]
+        stats = results[shell]
+        max_rtt_ms = np.array([s.max_rtt_s for s in stats]) * 1000.0
+        spread_ms = np.array([s.rtt_spread_s for s in stats]) * 1000.0
+        ratio = np.array([s.max_over_min for s in stats])
         spreads[shell] = spread_ms
         ratios[shell] = ratio
         rows.append(f"\n== {shell} ==")

@@ -13,7 +13,6 @@ import pytest
 
 from repro import Hypatia, random_permutation_pairs
 from repro.analysis.timestep import changes_per_step, compare_timesteps
-from repro.topology.dynamic_state import DynamicState
 
 from _common import scaled, write_result
 
@@ -31,9 +30,8 @@ def test_fig9_granularity_of_updates(benchmark):
     holder = {}
 
     def sweep():
-        state = DynamicState(hypatia.network, pairs,
-                             duration_s=DURATION_S, step_s=BASE_STEP_S)
-        holder["timelines"] = state.compute()
+        holder["timelines"] = hypatia.compute_timelines(
+            pairs, duration_s=DURATION_S, step_s=BASE_STEP_S)
         return len(holder["timelines"])
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

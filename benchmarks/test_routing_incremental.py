@@ -41,8 +41,7 @@ from repro.faults import FaultEvent, FaultSchedule
 from repro.routing import incremental
 from repro.routing.engine import RoutingEngine
 from repro.routing.incremental import IncrementalRouter
-from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
-                                          snapshot_times)
+from repro.topology.dynamic_state import compute_pair_chunk, snapshot_times
 
 from _common import RESULTS_DIR, write_result
 
@@ -265,8 +264,8 @@ def test_faulted_run_parity_serial_and_workers():
     scratch = compute_pair_chunk(hypatia.network, pairs,
                                  snapshot_times(6.0, 1.0),
                                  engine=RoutingEngine(hypatia.network))
-    serial = DynamicState(hypatia.network, **kwargs).compute()
-    parallel = DynamicState(hypatia.network, **kwargs).compute(workers=4)
+    serial = hypatia.compute_timelines(**kwargs)
+    parallel = hypatia.compute_timelines(workers=4, **kwargs)
     for pair in pairs:
         distances, paths = scratch[pair]
         for run in (serial, parallel):

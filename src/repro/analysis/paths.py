@@ -8,17 +8,11 @@ counts the pair's paths take over the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-import numpy as np
+from ..topology.dynamic_state import PairTimeline, count_path_changes
 
-from ..topology.dynamic_state import (
-    DynamicState,
-    PairTimeline,
-    count_path_changes,
-)
-
-__all__ = ["PairPathStats", "pair_path_stats", "pair_path_stats_over_time"]
+__all__ = ["PairPathStats", "pair_path_stats"]
 
 
 @dataclass(frozen=True)
@@ -71,17 +65,3 @@ def pair_path_stats(timelines: Dict[Tuple[int, int], PairTimeline],
             max_hops=int(connected.max()),
         ))
     return stats
-
-
-def pair_path_stats_over_time(network, pairs: Sequence[Tuple[int, int]],
-                              duration_s: float, step_s: float = 0.1
-                              ) -> List[PairPathStats]:
-    """Path-structure stats straight from a network (Fig. 8 end-to-end).
-
-    Walks the snapshot schedule with the batched routing path (all
-    destination trees of a snapshot come from one
-    ``RoutingEngine.route_to_many`` call) and summarizes each pair.
-    """
-    state = DynamicState(network, pairs, duration_s=duration_s,
-                         step_s=step_s)
-    return pair_path_stats(state.compute(), network.num_satellites)

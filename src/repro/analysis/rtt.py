@@ -14,16 +14,13 @@ exclude end-point pairs that are within 500 km of each other").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..geo.distance import geodesic_rtt_s, great_circle_distance_m
 from ..ground.stations import GroundStation
-from ..topology.dynamic_state import DynamicState, PairTimeline
+from ..topology.dynamic_state import PairTimeline
 
-__all__ = ["PairRttStats", "pair_rtt_stats", "pair_rtt_stats_over_time",
-           "ecdf", "MIN_PAIR_SEPARATION_M"]
+__all__ = ["PairRttStats", "pair_rtt_stats", "MIN_PAIR_SEPARATION_M"]
 
 #: Paper §5.1: pairs closer than this are excluded from RTT distributions.
 MIN_PAIR_SEPARATION_M = 500_000.0
@@ -72,7 +69,7 @@ def pair_rtt_stats(timelines: Dict[Tuple[int, int], PairTimeline],
     """Summarize RTT behaviour of every tracked pair.
 
     Args:
-        timelines: Output of :meth:`DynamicState.compute`.
+        timelines: Output of :func:`repro.sweep.sweep_timelines`.
         stations: Ground stations, indexed by gid.
         min_separation_m: Exclude pairs closer than this (paper: 500 km).
         require_always_connected: Drop pairs that were ever disconnected
@@ -103,34 +100,3 @@ def pair_rtt_stats(timelines: Dict[Tuple[int, int], PairTimeline],
             connected_fraction=float(mask.mean()),
         ))
     return stats
-
-
-def pair_rtt_stats_over_time(network, pairs: Sequence[Tuple[int, int]],
-                             duration_s: float, step_s: float = 0.1,
-                             min_separation_m: float = MIN_PAIR_SEPARATION_M,
-                             require_always_connected: bool = False,
-                             ) -> List[PairRttStats]:
-    """RTT stats straight from a network (Figs. 6-7 end-to-end).
-
-    Walks the snapshot schedule with the batched routing path (one
-    ``RoutingEngine.route_to_many`` call per snapshot covers every tracked
-    destination) and summarizes each retained pair.
-    """
-    state = DynamicState(network, pairs, duration_s=duration_s,
-                         step_s=step_s)
-    return pair_rtt_stats(state.compute(), network.ground_stations,
-                          min_separation_m=min_separation_m,
-                          require_always_connected=require_always_connected)
-
-
-def ecdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF points ``(sorted values, cumulative fraction)``.
-
-    The y value at each point is the fraction of samples <= that value —
-    the convention of the paper's gnuplot ECDF plots.
-    """
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        return arr, np.empty(0)
-    fractions = np.arange(1, arr.size + 1) / arr.size
-    return arr, fractions

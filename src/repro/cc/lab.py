@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..ground.weather import WeatherModel
+from ..obs.report import fct_summary
 from ..simulation.simulator import LinkConfig, PacketSimulator
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowArrivalProcess
@@ -262,8 +263,6 @@ def run_cell(scenario: LabScenario, controller: str,
     Module-level and argument-picklable on purpose: the parallel path
     ships ``(scenario, controller)`` pairs to worker processes.
     """
-    import numpy as np
-
     sim = PacketSimulator(
         scenario.spec.build(),
         link_config=LinkConfig(gsl_queue_packets=gsl_queue_packets,
@@ -285,12 +284,9 @@ def run_cell(scenario: LabScenario, controller: str,
                               spawner._delivered_bytes) * 8.0,
                           fault_drops=sim.stats.packets_dropped_fault,
                           congestion_drops=sim.stats.packets_dropped_queue)
-    if spawner.fcts_s:
-        fcts = np.asarray(spawner.fcts_s)
-        result.fct_mean_s = float(fcts.mean())
-        result.fct_p50_s = float(np.percentile(fcts, 50))
-        result.fct_p90_s = float(np.percentile(fcts, 90))
-        result.fct_p99_s = float(np.percentile(fcts, 99))
+    for key, value in fct_summary(spawner.fcts_s).items():
+        if key != "fct_max_s":
+            setattr(result, key, value)
     return result
 
 

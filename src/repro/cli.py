@@ -527,7 +527,8 @@ def _cmd_report(args) -> int:
     profiler = spans.install() if profile_out else None
     try:
         if args.engine == "packet":
-            from .traffic import WorkloadSpawner
+            from .traffic.spawner import (WorkloadSpawner,
+                                          packet_fct_section)
             tracer = RingBufferTracer()
             sim = hypatia.build_packet_simulator(tracer=tracer)
             registry = MetricsRegistry()
@@ -540,7 +541,8 @@ def _cmd_report(args) -> int:
             sim.run(args.duration)
             report = sim.report(registry=registry)
             if spawner is not None:
-                report.extras["fct"] = spawner.fct_extras()
+                report.extras["fct"] = packet_fct_section([spawner],
+                                                         registry)
             if trace_out:
                 tracer.to_jsonl(trace_out)
                 print(f"wrote {tracer.summary()['retained']} trace events "

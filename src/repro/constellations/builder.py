@@ -6,11 +6,10 @@ time with a single vectorized evaluation.  Positions are what the rest of
 the framework consumes: ISL lengths, GSL visibility, and per-packet delays
 are all derived from them.
 
-The vectorized path exploits that every modeled shell is circular (e = 0):
-the argument of latitude then advances linearly in time, so an entire
-constellation's ECEF positions at time ``t`` cost a handful of numpy
-operations.  Elliptical elements remain supported through the scalar
-propagator.
+Every shell is circular (e = 0; :meth:`Shell.elements_for` builds
+nothing else): the argument of latitude then advances linearly in time,
+so an entire constellation's ECEF positions at time ``t`` cost a handful
+of numpy operations.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 
 from ..geo.constants import EARTH_ROTATION_RATE_RAD_PER_S
 from ..orbits.kepler import KeplerianElements
-from ..orbits.propagation import propagate_to_ecef
 from ..orbits.shell import SatelliteIndex, Shell
 from ..orbits.tle import TLE, generate_tle
 
@@ -106,11 +104,8 @@ class Constellation:
         self._inclination_rad = np.empty(n)
         self._anomaly_rad = np.empty(n)
         self._mean_motion = np.empty(n)
-        self._all_circular = True
         for i, sat in enumerate(self.satellites):
             el = sat.elements
-            if el.eccentricity != 0.0:
-                self._all_circular = False
             self._radius_m[i] = el.semi_major_axis_m
             self._raan_rad[i] = el.raan_rad
             self._inclination_rad[i] = el.inclination_rad
@@ -145,9 +140,6 @@ class Constellation:
     def positions_eci_m(self, time_s: float) -> np.ndarray:
         """(N, 3) ECI positions of all satellites at ``time_s``."""
         time_s = time_s + self.epoch_offset_s
-        if not self._all_circular:
-            return np.array([
-                _scalar_eci(sat.elements, time_s) for sat in self.satellites])
         u = self._anomaly_rad + self._mean_motion * time_s
         r = self._radius_m
         cos_u, sin_u = np.cos(u), np.sin(u)
@@ -174,11 +166,7 @@ class Constellation:
 
     def position_ecef_m(self, satellite_id: int, time_s: float) -> np.ndarray:
         """ECEF position of a single satellite at ``time_s``."""
-        sat = self.satellites[satellite_id]
-        if sat.elements.eccentricity == 0.0:
-            return self.positions_ecef_m(time_s)[satellite_id]
-        return propagate_to_ecef(sat.elements,
-                                 time_s + self.epoch_offset_s).position_m
+        return self.positions_ecef_m(time_s)[satellite_id]
 
     def generate_tles(self, epoch_year: int = 2000,
                       epoch_day: float = 1.0) -> List[TLE]:
@@ -200,9 +188,3 @@ class Constellation:
                 f"{shell.satellites_per_orbit} sats @ {shell.altitude_km:.0f} km, "
                 f"i={shell.inclination_deg:.2f} deg")
         return "\n".join(lines)
-
-
-def _scalar_eci(elements: KeplerianElements, time_s: float) -> np.ndarray:
-    """Scalar ECI position used on the (rare) elliptical fallback path."""
-    from ..orbits.propagation import propagate_to_eci
-    return propagate_to_eci(elements, time_s).position_m

@@ -33,7 +33,8 @@ from ..obs.trace import Tracer
 from ..orbits.shell import Shell
 from ..routing.engine import RoutingEngine
 from ..simulation.simulator import LinkConfig, PacketSimulator
-from ..topology.dynamic_state import DynamicState, PairTimeline
+from ..sweep.engine import sweep_timelines
+from ..topology.dynamic_state import PairTimeline, snapshot_times
 from ..topology.gsl import GslPolicy
 from ..topology.isl import no_isls, plus_grid_isls
 from ..topology.network import LeoNetwork, TopologySnapshot
@@ -168,9 +169,9 @@ class Hypatia:
             metrics: Optional registry receiving per-worker ``sweep.*``
                 timing series.
         """
-        state = DynamicState(self.network, pairs, duration_s=duration_s,
-                             step_s=step_s)
-        return state.compute(workers=workers, metrics=metrics)
+        return sweep_timelines(self.network, pairs,
+                               snapshot_times(duration_s, step_s),
+                               workers=workers, metrics=metrics)
 
     def build_packet_simulator(self, link_config: Optional[LinkConfig] = None,
                                forwarding_interval_s: float = 0.1,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
-from ..obs.report import RunReport, fluid_run_report
+from ..obs.report import RunReport, fct_summary, fluid_run_report
 from ..routing.engine import RoutingEngine
 from ..topology.dynamic_state import snapshot_times
 from ..topology.network import LeoNetwork, TopologySnapshot
@@ -294,11 +294,9 @@ class FluidResult:
         if self.flow_fct_s is not None:
             fct = self.fct_values()
             summary["flows_completed"] = float(len(fct))
-            if fct.size:
-                summary["fct_mean_s"] = float(fct.mean())
-                summary["fct_p50_s"] = float(np.percentile(fct, 50))
-                summary["fct_p99_s"] = float(np.percentile(fct, 99))
-                summary["fct_max_s"] = float(fct.max())
+            summary.update((key, value)
+                           for key, value in fct_summary(fct).items()
+                           if key != "fct_p90_s")
             if self.flow_offered_bits is not None:
                 finite = np.isfinite(self.flow_offered_bits)
                 summary["flows_finite"] = float(finite.sum())

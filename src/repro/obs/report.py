@@ -13,7 +13,9 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from .metrics import MetricsRegistry
+import numpy as np
+
+from .metrics import Histogram, MetricsRegistry
 from .trace import RingBufferTracer, Tracer
 
 if TYPE_CHECKING:  # runtime-import-free: obs must not depend on the layers
@@ -21,7 +23,7 @@ if TYPE_CHECKING:  # runtime-import-free: obs must not depend on the layers
     from ..simulation.simulator import PacketSimulator
 
 __all__ = ["RunReport", "packet_run_report", "fluid_run_report",
-           "WALL_CLOCK_KEYS", "FCT_BUCKETS"]
+           "fct_summary", "WALL_CLOCK_KEYS", "FCT_BUCKETS"]
 
 #: Canonical flow-completion-time histogram bounds (seconds) — wider than
 #: the generic latency buckets because FCTs span millisecond pings to
@@ -29,6 +31,24 @@ __all__ = ["RunReport", "packet_run_report", "fluid_run_report",
 #: and the packet-side workload spawner so their distributions compare
 #: bucket-for-bucket.
 FCT_BUCKETS = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
+
+
+def fct_summary(fcts) -> Dict[str, float]:
+    """Mean / p50 / p90 / p99 / max of a completion-time array.
+
+    The one place FCT percentiles are computed: the fluid and packet
+    summaries, the per-controller report rows and the cc-lab cells each
+    publish the keys they report from this dict.  Empty when no flow
+    completed.
+    """
+    fcts = np.asarray(fcts, dtype=np.float64)
+    if fcts.size == 0:
+        return {}
+    p50, p90, p99 = np.percentile(fcts, (50, 90, 99))
+    return {"fct_mean_s": float(fcts.mean()), "fct_p50_s": float(p50),
+            "fct_p90_s": float(p90), "fct_p99_s": float(p99),
+            "fct_max_s": float(fcts.max())}
+
 
 #: Report schema version (bump on breaking shape changes).
 REPORT_VERSION = 1
@@ -203,11 +223,9 @@ def fluid_run_report(result: "FluidResult",
         float(result.times_s[-1]) if len(result.times_s) else 0.0)
     extras: Dict[str, Any] = {}
     if result.flow_fct_s is not None:
-        from .metrics import Histogram
         histogram = Histogram("traffic.fct_s", buckets=FCT_BUCKETS)
         for value in result.fct_values():
             histogram.observe(float(value))
-        import numpy as np
         finite = (np.isfinite(result.flow_offered_bits)
                   if result.flow_offered_bits is not None else None)
         extras["fct"] = {

@@ -488,8 +488,7 @@ class RoutingEngine:
                         src_gid: int, dst_gid: int) -> float:
         """Shortest-path distance between two GSes; inf if disconnected.
 
-        A station is at distance 0 from itself (consistent with
-        :meth:`all_pairs_distance_m`).
+        A station is at distance 0 from itself.
         """
         if src_gid == dst_gid:
             return 0.0
@@ -606,24 +605,3 @@ class RoutingEngine:
             return []
         multi = self.route_to_many(snapshot, [dst for _, dst in pairs])
         return self.paths_and_distances(multi, snapshot, pairs)[0]
-
-    def all_pairs_distance_m(self, snapshot: TopologySnapshot,
-                             gids: Optional[Sequence[int]] = None
-                             ) -> np.ndarray:
-        """(G, G) matrix of GS-to-GS shortest-path distances.
-
-        All destination trees come from one batched Dijkstra, each row
-        from one ingress table.  Symmetric by construction (links are
-        symmetric); entry ``[i, j]`` is ``inf`` where no path exists and
-        0 wherever ``gids[i] == gids[j]``.
-        """
-        if gids is None:
-            gids = range(self.network.num_ground_stations)
-        gids = np.asarray(gids, dtype=np.int64)
-        multi = self.route_to_many(snapshot, gids)
-        matrix = np.empty((len(gids), len(gids)))
-        for i, src_gid in enumerate(gids):
-            matrix[i] = multi.pair_ingress(
-                snapshot, np.full(len(gids), src_gid), gids)[2]
-        matrix[np.equal.outer(gids, gids)] = 0.0
-        return matrix

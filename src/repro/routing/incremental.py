@@ -220,7 +220,7 @@ class IncrementalRouter(RoutingEngine):
     """A :class:`RoutingEngine` that repairs trees between snapshots.
 
     Drop-in replacement: every inherited query (``paths_many``,
-    ``all_pairs_distance_m``, ...) funnels through :meth:`route_to_many`,
+    ``pair_distance_m``, ...) funnels through :meth:`route_to_many`,
     whose :meth:`_trees` hook diffs the update's routing graph against
     the previous one and repairs the remembered destination trees (see
     the module docstring for the two repairs).  :attr:`inc_perf` counts

@@ -55,6 +55,12 @@ CHECKPOINT_FORMAT_VERSION = 3
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
 
 _HEADER_LEN_BYTES = 8
+#: What unpickling, indexing and fingerprinting a corrupt or foreign body
+#: raises (bit flips reach string decoding, object construction, length
+#: fields and attribute lookup as well as the pickle opcodes themselves).
+_BODY_ERRORS = (pickle.UnpicklingError, EOFError, ImportError,
+                AttributeError, LookupError, TypeError, ValueError,
+                ArithmeticError, MemoryError)
 #: Sanity bound on the JSON header (a header is a few hundred bytes).
 _MAX_HEADER_BYTES = 1 << 20
 
@@ -312,21 +318,23 @@ def load_checkpoint(path: str,
                     f"network spec (checkpoint {spec_hash[:12]}, "
                     f"expected {expected_hash[:12]}); resume against "
                     f"the original spec")
+        # A damaged body can fail anywhere between the first opcode and
+        # the fingerprint of whatever object took the spec's place.
         try:
             body = pickle.load(stream)
-        except (AttributeError, ImportError, pickle.UnpicklingError,
-                EOFError) as error:
+            spec, payload = body["spec"], body["payload"]
+            pickled_hash = spec_fingerprint(spec)
+        except _BODY_ERRORS as error:
             raise CheckpointError(
                 f"{path}: body cannot be unpickled by this build "
-                f"({error})") from error
-    spec = body["spec"]
-    if spec_fingerprint(spec) != spec_hash:
+                f"({type(error).__name__}: {error})") from error
+    if pickled_hash != spec_hash:
         raise CheckpointSpecError(
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")
     return Checkpoint(spec=spec, engine=str(header["engine"]),
                       time_s=float(header["time_s"]),
-                      payload=body["payload"],
+                      payload=payload,
                       meta=dict(header.get("meta", {})),
                       format_version=version,
                       spec_hash=spec_hash)

@@ -48,7 +48,7 @@ from ..simulation.simulator import LinkConfig, PacketSimulator
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import (FlowArrivalProcess, FlowArrivalStream,
                                 FlowRequest, WorkloadSchedule)
-from ..traffic.spawner import WorkloadSpawner
+from ..traffic.spawner import WorkloadSpawner, packet_fct_section
 from ..transport.base import ensure_flow_ids_above
 from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint, spec_fingerprint)
@@ -447,7 +447,8 @@ class LiveSimulationService:
             assert self.sim is not None
             report = self.sim.report(self.clock_s, registry=self.metrics)
             if self._spawners:
-                report.extras["fct"] = self._combined_fct_extras()
+                report.extras["fct"] = packet_fct_section(
+                    self._spawners, self.metrics)
             return report
         assert self.fluid is not None and self.state is not None
         if not self.state.done:
@@ -457,34 +458,6 @@ class LiveSimulationService:
                 f"resume later)")
         result = self.fluid.finish(self.state)
         return result.report(registry=self.metrics)
-
-    def _combined_fct_extras(self) -> Dict[str, Any]:
-        """One ``fct`` extras section over every installed spawner.
-
-        The histogram is the registry's own ``traffic.fct_s`` — every
-        spawner observes into it in completion order, so its float
-        accumulation is identical no matter how the same flows were
-        split across spawners (one baked-in schedule vs several live
-        attachments).
-        """
-        from ..obs.report import FCT_BUCKETS
-        from ..traffic.spawner import controller_fct_rows
-        histogram = self.metrics.histogram("traffic.fct_s",
-                                           buckets=FCT_BUCKETS)
-        finite = completed = 0
-        offered = delivered = 0.0
-        by_controller: Dict[str, List[float]] = {}
-        for spawner in self._spawners:
-            finite += spawner.schedule.num_flows
-            completed += spawner.completed
-            offered += spawner.schedule.offered_bits
-            delivered += float(spawner._delivered_bytes) * 8.0
-            for name, fcts in spawner.fcts_by_controller.items():
-                by_controller.setdefault(name, []).extend(fcts)
-        return {"histogram": histogram.as_dict(), "flows_finite": finite,
-                "flows_completed": completed, "offered_bits": offered,
-                "delivered_bits": delivered,
-                "by_controller": controller_fct_rows(by_controller)}
 
     def fct_values(self) -> np.ndarray:
         """Per-flow completion times recorded so far (seconds)."""

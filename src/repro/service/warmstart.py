@@ -32,6 +32,14 @@ __all__ = ["resume_sweep", "sweep_with_checkpoint"]
 PairKey = Tuple[int, int]
 
 
+def _as_piece(timelines: Dict[PairKey, PairTimeline]
+              ) -> Dict[PairKey, tuple]:
+    """Timelines as the per-pair ``(distances_m, paths)`` tuples the
+    checkpoint payload stores and :func:`splice_timelines` joins."""
+    return {pair: (timeline.distances_m, timeline.paths)
+            for pair, timeline in timelines.items()}
+
+
 def resume_sweep(path: str, workers: Optional[int] = None,
                  metrics=None,
                  expected_spec: Optional[NetworkSpec] = None
@@ -57,8 +65,7 @@ def resume_sweep(path: str, workers: Optional[int] = None,
         remainder = sweep_timelines(
             checkpoint.spec, payload["pairs"], times_s[next_index:],
             workers=workers, metrics=metrics)
-        pieces.append({pair: (timeline.distances_m, timeline.paths)
-                       for pair, timeline in remainder.items()})
+        pieces.append(_as_piece(remainder))
     return splice_timelines(times_s, pieces)
 
 
@@ -87,8 +94,7 @@ def sweep_with_checkpoint(spec: NetworkSpec, pairs: Sequence[PairKey],
         "pairs": list(prefix),
         "times_s": times_s,
         "next_index": int(checkpoint_index),
-        "prefix": {pair: (timeline.distances_m, timeline.paths)
-                   for pair, timeline in prefix.items()},
+        "prefix": _as_piece(prefix),
     }
     return save_checkpoint(checkpoint_path, Checkpoint(
         spec=spec, engine="sweep",

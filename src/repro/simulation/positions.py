@@ -48,10 +48,6 @@ class PositionService:
         self._network = network
         self._quantum_s = quantum_s
         constellation = network.constellation
-        if not constellation._all_circular:
-            raise NotImplementedError(
-                "PositionService's O(1) path requires circular orbits; all "
-                "paper constellations are circular")
         self._num_sats = constellation.num_satellites
         self._epoch_offset_s = constellation.epoch_offset_s
         # One (radius, anomaly, mean motion, cos/sin RAAN, cos/sin

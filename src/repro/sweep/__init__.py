@@ -1,13 +1,13 @@
 """Snapshot-sweep engine (paper §3.1/§5.3 figure pipeline).
 
 The one timeline walk: :func:`sweep_timelines` runs a snapshot schedule
-in-process or shards it into contiguous chunks, each evaluated in a
-worker process that rebuilds the network from a picklable
-:class:`NetworkSpec`, and splices per-pair timelines back in
-deterministic time order — ``workers=N`` is bit-identical to serial.
+over its ``source`` — a built network or a picklable :class:`NetworkSpec`
+— in-process, or shards it into contiguous chunks, each evaluated in a
+worker process that rebuilds the network from the spec, and splices
+per-pair timelines back in deterministic time order — ``workers=N`` is
+bit-identical to serial.
 
-Entry points, all through :func:`sweep_timelines`:
-:meth:`repro.topology.dynamic_state.DynamicState.compute`,
+Entry points, all one :func:`sweep_timelines` call:
 :meth:`repro.Hypatia.compute_timelines`, the ``repro sweep`` /
 ``repro rtt --workers`` CLI and the warm start
 (:func:`repro.service.sweep_with_checkpoint` / ``resume_sweep``).

@@ -24,7 +24,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,9 +128,8 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _compute_chunk(spec: Optional[NetworkSpec], pairs: List[PairKey],
-                   times_s: np.ndarray,
-                   network: Optional[LeoNetwork] = None,
+def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
+                   pairs: List[PairKey], times_s: np.ndarray,
                    isl_pairs: Optional[np.ndarray] = None
                    ) -> Tuple[Dict[PairKey, tuple], float, float]:
     """Build (unless given) the network and sweep one chunk of snapshots.
@@ -144,8 +143,8 @@ def _compute_chunk(spec: Optional[NetworkSpec], pairs: List[PairKey],
     started = time.perf_counter()
     chunk_span = profiler.begin("sweep.chunk") if profiling else -1
     build_span = profiler.begin("sweep.build") if profiling else -1
-    if network is None:
-        network = spec.build(isl_pairs=isl_pairs)
+    network = (source.build(isl_pairs=isl_pairs)
+               if isinstance(source, NetworkSpec) else source)
     if build_span != -1:
         profiler.end(build_span)
     build_wall_s = time.perf_counter() - started
@@ -191,21 +190,24 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
             profile_dict)
 
 
-def sweep_timelines(spec: Optional[NetworkSpec],
+def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
                     pairs: Sequence[PairKey],
                     times_s: np.ndarray,
                     workers: Optional[int] = None,
                     metrics=None,
-                    network: Optional[LeoNetwork] = None,
                     ) -> Dict[PairKey, PairTimeline]:
     """Evaluate a snapshot sweep, optionally across worker processes.
 
     Args:
-        spec: Picklable recipe for the network (see :class:`NetworkSpec`).
-            ``None`` with a ``network`` derives it from the network, and
-            only when chunks ship to workers — an unregistered ISL
-            builder still sweeps serially.
-        pairs: (src_gid, dst_gid) pairs to track.
+        source: The network to sweep: a picklable :class:`NetworkSpec`
+            (built here, once per chunk) or a built :class:`LeoNetwork`.
+            The serial path walks a built network directly; the
+            parallel path reads its static ISL interconnect for the
+            chunk payloads and derives the spec the workers rebuild
+            from — only then, so an unregistered ISL builder still
+            sweeps serially.
+        pairs: (src_gid, dst_gid) pairs to track; at least one, each
+            with distinct endpoints.
         times_s: Snapshot instants, ascending (the full schedule).
         workers: Worker process count; ``None``/1 runs in-process, 0 uses
             every core.  Short schedules get at most one chunk per
@@ -216,10 +218,6 @@ def sweep_timelines(spec: Optional[NetworkSpec],
             / ``.chunk_stop``, keyed by each chunk's first snapshot
             time) plus ``sweep.workers`` / ``sweep.wall_s`` gauges and
             a ``sweep.snapshots`` counter.
-        network: Optional already-built network matching ``spec``.  The
-            serial path walks it directly instead of rebuilding, and the
-            parallel path reads its static ISL interconnect for the
-            chunk payloads; workers always rebuild from ``spec``.
 
     Returns:
         pair -> :class:`PairTimeline` over the full schedule, bit-identical
@@ -229,8 +227,12 @@ def sweep_timelines(spec: Optional[NetworkSpec],
     pair_keys: List[PairKey] = [(int(src), int(dst)) for src, dst in pairs]
     if not pair_keys:
         raise ValueError("need at least one pair to track")
-    if spec is None and network is None:
-        raise ValueError("need a spec or a built network to sweep")
+    for src, dst in pair_keys:
+        if src == dst:
+            raise ValueError(f"pair ({src}, {dst}) has equal endpoints")
+    if not isinstance(source, (NetworkSpec, LeoNetwork)):
+        raise ValueError(f"need a NetworkSpec or a built LeoNetwork to "
+                         f"sweep, got {type(source).__name__}")
     workers = resolve_workers(workers)
     sweep_started = time.perf_counter()
     profiler = spans.ACTIVE
@@ -240,14 +242,15 @@ def sweep_timelines(spec: Optional[NetworkSpec],
     # chunk_result, build_wall_s, total_wall_s, os_pid, span_profile)``.
     if workers <= 1 or len(times_s) <= 1:
         shards = [(0, len(times_s))]
-        outcomes = [(0, *_compute_chunk(spec, pair_keys, times_s,
-                                        network=network), os.getpid(), None)]
+        outcomes = [(0, *_compute_chunk(source, pair_keys, times_s),
+                     os.getpid(), None)]
     else:
-        if spec is None:
-            spec = NetworkSpec.from_network(network)
+        if isinstance(source, NetworkSpec):
+            spec, isl_pairs = source, source.static_isl_pairs()
+        else:
+            spec = NetworkSpec.from_network(source)
+            isl_pairs = source.isl_pairs
         shards = shard_snapshots(len(times_s), workers)
-        isl_pairs = (network.isl_pairs if network is not None
-                     else spec.static_isl_pairs())
         payloads = [(index, spec, pair_keys, times_s[start:stop],
                      isl_pairs, profiling)
                     for index, (start, stop) in enumerate(shards)]

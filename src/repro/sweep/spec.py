@@ -168,14 +168,13 @@ class NetworkSpec:
                 parent).  Must equal what the registered builder would
                 produce; the network keeps its own copy.
         """
-        if isl_pairs is None:
-            builder = ISL_BUILDERS[self.isl_builder]
-        else:
+        registered = builder = ISL_BUILDERS[self.isl_builder]
+        if isl_pairs is not None:
             precomputed = np.array(isl_pairs)  # copy: never alias the caller's
 
             def builder(constellation: Constellation) -> np.ndarray:
                 return precomputed
-        return LeoNetwork(
+        network = LeoNetwork(
             self._constellation(), list(self.ground_stations),
             min_elevation_deg=self.min_elevation_deg,
             isl_builder=builder,
@@ -184,3 +183,7 @@ class NetworkSpec:
             failed_satellites=self.failed_satellites,
             faults=self.faults,
         )
+        # The network names the registered builder whichever way its
+        # pairs arrived, so NetworkSpec.from_network round-trips.
+        network.isl_builder = registered
+        return network

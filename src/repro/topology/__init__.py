@@ -1,7 +1,6 @@
 """Time-varying network topology: ISLs, GSLs, snapshots, dynamic state."""
 
 from .dynamic_state import (
-    DynamicState,
     PairTimeline,
     count_path_changes,
     satellites_of_path,
@@ -18,7 +17,6 @@ from .isl import (
 from .network import LeoNetwork, TopologySnapshot
 
 __all__ = [
-    "DynamicState",
     "PairTimeline",
     "count_path_changes",
     "satellites_of_path",

@@ -3,9 +3,10 @@
 Paper §3.1/§5.3: Hypatia converts the continuous process of satellite
 motion into discrete intervals (default 100 ms) at which forwarding state
 is recomputed; link latencies stay continuous in between.  This module
-drives that schedule: it walks the snapshots, records each tracked pair's
-shortest path and distance, and exposes the timelines downstream analyses
-(Figs. 3, 6-9) consume.
+holds that schedule (:func:`snapshot_times`), the inner loop that walks
+a stretch of it (:func:`compute_pair_chunk`, driven by
+:func:`repro.sweep.sweep_timelines`) and the per-pair timelines the
+downstream analyses (Figs. 3, 6-9) consume.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import numpy as np
 from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 from .network import LeoNetwork
 
-__all__ = ["snapshot_times", "PairTimeline", "DynamicState",
-           "satellites_of_path", "count_path_changes",
-           "compute_pair_chunk", "make_routing_engine"]
+__all__ = ["snapshot_times", "PairTimeline", "satellites_of_path",
+           "count_path_changes", "compute_pair_chunk",
+           "make_routing_engine"]
 
 
 def snapshot_times(duration_s: float, step_s: float) -> np.ndarray:
@@ -173,61 +174,3 @@ def compute_pair_chunk(network: LeoNetwork,
         for history, path in zip(paths, step_paths):
             history.append(None if path is None else tuple(path))
     return {pair: (distances[i], paths[i]) for i, pair in enumerate(pairs)}
-
-
-class DynamicState:
-    """Walks a network's snapshots and records tracked-pair timelines.
-
-    Args:
-        network: The LEO network.
-        pairs: (src_gid, dst_gid) pairs to track.
-        duration_s: How long to simulate.
-        step_s: Forwarding-state recomputation interval.
-
-    Example:
-        >>> state = DynamicState(network, [(0, 5)], duration_s=10.0,
-        ...                      step_s=1.0)
-        >>> timelines = state.compute()
-        >>> timelines[(0, 5)].rtts_s.shape
-        (10,)
-    """
-
-    def __init__(self, network: LeoNetwork,
-                 pairs: Sequence[Tuple[int, int]],
-                 duration_s: float, step_s: float = 0.1) -> None:
-        if not pairs:
-            raise ValueError("need at least one pair to track")
-        for src, dst in pairs:
-            if src == dst:
-                raise ValueError(f"pair ({src}, {dst}) has equal endpoints")
-        self.network = network
-        self.pairs = [(int(s), int(d)) for s, d in pairs]
-        self.times_s = snapshot_times(duration_s, step_s)
-        self.step_s = step_s
-
-    def compute(self, workers: Optional[int] = None,
-                metrics=None) -> Dict[Tuple[int, int], PairTimeline]:
-        """Run the schedule and return one timeline per tracked pair.
-
-        One call to :func:`repro.sweep.sweep_timelines` on this network,
-        whatever the worker count: all destination trees of one snapshot
-        come from a single batched Dijkstra
-        (:meth:`RoutingEngine.route_to_many`), repaired between
-        snapshots.
-
-        Args:
-            workers: Number of worker processes for the snapshot sweep.
-                ``None`` or 1 walks the schedule in-process; larger
-                values shard it into contiguous chunks — results are
-                bit-identical to the serial walk, merged in time order —
-                and need the network to be expressible as a picklable
-                :class:`repro.sweep.NetworkSpec` (a registered ISL
-                builder; see :func:`repro.sweep.register_isl_builder`).
-            metrics: Optional :class:`repro.obs.MetricsRegistry`
-                receiving per-worker timing series (``sweep.*``).
-        """
-        # Imported lazily: repro.sweep builds on this module.
-        from ..sweep.engine import sweep_timelines
-        return sweep_timelines(None, self.pairs, self.times_s,
-                               workers=workers, metrics=metrics,
-                               network=self.network)

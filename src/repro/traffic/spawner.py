@@ -16,43 +16,52 @@ at every arrival and completion — which flow into the packet run's
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..cc.factory import ControllerFlowFactory
 from ..obs.metrics import MetricsRegistry
-from ..obs.report import FCT_BUCKETS
+from ..obs.report import FCT_BUCKETS, fct_summary
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from ..simulation.simulator import PacketSimulator
 from ..transport.base import Application
 from .arrivals import FlowRequest, WorkloadSchedule
 
-__all__ = ["WorkloadSpawner", "FCT_BUCKETS", "controller_fct_rows"]
+__all__ = ["WorkloadSpawner", "FCT_BUCKETS", "packet_fct_section"]
 
 
-def controller_fct_rows(fcts_by_controller: Dict[str, List[float]]
-                        ) -> Dict[str, Dict[str, float]]:
-    """Per-controller FCT percentile rows for the ``fct`` report extras.
+def packet_fct_section(spawners: Sequence["WorkloadSpawner"],
+                       metrics: MetricsRegistry) -> Dict[str, Any]:
+    """The ``fct`` section of a packet run's :class:`~repro.obs.report.
+    RunReport`, over every spawner that shares ``metrics``.
 
-    One row per congestion controller that completed at least one flow,
-    keyed by registry name — how a mixed-controller run (or a cc-lab
-    cell) breaks its FCT distribution down by algorithm.  Shared between
-    :meth:`WorkloadSpawner.fct_extras` and the live service's combined
-    extras so both report the same shape.
+    The same shape :func:`repro.obs.report.fluid_run_report` emits, so
+    packet and fluid FCT distributions compare bucket-for-bucket, plus
+    one :func:`~repro.obs.report.fct_summary` row per congestion
+    controller that completed a flow.  The histogram is the registry's
+    own ``traffic.fct_s`` — every spawner observes into it in completion
+    order, so its float accumulation is identical no matter how the same
+    flows were split across spawners (one baked-in schedule vs several
+    live attachments).
     """
-    import numpy as np
+    by_controller: Dict[str, List[float]] = {}
+    for spawner in spawners:
+        for name, fcts in spawner.fcts_by_controller.items():
+            by_controller.setdefault(name, []).extend(fcts)
     rows: Dict[str, Dict[str, float]] = {}
-    for name in sorted(fcts_by_controller):
-        fcts = np.asarray(fcts_by_controller[name])
-        if fcts.size == 0:
-            continue
-        rows[name] = {
-            "flows_completed": float(fcts.size),
-            "fct_mean_s": float(fcts.mean()),
-            "fct_p50_s": float(np.percentile(fcts, 50)),
-            "fct_p90_s": float(np.percentile(fcts, 90)),
-            "fct_p99_s": float(np.percentile(fcts, 99)),
-        }
-    return rows
+    for name, fcts in sorted(by_controller.items()):
+        stats = fct_summary(fcts)
+        del stats["fct_max_s"]
+        rows[name] = {"flows_completed": float(len(fcts)), **stats}
+    return {
+        "histogram": metrics.histogram("traffic.fct_s",
+                                       buckets=FCT_BUCKETS).as_dict(),
+        "flows_finite": sum(s.schedule.num_flows for s in spawners),
+        "flows_completed": sum(s.completed for s in spawners),
+        "offered_bits": sum(s.schedule.offered_bits for s in spawners),
+        "delivered_bits": sum(float(s._delivered_bytes) * 8.0
+                              for s in spawners),
+        "by_controller": rows,
+    }
 
 
 class WorkloadSpawner:
@@ -74,7 +83,7 @@ class WorkloadSpawner:
         sim = hypatia.build_packet_simulator()
         spawner = WorkloadSpawner(schedule, metrics=registry).install(sim)
         sim.run(duration_s)
-        print(spawner.summary())
+        print(packet_fct_section([spawner], registry))
     """
 
     def __init__(self, schedule: WorkloadSchedule,
@@ -181,42 +190,3 @@ class WorkloadSpawner:
     def active(self) -> int:
         """Flows started but not yet completed."""
         return self._active
-
-    def summary(self) -> Dict[str, Any]:
-        """Flat FCT / load accounting (report-facing)."""
-        summary: Dict[str, Any] = {
-            "flows_offered": float(self.schedule.num_flows),
-            "flows_started": float(self.started),
-            "flows_completed": float(self.completed),
-            "offered_bytes": float(
-                sum(r.size_bytes for r in self.schedule)),
-            "delivered_bytes": float(self._delivered_bytes),
-        }
-        if self.fcts_s:
-            import numpy as np
-            fcts = np.asarray(self.fcts_s)
-            summary.update({
-                "fct_mean_s": float(fcts.mean()),
-                "fct_p50_s": float(np.percentile(fcts, 50)),
-                "fct_p99_s": float(np.percentile(fcts, 99)),
-                "fct_max_s": float(fcts.max()),
-            })
-        return summary
-
-    def fct_extras(self) -> Dict[str, Any]:
-        """The ``fct`` extras section of a :class:`~repro.obs.report.
-        RunReport` — the same shape :func:`repro.obs.report.
-        fluid_run_report` emits, so packet and fluid FCT distributions
-        compare bucket-for-bucket."""
-        from ..obs.metrics import Histogram
-        histogram = Histogram("traffic.fct_s", buckets=FCT_BUCKETS)
-        for fct in self.fcts_s:
-            histogram.observe(fct)
-        return {
-            "histogram": histogram.as_dict(),
-            "flows_finite": int(self.schedule.num_flows),
-            "flows_completed": int(self.completed),
-            "offered_bits": self.schedule.offered_bits,
-            "delivered_bits": float(self._delivered_bytes) * 8.0,
-            "by_controller": controller_fct_rows(self.fcts_by_controller),
-        }

@@ -7,7 +7,6 @@ from repro.analysis.bandwidth import unused_bandwidth_stats
 from repro.analysis.paths import pair_path_stats
 from repro.analysis.rtt import (
     MIN_PAIR_SEPARATION_M,
-    ecdf,
     pair_rtt_stats,
 )
 from repro.analysis.timestep import (
@@ -16,9 +15,16 @@ from repro.analysis.timestep import (
     missed_changes,
     subsample_satellite_sets,
 )
+from repro.faults import FaultEvent, FaultSchedule
+from repro.geo.constants import SPEED_OF_LIGHT_M_PER_S
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
+from repro.routing.engine import RoutingEngine
+from repro.sweep import sweep_timelines
 from repro.topology.dynamic_state import PairTimeline
+from repro.topology.network import LeoNetwork
+
+from _routing_oracle import scalar_path_and_distance
 
 
 def _timeline(src, dst, rtts_ms, paths):
@@ -38,21 +44,6 @@ def stations():
         GroundStation(1, "B", GeodeticPosition(0.0, 90.0)),
         GroundStation(2, "C-near-A", GeodeticPosition(0.5, 0.5)),
     ]
-
-
-class TestEcdf:
-    def test_basic(self):
-        xs, ys = ecdf([3.0, 1.0, 2.0])
-        np.testing.assert_allclose(xs, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(ys, [1 / 3, 2 / 3, 1.0])
-
-    def test_empty(self):
-        xs, ys = ecdf([])
-        assert len(xs) == 0 and len(ys) == 0
-
-    def test_last_fraction_is_one(self):
-        _, ys = ecdf(np.random.default_rng(1).normal(size=50))
-        assert ys[-1] == 1.0
 
 
 class TestPairRttStats:
@@ -90,6 +81,43 @@ class TestPairRttStats:
     def test_never_connected_skipped(self, stations):
         timelines = {(0, 1): _timeline(0, 1, [np.inf], [None])}
         assert pair_rtt_stats(timelines, stations) == []
+
+
+class TestPairRttStatsOverSweep:
+    """The Figs. 6-7 chain — ``sweep_timelines`` -> ``pair_rtt_stats`` —
+    against the scalar walk, one snapshot and one pair at a time."""
+
+    def test_equals_per_snapshot_oracle_bit_for_bit(
+            self, small_constellation, small_stations):
+        faults = FaultSchedule([FaultEvent.gsl_cut(4, 2.0, 5.0),
+                                FaultEvent.satellite_outage(7, 1.0, 4.0)])
+        network = LeoNetwork(small_constellation, small_stations,
+                             min_elevation_deg=10.0, faults=faults)
+        pairs = [(src, dst) for src in range(6)
+                 for dst in range(src + 1, 6)]
+        times = np.arange(8.0)
+        timelines = sweep_timelines(network, pairs, times)
+        stats = pair_rtt_stats(timelines, small_stations)
+        assert [(s.src_gid, s.dst_gid) for s in stats] == pairs
+        oracle_engine = RoutingEngine(network)
+        sometimes = 0
+        for s in stats:
+            rtts = []
+            for time_s in times:
+                snapshot = network.snapshot(float(time_s))
+                _, distance = scalar_path_and_distance(
+                    oracle_engine.route_to(snapshot, s.dst_gid), snapshot,
+                    s.src_gid)
+                rtts.append(2.0 * distance / SPEED_OF_LIGHT_M_PER_S)
+            connected = [rtt for rtt in rtts if rtt != float("inf")]
+            assert s.min_rtt_s == min(connected)
+            assert s.max_rtt_s == max(connected)
+            assert s.connected_fraction == len(connected) / len(times)
+            sometimes += len(connected) < len(times)
+        assert 0 < sometimes < len(stats)
+        strict = pair_rtt_stats(timelines, small_stations,
+                                require_always_connected=True)
+        assert strict == [s for s in stats if s.connected_fraction == 1.0]
 
 
 class TestPairPathStats:

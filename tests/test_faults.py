@@ -339,12 +339,13 @@ class TestMidRunRerouteAndRecovery:
         """The acceptance scenario: a mid-run satellite outage of an
         on-path satellite visibly reroutes the pair at the next
         forwarding tick, and recovery restores the original path."""
-        from repro.topology.dynamic_state import DynamicState
+        from repro.sweep import sweep_timelines
+        from repro.topology.dynamic_state import snapshot_times
+        times = snapshot_times(10.0, 1.0)
         baseline = LeoNetwork(small_constellation, small_stations,
                               min_elevation_deg=10.0)
         pair = (0, 3)
-        base_tl = DynamicState(baseline, [pair], duration_s=10.0,
-                               step_s=1.0).compute()[pair]
+        base_tl = sweep_timelines(baseline, [pair], times)[pair]
         # Fail a satellite that is on the pair's path at t in [3, 7).
         victims = [n for n in base_tl.paths[3]
                    if n < baseline.num_satellites]
@@ -353,8 +354,7 @@ class TestMidRunRerouteAndRecovery:
             FaultEvent.satellite_outage(victim, 3.0, 7.0)])
         network = LeoNetwork(small_constellation, small_stations,
                              min_elevation_deg=10.0, faults=faults)
-        fault_tl = DynamicState(network, [pair], duration_s=10.0,
-                                step_s=1.0).compute()[pair]
+        fault_tl = sweep_timelines(network, [pair], times)[pair]
         # Unaffected before the outage...
         assert fault_tl.paths[:3] == base_tl.paths[:3]
         # ...rerouted (victim-free) while it lasts...
@@ -502,7 +502,8 @@ class TestDeterminism:
 
     def test_sweep_parallel_equals_serial_under_faults(
             self, small_constellation, small_stations):
-        from repro.topology.dynamic_state import DynamicState
+        from repro.sweep import sweep_timelines
+        from repro.topology.dynamic_state import snapshot_times
         faults = FaultSchedule([
             FaultEvent.satellite_outage(5, 3.0, 7.0),
             FaultEvent.gsl_cut(2, 2.0, 5.0),
@@ -511,10 +512,9 @@ class TestDeterminism:
         network = LeoNetwork(small_constellation, small_stations,
                              min_elevation_deg=10.0, faults=faults)
         pairs = [(0, 3), (1, 4), (2, 5)]
-        serial = DynamicState(network, pairs, duration_s=10.0,
-                              step_s=0.5).compute(workers=1)
-        parallel = DynamicState(network, pairs, duration_s=10.0,
-                                step_s=0.5).compute(workers=4)
+        times = snapshot_times(10.0, 0.5)
+        serial = sweep_timelines(network, pairs, times, workers=1)
+        parallel = sweep_timelines(network, pairs, times, workers=4)
         for pair in pairs:
             assert np.array_equal(serial[pair].distances_m,
                                   parallel[pair].distances_m)

@@ -14,7 +14,8 @@ from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import relay_grid_between
 from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
-from repro.topology.dynamic_state import DynamicState
+from repro.sweep import sweep_timelines
+from repro.topology.dynamic_state import snapshot_times
 from repro.transport.ping import PingSession
 from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
@@ -25,9 +26,8 @@ class TestPingTracksComputedRtt:
         """Paper Fig. 3: ping measurements and networkx-computed RTTs
         'match closely, with the lines almost entirely overlapping'."""
         duration = 30.0
-        state = DynamicState(small_network, [(0, 3)],
-                             duration_s=duration, step_s=1.0)
-        timeline = state.compute()[(0, 3)]
+        timeline = sweep_timelines(small_network, [(0, 3)],
+                                   snapshot_times(duration, 1.0))[(0, 3)]
         sim = PacketSimulator(small_network,
                               LinkConfig(isl_rate_bps=1e12,
                                          gsl_rate_bps=1e12))

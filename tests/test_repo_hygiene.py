@@ -76,3 +76,24 @@ class TestDocumentation:
         ]:
             module = importlib.import_module(module_name)
             assert module.__doc__, module_name
+
+
+class TestAnalysisHasCallers:
+    def test_every_exported_function_is_used_outside_tests(self):
+        """The paper's statistics live in ``repro.analysis`` *and* are
+        what the product, the figure benchmarks or the examples compute
+        them with — an exported function nothing but ``tests/`` calls is
+        a second implementation waiting to drift."""
+        import inspect
+        import re
+
+        import repro.analysis as analysis
+        sources = [path.read_text()
+                   for directory in ("src", "benchmarks", "examples")
+                   for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+                   if "analysis" not in path.relative_to(REPO_ROOT).parts]
+        unused = [name for name in analysis.__all__
+                  if inspect.isfunction(getattr(analysis, name))
+                  and not any(re.search(rf"\b{name}\b", source)
+                              for source in sources)]
+        assert not unused, unused

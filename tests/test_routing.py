@@ -13,9 +13,9 @@ from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation, relay_grid_between
 from repro.orbits.shell import Shell
 from repro.routing.engine import UNREACHABLE, RoutingEngine
+from repro.sweep.engine import sweep_timelines
 from repro.topology.gsl import GslEdges
 from repro.topology.dynamic_state import (
-    DynamicState,
     PairTimeline,
     count_path_changes,
     satellites_of_path,
@@ -218,13 +218,6 @@ class TestPairQueries:
         rtt = engine.pair_rtt_s(snap, 0, 3)
         assert rtt == pytest.approx(2 * d / 299_792_458.0)
 
-    def test_all_pairs_matrix_symmetric(self, small_network, engine):
-        snap = small_network.snapshot(0.0)
-        matrix = engine.all_pairs_distance_m(snap)
-        assert matrix.shape == (6, 6)
-        np.testing.assert_allclose(matrix, matrix.T, rtol=1e-9)
-        assert (np.diag(matrix) == 0).all()
-
     def test_disconnected_pair_is_inf(self, small_constellation,
                                       small_stations):
         # Without ISLs and without relays, distant GSes cannot reach
@@ -394,9 +387,8 @@ class TestDynamicState:
             snapshot_times(1.0, 0.0)
 
     def test_timeline_shapes(self, small_network):
-        state = DynamicState(small_network, [(0, 3), (1, 4)],
-                             duration_s=5.0, step_s=1.0)
-        timelines = state.compute()
+        timelines = sweep_timelines(small_network, [(0, 3), (1, 4)],
+                                    snapshot_times(5.0, 1.0))
         assert set(timelines) == {(0, 3), (1, 4)}
         tl = timelines[(0, 3)]
         assert len(tl.times_s) == 5
@@ -404,26 +396,25 @@ class TestDynamicState:
         assert tl.rtts_s.shape == (5,)
 
     def test_rtts_match_engine(self, small_network, engine):
-        state = DynamicState(small_network, [(0, 3)], duration_s=3.0,
-                             step_s=1.0)
-        tl = state.compute()[(0, 3)]
+        tl = sweep_timelines(small_network, [(0, 3)],
+                             snapshot_times(3.0, 1.0))[(0, 3)]
         for i, t in enumerate(tl.times_s):
             expected = engine.pair_rtt_s(small_network.snapshot(float(t)),
                                          0, 3)
             assert tl.rtts_s[i] == pytest.approx(expected, rel=1e-9)
 
     def test_equal_endpoints_rejected(self, small_network):
-        with pytest.raises(ValueError):
-            DynamicState(small_network, [(2, 2)], duration_s=1.0)
+        with pytest.raises(ValueError, match="equal endpoints"):
+            sweep_timelines(small_network, [(0, 3), (2, 2)],
+                            snapshot_times(1.0, 0.1))
 
     def test_empty_pairs_rejected(self, small_network):
-        with pytest.raises(ValueError):
-            DynamicState(small_network, [], duration_s=1.0)
+        with pytest.raises(ValueError, match="at least one pair"):
+            sweep_timelines(small_network, [], snapshot_times(1.0, 0.1))
 
     def test_hop_counts(self, small_network):
-        state = DynamicState(small_network, [(0, 3)], duration_s=2.0,
-                             step_s=1.0)
-        tl = state.compute()[(0, 3)]
+        tl = sweep_timelines(small_network, [(0, 3)],
+                             snapshot_times(2.0, 1.0))[(0, 3)]
         hops = tl.hop_counts()
         assert hops.dtype == np.int64
         connected = tl.connected_mask

@@ -24,8 +24,8 @@ from repro.ground.stations import GroundStation, relay_grid_between
 from repro.routing.engine import UNREACHABLE, RoutingEngine
 from repro.routing.incremental import (IncrementalPerfCounters,
                                        IncrementalRouter, diff_graphs)
-from repro.topology.dynamic_state import (DynamicState, compute_pair_chunk,
-                                          snapshot_times)
+from repro.sweep.engine import sweep_timelines
+from repro.topology.dynamic_state import compute_pair_chunk, snapshot_times
 from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
@@ -387,8 +387,8 @@ class TestTimelineIntegration:
     def test_incremental_equals_scratch_timelines(self, small_constellation,
                                                   small_stations):
         network = self._faulted_network(small_constellation, small_stations)
-        incremental = DynamicState(network, self.PAIRS, duration_s=6.0,
-                                   step_s=1.0).compute()
+        incremental = sweep_timelines(network, self.PAIRS,
+                                      snapshot_times(6.0, 1.0))
         scratch = compute_pair_chunk(network, self.PAIRS,
                                      snapshot_times(6.0, 1.0),
                                      engine=RoutingEngine(network))
@@ -399,10 +399,9 @@ class TestTimelineIntegration:
 
     def test_workers_parity(self, small_constellation, small_stations):
         network = self._faulted_network(small_constellation, small_stations)
-        state = DynamicState(network, self.PAIRS, duration_s=6.0,
-                             step_s=1.0)
-        serial = state.compute()
-        parallel = state.compute(workers=2)
+        times = snapshot_times(6.0, 1.0)
+        serial = sweep_timelines(network, self.PAIRS, times)
+        parallel = sweep_timelines(network, self.PAIRS, times, workers=2)
         for pair in self.PAIRS:
             assert np.array_equal(serial[pair].distances_m,
                                   parallel[pair].distances_m)
@@ -411,5 +410,5 @@ class TestTimelineIntegration:
     def test_unknown_routing_mode_rejected(self, small_network):
         # One timeline router, no switch: the ``routing=`` option is gone.
         with pytest.raises(TypeError):
-            DynamicState(small_network, self.PAIRS, duration_s=2.0,
-                         step_s=1.0, routing="magic")
+            sweep_timelines(small_network, self.PAIRS,
+                            snapshot_times(2.0, 1.0), routing="magic")

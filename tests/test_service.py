@@ -39,6 +39,7 @@ from repro.service import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                            read_checkpoint_header, resume_sweep,
                            save_checkpoint, spec_fingerprint,
                            sweep_with_checkpoint)
+from repro.service.checkpoint import CHECKPOINT_MAGIC
 from repro.sweep.engine import sweep_timelines
 from repro.sweep.spec import NetworkSpec
 from repro.topology.network import LeoNetwork
@@ -273,6 +274,42 @@ class TestCheckpointContainer:
             with pytest.raises(CheckpointError,
                                match="body cannot be unpickled"):
                 load_checkpoint(str(path))
+
+    def test_damaged_body_only_raises_checkpoint_errors(self, tmp_path):
+        """300 seeded mutations of a fluid-service checkpoint's body
+        (bit flip / truncation / 8 random bytes): 16 used to escape as
+        ``UnicodeDecodeError``, ``AttributeError`` (after the unpickle,
+        on ``body["spec"]`` or its fingerprint), ``ValueError``,
+        ``TypeError`` or ``MemoryError``.  A mutant may still load —
+        detecting those needs a body checksum — but nothing other than a
+        :class:`CheckpointError` may come back."""
+        path = tmp_path / "fluid.ckpt"
+        service = _make_service("fluid")
+        service.advance_to(4.0)
+        service.save(str(path))
+        whole = path.read_bytes()
+        header_end = len(CHECKPOINT_MAGIC) + 8
+        body_start = header_end + int.from_bytes(
+            whole[len(CHECKPOINT_MAGIC):header_end], "big")
+        rng = random.Random(0)
+        refused = 0
+        for _ in range(300):
+            data = bytearray(whole)
+            kind = rng.randrange(3)
+            position = rng.randrange(body_start, len(data))
+            if kind == 0:
+                data[position] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                del data[position:]
+            else:
+                data[position:position + 8] = rng.randbytes(8)
+            path.write_bytes(bytes(data))
+            try:
+                load_checkpoint(str(path))
+            except CheckpointError as error:
+                assert str(path) in str(error)
+                refused += 1
+        assert refused > 100
 
     def test_body_naming_a_removed_class_fails_clearly(self, tmp_path,
                                                        monkeypatch):

@@ -19,7 +19,7 @@ from repro.sweep import (
     shard_snapshots,
     sweep_timelines,
 )
-from repro.topology.dynamic_state import DynamicState, snapshot_times
+from repro.topology.dynamic_state import snapshot_times
 from repro.topology.isl import no_isls, plus_grid_isls, single_ring_isls
 
 
@@ -136,8 +136,8 @@ class TestNetworkSpec:
 
 class TestSweepTimelines:
     def _serial(self, network, pairs, duration_s, step_s):
-        return DynamicState(network, pairs, duration_s=duration_s,
-                            step_s=step_s).compute()
+        return sweep_timelines(network, pairs,
+                               snapshot_times(duration_s, step_s))
 
     def test_parallel_matches_serial_bitwise(self, small_network):
         pairs = [(0, 3), (1, 4), (2, 5)]
@@ -171,8 +171,38 @@ class TestSweepTimelines:
 
     def test_empty_pairs_rejected(self, small_network):
         spec = NetworkSpec.from_network(small_network)
-        with pytest.raises(ValueError):
-            sweep_timelines(spec, [], snapshot_times(5.0, 1.0))
+        for source in (spec, small_network):
+            for workers in (None, 2):
+                with pytest.raises(ValueError, match="at least one pair"):
+                    sweep_timelines(source, [], snapshot_times(5.0, 1.0),
+                                    workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_equal_endpoints_rejected_on_every_entry_point(
+            self, small_network, workers, tmp_path):
+        """Regression: only ``DynamicState`` checked, so a (g, g) pair
+        handed to the sweep itself came back as an up-and-down distance
+        (2 930 529 m for Quito -> Quito on the 8x8 lab shell) where
+        ``pair_distance_m`` answers 0."""
+        from repro.core.hypatia import Hypatia
+        from repro.service import sweep_with_checkpoint
+        spec = NetworkSpec.from_network(small_network)
+        times = snapshot_times(3.0, 1.0)
+        hypatia = Hypatia.__new__(Hypatia)
+        hypatia.network = small_network
+        for sweep in (
+                lambda pairs: sweep_timelines(spec, pairs, times,
+                                              workers=workers),
+                lambda pairs: sweep_timelines(small_network, pairs, times,
+                                              workers=workers),
+                lambda pairs: hypatia.compute_timelines(
+                    pairs, 3.0, 1.0, workers=workers),
+                lambda pairs: sweep_with_checkpoint(
+                    spec, pairs, times, str(tmp_path / "never.ckpt"), 2,
+                    workers=workers)):
+            with pytest.raises(ValueError, match="equal endpoints"):
+                sweep([(0, 3), (2, 2)])
+        assert not (tmp_path / "never.ckpt").exists()
 
     def test_metrics_recorded(self, small_network):
         from repro.obs import MetricsRegistry
@@ -213,6 +243,9 @@ class TestSharedMemoryArrays:
                               small_network.isl_pairs)
         rebuilt = spec.build(isl_pairs=spec.static_isl_pairs())
         assert np.array_equal(rebuilt.isl_pairs, small_network.isl_pairs)
+        # Regression: the rebuilt network carried an unregistered closure
+        # as its ISL builder and could not be turned back into a spec.
+        assert NetworkSpec.from_network(rebuilt) == spec
 
 
 class TestWorkerFailure:
@@ -278,16 +311,21 @@ class TestWorkerFailure:
 
 class TestDynamicStateWorkers:
     def test_compute_workers_matches_serial(self, small_network):
+        """A built network and its spec are the same ``source``, serial
+        and sharded."""
         pairs = [(0, 3), (2, 4)]
-        serial = DynamicState(small_network, pairs, duration_s=6.0,
-                              step_s=1.0).compute()
-        parallel = DynamicState(small_network, pairs, duration_s=6.0,
-                                step_s=1.0).compute(workers=2)
-        for pair in pairs:
-            assert np.array_equal(parallel[pair].distances_m,
-                                  serial[pair].distances_m,
-                                  equal_nan=True)
-            assert parallel[pair].paths == serial[pair].paths
+        times = snapshot_times(6.0, 1.0)
+        serial = sweep_timelines(small_network, pairs, times)
+        spec = NetworkSpec.from_network(small_network)
+        for source, workers in ((small_network, 2), (spec, None),
+                                (spec, 2)):
+            other = sweep_timelines(source, pairs, times, workers=workers)
+            assert list(other) == list(serial)
+            for pair in pairs:
+                assert np.array_equal(other[pair].distances_m,
+                                      serial[pair].distances_m,
+                                      equal_nan=True)
+                assert other[pair].paths == serial[pair].paths
 
     def test_unregistered_builder_walks_serially(self, small_constellation,
                                                  small_stations):
@@ -301,32 +339,35 @@ class TestDynamicStateWorkers:
                              min_elevation_deg=10.0,
                              isl_builder=custom_builder)
         pairs = [(0, 3), (2, 4)]
-        state = DynamicState(network, pairs, duration_s=4.0, step_s=1.0)
-        walked = state.compute()
-        chunk = compute_pair_chunk(network, pairs, state.times_s)
+        times = snapshot_times(4.0, 1.0)
+        walked = sweep_timelines(network, pairs, times)
+        chunk = compute_pair_chunk(network, pairs, times)
         assert list(walked) == list(chunk) == pairs
         for pair, (distances, paths) in chunk.items():
             assert np.array_equal(walked[pair].distances_m, distances)
             assert walked[pair].paths == paths
-            assert walked[pair].times_s is state.times_s
+            assert walked[pair].times_s is times
         with pytest.raises(ValueError, match="register_isl_builder"):
-            state.compute(workers=2)
+            sweep_timelines(network, pairs, times, workers=2)
 
-    def test_needs_a_spec_or_a_network(self):
-        with pytest.raises(ValueError, match="spec or a built network"):
-            sweep_timelines(None, [(0, 3)], snapshot_times(2.0, 1.0))
+    def test_needs_a_spec_or_a_network(self, small_network):
+        times = snapshot_times(2.0, 1.0)
+        with pytest.raises(ValueError, match="NetworkSpec or a built"):
+            sweep_timelines(None, [(0, 3)], times)
+        with pytest.raises(TypeError):  # one source, not a pair of them
+            sweep_timelines(None, [(0, 3)], times, network=small_network)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_compute_publishes_the_sweep_instruments(self, small_network,
                                                      workers):
         from repro.obs import MetricsRegistry
         pairs = [(0, 3), (2, 4)]
-        state = DynamicState(small_network, pairs, duration_s=6.0,
-                             step_s=1.0)
+        times = snapshot_times(6.0, 1.0)
         from_state, from_sweep = MetricsRegistry(), MetricsRegistry()
-        state.compute(workers=workers, metrics=from_state)
+        sweep_timelines(small_network, pairs, times, workers=workers,
+                        metrics=from_state)
         sweep_timelines(NetworkSpec.from_network(small_network), pairs,
-                        state.times_s, workers=workers, metrics=from_sweep)
+                        times, workers=workers, metrics=from_sweep)
         for kind in ("gauges", "counters", "series_logs"):
             assert sorted(getattr(from_state, kind)) \
                 == sorted(getattr(from_sweep, kind))
@@ -340,10 +381,9 @@ class TestDynamicStateWorkers:
             assert registry.gauges["sweep.workers"].value == chunks
 
     def test_compute_rejects_negative_workers(self, small_network):
-        state = DynamicState(small_network, [(0, 3)], duration_s=2.0,
-                             step_s=1.0)
         with pytest.raises(ValueError):
-            state.compute(workers=-1)
+            sweep_timelines(small_network, [(0, 3)],
+                            snapshot_times(2.0, 1.0), workers=-1)
 
 
 class TestSweepCli:

@@ -18,6 +18,7 @@ from repro.traffic import (
     WorkloadSchedule,
     WorkloadSpawner,
 )
+from repro.traffic.spawner import packet_fct_section
 
 pytestmark = pytest.mark.traffic
 
@@ -387,6 +388,70 @@ class TestFiniteFluidFlows:
         assert sum(fct["histogram"]["buckets"].values()) == 3
         assert "fct:" in report.describe()
 
+    def test_summary_and_report_pinned(self, small_network):
+        """Key order and values of a seeded dynamic run, captured at
+        ``b0e353e`` — before the FCT statistics moved into
+        :func:`repro.obs.report.fct_summary`."""
+        import random
+
+        from repro.obs.report import WALL_CLOCK_KEYS, fluid_run_report
+        rng = random.Random(5)
+        requests = []
+        for _ in range(16):
+            src, dst = rng.sample(range(6), 2)
+            requests.append(FlowRequest(
+                t_start_s=rng.uniform(0.0, 7.0), src_gid=src, dst_gid=dst,
+                size_bytes=rng.randint(10_000, 200_000)))
+        result = FluidSimulation(
+            small_network,
+            WorkloadSchedule(requests, seed=5).as_fluid_flows(),
+            link_capacity_bps=self.RATE).run(duration_s=10.0, step_s=2.0)
+        summary = {
+            "snapshots": 5.0,
+            "flows": 16.0,
+            "flows_ever_connected": 3.0,
+            "mean_rate_bps": 25000.0,
+            "link_capacity_bps": 1000000.0,
+            "peak_utilization": 1.0,
+            "flows_completed": 16.0,
+            "fct_mean_s": 0.8821039661234759,
+            "fct_p50_s": 0.7558760000000002,
+            "fct_p99_s": 2.1021313289878067,
+            "fct_max_s": 2.107551728987807,
+            "flows_finite": 16.0,
+            "offered_load_bps": 1185030.4,
+            "delivered_load_bps": 1185030.4,
+            "snapshots_computed": 5.0,
+            "allocations_solved": 37.0,
+        }
+        measured = {key: value
+                    for key, value in result.perf_summary().items()
+                    if key not in WALL_CLOCK_KEYS}
+        assert list(measured.items()) == list(summary.items())
+        report = fluid_run_report(result).as_dict(deterministic=True)
+        assert list(report) == ["report_version", "kind", "duration_s",
+                                "summary", "provenance", "fct"]
+        assert list(report["summary"].items()) == list(summary.items())
+        assert report["fct"] == {
+            "histogram": {
+                "count": 16,
+                "sum": 14.113663457975616,
+                "mean": 0.882103966123476,
+                "min": 0.10749600000000026,
+                "max": 2.107551728987807,
+                "exact_quantiles": True,
+                "p50": 0.633248,
+                "p99": 2.107551728987807,
+                "buckets": {"0.03": 0, "0.1": 0, "0.3": 3, "1.0": 7,
+                            "3.0": 6, "10.0": 0, "30.0": 0, "100.0": 0,
+                            "300.0": 0, "+inf": 0},
+            },
+            "flows_finite": 16,
+            "flows_completed": 16,
+            "offered_bits": 11850304.0,
+            "delivered_bits": 11850304.0,
+        }
+
     def test_workload_through_hypatia_facade(self, small_network):
         """build_fluid_simulation(workload=...) appends the schedule's
         finite flows after the long-running ones."""
@@ -421,17 +486,17 @@ class TestWorkloadSpawner:
         assert spawner.completed == 2
         assert spawner.active == 0
         assert all(fct > 0.0 for fct in spawner.fcts_s)
-        summary = spawner.summary()
-        assert summary["flows_completed"] == 2.0
-        assert summary["delivered_bytes"] == 45_000.0
-        assert "fct_p99_s" in summary
         assert registry.counters["traffic.flows_completed"].value == 2.0
         assert registry.counters["traffic.offered_bytes"].value == 45_000.0
         assert len(registry.series_logs["traffic.active_flows"].values) == 4
-        extras = spawner.fct_extras()
-        assert extras["flows_completed"] == 2
+        extras = packet_fct_section([spawner], registry)
+        assert extras["flows_finite"] == extras["flows_completed"] == 2
+        assert extras["offered_bits"] == 45_000.0 * 8.0
         assert extras["delivered_bits"] == 45_000.0 * 8.0
         assert extras["histogram"]["count"] == 2
+        assert list(extras["by_controller"]["newreno"]) == [
+            "flows_completed", "fct_mean_s", "fct_p50_s", "fct_p90_s",
+            "fct_p99_s"]
 
     def test_install_twice_rejected(self, small_network):
         from repro.simulation.simulator import PacketSimulator
@@ -564,6 +629,46 @@ class TestTrafficCli:
         assert payload["kind"] == "fluid.maxmin"
         assert payload["fct"]["flows_finite"] == 1
         assert "fct:" in capsys.readouterr().out
+
+    def test_packet_fct_section_same_from_report_and_service(self,
+                                                             tmp_path):
+        """One packet-side ``fct`` builder: ``repro report``, a live
+        service with the workload baked into its spec, and one that got
+        the same flows in two attachments publish the same section."""
+        from repro import Hypatia
+        from repro.cli import main
+        from repro.service import LiveSimulationService
+        from repro.sweep import NetworkSpec
+        # The second half starts after the first has completed, so the
+        # per-controller lists keep completion order in every variant.
+        halves = [
+            [FlowRequest(0.0, 0, 40, 30_000), FlowRequest(0.2, 7, 3, 45_000),
+             FlowRequest(0.4, 12, 55, 20_000)],
+            [FlowRequest(2.5, 40, 0, 25_000), FlowRequest(2.6, 3, 12, 60_000),
+             FlowRequest(2.8, 55, 7, 35_000)],
+        ]
+        workload = WorkloadSchedule(halves[0] + halves[1], seed=0)
+        path = tmp_path / "w.json"
+        workload.to_json(str(path))
+        out = tmp_path / "report.json"
+        assert main(["report", "K1", "--engine", "packet", "--workload",
+                     str(path), "--duration", "5", "--step", "1",
+                     "-o", str(out)]) == 0
+        from_cli = json.loads(out.read_text())["fct"]
+        assert from_cli["flows_completed"] == from_cli["flows_finite"] == 6
+        assert set(from_cli["by_controller"]) == {"newreno"}
+
+        spec = NetworkSpec.from_network(
+            Hypatia.from_shell_name("K1", num_cities=100).network)
+        baked = LiveSimulationService(spec.with_workload(workload),
+                                      engine="packet", horizon_s=5.0)
+        split = LiveSimulationService(spec, engine="packet", horizon_s=5.0)
+        for half in halves:
+            split.attach_workload(WorkloadSchedule(half, seed=0))
+        for service in (baked, split):
+            service.run_to_horizon()
+            section = service.report().as_dict()["fct"]
+            assert json.loads(json.dumps(section)) == from_cli
 
     def test_report_without_pair_or_workload_fails(self, capsys):
         from repro.cli import main

@@ -133,10 +133,9 @@ class TestPathEpisodes:
         assert path_episodes(tl) == []
 
     def test_episode_geography(self, small_network):
-        from repro.topology.dynamic_state import DynamicState
-        state = DynamicState(small_network, [(0, 3)], duration_s=3.0,
-                             step_s=1.0)
-        tl = state.compute()[(0, 3)]
+        from repro.sweep import sweep_timelines
+        tl = sweep_timelines(small_network, [(0, 3)],
+                             np.arange(3.0))[(0, 3)]
         episodes = path_episodes(tl)
         geo = episode_geography(episodes[0], small_network)
         assert geo["waypoints"][0]["kind"] == "gs"
