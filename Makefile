@@ -21,7 +21,9 @@ smoke:
 	[importlib.import_module(name) for name in mods]; \
 	print('smoke-imported', len(mods), 'modules')"
 	$(PYTHON) -c "import sys, repro; \
-	assert 'networkx' not in sys.modules, 'import repro pulled in networkx'"
+	assert 'networkx' not in sys.modules, 'import repro pulled in networkx'; \
+	assert '_orbit_oracle' not in sys.modules and '_fluid_oracle' not in sys.modules, \
+	    'import repro pulled in a tests/ oracle'"
 	! grep -rn "except Exception" src/
 	! grep -rnE "_ELASTIC_DEMAND_CAPACITIES|_flow_pairs" src/ \
 	    --exclude-dir=fluid
@@ -36,6 +38,8 @@ smoke:
 	    src/ examples/ README.md .claude/
 	! grep -rnwI "mp_context" src/repro/service/ examples/ README.md .claude/
 	! grep -rnwIE "rtt_extremes|upper_pairs_mask|DynamicState|all_pairs_distance_m|_scalar_eci|_all_circular|_combined_fct_extras|pair_rtt_stats_over_time|pair_path_stats_over_time" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "propagate_to_ec|parse_tle|read_tle_file|max_min_fair_allocation_vectorized|batched_elevation_angles_deg|max_slant_range_m|topocentric_enu|pairs_by_name|repro\.fluid\.maxmin|repro\.orbits\.propagation" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Hypatia, random_permutation_pairs
-from repro.fluid.engine import path_devices
-from repro.fluid.maxmin import max_min_fair_allocation
+from repro.fluid import max_min_fair_allocation, path_devices
 from repro.routing.multipath import edge_disjoint_paths
 
 from _common import scaled, write_result

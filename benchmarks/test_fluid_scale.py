@@ -41,15 +41,15 @@ from repro import Hypatia
 from repro.fluid.engine import (FluidFlow, FluidSimulation,
                                 first_appearance_rows,
                                 flow_link_matrix_from_paths, path_devices)
-from repro.fluid.maxmin import max_min_fair_allocation
 from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     _waterfill_arrays, _waterfill_scalars,
-                                    max_min_fair_allocation_vectorized,
+                                    max_min_fair_allocation,
                                     waterfill)
 from repro.traffic import TrafficMatrix
 
 from _common import scaled, write_result
 from _fluid_oracle import assert_result_matches_oracle
+from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 
 NUM_CITIES = 100
 NUM_FLOWS = scaled(100_000, 1_000_000)
@@ -109,9 +109,8 @@ def test_kernels_bit_identical_on_random_scenarios():
                       for _ in range(num_flows)]
         demands = (rng.uniform(0.1, 40.0, size=num_flows)
                    if rng.random() < 0.5 else None)
-        expected = max_min_fair_allocation(capacity, flow_links, demands)
-        got = max_min_fair_allocation_vectorized(capacity, flow_links,
-                                                 demands)
+        expected = oracle_allocation(capacity, flow_links, demands)
+        got = max_min_fair_allocation(capacity, flow_links, demands)
         assert np.array_equal(expected, got), (capacity, flow_links,
                                                demands)
 
@@ -173,7 +172,7 @@ def test_gravity_scale():
     capacity = {key: LINK_CAPACITY_BPS for key in matrix.link_keys}
     ref_build_s = time.perf_counter() - conv_start
     start = time.perf_counter()
-    rates_ref = max_min_fair_allocation(capacity, flow_links)
+    rates_ref = oracle_allocation(capacity, flow_links)
     ref_solve_s = time.perf_counter() - start
 
     assert np.array_equal(rates_ref, rates_vec), (
@@ -277,7 +276,7 @@ def test_small_solve_crossover():
             assert np.array_equal(
                 rates, waterfill(matrix, demands=caps[:matrix.num_flows],
                                  active=rows))
-            assert np.array_equal(rates, max_min_fair_allocation(
+            assert np.array_equal(rates, oracle_allocation(
                 link_capacity,
                 [[keys[j] for j in matrix.link_index[
                     matrix.indptr[row]:matrix.indptr[row + 1]]]

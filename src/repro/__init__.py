@@ -5,7 +5,7 @@ of LEO mega-constellations (Starlink, Kuiper, Telesat).  This package
 reimplements the full system from scratch:
 
 * :mod:`repro.geo` / :mod:`repro.orbits` — geodesy and orbital mechanics
-  (Keplerian propagation, TLE generation/parsing);
+  (Keplerian elements, orbital shells, TLE export);
 * :mod:`repro.constellations` — paper Table 1's shells and satellites;
 * :mod:`repro.ground` — the 100-city ground segment and visibility;
 * :mod:`repro.topology` / :mod:`repro.routing` — +Grid ISLs, GSLs,
@@ -30,11 +30,7 @@ Quickstart::
 """
 
 from .core.hypatia import Hypatia
-from .core.workloads import (
-    PAPER_FOCUS_PAIRS,
-    pairs_by_name,
-    random_permutation_pairs,
-)
+from .core.workloads import PAPER_FOCUS_PAIRS, random_permutation_pairs
 from .faults import FaultEvent, FaultKind, FaultSchedule
 from .traffic import (
     FlowArrivalProcess,
@@ -57,7 +53,6 @@ __all__ = [
     "WorkloadSchedule",
     "WorkloadSpawner",
     "PAPER_FOCUS_PAIRS",
-    "pairs_by_name",
     "random_permutation_pairs",
     "__version__",
 ]

@@ -158,16 +158,6 @@ class Observation:
     acked_packets: int
     done: bool
 
-    def as_vector(self) -> np.ndarray:
-        """The observation as a flat float vector (policy-facing)."""
-        return np.array([
-            self.time_s, self.rtt_last_s, self.rtt_min_s, self.rtt_mean_s,
-            self.delivery_rate_bps, float(self.retransmitted_packets),
-            float(self.fault_drops), float(self.congestion_drops),
-            float(self.inflight_bytes), self.cwnd_packets,
-            float(self.acked_packets), float(self.done),
-        ])
-
 
 class RateControlEnv:
     """Seeded step/observe/act loop for rate-control policies.

@@ -30,6 +30,7 @@ Usage (installed as ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -472,6 +473,8 @@ def _cmd_czml(args) -> int:
 def _cmd_sky(args) -> int:
     from .core.hypatia import Hypatia
     from .viz.ground_view import sky_snapshot
+    if not math.isfinite(args.time):
+        raise ValueError(f"--time must be finite, got {args.time}")
     hypatia = Hypatia.from_shell_name(args.shell, num_cities=100)
     station = hypatia.ground_stations[hypatia.gid(args.city)]
     snap = sky_snapshot(hypatia.constellation, station,
@@ -792,6 +795,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     except RuntimeError as error:
         from .service import CheckpointError, ServiceError

@@ -132,11 +132,6 @@ class Constellation:
         shell = next(s for s in self.shells if s.name == shell_name)
         return offset + shell.satellite_id(index)
 
-    def shell_of(self, satellite_id: int) -> Shell:
-        """The shell that owns the given satellite id."""
-        shell_name = self.satellites[satellite_id].shell_name
-        return next(s for s in self.shells if s.name == shell_name)
-
     def positions_eci_m(self, time_s: float) -> np.ndarray:
         """(N, 3) ECI positions of all satellites at ``time_s``."""
         time_s = time_s + self.epoch_offset_s
@@ -163,10 +158,6 @@ class Constellation:
         x = eci[:, 0] * cos_t + eci[:, 1] * sin_t
         y = -eci[:, 0] * sin_t + eci[:, 1] * cos_t
         return np.column_stack([x, y, eci[:, 2]])
-
-    def position_ecef_m(self, satellite_id: int, time_s: float) -> np.ndarray:
-        """ECEF position of a single satellite at ``time_s``."""
-        return self.positions_ecef_m(time_s)[satellite_id]
 
     def generate_tles(self, epoch_year: int = 2000,
                       epoch_day: float = 1.0) -> List[TLE]:

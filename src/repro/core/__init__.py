@@ -4,7 +4,6 @@ from .hypatia import Hypatia
 from .workloads import (
     PAPER_FOCUS_PAIRS,
     gid_by_name,
-    pairs_by_name,
     random_permutation_pairs,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "Hypatia",
     "PAPER_FOCUS_PAIRS",
     "gid_by_name",
-    "pairs_by_name",
     "random_permutation_pairs",
 ]

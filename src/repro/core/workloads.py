@@ -17,7 +17,6 @@ from ..ground.stations import GroundStation
 __all__ = [
     "PAPER_FOCUS_PAIRS",
     "random_permutation_pairs",
-    "pairs_by_name",
     "gid_by_name",
 ]
 
@@ -67,13 +66,3 @@ def gid_by_name(stations: Sequence[GroundStation], name: str) -> int:
         if station.name == name:
             return station.gid
     raise KeyError(f"no ground station named {name!r}")
-
-
-def pairs_by_name(stations: Sequence[GroundStation],
-                  named_pairs: Sequence[Tuple[str, str]]
-                  ) -> List[Tuple[int, int]]:
-    """Translate (source-name, destination-name) pairs into gid pairs."""
-    return [
-        (gid_by_name(stations, src), gid_by_name(stations, dst))
-        for src, dst in named_pairs
-    ]

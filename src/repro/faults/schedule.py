@@ -362,11 +362,6 @@ class FaultSchedule:
                 survive *= 1.0 - event.rate
         return 1.0 - survive
 
-    def capacity_factor(self, device: Hashable, num_satellites: int,
-                        time_s: float) -> float:
-        """:meth:`capacity_factors` of one device."""
-        return self.capacity_factors([device], num_satellites, time_s)[0]
-
     def capacity_factors(self, devices: Sequence[Hashable],
                          num_satellites: int, time_s: float) -> List[float]:
         """Effective capacity multipliers of fluid-engine device keys.

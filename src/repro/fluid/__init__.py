@@ -4,8 +4,7 @@ from .aimd import AimdFluidSimulation
 from .engine import (FluidFlow, FluidResult, FluidRunState, FluidSimulation,
                      decode_device, flatten_path_devices,
                      flow_link_matrix_from_paths, path_devices)
-from .maxmin import max_min_fair_allocation
-from .vectorized import (FlowLinkMatrix, max_min_fair_allocation_vectorized,
+from .vectorized import (FlowLinkMatrix, max_min_fair_allocation,
                          waterfill)
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "flow_link_matrix_from_paths",
     "path_devices",
     "max_min_fair_allocation",
-    "max_min_fair_allocation_vectorized",
     "waterfill",
 ]

@@ -88,11 +88,6 @@ class FluidFlow:
             raise ValueError(
                 f"start time must be finite and >= 0, got {self.start_s}")
 
-    @property
-    def is_finite(self) -> bool:
-        """Whether the flow completes (has a finite size)."""
-        return self.size_bytes is not None
-
 
 def path_devices(path: Sequence[int], num_satellites: int
                  ) -> List[Hashable]:
@@ -202,8 +197,9 @@ def flow_link_matrix_from_paths(
     Device codes are flattened in path order and columns numbered by
     :func:`first_appearance_columns` — exactly the oracle's link dict
     insertion order, so :func:`repro.fluid.vectorized.waterfill` over
-    the matrix reproduces ``max_min_fair_allocation`` bit-for-bit.  A
-    ``None`` path becomes an empty row.
+    the matrix reproduces the reference allocator
+    (``tests/_fluid_oracle.py``) bit-for-bit.  A ``None`` path becomes
+    an empty row.
 
     Args:
         paths: Per-flow node paths (``None`` for disconnected flows).
@@ -595,7 +591,7 @@ class FluidSimulation:
             if max_steps < 0:
                 raise ValueError(f"max_steps must be >= 0, got {max_steps}")
             stop = min(stop, state.next_index + max_steps)
-        faults = getattr(self.network, "fault_view", None)
+        faults = self.network.fault_view
         profiler = spans.ACTIVE
         run_span = profiler.begin("fluid.run") if profiler.enabled else -1
         frozen_paths = state.frozen_paths

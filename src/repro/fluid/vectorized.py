@@ -1,10 +1,9 @@
 """Vectorized max-min fairness over a flat flows-on-links incidence.
 
-The pure-Python progressive-filling oracle
-(:func:`repro.fluid.maxmin.max_min_fair_allocation`) walks dicts and sets
-per freezing event — O(events x flows) Python work that caps the traffic
-subsystem at a few thousand concurrent flows.  This module holds the
-million-flow representation:
+Progressive filling over dicts and sets (the reference allocator kept
+as a test oracle, ``tests/_fluid_oracle.py``) costs O(events x flows)
+Python work per solve, which caps the traffic subsystem at a few thousand
+concurrent flows.  This module holds the million-flow representation:
 
 * :class:`FlowLinkMatrix` stores which links each flow traverses as a CSR
   incidence matrix.  Entries are kept *per traversal* in path order, so a
@@ -43,7 +42,7 @@ import numpy as np
 __all__ = [
     "FlowLinkMatrix",
     "waterfill",
-    "max_min_fair_allocation_vectorized",
+    "max_min_fair_allocation",
 ]
 
 #: Largest solve — rows, and traversal entries over those rows — that
@@ -479,16 +478,30 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
     return rates
 
 
-def max_min_fair_allocation_vectorized(
+def max_min_fair_allocation(
         link_capacity: Dict[Hashable, float],
         flow_links: Sequence[Sequence[Hashable]],
         demands: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Drop-in vectorized twin of
-    :func:`repro.fluid.maxmin.max_min_fair_allocation`.
+    """Max-min fair rates of flows given as per-traversal link lists.
 
-    Same contract, same validation, bit-identical rates; only the
-    representation (flat arrays instead of dicts) differs.
+    A flow listing the same link more than once (a loop path) consumes
+    capacity once per traversal.  A flow with no links is only limited
+    by its demand.
+
+    Args:
+        link_capacity: Capacity of every link (any hashable link key).
+        flow_links: For each flow, the links it traverses, one entry per
+            traversal.
+        demands: Optional per-flow rate caps; ``None`` means every flow
+            is elastic (infinite demand).
+
+    Returns:
+        (F,) array of allocated rates.
+
+    Raises:
+        ValueError: On negative capacities/demands, links missing from
+            ``link_capacity``, or flows nothing constrains.
     """
     num_flows = len(flow_links)
     if num_flows == 0:

@@ -14,20 +14,14 @@ from .constants import (
 )
 from .coordinates import (
     GeodeticPosition,
-    ecef_to_eci,
     ecef_to_geodetic,
-    eci_to_ecef,
     geodetic_to_ecef,
-    gmst_angle_rad,
-    rotation_about_z,
-    topocentric_enu,
 )
 from .distance import (
     central_angle_rad,
     geodesic_rtt_s,
     great_circle_distance_m,
     propagation_delay_s,
-    straight_line_distance_m,
 )
 
 __all__ = [
@@ -42,16 +36,10 @@ __all__ = [
     "WGS72",
     "WGS84",
     "GeodeticPosition",
-    "ecef_to_eci",
     "ecef_to_geodetic",
-    "eci_to_ecef",
     "geodetic_to_ecef",
-    "gmst_angle_rad",
-    "rotation_about_z",
-    "topocentric_enu",
     "central_angle_rad",
     "geodesic_rtt_s",
     "great_circle_distance_m",
     "propagation_delay_s",
-    "straight_line_distance_m",
 ]

@@ -59,11 +59,6 @@ class Ellipsoid:
         return 1.0 / self.inverse_flattening
 
     @property
-    def semi_minor_axis_m(self) -> float:
-        """Polar radius ``b = a * (1 - f)`` in meters."""
-        return self.semi_major_axis_m * (1.0 - self.flattening)
-
-    @property
     def eccentricity_squared(self) -> float:
         """First eccentricity squared, ``e^2 = f * (2 - f)``."""
         f = self.flattening

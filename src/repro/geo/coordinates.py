@@ -15,31 +15,23 @@ The ECI -> ECEF rotation is a single rotation about Z by the Greenwich Mean
 Sidereal Time (GMST) angle.  Since every experiment in the paper spans at
 most a few hundred seconds, we use the linear GMST model (constant rotation
 rate from a reference epoch), which is exact to well under a meter over such
-horizons.
+horizons.  ``Constellation.positions_ecef_m`` applies it to all satellites
+at once; this module holds the geodetic conversions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .constants import (
-    EARTH_ROTATION_RATE_RAD_PER_S,
-    Ellipsoid,
-    WGS84,
-)
+from .constants import Ellipsoid, WGS84
 
 __all__ = [
     "GeodeticPosition",
-    "gmst_angle_rad",
-    "eci_to_ecef",
-    "ecef_to_eci",
     "geodetic_to_ecef",
     "ecef_to_geodetic",
-    "rotation_about_z",
 ]
 
 
@@ -72,51 +64,6 @@ class GeodeticPosition:
     @property
     def longitude_rad(self) -> float:
         return math.radians(self.longitude_deg)
-
-
-def gmst_angle_rad(time_s: float, gmst_at_epoch_rad: float = 0.0) -> float:
-    """Greenwich Mean Sidereal Time angle at ``time_s`` past the epoch.
-
-    Args:
-        time_s: Seconds since the simulation epoch.
-        gmst_at_epoch_rad: GMST at the epoch itself.  Simulations are
-            invariant to this offset (it shifts all longitudes uniformly), so
-            it defaults to zero.
-
-    Returns:
-        The rotation angle of the Earth in radians, wrapped to [0, 2*pi).
-    """
-    angle = gmst_at_epoch_rad + EARTH_ROTATION_RATE_RAD_PER_S * time_s
-    return angle % (2.0 * math.pi)
-
-
-def rotation_about_z(angle_rad: float) -> np.ndarray:
-    """Right-handed rotation matrix about the +Z axis by ``angle_rad``."""
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([
-        [c, s, 0.0],
-        [-s, c, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-
-
-def eci_to_ecef(position_eci_m: np.ndarray, time_s: float,
-                gmst_at_epoch_rad: float = 0.0) -> np.ndarray:
-    """Rotate an ECI position vector into the ECEF frame at ``time_s``.
-
-    Accepts a single 3-vector or an (N, 3) array of vectors.
-    """
-    theta = gmst_angle_rad(time_s, gmst_at_epoch_rad)
-    rot = rotation_about_z(theta)
-    return np.asarray(position_eci_m) @ rot.T
-
-
-def ecef_to_eci(position_ecef_m: np.ndarray, time_s: float,
-                gmst_at_epoch_rad: float = 0.0) -> np.ndarray:
-    """Rotate an ECEF position vector into the ECI frame at ``time_s``."""
-    theta = gmst_angle_rad(time_s, gmst_at_epoch_rad)
-    rot = rotation_about_z(-theta)
-    return np.asarray(position_ecef_m) @ rot.T
 
 
 def geodetic_to_ecef(position: GeodeticPosition,
@@ -179,26 +126,3 @@ def ecef_to_geodetic(position_ecef_m: np.ndarray,
     if lon_deg == -180.0:
         lon_deg = 180.0
     return GeodeticPosition(math.degrees(lat), lon_deg, alt)
-
-
-def topocentric_enu(observer_ecef_m: np.ndarray,
-                    observer_geodetic: GeodeticPosition,
-                    target_ecef_m: np.ndarray) -> Tuple[float, float, float]:
-    """Express ``target`` in the observer's local East-North-Up frame.
-
-    Returns:
-        ``(east_m, north_m, up_m)`` components of the observer->target vector.
-    """
-    lat = observer_geodetic.latitude_rad
-    lon = observer_geodetic.longitude_rad
-    delta = np.asarray(target_ecef_m) - np.asarray(observer_ecef_m)
-    sin_lat, cos_lat = math.sin(lat), math.cos(lat)
-    sin_lon, cos_lon = math.sin(lon), math.cos(lon)
-    east = -sin_lon * delta[0] + cos_lon * delta[1]
-    north = (-sin_lat * cos_lon * delta[0]
-             - sin_lat * sin_lon * delta[1]
-             + cos_lat * delta[2])
-    up = (cos_lat * cos_lon * delta[0]
-          + cos_lat * sin_lon * delta[1]
-          + sin_lat * delta[2])
-    return float(east), float(north), float(up)

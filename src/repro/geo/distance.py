@@ -13,23 +13,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import EARTH_MEAN_RADIUS_M, SPEED_OF_LIGHT_M_PER_S
 from .coordinates import GeodeticPosition
 
 __all__ = [
-    "straight_line_distance_m",
     "great_circle_distance_m",
     "central_angle_rad",
     "propagation_delay_s",
     "geodesic_rtt_s",
 ]
-
-
-def straight_line_distance_m(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two Cartesian positions (meters)."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
 def central_angle_rad(a: GeodeticPosition, b: GeodeticPosition) -> float:

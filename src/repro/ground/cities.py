@@ -12,11 +12,11 @@ resulting position error (~1 km) is far below link-length variation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..geo.coordinates import GeodeticPosition
 
-__all__ = ["City", "top_cities", "city_by_name", "CITY_RECORDS"]
+__all__ = ["City", "top_cities", "CITY_RECORDS"]
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,10 @@ CITY_RECORDS: Tuple[Tuple[int, str, float, float, int], ...] = (
 )
 
 
-def _build_cities() -> Tuple[List[City], Dict[str, City]]:
-    cities: List[City] = []
-    by_name: Dict[str, City] = {}
-    for rank, name, lat, lon, population in CITY_RECORDS:
-        city = City(rank=rank, name=name,
-                    position=GeodeticPosition(lat, lon, 0.0),
-                    population=population)
-        cities.append(city)
-        by_name[name] = city
-    return cities, by_name
-
-
-_ALL_CITIES, _CITIES_BY_NAME = _build_cities()
+_ALL_CITIES: List[City] = [
+    City(rank=rank, name=name, position=GeodeticPosition(lat, lon, 0.0),
+         population=population)
+    for rank, name, lat, lon, population in CITY_RECORDS]
 
 
 def top_cities(count: int = 100) -> List[City]:
@@ -174,15 +165,3 @@ def top_cities(count: int = 100) -> List[City]:
         raise ValueError(
             f"count must be in [1, {len(_ALL_CITIES)}], got {count}")
     return list(_ALL_CITIES[:count])
-
-
-def city_by_name(name: str) -> City:
-    """Look up a city by its exact name.
-
-    Raises:
-        KeyError: If the city is not in the dataset.
-    """
-    try:
-        return _CITIES_BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"city {name!r} not in the top-100 dataset") from None

@@ -16,19 +16,15 @@ step.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..geo.constants import EARTH_MEAN_RADIUS_M
 from .stations import GroundStation
 
 __all__ = [
     "elevation_angles_deg",
-    "batched_elevation_angles_deg",
     "batched_visible_satellites",
-    "visible_satellite_ids",
-    "max_slant_range_m",
     "azimuth_elevation_deg",
 ]
 
@@ -73,41 +69,6 @@ def elevation_angles_deg(station: GroundStation,
     return np.degrees(np.arcsin(sin_elev))
 
 
-def batched_elevation_angles_deg(stations: List[GroundStation],
-                                 satellite_positions_ecef_m: np.ndarray
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Elevations *and* slant ranges of all stations x satellites at once.
-
-    The per-snapshot GSL hot path: one batched computation replaces G
-    calls to :func:`elevation_angles_deg` plus G norm evaluations, which
-    matters because every forwarding-state update (and every sweep
-    worker's inner loop) recomputes visibility of the whole constellation
-    from every ground station.
-
-    Args:
-        stations: The observing ground stations (length G).
-        satellite_positions_ecef_m: (N, 3) ECEF satellite positions.
-
-    Returns:
-        ``(elevations_deg, distances_m)``, each of shape (G, N): per
-        station, the elevation of every satellite above its horizon and
-        the slant range to it.
-    """
-    positions = np.atleast_2d(np.asarray(satellite_positions_ecef_m,
-                                         dtype=np.float64))
-    num_sats = positions.shape[0]
-    if not stations:
-        return (np.empty((0, num_sats)), np.empty((0, num_sats)))
-    station_ecef, ups = _station_frames(stations)
-    delta = positions[None, :, :] - station_ecef[:, None, :]
-    distances = np.sqrt(np.einsum("gnk,gnk->gn", delta, delta))
-    # sin(elevation) is the up-component of the unit pointing vector.
-    sin_elev = (np.einsum("gnk,gk->gn", delta, ups)
-                / np.maximum(distances, 1e-9))
-    np.clip(sin_elev, -1.0, 1.0, out=sin_elev)
-    return np.degrees(np.arcsin(sin_elev)), distances
-
-
 def batched_visible_satellites(stations: List[GroundStation],
                                satellite_positions_ecef_m: np.ndarray,
                                min_elevations_deg: np.ndarray
@@ -115,9 +76,9 @@ def batched_visible_satellites(stations: List[GroundStation],
     """The (station, satellite) pairs at or above each station's minimum
     elevation, with their slant ranges.
 
-    Exactly the pairs (and lengths) a threshold on
-    :func:`batched_elevation_angles_deg` selects, without taking the
-    arcsine of the whole station x satellite table: a cheap bound
+    Exactly the pairs (and lengths) a threshold on each station's
+    :func:`elevation_angles_deg` selects, without taking the arcsine of
+    the whole station x satellite table: a cheap bound
     ``up-component >= (sin(threshold) - 1e-6) * slant`` — from two
     (G, N) dot-product tables, no (G, N, 3) difference array — first
     rules out the pairs far below the threshold (all but a few per cent),
@@ -159,8 +120,7 @@ def batched_visible_satellites(stations: List[GroundStation],
     candidate = up >= slant
     candidate &= reachable[:, np.newaxis]
     station_index, satellite_ids = np.nonzero(candidate)
-    # The exact test, in the very operations of
-    # batched_elevation_angles_deg (same bits, same visible set).
+    # The exact test, on the few candidates only.
     delta = positions[satellite_ids] - station_ecef[station_index]
     distances = np.sqrt(np.einsum("ck,ck->c", delta, delta))
     sin_elev = (np.einsum("ck,ck->c", delta, ups[station_index])
@@ -200,53 +160,3 @@ def azimuth_elevation_deg(station: GroundStation,
     elevations = np.degrees(np.arctan2(up, horizontal))
     azimuths = np.degrees(np.arctan2(east, north)) % 360.0
     return azimuths, elevations
-
-
-def visible_satellite_ids(station: GroundStation,
-                          satellite_positions_ecef_m: np.ndarray,
-                          min_elevation_deg: float) -> np.ndarray:
-    """Ids (row indices) of satellites visible above ``min_elevation_deg``."""
-    elevations = elevation_angles_deg(station, satellite_positions_ecef_m)
-    return np.nonzero(elevations >= min_elevation_deg)[0]
-
-
-def max_slant_range_m(altitude_m: float, min_elevation_deg: float,
-                      earth_radius_m: float = EARTH_MEAN_RADIUS_M,
-                      orbit_radius_m: Optional[float] = None) -> float:
-    """Longest possible GS-satellite link at a given minimum elevation.
-
-    For a satellite at orbit radius ``R + h`` seen at elevation ``l`` from a
-    station at radius ``R``, the slant range follows from the law of
-    cosines:
-
-        d = -R sin(l) + sqrt((R + h)^2 - R^2 cos^2(l))
-
-    The range is maximal at the minimum elevation, so this bounds every
-    admissible GSL length — handy as a cheap distance-based visibility
-    prefilter and for worst-case GSL latency estimates.
-
-    Args:
-        altitude_m: Satellite altitude ``h`` above the surface.
-        min_elevation_deg: Minimum elevation angle ``l`` in degrees.
-        earth_radius_m: Station's distance from the Earth's center.
-        orbit_radius_m: Satellite's distance from the Earth's center;
-            defaults to ``earth_radius_m + altitude_m``.  Pass it
-            explicitly when station and satellite radii differ (ellipsoidal
-            stations, equatorial-radius orbits).
-
-    Returns:
-        The maximum admissible slant range in meters.
-    """
-    if altitude_m <= 0.0:
-        raise ValueError(f"altitude must be positive, got {altitude_m}")
-    if not 0.0 <= min_elevation_deg <= 90.0:
-        raise ValueError(
-            f"min elevation must be in [0, 90], got {min_elevation_deg}")
-    l_rad = math.radians(min_elevation_deg)
-    r = earth_radius_m
-    orbit_radius = (orbit_radius_m if orbit_radius_m is not None
-                    else earth_radius_m + altitude_m)
-    if orbit_radius <= r:
-        raise ValueError("orbit radius must exceed the station radius")
-    return (-r * math.sin(l_rad)
-            + math.sqrt(orbit_radius ** 2 - (r * math.cos(l_rad)) ** 2))

@@ -282,9 +282,6 @@ class MetricsRegistry:
         return sorted(name for name in self._series
                       if name.startswith(prefix) and name.endswith(suffix))
 
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
     def as_dict(self, include_series: bool = True) -> Dict[str, Any]:
         """The whole registry as a JSON-serializable dict."""
         payload: Dict[str, Any] = {

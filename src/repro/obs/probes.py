@@ -134,7 +134,7 @@ class SimulatorProbe:
                 now, (busy - last_busy) / interval)
             registry.series(prefix + "throughput_bps").append(
                 now, (sent - last_sent) * 8.0 / interval)
-        faults = getattr(self.sim.network, "fault_view", None)
+        faults = self.sim.network.fault_view
         if faults is not None:
             # The faults.* family: how many schedule events are active
             # and the cumulative injected-drop count, sampled alongside

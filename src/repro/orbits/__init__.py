@@ -1,48 +1,20 @@
-"""Orbital mechanics substrate: Keplerian elements, propagation, TLEs, shells."""
+"""Orbital mechanics substrate: Keplerian elements, shells, TLE export.
 
-from .kepler import (
-    KeplerianElements,
-    eccentric_to_mean_anomaly,
-    eccentric_to_true_anomaly,
-    mean_motion_rad_per_s,
-    mean_to_eccentric_anomaly,
-    mean_to_true_anomaly,
-    orbital_period_s,
-    orbital_velocity_m_per_s,
-    semi_major_axis_from_period,
-    true_to_eccentric_anomaly,
-    wrap_angle,
-)
-from .propagation import (
-    OrbitState,
-    perifocal_to_eci_matrix,
-    propagate_to_ecef,
-    propagate_to_eci,
-)
+The independent TLE parser and general two-body propagator that validate
+the export live with the tests (``tests/_orbit_oracle.py``).
+"""
+
+from .kepler import KeplerianElements, mean_motion_rad_per_s, wrap_angle
 from .shell import SatelliteIndex, Shell
-from .tle import TLE, TLEFormatError, generate_tle, parse_tle, tle_checksum
+from .tle import TLE, generate_tle, tle_checksum
 
 __all__ = [
     "KeplerianElements",
-    "eccentric_to_mean_anomaly",
-    "eccentric_to_true_anomaly",
     "mean_motion_rad_per_s",
-    "mean_to_eccentric_anomaly",
-    "mean_to_true_anomaly",
-    "orbital_period_s",
-    "orbital_velocity_m_per_s",
-    "semi_major_axis_from_period",
-    "true_to_eccentric_anomaly",
     "wrap_angle",
-    "OrbitState",
-    "perifocal_to_eci_matrix",
-    "propagate_to_ecef",
-    "propagate_to_eci",
     "SatelliteIndex",
     "Shell",
     "TLE",
-    "TLEFormatError",
     "generate_tle",
-    "parse_tle",
     "tle_checksum",
 ]

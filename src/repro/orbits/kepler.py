@@ -1,8 +1,9 @@
-"""Keplerian orbital elements and anomaly conversions.
+"""Keplerian orbital elements.
 
 The constellations in the paper's Table 1 are all circular-orbit shells, but
-the machinery here supports general elliptical orbits so that TLE round-trips
-and perturbation-free propagation are exact for any bound orbit.
+the element container holds any bound orbit, so a generated TLE can be
+checked by the general two-body propagator kept as a test oracle
+(``tests/_orbit_oracle.py``).
 
 Conventions:
 
@@ -14,23 +15,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..geo.constants import EARTH_MU_M3_PER_S2, WGS72
 
-__all__ = [
-    "KeplerianElements",
-    "orbital_period_s",
-    "mean_motion_rad_per_s",
-    "orbital_velocity_m_per_s",
-    "semi_major_axis_from_period",
-    "mean_to_eccentric_anomaly",
-    "eccentric_to_true_anomaly",
-    "true_to_eccentric_anomaly",
-    "eccentric_to_mean_anomaly",
-    "mean_to_true_anomaly",
-    "wrap_angle",
-]
+__all__ = ["KeplerianElements", "mean_motion_rad_per_s", "wrap_angle"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,11 +99,6 @@ class KeplerianElements:
         )
 
     @property
-    def period_s(self) -> float:
-        """Orbital period via Kepler's third law (seconds)."""
-        return orbital_period_s(self.semi_major_axis_m, self.mu_m3_per_s2)
-
-    @property
     def mean_motion_rad_per_s(self) -> float:
         """Mean motion ``n = sqrt(mu / a^3)`` (rad/s)."""
         return mean_motion_rad_per_s(self.semi_major_axis_m, self.mu_m3_per_s2)
@@ -123,23 +107,6 @@ class KeplerianElements:
     def mean_motion_rev_per_day(self) -> float:
         """Mean motion in revolutions per day — the TLE representation."""
         return self.mean_motion_rad_per_s * 86_400.0 / TWO_PI
-
-    def mean_anomaly_at(self, time_s: float) -> float:
-        """Mean anomaly after ``time_s`` seconds of unperturbed motion."""
-        return wrap_angle(self.mean_anomaly_rad
-                          + self.mean_motion_rad_per_s * time_s)
-
-    def with_mean_anomaly(self, mean_anomaly_rad: float) -> "KeplerianElements":
-        """A copy of these elements with a different mean anomaly."""
-        return replace(self, mean_anomaly_rad=wrap_angle(mean_anomaly_rad))
-
-
-def orbital_period_s(semi_major_axis_m: float,
-                     mu_m3_per_s2: float = EARTH_MU_M3_PER_S2) -> float:
-    """Kepler's third law: ``T = 2*pi * sqrt(a^3 / mu)``."""
-    if semi_major_axis_m <= 0.0:
-        raise ValueError("semi-major axis must be positive")
-    return TWO_PI * math.sqrt(semi_major_axis_m ** 3 / mu_m3_per_s2)
 
 
 def mean_motion_rad_per_s(semi_major_axis_m: float,
@@ -150,87 +117,3 @@ def mean_motion_rad_per_s(semi_major_axis_m: float,
     return math.sqrt(mu_m3_per_s2 / semi_major_axis_m ** 3)
 
 
-def orbital_velocity_m_per_s(semi_major_axis_m: float,
-                             mu_m3_per_s2: float = EARTH_MU_M3_PER_S2) -> float:
-    """Circular orbital velocity ``v = sqrt(mu / a)`` (m/s).
-
-    At h = 550 km this is ~7.6 km/s, i.e. more than 27,000 km/h — the paper's
-    headline satellite speed (§2.3).
-    """
-    if semi_major_axis_m <= 0.0:
-        raise ValueError("semi-major axis must be positive")
-    return math.sqrt(mu_m3_per_s2 / semi_major_axis_m)
-
-
-def semi_major_axis_from_period(period_s: float,
-                                mu_m3_per_s2: float = EARTH_MU_M3_PER_S2
-                                ) -> float:
-    """Invert Kepler's third law: the ``a`` giving orbital period ``T``."""
-    if period_s <= 0.0:
-        raise ValueError("period must be positive")
-    return (mu_m3_per_s2 * (period_s / TWO_PI) ** 2) ** (1.0 / 3.0)
-
-
-def mean_to_eccentric_anomaly(mean_anomaly_rad: float, eccentricity: float,
-                              tolerance: float = 1e-12,
-                              max_iterations: int = 50) -> float:
-    """Solve Kepler's equation ``M = E - e*sin(E)`` for ``E``.
-
-    Uses Newton-Raphson with the standard starting guess; converges
-    quadratically for all e < 1.  For circular orbits (e = 0) this is the
-    identity.
-    """
-    if not 0.0 <= eccentricity < 1.0:
-        raise ValueError(f"eccentricity must be in [0, 1), got {eccentricity}")
-    m = wrap_angle(mean_anomaly_rad)
-    if eccentricity == 0.0:
-        return m
-    # A good initial guess: E ~ M for small e, E ~ pi for large e.
-    e_anom = m if eccentricity < 0.8 else math.pi
-    for _ in range(max_iterations):
-        f = e_anom - eccentricity * math.sin(e_anom) - m
-        f_prime = 1.0 - eccentricity * math.cos(e_anom)
-        delta = f / f_prime
-        e_anom -= delta
-        if abs(delta) < tolerance:
-            break
-    return wrap_angle(e_anom)
-
-
-def eccentric_to_true_anomaly(eccentric_anomaly_rad: float,
-                              eccentricity: float) -> float:
-    """True anomaly ``nu`` from the eccentric anomaly ``E``."""
-    if eccentricity == 0.0:
-        return wrap_angle(eccentric_anomaly_rad)
-    half_e = eccentric_anomaly_rad / 2.0
-    nu = 2.0 * math.atan2(
-        math.sqrt(1.0 + eccentricity) * math.sin(half_e),
-        math.sqrt(1.0 - eccentricity) * math.cos(half_e),
-    )
-    return wrap_angle(nu)
-
-
-def true_to_eccentric_anomaly(true_anomaly_rad: float,
-                              eccentricity: float) -> float:
-    """Eccentric anomaly ``E`` from the true anomaly ``nu``."""
-    if eccentricity == 0.0:
-        return wrap_angle(true_anomaly_rad)
-    half_nu = true_anomaly_rad / 2.0
-    e_anom = 2.0 * math.atan2(
-        math.sqrt(1.0 - eccentricity) * math.sin(half_nu),
-        math.sqrt(1.0 + eccentricity) * math.cos(half_nu),
-    )
-    return wrap_angle(e_anom)
-
-
-def eccentric_to_mean_anomaly(eccentric_anomaly_rad: float,
-                              eccentricity: float) -> float:
-    """Kepler's equation forward: ``M = E - e*sin(E)``."""
-    return wrap_angle(eccentric_anomaly_rad
-                      - eccentricity * math.sin(eccentric_anomaly_rad))
-
-
-def mean_to_true_anomaly(mean_anomaly_rad: float, eccentricity: float) -> float:
-    """Compose the mean -> eccentric -> true anomaly chain."""
-    e_anom = mean_to_eccentric_anomaly(mean_anomaly_rad, eccentricity)
-    return eccentric_to_true_anomaly(e_anom, eccentricity)

@@ -15,7 +15,7 @@ geometry of real constellations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from .kepler import KeplerianElements
 
@@ -92,15 +92,6 @@ class Shell:
         self._check_index(index)
         return index.orbit * self.satellites_per_orbit + index.position_in_orbit
 
-    def satellite_index(self, satellite_id: int) -> SatelliteIndex:
-        """Inverse of :meth:`satellite_id`."""
-        if not 0 <= satellite_id < self.total_satellites:
-            raise ValueError(
-                f"satellite id {satellite_id} out of range "
-                f"[0, {self.total_satellites})")
-        orbit, position = divmod(satellite_id, self.satellites_per_orbit)
-        return SatelliteIndex(orbit=orbit, position_in_orbit=position)
-
     def elements_for(self, index: SatelliteIndex) -> KeplerianElements:
         """Keplerian elements of one satellite of the shell at the epoch."""
         self._check_index(index)
@@ -115,37 +106,11 @@ class Shell:
             mean_anomaly_deg=phase_deg % 360.0,
         )
 
-    def all_elements(self) -> List[KeplerianElements]:
-        """Elements for every satellite, ordered by flat satellite id."""
-        return [self.elements_for(index) for index in self.iter_indices()]
-
     def iter_indices(self) -> Iterator[SatelliteIndex]:
         """Iterate satellite indices in flat-id order."""
         for orbit in range(self.num_orbits):
             for position in range(self.satellites_per_orbit):
                 yield SatelliteIndex(orbit=orbit, position_in_orbit=position)
-
-    def grid_neighbors(self, index: SatelliteIndex
-                       ) -> Tuple[SatelliteIndex, SatelliteIndex,
-                                  SatelliteIndex, SatelliteIndex]:
-        """The four +Grid neighbors of a satellite (paper §3.1).
-
-        Two links to the immediate neighbors within the orbit, and two to
-        the same-slot satellites in the adjacent orbits, all wrapping
-        around.
-        """
-        self._check_index(index)
-        same_orbit_prev = SatelliteIndex(
-            index.orbit,
-            (index.position_in_orbit - 1) % self.satellites_per_orbit)
-        same_orbit_next = SatelliteIndex(
-            index.orbit,
-            (index.position_in_orbit + 1) % self.satellites_per_orbit)
-        prev_orbit = SatelliteIndex(
-            (index.orbit - 1) % self.num_orbits, index.position_in_orbit)
-        next_orbit = SatelliteIndex(
-            (index.orbit + 1) % self.num_orbits, index.position_in_orbit)
-        return same_orbit_prev, same_orbit_next, prev_orbit, next_orbit
 
     def _check_index(self, index: SatelliteIndex) -> None:
         if not 0 <= index.orbit < self.num_orbits:

@@ -1,11 +1,11 @@
-"""Two-line element (TLE) generation and parsing.
+"""Two-line element (TLE) generation.
 
 Paper §3.1: Hypatia generates TLEs — the space-industry standard trajectory
 format — for satellites that are not yet in orbit, from the Keplerian
 elements disclosed in FCC/ITU filings, and validates the round-trip with an
-independent library (pyephem).  This module reproduces that utility with a
-from-scratch generator *and* a from-scratch parser, so the round-trip can be
-validated without external dependencies.
+independent library (pyephem).  This module is the from-scratch generator;
+the from-scratch parser and propagator that validate its output without
+external dependencies are a test oracle (``tests/_orbit_oracle.py``).
 
 TLE format reference: NASA's "Definition of Two-line Element Set Coordinate
 System" [41].  The fields we cannot know for an unlaunched satellite (drag
@@ -17,26 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from ..geo.constants import EARTH_MU_M3_PER_S2
-from .kepler import KeplerianElements, wrap_angle
+from .kepler import KeplerianElements
 
-__all__ = [
-    "TLE",
-    "tle_checksum",
-    "generate_tle",
-    "parse_tle",
-    "write_tle_file",
-    "read_tle_file",
-    "TLEFormatError",
-]
-
-TWO_PI = 2.0 * math.pi
-
-
-class TLEFormatError(ValueError):
-    """Raised when a TLE line fails structural or checksum validation."""
+__all__ = ["TLE", "tle_checksum", "generate_tle", "write_tle_file"]
 
 
 @dataclass(frozen=True)
@@ -138,71 +123,6 @@ def generate_tle(elements: KeplerianElements, name: str,
     return TLE(name=name[:24], line1=line1, line2=line2)
 
 
-def _validate_line(line: str, expected_first_char: str) -> None:
-    """Check length, line number, and checksum of one TLE data line."""
-    if len(line) != 69:
-        raise TLEFormatError(
-            f"TLE line must be 69 characters, got {len(line)}: {line!r}")
-    if line[0] != expected_first_char:
-        raise TLEFormatError(
-            f"expected line {expected_first_char}, got {line[0]!r}")
-    expected = tle_checksum(line)
-    actual = line[68]
-    if not actual.isdigit() or int(actual) != expected:
-        raise TLEFormatError(
-            f"checksum mismatch: computed {expected}, line carries {actual!r}")
-
-
-def parse_tle(name: str, line1: str, line2: str
-              ) -> Tuple[KeplerianElements, int, Tuple[int, float]]:
-    """Parse a TLE back into Keplerian elements.
-
-    Returns:
-        ``(elements, catalog_number, (epoch_year, epoch_day))``.
-
-    Raises:
-        TLEFormatError: On malformed lines or checksum failure.
-    """
-    _validate_line(line1, "1")
-    _validate_line(line2, "2")
-
-    catalog_1 = line1[2:7].strip()
-    catalog_2 = line2[2:7].strip()
-    if catalog_1 != catalog_2:
-        raise TLEFormatError(
-            f"catalog numbers disagree between lines: {catalog_1} vs {catalog_2}")
-    catalog_number = int(catalog_1)
-
-    epoch_raw = line1[18:32]
-    year_two_digit = int(epoch_raw[:2])
-    epoch_year = 2000 + year_two_digit if year_two_digit < 57 else 1900 + year_two_digit
-    epoch_day = float(epoch_raw[2:])
-
-    inclination_deg = float(line2[8:16])
-    raan_deg = float(line2[17:25])
-    eccentricity = float("0." + line2[26:33].strip())
-    argp_deg = float(line2[34:42])
-    mean_anomaly_deg = float(line2[43:51])
-    mean_motion_rev_per_day = float(line2[52:63])
-    if mean_motion_rev_per_day <= 0.0:
-        raise TLEFormatError("mean motion must be positive")
-
-    # Invert Kepler III from the mean motion back to the semi-major axis.
-    mean_motion_rad_s = mean_motion_rev_per_day * TWO_PI / 86_400.0
-    semi_major_axis_m = (EARTH_MU_M3_PER_S2 / mean_motion_rad_s ** 2) ** (1.0 / 3.0)
-
-    elements = KeplerianElements(
-        semi_major_axis_m=semi_major_axis_m,
-        eccentricity=eccentricity,
-        inclination_rad=math.radians(inclination_deg),
-        raan_rad=wrap_angle(math.radians(raan_deg)),
-        arg_periapsis_rad=wrap_angle(math.radians(argp_deg)),
-        mean_anomaly_rad=wrap_angle(math.radians(mean_anomaly_deg)),
-    )
-    _ = name  # line 0 carries no orbital information
-    return elements, catalog_number, (epoch_year, epoch_day)
-
-
 def write_tle_file(tles, path) -> None:
     """Write element sets in the standard 3-line (3LE) file format.
 
@@ -217,23 +137,3 @@ def write_tle_file(tles, path) -> None:
             handle.write(tle.line2 + "\n")
 
 
-def read_tle_file(path) -> List[TLE]:
-    """Read a 3-line-element file back into :class:`TLE` objects.
-
-    Every element set's checksums and structure are validated on read.
-
-    Raises:
-        TLEFormatError: On truncated groups or invalid lines.
-    """
-    with open(path) as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if len(lines) % 3 != 0:
-        raise TLEFormatError(
-            f"TLE file must hold 3-line groups; got {len(lines)} lines")
-    tles: List[TLE] = []
-    for i in range(0, len(lines), 3):
-        name, line1, line2 = lines[i:i + 3]
-        _validate_line(line1, "1")
-        _validate_line(line2, "2")
-        tles.append(TLE(name=name, line1=line1, line2=line2))
-    return tles

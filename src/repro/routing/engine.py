@@ -214,10 +214,6 @@ class MultiDestinationRouting:
     next_hop: np.ndarray
     _row_of: Dict[int, int] = field(repr=False, default_factory=dict)
 
-    @property
-    def num_destinations(self) -> int:
-        return len(self.dst_gids)
-
     def routing_for(self, dst_gid: int) -> DestinationRouting:
         """The single-destination view of one row (zero-copy)."""
         row = self._row_of[int(dst_gid)]
@@ -347,12 +343,6 @@ class RoutingEngine:
         """The update's ``(distances, next_hop)``: here always a solve."""
         self.perf.dijkstra_calls += 1
         return self.solve_trees(graph, dst_nodes, coo)
-
-    def route_to(self, snapshot: TopologySnapshot,
-                 dst_gid: int) -> DestinationRouting:
-        """Shortest-path state toward ``dst_gid`` at this snapshot."""
-        multi = self.route_to_many(snapshot, [dst_gid])
-        return multi.routing_for(dst_gid)
 
     @staticmethod
     def _unique_gids(dst_gids: Sequence[int]) -> Tuple[int, ...]:

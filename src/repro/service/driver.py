@@ -126,6 +126,8 @@ class LiveSimulationService:
         self.clock_s = 0.0
         self.metrics = MetricsRegistry()
         self.network = spec.build()
+        if spec.workload is not None:
+            self._check_gids(spec.workload.requests)
         #: attach handle -> workload bookkeeping (engine-specific).
         self._attached: Dict[int, Dict[str, Any]] = {}
         self._next_handle = 1
@@ -261,6 +263,7 @@ class LiveSimulationService:
                 f"workload starts at t={first} but the service is at "
                 f"t={self.clock_s}; shift_to_now=True attaches it "
                 f"relative to now")
+        self._check_gids(workload.requests)
         handle = self._attach_requests(list(workload.requests))
         # The spec keeps describing the *whole* offered traffic, so a
         # from-scratch rebuild of the current spec reproduces this run.
@@ -277,6 +280,11 @@ class LiveSimulationService:
         stream positions ride inside every checkpoint — restore
         continues the draw sequence exactly where it stopped.
         """
+        stations = self.network.num_ground_stations
+        if process.matrix.num_stations > stations:
+            raise ServiceError(
+                f"arrival matrix spans {process.matrix.num_stations} "
+                f"stations; the network has {stations}")
         stream = process.stream()
         discarded = stream.take_until(self.clock_s)
         del discarded  # arrivals strictly before "now" never existed
@@ -285,6 +293,17 @@ class LiveSimulationService:
         self._next_handle += 1
         self._attached[handle] = {"kind": "arrivals", "stream": stream}
         return handle
+
+    def _check_gids(self, requests: Sequence[FlowRequest]) -> None:
+        """Refuse requests naming a station the network does not have —
+        before anything is installed: an engine would only trip over the
+        gid mid-advance, with the request already part of the run."""
+        stations = self.network.num_ground_stations
+        for request in requests:
+            if max(request.src_gid, request.dst_gid) >= stations:
+                raise ServiceError(
+                    f"flow {request.src_gid} -> {request.dst_gid} names a "
+                    f"ground station outside [0, {stations})")
 
     def _attach_requests(self, requests: Sequence[FlowRequest]) -> int:
         handle = self._next_handle
@@ -518,7 +537,12 @@ class LiveSimulationService:
     def from_checkpoint(cls, checkpoint: Checkpoint
                         ) -> "LiveSimulationService":
         """Rehydrate the live service a checkpoint captured."""
-        service = checkpoint.payload.get("service")
+        payload = checkpoint.payload
+        if not isinstance(payload, dict):
+            raise CheckpointError(
+                f"checkpoint payload is a {type(payload).__name__!r}, "
+                f"not the dict LiveSimulationService.save writes")
+        service = payload.get("service")
         if not isinstance(service, cls):
             raise CheckpointError(
                 f"checkpoint payload holds "

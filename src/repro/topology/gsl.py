@@ -61,16 +61,6 @@ class GslEdges:
         """
         return len(self.satellite_ids) > 0
 
-    def nearest_satellite(self) -> int:
-        """Id of the closest linkable satellite.
-
-        Raises:
-            ValueError: If no satellite is visible.
-        """
-        if not self.is_connected:
-            raise ValueError(f"ground station {self.gid} sees no satellite")
-        return int(self.satellite_ids[int(np.argmin(self.lengths_m))])
-
 
 def compute_gsl_edges(stations: Sequence[GroundStation],
                       satellite_positions_ecef_m: np.ndarray,

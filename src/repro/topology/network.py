@@ -73,10 +73,6 @@ class TopologySnapshot:
                              f"[0, {self.num_ground_stations})")
         return self.num_satellites + gid
 
-    def is_ground_node(self, node_id: int) -> bool:
-        """Whether a node id denotes a ground station."""
-        return node_id >= self.num_satellites
-
     def gsl_edge_arrays(self, gids: Sequence[int]
                         ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Concatenated GSL edge arrays of many ground stations.
@@ -282,17 +278,6 @@ class LeoNetwork:
         if not 0 <= gid < self.num_ground_stations:
             raise ValueError(f"gid {gid} out of range")
         return self.num_satellites + gid
-
-    def station_by_name(self, name: str) -> GroundStation:
-        """Find a ground station by name.
-
-        Raises:
-            KeyError: If no station has that name.
-        """
-        for station in self.ground_stations:
-            if station.name == name:
-                return station
-        raise KeyError(f"no ground station named {name!r}")
 
     def _masked_isl_pairs(self, outaged: FrozenSet[int],
                           cut: FrozenSet[Tuple[int, int]]) -> np.ndarray:

@@ -174,11 +174,6 @@ class WorkloadSchedule:
              for r in self.requests],
             seed=self.seed)
 
-    def arrivals_in(self, start_s: float, end_s: float
-                    ) -> List[FlowRequest]:
-        """Requests starting within ``[start_s, end_s)``, schedule order."""
-        return [r for r in self.requests if start_s <= r.t_start_s < end_s]
-
     def as_fluid_flows(self) -> list:
         """The schedule as finite, elastic
         :class:`~repro.fluid.engine.FluidFlow` s (flow *f* is request *f*,

@@ -8,9 +8,6 @@ network-wide payload arrivals."
 from __future__ import annotations
 
 import math
-from typing import List
-
-import numpy as np
 
 from ..obs.trace import FLOW_RTT
 from ..simulation.packet import DEFAULT_MTU_BYTES, Packet
@@ -31,7 +28,6 @@ class UdpFlow(Application):
         packet_bytes: Wire size of each datagram.
         start_s: First transmission time.
         stop_s: No datagrams are sent at or after this time.
-        bin_s: Width of the receiver's goodput bins.
 
     Attributes:
         bytes_received: Payload bytes delivered so far.
@@ -40,8 +36,7 @@ class UdpFlow(Application):
 
     def __init__(self, src_gid: int, dst_gid: int, rate_bps: float,
                  packet_bytes: int = DEFAULT_MTU_BYTES,
-                 start_s: float = 0.0, stop_s: float = math.inf,
-                 bin_s: float = 0.1) -> None:
+                 start_s: float = 0.0, stop_s: float = math.inf) -> None:
         super().__init__()
         if rate_bps <= 0.0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
@@ -53,11 +48,9 @@ class UdpFlow(Application):
         self.packet_bytes = packet_bytes
         self.start_s = start_s
         self.stop_s = stop_s
-        self.bin_s = bin_s
         self.packets_sent = 0
         self.packets_received = 0
         self.bytes_received = 0
-        self._bins: List[float] = []
         self._src_node = -1
         self._dst_node = -1
         self._interval_s = packet_bytes * 8.0 / rate_bps
@@ -91,10 +84,6 @@ class UdpFlow(Application):
             tracer.emit(self.sim.now, FLOW_RTT, flow=self.flow_id,
                         seq=packet.seq, value=self.sim.now - packet.sent_at_s,
                         reason="owd")
-        bin_index = int(self.sim.now / self.bin_s)
-        while len(self._bins) <= bin_index:
-            self._bins.append(0.0)
-        self._bins[bin_index] += packet.payload_bytes
 
     # ------------------------------------------------------------------
 
@@ -103,10 +92,6 @@ class UdpFlow(Application):
         if duration_s <= 0.0:
             raise ValueError("duration must be positive")
         return self.bytes_received * 8.0 / duration_s
-
-    def goodput_series_bps(self) -> np.ndarray:
-        """(B,) payload goodput per ``bin_s`` bin (bits/second)."""
-        return np.asarray(self._bins) * 8.0 / self.bin_s
 
     @property
     def loss_fraction(self) -> float:

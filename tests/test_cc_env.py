@@ -3,6 +3,7 @@ checkpoint/restore parity through the live service."""
 
 import json
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def _env_spec(**overrides) -> EnvSpec:
 
 def _stream(spec: EnvSpec, seed: int, actions) -> np.ndarray:
     observations = RateControlEnv(spec, seed=seed).rollout(list(actions))
-    return np.stack([obs.as_vector() for obs in observations])
+    return np.array([astuple(obs) for obs in observations], dtype=float)
 
 
 class TestEnvBasics:

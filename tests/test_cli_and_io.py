@@ -11,16 +11,13 @@ from repro.constellations.definitions import (
 )
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
-from repro.orbits.tle import (
-    TLEFormatError,
-    generate_tle,
-    read_tle_file,
-    write_tle_file,
-)
+from repro.orbits.tle import generate_tle, write_tle_file
 from repro.orbits.kepler import KeplerianElements
 from repro.routing.engine import RoutingEngine
 from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
+
+from _orbit_oracle import TLEFormatError, read_tle_file
 
 
 class TestTleFileIo:
@@ -151,6 +148,25 @@ class TestCli:
             "error: unknown shell 'XX'")
         assert main(["report", "K1"]) == 2
         assert capsys.readouterr().err.startswith("error: report needs")
+
+    @pytest.mark.parametrize("argv", [
+        ["rtt", "K1", "Paris", "Paris"],
+        ["rtt", "K1", "Manila", "Dalian", "--step", "0"],
+        ["sweep", "K1", "--cities", "1"],
+        ["faults", "K1", "-o", "faults.json", "--sat-outage-prob", "2"],
+        ["traffic", "-o", "workload.json", "--cities", "1"],
+        ["cc-lab", "--duration", "0"],
+        ["sky", "K1", "Paris", "--time", "nan"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_bad_numbers_are_usage_errors(self, argv, capsys, tmp_path,
+                                          monkeypatch):
+        """A command's ``ValueError`` used to escape as a traceback."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["rtt", "K1", "Manila", "Dalian", "--routing", "scratch"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Hypatia, PAPER_FOCUS_PAIRS, random_permutation_pairs
-from repro.core.workloads import gid_by_name, pairs_by_name
+from repro.core.workloads import gid_by_name
 from repro.fluid.engine import FluidFlow
 from repro.topology.gsl import GslPolicy
 from repro.ground.stations import relay_grid_between
@@ -36,7 +36,8 @@ class TestWorkloads:
     def test_focus_pairs_resolvable(self):
         from repro.ground.stations import ground_stations_from_cities
         stations = ground_stations_from_cities(count=100)
-        pairs = pairs_by_name(stations, list(PAPER_FOCUS_PAIRS.values()))
+        pairs = [(gid_by_name(stations, src), gid_by_name(stations, dst))
+                 for src, dst in PAPER_FOCUS_PAIRS.values()]
         assert len(pairs) == len(PAPER_FOCUS_PAIRS)
         for src, dst in pairs:
             assert 0 <= src < 100 and 0 <= dst < 100

@@ -23,6 +23,8 @@ from repro.routing.multipath import (
 from repro.topology.isl import plus_grid_isls
 from repro.topology.network import LeoNetwork
 
+from _orbit_oracle import period_s
+
 
 class TestKShortestPaths:
     def test_first_path_matches_engine(self, small_network):
@@ -256,8 +258,8 @@ class TestDoppler:
         speeds = [
             abs(float(isl_radial_velocities_m_per_s(
                 small_constellation, cross_pairs, t)[0]))
-            for t in np.linspace(10.0, shell.elements_for(
-                shell.satellite_index(0)).period_s, 20)
+            for t in np.linspace(10.0, period_s(
+                small_constellation.satellites[0].elements), 20)
         ]
         assert max(speeds) > 100.0
 

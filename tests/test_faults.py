@@ -125,20 +125,22 @@ class TestFaultSchedule:
     def test_capacity_factor(self):
         schedule = self._schedule()
         num_sats = 10
+
+        def factor(device, time_s):
+            return schedule.capacity_factors([device], num_sats, time_s)[0]
+
         # Cut ISL and outaged satellite's links: zero capacity.
-        assert schedule.capacity_factor((1, 2), num_sats, 1.0) == 0.0
-        assert schedule.capacity_factor((2, 1), num_sats, 1.0) == 0.0
-        assert schedule.capacity_factor((3, 4), num_sats, 6.0) == 0.0
-        assert schedule.capacity_factor(("gsl", 3), num_sats, 6.0) == 0.0
+        assert factor((1, 2), 1.0) == 0.0
+        assert factor((2, 1), 1.0) == 0.0
+        assert factor((3, 4), 6.0) == 0.0
+        assert factor(("gsl", 3), 6.0) == 0.0
         # Cut station, lossy station uplink, lossy ISL.
-        assert schedule.capacity_factor(("gsl", 12), num_sats, 2.0) == 0.0
-        assert schedule.capacity_factor(
-            ("gsl", 10), num_sats, 4.0) == pytest.approx(0.5)
-        assert schedule.capacity_factor(
-            (3, 4), num_sats, 2.0) == pytest.approx(0.75)
+        assert factor(("gsl", 12), 2.0) == 0.0
+        assert factor(("gsl", 10), 4.0) == pytest.approx(0.5)
+        assert factor((3, 4), 2.0) == pytest.approx(0.75)
         # Healthy link, and everything after recovery.
-        assert schedule.capacity_factor((5, 6), num_sats, 1.0) == 1.0
-        assert schedule.capacity_factor((1, 2), num_sats, 11.0) == 1.0
+        assert factor((5, 6), 1.0) == 1.0
+        assert factor((1, 2), 11.0) == 1.0
 
     def test_synthetic_is_deterministic_and_covers_kinds(self):
         kwargs = dict(num_satellites=200, num_stations=50,

@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -17,25 +18,50 @@ from repro.fluid.engine import (FluidFlow, FluidSimulation,
 from repro.routing.engine import RoutingEngine
 from repro.topology.network import LeoNetwork
 from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
-from repro.fluid.maxmin import max_min_fair_allocation
 from repro.fluid import vectorized
 from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     _waterfill_arrays, _waterfill_scalars,
-                                    max_min_fair_allocation_vectorized,
-                                    waterfill)
+                                    max_min_fair_allocation, waterfill)
 
 from _fluid_oracle import assert_result_matches_oracle
+from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 
-BOTH_KERNELS = [max_min_fair_allocation, max_min_fair_allocation_vectorized]
+# The reference oracle, then the product's allocator (test ids date from
+# when the latter was called ``max_min_fair_allocation_vectorized``).
+KERNELS = (oracle_allocation, max_min_fair_allocation)
+BOTH_KERNELS = [
+    pytest.param(kernel, id=name) for kernel, name in zip(
+        KERNELS, ("max_min_fair_allocation",
+                  "max_min_fair_allocation_vectorized"))]
+
+
+def test_one_product_allocator_and_an_oracle_outside_the_product():
+    """No differential may silently compare the product with itself: the
+    product exports one allocator, and what this file and the Hypothesis
+    suite call the oracle is defined under ``tests/``."""
+    import inspect
+    from pathlib import Path
+
+    import repro.fluid
+    import test_property_based
+    assert [name for name in repro.fluid.__all__ if "allocation" in name] \
+        == ["max_min_fair_allocation"]
+    for module in (sys.modules[__name__], test_property_based):
+        assert module.max_min_fair_allocation \
+            is repro.fluid.max_min_fair_allocation
+        oracle = module.oracle_allocation
+        assert oracle is not repro.fluid.max_min_fair_allocation
+        assert Path(inspect.getsourcefile(oracle)).parent \
+            == Path(__file__).resolve().parent
 
 
 class TestMaxMin:
     def test_single_flow_takes_link(self):
-        rates = max_min_fair_allocation({"l": 10.0}, [["l"]])
+        rates = oracle_allocation({"l": 10.0}, [["l"]])
         np.testing.assert_allclose(rates, [10.0])
 
     def test_equal_split(self):
-        rates = max_min_fair_allocation({"l": 9.0}, [["l"], ["l"], ["l"]])
+        rates = oracle_allocation({"l": 9.0}, [["l"], ["l"], ["l"]])
         np.testing.assert_allclose(rates, [3.0, 3.0, 3.0])
 
     def test_classic_three_link_example(self):
@@ -43,18 +69,18 @@ class TestMaxMin:
         # l1 = 10, l2 = 4: A and C split l2 at 2 each; B then gets 8.
         capacity = {"l1": 10.0, "l2": 4.0}
         flows = [["l1", "l2"], ["l1"], ["l2"]]
-        rates = max_min_fair_allocation(capacity, flows)
+        rates = oracle_allocation(capacity, flows)
         np.testing.assert_allclose(rates, [2.0, 8.0, 2.0])
 
     def test_demand_cap(self):
-        rates = max_min_fair_allocation({"l": 10.0}, [["l"], ["l"]],
-                                        demands=[1.0, 100.0])
+        rates = oracle_allocation({"l": 10.0}, [["l"], ["l"]],
+                                  demands=[1.0, 100.0])
         np.testing.assert_allclose(rates, [1.0, 9.0])
 
     def test_no_link_flow_needs_finite_demand(self):
         with pytest.raises(ValueError):
-            max_min_fair_allocation({}, [[]])
-        rates = max_min_fair_allocation({}, [[]], demands=[5.0])
+            oracle_allocation({}, [[]])
+        rates = oracle_allocation({}, [[]], demands=[5.0])
         np.testing.assert_allclose(rates, [5.0])
 
     def test_no_capacity_exceeded(self):
@@ -65,7 +91,7 @@ class TestMaxMin:
         for _ in range(20):
             k = rng.integers(1, 4)
             flows.append(list(rng.choice(link_names, size=k, replace=False)))
-        rates = max_min_fair_allocation(links, flows)
+        rates = oracle_allocation(links, flows)
         loads = {name: 0.0 for name in links}
         for flow, rate in zip(flows, rates):
             for link in flow:
@@ -79,7 +105,7 @@ class TestMaxMin:
         maximal rate."""
         capacity = {"a": 6.0, "b": 9.0, "c": 4.0}
         flows = [["a", "b"], ["b"], ["a", "c"], ["c"], ["b", "c"]]
-        rates = max_min_fair_allocation(capacity, flows)
+        rates = oracle_allocation(capacity, flows)
         loads = {name: 0.0 for name in capacity}
         for flow, rate in zip(flows, rates):
             for link in flow:
@@ -95,39 +121,39 @@ class TestMaxMin:
 
     def test_unknown_link_rejected(self):
         with pytest.raises(ValueError):
-            max_min_fair_allocation({"l": 1.0}, [["x"]])
+            oracle_allocation({"l": 1.0}, [["x"]])
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            max_min_fair_allocation({"l": -1.0}, [["l"]])
+            oracle_allocation({"l": -1.0}, [["l"]])
 
     def test_empty_flows(self):
-        assert len(max_min_fair_allocation({"l": 1.0}, [])) == 0
+        assert len(oracle_allocation({"l": 1.0}, [])) == 0
 
     def test_zero_capacity_link(self):
-        rates = max_min_fair_allocation({"l": 0.0}, [["l"]])
+        rates = oracle_allocation({"l": 0.0}, [["l"]])
         np.testing.assert_allclose(rates, [0.0])
 
     def test_zero_capacity_link_does_not_starve_others(self):
         """Flows crossing a dead link get 0; disjoint flows are unaffected."""
         capacity = {"dead": 0.0, "live": 10.0}
         flows = [["dead"], ["dead", "live"], ["live"]]
-        rates = max_min_fair_allocation(capacity, flows)
+        rates = oracle_allocation(capacity, flows)
         np.testing.assert_allclose(rates, [0.0, 0.0, 10.0])
 
     def test_demand_exactly_at_fair_share(self):
         """A demand equal to the link's equal split freezes at that rate
         and leaves nothing stranded: the other flow takes the rest."""
-        rates = max_min_fair_allocation({"l": 10.0}, [["l"], ["l"]],
-                                        demands=[5.0, np.inf])
+        rates = oracle_allocation({"l": 10.0}, [["l"], ["l"]],
+                                  demands=[5.0, np.inf])
         np.testing.assert_allclose(rates, [5.0, 5.0])
 
     def test_all_flows_demand_capped(self):
         """When every demand is below any link share, rates == demands and
         capacity goes unused."""
-        rates = max_min_fair_allocation({"l": 100.0},
-                                        [["l"], ["l"], ["l"]],
-                                        demands=[1.0, 2.0, 3.0])
+        rates = oracle_allocation({"l": 100.0},
+                                  [["l"], ["l"], ["l"]],
+                                  demands=[1.0, 2.0, 3.0])
         np.testing.assert_allclose(rates, [1.0, 2.0, 3.0])
 
 
@@ -264,8 +290,8 @@ class TestFluidFlowValidation:
             with pytest.raises(ValueError):
                 FluidFlow(0, 1, start_s=start)
         flow = FluidFlow(0, 1, size_bytes=100.0, start_s=2.0)
-        assert flow.is_finite
-        assert not FluidFlow(0, 1).is_finite
+        assert flow.size_bytes == 100.0
+        assert FluidFlow(0, 1).size_bytes is None
 
 
 class TestPerfSummaryEdgeCases:
@@ -402,10 +428,10 @@ class TestVectorizedKernel:
         rng = np.random.default_rng(1234)
         for _ in range(300):
             capacity, flow_links, demands = self._random_scenario(rng)
-            expected = max_min_fair_allocation(capacity, flow_links,
-                                               demands)
-            got = max_min_fair_allocation_vectorized(capacity, flow_links,
-                                                     demands)
+            expected = oracle_allocation(capacity, flow_links,
+                                         demands)
+            got = max_min_fair_allocation(capacity, flow_links,
+                                          demands)
             assert np.array_equal(expected, got), (capacity, flow_links,
                                                    demands)
 
@@ -419,7 +445,7 @@ class TestVectorizedKernel:
         matrix = FlowLinkMatrix.from_paths(capacity, flow_links)
         active = np.array([0, 3, 4, 7, 11])
         rates = waterfill(matrix, demands=demands, active=active)
-        expected = max_min_fair_allocation(
+        expected = oracle_allocation(
             capacity, [flow_links[i] for i in active], demands[active])
         assert np.array_equal(rates, expected)
 
@@ -430,9 +456,9 @@ class TestVectorizedKernel:
     def test_error_parity_with_oracle(self):
         # Infinite-demand flow with no links: both kernels refuse.
         with pytest.raises(ValueError):
-            max_min_fair_allocation({}, [[]])
+            oracle_allocation({}, [[]])
         with pytest.raises(ValueError):
-            max_min_fair_allocation_vectorized({}, [[]])
+            max_min_fair_allocation({}, [[]])
 
     def test_link_loads_count_multiplicity(self):
         matrix = FlowLinkMatrix.from_paths({"a": 10.0},
@@ -450,7 +476,7 @@ class TestVectorizedKernel:
         matrix = FlowLinkMatrix.from_paths(capacity, flow_links)
         rows = np.arange(len(flow_links))
         for solve in (
-                lambda: max_min_fair_allocation(capacity, flow_links),
+                lambda: oracle_allocation(capacity, flow_links),
                 lambda: _waterfill_scalars(
                     matrix, np.full(rows.size, np.inf), rows, None),
                 lambda: _waterfill_arrays(
@@ -462,7 +488,7 @@ class TestVectorizedKernel:
     def test_nan_demand_is_rejected_not_allocated(self):
         """``(dem < 0).any()`` let NaN through: the array kernel returned
         ``[nan, 3.]`` where the oracle returned ``[5., 3.]``."""
-        for allocate in BOTH_KERNELS:
+        for allocate in KERNELS:
             with pytest.raises(ValueError,
                                match="demands must be non-negative"):
                 allocate({"l": 10.0}, [["l"], ["l"]],
@@ -477,7 +503,7 @@ class TestVectorizedKernel:
 
     def test_nan_capacity_is_rejected_by_name(self):
         """Used to surface as "some flows are unconstrained"."""
-        for allocate in BOTH_KERNELS:
+        for allocate in KERNELS:
             with pytest.raises(ValueError, match="NaN capacity on link 'l'"):
                 allocate({"l": np.nan}, [["l"]])
         with pytest.raises(ValueError, match="NaN capacity on link 'b'"):
@@ -552,7 +578,7 @@ class TestWaterfillOverClasses:
         first class member is inactive (rows must then sort by the first
         *active* member)."""
         capacity, paths, caps, flow_class, active = case
-        expected = max_min_fair_allocation(
+        expected = oracle_allocation(
             capacity, [paths[i] for i in active], caps[active])
         per_flow = FlowLinkMatrix.from_paths(capacity, paths)
         assert np.array_equal(
@@ -582,7 +608,7 @@ class TestWaterfillOverClasses:
         matrix = FlowLinkMatrix.from_paths(
             capacity, [["l0", "l3"], ["l3", "l3"]])  # rows A, B
         rows = np.array([1, 1, 0, 0])  # flows 1..4 of A B B A A A
-        expected = max_min_fair_allocation(
+        expected = oracle_allocation(
             capacity, [["l3", "l3"]] * 2 + [["l0", "l3"]] * 2)
         twice = np.array([2, 2])
         by_first_active = waterfill(matrix, active=np.array([1, 0]),

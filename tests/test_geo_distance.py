@@ -16,21 +16,7 @@ from repro.geo.distance import (
     geodesic_rtt_s,
     great_circle_distance_m,
     propagation_delay_s,
-    straight_line_distance_m,
 )
-
-
-class TestStraightLineDistance:
-    def test_simple(self):
-        assert straight_line_distance_m([0, 0, 0], [3, 4, 0]) == 5.0
-
-    def test_zero(self):
-        assert straight_line_distance_m([1, 2, 3], [1, 2, 3]) == 0.0
-
-    def test_symmetric(self):
-        a, b = np.array([1e6, 2e6, 3e6]), np.array([-1e6, 0.0, 7e6])
-        assert straight_line_distance_m(a, b) == \
-            straight_line_distance_m(b, a)
 
 
 class TestCentralAngle:
@@ -111,7 +97,6 @@ class TestGeodesicRtt:
         from repro.geo.coordinates import geodetic_to_ecef
         a = GeodeticPosition(41.01, 28.98)
         b = GeodeticPosition(-1.29, 36.82)
-        chord = straight_line_distance_m(geodetic_to_ecef(a),
-                                         geodetic_to_ecef(b))
+        chord = np.linalg.norm(geodetic_to_ecef(a) - geodetic_to_ecef(b))
         chord_rtt = 2 * chord / SPEED_OF_LIGHT_M_PER_S
         assert geodesic_rtt_s(a, b) >= chord_rtt

@@ -191,7 +191,7 @@ class TestMetrics:
         names = registry.series_names(prefix="link.",
                                       suffix=".utilization")
         assert names == ["link.isl-0-1.utilization"]
-        assert registry.has_series("scheduler.events_per_s")
+        assert "scheduler.events_per_s" in registry.series_logs
 
     def test_registry_json_export(self, tmp_path):
         registry = MetricsRegistry()
@@ -268,7 +268,7 @@ class TestTracedSimulation:
         util = registry.series_names(prefix="link.", suffix=".utilization")
         depth = registry.series_names(prefix="link.", suffix=".queue_depth")
         assert util and depth
-        assert registry.has_series("scheduler.events_per_s")
+        assert "scheduler.events_per_s" in registry.series_logs
         series = registry.series_logs[util[0]]
         assert len(series) >= 3  # sampled at 0.5, 1.0, 1.5, (2.0)
 
@@ -366,7 +366,7 @@ class TestRunReports:
             assert report.kind == kind
             assert report.summary["wall_time_s"] > 0.0
             assert report.summary["snapshots"] == 3.0  # t = 0, 1, 2
-            assert registry.has_series("fluid.peak_utilization")
+            assert "fluid.peak_utilization" in registry.series_logs
             json.dumps(report.as_dict())
 
     def test_report_json_export(self, small_network, tmp_path):

@@ -1,22 +1,26 @@
-"""Tests for Keplerian elements and anomaly conversions."""
+"""Tests for Keplerian elements (product) and the two-body helpers and
+anomaly conversions of the orbit oracle (``tests/_orbit_oracle.py``)."""
 
 import math
 
 import pytest
 
 from repro.geo.constants import WGS72
-from repro.orbits.kepler import (
-    KeplerianElements,
+from repro.orbits.kepler import (KeplerianElements, mean_motion_rad_per_s,
+                                 wrap_angle)
+
+from _orbit_oracle import (
     eccentric_to_mean_anomaly,
     eccentric_to_true_anomaly,
-    mean_motion_rad_per_s,
+    mean_anomaly_at,
     mean_to_eccentric_anomaly,
     mean_to_true_anomaly,
     orbital_period_s,
     orbital_velocity_m_per_s,
+    period_s,
     semi_major_axis_from_period,
     true_to_eccentric_anomaly,
-    wrap_angle,
+    with_mean_anomaly,
 )
 
 
@@ -65,23 +69,23 @@ class TestKeplerianElements:
     def test_period_at_550km_is_about_96_minutes(self):
         # The paper (§2.3) quotes ~100 minutes for LEO orbits.
         el = KeplerianElements.circular(550_000.0, 53.0)
-        assert 90 * 60 < el.period_s < 100 * 60
+        assert 90 * 60 < period_s(el) < 100 * 60
 
     def test_mean_anomaly_advances_linearly(self):
         el = KeplerianElements.circular(550_000.0, 53.0)
-        quarter = el.period_s / 4.0
-        assert el.mean_anomaly_at(quarter) == pytest.approx(math.pi / 2,
-                                                            rel=1e-9)
+        quarter = period_s(el) / 4.0
+        assert mean_anomaly_at(el, quarter) == pytest.approx(math.pi / 2,
+                                                             rel=1e-9)
 
     def test_mean_anomaly_wraps_after_full_period(self):
         el = KeplerianElements.circular(550_000.0, 53.0,
                                         mean_anomaly_deg=10.0)
-        after = el.mean_anomaly_at(el.period_s)
+        after = mean_anomaly_at(el, period_s(el))
         assert after == pytest.approx(math.radians(10.0), abs=1e-9)
 
     def test_with_mean_anomaly(self):
         el = KeplerianElements.circular(550_000.0, 53.0)
-        el2 = el.with_mean_anomaly(1.5)
+        el2 = with_mean_anomaly(el, 1.5)
         assert el2.mean_anomaly_rad == 1.5
         assert el2.semi_major_axis_m == el.semi_major_axis_m
 

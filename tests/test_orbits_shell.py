@@ -1,10 +1,13 @@
 """Tests for orbital shells and their +Grid neighborhoods."""
 
+import functools
 import math
 
 import pytest
 
+from repro.constellations.builder import Constellation
 from repro.orbits.shell import SatelliteIndex, Shell
+from repro.topology.isl import plus_grid_isls
 
 
 @pytest.fixture
@@ -41,8 +44,7 @@ class TestShellValidation:
 
 class TestIndexing:
     def test_flat_id_round_trip(self, shell):
-        for sat_id in range(shell.total_satellites):
-            index = shell.satellite_index(sat_id)
+        for sat_id, index in enumerate(shell.iter_indices()):
             assert shell.satellite_id(index) == sat_id
 
     def test_flat_id_layout(self, shell):
@@ -55,8 +57,6 @@ class TestIndexing:
             shell.satellite_id(SatelliteIndex(6, 0))
         with pytest.raises(ValueError):
             shell.satellite_id(SatelliteIndex(0, 4))
-        with pytest.raises(ValueError):
-            shell.satellite_index(24)
 
     def test_iter_order(self, shell):
         indices = list(shell.iter_indices())
@@ -83,7 +83,8 @@ class TestElements:
             assert anomaly == pytest.approx(i * spacing)
 
     def test_all_same_altitude_and_inclination(self, shell):
-        for el in shell.all_elements():
+        for index in shell.iter_indices():
+            el = shell.elements_for(index)
             assert el.inclination_rad == pytest.approx(math.radians(53.0))
             assert el.eccentricity == 0.0
 
@@ -95,30 +96,41 @@ class TestElements:
         assert b - a == pytest.approx(0.5 * slot)
 
     def test_all_elements_count(self, shell):
-        assert len(shell.all_elements()) == shell.total_satellites
+        elements = [shell.elements_for(index)
+                    for index in shell.iter_indices()]
+        assert len(elements) == shell.total_satellites
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_pairs(shell):
+    return plus_grid_isls(Constellation([shell])).tolist()
+
+
+def grid_neighbors(shell, index):
+    """A satellite's +Grid neighbors (paper §3.1), read off the ISL list
+    the product wires the shell with."""
+    this_id = shell.satellite_id(index)
+    indices = list(shell.iter_indices())
+    return {indices[a + b - this_id] for a, b in _grid_pairs(shell)
+            if this_id in (a, b)}
 
 
 class TestGridNeighbors:
     def test_four_distinct_neighbors(self, shell):
-        neighbors = shell.grid_neighbors(SatelliteIndex(2, 2))
-        assert len(set(neighbors)) == 4
+        assert len(grid_neighbors(shell, SatelliteIndex(2, 2))) == 4
 
     def test_neighbor_identity(self, shell):
-        prev_o, next_o, prev_p, next_p = shell.grid_neighbors(
-            SatelliteIndex(2, 2))
-        assert prev_o == SatelliteIndex(2, 1)
-        assert next_o == SatelliteIndex(2, 3)
-        assert prev_p == SatelliteIndex(1, 2)
-        assert next_p == SatelliteIndex(3, 2)
+        assert grid_neighbors(shell, SatelliteIndex(2, 2)) == {
+            SatelliteIndex(2, 1), SatelliteIndex(2, 3),
+            SatelliteIndex(1, 2), SatelliteIndex(3, 2)}
 
     def test_wraparound(self, shell):
-        prev_o, next_o, prev_p, next_p = shell.grid_neighbors(
-            SatelliteIndex(0, 0))
-        assert prev_o == SatelliteIndex(0, 3)
-        assert prev_p == SatelliteIndex(5, 0)
+        neighbors = grid_neighbors(shell, SatelliteIndex(0, 0))
+        assert SatelliteIndex(0, 3) in neighbors
+        assert SatelliteIndex(5, 0) in neighbors
 
     def test_neighborhood_symmetric(self, shell):
         """If B is A's neighbor then A is B's neighbor."""
         for index in shell.iter_indices():
-            for neighbor in shell.grid_neighbors(index):
-                assert index in shell.grid_neighbors(neighbor)
+            for neighbor in grid_neighbors(shell, index):
+                assert index in grid_neighbors(shell, neighbor)

@@ -1,17 +1,14 @@
-"""Tests for TLE generation and parsing (paper §3.1's TLE utility)."""
+"""Tests for TLE generation (paper §3.1's TLE utility), validated with
+the oracle parser / propagator of ``tests/_orbit_oracle.py``."""
 
 import math
 
 import pytest
 
 from repro.orbits.kepler import KeplerianElements
-from repro.orbits.tle import (
-    TLE,
-    TLEFormatError,
-    generate_tle,
-    parse_tle,
-    tle_checksum,
-)
+from repro.orbits.tle import TLE, generate_tle, tle_checksum
+
+from _orbit_oracle import TLEFormatError, parse_tle, propagate_to_eci
 
 
 @pytest.fixture
@@ -102,7 +99,6 @@ class TestRoundTrip:
     def test_positions_match_after_round_trip(self, kuiper_elements):
         """The regenerated constellation flies the same trajectory (the
         paper validated this property against pyephem)."""
-        from repro.orbits.propagation import propagate_to_eci
         import numpy as np
         tle = generate_tle(kuiper_elements, "sat")
         parsed, _, _ = parse_tle(*tle.as_lines())

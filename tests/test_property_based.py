@@ -8,26 +8,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.fluid.maxmin import max_min_fair_allocation
+from repro.fluid import max_min_fair_allocation
 from repro.ground.weather import RainEvent, WeatherModel
 from repro.geo.coordinates import (
     GeodeticPosition,
     ecef_to_geodetic,
-    eci_to_ecef,
     geodetic_to_ecef,
 )
 from repro.geo.distance import central_angle_rad, great_circle_distance_m
-from repro.orbits.kepler import (
-    KeplerianElements,
+from repro.orbits.kepler import KeplerianElements, wrap_angle
+from repro.orbits.tle import generate_tle
+from repro.simulation.events import EventScheduler
+
+from _fluid_oracle import max_min_fair_allocation as oracle_allocation
+from _orbit_oracle import (
     eccentric_to_mean_anomaly,
+    eci_to_ecef,
     mean_to_eccentric_anomaly,
     orbital_period_s,
+    parse_tle,
+    propagate_to_eci,
     semi_major_axis_from_period,
-    wrap_angle,
 )
-from repro.orbits.propagation import propagate_to_eci
-from repro.orbits.tle import generate_tle, parse_tle
-from repro.simulation.events import EventScheduler
 
 finite_angle = st.floats(min_value=-100.0, max_value=100.0,
                          allow_nan=False, allow_infinity=False)
@@ -156,7 +158,7 @@ class TestMaxMinProperties:
     @settings(max_examples=60)
     def test_feasible_and_nonnegative(self, scenario):
         capacities, flows = scenario
-        rates = max_min_fair_allocation(capacities, flows)
+        rates = oracle_allocation(capacities, flows)
         assert (rates >= 0.0).all()
         loads = {link: 0.0 for link in capacities}
         for flow, rate in zip(flows, rates):
@@ -171,7 +173,7 @@ class TestMaxMinProperties:
         """Pareto optimality: each flow's rate is limited by some link
         that is (numerically) fully used."""
         capacities, flows = scenario
-        rates = max_min_fair_allocation(capacities, flows)
+        rates = oracle_allocation(capacities, flows)
         loads = {link: 0.0 for link in capacities}
         for flow, rate in zip(flows, rates):
             for link in flow:
@@ -210,9 +212,8 @@ class TestMaxMinProperties:
     def test_multiplicity_weighted_feasibility(self, allocate, scenario):
         """Per link, ``sum(rate * traversal_multiplicity) <= capacity`` —
         the invariant the old set-based allocator violated."""
-        from repro.fluid.vectorized import max_min_fair_allocation_vectorized
-        kernel = (max_min_fair_allocation if allocate == "reference"
-                  else max_min_fair_allocation_vectorized)
+        kernel = (oracle_allocation if allocate == "reference"
+                  else max_min_fair_allocation)
         capacities, flows, demands = scenario
         rates = kernel(capacities, flows, demands)
         assert (rates >= 0.0).all()
@@ -230,9 +231,8 @@ class TestMaxMinProperties:
         """No flow can be raised without lowering a flow with an equal or
         smaller rate: every flow is demand-capped or has a saturated
         on-path link where its rate is maximal."""
-        from repro.fluid.vectorized import max_min_fair_allocation_vectorized
-        kernel = (max_min_fair_allocation if allocate == "reference"
-                  else max_min_fair_allocation_vectorized)
+        kernel = (oracle_allocation if allocate == "reference"
+                  else max_min_fair_allocation)
         capacities, flows, demands = scenario
         rates = kernel(capacities, flows, demands)
         loads = {link: 0.0 for link in capacities}
@@ -255,11 +255,9 @@ class TestMaxMinProperties:
     @given(_rich_scenario())
     @settings(max_examples=80)
     def test_vectorized_kernel_matches_oracle(self, scenario):
-        from repro.fluid.vectorized import max_min_fair_allocation_vectorized
         capacities, flows, demands = scenario
-        expected = max_min_fair_allocation(capacities, flows, demands)
-        got = max_min_fair_allocation_vectorized(capacities, flows,
-                                                 demands)
+        expected = oracle_allocation(capacities, flows, demands)
+        got = max_min_fair_allocation(capacities, flows, demands)
         assert np.array_equal(expected, got)
 
     # --- The two waterfill kernels, each called directly, against each
@@ -320,7 +318,7 @@ class TestMaxMinProperties:
             lambda: _waterfill_arrays(matrix, demands[active], active,
                                       weights),
             lambda: waterfill(matrix, demands, active, weights),
-            lambda: max_min_fair_allocation(
+            lambda: oracle_allocation(
                 capacities,
                 [flows[i] for i in np.repeat(active, repeat)],
                 np.repeat(demands[active], repeat))))
@@ -467,7 +465,7 @@ class TestFaultScheduleProperties:
 
         expected = [per_device(device) for device in devices]
         assert schedule.capacity_factors(devices, num_sats, t) == expected
-        assert [schedule.capacity_factor(device, num_sats, t)
+        assert [schedule.capacity_factors([device], num_sats, t)[0]
                 for device in devices] == expected
         assert set(vars(schedule)) == {"events", "seed"}
 

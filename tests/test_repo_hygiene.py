@@ -1,6 +1,9 @@
 """Repository hygiene: examples compile, benchmarks compile, docs exist."""
 
+import ast
 import py_compile
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,22 +81,68 @@ class TestDocumentation:
             assert module.__doc__, module_name
 
 
+def _span(node):
+    """0-based slice of a statement's source lines, decorators included."""
+    first = min([node.lineno]
+                + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return slice(first - 1, node.end_lineno)
+
+
+def _words(lines):
+    return Counter(re.findall(r"\w+", "\n".join(lines)))
+
+
+def _is_export(path, node):
+    """An ``__all__`` list, or a re-export import of an ``__init__.py``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return path.name == "__init__.py"
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _public_definitions(tree):
+    """``(qualified name, node)`` of every public module-level function,
+    class and method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        members = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            members += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)]
+        for qualified, member in members:
+            if not member.name.startswith("_"):
+                yield qualified, member
+
+
 class TestAnalysisHasCallers:
     def test_every_exported_function_is_used_outside_tests(self):
-        """The paper's statistics live in ``repro.analysis`` *and* are
-        what the product, the figure benchmarks or the examples compute
-        them with — an exported function nothing but ``tests/`` calls is
-        a second implementation waiting to drift."""
-        import inspect
-        import re
-
-        import repro.analysis as analysis
-        sources = [path.read_text()
-                   for directory in ("src", "benchmarks", "examples")
-                   for path in sorted((REPO_ROOT / directory).rglob("*.py"))
-                   if "analysis" not in path.relative_to(REPO_ROOT).parts]
-        unused = [name for name in analysis.__all__
-                  if inspect.isfunction(getattr(analysis, name))
-                  and not any(re.search(rf"\b{name}\b", source)
-                              for source in sources)]
+        """``src/`` is what the product runs: every public module-level
+        function, class and method under ``src/repro`` is named — word
+        match — somewhere in ``src/`` (``__all__`` lists, ``__init__.py``
+        re-exports and its own defining statement aside),
+        ``benchmarks/``, ``examples/`` or README.md.  A public name
+        nothing but ``tests/`` calls is a second implementation waiting
+        to drift; oracles live under ``tests/``."""
+        mentions = _words((REPO_ROOT / "README.md").read_text().splitlines())
+        defined = {}  # "file:qualified name" -> (name, mentions of itself)
+        for directory in ("src", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                source = path.read_text()
+                lines = source.splitlines()
+                if directory == "src":
+                    tree = ast.parse(source)
+                    for node in tree.body:
+                        if _is_export(path, node):
+                            span = _span(node)
+                            lines[span] = [""] * len(lines[span])
+                    for qualified, member in _public_definitions(tree):
+                        key = f"{path.relative_to(REPO_ROOT)}:{qualified}"
+                        defined[key] = (
+                            member.name,
+                            _words(lines[_span(member)])[member.name])
+                mentions += _words(lines)
+        unused = [key for key, (name, own) in defined.items()
+                  if mentions[name] <= own]
         assert not unused, unused

@@ -36,14 +36,14 @@ class TestRouteTo:
     def test_distances_positive_and_finite_for_satellites(
             self, small_network, engine):
         snap = small_network.snapshot(0.0)
-        routing = engine.route_to(snap, 0)
+        routing = engine.route_to_many(snap, [0]).routing_for(0)
         sat_distances = routing.distance_m[:small_network.num_satellites]
         assert np.isfinite(sat_distances).all()
         assert (sat_distances > 0).all()
 
     def test_next_hops_walk_to_destination(self, small_network, engine):
         snap = small_network.snapshot(0.0)
-        routing = engine.route_to(snap, 2)
+        routing = engine.route_to_many(snap, [2]).routing_for(2)
         dst_node = snap.gs_node_id(2)
         for sat in range(0, small_network.num_satellites, 7):
             current = sat
@@ -58,7 +58,7 @@ class TestRouteTo:
 
     def test_distance_decreases_along_next_hops(self, small_network, engine):
         snap = small_network.snapshot(0.0)
-        routing = engine.route_to(snap, 1)
+        routing = engine.route_to_many(snap, [1]).routing_for(1)
         for sat in range(small_network.num_satellites):
             nxt = int(routing.next_hop[sat])
             if nxt == UNREACHABLE or nxt == routing.dst_node:
@@ -69,7 +69,7 @@ class TestRouteTo:
         """Paths never route through a third (non-relay) ground station."""
         snap = small_network.snapshot(0.0)
         for dst in range(6):
-            routing = engine.route_to(snap, dst)
+            routing = engine.route_to_many(snap, [dst]).routing_for(dst)
             for src in range(6):
                 if src == dst:
                     continue
@@ -87,7 +87,8 @@ class TestBatchedRouting:
         destinations = list(range(6))
         multi = engine.route_to_many(snap, destinations)
         for dst_gid in destinations:
-            single = engine.route_to(snap, dst_gid)
+            single = engine.route_to_many(
+                snap, [dst_gid]).routing_for(dst_gid)
             batched = multi.routing_for(dst_gid)
             assert batched.dst_node == single.dst_node
             np.testing.assert_array_equal(batched.distance_m,

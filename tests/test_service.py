@@ -778,6 +778,62 @@ class TestLiveMutation:
         assert _report_json(restored) == _report_json(baseline)
 
 
+class TestOutOfRangeGids:
+    """A request naming a station the network lacks is refused before
+    anything is installed.  It used to be accepted, after which every
+    ``advance`` of a fluid session raised (and checkpoints carried the
+    request); on the packet engine the requests sorted before the bad
+    one ran as flows no status, FCT or report ever showed."""
+
+    ALL_ENGINES = ["packet", "fluid", "aimd"]
+    #: Six stations: gid 99 does not exist.  The good request sorts
+    #: first, so a per-request install would have started it.
+    BAD = WorkloadSchedule([FlowRequest(4.0, 0, 1, 30_000),
+                            FlowRequest(5.0, 0, 99, 1_000)], seed=5)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_rejected_attach_leaves_no_trace(self, engine):
+        untouched = _make_service(engine)
+        service = _make_service(engine)
+        for each in (untouched, service):
+            each.advance_epoch(3)
+        with pytest.raises(ServiceError, match="outside"):
+            service.attach_workload(self.BAD)
+        ten_stations = FlowArrivalProcess(
+            TrafficMatrix.gravity(count=10, total_offered_bps=1e6), seed=3)
+        with pytest.raises(ServiceError, match="10 stations"):
+            service.attach_arrivals(ten_stations)
+        assert service.spec == untouched.spec
+        for each in (untouched, service):
+            each.advance_epoch(2)  # used to raise on the fluid engines
+        assert service.status() == untouched.status()
+        for each in (untouched, service):
+            each.run_to_horizon()
+        assert _report_json(service) == _report_json(untouched)
+        assert service.metrics_dict() == untouched.metrics_dict()
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_constructor_rejects_it_too(self, engine):
+        with pytest.raises(ServiceError, match="outside"):
+            _make_service(engine,
+                          workload=_small_workload().merged(self.BAD))
+
+    def test_no_ghost_flow_over_the_wire(self):
+        """``ok: false`` means nothing happened: the packet session
+        processes the events of one that never got the command."""
+        untouched = _make_service("packet")
+        untouched.advance_epoch(6)
+        with _ServerThread(_make_service("packet")) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.advance(3)
+                with pytest.raises(ServiceClientError):
+                    client.command("attach_workload",
+                                   workload=self.BAD.as_dict())
+                assert client.advance(3) == untouched.status()
+                assert client.metrics() == untouched.metrics_dict()
+                client.stop()
+
+
 # ----------------------------------------------------------------------
 # Sweep warm-start
 # ----------------------------------------------------------------------
@@ -872,6 +928,11 @@ class TestSweepWarmStart:
                               checkpoint_index=3)
         with pytest.raises(CheckpointError, match="not a live service"):
             LiveSimulationService.resume(str(path))
+        # A damaged body can leave any object where the payload dict was.
+        damaged = Checkpoint(spec=spec, engine="packet", time_s=0.0,
+                             payload=["service"])
+        with pytest.raises(CheckpointError, match="payload is a 'list'"):
+            LiveSimulationService.from_checkpoint(damaged)
         service = _make_service("packet")
         service.save(str(tmp_path / "svc.ckpt"))
         with pytest.raises(CheckpointError, match="not a sweep"):

@@ -48,7 +48,7 @@ class TestForwardingController:
         controller.start()
         engine = RoutingEngine(small_network)
         snap = small_network.snapshot(0.0)
-        routing = engine.route_to(snap, 2)
+        routing = engine.route_to_many(snap, [2]).routing_for(2)
         for sat in range(0, small_network.num_satellites, 11):
             expected = int(routing.next_hop[sat])
             actual = controller.next_hop_from_satellite(sat, 2)
@@ -304,7 +304,8 @@ class TestForwardingMemo:
         # The first ISL of the 0 -> 3 path at t=0 is cut from t=0.25 on,
         # so the refresh at t=0.3 must move the flow off it.
         snapshot = small_network.snapshot(0.0)
-        routing = RoutingEngine(small_network).route_to(snapshot, 3)
+        routing = RoutingEngine(small_network).route_to_many(
+            snapshot, [3]).routing_for(3)
         ingress, _ = routing.source_ingress(snapshot.gsl_edges[0])
         after = int(routing.next_hop[ingress])
         assert after < small_network.num_satellites

@@ -109,15 +109,6 @@ class TestUdp:
         assert flow.loss_fraction > 0.4
         assert sim.stats.packets_dropped_queue > 0
 
-    def test_goodput_series_bins(self, small_network):
-        sim = PacketSimulator(small_network)
-        flow = UdpFlow(0, 3, rate_bps=1_000_000.0, stop_s=1.0,
-                       bin_s=0.5).install(sim)
-        sim.run(2.0)
-        series = flow.goodput_series_bps()
-        assert len(series) >= 2
-        assert series[0] > 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             UdpFlow(0, 1, rate_bps=0.0)
