@@ -41,6 +41,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "propagate_to_ec|parse_tle|read_tle_file|max_min_fair_allocation_vectorized|batched_elevation_angles_deg|max_slant_range_m|topocentric_enu|pairs_by_name|repro\.fluid\.maxmin|repro\.orbits\.propagation" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnwIE "WeatherModel|RainEvent|from_weather|state_dict|_deque_fields|loss_fraction" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

@@ -12,8 +12,8 @@ import pytest
 from repro import Hypatia, random_permutation_pairs
 from repro.constellations.builder import Constellation
 from repro.constellations.definitions import KUIPER_K1
+from repro.faults import FaultSchedule
 from repro.ground.stations import ground_stations_from_cities
-from repro.ground.weather import RainEvent, WeatherModel
 from repro.routing.engine import RoutingEngine
 from repro.topology.network import LeoNetwork
 
@@ -24,11 +24,11 @@ SAMPLE_TIME_S = 50.0
 
 SCENARIOS = [
     ("clear", None),
-    ("moderate rain", WeatherModel.synthetic(
-        100, 100.0, seed=11, storm_probability=0.3,
+    ("moderate rain", FaultSchedule.storms(
+        100, 100.0, seed=11, probability=0.3,
         mean_duration_s=200.0, penalty_deg=15.0)),
-    ("severe rain", WeatherModel.synthetic(
-        100, 100.0, seed=11, storm_probability=0.3,
+    ("severe rain", FaultSchedule.storms(
+        100, 100.0, seed=11, probability=0.3,
         mean_duration_s=200.0, penalty_deg=90.0)),
 ]
 
@@ -40,9 +40,9 @@ def test_extension_weather_rerouting(benchmark):
     holder = {}
 
     def sweep():
-        for label, weather in SCENARIOS:
+        for label, storms in SCENARIOS:
             network = LeoNetwork(constellation, stations,
-                                 min_elevation_deg=30.0, weather=weather)
+                                 min_elevation_deg=30.0, faults=storms)
             engine = RoutingEngine(network)
             snapshot = network.snapshot(SAMPLE_TIME_S)
             rtts = []
@@ -51,10 +51,10 @@ def test_extension_weather_rerouting(benchmark):
                 if np.isfinite(rtt):
                     rtts.append(rtt)
             raining = 0
-            if weather is not None:
+            if storms is not None:
                 raining = sum(
                     1 for gid in range(100)
-                    if weather.is_raining(gid, SAMPLE_TIME_S))
+                    if storms.elevation_penalty_deg(gid, SAMPLE_TIME_S) > 0)
             holder[label] = (np.array(rtts), raining)
         return len(holder)
 

@@ -17,8 +17,8 @@ import numpy as np
 from repro import Hypatia
 from repro.constellations.builder import Constellation
 from repro.constellations.definitions import KUIPER_K1
+from repro.faults import FaultEvent, FaultSchedule
 from repro.ground.stations import ground_stations_from_cities
-from repro.ground.weather import RainEvent, WeatherModel
 from repro.routing.engine import RoutingEngine
 from repro.routing.multipath import edge_disjoint_paths
 from repro.topology.network import LeoNetwork
@@ -51,9 +51,10 @@ def main() -> None:
     print("\n2) Storm over Dalian")
     for label, penalty in [("moderate (+15 deg)", 15.0),
                            ("severe (outage)", 90.0)]:
-        weather = WeatherModel([RainEvent(dst, 0.0, 3600.0, penalty)])
+        rain = FaultSchedule([
+            FaultEvent.gsl_attenuation(dst, 0.0, 3600.0, penalty)])
         rainy = LeoNetwork(constellation, stations, min_elevation_deg=30.0,
-                           weather=weather)
+                           faults=rain)
         rainy_rtt = RoutingEngine(rainy).pair_rtt_s(rainy.snapshot(0.0),
                                                     src, dst)
         if np.isfinite(rainy_rtt):

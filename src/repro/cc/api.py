@@ -8,8 +8,8 @@ controller as a swappable experiment axis rather than a class hierarchy:
 
 * :class:`CongestionController` is the formal interface — per-ACK /
   loss / timeout / RTT-sample hooks in, cwnd / pacing-rate decisions
-  out, plus a JSON-expressible state dict so controllers survive
-  :mod:`repro.service` checkpoints;
+  out; controllers are plain objects that :mod:`repro.service`
+  checkpoints pickle along with their flows;
 * :func:`register_controller` / :func:`make_controller` form a
   string-keyed registry (mirroring
   :func:`repro.sweep.register_isl_builder`), so controller choices
@@ -28,7 +28,6 @@ read from.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = [
@@ -81,14 +80,6 @@ class RttEstimator:
         """Karn-style exponential backoff after a retransmission timeout."""
         self.rto = min(self.rto * 2.0, RTO_MAX_S)
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"srtt": self.srtt, "rttvar": self.rttvar, "rto": self.rto}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.srtt = state["srtt"]
-        self.rttvar = float(state["rttvar"])
-        self.rto = float(state["rto"])
-
 
 class CongestionController:
     """Base class of congestion-control plug-ins.
@@ -124,9 +115,6 @@ class CongestionController:
     #: Rate-based controllers set True: the flow paces single packets at
     #: :attr:`pacing_rate_bps` instead of window-bursting.
     paced = False
-    #: Attribute names holding deques (converted to lists by
-    #: :meth:`state_dict` and restored by :meth:`load_state_dict`).
-    _deque_fields: tuple = ()
 
     def __init__(self) -> None:
         self.flow = None  # set by attach()
@@ -187,35 +175,6 @@ class CongestionController:
     def pacing_rate_bps(self) -> Optional[float]:
         """Current pacing rate; only meaningful when :attr:`paced`."""
         return None
-
-    # ------------------------------------------------------------------
-    # Checkpoint surface
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        """A JSON-expressible snapshot of the controller's state.
-
-        The default captures every instance attribute except the flow
-        back-reference, converting deques to lists.  Subclasses with
-        richer state (shared brains, RNG streams) override and call up.
-        """
-        state: Dict[str, Any] = {}
-        for key, value in self.__dict__.items():
-            if key == "flow":
-                continue
-            if key in self._deque_fields:
-                value = [list(item) if isinstance(item, tuple) else item
-                         for item in value]
-            state[key] = value
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (flow binding unchanged)."""
-        for key, value in state.items():
-            if key in self._deque_fields:
-                value = deque(tuple(item) if isinstance(item, list) else item
-                              for item in value)
-            setattr(self, key, value)
 
     @classmethod
     def make_shared_state(cls, **kwargs) -> Dict[str, Any]:

@@ -187,7 +187,6 @@ class BbrController(CongestionController):
     name = "bbr"
     paced = True
     MIN_CWND = 4.0
-    _deque_fields = ("_bw_filter", "_rtt_filter")
 
     def __init__(self) -> None:
         super().__init__()

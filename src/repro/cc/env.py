@@ -2,7 +2,7 @@
 
 :class:`RateControlEnv` wraps one agent flow inside a full packet
 simulation — constellation motion, routing, queues, optional background
-workload, faults, and weather all included — as a seeded
+workload and faults (rain included) — as a seeded
 step/observe/act loop:
 
 * **observe**: per-decision-interval RTT statistics, delivery rate,
@@ -13,7 +13,7 @@ step/observe/act loop:
   :attr:`EnvSpec.decision_interval_s` of simulated time;
 * **deterministic**: the whole rollout is a pure function of
   ``(spec, seed, actions)`` — the seed feeds the background workload
-  and any fault/weather schedules through
+  and any fault schedule through
   :class:`~repro.sweep.spec.NetworkSpec`, and the simulator itself is
   a deterministic DES.  Property-tested in ``tests/test_cc_env.py``.
 
@@ -92,7 +92,7 @@ class EnvSpec:
 
     Args:
         network: The scenario — constellation, stations, ISLs, and any
-            faults/weather/background workload baked into the spec.
+            faults/rain/background workload baked into the spec.
         src_gid / dst_gid: Endpoints of the agent flow.
         decision_interval_s: Simulated time per :meth:`RateControlEnv.
             step`.

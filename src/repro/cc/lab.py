@@ -11,7 +11,7 @@ impairments, one comparison table.
 Everything here is deterministic given ``(base spec, seed)``: workloads
 come from seeded :class:`~repro.traffic.arrivals.FlowArrivalProcess`
 draws, fault packet-loss streams are device-seeded Bernoulli, storms are
-:meth:`~repro.ground.weather.WeatherModel.synthetic`.  Cells are
+:meth:`~repro.faults.schedule.FaultSchedule.storms`.  Cells are
 independent packet simulations, so ``workers=N`` farms them over a
 process pool and — because cells are enumerated in a fixed order and
 ``Executor.map`` preserves it — produces a report bit-identical to the
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.schedule import FaultEvent, FaultSchedule
-from ..ground.weather import WeatherModel
 from ..obs.report import fct_summary
 from ..simulation.simulator import LinkConfig, PacketSimulator
 from ..sweep.spec import NetworkSpec
@@ -156,13 +155,13 @@ def _faulty_schedule(spec: NetworkSpec, duration_s: float,
     return FaultSchedule(events, seed=seed)
 
 
-def _storm_weather(spec: NetworkSpec, duration_s: float,
-                   seed: int) -> WeatherModel:
-    storms = WeatherModel.synthetic(
+def _storms(spec: NetworkSpec, duration_s: float,
+            seed: int) -> FaultSchedule:
+    """Rain for the weather axis: a storm over about half the sites."""
+    return FaultSchedule.storms(
         num_stations=len(spec.ground_stations), duration_s=duration_s,
-        seed=seed, storm_probability=0.5, mean_duration_s=duration_s / 2.0,
+        seed=seed, probability=0.5, mean_duration_s=duration_s / 2.0,
         penalty_deg=25.0)
-    return storms
 
 
 def build_scenarios(base: Optional[NetworkSpec] = None,
@@ -200,13 +199,13 @@ def build_scenarios(base: Optional[NetworkSpec] = None,
                 workload = FlowArrivalProcess(
                     matrix, mean_size_bytes=MEAN_FLOW_BYTES,
                     seed=seed).generate(duration_s * 0.75)
-                spec = replace(
-                    base,
-                    faults=(_faulty_schedule(base, duration_s, seed)
-                            if fault == "faulty" else base.faults),
-                    weather=(_storm_weather(base, duration_s, seed)
-                             if weather == "storm" else base.weather),
-                ).with_workload(workload)
+                faults = (_faulty_schedule(base, duration_s, seed)
+                          if fault == "faulty" else base.faults)
+                if weather == "storm":
+                    storms = _storms(base, duration_s, seed)
+                    faults = (storms if faults is None
+                              else faults.merged(storms))
+                spec = replace(base, faults=faults).with_workload(workload)
                 scenarios.append(LabScenario(
                     name=f"{fault}-{weather}-{churn}",
                     spec=spec, duration_s=duration_s,

@@ -19,9 +19,9 @@ arm statistics (:meth:`BanditController.make_shared_state`), so short
 flows inherit what earlier flows learned — on LEO paths with ample
 headroom the bandit converges on aggressive arms and skips the slow-start
 ramp that costs NewReno/Vegas their short-flow FCT (and skips BBR's
-conservative bootstrap pacing).  Brain state is a plain dict of counts
-and reward sums, so it rides along in :mod:`repro.service` checkpoints
-and in :meth:`~repro.cc.api.CongestionController.state_dict`.
+conservative bootstrap pacing).  Brain state is plain counts and reward
+sums, pickled with the flows in :mod:`repro.service` checkpoints (one
+brain object, so it stays shared after a restore).
 """
 
 from __future__ import annotations
@@ -87,18 +87,6 @@ class BanditBrain:
         """Per-arm mean reward (0.0 for untried arms) — report-facing."""
         return tuple(total / count if count else 0.0
                      for total, count in zip(self.totals, self.counts))
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"num_arms": self.num_arms, "exploration": self.exploration,
-                "counts": list(self.counts), "totals": list(self.totals),
-                "pulls": self.pulls}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self.num_arms = int(state["num_arms"])
-        self.exploration = float(state["exploration"])
-        self.counts = [int(c) for c in state["counts"]]
-        self.totals = [float(t) for t in state["totals"]]
-        self.pulls = int(state["pulls"])
 
 
 class BanditController(CongestionController):
@@ -205,25 +193,6 @@ class BanditController(CongestionController):
         flow = self.flow
         flow.cwnd = max(2.0, flow.cwnd / 2.0)
         flow.ssthresh = flow.cwnd
-
-    # ------------------------------------------------------------------
-    # Checkpoint surface
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = {key: value for key, value in self.__dict__.items()
-                 if key not in ("flow", "brain")}
-        state["arms"] = list(self.arms)
-        state["brain"] = self.brain.state_dict()
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        state = dict(state)
-        brain_state = state.pop("brain")
-        state["arms"] = tuple(float(a) for a in state["arms"])
-        for key, value in state.items():
-            setattr(self, key, value)
-        self.brain.load_state_dict(brain_state)
 
     @classmethod
     def make_shared_state(cls, **kwargs) -> Dict[str, Any]:

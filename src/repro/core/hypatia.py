@@ -57,10 +57,9 @@ class Hypatia:
         use_isls: True for +Grid ISLs (default), False for bent-pipe
             (Appendix A) connectivity through GS relays only.
         gsl_policy: GS satellite-selection policy.
-        weather: Optional rain model (folded into the fault schedule).
         faults: Optional :class:`repro.faults.FaultSchedule` — dynamic
-            outages/cuts/loss, applied at every topology snapshot and
-            packet transmission.
+            outages/cuts/rain/loss, applied at every topology snapshot
+            and packet transmission.
     """
 
     def __init__(self, constellation: Constellation,
@@ -68,14 +67,13 @@ class Hypatia:
                  min_elevation_deg: float,
                  use_isls: bool = True,
                  gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
-                 weather=None, faults=None) -> None:
+                 faults=None) -> None:
         isl_builder = plus_grid_isls if use_isls else no_isls
         self.network = LeoNetwork(
             constellation, ground_stations,
             min_elevation_deg=min_elevation_deg,
             isl_builder=isl_builder,
             gsl_policy=gsl_policy,
-            weather=weather,
             faults=faults,
         )
         self.routing = RoutingEngine(self.network)
@@ -91,8 +89,7 @@ class Hypatia:
                         extra_stations: Sequence[GroundStation] = (),
                         gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
                         epoch_offset_s: float = 0.0,
-                        weather=None, faults=None,
-                        ) -> "Hypatia":
+                        faults=None) -> "Hypatia":
         """Build a study for one Table 1 shell with city ground stations.
 
         Args:
@@ -107,7 +104,6 @@ class Hypatia:
             epoch_offset_s: Advance the constellation by this much motion
                 at simulation time 0 (windows experiments around specific
                 connectivity events).
-            weather: Optional rain model.
             faults: Optional :class:`repro.faults.FaultSchedule`.
         """
         shell = shell_by_name(shell_name)
@@ -122,7 +118,7 @@ class Hypatia:
                    stations,
                    min_elevation_deg=min_elevation_deg,
                    use_isls=use_isls, gsl_policy=gsl_policy,
-                   weather=weather, faults=faults)
+                   faults=faults)
 
     # ------------------------------------------------------------------
     # Convenience lookups

@@ -4,8 +4,10 @@ Paper §7 invites reliability work ("rerouting around failures and bad
 weather").  This module is the repo's fault model: a
 :class:`FaultSchedule` is an explicit, seeded, *plain-data* list of
 :class:`FaultEvent` s — satellite outages, ISL cuts, ground-station (GSL)
-cuts, rain-style elevation attenuation, and stochastic per-link packet
-loss/corruption — each with a start and an end (recovery).
+cuts, rain attenuation, and stochastic per-link packet loss/corruption —
+each with a start and an end (recovery).  Rain is not a separate model:
+a storm is a ``GSL_ATTENUATION`` event, and :meth:`FaultSchedule.storms`
+draws a seeded storm schedule.
 
 Design contract (the determinism the test suite enforces):
 
@@ -22,24 +24,17 @@ Design contract (the determinism the test suite enforces):
 * Packet-level faults (loss/corruption) act through the per-device
   seeded Bernoulli hook (:class:`repro.faults.injector.LinkFaultInjector`),
   whose RNG stream depends only on ``(schedule.seed, device name)``.
-
-The weather model is one *producer* of fault events:
-:meth:`FaultSchedule.from_weather` maps every
-:class:`~repro.ground.weather.RainEvent` to an equivalent
-``GSL_ATTENUATION`` event, and :class:`LeoNetwork` evaluates both through
-the same code path.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import numbers
 import random
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, Hashable, Iterator, List, Optional,
-                    Sequence, Tuple)
-
-from ..ground.weather import WeatherModel
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 __all__ = ["FaultKind", "FaultEvent", "FaultSchedule"]
 
@@ -68,11 +63,24 @@ class FaultKind(enum.Enum):
     PACKET_CORRUPTION = "packet_corruption"
 
 
-#: Kinds that target an ISL / a ground station, for validation.
-_ISL_KINDS = (FaultKind.ISL_CUT, FaultKind.PACKET_LOSS,
-              FaultKind.PACKET_CORRUPTION)
-_GID_KINDS = (FaultKind.GSL_CUT, FaultKind.GSL_ATTENUATION,
-              FaultKind.PACKET_LOSS, FaultKind.PACKET_CORRUPTION)
+#: The kinds each target field may carry, for validation.
+_TARGET_KINDS = {
+    "satellite": (FaultKind.SATELLITE_OUTAGE,),
+    "isl": (FaultKind.ISL_CUT, FaultKind.PACKET_LOSS,
+            FaultKind.PACKET_CORRUPTION),
+    "gid": (FaultKind.GSL_CUT, FaultKind.GSL_ATTENUATION,
+            FaultKind.PACKET_LOSS, FaultKind.PACKET_CORRUPTION),
+}
+
+
+def _index(value: Any, name: str) -> int:
+    """A satellite or station index: an int, or an integral float (JSON
+    may spell 3 as 3.0) — never a bool or a fraction to truncate."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"fault {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -104,34 +112,37 @@ class FaultEvent:
     elevation_penalty_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.end_s <= self.start_s:
+        # Negated comparisons: a NaN fails every comparison, so it is
+        # rejected here instead of silently never firing.
+        if not self.end_s > self.start_s:
             raise ValueError(
                 f"fault must end after it starts "
                 f"({self.start_s} .. {self.end_s})")
-        targets = [t is not None for t in (self.satellite, self.isl,
-                                           self.gid)]
-        if sum(targets) != 1:
+        targets = [name for name in _TARGET_KINDS
+                   if getattr(self, name) is not None]
+        if len(targets) != 1:
             raise ValueError("exactly one of satellite/isl/gid must be set")
-        if self.kind is FaultKind.SATELLITE_OUTAGE and self.satellite is None:
-            raise ValueError("satellite outage needs a satellite target")
-        if self.kind is FaultKind.ISL_CUT and self.isl is None:
-            raise ValueError("ISL cut needs an isl target")
-        if self.kind in (FaultKind.GSL_CUT, FaultKind.GSL_ATTENUATION) \
-                and self.gid is None:
-            raise ValueError(f"{self.kind.value} needs a gid target")
-        if self.isl is not None:
-            a, b = self.isl
+        (target,) = targets
+        if self.kind not in _TARGET_KINDS[target]:
+            raise ValueError(f"{self.kind.value} cannot target a {target}")
+        if target == "isl":
+            a, b = (_index(end, "isl endpoint") for end in self.isl)
             if a == b:
                 raise ValueError("ISL endpoints must differ")
-            if (a, b) != (min(a, b), max(a, b)):
+            if a > b:
                 raise ValueError(
                     f"isl pair must be normalized (min, max), got {self.isl}")
+            object.__setattr__(self, "isl", (a, b))
+        else:
+            object.__setattr__(self, target,
+                               _index(getattr(self, target), target))
         if self.kind in (FaultKind.PACKET_LOSS, FaultKind.PACKET_CORRUPTION):
             if not 0.0 < self.rate <= 1.0:
                 raise ValueError(
                     f"loss/corruption rate must be in (0, 1], got {self.rate}")
-        if self.elevation_penalty_deg < 0.0:
-            raise ValueError("elevation penalty must be non-negative")
+        if not self.elevation_penalty_deg >= 0.0:
+            raise ValueError(f"elevation penalty must be non-negative, "
+                             f"got {self.elevation_penalty_deg}")
         if self.kind is FaultKind.GSL_ATTENUATION \
                 and self.elevation_penalty_deg == 0.0:
             raise ValueError("attenuation needs a positive penalty")
@@ -143,26 +154,25 @@ class FaultEvent:
                          end_s: float) -> "FaultEvent":
         """A satellite goes dark over ``[start_s, end_s)``."""
         return cls(FaultKind.SATELLITE_OUTAGE, start_s, end_s,
-                   satellite=int(satellite))
+                   satellite=satellite)
 
     @classmethod
     def isl_cut(cls, sat_a: int, sat_b: int, start_s: float,
                 end_s: float) -> "FaultEvent":
         """One ISL is cut (both directions)."""
-        a, b = int(sat_a), int(sat_b)
         return cls(FaultKind.ISL_CUT, start_s, end_s,
-                   isl=(min(a, b), max(a, b)))
+                   isl=(min(sat_a, sat_b), max(sat_a, sat_b)))
 
     @classmethod
     def gsl_cut(cls, gid: int, start_s: float, end_s: float) -> "FaultEvent":
         """A ground station loses all GSL connectivity."""
-        return cls(FaultKind.GSL_CUT, start_s, end_s, gid=int(gid))
+        return cls(FaultKind.GSL_CUT, start_s, end_s, gid=gid)
 
     @classmethod
     def gsl_attenuation(cls, gid: int, start_s: float, end_s: float,
                         elevation_penalty_deg: float) -> "FaultEvent":
-        """Rain-style elevation penalty over one station."""
-        return cls(FaultKind.GSL_ATTENUATION, start_s, end_s, gid=int(gid),
+        """Rain over one station: its minimum elevation rises."""
+        return cls(FaultKind.GSL_ATTENUATION, start_s, end_s, gid=gid,
                    elevation_penalty_deg=float(elevation_penalty_deg))
 
     @classmethod
@@ -170,24 +180,18 @@ class FaultEvent:
                     isl: Optional[Tuple[int, int]] = None,
                     gid: Optional[int] = None) -> "FaultEvent":
         """Stochastic loss on an ISL (both directions) or a GS uplink."""
-        if isl is not None:
-            a, b = int(isl[0]), int(isl[1])
-            isl = (min(a, b), max(a, b))
-        return cls(FaultKind.PACKET_LOSS, start_s, end_s, isl=isl,
-                   gid=int(gid) if gid is not None else None,
-                   rate=float(rate))
+        return cls(FaultKind.PACKET_LOSS, start_s, end_s,
+                   isl=(min(isl), max(isl)) if isl is not None else None,
+                   gid=gid, rate=float(rate))
 
     @classmethod
     def packet_corruption(cls, start_s: float, end_s: float, rate: float,
                           isl: Optional[Tuple[int, int]] = None,
                           gid: Optional[int] = None) -> "FaultEvent":
         """Stochastic corruption on an ISL or a GS uplink."""
-        if isl is not None:
-            a, b = int(isl[0]), int(isl[1])
-            isl = (min(a, b), max(a, b))
-        return cls(FaultKind.PACKET_CORRUPTION, start_s, end_s, isl=isl,
-                   gid=int(gid) if gid is not None else None,
-                   rate=float(rate))
+        return cls(FaultKind.PACKET_CORRUPTION, start_s, end_s,
+                   isl=(min(isl), max(isl)) if isl is not None else None,
+                   gid=gid, rate=float(rate))
 
     # -- queries --------------------------------------------------------
 
@@ -230,7 +234,7 @@ class FaultEvent:
             start_s=float(record["start_s"]),
             end_s=float(record["end_s"]),
             satellite=record.get("satellite"),
-            isl=tuple(int(s) for s in isl) if isl is not None else None,
+            isl=tuple(isl) if isl is not None else None,
             gid=record.get("gid"),
             rate=float(record.get("rate", 1.0)),
             elevation_penalty_deg=float(
@@ -246,6 +250,35 @@ def _sort_key(event: FaultEvent) -> tuple:
             event.isl if event.isl is not None else (-1, -1),
             -1 if event.gid is None else event.gid,
             event.rate, event.elevation_penalty_deg)
+
+
+def _seeded_windows(seed: int, duration_s: float, mean_duration_s: float,
+                    probabilities: Dict[str, float], **positive: float
+                    ) -> Tuple[random.Random, Callable[[], Tuple[float,
+                                                                float]]]:
+    """Check a schedule generator's arguments; return its seeded RNG and
+    the event-window draw both generators share.
+
+    A window starts uniformly over the run and lasts an exponential
+    draw around ``mean_duration_s`` (at least 1 s), ending no later than
+    1 s past the run.
+    """
+    positive = {"duration_s": duration_s,
+                "mean_duration_s": mean_duration_s, **positive}
+    for name, value in positive.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    for name, p in probabilities.items():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {p}")
+    rng = random.Random(seed)
+
+    def window() -> Tuple[float, float]:
+        start = rng.uniform(0.0, duration_s)
+        length = max(1.0, rng.expovariate(1.0 / mean_duration_s))
+        return start, min(start + length, duration_s + 1.0)
+
+    return rng, window
 
 
 class FaultSchedule:
@@ -404,23 +437,27 @@ class FaultSchedule:
     # -- producers ------------------------------------------------------
 
     @classmethod
-    def from_weather(cls, weather: WeatherModel,
-                     seed: int = 0) -> "FaultSchedule":
-        """The weather model expressed as GSL attenuation fault events.
+    def storms(cls, num_stations: int, duration_s: float, seed: int = 0,
+               probability: float = 0.2, mean_duration_s: float = 60.0,
+               penalty_deg: float = 25.0) -> "FaultSchedule":
+        """A seeded random storm schedule: ``GSL_ATTENUATION`` events.
 
-        This is the unification hook: :class:`LeoNetwork` folds a
-        configured :class:`~repro.ground.weather.WeatherModel` into its
-        fault schedule through this conversion, so rain and explicit
-        faults act through one code path.  Penalties sum identically to
-        :meth:`WeatherModel.penalty_deg`.
+        Each station independently gets one storm with ``probability``,
+        timed like :meth:`synthetic`'s events, raising its minimum
+        elevation by ``penalty_deg`` (90 or more takes it off the air).
+        Combine with explicit faults as ``faults.merged(storms)``, which
+        keeps the explicit schedule's loss/corruption seed.
         """
-        return cls([
-            FaultEvent.gsl_attenuation(
-                rain.gid, rain.start_s, rain.end_s,
-                elevation_penalty_deg=rain.elevation_penalty_deg)
-            for rain in weather.iter_events()
-            if rain.elevation_penalty_deg > 0.0
-        ], seed=seed)
+        rng, window = _seeded_windows(seed, duration_s, mean_duration_s,
+                                      {"probability": probability},
+                                      penalty_deg=penalty_deg)
+        events: List[FaultEvent] = []
+        for gid in range(num_stations):
+            if rng.random() < probability:
+                start, end = window()
+                events.append(FaultEvent.gsl_attenuation(
+                    gid, start, end, penalty_deg))
+        return cls(events, seed=seed)
 
     @classmethod
     def synthetic(cls, num_satellites: int, num_stations: int,
@@ -433,8 +470,7 @@ class FaultSchedule:
                   isl_pairs: Optional[Sequence[Tuple[int, int]]] = None,
                   isl_cut_probability: float = 0.002,
                   ) -> "FaultSchedule":
-        """A seeded random fault schedule (mirrors
-        :meth:`WeatherModel.synthetic`).
+        """A seeded random fault schedule.
 
         Each satellite independently suffers an outage with
         ``satellite_outage_probability``; each station a GSL cut with
@@ -446,20 +482,14 @@ class FaultSchedule:
         Identical arguments produce an identical, schedule-sorted event
         list.
         """
-        for name, p in (("satellite outage", satellite_outage_probability),
-                        ("gsl cut", gsl_cut_probability),
-                        ("loss", loss_probability),
-                        ("isl cut", isl_cut_probability)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} probability must be in [0, 1]")
-        rng = random.Random(seed)
+        rng, window = _seeded_windows(
+            seed, duration_s, mean_duration_s,
+            {"satellite_outage_probability": satellite_outage_probability,
+             "gsl_cut_probability": gsl_cut_probability,
+             "loss_probability": loss_probability,
+             "isl_cut_probability": isl_cut_probability},
+            mean_loss_rate=mean_loss_rate)
         events: List[FaultEvent] = []
-
-        def window() -> Tuple[float, float]:
-            start = rng.uniform(0.0, duration_s)
-            length = max(1.0, rng.expovariate(1.0 / mean_duration_s))
-            return start, min(start + length, duration_s + 1.0)
-
         for sat in range(num_satellites):
             if rng.random() < satellite_outage_probability:
                 start, end = window()

@@ -7,7 +7,6 @@ from .stations import (
     relay_grid_between,
 )
 from .visibility import azimuth_elevation_deg, elevation_angles_deg
-from .weather import RainEvent, WeatherModel
 
 __all__ = [
     "CITY_RECORDS",
@@ -18,6 +17,4 @@ __all__ = [
     "relay_grid_between",
     "azimuth_elevation_deg",
     "elevation_angles_deg",
-    "RainEvent",
-    "WeatherModel",
 ]

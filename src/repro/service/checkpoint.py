@@ -49,7 +49,9 @@ __all__ = [
 #: v2: the packet engine's pending events became 5-field records.
 #: v3: fluid run states carry ``flow_class`` (and an object-array
 #: ``frozen_paths``); the simulation keeps classes, not per-flow pairs.
-CHECKPOINT_FORMAT_VERSION = 3
+#: v4: ``NetworkSpec`` and ``LeoNetwork`` lost ``weather`` (rain is a
+#: fault event), so a v3 spec no longer fingerprints as it was saved.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
@@ -98,7 +100,7 @@ def _canonical(value: Any) -> Any:
     :class:`~repro.sweep.spec.NetworkSpec` is built from — frozen
     dataclasses, enums, tuples, numpy scalars/arrays, and objects whose
     whole state is their ``__dict__`` (``FaultSchedule``,
-    ``WorkloadSchedule``, ``WeatherModel``) — so the fingerprint depends
+    ``WorkloadSchedule``) — so the fingerprint depends
     only on content, never on id()s, dict insertion history, or pickle
     protocol details.
     """

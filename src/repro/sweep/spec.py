@@ -26,7 +26,6 @@ from ..constellations.builder import Constellation
 from ..faults.schedule import FaultSchedule
 from ..ground.stations import GroundStation
 from ..traffic.arrivals import WorkloadSchedule
-from ..ground.weather import WeatherModel
 from ..orbits.shell import Shell
 from ..topology.gsl import GslPolicy
 from ..topology.isl import no_isls, plus_grid_isls, single_ring_isls
@@ -90,11 +89,9 @@ class NetworkSpec:
         isl_builder: Registered name of the ISL interconnect builder.
         gsl_policy: GS satellite-selection policy.
         failed_satellites: Satellites carrying no links.
-        weather: Optional rain-attenuation schedule (plain data, so it
-            pickles).
-        faults: Optional fault schedule (plain data too) — carrying it
-            here is what keeps faulted parallel sweeps bit-identical to
-            serial ones.
+        faults: Optional fault schedule, rain included (plain data, so
+            it pickles) — carrying it here is what keeps faulted parallel
+            sweeps bit-identical to serial ones.
         workload: Optional workload schedule (plain data as well).  The
             network build ignores it; it rides along so workload-driven
             sweeps track exactly the same pair set in every worker.
@@ -108,7 +105,6 @@ class NetworkSpec:
     isl_builder: str = "plus_grid"
     gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE
     failed_satellites: Tuple[int, ...] = ()
-    weather: Optional[WeatherModel] = field(default=None)
     faults: Optional[FaultSchedule] = field(default=None)
     workload: Optional[WorkloadSchedule] = field(default=None)
 
@@ -140,7 +136,6 @@ class NetworkSpec:
             isl_builder=isl_builder_name(network.isl_builder),
             gsl_policy=network.gsl_policy,
             failed_satellites=tuple(sorted(network.failed_satellites)),
-            weather=network.weather,
             faults=network.faults,
         )
 
@@ -179,7 +174,6 @@ class NetworkSpec:
             min_elevation_deg=self.min_elevation_deg,
             isl_builder=builder,
             gsl_policy=self.gsl_policy,
-            weather=self.weather,
             failed_satellites=self.failed_satellites,
             faults=self.faults,
         )

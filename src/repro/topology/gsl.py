@@ -74,9 +74,9 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
         stations: The ground stations.
         satellite_positions_ecef_m: (N, 3) ECEF satellite positions.
         min_elevation_deg: Minimum elevation angle ``l`` — any real scalar
-            (Python float, ``np.float32`` from a weather model, ...), or a
-            mapping gid -> real for per-station values (e.g. a weather
-            model's effective elevations).
+            (Python float, ``np.float32``, ...), or a mapping gid -> real
+            for per-station values (e.g. the effective elevations of
+            rain-attenuated stations).
         policy: Satellite selection policy.
         excluded_satellites: Satellites no GS may link to (failed ones).
 

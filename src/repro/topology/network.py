@@ -32,7 +32,6 @@ if TYPE_CHECKING:
     import networkx as nx
 
     from ..faults.schedule import FaultSchedule
-    from ..ground.weather import WeatherModel
 
 __all__ = ["LeoNetwork", "TopologySnapshot"]
 
@@ -149,14 +148,12 @@ class LeoNetwork:
             constellation; defaults to +Grid.  Pass
             :func:`repro.topology.isl.no_isls` for bent-pipe experiments.
         gsl_policy: Satellite-selection policy for ground stations.
-        weather: Optional rain model; internally folded into the fault
-            schedule (one code path evaluates both).
         failed_satellites: Satellites dead for the whole run (their ISLs
             are dropped once, at construction).
-        faults: Optional :class:`repro.faults.FaultSchedule`; snapshots
-            at time *t* exclude nodes/edges faulted at *t*, so routing
-            reroutes at the next forwarding tick and recovers when the
-            event ends.
+        faults: Optional :class:`repro.faults.FaultSchedule` (rain
+            included, as attenuation events); snapshots at time *t*
+            exclude nodes/edges faulted at *t*, so routing reroutes at the
+            next forwarding tick and recovers when the event ends.
 
     Example:
         >>> from repro.constellations import Constellation, KUIPER_K1
@@ -175,7 +172,6 @@ class LeoNetwork:
                  isl_builder: Callable[[Constellation], np.ndarray]
                  = plus_grid_isls,
                  gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
-                 weather: Optional["WeatherModel"] = None,
                  failed_satellites: Sequence[int] = (),
                  faults: Optional["FaultSchedule"] = None) -> None:
         for i, station in enumerate(ground_stations):
@@ -190,7 +186,6 @@ class LeoNetwork:
         self.ground_stations: List[GroundStation] = list(ground_stations)
         self.min_elevation_deg = min_elevation_deg
         self.gsl_policy = gsl_policy
-        self.weather = weather
         #: The builder callable, kept so :class:`repro.sweep.NetworkSpec`
         #: can reverse-map it to a picklable name for worker rebuilds.
         self.isl_builder = isl_builder
@@ -211,17 +206,15 @@ class LeoNetwork:
 
     @property
     def fault_view(self) -> Optional["FaultSchedule"]:
-        """The combined fault schedule snapshots evaluate (explicit
-        faults plus weather-derived attenuation), or None when no fault
-        can ever be active."""
+        """The fault schedule snapshots evaluate, or None when it holds
+        no event."""
         return self._fault_view
 
     def set_faults(self, faults: Optional["FaultSchedule"]) -> None:
-        """Install the explicit fault schedule (the constructor's path
-        too), replacing any previous one on a live network.
+        """Install the fault schedule (the constructor's path too),
+        replacing any previous one on a live network.
 
-        Rebuilds the combined fault view (explicit + weather) and drops
-        the ISL-mask memo, so the next snapshot evaluates the new
+        Drops the ISL-mask memo, so the next snapshot evaluates the new
         schedule; :class:`repro.service.LiveSimulationService` uses this
         to inject faults while the constellation flies.
 
@@ -243,17 +236,8 @@ class LeoNetwork:
                 raise ValueError(
                     f"fault isl {event.isl} has an endpoint out of range")
         self.faults = faults
-        # Rain is one producer of GSL attenuation faults: fold a weather
-        # model into the (possibly empty) explicit schedule so snapshot()
-        # evaluates both through a single code path.
-        combined = faults
-        if self.weather is not None and self.weather.num_events:
-            from ..faults.schedule import FaultSchedule
-            rain = FaultSchedule.from_weather(self.weather)
-            combined = rain if combined is None else combined.merged(rain)
         self._fault_view = \
-            combined if combined is not None and not combined.is_empty \
-            else None
+            faults if faults is not None and not faults.is_empty else None
         # Memo of the last dynamically-masked ISL array: fault windows are
         # long relative to the 100 ms snapshot grid, so consecutive
         # snapshots usually share the same (outages, cuts) key.
@@ -300,17 +284,17 @@ class LeoNetwork:
     def snapshot(self, time_s: float) -> TopologySnapshot:
         """Materialize the topology at ``time_s``.
 
-        Fault events active at ``time_s`` (including rain, folded into
-        the fault view) are excluded: outaged satellites lose their ISLs
-        and GSLs, cut ISLs vanish, cut stations are disconnected, and
-        attenuated stations see a higher effective minimum elevation.
+        Fault events active at ``time_s`` are excluded: outaged
+        satellites lose their ISLs and GSLs, cut ISLs vanish, cut stations
+        are disconnected, and attenuated (rained-on) stations see a higher
+        effective minimum elevation.
         Statically failed satellites carry no GSLs (their ISLs were
         already dropped at construction).
         """
         positions = self.constellation.positions_ecef_m(time_s)
         isl_pairs = self.isl_pairs
         excluded = self.failed_satellites
-        cut_gids: FrozenSet[int] = frozenset()
+        elevation = self.min_elevation_deg
         faults = self._fault_view
         if faults is not None:
             outaged = faults.failed_satellites_at(time_s)
@@ -320,18 +304,11 @@ class LeoNetwork:
             if outaged:
                 excluded = excluded | outaged
             cut_gids = faults.cut_gids_at(time_s)
-        if faults is not None or self.weather is not None:
-            elevation = {}
-            for station in self.ground_stations:
-                if station.gid in cut_gids:
-                    elevation[station.gid] = float("inf")
-                    continue
-                penalty = faults.elevation_penalty_deg(
-                    station.gid, time_s) if faults is not None else 0.0
-                elevation[station.gid] = min(
-                    90.0, self.min_elevation_deg + penalty)
-        else:
-            elevation = self.min_elevation_deg
+            elevation = {
+                station.gid: float("inf") if station.gid in cut_gids
+                else min(90.0, self.min_elevation_deg
+                         + faults.elevation_penalty_deg(station.gid, time_s))
+                for station in self.ground_stations}
         return TopologySnapshot(
             time_s=time_s,
             satellite_positions_m=positions,

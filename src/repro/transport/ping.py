@@ -108,14 +108,6 @@ class PingSession(Application):
         """(P,) measured RTTs; nan where no response arrived (in time)."""
         return np.asarray(self._rtts)
 
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of probes without a response."""
-        if not self._rtts:
-            return 0.0
-        rtts = self.rtts_s
-        return float(np.isnan(rtts).mean())
-
     def answered(self) -> Tuple[np.ndarray, np.ndarray]:
         """(times, rtts) of answered probes only."""
         times = self.send_times_s

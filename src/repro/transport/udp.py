@@ -92,10 +92,3 @@ class UdpFlow(Application):
         if duration_s <= 0.0:
             raise ValueError("duration must be positive")
         return self.bytes_received * 8.0 / duration_s
-
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of sent datagrams not (yet) delivered."""
-        if self.packets_sent == 0:
-            return 0.0
-        return 1.0 - self.packets_received / self.packets_sent

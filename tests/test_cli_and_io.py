@@ -154,6 +154,8 @@ class TestCli:
         ["rtt", "K1", "Manila", "Dalian", "--step", "0"],
         ["sweep", "K1", "--cities", "1"],
         ["faults", "K1", "-o", "faults.json", "--sat-outage-prob", "2"],
+        ["faults", "K1", "-o", "faults.json", "--mean-duration", "0"],
+        ["faults", "K1", "-o", "faults.json", "--duration", "-5"],
         ["traffic", "-o", "workload.json", "--cities", "1"],
         ["cc-lab", "--duration", "0"],
         ["sky", "K1", "Paris", "--time", "nan"],

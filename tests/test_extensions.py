@@ -1,5 +1,5 @@
-"""Tests for the paper-§7 extension features: multipath routing, the
-weather model, Doppler analysis, and satellite-failure injection."""
+"""Tests for the paper-§7 extension features: multipath routing, rain
+(attenuation faults), Doppler analysis, and satellite-failure injection."""
 
 from itertools import islice
 
@@ -11,7 +11,7 @@ from repro.analysis.doppler import (
     isl_radial_velocities_m_per_s,
     max_isl_doppler_summary,
 )
-from repro.ground.weather import RainEvent, WeatherModel
+from repro.faults import FaultEvent, FaultSchedule
 from repro.routing.engine import RoutingEngine
 from repro.routing.multipath import (
     edge_disjoint_paths,
@@ -176,46 +176,61 @@ class TestBatchedMultipath:
             edge_disjoint_paths_many(snap, [(0, 3)], max_paths=0)
 
 
+def _rain(*events):
+    """A schedule of ``(gid, start_s, end_s, penalty_deg)`` storms."""
+    return FaultSchedule([FaultEvent.gsl_attenuation(*event)
+                          for event in events])
+
+
 class TestWeatherModel:
+    """Rain as ``GSL_ATTENUATION`` fault events (class name kept for
+    stable test ids)."""
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            RainEvent(0, 10.0, 5.0, 20.0)
+            FaultEvent.gsl_attenuation(0, 10.0, 5.0, 20.0)
         with pytest.raises(ValueError):
-            RainEvent(0, 0.0, 5.0, -1.0)
+            FaultEvent.gsl_attenuation(0, 0.0, 5.0, -1.0)
+        with pytest.raises(ValueError):
+            FaultEvent.gsl_attenuation(0, 0.0, 5.0, 0.0)
 
     def test_penalty_windows(self):
-        model = WeatherModel([
-            RainEvent(0, 10.0, 20.0, 15.0),
-            RainEvent(0, 15.0, 30.0, 10.0),
-            RainEvent(1, 0.0, 5.0, 90.0),
-        ])
-        assert model.penalty_deg(0, 5.0) == 0.0
-        assert model.penalty_deg(0, 12.0) == 15.0
-        assert model.penalty_deg(0, 17.0) == 25.0  # overlapping events add
-        assert model.penalty_deg(0, 25.0) == 10.0
-        assert model.penalty_deg(2, 12.0) == 0.0
-        assert model.is_raining(1, 2.0)
-        assert not model.is_raining(1, 6.0)
+        rain = _rain((0, 10.0, 20.0, 15.0), (0, 15.0, 30.0, 10.0),
+                     (1, 0.0, 5.0, 90.0))
+        assert rain.elevation_penalty_deg(0, 5.0) == 0.0
+        assert rain.elevation_penalty_deg(0, 12.0) == 15.0
+        assert rain.elevation_penalty_deg(0, 17.0) == 25.0  # events add
+        assert rain.elevation_penalty_deg(0, 25.0) == 10.0
+        assert rain.elevation_penalty_deg(2, 12.0) == 0.0
+        assert rain.elevation_penalty_deg(1, 2.0) > 0.0
+        assert rain.elevation_penalty_deg(1, 6.0) == 0.0
 
-    def test_elevation_capped_at_90(self):
-        model = WeatherModel([RainEvent(0, 0.0, 10.0, 90.0)])
-        assert model.min_elevation_deg(0, 30.0, 5.0) == 90.0
+    def test_elevation_capped_at_90(self, small_constellation,
+                                    small_stations):
+        """Penalties stacking past 90 deg take the station off the air
+        (its threshold caps at the zenith) until the storm passes."""
+        network = LeoNetwork(small_constellation, small_stations,
+                             min_elevation_deg=30.0,
+                             faults=_rain((0, 0.0, 10.0, 70.0),
+                                          (0, 5.0, 10.0, 70.0)))
+        assert network.fault_view.elevation_penalty_deg(0, 6.0) == 140.0
+        assert not network.snapshot(6.0).gsl_edges[0].is_connected
+        assert network.snapshot(12.0).gsl_edges[0].is_connected
 
     def test_synthetic_deterministic(self):
-        a = WeatherModel.synthetic(50, 100.0, seed=3)
-        b = WeatherModel.synthetic(50, 100.0, seed=3)
-        assert a.num_events == b.num_events
-        c = WeatherModel.synthetic(50, 100.0, seed=4)
+        a = FaultSchedule.storms(50, 100.0, seed=3)
+        b = FaultSchedule.storms(50, 100.0, seed=3)
+        assert a == b
         # Different seeds produce a different schedule (statistically).
-        assert a.num_events != c.num_events or a._by_gid != c._by_gid
+        assert FaultSchedule.storms(50, 100.0, seed=4) != a
 
     def test_network_integration_storm_disconnects(self, small_constellation,
                                                    small_stations):
         """A total-outage storm over a station removes its GSLs while
         active, and they return afterwards."""
-        storm = WeatherModel([RainEvent(0, 10.0, 20.0, 90.0)])
         network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=10.0, weather=storm)
+                             min_elevation_deg=10.0,
+                             faults=_rain((0, 10.0, 20.0, 90.0)))
         before = network.snapshot(5.0)
         during = network.snapshot(15.0)
         after = network.snapshot(25.0)
@@ -229,11 +244,11 @@ class TestWeatherModel:
                                       small_stations):
         """Rerouting around bad weather: a partial-penalty storm changes
         the path but connectivity survives (the paper's §7 use case)."""
-        storm = WeatherModel([RainEvent(0, 0.0, 100.0, 10.0)])
         clear = LeoNetwork(small_constellation, small_stations,
                            min_elevation_deg=10.0)
         rainy = LeoNetwork(small_constellation, small_stations,
-                           min_elevation_deg=10.0, weather=storm)
+                           min_elevation_deg=10.0,
+                           faults=_rain((0, 0.0, 100.0, 10.0)))
         clear_rtt = RoutingEngine(clear).pair_rtt_s(
             clear.snapshot(50.0), 0, 3)
         rainy_rtt = RoutingEngine(rainy).pair_rtt_s(

@@ -1,9 +1,10 @@
 """Tests for the deterministic fault-injection subsystem (repro.faults).
 
 Covers the schedule semantics, per-layer wiring (topology snapshots,
-packet devices, fluid capacities, sweep spec, viz, CLI), the weather
-unification, and the determinism contract: identical seeds produce
-byte-identical reports, serially and across sweep workers.
+packet devices, fluid capacities, sweep spec, viz, CLI), seeded storms
+(rain is an attenuation fault), and the determinism contract: identical
+seeds produce byte-identical reports, serially and across sweep
+workers.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.injector import LinkFaultInjector
-from repro.ground.weather import RainEvent, WeatherModel
 from repro.topology.network import LeoNetwork
 
 pytestmark = pytest.mark.faults
+
+NAN = float("nan")
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +57,51 @@ class TestFaultEvent:
             FaultEvent.packet_loss(0.0, 1.0, rate=0.0, gid=0)
         with pytest.raises(ValueError):
             FaultEvent.packet_loss(0.0, 1.0, rate=1.5, gid=0)
+
+    def test_rejects_a_kind_its_target_cannot_carry(self):
+        with pytest.raises(ValueError, match="cannot target a satellite"):
+            FaultEvent(FaultKind.PACKET_LOSS, 0.0, 1.0, satellite=3,
+                       rate=0.5)
+        with pytest.raises(ValueError, match="cannot target a gid"):
+            FaultEvent(FaultKind.ISL_CUT, 0.0, 1.0, gid=3)
+
+    @pytest.mark.parametrize("record,message", [
+        ({"start_s": NAN}, "must end after it starts"),
+        ({"end_s": NAN}, "must end after it starts"),
+        ({"satellite": 3.5}, "satellite must be an integer"),
+        ({"satellite": True}, "satellite must be an integer"),
+        ({"kind": "gsl_cut", "satellite": None, "gid": False},
+         "gid must be an integer"),
+        ({"kind": "isl_cut", "satellite": None, "isl": [3, 4.5]},
+         "isl endpoint must be an integer"),
+        ({"kind": "gsl_attenuation", "satellite": None, "gid": 1,
+          "elevation_penalty_deg": NAN}, "penalty must be non-negative"),
+    ], ids=["nan-start", "nan-end", "fractional-satellite",
+            "bool-satellite", "bool-gid", "fractional-isl",
+            "nan-penalty"])
+    def test_rejects_impossible_numbers(self, record, message):
+        """Outside input (``inject_fault``, ``--faults`` files) reaches
+        the event through ``from_dict``: a NaN window never fired, a
+        fractional target was truncated to a different satellite."""
+        fields = {"kind": "satellite_outage", "start_s": 5.0,
+                  "end_s": 8.0, "satellite": 3, **record}
+        with pytest.raises(ValueError, match=message):
+            FaultEvent.from_dict(fields)
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.from_dict({"events": [fields]})
+        kwargs = {key: value for key, value in fields.items()
+                  if value is not None}
+        kind = FaultKind(kwargs.pop("kind"))
+        isl = kwargs.pop("isl", None)
+        with pytest.raises(ValueError, match=message):
+            FaultEvent(kind, isl=tuple(isl) if isl else None, **kwargs)
+
+    def test_integral_float_target_reads_as_int(self):
+        event = FaultEvent.from_dict({"kind": "satellite_outage",
+                                      "start_s": 5.0, "end_s": 8.0,
+                                      "satellite": 3.0})
+        assert event == FaultEvent.satellite_outage(3, 5.0, 8.0)
+        assert type(event.satellite) is int
 
     def test_dict_round_trip(self):
         events = [
@@ -164,36 +211,88 @@ class TestFaultSchedule:
             FaultSchedule.synthetic(10, 5, 60.0,
                                     satellite_outage_probability=1.5)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"duration_s": -5.0}, "duration_s must be positive"),
+        ({"duration_s": NAN}, "duration_s must be positive"),
+        ({"mean_duration_s": 0.0}, "mean_duration_s must be positive"),
+    ])
+    def test_generators_validate_durations(self, kwargs, message):
+        """``mean_duration_s=0`` divided by zero; a negative run length
+        surfaced as an event that "must end after it starts"."""
+        arguments = {"duration_s": 60.0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.synthetic(10, 5, **arguments)
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.storms(5, **arguments)
 
-class TestWeatherUnification:
-    def test_from_weather_matches_penalty_sums(self):
-        weather = WeatherModel.synthetic(8, 120.0, seed=4,
-                                         storm_probability=0.9)
-        schedule = FaultSchedule.from_weather(weather)
-        assert schedule.num_events == weather.num_events
-        for gid in range(8):
-            for t in np.linspace(0.0, 121.0, 50):
-                assert schedule.elevation_penalty_deg(gid, t) == \
-                    pytest.approx(weather.penalty_deg(gid, t))
 
-    def test_weather_network_snapshots_equal_fault_network_snapshots(
-            self, small_constellation, small_stations):
-        weather = WeatherModel([
-            RainEvent(gid=0, start_s=2.0, end_s=8.0,
-                      elevation_penalty_deg=40.0),
-            RainEvent(gid=3, start_s=0.0, end_s=5.0,
-                      elevation_penalty_deg=90.0),
-        ])
-        via_weather = LeoNetwork(small_constellation, small_stations,
-                                 min_elevation_deg=10.0, weather=weather)
-        via_faults = LeoNetwork(small_constellation, small_stations,
-                                min_elevation_deg=10.0,
-                                faults=FaultSchedule.from_weather(weather))
-        for t in (0.0, 3.0, 6.0, 9.0):
-            a, b = via_weather.snapshot(t), via_faults.snapshot(t)
-            for gid in range(len(small_stations)):
-                assert np.array_equal(a.gsl_edges[gid].satellite_ids,
-                                      b.gsl_edges[gid].satellite_ids)
+#: ``(gid, start_s, end_s)`` of the storm schedule the weather model this
+#: generator replaced drew for ``storms(100, 100.0, seed=11,
+#: probability=0.3, mean_duration_s=200.0, penalty_deg=15.0)`` —
+#: the schedule ``benchmarks/test_extension_weather.py`` reports on.
+STORMS_SEED_11 = [
+    (14, 1.500073694960491, 101.0),
+    (88, 3.508053663065558, 7.119300490612272),
+    (71, 3.8696471693782653, 101.0),
+    (56, 7.3398553388424155, 26.22774519051064),
+    (39, 8.714419835217013, 89.5832547919673),
+    (64, 15.41353189260608, 101.0),
+    (75, 17.543339676585923, 101.0),
+    (81, 17.625377537281718, 101.0),
+    (66, 18.980066596326004, 101.0),
+    (15, 19.020826279792914, 74.42016954067998),
+    (34, 20.971741472961114, 101.0),
+    (76, 22.83963373251252, 101.0),
+    (42, 24.638794889312997, 45.9435463830673),
+    (80, 26.9193928028841, 101.0),
+    (27, 28.903994731420212, 43.46620349627376),
+    (8, 30.34012626245255, 49.3496873561535),
+    (83, 36.214515669948085, 101.0),
+    (52, 39.42746370720543, 101.0),
+    (48, 42.0755617246421, 89.94683428521449),
+    (16, 46.393446122328456, 101.0),
+    (6, 51.19086390418055, 101.0),
+    (96, 54.60953590853206, 101.0),
+    (58, 60.12838435819388, 101.0),
+    (38, 62.94549122340241, 101.0),
+    (92, 63.61845215770129, 101.0),
+    (72, 70.4579460558377, 101.0),
+    (46, 73.18942157143503, 101.0),
+    (55, 77.26896897728231, 101.0),
+    (43, 79.70215118439741, 101.0),
+    (79, 91.73601784925751, 101.0),
+    (68, 95.01358523086452, 101.0),
+    (49, 97.09290562186915, 101.0),
+    (11, 98.21934207987782, 101.0),
+    (54, 98.93016975101723, 101.0),
+    (23, 99.76562004630843, 101.0),
+]
+
+
+class TestStorms:
+    def test_storms_reproduce_the_weather_model_draws(self):
+        storms = FaultSchedule.storms(100, 100.0, seed=11, probability=0.3,
+                                      mean_duration_s=200.0,
+                                      penalty_deg=15.0)
+        assert [(e.gid, e.start_s, e.end_s) for e in storms] == \
+            STORMS_SEED_11
+        assert {e.kind for e in storms} == {FaultKind.GSL_ATTENUATION}
+        assert {e.elevation_penalty_deg for e in storms} == {15.0}
+
+    def test_merged_storms_keep_the_explicit_seed(self):
+        explicit = FaultSchedule([FaultEvent.packet_loss(
+            0.0, 5.0, 0.1, gid=0)], seed=7)
+        storms = FaultSchedule.storms(8, 60.0, seed=2, probability=1.0)
+        merged = explicit.merged(storms)
+        assert merged.seed == 7
+        assert merged.num_events == 1 + 8
+        assert merged.loss_events_for_gid(0) == explicit.events
+
+    def test_storms_validate_arguments(self):
+        with pytest.raises(ValueError, match="probability must be in"):
+            FaultSchedule.storms(5, 60.0, probability=1.5)
+        with pytest.raises(ValueError, match="penalty_deg must be positive"):
+            FaultSchedule.storms(5, 60.0, penalty_deg=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,10 @@ class TestAnalysisHasCallers:
         re-exports and its own defining statement aside),
         ``benchmarks/``, ``examples/`` or README.md.  A public name
         nothing but ``tests/`` calls is a second implementation waiting
-        to drift; oracles live under ``tests/``."""
+        to drift; oracles live under ``tests/``.  Same-named definitions
+        are pooled: a name counts as used only when mentioned more often
+        than inside all of its definitions together, so two unused
+        twins cannot vouch for each other."""
         mentions = _words((REPO_ROOT / "README.md").read_text().splitlines())
         defined = {}  # "file:qualified name" -> (name, mentions of itself)
         for directory in ("src", "benchmarks", "examples"):
@@ -143,6 +146,9 @@ class TestAnalysisHasCallers:
                             member.name,
                             _words(lines[_span(member)])[member.name])
                 mentions += _words(lines)
-        unused = [key for key, (name, own) in defined.items()
-                  if mentions[name] <= own]
+        own = Counter()
+        for name, count in defined.values():
+            own[name] += count
+        unused = [key for key, (name, _) in defined.items()
+                  if mentions[name] <= own[name]]
         assert not unused, unused

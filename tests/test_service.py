@@ -16,7 +16,6 @@ import json
 import pickle
 import random
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from repro.faults.injector import LinkFaultInjector
 from repro.fluid.engine import FluidSimulation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
-from repro.ground.weather import RainEvent, WeatherModel
 from repro.orbits.shell import Shell
 from repro.service import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                            CheckpointError, CheckpointSpecError,
@@ -200,7 +198,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 3
+        assert CHECKPOINT_FORMAT_VERSION == 4
         service = _make_service("packet")
         service.advance_epoch(1)
         ckpt = service.checkpoint()
@@ -222,6 +220,18 @@ class TestCheckpointContainer:
         path = tmp_path / "v2.ckpt"
         save_checkpoint(str(path), ckpt)
         with pytest.raises(CheckpointVersionError, match="format v2"):
+            LiveSimulationService.resume(str(path))
+
+    def test_v3_checkpoint_is_refused(self, tmp_path):
+        """A v3 body pickles a ``NetworkSpec`` with a ``weather`` field
+        this build lacks: the version gate must name the cause before the
+        spec-hash check could blame corruption."""
+        service = _make_service("packet")
+        ckpt = service.checkpoint()
+        ckpt.format_version = 3
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(CheckpointVersionError, match="format v3"):
             LiveSimulationService.resume(str(path))
 
     def test_spec_mismatch_fails_clearly(self, tmp_path):
@@ -347,17 +357,15 @@ class TestCheckpointContainer:
             spec_fingerprint(_small_spec())
 
     def test_fingerprint_of_a_fixed_spec_is_pinned(self):
-        """Workload + faults + weather, hashed by the build before
-        ``_canonical`` answered plain leaves first and cached field
-        names: old checkpoints must keep passing the spec gate."""
-        spec = replace(
-            _small_spec(faults=_FAULTS).with_workload(_small_workload()),
-            weather=WeatherModel([RainEvent(
-                gid=2, start_s=1.0, end_s=6.0,
-                elevation_penalty_deg=12.5)]))
+        """Workload + faults (rain included), pinned for format v4 — the
+        spec shape without a ``weather`` field: checkpoints of one build
+        must keep passing the spec gate of the next."""
+        rain = FaultSchedule([FaultEvent.gsl_attenuation(2, 1.0, 6.0, 12.5)])
+        spec = _small_spec(faults=_FAULTS.merged(rain)).with_workload(
+            _small_workload())
         assert spec_fingerprint(spec) == (
-            "c4c3edd6a2b75b9763cf743ea32456a7"
-            "7a9cec91727bb054cd53d354ccfba88a")
+            "04d4c6b6e0119abb720d53aaf1663307"
+            "b1933b9c576f85ad47a39fea3c8881bc")
 
     def test_header_hash_is_checked_against_the_pickled_spec(self,
                                                              tmp_path):
@@ -903,7 +911,7 @@ class TestSweepWarmStart:
                                   expected[pair].paths[:cut])
                            for pair in self.PAIRS},
             }))
-        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
         written = sweep_with_checkpoint(spec, self.PAIRS, self.TIMES,
                                         str(tmp_path / "written.ckpt"),
                                         checkpoint_index=cut)
@@ -1113,6 +1121,34 @@ class TestServerClient:
                                          "range"):
                     client.command("inject_fault", events=[
                         FaultEvent.isl_cut(0, beyond, 5.0, 8.0).as_dict()])
+                assert client.status()["time_s"] == 0.0
+                assert service.network.faults is None
+                client.stop()
+
+    def test_impossible_fault_numbers_are_refused(self):
+        """``json`` parses ``NaN``: a NaN window never fired yet was
+        answered "injected", and ``"satellite": 3.5`` cut satellite 3's
+        GSLs but kept its ISLs.  Each is ``ok: false`` on a connection
+        that stays open, and nothing is installed."""
+        nan = float("nan")
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                for record in [
+                    {"start_s": nan, "end_s": 8.0, "satellite": 3},
+                    {"start_s": 5.0, "end_s": nan, "satellite": 3},
+                    {"start_s": 5.0, "end_s": 8.0, "satellite": 3.5},
+                    {"start_s": 5.0, "end_s": 8.0, "satellite": True},
+                ]:
+                    with pytest.raises(ServiceClientError,
+                                       match="ValueError"):
+                        client.command("inject_fault", events=[
+                            {"kind": "satellite_outage", **record}])
+                with pytest.raises(ServiceClientError, match="ValueError"):
+                    client.command("inject_fault", events=[{
+                        "kind": "gsl_attenuation", "start_s": 5.0,
+                        "end_s": 8.0, "gid": 1,
+                        "elevation_penalty_deg": nan}])
                 assert client.status()["time_s"] == 0.0
                 assert service.network.faults is None
                 client.stop()

@@ -65,7 +65,7 @@ class TestPing:
         # The last probes cannot return before the simulation ends
         # (paper: "the last few pings' RTT is shown as 0").
         assert np.isnan(ping.rtts_s[-1])
-        assert ping.loss_fraction > 0.0
+        assert not np.isnan(ping.rtts_s[0])
 
     def test_stop_time_respected(self, sim):
         ping = PingSession(0, 3, interval_s=0.1, stop_s=0.55).install(sim)
@@ -89,7 +89,6 @@ class TestUdp:
         expected_packets = int(1_000_000.0 * 2.0 / (1500 * 8))
         assert abs(flow.packets_sent - expected_packets) <= 1
         assert flow.packets_received == flow.packets_sent
-        assert flow.loss_fraction == 0.0
 
     def test_goodput_counts_payload_only(self, small_network):
         sim = PacketSimulator(small_network)
@@ -106,7 +105,7 @@ class TestUdp:
                                          gsl_queue_packets=5))
         flow = UdpFlow(0, 3, rate_bps=2_000_000.0, stop_s=1.0).install(sim)
         sim.run(2.0)
-        assert flow.loss_fraction > 0.4
+        assert flow.packets_received < 0.6 * flow.packets_sent
         assert sim.stats.packets_dropped_queue > 0
 
     def test_validation(self):
