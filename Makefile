@@ -43,6 +43,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwIE "WeatherModel|RainEvent|from_weather|state_dict|_deque_fields|loss_fraction" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "RateControlEnv|EnvSpec|ExternalController|sweep_with_checkpoint|resume_sweep|warmstart|attach_arrivals|FlowArrivalStream|register_isl_builder|k_shortest_paths|SpanRecord" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 
@@ -96,9 +98,7 @@ bench-routing:
 	    benchmarks/test_batched_routing.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore -> continue must be
-# bit-identical to never stopping (packet + max-min fluid engines),
-# and sweep warm-starts must splice bit-identically (serial and
-# workers=4).
+# bit-identical to never stopping (packet + max-min fluid engines).
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_restore.py -q -o testpaths=
 

@@ -17,7 +17,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from repro.constellations.builder import Constellation
 from repro.geo.coordinates import GeodeticPosition
@@ -109,20 +108,3 @@ def test_restore_parity_all_engines(tmp_path):
 
     write_result("service_restore", lines)
 
-
-@pytest.mark.parametrize("workers", [None, 4])
-def test_sweep_warm_start_parity(workers, tmp_path):
-    from repro.service import resume_sweep, sweep_with_checkpoint
-    from repro.sweep.engine import sweep_timelines
-    spec = _spec()
-    pairs = [(0, 1), (2, 3), (4, 5)]
-    times_s = np.arange(0.0, 13.0, 1.0)
-    expected = sweep_timelines(spec, pairs, times_s)
-    path = tmp_path / "sweep.ckpt"
-    sweep_with_checkpoint(spec, pairs, times_s, str(path),
-                          checkpoint_index=5)
-    resumed = resume_sweep(str(path), workers=workers)
-    for pair in expected:
-        assert np.array_equal(resumed[pair].distances_m,
-                              expected[pair].distances_m, equal_nan=True)
-        assert resumed[pair].paths == expected[pair].paths

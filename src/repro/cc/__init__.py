@@ -1,6 +1,6 @@
 """repro.cc — the pluggable rate-control lab.
 
-Three layers (see DESIGN.md "Congestion-control plug-ins & rate-control
+Two layers (see DESIGN.md "Congestion-control plug-ins & rate-control
 lab"):
 
 1. the plug-in API (:mod:`repro.cc.api`): the
@@ -9,16 +9,11 @@ lab"):
    :func:`register_controller` registry, with the three classics
    (:mod:`repro.cc.classic`) and the learned bandit
    (:mod:`repro.cc.learned`) pre-registered;
-2. a gym-style environment (:mod:`repro.cc.env`, import as a
-   submodule): a seeded step/observe/act loop over the packet
-   simulator for training/evaluating rate-control policies;
-3. the evaluation harness (:mod:`repro.cc.lab`, import as a
+2. the evaluation harness (:mod:`repro.cc.lab`, import as a
    submodule): every registered controller head-to-head across the
    fault x weather x churn scenario matrix — the `repro cc-lab` CLI.
-
-``env`` and ``lab`` are not imported here: they pull in the network
-stack, which the registry (imported by :mod:`repro.transport.tcp`
-itself) must not.
+   It is not imported here: it pulls in the network stack, which the
+   registry (imported by :mod:`repro.transport.tcp` itself) must not.
 """
 
 from .api import (CONTROLLERS, CongestionController, RttEstimator,

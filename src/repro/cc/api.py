@@ -11,9 +11,8 @@ controller as a swappable experiment axis rather than a class hierarchy:
   out; controllers are plain objects that :mod:`repro.service`
   checkpoints pickle along with their flows;
 * :func:`register_controller` / :func:`make_controller` form a
-  string-keyed registry (mirroring
-  :func:`repro.sweep.register_isl_builder`), so controller choices
-  travel across process boundaries by name;
+  string-keyed registry, so controller choices travel across process
+  boundaries by name;
 * :class:`RttEstimator` is the one shared RFC 6298 srtt/rttvar/RTO
   estimator (with Karn-style exponential backoff) that every controller
   rides on — previously duplicated knowledge of the NewReno base class.
@@ -200,12 +199,11 @@ def register_controller(name: str,
                         ) -> None:
     """Register a controller class under a string key.
 
-    Mirrors :func:`repro.sweep.register_isl_builder`: registration must
-    happen at import time of a module worker processes also import when
-    using the ``spawn`` start method; under ``fork`` (the Linux
-    default) the inherited registry suffices.  Re-registering the same
-    factory under its name is a no-op; a different factory under a
-    taken name is an error.
+    Registration must happen at import time of a module worker
+    processes also import when using the ``spawn`` start method; under
+    ``fork`` (the Linux default) the inherited registry suffices.
+    Re-registering the same factory under its name is a no-op; a
+    different factory under a taken name is an error.
     """
     existing = CONTROLLERS.get(name)
     if existing is not None and existing is not factory:

@@ -3,10 +3,10 @@
 The lab runs every registered congestion controller through the same
 scenario matrix — fault x weather x churn — and scores each (scenario,
 controller) cell by flow-completion-time percentiles and delivered vs
-offered load.  It is how a new controller (the UCB bandit, an external
-policy trained in :mod:`repro.cc.env`) earns its place next to the
-classics: same constellation, same seeded workload, same injected
-impairments, one comparison table.
+offered load.  It is how a new controller (the UCB bandit, or any other
+registered plug-in) earns its place next to the classics: same
+constellation, same seeded workload, same injected impairments, one
+comparison table.
 
 Everything here is deterministic given ``(base spec, seed)``: workloads
 come from seeded :class:`~repro.traffic.arrivals.FlowArrivalProcess`
@@ -429,7 +429,7 @@ def run_lab(scenarios: Optional[Sequence[LabScenario]] = None,
             and ``duration_s``; trim it with ``fault_axis=`` /
             ``weather_axis=`` / ``churn_axis=`` keyword arguments).
         controllers: Registry names to race (default: every registered
-            controller except the env-only ``"external"`` stub).
+            controller).
         workers: Process-pool width; ``<= 1`` runs serially.  Cells are
             enumerated in a fixed (scenario, controller) order and
             ``Executor.map`` preserves it, so the report is identical
@@ -443,8 +443,7 @@ def run_lab(scenarios: Optional[Sequence[LabScenario]] = None,
     elif axes:
         raise ValueError("axis overrides only apply to built scenarios")
     if controllers is None:
-        controllers = [name for name in controller_names()
-                       if name != "external"]
+        controllers = controller_names()
     jobs = [(scenario, controller) for scenario in scenarios
             for controller in controllers]
     if workers <= 1:

@@ -27,7 +27,7 @@ brain object, so it stays shared after a restore).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from .api import CongestionController, register_controller
 
@@ -82,11 +82,6 @@ class BanditBrain:
         self.counts[arm] += 1
         self.totals[arm] += reward
         self.pulls += 1
-
-    def means(self) -> Tuple[float, ...]:
-        """Per-arm mean reward (0.0 for untried arms) — report-facing."""
-        return tuple(total / count if count else 0.0
-                     for total, count in zip(self.totals, self.counts))
 
 
 class BanditController(CongestionController):

@@ -27,8 +27,8 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 from .probes import SimulatorProbe, isl_utilization_from_registry
 from .report import RunReport, fluid_run_report, packet_run_report
 from .spans import (NULL_PROFILER, NullSpanProfiler, SpanProfiler,
-                    SpanProfilerBase, SpanRecord, format_phases, install,
-                    profiled, uninstall)
+                    SpanProfilerBase, format_phases, install, profiled,
+                    uninstall)
 from .trace import (NULL_TRACER, FLOW_CWND, FLOW_RTT, FLOW_STATE,
                     FWD_UPDATE, PKT_DELIVER, PKT_DROP, PKT_ENQUEUE,
                     PKT_TX_FINISH, PKT_TX_START, ROUTE_CHANGE,
@@ -39,7 +39,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "TimeSeriesLog",
     "SimulatorProbe", "isl_utilization_from_registry",
     "RunReport", "fluid_run_report", "packet_run_report",
-    "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler", "SpanRecord",
+    "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler",
     "NULL_PROFILER", "install", "uninstall", "profiled", "format_phases",
     "Tracer", "NullTracer", "RingBufferTracer", "TraceEvent", "TraceFilter",
     "NULL_TRACER",

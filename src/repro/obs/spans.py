@@ -38,11 +38,10 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "SpanRecord", "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler",
+    "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler",
     "NULL_PROFILER", "ACTIVE", "active", "install", "uninstall", "profiled",
     "format_phases",
 ]
@@ -56,31 +55,6 @@ DEFAULT_CAPACITY = 1 << 20
 #: Children get ``MAIN_PID + 1 + chunk_index`` — deterministic across
 #: runs, unlike OS pids (which travel in ``as_dict()`` metadata only).
 MAIN_PID = 1
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """One closed (or still-open) span.
-
-    Attributes:
-        name: Phase name (e.g. ``"routing.route_to_many"``).
-        start_s: ``perf_counter`` time the span opened.
-        end_s: ``perf_counter`` time it closed (``nan`` while open).
-        parent: Index of the enclosing span in the same profiler's
-            record list, ``-1`` for roots.
-    """
-
-    name: str
-    start_s: float
-    end_s: float
-    parent: int
-
-    @property
-    def duration_s(self) -> float:
-        """Wall duration; 0 for spans never closed."""
-        if math.isnan(self.end_s):
-            return 0.0
-        return self.end_s - self.start_s
 
 
 class SpanProfilerBase:
@@ -230,12 +204,6 @@ class SpanProfiler(SpanProfilerBase):
     def num_spans(self) -> int:
         return len(self._names)
 
-    def records(self) -> List[SpanRecord]:
-        """The retained spans of *this* process, in open order."""
-        return [SpanRecord(name, start, end, parent)
-                for name, start, end, parent
-                in zip(self._names, self._starts, self._ends, self._parents)]
-
     @property
     def children(self) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
         """Adopted child profiles ``(profile_dict, meta)`` in chunk order."""
@@ -250,6 +218,9 @@ class SpanProfiler(SpanProfilerBase):
 
         Carries the recording process's OS pid so merged profiles stay
         attributable; exports map it to a deterministic synthetic pid.
+        ``spans`` lists *this* process's retained spans in open order as
+        ``[name, start_s, end_s (None while open), parent index (-1 for
+        roots)]``.
         """
         return {
             "label": self.label,

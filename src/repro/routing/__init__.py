@@ -17,8 +17,6 @@ from .incremental import (
 from .multipath import (
     edge_disjoint_paths,
     edge_disjoint_paths_many,
-    k_shortest_paths,
-    k_shortest_paths_many,
     path_distance_m,
 )
 
@@ -35,7 +33,5 @@ __all__ = [
     "diff_graphs",
     "edge_disjoint_paths",
     "edge_disjoint_paths_many",
-    "k_shortest_paths",
-    "k_shortest_paths_many",
     "path_distance_m",
 ]

@@ -10,9 +10,7 @@ The batch pipeline (build → run → report) becomes a *platform* here:
   and checkpoints/restores bit-identically;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio JSON-over-TCP command API behind ``repro serve`` /
-  ``repro checkpoint --connect`` / ``repro resume``;
-* :mod:`repro.service.warmstart` — checkpoint/resume for snapshot
-  sweeps (:func:`sweep_with_checkpoint` / :func:`resume_sweep`).
+  ``repro checkpoint --connect`` / ``repro resume``.
 
 The backbone guarantee, enforced by ``tests/test_service.py`` and the
 ``make bench-service`` parity gate: **resume ≡ never-stopped**, bit
@@ -27,7 +25,6 @@ from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
 from .client import ServiceClient, ServiceClientError
 from .driver import LiveSimulationService, ServiceError
 from .server import ServiceServer, serve_forever
-from .warmstart import resume_sweep, sweep_with_checkpoint
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -42,9 +39,7 @@ __all__ = [
     "ServiceServer",
     "load_checkpoint",
     "read_checkpoint_header",
-    "resume_sweep",
     "save_checkpoint",
     "serve_forever",
     "spec_fingerprint",
-    "sweep_with_checkpoint",
 ]

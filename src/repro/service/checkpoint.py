@@ -51,10 +51,27 @@ __all__ = [
 #: ``frozen_paths``); the simulation keeps classes, not per-flow pairs.
 #: v4: ``NetworkSpec`` and ``LeoNetwork`` lost ``weather`` (rain is a
 #: fault event), so a v3 spec no longer fingerprints as it was saved.
-CHECKPOINT_FORMAT_VERSION = 4
+#: v5: the pickled service lost ``_arrival_streams``, and the ``"sweep"``
+#: engine (sweep warm-start payloads) is gone.
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
+
+#: The engines a checkpoint may hold.
+_ENGINES = ("packet", "fluid", "aimd")
+
+#: ``(field, what it must be, test)`` of every header field a load reads,
+#: checked before anything is unpickled.  The writer stamps ``time_s`` as
+#: a float, so JSON hands it back as one.
+_HEADER_FIELDS = (
+    ("format_version", "an integer", lambda value: type(value) is int),
+    ("engine", f"one of {', '.join(_ENGINES)}",
+     lambda value: value in _ENGINES),
+    ("time_s", "a finite number",
+     lambda value: type(value) is float and math.isfinite(value)),
+    ("meta", "a JSON object", lambda value: isinstance(value, dict)),
+)
 
 _HEADER_LEN_BYTES = 8
 #: What unpickling, indexing and fingerprinting a corrupt or foreign body
@@ -167,13 +184,12 @@ class Checkpoint:
 
     Args:
         spec: The network spec the simulator was built from.
-        engine: ``"packet"``, ``"fluid"``, ``"aimd"`` or ``"sweep"``.
+        engine: ``"packet"``, ``"fluid"`` or ``"aimd"``.
         time_s: Simulated time the state was captured at.
         payload: The picklable live object graph — for the packet
             engine the simulator and its applications, for the fluid
             engines the simulation plus its
-            :class:`~repro.fluid.engine.FluidRunState`, for a sweep
-            the completed-prefix timelines and the resume cursor.
+            :class:`~repro.fluid.engine.FluidRunState`.
         meta: Free-form provenance (scenario name, epoch length, ...);
             must be JSON-expressible.
         format_version: Stamped automatically; only loads override it.
@@ -186,9 +202,9 @@ class Checkpoint:
                  meta: Optional[Dict[str, Any]] = None,
                  format_version: int = CHECKPOINT_FORMAT_VERSION,
                  spec_hash: Optional[str] = None) -> None:
-        if engine not in ("packet", "fluid", "aimd", "sweep"):
+        if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'packet', 'fluid', 'aimd' or 'sweep'")
+                             f"use 'packet', 'fluid' or 'aimd'")
         self.spec = spec
         self.engine = engine
         self.time_s = float(time_s)
@@ -267,9 +283,14 @@ def _read_header(stream: BinaryIO, path: str) -> Dict[str, Any]:
     except ValueError as error:
         raise CheckpointError(
             f"{path}: corrupt checkpoint header: {error}") from error
-    if not isinstance(header, dict) or "format_version" not in header:
-        raise CheckpointError(f"{path}: checkpoint header has no "
-                              f"format_version")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON "
+                              f"object")
+    for field, expected, valid in _HEADER_FIELDS:
+        if not valid(header.get(field)):
+            raise CheckpointError(
+                f"{path}: checkpoint header field {field!r} is "
+                f"{header.get(field)!r}, not {expected}")
     return header
 
 
@@ -305,7 +326,7 @@ def load_checkpoint(path: str,
     """
     with open(path, "rb") as stream:
         header = _read_header(stream, path)
-        version = int(header["format_version"])
+        version = header["format_version"]
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: checkpoint format v{version} does not match "
@@ -334,9 +355,7 @@ def load_checkpoint(path: str,
         raise CheckpointSpecError(
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")
-    return Checkpoint(spec=spec, engine=str(header["engine"]),
-                      time_s=float(header["time_s"]),
-                      payload=payload,
-                      meta=dict(header.get("meta", {})),
-                      format_version=version,
+    return Checkpoint(spec=spec, engine=header["engine"],
+                      time_s=header["time_s"], payload=payload,
+                      meta=header["meta"], format_version=version,
                       spec_hash=spec_hash)

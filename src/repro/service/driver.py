@@ -9,9 +9,8 @@ operations a long-lived service needs:
   move simulated time forward in bounded increments, so a server can
   pace them against the wall clock and interleave control commands;
 * **live mutation** — :meth:`attach_workload` /
-  :meth:`detach_workload` / :meth:`attach_arrivals` /
-  :meth:`inject_fault` change traffic and faults *between* epochs while
-  the constellation flies;
+  :meth:`detach_workload` / :meth:`inject_fault` change traffic and
+  faults *between* epochs while the constellation flies;
 * **checkpoint/restore** — :meth:`checkpoint` captures the entire
   object graph (DES event queue, device/transport state, fluid run
   state, RNG stream positions) behind a versioned header;
@@ -46,8 +45,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
 from ..simulation.simulator import LinkConfig, PacketSimulator
 from ..sweep.spec import NetworkSpec
-from ..traffic.arrivals import (FlowArrivalProcess, FlowArrivalStream,
-                                FlowRequest, WorkloadSchedule)
+from ..traffic.arrivals import FlowRequest, WorkloadSchedule
 from ..traffic.spawner import WorkloadSpawner, packet_fct_section
 from ..transport.base import ensure_flow_ids_above
 from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
@@ -128,10 +126,10 @@ class LiveSimulationService:
         self.network = spec.build()
         if spec.workload is not None:
             self._check_gids(spec.workload.requests)
-        #: attach handle -> workload bookkeeping (engine-specific).
-        self._attached: Dict[int, Dict[str, Any]] = {}
+        #: attach handle -> its spawner (packet) or ``(first flow index,
+        #: flow count)`` (fluid engines).
+        self._attached: Dict[int, Any] = {}
         self._next_handle = 1
-        self._arrival_streams: List[FlowArrivalStream] = []
         #: Shared controller-aware factory (None: spawner default).
         #: One instance across all spawners, so cross-flow controller
         #: state (a learned brain) is scenario-wide and checkpointed.
@@ -184,57 +182,41 @@ class LiveSimulationService:
     def advance_to(self, target_s: float) -> Dict[str, Any]:
         """Advance simulated time to ``min(target_s, horizon_s)``.
 
-        The advance walks epoch boundaries one at a time, draining
-        pending arrival streams into each epoch before it simulates —
-        so one big ``advance_to(horizon)`` is bit-identical to the
-        paced server's epoch-by-epoch advancement (arrival flows are
-        installed at the same simulated instants either way).  Returns
-        the post-advance :meth:`status`.
+        Both engines partition time cleanly, so one big
+        ``advance_to(horizon)`` is bit-identical to the paced server's
+        epoch-by-epoch advancement.  Returns the post-advance
+        :meth:`status`.
         """
         target_s = min(float(target_s), self.horizon_s)
         if target_s < self.clock_s:
             raise ServiceError(
                 f"cannot advance backwards (t={self.clock_s} -> "
                 f"{target_s}); restore an earlier checkpoint instead")
-        while True:
-            completed = int(np.floor(self.clock_s / self.epoch_s + 1e-9))
-            boundary = min(target_s, (completed + 1) * self.epoch_s)
-            self._spawn_arrivals(boundary)
-            if self.engine == "packet":
-                assert self.sim is not None
-                self.sim.run(boundary)
-            else:
-                assert self.fluid is not None and self.state is not None
-                state = self.state
-                while (not state.done
-                       and float(state.times[state.next_index]) < boundary):
-                    self.fluid.advance(state, max_steps=1)
-            self.clock_s = boundary
-            if boundary >= target_s:
-                break
+        if self.engine == "packet":
+            assert self.sim is not None
+            self.sim.run(target_s)
+        else:
+            assert self.fluid is not None and self.state is not None
+            state = self.state
+            while (not state.done
+                   and float(state.times[state.next_index]) < target_s):
+                self.fluid.advance(state, max_steps=1)
+        self.clock_s = target_s
         return self.status()
 
     def advance_epoch(self, epochs: int = 1) -> Dict[str, Any]:
         """Advance ``epochs`` whole epochs (clamped to the horizon)."""
         if epochs < 1:
             raise ServiceError(f"epochs must be >= 1, got {epochs}")
-        # Epoch boundaries come from advance_to's integer floor grid, not
-        # repeated float addition: long-running services never drift and
-        # a mid-epoch clock first stops at the next boundary.
+        # Epoch boundaries come from an integer floor grid, not repeated
+        # float addition: long-running services never drift and a
+        # mid-epoch clock first stops at the next boundary.
         completed = int(np.floor(self.clock_s / self.epoch_s + 1e-9))
         return self.advance_to((completed + epochs) * self.epoch_s)
 
     def run_to_horizon(self) -> Dict[str, Any]:
         """Advance everything that remains."""
         return self.advance_to(self.horizon_s)
-
-    def _spawn_arrivals(self, until_s: float) -> None:
-        for stream in self._arrival_streams:
-            if stream.taken_until_s >= until_s:
-                continue
-            requests = stream.take_until(until_s)
-            if requests:
-                self._attach_requests(requests)
 
     # ------------------------------------------------------------------
     # Live mutation
@@ -264,34 +246,25 @@ class LiveSimulationService:
                 f"t={self.clock_s}; shift_to_now=True attaches it "
                 f"relative to now")
         self._check_gids(workload.requests)
-        handle = self._attach_requests(list(workload.requests))
+        handle = self._next_handle
+        self._next_handle += 1
+        if self.engine == "packet":
+            assert self.sim is not None
+            spawner = WorkloadSpawner(workload, metrics=self.metrics,
+                                      flow_factory=self._flow_factory)
+            spawner.install(self.sim)
+            self._spawners.append(spawner)
+            self._attached[handle] = spawner
+        else:
+            assert self.fluid is not None and self.state is not None
+            start = self.fluid.extend_flows(self.state,
+                                            workload.as_fluid_flows())
+            self._attached[handle] = (start, workload.num_flows)
         # The spec keeps describing the *whole* offered traffic, so a
         # from-scratch rebuild of the current spec reproduces this run.
         merged = (workload if self.spec.workload is None
                   else self.spec.workload.merged(workload))
         self.spec = self.spec.with_workload(merged)
-        return handle
-
-    def attach_arrivals(self, process: FlowArrivalProcess) -> int:
-        """Attach an open-ended Poisson arrival process.
-
-        Arrivals are drawn epoch by epoch through a
-        :class:`~repro.traffic.arrivals.FlowArrivalStream`, whose RNG
-        stream positions ride inside every checkpoint — restore
-        continues the draw sequence exactly where it stopped.
-        """
-        stations = self.network.num_ground_stations
-        if process.matrix.num_stations > stations:
-            raise ServiceError(
-                f"arrival matrix spans {process.matrix.num_stations} "
-                f"stations; the network has {stations}")
-        stream = process.stream()
-        discarded = stream.take_until(self.clock_s)
-        del discarded  # arrivals strictly before "now" never existed
-        self._arrival_streams.append(stream)
-        handle = self._next_handle
-        self._next_handle += 1
-        self._attached[handle] = {"kind": "arrivals", "stream": stream}
         return handle
 
     def _check_gids(self, requests: Sequence[FlowRequest]) -> None:
@@ -305,51 +278,26 @@ class LiveSimulationService:
                     f"flow {request.src_gid} -> {request.dst_gid} names a "
                     f"ground station outside [0, {stations})")
 
-    def _attach_requests(self, requests: Sequence[FlowRequest]) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        if self.engine == "packet":
-            assert self.sim is not None
-            spawner = WorkloadSpawner(
-                WorkloadSchedule(requests), metrics=self.metrics,
-                flow_factory=self._flow_factory)
-            spawner.install(self.sim)
-            self._spawners.append(spawner)
-            self._attached[handle] = {"kind": "workload",
-                                      "spawner": spawner}
-        else:
-            assert self.fluid is not None and self.state is not None
-            start = self.fluid.extend_flows(
-                self.state, WorkloadSchedule(requests).as_fluid_flows())
-            self._attached[handle] = {"kind": "workload",
-                                      "flows": (start, len(requests))}
-        return handle
-
     def detach_workload(self, handle: int) -> Dict[str, Any]:
         """Stop a previously attached workload offering new traffic.
 
         Flow transfers already in progress drain normally (like
         in-flight packets on a closing connection); what detaching
-        cancels is the *future* — unstarted flows, and further arrivals
-        of an arrival-process attachment.
+        cancels is the *future* — unstarted flows.
         """
-        info = self._attached.pop(handle, None)
-        if info is None:
+        attached = self._attached.pop(handle, None)
+        if attached is None:
             raise ServiceError(f"unknown workload handle {handle}")
         now = self.clock_s
-        if info["kind"] == "arrivals":
-            self._arrival_streams.remove(info["stream"])
-            return {"handle": handle, "cancelled": "arrival stream"}
         if self.engine == "packet":
-            spawner = info["spawner"]
             cancelled = 0
-            for app in spawner.flows:
+            for app in attached.flows:
                 if getattr(app, "completed_at_s", None) is None:
                     app.stop_s = min(getattr(app, "stop_s", np.inf), now)
                     cancelled += 1
             return {"handle": handle, "cancelled": cancelled}
         assert self.state is not None
-        start, count = info["flows"]
+        start, count = attached
         state = self.state
         indices = np.arange(start, start + count)
         future = indices[state.starts[indices] > now]
@@ -434,7 +382,6 @@ class LiveSimulationService:
             "epoch_s": self.epoch_s,
             "done": self.done,
             "attached": len(self._attached),
-            "arrival_streams": len(self._arrival_streams),
         }
         if self.engine == "packet":
             assert self.sim is not None

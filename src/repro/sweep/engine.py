@@ -44,10 +44,9 @@ def splice_timelines(times_s: np.ndarray,
                      ) -> Dict[PairKey, PairTimeline]:
     """Join per-pair ``(distances_m, paths)`` pieces into timelines.
 
-    ``pieces`` are consecutive stretches of the schedule ``times_s`` in
-    time order — the chunks of one sweep, or a checkpointed prefix and
-    its remainder.  A pure concatenation, so the result cannot depend on
-    which process computed which piece.
+    ``pieces`` are the chunks of one sweep: consecutive stretches of the
+    schedule ``times_s`` in time order.  A pure concatenation, so the
+    result cannot depend on which process computed which piece.
     """
     timelines = {}
     for pair in pieces[0]:
@@ -204,8 +203,8 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
             The serial path walks a built network directly; the
             parallel path reads its static ISL interconnect for the
             chunk payloads and derives the spec the workers rebuild
-            from — only then, so an unregistered ISL builder still
-            sweeps serially.
+            from — only then, so an ISL builder outside
+            :data:`~repro.sweep.spec.ISL_BUILDERS` still sweeps serially.
         pairs: (src_gid, dst_gid) pairs to track; at least one, each
             with distinct endpoints.
         times_s: Snapshot instants, ascending (the full schedule).

@@ -5,8 +5,8 @@ inside its own process — live graphs, routing engines, and snapshot caches
 are never pickled across the process boundary.  A :class:`NetworkSpec` is
 the small, picklable recipe that makes the rebuild deterministic: shell
 definitions (plain frozen dataclasses), the ground-station list, the GSL
-policy and elevation threshold, and the ISL interconnect *by name* through
-a builder registry.
+policy and elevation threshold, and the ISL interconnect *by name*
+(:data:`ISL_BUILDERS`).
 
 Because :class:`~repro.constellations.builder.Constellation` derives every
 satellite's elements purely from its shells and
@@ -31,10 +31,9 @@ from ..topology.gsl import GslPolicy
 from ..topology.isl import no_isls, plus_grid_isls, single_ring_isls
 from ..topology.network import LeoNetwork
 
-__all__ = ["NetworkSpec", "ISL_BUILDERS", "register_isl_builder",
-           "isl_builder_name"]
+__all__ = ["NetworkSpec", "ISL_BUILDERS", "isl_builder_name"]
 
-#: Named ISL interconnect builders a spec may reference.  Keys are what
+#: The ISL interconnect builders a spec may reference.  Keys are what
 #: travels across the process boundary; values never leave this process.
 ISL_BUILDERS: Dict[str, Callable[[Constellation], np.ndarray]] = {
     "plus_grid": plus_grid_isls,
@@ -43,37 +42,19 @@ ISL_BUILDERS: Dict[str, Callable[[Constellation], np.ndarray]] = {
 }
 
 
-def register_isl_builder(name: str,
-                         builder: Callable[[Constellation], np.ndarray],
-                         ) -> None:
-    """Register a custom ISL builder under a spec-referenceable name.
-
-    Workers resolve the name through this registry, so the registration
-    must happen at import time of a module the workers also import
-    (module level, not inside a test function) when using the ``spawn``
-    start method; under ``fork`` (the Linux default) the inherited
-    registry suffices.
-    """
-    existing = ISL_BUILDERS.get(name)
-    if existing is not None and existing is not builder:
-        raise ValueError(f"ISL builder name {name!r} is already taken")
-    ISL_BUILDERS[name] = builder
-
-
 def isl_builder_name(builder: Callable[[Constellation], np.ndarray]) -> str:
-    """The registered name of an ISL builder callable.
+    """The :data:`ISL_BUILDERS` name of an ISL builder callable.
 
     Raises:
-        ValueError: If the callable was never registered — pass it to
-            :func:`register_isl_builder` first, or run the sweep serially.
+        ValueError: If the callable is none of them — a network built
+            with it can only be swept serially.
     """
-    for name, registered in ISL_BUILDERS.items():
-        if registered is builder:
+    for name, known in ISL_BUILDERS.items():
+        if known is builder:
             return name
     raise ValueError(
-        f"ISL builder {builder!r} is not registered; call "
-        f"repro.sweep.register_isl_builder() to make the network "
-        f"spec-expressible, or run with workers=1")
+        f"ISL builder {builder!r} is not spec-expressible; run with "
+        f"workers=1")
 
 
 @dataclass(frozen=True)
@@ -86,7 +67,7 @@ class NetworkSpec:
         epoch_offset_s: Constellation epoch offset at simulation time 0.
         ground_stations: The ground segment, gid order.
         min_elevation_deg: Minimum GS elevation angle.
-        isl_builder: Registered name of the ISL interconnect builder.
+        isl_builder: :data:`ISL_BUILDERS` name of the ISL interconnect.
         gsl_policy: GS satellite-selection policy.
         failed_satellites: Satellites carrying no links.
         faults: Optional fault schedule, rain included (plain data, so
@@ -124,8 +105,8 @@ class NetworkSpec:
         """The spec describing an existing network.
 
         Raises:
-            ValueError: If the network's ISL builder is not registered
-                (see :func:`register_isl_builder`).
+            ValueError: If the network's ISL builder is none of
+                :data:`ISL_BUILDERS`.
         """
         return cls(
             shells=tuple(network.constellation.shells),

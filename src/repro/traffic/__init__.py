@@ -15,15 +15,14 @@ plain data every engine consumes:
   engines take ``schedule.as_fluid_flows()`` directly.
 """
 
-from .arrivals import (FlowArrivalProcess, FlowArrivalStream, FlowRequest,
-                       WorkloadSchedule, SIZE_DISTRIBUTIONS)
+from .arrivals import (FlowArrivalProcess, FlowRequest, WorkloadSchedule,
+                       SIZE_DISTRIBUTIONS)
 from .matrix import TrafficMatrix
 from .spawner import FCT_BUCKETS, WorkloadSpawner
 
 __all__ = [
     "TrafficMatrix",
     "FlowArrivalProcess",
-    "FlowArrivalStream",
     "FlowRequest",
     "WorkloadSchedule",
     "WorkloadSpawner",

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from .matrix import TrafficMatrix
 
 __all__ = ["FlowRequest", "WorkloadSchedule", "FlowArrivalProcess",
-           "FlowArrivalStream", "SIZE_DISTRIBUTIONS"]
+           "SIZE_DISTRIBUTIONS"]
 
 #: Supported flow-size distributions.
 SIZE_DISTRIBUTIONS = ("exponential", "lognormal", "pareto")
@@ -293,74 +293,16 @@ class FlowArrivalProcess:
         if duration_s <= 0.0:
             raise ValueError("duration must be positive")
         requests: List[FlowRequest] = []
-        for src, dst, cursor in self._cursors():
-            self._draw_until(src, dst, cursor, duration_s, requests)
-        return WorkloadSchedule(requests, seed=self.seed)
-
-    def _cursors(self) -> Iterator[Tuple[int, int, List[Any]]]:
-        """Each demand-carrying pair with a fresh ``[rng, next_arrival_s]``
-        cursor (lazily: a whole-horizon draw keeps one rng alive)."""
         for src, dst in self.matrix.pairs():
             rate = self.pair_arrival_rate(src, dst)
-            if rate > 0.0:
-                rng = random.Random(f"{self.seed}:{src}:{dst}")
-                yield src, dst, [rng, rng.expovariate(rate)]
-
-    def _draw_until(self, src: int, dst: int, cursor: List[Any],
-                    end_s: float, requests: List[FlowRequest]) -> None:
-        """Append the pair's arrivals before ``end_s``, advancing its
-        cursor — the one draw loop (gap, size, gap, size, ...)."""
-        rate = self.pair_arrival_rate(src, dst)
-        rng, t = cursor
-        while t < end_s:
-            requests.append(FlowRequest(
-                t_start_s=t, src_gid=src, dst_gid=dst,
-                size_bytes=self._draw_size_bytes(rng)))
-            t += rng.expovariate(rate)
-        cursor[1] = t
-
-    def stream(self) -> "FlowArrivalStream":
-        """An incremental (and picklable) view of the same arrivals."""
-        return FlowArrivalStream(self)
-
-
-class FlowArrivalStream:
-    """Incremental arrival generation with checkpointable RNG streams.
-
-    Where :meth:`FlowArrivalProcess.generate` materializes a whole
-    horizon up front, a stream hands out arrivals epoch by epoch —
-    :meth:`take_until` returns exactly the requests in
-    ``[taken-so-far, end_s)`` — while keeping every pair's
-    :class:`random.Random` at its live position.  The object pickles
-    whole (``random.Random`` preserves its Mersenne-Twister state), so
-    a service checkpoint taken mid-stream resumes without rewinding or
-    skipping a single draw.
-
-    Determinism contract: for any split points ``0 < t1 < t2 < ...``,
-    concatenating ``take_until(t1), take_until(t2), ...`` reproduces
-    ``process.generate(tN)``'s request list exactly — the per-pair draw
-    order (inter-arrival gap, size, gap, size, ...) is identical, only
-    the batching differs.  ``tests/test_service.py`` asserts this,
-    including through a mid-stream pickle round trip.
-    """
-
-    def __init__(self, process: FlowArrivalProcess) -> None:
-        self.process = process
-        self.taken_until_s = 0.0
-        #: Per-pair live cursor: (src, dst) -> [rng, next_arrival_s].
-        self._pairs: Dict[Tuple[int, int], List[Any]] = {
-            (src, dst): cursor for src, dst, cursor in process._cursors()}
-
-    def take_until(self, end_s: float) -> List[FlowRequest]:
-        """Arrivals in ``[taken_until_s, end_s)``, schedule-sorted.
-
-        Advancing is one-way: ``end_s`` at or before the last call's
-        horizon yields no requests (nothing is ever re-drawn).
-        """
-        if not math.isfinite(end_s):
-            raise ValueError(f"horizon must be finite, got {end_s}")
-        requests: List[FlowRequest] = []
-        for (src, dst), cursor in self._pairs.items():
-            self.process._draw_until(src, dst, cursor, end_s, requests)
-        self.taken_until_s = max(self.taken_until_s, end_s)
-        return sorted(requests, key=_sort_key)
+            if rate <= 0.0:
+                continue
+            # Per pair: gap, size, gap, size, ...
+            rng = random.Random(f"{self.seed}:{src}:{dst}")
+            t = rng.expovariate(rate)
+            while t < duration_s:
+                requests.append(FlowRequest(
+                    t_start_s=t, src_gid=src, dst_gid=dst,
+                    size_bytes=self._draw_size_bytes(rng)))
+                t += rng.expovariate(rate)
+        return WorkloadSchedule(requests, seed=self.seed)

@@ -5,10 +5,13 @@ lives in ``benchmarks/test_cc_matrix.py``; here we prove the API
 semantics — registry, estimator arithmetic, pickled controller state,
 the controller inspection surface —
 plus one light parity run per classic against the frozen seed classes in
-``tests/_seed_transport.py``.
+``tests/_seed_transport.py``, and learned-controller checkpoint/restore
+parity through the live service.
 """
 
+import json
 import pickle
+import random
 from collections import deque
 
 import numpy as np
@@ -20,7 +23,16 @@ from repro.cc.api import (RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S,
                           register_controller, resolve_controller)
 from repro.cc.classic import BbrController, NewRenoController, VegasController
 from repro.cc.learned import BanditBrain, BanditController
+from repro.constellations.builder import Constellation
+from repro.geo.coordinates import GeodeticPosition
+from repro.ground.stations import GroundStation
+from repro.orbits.shell import Shell
+from repro.service import LiveSimulationService
+from repro.service.driver import ServiceError
 from repro.simulation.simulator import LinkConfig, PacketSimulator
+from repro.sweep.spec import NetworkSpec
+from repro.topology.network import LeoNetwork
+from repro.traffic import FlowRequest, WorkloadSchedule
 from repro.transport.tcp import TcpFlow
 
 from _seed_transport import (SeedTcpBbrFlow, SeedTcpNewRenoFlow,
@@ -235,3 +247,79 @@ def test_classic_parity_with_seed(small_network, seed_class, controller,
     assert (suna, sretx) == (nuna, nretx)
     np.testing.assert_array_equal(st, nt)
     np.testing.assert_array_equal(sv, nv)
+
+
+_SITES = [
+    ("Quito", 0.0, -78.5),
+    ("Nairobi", -1.3, 36.8),
+    ("Singapore", 1.35, 103.8),
+    ("Honolulu", 21.3, -157.9),
+    ("Sydney", -33.9, 151.2),
+    ("Madrid", 40.4, -3.7),
+]
+
+
+def _service_spec() -> NetworkSpec:
+    # 8x8 is the smallest lab shell where every site pair has a route.
+    shell = Shell(name="X1", num_orbits=8, satellites_per_orbit=8,
+                  altitude_m=600_000.0, inclination_deg=53.0)
+    stations = [
+        GroundStation(gid=i, name=name,
+                      position=GeodeticPosition(lat, lon, 0.0))
+        for i, (name, lat, lon) in enumerate(_SITES)
+    ]
+    network = LeoNetwork(Constellation([shell]), stations,
+                         min_elevation_deg=10.0)
+    rng = random.Random(17)
+    requests = []
+    for _ in range(16):
+        src, dst = rng.sample(range(len(_SITES)), 2)
+        requests.append(FlowRequest(t_start_s=rng.uniform(0.0, 6.0),
+                                    src_gid=src, dst_gid=dst,
+                                    size_bytes=rng.randint(20_000, 60_000)))
+    return NetworkSpec.from_network(network).with_workload(
+        WorkloadSchedule(requests, seed=17))
+
+
+def _parity_form(service: LiveSimulationService) -> str:
+    return json.dumps(service.report().as_dict(deterministic=True),
+                      sort_keys=True)
+
+
+@pytest.mark.service
+class TestLearnedControllerService:
+    def test_controller_requires_packet_engine(self):
+        with pytest.raises(ServiceError, match="packet"):
+            LiveSimulationService(_service_spec(), engine="fluid",
+                                  controller="bandit")
+
+    def test_checkpoint_restore_continue_parity(self, tmp_path):
+        """A mid-run learned controller (shared bandit brain included)
+        survives checkpoint -> restore -> continue bit-identically."""
+        horizon = 10.0
+        reference = LiveSimulationService(
+            _service_spec(), horizon_s=horizon, epoch_s=1.0,
+            controller="bandit")
+        reference.advance_to(horizon)
+
+        service = LiveSimulationService(
+            _service_spec(), horizon_s=horizon, epoch_s=1.0,
+            controller="bandit")
+        service.advance_to(5.0)
+        path = str(tmp_path / "cc.ckpt")
+        service.save(path)
+        restored = LiveSimulationService.resume(path)
+        restored.advance_to(horizon)
+
+        assert _parity_form(restored) == _parity_form(reference)
+
+    def test_per_controller_fct_rows(self):
+        service = LiveSimulationService(
+            _service_spec(), horizon_s=10.0, epoch_s=1.0,
+            controller="bandit")
+        service.advance_to(10.0)
+        fct = service.report().as_dict()["fct"]
+        assert set(fct["by_controller"]) == {"bandit"}
+        row = fct["by_controller"]["bandit"]
+        assert row["flows_completed"] > 0
+        assert row["fct_p50_s"] <= row["fct_p99_s"]

@@ -1,8 +1,6 @@
 """Tests for the paper-§7 extension features: multipath routing, rain
 (attenuation faults), Doppler analysis, and satellite-failure injection."""
 
-from itertools import islice
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,6 @@ from repro.routing.engine import RoutingEngine
 from repro.routing.multipath import (
     edge_disjoint_paths,
     edge_disjoint_paths_many,
-    k_shortest_paths,
-    k_shortest_paths_many,
     path_distance_m,
 )
 from repro.topology.isl import plus_grid_isls
@@ -26,57 +22,15 @@ from repro.topology.network import LeoNetwork
 from _orbit_oracle import period_s
 
 
-class TestKShortestPaths:
-    def test_first_path_matches_engine(self, small_network):
-        snap = small_network.snapshot(0.0)
-        engine = RoutingEngine(small_network)
-        paths = k_shortest_paths(snap, 0, 3, k=3)
-        assert len(paths) >= 1
-        best_path, best_distance = paths[0]
-        assert best_distance == pytest.approx(
-            engine.pair_distance_m(snap, 0, 3), rel=1e-9)
-
-    def test_sorted_by_distance(self, small_network):
-        snap = small_network.snapshot(0.0)
-        paths = k_shortest_paths(snap, 1, 4, k=4)
-        distances = [d for _, d in paths]
-        assert distances == sorted(distances)
-
-    def test_paths_are_simple_and_distinct(self, small_network):
-        snap = small_network.snapshot(0.0)
-        paths = k_shortest_paths(snap, 0, 5, k=4)
-        seen = set()
-        for path, _ in paths:
-            assert len(path) == len(set(path))  # loopless
-            key = tuple(path)
-            assert key not in seen
-            seen.add(key)
-
-    def test_no_third_party_gs_transit(self, small_network):
-        snap = small_network.snapshot(0.0)
-        for path, _ in k_shortest_paths(snap, 0, 3, k=5):
-            for node in path[1:-1]:
-                assert node < small_network.num_satellites
-
-    def test_endpoints(self, small_network):
-        snap = small_network.snapshot(0.0)
-        for path, _ in k_shortest_paths(snap, 2, 5, k=2):
-            assert path[0] == snap.gs_node_id(2)
-            assert path[-1] == snap.gs_node_id(5)
-
-    def test_validation(self, small_network):
-        snap = small_network.snapshot(0.0)
-        with pytest.raises(ValueError):
-            k_shortest_paths(snap, 0, 0, k=1)
-        with pytest.raises(ValueError):
-            k_shortest_paths(snap, 0, 1, k=0)
-
-
 class TestEdgeDisjointPaths:
     def test_disjointness(self, small_network):
         snap = small_network.snapshot(0.0)
         paths = edge_disjoint_paths(snap, 0, 3, max_paths=4)
         assert len(paths) >= 2  # +Grid plus several GSLs offer diversity
+        # The first greedy path is the shortest one the engine routes.
+        assert paths[0][1] == pytest.approx(
+            RoutingEngine(small_network).pair_distance_m(snap, 0, 3),
+            rel=1e-9)
         used = set()
         for path, _ in paths:
             for a, b in zip(path, path[1:]):
@@ -127,20 +81,6 @@ class TestBatchedMultipath:
             assert all(node < network.num_satellites
                        for node in path[1:-1])  # no third-party GS
 
-    def test_k_shortest_many_matches_per_pair(self, small_network):
-        import networkx as nx
-        snap = small_network.snapshot(0.0)
-        batched = k_shortest_paths_many(snap, self.PAIRS, k=3)
-        assert set(batched) == set(self.PAIRS)
-        for pair, found in batched.items():
-            self._assert_well_formed(small_network, snap, pair, found)
-            # The overlay search finds what a search of the pair's own
-            # pruned copy does.
-            oracle = nx.shortest_simple_paths(
-                _pruned_graph(snap, *pair), snap.gs_node_id(pair[0]),
-                snap.gs_node_id(pair[1]), weight="distance_m")
-            assert [path for path, _ in found] == list(islice(oracle, 3))
-
     def test_edge_disjoint_many_matches_per_pair(self, small_network):
         import networkx as nx
         snap = small_network.snapshot(0.0)
@@ -161,17 +101,16 @@ class TestBatchedMultipath:
 
     def test_duplicates_collapse(self, small_network):
         snap = small_network.snapshot(0.0)
-        batched = k_shortest_paths_many(snap, [(0, 3), (0, 3)], k=2)
+        batched = edge_disjoint_paths_many(snap, [(0, 3), (0, 3)],
+                                           max_paths=2)
         assert list(batched) == [(0, 3)]
 
     def test_validation(self, small_network):
         snap = small_network.snapshot(0.0)
         with pytest.raises(ValueError, match="must differ"):
-            k_shortest_paths_many(snap, [(0, 3), (1, 1)], k=2)
+            edge_disjoint_paths_many(snap, [(0, 3), (1, 1)], max_paths=2)
         with pytest.raises(ValueError, match="must differ"):
             edge_disjoint_paths_many(snap, [(4, 4)], max_paths=2)
-        with pytest.raises(ValueError):
-            k_shortest_paths_many(snap, [(0, 3)], k=0)
         with pytest.raises(ValueError):
             edge_disjoint_paths_many(snap, [(0, 3)], max_paths=0)
 

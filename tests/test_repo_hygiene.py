@@ -81,15 +81,32 @@ class TestDocumentation:
             assert module.__doc__, module_name
 
 
-def _span(node):
-    """0-based slice of a statement's source lines, decorators included."""
-    first = min([node.lineno]
-                + [d.lineno for d in getattr(node, "decorator_list", [])])
-    return slice(first - 1, node.end_lineno)
+_DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _words(lines):
-    return Counter(re.findall(r"\w+", "\n".join(lines)))
+def _code_mentions(root):
+    """Identifiers ``root`` names in code: ``Name`` ids, ``Attribute``
+    attrs, import alias names and string constants that are dotted
+    identifier paths (split on ``.``).  Bare string statements —
+    docstrings — and comments name nothing."""
+    found = Counter()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            continue
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and _DOTTED_PATH.fullmatch(node.value)):
+            found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
 
 
 def _is_export(path, node):
@@ -119,33 +136,29 @@ def _public_definitions(tree):
 class TestAnalysisHasCallers:
     def test_every_exported_function_is_used_outside_tests(self):
         """``src/`` is what the product runs: every public module-level
-        function, class and method under ``src/repro`` is named — word
-        match — somewhere in ``src/`` (``__all__`` lists, ``__init__.py``
-        re-exports and its own defining statement aside),
-        ``benchmarks/``, ``examples/`` or README.md.  A public name
-        nothing but ``tests/`` calls is a second implementation waiting
-        to drift; oracles live under ``tests/``.  Same-named definitions
-        are pooled: a name counts as used only when mentioned more often
-        than inside all of its definitions together, so two unused
-        twins cannot vouch for each other."""
-        mentions = _words((REPO_ROOT / "README.md").read_text().splitlines())
+        function, class and method under ``src/repro`` is named by code
+        somewhere in ``src/`` (``__all__`` lists, ``__init__.py``
+        re-exports and its own definition aside), ``benchmarks/`` or
+        ``examples/`` — see ``_code_mentions``; README.md, docstrings and
+        comments describe the product, they do not run it.  A public
+        name nothing but ``tests/`` calls is a second implementation
+        waiting to drift; oracles live under ``tests/``.  Same-named
+        definitions are pooled: a name counts as used only when
+        mentioned more often than inside all of its definitions
+        together, so two unused twins cannot vouch for each other."""
+        mentions = Counter()
         defined = {}  # "file:qualified name" -> (name, mentions of itself)
         for directory in ("src", "benchmarks", "examples"):
             for path in sorted((REPO_ROOT / directory).rglob("*.py")):
-                source = path.read_text()
-                lines = source.splitlines()
+                tree = ast.parse(path.read_text())
                 if directory == "src":
-                    tree = ast.parse(source)
-                    for node in tree.body:
-                        if _is_export(path, node):
-                            span = _span(node)
-                            lines[span] = [""] * len(lines[span])
+                    tree.body = [node for node in tree.body
+                                 if not _is_export(path, node)]
                     for qualified, member in _public_definitions(tree):
                         key = f"{path.relative_to(REPO_ROOT)}:{qualified}"
-                        defined[key] = (
-                            member.name,
-                            _words(lines[_span(member)])[member.name])
-                mentions += _words(lines)
+                        defined[key] = (member.name,
+                                        _code_mentions(member)[member.name])
+                mentions += _code_mentions(tree)
         own = Counter()
         for name, count in defined.values():
             own[name] += count

@@ -31,6 +31,11 @@ class FakeClock:
         return value
 
 
+def _spans(profiler):
+    """This process's spans: ``[name, start, end or None, parent]``."""
+    return profiler.as_dict()["spans"]
+
+
 def _assert_ambient_is_null():
     assert spans.ACTIVE is NULL_PROFILER
     assert not spans.ACTIVE.enabled
@@ -57,14 +62,15 @@ class TestSpanProfiler:
         inner = profiler.begin("inner")
         profiler.end(inner)
         profiler.end(outer)
-        records = profiler.records()
-        assert [r.name for r in records] == ["outer", "inner"]
-        assert records[0].parent == -1
-        assert records[1].parent == 0
-        assert records[1].duration_s > 0
+        outer_span, inner_span = _spans(profiler)
+        name, outer_start, outer_end, parent = outer_span
+        assert (name, parent) == ("outer", -1)
+        name, inner_start, inner_end, parent = inner_span
+        assert (name, parent) == ("inner", 0)
+        assert inner_end > inner_start
         # Inner is fully enclosed in outer.
-        assert records[0].start_s < records[1].start_s
-        assert records[1].end_s < records[0].end_s
+        assert outer_start < inner_start
+        assert inner_end < outer_end
 
     def test_end_unwinds_abandoned_spans(self):
         # A span abandoned by an exception is closed when its enclosing
@@ -74,9 +80,10 @@ class TestSpanProfiler:
         outer = profiler.begin("outer")
         profiler.begin("leaked")
         profiler.end(outer)
-        records = profiler.records()
-        assert all(r.duration_s > 0 for r in records)
-        assert records[0].end_s == records[1].end_s
+        (_, outer_start, outer_end, _), (_, leaked_start, leaked_end, _) = \
+            _spans(profiler)
+        assert outer_end > outer_start and leaked_end > leaked_start
+        assert outer_end == leaked_end
 
     def test_end_unknown_handle_rejected(self):
         profiler = SpanProfiler(clock=FakeClock())
@@ -106,8 +113,8 @@ class TestSpanProfiler:
         with pytest.raises(RuntimeError):
             with profiler.span("doomed"):
                 raise RuntimeError("boom")
-        (record,) = profiler.records()
-        assert record.duration_s > 0
+        ((_, start, end, _),) = _spans(profiler)
+        assert end > start
 
 
 class TestAmbientInstall:
@@ -276,7 +283,7 @@ class TestSweepProfileMerge:
         spec = NetworkSpec.from_network(small_network)
         with profiled() as profiler:
             sweep_timelines(spec, [(0, 1)], np.array([0.0, 5.0]), workers=1)
-        names = {record.name for record in profiler.records()}
+        names = {span[0] for span in _spans(profiler)}
         assert {"sweep.chunk", "sweep.build", "sweep.compute"} <= names
 
 

@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from repro.sweep import (
-    ISL_BUILDERS,
     NetworkSpec,
     engine,
     isl_builder_name,
-    register_isl_builder,
     resolve_workers,
     shard_snapshots,
     sweep_timelines,
@@ -99,33 +97,9 @@ class TestNetworkSpec:
         network = LeoNetwork(small_constellation, small_stations,
                              min_elevation_deg=10.0,
                              isl_builder=custom_builder)
-        with pytest.raises(ValueError, match="workers=1"):
+        with pytest.raises(ValueError, match="not spec-expressible; run "
+                                             "with workers=1"):
             NetworkSpec.from_network(network)
-
-    def test_register_then_resolve(self, small_constellation,
-                                   small_stations):
-        from repro.topology.network import LeoNetwork
-
-        def custom_builder(constellation):
-            return single_ring_isls(constellation)
-
-        register_isl_builder("test_custom_ring", custom_builder)
-        try:
-            network = LeoNetwork(small_constellation, small_stations,
-                                 min_elevation_deg=10.0,
-                                 isl_builder=custom_builder)
-            spec = NetworkSpec.from_network(network)
-            assert spec.isl_builder == "test_custom_ring"
-            rebuilt = spec.build()
-            assert np.array_equal(rebuilt.isl_pairs, network.isl_pairs)
-        finally:
-            del ISL_BUILDERS["test_custom_ring"]
-
-    def test_register_name_conflict_rejected(self):
-        with pytest.raises(ValueError):
-            register_isl_builder("plus_grid", no_isls)
-        # Re-registering the same callable is an idempotent no-op.
-        register_isl_builder("plus_grid", plus_grid_isls)
 
     def test_unknown_builder_name_rejected(self, small_network):
         spec = NetworkSpec.from_network(small_network)
@@ -179,13 +153,12 @@ class TestSweepTimelines:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_equal_endpoints_rejected_on_every_entry_point(
-            self, small_network, workers, tmp_path):
+            self, small_network, workers):
         """Regression: only ``DynamicState`` checked, so a (g, g) pair
         handed to the sweep itself came back as an up-and-down distance
         (2 930 529 m for Quito -> Quito on the 8x8 lab shell) where
         ``pair_distance_m`` answers 0."""
         from repro.core.hypatia import Hypatia
-        from repro.service import sweep_with_checkpoint
         spec = NetworkSpec.from_network(small_network)
         times = snapshot_times(3.0, 1.0)
         hypatia = Hypatia.__new__(Hypatia)
@@ -196,13 +169,9 @@ class TestSweepTimelines:
                 lambda pairs: sweep_timelines(small_network, pairs, times,
                                               workers=workers),
                 lambda pairs: hypatia.compute_timelines(
-                    pairs, 3.0, 1.0, workers=workers),
-                lambda pairs: sweep_with_checkpoint(
-                    spec, pairs, times, str(tmp_path / "never.ckpt"), 2,
-                    workers=workers)):
+                    pairs, 3.0, 1.0, workers=workers)):
             with pytest.raises(ValueError, match="equal endpoints"):
                 sweep([(0, 3), (2, 2)])
-        assert not (tmp_path / "never.ckpt").exists()
 
     def test_metrics_recorded(self, small_network):
         from repro.obs import MetricsRegistry
@@ -302,9 +271,6 @@ class TestWorkerFailure:
                         {"mp_context": multiprocessing.get_context("fork")}):
             with pytest.raises(TypeError):
                 sweep_timelines(spec, self.PAIRS, self.TIMES, **removed)
-        from repro.service import resume_sweep
-        with pytest.raises(TypeError):
-            resume_sweep("unread.ckpt", mp_context=None)
         with pytest.raises(TypeError):
             small_network.snapshot(0.0).to_networkx(weight="delay_s")
 
@@ -347,7 +313,8 @@ class TestDynamicStateWorkers:
             assert np.array_equal(walked[pair].distances_m, distances)
             assert walked[pair].paths == paths
             assert walked[pair].times_s is times
-        with pytest.raises(ValueError, match="register_isl_builder"):
+        with pytest.raises(ValueError, match="not spec-expressible; run "
+                                             "with workers=1"):
             sweep_timelines(network, pairs, times, workers=2)
 
     def test_needs_a_spec_or_a_network(self, small_network):

@@ -225,8 +225,9 @@ class TestFlowArrivalProcess:
         assert first == second
 
     def test_generate_request_list_pinned(self):
-        """``generate`` and ``FlowArrivalStream`` share one draw loop;
-        this digest was recorded while each had its own."""
+        """``generate``'s per-pair draw order (gap, size, gap, ...),
+        pinned: this digest was recorded before the draw loop last
+        moved."""
         import hashlib
         schedule = FlowArrivalProcess(
             TrafficMatrix.gravity(count=6, total_offered_bps=2e7),
