@@ -45,6 +45,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "RateControlEnv|EnvSpec|ExternalController|sweep_with_checkpoint|resume_sweep|warmstart|attach_arrivals|FlowArrivalStream|register_isl_builder|k_shortest_paths|SpanRecord" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnwIE "flatten_path_devices|_paths_at" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

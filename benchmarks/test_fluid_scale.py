@@ -84,14 +84,26 @@ def _gravity_paths():
                               link_capacity_bps=LINK_CAPACITY_BPS)
         state = sim.start_run(1.0)
         start = time.perf_counter()
-        paths = sim._paths_at(state, hypatia.network.snapshot(0.0))
+        step = sim._step_paths(state, 0.0, np.arange(len(flows)))
         _CACHE["paths_s"] = time.perf_counter() - start
-        routed = np.flatnonzero(paths != None)[:NUM_FLOWS]  # noqa: E711
-        _CACHE["paths"] = paths[routed].tolist()
+        # Every flow is a candidate; its class's row of the path table.
+        rows = step.flow_rows(len(flows))
+        routed = np.flatnonzero(step.counts[rows] > 0)[:NUM_FLOWS]
+        _CACHE["rows"] = rows[routed]
+        _CACHE["table"], _CACHE["counts"] = step.table, step.counts
+        _CACHE["paths"] = [step.paths[row] for row in rows[routed].tolist()]
         _CACHE["flow_class"] = state.flow_class[routed]
         _CACHE["num_sats"] = hypatia.network.num_satellites
         _CACHE["num_nodes"] = hypatia.network.num_nodes
     return _CACHE
+
+
+def _matrix(cache, rows):
+    """The flows-on-links matrix of path-table ``rows`` (one matrix row
+    each), as the engine's step builds it."""
+    return flow_link_matrix_from_paths(
+        cache["table"][rows], cache["counts"][rows], cache["num_sats"],
+        cache["num_nodes"], _uniform_capacities)[0]
 
 
 def _uniform_capacities(keys):
@@ -135,19 +147,14 @@ def test_gravity_scale():
     """
     cache = _gravity_paths()
     paths, num_sats = cache["paths"], cache["num_sats"]
-    num_nodes = cache["num_nodes"]
-    flow_class = cache["flow_class"]
-
-    def build(some_paths):
-        return flow_link_matrix_from_paths(
-            some_paths, num_sats, num_nodes, _uniform_capacities)[0]
+    flow_class, rows = cache["flow_class"], cache["rows"]
 
     # Vectorized, as the engine's step runs it: rows are flow classes in
     # first-flow order, weighted by their member counts.
     build_start = time.perf_counter()
     row_of_flow, lead = first_appearance_rows(flow_class,
                                               int(flow_class.max()) + 1)
-    matrix = build([paths[i] for i in lead.tolist()])
+    matrix = _matrix(cache, rows[lead])
     members = np.bincount(row_of_flow, minlength=matrix.num_flows)
     build_s = time.perf_counter() - build_start
     waterfill(matrix, multiplicity=members)  # warm caches/allocator
@@ -158,7 +165,7 @@ def test_gravity_scale():
         vec_solve_s = min(vec_solve_s, time.perf_counter() - start)
 
     # The same kernel with every flow its own row.
-    per_flow = build(paths)
+    per_flow = _matrix(cache, rows)
     start = time.perf_counter()
     rates_per_flow = waterfill(per_flow)
     per_flow_solve_s = time.perf_counter() - start
@@ -237,9 +244,7 @@ def test_small_solve_crossover():
     cache = _gravity_paths()
     _, lead = first_appearance_rows(
         cache["flow_class"], int(cache["flow_class"].max()) + 1)
-    k1 = flow_link_matrix_from_paths(
-        [cache["paths"][i] for i in lead[:400].tolist()], cache["num_sats"],
-        cache["num_nodes"], _uniform_capacities)[0]
+    k1 = _matrix(cache, cache["rows"][lead[:400]])
     rng = np.random.default_rng(19)
     capacity = {j: float(rng.uniform(0.1, 1.0)) * LINK_CAPACITY_BPS
                 for j in range(2000)}

@@ -2,8 +2,8 @@
 
 from .aimd import AimdFluidSimulation
 from .engine import (FluidFlow, FluidResult, FluidRunState, FluidSimulation,
-                     decode_device, flatten_path_devices,
-                     flow_link_matrix_from_paths, path_devices)
+                     decode_device, flow_link_matrix_from_paths,
+                     path_devices, table_devices)
 from .vectorized import (FlowLinkMatrix, max_min_fair_allocation,
                          waterfill)
 
@@ -15,9 +15,9 @@ __all__ = [
     "FluidRunState",
     "FluidSimulation",
     "decode_device",
-    "flatten_path_devices",
     "flow_link_matrix_from_paths",
     "path_devices",
+    "table_devices",
     "max_min_fair_allocation",
     "waterfill",
 ]

@@ -41,9 +41,9 @@ import numpy as np
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..topology.network import LeoNetwork
-from .engine import (FluidFlow, FluidRunState, FluidSimulation,
-                     decode_device, first_appearance_columns,
-                     flatten_path_devices, no_flows)
+from .engine import (ClassPaths, FluidFlow, FluidRunState, FluidSimulation,
+                     decode_device, first_appearance_columns, no_flows,
+                     table_devices)
 
 __all__ = ["AimdFluidSimulation", "AimdRunState"]
 
@@ -137,12 +137,13 @@ class AimdFluidSimulation(FluidSimulation):
         return first
 
     def _step(self, state: AimdRunState, t_index: int, time_s: float,
-              paths: List[Optional[Tuple[int, ...]]],
-              candidates: np.ndarray, faults) -> None:
+              step: ClassPaths, faults) -> None:
         """One snapshot step: ``substeps`` RTT-granularity AIMD updates
         over the step's flat (flow, device) incidence."""
         profiler = spans.ACTIVE
-        num_flows = len(paths)
+        candidates = step.candidates
+        num_flows = len(state.starts)
+        flow_rows = step.flow_rows(num_flows)
         capacity = self.link_capacity_bps
         rates, last_decrease = state.send_rates, state.last_decrease
         active_mask, starts = state.active_mask, state.starts
@@ -161,15 +162,17 @@ class AimdFluidSimulation(FluidSimulation):
         # A path that changed satellites also halves the rate: the
         # reordering-induced decrease of paper §4.2.
         flow_rtt = np.full(num_flows, self.rtt_estimate_s)
-        path_cache: Dict[Tuple[int, ...], Tuple[float, frozenset]] = {}
+        row_paths = step.paths + [None]  # the extra row: off the candidates
+        row_cache: Dict[int, Tuple[float, frozenset]] = {}
         # Every lookup of a step shares time_s and paths share satellites:
         # propagate each node once per step.
         position: Dict[int, Tuple[float, float, float]] = {}
-        for i, path in enumerate(paths):
+        for i, row in enumerate(flow_rows.tolist()):
+            path = row_paths[row]
             if path is None:
                 state.previous_sat_sets[i] = None
                 continue
-            cached = path_cache.get(path)
+            cached = row_cache.get(row)
             if cached is None:
                 for node in path:
                     if node not in position:
@@ -182,7 +185,7 @@ class AimdFluidSimulation(FluidSimulation):
                         (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
                 propagation_rtt = 2.0 * distance / 299_792_458.0
                 queueing = 0.5 * self.queue_bits / capacity
-                cached = path_cache[path] = (
+                cached = row_cache[row] = (
                     max(propagation_rtt + queueing, 1e-3),
                     frozenset(n for n in path if n < self._num_sats))
             flow_rtt[i], sat_set = cached
@@ -192,13 +195,21 @@ class AimdFluidSimulation(FluidSimulation):
                 last_decrease[i] = time_s
             state.previous_sat_sets[i] = sat_set
         # Flat per-step device incidence: one entry per (flow, device)
-        # traversal in flow-major path order, devices compacted to
-        # integer columns exactly as the max-min engine's matrix build
-        # does; devices that only hold backlog take the columns after.
-        # Every sub-step below is array arithmetic over these entries.
+        # traversal in flow-major path order — each flow's row of the
+        # class codes, gathered — devices compacted to integer columns
+        # exactly as the max-min engine's matrix build does; devices
+        # that only hold backlog take the columns after.  Every sub-step
+        # below is array arithmetic over these entries.
         num_nodes = self.network.num_nodes
-        codes, hop_counts = flatten_path_devices(paths, self._num_sats,
-                                                 num_nodes)
+        row_codes, row_hops = table_devices(step.table, step.counts,
+                                            self._num_sats, num_nodes)
+        row_start = np.zeros(row_hops.size + 1, dtype=np.int64)
+        np.cumsum(row_hops, out=row_start[1:])
+        hop_counts = np.append(row_hops, 0)[flow_rows]
+        flow_start = np.cumsum(hop_counts) - hop_counts
+        codes = row_codes[np.repeat(row_start[flow_rows] - flow_start,
+                                    hop_counts)
+                          + np.arange(int(hop_counts.sum()))]
         columns, dev_codes = first_appearance_columns(
             np.concatenate([codes, state.backlog_codes]))
         ent_flow = np.repeat(np.arange(num_flows), hop_counts)
@@ -296,5 +307,5 @@ class AimdFluidSimulation(FluidSimulation):
         utilization = {dev_keys[j]: float(served_bits_arr[j]) / state.step_s
                        for j in np.flatnonzero(touched)}
         state.rates[t_index] = np.where(has_dev & active_mask, rates, 0.0)
-        self._record_snapshot(state, t_index, time_s, paths, utilization,
+        self._record_snapshot(state, t_index, time_s, step, utilization,
                               active_count=int(active_mask.sum()))

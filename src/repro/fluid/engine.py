@@ -31,14 +31,15 @@ import numpy as np
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport, fct_summary, fluid_run_report
-from ..routing.engine import RoutingEngine
-from ..topology.dynamic_state import snapshot_times
-from ..topology.network import LeoNetwork, TopologySnapshot
+from ..routing.engine import cut_paths
+from ..topology.dynamic_state import make_routing_engine, snapshot_times
+from ..topology.network import LeoNetwork
 from .vectorized import FlowLinkMatrix, waterfill
 
-__all__ = ["FluidFlow", "FluidResult", "FluidRunState", "FluidSimulation",
-           "path_devices", "flatten_path_devices", "decode_device",
-           "first_appearance_columns", "flow_link_matrix_from_paths"]
+__all__ = ["ClassPaths", "FluidFlow", "FluidResult", "FluidRunState",
+           "FluidSimulation", "path_devices", "table_devices",
+           "decode_device", "first_appearance_columns",
+           "flow_link_matrix_from_paths"]
 
 #: Demand cap for "elastic" flows: far above any single device, so the
 #: allocation is capacity-limited, but finite so the solver terminates.
@@ -88,6 +89,14 @@ class FluidFlow:
             raise ValueError(
                 f"start time must be finite and >= 0, got {self.start_s}")
 
+    def __reduce__(self):
+        # Pickled by value: the default pickling reads ``__dict__``, which
+        # on CPython >= 3.11 gives every flow an instance dict that
+        # outlives the pickle (64 bytes per flow, for every checkpoint's
+        # flows).
+        return (FluidFlow, (self.src_gid, self.dst_gid, self.demand_bps,
+                            self.size_bytes, self.start_s))
+
 
 def path_devices(path: Sequence[int], num_satellites: int
                  ) -> List[Hashable]:
@@ -106,36 +115,25 @@ def path_devices(path: Sequence[int], num_satellites: int
     return devices
 
 
-def flatten_path_devices(paths: Sequence[Optional[Sequence[int]]],
-                         num_satellites: int, num_nodes: int
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`path_devices` over many paths at once.
+def table_devices(table: np.ndarray, counts: np.ndarray,
+                  num_satellites: int, num_nodes: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`path_devices` over the rows of a path table.
 
+    ``table`` and ``counts`` are a
+    :meth:`~repro.routing.engine.RoutingEngine.path_table` walk: row
+    ``i``'s path is its first ``counts[i]`` nodes (none for count 0).
     Encodes every transmitting device as one int64 code — ``a*N + b``
     for the directed ISL ``(a, b)``, ``N*N + a`` for the shared GSL
     device of node ``a`` (``N = num_nodes``) — and returns
-    ``(codes, hop_counts)``: the concatenated per-hop device codes in
-    path order, plus each path's hop count (0 for ``None`` paths).
+    ``(codes, hop_counts)``: the per-hop device codes of all rows in
+    row-major order, which is path order, plus each row's hop count.
     Decode with :func:`decode_device`.
     """
-    num_paths = len(paths)
-    lens = np.fromiter((len(p) if p is not None else 0 for p in paths),
-                       dtype=np.int64, count=num_paths)
-    total = int(lens.sum())
-    hop_counts = np.maximum(lens - 1, 0)
-    if total == 0:
-        return np.empty(0, dtype=np.int64), hop_counts
-    flat = np.fromiter(
-        chain.from_iterable(p for p in paths if p is not None),
-        dtype=np.int64, count=total)
-    ends = np.cumsum(lens[lens > 0])
-    keep_a = np.ones(total, dtype=bool)
-    keep_a[ends - 1] = False          # drop each path's last node
-    keep_b = np.ones(total, dtype=bool)
-    keep_b[ends[:-1]] = False         # drop each path's first node
-    keep_b[0] = False
-    src = flat[keep_a]
-    dst = flat[keep_b]
+    hop_counts = np.maximum(counts - 1, 0)
+    hops = np.arange(table.shape[1] - 1) < hop_counts[:, np.newaxis]
+    src = table[:, :-1][hops]
+    dst = table[:, 1:][hops]
     isl = (src < num_satellites) & (dst < num_satellites)
     codes = np.where(isl, src * num_nodes + dst,
                      num_nodes * num_nodes + src)
@@ -189,37 +187,77 @@ def first_appearance_rows(ids: np.ndarray, num_ids: int
 
 
 def flow_link_matrix_from_paths(
-        paths: Sequence[Optional[Sequence[int]]], num_satellites: int,
+        table: np.ndarray, counts: np.ndarray, num_satellites: int,
         num_nodes: int, capacities_of
         ) -> Tuple["FlowLinkMatrix", np.ndarray]:
-    """Build one snapshot's flows-on-links CSR from node paths.
+    """Build one snapshot's flows-on-links CSR from a path table.
 
-    Device codes are flattened in path order and columns numbered by
-    :func:`first_appearance_columns` — exactly the oracle's link dict
-    insertion order, so :func:`repro.fluid.vectorized.waterfill` over
-    the matrix reproduces the reference allocator
-    (``tests/_fluid_oracle.py``) bit-for-bit.  A ``None`` path becomes
-    an empty row.
+    Device codes are encoded in path order (:func:`table_devices`) and
+    columns numbered by :func:`first_appearance_columns` — exactly the
+    oracle's link dict insertion order, so
+    :func:`repro.fluid.vectorized.waterfill` over the matrix reproduces
+    the reference allocator (``tests/_fluid_oracle.py``) bit-for-bit.
+    A row without a path becomes an empty row.
 
     Args:
-        paths: Per-flow node paths (``None`` for disconnected flows).
+        table / counts: One node path per matrix row, as
+            :meth:`~repro.routing.engine.RoutingEngine.path_table`
+            returns them (count 0 for disconnected rows).
         num_satellites: Node-numbering split point.
         num_nodes: Total node count (satellites + ground stations).
         capacities_of: Callable mapping the list of device keys (one per
             matrix column) to their capacities (bps), all at once.
 
     Returns:
-        ``(matrix, hop_counts)`` — the incidence matrix and the (F,)
-        per-flow device count (0 marks disconnected flows).
+        ``(matrix, hop_counts)`` — the incidence matrix and the per-row
+        device count (0 marks disconnected rows).
     """
-    codes, hop_counts = flatten_path_devices(paths, num_satellites,
-                                             num_nodes)
-    indptr = np.zeros(len(paths) + 1, dtype=np.int64)
+    codes, hop_counts = table_devices(table, counts, num_satellites,
+                                      num_nodes)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(hop_counts, out=indptr[1:])
     link_index, step_codes = first_appearance_columns(codes)
     keys = [decode_device(code, num_nodes) for code in step_codes]
     matrix = FlowLinkMatrix(keys, capacities_of(keys), indptr, link_index)
     return matrix, hop_counts
+
+
+@dataclass
+class ClassPaths:
+    """One step's paths: a row per flow class among the candidates.
+
+    Flows of one class share a path, so a step routes each class once:
+    rows are the classes present among ``candidates``, in
+    first-candidate order, and their paths stay the router's int table.
+
+    Attributes:
+        candidates: (K,) flows that could take capacity in the step.
+        row_of_cand: (K,) each candidate's row.
+        lead: (R,) each row's first candidate.
+        table / counts: The rows' node paths, as
+            :meth:`~repro.routing.engine.RoutingEngine.path_table`
+            returns them (count 0: no path).
+        paths: (R,) the same paths as node tuples (``None``: no path).
+    """
+
+    candidates: np.ndarray
+    row_of_cand: np.ndarray
+    lead: np.ndarray
+    table: np.ndarray
+    counts: np.ndarray
+    paths: List[Optional[Tuple[int, ...]]]
+
+    def flow_rows(self, num_flows: int) -> np.ndarray:
+        """(F,) each flow's row; the extra row ``R`` off the candidates."""
+        rows = np.full(num_flows, len(self.lead), dtype=np.int64)
+        rows[self.candidates] = self.row_of_cand
+        return rows
+
+    def flow_paths(self, num_flows: int) -> List[Optional[Tuple[int, ...]]]:
+        """Per flow its row's path tuple, ``None`` off the candidates."""
+        row_paths = np.fromiter(chain(self.paths, [None]), dtype=object,
+                                count=len(self.paths) + 1)
+        return row_paths[self.flow_rows(num_flows)].tolist()
 
 
 @dataclass
@@ -380,8 +418,10 @@ class FluidRunState:
             bytes per flow in a checkpoint).
         dynamic: Whether the workload has arrivals or finite sizes.
         solves: Allocations solved so far.
-        frozen_paths: (F,) object array of static-baseline paths
-            (``freeze_topology_at_s``).
+        frozen_table / frozen_counts: Static-baseline paths
+            (``freeze_topology_at_s``), one row per flow class, as
+            :meth:`~repro.routing.engine.RoutingEngine.path_table`
+            returns them.
         wall_time_s: Wall-clock seconds accumulated across ``advance``
             calls (survives checkpoints; perf-only, excluded from
             parity comparisons).
@@ -404,7 +444,8 @@ class FluidRunState:
     flow_class: np.ndarray = no_flows(np.int32)
     dynamic: bool = False
     solves: int = 0
-    frozen_paths: Optional[np.ndarray] = None
+    frozen_table: Optional[np.ndarray] = None
+    frozen_counts: Optional[np.ndarray] = None
     wall_time_s: float = 0.0
 
     @property
@@ -463,35 +504,102 @@ class FluidSimulation:
             if capacity <= 0.0:
                 raise ValueError("override capacities must be positive")
         self.metrics = metrics
-        self._engine = RoutingEngine(network)
+        self._router = make_routing_engine(network)
         self._num_sats = network.num_satellites
         #: ((src_gid, dst_gid), demand cap) -> class id, in first-flow
         #: order (filled by :meth:`extend_flows`).
         self._class_of: Dict[Tuple[Tuple[int, int], float], int] = {}
+        #: (C, 2) (src_gid, dst_gid) of every class, by class id.
+        self._class_pairs = np.empty((0, 2), dtype=np.int64)
+        #: Sorted destination gids of every class.
+        self._destinations: List[int] = []
+        #: ``(classes, table, counts, tuples)`` of the previous step's
+        #: rows (see :meth:`_path_tuples`); None before the first.
+        self._last_step: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        list]] = None
 
-    def _paths_at(self, state: "FluidRunState", snapshot: TopologySnapshot,
-                  indices: Optional[np.ndarray] = None) -> np.ndarray:
-        """(F,) object array of the flows' node-tuple paths at
-        ``snapshot``; ``None`` while disconnected.  Only the classes of
-        the flows in ``indices`` (default: all) are looked up.
+    def __getstate__(self) -> Dict[str, object]:
+        # The last step's tuples only save time: a restored run cuts its
+        # first step's anew.
+        state = dict(vars(self))
+        state["_last_step"] = None
+        return state
 
-        One batched Dijkstra covers every destination tree and one
-        batched walk extracts a path per flow *class* present — gravity
-        workloads put thousands of flows on the same few city pairs —
-        which a single gather then hands to the member flows.
+    def _path_tuples(self, classes: np.ndarray, table: np.ndarray,
+                     counts: np.ndarray) -> List[Optional[Tuple[int, ...]]]:
+        """The rows' paths as node tuples (``None``: no path).
+
+        A class whose path is the one it had in the previous step keeps
+        that step's tuple: paths move for a few classes per step, and the
+        recorded history then holds a path once for as long as it lasts.
         """
-        flow_class = state.flow_class
-        classes = list(self._class_of)
-        present = np.flatnonzero(np.bincount(
-            flow_class if indices is None else flow_class[indices],
-            minlength=len(classes)))
-        node_paths = self._engine.paths_many(
-            snapshot, [classes[c][0] for c in present.tolist()])
-        class_paths = np.full(len(classes), None, dtype=object)
-        class_paths[present] = np.fromiter(
-            (None if path is None else tuple(path) for path in node_paths),
-            dtype=object, count=present.size)
-        return class_paths[flow_class]
+        paths: List[Optional[Tuple[int, ...]]] = [None] * len(classes)
+        kept = np.zeros(len(classes), dtype=bool)
+        if self._last_step is not None:
+            last_classes, last_table, last_counts, last_paths = \
+                self._last_step
+            slot = np.full(len(self._class_of), -1, dtype=np.int64)
+            slot[last_classes] = np.arange(len(last_classes))
+            slot = slot[classes]
+            kept = slot >= 0
+            # Cells past a path's end hold UNREACHABLE: equal counts and
+            # equal cells up to the narrower table are equal paths.
+            width = min(table.shape[1], last_table.shape[1])
+            kept[kept] = ((counts[kept] == last_counts[slot[kept]])
+                          & (table[kept, :width]
+                             == last_table[slot[kept], :width]).all(axis=1))
+            for row, last in zip(np.flatnonzero(kept).tolist(),
+                                 slot[kept].tolist()):
+                paths[row] = last_paths[last]
+        fresh = np.flatnonzero(~kept)
+        for row, path in zip(fresh.tolist(),
+                             cut_paths(table[fresh], counts[fresh])):
+            paths[row] = None if path is None else tuple(path)
+        self._last_step = (classes, table, counts, paths)
+        return paths
+
+    def _class_table(self, time_s: float, classes: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The path table of flow classes ``classes`` at ``time_s``:
+        ``(table, counts)`` as
+        :meth:`~repro.routing.engine.RoutingEngine.path_table` returns
+        them, one row per class.
+
+        The router solves every known class's destination, sorted: the
+        set then only changes when a flow brings a new destination, so
+        consecutive snapshots repair the previous trees instead of
+        solving afresh.  Each tree is independent of the others, so the
+        extra rows change no bit of the ones read.
+        """
+        if not classes.size:
+            return (np.empty((0, 1), dtype=np.int64),
+                    np.zeros(0, dtype=np.int64))
+        snapshot = self.network.snapshot(time_s)
+        multi = self._router.route_to_many(snapshot, self._destinations)
+        table, counts, _ = self._router.path_table(
+            multi, snapshot, self._class_pairs[classes])
+        return table, counts
+
+    def _step_paths(self, state: "FluidRunState", time_s: float,
+                    candidates: np.ndarray) -> ClassPaths:
+        """The step's paths: one row per class among ``candidates``, in
+        first-candidate order, routed at ``time_s`` (read from the
+        static baseline's table when the topology is frozen)."""
+        row_of_cand, first = first_appearance_rows(
+            state.flow_class[candidates], len(self._class_of))
+        lead = candidates[first]
+        classes = state.flow_class[lead]
+        if state.frozen_table is None:
+            profiler = spans.ACTIVE
+            span = profiler.begin("fluid.paths") if profiler.enabled else -1
+            table, counts = self._class_table(time_s, classes)
+            if span != -1:
+                profiler.end(span)
+        else:
+            table = state.frozen_table[classes]
+            counts = state.frozen_counts[classes]
+        return ClassPaths(candidates, row_of_cand, lead, table, counts,
+                          self._path_tuples(classes, table, counts))
 
     def run(self, duration_s: float, step_s: float = 1.0) -> FluidResult:
         """Simulate ``duration_s`` at ``step_s`` granularity.
@@ -563,6 +671,9 @@ class FluidSimulation:
                                  len(class_of))
              for flow, cap in zip(new, demand_caps.tolist())],
             dtype=np.int32)])
+        self._class_pairs = np.array([pair for pair, _ in class_of],
+                                     dtype=np.int64).reshape(-1, 2)
+        self._destinations = sorted(set(self._class_pairs[:, 1].tolist()))
         rates = np.zeros((len(state.times), len(self.flows)))
         rates[:, :first] = state.rates
         state.rates = rates
@@ -571,8 +682,8 @@ class FluidSimulation:
         state.dynamic = bool(state.dynamic or (starts > 0.0).any()
                              or np.isfinite(offered_bits).any())
         if self.freeze_topology_at_s is not None:
-            state.frozen_paths = self._paths_at(
-                state, self.network.snapshot(self.freeze_topology_at_s))
+            state.frozen_table, state.frozen_counts = self._class_table(
+                self.freeze_topology_at_s, np.arange(len(class_of)))
         return first
 
     def advance(self, state: FluidRunState,
@@ -594,27 +705,16 @@ class FluidSimulation:
         faults = self.network.fault_view
         profiler = spans.ACTIVE
         run_span = profiler.begin("fluid.run") if profiler.enabled else -1
-        frozen_paths = state.frozen_paths
         for t_index in range(state.next_index, stop):
             time_s = float(state.times[t_index])
             # Flows that could take capacity somewhere in this step:
-            # already or soon started, not yet fully transferred.
+            # already or soon started, not yet fully transferred.  Flows
+            # out of play (not started, or completed) hold no path.
             candidates = np.flatnonzero(
                 (state.residual_bits > 0.0)
                 & (state.starts < time_s + state.step_s))
-            routed = frozen_paths
-            if routed is None:
-                span = (profiler.begin("fluid.paths")
-                        if profiler.enabled else -1)
-                snapshot = self.network.snapshot(time_s)
-                routed = self._paths_at(state, snapshot, candidates)
-                if span != -1:
-                    profiler.end(span)
-            # Flows out of play (not started, or completed) hold no path.
-            paths = np.full(len(routed), None, dtype=object)
-            paths[candidates] = routed[candidates]
-            self._step(state, t_index, time_s, paths.tolist(), candidates,
-                       faults)
+            self._step(state, t_index, time_s,
+                       self._step_paths(state, time_s, candidates), faults)
             state.next_index = t_index + 1
         if run_span != -1:
             profiler.end(run_span)
@@ -649,28 +749,25 @@ class FluidSimulation:
                            flow_fct_s=state.fct_s if dynamic else None)
 
     def _step(self, state: FluidRunState, t_index: int, time_s: float,
-              paths: List[Optional[Tuple[int, ...]]],
-              candidates: np.ndarray, faults) -> None:
+              step: ClassPaths, faults) -> None:
         """One snapshot step on the flat incidence representation.
 
         Flows of one class share a path and a max-min rate, so the
         step's flows-on-links CSR has one row per class among the
-        candidates, in first-candidate order (int-encoded device codes
-        in path order: the column numbering is still the oracle's link
-        dict order over the flows).  It is built once; every
-        arrival/completion inside the step is a row activation over that
-        fixed matrix — each row weighted by its active members — not a
-        rebuild.
+        candidates — ``step``'s rows, in first-candidate order, encoded
+        straight from its path table (device codes in path order: the
+        column numbering is still the oracle's link dict order over the
+        flows).  It is built once; every arrival/completion inside the
+        step is a row activation over that fixed matrix — each row
+        weighted by its active members — not a rebuild.
         """
         profiler = spans.ACTIVE
-        row_of_cand, first = first_appearance_rows(
-            state.flow_class[candidates], len(self._class_of))
-        lead = candidates[first]  # each row's first candidate
+        candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
+                                         step.lead)
         build_span = (profiler.begin("fluid.matrix_build")
                       if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
-            [paths[i] for i in lead.tolist()], self._num_sats,
-            self.network.num_nodes,
+            step.table, step.counts, self._num_sats, self.network.num_nodes,
             lambda keys: self._device_capacities(keys, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)
@@ -720,7 +817,7 @@ class FluidSimulation:
                 loads = {keys[j]: float(load_arr[j])
                          for j in np.flatnonzero(crossed)}
                 state.rates[t_index, global_active] = allocated
-                self._record_snapshot(state, t_index, time_s, paths, loads,
+                self._record_snapshot(state, t_index, time_s, step, loads,
                                       active_count=len(active))
                 recorded = True
             next_tau = step_end
@@ -771,12 +868,12 @@ class FluidSimulation:
         return capacities
 
     def _record_snapshot(self, state: FluidRunState, t_index: int,
-                         time_s: float, paths: list,
+                         time_s: float, step: ClassPaths,
                          loads: Dict[Hashable, float],
                          active_count: int) -> None:
         """Append one snapshot (``state.rates[t_index]`` already set) to
         the run history and to the metric series."""
-        state.all_paths.append(list(paths))
+        state.all_paths.append(step.flow_paths(len(state.starts)))
         state.all_loads.append(loads)
         registry = self.metrics
         if registry is None:

@@ -370,7 +370,13 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
     # to these flows).
     cols, out_ptr, _ = matrix._gather(act)
     counts = np.diff(out_ptr)
-    if cols.size:
+    if _in_first_appearance_order(cols):
+        # Already numbered 0, 1, 2, ... as they first appear (a solve of
+        # all rows in matrix order): the renumbering is the identity.
+        lcol = cols
+        num_links = int(cols.max(initial=-1)) + 1
+        residual = matrix.capacity_bps[:num_links].copy()
+    else:
         uniq, first_pos, inverse = np.unique(
             cols, return_index=True, return_inverse=True)
         order = np.argsort(first_pos, kind="stable")
@@ -379,10 +385,6 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
         lcol = rank[inverse.reshape(-1)]
         num_links = order.size
         residual = matrix.capacity_bps[uniq[order]].copy()
-    else:
-        lcol = cols
-        num_links = 0
-        residual = np.zeros(0)
 
     # Per-link fill weight: traversal count of unfrozen flows — an
     # integer-valued float64, so adding m once is adding 1.0 m times.
@@ -476,6 +478,17 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
                                else entry_copies[gather])
         level = best
     return rates
+
+
+def _in_first_appearance_order(cols: np.ndarray) -> bool:
+    """Whether column ids already count 0, 1, 2, ... as they first
+    appear: the first is 0 and the running maximum never steps by more
+    than 1 (every id below it has then appeared).  O(len(cols))."""
+    if not cols.size:
+        return True
+    if cols[0] != 0:
+        return False
+    return bool((np.diff(np.maximum.accumulate(cols)) <= 1).all())
 
 
 def max_min_fair_allocation(

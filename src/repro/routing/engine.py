@@ -63,7 +63,7 @@ from ..topology.network import LeoNetwork, TopologySnapshot
 
 __all__ = ["DestinationRouting", "MultiDestinationRouting",
            "RoutingEngine", "RoutingPerfCounters", "UNREACHABLE",
-           "canonical_next_hops"]
+           "canonical_next_hops", "cut_paths"]
 
 #: Marker used in next-hop arrays for "no route".
 UNREACHABLE = -1
@@ -104,6 +104,20 @@ def canonical_next_hops(rows: np.ndarray, cols: np.ndarray,
         np.minimum.at(next_hop[tree], cols[tight], rows[tight])
     next_hop[next_hop == sentinel] = UNREACHABLE
     return next_hop
+
+
+def cut_paths(table: np.ndarray, counts: np.ndarray
+              ) -> List[Optional[List[int]]]:
+    """The node lists of a :meth:`RoutingEngine.path_table` table.
+
+    One list per row — its first ``counts[i]`` cells, ``None`` where the
+    count is 0 — cut from the used cells with one flat conversion.
+    """
+    flat = table[np.arange(table.shape[1])
+                 < counts[:, np.newaxis]].tolist()
+    return [flat[end - count:end] if count else None
+            for end, count in zip(np.cumsum(counts).tolist(),
+                                  counts.tolist())]
 
 
 @dataclass
@@ -293,6 +307,13 @@ class RoutingEngine:
         self._cached_snapshot: Optional[TopologySnapshot] = None
         self._cached_transit: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The transit cache only saves time: a restored engine starts
+        # cold, and a cold build is the same arrays by construction.
+        state = dict(vars(self))
+        state["_cached_snapshot"] = state["_cached_transit"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Core batched computation
@@ -524,6 +545,24 @@ class RoutingEngine:
                             pairs: Sequence[Tuple[int, int]]
                             ) -> Tuple[List[Optional[List[int]]],
                                        np.ndarray]:
+        """Shortest paths and distances of many pairs, as lists.
+
+        :meth:`path_table`'s walk, with every row cut into a node list
+        (:func:`cut_paths`).
+
+        Returns:
+            ``(paths, distances_m)``: per pair the node-id list
+            ``[src_node, ingress_sat, ..., dst_node]`` (relay GS nodes
+            included in bent-pipe mode) and its length; ``None`` and
+            ``inf`` while the pair is disconnected.
+        """
+        table, counts, distances = self.path_table(multi, snapshot, pairs)
+        return cut_paths(table, counts), distances
+
+    def path_table(self, multi: MultiDestinationRouting,
+                   snapshot: TopologySnapshot,
+                   pairs: Sequence[Tuple[int, int]]
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shortest paths and distances of many pairs, one batched walk.
 
         Every pair enters at the satellite
@@ -537,16 +576,19 @@ class RoutingEngine:
             pairs: (src_gid, dst_gid) pairs; duplicates are fine.
 
         Returns:
-            ``(paths, distances_m)``: per pair the node-id list
-            ``[src_node, ingress_sat, ..., dst_node]`` (relay GS nodes
-            included in bent-pipe mode) and its length; ``None`` and
-            ``inf`` while the pair is disconnected.
+            ``(table, counts, distances_m)``: row ``i`` of the (P, L)
+            int64 ``table`` holds pair ``i``'s path ``[src_node,
+            ingress_sat, ..., dst_node]`` (relay GS nodes included in
+            bent-pipe mode) in its first ``counts[i]`` cells and
+            ``UNREACHABLE`` after them; ``distances_m[i]`` is its
+            length.  A disconnected pair has count 0 and distance inf.
         """
         num_pairs = len(pairs)
         distances = np.full(num_pairs, np.inf)
         if not num_pairs:
-            return [], distances
-        src_gids, dst_gids = np.array(pairs, dtype=np.int64).T
+            return (np.empty((0, 1), dtype=np.int64),
+                    np.zeros(0, dtype=np.int64), distances)
+        src_gids, dst_gids = np.asarray(pairs, dtype=np.int64).T
         rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
                                                         dst_gids)
         walking = np.flatnonzero(np.isfinite(best_totals))
@@ -573,14 +615,11 @@ class RoutingEngine:
             table[members, level] = nodes
         routed = hops > 0
         distances[routed] = best_totals[routed]
-        # Cut the lists from the used cells only (one flat conversion).
         counts = hops + routed
-        flat = table[np.arange(table.shape[1])
-                     < counts[:, np.newaxis]].tolist()
-        paths = [flat[end - count:end] if count else None
-                 for end, count in zip(np.cumsum(counts).tolist(),
-                                       counts.tolist())]
-        return paths, distances
+        # Dead ends and disconnected sources wrote cells too.
+        table[np.arange(table.shape[1]) >= counts[:, np.newaxis]] = \
+            UNREACHABLE
+        return table, counts, distances
 
     def paths_many(self, snapshot: TopologySnapshot,
                    pairs: Sequence[Tuple[int, int]]

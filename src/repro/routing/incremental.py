@@ -45,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,6 +76,11 @@ SPARSE_DELTA_SHARE = 0.1
 #: Edges per block of the verify pass; its (block, D) float temporaries
 #: must stay cache-resident.
 _VERIFY_BLOCK = 256
+
+#: Vertices per block of the re-sum's level labelling: its float and
+#: shift temporaries stay small and cache-resident, where whole-array
+#: ones cost a (D, num_nodes) allocation each and run slower.
+_RESUM_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -239,6 +244,22 @@ class IncrementalRouter(RoutingEngine):
         #: Per (tree, vertex) the tree edge's index in ``_prev_coo``;
         #: derived on demand (None) after a full solve.
         self._prev_parent_edge: Optional[np.ndarray] = None
+
+    #: The remembered update.  Like the transit cache it only saves time:
+    #: without it the next update is a full solve, which yields the
+    #: repaired trees bit for bit.
+    _REMEMBERED = ("_prev_snapshot", "_prev_coo", "_prev_result",
+                   "_prev_parent_edge")
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = super().__getstate__()
+        state.update(dict.fromkeys(self._REMEMBERED))
+        return state
+
+    def _forget(self) -> None:
+        """Drop the remembered update (the next one solves afresh)."""
+        for name in self._REMEMBERED:
+            setattr(self, name, None)
 
     # ------------------------------------------------------------------
     # The incremental update
@@ -466,30 +487,41 @@ class IncrementalRouter(RoutingEngine):
 
         Returns None — solve from scratch — when step 2 finds more than
         ``MAX_VIOLATED_SHARE`` of the (tree, vertex) pairs violated.
+
+        The remembered update is only read, so the router lets go of it
+        first: unless a caller still holds the old result, its distances
+        are freed once the re-sum has its levels, before the re-sum's
+        own (D, num_nodes) arrays exist, and its next hops once copied.
         """
         assert self._prev_result is not None and self._prev_coo is not None
-        prev = self._prev_result
         prev_rows, prev_cols, prev_data = self._prev_coo
-        num_trees, num_nodes = prev.distance_m.shape
+        old_dist = self._prev_result.distance_m
+        old_next_hop = self._prev_result.next_hop
+        num_trees, num_nodes = old_dist.shape
         if self._prev_parent_edge is None:
             self._prev_parent_edge = _parent_edges(
-                prev.next_hop, prev_rows, prev_cols)
+                old_next_hop, prev_rows, prev_cols)
         # A vanished parent edge maps to -1, and so does "no parent".
         parent_edge = np.append(delta.old_to_new,
                                 -1)[self._prev_parent_edge]
+        self._forget()
+        order, bounds = _level_order(old_dist.reshape(-1), parent_edge,
+                                     num_trees,
+                                     prev_data.min(initial=np.inf))
+        del old_dist
         roots = np.arange(num_trees) * num_nodes + dst_nodes
-        cand, parent_count = _resum(
-            prev.distance_m.reshape(-1), parent_edge, coo, roots,
-            prev_data.min(initial=np.inf))
+        cand, parent_count = _resum(order, bounds, parent_edge, coo, roots)
+        del order
         cand = cand.reshape(num_trees, num_nodes)
-        verdict = _verify(cand, coo, parent_count, prev.next_hop,
+        verdict = _verify(cand, coo, parent_count, old_next_hop,
                           int(MAX_VIOLATED_SHARE * cand.size))
         if verdict is None:
             return None
         keys, offers, tie_keys = verdict
         self.inc_perf.edges_violated += len(keys)
         lowered = self._settle(cand, keys, offers, graph)
-        next_hop = prev.next_hop.copy()
+        next_hop = old_next_hop.copy()
+        del old_next_hop
         # Vertices that had a next hop and are left without a path.
         lost = np.flatnonzero(cand.reshape(-1) == np.inf)
         lost = lost[next_hop.reshape(-1)[lost] != UNREACHABLE]
@@ -610,31 +642,71 @@ def _parent_edges(next_hop: np.ndarray, rows: np.ndarray,
     return parent_edge.reshape(-1)
 
 
-def _resum(old_dist: np.ndarray, parent_edge: np.ndarray,
-           coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
-           roots: np.ndarray, min_old_weight: float
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Lengths of the old tree paths under the new weights.
+def _level_order(old_dist: np.ndarray, parent_edge: np.ndarray,
+                 num_trees: int, min_old_weight: float
+                 ) -> Tuple[np.ndarray, List[int]]:
+    """The order :func:`_resum` sums the old trees in: by level.
 
-    ``cand[v] = cand[parent[v]] + w_new(parent[v], v)`` from the roots
-    outwards — the very additions a from-scratch relaxation along that
-    path performs, so every finite value is an achievable distance in
-    the new graph (an upper bound on the true one), and inf where the
-    path lost an edge.  Parents must be summed before children; a
-    vertex's level ``floor(old_dist / (0.999 * min old weight))`` rises
-    by at least one along every old tree edge, so one vectorised
-    assignment per level does it with no depth bookkeeping carried
-    between updates.  Correctness does not rest on the labelling: a
-    vertex summed before its parent reads inf, and the verify pass
-    hands it to the settle like any other violated vertex.
+    A vertex's level ``floor(old_dist / (0.999 * min old weight))``
+    rises by at least one along every old tree edge, so summing level
+    by level puts parents before children with no depth bookkeeping
+    carried between updates.  Correctness does not rest on the
+    labelling: a vertex summed before its parent reads inf, and the
+    verify pass hands it to the settle like any other violated vertex.
 
     Args:
         old_dist: Flat (D * num_nodes,) previous distances.
+        parent_edge: Flat (D * num_nodes,) index into the new graph's
+            edges of each vertex's old tree edge, -1 without one.
+        num_trees: D.
+        min_old_weight: Smallest weight of the previous graph.
+
+    Returns:
+        ``(order, bounds)``: the flat keys of every vertex with a tree
+        edge, sorted by level (the level packed above each key), and
+        where each level starts in ``order``.
+    """
+    has_parent = parent_edge >= 0
+    order = np.flatnonzero(has_parent)
+    # No tree is deeper than it has vertices: never more levels than
+    # that, however small the smallest weight.
+    num_nodes = len(old_dist) // num_trees
+    scale = max(0.999 * min_old_weight,
+                np.max(old_dist, where=has_parent, initial=0.0) / num_nodes)
+    del has_parent
+    # Sort (level, key) pairs as single integers; the levels are packed
+    # in blocks, so ``order`` is the one (D * num_nodes)-sized array.
+    for low in range(0, len(order), _RESUM_BLOCK):
+        keys = order[low:low + _RESUM_BLOCK]
+        level = old_dist[keys]
+        level /= scale
+        keys |= level.astype(np.int64) << 32
+    order.sort()
+    bounds = np.searchsorted(
+        order, np.arange(int(order[-1] >> 32) + 2 if len(order) else 0)
+        << 32).tolist()
+    return order, bounds
+
+
+def _resum(order: np.ndarray, bounds: List[int], parent_edge: np.ndarray,
+           coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
+           roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lengths of the old tree paths under the new weights.
+
+    ``cand[v] = cand[parent[v]] + w_new(parent[v], v)`` from the roots
+    outwards, one vectorised assignment per level of
+    :func:`_level_order` — the very additions a from-scratch relaxation
+    along that path performs, so every finite value is an achievable
+    distance in the new graph (an upper bound on the true one), and inf
+    where the path lost an edge.
+
+    Args:
+        order / bounds: :func:`_level_order`'s; ``order`` is unpacked
+            to the bare keys in place.
         parent_edge: Flat (D * num_nodes,) index into ``coo`` of each
             vertex's old tree edge, -1 without one (or if it vanished).
         coo: The new graph's canonical triplets.
         roots: (D,) flat keys of the tree roots.
-        min_old_weight: Smallest weight of the previous graph.
 
     Returns:
         ``(cand, parent_count)``: the flat candidate distances, and
@@ -642,22 +714,6 @@ def _resum(old_dist: np.ndarray, parent_edge: np.ndarray,
         carrying a finite candidate (there it is tight by construction).
     """
     rows, cols, data = coo
-    order = np.flatnonzero(parent_edge >= 0)
-    level = old_dist[order]
-    # No tree is deeper than it has vertices: never more levels than
-    # that, however small the smallest weight.
-    num_nodes = len(old_dist) // len(roots)
-    level /= max(0.999 * min_old_weight,
-                 level.max(initial=0.0) / num_nodes)
-    # Sort (level, key) pairs as single integers, then split them.
-    level = level.astype(np.int32).astype(np.int64)
-    level <<= 32
-    order |= level
-    del level
-    order.sort()
-    bounds = np.searchsorted(
-        order, np.arange(int(order[-1] >> 32) + 2 if len(order) else 0)
-        << 32).tolist()
     order &= 0xFFFFFFFF
     edge = parent_edge[order]
     weight = data[edge]
@@ -665,7 +721,7 @@ def _resum(old_dist: np.ndarray, parent_edge: np.ndarray,
     parent += order
     parent_count = np.bincount(edge, minlength=len(data))
     del edge
-    cand = np.full(len(old_dist), np.inf)
+    cand = np.full(len(parent_edge), np.inf)
     cand[roots] = 0.0
     for low, high in zip(bounds[:-1], bounds[1:]):
         cand[order[low:high]] = cand[parent[low:high]] + weight[low:high]

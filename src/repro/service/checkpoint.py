@@ -32,7 +32,7 @@ import json
 import math
 import os
 import pickle
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,10 @@ __all__ = [
 #: fault event), so a v3 spec no longer fingerprints as it was saved.
 #: v5: the pickled service lost ``_arrival_streams``, and the ``"sweep"``
 #: engine (sweep warm-start payloads) is gone.
-CHECKPOINT_FORMAT_VERSION = 5
+#: v6: fluid run states hold the static baseline as a class path table
+#: (``frozen_table`` / ``frozen_counts``, no ``frozen_paths``), and the
+#: fluid simulation a repairing router (``_router``) plus class pairs.
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
@@ -163,16 +166,75 @@ def _canonical(value: Any) -> Any:
         f"cannot canonicalize {type(value).__name__!r} for fingerprinting")
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Sequence elements per piece of :func:`_canonical_json`.
+_JSON_BATCH = 512
+
+
+def _canonical_json(value: Any) -> Iterator[str]:
+    """``json.dumps(_canonical(value), sort_keys=True, separators=(",",
+    ":"))``, in pieces.
+
+    Dataclasses, dicts and ``__dict__`` objects are written key by key
+    (in sorted order, as ``sort_keys`` writes them) and sequences in
+    batches of ``_JSON_BATCH`` elements, so the ~10^4 requests of a
+    session's workload never exist as one canonical form or one string
+    — about 7 MB at once, where the pieces take under 1 MB.
+    """
+    kind = type(value)
+    if value is None or kind in _PLAIN_LEAVES or (
+            kind is float and math.isfinite(value)):
+        yield _ENCODE(value)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        yield '{"__dataclass__":' + _ENCODE(kind.__name__) + ',"fields":{'
+        for i, name in enumerate(sorted(_field_names(kind))):
+            yield ("," if i else "") + _ENCODE(name) + ":"
+            yield from _canonical_json(getattr(value, name))
+        yield "}}"
+    elif isinstance(value, dict):
+        keys = [str(key) for key in value]
+        if len(set(keys)) < len(keys):
+            # Equal key strings: _canonical orders those by value.
+            yield _ENCODE(_canonical(value))
+            return
+        yield '{"__dict__":['
+        for i, (key, item) in enumerate(sorted(
+                zip(keys, value.values()), key=lambda pair: pair[0])):
+            yield ("," if i else "") + "[" + _ENCODE(key) + ","
+            yield from _canonical_json(item)
+            yield "]"
+        yield "]}"
+    elif isinstance(value, (list, tuple)):
+        yield "["
+        for low in range(0, len(value), _JSON_BATCH):
+            batch = [_canonical(item) for item in value[low:low + _JSON_BATCH]]
+            # The batch's own brackets off: its items, comma-separated.
+            yield ("," if low else "") + _ENCODE(batch)[1:-1]
+        yield "]"
+    elif (isinstance(value, (enum.Enum, np.ndarray, np.generic, float,
+                             bool, int, str))
+          or not hasattr(value, "__dict__")):
+        yield _ENCODE(_canonical(value))
+    else:
+        yield '{"__object__":' + _ENCODE(kind.__name__) + ',"state":'
+        yield from _canonical_json(vars(value))
+        yield "}"
+
+
 def spec_fingerprint(spec: NetworkSpec) -> str:
     """A stable sha256 content hash of a network spec.
 
     Two specs fingerprint equally iff they describe the same network,
     independent of process, platform, or ``PYTHONHASHSEED`` — the hash
-    goes into every checkpoint header and gates every resume.
+    goes into every checkpoint header and gates every resume.  It hashes
+    the canonical JSON of the spec (:func:`_canonical`), streamed
+    (:func:`_canonical_json`).
     """
-    blob = json.dumps(_canonical(spec), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _canonical_json(spec):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

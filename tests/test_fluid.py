@@ -15,7 +15,7 @@ from repro.fluid.aimd import AimdFluidSimulation, AimdRunState
 from repro.fluid.engine import (FluidFlow, FluidSimulation,
                                 first_appearance_columns,
                                 first_appearance_rows, path_devices)
-from repro.routing.engine import RoutingEngine
+from repro.routing.engine import UNREACHABLE, RoutingEngine
 from repro.topology.network import LeoNetwork
 from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
 from repro.fluid import vectorized
@@ -834,7 +834,7 @@ class TestAimdOnSharedSkeleton:
     def test_is_a_fluid_simulation_without_its_own_loop(self):
         assert issubclass(AimdFluidSimulation, FluidSimulation)
         for inherited in ("run", "start_run", "advance", "finish",
-                          "_paths_at", "_record_snapshot"):
+                          "_step_paths", "_record_snapshot"):
             assert inherited not in vars(AimdFluidSimulation)
 
     @pytest.mark.parametrize("aimd_scenario", list(AIMD_PINS),
@@ -1070,6 +1070,105 @@ def test_one_step_solves_on_both_sides_of_the_small_solve_bound(
     assert kernels_per_step[0] == 2 and kernels_per_step[-2] == 2
     assert 1 in kernels_per_step
     assert_result_matches_oracle(simulation.finish(state), flows)
+
+
+# ----------------------------------------------------------------------
+# The class step's paths: repaired trees, one int table, no lists
+# ----------------------------------------------------------------------
+
+class FreshRouting(FluidSimulation):
+    """The class step fed, every step, by a new ``RoutingEngine``'s
+    ``paths_many`` — no repair, no table walk of its own."""
+
+    def _class_table(self, time_s, classes):
+        pairs = [tuple(pair) for pair in self._class_pairs[classes].tolist()]
+        paths = RoutingEngine(self.network).paths_many(
+            self.network.snapshot(time_s), pairs)
+        counts = np.array([len(path) if path else 0 for path in paths])
+        table = np.full((len(paths), max(counts.max(initial=0), 1)),
+                        UNREACHABLE, dtype=np.int64)
+        for row, path in enumerate(paths):
+            table[row, :counts[row]] = path or []
+        return table, counts
+
+
+@pytest.fixture(scope="module")
+def outage_k1():
+    """K1 x 12 cities from t = 10 s; the first two satellites of gid
+    0 -> 1's path at t = 4 s are dark from 3.5 s to 6.5 s."""
+    network = Hypatia.from_shell_name("K1", num_cities=12,
+                                      epoch_offset_s=10.0).network
+    path = RoutingEngine(network).path(network.snapshot(4.0), 0, 1)
+    network.set_faults(FaultSchedule(
+        [FaultEvent.satellite_outage(node, 3.5, 6.5) for node in path[1:3]],
+        seed=0))
+    return network
+
+
+class TestClassStepDifferential:
+    """FluidSimulation ≡ the same step over fresh per-step routing ≡ the
+    oracle, on a moving K1 timeline: early finite flows that are all
+    done by t = 3 s (so step 3 has no candidate flow), then flows
+    attached at t = 2 s that start from 4 s, bring two destinations no
+    flow had and run through a satellite outage that begins and ends
+    mid-run.  Rates, loads and ``flow_paths`` are compared bit for bit;
+    the repairing router is pickled away (cold) halfway through."""
+
+    EARLY = [FluidFlow(0, 1, size_bytes=400_000.0),
+             FluidFlow(2, 1, size_bytes=250_000.0, start_s=0.4),
+             FluidFlow(3, 4, size_bytes=300_000.0, start_s=1.2),
+             FluidFlow(5, 4, size_bytes=200_000.0, start_s=1.5,
+                       demand_bps=2e6)]
+    LATE = [FluidFlow(0, 1, start_s=4.0),
+            FluidFlow(6, 9, start_s=4.2),
+            FluidFlow(7, 10, size_bytes=900_000.0, start_s=4.5),
+            FluidFlow(2, 1, start_s=5.0, demand_bps=3e6)]
+
+    def _run(self, engine, network, freeze_at_s, pickled):
+        simulation = engine(network, self.EARLY,
+                            freeze_topology_at_s=freeze_at_s)
+        state = simulation.start_run(10.0, step_s=1.0)
+        simulation.advance(state, max_steps=2)
+        simulation.extend_flows(state, self.LATE)
+        simulation.advance(state, max_steps=3)
+        if pickled:
+            simulation, state = pickle.loads(pickle.dumps((simulation,
+                                                           state)))
+        simulation.advance(state)
+        return simulation, simulation.finish(state)
+
+    @pytest.mark.parametrize("freeze_at_s", [None, 4.0],
+                             ids=["moving", "frozen"])
+    def test_equals_fresh_routing_and_the_oracle(self, outage_k1,
+                                                 freeze_at_s):
+        _, expected = self._run(FreshRouting, outage_k1, freeze_at_s,
+                                pickled=False)
+        simulation, got = self._run(FluidSimulation, outage_k1,
+                                    freeze_at_s, pickled=True)
+        _assert_same_result(got, expected)
+        flows = self.EARLY + self.LATE
+        assert_result_matches_oracle(got, flows)
+        early_ends = got.flow_fct_s[:4] + [f.start_s for f in self.EARLY]
+        assert (early_ends < 3.0).all()
+        assert got.flow_paths[3] == [None] * len(flows)
+        assert not got.flow_rates_bps[3].any()
+        assert got.flow_rates_bps[:, 4:].any(axis=0).all()
+        if freeze_at_s is None:
+            # The late flows' new destinations force a full solve (step
+            # 2), and so does the cold restore (step 5); the steps after
+            # each are repaired.
+            counters = simulation._router.inc_perf
+            assert counters.destination_changes == 1
+            assert counters.repairs >= 4
+
+    def test_route_to_many_is_spared_without_candidates(self, outage_k1):
+        simulation = FluidSimulation(outage_k1, self.EARLY)
+        state = simulation.start_run(10.0, step_s=1.0)
+        simulation.advance(state, max_steps=3)
+        before = simulation._router.perf.trees_computed
+        simulation.advance(state, max_steps=1)
+        assert state.all_paths[3] == [None] * len(self.EARLY)
+        assert simulation._router.perf.trees_computed == before
 
 
 class TestExtendFlows:

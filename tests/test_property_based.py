@@ -291,14 +291,44 @@ class TestMaxMinProperties:
             min_size=len(active), max_size=len(active))))
         return capacities, flows, demands, active, copies
 
-    @given(_kernel_scenario())
-    @settings(max_examples=300, deadline=None)
-    def test_scalar_kernel_equals_array_kernel_equals_oracle(self, scenario):
+    def test_scalar_kernel_equals_array_kernel_equals_oracle(
+            self, monkeypatch):
+        """Both of the array kernel's column numberings run: the active
+        rows' columns already count 0, 1, 2, ... as they first appear
+        (kept as they are), or not (renumbered)."""
+        from repro.fluid import vectorized
+        in_order = vectorized._in_first_appearance_order
+        taken = []
+
+        def spy(cols):
+            taken.append(in_order(cols))
+            return taken[-1]
+        monkeypatch.setattr(vectorized, "_in_first_appearance_order", spy)
+        numbered = set()
+
+        @given(TestMaxMinProperties._kernel_scenario())
+        @settings(max_examples=300, deadline=None)
+        def check(scenario):
+            del taken[:]
+            expected = self._check_kernels(scenario)
+            assert taken == [expected]
+            numbered.add(expected)
+
+        check()
+        assert numbered == {True, False}
+
+    @staticmethod
+    def _check_kernels(scenario) -> bool:
+        """scalar ≡ array ≡ oracle on one scenario; returns whether the
+        active rows' columns were already in first-appearance order."""
         from repro.fluid.vectorized import (FlowLinkMatrix,
                                             _waterfill_arrays,
                                             _waterfill_scalars, waterfill)
         capacities, flows, demands, active, copies = scenario
         matrix = FlowLinkMatrix.from_paths(capacities, flows)
+        columns = [column for row in active.tolist()
+                   for column in matrix.link_index[
+                       matrix.indptr[row]:matrix.indptr[row + 1]].tolist()]
         weights = None if copies is None else np.array(copies)
         # The oracle sees every row repeated ``copies`` times in place;
         # ``first`` is where each row's first copy lands.
@@ -332,6 +362,8 @@ class TestMaxMinProperties:
             assert np.array_equal(np.repeat(oracle[first], repeat), oracle)
             for got in (scalars, arrays, public):
                 assert np.array_equal(got, oracle[first])
+        return (list(dict.fromkeys(columns))
+                == list(range(len(set(columns)))))
 
 
 event_time = st.floats(min_value=0.0, max_value=1000.0,

@@ -12,6 +12,7 @@ mutation equivalence, and the JSON-over-TCP server.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import pickle
 import random
@@ -195,7 +196,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 5
+        assert CHECKPOINT_FORMAT_VERSION == 6
         service = _make_service("packet")
         service.advance_epoch(1)
         ckpt = service.checkpoint()
@@ -243,6 +244,52 @@ class TestCheckpointContainer:
         save_checkpoint(str(path), ckpt)
         with pytest.raises(CheckpointVersionError, match="format v4"):
             LiveSimulationService.resume(str(path))
+
+    def test_v5_fluid_checkpoint_is_refused(self, tmp_path):
+        """A v5 fluid simulation pickles a plain routing engine under the
+        name ``_engine`` and per-flow static-baseline paths; this build's
+        would fail on its first ``advance``.  The version gate refuses it
+        before anything is unpickled."""
+        service = _make_service("fluid")
+        service.advance_epoch(1)
+        ckpt = service.checkpoint()
+        ckpt.format_version = 5
+        path = tmp_path / "v5.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(CheckpointVersionError, match="format v5"):
+            LiveSimulationService.resume(str(path))
+
+    def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
+        """Routers pickle without their per-snapshot caches: the transit
+        arrays, and the repairing router's remembered update (snapshot,
+        graph, trees, tree edges).  They only save time, so a restored
+        router starts cold — and resumes bit-identically
+        (``TestRoundTripDeterminism``).  Before, the fluid engine's router
+        pickled the last ``TopologySnapshot`` with the service; this file
+        was 33 698 bytes then."""
+        from repro.topology.network import TopologySnapshot
+        snapshots = []
+
+        class Counting(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, TopologySnapshot):
+                    snapshots.append(obj)
+                return NotImplemented
+
+        service = _make_service("fluid")
+        service.advance_epoch(4)
+        router = service.fluid._router
+        assert router._prev_result is not None
+        assert router._cached_snapshot is not None
+        Counting(io.BytesIO()).dump(service.checkpoint().payload)
+        assert snapshots == []
+        path = tmp_path / "fluid.ckpt"
+        service.save(str(path))
+        assert path.stat().st_size <= 33_698
+        restored = LiveSimulationService.resume(str(path)).fluid._router
+        assert all(getattr(restored, name) is None
+                   for name in type(restored)._REMEMBERED)
+        assert restored._cached_snapshot is None
 
     @pytest.mark.parametrize("field,value", [
         ("engine", "bogus"), ("time_s", "abc"), ("time_s", None),
@@ -405,6 +452,36 @@ class TestCheckpointContainer:
         assert spec_fingerprint(spec) == (
             "04d4c6b6e0119abb720d53aaf1663307"
             "b1933b9c576f85ad47a39fea3c8881bc")
+
+    def test_streamed_canonical_json_is_the_one_shot_text(self):
+        """The fingerprint hashes its JSON in pieces; joined, they are
+        ``json.dumps`` of the whole canonical form — across sequence
+        batches, dict keys that only sort as strings, keys whose strings
+        collide, and every leaf kind."""
+        import enum as enum_module
+        from repro.service.checkpoint import (_JSON_BATCH, _canonical,
+                                              _canonical_json)
+
+        class Colour(enum_module.Enum):
+            RED = 1
+
+        class Holder:
+            def __init__(self):
+                self.b, self.a = [(1, 2.5)], {"x": None}
+
+        requests = _small_workload(horizon_s=40.0).requests
+        long_workload = WorkloadSchedule(
+            requests * (2 * _JSON_BATCH // len(requests) + 1), seed=3)
+        values = [
+            _small_spec(faults=_FAULTS).with_workload(long_workload),
+            {10: "ten", 9: [], "b": (), 1: 2.0, "1": 1.0},
+            [np.arange(3), np.float32(0.5), float("nan"), True, Colour.RED,
+             Holder(), {"k": [Holder()] * (_JSON_BATCH + 1)}],
+            [], {}, "text", 7,
+        ]
+        for value in values:
+            assert "".join(_canonical_json(value)) == json.dumps(
+                _canonical(value), sort_keys=True, separators=(",", ":"))
 
     def test_header_hash_is_checked_against_the_pickled_spec(self,
                                                              tmp_path):
