@@ -47,6 +47,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwIE "flatten_path_devices|_paths_at" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnwI "_invalidated_mask" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 
@@ -88,7 +90,9 @@ bench-fluid-scale:
 
 # Incremental-routing gate: repaired destination trees must equal the
 # from-scratch solve bit-for-bit (sparse deltas, moving timelines at
-# 0.1-15 s steps, serial and workers=4); every 1 s step must be repaired
+# 0.1-15 s steps, serial and workers=4); the sparse deltas alternate the
+# destination order and must still take one full solve and no
+# destination change; every 1 s step must be repaired
 # and the 15 s walk must give up; repair must reach 5x per-snapshot
 # routing time on S1 under sparse topology deltas and 1.3x on the moving
 # 1 s timeline (speedup halves auto-skip below 4 cores; the step-size

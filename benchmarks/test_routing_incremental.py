@@ -12,9 +12,12 @@ Gates:
 * **Equality** (always runs): bit-identity on every snapshot of the
   sparse-delta repair scenario, of moving S1 timelines at 0.1 to 15 s
   steps, and of a faulted S1 timeline run, serial and ``workers=4``.
-* **Decisions** (always runs; they repeat exactly): every 1 s step of
-  the moving timeline is repaired, and the 15 s walk gives up and says
-  so in ``fallbacks_large_delta``.
+* **Decisions** (always runs; they repeat exactly): the sparse-delta
+  scenario alternates the destination order between updates and is
+  still one full solve with no ``destination_changes`` (the router
+  remembers trees by destination set); every 1 s step of the moving
+  timeline is repaired, and the 15 s walk gives up and says so in
+  ``fallbacks_large_delta``.
 * **Speedup** (needs >= 4 cores, like `make bench-sweep`): on S1 with
   the paper's 100 city ground stations, per-snapshot routing under
   sparse topology deltas — cumulative ISL failures at a frozen epoch,
@@ -94,43 +97,54 @@ def _failure_sequence(base, rng):
     return snapshots
 
 
+def _destination_orders():
+    """The destinations, ascending on even updates and descending on odd
+    ones: one set, so every update after the first is a repair."""
+    ascending = list(range(NUM_CITIES))
+    return [ascending, ascending[::-1]]
+
+
 def test_sparse_delta_parity_on_every_snapshot():
     network, base = _network()
-    destinations = list(range(NUM_CITIES))
+    orders = _destination_orders()
     snapshots = _failure_sequence(base, np.random.default_rng(7))
     scratch = RoutingEngine(network)
     router = IncrementalRouter(network)
-    router.route_to_many(base, destinations)
-    for snapshot in snapshots:
+    router.route_to_many(base, orders[0])
+    for step, snapshot in enumerate(snapshots, start=1):
+        destinations = orders[step % 2]
         expected = scratch.route_to_many(snapshot, destinations)
         repaired = router.route_to_many(snapshot, destinations)
+        assert expected.dst_gids == repaired.dst_gids
         assert np.array_equal(expected.distance_m, repaired.distance_m)
         assert np.array_equal(expected.next_hop, repaired.next_hop)
     assert router.inc_perf.repairs == NUM_STEPS
     assert router.inc_perf.fallbacks_large_delta == 0
+    assert router.inc_perf.full_solves == 1
+    assert router.inc_perf.destination_changes == 0
 
 
 def test_incremental_speedup_on_sparse_deltas():
     network, base = _network()
-    destinations = list(range(NUM_CITIES))
+    orders = _destination_orders()
     snapshots = _failure_sequence(base, np.random.default_rng(7))
 
     scratch_best = incremental_best = float("inf")
     counters = None
     for _ in range(TIMING_REPS):
         scratch = RoutingEngine(network)
-        scratch.route_to_many(base, destinations)
+        scratch.route_to_many(base, orders[0])
         start = time.perf_counter()
-        for snapshot in snapshots:
-            scratch.route_to_many(snapshot, destinations)
+        for step, snapshot in enumerate(snapshots, start=1):
+            scratch.route_to_many(snapshot, orders[step % 2])
         scratch_best = min(scratch_best,
                            (time.perf_counter() - start) / len(snapshots))
 
         router = IncrementalRouter(network)
-        router.route_to_many(base, destinations)
+        router.route_to_many(base, orders[0])
         start = time.perf_counter()
-        for snapshot in snapshots:
-            router.route_to_many(snapshot, destinations)
+        for step, snapshot in enumerate(snapshots, start=1):
+            router.route_to_many(snapshot, orders[step % 2])
         incremental_best = min(
             incremental_best,
             (time.perf_counter() - start) / len(snapshots))
@@ -138,9 +152,12 @@ def test_incremental_speedup_on_sparse_deltas():
 
     speedup = scratch_best / incremental_best
     assert counters.repairs == NUM_STEPS
+    assert counters.full_solves == 1
+    assert counters.destination_changes == 0
 
     rows = [
-        "# incremental routing speedup (S1, frozen-epoch ISL failures)",
+        "# incremental routing speedup (S1, frozen-epoch ISL failures, "
+        "destination order alternating)",
         f"shell                 {SHELL:>10s}",
         f"cities                {NUM_CITIES:10d}",
         f"snapshots             {NUM_STEPS:10d}",

@@ -259,16 +259,18 @@ class MultiDestinationRouting:
         destinations, dst_slot = np.unique(dst_gids, return_inverse=True)
         rows = np.array([self._row_of[gid]
                          for gid in destinations.tolist()])[dst_slot]
-        edges = []
-        for gid in sources.tolist():
-            snapshot.gs_node_id(gid)  # rejects a gid out of range
-            edges.append(snapshot.gsl_edges[gid])
-        widths = [len(edge.satellite_ids) for edge in edges]
-        uplink_sat = np.zeros((len(edges), max([1] + widths)), dtype=np.int64)
+        gs_nodes, sat_ids, lengths = snapshot.gsl_edge_arrays(
+            sources.tolist())
+        # Each GSL goes to its source's row, at its place among that
+        # source's GSLs (they arrive grouped, sources ascending).
+        station = np.searchsorted(sources,
+                                  gs_nodes - snapshot.num_satellites)
+        column = np.arange(len(station)) - np.searchsorted(station, station)
+        uplink_sat = np.zeros((len(sources), column.max(initial=0) + 1),
+                              dtype=np.int64)
         uplink_m = np.full(uplink_sat.shape, np.inf)
-        for i, (edge, width) in enumerate(zip(edges, widths)):
-            uplink_sat[i, :width] = edge.satellite_ids
-            uplink_m[i, :width] = edge.lengths_m
+        uplink_sat[station, column] = sat_ids
+        uplink_m[station, column] = lengths
         sats = uplink_sat[slot]
         totals = uplink_m[slot] + self.distance_m[rows[:, np.newaxis], sats]
         best = np.argmin(totals, axis=1)

@@ -24,6 +24,10 @@ module repairs the previous update's trees in both cases:
   many violations, runs the batched from-scratch
   :meth:`~repro.routing.engine.RoutingEngine.route_to_many`.
 
+The memory is keyed by destination *set*: the same gids in another order
+are the remembered rows gathered into that order (on the remembered
+snapshot) or repaired after permuting them (on a new one).
+
 Bit-identical by construction: the final distance array of Dijkstra
 with positive weights is the unique fixed point of
 ``dist[v] = min_u(dist[u] + w(u, v))`` over float64 — independent of
@@ -193,7 +197,8 @@ class IncrementalPerfCounters:
             re-sum repair gave up: its verify pass found more than
             ``MAX_VIOLATED_SHARE`` of the (tree, vertex) pairs violated.
         destination_changes: Full solves forced by a destination set
-            other than the previous update's.
+            other than the previous update's (the same gids in another
+            order are the same set).
         snapshot_cache_hits: Updates answered from the per-snapshot
             result cache without any graph work.
         edges_changed: Directed edges changed across all diffed updates.
@@ -269,16 +274,20 @@ class IncrementalRouter(RoutingEngine):
                       dst_gids: Sequence[int]) -> MultiDestinationRouting:
         """Forwarding state toward every destination, repaired when cheap.
 
-        Bit-identical to
+        Rows are listed in input order, like the base class's; the
+        remembered update keeps the order it was computed in, so a
+        repeat of its snapshot and destination set in another order is
+        a cache hit gathered into that order.  Bit-identical to
         :meth:`repro.routing.engine.RoutingEngine.route_to_many` on the
         same snapshot, whichever path (cache hit, either repair, or full
         solve) runs.
         """
         unique_gids = self._unique_gids(dst_gids)
-        if (snapshot is self._prev_snapshot
-                and unique_gids == self._prev_result.dst_gids):
-            self.inc_perf.snapshot_cache_hits += 1
-            return self._prev_result
+        if snapshot is self._prev_snapshot:
+            rows = _row_order(self._prev_result, unique_gids)
+            if rows is not None:
+                self.inc_perf.snapshot_cache_hits += 1
+                return _take_rows(self._prev_result, rows, unique_gids)
         self._prev_result = self._update(snapshot, unique_gids)
         self._prev_snapshot = snapshot
         return self._prev_result
@@ -287,19 +296,43 @@ class IncrementalRouter(RoutingEngine):
                coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
                unique_gids: Tuple[int, ...]
                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Repair the remembered trees onto ``graph``, or solve afresh."""
+        """Repair the remembered trees onto ``graph``, or solve afresh.
+
+        The remembered destination *set* decides: in another order its
+        rows are permuted into this update's order first.  The routing
+        graph does not depend on the order (its triplets are sorted), so
+        the repair sees the graph it would have seen.
+        """
         solved = None
         if self._prev_coo is not None:  # else cold: nothing to repair
-            if unique_gids == self._prev_result.dst_gids:
-                solved = self._repair(graph, dst_nodes, coo)
-            else:
+            rows = _row_order(self._prev_result, unique_gids)
+            if rows is None:
                 self.inc_perf.destination_changes += 1
+            else:
+                self._reorder(rows, unique_gids)
+                solved = self._repair(graph, dst_nodes, coo)
         if solved is None:
             solved = super()._trees(graph, dst_nodes, coo, unique_gids)
             self._prev_parent_edge = None
             self.inc_perf.full_solves += 1
         self._prev_coo = coo
         return solved
+
+    def _reorder(self, rows: List[int], unique_gids: Tuple[int, ...]
+                 ) -> None:
+        """Lay the remembered update's rows (and kept tree edges) out in
+        ``unique_gids`` order.
+
+        A method, so no caller's local holds the old result through the
+        repair: the re-sum frees it early (see :meth:`_reweight_trees`).
+        """
+        recalled = _take_rows(self._prev_result, rows, unique_gids)
+        if recalled is self._prev_result:
+            return
+        self._prev_result = recalled
+        if self._prev_parent_edge is not None:
+            self._prev_parent_edge = self._prev_parent_edge.reshape(
+                len(rows), -1)[rows].reshape(-1)
 
     def _repair(self, graph: csr_matrix, dst_nodes: np.ndarray,
                 coo: Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -351,7 +384,7 @@ class IncrementalRouter(RoutingEngine):
            edge (``prev_next_hop[v] == u``) strands ``v`` and its whole
            tree subtree — their old distances may no longer be
            achievable, so they reset to inf
-           (:meth:`_invalidated_mask`).  Vertices whose tree path
+           (:meth:`_invalidated_keys`).  Vertices whose tree path
            survived keep distances that remain achievable upper bounds.
         2. *Seed + settle*: every invalidated vertex is offered its best
            boundary value over still-finite in-neighbours, every
@@ -360,6 +393,11 @@ class IncrementalRouter(RoutingEngine):
            offers to the fixed point (:meth:`_settle`).
         3. *Next hops*: re-derived sparsely from the repaired distances
            (:meth:`_sparse_next_hops`).
+
+        Past the two copies, no phase touches all (D, num_nodes) cells:
+        a distance can only have moved where it was invalidated or the
+        settle lowered it, so those keys alone are compared with the old
+        values.
         """
         assert self._prev_result is not None
         prev = self._prev_result
@@ -369,17 +407,19 @@ class IncrementalRouter(RoutingEngine):
         distances = prev.distance_m.copy()
         next_hop = prev.next_hop.copy()
         csc = graph.tocsc()
-        poison = self._invalidated_mask(prev.next_hop, delta, graph)
-        self.inc_perf.vertices_invalidated += int(poison.sum())
-        keys, offers = self._stranded_seeds(distances, poison, delta, csc)
-        self._settle(distances, keys, offers, graph)
+        invalid = self._invalidated_keys(prev.next_hop, delta, graph)
+        self.inc_perf.vertices_invalidated += len(invalid)
+        keys, offers = self._stranded_seeds(distances, invalid, delta, csc)
+        lowered = self._settle(distances, keys, offers, graph)
+        touched = _dedup(np.concatenate([lowered, invalid]))
+        moved = touched[distances.reshape(-1)[touched]
+                        != prev.distance_m.reshape(-1)[touched]]
         # Besides moved distances, an added, removed or reweighted edge
         # changes what its head can choose from, in every tree.
         changed_heads = _dedup(np.concatenate([delta.worsened_v,
                                                delta.improved_v]))
         self._sparse_next_hops(
-            next_hop, distances,
-            np.flatnonzero((distances != prev.distance_m).reshape(-1)),
+            next_hop, distances, moved,
             (np.arange(num_trees)[:, np.newaxis] * self._num_nodes
              + changed_heads).reshape(-1),
             graph, csc)
@@ -387,9 +427,10 @@ class IncrementalRouter(RoutingEngine):
         return distances, next_hop
 
     @staticmethod
-    def _invalidated_mask(prev_next_hop: np.ndarray, delta: GraphDelta,
+    def _invalidated_keys(prev_next_hop: np.ndarray, delta: GraphDelta,
                           graph: csr_matrix) -> np.ndarray:
-        """(D, num_nodes) bool: vertices whose old distance may be stale.
+        """Sorted keys ``tree * num_nodes + vertex`` whose old distance
+        may be stale.
 
         A vertex is invalidated iff its previous-tree path to the root
         crosses a worsened tree edge.  The subtree closure descends from
@@ -397,56 +438,52 @@ class IncrementalRouter(RoutingEngine):
         is sound: a surviving tree edge ``v -> c`` is still in the new
         adjacency, and a deleted tree edge makes its child ``c`` a seed
         in its own right (the deleted edge is worsened and was ``c``'s
-        tree edge).  Work is proportional to the stranded region, not to
-        ``num_trees * num_nodes``.
+        tree edge).  The keys are the concatenated frontiers: each
+        vertex has one parent, so one seed's walk meets every descendant
+        once, and only a seed below another seed is met twice (the
+        final sort drops the repeat).  Work is proportional to the
+        stranded region, not to ``num_trees * num_nodes``.
         """
-        num_trees, num_nodes = prev_next_hop.shape
-        poison = np.zeros(num_trees * num_nodes, dtype=bool)
+        num_nodes = prev_next_hop.shape[1]
         if not len(delta.worsened_u):
-            return poison.reshape(num_trees, num_nodes)
+            return np.empty(0, dtype=np.int64)
         # Seed: worsened edges that were tree edges, per tree.
-        seeded = prev_next_hop[:, delta.worsened_v] == delta.worsened_u
-        if not seeded.any():
-            return poison.reshape(num_trees, num_nodes)
-        tree_idx, edge_idx = np.nonzero(seeded)
+        tree_idx, edge_idx = np.nonzero(
+            prev_next_hop[:, delta.worsened_v] == delta.worsened_u)
         parents_flat = prev_next_hop.reshape(-1)
-        frontier = _dedup(tree_idx * num_nodes
-                          + delta.worsened_v[edge_idx])
+        frontier = tree_idx * num_nodes + delta.worsened_v[edge_idx]
+        levels = [frontier]
         while len(frontier):
-            poison[frontier] = True
-            flat_idx, tree_rep, tail_rep = _gather_adjacency(
-                graph.indptr, frontier // num_nodes, frontier % num_nodes)
-            heads = graph.indices[flat_idx]
-            keys = tree_rep * num_nodes + heads
+            flat_idx, base, parent_keys = _gather_adjacency(
+                graph.indptr, frontier, num_nodes)
+            keys = base + graph.indices[flat_idx]
             # Children: vertices whose previous tree edge came from the
-            # frontier vertex.  Each child has one parent, so no
-            # deduplication or revisit guard is needed.
-            child = parents_flat[keys] == tail_rep
-            frontier = keys[child]
-        return poison.reshape(num_trees, num_nodes)
+            # frontier vertex.
+            frontier = keys[parents_flat[keys] == parent_keys - base]
+            levels.append(frontier)
+        return _dedup(np.concatenate(levels))
 
     @staticmethod
-    def _stranded_seeds(dist: np.ndarray, poison: np.ndarray,
+    def _stranded_seeds(dist: np.ndarray, invalid: np.ndarray,
                         delta: GraphDelta, csc
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Reset invalidated vertices to inf and collect what to offer.
 
         Returns ``(keys, offers)`` for :meth:`_settle`: each invalidated
-        vertex's finite boundary values ``dist[u] + w`` over its
-        in-neighbours, and ``dist[u] + w_new`` to the head of every
-        improved edge, keyed by ``tree * num_nodes + vertex``.
+        vertex's (``invalid``: :meth:`_invalidated_keys`) finite boundary
+        values ``dist[u] + w`` over its in-neighbours, and
+        ``dist[u] + w_new`` to the head of every improved edge, keyed by
+        ``tree * num_nodes + vertex``.
         """
         num_trees, num_nodes = dist.shape
         flat = dist.reshape(-1)
         key_parts = [np.empty(0, dtype=np.int64)]
         offer_parts = [np.empty(0)]
-        aff_keys = np.flatnonzero(poison.reshape(-1))
-        if len(aff_keys):
-            flat[aff_keys] = np.inf
-            flat_idx, tree_rep, head_rep = _gather_adjacency(
-                csc.indptr, aff_keys // num_nodes, aff_keys % num_nodes)
-            base = tree_rep * num_nodes
-            key_parts.append(base + head_rep)
+        if len(invalid):
+            flat[invalid] = np.inf
+            flat_idx, base, heads = _gather_adjacency(csc.indptr, invalid,
+                                                      num_nodes)
+            key_parts.append(heads)
             offer_parts.append(flat[base + csc.indices[flat_idx]]
                                + csc.data[flat_idx])
         if len(delta.improved_u):
@@ -569,10 +606,9 @@ class IncrementalRouter(RoutingEngine):
             np.minimum.at(flat, keys, offers)
             frontier = _dedup(keys[flat[keys] < before])
             lowered.append(frontier)
-            flat_idx, tree_rep, tail_rep = _gather_adjacency(
-                graph.indptr, frontier // num_nodes, frontier % num_nodes)
-            base = tree_rep * num_nodes
-            offers = flat[base + tail_rep] + graph.data[flat_idx]
+            flat_idx, base, tails = _gather_adjacency(graph.indptr, frontier,
+                                                      num_nodes)
+            offers = flat[tails] + graph.data[flat_idx]
             keys = base + graph.indices[flat_idx]
         return _dedup(np.concatenate(lowered))
 
@@ -603,15 +639,12 @@ class IncrementalRouter(RoutingEngine):
         parts = [extra_keys]
         if len(moved_keys):
             parts.append(moved_keys)
-            flat_idx, tree_rep, _ = _gather_adjacency(
-                graph.indptr, moved_keys // num_nodes,
-                moved_keys % num_nodes)
-            parts.append(tree_rep * num_nodes + graph.indices[flat_idx])
+            flat_idx, base, _ = _gather_adjacency(graph.indptr, moved_keys,
+                                                  num_nodes)
+            parts.append(base + graph.indices[flat_idx])
         keys = _dedup(np.concatenate(parts))
-        flat_idx, tree_rep, head_rep = _gather_adjacency(
-            csc.indptr, keys // num_nodes, keys % num_nodes)
-        base = tree_rep * num_nodes
-        head_keys = base + head_rep
+        flat_idx, base, head_keys = _gather_adjacency(csc.indptr, keys,
+                                                      num_nodes)
         head_d = flat[head_keys]
         tight = np.flatnonzero(
             (flat[base + csc.indices[flat_idx]] + csc.data[flat_idx]
@@ -628,6 +661,34 @@ class IncrementalRouter(RoutingEngine):
         hops[keys] = UNREACHABLE
         hops[parent_keys] = csc.indices[parent_pos]
         return keys, parent_keys, parent_pos
+
+
+def _row_order(result: MultiDestinationRouting,
+               unique_gids: Tuple[int, ...]) -> Optional[List[int]]:
+    """Where each of ``unique_gids`` sits in ``result``: its rows in that
+    order, or None when ``unique_gids`` is another destination set."""
+    if len(unique_gids) != len(result.dst_gids):
+        return None
+    rows = [result._row_of.get(gid) for gid in unique_gids]
+    return None if None in rows else rows
+
+
+def _take_rows(result: MultiDestinationRouting, rows: List[int],
+               unique_gids: Tuple[int, ...]) -> MultiDestinationRouting:
+    """``result`` with its rows gathered into ``unique_gids`` order.
+
+    Exact: every row is an independent single-root tree, so another
+    order of the same destinations holds the same rows.
+    """
+    if unique_gids == result.dst_gids:
+        return result
+    return MultiDestinationRouting(
+        dst_gids=unique_gids,
+        dst_nodes=result.dst_nodes[rows],
+        distance_m=result.distance_m[rows],
+        next_hop=result.next_hop[rows],
+        _row_of={gid: i for i, gid in enumerate(unique_gids)},
+    )
 
 
 def _parent_edges(next_hop: np.ndarray, rows: np.ndarray,
@@ -806,23 +867,24 @@ def _dedup(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _gather_adjacency(indptr: np.ndarray, tree_idx: np.ndarray,
-                      vertex_idx: np.ndarray
+def _gather_adjacency(indptr: np.ndarray, keys: np.ndarray, num_nodes: int
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat adjacency positions of many (tree, vertex) pairs at once.
+    """Flat adjacency positions of many ``tree * num_nodes + vertex``
+    keys at once.
 
-    Returns ``(flat_idx, tree_rep, vertex_rep)``: ``flat_idx`` indexes
-    the CSR/CSC ``indices``/``data`` arrays with every incident edge of
-    every requested vertex, and the ``*_rep`` arrays repeat each input
-    pair once per such edge.
+    Returns ``(flat_idx, base_rep, key_rep)``: ``flat_idx`` indexes the
+    CSR/CSC ``indices``/``data`` arrays with every incident edge of
+    every requested vertex; ``key_rep`` repeats each key once per such
+    edge and ``base_rep`` its tree's ``tree * num_nodes``, so
+    ``base_rep + indices[flat_idx]`` keys the far ends in the same tree.
     """
-    starts = indptr[vertex_idx].astype(np.int64)
-    lengths = indptr[vertex_idx + 1].astype(np.int64) - starts
-    total = int(lengths.sum())
+    vertex = keys % num_nodes
+    starts = indptr[vertex]
+    lengths = indptr[vertex + 1] - starts
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    flat_idx = np.repeat(starts - offsets, lengths) + np.arange(total)
-    return flat_idx, np.repeat(tree_idx, lengths), np.repeat(vertex_idx,
-                                                             lengths)
+    flat_idx = (starts - ends + lengths).repeat(lengths) + np.arange(total)
+    return flat_idx, (keys - vertex).repeat(lengths), keys.repeat(lengths)

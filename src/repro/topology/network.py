@@ -84,25 +84,20 @@ class TopologySnapshot:
             with one entry per admissible GSL of the listed stations, in
             input order.  Disconnected stations contribute nothing.
         """
-        nodes_list: List[np.ndarray] = []
-        sats_list: List[np.ndarray] = []
-        lengths_list: List[np.ndarray] = []
-        for gid in gids:
-            edges = self.gsl_edges[gid]
-            if not edges.is_connected:
-                continue
-            node = self.gs_node_id(gid)
-            nodes_list.append(np.full(len(edges.satellite_ids), node,
-                                      dtype=np.int64))
-            sats_list.append(edges.satellite_ids.astype(np.int64))
-            lengths_list.append(edges.lengths_m.astype(np.float64))
-        if not nodes_list:
+        if not len(gids):
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.int64),
                     np.empty(0))
-        return (np.concatenate(nodes_list),
-                np.concatenate(sats_list),
-                np.concatenate(lengths_list))
+        self.gs_node_id(min(gids))  # rejects a gid out of range
+        self.gs_node_id(max(gids))
+        edges = [self.gsl_edges[gid] for gid in gids]
+        nodes = np.repeat(
+            np.asarray(gids, dtype=np.int64) + self.num_satellites,
+            [len(edge.satellite_ids) for edge in edges])
+        sats = np.concatenate([edge.satellite_ids for edge in edges])
+        lengths = np.concatenate([edge.lengths_m for edge in edges])
+        return (nodes, sats.astype(np.int64, copy=False),
+                lengths.astype(np.float64, copy=False))
 
     def to_networkx(self) -> nx.Graph:
         """The snapshot as a weighted undirected networkx graph.

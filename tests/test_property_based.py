@@ -742,11 +742,12 @@ class TestIncrementalRoutingProperties:
            st.lists(st.integers(min_value=0, max_value=_WALK_STATIONS - 1),
                     unique=True, min_size=1),
            st.sampled_from([0.0, 0.1, 2.0]),
-           st.booleans())
+           st.booleans(),
+           st.data())
     @settings(max_examples=150, deadline=None)
     def test_every_update_equals_from_scratch(self, steps, destinations,
                                               sparse_share,
-                                              never_give_up):
+                                              never_give_up, data):
         from unittest import mock
 
         from repro.routing import incremental
@@ -763,9 +764,12 @@ class TestIncrementalRoutingProperties:
                                  SPARSE_DELTA_SHARE=sparse_share):
             for index, (link_lengths, gsl_lengths) in enumerate(steps):
                 snapshot = _walk_snapshot(index, link_lengths, gsl_lengths)
+                # The same set in a fresh order each step: still repairs.
+                order = data.draw(st.permutations(destinations))
                 expected = RoutingEngine(network).route_to_many(
-                    snapshot, destinations)
-                repaired = router.route_to_many(snapshot, destinations)
+                    snapshot, order)
+                repaired = router.route_to_many(snapshot, order)
+                assert expected.dst_gids == repaired.dst_gids
                 assert np.array_equal(expected.distance_m,
                                       repaired.distance_m)
                 assert np.array_equal(expected.next_hop, repaired.next_hop)

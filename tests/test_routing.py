@@ -14,7 +14,7 @@ from repro.ground.stations import GroundStation, relay_grid_between
 from repro.orbits.shell import Shell
 from repro.routing.engine import UNREACHABLE, RoutingEngine
 from repro.sweep.engine import sweep_timelines
-from repro.topology.gsl import GslEdges
+from repro.topology.gsl import GslEdges, GslPolicy
 from repro.topology.dynamic_state import (
     PairTimeline,
     count_path_changes,
@@ -24,7 +24,8 @@ from repro.topology.dynamic_state import (
 from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
-from _routing_oracle import scalar_path_and_distance
+from _routing_oracle import (scalar_path_and_distance,
+                             station_loop_gsl_edge_arrays)
 
 
 @pytest.fixture
@@ -122,9 +123,21 @@ class TestBatchedRouting:
     def test_source_ingress_many_matches_scalar(self, small_network,
                                                 engine):
         """The batched ingress table picks the scalar rule's satellite
-        and total for every (source, destination) pair."""
+        and total for every (source, destination) pair — a disconnected
+        source and one whose two GSLs tie exactly included."""
         snap = small_network.snapshot(0.0)
         multi = engine.route_to_many(snap, [1, 2, 4])
+        # Sources are not destinations here, so their GSLs can change
+        # without touching the trees.  Source 0 loses its GSLs; source 3
+        # gets two whose totals toward destination 1 are bit-equal
+        # (a + b == b + a), the larger satellite id in the first slot.
+        to_dst = multi.routing_for(1).distance_m
+        high, low = 57, 12
+        snap = dataclasses.replace(snap, gsl_edges={
+            **snap.gsl_edges,
+            0: GslEdges(0, np.empty(0, dtype=np.int64), np.empty(0)),
+            3: GslEdges(3, np.array([high, low]),
+                        np.array([to_dst[low], to_dst[high]]))})
         pairs = [(src, dst) for src in range(6) for dst in multi.dst_gids]
         rows, ingress, totals = multi.pair_ingress(
             snap, *np.array(pairs, dtype=np.int64).T)
@@ -135,6 +148,11 @@ class TestBatchedRouting:
             assert totals[i] == expected_total
             if expected_sat is not None:
                 assert ingress[i] == expected_sat
+        assert np.isinf(totals[[i for i, (src, _) in enumerate(pairs)
+                                if src == 0]]).all()
+        tied = pairs.index((3, 1))
+        assert totals[tied] == to_dst[low] + to_dst[high]
+        assert ingress[tied] == high
 
     def test_transit_cache_reused_within_snapshot(self, small_network,
                                                   engine):
@@ -162,6 +180,57 @@ class TestBatchedRouting:
 
     def test_paths_many_empty(self, small_network, engine):
         assert engine.paths_many(small_network.snapshot(0.0), []) == []
+
+
+class TestStationEdgeGather:
+    """``gsl_edge_arrays`` equals the per-station loop it replaced,
+    arrays and dtypes."""
+
+    @staticmethod
+    def assert_gathers_match(snapshot, gids):
+        expected = station_loop_gsl_edge_arrays(snapshot, gids)
+        for want, got in zip(expected, snapshot.gsl_edge_arrays(gids)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_stations_in_any_order(self, small_network):
+        snap = small_network.snapshot(0.0)
+        for gids in ([], [3], list(range(6)), [5, 0, 2]):
+            self.assert_gathers_match(snap, gids)
+
+    def test_disconnected_station(self, small_constellation, small_stations):
+        # A polar station never sees the 53-degree shell.
+        pole = GroundStation(gid=6, name="Pole",
+                             position=GeodeticPosition(89.0, 0.0, 0.0))
+        network = LeoNetwork(small_constellation, small_stations + [pole],
+                             min_elevation_deg=10.0)
+        snap = network.snapshot(0.0)
+        assert not snap.gsl_edges[6].is_connected
+        for gids in ([6], [1, 6, 4], [6, 0]):
+            self.assert_gathers_match(snap, gids)
+
+    def test_relay_gids(self, small_constellation, small_stations):
+        relays = relay_grid_between(
+            small_stations[5].position, small_stations[1].position,
+            rows=3, columns=3, margin_deg=5.0, first_gid=6)
+        network = LeoNetwork(small_constellation, small_stations + relays,
+                             min_elevation_deg=10.0, isl_builder=no_isls)
+        snap = network.snapshot(100.0)
+        relay_gids = sorted(snap.relay_gids)
+        assert relay_gids
+        self.assert_gathers_match(snap, relay_gids)
+        self.assert_gathers_match(snap, [1] + relay_gids[::-1] + [5])
+
+    def test_nearest_only(self, small_constellation, small_stations):
+        network = LeoNetwork(small_constellation, small_stations,
+                             min_elevation_deg=10.0,
+                             gsl_policy=GslPolicy.NEAREST_ONLY)
+        snap = network.snapshot(0.0)
+        self.assert_gathers_match(snap, [4, 0, 5, 1])
+
+    def test_gid_out_of_range_rejected(self, small_network):
+        with pytest.raises(ValueError):
+            small_network.snapshot(0.0).gsl_edge_arrays([0, 6])
 
 
 class TestPairQueries:

@@ -13,6 +13,7 @@ the re-sum repair.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from scipy.sparse import csr_matrix
 from repro.faults import FaultEvent, FaultSchedule
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation, relay_grid_between
+from repro.routing import incremental
 from repro.routing.engine import UNREACHABLE, RoutingEngine
 from repro.routing.incremental import (IncrementalPerfCounters,
                                        IncrementalRouter, diff_graphs)
@@ -195,6 +197,44 @@ class TestIncrementalParity:
         assert second is first
         assert router.inc_perf.snapshot_cache_hits == 1
 
+    def test_same_set_in_another_order(self, small_network):
+        # The memory is keyed by destination set: a reordered request is
+        # the remembered rows gathered (same snapshot) or permuted and
+        # repaired (next snapshot), never a solve.
+        router = IncrementalRouter(small_network)
+        snapshot = small_network.snapshot(0.0)
+        router.route_to_many(snapshot, DESTINATIONS)
+        reverse = DESTINATIONS[::-1]
+        hit = router.route_to_many(snapshot, reverse)
+        assert router.inc_perf.snapshot_cache_hits == 1
+        assert router.inc_perf.full_solves == 1
+        assert_same_routing(
+            RoutingEngine(small_network).route_to_many(snapshot, reverse), hit)
+        third = [DESTINATIONS[i] for i in (2, 0, 3, 1)]
+        later = masked_variant(snapshot, [3, 17, 40])
+        repaired = router.route_to_many(later, third)
+        counters = router.inc_perf
+        assert (counters.repairs, counters.full_solves,
+                counters.destination_changes) == (1, 1, 0)
+        assert_same_routing(
+            RoutingEngine(small_network).route_to_many(later, third),
+            repaired)
+
+    def test_reordered_set_takes_the_resum_repair(self, small_network):
+        # Two dense deltas in fresh orders: the second permutes the tree
+        # edges the first re-sum kept.
+        router = IncrementalRouter(small_network)
+        orders = [DESTINATIONS, DESTINATIONS[::-1], [4, 1, 5, 2]]
+        for time_s, order in zip((3.0, 4.0, 5.0), orders):
+            snapshot = small_network.snapshot(time_s)
+            assert_same_routing(
+                RoutingEngine(small_network).route_to_many(snapshot, order),
+                router.route_to_many(snapshot, order))
+        counters = router.inc_perf
+        assert counters.reweight_repairs == 2
+        assert counters.full_solves == 1
+        assert counters.destination_changes == 0
+
     def test_destination_change_forces_full_solve(self, small_network,
                                                   affected_vertex_always):
         router = IncrementalRouter(small_network)
@@ -354,6 +394,27 @@ class TestReweightRepair:
         assert np.array_equal(first.distance_m, distances)
         assert np.array_equal(first.next_hop, next_hops)
         assert np.array_equal(distance_view, distances[0])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_resum_lets_go_of_the_remembered_update(self, small_network,
+                                                    monkeypatch, reverse):
+        # With no caller holding the old result, its distances are gone
+        # before the re-sum's own (D, num_nodes) arrays exist — in the
+        # remembered order and in another one.
+        router = IncrementalRouter(small_network)
+        old = weakref.ref(router.route_to_many(
+            small_network.snapshot(3.0), DESTINATIONS).distance_m)
+        freed = []
+        resum = incremental._resum
+
+        def spy(*args):
+            freed.append(old() is None)
+            return resum(*args)
+
+        monkeypatch.setattr(incremental, "_resum", spy)
+        router.route_to_many(small_network.snapshot(4.0),
+                             DESTINATIONS[::-1] if reverse else DESTINATIONS)
+        assert freed == [True]
 
     def test_mixed_sparse_and_dense_deltas(self, small_network):
         # The two repairs alternate on one router: the re-sum repair's
