@@ -74,7 +74,10 @@ bench-faults:
 	$(PYTHON) -m pytest benchmarks/test_extension_resilience.py -q -o testpaths=
 
 # Traffic-model gate: ~1000 finite flows must arrive, get re-solved
-# allocations, and complete on the Starlink S1 shell.
+# allocations, and complete on the Starlink S1 shell — through the
+# event-driven sub-event loop, bit-identical to the rescanning reference
+# loop in tests/_fluid_oracle.py (step time per solve of both goes to
+# results/traffic_churn.txt).
 bench-traffic:
 	$(PYTHON) -m pytest benchmarks/test_traffic_churn.py -q -o testpaths=
 

@@ -22,8 +22,10 @@ checks the two engines agree on small scenarios.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isfinite
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -760,6 +762,18 @@ class FluidSimulation:
         flows).  It is built once; every arrival/completion inside the
         step is a row activation over that fixed matrix — each row
         weighted by its active members — not a rebuild.
+
+        The first solve, at the snapshot instant, runs on arrays over
+        every candidate and is the one recorded; a static workload makes
+        no other.  Every later one is driven by events: arrivals come off
+        one start-sorted list, the active set is kept rather than
+        recomputed (a flow joins when it arrives, leaves when its
+        residual reaches 0 — the only times either changes within a
+        step), and the re-solve, next event and integration run on
+        Python scalars over the active flows alone.  Python floats are
+        IEEE doubles and every update is the same elementwise operation
+        the arrays made, so the outcome is bit-identical to re-solving
+        over all candidates at every event.
         """
         profiler = spans.ACTIVE
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
@@ -774,82 +788,145 @@ class FluidSimulation:
         keys = matrix.link_keys
 
         starts, residual_bits = state.starts, state.residual_bits
+        delivered_bits, fct_s = state.delivered_bits, state.fct_s
         step_end = time_s + state.step_s
         starts_c = starts[candidates]
         row_demands = state.demand_caps[lead]
         has_path = (hop_counts > 0)[row_of_cand]
         loop_span = (profiler.begin("fluid.subevents")
                      if profiler.enabled else -1)
-        tau = time_s
-        recorded = False
-        while True:
-            active = np.flatnonzero((starts_c <= tau + _TIME_EPS_S)
-                                    & (residual_bits[candidates] > 0.0)
-                                    & has_path)
-            solve_span = (profiler.begin("fluid.waterfill")
-                          if profiler.enabled else -1)
-            # Solve each row once, weighted by its active members, rows
-            # ordered by their first *active* member so the columns keep
-            # the per-flow first-appearance order.  With one member per
-            # row (the common small solve) ``rows`` is that already.
-            rows = row_of_cand[active]
-            members = np.bincount(rows, minlength=matrix.num_flows)
-            solved, slot, copies = rows, slice(None), None
-            if np.count_nonzero(members) < rows.size:
-                slot, opener = first_appearance_rows(rows, members.size)
-                solved = rows[opener]
-                copies = members[solved]
-            allocated = waterfill(matrix, demands=row_demands, active=solved,
-                                  multiplicity=copies)[slot]
-            if solve_span != -1:
-                profiler.end(solve_span)
-            state.solves += 1
-            global_active = candidates[active]
-            if not recorded:
-                # Flow by flow in traversal order: the bits of a load
-                # depend on the order its rates were added in.
-                load_arr = matrix.link_loads(allocated, rows)
-                # A link is recorded iff a row with an active member
-                # crosses it, carrying rate or not.
-                crossed = np.zeros(matrix.num_links, dtype=bool)
-                crossed[matrix.link_index[np.repeat(
-                    members > 0, np.diff(matrix.indptr))]] = True
-                loads = {keys[j]: float(load_arr[j])
-                         for j in np.flatnonzero(crossed)}
-                state.rates[t_index, global_active] = allocated
-                self._record_snapshot(state, t_index, time_s, step, loads,
-                                      active_count=len(active))
-                recorded = True
-            next_tau = step_end
-            pending = starts_c[(starts_c > tau + _TIME_EPS_S)
-                               & (starts_c < next_tau)]
-            if pending.size:
-                next_tau = float(pending.min())
-            res_act = residual_bits[global_active]
-            finishing = np.isfinite(res_act) & (allocated > 0.0)
-            if finishing.any():
-                done = tau + np.maximum(
-                    res_act[finishing] / allocated[finishing], _TIME_EPS_S)
-                earliest = float(done.min())
-                if earliest < next_tau:
-                    next_tau = earliest
-            dt = next_tau - tau
-            if dt > 0.0 and active.size:
-                positive = allocated > 0.0
-                g_pos = global_active[positive]
-                served = np.minimum(allocated[positive] * dt,
-                                    residual_bits[g_pos])
-                state.delivered_bits[g_pos] += served
-                finite = np.isfinite(residual_bits[g_pos])
-                g_fin = g_pos[finite]
-                residual_bits[g_fin] -= served[finite]
-                completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
-                g_done = g_fin[completed]
-                residual_bits[g_done] = 0.0
-                state.fct_s[g_done] = next_tau - starts[g_done]
-            tau = next_tau
-            if tau >= step_end - _TIME_EPS_S:
-                break
+        # The step's arrivals by start, ties in candidate order.  Every
+        # candidate starts before ``step_end``; path-less ones stay in
+        # the list, since their arrival splits the interval all the same.
+        later = np.flatnonzero(starts_c > time_s + _TIME_EPS_S)
+        later = later[np.argsort(starts_c[later], kind="stable")]
+        arrival_s = starts_c[later].tolist()
+
+        # The snapshot solve, on arrays over every active candidate.
+        active = np.flatnonzero((starts_c <= time_s + _TIME_EPS_S)
+                                & (residual_bits[candidates] > 0.0)
+                                & has_path)
+        solve_span = (profiler.begin("fluid.waterfill")
+                      if profiler.enabled else -1)
+        # Solve each row once, weighted by its active members, rows
+        # ordered by their first *active* member so the columns keep the
+        # per-flow first-appearance order.  With one member per row
+        # ``rows`` is that already.
+        rows = row_of_cand[active]
+        members = np.bincount(rows, minlength=matrix.num_flows)
+        solved, slot, copies = rows, slice(None), None
+        if np.count_nonzero(members) < rows.size:
+            slot, opener = first_appearance_rows(rows, members.size)
+            solved = rows[opener]
+            copies = members[solved]
+        allocated = waterfill(matrix, demands=row_demands, active=solved,
+                              multiplicity=copies)[slot]
+        if solve_span != -1:
+            profiler.end(solve_span)
+        state.solves += 1
+        global_active = candidates[active]
+        # Flow by flow in traversal order: the bits of a load depend on
+        # the order its rates were added in.
+        load_arr = matrix.link_loads(allocated, rows)
+        # A link is recorded iff a row with an active member crosses it,
+        # carrying rate or not.
+        crossed = np.zeros(matrix.num_links, dtype=bool)
+        crossed[matrix.link_index[np.repeat(
+            members > 0, np.diff(matrix.indptr))]] = True
+        loads = {keys[j]: float(load_arr[j])
+                 for j in np.flatnonzero(crossed)}
+        state.rates[t_index, global_active] = allocated
+        self._record_snapshot(state, t_index, time_s, step, loads,
+                              active_count=len(active))
+        next_tau = arrival_s[0] if arrival_s else step_end
+        res_act = residual_bits[global_active]
+        finishing = np.isfinite(res_act) & (allocated > 0.0)
+        if finishing.any():
+            done = time_s + np.maximum(
+                res_act[finishing] / allocated[finishing], _TIME_EPS_S)
+            next_tau = min(next_tau, float(done.min()))
+        dt = next_tau - time_s
+        if dt > 0.0 and active.size:
+            positive = allocated > 0.0
+            g_pos = global_active[positive]
+            served = np.minimum(allocated[positive] * dt,
+                                residual_bits[g_pos])
+            delivered_bits[g_pos] += served
+            finite = np.isfinite(residual_bits[g_pos])
+            g_fin = g_pos[finite]
+            residual_bits[g_fin] -= served[finite]
+            completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
+            g_done = g_fin[completed]
+            residual_bits[g_done] = 0.0
+            fct_s[g_done] = next_tau - starts[g_done]
+        tau = next_tau
+        if tau < step_end - _TIME_EPS_S:
+            # Re-solves, on scalars over the kept active set: candidate
+            # positions in candidate order, as the mask above lists them.
+            cand = candidates.tolist()
+            row_of = row_of_cand.tolist()
+            path_of = has_path.tolist()
+            arrival_pos = later.tolist()
+            kept = active[residual_bits[global_active] > 0.0].tolist()
+            arrived = 0
+            while tau < step_end - _TIME_EPS_S:
+                while (arrived < len(arrival_s)
+                       and arrival_s[arrived] <= tau + _TIME_EPS_S):
+                    pos = arrival_pos[arrived]
+                    if path_of[pos] and residual_bits.item(cand[pos]) > 0.0:
+                        insort(kept, pos)
+                    arrived += 1
+                flows = [cand[pos] for pos in kept]
+                rows = [row_of[pos] for pos in kept]
+                rates = []
+                if kept:
+                    solve_span = (profiler.begin("fluid.waterfill")
+                                  if profiler.enabled else -1)
+                    # Row -> active members, in first-active order.
+                    copies = dict.fromkeys(rows, 0)
+                    for row in rows:
+                        copies[row] += 1
+                    solved = list(copies)
+                    rate_of = dict(zip(solved, waterfill(
+                        matrix, demands=row_demands, active=solved,
+                        multiplicity=(None if len(solved) == len(rows)
+                                      else list(copies.values()))
+                        ).tolist()))
+                    rates = [rate_of[row] for row in rows]
+                    if solve_span != -1:
+                        profiler.end(solve_span)
+                state.solves += 1
+                next_tau = (arrival_s[arrived] if arrived < len(arrival_s)
+                            else step_end)
+                residuals = [residual_bits.item(flow) for flow in flows]
+                for res, rate in zip(residuals, rates):
+                    if rate > 0.0 and isfinite(res):
+                        wait = res / rate
+                        done = tau + (wait if wait > _TIME_EPS_S
+                                      else _TIME_EPS_S)
+                        if done < next_tau:
+                            next_tau = done
+                dt = next_tau - tau
+                if dt > 0.0 and kept:
+                    left = []
+                    for pos, flow, res, rate in zip(kept, flows, residuals,
+                                                    rates):
+                        if rate > 0.0:
+                            served = rate * dt
+                            if res < served:
+                                served = res
+                            delivered_bits[flow] = (
+                                delivered_bits.item(flow) + served)
+                            if isfinite(res):
+                                res -= served
+                                if res <= _RESIDUAL_EPS_BITS:
+                                    residual_bits[flow] = 0.0
+                                    fct_s[flow] = next_tau - starts.item(flow)
+                                    continue
+                                residual_bits[flow] = res
+                        left.append(pos)
+                    kept = left
+                tau = next_tau
         if loop_span != -1:
             profiler.end(loop_span)
 

@@ -1,6 +1,8 @@
 """Fluid oracle: the pure-Python progressive-filling reference allocator,
-and a check that recomputes every recorded snapshot row of a
-:class:`~repro.fluid.engine.FluidResult` with it and demands bit-equality.
+a check that recomputes every recorded snapshot row of a
+:class:`~repro.fluid.engine.FluidResult` with it and demands bit-equality,
+and :class:`RescanningFluidSimulation`, the max-min step that re-solves
+over every candidate at every sub-event.
 
 The fluid engine models long-running TCP flows as attaining the max-min
 fair share of their paths — the classic idealization of TCP-like transport
@@ -20,8 +22,12 @@ from typing import Dict, Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.fluid.engine import (_ELASTIC_DEMAND_CAPACITIES, _TIME_EPS_S,
-                                path_devices)
+from repro.fluid.engine import (_ELASTIC_DEMAND_CAPACITIES,
+                                _RESIDUAL_EPS_BITS, _TIME_EPS_S,
+                                FluidSimulation, first_appearance_rows,
+                                flow_link_matrix_from_paths, path_devices)
+from repro.fluid.vectorized import waterfill
+from repro.obs import spans
 
 
 def max_min_fair_allocation(
@@ -191,3 +197,105 @@ def assert_result_matches_oracle(result, flows, capacity_overrides=None):
                 loads[link] = loads.get(link, 0.0) + rate
         assert result.device_load_bps[t_index] == loads, (
             f"snapshot {t_index}: device loads diverge from the oracle")
+
+
+class RescanningFluidSimulation(FluidSimulation):
+    """The max-min engine with the sub-event loop it had before its
+    re-solves were driven by events: every arrival or completion
+    rebuilds the active mask over all the step's candidates, rescans
+    every start for the next arrival and integrates with fancy indexing.
+    The product's event-driven step must equal it bit for bit, with the
+    same number of solves."""
+
+    def _step(self, state, t_index, time_s, step, faults):
+        profiler = spans.ACTIVE
+        candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
+                                         step.lead)
+        build_span = (profiler.begin("fluid.matrix_build")
+                      if profiler.enabled else -1)
+        matrix, hop_counts = flow_link_matrix_from_paths(
+            step.table, step.counts, self._num_sats, self.network.num_nodes,
+            lambda keys: self._device_capacities(keys, faults, time_s))
+        if build_span != -1:
+            profiler.end(build_span)
+        keys = matrix.link_keys
+
+        starts, residual_bits = state.starts, state.residual_bits
+        step_end = time_s + state.step_s
+        starts_c = starts[candidates]
+        row_demands = state.demand_caps[lead]
+        has_path = (hop_counts > 0)[row_of_cand]
+        loop_span = (profiler.begin("fluid.subevents")
+                     if profiler.enabled else -1)
+        tau = time_s
+        recorded = False
+        while True:
+            active = np.flatnonzero((starts_c <= tau + _TIME_EPS_S)
+                                    & (residual_bits[candidates] > 0.0)
+                                    & has_path)
+            solve_span = (profiler.begin("fluid.waterfill")
+                          if profiler.enabled else -1)
+            # Solve each row once, weighted by its active members, rows
+            # ordered by their first *active* member so the columns keep
+            # the per-flow first-appearance order.  With one member per
+            # row (the common small solve) ``rows`` is that already.
+            rows = row_of_cand[active]
+            members = np.bincount(rows, minlength=matrix.num_flows)
+            solved, slot, copies = rows, slice(None), None
+            if np.count_nonzero(members) < rows.size:
+                slot, opener = first_appearance_rows(rows, members.size)
+                solved = rows[opener]
+                copies = members[solved]
+            allocated = waterfill(matrix, demands=row_demands, active=solved,
+                                  multiplicity=copies)[slot]
+            if solve_span != -1:
+                profiler.end(solve_span)
+            state.solves += 1
+            global_active = candidates[active]
+            if not recorded:
+                # Flow by flow in traversal order: the bits of a load
+                # depend on the order its rates were added in.
+                load_arr = matrix.link_loads(allocated, rows)
+                # A link is recorded iff a row with an active member
+                # crosses it, carrying rate or not.
+                crossed = np.zeros(matrix.num_links, dtype=bool)
+                crossed[matrix.link_index[np.repeat(
+                    members > 0, np.diff(matrix.indptr))]] = True
+                loads = {keys[j]: float(load_arr[j])
+                         for j in np.flatnonzero(crossed)}
+                state.rates[t_index, global_active] = allocated
+                self._record_snapshot(state, t_index, time_s, step, loads,
+                                      active_count=len(active))
+                recorded = True
+            next_tau = step_end
+            pending = starts_c[(starts_c > tau + _TIME_EPS_S)
+                               & (starts_c < next_tau)]
+            if pending.size:
+                next_tau = float(pending.min())
+            res_act = residual_bits[global_active]
+            finishing = np.isfinite(res_act) & (allocated > 0.0)
+            if finishing.any():
+                done = tau + np.maximum(
+                    res_act[finishing] / allocated[finishing], _TIME_EPS_S)
+                earliest = float(done.min())
+                if earliest < next_tau:
+                    next_tau = earliest
+            dt = next_tau - tau
+            if dt > 0.0 and active.size:
+                positive = allocated > 0.0
+                g_pos = global_active[positive]
+                served = np.minimum(allocated[positive] * dt,
+                                    residual_bits[g_pos])
+                state.delivered_bits[g_pos] += served
+                finite = np.isfinite(residual_bits[g_pos])
+                g_fin = g_pos[finite]
+                residual_bits[g_fin] -= served[finite]
+                completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
+                g_done = g_fin[completed]
+                residual_bits[g_done] = 0.0
+                state.fct_s[g_done] = next_tau - starts[g_done]
+            tau = next_tau
+            if tau >= step_end - _TIME_EPS_S:
+                break
+        if loop_span != -1:
+            profiler.end(loop_span)

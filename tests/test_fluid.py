@@ -6,13 +6,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Hypatia, random_permutation_pairs
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.fluid.aimd import AimdFluidSimulation, AimdRunState
-from repro.fluid.engine import (FluidFlow, FluidSimulation,
+from repro.fluid.engine import (_TIME_EPS_S, FluidFlow, FluidSimulation,
                                 first_appearance_columns,
                                 first_appearance_rows, path_devices)
 from repro.routing.engine import UNREACHABLE, RoutingEngine
@@ -23,7 +23,8 @@ from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     _waterfill_arrays, _waterfill_scalars,
                                     max_min_fair_allocation, waterfill)
 
-from _fluid_oracle import assert_result_matches_oracle
+from _fluid_oracle import (RescanningFluidSimulation,
+                           assert_result_matches_oracle)
 from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 
 # The reference oracle, then the product's allocator (test ids date from
@@ -936,6 +937,12 @@ MAXMIN_PINS = {
     },
 }
 
+#: ``perf["allocations_solved"]`` of the same five runs, recorded on the
+#: commit before the sub-event loop was driven by events (when every
+#: re-solve rescanned all of the step's candidates).
+MAXMIN_SOLVES = {"churn": 356, "frozen": 366, "faults": 218,
+                 "frozen_faults": 230, "straddle": 275}
+
 
 def duplicate_heavy_flows(pairs, horizon_s):
     """~200 flows over ``pairs``: many per pair, two caps per pair, finite
@@ -1012,6 +1019,7 @@ class TestMaxMinOverFlowClasses:
             freeze_topology_at_s=freeze_at_s).run(duration_s, step_s=1.0)
         name = request.node.callspec.params["maxmin_scenario"]
         assert _result_digests(result) == MAXMIN_PINS[name]
+        assert result.perf["allocations_solved"] == MAXMIN_SOLVES[name]
         assert np.isfinite(result.flow_fct_s).sum() > 50
 
     def test_sliced_advance_through_pickle_matches_run(self,
@@ -1169,6 +1177,107 @@ class TestClassStepDifferential:
         simulation.advance(state, max_steps=1)
         assert state.all_paths[3] == [None] * len(self.EARLY)
         assert simulation._router.perf.trees_computed == before
+
+
+# ----------------------------------------------------------------------
+# Event-driven re-solves against the rescanning sub-event loop
+# ----------------------------------------------------------------------
+
+#: Pairs of the differential below: gid 2's are path-less while its GSL
+#: is dark on a moving topology.
+EVENT_PAIRS = [(0, 3), (1, 4), (2, 5), (3, 0), (4, 2), (5, 1), (1, 2)]
+
+
+@st.composite
+def _event_workloads(draw):
+    """Flows whose sub-events tie and nearly tie: starts on a 0.05 s grid
+    plus offsets within the event tolerance (an arrival just before a
+    grid instant can cut a transfer that would end there, leaving a
+    residual due in under the tolerance), groups of same-class flows
+    arriving at one instant (row multiplicity inside a re-solve), finite
+    and infinite sizes, demand caps (inexact binary fractions among them,
+    so a changed solve order shows in the low bits).  Returns
+    ``(flows, attached)``: the last ``attached`` flows join the run
+    mid-way."""
+    flows = []
+    for _ in range(draw(st.integers(1, 8))):
+        src, dst = draw(st.sampled_from(EVENT_PAIRS))
+        start_s = max(draw(st.integers(0, 59)) * 0.05
+                      + draw(st.sampled_from([-0.5 * _TIME_EPS_S, 0.0,
+                                              0.4 * _TIME_EPS_S,
+                                              0.9 * _TIME_EPS_S,
+                                              _TIME_EPS_S])), 0.0)
+        demand = draw(st.sampled_from([np.inf, 1e6, 2.5e6, 1e7 / 3]))
+        for _ in range(draw(st.integers(1, 3))):
+            size = draw(st.sampled_from(
+                [None, 20_000.0, 125_000.0, 400_000.0, 1_500_000.0]))
+            flows.append(FluidFlow(src, dst, demand_bps=demand,
+                                   size_bytes=size, start_s=start_s))
+    return flows, draw(st.integers(0, len(flows)))
+
+
+class TestEventDrivenSubEvents:
+    """The event-driven sub-event loop (kept active set, one sorted
+    arrival list, scalar re-solves) ≡ the rescanning loop it replaced,
+    bit for bit and solve for solve."""
+
+    #: An ISL of gid 0 -> 3's path is cut from 1.5 s (frozen at 1 s, flow
+    #: 0 stays on it at rate 0) and gid 2's GSL is dark from 1.2 s to
+    #: 2.4 s.
+    FAULTS = [FaultEvent.isl_cut(35, 34, 1.5, 3.0),
+              FaultEvent.gsl_cut(2, 1.2, 2.4)]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_event_workloads(), frozen=st.booleans(),
+           step_s=st.sampled_from([0.5, 1.0]),
+           capacity=st.sampled_from([10e6, 1e8 / 3]))
+    # A start exactly the tolerance after another joins that re-solve.
+    @example(case=([FluidFlow(1, 4, start_s=0.5),
+                    FluidFlow(2, 5, start_s=0.5 + _TIME_EPS_S)], 0),
+             frozen=False, step_s=1.0, capacity=10e6)
+    # Three flows of a lower index arrive after three of a higher one:
+    # rows must stay in candidate order, not arrival order, or the tie
+    # between their 1e8/3 / 3 bottlenecks breaks the other way.
+    @example(case=([FluidFlow(2, 5, start_s=0.6) for _ in range(3)]
+                   + [FluidFlow(1, 4, start_s=0.3) for _ in range(3)], 0),
+             frozen=False, step_s=1.0, capacity=1e8 / 3)
+    # An arrival half the tolerance before a 1 Mbit transfer would end
+    # leaves it a residual due in less than the tolerance.
+    @example(case=([FluidFlow(1, 4, size_bytes=125_000.0, start_s=0.5),
+                    FluidFlow(2, 5, start_s=0.6 - 0.5 * _TIME_EPS_S)], 0),
+             frozen=False, step_s=1.0, capacity=10e6)
+    def test_equals_the_rescanning_loop(self, small_network, case, frozen,
+                                        step_s, capacity):
+        small_network.set_faults(FaultSchedule(self.FAULTS, seed=0))
+        drawn, attached = case
+        # Frozen, flow 0 is too large to finish before the cut; moving,
+        # it leaves early, so the active set can run empty.
+        flows = [FluidFlow(0, 3, size_bytes=1e7 if frozen else 1e5)] + drawn
+        early = len(flows) - attached
+
+        def run(engine):
+            simulation = engine(small_network, flows[:early],
+                                link_capacity_bps=capacity,
+                                freeze_topology_at_s=1.0 if frozen else None)
+            state = simulation.start_run(3.0, step_s)
+            simulation.advance(state, max_steps=2)
+            simulation.extend_flows(state, flows[early:])
+            simulation.advance(state)
+            return simulation.finish(state)
+
+        got, expected = run(FluidSimulation), run(RescanningFluidSimulation)
+        _assert_same_result(got, expected)
+        assert (got.perf.get("allocations_solved")
+                == expected.perf.get("allocations_solved"))
+        at_2s = int(np.flatnonzero(got.times_s == 2.0)[0])
+        if frozen:
+            assert got.flow_paths[at_2s][0] is not None
+            assert got.flow_rates_bps[at_2s, 0] == 0.0
+        else:
+            assert all(path is None
+                       for path, flow in zip(got.flow_paths[at_2s], flows)
+                       if 2 in (flow.src_gid, flow.dst_gid))
 
 
 class TestExtendFlows:
