@@ -49,6 +49,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwI "_invalidated_mask" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnwI "_build_vectorized_state" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 
@@ -63,8 +65,10 @@ bench-obs:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py \
 	    benchmarks/test_span_overhead.py -q -o testpaths=
 
-# Sweep-engine gate: parallel must equal serial bit-for-bit, and reach
-# 1.7x at 4 workers (speedup half auto-skips below 4 cores).
+# Sweep-engine gate: parallel must equal serial bit-for-bit (on K1 and on
+# the two-shell S1+S2), and reach 1.7x at 4 workers (speedup half
+# auto-skips below 4 cores) although every chunk pays a network rebuild
+# and a cold routing solve.
 bench-sweep:
 	$(PYTHON) -m pytest benchmarks/test_sweep_speedup.py -q -o testpaths=
 

@@ -278,14 +278,13 @@ def test_faulted_run_parity_serial_and_workers():
     hypatia = Hypatia.from_shell_name(SHELL, num_cities=10, faults=faults)
     pairs = [(0, 5), (1, 7), (2, 9), (8, 3)]
     kwargs = dict(pairs=pairs, duration_s=6.0, step_s=1.0)
-    scratch = compute_pair_chunk(hypatia.network, pairs,
-                                 snapshot_times(6.0, 1.0),
-                                 engine=RoutingEngine(hypatia.network))
+    _, distances, paths = compute_pair_chunk(
+        hypatia.network, pairs, snapshot_times(6.0, 1.0),
+        engine=RoutingEngine(hypatia.network))
     serial = hypatia.compute_timelines(**kwargs)
     parallel = hypatia.compute_timelines(workers=4, **kwargs)
-    for pair in pairs:
-        distances, paths = scratch[pair]
+    for row, pair in enumerate(pairs):
         for run in (serial, parallel):
-            assert np.array_equal(run[pair].distances_m, distances,
+            assert np.array_equal(run[pair].distances_m, distances[row],
                                   equal_nan=True), pair
-            assert run[pair].paths == paths, pair
+            assert run[pair].paths == [step[row] for step in paths], pair

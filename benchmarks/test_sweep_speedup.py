@@ -3,12 +3,15 @@
 The parallel snapshot-sweep contract (DESIGN.md "Sweep engine"): on the
 Fig. 8 path-evolution workload — a permutation traffic matrix walked over
 forwarding-state snapshots — ``workers=N`` must be bit-identical to
-serial, and at 4 workers the wall-clock speedup must reach 1.7x (the
-per-chunk network rebuild is the only duplicated work, and it amortizes
-over the schedule).
+serial, and at 4 workers the wall-clock speedup must reach 1.7x.  Each
+chunk duplicates two pieces of work, both amortized over the schedule:
+the network rebuild from the spec, and a cold routing solve at its
+first snapshot.
 
-The equality gate always runs; the speedup gate needs real parallelism
-and is skipped on machines with fewer than 4 cores.
+The equality gate always runs, on K1 and on the two-shell Starlink
+S1+S2 (so multi-shell array builds and ISL wiring cross the process
+boundary too); the speedup gate needs real parallelism and is skipped
+on machines with fewer than 4 cores.
 """
 
 import os
@@ -18,6 +21,9 @@ import numpy as np
 import pytest
 
 from repro import Hypatia, random_permutation_pairs
+from repro.constellations.builder import Constellation
+from repro.constellations.definitions import STARLINK_SHELLS
+from repro.ground.stations import ground_stations_from_cities
 from repro.obs import MetricsRegistry
 from repro.sweep import NetworkSpec, sweep_timelines
 from repro.topology.dynamic_state import snapshot_times
@@ -33,28 +39,44 @@ MIN_SPEEDUP = 1.7
 _CACHE = {}
 
 
-def _workload():
+#: Equality-gate networks: the speedup workload (K1), and the first
+#: two Starlink shells as one constellation.
+EQUALITY_NETWORKS = ("K1", "S1+S2")
+TWO_SHELL_CITIES = 20
+
+
+def _workload(name: str = "K1"):
     """The Fig. 8-style sweep inputs (built once per process)."""
-    if not _CACHE:
-        hypatia = Hypatia.from_shell_name("K1", num_cities=NUM_CITIES)
-        _CACHE["spec"] = NetworkSpec.from_network(hypatia.network)
-        _CACHE["pairs"] = random_permutation_pairs(NUM_CITIES)
-        _CACHE["times"] = snapshot_times(DURATION_S, STEP_S)
-    return _CACHE["spec"], _CACHE["pairs"], _CACHE["times"]
+    if name not in _CACHE:
+        if name == "K1":
+            cities = NUM_CITIES
+            hypatia = Hypatia.from_shell_name("K1", num_cities=cities)
+        else:
+            cities = TWO_SHELL_CITIES
+            hypatia = Hypatia(
+                Constellation(STARLINK_SHELLS.shells[:2]),
+                ground_stations_from_cities(count=cities),
+                min_elevation_deg=STARLINK_SHELLS.min_elevation_deg)
+        _CACHE[name] = (NetworkSpec.from_network(hypatia.network),
+                        random_permutation_pairs(cities),
+                        snapshot_times(DURATION_S, STEP_S))
+    return _CACHE[name]
 
 
-def _timed_sweep(workers: int, metrics=None):
-    spec, pairs, times = _workload()
+def _timed_sweep(workers: int, metrics=None, name: str = "K1"):
+    spec, pairs, times = _workload(name)
     start = time.perf_counter()
     timelines = sweep_timelines(spec, pairs, times, workers=workers,
                                 metrics=metrics)
     return timelines, time.perf_counter() - start
 
 
-def test_parallel_sweep_is_bit_identical_to_serial():
-    spec, pairs, times = _workload()
-    serial, _ = _timed_sweep(1)
-    parallel, _ = _timed_sweep(SPEEDUP_WORKERS)
+@pytest.mark.parametrize("name", EQUALITY_NETWORKS)
+def test_parallel_sweep_is_bit_identical_to_serial(name):
+    spec, pairs, times = _workload(name)
+    assert len(spec.shells) == len(name.split("+"))
+    serial, _ = _timed_sweep(1, name=name)
+    parallel, _ = _timed_sweep(SPEEDUP_WORKERS, name=name)
     assert set(parallel) == set(serial)
     for pair in pairs:
         assert np.array_equal(parallel[pair].distances_m,
@@ -75,7 +97,7 @@ def test_parallel_sweep_speedup():
     rows = [
         "# sweep engine speedup (Fig. 8 path-evolution workload)",
         f"cities                {NUM_CITIES:10d}",
-        f"snapshots             {len(_CACHE['times']):10d}",
+        f"snapshots             {len(_workload()[2]):10d}",
         f"serial_wall_s         {serial_wall:10.3f}",
         f"parallel_wall_s       {parallel_wall:10.3f}",
         f"workers               {SPEEDUP_WORKERS:10d}",

@@ -1,10 +1,10 @@
 """Constellation construction: shells -> concrete satellites over time.
 
-A :class:`Constellation` instantiates every satellite of one or more shells,
-assigns global satellite ids, and computes all satellite positions at any
-time with a single vectorized evaluation.  Positions are what the rest of
-the framework consumes: ISL lengths, GSL visibility, and per-packet delays
-are all derived from them.
+A :class:`Constellation` lays out the satellites of one or more shells as
+element arrays, assigns global satellite ids, and computes all satellite
+positions at any time with a single vectorized evaluation.  Positions are
+what the rest of the framework consumes: ISL lengths, GSL visibility, and
+per-packet delays are all derived from them.
 
 Every shell is circular (e = 0; :meth:`Shell.elements_for` builds
 nothing else): the argument of latitude then advances linearly in time,
@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.constants import EARTH_ROTATION_RATE_RAD_PER_S
-from ..orbits.kepler import KeplerianElements
+from ..geo.constants import EARTH_ROTATION_RATE_RAD_PER_S, WGS72
+from ..orbits.kepler import (TWO_PI, KeplerianElements,
+                             mean_motion_rad_per_s)
 from ..orbits.shell import SatelliteIndex, Shell
 from ..orbits.tle import TLE, generate_tle
 
@@ -50,6 +51,41 @@ class Satellite:
         """Human-readable satellite name, also used in generated TLEs."""
         return (f"{self.shell_name}-{self.index.orbit}"
                 f"-{self.index.position_in_orbit}")
+
+
+def _wrap_angles(angles_rad: np.ndarray) -> np.ndarray:
+    """:func:`~repro.orbits.kepler.wrap_angle` over an array, same bits."""
+    wrapped = np.fmod(angles_rad, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
+
+
+def _shell_element_arrays(shell: Shell) -> Tuple[np.ndarray, ...]:
+    """``(radius, raan, inclination, argument of latitude, mean motion)``
+    of every satellite of ``shell``, in flat-id order.
+
+    Bit for bit what :meth:`Shell.elements_for` and
+    :meth:`KeplerianElements.circular` give one satellite at a time: the
+    same IEEE operations in the same order (``np.radians`` is
+    ``math.radians``, array ``%`` is float ``%``), and the mean motion,
+    equal for the whole shell, computed once.
+    """
+    orbit = np.repeat(np.arange(shell.num_orbits),
+                      shell.satellites_per_orbit)
+    position = np.tile(np.arange(shell.satellites_per_orbit),
+                       shell.num_orbits)
+    raan_deg = 360.0 * orbit / shell.num_orbits
+    slot_deg = 360.0 / shell.satellites_per_orbit
+    phase_deg = slot_deg * (position + shell.phase_offset_rel * orbit)
+    radius_m = WGS72.semi_major_axis_m + shell.altitude_m
+    count = shell.total_satellites
+    # For circular orbits the argument of latitude at the epoch is the
+    # mean anomaly plus the argument of periapsis (0).
+    return (np.full(count, radius_m),
+            _wrap_angles(np.radians(raan_deg)),
+            np.full(count, math.radians(shell.inclination_deg)),
+            _wrap_angles(np.radians(phase_deg % 360.0)) + 0.0,
+            np.full(count, mean_motion_rad_per_s(radius_m)))
 
 
 class Constellation:
@@ -84,43 +120,47 @@ class Constellation:
         #: connectivity events without changing the schedule.
         self.epoch_offset_s = epoch_offset_s
         self._shell_id_offset: Dict[str, int] = {}
-        self.satellites: List[Satellite] = []
+        count = 0
         for shell in self.shells:
-            self._shell_id_offset[shell.name] = len(self.satellites)
-            for index in shell.iter_indices():
-                self.satellites.append(Satellite(
-                    satellite_id=len(self.satellites),
-                    shell_name=shell.name,
-                    index=index,
-                    elements=shell.elements_for(index),
-                ))
-        self._build_vectorized_state()
+            self._shell_id_offset[shell.name] = count
+            count += shell.total_satellites
+        self._num_satellites = count
+        #: Built on first access (:attr:`satellites`), never pickled.
+        self._satellites: Optional[List[Satellite]] = None
+        columns = [_shell_element_arrays(shell) for shell in self.shells]
+        (self._radius_m, self._raan_rad, self._inclination_rad,
+         self._anomaly_rad, self._mean_motion) = (
+            np.concatenate(arrays) for arrays in zip(*columns))
 
-    def _build_vectorized_state(self) -> None:
-        """Cache per-satellite arrays for the vectorized circular path."""
-        n = len(self.satellites)
-        self._radius_m = np.empty(n)
-        self._raan_rad = np.empty(n)
-        self._inclination_rad = np.empty(n)
-        self._anomaly_rad = np.empty(n)
-        self._mean_motion = np.empty(n)
-        for i, sat in enumerate(self.satellites):
-            el = sat.elements
-            self._radius_m[i] = el.semi_major_axis_m
-            self._raan_rad[i] = el.raan_rad
-            self._inclination_rad[i] = el.inclination_rad
-            # For circular orbits the argument of latitude at the epoch is
-            # the mean anomaly plus the argument of periapsis.
-            self._anomaly_rad[i] = el.mean_anomaly_rad + el.arg_periapsis_rad
-            self._mean_motion[i] = el.mean_motion_rad_per_s
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(vars(self))
+        state["_satellites"] = None
+        return state
+
+    @property
+    def satellites(self) -> List[Satellite]:
+        """Every satellite as an object, in global-id order.
+
+        Built on first access: only exports (TLEs, CZML) and
+        :meth:`satellite` need per-satellite objects; positions run on
+        the element arrays.
+        """
+        if self._satellites is None:
+            self._satellites = [
+                Satellite(satellite_id=self._shell_id_offset[shell.name]
+                          + shell.satellite_id(index),
+                          shell_name=shell.name, index=index,
+                          elements=shell.elements_for(index))
+                for shell in self.shells for index in shell.iter_indices()]
+        return self._satellites
 
     def __len__(self) -> int:
-        return len(self.satellites)
+        return self._num_satellites
 
     @property
     def num_satellites(self) -> int:
         """Total number of satellites across all shells."""
-        return len(self.satellites)
+        return self._num_satellites
 
     def satellite(self, satellite_id: int) -> Satellite:
         """The satellite with the given global id."""

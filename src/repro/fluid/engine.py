@@ -33,7 +33,7 @@ import numpy as np
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport, fct_summary, fluid_run_report
-from ..routing.engine import cut_paths
+from ..routing.engine import PathRows, path_tuples
 from ..topology.dynamic_state import make_routing_engine, snapshot_times
 from ..topology.network import LeoNetwork
 from .vectorized import FlowLinkMatrix, waterfill
@@ -515,10 +515,9 @@ class FluidSimulation:
         self._class_pairs = np.empty((0, 2), dtype=np.int64)
         #: Sorted destination gids of every class.
         self._destinations: List[int] = []
-        #: ``(classes, table, counts, tuples)`` of the previous step's
+        #: ``(classes, (table, counts, tuples))`` of the previous step's
         #: rows (see :meth:`_path_tuples`); None before the first.
-        self._last_step: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        list]] = None
+        self._last_step: Optional[Tuple[np.ndarray, PathRows]] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # The last step's tuples only save time: a restored run cuts its
@@ -529,35 +528,17 @@ class FluidSimulation:
 
     def _path_tuples(self, classes: np.ndarray, table: np.ndarray,
                      counts: np.ndarray) -> List[Optional[Tuple[int, ...]]]:
-        """The rows' paths as node tuples (``None``: no path).
-
-        A class whose path is the one it had in the previous step keeps
-        that step's tuple: paths move for a few classes per step, and the
-        recorded history then holds a path once for as long as it lasts.
-        """
-        paths: List[Optional[Tuple[int, ...]]] = [None] * len(classes)
-        kept = np.zeros(len(classes), dtype=bool)
+        """The rows' paths as node tuples (``None``: no path); a class
+        whose path is the one it had in the previous step keeps that
+        step's tuple (:func:`~repro.routing.engine.path_tuples`)."""
+        previous = previous_row = None
         if self._last_step is not None:
-            last_classes, last_table, last_counts, last_paths = \
-                self._last_step
-            slot = np.full(len(self._class_of), -1, dtype=np.int64)
-            slot[last_classes] = np.arange(len(last_classes))
-            slot = slot[classes]
-            kept = slot >= 0
-            # Cells past a path's end hold UNREACHABLE: equal counts and
-            # equal cells up to the narrower table are equal paths.
-            width = min(table.shape[1], last_table.shape[1])
-            kept[kept] = ((counts[kept] == last_counts[slot[kept]])
-                          & (table[kept, :width]
-                             == last_table[slot[kept], :width]).all(axis=1))
-            for row, last in zip(np.flatnonzero(kept).tolist(),
-                                 slot[kept].tolist()):
-                paths[row] = last_paths[last]
-        fresh = np.flatnonzero(~kept)
-        for row, path in zip(fresh.tolist(),
-                             cut_paths(table[fresh], counts[fresh])):
-            paths[row] = None if path is None else tuple(path)
-        self._last_step = (classes, table, counts, paths)
+            last_classes, previous = self._last_step
+            previous_row = np.full(len(self._class_of), -1, dtype=np.int64)
+            previous_row[last_classes] = np.arange(len(last_classes))
+            previous_row = previous_row[classes]
+        paths = path_tuples(table, counts, previous, previous_row)
+        self._last_step = (classes, (table, counts, paths))
         return paths
 
     def _class_table(self, time_s: float, classes: np.ndarray

@@ -16,7 +16,7 @@ step.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .stations import GroundStation
 __all__ = [
     "elevation_angles_deg",
     "batched_visible_satellites",
+    "station_frames",
     "azimuth_elevation_deg",
 ]
 
@@ -40,9 +41,15 @@ def _local_up_unit(station: GroundStation) -> np.ndarray:
     ])
 
 
-def _station_frames(stations: List[GroundStation]
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """(G, 3) ECEF positions and (G, 3) local-up unit vectors."""
+def station_frames(stations: Sequence[GroundStation]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(G, 3) ECEF positions and (G, 3) local-up unit vectors.
+
+    Stations do not move: a network computes these once and hands them
+    to every snapshot's :func:`batched_visible_satellites`.
+    """
+    if not stations:
+        return np.empty((0, 3)), np.empty((0, 3))
     return (np.stack([station.ecef_m for station in stations]),
             np.stack([_local_up_unit(station) for station in stations]))
 
@@ -69,7 +76,7 @@ def elevation_angles_deg(station: GroundStation,
     return np.degrees(np.arcsin(sin_elev))
 
 
-def batched_visible_satellites(stations: List[GroundStation],
+def batched_visible_satellites(frames: Tuple[np.ndarray, np.ndarray],
                                satellite_positions_ecef_m: np.ndarray,
                                min_elevations_deg: np.ndarray
                                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +94,7 @@ def batched_visible_satellites(stations: List[GroundStation],
     eight orders below its 1e-6 margin.
 
     Args:
-        stations: The observing ground stations (length G).
+        frames: The G observing stations' :func:`station_frames`.
         satellite_positions_ecef_m: (N, 3) ECEF satellite positions.
         min_elevations_deg: (G,) per-station minimum elevation; above 90
             (a cut station carries inf) nothing is visible.
@@ -100,10 +107,10 @@ def batched_visible_satellites(stations: List[GroundStation],
                                          dtype=np.float64))
     thresholds = np.asarray(min_elevations_deg, dtype=np.float64)
     reachable = thresholds <= 90.0
-    if not stations or not reachable.any():
+    station_ecef, ups = frames
+    if not len(station_ecef) or not reachable.any():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
-    station_ecef, ups = _station_frames(stations)
     # einsum, not @: BLAS would spread this over worker threads.  Over
     # the (3, N) transpose its inner loop runs along the satellites.
     by_axis = np.ascontiguousarray(positions.T)

@@ -63,7 +63,7 @@ from ..topology.network import LeoNetwork, TopologySnapshot
 
 __all__ = ["DestinationRouting", "MultiDestinationRouting",
            "RoutingEngine", "RoutingPerfCounters", "UNREACHABLE",
-           "canonical_next_hops", "cut_paths"]
+           "canonical_next_hops", "cut_paths", "path_tuples"]
 
 #: Marker used in next-hop arrays for "no route".
 UNREACHABLE = -1
@@ -118,6 +118,54 @@ def cut_paths(table: np.ndarray, counts: np.ndarray
     return [flat[end - count:end] if count else None
             for end, count in zip(np.cumsum(counts).tolist(),
                                   counts.tolist())]
+
+
+#: ``(table, counts, tuples)`` of one :func:`path_tuples` call, kept for
+#: the next.
+PathRows = Tuple[np.ndarray, np.ndarray, List[Optional[Tuple[int, ...]]]]
+
+
+def path_tuples(table: np.ndarray, counts: np.ndarray,
+                previous: Optional[PathRows] = None,
+                previous_row: Optional[np.ndarray] = None
+                ) -> List[Optional[Tuple[int, ...]]]:
+    """The node tuples of a :meth:`RoutingEngine.path_table` table (one
+    per row, ``None`` where the count is 0), sharing unchanged ones.
+
+    A row whose path equals its row in ``previous`` keeps that call's
+    tuple, with no cut and no new object: between nearby snapshots
+    paths move for a few rows, so a history of them holds each path
+    once for as long as it lasts (and pickles it once).
+
+    Args:
+        table / counts: This call's rows.
+        previous: ``(table, counts, tuples)`` of an earlier call, or
+            None to cut every row.
+        previous_row: Row ``i``'s row in ``previous`` (-1: none); the
+            same row when omitted.
+    """
+    paths: List[Optional[Tuple[int, ...]]] = [None] * len(counts)
+    kept = np.zeros(len(counts), dtype=bool)
+    if previous is not None:
+        last_table, last_counts, last_paths = previous
+        if previous_row is None:
+            previous_row = np.arange(len(counts))
+        kept = previous_row >= 0
+        # Cells past a path's end hold UNREACHABLE: equal counts and
+        # equal cells up to the narrower table are equal paths.
+        width = min(table.shape[1], last_table.shape[1])
+        rows = previous_row[kept]
+        kept[kept] = ((counts[kept] == last_counts[rows])
+                      & (table[kept, :width]
+                         == last_table[rows, :width]).all(axis=1))
+        for row, last in zip(np.flatnonzero(kept).tolist(),
+                             previous_row[kept].tolist()):
+            paths[row] = last_paths[last]
+    fresh = np.flatnonzero(~kept)
+    for row, path in zip(fresh.tolist(),
+                         cut_paths(table[fresh], counts[fresh])):
+        paths[row] = None if path is None else tuple(path)
+    return paths
 
 
 @dataclass

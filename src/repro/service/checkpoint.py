@@ -56,7 +56,9 @@ __all__ = [
 #: v6: fluid run states hold the static baseline as a class path table
 #: (``frozen_table`` / ``frozen_counts``, no ``frozen_paths``), and the
 #: fluid simulation a repairing router (``_router``) plus class pairs.
-CHECKPOINT_FORMAT_VERSION = 6
+#: v7: a pickled ``Constellation`` holds element arrays only; its
+#: per-satellite objects are built on demand and never pickled.
+CHECKPOINT_FORMAT_VERSION = 7
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

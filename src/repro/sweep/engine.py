@@ -8,8 +8,8 @@ caller: it splits the schedule into contiguous chunks, evaluates each —
 the only chunk in-process on the caller's network, several in worker
 processes that rebuild the network from a picklable
 :class:`~repro.sweep.spec.NetworkSpec` (live graphs and engines never
-cross the process boundary) — and splices the per-pair arrays back in
-time order (:func:`splice_timelines`).
+cross the process boundary) — and splices the chunks' distance matrices
+and path tuples back in time order (:func:`splice_timelines`).
 
 Determinism contract: ``workers=N`` is bit-identical to ``workers=1``.
 Every chunk runs the exact same inner loop
@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs import spans
-from ..topology.dynamic_state import PairTimeline, compute_pair_chunk
+from ..topology.dynamic_state import (ChunkResult, PairTimeline,
+                                      compute_pair_chunk)
 from ..topology.network import LeoNetwork
 from .spec import NetworkSpec
 
@@ -40,24 +41,23 @@ PairKey = Tuple[int, int]
 
 
 def splice_timelines(times_s: np.ndarray,
-                     pieces: Sequence[Dict[PairKey, tuple]]
+                     pieces: Sequence[ChunkResult]
                      ) -> Dict[PairKey, PairTimeline]:
-    """Join per-pair ``(distances_m, paths)`` pieces into timelines.
+    """Join :func:`compute_pair_chunk` results into per-pair timelines.
 
     ``pieces`` are the chunks of one sweep: consecutive stretches of the
-    schedule ``times_s`` in time order.  A pure concatenation, so the
-    result cannot depend on which process computed which piece.
+    schedule ``times_s`` in time order, over the same pairs.  A pure
+    concatenation, so the result cannot depend on which process computed
+    which piece.
     """
-    timelines = {}
-    for pair in pieces[0]:
-        paths: List[Optional[Tuple[int, ...]]] = []
-        for piece in pieces:
-            paths.extend(piece[pair][1])
-        timelines[pair] = PairTimeline(
-            src_gid=pair[0], dst_gid=pair[1], times_s=times_s,
-            distances_m=np.concatenate([piece[pair][0] for piece in pieces]),
-            paths=paths)
-    return timelines
+    pairs = pieces[0][0]
+    distances = np.concatenate([piece[1] for piece in pieces], axis=1)
+    snapshots = [step for piece in pieces for step in piece[2]]
+    return {
+        pair: PairTimeline(src_gid=pair[0], dst_gid=pair[1],
+                           times_s=times_s, distances_m=row,
+                           paths=list(history))
+        for pair, row, history in zip(pairs, distances, zip(*snapshots))}
 
 
 def _record_metrics(metrics, times_s: np.ndarray,
@@ -130,7 +130,7 @@ def _mp_context():
 def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
                    pairs: List[PairKey], times_s: np.ndarray,
                    isl_pairs: Optional[np.ndarray] = None
-                   ) -> Tuple[Dict[PairKey, tuple], float, float]:
+                   ) -> Tuple[ChunkResult, float, float]:
     """Build (unless given) the network and sweep one chunk of snapshots.
 
     The one build → compute → record sequence behind both the serial
@@ -158,7 +158,7 @@ def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
 
 def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
                               np.ndarray, bool]
-               ) -> Tuple[int, Dict[PairKey, tuple], float, float, int,
+               ) -> Tuple[int, ChunkResult, float, float, int,
                           Optional[dict]]:
     """One worker's unit of work: rebuild the network, sweep one chunk.
 

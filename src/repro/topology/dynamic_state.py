@@ -12,7 +12,7 @@ downstream analyses (Figs. 3, 6-9) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +114,12 @@ def count_path_changes(satellite_sets: Sequence[frozenset]) -> int:
     return changes
 
 
+#: What :func:`compute_pair_chunk` returns: ``(pairs, distances (P, T),
+#: per-snapshot lists of P path tuples)``.
+ChunkResult = Tuple[List[Tuple[int, int]], np.ndarray,
+                    List[List[Optional[Tuple[int, ...]]]]]
+
+
 def make_routing_engine(network: LeoNetwork):
     """Build the routing engine a timeline walk uses.
 
@@ -135,9 +141,7 @@ def compute_pair_chunk(network: LeoNetwork,
                        pairs: Sequence[Tuple[int, int]],
                        times_s: np.ndarray,
                        engine=None,
-                       ) -> Dict[Tuple[int, int],
-                                 Tuple[np.ndarray,
-                                       List[Optional[Tuple[int, ...]]]]]:
+                       ) -> ChunkResult:
     """Per-snapshot distances and paths of ``pairs`` over ``times_s``.
 
     The inner loop of every timeline walk, called once per chunk by
@@ -146,7 +150,8 @@ def compute_pair_chunk(network: LeoNetwork,
     chunk of the snapshot schedule.  All destination trees of one
     snapshot come from a single batched Dijkstra
     (:meth:`RoutingEngine.route_to_many`), repaired incrementally between
-    snapshots.
+    snapshots, and all paths from one batched walk
+    (:meth:`RoutingEngine.path_table`).
 
     Args:
         network: The LEO network to snapshot.
@@ -156,21 +161,28 @@ def compute_pair_chunk(network: LeoNetwork,
             (default: :func:`make_routing_engine`).
 
     Returns:
-        pair -> ``(distances_m, paths)`` with ``distances_m`` of shape
-        ``(len(times_s),)`` (inf while disconnected) and ``paths`` a list
-        of node-id tuples (None while disconnected).
+        ``(pairs, distances_m, paths)``: the distinct pairs in first
+        order; their ``(P, len(times_s))`` distances (inf while
+        disconnected); and per snapshot one list of P node-id tuples
+        (None while disconnected).  A pair whose path did not change
+        since the previous snapshot holds the *same* tuple object
+        (:func:`~repro.routing.engine.path_tuples`), so a chunk result
+        stays compact in memory and in a pickle.
     """
+    # Imported here for the same reason as in make_routing_engine.
+    from ..routing.engine import path_tuples
     if engine is None:
         engine = make_routing_engine(network)
     pairs = list(dict.fromkeys((int(src), int(dst)) for src, dst in pairs))
     distances = np.full((len(pairs), len(times_s)), np.inf)
-    paths: List[List[Optional[Tuple[int, ...]]]] = [[] for _ in pairs]
+    paths: List[List[Optional[Tuple[int, ...]]]] = []
     destinations = sorted({dst for _, dst in pairs})
+    previous = None
     for t_index, time_s in enumerate(times_s):
         snapshot = network.snapshot(float(time_s))
         multi = engine.route_to_many(snapshot, destinations)
-        step_paths, distances[:, t_index] = engine.paths_and_distances(
+        table, counts, distances[:, t_index] = engine.path_table(
             multi, snapshot, pairs)
-        for history, path in zip(paths, step_paths):
-            history.append(None if path is None else tuple(path))
-    return {pair: (distances[i], paths[i]) for i, pair in enumerate(pairs)}
+        paths.append(path_tuples(table, counts, previous))
+        previous = (table, counts, paths[-1])
+    return pairs, distances, paths

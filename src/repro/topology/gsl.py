@@ -12,12 +12,12 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..ground.stations import GroundStation
-from ..ground.visibility import batched_visible_satellites
+from ..ground.visibility import batched_visible_satellites, station_frames
 
 __all__ = ["GslPolicy", "GslEdges", "compute_gsl_edges"]
 
@@ -67,6 +67,8 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
                       min_elevation_deg,
                       policy: GslPolicy = GslPolicy.ALL_VISIBLE,
                       excluded_satellites: Optional[Set[int]] = None,
+                      frames: Optional[Tuple[np.ndarray, np.ndarray]]
+                      = None,
                       ) -> Dict[int, GslEdges]:
     """GSL candidate edges for every ground station at one instant.
 
@@ -79,6 +81,9 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
             rain-attenuated stations).
         policy: Satellite selection policy.
         excluded_satellites: Satellites no GS may link to (failed ones).
+        frames: The stations'
+            :func:`~repro.ground.visibility.station_frames`, when the
+            caller keeps them (a network does); computed here otherwise.
 
     Returns:
         Mapping gid -> :class:`GslEdges`.  Stations that see no satellite
@@ -98,8 +103,10 @@ def compute_gsl_edges(stations: Sequence[GroundStation],
     else:
         thresholds = np.array([float(min_elevation_deg[station.gid])
                                for station in stations])
+    if frames is None:
+        frames = station_frames(stations)
     station_index, satellite_ids, distances = batched_visible_satellites(
-        stations, satellite_positions_ecef_m, thresholds)
+        frames, satellite_positions_ecef_m, thresholds)
     if excluded_satellites:
         excluded = np.fromiter(excluded_satellites, dtype=np.int64,
                                count=len(excluded_satellites))

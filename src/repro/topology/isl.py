@@ -14,8 +14,6 @@ paper §3.1).  Only the link lengths change as satellites move.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 import numpy as np
 
 from ..constellations.builder import Constellation
@@ -23,6 +21,25 @@ from ..orbits.shell import SatelliteIndex
 
 __all__ = ["plus_grid_isls", "no_isls", "single_ring_isls",
            "validate_isl_pairs", "isl_lengths_m"]
+
+
+def _shell_grid(constellation: Constellation):
+    """Per shell: its ``(O, S)`` global-id grid (row = orbit, column =
+    in-orbit position)."""
+    for shell in constellation.shells:
+        offset = constellation.satellite_id(shell.name, SatelliteIndex(0, 0))
+        yield offset + np.arange(shell.total_satellites).reshape(
+            shell.num_orbits, shell.satellites_per_orbit)
+
+
+def _unique_links(this: np.ndarray, other: np.ndarray,
+                  num_satellites: int) -> np.ndarray:
+    """Distinct undirected links ``this[i] -- other[i]`` as sorted
+    ``(a, b)`` rows with ``a < b``; self-links dropped."""
+    low, high = np.minimum(this, other), np.maximum(this, other)
+    keys = np.unique((low * num_satellites + high)[low != high])
+    return np.stack([keys // num_satellites, keys % num_satellites],
+                    axis=1).astype(np.int64, copy=False)
 
 
 def plus_grid_isls(constellation: Constellation) -> np.ndarray:
@@ -38,27 +55,17 @@ def plus_grid_isls(constellation: Constellation) -> np.ndarray:
             inter-shell ISLs, matching the paper's model).
 
     Returns:
-        (L, 2) int array of global satellite-id pairs with ``a < b`` per row.
+        (L, 2) int array of global satellite-id pairs with ``a < b`` per
+        row, sorted.
     """
-    pairs: List[Tuple[int, int]] = []
-    for shell in constellation.shells:
-        for index in shell.iter_indices():
-            this_id = constellation.satellite_id(shell.name, index)
-            # Forward links only; the wrap-around partner emits the reverse.
-            next_in_orbit = SatelliteIndex(
-                index.orbit,
-                (index.position_in_orbit + 1) % shell.satellites_per_orbit)
-            next_orbit = SatelliteIndex(
-                (index.orbit + 1) % shell.num_orbits, index.position_in_orbit)
-            for neighbor in (next_in_orbit, next_orbit):
-                other_id = constellation.satellite_id(shell.name, neighbor)
-                if other_id != this_id:
-                    pairs.append((min(this_id, other_id),
-                                  max(this_id, other_id)))
-    unique = sorted(set(pairs))
-    if not unique:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(unique, dtype=np.int64)
+    this, other = [], []
+    for grid in _shell_grid(constellation):
+        # Forward links only; the wrap-around partner emits the reverse.
+        this += [grid.ravel(), grid.ravel()]
+        other += [np.roll(grid, -1, axis=1).ravel(),
+                  np.roll(grid, -1, axis=0).ravel()]
+    return _unique_links(np.concatenate(this), np.concatenate(other),
+                         constellation.num_satellites)
 
 
 def single_ring_isls(constellation: Constellation) -> np.ndarray:
@@ -67,22 +74,11 @@ def single_ring_isls(constellation: Constellation) -> np.ndarray:
     Not a paper configuration, but a useful ablation: it isolates how much
     of +Grid's path diversity comes from the inter-orbit links.
     """
-    pairs: List[Tuple[int, int]] = []
-    for shell in constellation.shells:
-        if shell.satellites_per_orbit < 2:
-            continue
-        for index in shell.iter_indices():
-            this_id = constellation.satellite_id(shell.name, index)
-            next_in_orbit = SatelliteIndex(
-                index.orbit,
-                (index.position_in_orbit + 1) % shell.satellites_per_orbit)
-            other_id = constellation.satellite_id(shell.name, next_in_orbit)
-            if other_id != this_id:
-                pairs.append((min(this_id, other_id), max(this_id, other_id)))
-    unique = sorted(set(pairs))
-    if not unique:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(unique, dtype=np.int64)
+    grids = list(_shell_grid(constellation))
+    return _unique_links(
+        np.concatenate([grid.ravel() for grid in grids]),
+        np.concatenate([np.roll(grid, -1, axis=1).ravel() for grid in grids]),
+        constellation.num_satellites)
 
 
 def no_isls(constellation: Constellation) -> np.ndarray:
@@ -106,8 +102,9 @@ def validate_isl_pairs(pairs: np.ndarray, num_satellites: int) -> None:
         raise ValueError("ISL pair references a satellite id out of range")
     if (pairs[:, 0] == pairs[:, 1]).any():
         raise ValueError("ISL pair links a satellite to itself")
-    canonical = {tuple(sorted(map(int, row))) for row in pairs}
-    if len(canonical) != len(pairs):
+    ordered = np.sort(pairs.astype(np.int64), axis=1)
+    if len(np.unique(ordered[:, 0] * num_satellites + ordered[:, 1])) \
+            != len(pairs):
         raise ValueError("duplicate ISL pairs")
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from ..constellations.builder import Constellation
 from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 from ..ground.stations import GroundStation
+from ..ground.visibility import station_frames
 from .gsl import GslEdges, GslPolicy, compute_gsl_edges
 from .isl import isl_lengths_m, plus_grid_isls, validate_isl_pairs
 
@@ -192,12 +193,12 @@ class LeoNetwork:
         self.isl_pairs = np.asarray(isl_builder(constellation))
         validate_isl_pairs(self.isl_pairs, constellation.num_satellites)
         if self.failed_satellites and len(self.isl_pairs):
-            alive = np.array([
-                a not in self.failed_satellites
-                and b not in self.failed_satellites
-                for a, b in self.isl_pairs
-            ])
-            self.isl_pairs = self.isl_pairs[alive]
+            failed = np.isin(self.isl_pairs,
+                             sorted(self.failed_satellites))
+            self.isl_pairs = self.isl_pairs[~failed.any(axis=1)]
+        #: The stations' ECEF positions and local-up vectors, which every
+        #: snapshot's visibility test reads.
+        self._station_frames = station_frames(self.ground_stations)
 
     @property
     def fault_view(self) -> Optional["FaultSchedule"]:
@@ -312,7 +313,8 @@ class LeoNetwork:
             gsl_edges=compute_gsl_edges(
                 self.ground_stations, positions,
                 elevation, self.gsl_policy,
-                excluded_satellites=excluded or None),
+                excluded_satellites=excluded or None,
+                frames=self._station_frames),
             num_satellites=self.num_satellites,
             num_ground_stations=self.num_ground_stations,
             relay_gids=frozenset(

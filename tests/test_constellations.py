@@ -1,7 +1,11 @@
 """Tests for constellation definitions (paper Table 1) and the builder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constellations.builder import Constellation
 from repro.constellations.definitions import (
@@ -173,3 +177,137 @@ class TestConstellationBuilder:
         text = small_constellation.describe()
         assert "X1" in text
         assert "100" in text
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def _element_arrays(constellation: Constellation):
+    return (constellation._radius_m, constellation._raan_rad,
+            constellation._inclination_rad, constellation._anomaly_rad,
+            constellation._mean_motion)
+
+
+def _verdict(validate, pairs, num_satellites):
+    """The message ``validate`` raises on ``pairs``, or None."""
+    try:
+        validate(pairs, num_satellites)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def _assert_matches_loop_oracle(constellation: Constellation) -> None:
+    """Element arrays, ISL pairs of all three builders and per-satellite
+    objects equal the per-satellite loops of ``_constellation_oracle``,
+    bit for bit."""
+    from repro.topology.isl import no_isls, plus_grid_isls, single_ring_isls
+
+    from _constellation_oracle import (loop_element_arrays,
+                                       loop_plus_grid_isls,
+                                       loop_satellites,
+                                       loop_single_ring_isls)
+    for mine, reference in zip(_element_arrays(constellation),
+                               loop_element_arrays(constellation)):
+        assert _bits(mine) == _bits(reference)
+    for pairs, expected in (
+            (plus_grid_isls(constellation),
+             loop_plus_grid_isls(constellation)),
+            (single_ring_isls(constellation),
+             loop_single_ring_isls(constellation)),
+            (no_isls(constellation), np.empty((0, 2), dtype=np.int64))):
+        assert pairs.dtype == np.int64
+        assert pairs.shape == expected.shape
+        assert np.array_equal(pairs, expected)
+    satellites = loop_satellites(constellation)
+    assert constellation.satellites == satellites
+    assert _bits([dataclasses.astuple(sat.elements)
+                  for sat in constellation.satellites]) == _bits(
+        [dataclasses.astuple(sat.elements) for sat in satellites])
+
+
+class TestArrayBuildOracle:
+    """The element arrays and ISL builders are array code; the
+    per-satellite loops they replaced are the oracle."""
+
+    @pytest.mark.parametrize("name", [shell.name
+                                      for spec in ALL_SHELLS.values()
+                                      for shell in spec.shells])
+    def test_table1_shell_matches_loop_oracle(self, name):
+        _assert_matches_loop_oracle(Constellation([shell_by_name(name)]))
+
+    def test_all_table1_shells_together_match_loop_oracle(self):
+        _assert_matches_loop_oracle(Constellation(
+            [shell for spec in ALL_SHELLS.values() for shell in spec.shells]))
+
+    @pytest.mark.parametrize("orbits,per_orbit", [
+        (1, 1), (1, 5), (5, 1), (2, 2), (2, 3), (3, 2)])
+    def test_degenerate_shells_match_loop_oracle(self, orbits, per_orbit):
+        # One or two planes (slots) wrap onto themselves or onto the same
+        # neighbour twice: self-links and duplicate links must go.
+        _assert_matches_loop_oracle(Constellation([
+            Shell(name="D", num_orbits=orbits,
+                  satellites_per_orbit=per_orbit, altitude_m=550_000.0,
+                  inclination_deg=53.0, phase_offset_rel=0.5),
+            Shell(name="E", num_orbits=4, satellites_per_orbit=4,
+                  altitude_m=1_000_000.0, inclination_deg=70.0)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_walker_shells_match_loop_oracle(self, data):
+        from repro.topology.isl import plus_grid_isls, validate_isl_pairs
+        from repro.topology.network import LeoNetwork
+
+        from _constellation_oracle import loop_validate_isl_pairs
+        shells = [Shell(
+            name=f"W{index}",
+            num_orbits=data.draw(st.integers(4, 20)),
+            satellites_per_orbit=data.draw(st.integers(4, 20)),
+            altitude_m=data.draw(st.floats(400_000.0, 1_500_000.0)),
+            inclination_deg=data.draw(st.floats(30.0, 98.0)),
+            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
+                                                 exclude_max=True)))
+            for index in range(data.draw(st.integers(1, 3)))]
+        constellation = Constellation(
+            shells, epoch_offset_s=data.draw(st.floats(
+                -1e7, 1e7, allow_nan=False, allow_infinity=False)))
+        assert constellation._satellites is None  # built on demand only
+        _assert_matches_loop_oracle(constellation)
+
+        count = constellation.num_satellites
+        pairs = plus_grid_isls(constellation)
+        row = data.draw(st.integers(0, len(pairs) - 1))
+        duplicate = np.vstack([pairs, pairs[row, ::-1]])
+        self_link = pairs.copy()
+        self_link[row] = self_link[row, 0]
+        out_of_range = pairs.copy()
+        out_of_range[row, data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from([-1, count, count + 7]))
+        for candidate in (pairs, duplicate, self_link, out_of_range,
+                          pairs[:0]):
+            assert _verdict(validate_isl_pairs, candidate, count) \
+                == _verdict(loop_validate_isl_pairs, candidate, count)
+        assert _verdict(validate_isl_pairs, duplicate, count) \
+            == "duplicate ISL pairs"
+
+        failed = data.draw(st.sets(st.integers(0, count - 1), max_size=6))
+        network = LeoNetwork(constellation, [], min_elevation_deg=25.0,
+                             failed_satellites=failed)
+        assert np.array_equal(network.isl_pairs, np.array(
+            [pair for pair in pairs.tolist()
+             if pair[0] not in failed and pair[1] not in failed],
+            dtype=np.int64).reshape(-1, 2))
+
+    def test_satellites_are_built_on_demand_and_never_pickled(
+            self, small_constellation):
+        import pickle
+        assert small_constellation._satellites is None
+        assert small_constellation.satellite(37).satellite_id == 37
+        assert small_constellation._satellites is not None
+        clone = pickle.loads(pickle.dumps(small_constellation))
+        assert clone._satellites is None
+        assert clone.satellites == small_constellation.satellites
+        for mine, theirs in zip(_element_arrays(clone),
+                                _element_arrays(small_constellation)):
+            assert _bits(mine) == _bits(theirs)

@@ -450,13 +450,13 @@ class TestTimelineIntegration:
         network = self._faulted_network(small_constellation, small_stations)
         incremental = sweep_timelines(network, self.PAIRS,
                                       snapshot_times(6.0, 1.0))
-        scratch = compute_pair_chunk(network, self.PAIRS,
-                                     snapshot_times(6.0, 1.0),
-                                     engine=RoutingEngine(network))
-        for pair in self.PAIRS:
-            distances, paths = scratch[pair]
-            assert np.array_equal(incremental[pair].distances_m, distances)
-            assert incremental[pair].paths == paths
+        pairs, distances, paths = compute_pair_chunk(
+            network, self.PAIRS, snapshot_times(6.0, 1.0),
+            engine=RoutingEngine(network))
+        for row, pair in enumerate(pairs):
+            assert np.array_equal(incremental[pair].distances_m,
+                                  distances[row])
+            assert incremental[pair].paths == [step[row] for step in paths]
 
     def test_workers_parity(self, small_constellation, small_stations):
         network = self._faulted_network(small_constellation, small_stations)

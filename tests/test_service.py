@@ -196,7 +196,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 6
+        assert CHECKPOINT_FORMAT_VERSION == 7
         service = _make_service("packet")
         service.advance_epoch(1)
         ckpt = service.checkpoint()
@@ -257,6 +257,37 @@ class TestCheckpointContainer:
         path = tmp_path / "v5.ckpt"
         save_checkpoint(str(path), ckpt)
         with pytest.raises(CheckpointVersionError, match="format v5"):
+            LiveSimulationService.resume(str(path))
+
+    def test_v6_checkpoint_is_refused(self, tmp_path):
+        """A v6 body pickles every ``Constellation`` with one
+        ``Satellite`` object per satellite; this build's pickles element
+        arrays only, and builds the objects on demand.  The version gate
+        refuses the old layout; a v7 body holds no ``Satellite`` even
+        after the list was built, and the resumed constellation builds
+        the same objects."""
+        from repro.constellations.builder import Satellite
+        satellites = []
+
+        class Counting(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, Satellite):
+                    satellites.append(obj)
+                return NotImplemented
+
+        service = _make_service("packet")
+        built = service.network.constellation.satellites
+        Counting(io.BytesIO()).dump(service.checkpoint().payload)
+        assert satellites == []
+        path = tmp_path / "v7.ckpt"
+        service.save(str(path))
+        restored = LiveSimulationService.resume(str(path))
+        assert restored.network.constellation.satellites == built
+        ckpt = service.checkpoint()
+        ckpt.format_version = 6
+        path = tmp_path / "v6.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(CheckpointVersionError, match="format v6"):
             LiveSimulationService.resume(str(path))
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):

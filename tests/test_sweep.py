@@ -8,6 +8,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sweep import (
     NetworkSpec,
@@ -307,11 +309,13 @@ class TestDynamicStateWorkers:
         pairs = [(0, 3), (2, 4)]
         times = snapshot_times(4.0, 1.0)
         walked = sweep_timelines(network, pairs, times)
-        chunk = compute_pair_chunk(network, pairs, times)
-        assert list(walked) == list(chunk) == pairs
-        for pair, (distances, paths) in chunk.items():
-            assert np.array_equal(walked[pair].distances_m, distances)
-            assert walked[pair].paths == paths
+        chunk_pairs, distances, paths = compute_pair_chunk(network, pairs,
+                                                           times)
+        assert list(walked) == chunk_pairs == pairs
+        assert distances.shape == (len(pairs), len(times))
+        for row, pair in enumerate(pairs):
+            assert np.array_equal(walked[pair].distances_m, distances[row])
+            assert walked[pair].paths == [step[row] for step in paths]
             assert walked[pair].times_s is times
         with pytest.raises(ValueError, match="not spec-expressible; run "
                                              "with workers=1"):
@@ -351,6 +355,101 @@ class TestDynamicStateWorkers:
         with pytest.raises(ValueError):
             sweep_timelines(small_network, [(0, 3)],
                             snapshot_times(2.0, 1.0), workers=-1)
+
+
+class TestChunkResult:
+    """A chunk is one (P, T) distance array plus per-snapshot path
+    tuples, an unchanged path shared between consecutive snapshots."""
+
+    def test_chunk_is_one_matrix_with_shared_path_tuples(self,
+                                                         small_network):
+        from repro.topology.dynamic_state import compute_pair_chunk
+        pairs = [(0, 3), (1, 4), (2, 5), (5, 0)]
+        times = snapshot_times(60.0, 2.0)
+        chunk_pairs, distances, paths = compute_pair_chunk(
+            small_network, pairs + [(0, 3)], times)
+        assert chunk_pairs == pairs
+        assert isinstance(distances, np.ndarray)
+        assert distances.shape == (len(pairs), len(times))
+        assert len(paths) == len(times)
+        assert all(len(step) == len(pairs) for step in paths)
+        shared = same_length_moves = 0
+        for before, after in zip(paths, paths[1:]):
+            for old, new in zip(before, after):
+                if new == old:
+                    assert new is old
+                    shared += new is not None
+                else:
+                    assert new is not old
+                    same_length_moves += (None not in (old, new)
+                                          and len(old) == len(new))
+        # Both kinds occur: shared paths, and a path that moved without
+        # changing its hop count (equal counts, different cells).
+        assert shared > 0 and same_length_moves > 0
+        # Every tuple is the path a fresh walk cuts at that snapshot.
+        from repro.routing.engine import RoutingEngine
+        engine = RoutingEngine(small_network)
+        for step, time_s in zip(paths, times):
+            fresh = engine.paths_many(small_network.snapshot(time_s), pairs)
+            assert step == [None if path is None else tuple(path)
+                            for path in fresh]
+
+    def test_sharded_timelines_share_tuples_inside_chunks(self,
+                                                          small_network):
+        spec = NetworkSpec.from_network(small_network)
+        pairs = [(0, 3), (1, 4)]
+        times = snapshot_times(8.0, 1.0)
+        timelines = sweep_timelines(spec, pairs, times, workers=2)
+        for pair in pairs:
+            timeline = timelines[pair]
+            assert timeline.distances_m.shape == (len(times),)
+            assert isinstance(timeline.paths, list)
+            # Inside a chunk an unchanged path is one object.
+            first = timeline.paths[:4]
+            for old, new in zip(first, first[1:]):
+                assert (new is old) == (new == old)
+
+
+class TestRandomNetworkSweep:
+    """Serial and sharded sweeps agree on random two-shell Walker
+    constellations, not just the paper's shells."""
+
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_two_workers_equal_serial_on_two_shells(self, data):
+        from repro.constellations.builder import Constellation
+        from repro.geo.coordinates import GeodeticPosition
+        from repro.ground.stations import GroundStation
+        from repro.orbits.shell import Shell
+        from repro.topology.network import LeoNetwork
+        shells = [Shell(
+            name=f"R{index}",
+            num_orbits=data.draw(st.integers(4, 12)),
+            satellites_per_orbit=data.draw(st.integers(4, 12)),
+            altitude_m=data.draw(st.floats(400_000.0, 1_500_000.0)),
+            inclination_deg=data.draw(st.floats(30.0, 98.0)),
+            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
+                                                 exclude_max=True)))
+            for index in range(2)]
+        stations = [GroundStation(
+            gid=gid, name=f"G{gid}", position=GeodeticPosition(
+                data.draw(st.floats(-60.0, 60.0)),
+                data.draw(st.floats(-180.0, 180.0)), 0.0))
+            for gid in range(5)]
+        network = LeoNetwork(
+            Constellation(shells, epoch_offset_s=data.draw(
+                st.floats(0.0, 1e5))),
+            stations, min_elevation_deg=10.0)
+        pairs = [(0, 1), (2, 3), (4, 0), (1, 3)]
+        times = snapshot_times(6.0, 1.0)
+        serial = sweep_timelines(network, pairs, times)
+        parallel = sweep_timelines(network, pairs, times, workers=2)
+        assert list(parallel) == list(serial) == pairs
+        for pair in pairs:
+            assert np.array_equal(parallel[pair].distances_m,
+                                  serial[pair].distances_m)
+            assert parallel[pair].paths == serial[pair].paths
 
 
 class TestSweepCli:

@@ -186,7 +186,8 @@ class TestGslPolicies:
         import warnings
 
         from repro.ground.visibility import (batched_visible_satellites,
-                                             elevation_angles_deg)
+                                             elevation_angles_deg,
+                                             station_frames)
         thresholds = np.array([10.0, 0.0, 37.5, 90.0, np.inf, 62.0])
         for time_s in (0.0, 7.0, 311.0, 1234.5):
             positions = small_constellation.positions_ecef_m(time_s)
@@ -200,16 +201,16 @@ class TestGslPolicies:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 station_index, satellite_ids, lengths = (
-                    batched_visible_satellites(small_stations, positions,
-                                               thresholds))
+                    batched_visible_satellites(station_frames(small_stations),
+                                               positions, thresholds))
             assert np.array_equal(station_index, expected[0])
             assert np.array_equal(satellite_ids, expected[1])
             assert np.array_equal(lengths, distances[expected])
             assert satellite_ids.dtype == np.int64
             assert not np.any(station_index == 4)
         assert len(station_index) >= 4  # the loose thresholds see some
-        none = batched_visible_satellites(small_stations, positions,
-                                          np.full(6, np.inf))
+        none = batched_visible_satellites(station_frames(small_stations),
+                                          positions, np.full(6, np.inf))
         assert [len(part) for part in none] == [0, 0, 0]
 
     def test_mapping_elevation_still_supported(self, small_constellation,
