@@ -51,6 +51,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwI "_build_vectorized_state" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "_canonical_json|_canonical\(|_fingerprinted|spec_fingerprint" \
+	    src/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

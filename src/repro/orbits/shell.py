@@ -46,12 +46,11 @@ class Shell:
         satellites_per_orbit: Satellites in each plane.
         altitude_m: Height ``h`` above the Earth's surface (meters).
         inclination_deg: Inclination ``i`` in degrees.
-        phase_offset_rel: Walker phasing factor ``F`` expressed as a fraction
-            of the inter-satellite spacing by which adjacent planes are
-            shifted.  The conventional choice for +Grid constellations is
-            ``F = 1`` slot spread over all planes (default behaviour when
-            this is ``None``): plane ``o`` is shifted by
-            ``o / num_orbits`` of one in-orbit slot.
+        phase_offset_rel: Mean-anomaly shift between adjacent planes as
+            a fraction of one in-orbit slot (Walker phasing
+            ``F / num_orbits``): plane ``o`` is shifted by
+            ``o * phase_offset_rel`` slots.  Must lie in ``[0, 1)``; the
+            default ``0.0`` means no shift between planes.
     """
 
     name: str

@@ -20,8 +20,7 @@ for bit, across the packet engine and the max-min fluid engine.
 from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                          CheckpointError, CheckpointSpecError,
                          CheckpointVersionError, load_checkpoint,
-                         read_checkpoint_header, save_checkpoint,
-                         spec_fingerprint)
+                         read_checkpoint_header, save_checkpoint)
 from .client import ServiceClient, ServiceClientError
 from .driver import LiveSimulationService, ServiceError
 from .server import ServiceServer, serve_forever
@@ -41,5 +40,4 @@ __all__ = [
     "read_checkpoint_header",
     "save_checkpoint",
     "serve_forever",
-    "spec_fingerprint",
 ]

@@ -6,8 +6,8 @@ A checkpoint file is::
 
 The JSON header carries everything a reader needs *before* trusting the
 payload — format version, engine, simulated time, and the
-:func:`spec_fingerprint` of the :class:`~repro.sweep.spec.NetworkSpec`
-that built the simulator — so version and spec-compatibility checks
+:meth:`~repro.sweep.spec.NetworkSpec.fingerprint` of the spec that built
+the simulator — so version and spec-compatibility checks
 never unpickle anything.  The pickle payload is the live object graph
 (event queue, devices, transports, fluid run state, RNG streams, ...);
 determinism of the restore is what ``tests/test_service.py`` proves.
@@ -24,24 +24,18 @@ Compatibility contract:
 
 from __future__ import annotations
 
-import dataclasses
-import enum
-import functools
-import hashlib
 import json
 import math
 import os
 import pickle
-from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
-
-import numpy as np
+from typing import Any, BinaryIO, Dict, Optional
 
 from ..sweep.spec import NetworkSpec
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION", "CHECKPOINT_MAGIC",
     "Checkpoint", "CheckpointError", "CheckpointVersionError",
-    "CheckpointSpecError", "spec_fingerprint",
+    "CheckpointSpecError",
     "save_checkpoint", "load_checkpoint", "read_checkpoint_header",
 ]
 
@@ -58,7 +52,9 @@ __all__ = [
 #: fluid simulation a repairing router (``_router``) plus class pairs.
 #: v7: a pickled ``Constellation`` holds element arrays only; its
 #: per-satellite objects are built on demand and never pickled.
-CHECKPOINT_FORMAT_VERSION = 7
+#: v8: ``spec_hash`` is :meth:`NetworkSpec.fingerprint` (an explicit
+#: field record plus packed request arrays), not a reflective JSON hash.
+CHECKPOINT_FORMAT_VERSION = 8
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
@@ -102,144 +98,6 @@ class CheckpointSpecError(CheckpointError):
 
 
 # ----------------------------------------------------------------------
-# Spec fingerprinting
-# ----------------------------------------------------------------------
-
-_PLAIN_LEAVES = (bool, int, str)
-
-
-@functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """A dataclass type's field names (``dataclasses.fields`` rebuilds
-    its tuple per call, and a spec holds ~10^4 ``FlowRequest``s)."""
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _canonical(value: Any) -> Any:
-    """A JSON-expressible canonical form of spec-shaped data.
-
-    Recursively normalizes the plain-data types a
-    :class:`~repro.sweep.spec.NetworkSpec` is built from — frozen
-    dataclasses, enums, tuples, numpy scalars/arrays, and objects whose
-    whole state is their ``__dict__`` (``FaultSchedule``,
-    ``WorkloadSchedule``) — so the fingerprint depends
-    only on content, never on id()s, dict insertion history, or pickle
-    protocol details.
-    """
-    # Most of a spec's ~4e4 values are plain leaves: answer those exact
-    # types first (subclasses and non-finite floats take the chain below).
-    kind = type(value)
-    if value is None or kind in _PLAIN_LEAVES or (
-            kind is float and math.isfinite(value)):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__dataclass__": type(value).__name__,
-            "fields": {name: _canonical(getattr(value, name))
-                       for name in _field_names(type(value))},
-        }
-    if isinstance(value, enum.Enum):
-        return {"__enum__": type(value).__name__, "name": value.name}
-    if isinstance(value, dict):
-        return {"__dict__": sorted(
-            (str(k), _canonical(v)) for k, v in value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return {"__ndarray__": str(value.dtype),
-                "shape": list(value.shape),
-                "data": value.tolist()}
-    if isinstance(value, np.generic):
-        return _canonical(value.item())
-    if isinstance(value, float):
-        if math.isnan(value):
-            return {"__float__": "nan"}
-        if math.isinf(value):
-            return {"__float__": "inf" if value > 0 else "-inf"}
-        return value
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if hasattr(value, "__dict__"):
-        return {
-            "__object__": type(value).__name__,
-            "state": _canonical(vars(value)),
-        }
-    raise TypeError(
-        f"cannot canonicalize {type(value).__name__!r} for fingerprinting")
-
-
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-#: Sequence elements per piece of :func:`_canonical_json`.
-_JSON_BATCH = 512
-
-
-def _canonical_json(value: Any) -> Iterator[str]:
-    """``json.dumps(_canonical(value), sort_keys=True, separators=(",",
-    ":"))``, in pieces.
-
-    Dataclasses, dicts and ``__dict__`` objects are written key by key
-    (in sorted order, as ``sort_keys`` writes them) and sequences in
-    batches of ``_JSON_BATCH`` elements, so the ~10^4 requests of a
-    session's workload never exist as one canonical form or one string
-    — about 7 MB at once, where the pieces take under 1 MB.
-    """
-    kind = type(value)
-    if value is None or kind in _PLAIN_LEAVES or (
-            kind is float and math.isfinite(value)):
-        yield _ENCODE(value)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        yield '{"__dataclass__":' + _ENCODE(kind.__name__) + ',"fields":{'
-        for i, name in enumerate(sorted(_field_names(kind))):
-            yield ("," if i else "") + _ENCODE(name) + ":"
-            yield from _canonical_json(getattr(value, name))
-        yield "}}"
-    elif isinstance(value, dict):
-        keys = [str(key) for key in value]
-        if len(set(keys)) < len(keys):
-            # Equal key strings: _canonical orders those by value.
-            yield _ENCODE(_canonical(value))
-            return
-        yield '{"__dict__":['
-        for i, (key, item) in enumerate(sorted(
-                zip(keys, value.values()), key=lambda pair: pair[0])):
-            yield ("," if i else "") + "[" + _ENCODE(key) + ","
-            yield from _canonical_json(item)
-            yield "]"
-        yield "]}"
-    elif isinstance(value, (list, tuple)):
-        yield "["
-        for low in range(0, len(value), _JSON_BATCH):
-            batch = [_canonical(item) for item in value[low:low + _JSON_BATCH]]
-            # The batch's own brackets off: its items, comma-separated.
-            yield ("," if low else "") + _ENCODE(batch)[1:-1]
-        yield "]"
-    elif (isinstance(value, (enum.Enum, np.ndarray, np.generic, float,
-                             bool, int, str))
-          or not hasattr(value, "__dict__")):
-        yield _ENCODE(_canonical(value))
-    else:
-        yield '{"__object__":' + _ENCODE(kind.__name__) + ',"state":'
-        yield from _canonical_json(vars(value))
-        yield "}"
-
-
-def spec_fingerprint(spec: NetworkSpec) -> str:
-    """A stable sha256 content hash of a network spec.
-
-    Two specs fingerprint equally iff they describe the same network,
-    independent of process, platform, or ``PYTHONHASHSEED`` — the hash
-    goes into every checkpoint header and gates every resume.  It hashes
-    the canonical JSON of the spec (:func:`_canonical`), streamed
-    (:func:`_canonical_json`).
-    """
-    digest = hashlib.sha256()
-    for piece in _canonical_json(spec):
-        digest.update(piece.encode("utf-8"))
-    return digest.hexdigest()
-
-
-# ----------------------------------------------------------------------
 # The checkpoint container
 # ----------------------------------------------------------------------
 
@@ -275,7 +133,7 @@ class Checkpoint:
         self.payload = payload
         self.meta = dict(meta or {})
         self.format_version = int(format_version)
-        self.spec_hash = (spec_fingerprint(spec) if spec_hash is None
+        self.spec_hash = (spec.fingerprint() if spec_hash is None
                           else spec_hash)
 
     def header(self) -> Dict[str, Any]:
@@ -398,7 +256,7 @@ def load_checkpoint(path: str,
                 f"the checkpoint with this version")
         spec_hash = str(header.get("spec_hash", ""))
         if expected_spec is not None:
-            expected_hash = spec_fingerprint(expected_spec)
+            expected_hash = expected_spec.fingerprint()
             if expected_hash != spec_hash:
                 raise CheckpointSpecError(
                     f"{path}: checkpoint was taken on a different "
@@ -410,7 +268,7 @@ def load_checkpoint(path: str,
         try:
             body = pickle.load(stream)
             spec, payload = body["spec"], body["payload"]
-            pickled_hash = spec_fingerprint(spec)
+            pickled_hash = spec.fingerprint()
         except _BODY_ERRORS as error:
             raise CheckpointError(
                 f"{path}: body cannot be unpickled by this build "

@@ -13,11 +13,17 @@ satellite's elements purely from its shells and
 :meth:`NetworkSpec.build` passes the exact same constructor arguments, a
 rebuilt network produces bit-identical snapshots — the property the sweep
 engine's serial-equals-parallel contract rests on.
+
+:meth:`NetworkSpec.fingerprint` is the spec's content hash: checkpoint
+headers carry it, and a resume refuses a spec that hashes otherwise.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -162,3 +168,54 @@ class NetworkSpec:
         # pairs arrived, so NetworkSpec.from_network round-trips.
         network.isl_builder = registered
         return network
+
+    def fingerprint(self) -> str:
+        """A stable sha256 content hash of this spec.
+
+        Specs describing the same network and traffic hash equally in any
+        process, on any platform, under any ``PYTHONHASHSEED``; the hash
+        goes into every checkpoint header and gates every resume.  It
+        covers a key-sorted JSON record of every field (the faults as
+        :meth:`FaultSchedule.as_dict`), then the workload's requests in
+        schedule order as little-endian arrays: ``<f8`` starts, ``<i8``
+        sources, destinations and sizes.  A field added to the spec or to
+        a type it holds must be added here too; ``tests/test_service.py``
+        fails until it is.
+        """
+        workload = self.workload
+        record = {
+            "shells": [{
+                "name": shell.name,
+                "num_orbits": int(shell.num_orbits),
+                "satellites_per_orbit": int(shell.satellites_per_orbit),
+                "altitude_m": float(shell.altitude_m),
+                "inclination_deg": float(shell.inclination_deg),
+                "phase_offset_rel": float(shell.phase_offset_rel),
+            } for shell in self.shells],
+            "constellation_name": self.constellation_name,
+            "epoch_offset_s": float(self.epoch_offset_s),
+            "ground_stations": [{
+                "gid": int(station.gid),
+                "name": station.name,
+                "latitude_deg": float(station.position.latitude_deg),
+                "longitude_deg": float(station.position.longitude_deg),
+                "altitude_m": float(station.position.altitude_m),
+                "is_relay": bool(station.is_relay),
+            } for station in self.ground_stations],
+            "min_elevation_deg": float(self.min_elevation_deg),
+            "isl_builder": self.isl_builder,
+            "gsl_policy": self.gsl_policy.value,
+            "failed_satellites": [int(sat) for sat in self.failed_satellites],
+            "faults": None if self.faults is None else self.faults.as_dict(),
+            "workload_seed": None if workload is None else workload.seed,
+        }
+        digest = hashlib.sha256(json.dumps(
+            record, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        if workload is not None:
+            requests = workload.requests
+            for dtype, column in (("<f8", "t_start_s"), ("<i8", "src_gid"),
+                                  ("<i8", "dst_gid"), ("<i8", "size_bytes")):
+                digest.update(np.fromiter(
+                    map(attrgetter(column), requests), dtype=dtype,
+                    count=len(requests)).tobytes())
+        return digest.hexdigest()

@@ -237,9 +237,6 @@ class TcpFlow(Application):
             if self.snd_una not in self._sacked:
                 self._lost.add(self.snd_una)
 
-    def _is_lost(self, seq: int) -> bool:
-        return seq in self._lost
-
     def _has_loss(self) -> bool:
         return bool(self._lost)
 
