@@ -53,6 +53,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "_canonical_json|_canonical\(|_fingerprinted|spec_fingerprint" \
 	    src/ examples/ README.md .claude/
+	! grep -rnwIE "isl_rate_overrides|gsl_rate_overrides|capacity_overrides|controller_kwargs|share_state|PACKET_CORRUPTION|packet_corruption|isl_cut_probability" \
+	    src/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

@@ -7,7 +7,6 @@ by how much, an end-end path's capacity goes unclaimed by transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,21 +34,19 @@ class UnusedBandwidthStats:
 
 
 def unused_bandwidth_stats(unused_bps: np.ndarray,
-                           link_capacity_bps: float,
-                           full_use_tolerance_bps: Optional[float] = None,
+                           link_capacity_bps: float
                            ) -> UnusedBandwidthStats:
     """Summarize an unused-bandwidth series (nan = disconnected).
 
     Args:
         unused_bps: Series from :meth:`FluidResult.unused_bandwidth_bps`.
         link_capacity_bps: The path's (uniform) link capacity.
-        full_use_tolerance_bps: Unused capacity below this counts as
-            "fully used"; defaults to 1% of capacity.
+
+    Unused capacity at or below 1% of capacity counts as "fully used".
     """
     if link_capacity_bps <= 0.0:
         raise ValueError("capacity must be positive")
-    if full_use_tolerance_bps is None:
-        full_use_tolerance_bps = 0.01 * link_capacity_bps
+    full_use_tolerance_bps = 0.01 * link_capacity_bps
     series = np.asarray(unused_bps, dtype=float)
     mask = ~np.isnan(series)
     if not mask.any():

@@ -176,15 +176,16 @@ class CongestionController:
         return None
 
     @classmethod
-    def make_shared_state(cls, **kwargs) -> Dict[str, Any]:
-        """Extra constructor kwargs shared by all flows of one scenario.
+    def make_shared_state(cls) -> Dict[str, Any]:
+        """Attributes shared by all flows of one scenario: the
+        :class:`~repro.cc.factory.ControllerFlowFactory` sets them on
+        every controller it builds, in place of the controller's own.
 
         Learned controllers override this to build one brain that every
         flow's controller instance updates (see
         :class:`repro.cc.learned.BanditController`); classic controllers
         share nothing.
         """
-        del kwargs
         return {}
 
 

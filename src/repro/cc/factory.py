@@ -5,16 +5,16 @@
 :class:`~repro.traffic.arrivals.FlowRequest`) and the controller
 registry: it builds :class:`~repro.transport.tcp.TcpFlow` applications
 running a *named* controller, holding any cross-flow shared state (a
-learned controller's brain) so it rides along when a
-:class:`~repro.service.LiveSimulationService` checkpoint pickles the
-spawners.  Instances carry only the controller name, kwargs, and that
-shared state — they pickle and travel to sweep/lab worker processes.
+learned controller's brain) so it rides along when the spawners are
+pickled.  Instances carry only the controller name, packet size, and
+that shared state — they pickle and travel to sweep/lab worker
+processes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from .api import CONTROLLERS, make_controller
@@ -31,33 +31,26 @@ class ControllerFlowFactory:
 
     Args:
         controller: A registered controller name.
-        controller_kwargs: Constructor kwargs for each flow's controller.
         packet_bytes: Wire size of a full data packet.
-        share_state: Build the controller class's shared state once
-            (``make_shared_state``) and hand it to every flow — for the
-            bandit this is the brain all flows learn through.  Classic
-            controllers share nothing either way.
+
+    The controller class's shared state (``make_shared_state``) is built
+    once and handed to every flow — for the bandit this is the brain all
+    flows learn through; classic controllers share nothing.
 
     Usage: ``WorkloadSpawner(schedule, flow_factory=factory)``.
     """
 
     def __init__(self, controller: str = "newreno",
-                 controller_kwargs: Optional[Dict[str, Any]] = None,
-                 packet_bytes: int = DEFAULT_MTU_BYTES,
-                 share_state: bool = True) -> None:
+                 packet_bytes: int = DEFAULT_MTU_BYTES) -> None:
         if controller not in CONTROLLERS:
             # Same failure surface as make_controller, but at
             # construction time rather than first flow arrival.
             make_controller(controller)
         self.controller = controller
-        self.controller_kwargs = dict(controller_kwargs or {})
         self.packet_bytes = packet_bytes
-        self.shared_state: Dict[str, Any] = {}
-        if share_state:
-            cls = CONTROLLERS[controller]
-            maker = getattr(cls, "make_shared_state", None)
-            if maker is not None:
-                self.shared_state = maker(**self.controller_kwargs)
+        maker = getattr(CONTROLLERS[controller], "make_shared_state", None)
+        self.shared_state: Dict[str, Any] = (maker() if maker is not None
+                                             else {})
 
     def __call__(self, request: FlowRequest):
         """The one request → flow rule (``WorkloadSpawner``'s default
@@ -67,9 +60,9 @@ class ControllerFlowFactory:
         # for the registry, so a module-level import here would cycle.
         from ..transport.tcp import TcpFlow
         payload = self.packet_bytes - DEFAULT_HEADER_BYTES
-        controller = make_controller(
-            self.controller, **{**self.controller_kwargs,
-                                **self.shared_state})
+        controller = make_controller(self.controller)
+        for name, value in self.shared_state.items():
+            setattr(controller, name, value)
         return TcpFlow(
             request.src_gid, request.dst_gid,
             start_s=request.t_start_s,

@@ -20,8 +20,8 @@ flows inherit what earlier flows learned — on LEO paths with ample
 headroom the bandit converges on aggressive arms and skips the slow-start
 ramp that costs NewReno/Vegas their short-flow FCT (and skips BBR's
 conservative bootstrap pacing).  Brain state is plain counts and reward
-sums, pickled with the flows in :mod:`repro.service` checkpoints (one
-brain object, so it stays shared after a restore).
+sums, pickled with the flows (one brain object, so it stays shared after
+unpickling).
 """
 
 from __future__ import annotations
@@ -93,7 +93,10 @@ class BanditController(CongestionController):
         decision_interval_s: How often to close an interval and re-pull.
         loss_weight: Mbit/s of reward deducted per Mbit/s retransmitted.
         exploration: UCB1 exploration coefficient.
-        brain: A shared :class:`BanditBrain` (default: a private one).
+
+    The controller learns through a private :class:`BanditBrain` unless
+    a :class:`~repro.cc.factory.ControllerFlowFactory` swaps in the
+    scenario's shared one (:meth:`make_shared_state`).
     """
 
     name = "bandit"
@@ -101,8 +104,7 @@ class BanditController(CongestionController):
     def __init__(self, arms: Sequence[float] = DEFAULT_ARMS,
                  decision_interval_s: float = 0.25,
                  loss_weight: float = 0.5,
-                 exploration: float = 0.5,
-                 brain: Optional[BanditBrain] = None) -> None:
+                 exploration: float = 0.5) -> None:
         super().__init__()
         if decision_interval_s <= 0.0:
             raise ValueError("decision interval must be positive")
@@ -111,10 +113,7 @@ class BanditController(CongestionController):
             raise ValueError("arms must be positive multipliers")
         self.decision_interval_s = decision_interval_s
         self.loss_weight = loss_weight
-        self.brain = brain if brain is not None \
-            else BanditBrain(len(self.arms), exploration)
-        if self.brain.num_arms != len(self.arms):
-            raise ValueError("brain arm count does not match arms")
+        self.brain = BanditBrain(len(self.arms), exploration)
         self._base_cwnd = 0.0
         self._arm: Optional[int] = None
         self._interval_start_s = 0.0
@@ -190,10 +189,9 @@ class BanditController(CongestionController):
         flow.ssthresh = flow.cwnd
 
     @classmethod
-    def make_shared_state(cls, **kwargs) -> Dict[str, Any]:
-        arms = tuple(kwargs.get("arms", DEFAULT_ARMS))
-        exploration = float(kwargs.get("exploration", 0.5))
-        return {"brain": BanditBrain(len(arms), exploration)}
+    def make_shared_state(cls) -> Dict[str, Any]:
+        """One brain of a default-configured controller for all flows."""
+        return {"brain": cls().brain}
 
 
 register_controller("bandit", BanditController)

@@ -188,7 +188,6 @@ class Hypatia:
     def build_fluid_simulation(self, flows: Sequence[FluidFlow] = (),
                                link_capacity_bps: float = 10_000_000.0,
                                mode: str = "aimd",
-                               freeze_topology_at_s: Optional[float] = None,
                                metrics: Optional["MetricsRegistry"] = None,
                                workload=None):
         """A fluid traffic engine over this network.
@@ -199,7 +198,6 @@ class Hypatia:
             link_capacity_bps: Uniform device capacity.
             mode: ``"aimd"`` (TCP-like dynamics, default) or ``"maxmin"``
                 (instant fair-share equilibrium).
-            freeze_topology_at_s: Static-network baseline time, if any.
             metrics: Optional registry receiving per-snapshot series.
             workload: Optional :class:`repro.traffic.WorkloadSchedule`;
                 its finite flows are appended after ``flows`` and the
@@ -211,11 +209,11 @@ class Hypatia:
         if mode == "aimd":
             return AimdFluidSimulation(
                 self.network, flows, link_capacity_bps=link_capacity_bps,
-                freeze_topology_at_s=freeze_topology_at_s, metrics=metrics)
+                metrics=metrics)
         if mode == "maxmin":
             return FluidSimulation(
                 self.network, flows, link_capacity_bps=link_capacity_bps,
-                freeze_topology_at_s=freeze_topology_at_s, metrics=metrics)
+                metrics=metrics)
         raise ValueError(f"unknown fluid mode {mode!r}; "
                          f"use 'aimd' or 'maxmin'")
 

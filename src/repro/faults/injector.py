@@ -7,7 +7,7 @@ CPython's sha512-based ``Random.seed(str)`` path, which is stable across
 processes and independent of ``PYTHONHASHSEED`` — the property the
 determinism regression test relies on.
 
-The stream is consumed **only while a loss/corruption event is active**
+The stream is consumed **only while a loss event is active**
 on the device (one draw per offered packet), so adding a fault window at
 t=[10, 20) cannot perturb packet outcomes outside that window, and two
 devices' outcomes never couple through a shared RNG.
@@ -18,23 +18,23 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence, Tuple
 
-from .schedule import FaultEvent, FaultKind
+from .schedule import FaultEvent
 
 __all__ = ["LinkFaultInjector"]
 
 
 class LinkFaultInjector:
-    """Seeded per-packet loss/corruption decisions for one link device.
+    """Seeded per-packet loss decisions for one link device.
 
     Args:
         name: The owning device's name (part of the RNG seed).
-        events: The loss/corruption events targeting this device.
+        events: The loss events targeting this device.
         seed: The fault schedule's base seed.
 
     Example:
         >>> injector = LinkFaultInjector(
-        ...     "isl-3-4",
-        ...     [FaultEvent.packet_loss(10.0, 20.0, 0.5, isl=(3, 4))],
+        ...     "gsl-103",
+        ...     [FaultEvent.packet_loss(10.0, 20.0, 0.5, gid=3)],
         ...     seed=0)
         >>> injector.drop_reason(5.0) is None
         True
@@ -54,7 +54,7 @@ class LinkFaultInjector:
         return bool(self.events)
 
     def extend(self, events: Sequence[FaultEvent], now_s: float) -> None:
-        """Add loss/corruption events to a *live* injector.
+        """Add loss events to a *live* injector.
 
         The RNG stream is untouched — draws already consumed stay
         consumed — so extending with future windows keeps past packet
@@ -76,8 +76,8 @@ class LinkFaultInjector:
     def drop_reason(self, now: float) -> Optional[str]:
         """Decide this packet's fate at transmit time.
 
-        Returns ``"loss"`` / ``"corruption"`` when the packet must be
-        discarded, else ``None``.  Active overlapping events combine as
+        Returns ``"loss"`` when the packet must be discarded, else
+        ``None``.  Active overlapping events combine as
         independent trials: each active event gets its own draw, so the
         effective drop probability is ``1 - prod(1 - r_i)`` and the
         outcome does not depend on event order (events iterate in the
@@ -87,12 +87,9 @@ class LinkFaultInjector:
         for event in self.events:
             if not event.active_at(now):
                 continue
+            # Keep drawing for the remaining active events so the stream
+            # position stays a pure function of the offered-packet
+            # sequence.
             if self._rng.random() < event.rate:
-                # Keep drawing for the remaining active events so the
-                # stream position stays a pure function of the offered-
-                # packet sequence, but report the first matching kind.
-                if verdict is None:
-                    verdict = ("loss"
-                               if event.kind is FaultKind.PACKET_LOSS
-                               else "corruption")
+                verdict = "loss"
         return verdict

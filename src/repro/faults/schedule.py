@@ -4,10 +4,10 @@ Paper §7 invites reliability work ("rerouting around failures and bad
 weather").  This module is the repo's fault model: a
 :class:`FaultSchedule` is an explicit, seeded, *plain-data* list of
 :class:`FaultEvent` s — satellite outages, ISL cuts, ground-station (GSL)
-cuts, rain attenuation, and stochastic per-link packet loss/corruption —
-each with a start and an end (recovery).  Rain is not a separate model:
-a storm is a ``GSL_ATTENUATION`` event, and :meth:`FaultSchedule.storms`
-draws a seeded storm schedule.
+cuts, rain attenuation, and stochastic packet loss on a station's
+uplink — each with a start and an end (recovery).  Rain is not a
+separate model: a storm is a ``GSL_ATTENUATION`` event, and
+:meth:`FaultSchedule.storms` draws a seeded storm schedule.
 
 Design contract (the determinism the test suite enforces):
 
@@ -18,12 +18,15 @@ Design contract (the determinism the test suite enforces):
 * All queries are functions of time only.  Overlapping events *stack*
   order-independently: elevation penalties add, loss rates combine as
   ``1 - prod(1 - r_i)``.
+* An event carries no field its kind ignores: a ``rate`` other than 1
+  belongs to loss only, an elevation penalty to attenuation only, so
+  equal ``as_dict()`` forms mean equal events.
 * Topology faults (outages/cuts) act through
   :meth:`repro.topology.network.LeoNetwork.snapshot` — routing reroutes
   at the next forwarding tick, never retroactively.
-* Packet-level faults (loss/corruption) act through the per-device
-  seeded Bernoulli hook (:class:`repro.faults.injector.LinkFaultInjector`),
-  whose RNG stream depends only on ``(schedule.seed, device name)``.
+* Packet loss acts through the per-device seeded Bernoulli hook
+  (:class:`repro.faults.injector.LinkFaultInjector`), whose RNG stream
+  depends only on ``(schedule.seed, device name)``.
 """
 
 from __future__ import annotations
@@ -55,21 +58,16 @@ class FaultKind(enum.Enum):
     #: ``elevation_penalty_deg`` (rain attenuation; >= 90 is a full cut).
     GSL_ATTENUATION = "gsl_attenuation"
 
-    #: Stochastic packet loss at rate ``rate`` on one link's devices.
+    #: Stochastic packet loss at rate ``rate`` on a station's uplink.
     PACKET_LOSS = "packet_loss"
-
-    #: Stochastic packet corruption at rate ``rate`` (corrupted packets
-    #: are discarded at the transmitter, like loss, but accounted apart).
-    PACKET_CORRUPTION = "packet_corruption"
 
 
 #: The kinds each target field may carry, for validation.
 _TARGET_KINDS = {
     "satellite": (FaultKind.SATELLITE_OUTAGE,),
-    "isl": (FaultKind.ISL_CUT, FaultKind.PACKET_LOSS,
-            FaultKind.PACKET_CORRUPTION),
+    "isl": (FaultKind.ISL_CUT,),
     "gid": (FaultKind.GSL_CUT, FaultKind.GSL_ATTENUATION,
-            FaultKind.PACKET_LOSS, FaultKind.PACKET_CORRUPTION),
+            FaultKind.PACKET_LOSS),
 }
 
 
@@ -88,9 +86,9 @@ class FaultEvent:
     """One fault episode, active over ``[start_s, end_s)``.
 
     Exactly one target field is set, depending on ``kind``:
-    ``satellite`` (SATELLITE_OUTAGE), ``isl`` (ISL_CUT, or loss/corruption
-    on an ISL), or ``gid`` (GSL_CUT / GSL_ATTENUATION, or loss/corruption
-    on a station's uplink device).  Use the classmethod constructors.
+    ``satellite`` (SATELLITE_OUTAGE), ``isl`` (ISL_CUT), or ``gid``
+    (GSL_CUT / GSL_ATTENUATION, or PACKET_LOSS on a station's uplink
+    device).  Use the classmethod constructors.
 
     Attributes:
         kind: The fault taxonomy entry.
@@ -98,7 +96,7 @@ class FaultEvent:
         satellite: Failed satellite id (SATELLITE_OUTAGE only).
         isl: Normalized ``(min, max)`` satellite pair of the targeted ISL.
         gid: Targeted ground station.
-        rate: Per-packet drop probability (loss/corruption kinds).
+        rate: Per-packet drop probability (PACKET_LOSS only).
         elevation_penalty_deg: Added minimum elevation (GSL_ATTENUATION).
     """
 
@@ -136,16 +134,23 @@ class FaultEvent:
         else:
             object.__setattr__(self, target,
                                _index(getattr(self, target), target))
-        if self.kind in (FaultKind.PACKET_LOSS, FaultKind.PACKET_CORRUPTION):
+        if self.kind is FaultKind.PACKET_LOSS:
             if not 0.0 < self.rate <= 1.0:
                 raise ValueError(
-                    f"loss/corruption rate must be in (0, 1], got {self.rate}")
+                    f"loss rate must be in (0, 1], got {self.rate}")
+        elif self.rate != 1.0:
+            raise ValueError(f"{self.kind.value} carries no rate, "
+                             f"got rate={self.rate}")
         if not self.elevation_penalty_deg >= 0.0:
             raise ValueError(f"elevation penalty must be non-negative, "
                              f"got {self.elevation_penalty_deg}")
-        if self.kind is FaultKind.GSL_ATTENUATION \
-                and self.elevation_penalty_deg == 0.0:
-            raise ValueError("attenuation needs a positive penalty")
+        if self.kind is FaultKind.GSL_ATTENUATION:
+            if self.elevation_penalty_deg == 0.0:
+                raise ValueError("attenuation needs a positive penalty")
+        elif self.elevation_penalty_deg != 0.0:
+            raise ValueError(
+                f"{self.kind.value} carries no elevation_penalty_deg, "
+                f"got {self.elevation_penalty_deg}")
 
     # -- constructors ---------------------------------------------------
 
@@ -177,21 +182,10 @@ class FaultEvent:
 
     @classmethod
     def packet_loss(cls, start_s: float, end_s: float, rate: float,
-                    isl: Optional[Tuple[int, int]] = None,
-                    gid: Optional[int] = None) -> "FaultEvent":
-        """Stochastic loss on an ISL (both directions) or a GS uplink."""
-        return cls(FaultKind.PACKET_LOSS, start_s, end_s,
-                   isl=(min(isl), max(isl)) if isl is not None else None,
-                   gid=gid, rate=float(rate))
-
-    @classmethod
-    def packet_corruption(cls, start_s: float, end_s: float, rate: float,
-                          isl: Optional[Tuple[int, int]] = None,
-                          gid: Optional[int] = None) -> "FaultEvent":
-        """Stochastic corruption on an ISL or a GS uplink."""
-        return cls(FaultKind.PACKET_CORRUPTION, start_s, end_s,
-                   isl=(min(isl), max(isl)) if isl is not None else None,
-                   gid=gid, rate=float(rate))
+                    gid: int) -> "FaultEvent":
+        """Stochastic loss on a ground station's uplink."""
+        return cls(FaultKind.PACKET_LOSS, start_s, end_s, gid=gid,
+                   rate=float(rate))
 
     # -- queries --------------------------------------------------------
 
@@ -201,9 +195,8 @@ class FaultEvent:
 
     @property
     def is_stochastic(self) -> bool:
-        """Loss/corruption events act per packet, not on the topology."""
-        return self.kind in (FaultKind.PACKET_LOSS,
-                             FaultKind.PACKET_CORRUPTION)
+        """Loss events act per packet, not on the topology."""
+        return self.kind is FaultKind.PACKET_LOSS
 
     # -- (de)serialization ----------------------------------------------
 
@@ -293,7 +286,7 @@ class FaultSchedule:
 
         schedule = FaultSchedule([
             FaultEvent.satellite_outage(17, start_s=30.0, end_s=90.0),
-            FaultEvent.packet_loss(10.0, 20.0, rate=0.05, isl=(3, 4)),
+            FaultEvent.packet_loss(10.0, 20.0, rate=0.05, gid=3),
         ])
         network = LeoNetwork(..., faults=schedule)
     """
@@ -373,15 +366,8 @@ class FaultSchedule:
                    if event.kind is FaultKind.GSL_ATTENUATION
                    and event.gid == gid and event.active_at(time_s))
 
-    def loss_events_for_isl(self, sat_a: int, sat_b: int
-                            ) -> Tuple[FaultEvent, ...]:
-        """Loss/corruption events targeting one ISL (any direction)."""
-        key = (min(sat_a, sat_b), max(sat_a, sat_b))
-        return tuple(event for event in self.events
-                     if event.is_stochastic and event.isl == key)
-
     def loss_events_for_gid(self, gid: int) -> Tuple[FaultEvent, ...]:
-        """Loss/corruption events targeting one station's uplink."""
+        """Loss events targeting one station's uplink."""
         return tuple(event for event in self.events
                      if event.is_stochastic and event.gid == gid)
 
@@ -402,20 +388,19 @@ class FaultSchedule:
         Device keys follow :func:`repro.fluid.engine.path_devices`:
         ``(a, b)`` for a directed ISL, ``("gsl", node)`` for a node's
         shared GSL device.  Cut/outaged links are zero-capacity; active
-        loss/corruption scales capacity by the expected survival rate.
-        The active sets are evaluated once for the whole batch: the
-        events are scanned per call, not per device.
+        loss on a station's uplink scales its capacity by the expected
+        survival rate.  The active sets are evaluated once for the whole
+        batch: the events are scanned per call, not per device.
         """
         failed = self.failed_satellites_at(time_s)
         cut_isls = self.cut_isls_at(time_s)
         cut_gids = self.cut_gids_at(time_s)
-        # Active loss/corruption events per target (an ISL pair or a
-        # gid), in schedule order like ``loss_events_for_*``.
-        lossy: Dict[Hashable, List[FaultEvent]] = {}
+        # Active loss events per gid, in schedule order like
+        # ``loss_events_for_gid``.
+        lossy: Dict[int, List[FaultEvent]] = {}
         for event in self.events:
             if event.is_stochastic and event.active_at(time_s):
-                target = event.isl if event.isl is not None else event.gid
-                lossy.setdefault(target, []).append(event)
+                lossy.setdefault(event.gid, []).append(event)
         factors = []
         for device in devices:
             if isinstance(device, tuple) and len(device) == 2 \
@@ -424,14 +409,15 @@ class FaultSchedule:
                 if node < num_satellites:  # a satellite's GSL device
                     factors.append(0.0 if node in failed else 1.0)
                     continue
-                target = node - num_satellites
-                dead = target in cut_gids
+                gid = node - num_satellites
+                factors.append(0.0 if gid in cut_gids
+                               else 1.0 - self.combined_rate(
+                                   lossy.get(gid, ()), time_s))
             else:
                 a, b = int(device[0]), int(device[1])
-                target = (min(a, b), max(a, b))
-                dead = a in failed or b in failed or target in cut_isls
-            factors.append(0.0 if dead else 1.0 - self.combined_rate(
-                lossy.get(target, ()), time_s))
+                dead = (a in failed or b in failed
+                        or (min(a, b), max(a, b)) in cut_isls)
+                factors.append(0.0 if dead else 1.0)
         return factors
 
     # -- producers ------------------------------------------------------
@@ -446,7 +432,7 @@ class FaultSchedule:
         timed like :meth:`synthetic`'s events, raising its minimum
         elevation by ``penalty_deg`` (90 or more takes it off the air).
         Combine with explicit faults as ``faults.merged(storms)``, which
-        keeps the explicit schedule's loss/corruption seed.
+        keeps the explicit schedule's loss seed.
         """
         rng, window = _seeded_windows(seed, duration_s, mean_duration_s,
                                       {"probability": probability},
@@ -466,17 +452,13 @@ class FaultSchedule:
                   gsl_cut_probability: float = 0.05,
                   loss_probability: float = 0.05,
                   mean_duration_s: float = 30.0,
-                  mean_loss_rate: float = 0.05,
-                  isl_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-                  isl_cut_probability: float = 0.002,
-                  ) -> "FaultSchedule":
+                  mean_loss_rate: float = 0.05) -> "FaultSchedule":
         """A seeded random fault schedule.
 
         Each satellite independently suffers an outage with
         ``satellite_outage_probability``; each station a GSL cut with
         ``gsl_cut_probability`` and a lossy-uplink episode with
-        ``loss_probability``; each ISL (when ``isl_pairs`` is given) a
-        cut with ``isl_cut_probability``.  Starts are uniform over the
+        ``loss_probability``.  Starts are uniform over the
         run, durations exponential around ``mean_duration_s``, loss
         rates exponential around ``mean_loss_rate`` (capped at 1).
         Identical arguments produce an identical, schedule-sorted event
@@ -486,8 +468,7 @@ class FaultSchedule:
             seed, duration_s, mean_duration_s,
             {"satellite_outage_probability": satellite_outage_probability,
              "gsl_cut_probability": gsl_cut_probability,
-             "loss_probability": loss_probability,
-             "isl_cut_probability": isl_cut_probability},
+             "loss_probability": loss_probability},
             mean_loss_rate=mean_loss_rate)
         events: List[FaultEvent] = []
         for sat in range(num_satellites):
@@ -504,12 +485,6 @@ class FaultSchedule:
                                     rng.expovariate(1.0 / mean_loss_rate)))
                 events.append(FaultEvent.packet_loss(start, end, rate,
                                                      gid=gid))
-        if isl_pairs is not None:
-            for a, b in isl_pairs:
-                if rng.random() < isl_cut_probability:
-                    start, end = window()
-                    events.append(FaultEvent.isl_cut(int(a), int(b),
-                                                     start, end))
         return cls(events, seed=seed)
 
     # -- (de)serialization ----------------------------------------------

@@ -487,8 +487,6 @@ class FluidSimulation:
     def __init__(self, network: LeoNetwork, flows: Sequence[FluidFlow],
                  link_capacity_bps: float = 10_000_000.0,
                  freeze_topology_at_s: Optional[float] = None,
-                 capacity_overrides: Optional[
-                     Dict[Hashable, float]] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if not flows:
             raise ValueError("need at least one flow")
@@ -498,13 +496,6 @@ class FluidSimulation:
         self.flows = list(flows)
         self.link_capacity_bps = link_capacity_bps
         self.freeze_topology_at_s = freeze_topology_at_s
-        #: Per-device capacity overrides (paper §7's link heterogeneity);
-        #: keys follow :func:`path_devices` — ``(a, b)`` for directed
-        #: ISLs, ``("gsl", node)`` for GSL devices.
-        self.capacity_overrides = dict(capacity_overrides or {})
-        for capacity in self.capacity_overrides.values():
-            if capacity <= 0.0:
-                raise ValueError("override capacities must be positive")
         self.metrics = metrics
         self._router = make_routing_engine(network)
         self._num_sats = network.num_satellites
@@ -917,9 +908,7 @@ class FluidSimulation:
         cut/outaged devices are zero-capacity (max-min flows over them
         — frozen-topology mode — get rate 0, AIMD backlogs overflow and
         on-path flows halve); lossy ones shrink to the expected goodput."""
-        overrides, default = self.capacity_overrides, self.link_capacity_bps
-        capacities = np.array([overrides.get(key, default) for key in keys],
-                              dtype=float)
+        capacities = np.full(len(keys), self.link_capacity_bps, dtype=float)
         if faults is not None:
             capacities *= faults.capacity_factors(keys, self._num_sats,
                                                   time_s)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..geo.coordinates import GeodeticPosition, geodetic_to_ecef
-from .cities import City, top_cities
+from .cities import top_cities
 
 __all__ = ["GroundStation", "ground_stations_from_cities",
            "relay_grid_between"]
@@ -61,22 +61,15 @@ class GroundStation:
         return self.position.longitude_deg
 
 
-def ground_stations_from_cities(cities: Optional[Sequence[City]] = None,
-                                count: int = 100) -> List[GroundStation]:
-    """Ground stations at city locations.
-
-    Args:
-        cities: Explicit city list; defaults to the ``count`` most populous.
-        count: Number of top cities when ``cities`` is not given.
+def ground_stations_from_cities(count: int = 100) -> List[GroundStation]:
+    """Ground stations at the ``count`` most populous cities.
 
     Returns:
-        Ground stations with gids 0..len-1 in city-rank order.
+        Ground stations with gids 0..count-1 in city-rank order.
     """
-    if cities is None:
-        cities = top_cities(count)
     return [
         GroundStation(gid=gid, name=city.name, position=city.position)
-        for gid, city in enumerate(cities)
+        for gid, city in enumerate(top_cities(count))
     ]
 
 

@@ -6,8 +6,8 @@ engines, and anything else that wants its numbers in the run report.
 Instruments are get-or-create by name, so decoupled subsystems can share
 one registry without coordination.
 
-:class:`TimeSeriesLog` lives here (extracted from ``repro.transport``);
-the transport package re-exports it for backward compatibility.
+:class:`TimeSeriesLog` is also the per-flow log the TCP transport
+records its cwnd and RTT traces into.
 """
 
 from __future__ import annotations
@@ -295,10 +295,8 @@ class MetricsRegistry:
                                  for name, log in self._series.items()}
         return payload
 
-    def to_json(self, path: str, include_series: bool = True,
-                indent: Optional[int] = 1) -> None:
+    def to_json(self, path: str, indent: Optional[int] = 1) -> None:
         """Dump the registry to a JSON file."""
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(include_series=include_series), stream,
-                      indent=indent)
+            json.dump(self.as_dict(), stream, indent=indent)
             stream.write("\n")

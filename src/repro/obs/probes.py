@@ -16,16 +16,16 @@ the simulator's own (``isl-<a>-<b>``, ``gsl-<node>``), which is what lets
 :func:`repro.viz.utilization_map.utilization_map_from_registry` render a
 Fig. 14/15-style map straight from the registry.
 
-By default only devices that have shown activity (a sent packet or a
-non-empty queue) are tracked — on a full constellation, recording every
-idle device would dominate memory.  Once a device becomes active it is
+Only devices that have shown activity (a sent packet or a non-empty
+queue) are tracked — on a full constellation, recording every idle
+device would dominate memory.  Once a device becomes active it is
 sampled at every subsequent interval, so each series is regular from its
 first sample on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -42,12 +42,6 @@ class SimulatorProbe:
         sim: The simulator to observe.
         registry: Destination registry (one is created if omitted).
         interval_s: Sampling period in simulated seconds.
-        links: Restrict sampling to these device names; ``None`` tracks
-            every device (subject to ``active_only``).
-        active_only: Track a device only once it has transmitted or
-            queued at least one packet (default).  Set ``False`` to
-            record every tracked device from the first sample —
-            memory-heavy on constellation-scale networks.
 
     Call :meth:`start` before (or during) ``sim.run``; sampling stops
     with the simulation (probe events beyond ``until_s`` never fire).
@@ -55,29 +49,16 @@ class SimulatorProbe:
 
     def __init__(self, sim: "PacketSimulator",
                  registry: Optional[MetricsRegistry] = None,
-                 interval_s: float = 1.0,
-                 links: Optional[Iterable[str]] = None,
-                 active_only: bool = True) -> None:
+                 interval_s: float = 1.0) -> None:
         if interval_s <= 0.0:
             raise ValueError(
                 f"sample interval must be positive, got {interval_s}")
         self.sim = sim
         self.registry = registry if registry is not None else MetricsRegistry()
         self.interval_s = interval_s
-        self.active_only = active_only
-        wanted = frozenset(links) if links is not None else None
         #: (name, device) pairs eligible for tracking.
-        self._devices = [
-            (device.name, device)
-            for device in sim.iter_devices()
-            if wanted is None or device.name in wanted
-        ]
-        if wanted is not None:
-            known = {name for name, _ in self._devices}
-            missing = wanted - known
-            if missing:
-                raise ValueError(
-                    f"unknown device names: {sorted(missing)[:5]}")
+        self._devices = [(device.name, device)
+                         for device in sim.iter_devices()]
         # Cumulative-counter baselines per tracked device name.
         self._last: Dict[str, Tuple[float, int]] = {}
         self._tracked: Dict[str, bool] = {}
@@ -99,9 +80,6 @@ class SimulatorProbe:
 
     def _should_track(self, name: str, device) -> bool:
         if self._tracked.get(name):
-            return True
-        if not self.active_only:
-            self._tracked[name] = True
             return True
         stats = device.stats
         active = (stats.packets_sent > 0 or stats.packets_dropped > 0

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 import numpy as np
 
 from .metrics import Histogram, MetricsRegistry
-from .trace import RingBufferTracer, Tracer
+from .trace import RingBufferTracer
 
 if TYPE_CHECKING:  # runtime-import-free: obs must not depend on the layers
     from ..fluid.engine import FluidResult
@@ -174,41 +174,34 @@ def _active_phase_summary() -> Optional[Dict[str, Any]]:
 
 def packet_run_report(sim: "PacketSimulator", duration_s: float,
                       registry: Optional[MetricsRegistry] = None,
-                      tracer: Optional[Tracer] = None,
-                      include_series: bool = True,
-                      provenance: Optional[Dict[str, Any]] = None
-                      ) -> RunReport:
+                      include_series: bool = True) -> RunReport:
     """Build the report of a packet-simulator run.
 
     Args:
         sim: The simulator after :meth:`PacketSimulator.run`.
         duration_s: Simulated duration covered.
         registry: Metrics to embed (e.g. a probe's registry).
-        tracer: Tracer whose summary to embed; defaults to the
-            simulator's own when it is a summarizing tracer.
-        provenance: Extra run-identity fields to fold into the report's
-            provenance header.
+        include_series: Embed the registry's time series too.
+
+    The simulator's tracer contributes its summary when it is a
+    summarizing tracer.
     """
     stats = sim.stats
     summary: Dict[str, Any] = dict(stats.as_dict())
     summary.update(stats.perf_summary())
-    tracer = tracer if tracer is not None else sim.tracer
+    tracer = sim.tracer
     trace_summary = (tracer.summary()
                      if isinstance(tracer, RingBufferTracer) else None)
     metrics = (registry.as_dict(include_series=include_series)
                if registry is not None else None)
-    identity: Dict[str, Any] = {"engine": "packet"}
-    if provenance:
-        identity.update(provenance)
     return RunReport(kind="packet", duration_s=duration_s, summary=summary,
                      metrics=metrics, trace=trace_summary,
-                     phases=_active_phase_summary(), provenance=identity)
+                     phases=_active_phase_summary(),
+                     provenance={"engine": "packet"})
 
 
 def fluid_run_report(result: "FluidResult",
-                     registry: Optional[MetricsRegistry] = None,
-                     include_series: bool = True,
-                     provenance: Optional[Dict[str, Any]] = None
+                     registry: Optional[MetricsRegistry] = None
                      ) -> RunReport:
     """Build the report of a fluid-engine run (max-min or AIMD).
 
@@ -217,8 +210,7 @@ def fluid_run_report(result: "FluidResult",
     :data:`FCT_BUCKETS` plus per-run offered/delivered totals.
     """
     summary = result.perf_summary()
-    metrics = (registry.as_dict(include_series=include_series)
-               if registry is not None else None)
+    metrics = registry.as_dict() if registry is not None else None
     duration = result.duration_s if result.duration_s > 0.0 else (
         float(result.times_s[-1]) if len(result.times_s) else 0.0)
     extras: Dict[str, Any] = {}
@@ -242,8 +234,6 @@ def fluid_run_report(result: "FluidResult",
     identity: Dict[str, Any] = {"engine": result.engine}
     if getattr(result, "kernel", ""):
         identity["kernel"] = result.kernel
-    if provenance:
-        identity.update(provenance)
     return RunReport(kind=f"fluid.{result.engine}",
                      duration_s=duration,
                      summary=summary, metrics=metrics, extras=extras,

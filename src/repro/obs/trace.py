@@ -48,7 +48,7 @@ PKT_TX_FINISH = "pkt.tx_finish"
 #: A packet was handed to its destination application.
 PKT_DELIVER = "pkt.deliver"
 #: A packet was lost; ``reason`` is one of "queue", "no_route", "ttl",
-#: "no_handler", "fault" (injected loss/corruption; see
+#: "no_handler", "fault" (injected loss; see
 #: :mod:`repro.faults`).
 PKT_DROP = "pkt.drop"
 #: The forwarding controller installed a fresh state snapshot.
@@ -121,34 +121,24 @@ class TraceEvent:
 
 
 class TraceFilter:
-    """Accept/reject predicate over (kind, flow, link).
+    """Accept/reject predicate over event kinds.
 
-    Any criterion left as ``None`` matches everything; a set restricts
-    the dimension.  ``links`` entries match device names exactly.
+    ``kinds`` left as ``None`` matches everything; a set restricts the
+    retained events to those kinds.
 
     Example::
 
-        TraceFilter(flows={7}, kinds={PKT_DROP, FLOW_CWND})
+        TraceFilter(kinds={PKT_DROP, FLOW_CWND})
     """
 
-    __slots__ = ("flows", "links", "kinds")
+    __slots__ = ("kinds",)
 
-    def __init__(self, flows: Optional[Iterable[int]] = None,
-                 links: Optional[Iterable[str]] = None,
-                 kinds: Optional[Iterable[str]] = None) -> None:
-        self.flows = frozenset(flows) if flows is not None else None
-        self.links = frozenset(links) if links is not None else None
+    def __init__(self, kinds: Optional[Iterable[str]] = None) -> None:
         self.kinds = frozenset(kinds) if kinds is not None else None
 
-    def accepts(self, kind: str, flow: int, link: str) -> bool:
-        """Whether an event with these coordinates should be retained."""
-        if self.kinds is not None and kind not in self.kinds:
-            return False
-        if self.flows is not None and flow >= 0 and flow not in self.flows:
-            return False
-        if self.links is not None and link and link not in self.links:
-            return False
-        return True
+    def accepts(self, kind: str) -> bool:
+        """Whether an event of this kind should be retained."""
+        return self.kinds is None or kind in self.kinds
 
 
 class Tracer:
@@ -211,8 +201,7 @@ class RingBufferTracer(Tracer):
              reason: str = "") -> None:
         self.emitted += 1
         trace_filter = self.trace_filter
-        if trace_filter is not None and not trace_filter.accepts(
-                kind, flow, link):
+        if trace_filter is not None and not trace_filter.accepts(kind):
             return
         self._counts[kind] += 1
         events = self._events

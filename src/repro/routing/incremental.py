@@ -55,10 +55,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from ..obs import spans
-from ..obs.trace import Tracer
 from ..topology.network import LeoNetwork, TopologySnapshot
-from .engine import (MultiDestinationRouting, RoutingEngine,
-                     RoutingPerfCounters, UNREACHABLE)
+from .engine import MultiDestinationRouting, RoutingEngine, UNREACHABLE
 
 __all__ = ["GraphDelta", "IncrementalPerfCounters", "IncrementalRouter",
            "diff_graphs"]
@@ -237,10 +235,8 @@ class IncrementalRouter(RoutingEngine):
     which path each update took.
     """
 
-    def __init__(self, network: LeoNetwork,
-                 perf: Optional[RoutingPerfCounters] = None,
-                 tracer: Optional[Tracer] = None) -> None:
-        super().__init__(network, perf=perf, tracer=tracer)
+    def __init__(self, network: LeoNetwork) -> None:
+        super().__init__(network)
         self.inc_perf = IncrementalPerfCounters()
         self._prev_snapshot: Optional[TopologySnapshot] = None
         self._prev_coo: Optional[Tuple[np.ndarray, np.ndarray,

@@ -90,9 +90,8 @@ class ServiceClient:
                    meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         return self.command("checkpoint", path=path, meta=meta)["header"]
 
-    def metrics(self, include_series: bool = True) -> Dict[str, Any]:
-        return self.command("metrics",
-                            include_series=include_series)["metrics"]
+    def metrics(self) -> Dict[str, Any]:
+        return self.command("metrics")["metrics"]
 
     def report(self, deterministic: bool = False) -> Dict[str, Any]:
         return self.command("report",

@@ -36,14 +36,13 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..cc.factory import ControllerFlowFactory
 from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..fluid.aimd import AimdFluidSimulation
 from ..fluid.engine import FluidRunState, FluidSimulation
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
-from ..simulation.simulator import LinkConfig, PacketSimulator
+from ..simulation.simulator import PacketSimulator
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowRequest, WorkloadSchedule
 from ..traffic.spawner import WorkloadSpawner, packet_fct_section
@@ -75,17 +74,7 @@ class LiveSimulationService:
         epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
             fluid engine also the snapshot step.
         link_capacity_bps: Fluid device capacity.
-        link_config: Packet device rates/queues (paper defaults when
-            omitted).
         forwarding_interval_s: Packet forwarding refresh period.
-        controller: Congestion-controller registry name (see
-            :mod:`repro.cc`) every spawned flow runs — including flows
-            of workloads attached later.  Packet engine only.  Default:
-            the spawner default (NewReno).  Controller state — a
-            learned controller's brain included — lives inside the
-            spawners, so it rides in checkpoints and survives restore.
-        controller_kwargs: Constructor kwargs for each flow's
-            controller.
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
     """
@@ -94,19 +83,12 @@ class LiveSimulationService:
                  horizon_s: float = 60.0,
                  epoch_s: float = 1.0,
                  link_capacity_bps: float = 10_000_000.0,
-                 link_config: Optional[LinkConfig] = None,
                  forwarding_interval_s: float = 0.1,
-                 controller: Optional[str] = None,
-                 controller_kwargs: Optional[Dict[str, Any]] = None,
                  meta: Optional[Dict[str, Any]] = None) -> None:
         if engine != "packet" and engine not in _FLUID_ENGINES:
             raise ServiceError(
                 f"unknown engine {engine!r}; the service supports "
                 f"'packet', 'fluid' (max-min) and 'aimd'")
-        if controller is not None and engine != "packet":
-            raise ServiceError(
-                "congestion controllers steer packet-engine flows; the "
-                "fluid engines have no transport layer to plug into")
         if horizon_s <= 0.0:
             raise ServiceError(f"horizon must be positive, got {horizon_s}")
         if epoch_s <= 0.0:
@@ -125,25 +107,16 @@ class LiveSimulationService:
         #: flow count)`` (fluid engines).
         self._attached: Dict[int, Any] = {}
         self._next_handle = 1
-        #: Shared controller-aware factory (None: spawner default).
-        #: One instance across all spawners, so cross-flow controller
-        #: state (a learned brain) is scenario-wide and checkpointed.
-        self._flow_factory: Optional[ControllerFlowFactory] = None
-        if controller is not None:
-            self._flow_factory = ControllerFlowFactory(
-                controller, controller_kwargs)
 
         if engine == "packet":
             self.sim: Optional[PacketSimulator] = PacketSimulator(
-                self.network, link_config=link_config,
-                forwarding_interval_s=forwarding_interval_s)
+                self.network, forwarding_interval_s=forwarding_interval_s)
             self.fluid: Optional[FluidSimulation] = None
             self.state: Optional[FluidRunState] = None
             self._spawners: List[WorkloadSpawner] = []
             if spec.workload is not None and not spec.workload.is_empty:
                 spawner = WorkloadSpawner(spec.workload,
-                                          metrics=self.metrics,
-                                          flow_factory=self._flow_factory)
+                                          metrics=self.metrics)
                 spawner.install(self.sim)
                 self._spawners.append(spawner)
         else:
@@ -245,8 +218,7 @@ class LiveSimulationService:
         self._next_handle += 1
         if self.engine == "packet":
             assert self.sim is not None
-            spawner = WorkloadSpawner(workload, metrics=self.metrics,
-                                      flow_factory=self._flow_factory)
+            spawner = WorkloadSpawner(workload, metrics=self.metrics)
             spawner.install(self.sim)
             self._spawners.append(spawner)
             self._attached[handle] = spawner
@@ -337,32 +309,20 @@ class LiveSimulationService:
     def _extend_packet_injectors(self, events: Sequence[FaultEvent],
                                  merged: FaultSchedule,
                                  now: float) -> None:
-        """Wire new stochastic loss/corruption events into live devices."""
+        """Wire new stochastic loss events into live station uplinks."""
         assert self.sim is not None
         sim = self.sim
         sim._faults = merged if len(merged) else None
         for event in events:
             if not event.is_stochastic:
                 continue
-            devices = []
-            if event.isl is not None:
-                a, b = event.isl
-                for key in ((a, b), (b, a)):
-                    try:
-                        devices.append(sim.isl_device(*key))
-                    except KeyError:
-                        pass
-            elif event.gid is not None:
-                devices.append(
-                    sim.gsl_device(self.network.num_satellites + event.gid))
-            for device in devices:
-                injector = device._fault_injector
-                if injector is None:
-                    injector = LinkFaultInjector(device.name, [event],
-                                                 seed=merged.seed)
-                    device._fault_injector = injector
-                else:
-                    injector.extend([event], now)
+            device = sim.gsl_device(self.network.num_satellites + event.gid)
+            injector = device._fault_injector
+            if injector is None:
+                device._fault_injector = LinkFaultInjector(
+                    device.name, [event], seed=merged.seed)
+            else:
+                injector.extend([event], now)
 
     # ------------------------------------------------------------------
     # Observation

@@ -7,7 +7,10 @@ TCP socket (stdlib ``asyncio`` only — no external dependencies):
 * an optional **pacing loop** advances one epoch every
   ``epoch_s / pace`` wall seconds (``pace=2`` flies the constellation
   at twice real time; ``pace=0`` advances only on command), so the
-  simulated constellation genuinely *flies* while clients watch;
+  simulated constellation genuinely *flies* while clients watch.
+  Epoch ``k`` is due ``k`` intervals after the loop started, so compute
+  time does not add up into lag: an epoch that overruns its slot is
+  followed at once by the next one;
 * every line received is one command object ``{"cmd": ..., ...}`` and
   produces exactly one response line ``{"ok": true, ...}`` or
   ``{"ok": false, "error": ...}`` — trivially scriptable from any
@@ -109,10 +112,15 @@ class ServiceServer:
             self._pacer = asyncio.ensure_future(self._pace_epochs())
 
     async def _pace_epochs(self) -> None:
+        loop = asyncio.get_running_loop()
         interval = self.service.epoch_s / self.pace
+        start = loop.time()
+        paced = 0
         try:
             while not self.service.done and not self._stopping.is_set():
-                await asyncio.sleep(interval)
+                paced += 1
+                deadline = start + paced * interval
+                await asyncio.sleep(max(0.0, deadline - loop.time()))
                 if self._stopping.is_set():
                     break
                 self.service.advance_epoch()

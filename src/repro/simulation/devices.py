@@ -109,7 +109,7 @@ class LinkDevice:
         fault_injector: Optional
             :class:`repro.faults.LinkFaultInjector`; when set, every
             offered packet is first subjected to its seeded Bernoulli
-            loss/corruption decision, and a positive verdict drops the
+            loss decision, and a positive verdict drops the
             packet with the ``fault`` reason (returning
             :data:`DROPPED_FAULT`).
     """

@@ -10,7 +10,7 @@ and ``size_bytes``.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["Packet", "DEFAULT_HEADER_BYTES", "DEFAULT_MTU_BYTES"]
 
@@ -49,7 +49,6 @@ class Packet:
 
     def __init__(self, flow_id: int, src_node: int, dst_node: int,
                  size_bytes: int, kind: str = "data",
-                 payload_bytes: Optional[int] = None,
                  seq: int = -1, ack: int = -1,
                  ts_echo: float = -1.0, sent_at_s: float = -1.0,
                  retransmit: bool = False) -> None:
@@ -60,9 +59,7 @@ class Packet:
         self.src_node = src_node
         self.dst_node = dst_node
         self.size_bytes = size_bytes
-        if payload_bytes is None:
-            payload_bytes = max(0, size_bytes - DEFAULT_HEADER_BYTES)
-        self.payload_bytes = payload_bytes
+        self.payload_bytes = max(0, size_bytes - DEFAULT_HEADER_BYTES)
         self.kind = kind
         self.seq = seq
         self.ack = ack

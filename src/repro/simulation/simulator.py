@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..faults.injector import LinkFaultInjector
 from ..obs import spans
@@ -144,19 +144,9 @@ class PacketSimulator:
                  link_config: Optional[LinkConfig] = None,
                  forwarding_interval_s: float = 0.1,
                  position_quantum_s: float = 0.001,
-                 isl_rate_overrides: Optional[
-                     Dict[Tuple[int, int], float]] = None,
-                 gsl_rate_overrides: Optional[Dict[int, float]] = None,
                  tracer: Optional[Tracer] = None
                  ) -> None:
         """See class docstring.
-
-        ``isl_rate_overrides`` (keyed by *directed* satellite pair) and
-        ``gsl_rate_overrides`` (keyed by node id) assign individual
-        devices a line rate different from the uniform config — the
-        paper's §7 link-capacity heterogeneity ("satellite capabilities
-        may advance over time").  An undirected upgrade needs both
-        directions.
 
         ``tracer`` (default: the no-op ``NULL_TRACER``) receives the
         structured trace events of every layer — device enqueue/tx/drop,
@@ -165,8 +155,6 @@ class PacketSimulator:
         """
         self.network = network
         self.config = link_config or LinkConfig()
-        isl_rate_overrides = isl_rate_overrides or {}
-        gsl_rate_overrides = gsl_rate_overrides or {}
         self.scheduler = EventScheduler()
         self.positions = PositionService(network, quantum_s=position_quantum_s)
         self.stats = SimulationStats()
@@ -175,55 +163,30 @@ class PacketSimulator:
             network, self.scheduler, update_interval_s=forwarding_interval_s,
             perf=self.stats.routing, tracer=self.tracer)
         self._num_sats = network.num_satellites
-        # Stochastic loss/corruption events live on the network's fault
-        # schedule; each affected device gets its own injector whose RNG
+        # Stochastic loss events live on the network's fault schedule;
+        # each affected station uplink gets its own injector whose RNG
         # stream is derived from (schedule seed, device name).
         faults = network.faults
         self._faults = faults if faults is not None and len(faults) else None
-        isl_pair_set = {(int(a), int(b)) for a, b in network.isl_pairs}
-        isl_pair_set |= {(b, a) for a, b in isl_pair_set}
-        for key in isl_rate_overrides:
-            if tuple(key) not in isl_pair_set:
-                raise ValueError(f"ISL rate override for non-ISL {key}")
-        for node in gsl_rate_overrides:
-            if not 0 <= int(node) < network.num_nodes:
-                raise ValueError(
-                    f"GSL rate override for unknown node {node}")
         self._isl_devices: Dict[Tuple[int, int], LinkDevice] = {}
         for a, b in network.isl_pairs:
             a, b = int(a), int(b)
             for src, dst in ((a, b), (b, a)):
-                rate = isl_rate_overrides.get((src, dst),
-                                              self.config.isl_rate_bps)
                 self._isl_devices[(src, dst)] = LinkDevice(
                     self.scheduler, self.positions, src,
-                    rate, self.config.isl_queue_packets,
+                    self.config.isl_rate_bps, self.config.isl_queue_packets,
                     self._receive, name=f"isl-{src}-{dst}",
-                    tracer=self.tracer,
-                    fault_injector=self._injector_for_isl(src, dst))
+                    tracer=self.tracer)
         self._gsl_devices: Dict[int, LinkDevice] = {}
         for node in range(network.num_nodes):
-            rate = gsl_rate_overrides.get(node, self.config.gsl_rate_bps)
             self._gsl_devices[node] = LinkDevice(
                 self.scheduler, self.positions, node,
-                rate, self.config.gsl_queue_packets,
+                self.config.gsl_rate_bps, self.config.gsl_queue_packets,
                 self._receive, name=f"gsl-{node}", tracer=self.tracer,
                 fault_injector=self._injector_for_gsl(node))
         # (node_id, flow_id) -> packet handler of the application endpoint.
         self._handlers: Dict[Tuple[int, int], Callable[[Packet], None]] = {}
         self._started = False
-
-    def _injector_for_isl(self, src: int,
-                          dst: int) -> Optional[LinkFaultInjector]:
-        """Seeded injector of one directed ISL device (None when no
-        loss/corruption event targets the link — the common case)."""
-        if self._faults is None:
-            return None
-        events = self._faults.loss_events_for_isl(src, dst)
-        if not events:
-            return None
-        return LinkFaultInjector(f"isl-{src}-{dst}", events,
-                                 seed=self._faults.seed)
 
     def _injector_for_gsl(self, node: int) -> Optional[LinkFaultInjector]:
         """Seeded injector of a node's shared GSL device.
@@ -290,10 +253,6 @@ class PacketSimulator:
         if span != -1:
             profiler.end(span)
 
-    def isl_device(self, from_sat: int, to_sat: int) -> LinkDevice:
-        """The directed device of an ISL (for stats inspection)."""
-        return self._isl_devices[(from_sat, to_sat)]
-
     def gsl_device(self, node_id: int) -> LinkDevice:
         """The shared GSL device of a node (for stats inspection)."""
         return self._gsl_devices[node_id]
@@ -308,9 +267,7 @@ class PacketSimulator:
     # ------------------------------------------------------------------
 
     def attach_probe(self, registry: Optional[MetricsRegistry] = None,
-                     interval_s: float = 1.0,
-                     links: Optional[Iterable[str]] = None,
-                     active_only: bool = True) -> SimulatorProbe:
+                     interval_s: float = 1.0) -> SimulatorProbe:
         """Start a periodic metrics probe on this simulation's clock.
 
         Records per-link queue depth / utilization / throughput and
@@ -318,8 +275,8 @@ class PacketSimulator:
         ``interval_s`` simulated seconds; see
         :class:`repro.obs.probes.SimulatorProbe`.
         """
-        return SimulatorProbe(self, registry=registry, interval_s=interval_s,
-                              links=links, active_only=active_only).start()
+        return SimulatorProbe(self, registry=registry,
+                              interval_s=interval_s).start()
 
     def report(self, duration_s: Optional[float] = None,
                registry: Optional[MetricsRegistry] = None,

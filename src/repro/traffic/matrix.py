@@ -24,12 +24,12 @@ churn) as well as directly convertible to long-running fluid flows.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from ..geo.distance import great_circle_distance_m
-from ..ground.cities import City, top_cities
+from ..ground.cities import top_cities
 
 __all__ = ["TrafficMatrix"]
 
@@ -112,30 +112,21 @@ class TrafficMatrix:
         return TrafficMatrix(self.demand_bps * (total_offered_bps / current),
                              kind=self.kind)
 
-    def as_fluid_flows(self, min_rate_bps: float = 0.0,
-                       elastic: bool = False) -> list:
-        """The matrix as long-running :class:`~repro.fluid.engine.FluidFlow` s.
+    def as_fluid_flows(self, min_rate_bps: float = 0.0) -> list:
+        """The matrix as long-running :class:`~repro.fluid.engine.FluidFlow` s,
+        each flow's demand capped at its matrix rate.
 
         Args:
             min_rate_bps: Pairs at or below this demand are skipped.
-            elastic: When True, flows are greedy (infinite demand, the
-                paper's long-running-TCP idealization) and the matrix only
-                selects *which* pairs talk; when False (default) each
-                flow's demand caps at its matrix rate.
         """
         from ..fluid.engine import FluidFlow
-        return [
-            FluidFlow(src, dst,
-                      demand_bps=(np.inf if elastic
-                                  else self.rate_bps(src, dst)))
-            for src, dst in self.pairs(min_rate_bps)
-        ]
+        return [FluidFlow(src, dst, demand_bps=self.rate_bps(src, dst))
+                for src, dst in self.pairs(min_rate_bps)]
 
     # -- builders --------------------------------------------------------
 
     @classmethod
-    def gravity(cls, cities: Optional[Sequence[City]] = None,
-                count: int = 100,
+    def gravity(cls, count: int = 100,
                 total_offered_bps: float = 1e9,
                 distance_exponent: float = 1.0,
                 min_distance_m: float = MIN_GRAVITY_DISTANCE_M,
@@ -143,22 +134,20 @@ class TrafficMatrix:
         """Population-gravity demand over city ground stations.
 
         ``demand[i, j] ∝ pop_i · pop_j / max(dist_ij, floor)^exponent``,
-        normalized so the matrix sums to ``total_offered_bps``.  Station
-        gids follow city order (rank order when ``cities`` is omitted),
-        matching :func:`repro.ground.stations.ground_stations_from_cities`.
+        normalized so the matrix sums to ``total_offered_bps``, over the
+        ``count`` most populous cities (the paper's ground segment).
+        Station gids follow city rank order, matching
+        :func:`repro.ground.stations.ground_stations_from_cities`.
 
         Args:
-            cities: Explicit city list; defaults to the ``count`` most
-                populous (the paper's ground segment).
-            count: Top-N cities when ``cities`` is omitted.
+            count: Top-N cities.
             total_offered_bps: Aggregate offered load to normalize to.
             distance_exponent: ``f(d) = d^exponent`` deterrence; 0 turns
                 distance off (pure population product), 2 is the classic
                 Newtonian form.
             min_distance_m: Distance floor for near-co-located pairs.
         """
-        if cities is None:
-            cities = top_cities(count)
+        cities = top_cities(count)
         if len(cities) < 2:
             raise ValueError("gravity model needs at least two cities")
         if total_offered_bps <= 0.0:
@@ -229,11 +218,11 @@ class TrafficMatrix:
         return cls(np.asarray(payload["demand_bps"], dtype=np.float64),
                    kind=payload.get("kind", "custom"))
 
-    def to_json(self, path: str, indent: Optional[int] = None) -> None:
+    def to_json(self, path: str) -> None:
         """Write the matrix as JSON (floats via ``repr``, so a round trip
         is bit-identical)."""
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(), stream, indent=indent)
+            json.dump(self.as_dict(), stream)
             stream.write("\n")
 
     @classmethod

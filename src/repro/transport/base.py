@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..obs.metrics import TimeSeriesLog
 from ..obs.trace import NULL_TRACER, Tracer
 from ..simulation.simulator import PacketSimulator
 
-__all__ = ["Application", "allocate_flow_id", "ensure_flow_ids_above",
-           "TimeSeriesLog"]
+__all__ = ["Application", "allocate_flow_id", "ensure_flow_ids_above"]
 
 _flow_ids = itertools.count(1)
 
@@ -54,8 +52,8 @@ class Application:
             (cwnd, RTT, congestion-control state) behind its ``enabled``.
     """
 
-    def __init__(self, flow_id: Optional[int] = None) -> None:
-        self.flow_id = flow_id if flow_id is not None else allocate_flow_id()
+    def __init__(self) -> None:
+        self.flow_id = allocate_flow_id()
         self.sim: Optional[PacketSimulator] = None
         self._tracer: Tracer = NULL_TRACER
 

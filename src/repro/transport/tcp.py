@@ -40,10 +40,11 @@ import numpy as np
 
 from ..cc.api import (CongestionController, RttEstimator, RTO_INITIAL_S,
                       RTO_MAX_S, RTO_MIN_S, resolve_controller)
+from ..obs.metrics import TimeSeriesLog
 from ..obs.trace import FLOW_CWND, FLOW_RTT
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES, Packet
 from ..simulation.simulator import PacketSimulator
-from .base import Application, TimeSeriesLog
+from .base import Application
 
 __all__ = ["TcpFlow"]
 

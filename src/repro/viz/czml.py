@@ -11,7 +11,7 @@ and downstream tooling can inspect.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def trajectory_samples(constellation: Constellation, duration_s: float,
 
 
 def constellation_czml(constellation: Constellation, duration_s: float,
-                       step_s: float = 10.0,
-                       name: Optional[str] = None) -> List[Dict[str, Any]]:
+                       step_s: float = 10.0) -> List[Dict[str, Any]]:
     """A CZML document (list of packets) for a constellation's motion.
 
     The first packet is the document header with the scene clock; each
@@ -51,14 +50,15 @@ def constellation_czml(constellation: Constellation, duration_s: float,
         constellation: The satellites to render.
         duration_s: Scene duration.
         step_s: Position sampling interval.
-        name: Document name; defaults to the constellation name.
+
+    The document is named after the constellation.
     """
     samples = trajectory_samples(constellation, duration_s, step_s)
     times = samples["times_s"]
     positions = samples["positions_m"]
     document: List[Dict[str, Any]] = [{
         "id": "document",
-        "name": name or constellation.name,
+        "name": constellation.name,
         "version": "1.0",
         "clock": {
             "interval": f"T0/T{duration_s:.0f}",

@@ -4,15 +4,13 @@ Turns per-ISL utilization (from the fluid engine or the packet simulator's
 device counters) into a geographic line set: each used ISL becomes a
 segment with endpoint coordinates and a load fraction, ready to be drawn
 thick/warm when congested, thin/green when idle — the paper's rendering.
-Unused ISLs are excluded, as in Fig. 15 — except links faulted at the
-render instant (see :mod:`repro.faults`), which are always included and
-flagged so a renderer can draw them dashed/grey.
+Unused ISLs are excluded, as in Fig. 15.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -20,9 +18,6 @@ from ..constellations.builder import Constellation
 from ..geo.coordinates import ecef_to_geodetic
 from ..obs.metrics import MetricsRegistry
 from ..obs.probes import isl_utilization_from_registry
-
-if TYPE_CHECKING:
-    from ..faults.schedule import FaultSchedule
 
 __all__ = ["UtilizationSegment", "utilization_map",
            "utilization_map_from_registry", "hotspot_summary"]
@@ -37,8 +32,6 @@ class UtilizationSegment:
         lat_a / lon_a / lat_b / lon_b: Geodetic endpoints (degrees).
         utilization: Load as a fraction of capacity (may exceed 1 briefly
             in fluid overload transients; clamp when rendering).
-        faulted: The link is cut — or touches an outaged satellite — at
-            the render instant (drawn dashed/grey rather than by load).
     """
 
     sat_a: int
@@ -48,33 +41,11 @@ class UtilizationSegment:
     lat_b: float
     lon_b: float
     utilization: float
-    faulted: bool = False
-
-
-def _faulted_pairs(faults: Optional["FaultSchedule"],
-                   isl_pairs: Optional[Sequence[Tuple[int, int]]],
-                   time_s: float) -> frozenset:
-    """Normalized ISL pairs faulted at ``time_s``: explicit cuts, plus —
-    when the interconnect's pair list is given — every ISL touching an
-    outaged satellite."""
-    if faults is None:
-        return frozenset()
-    marked = set(faults.cut_isls_at(time_s))
-    outaged = faults.failed_satellites_at(time_s)
-    if outaged and isl_pairs is not None:
-        for a, b in isl_pairs:
-            a, b = int(a), int(b)
-            if a in outaged or b in outaged:
-                marked.add((min(a, b), max(a, b)))
-    return frozenset(marked)
 
 
 def utilization_map(constellation: Constellation,
                     isl_utilization: Dict[Tuple[int, int], float],
-                    time_s: float,
-                    faults: Optional["FaultSchedule"] = None,
-                    isl_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-                    ) -> List[UtilizationSegment]:
+                    time_s: float) -> List[UtilizationSegment]:
     """Render-ready ISL segments at one instant.
 
     Args:
@@ -82,25 +53,15 @@ def utilization_map(constellation: Constellation,
         isl_utilization: Directed ISL (a, b) -> load fraction; the two
             directions of a link are merged by maximum.
         time_s: Geometry time.
-        faults: Optional fault schedule; links faulted at ``time_s`` are
-            flagged, and included even when carrying no load.
-        isl_pairs: The interconnect's pair list (e.g.
-            ``network.isl_pairs``) — needed to mark the ISLs of an
-            *outaged satellite*, whose links the schedule does not list
-            individually.
     """
     positions = constellation.positions_ecef_m(time_s)
     merged: Dict[Tuple[int, int], float] = {}
     for (a, b), load in isl_utilization.items():
         key = (min(a, b), max(a, b))
         merged[key] = max(merged.get(key, 0.0), load)
-    faulted = _faulted_pairs(faults, isl_pairs, time_s)
-    for key in faulted:
-        merged.setdefault(key, 0.0)
     segments: List[UtilizationSegment] = []
     for (a, b), load in sorted(merged.items()):
-        is_faulted = (a, b) in faulted
-        if load <= 0.0 and not is_faulted:
+        if load <= 0.0:
             continue  # Fig. 15 excludes ISLs with no traffic
         geo_a = ecef_to_geodetic(positions[a])
         geo_b = ecef_to_geodetic(positions[b])
@@ -109,17 +70,13 @@ def utilization_map(constellation: Constellation,
             lat_a=geo_a.latitude_deg, lon_a=geo_a.longitude_deg,
             lat_b=geo_b.latitude_deg, lon_b=geo_b.longitude_deg,
             utilization=float(load),
-            faulted=is_faulted,
         ))
     return segments
 
 
 def utilization_map_from_registry(constellation: Constellation,
                                   registry: MetricsRegistry,
-                                  time_s: float,
-                                  faults: Optional["FaultSchedule"] = None,
-                                  isl_pairs: Optional[
-                                      Sequence[Tuple[int, int]]] = None,
+                                  time_s: float
                                   ) -> List[UtilizationSegment]:
     """Render-ready ISL segments straight from a probe's sampled series.
 
@@ -127,12 +84,11 @@ def utilization_map_from_registry(constellation: Constellation,
     :class:`~repro.obs.probes.SimulatorProbe` to the run and hand its
     registry here — no private device plumbing involved.  Uses the latest
     utilization sample at or before ``time_s``; geometry is evaluated at
-    ``time_s`` itself.  ``faults``/``isl_pairs`` mark faulted links as in
-    :func:`utilization_map`.
+    ``time_s`` itself.
     """
     return utilization_map(
         constellation, isl_utilization_from_registry(registry, time_s),
-        time_s, faults=faults, isl_pairs=isl_pairs)
+        time_s)
 
 
 def hotspot_summary(segments: List[UtilizationSegment],
@@ -140,7 +96,7 @@ def hotspot_summary(segments: List[UtilizationSegment],
     """Where the congested ISLs are (Fig. 15's trans-Atlantic finding).
 
     Returns:
-        Counts of used, hot, and faulted ISLs, and the mean midpoint
+        Counts of used and hot ISLs, and the mean midpoint
         coordinates of the hot ones — a crude but test-friendly "center
         of congestion".
     """
@@ -150,7 +106,6 @@ def hotspot_summary(segments: List[UtilizationSegment],
     summary: Dict[str, Any] = {
         "num_used_isls": len([s for s in segments if s.utilization > 0.0]),
         "num_hot_isls": len(hot),
-        "num_faulted_isls": len([s for s in segments if s.faulted]),
         "hot_threshold": hot_threshold,
     }
     if hot:

@@ -156,7 +156,7 @@ def max_min_fair_allocation(
     return rates
 
 
-def assert_result_matches_oracle(result, flows, capacity_overrides=None):
+def assert_result_matches_oracle(result, flows):
     """Every row of ``flow_rates_bps`` / ``device_load_bps`` must equal
     the oracle allocation over ``flow_paths`` at that snapshot.
 
@@ -165,7 +165,6 @@ def assert_result_matches_oracle(result, flows, capacity_overrides=None):
     flow order follow the recorded paths, which is the order the engine
     numbers its matrix columns in — so equality is exact, not approximate.
     """
-    overrides = capacity_overrides or {}
     starts = np.array([flow.start_s for flow in flows])
     demands = np.minimum(np.array([flow.demand_bps for flow in flows]),
                          _ELASTIC_DEMAND_CAPACITIES
@@ -179,7 +178,7 @@ def assert_result_matches_oracle(result, flows, capacity_overrides=None):
         paths = result.flow_paths[t_index]
         flow_links = {i: path_devices(path, result.num_satellites)
                       for i, path in enumerate(paths) if path is not None}
-        capacities = {link: overrides.get(link, result.link_capacity_bps)
+        capacities = {link: result.link_capacity_bps
                       for links in flow_links.values() for link in links}
         active = [i for i in flow_links
                   if starts[i] <= time_s + _TIME_EPS_S

@@ -27,7 +27,8 @@ import numpy as np
 from repro.obs.trace import FLOW_CWND, FLOW_RTT
 from repro.simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES, Packet
 from repro.simulation.simulator import PacketSimulator
-from repro.transport.base import Application, TimeSeriesLog
+from repro.obs.metrics import TimeSeriesLog
+from repro.transport.base import Application
 
 
 #: Wire size of a pure ACK.

@@ -6,7 +6,7 @@ semantics — registry, estimator arithmetic, pickled controller state,
 the controller inspection surface —
 plus one light parity run per classic against the frozen seed classes in
 ``tests/_seed_transport.py``, and learned-controller checkpoint/restore
-parity through the live service.
+parity through a pickled mid-run simulation.
 """
 
 import json
@@ -22,17 +22,18 @@ from repro.cc.api import (RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S,
                           controller_names, make_controller,
                           register_controller, resolve_controller)
 from repro.cc.classic import BbrController, NewRenoController, VegasController
+from repro.cc.factory import ControllerFlowFactory
 from repro.cc.learned import BanditBrain, BanditController
 from repro.constellations.builder import Constellation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
+from repro.obs.metrics import MetricsRegistry
 from repro.orbits.shell import Shell
-from repro.service import LiveSimulationService
-from repro.service.driver import ServiceError
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.sweep.spec import NetworkSpec
 from repro.topology.network import LeoNetwork
 from repro.traffic import FlowRequest, WorkloadSchedule
+from repro.traffic.spawner import WorkloadSpawner, packet_fct_section
 from repro.transport.tcp import TcpFlow
 
 from _seed_transport import (SeedTcpBbrFlow, SeedTcpNewRenoFlow,
@@ -147,10 +148,13 @@ class TestStateDicts:
         assert clone.flow.controller is clone
 
     def test_bandit_shares_brain_and_roundtrips(self):
-        shared = BanditController.make_shared_state()
-        a = BanditController(**shared)
-        b = BanditController(**shared)
+        factory = ControllerFlowFactory("bandit")
+        request = FlowRequest(t_start_s=0.0, src_gid=0, dst_gid=1,
+                              size_bytes=10_000)
+        a, b = (factory(request).controller for _ in range(2))
+        assert isinstance(a, BanditController)
         assert a.brain is b.brain
+        assert BanditController().brain is not a.brain
         a.brain.update(1, 2.5)
         a2, b2 = pickle.loads(pickle.dumps((a, b)))
         assert a2.brain is b2.brain
@@ -281,44 +285,46 @@ def _service_spec() -> NetworkSpec:
         WorkloadSchedule(requests, seed=17))
 
 
-def _parity_form(service: LiveSimulationService) -> str:
-    return json.dumps(service.report().as_dict(deterministic=True),
-                      sort_keys=True)
+def _bandit_run(spec: NetworkSpec):
+    """A packet run of ``spec``'s workload with every flow on the bandit,
+    one brain shared through the factory."""
+    sim = PacketSimulator(spec.build())
+    metrics = MetricsRegistry()
+    spawner = WorkloadSpawner(
+        spec.workload, metrics=metrics,
+        flow_factory=ControllerFlowFactory("bandit")).install(sim)
+    return sim, spawner, metrics
+
+
+def _parity_form(sim, spawner, metrics) -> str:
+    report = sim.report(sim.now, registry=metrics)
+    report.extras["fct"] = packet_fct_section([spawner], metrics)
+    return json.dumps(report.as_dict(deterministic=True), sort_keys=True)
 
 
 @pytest.mark.service
 class TestLearnedControllerService:
-    def test_controller_requires_packet_engine(self):
-        with pytest.raises(ServiceError, match="packet"):
-            LiveSimulationService(_service_spec(), engine="fluid",
-                                  controller="bandit")
+    """A learned controller's run pickles mid-flight like a service
+    checkpoint does (class name kept for stable test ids)."""
 
-    def test_checkpoint_restore_continue_parity(self, tmp_path):
+    def test_checkpoint_restore_continue_parity(self):
         """A mid-run learned controller (shared bandit brain included)
         survives checkpoint -> restore -> continue bit-identically."""
         horizon = 10.0
-        reference = LiveSimulationService(
-            _service_spec(), horizon_s=horizon, epoch_s=1.0,
-            controller="bandit")
-        reference.advance_to(horizon)
+        reference = _bandit_run(_service_spec())
+        reference[0].run(horizon)
 
-        service = LiveSimulationService(
-            _service_spec(), horizon_s=horizon, epoch_s=1.0,
-            controller="bandit")
-        service.advance_to(5.0)
-        path = str(tmp_path / "cc.ckpt")
-        service.save(path)
-        restored = LiveSimulationService.resume(path)
-        restored.advance_to(horizon)
+        interrupted = _bandit_run(_service_spec())
+        interrupted[0].run(5.0)
+        restored = pickle.loads(pickle.dumps(interrupted))
+        restored[0].run(horizon)
 
-        assert _parity_form(restored) == _parity_form(reference)
+        assert _parity_form(*restored) == _parity_form(*reference)
 
     def test_per_controller_fct_rows(self):
-        service = LiveSimulationService(
-            _service_spec(), horizon_s=10.0, epoch_s=1.0,
-            controller="bandit")
-        service.advance_to(10.0)
-        fct = service.report().as_dict()["fct"]
+        sim, spawner, metrics = _bandit_run(_service_spec())
+        sim.run(10.0)
+        fct = packet_fct_section([spawner], metrics)
         assert set(fct["by_controller"]) == {"bandit"}
         row = fct["by_controller"]["bandit"]
         assert row["flows_completed"] > 0

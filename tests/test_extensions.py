@@ -296,58 +296,3 @@ class TestFailureInjection:
             LeoNetwork(small_constellation, small_stations,
                        min_elevation_deg=10.0,
                        failed_satellites=[1000])
-
-
-class TestHeterogeneousCapacities:
-    def test_isl_override_applies(self, small_network):
-        from repro.simulation.simulator import LinkConfig, PacketSimulator
-        a, b = (int(x) for x in small_network.isl_pairs[0])
-        sim = PacketSimulator(
-            small_network, LinkConfig(isl_rate_bps=10e6),
-            isl_rate_overrides={(a, b): 50e6})
-        assert sim.isl_device(a, b).rate_bps == 50e6
-        assert sim.isl_device(b, a).rate_bps == 10e6  # directed override
-
-    def test_gsl_override_applies(self, small_network):
-        from repro.simulation.simulator import PacketSimulator
-        node = small_network.gs_node_id(0)
-        sim = PacketSimulator(small_network,
-                              gsl_rate_overrides={node: 1e6})
-        assert sim.gsl_device(node).rate_bps == 1e6
-
-    def test_non_isl_override_rejected(self, small_network):
-        from repro.simulation.simulator import PacketSimulator
-        with pytest.raises(ValueError):
-            PacketSimulator(small_network,
-                            isl_rate_overrides={(0, 50): 1e6})
-
-    def test_fluid_capacity_override_shifts_bottleneck(self, small_network):
-        """Upgrading a flow's source GSL device moves its bottleneck."""
-        from repro.fluid.engine import FluidFlow, FluidSimulation
-        from repro.routing.engine import RoutingEngine
-        engine = RoutingEngine(small_network)
-        snap = small_network.snapshot(0.0)
-        path = engine.path(snap, 0, 3)
-        src_gsl = ("gsl", snap.gs_node_id(0))
-        base = FluidSimulation(small_network, [FluidFlow(0, 3)],
-                               link_capacity_bps=10e6)
-        upgraded = FluidSimulation(
-            small_network, [FluidFlow(0, 3)], link_capacity_bps=10e6,
-            capacity_overrides={src_gsl: 40e6})
-        base_rate = base.run(1.0, 1.0).flow_rates_bps[0, 0]
-        up_rate = upgraded.run(1.0, 1.0).flow_rates_bps[0, 0]
-        # The flow is still limited by the rest of the (10 Mbit/s) path.
-        assert base_rate == pytest.approx(10e6, rel=1e-6)
-        assert up_rate == pytest.approx(10e6, rel=1e-6)
-        # But a degraded device caps it.
-        degraded = FluidSimulation(
-            small_network, [FluidFlow(0, 3)], link_capacity_bps=10e6,
-            capacity_overrides={src_gsl: 2e6})
-        down_rate = degraded.run(1.0, 1.0).flow_rates_bps[0, 0]
-        assert down_rate == pytest.approx(2e6, rel=1e-6)
-
-    def test_fluid_invalid_override_rejected(self, small_network):
-        from repro.fluid.engine import FluidFlow, FluidSimulation
-        with pytest.raises(ValueError):
-            FluidSimulation(small_network, [FluidFlow(0, 1)],
-                            capacity_overrides={("gsl", 0): 0.0})

@@ -96,6 +96,48 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match=message):
             FaultEvent(kind, isl=tuple(isl) if isl else None, **kwargs)
 
+    @pytest.mark.parametrize("record,message", [
+        ({"kind": "isl_cut", "isl": [1, 2], "rate": 0.3},
+         "isl_cut carries no rate"),
+        ({"kind": "satellite_outage", "satellite": 3,
+          "elevation_penalty_deg": 5.0},
+         "satellite_outage carries no elevation_penalty_deg"),
+        ({"kind": "packet_loss", "gid": 1, "rate": 0.3,
+          "elevation_penalty_deg": 5.0},
+         "packet_loss carries no elevation_penalty_deg"),
+        ({"kind": "gsl_attenuation", "gid": 1, "rate": 0.5,
+          "elevation_penalty_deg": 5.0},
+         "gsl_attenuation carries no rate"),
+    ], ids=["isl-cut-rate", "outage-penalty", "loss-penalty",
+            "attenuation-rate"])
+    def test_rejects_fields_its_kind_ignores(self, record, message):
+        """Two events whose ``as_dict()`` forms (and so spec
+        fingerprints) are equal must compare equal, so a field the kind
+        ignores is refused, not carried along silently."""
+        fields = {"start_s": 0.0, "end_s": 1.0, **record}
+        with pytest.raises(ValueError, match=message):
+            FaultEvent.from_dict(fields)
+        kwargs = dict(fields, kind=FaultKind(fields["kind"]))
+        if "isl" in kwargs:
+            kwargs["isl"] = tuple(kwargs["isl"])
+        with pytest.raises(ValueError, match=message):
+            FaultEvent(**kwargs)
+        assert FaultEvent.from_dict(FaultEvent.isl_cut(
+            1, 2, 0.0, 1.0).as_dict()) == FaultEvent.isl_cut(1, 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("record,message", [
+        ({"kind": "packet_loss", "isl": [3, 4], "rate": 0.5},
+         "packet_loss cannot target a isl"),
+        ({"kind": "packet_corruption", "gid": 0, "rate": 0.5},
+         "'packet_corruption' is not a valid FaultKind"),
+    ], ids=["isl-loss", "corruption"])
+    def test_retired_loss_targets_refused(self, record, message):
+        """Loss acts on station uplinks only, and corruption is not a
+        kind: schedule JSON carrying either is refused, not dropped."""
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.from_dict({"events": [
+                {"start_s": 0.0, "end_s": 1.0, **record}]})
+
     def test_integral_float_target_reads_as_int(self):
         event = FaultEvent.from_dict({"kind": "satellite_outage",
                                       "start_s": 5.0, "end_s": 8.0,
@@ -109,8 +151,7 @@ class TestFaultEvent:
             FaultEvent.isl_cut(1, 2, 0.0, 4.0),
             FaultEvent.gsl_cut(2, 1.0, 4.0),
             FaultEvent.gsl_attenuation(0, 2.0, 9.0, 25.0),
-            FaultEvent.packet_loss(2.0, 8.0, 0.25, isl=(3, 4)),
-            FaultEvent.packet_corruption(1.0, 2.0, 0.01, gid=5),
+            FaultEvent.packet_loss(2.0, 8.0, 0.25, gid=5),
         ]
         for event in events:
             clone = FaultEvent.from_dict(
@@ -125,7 +166,7 @@ class TestFaultSchedule:
             FaultEvent.isl_cut(1, 2, 0.0, 4.0),
             FaultEvent.gsl_cut(2, 1.0, 4.0),
             FaultEvent.gsl_attenuation(0, 2.0, 9.0, 25.0),
-            FaultEvent.packet_loss(2.0, 8.0, 0.25, isl=(3, 4)),
+            FaultEvent.packet_loss(2.0, 8.0, 0.25, gid=1),
             FaultEvent.packet_loss(2.0, 8.0, 0.5, gid=0),
         ], seed=7)
 
@@ -181,10 +222,11 @@ class TestFaultSchedule:
         assert factor((2, 1), 1.0) == 0.0
         assert factor((3, 4), 6.0) == 0.0
         assert factor(("gsl", 3), 6.0) == 0.0
-        # Cut station, lossy station uplink, lossy ISL.
+        # Cut station, lossy station uplinks; loss never touches an ISL.
         assert factor(("gsl", 12), 2.0) == 0.0
         assert factor(("gsl", 10), 4.0) == pytest.approx(0.5)
-        assert factor((3, 4), 2.0) == pytest.approx(0.75)
+        assert factor(("gsl", 11), 4.0) == pytest.approx(0.75)
+        assert factor((3, 4), 2.0) == 1.0
         # Healthy link, and everything after recovery.
         assert factor((5, 6), 1.0) == 1.0
         assert factor((1, 2), 11.0) == 1.0
@@ -301,7 +343,7 @@ class TestStorms:
 
 class TestLinkFaultInjector:
     def _events(self, rate=0.5):
-        return [FaultEvent.packet_loss(10.0, 20.0, rate, isl=(3, 4))]
+        return [FaultEvent.packet_loss(10.0, 20.0, rate, gid=3)]
 
     def test_no_drops_outside_window(self):
         injector = LinkFaultInjector("isl-3-4", self._events(rate=1.0))
@@ -339,11 +381,6 @@ class TestLinkFaultInjector:
             a.drop_reason(1.0)  # outside [10, 20): no RNG consumption
         assert [a.drop_reason(15.0) for _ in range(50)] == \
             [b.drop_reason(15.0) for _ in range(50)]
-
-    def test_corruption_reported_distinctly(self):
-        injector = LinkFaultInjector("gsl-100", [
-            FaultEvent.packet_corruption(0.0, 10.0, 1.0, gid=0)])
-        assert injector.drop_reason(5.0) == "corruption"
 
     def test_non_stochastic_events_filtered(self):
         injector = LinkFaultInjector("isl-0-1", [
@@ -418,7 +455,7 @@ class TestSnapshotFaultMasking:
             (FaultEvent.gsl_cut(99, 0.0, 1.0), "fault gid 99 out of range"),
             (FaultEvent.isl_cut(0, num_sats + 5, 0.0, 10.0),
              f"fault isl (0, {num_sats + 5}) has an endpoint out of range"),
-            (FaultEvent.packet_loss(0.0, 1.0, 0.5, isl=(3, num_sats)),
+            (FaultEvent.isl_cut(3, num_sats, 0.0, 1.0),
              f"fault isl (3, {num_sats}) has an endpoint out of range"),
         ]:
             bad = FaultSchedule([event])
@@ -674,42 +711,11 @@ class TestFluidFaults:
 # ----------------------------------------------------------------------
 
 class TestVizFaultMarking:
-    def test_faulted_links_flagged_and_included(self, small_constellation,
-                                                small_stations):
-        from repro.viz.utilization_map import (hotspot_summary,
-                                               utilization_map)
-        network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=10.0)
-        cut_pair = tuple(int(x) for x in network.isl_pairs[0])
-        outaged_sat = int(network.isl_pairs[-1][0])
-        faults = FaultSchedule([
-            FaultEvent.isl_cut(*cut_pair, 0.0, 10.0),
-            FaultEvent.satellite_outage(outaged_sat, 0.0, 10.0),
-        ])
-        loads = {cut_pair: 0.0, (2, 3): 0.9}
-        segments = utilization_map(small_constellation, loads, 5.0,
-                                   faults=faults,
-                                   isl_pairs=network.isl_pairs)
-        by_pair = {(s.sat_a, s.sat_b): s for s in segments}
-        # The cut link appears despite zero load, flagged.
-        assert by_pair[cut_pair].faulted
-        # Every ISL of the outaged satellite is flagged too.
-        outage_links = [s for s in segments
-                        if outaged_sat in (s.sat_a, s.sat_b)]
-        assert outage_links and all(s.faulted for s in outage_links)
-        # Loaded healthy links are not flagged.
-        assert not by_pair[(2, 3)].faulted
-        summary = hotspot_summary(segments)
-        assert summary["num_faulted_isls"] == len(
-            [s for s in segments if s.faulted])
-        assert summary["num_used_isls"] == 1  # only (2, 3) carries load
-
     def test_no_faults_keeps_previous_shape(self, small_constellation):
         from repro.viz.utilization_map import utilization_map
         segments = utilization_map(small_constellation,
                                    {(2, 3): 0.5, (3, 2): 0.25}, 0.0)
         assert len(segments) == 1
-        assert not segments[0].faulted
         assert segments[0].utilization == 0.5
 
 

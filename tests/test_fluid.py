@@ -675,18 +675,6 @@ class TestEngineKernelParity:
             equal_nan=True)
         assert result.perf["allocations_solved"] == 7.0
 
-    def test_capacity_overrides(self, small_network):
-        flows = [FluidFlow(0, 3), FluidFlow(1, 4)]
-        path = RoutingEngine(small_network).path(
-            small_network.snapshot(0.0), 0, 3)
-        device = path_devices(path, small_network.num_satellites)[0]
-        overrides = {device: 1e6}
-        result = self._run(small_network, flows, link_capacity_bps=10e6,
-                           capacity_overrides=overrides)
-        assert result.flow_rates_bps[0, 0] == 1e6
-        assert_result_matches_oracle(result, flows,
-                                     capacity_overrides=overrides)
-
     def test_unknown_kernel_rejected(self, small_network):
         # One allocator, no switch: the old ``kernel=`` option is gone.
         with pytest.raises(TypeError):

@@ -165,3 +165,135 @@ class TestAnalysisHasCallers:
         unused = [key for key, (name, _) in defined.items()
                   if mentions[name] <= own[name]]
         assert not unused, unused
+
+
+_SWITCH_DEFAULTS = (None, True, False)
+
+# (file, callable, parameter) that no product call sets, and why it stays.
+_UNSET_SWITCHES_KEPT = {
+    ("src/repro/cli.py", "main", "argv"):
+        "the tests drive the CLI in-process",
+    ("src/repro/service/driver.py", "LiveSimulationService.resume",
+     "expected_spec"):
+        "a safety check on a checkpoint file, which is outside input",
+}
+
+
+def _switch_parameters(path, tree):
+    """``(key, callable name, signature, parameter)`` for every
+    parameter of a public function or method (explicit ``__init__``
+    included) whose default is the constant ``None``, ``True`` or
+    ``False``.  A method's callable name is its own name, an
+    ``__init__``'s is its class's; ``signature`` is the positional
+    parameter names a call fills, ``self``/``cls`` dropped."""
+    rel = path.relative_to(REPO_ROOT)
+    members = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            members.append((node.name, node.name, node, False))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                if sub.name == "__init__":
+                    members.append((f"{node.name}.__init__", node.name, sub,
+                                    True))
+                elif not sub.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    members.append((f"{node.name}.{sub.name}", sub.name, sub,
+                                    not static))
+    for qualified, name, func, bound in members:
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if bound:
+            positional = positional[1:]
+        defaulted = list(zip(positional[len(positional)
+                                        - len(args.defaults):],
+                             args.defaults))
+        defaulted += [(a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                      if d is not None]
+        for param, default in defaulted:
+            if (isinstance(default, ast.Constant)
+                    and any(default.value is v for v in _SWITCH_DEFAULTS)):
+                yield (str(rel), qualified, param), name, positional, param
+
+
+def _calls_by_name(tree):
+    """Every call in ``tree`` under the callable name it invokes: the
+    ``Name`` or ``Attribute`` it calls, its class for ``cls(...)``, and
+    each direct base class for ``super().__init__(...)``."""
+    calls = []
+
+    def visit(node, cls_name, bases):
+        if isinstance(node, ast.ClassDef):
+            cls_name = node.name
+            bases = [b.id if isinstance(b, ast.Name) else b.attr
+                     for b in node.bases
+                     if isinstance(b, (ast.Name, ast.Attribute))]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names = [cls_name if func.id == "cls" and cls_name
+                         else func.id]
+            elif (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and isinstance(func.value.func, ast.Name)
+                    and func.value.func.id == "super"):
+                names = bases
+            elif isinstance(func, ast.Attribute):
+                names = [func.attr]
+            else:
+                names = []
+            calls.extend((name, node) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls_name, bases)
+
+    visit(tree, None, [])
+    return calls
+
+
+def _sets(call, signature, param):
+    """Whether ``call`` passes ``param``: by keyword, positionally at its
+    index in ``signature``, or through ``*args`` / ``**kwargs``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    index = signature.index(param) if param in signature else None
+    for position, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return index is not None and index >= position
+        if position == index:
+            return True
+    return False
+
+
+class TestOptionsHaveCallers:
+    def test_every_switch_parameter_is_set_outside_tests(self):
+        """A ``None``/``True``/``False`` default is a switch: its other
+        setting runs a branch.  Every such parameter of a public callable
+        under ``src/repro`` must be set by some call in ``src/``,
+        ``benchmarks/`` or ``examples/`` (see ``_switch_parameters``,
+        ``_calls_by_name`` and ``_sets``); same-named callables are
+        pooled, and calls in ``tests/`` never count, so a branch only a
+        test reaches is code the product does not run.  The exemptions
+        in ``_UNSET_SWITCHES_KEPT`` each say why they stay."""
+        switches = []
+        calls = {}
+        for directory in ("src", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                if directory == "src":
+                    switches += _switch_parameters(path, tree)
+                for name, call in _calls_by_name(tree):
+                    calls.setdefault(name, []).append(call)
+        unset = {key for key, name, signature, param in switches
+                 if not any(_sets(call, signature, param)
+                            for call in calls.get(name, ()))}
+        named = sorted(unset.symmetric_difference(_UNSET_SWITCHES_KEPT))
+        assert not named, "\n".join(
+            f"{path}:{qualified}({param})"
+            + (" is exempt but set"
+               if (path, qualified, param) in _UNSET_SWITCHES_KEPT else "")
+            for path, qualified, param in named)

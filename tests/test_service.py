@@ -551,7 +551,6 @@ _EVERY_KIND = (
     FaultEvent.gsl_cut(0, 1.0, 2.0),
     FaultEvent.gsl_attenuation(2, 1.0, 6.0, 12.5),
     FaultEvent.packet_loss(5.0, 12.0, 0.4, gid=1),
-    FaultEvent.packet_corruption(4.0, 8.0, 0.2, isl=(3, 4)),
 )
 
 #: The last request of the workload, staying last when its start moves;
@@ -909,7 +908,7 @@ class TestRandomBoundaryProperty:
 
 class TestRngStreamSurvival:
     def test_injector_stream_position_survives_pickle(self):
-        event = FaultEvent.packet_loss(0.0, 1_000.0, 0.3, isl=(3, 4))
+        event = FaultEvent.packet_loss(0.0, 1_000.0, 0.3, gid=3)
         injector = LinkFaultInjector("isl-3-4", [event], seed=7)
         for i in range(137):  # mid-window: stream position 137
             injector.drop_reason(float(i % 900))
@@ -920,8 +919,8 @@ class TestRngStreamSurvival:
 
     def test_injector_extend_keeps_draw_sequence(self):
         """Injecting a future window == having baked it in from t=0."""
-        e1 = FaultEvent.packet_loss(0.0, 50.0, 0.4, isl=(3, 4))
-        e2 = FaultEvent.packet_loss(80.0, 90.0, 0.9, isl=(3, 4))
+        e1 = FaultEvent.packet_loss(0.0, 50.0, 0.4, gid=3)
+        e2 = FaultEvent.packet_loss(80.0, 90.0, 0.9, gid=3)
         live = LinkFaultInjector("isl-3-4", [e1], seed=7)
         baked = LinkFaultInjector("isl-3-4", [e1, e2], seed=7)
         draws_live = [live.drop_reason(t / 10.0) for t in range(300)]
@@ -938,7 +937,7 @@ class TestRngStreamSurvival:
         injector = LinkFaultInjector("isl-0-1", [], seed=0)
         with pytest.raises(ValueError, match="future windows"):
             injector.extend(
-                [FaultEvent.packet_loss(5.0, 9.0, 0.5, isl=(0, 1))],
+                [FaultEvent.packet_loss(5.0, 9.0, 0.5, gid=0)],
                 now_s=7.0)
 
     def test_mid_fault_window_checkpoint_round_trip(self, tmp_path):
@@ -946,7 +945,7 @@ class TestRngStreamSurvival:
         stochastic-loss window; neither the loss RNG nor packet
         outcomes rewind or skip."""
         events = [FaultEvent.packet_loss(2.0, 10.0, 0.2, gid=1),
-                  FaultEvent.packet_loss(3.0, 9.0, 0.15, isl=(10, 11))]
+                  FaultEvent.packet_loss(3.0, 9.0, 0.15, gid=2)]
         faults = FaultSchedule(events, seed=13)
         baseline = _make_service("packet", faults=faults)
         baseline.run_to_horizon()
@@ -1332,4 +1331,63 @@ class TestServerClient:
                        and time.monotonic() - start < deadline):
                     time.sleep(0.05)
                 assert client.status()["time_s"] >= 2.0
+                client.stop()
+
+    def test_pacer_keeps_absolute_deadlines(self, monkeypatch):
+        """Epoch k is due k intervals after the pacer started, on a fake
+        clock: compute time is absorbed instead of piling up as lag, and
+        an epoch that overruns its slot is followed at once."""
+        now = [0.0]
+        compute_s = [0.1, 0.8, 0.1, 0.1]
+        advanced_at = []
+
+        class Paced:
+            epoch_s = 1.0
+
+            @property
+            def done(self):
+                return len(advanced_at) == len(compute_s)
+
+            def advance_epoch(self):
+                advanced_at.append(now[0])
+                now[0] += compute_s[len(advanced_at) - 1]
+
+        async def fake_sleep(delay):
+            assert delay >= 0.0
+            now[0] += delay
+
+        async def scenario():
+            monkeypatch.setattr(asyncio.get_running_loop(), "time",
+                                lambda: now[0])
+            monkeypatch.setattr(asyncio, "sleep", fake_sleep)
+            await ServiceServer(Paced(), pace=2.0)._pace_epochs()
+
+        asyncio.run(scenario())
+        # Slots at 0.5 s intervals; the 0.8 s epoch overran the third.
+        assert advanced_at == pytest.approx([0.5, 1.0, 1.8, 2.0])
+
+    def test_fields_a_kind_ignores_are_refused(self):
+        """An ISL cut carrying a loss rate, a GSL cut carrying a penalty,
+        loss on an ISL and the retired corruption kind are each
+        ``ok: false`` on a connection that stays open."""
+        service = _make_service("packet")
+        window = {"start_s": 5.0, "end_s": 8.0}
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                for record, message in [
+                    ({"kind": "isl_cut", "isl": [1, 2], "rate": 0.3},
+                     "isl_cut carries no rate"),
+                    ({"kind": "gsl_cut", "gid": 1,
+                      "elevation_penalty_deg": 5.0},
+                     "gsl_cut carries no elevation_penalty_deg"),
+                    ({"kind": "packet_loss", "isl": [1, 2], "rate": 0.3},
+                     "packet_loss cannot target a isl"),
+                    ({"kind": "packet_corruption", "gid": 1, "rate": 0.3},
+                     "'packet_corruption' is not a valid FaultKind"),
+                ]:
+                    with pytest.raises(ServiceClientError, match=message):
+                        client.command("inject_fault",
+                                       events=[{**window, **record}])
+                    assert client.status()["time_s"] == 0.0
+                assert service.network.faults is None
                 client.stop()

@@ -201,10 +201,6 @@ class TestPacket:
         packet = Packet(1, 0, 1, size_bytes=1500)
         assert packet.payload_bytes == 1500 - DEFAULT_HEADER_BYTES
 
-    def test_explicit_payload(self):
-        packet = Packet(1, 0, 1, size_bytes=64, payload_bytes=0)
-        assert packet.payload_bytes == 0
-
     def test_unique_ids(self):
         a = Packet(1, 0, 1, size_bytes=100)
         b = Packet(1, 0, 1, size_bytes=100)

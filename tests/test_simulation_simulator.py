@@ -178,8 +178,9 @@ class TestPacketDelivery:
     def test_device_accessors(self, small_network):
         sim = PacketSimulator(small_network)
         a, b = (int(x) for x in small_network.isl_pairs[0])
-        assert sim.isl_device(a, b).node_id == a
-        assert sim.isl_device(b, a).node_id == b
+        devices = {device.name: device for device in sim.iter_devices()}
+        assert devices[f"isl-{a}-{b}"].node_id == a
+        assert devices[f"isl-{b}-{a}"].node_id == b
         assert sim.gsl_device(sim.gs_node_id(0)).node_id == \
             sim.gs_node_id(0)
 
@@ -188,28 +189,6 @@ class TestPacketDelivery:
         assert sim.gid_of_node(sim.gs_node_id(4)) == 4
         with pytest.raises(ValueError):
             sim.gid_of_node(0)
-
-
-class TestRateOverrideValidation:
-    def test_bad_isl_override_rejected(self, small_network):
-        with pytest.raises(ValueError):
-            PacketSimulator(small_network,
-                            isl_rate_overrides={(0, 99999): 1e6})
-
-    def test_bad_gsl_override_rejected(self, small_network):
-        """Regression: a typo'd node id used to be silently ignored while
-        the ISL equivalent raised."""
-        with pytest.raises(ValueError):
-            PacketSimulator(small_network,
-                            gsl_rate_overrides={small_network.num_nodes: 1e6})
-        with pytest.raises(ValueError):
-            PacketSimulator(small_network, gsl_rate_overrides={-1: 1e6})
-
-    def test_valid_gsl_override_applied(self, small_network):
-        node = small_network.gs_node_id(0)
-        sim = PacketSimulator(small_network,
-                              gsl_rate_overrides={node: 123_456.0})
-        assert sim.gsl_device(node).rate_bps == 123_456.0
 
 
 class TestDropAccounting:
@@ -318,7 +297,8 @@ class TestForwardingMemo:
         for time_s in (0.21, 0.22):  # a memo miss, then a hit
             self._send_at(sim, time_s)
         sim.run(0.29)
-        cut_device = sim.isl_device(ingress, after)
+        (cut_device,) = [device for device in sim.iter_devices()
+                         if device.name == f"isl-{ingress}-{after}"]
         assert cut_device.stats.packets_sent == 2
         assert sim.forwarding.hop_memo[(ingress, sim.gs_node_id(3))] == (
             cut_device, after)

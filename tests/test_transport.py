@@ -11,7 +11,8 @@ from repro.cc.lab import lab_network
 from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.traffic import FlowRequest, WorkloadSchedule, WorkloadSpawner
-from repro.transport.base import TimeSeriesLog, allocate_flow_id
+from repro.obs.metrics import TimeSeriesLog
+from repro.transport.base import allocate_flow_id
 from repro.transport.ping import PingSession
 from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
