@@ -55,6 +55,8 @@ smoke:
 	    src/ examples/ README.md .claude/
 	! grep -rnwIE "isl_rate_overrides|gsl_rate_overrides|capacity_overrides|controller_kwargs|share_state|PACKET_CORRUPTION|packet_corruption|isl_cut_probability" \
 	    src/ examples/ README.md .claude/
+	! grep -rnwIE "delayed_ack_count|rwnd_packets|register_controller|_arm_delack|lognormal_sigma|pareto_alpha" \
+	    src/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

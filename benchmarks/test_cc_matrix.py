@@ -54,7 +54,7 @@ _SITES = [
 ANCHORS = [
     ("newreno", SeedTcpNewRenoFlow, {"max_packets": 900}),
     ("vegas", SeedTcpVegasFlow, {}),
-    ("bbr", SeedTcpBbrFlow, {"delayed_ack_count": 2}),
+    ("bbr", SeedTcpBbrFlow, {}),
 ]
 
 

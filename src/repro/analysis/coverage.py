@@ -22,6 +22,12 @@ from ..ground.visibility import elevation_angles_deg
 
 __all__ = ["LatitudeCoverage", "coverage_by_latitude"]
 
+#: Longitude samples per latitude band (uniformly spread).
+LONGITUDES_DEG = np.linspace(-180.0, 180.0, 12, endpoint=False)
+
+#: Probe times, averaging over satellite motion.
+SAMPLE_TIMES_S = (0.0, 120.0, 240.0)
+
 
 @dataclass(frozen=True)
 class LatitudeCoverage:
@@ -43,42 +49,32 @@ def coverage_by_latitude(constellation: Constellation,
                          min_elevation_deg: float,
                          latitudes_deg: Sequence[float] = tuple(
                              range(-90, 91, 15)),
-                         num_longitudes: int = 12,
-                         sample_times_s: Sequence[float] = (0.0, 120.0,
-                                                            240.0),
                          ) -> List[LatitudeCoverage]:
-    """Probe constellation coverage on a latitude/longitude/time grid.
+    """Probe constellation coverage on a latitude/longitude/time grid
+    (:data:`LONGITUDES_DEG` x :data:`SAMPLE_TIMES_S` per latitude).
 
     Args:
         constellation: The satellites.
         min_elevation_deg: Minimum elevation angle for connectivity.
         latitudes_deg: Latitude bands to probe.
-        num_longitudes: Longitude samples per band (uniformly spread).
-        sample_times_s: Times to probe (averages over satellite motion).
 
     Returns:
         One :class:`LatitudeCoverage` per latitude, in input order.
     """
-    if num_longitudes < 1:
-        raise ValueError("need at least one longitude sample")
-    if not sample_times_s:
-        raise ValueError("need at least one sample time")
-    longitudes = np.linspace(-180.0, 180.0, num_longitudes,
-                             endpoint=False)
     results: List[LatitudeCoverage] = []
     positions_by_time = {
-        t: constellation.positions_ecef_m(float(t)) for t in sample_times_s
+        t: constellation.positions_ecef_m(t) for t in SAMPLE_TIMES_S
     }
     for latitude in latitudes_deg:
         covered = 0
         visible_total = 0
         samples = 0
-        for longitude in longitudes:
+        for longitude in LONGITUDES_DEG:
             station = GroundStation(
                 gid=0, name="probe",
                 position=GeodeticPosition(float(latitude),
                                           float(longitude), 0.0))
-            for t in sample_times_s:
+            for t in SAMPLE_TIMES_S:
                 elevations = elevation_angles_deg(station,
                                                   positions_by_time[t])
                 connectable = int((elevations >= min_elevation_deg).sum())

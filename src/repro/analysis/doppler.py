@@ -23,28 +23,29 @@ from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 __all__ = ["isl_radial_velocities_m_per_s", "doppler_shift_hz",
            "max_isl_doppler_summary"]
 
+#: Half-width of the central difference (s).
+DT_S = 0.1
+
 
 def isl_radial_velocities_m_per_s(constellation: Constellation,
-                                  isl_pairs: np.ndarray, time_s: float,
-                                  dt_s: float = 0.1) -> np.ndarray:
+                                  isl_pairs: np.ndarray,
+                                  time_s: float) -> np.ndarray:
     """Rate of change of each ISL's length at ``time_s`` (m/s).
 
     Positive values mean the endpoints are separating.  Computed by
-    central differencing of link lengths, which is exact to O(dt^2) and
-    robust for any propagation backend.
+    central differencing of link lengths over ±:data:`DT_S`, which is
+    exact to O(dt^2) and robust for any propagation backend.
     """
     pairs = np.asarray(isl_pairs)
     if pairs.size == 0:
         return np.empty(0)
-    if dt_s <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt_s}")
-    before = constellation.positions_ecef_m(time_s - dt_s)
-    after = constellation.positions_ecef_m(time_s + dt_s)
+    before = constellation.positions_ecef_m(time_s - DT_S)
+    after = constellation.positions_ecef_m(time_s + DT_S)
     length_before = np.linalg.norm(
         before[pairs[:, 0]] - before[pairs[:, 1]], axis=1)
     length_after = np.linalg.norm(
         after[pairs[:, 0]] - after[pairs[:, 1]], axis=1)
-    return (length_after - length_before) / (2.0 * dt_s)
+    return (length_after - length_before) / (2.0 * DT_S)
 
 
 def doppler_shift_hz(carrier_hz: float,

@@ -63,15 +63,14 @@ class PairRttStats:
 
 def pair_rtt_stats(timelines: Dict[Tuple[int, int], PairTimeline],
                    stations: Sequence[GroundStation],
-                   min_separation_m: float = MIN_PAIR_SEPARATION_M,
                    require_always_connected: bool = False,
                    ) -> List[PairRttStats]:
-    """Summarize RTT behaviour of every tracked pair.
+    """Summarize RTT behaviour of every tracked pair at least
+    :data:`MIN_PAIR_SEPARATION_M` apart (paper: 500 km).
 
     Args:
         timelines: Output of :func:`repro.sweep.sweep_timelines`.
         stations: Ground stations, indexed by gid.
-        min_separation_m: Exclude pairs closer than this (paper: 500 km).
         require_always_connected: Drop pairs that were ever disconnected
             (otherwise their stats cover connected snapshots only).
 
@@ -83,7 +82,7 @@ def pair_rtt_stats(timelines: Dict[Tuple[int, int], PairTimeline],
         src = stations[src_gid]
         dst = stations[dst_gid]
         separation = great_circle_distance_m(src.position, dst.position)
-        if separation < min_separation_m:
+        if separation < MIN_PAIR_SEPARATION_M:
             continue
         mask = timeline.connected_mask
         if not mask.any():

@@ -5,10 +5,9 @@ lab"):
 
 1. the plug-in API (:mod:`repro.cc.api`): the
    :class:`CongestionController` interface, the shared RFC 6298
-   :class:`RttEstimator`, and the string-keyed
-   :func:`register_controller` registry, with the three classics
-   (:mod:`repro.cc.classic`) and the learned bandit
-   (:mod:`repro.cc.learned`) pre-registered;
+   :class:`RttEstimator`, and the string-keyed :data:`CONTROLLERS`
+   table, filled here with the three classics (:mod:`repro.cc.classic`)
+   and the learned bandit (:mod:`repro.cc.learned`);
 2. the evaluation harness (:mod:`repro.cc.lab`, import as a
    submodule): every registered controller head-to-head across the
    fault x weather x churn scenario matrix — the `repro cc-lab` CLI.
@@ -17,11 +16,13 @@ lab"):
 """
 
 from .api import (CONTROLLERS, CongestionController, RttEstimator,
-                  controller_names, make_controller, register_controller,
-                  resolve_controller)
+                  controller_names, make_controller, resolve_controller)
 from .classic import BbrController, NewRenoController, VegasController
 from .factory import ControllerFlowFactory
-from .learned import DEFAULT_ARMS, BanditBrain, BanditController
+from .learned import ARMS, BanditBrain, BanditController
+
+CONTROLLERS.update(newreno=NewRenoController, vegas=VegasController,
+                   bbr=BbrController, bandit=BanditController)
 
 __all__ = [
     "CONTROLLERS",
@@ -29,13 +30,12 @@ __all__ = [
     "RttEstimator",
     "controller_names",
     "make_controller",
-    "register_controller",
     "resolve_controller",
     "NewRenoController",
     "VegasController",
     "BbrController",
     "BanditBrain",
     "BanditController",
-    "DEFAULT_ARMS",
+    "ARMS",
     "ControllerFlowFactory",
 ]

@@ -10,9 +10,9 @@ controller as a swappable experiment axis rather than a class hierarchy:
   loss / timeout / RTT-sample hooks in, cwnd / pacing-rate decisions
   out; controllers are plain objects that :mod:`repro.service`
   checkpoints pickle along with their flows;
-* :func:`register_controller` / :func:`make_controller` form a
-  string-keyed registry, so controller choices travel across process
-  boundaries by name;
+* :data:`CONTROLLERS` / :func:`make_controller` form a string-keyed
+  table of the four controllers, so controller choices travel across
+  process boundaries by name;
 * :class:`RttEstimator` is the one shared RFC 6298 srtt/rttvar/RTO
   estimator (with Karn-style exponential backoff) that every controller
   rides on — previously duplicated knowledge of the NewReno base class.
@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = [
     "CongestionController", "RttEstimator", "CONTROLLERS",
-    "register_controller", "make_controller", "controller_names",
+    "make_controller", "controller_names",
     "resolve_controller", "RTO_MIN_S", "RTO_MAX_S", "RTO_INITIAL_S",
 ]
 
@@ -189,43 +189,26 @@ class CongestionController:
         return {}
 
 
-#: Named controller classes/factories a flow (or a lab cell in another
-#: process) may reference.  Keys travel across process boundaries;
-#: values never leave this process.
-CONTROLLERS: Dict[str, Callable[..., CongestionController]] = {}
+#: Named controller classes a flow (or a lab cell in another process)
+#: may reference.  Keys travel across process boundaries; values never
+#: leave this process.  :mod:`repro.cc` fills it with the four
+#: controllers on import, before anything can look a name up.
+CONTROLLERS: Dict[str, Callable[[], CongestionController]] = {}
 
 
-def register_controller(name: str,
-                        factory: Callable[..., CongestionController],
-                        ) -> None:
-    """Register a controller class under a string key.
-
-    Registration must happen at import time of a module worker
-    processes also import when using the ``spawn`` start method; under
-    ``fork`` (the Linux default) the inherited registry suffices.
-    Re-registering the same factory under its name is a no-op; a
-    different factory under a taken name is an error.
-    """
-    existing = CONTROLLERS.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(f"controller name {name!r} is already taken")
-    CONTROLLERS[name] = factory
-
-
-def make_controller(name: str, **kwargs) -> CongestionController:
-    """Instantiate a registered controller by name."""
+def make_controller(name: str) -> CongestionController:
+    """Instantiate a controller by name."""
     try:
         factory = CONTROLLERS[name]
     except KeyError:
         raise ValueError(
             f"unknown congestion controller {name!r}; known: "
-            f"{controller_names()} (register_controller adds more)"
-        ) from None
-    return factory(**kwargs)
+            f"{controller_names()}") from None
+    return factory()
 
 
 def controller_names() -> List[str]:
-    """Registered controller names, sorted."""
+    """Controller names, sorted."""
     return sorted(CONTROLLERS)
 
 

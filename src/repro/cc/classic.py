@@ -22,7 +22,7 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..obs.trace import FLOW_STATE
-from .api import CongestionController, register_controller
+from .api import CongestionController
 
 __all__ = ["NewRenoController", "VegasController", "BbrController",
            "STARTUP_GAIN", "DRAIN_GAIN", "PROBE_BW_GAINS",
@@ -76,30 +76,25 @@ class VegasController(NewRenoController):
     * ``BaseRTT`` is the minimum RTT ever observed on the connection;
     * once per RTT, Vegas estimates the backlog it keeps in queues as
       ``diff = cwnd * (RTT - BaseRTT) / RTT`` (in packets);
-    * it nudges cwnd to keep ``alpha <= diff <= beta``.
+    * it nudges cwnd to keep ``ALPHA <= diff <= BETA``.
 
     When satellite motion lengthens the path, ``RTT - BaseRTT`` grows
-    with no queueing whatsoever, ``diff`` exceeds ``beta``, and Vegas
+    with no queueing whatsoever, ``diff`` exceeds ``BETA``, and Vegas
     walks its window down toward the floor — exactly the collapse of
-    Fig. 5(b)/(c).
-
-    Args:
-        alpha: Lower backlog target (packets).
-        beta: Upper backlog target (packets).
-        gamma: Slow-start exit threshold (packets).
+    Fig. 5(b)/(c).  Vegas leaves slow start once ``diff`` exceeds
+    ``GAMMA``.
     """
 
     name = "vegas"
     MIN_CWND = 2.0
+    #: Lower and upper backlog targets, slow-start exit threshold
+    #: (packets).
+    ALPHA = 2.0
+    BETA = 4.0
+    GAMMA = 1.0
 
-    def __init__(self, alpha: float = 2.0, beta: float = 4.0,
-                 gamma: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= alpha <= beta:
-            raise ValueError(f"need 0 <= alpha <= beta, got {alpha}, {beta}")
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
         self.base_rtt_s = math.inf
         self._window_min_rtt_s = math.inf
         self._next_adjust_s: Optional[float] = None
@@ -130,7 +125,7 @@ class VegasController(NewRenoController):
             tracer.emit(now_s, FLOW_STATE, flow=flow.flow_id,
                         value=diff, reason="vegas_backlog")
         if self._in_vegas_slow_start:
-            if diff > self.gamma:
+            if diff > self.GAMMA:
                 self._in_vegas_slow_start = False
                 flow.ssthresh = min(flow.ssthresh, flow.cwnd)
                 if tracer.enabled:
@@ -139,9 +134,9 @@ class VegasController(NewRenoController):
             else:
                 self._grow_this_rtt = not self._grow_this_rtt
             return
-        if diff < self.alpha:
+        if diff < self.ALPHA:
             flow.cwnd += 1.0
-        elif diff > self.beta:
+        elif diff > self.BETA:
             flow.cwnd = max(flow.cwnd - 1.0, self.MIN_CWND)
 
     def on_ack(self, newly_acked: int, now_s: float) -> None:
@@ -324,7 +319,3 @@ class BbrController(CongestionController):
     def pacing_rate_bps(self) -> float:
         return self._pacing_rate_bps
 
-
-register_controller("newreno", NewRenoController)
-register_controller("vegas", VegasController)
-register_controller("bbr", BbrController)

@@ -6,8 +6,8 @@
 registry: it builds :class:`~repro.transport.tcp.TcpFlow` applications
 running a *named* controller, holding any cross-flow shared state (a
 learned controller's brain) so it rides along when the spawners are
-pickled.  Instances carry only the controller name, packet size, and
-that shared state — they pickle and travel to sweep/lab worker
+pickled.  Instances carry only the controller name and that shared
+state — they pickle and travel to sweep/lab worker
 processes.
 """
 
@@ -30,8 +30,7 @@ class ControllerFlowFactory:
     running the named controller.
 
     Args:
-        controller: A registered controller name.
-        packet_bytes: Wire size of a full data packet.
+        controller: A controller name.
 
     The controller class's shared state (``make_shared_state``) is built
     once and handed to every flow — for the bandit this is the brain all
@@ -40,32 +39,29 @@ class ControllerFlowFactory:
     Usage: ``WorkloadSpawner(schedule, flow_factory=factory)``.
     """
 
-    def __init__(self, controller: str = "newreno",
-                 packet_bytes: int = DEFAULT_MTU_BYTES) -> None:
+    def __init__(self, controller: str = "newreno") -> None:
         if controller not in CONTROLLERS:
             # Same failure surface as make_controller, but at
             # construction time rather than first flow arrival.
             make_controller(controller)
         self.controller = controller
-        self.packet_bytes = packet_bytes
         maker = getattr(CONTROLLERS[controller], "make_shared_state", None)
         self.shared_state: Dict[str, Any] = (maker() if maker is not None
                                              else {})
 
     def __call__(self, request: FlowRequest):
         """The one request → flow rule (``WorkloadSpawner``'s default
-        too): a ``TcpFlow`` of ``ceil(size_bytes / payload)`` packets,
-        never fewer than one."""
+        too): a ``TcpFlow`` of ``ceil(size_bytes / payload)`` full-size
+        packets, never fewer than one."""
         # Imported lazily: repro.transport.tcp itself imports repro.cc
         # for the registry, so a module-level import here would cycle.
         from ..transport.tcp import TcpFlow
-        payload = self.packet_bytes - DEFAULT_HEADER_BYTES
+        payload = DEFAULT_MTU_BYTES - DEFAULT_HEADER_BYTES
         controller = make_controller(self.controller)
         for name, value in self.shared_state.items():
             setattr(controller, name, value)
         return TcpFlow(
             request.src_gid, request.dst_gid,
             start_s=request.t_start_s,
-            packet_bytes=self.packet_bytes,
             max_packets=max(1, math.ceil(request.size_bytes / payload)),
             controller=controller)

@@ -36,7 +36,7 @@ from .api import controller_names
 from .factory import ControllerFlowFactory
 
 __all__ = [
-    "DEFAULT_SITES",
+    "SITES",
     "LabScenario",
     "CcCellResult",
     "CcLabReport",
@@ -51,10 +51,9 @@ __all__ = [
 #: yardstick a learned policy is scored against.
 CLASSIC_CONTROLLERS = ("newreno", "vegas", "bbr")
 
-#: Six well-spread cities used by the lab's default ground segment
-#: (small enough that every cell stays cheap, far enough apart that
-#: paths cross many ISLs).
-DEFAULT_SITES: Tuple[Tuple[str, float, float], ...] = (
+#: Six well-spread cities, the lab's ground segment (small enough that
+#: every cell stays cheap, far enough apart that paths cross many ISLs).
+SITES: Tuple[Tuple[str, float, float], ...] = (
     ("Quito", 0.0, -78.5),
     ("Nairobi", -1.3, 36.8),
     ("Singapore", 1.35, 103.8),
@@ -74,19 +73,16 @@ MEAN_FLOW_BYTES = 40_000.0
 FAULT_LOSS_RATE = 0.03
 
 
-def lab_network(shell: str = "8x8",
-                sites: Sequence[Tuple[str, float, float]] = DEFAULT_SITES,
-                min_elevation_deg: float = 10.0,
-                altitude_km: float = 600.0,
-                inclination_deg: float = 53.0) -> NetworkSpec:
-    """The lab's base :class:`NetworkSpec` (no workload attached yet).
+def lab_network(shell: str = "8x8") -> NetworkSpec:
+    """The lab's base :class:`NetworkSpec` (no workload attached yet):
+    :data:`SITES` as ground stations, gids in order, with a 10° minimum
+    elevation.
 
     Args:
-        shell: ``"NxM"`` — N orbits of M satellites at ``altitude_km`` /
-            ``inclination_deg``.  Shells below 8x8 leave some site pairs
-            permanently unrouteable; the default is the smallest fully
-            connected lab constellation.
-        sites: ``(name, lat, lon)`` ground stations, gids in order.
+        shell: ``"NxM"`` — N orbits of M satellites at 600 km, 53°.
+            Shells below 8x8 leave some site pairs permanently
+            unrouteable; the default is the smallest fully connected lab
+            constellation.
     """
     from ..constellations.builder import Constellation
     from ..geo.coordinates import GeodeticPosition
@@ -101,15 +97,14 @@ def lab_network(shell: str = "8x8",
         raise ValueError(f"shell must look like '8x8', got {shell!r}")
     lab_shell = Shell(name=f"LAB-{shell}", num_orbits=num_orbits,
                       satellites_per_orbit=sats_per_orbit,
-                      altitude_m=altitude_km * 1000.0,
-                      inclination_deg=inclination_deg)
+                      altitude_m=600_000.0, inclination_deg=53.0)
     stations = [
         GroundStation(gid=i, name=name,
                       position=GeodeticPosition(lat, lon, 0.0))
-        for i, (name, lat, lon) in enumerate(sites)
+        for i, (name, lat, lon) in enumerate(SITES)
     ]
     network = LeoNetwork(Constellation([lab_shell]), stations,
-                         min_elevation_deg=min_elevation_deg)
+                         min_elevation_deg=10.0)
     return NetworkSpec.from_network(network)
 
 

@@ -1,6 +1,6 @@
 """A learned congestion controller: a UCB bandit over window multipliers.
 
-The fourth registered plug-in (after the three classics) and the
+The fourth plug-in (after the three classics) and the
 reference "adaptive policy" of the rate-control lab.  Deliberately
 simple — no ML dependencies, no RNG, fully deterministic:
 
@@ -27,17 +27,26 @@ unpickling).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from .api import CongestionController, register_controller
+from .api import CongestionController
 
-__all__ = ["BanditBrain", "BanditController", "DEFAULT_ARMS"]
+__all__ = ["BanditBrain", "BanditController", "ARMS"]
 
 #: Window multipliers the bandit chooses between.  The low arm lets it
 #: back off toward classic initial-window behaviour under congestion;
 #: the high arms are where it wins short-flow FCT on LEO paths whose
 #: bandwidth-delay product dwarfs a classic initial window.
-DEFAULT_ARMS = (2.0, 4.0, 8.0, 16.0)
+ARMS = (2.0, 4.0, 8.0, 16.0)
+
+#: How often a controller closes an interval and re-pulls (seconds).
+DECISION_INTERVAL_S = 0.25
+
+#: Mbit/s of reward deducted per Mbit/s retransmitted.
+LOSS_WEIGHT = 0.5
+
+#: UCB1 exploration coefficient.
+EXPLORATION = 0.5
 
 
 class BanditBrain:
@@ -48,13 +57,10 @@ class BanditBrain:
     credits rewards here.
     """
 
-    def __init__(self, num_arms: int, exploration: float = 0.5) -> None:
+    def __init__(self, num_arms: int) -> None:
         if num_arms < 1:
             raise ValueError("need at least one arm")
-        if exploration < 0.0:
-            raise ValueError("exploration must be non-negative")
         self.num_arms = num_arms
-        self.exploration = exploration
         self.counts = [0] * num_arms
         self.totals = [0.0] * num_arms
         self.pulls = 0
@@ -70,7 +76,7 @@ class BanditBrain:
         best_value = -math.inf
         for arm in range(self.num_arms):
             mean = self.totals[arm] / self.counts[arm]
-            bonus = math.sqrt(self.exploration * log_pulls
+            bonus = math.sqrt(EXPLORATION * log_pulls
                               / self.counts[arm])
             value = mean + bonus
             if value > best_value:
@@ -85,14 +91,8 @@ class BanditBrain:
 
 
 class BanditController(CongestionController):
-    """Pin cwnd to ``initial_cwnd x arm``, re-choosing the arm by UCB1
-    at a fixed decision interval.
-
-    Args:
-        arms: Window multipliers to choose between.
-        decision_interval_s: How often to close an interval and re-pull.
-        loss_weight: Mbit/s of reward deducted per Mbit/s retransmitted.
-        exploration: UCB1 exploration coefficient.
+    """Pin cwnd to ``initial_cwnd x arm``, re-choosing the arm (one of
+    :data:`ARMS`) by UCB1 every :data:`DECISION_INTERVAL_S`.
 
     The controller learns through a private :class:`BanditBrain` unless
     a :class:`~repro.cc.factory.ControllerFlowFactory` swaps in the
@@ -101,19 +101,9 @@ class BanditController(CongestionController):
 
     name = "bandit"
 
-    def __init__(self, arms: Sequence[float] = DEFAULT_ARMS,
-                 decision_interval_s: float = 0.25,
-                 loss_weight: float = 0.5,
-                 exploration: float = 0.5) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if decision_interval_s <= 0.0:
-            raise ValueError("decision interval must be positive")
-        self.arms = tuple(float(a) for a in arms)
-        if not self.arms or min(self.arms) <= 0.0:
-            raise ValueError("arms must be positive multipliers")
-        self.decision_interval_s = decision_interval_s
-        self.loss_weight = loss_weight
-        self.brain = BanditBrain(len(self.arms), exploration)
+        self.brain = BanditBrain(len(ARMS))
         self._base_cwnd = 0.0
         self._arm: Optional[int] = None
         self._interval_start_s = 0.0
@@ -150,10 +140,10 @@ class BanditController(CongestionController):
     def _open_interval(self, now_s: float) -> None:
         flow = self.flow
         self._arm = self.brain.select()
-        flow.cwnd = max(1.0, self._base_cwnd * self.arms[self._arm])
+        flow.cwnd = max(1.0, self._base_cwnd * ARMS[self._arm])
         flow.ssthresh = flow.cwnd  # keep the flow's bookkeeping harmless
         self._interval_start_s = now_s
-        self._next_decision_s = now_s + self.decision_interval_s
+        self._next_decision_s = now_s + DECISION_INTERVAL_S
         self._una_at_start = flow.snd_una
         self._retx_at_start = flow.retransmissions
 
@@ -166,7 +156,7 @@ class BanditController(CongestionController):
         retx_rate = (flow.retransmissions - self._retx_at_start) \
             * packet_mbits / elapsed
         assert self._arm is not None
-        self.brain.update(self._arm, goodput - self.loss_weight * retx_rate)
+        self.brain.update(self._arm, goodput - LOSS_WEIGHT * retx_rate)
 
     # ------------------------------------------------------------------
     # Event responses: the arm pins the window, losses only feed the
@@ -190,8 +180,6 @@ class BanditController(CongestionController):
 
     @classmethod
     def make_shared_state(cls) -> Dict[str, Any]:
-        """One brain of a default-configured controller for all flows."""
+        """One brain for all flows."""
         return {"brain": cls().brain}
 
-
-register_controller("bandit", BanditController)

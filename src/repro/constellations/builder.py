@@ -199,13 +199,11 @@ class Constellation:
         y = -eci[:, 0] * sin_t + eci[:, 1] * cos_t
         return np.column_stack([x, y, eci[:, 2]])
 
-    def generate_tles(self, epoch_year: int = 2000,
-                      epoch_day: float = 1.0) -> List[TLE]:
+    def generate_tles(self) -> List[TLE]:
         """TLEs for every satellite, in global-id order (paper §3.1)."""
         return [
             generate_tle(sat.elements, name=sat.name,
-                         catalog_number=sat.satellite_id,
-                         epoch_year=epoch_year, epoch_day=epoch_day)
+                         catalog_number=sat.satellite_id)
             for sat in self.satellites
         ]
 

@@ -124,9 +124,8 @@ FIRST_SHELLS: Dict[str, Shell] = {
 GEO_ALTITUDE_M = 35_786_000.0
 
 
-def geostationary_belt(num_satellites: int = 3,
-                       name: str = "GEO") -> Shell:
-    """A belt of equally spaced geostationary satellites.
+def geostationary_belt(num_satellites: int = 3) -> Shell:
+    """A belt of equally spaced geostationary satellites, shell ``"GEO"``.
 
     Modeled as a single equatorial orbit at GEO altitude; its orbital
     period matches the sidereal day, so the satellites are stationary in
@@ -140,7 +139,7 @@ def geostationary_belt(num_satellites: int = 3,
     if num_satellites < 1:
         raise ValueError("need at least one satellite")
     return Shell(
-        name=name,
+        name="GEO",
         num_orbits=1,
         satellites_per_orbit=num_satellites,
         altitude_m=GEO_ALTITUDE_M,

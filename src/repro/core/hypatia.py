@@ -170,19 +170,16 @@ class Hypatia:
                                workers=workers, metrics=metrics)
 
     def build_packet_simulator(self, link_config: Optional[LinkConfig] = None,
-                               forwarding_interval_s: float = 0.1,
                                tracer: Optional["Tracer"] = None,
                                ) -> PacketSimulator:
         """A packet-level simulator over this network.
 
         Args:
             link_config: Device rates/queues (paper defaults if omitted).
-            forwarding_interval_s: Forwarding-state refresh period.
             tracer: Optional :class:`repro.obs.Tracer` receiving the
                 run's structured trace events.
         """
         return PacketSimulator(self.network, link_config=link_config,
-                               forwarding_interval_s=forwarding_interval_s,
                                tracer=tracer)
 
     def build_fluid_simulation(self, flows: Sequence[FluidFlow] = (),

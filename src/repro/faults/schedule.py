@@ -41,6 +41,9 @@ from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterator, List,
 
 __all__ = ["FaultKind", "FaultEvent", "FaultSchedule"]
 
+#: Mean of :meth:`FaultSchedule.synthetic`'s exponential loss-rate draws.
+MEAN_LOSS_RATE = 0.05
+
 
 class FaultKind(enum.Enum):
     """The fault-event taxonomy (see DESIGN.md "Fault model")."""
@@ -451,8 +454,7 @@ class FaultSchedule:
                   satellite_outage_probability: float = 0.02,
                   gsl_cut_probability: float = 0.05,
                   loss_probability: float = 0.05,
-                  mean_duration_s: float = 30.0,
-                  mean_loss_rate: float = 0.05) -> "FaultSchedule":
+                  mean_duration_s: float = 30.0) -> "FaultSchedule":
         """A seeded random fault schedule.
 
         Each satellite independently suffers an outage with
@@ -460,7 +462,7 @@ class FaultSchedule:
         ``gsl_cut_probability`` and a lossy-uplink episode with
         ``loss_probability``.  Starts are uniform over the
         run, durations exponential around ``mean_duration_s``, loss
-        rates exponential around ``mean_loss_rate`` (capped at 1).
+        rates exponential around :data:`MEAN_LOSS_RATE` (capped at 1).
         Identical arguments produce an identical, schedule-sorted event
         list.
         """
@@ -468,8 +470,7 @@ class FaultSchedule:
             seed, duration_s, mean_duration_s,
             {"satellite_outage_probability": satellite_outage_probability,
              "gsl_cut_probability": gsl_cut_probability,
-             "loss_probability": loss_probability},
-            mean_loss_rate=mean_loss_rate)
+             "loss_probability": loss_probability})
         events: List[FaultEvent] = []
         for sat in range(num_satellites):
             if rng.random() < satellite_outage_probability:
@@ -482,7 +483,7 @@ class FaultSchedule:
             if rng.random() < loss_probability:
                 start, end = window()
                 rate = min(1.0, max(0.005,
-                                    rng.expovariate(1.0 / mean_loss_rate)))
+                                    rng.expovariate(1.0 / MEAN_LOSS_RATE)))
                 events.append(FaultEvent.packet_loss(start, end, rate,
                                                      gid=gid))
         return cls(events, seed=seed)
@@ -503,10 +504,10 @@ class FaultSchedule:
                     for record in payload["events"]],
                    seed=int(payload.get("seed", 0)))
 
-    def to_json(self, path: str, indent: Optional[int] = 1) -> None:
+    def to_json(self, path: str) -> None:
         """Write the schedule as JSON (the ``--faults`` file format)."""
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(), stream, indent=indent)
+            json.dump(self.as_dict(), stream, indent=1)
             stream.write("\n")
 
     @classmethod

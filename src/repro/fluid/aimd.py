@@ -47,6 +47,19 @@ from .engine import (ClassPaths, FluidFlow, FluidRunState, FluidSimulation,
 
 __all__ = ["AimdFluidSimulation", "AimdRunState"]
 
+#: Representative RTT of the AIMD slope and the decrease holdoff (paper
+#: scenario: ~100 ms).
+RTT_ESTIMATE_S = 0.1
+
+#: Segment size of the additive-increase slope.
+MSS_BYTES = 1500
+
+#: Each device's drop-tail queue: 100 segments.
+QUEUE_BITS = 100 * MSS_BYTES * 8.0
+
+#: Minimum sending rate: one MSS per RTT (nominal).
+FLOOR_BPS = MSS_BYTES * 8.0 / RTT_ESTIMATE_S
+
 
 @dataclass
 class AimdRunState(FluidRunState):
@@ -83,9 +96,6 @@ class AimdFluidSimulation(FluidSimulation):
         network: The LEO network.
         flows: Long-running flows (demands cap their rates).
         link_capacity_bps: Uniform device capacity (paper: 10 Mbit/s).
-        rtt_estimate_s: Representative RTT used for the AIMD slope and the
-            decrease holdoff (paper scenario: ~100 ms).
-        mss_bytes: Segment size for the additive-increase slope.
         freeze_topology_at_s: If set, routes are frozen at this time — the
             "static network" baseline (gray line of Fig. 10).
         metrics: Optional registry; when given, the run records the same
@@ -98,24 +108,12 @@ class AimdFluidSimulation(FluidSimulation):
 
     def __init__(self, network: LeoNetwork, flows: Sequence[FluidFlow],
                  link_capacity_bps: float = 10_000_000.0,
-                 rtt_estimate_s: float = 0.1,
-                 mss_bytes: int = 1500,
-                 queue_packets: int = 100,
                  freeze_topology_at_s: Optional[float] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(network, flows, link_capacity_bps,
                          freeze_topology_at_s, metrics=metrics)
-        if rtt_estimate_s <= 0.0:
-            raise ValueError("RTT must be positive")
-        if queue_packets < 0:
-            raise ValueError("queue size must be non-negative")
-        self.rtt_estimate_s = rtt_estimate_s
-        self.mss_bytes = mss_bytes
-        self.queue_bits = queue_packets * mss_bytes * 8.0
         from ..simulation.positions import PositionService
         self._positions = PositionService(network, quantum_s=0.1)
-        #: Minimum sending rate: one MSS per RTT (nominal).
-        self.floor_bps = mss_bytes * 8.0 / rtt_estimate_s
 
     def extend_flows(self, state: AimdRunState,
                      flows: Sequence[FluidFlow]) -> int:
@@ -153,7 +151,7 @@ class AimdFluidSimulation(FluidSimulation):
         # AIMD and queue dynamics integrate at RTT granularity; paths only
         # change at the (coarser) snapshot step.
         substeps = max(1, round(
-            state.step_s / min(state.step_s, self.rtt_estimate_s)))
+            state.step_s / min(state.step_s, RTT_ESTIMATE_S)))
         dt = state.step_s / substeps
         # Per-flow RTT from the current path geometry (propagation plus
         # a half-full bottleneck queue) drives each flow's AIMD slope:
@@ -161,7 +159,7 @@ class AimdFluidSimulation(FluidSimulation):
         # "transport is often unable to use the available bandwidth".
         # A path that changed satellites also halves the rate: the
         # reordering-induced decrease of paper §4.2.
-        flow_rtt = np.full(num_flows, self.rtt_estimate_s)
+        flow_rtt = np.full(num_flows, RTT_ESTIMATE_S)
         row_paths = step.paths + [None]  # the extra row: off the candidates
         row_cache: Dict[int, Tuple[float, frozenset]] = {}
         # Every lookup of a step shares time_s and paths share satellites:
@@ -184,14 +182,14 @@ class AimdFluidSimulation(FluidSimulation):
                     distance += math.sqrt(
                         (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
                 propagation_rtt = 2.0 * distance / 299_792_458.0
-                queueing = 0.5 * self.queue_bits / capacity
+                queueing = 0.5 * QUEUE_BITS / capacity
                 cached = row_cache[row] = (
                     max(propagation_rtt + queueing, 1e-3),
                     frozenset(n for n in path if n < self._num_sats))
             flow_rtt[i], sat_set = cached
             previous = state.previous_sat_sets[i]
             if previous is not None and sat_set != previous:
-                rates[i] = max(rates[i] / 2.0, self.floor_bps)
+                rates[i] = max(rates[i] / 2.0, FLOOR_BPS)
                 last_decrease[i] = time_s
             state.previous_sat_sets[i] = sat_set
         # Flat per-step device incidence: one entry per (flow, device)
@@ -233,7 +231,7 @@ class AimdFluidSimulation(FluidSimulation):
             (np.arange(num_flows) * 2654435761 % 1000) / 999.0 - 0.5)
         # One MSS per RTT per RTT, at each flow's RTT (hoisted:
         # flow_rtt only changes at snapshot granularity).
-        increase_dt = (self.mss_bytes * 8.0 / flow_rtt ** 2
+        increase_dt = (MSS_BYTES * 8.0 / flow_rtt ** 2
                        * slope_jitter * dt)
         sub_span = (profiler.begin("fluid.aimd.substeps")
                     if profiler.enabled else -1)
@@ -245,7 +243,7 @@ class AimdFluidSimulation(FluidSimulation):
                 newly = candidates[~active_mask[candidates]
                                    & (starts[candidates] <= sub_time)]
                 active_mask[newly] = True
-                rates[newly] = self.floor_bps
+                rates[newly] = FLOOR_BPS
             # Offered load per device from current rates.
             ent_active = active_mask[ent_flow]
             act_cols = ent_col[ent_active]
@@ -260,8 +258,8 @@ class AimdFluidSimulation(FluidSimulation):
             arriving = backlog + loads * dt
             served = np.minimum(dev_cap_dt, arriving)
             leftover = arriving - served
-            overflow = loaded & (leftover > self.queue_bits)
-            backlog = np.minimum(leftover, self.queue_bits)
+            overflow = loaded & (leftover > QUEUE_BITS)
+            backlog = np.minimum(leftover, QUEUE_BITS)
             served_bits_arr += served
             if state.dynamic:
                 # Residual-size integration: a flow transfers at its
@@ -286,14 +284,14 @@ class AimdFluidSimulation(FluidSimulation):
                     state.fct_s[done] = end_time - starts[done]
                     active_mask[done] = False
             # AIMD reaction.
-            rates[~has_dev] = self.floor_bps  # restart on reconnection
+            rates[~has_dev] = FLOOR_BPS  # restart on reconnection
             react = active_mask & has_dev
             drop_hit = np.zeros(num_flows, dtype=bool)
             drop_hit[ent_flow[overflow[ent_col]]] = True
             decrease = (react & drop_hit
                         & (sub_time - last_decrease >= flow_rtt))
             rates[decrease] = np.maximum(rates[decrease] / 2.0,
-                                         self.floor_bps)
+                                         FLOOR_BPS)
             last_decrease[decrease] = sub_time
             grow = react & ~decrease
             rates[grow] += increase_dt[grow]

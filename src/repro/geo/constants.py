@@ -5,9 +5,9 @@ unless a name explicitly says otherwise (``*_deg``, ``*_km``).
 
 The constellations reproduced here (paper Table 1) are specified against the
 WGS72 world geodetic system, the datum used by the TLE format and by NORAD's
-SGP4 propagator.  We therefore carry both WGS72 and WGS84 parameter sets;
-WGS72 is the default for orbital work, while the geodetic helpers accept an
-explicit ellipsoid.
+SGP4 propagator.  We therefore carry both WGS72 and WGS84 parameter sets:
+WGS72 for orbital work, WGS84 for the geodetic helpers (the city
+coordinates are WGS84).
 """
 
 from __future__ import annotations

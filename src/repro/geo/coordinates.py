@@ -8,7 +8,7 @@ Three frames are used throughout:
 * **ECEF** (Earth-centered, Earth-fixed): rotates with the Earth.  Ground
   stations are fixed in ECEF; satellite positions must be rotated into it
   before computing ground-satellite geometry.
-* **Geodetic**: latitude / longitude / altitude against a reference
+* **Geodetic**: latitude / longitude / altitude against the WGS84
   ellipsoid.
 
 The ECI -> ECEF rotation is a single rotation about Z by the Greenwich Mean
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import Ellipsoid, WGS84
+from .constants import WGS84
 
 __all__ = [
     "GeodeticPosition",
@@ -66,14 +66,13 @@ class GeodeticPosition:
         return math.radians(self.longitude_deg)
 
 
-def geodetic_to_ecef(position: GeodeticPosition,
-                     ellipsoid: Ellipsoid = WGS84) -> np.ndarray:
+def geodetic_to_ecef(position: GeodeticPosition) -> np.ndarray:
     """Convert geodetic coordinates to an ECEF Cartesian vector (meters)."""
     lat = position.latitude_rad
     lon = position.longitude_rad
     alt = position.altitude_m
-    a = ellipsoid.semi_major_axis_m
-    e2 = ellipsoid.eccentricity_squared
+    a = WGS84.semi_major_axis_m
+    e2 = WGS84.eccentricity_squared
     sin_lat = math.sin(lat)
     cos_lat = math.cos(lat)
     # Prime-vertical radius of curvature.
@@ -84,19 +83,17 @@ def geodetic_to_ecef(position: GeodeticPosition,
     return np.array([x, y, z])
 
 
-def ecef_to_geodetic(position_ecef_m: np.ndarray,
-                     ellipsoid: Ellipsoid = WGS84,
-                     max_iterations: int = 10,
-                     tolerance_rad: float = 1e-12) -> GeodeticPosition:
+def ecef_to_geodetic(position_ecef_m: np.ndarray) -> GeodeticPosition:
     """Convert an ECEF Cartesian vector back to geodetic coordinates.
 
-    Uses the classic iterative latitude refinement, which converges to
-    sub-millimeter accuracy in a handful of iterations for any point above
-    the Earth's core.
+    Uses the classic iterative latitude refinement (at most 10 rounds,
+    stopping once a round moves the latitude by under 1e-12 rad), which
+    converges to sub-millimeter accuracy in a handful of iterations for
+    any point above the Earth's core.
     """
     x, y, z = (float(v) for v in np.asarray(position_ecef_m))
-    a = ellipsoid.semi_major_axis_m
-    e2 = ellipsoid.eccentricity_squared
+    a = WGS84.semi_major_axis_m
+    e2 = WGS84.eccentricity_squared
     lon = math.atan2(y, x)
     p = math.hypot(x, y)
     if p < 1e-9:
@@ -107,11 +104,11 @@ def ecef_to_geodetic(position_ecef_m: np.ndarray,
         return GeodeticPosition(math.degrees(lat), 0.0, alt)
 
     lat = math.atan2(z, p * (1.0 - e2))
-    for _ in range(max_iterations):
+    for _ in range(10):
         sin_lat = math.sin(lat)
         n = a / math.sqrt(1.0 - e2 * sin_lat * sin_lat)
         new_lat = math.atan2(z + e2 * n * sin_lat, p)
-        if abs(new_lat - lat) < tolerance_rad:
+        if abs(new_lat - lat) < 1e-12:
             lat = new_lat
             break
         lat = new_lat

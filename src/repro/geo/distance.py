@@ -40,18 +40,19 @@ def central_angle_rad(a: GeodeticPosition, b: GeodeticPosition) -> float:
     return 2.0 * math.asin(math.sqrt(h))
 
 
-def great_circle_distance_m(a: GeodeticPosition, b: GeodeticPosition,
-                            radius_m: float = EARTH_MEAN_RADIUS_M) -> float:
-    """Great-circle (surface) distance between two geodetic points (m)."""
-    return radius_m * central_angle_rad(a, b)
+def great_circle_distance_m(a: GeodeticPosition,
+                            b: GeodeticPosition) -> float:
+    """Great-circle (surface) distance between two geodetic points on the
+    mean-radius sphere (m)."""
+    return EARTH_MEAN_RADIUS_M * central_angle_rad(a, b)
 
 
-def propagation_delay_s(distance_m: float,
-                        speed_m_per_s: float = SPEED_OF_LIGHT_M_PER_S) -> float:
-    """One-way propagation delay over ``distance_m`` at ``speed_m_per_s``."""
+def propagation_delay_s(distance_m: float) -> float:
+    """One-way propagation delay over ``distance_m`` at the speed of
+    light in vacuum."""
     if distance_m < 0.0:
         raise ValueError(f"distance must be non-negative, got {distance_m}")
-    return distance_m / speed_m_per_s
+    return distance_m / SPEED_OF_LIGHT_M_PER_S
 
 
 def geodesic_rtt_s(a: GeodeticPosition, b: GeodeticPosition) -> float:

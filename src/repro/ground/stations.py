@@ -74,15 +74,13 @@ def ground_stations_from_cities(count: int = 100) -> List[GroundStation]:
 
 
 def relay_grid_between(a: GeodeticPosition, b: GeodeticPosition,
-                       rows: int = 5, columns: int = 7,
-                       margin_deg: float = 3.0,
-                       first_gid: int = 0) -> List[GroundStation]:
+                       rows: int = 5, columns: int = 7) -> List[GroundStation]:
     """A lattice of candidate GS relays spanning the box between two points.
 
     Reproduces the Appendix-A setup (Fig. 16(b)): a grid of ground stations
     between the endpoints such that bent-pipe routing has multiple relays to
     choose from.  The grid covers the endpoints' bounding box, expanded by
-    ``margin_deg`` on every side, sampled ``rows x columns``.
+    3° on every side, sampled ``rows x columns``.
 
     Note: the grid is laid out in latitude/longitude space, which is
     adequate for the continental scales of the Appendix-A experiment
@@ -94,18 +92,18 @@ def relay_grid_between(a: GeodeticPosition, b: GeodeticPosition,
         b: Second endpoint.
         rows: Grid rows (latitude direction).
         columns: Grid columns (longitude direction).
-        margin_deg: Bounding-box expansion in degrees.
-        first_gid: gid of the first relay; the rest follow consecutively.
 
     Returns:
-        Relay ground stations (``is_relay=True``) named ``relay-<r>-<c>``.
+        Relay ground stations (``is_relay=True``) named ``relay-<r>-<c>``,
+        gids 0, 1, ... in row-major order (callers renumber them after
+        their endpoints).
     """
     if rows < 2 or columns < 2:
         raise ValueError("relay grid needs at least 2 rows and 2 columns")
-    lat_low = min(a.latitude_deg, b.latitude_deg) - margin_deg
-    lat_high = max(a.latitude_deg, b.latitude_deg) + margin_deg
-    lon_low = min(a.longitude_deg, b.longitude_deg) - margin_deg
-    lon_high = max(a.longitude_deg, b.longitude_deg) + margin_deg
+    lat_low = min(a.latitude_deg, b.latitude_deg) - 3.0
+    lat_high = max(a.latitude_deg, b.latitude_deg) + 3.0
+    lon_low = min(a.longitude_deg, b.longitude_deg) - 3.0
+    lon_high = max(a.longitude_deg, b.longitude_deg) + 3.0
     lat_low = max(-89.0, lat_low)
     lat_high = min(89.0, lat_high)
     lon_low = max(-180.0, lon_low)
@@ -117,7 +115,7 @@ def relay_grid_between(a: GeodeticPosition, b: GeodeticPosition,
         for c in range(columns):
             lon = lon_low + (lon_high - lon_low) * c / (columns - 1)
             relays.append(GroundStation(
-                gid=first_gid + len(relays),
+                gid=len(relays),
                 name=f"relay-{r}-{c}",
                 position=GeodeticPosition(lat, lon, 0.0),
                 is_relay=True,

@@ -3,8 +3,8 @@
 Three parts (see DESIGN.md "Observability"):
 
 * :mod:`repro.obs.trace` — typed trace events behind a near-zero-cost
-  hook (``NullTracer`` by default; ``RingBufferTracer`` with per-flow /
-  per-link filters, bounded memory, and JSONL export when enabled);
+  hook (``NullTracer`` by default; ``RingBufferTracer`` with a per-kind
+  filter, bounded memory, and JSONL export when enabled);
 * :mod:`repro.obs.metrics` — counters, gauges, histograms, time-series
   logs, and the :class:`MetricsRegistry` they live in;
   :mod:`repro.obs.probes` adds the periodic sampling probes that turn

@@ -295,8 +295,8 @@ class MetricsRegistry:
                                  for name, log in self._series.items()}
         return payload
 
-    def to_json(self, path: str, indent: Optional[int] = 1) -> None:
+    def to_json(self, path: str) -> None:
         """Dump the registry to a JSON file."""
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(), stream, indent=indent)
+            json.dump(self.as_dict(), stream, indent=1)
             stream.write("\n")

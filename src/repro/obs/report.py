@@ -124,9 +124,9 @@ class RunReport:
         payload.update(self.extras)
         return payload
 
-    def to_json(self, path: str, indent: Optional[int] = 1) -> None:
+    def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(), stream, indent=indent)
+            json.dump(self.as_dict(), stream, indent=1)
             stream.write("\n")
 
     def describe(self) -> str:

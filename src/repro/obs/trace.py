@@ -13,9 +13,9 @@ check per event and never constructs a :class:`TraceEvent`.  That is the
 overhead contract ``make bench-obs`` enforces.
 
 Enabled tracing goes through :class:`RingBufferTracer`: a bounded ring
-buffer (oldest events evicted, eviction counted) with optional per-flow /
-per-link / per-kind filters and JSONL export, so a multi-minute run can
-be traced without unbounded memory.
+buffer (oldest events evicted, eviction counted) with an optional
+per-kind filter and JSONL export, so a multi-minute run can be traced
+without unbounded memory.
 """
 
 from __future__ import annotations

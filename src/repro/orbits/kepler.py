@@ -76,21 +76,19 @@ class KeplerianElements:
     @classmethod
     def circular(cls, altitude_m: float, inclination_deg: float,
                  raan_deg: float = 0.0, mean_anomaly_deg: float = 0.0,
-                 earth_radius_m: float = WGS72.semi_major_axis_m,
                  ) -> "KeplerianElements":
         """Build elements for a circular orbit from filing-style parameters.
 
         Args:
-            altitude_m: Height above the (equatorial) Earth surface — the
+            altitude_m: Height above the WGS72 equatorial radius — the
                 ``h`` column of paper Table 1.
             inclination_deg: Inclination in degrees — the ``i`` column.
             raan_deg: Ascending-node longitude in degrees; orbits of a shell
                 spread this uniformly over the Equator.
             mean_anomaly_deg: Position of the satellite along the orbit.
-            earth_radius_m: Equatorial radius to add the altitude to.
         """
         return cls(
-            semi_major_axis_m=earth_radius_m + altitude_m,
+            semi_major_axis_m=WGS72.semi_major_axis_m + altitude_m,
             eccentricity=0.0,
             inclination_rad=math.radians(inclination_deg),
             raan_rad=wrap_angle(math.radians(raan_deg)),

@@ -61,29 +61,24 @@ def tle_checksum(line: str) -> int:
     return total % 10
 
 
-def _format_epoch(epoch_year: int, epoch_day: float) -> str:
-    """Format the two-digit year + fractional day-of-year epoch field."""
-    if not 1957 <= epoch_year <= 2056:
-        raise ValueError(f"epoch year out of TLE range: {epoch_year}")
-    if not 1.0 <= epoch_day < 367.0:
-        raise ValueError(f"epoch day must be in [1, 367), got {epoch_day}")
-    return f"{epoch_year % 100:02d}{epoch_day:012.8f}"
+#: Line 1's epoch field: two-digit year and fractional day of year — the
+#: synthetic constellations' epoch, 2000 day 1.0.
+EPOCH_FIELD = "00001.00000000"
+
+#: Line 1's launch designator field (8 characters at most).
+INTERNATIONAL_DESIGNATOR = "00000A"
 
 
 def generate_tle(elements: KeplerianElements, name: str,
-                 catalog_number: int = 0, epoch_year: int = 2000,
-                 epoch_day: float = 1.0,
-                 international_designator: str = "00000A") -> TLE:
-    """Render Keplerian elements as a standards-compliant TLE.
+                 catalog_number: int = 0) -> TLE:
+    """Render Keplerian elements as a standards-compliant TLE at
+    :data:`EPOCH_FIELD`.
 
     Args:
         elements: Osculating elements at the epoch.
         name: Satellite name for line 0 (e.g. ``"Kuiper-630 12"``).
         catalog_number: NORAD catalog number; synthetic constellations use a
             sequential counter.
-        epoch_year: Four-digit epoch year.
-        epoch_day: Fractional day of year of the epoch (1-based).
-        international_designator: Launch designator field (8 chars max).
 
     Returns:
         A :class:`TLE` whose two data lines carry valid checksums.
@@ -91,11 +86,10 @@ def generate_tle(elements: KeplerianElements, name: str,
     if not 0 <= catalog_number <= 99_999:
         raise ValueError(f"catalog number must fit 5 digits: {catalog_number}")
 
-    epoch_field = _format_epoch(epoch_year, epoch_day)
     # Unknown-for-unlaunched fields: mean-motion derivatives and B* are zero.
     line1 = (
-        f"1 {catalog_number:05d}U {international_designator:<8s} "
-        f"{epoch_field}  .00000000  00000-0  00000-0 0    0"
+        f"1 {catalog_number:05d}U {INTERNATIONAL_DESIGNATOR:<8s} "
+        f"{EPOCH_FIELD}  .00000000  00000-0  00000-0 0    0"
     )
     if len(line1) != 68:
         raise AssertionError(f"TLE line 1 malformed ({len(line1)} chars)")

@@ -74,7 +74,6 @@ class LiveSimulationService:
         epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
             fluid engine also the snapshot step.
         link_capacity_bps: Fluid device capacity.
-        forwarding_interval_s: Packet forwarding refresh period.
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
     """
@@ -83,7 +82,6 @@ class LiveSimulationService:
                  horizon_s: float = 60.0,
                  epoch_s: float = 1.0,
                  link_capacity_bps: float = 10_000_000.0,
-                 forwarding_interval_s: float = 0.1,
                  meta: Optional[Dict[str, Any]] = None) -> None:
         if engine != "packet" and engine not in _FLUID_ENGINES:
             raise ServiceError(
@@ -110,7 +108,7 @@ class LiveSimulationService:
 
         if engine == "packet":
             self.sim: Optional[PacketSimulator] = PacketSimulator(
-                self.network, forwarding_interval_s=forwarding_interval_s)
+                self.network)
             self.fluid: Optional[FluidSimulation] = None
             self.state: Optional[FluidRunState] = None
             self._spawners: List[WorkloadSpawner] = []

@@ -131,7 +131,8 @@ class PacketSimulator:
         link_config: Uniform link rates and queue sizes.
         forwarding_interval_s: Forwarding-state update period (default
             100 ms, the paper's default granularity).
-        position_quantum_s: Time quantisation grid of per-packet delays.
+
+    Per-packet propagation delays are computed on a 1 ms time grid.
 
     Typical use::
 
@@ -143,7 +144,6 @@ class PacketSimulator:
     def __init__(self, network: LeoNetwork,
                  link_config: Optional[LinkConfig] = None,
                  forwarding_interval_s: float = 0.1,
-                 position_quantum_s: float = 0.001,
                  tracer: Optional[Tracer] = None
                  ) -> None:
         """See class docstring.
@@ -156,7 +156,7 @@ class PacketSimulator:
         self.network = network
         self.config = link_config or LinkConfig()
         self.scheduler = EventScheduler()
-        self.positions = PositionService(network, quantum_s=position_quantum_s)
+        self.positions = PositionService(network, quantum_s=0.001)
         self.stats = SimulationStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.forwarding = ForwardingController(

@@ -11,6 +11,7 @@ downstream analyses (Figs. 3, 6-9) consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,10 +32,11 @@ def snapshot_times(duration_s: float, step_s: float) -> np.ndarray:
         duration_s: Simulation duration.
         step_s: Time-step granularity (paper default 0.1 s).
     """
-    if duration_s <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if step_s <= 0.0:
-        raise ValueError(f"step must be positive, got {step_s}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s}")
+    if not 0.0 < step_s < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step_s}")
     # ceil(duration / step) in floats can land one tick past the end in
     # either direction (8.2 / 0.1 rounds up to 83; a downward-rounding
     # quotient could lose a valid tick), so over-generate by one and trim

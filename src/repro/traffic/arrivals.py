@@ -31,7 +31,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from .matrix import TrafficMatrix
 
@@ -40,6 +40,16 @@ __all__ = ["FlowRequest", "WorkloadSchedule", "FlowArrivalProcess",
 
 #: Supported flow-size distributions.
 SIZE_DISTRIBUTIONS = ("exponential", "lognormal", "pareto")
+
+#: Shape of the lognormal flow sizes (σ of the underlying normal).
+LOGNORMAL_SIGMA = 1.0
+
+#: Pareto tail index of the flow sizes: above 1 the mean exists, above 2
+#: the variance too.
+PARETO_ALPHA = 2.5
+
+#: Per-flow size floor after drawing.
+MIN_SIZE_BYTES = 1_000
 
 
 @dataclass(frozen=True)
@@ -206,10 +216,10 @@ class WorkloadSchedule:
                     for record in payload["flows"]],
                    seed=int(payload.get("seed", 0)))
 
-    def to_json(self, path: str, indent: Optional[int] = 1) -> None:
+    def to_json(self, path: str) -> None:
         """Write the schedule as JSON (the ``--workload`` file format)."""
         with open(path, "w", encoding="utf-8") as stream:
-            json.dump(self.as_dict(), stream, indent=indent)
+            json.dump(self.as_dict(), stream, indent=1)
             stream.write("\n")
 
     @classmethod
@@ -234,46 +244,34 @@ class FlowArrivalProcess:
             ``"pareto"``.
         seed: Base seed; each pair derives its own sha512 string-seeded
             stream as ``Random(f"{seed}:{src}:{dst}")``.
-        lognormal_sigma: Shape of the lognormal (σ of the underlying
-            normal); the mean is preserved whatever σ.
-        pareto_alpha: Pareto tail index; must exceed 1 so the mean exists
-            (2.5 keeps the variance finite too).
-        min_size_bytes: Per-flow size floor after drawing.
+
+    The lognormal has σ = :data:`LOGNORMAL_SIGMA`, the Pareto tail index
+    :data:`PARETO_ALPHA`; both keep the configured mean.  Every size is
+    at least :data:`MIN_SIZE_BYTES`.
     """
 
     def __init__(self, matrix: TrafficMatrix,
                  mean_size_bytes: float = 1_000_000.0,
                  size_distribution: str = "exponential",
-                 seed: int = 0,
-                 lognormal_sigma: float = 1.0,
-                 pareto_alpha: float = 2.5,
-                 min_size_bytes: int = 1_000) -> None:
-        if mean_size_bytes <= 0.0:
-            raise ValueError("mean flow size must be positive")
+                 seed: int = 0) -> None:
+        if not 0.0 < mean_size_bytes < math.inf:
+            raise ValueError(
+                f"mean flow size must be positive and finite, got "
+                f"{mean_size_bytes}")
         if size_distribution not in SIZE_DISTRIBUTIONS:
             raise ValueError(
                 f"unknown size distribution {size_distribution!r}; "
                 f"known: {SIZE_DISTRIBUTIONS}")
-        if lognormal_sigma <= 0.0:
-            raise ValueError("lognormal sigma must be positive")
-        if pareto_alpha <= 1.0:
-            raise ValueError(
-                "pareto alpha must exceed 1 (finite mean required)")
-        if min_size_bytes < 1:
-            raise ValueError("minimum flow size must be at least 1 byte")
         self.matrix = matrix
         self.mean_size_bytes = float(mean_size_bytes)
         self.size_distribution = size_distribution
         self.seed = int(seed)
-        self.lognormal_sigma = float(lognormal_sigma)
-        self.pareto_alpha = float(pareto_alpha)
-        self.min_size_bytes = int(min_size_bytes)
         # Distribution parameters hit the configured mean exactly:
         # lognormal mean = exp(μ + σ²/2); Pareto mean = xm·α/(α-1).
         self._lognormal_mu = (math.log(self.mean_size_bytes)
-                              - 0.5 * self.lognormal_sigma ** 2)
+                              - 0.5 * LOGNORMAL_SIGMA ** 2)
         self._pareto_xm = (self.mean_size_bytes
-                           * (self.pareto_alpha - 1.0) / self.pareto_alpha)
+                           * (PARETO_ALPHA - 1.0) / PARETO_ALPHA)
 
     def pair_arrival_rate(self, src_gid: int, dst_gid: int) -> float:
         """Poisson flow-arrival rate of one pair (flows/second)."""
@@ -284,11 +282,10 @@ class FlowArrivalProcess:
         if self.size_distribution == "exponential":
             size = rng.expovariate(1.0 / self.mean_size_bytes)
         elif self.size_distribution == "lognormal":
-            size = rng.lognormvariate(self._lognormal_mu,
-                                      self.lognormal_sigma)
+            size = rng.lognormvariate(self._lognormal_mu, LOGNORMAL_SIGMA)
         else:  # pareto
-            size = self._pareto_xm * rng.paretovariate(self.pareto_alpha)
-        return max(self.min_size_bytes, int(round(size)))
+            size = self._pareto_xm * rng.paretovariate(PARETO_ALPHA)
+        return max(MIN_SIZE_BYTES, int(round(size)))
 
     def generate(self, duration_s: float) -> WorkloadSchedule:
         """A deterministic workload over ``[0, duration_s)``.
@@ -297,8 +294,9 @@ class FlowArrivalProcess:
         schedule-sorted request list; pairs are independent, so schedules
         from sub-matrices merge into the union's schedule.
         """
-        if duration_s <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < duration_s < math.inf:
+            raise ValueError(
+                f"duration must be positive and finite, got {duration_s}")
         requests: List[FlowRequest] = []
         for src, dst in self.matrix.pairs():
             rate = self.pair_arrival_rate(src, dst)

@@ -82,10 +82,10 @@ class TrafficMatrix:
         """Offered load of one directed pair."""
         return float(self.demand_bps[src_gid, dst_gid])
 
-    def pairs(self, min_rate_bps: float = 0.0) -> List[Tuple[int, int]]:
-        """(src, dst) pairs with demand above ``min_rate_bps``, in row-major
-        order — a deterministic ordering shared by every consumer."""
-        src_idx, dst_idx = np.nonzero(self.demand_bps > min_rate_bps)
+    def pairs(self) -> List[Tuple[int, int]]:
+        """(src, dst) pairs with positive demand, in row-major order — a
+        deterministic ordering shared by every consumer."""
+        src_idx, dst_idx = np.nonzero(self.demand_bps > 0.0)
         return [(int(s), int(d)) for s, d in zip(src_idx, dst_idx)]
 
     def __eq__(self, other: object) -> bool:
@@ -112,28 +112,24 @@ class TrafficMatrix:
         return TrafficMatrix(self.demand_bps * (total_offered_bps / current),
                              kind=self.kind)
 
-    def as_fluid_flows(self, min_rate_bps: float = 0.0) -> list:
+    def as_fluid_flows(self) -> list:
         """The matrix as long-running :class:`~repro.fluid.engine.FluidFlow` s,
-        each flow's demand capped at its matrix rate.
-
-        Args:
-            min_rate_bps: Pairs at or below this demand are skipped.
-        """
+        one per pair with positive demand, each flow's demand capped at its
+        matrix rate."""
         from ..fluid.engine import FluidFlow
         return [FluidFlow(src, dst, demand_bps=self.rate_bps(src, dst))
-                for src, dst in self.pairs(min_rate_bps)]
+                for src, dst in self.pairs()]
 
     # -- builders --------------------------------------------------------
 
     @classmethod
     def gravity(cls, count: int = 100,
                 total_offered_bps: float = 1e9,
-                distance_exponent: float = 1.0,
-                min_distance_m: float = MIN_GRAVITY_DISTANCE_M,
-                ) -> "TrafficMatrix":
+                distance_exponent: float = 1.0) -> "TrafficMatrix":
         """Population-gravity demand over city ground stations.
 
-        ``demand[i, j] ∝ pop_i · pop_j / max(dist_ij, floor)^exponent``,
+        ``demand[i, j] ∝ pop_i · pop_j / max(dist_ij, floor)^exponent``
+        (the floor is :data:`MIN_GRAVITY_DISTANCE_M`),
         normalized so the matrix sums to ``total_offered_bps``, over the
         ``count`` most populous cities (the paper's ground segment).
         Station gids follow city rank order, matching
@@ -145,7 +141,6 @@ class TrafficMatrix:
             distance_exponent: ``f(d) = d^exponent`` deterrence; 0 turns
                 distance off (pure population product), 2 is the classic
                 Newtonian form.
-            min_distance_m: Distance floor for near-co-located pairs.
         """
         cities = top_cities(count)
         if len(cities) < 2:
@@ -154,8 +149,6 @@ class TrafficMatrix:
             raise ValueError("aggregate offered load must be positive")
         if distance_exponent < 0.0:
             raise ValueError("distance exponent must be non-negative")
-        if min_distance_m <= 0.0:
-            raise ValueError("distance floor must be positive")
         n = len(cities)
         populations = np.array([float(c.population) for c in cities])
         if (populations <= 0.0).any():
@@ -168,7 +161,7 @@ class TrafficMatrix:
                 for j in range(i + 1, n):
                     distance = max(great_circle_distance_m(
                         cities[i].position, cities[j].position),
-                        min_distance_m)
+                        MIN_GRAVITY_DISTANCE_M)
                     deterrence[i, j] = deterrence[j, i] = (
                         distance ** distance_exponent)
             demand /= deterrence

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..cc.factory import ControllerFlowFactory
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import FCT_BUCKETS, fct_summary
-from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from ..simulation.simulator import PacketSimulator
 from ..transport.base import Application
 from .arrivals import FlowRequest, WorkloadSchedule
@@ -69,7 +68,6 @@ class WorkloadSpawner:
 
     Args:
         schedule: The flow requests to spawn.
-        packet_bytes: Wire size of a full data packet (paper: 1500).
         metrics: Optional registry receiving the ``traffic.*``
             instruments.
         flow_factory: Optional override building the application of one
@@ -87,17 +85,12 @@ class WorkloadSpawner:
     """
 
     def __init__(self, schedule: WorkloadSchedule,
-                 packet_bytes: int = DEFAULT_MTU_BYTES,
                  metrics: Optional[MetricsRegistry] = None,
                  flow_factory: Optional[
                      Callable[[FlowRequest], Application]] = None) -> None:
-        if packet_bytes <= DEFAULT_HEADER_BYTES:
-            raise ValueError("packet must be larger than its headers")
         self.schedule = schedule
-        self.packet_bytes = packet_bytes
         self.metrics = metrics
-        self._factory = flow_factory or ControllerFlowFactory(
-            packet_bytes=packet_bytes)
+        self._factory = flow_factory or ControllerFlowFactory()
         self.flows: List[Application] = []
         self.fcts_s: List[float] = []
         #: Completion times keyed by the flow's congestion-controller

@@ -31,15 +31,14 @@ class PingSession(Application):
         src_gid: Pinging ground station.
         dst_gid: Echoing ground station.
         interval_s: Probe period (paper uses 1 ms).
-        start_s: First probe time.
-        stop_s: No probes are sent at or after this time.
 
-    After the simulation, :attr:`send_times_s` and :attr:`rtts_s` hold one
-    entry per probe; unanswered probes have ``rtt = nan``.
+    Probes go out from t = 0 until the simulation ends.  After the
+    simulation, :attr:`send_times_s` and :attr:`rtts_s` hold one entry
+    per probe; unanswered probes have ``rtt = nan``.
     """
 
-    def __init__(self, src_gid: int, dst_gid: int, interval_s: float = 0.001,
-                 start_s: float = 0.0, stop_s: float = math.inf) -> None:
+    def __init__(self, src_gid: int, dst_gid: int,
+                 interval_s: float = 0.001) -> None:
         super().__init__()
         if interval_s <= 0.0:
             raise ValueError(f"interval must be positive, got {interval_s}")
@@ -48,8 +47,6 @@ class PingSession(Application):
         self.src_gid = src_gid
         self.dst_gid = dst_gid
         self.interval_s = interval_s
-        self.start_s = start_s
-        self.stop_s = stop_s
         self._send_times: List[float] = []
         self._rtts: List[float] = []
         self._next_seq = 0
@@ -63,13 +60,11 @@ class PingSession(Application):
         self._dst_node = sim.gs_node_id(self.dst_gid)
         sim.register_handler(self._src_node, self.flow_id, self._on_pong)
         sim.register_handler(self._dst_node, self.flow_id, self._on_ping)
-        sim.scheduler.schedule_at(self.start_s, self._send_probe)
+        sim.scheduler.schedule_at(0.0, self._send_probe)
 
     def _send_probe(self) -> None:
         assert self.sim is not None
         now = self.sim.now
-        if now >= self.stop_s:
-            return
         seq = self._next_seq
         self._next_seq += 1
         self._send_times.append(now)

@@ -3,9 +3,8 @@
 This reproduces the ns-3 TCP behaviour the paper's §4 experiments rely on
 (ns-3 enables SACK by default):
 
-* cumulative ACKs carrying up to three SACK blocks, with optional delayed
-  ACKs (the paper attributes the RTT oscillation at the right edge of
-  Fig. 3(a)/5(a) to delayed ACKs);
+* one cumulative ACK per arriving segment, carrying up to three SACK
+  blocks;
 * a SACK scoreboard with FACK-style loss marking (a segment is deemed lost
   once three segments above it have been SACKed, or on three duplicate
   ACKs), RFC 6675-style pipe accounting during recovery;
@@ -54,6 +53,12 @@ ACK_BYTES = DEFAULT_HEADER_BYTES
 #: FACK/RFC 6675 duplicate threshold.
 DUP_THRESHOLD = 3
 
+#: Initial congestion window (RFC 6928 style), in packets.
+INITIAL_CWND_PACKETS = 10.0
+
+#: Width of a receiver goodput bin (:meth:`TcpFlow.throughput_series_bps`).
+THROUGHPUT_BIN_S = 0.1
+
 
 class TcpFlow(Application):
     """A unidirectional TCP flow (sender at src, receiver at dst) driving
@@ -63,14 +68,8 @@ class TcpFlow(Application):
         src_gid: Sending ground station.
         dst_gid: Receiving ground station.
         start_s: Connection start time.
-        stop_s: The sender stops injecting new data at this time.
-        packet_bytes: Wire size of a full data packet (paper: 1500).
         max_packets: Total data packets to send (default: unbounded, a
             "long-running flow").
-        initial_cwnd_packets: Initial window (RFC 6928 style, default 10).
-        rwnd_packets: Receiver advertised window; caps the usable window.
-        delayed_ack_count: ACK every Nth in-order packet (1 disables
-            delayed ACKs; 2 is the classic delayed-ACK setting).
         controller: A registered controller name (``"newreno"``,
             ``"vegas"``, ``"bbr"``, ``"bandit"``, ...) or an unattached
             :class:`~repro.cc.CongestionController` instance.
@@ -82,39 +81,27 @@ class TcpFlow(Application):
     """
 
     def __init__(self, src_gid: int, dst_gid: int, start_s: float = 0.0,
-                 stop_s: float = math.inf,
-                 packet_bytes: int = DEFAULT_MTU_BYTES,
                  max_packets: Optional[int] = None,
-                 initial_cwnd_packets: float = 10.0,
-                 rwnd_packets: int = 1_000_000,
-                 delayed_ack_count: int = 1,
-                 throughput_bin_s: float = 0.1,
                  controller: Union[str, CongestionController, None] = None,
                  ) -> None:
         super().__init__()
         if src_gid == dst_gid:
             raise ValueError("source and destination must differ")
-        if packet_bytes <= DEFAULT_HEADER_BYTES:
-            raise ValueError("packet must be larger than its headers")
-        if delayed_ack_count < 1:
-            raise ValueError("delayed_ack_count must be >= 1")
-        if rwnd_packets < 1:
-            raise ValueError("rwnd must be at least one packet")
         self.src_gid = src_gid
         self.dst_gid = dst_gid
         self.start_s = start_s
-        self.stop_s = stop_s
-        self.packet_bytes = packet_bytes
-        self.payload_bytes = packet_bytes - DEFAULT_HEADER_BYTES
+        #: The sender injects no new data from this time on (a detached
+        #: service workload sets it to the detach time).
+        self.stop_s = math.inf
+        #: Wire size of a full data packet (paper: 1500) and its payload.
+        self.packet_bytes = DEFAULT_MTU_BYTES
+        self.payload_bytes = DEFAULT_MTU_BYTES - DEFAULT_HEADER_BYTES
         self.max_packets = max_packets if max_packets is not None else 2 ** 62
-        self.rwnd_packets = rwnd_packets
-        self.delayed_ack_count = delayed_ack_count
-        self.throughput_bin_s = throughput_bin_s
 
         # --- sender state ---
         self.snd_una = 0            # lowest unacknowledged seq
         self.snd_nxt = 0            # next fresh seq
-        self.cwnd = float(initial_cwnd_packets)
+        self.cwnd = INITIAL_CWND_PACKETS
         self.ssthresh = float(2 ** 30)
         self.dup_acks = 0
         self.in_recovery = False
@@ -137,9 +124,6 @@ class TcpFlow(Application):
         # --- receiver state ---
         self.rcv_nxt = 0
         self._out_of_order: Set[int] = set()
-        self._pending_ack = 0
-        self._delack_epoch = 0
-        self._delack_armed = False
         self._reordered_arrivals = 0
         self._bins: List[float] = []
 
@@ -261,7 +245,7 @@ class TcpFlow(Application):
         return pipe
 
     def _usable_window(self) -> int:
-        return min(int(self.cwnd), self.rwnd_packets)
+        return int(self.cwnd)
 
     def _try_send(self) -> None:
         """Send retransmissions first, then new data, under pipe < cwnd.
@@ -290,8 +274,7 @@ class TcpFlow(Application):
             if seq is not None:
                 self._transmit(seq, retransmit=True)
                 pipe += 1
-            elif (self.snd_nxt < self.max_packets
-                  and self.snd_nxt - self.snd_una < self.rwnd_packets):
+            elif self.snd_nxt < self.max_packets:
                 self._transmit(self.snd_nxt, retransmit=False)
                 self.snd_nxt += 1
                 pipe += 1
@@ -343,8 +326,7 @@ class TcpFlow(Application):
             if seq is not None:
                 self._transmit(seq, retransmit=True)
                 sent = True
-            elif (self.snd_nxt < self.max_packets
-                  and self.snd_nxt - self.snd_una < self.rwnd_packets):
+            elif self.snd_nxt < self.max_packets:
                 self._transmit(self.snd_nxt, retransmit=False)
                 self.snd_nxt += 1
                 sent = True
@@ -492,18 +474,12 @@ class TcpFlow(Application):
             while self.rcv_nxt in self._out_of_order:
                 self._out_of_order.discard(self.rcv_nxt)
                 self.rcv_nxt += 1
-            self._pending_ack += 1
-            if (self._pending_ack >= self.delayed_ack_count
-                    or self._out_of_order):
-                self._send_ack(packet)
-            else:
-                self._arm_delack(packet)
         elif seq > self.rcv_nxt:
             self._reordered_arrivals += 1
             self._out_of_order.add(seq)
-            self._send_ack(packet)  # immediate duplicate ACK
-        else:
-            self._send_ack(packet)  # stale duplicate; re-ACK
+        # Every segment is acknowledged at once: an out-of-order one with
+        # a duplicate ACK, a stale one with a re-ACK.
+        self._send_ack(packet)
 
     def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
         """Up to three lowest contiguous SACK ranges above rcv_nxt."""
@@ -525,37 +501,19 @@ class TcpFlow(Application):
 
     def _record_delivery(self, packet: Packet) -> None:
         assert self.sim is not None
-        bin_index = int(self.sim.now / self.throughput_bin_s)
+        bin_index = int(self.sim.now / THROUGHPUT_BIN_S)
         while len(self._bins) <= bin_index:
             self._bins.append(0.0)
         self._bins[bin_index] += packet.payload_bytes
 
     def _send_ack(self, data_packet: Packet) -> None:
         assert self.sim is not None
-        self._pending_ack = 0
-        self._delack_epoch += 1
-        self._delack_armed = False
         ack = Packet(self.flow_id, self._dst_node, self._src_node,
                      size_bytes=ACK_BYTES, kind="ack",
                      ack=self.rcv_nxt, ts_echo=data_packet.sent_at_s)
         # SACK option: piggybacked as a structured field.
         ack.sack = self._sack_blocks()  # type: ignore[attr-defined]
         self.sim.send(ack)
-
-    def _arm_delack(self, data_packet: Packet) -> None:
-        if self._delack_armed:
-            return
-        assert self.sim is not None
-        self._delack_armed = True
-        epoch = self._delack_epoch
-        self.sim.scheduler.schedule(
-            0.2, partial(self._on_delack_timer, epoch, data_packet))
-
-    def _on_delack_timer(self, epoch: int, data_packet: Packet) -> None:
-        if epoch != self._delack_epoch:
-            return
-        if self._pending_ack > 0:
-            self._send_ack(data_packet)
 
     # ------------------------------------------------------------------
     # Results
@@ -569,7 +527,7 @@ class TcpFlow(Application):
     def throughput_series_bps(self) -> np.ndarray:
         """(B,) receiver payload goodput per bin (bits/second) — the
         quantity of paper Fig. 5(c)."""
-        return np.asarray(self._bins) * 8.0 / self.throughput_bin_s
+        return np.asarray(self._bins) * 8.0 / THROUGHPUT_BIN_S
 
     def goodput_bps(self, duration_s: float) -> float:
         """Average acknowledged-payload goodput over the run."""

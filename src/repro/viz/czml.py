@@ -86,16 +86,15 @@ def constellation_czml(constellation: Constellation, duration_s: float,
     return document
 
 
-def constellation_summary(constellation: Constellation,
-                          time_s: float = 0.0) -> Dict[str, Any]:
-    """Scalar facts about a constellation snapshot (Fig. 11 captions).
+def constellation_summary(constellation: Constellation) -> Dict[str, Any]:
+    """Scalar facts about the constellation at t = 0 (Fig. 11 captions).
 
     Includes per-shell geometry and the latitude coverage extent: the
     highest latitude any satellite reaches is bounded by the shell's
     inclination, which is why low-inclination designs (Kuiper) skip the
     poles while Telesat's near-polar T1 covers them (paper §6).
     """
-    positions = constellation.positions_ecef_m(time_s)
+    positions = constellation.positions_ecef_m(0.0)
     latitudes = [
         ecef_to_geodetic(positions[i]).latitude_deg
         for i in range(len(positions))

@@ -63,10 +63,10 @@ class TestPairRttStats:
         assert 1.3 < s.max_over_geodesic < 1.7
 
     def test_close_pairs_excluded(self, stations):
-        timelines = {(0, 2): _timeline(0, 2, [10, 10], [(1,), (1,)])}
-        assert pair_rtt_stats(timelines, stations) == []
-        kept = pair_rtt_stats(timelines, stations, min_separation_m=1000.0)
-        assert len(kept) == 1
+        timelines = {(0, 2): _timeline(0, 2, [10, 10], [(1,), (1,)]),
+                     (0, 1): _timeline(0, 1, [80, 90], [(9,), (9,)])}
+        kept = pair_rtt_stats(timelines, stations)
+        assert [(s.src_gid, s.dst_gid) for s in kept] == [(0, 1)]
 
     def test_disconnection_handling(self, stations):
         timelines = {(0, 1): _timeline(0, 1, [80, np.inf, 90],
@@ -221,9 +221,7 @@ class TestCoverage:
     def test_shapes_and_ranges(self, small_constellation):
         from repro.analysis.coverage import coverage_by_latitude
         results = coverage_by_latitude(small_constellation, 10.0,
-                                       latitudes_deg=[0, 45, 90],
-                                       num_longitudes=6,
-                                       sample_times_s=(0.0, 60.0))
+                                       latitudes_deg=[0, 45, 90])
         assert [r.latitude_deg for r in results] == [0.0, 45.0, 90.0]
         for r in results:
             assert 0.0 <= r.covered_fraction <= 1.0
@@ -232,20 +230,10 @@ class TestCoverage:
     def test_53deg_shell_misses_pole(self, small_constellation):
         from repro.analysis.coverage import coverage_by_latitude
         results = coverage_by_latitude(small_constellation, 30.0,
-                                       latitudes_deg=[0, 90],
-                                       num_longitudes=8)
+                                       latitudes_deg=[0, 90])
         equator, pole = results
         assert equator.covered_fraction > 0.0
         assert pole.covered_fraction == 0.0
-
-    def test_validation(self, small_constellation):
-        from repro.analysis.coverage import coverage_by_latitude
-        with pytest.raises(ValueError):
-            coverage_by_latitude(small_constellation, 10.0,
-                                 num_longitudes=0)
-        with pytest.raises(ValueError):
-            coverage_by_latitude(small_constellation, 10.0,
-                                 sample_times_s=())
 
 
 class TestContacts:

@@ -20,7 +20,7 @@ import pytest
 from repro.cc.api import (RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S,
                           CongestionController, RttEstimator,
                           controller_names, make_controller,
-                          register_controller, resolve_controller)
+                          resolve_controller)
 from repro.cc.classic import BbrController, NewRenoController, VegasController
 from repro.cc.factory import ControllerFlowFactory
 from repro.cc.learned import BanditBrain, BanditController
@@ -82,20 +82,9 @@ class TestRegistry:
         for expected in ("newreno", "vegas", "bbr", "bandit"):
             assert expected in names
 
-    def test_reregister_same_factory_is_noop(self):
-        register_controller("newreno", NewRenoController)
-
-    def test_conflicting_registration_rejected(self):
-        with pytest.raises(ValueError, match="already taken"):
-            register_controller("newreno", VegasController)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown congestion"):
             make_controller("no-such-controller")
-
-    def test_make_controller_passes_kwargs(self):
-        ctrl = make_controller("vegas", alpha=3, beta=5)
-        assert (ctrl.alpha, ctrl.beta) == (3, 5)
 
     def test_resolve_default_is_newreno(self):
         assert isinstance(resolve_controller(None), NewRenoController)
@@ -126,8 +115,8 @@ class TestStateDicts:
         vegas = flow.controller
         clone = pickle.loads(pickle.dumps(vegas))
         assert isinstance(clone, VegasController)
-        assert (clone.alpha, clone.beta, clone.gamma) == \
-            (vegas.alpha, vegas.beta, vegas.gamma)
+        assert (clone._in_vegas_slow_start, clone._next_adjust_s) == \
+            (vegas._in_vegas_slow_start, vegas._next_adjust_s)
         assert clone.base_rtt_s == vegas.base_rtt_s < float("inf")
         assert clone.flow.controller is clone
 
@@ -176,10 +165,11 @@ class TestShimSurface:
 
     def test_vegas_parameters_delegate(self, small_network):
         sim = PacketSimulator(small_network)
-        vegas = make_controller("vegas", alpha=3, beta=6, gamma=2)
+        vegas = make_controller("vegas")
         flow = TcpFlow(0, 3, controller=vegas).install(sim)
         assert flow.controller is vegas
-        assert (vegas.alpha, vegas.beta, vegas.gamma) == (3, 6, 2)
+        assert (flow.controller.ALPHA, flow.controller.BETA,
+                flow.controller.GAMMA) == (2.0, 4.0, 1.0)
 
     def test_bbr_is_paced(self, small_network):
         sim = PacketSimulator(small_network)
@@ -237,8 +227,7 @@ def _cwnd_trace(network, flow_class, **kwargs):
                  id="SeedTcpNewRenoFlow-TcpNewRenoFlow-kwargs0"),
     pytest.param(SeedTcpVegasFlow, "vegas", {"max_packets": 300},
                  id="SeedTcpVegasFlow-TcpVegasFlow-kwargs1"),
-    pytest.param(SeedTcpBbrFlow, "bbr",
-                 {"max_packets": 300, "delayed_ack_count": 2},
+    pytest.param(SeedTcpBbrFlow, "bbr", {"max_packets": 300},
                  id="SeedTcpBbrFlow-TcpBbrFlow-kwargs2"),
 ])
 def test_classic_parity_with_seed(small_network, seed_class, controller,

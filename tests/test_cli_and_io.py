@@ -1,5 +1,7 @@
 """Tests for the CLI, TLE file I/O, and GEO support."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,24 @@ from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
 from _orbit_oracle import TLEFormatError, read_tle_file
+
+
+class _Hung(BaseException):
+    """Raised by the alarm; no ``except Exception`` in the CLI eats it."""
+
+
+def _within(seconds, call):
+    """``call()``, failing the test if it has not returned in time."""
+    def expire(signum, frame):
+        raise _Hung(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTleFileIo:
@@ -168,6 +188,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["rtt", "K1", "Manila", "Dalian", "--duration", "inf"],
+        ["rtt", "K1", "Manila", "Dalian", "--duration", "nan"],
+        ["rtt", "K1", "Manila", "Dalian", "--step", "nan"],
+        ["traffic", "-o", "workload.json", "--duration", "inf"],
+        ["traffic", "-o", "workload.json", "--mean-size", "nan"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_finite_numbers_are_usage_errors(self, argv, capsys,
+                                                 tmp_path, monkeypatch):
+        """An infinite duration used to overflow (``rtt``) or loop
+        forever (``traffic``); a NaN one slipped past ``<= 0`` checks."""
+        monkeypatch.chdir(tmp_path)
+        assert _within(30, lambda: main(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -265,10 +265,7 @@ class TestAimdFluid:
             AimdFluidSimulation(small_network, [])
         with pytest.raises(ValueError):
             AimdFluidSimulation(small_network, [FluidFlow(0, 1)],
-                                rtt_estimate_s=0.0)
-        with pytest.raises(ValueError):
-            AimdFluidSimulation(small_network, [FluidFlow(0, 1)],
-                                queue_packets=-1)
+                                link_capacity_bps=0.0)
 
 
 class TestFluidFlowValidation:

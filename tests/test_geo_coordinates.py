@@ -9,7 +9,6 @@ import pytest
 from repro.geo.constants import (
     EARTH_ROTATION_RATE_RAD_PER_S,
     SIDEREAL_DAY_S,
-    WGS72,
     WGS84,
 )
 from repro.geo.coordinates import (
@@ -113,18 +112,18 @@ class TestEciEcefRoundTrip:
 
 class TestGeodeticEcef:
     def test_equator_prime_meridian(self):
-        ecef = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 0.0), WGS84)
+        ecef = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 0.0))
         np.testing.assert_allclose(
             ecef, [WGS84.semi_major_axis_m, 0.0, 0.0], atol=1e-6)
 
     def test_north_pole(self):
-        ecef = geodetic_to_ecef(GeodeticPosition(90.0, 0.0, 0.0), WGS84)
+        ecef = geodetic_to_ecef(GeodeticPosition(90.0, 0.0, 0.0))
         assert ecef[2] == pytest.approx(
             WGS84.semi_major_axis_m * (1.0 - WGS84.flattening), rel=1e-9)
         assert abs(ecef[0]) < 1e-6
 
     def test_altitude_adds_radially_at_equator(self):
-        ecef = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 1000.0), WGS84)
+        ecef = geodetic_to_ecef(GeodeticPosition(0.0, 0.0, 1000.0))
         assert ecef[0] == pytest.approx(
             WGS84.semi_major_axis_m + 1000.0, rel=1e-12)
 
@@ -142,13 +141,6 @@ class TestGeodeticEcef:
         original = GeodeticPosition(89.9999, 12.0, 100.0)
         back = ecef_to_geodetic(geodetic_to_ecef(original))
         assert back.latitude_deg == pytest.approx(89.9999, abs=1e-6)
-
-    def test_wgs72_differs_slightly_from_wgs84(self):
-        pos = GeodeticPosition(30.0, 60.0, 0.0)
-        a = geodetic_to_ecef(pos, WGS72)
-        b = geodetic_to_ecef(pos, WGS84)
-        # The datums differ by a couple of meters at most.
-        assert 0.1 < np.linalg.norm(a - b) < 10.0
 
 
 class TestTopocentricEnu:

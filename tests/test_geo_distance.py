@@ -7,7 +7,6 @@ import pytest
 
 from repro.geo.constants import (
     EARTH_MEAN_RADIUS_M,
-    FIBER_REFRACTIVE_SLOWDOWN,
     SPEED_OF_LIGHT_M_PER_S,
 )
 from repro.geo.coordinates import GeodeticPosition
@@ -53,12 +52,6 @@ class TestGreatCircleDistance:
         distance = great_circle_distance_m(paris, luanda)
         assert 6_200_000 < distance < 6_800_000
 
-    def test_custom_radius(self):
-        a = GeodeticPosition(0.0, 0.0)
-        b = GeodeticPosition(0.0, 180.0)
-        assert great_circle_distance_m(a, b, radius_m=1.0) == \
-            pytest.approx(math.pi)
-
 
 class TestPropagationDelay:
     def test_light_travels_300km_in_a_millisecond(self):
@@ -67,11 +60,6 @@ class TestPropagationDelay:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_s(-1.0)
-
-    def test_custom_speed(self):
-        fiber_speed = SPEED_OF_LIGHT_M_PER_S / FIBER_REFRACTIVE_SLOWDOWN
-        assert propagation_delay_s(fiber_speed, fiber_speed) == \
-            pytest.approx(1.0)
 
 
 class TestGeodesicRtt:

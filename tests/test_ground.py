@@ -87,19 +87,21 @@ class TestGroundStations:
     def test_relay_grid_size_and_flags(self):
         a = GeodeticPosition(48.86, 2.35)   # Paris
         b = GeodeticPosition(55.76, 37.62)  # Moscow
-        relays = relay_grid_between(a, b, rows=3, columns=4, first_gid=100)
+        relays = relay_grid_between(a, b, rows=3, columns=4)
         assert len(relays) == 12
         assert all(r.is_relay for r in relays)
-        assert [r.gid for r in relays] == list(range(100, 112))
+        assert [r.gid for r in relays] == list(range(12))
 
     def test_relay_grid_covers_endpoints_box(self):
         a = GeodeticPosition(48.86, 2.35)
         b = GeodeticPosition(55.76, 37.62)
-        relays = relay_grid_between(a, b, rows=3, columns=3, margin_deg=2.0)
+        relays = relay_grid_between(a, b, rows=3, columns=3)
         lats = [r.latitude_deg for r in relays]
         lons = [r.longitude_deg for r in relays]
-        assert min(lats) < 48.86 and max(lats) > 55.76
-        assert min(lons) < 2.35 and max(lons) > 37.62
+        assert min(lats) == pytest.approx(48.86 - 3.0)
+        assert max(lats) == pytest.approx(55.76 + 3.0)
+        assert min(lons) == pytest.approx(2.35 - 3.0)
+        assert max(lons) == pytest.approx(37.62 + 3.0)
 
     def test_relay_grid_validation(self):
         a = GeodeticPosition(0.0, 0.0)

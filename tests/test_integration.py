@@ -115,7 +115,7 @@ class TestPacketVsGeometry:
                               LinkConfig(isl_rate_bps=1e12,
                                          gsl_rate_bps=1e12))
         arrivals = []
-        flow = UdpFlow(1, 4, rate_bps=100_000.0, stop_s=0.5)
+        flow = UdpFlow(1, 4, rate_bps=100_000.0)
         flow.install(sim)
         original = flow._on_receive
 

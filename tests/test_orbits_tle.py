@@ -57,12 +57,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_tle(kuiper_elements, "sat", catalog_number=100_000)
 
-    def test_epoch_validation(self, kuiper_elements):
-        with pytest.raises(ValueError):
-            generate_tle(kuiper_elements, "sat", epoch_year=1900)
-        with pytest.raises(ValueError):
-            generate_tle(kuiper_elements, "sat", epoch_day=0.0)
-
     def test_str_has_three_lines(self, kuiper_elements):
         tle = generate_tle(kuiper_elements, "sat")
         assert len(str(tle).splitlines()) == 3
@@ -70,12 +64,10 @@ class TestGeneration:
 
 class TestRoundTrip:
     def test_elements_survive_round_trip(self, kuiper_elements):
-        tle = generate_tle(kuiper_elements, "Kuiper-0", catalog_number=7,
-                           epoch_year=2020, epoch_day=123.5)
+        tle = generate_tle(kuiper_elements, "Kuiper-0", catalog_number=7)
         parsed, catalog, (year, day) = parse_tle(*tle.as_lines())
         assert catalog == 7
-        assert year == 2020
-        assert day == pytest.approx(123.5)
+        assert (year, day) == (2000, 1.0)
         assert parsed.semi_major_axis_m == pytest.approx(
             kuiper_elements.semi_major_axis_m, rel=1e-7)
         assert parsed.eccentricity == pytest.approx(0.0, abs=1e-7)
@@ -131,12 +123,16 @@ class TestParsingValidation:
             parse_tle("x", tle_a.line1, tle_b.line2)
 
     def test_epoch_century_windowing(self, kuiper_elements):
-        tle_2049 = generate_tle(kuiper_elements, "s", epoch_year=2049)
-        _, _, (year, _) = parse_tle(*tle_2049.as_lines())
-        assert year == 2049
-        tle_1999 = generate_tle(kuiper_elements, "s", epoch_year=1999)
-        _, _, (year, _) = parse_tle(*tle_1999.as_lines())
-        assert year == 1999
+        tle = generate_tle(kuiper_elements, "s")
+
+        def year_of(epoch_field):
+            line1 = tle.line1[:18] + epoch_field + tle.line1[32:68]
+            line1 += str(tle_checksum(line1))
+            _, _, (year, _) = parse_tle(tle.name, line1, tle.line2)
+            return year
+
+        assert year_of("49001.00000000") == 2049
+        assert year_of("99001.00000000") == 1999
 
 
 class TestTleDataclass:

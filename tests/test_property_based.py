@@ -807,3 +807,99 @@ class TestIngressRuleProperties:
                 except nx.NetworkXNoPath:
                     expected = math.inf
                 assert distance == pytest.approx(expected, rel=1e-9)
+
+
+#: WGS84, written out here so the station positions below do not come
+#: from the product's own ellipsoid constants or conversion.
+_WGS84_A_M = 6_378_137.0
+_WGS84_F = 1.0 / 298.257223563
+
+
+def _station_frame(latitude_deg, longitude_deg):
+    """ECEF position of a sea-level station and its geodetic-normal up
+    vector (the ellipsoid normal ``ground/visibility.py`` measures
+    elevation against)."""
+    lat, lon = math.radians(latitude_deg), math.radians(longitude_deg)
+    e2 = _WGS84_F * (2.0 - _WGS84_F)
+    n = _WGS84_A_M / math.sqrt(1.0 - e2 * math.sin(lat) ** 2)
+    up = np.array([math.cos(lat) * math.cos(lon),
+                   math.cos(lat) * math.sin(lon),
+                   math.sin(lat)])
+    position = np.array([n * up[0], n * up[1], n * (1.0 - e2) * up[2]])
+    return position, up
+
+
+class TestIndependentGeometry:
+    """Random Walker shells (the draws of
+    ``test_random_walker_shells_match_loop_oracle``) and random stations,
+    checked against geometry recomputed here: every GSL is above the
+    minimum elevation and every satellite above it gets a GSL, and every
+    routed distance is its path's length and no shorter than the chord
+    between its endpoints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gsls_and_routed_distances(self, data):
+        from repro.constellations.builder import Constellation
+        from repro.ground.stations import GroundStation
+        from repro.orbits.shell import Shell
+        from repro.routing.engine import RoutingEngine
+        from repro.topology.network import LeoNetwork
+
+        shells = [Shell(
+            name=f"W{index}",
+            num_orbits=data.draw(st.integers(4, 20)),
+            satellites_per_orbit=data.draw(st.integers(4, 20)),
+            altitude_m=data.draw(st.floats(400_000.0, 1_500_000.0)),
+            inclination_deg=data.draw(st.floats(30.0, 98.0)),
+            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
+                                                 exclude_max=True)))
+            for index in range(data.draw(st.integers(1, 3)))]
+        constellation = Constellation(
+            shells, epoch_offset_s=data.draw(st.floats(
+                -1e7, 1e7, allow_nan=False, allow_infinity=False)))
+        sites = data.draw(st.lists(st.tuples(latitude, longitude),
+                                   min_size=2, max_size=6))
+        stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                                  position=GeodeticPosition(lat, lon, 0.0))
+                    for gid, (lat, lon) in enumerate(sites)]
+        min_elevation_deg = data.draw(st.floats(0.0, 45.0))
+        network = LeoNetwork(constellation, stations,
+                             min_elevation_deg=min_elevation_deg)
+        snapshot = network.snapshot(data.draw(st.floats(0.0, 6000.0)))
+        satellites = snapshot.satellite_positions_m
+        frames = [_station_frame(lat, lon) for lat, lon in sites]
+
+        for gid, (position, up) in enumerate(frames):
+            delta = satellites - position
+            ranges = np.linalg.norm(delta, axis=1)
+            elevations = np.degrees(np.arcsin(delta @ up / ranges))
+            edges = snapshot.gsl_edges[gid]
+            linked = np.asarray(edges.satellite_ids)
+            assert (elevations[linked] >= min_elevation_deg - 1e-9).all()
+            assert set(np.flatnonzero(
+                elevations >= min_elevation_deg + 1e-9)) <= set(linked)
+            np.testing.assert_allclose(edges.lengths_m, ranges[linked],
+                                       rtol=1e-9)
+
+        def node_position(node):
+            if node < network.num_satellites:
+                return satellites[node]
+            return frames[node - network.num_satellites][0]
+
+        engine = RoutingEngine(network)
+        gids = list(range(len(stations)))
+        pairs = [(src, dst) for src in gids for dst in gids if src != dst]
+        multi = engine.route_to_many(snapshot, gids)
+        paths, distances = engine.paths_and_distances(multi, snapshot,
+                                                      pairs)
+        for (src, dst), path, distance in zip(pairs, paths, distances):
+            if path is None:
+                assert distance == math.inf
+                continue
+            length = sum(
+                float(np.linalg.norm(node_position(b) - node_position(a)))
+                for a, b in zip(path, path[1:]))
+            assert distance == pytest.approx(length, rel=1e-9)
+            chord = float(np.linalg.norm(frames[dst][0] - frames[src][0]))
+            assert distance >= chord * (1.0 - 1e-12)

@@ -167,23 +167,24 @@ class TestAnalysisHasCallers:
         assert not unused, unused
 
 
-_SWITCH_DEFAULTS = (None, True, False)
-
 # (file, callable, parameter) that no product call sets, and why it stays.
-_UNSET_SWITCHES_KEPT = {
+_UNSET_OPTIONS_KEPT = {
     ("src/repro/cli.py", "main", "argv"):
         "the tests drive the CLI in-process",
     ("src/repro/service/driver.py", "LiveSimulationService.resume",
      "expected_spec"):
         "a safety check on a checkpoint file, which is outside input",
+    ("src/repro/obs/spans.py", "SpanProfiler.__init__", "capacity"):
+        "the tests shrink the memory bound to reach the dropped-span path",
+    ("src/repro/obs/spans.py", "SpanProfiler.__init__", "clock"):
+        "the tests substitute a fake clock to pin span durations",
 }
 
 
-def _switch_parameters(path, tree):
+def _defaulted_parameters(path, tree):
     """``(key, callable name, signature, parameter)`` for every
     parameter of a public function or method (explicit ``__init__``
-    included) whose default is the constant ``None``, ``True`` or
-    ``False``.  A method's callable name is its own name, an
+    included) that has a default.  A method's callable name is its own name, an
     ``__init__``'s is its class's; ``signature`` is the positional
     parameter names a call fills, ``self``/``cls`` dropped."""
     rel = path.relative_to(REPO_ROOT)
@@ -215,10 +216,8 @@ def _switch_parameters(path, tree):
         defaulted += [(a.arg, d) for a, d in zip(args.kwonlyargs,
                                                  args.kw_defaults)
                       if d is not None]
-        for param, default in defaulted:
-            if (isinstance(default, ast.Constant)
-                    and any(default.value is v for v in _SWITCH_DEFAULTS)):
-                yield (str(rel), qualified, param), name, positional, param
+        for param, _ in defaulted:
+            yield (str(rel), qualified, param), name, positional, param
 
 
 def _calls_by_name(tree):
@@ -270,30 +269,31 @@ def _sets(call, signature, param):
 
 
 class TestOptionsHaveCallers:
-    def test_every_switch_parameter_is_set_outside_tests(self):
-        """A ``None``/``True``/``False`` default is a switch: its other
-        setting runs a branch.  Every such parameter of a public callable
-        under ``src/repro`` must be set by some call in ``src/``,
-        ``benchmarks/`` or ``examples/`` (see ``_switch_parameters``,
-        ``_calls_by_name`` and ``_sets``); same-named callables are
-        pooled, and calls in ``tests/`` never count, so a branch only a
-        test reaches is code the product does not run.  The exemptions
-        in ``_UNSET_SWITCHES_KEPT`` each say why they stay."""
-        switches = []
+    def test_every_defaulted_parameter_is_set_outside_tests(self):
+        """A default is an option: its other settings run code, or set
+        numbers, that the product never uses.  Every defaulted parameter
+        of a public callable under ``src/repro`` must be set by some call
+        in ``src/``, ``benchmarks/`` or ``examples/`` (see
+        ``_defaulted_parameters``, ``_calls_by_name`` and ``_sets``);
+        same-named callables are pooled, and calls in ``tests/`` never
+        count, so a value only a test passes is an option the product
+        does not have.  The exemptions in ``_UNSET_OPTIONS_KEPT`` each
+        say why they stay."""
+        options = []
         calls = {}
         for directory in ("src", "benchmarks", "examples"):
             for path in sorted((REPO_ROOT / directory).rglob("*.py")):
                 tree = ast.parse(path.read_text())
                 if directory == "src":
-                    switches += _switch_parameters(path, tree)
+                    options += _defaulted_parameters(path, tree)
                 for name, call in _calls_by_name(tree):
                     calls.setdefault(name, []).append(call)
-        unset = {key for key, name, signature, param in switches
+        unset = {key for key, name, signature, param in options
                  if not any(_sets(call, signature, param)
                             for call in calls.get(name, ()))}
-        named = sorted(unset.symmetric_difference(_UNSET_SWITCHES_KEPT))
+        named = sorted(unset.symmetric_difference(_UNSET_OPTIONS_KEPT))
         assert not named, "\n".join(
             f"{path}:{qualified}({param})"
             + (" is exempt but set"
-               if (path, qualified, param) in _UNSET_SWITCHES_KEPT else "")
+               if (path, qualified, param) in _UNSET_OPTIONS_KEPT else "")
             for path, qualified, param in named)

@@ -28,6 +28,17 @@ from _routing_oracle import (scalar_path_and_distance,
                              station_loop_gsl_edge_arrays)
 
 
+def _relay_grid(a, b, rows, columns):
+    """``relay_grid_between`` over the endpoints' box widened by a 5°
+    margin (2° here, 3° in the product), relay gids from 6 on."""
+    low = GeodeticPosition(min(a.latitude_deg, b.latitude_deg) - 2.0,
+                           min(a.longitude_deg, b.longitude_deg) - 2.0)
+    high = GeodeticPosition(max(a.latitude_deg, b.latitude_deg) + 2.0,
+                            max(a.longitude_deg, b.longitude_deg) + 2.0)
+    return [dataclasses.replace(relay, gid=6 + relay.gid)
+            for relay in relay_grid_between(low, high, rows, columns)]
+
+
 @pytest.fixture
 def engine(small_network) -> RoutingEngine:
     return RoutingEngine(small_network)
@@ -210,9 +221,8 @@ class TestStationEdgeGather:
             self.assert_gathers_match(snap, gids)
 
     def test_relay_gids(self, small_constellation, small_stations):
-        relays = relay_grid_between(
-            small_stations[5].position, small_stations[1].position,
-            rows=3, columns=3, margin_deg=5.0, first_gid=6)
+        relays = _relay_grid(small_stations[5].position,
+                             small_stations[1].position, rows=3, columns=3)
         network = LeoNetwork(small_constellation, small_stations + relays,
                              min_elevation_deg=10.0, isl_builder=no_isls)
         snap = network.snapshot(100.0)
@@ -321,9 +331,8 @@ def _extraction_network(mode):
     if mode == "grid":
         return LeoNetwork(Constellation([shell]), stations,
                           min_elevation_deg=10.0)
-    relays = relay_grid_between(stations[5].position, stations[1].position,
-                                rows=4, columns=4, margin_deg=5.0,
-                                first_gid=6)
+    relays = _relay_grid(stations[5].position, stations[1].position,
+                         rows=4, columns=4)
     return LeoNetwork(Constellation([shell]), stations + relays,
                       min_elevation_deg=10.0, isl_builder=no_isls)
 

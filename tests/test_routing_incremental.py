@@ -34,6 +34,17 @@ from repro.topology.network import LeoNetwork
 DESTINATIONS = [1, 2, 4, 5]
 
 
+def _relay_grid(a, b, rows, columns):
+    """``relay_grid_between`` over the endpoints' box widened by a 5°
+    margin (2° here, 3° in the product), relay gids from 6 on."""
+    low = GeodeticPosition(min(a.latitude_deg, b.latitude_deg) - 2.0,
+                           min(a.longitude_deg, b.longitude_deg) - 2.0)
+    high = GeodeticPosition(max(a.latitude_deg, b.latitude_deg) + 2.0,
+                            max(a.longitude_deg, b.longitude_deg) + 2.0)
+    return [dataclasses.replace(relay, gid=6 + relay.gid)
+            for relay in relay_grid_between(low, high, rows, columns)]
+
+
 def canonical_coo(num_nodes, edges):
     """Canonical (lexsorted, coalesced) COO arrays for directed edges."""
     rows, cols, data = zip(*[(u, v, w) for u, v, w in edges])
@@ -353,9 +364,8 @@ class TestReweightRepair:
         # No ISLs: every multi-hop path alternates satellites and relay
         # stations, and relays are destinations too (their GSLs are
         # two-way transit edges, not one-way destination edges).
-        relays = relay_grid_between(
-            small_stations[5].position, small_stations[1].position,
-            rows=4, columns=4, margin_deg=5.0, first_gid=6)
+        relays = _relay_grid(small_stations[5].position,
+                             small_stations[1].position, rows=4, columns=4)
         network = LeoNetwork(small_constellation, small_stations + relays,
                              min_elevation_deg=10.0, isl_builder=no_isls)
         destinations = [1, 5, 6, 11, 21]

@@ -783,8 +783,8 @@ class TestRoundTripDeterminism:
 
     def test_every_pending_record_kind_round_trips(self, tmp_path):
         """A packet checkpoint taken while tx-finish and arrival records
-        (bound method + packet + node fields) and RTO, delayed-ACK and
-        forwarding timers are all pending resumes ≡ never stopping."""
+        (bound method + packet + node fields) and RTO and forwarding
+        timers are all pending resumes ≡ never stopping."""
         from repro.cc.lab import lab_network
         from repro.simulation.simulator import LinkConfig, PacketSimulator
         from repro.transport.tcp import TcpFlow
@@ -795,8 +795,8 @@ class TestRoundTripDeterminism:
             sim = PacketSimulator(spec.build(), LinkConfig(
                 isl_rate_bps=2e6, gsl_rate_bps=2e6,
                 isl_queue_packets=25, gsl_queue_packets=25))
-            flows = [TcpFlow(src, (src + 3) % 6, delayed_ack_count=2
-                             ).install(sim) for src in range(6)]
+            flows = [TcpFlow(src, (src + 3) % 6).install(sim)
+                     for src in range(6)]
             return sim, flows
 
         def outcome(sim, flows):
@@ -820,7 +820,7 @@ class TestRoundTripDeterminism:
         pending = {getattr(record[2], "func", record[2]).__name__
                    for record in sim.scheduler._queue}
         assert pending >= {"_finish_transmission", "_receive", "_on_rto",
-                           "_on_delack_timer", "_update"}
+                           "_update"}
         path = tmp_path / "pending.ckpt"
         save_checkpoint(str(path), Checkpoint(
             spec=spec, engine="packet", time_s=sim.now,

@@ -528,13 +528,14 @@ class TestBusyTimeAccounting:
 
 class TestEventStreamPin:
     """The packet engine's whole observable outcome on one small run,
-    pinned as a digest recorded *before* the PR 16 hot-path work: the
-    golden ``packet_fig2`` digest says the same in ~20 s of
-    ``make bench-e2e``; this says it inside tier-1."""
+    pinned as a digest: the golden ``packet_fig2`` digest says the same
+    in ~20 s of ``make bench-e2e``; this says it inside tier-1.  The
+    digest was recorded by the code that still had delayed ACKs, with
+    every flow acknowledging each segment (the only setting left)."""
 
     DURATION_S = 3.0
     DIGEST = (
-        "4e79a8c0725951c0041e1af8108dc2a6461e68a4205a4461f89ef1b4d06a6cb7")
+        "d589862e4c98aea51f4782190d950eea873b4de558953d6c69b2d748af24dcdd")
 
     def test_lab_run_is_bit_identical(self):
         import hashlib
@@ -551,11 +552,7 @@ class TestEventStreamPin:
             isl_queue_packets=25, gsl_queue_packets=25))
         pairs = random_permutation_pairs(network.num_ground_stations, seed=0)
         assert len(pairs) >= 6
-        # Every other flow delays its ACKs so delayed-ACK timers are in
-        # the pinned stream next to tx-finish, arrival and RTO events.
-        flows = [TcpFlow(src, dst, delayed_ack_count=1 + index % 2
-                         ).install(sim)
-                 for index, (src, dst) in enumerate(pairs)]
+        flows = [TcpFlow(src, dst).install(sim) for src, dst in pairs]
         # Stopping between refreshes does not touch the event stream; it
         # only lets the test see the installed next hops change.
         route_changes, previous, refresh = 0, None, 0

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.cc import make_controller
 from repro.cc.lab import lab_network
 from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
@@ -69,8 +68,8 @@ class TestPing:
         assert not np.isnan(ping.rtts_s[0])
 
     def test_stop_time_respected(self, sim):
-        ping = PingSession(0, 3, interval_s=0.1, stop_s=0.55).install(sim)
-        sim.run(2.0)
+        ping = PingSession(0, 3, interval_s=0.1).install(sim)
+        sim.run(0.55)
         assert len(ping.send_times_s) == 6  # 0.0 .. 0.5
 
     def test_validation(self):
@@ -83,19 +82,21 @@ class TestPing:
 class TestUdp:
     def test_paced_rate(self, small_network):
         sim = PacketSimulator(small_network)
-        flow = UdpFlow(0, 3, rate_bps=1_000_000.0, stop_s=2.0).install(sim)
-        sim.run(3.0)
+        flow = UdpFlow(0, 3, rate_bps=1_000_000.0).install(sim)
+        sim.run(2.0)
         # 1 Mbps for 2 s = 2 Mbit sent; payload goodput slightly lower
         # due to headers.
         expected_packets = int(1_000_000.0 * 2.0 / (1500 * 8))
         assert abs(flow.packets_sent - expected_packets) <= 1
-        assert flow.packets_received == flow.packets_sent
+        # Nothing is dropped; only the last few datagrams are in flight.
+        assert sim.stats.packets_dropped_queue == 0
+        assert 0 <= flow.packets_sent - flow.packets_received <= 10
 
     def test_goodput_counts_payload_only(self, small_network):
         sim = PacketSimulator(small_network)
-        flow = UdpFlow(0, 3, rate_bps=1_000_000.0, stop_s=1.0).install(sim)
-        sim.run(2.0)
-        goodput = flow.goodput_bps(1.0)
+        flow = UdpFlow(0, 3, rate_bps=1_000_000.0).install(sim)
+        sim.run(10.0)
+        goodput = flow.goodput_bps(10.0)
         assert goodput < 1_000_000.0
         assert goodput == pytest.approx(
             1_000_000.0 * (1500 - 40) / 1500, rel=0.02)
@@ -104,8 +105,8 @@ class TestUdp:
         sim = PacketSimulator(small_network,
                               LinkConfig(gsl_rate_bps=500_000.0,
                                          gsl_queue_packets=5))
-        flow = UdpFlow(0, 3, rate_bps=2_000_000.0, stop_s=1.0).install(sim)
-        sim.run(2.0)
+        flow = UdpFlow(0, 3, rate_bps=2_000_000.0).install(sim)
+        sim.run(1.0)
         assert flow.packets_received < 0.6 * flow.packets_sent
         assert sim.stats.packets_dropped_queue > 0
 
@@ -165,40 +166,20 @@ class TestTcpBasics:
         # the slow-start overshoot factor of 2 plus margin.
         assert cwnd.max() <= 2.5 * (bdp_packets + 100)
 
-    def test_rwnd_caps_window(self, small_network):
-        sim = PacketSimulator(small_network)
-        tcp = TcpFlow(0, 3, rwnd_packets=20).install(sim)
-        sim.run(5.0)
-        assert tcp.snd_nxt - 0 <= 20 or tcp.flight_size <= 20
-
     def test_no_losses_on_overprovisioned_link(self, small_network):
         sim = PacketSimulator(small_network,
                               LinkConfig(isl_rate_bps=1e9, gsl_rate_bps=1e9,
                                          isl_queue_packets=10_000,
                                          gsl_queue_packets=10_000))
-        tcp = TcpFlow(0, 3, max_packets=2000,
-                             rwnd_packets=500).install(sim)
+        tcp = TcpFlow(0, 3, max_packets=2000).install(sim)
         sim.run(10.0)
         assert tcp.snd_una == 2000
         assert tcp.retransmissions == 0
         assert tcp.timeouts == 0
 
-    def test_delayed_ack_mode_runs(self, small_network):
-        sim = PacketSimulator(small_network)
-        tcp = TcpFlow(0, 3, max_packets=500,
-                             delayed_ack_count=2).install(sim)
-        sim.run(20.0)
-        assert tcp.snd_una == 500
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TcpFlow(1, 1)
-        with pytest.raises(ValueError):
-            TcpFlow(0, 1, packet_bytes=30)
-        with pytest.raises(ValueError):
-            TcpFlow(0, 1, delayed_ack_count=0)
-        with pytest.raises(ValueError):
-            TcpFlow(0, 1, rwnd_packets=0)
 
 
 class TestTcpLossRecovery:
@@ -266,10 +247,6 @@ class TestVegas:
         sim.run(10.0)
         _, cwnd = vegas.cwnd_log.as_arrays()
         assert cwnd.min() >= 1.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            make_controller("vegas", alpha=5.0, beta=4.0)
 
     def test_rtt_increase_cuts_window(self, small_network):
         """The Fig. 5 mechanism in isolation: once the base RTT is
