@@ -57,6 +57,10 @@ smoke:
 	    src/ examples/ README.md .claude/
 	! grep -rnwIE "delayed_ack_count|rwnd_packets|register_controller|_arm_delack|lognormal_sigma|pareto_alpha" \
 	    src/ examples/ README.md .claude/
+	! grep -rnIE "isl_builder_name|static_isl_pairs|spec-expressible|constellation_name" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnwI "failed_satellites" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

@@ -14,16 +14,16 @@ from repro.constellations.builder import Constellation
 from repro.constellations.definitions import KUIPER_K1
 from repro.ground.stations import ground_stations_from_cities
 from repro.routing.engine import RoutingEngine
-from repro.topology.isl import no_isls, plus_grid_isls, single_ring_isls
 from repro.topology.network import LeoNetwork
 
 from _common import scaled, write_result
 
 NUM_PAIRS = scaled(40, 100)
 
-BUILDERS = [("plus_grid", plus_grid_isls),
-            ("ring", single_ring_isls),
-            ("none", no_isls)]
+#: (result label, ``LeoNetwork(isl_builder=)`` name).
+BUILDERS = [("plus_grid", "plus_grid"),
+            ("ring", "single_ring"),
+            ("none", "none")]
 
 
 def test_ablation_isl_topology(benchmark):

@@ -14,7 +14,6 @@ from repro.constellations.builder import Constellation
 from repro.constellations.definitions import geostationary_belt
 from repro.ground.stations import ground_stations_from_cities
 from repro.routing.engine import RoutingEngine
-from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
 from _common import write_result
@@ -32,7 +31,7 @@ def test_extension_geo_vs_leo_latency(kuiper, benchmark):
 
     def run():
         geo = LeoNetwork(Constellation([geostationary_belt(8)]), stations,
-                         min_elevation_deg=10.0, isl_builder=no_isls)
+                         min_elevation_deg=10.0, isl_builder="none")
         geo_engine = RoutingEngine(geo)
         geo_snapshot = geo.snapshot(0.0)
         leo_snapshot = kuiper.snapshot(0.0)

@@ -12,6 +12,8 @@ Three quick studies on Kuiper K1 that the paper lists as future work:
 Run:  python examples/resilience_and_weather.py
 """
 
+import math
+
 import numpy as np
 
 from repro import Hypatia
@@ -39,8 +41,10 @@ def main() -> None:
     victim = path[1]  # the ingress satellite
     print(f"   healthy: {len(path) - 1} hops, {rtt * 1000:.1f} ms, "
           f"ingress satellite {victim}")
+    dead = FaultSchedule([
+        FaultEvent.satellite_outage(victim, 0.0, math.inf)])
     degraded = LeoNetwork(constellation, stations, min_elevation_deg=30.0,
-                          failed_satellites=[victim])
+                          faults=dead)
     degraded_engine = RoutingEngine(degraded)
     degraded_rtt = degraded_engine.pair_rtt_s(degraded.snapshot(0.0),
                                               src, dst)

@@ -84,11 +84,9 @@ def lab_network(shell: str = "8x8") -> NetworkSpec:
             unrouteable; the default is the smallest fully connected lab
             constellation.
     """
-    from ..constellations.builder import Constellation
     from ..geo.coordinates import GeodeticPosition
     from ..ground.stations import GroundStation
     from ..orbits.shell import Shell
-    from ..topology.network import LeoNetwork
 
     try:
         orbits_s, sats_s = shell.lower().split("x")
@@ -98,14 +96,12 @@ def lab_network(shell: str = "8x8") -> NetworkSpec:
     lab_shell = Shell(name=f"LAB-{shell}", num_orbits=num_orbits,
                       satellites_per_orbit=sats_per_orbit,
                       altitude_m=600_000.0, inclination_deg=53.0)
-    stations = [
+    stations = tuple(
         GroundStation(gid=i, name=name,
                       position=GeodeticPosition(lat, lon, 0.0))
-        for i, (name, lat, lon) in enumerate(SITES)
-    ]
-    network = LeoNetwork(Constellation([lab_shell]), stations,
-                         min_elevation_deg=10.0)
-    return NetworkSpec.from_network(network)
+        for i, (name, lat, lon) in enumerate(SITES))
+    return NetworkSpec(shells=(lab_shell,), epoch_offset_s=0.0,
+                       ground_stations=stations, min_elevation_deg=10.0)
 
 
 @dataclass(frozen=True)

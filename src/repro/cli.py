@@ -660,7 +660,7 @@ def _cmd_checkpoint(args) -> int:
               f"to {args.output}")
         return 0
     service = _build_service(args)
-    if args.at > 0.0:
+    if args.at != 0.0:  # NaN, inf and negatives reach the refusal
         service.advance_to(args.at)
     header = service.save(args.output)
     print(f"checkpointed {service.engine} run at "

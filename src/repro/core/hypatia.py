@@ -36,7 +36,6 @@ from ..simulation.simulator import LinkConfig, PacketSimulator
 from ..sweep.engine import sweep_timelines
 from ..topology.dynamic_state import PairTimeline, snapshot_times
 from ..topology.gsl import GslPolicy
-from ..topology.isl import no_isls, plus_grid_isls
 from ..topology.network import LeoNetwork, TopologySnapshot
 from .workloads import gid_by_name
 
@@ -68,11 +67,10 @@ class Hypatia:
                  use_isls: bool = True,
                  gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
                  faults=None) -> None:
-        isl_builder = plus_grid_isls if use_isls else no_isls
         self.network = LeoNetwork(
             constellation, ground_stations,
             min_elevation_deg=min_elevation_deg,
-            isl_builder=isl_builder,
+            isl_builder="plus_grid" if use_isls else "none",
             gsl_policy=gsl_policy,
             faults=faults,
         )

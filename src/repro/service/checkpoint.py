@@ -54,7 +54,11 @@ __all__ = [
 #: per-satellite objects are built on demand and never pickled.
 #: v8: ``spec_hash`` is :meth:`NetworkSpec.fingerprint` (an explicit
 #: field record plus packed request arrays), not a reflective JSON hash.
-CHECKPOINT_FORMAT_VERSION = 8
+#: v9: ``NetworkSpec`` records only a network's inputs (no constellation
+#: label, no static dead-satellite set: a dead satellite is an outage
+#: fault), and ``LeoNetwork`` names its ISL builder instead of holding
+#: the callable, so every spec pickles and hashes otherwise.
+CHECKPOINT_FORMAT_VERSION = 9
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

@@ -31,6 +31,7 @@ install time instead of inside a scheduled refresh batch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -65,14 +66,14 @@ class LiveSimulationService:
     """One live, checkpointable simulation (see module docstring).
 
     Args:
-        spec: The network recipe; must be spec-expressible (registered
-            ISL builder) so checkpoints can identify the network.
+        spec: The network recipe; its fingerprint identifies the
+            network in every checkpoint.
         engine: ``"packet"``, ``"fluid"`` (the max-min engine) or
             ``"aimd"``.
-        horizon_s: Simulated end of the run.  Required — both engines
-            pre-commit their snapshot/epoch schedule to it.
-        epoch_s: Epoch granularity of :meth:`advance_epoch`; for the
-            fluid engine also the snapshot step.
+        horizon_s: Simulated end of the run, finite and positive.  Both
+            engines pre-commit their snapshot/epoch schedule to it.
+        epoch_s: Epoch granularity of :meth:`advance_epoch`, finite and
+            positive; for the fluid engine also the snapshot step.
         link_capacity_bps: Fluid device capacity.
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
@@ -87,10 +88,12 @@ class LiveSimulationService:
             raise ServiceError(
                 f"unknown engine {engine!r}; the service supports "
                 f"'packet', 'fluid' (max-min) and 'aimd'")
-        if horizon_s <= 0.0:
-            raise ServiceError(f"horizon must be positive, got {horizon_s}")
-        if epoch_s <= 0.0:
-            raise ServiceError(f"epoch must be positive, got {epoch_s}")
+        if not 0.0 < horizon_s < math.inf:
+            raise ServiceError(
+                f"horizon must be finite and positive, got {horizon_s}")
+        if not 0.0 < epoch_s < math.inf:
+            raise ServiceError(
+                f"epoch must be finite and positive, got {epoch_s}")
         self.spec = spec
         self.engine = engine
         self.horizon_s = float(horizon_s)
@@ -152,7 +155,14 @@ class LiveSimulationService:
         ``advance_to(horizon)`` is bit-identical to the paced server's
         epoch-by-epoch advancement.  Returns the post-advance
         :meth:`status`.
+
+        Raises:
+            ServiceError: ``target_s`` is not finite, or is behind the
+                clock.
         """
+        if not math.isfinite(target_s):
+            raise ServiceError(
+                f"cannot advance to a time that is not finite: {target_s}")
         target_s = min(float(target_s), self.horizon_s)
         if target_s < self.clock_s:
             raise ServiceError(

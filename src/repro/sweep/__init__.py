@@ -13,12 +13,10 @@ Entry points, both one :func:`sweep_timelines` call:
 """
 
 from .engine import resolve_workers, shard_snapshots, sweep_timelines
-from .spec import ISL_BUILDERS, NetworkSpec, isl_builder_name
+from .spec import NetworkSpec
 
 __all__ = [
     "NetworkSpec",
-    "ISL_BUILDERS",
-    "isl_builder_name",
     "sweep_timelines",
     "shard_snapshots",
     "resolve_workers",

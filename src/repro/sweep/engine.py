@@ -128,8 +128,7 @@ def _mp_context():
 
 
 def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
-                   pairs: List[PairKey], times_s: np.ndarray,
-                   isl_pairs: Optional[np.ndarray] = None
+                   pairs: List[PairKey], times_s: np.ndarray
                    ) -> Tuple[ChunkResult, float, float]:
     """Build (unless given) the network and sweep one chunk of snapshots.
 
@@ -142,8 +141,7 @@ def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
     started = time.perf_counter()
     chunk_span = profiler.begin("sweep.chunk") if profiling else -1
     build_span = profiler.begin("sweep.build") if profiling else -1
-    network = (source.build(isl_pairs=isl_pairs)
-               if isinstance(source, NetworkSpec) else source)
+    network = source.build() if isinstance(source, NetworkSpec) else source
     if build_span != -1:
         profiler.end(build_span)
     build_wall_s = time.perf_counter() - started
@@ -157,20 +155,20 @@ def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
 
 
 def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
-                              np.ndarray, bool]
+                              bool]
                ) -> Tuple[int, ChunkResult, float, float, int,
                           Optional[dict]]:
     """One worker's unit of work: rebuild the network, sweep one chunk.
 
     Module-level so multiprocessing pickles it by reference.  The
-    payload carries the chunk's snapshot times and the parent's static
-    ``isl_pairs`` by value, so the worker skips the ISL builder.
-    Returns ``(chunk_index, chunk_result, build_wall_s, total_wall_s,
-    os_pid, span_profile)`` — the profile is the worker's serialized
-    span tree (:meth:`SpanProfiler.as_dict`) when the parent asked for
-    profiling, else None.
+    payload carries the chunk's snapshot times by value; the worker
+    runs the spec's named ISL builder itself.  Returns ``(chunk_index,
+    chunk_result, build_wall_s, total_wall_s, os_pid, span_profile)``
+    — the profile is the worker's serialized span tree
+    (:meth:`SpanProfiler.as_dict`) when the parent asked for profiling,
+    else None.
     """
-    chunk_index, spec, pairs, times_s, isl_pairs, profile = payload
+    chunk_index, spec, pairs, times_s, profile = payload
     profiler = None
     if profile:
         # A fresh local profiler: the fork child inherits the parent's
@@ -180,7 +178,7 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
         spans.install(profiler)
     try:
         result, build_wall_s, total_wall_s = _compute_chunk(
-            spec, pairs, times_s, isl_pairs=isl_pairs)
+            spec, pairs, times_s)
     finally:
         if profile:
             spans.uninstall()
@@ -201,10 +199,9 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
         source: The network to sweep: a picklable :class:`NetworkSpec`
             (built here, once per chunk) or a built :class:`LeoNetwork`.
             The serial path walks a built network directly; the
-            parallel path reads its static ISL interconnect for the
-            chunk payloads and derives the spec the workers rebuild
-            from — only then, so an ISL builder outside
-            :data:`~repro.sweep.spec.ISL_BUILDERS` still sweeps serially.
+            parallel path ships the network's spec
+            (:meth:`NetworkSpec.from_network`) to the workers, which
+            rebuild it.
         pairs: (src_gid, dst_gid) pairs to track; at least one, each
             with distinct endpoints.
         times_s: Snapshot instants, ascending (the full schedule).
@@ -244,14 +241,10 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
         outcomes = [(0, *_compute_chunk(source, pair_keys, times_s),
                      os.getpid(), None)]
     else:
-        if isinstance(source, NetworkSpec):
-            spec, isl_pairs = source, source.static_isl_pairs()
-        else:
-            spec = NetworkSpec.from_network(source)
-            isl_pairs = source.isl_pairs
+        spec = (source if isinstance(source, NetworkSpec)
+                else NetworkSpec.from_network(source))
         shards = shard_snapshots(len(times_s), workers)
-        payloads = [(index, spec, pair_keys, times_s[start:stop],
-                     isl_pairs, profiling)
+        payloads = [(index, spec, pair_keys, times_s[start:stop], profiling)
                     for index, (start, stop) in enumerate(shards)]
         scatter_span = (profiler.begin("sweep.scatter_gather")
                         if profiling else -1)

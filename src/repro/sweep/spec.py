@@ -1,12 +1,14 @@
-"""Picklable network specifications for sweep worker processes.
+"""The picklable network recipe: what a network is built from.
 
-A sweep worker must rebuild the :class:`~repro.topology.network.LeoNetwork`
-inside its own process — live graphs, routing engines, and snapshot caches
-are never pickled across the process boundary.  A :class:`NetworkSpec` is
-the small, picklable recipe that makes the rebuild deterministic: shell
-definitions (plain frozen dataclasses), the ground-station list, the GSL
-policy and elevation threshold, and the ISL interconnect *by name*
-(:data:`ISL_BUILDERS`).
+A :class:`NetworkSpec` is the one recipe for a
+:class:`~repro.topology.network.LeoNetwork`: the network's inputs and
+nothing derived from them — shell definitions (plain frozen dataclasses),
+the epoch offset, the ground-station list, the elevation threshold, the
+ISL interconnect by its :data:`~repro.topology.isl.ISL_BUILDERS` name, the
+GSL policy and the fault schedule.  A sweep worker rebuilds its network
+from one — live graphs, routing engines, and snapshot caches are never
+pickled across the process boundary — and runs the named ISL builder
+itself.
 
 Because :class:`~repro.constellations.builder.Constellation` derives every
 satellite's elements purely from its shells and
@@ -24,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,64 +36,40 @@ from ..ground.stations import GroundStation
 from ..traffic.arrivals import WorkloadSchedule
 from ..orbits.shell import Shell
 from ..topology.gsl import GslPolicy
-from ..topology.isl import no_isls, plus_grid_isls, single_ring_isls
 from ..topology.network import LeoNetwork
 
-__all__ = ["NetworkSpec", "ISL_BUILDERS", "isl_builder_name"]
-
-#: The ISL interconnect builders a spec may reference.  Keys are what
-#: travels across the process boundary; values never leave this process.
-ISL_BUILDERS: Dict[str, Callable[[Constellation], np.ndarray]] = {
-    "plus_grid": plus_grid_isls,
-    "single_ring": single_ring_isls,
-    "none": no_isls,
-}
-
-
-def isl_builder_name(builder: Callable[[Constellation], np.ndarray]) -> str:
-    """The :data:`ISL_BUILDERS` name of an ISL builder callable.
-
-    Raises:
-        ValueError: If the callable is none of them — a network built
-            with it can only be swept serially.
-    """
-    for name, known in ISL_BUILDERS.items():
-        if known is builder:
-            return name
-    raise ValueError(
-        f"ISL builder {builder!r} is not spec-expressible; run with "
-        f"workers=1")
+__all__ = ["NetworkSpec"]
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Everything needed to rebuild a ``LeoNetwork`` in another process.
+    """The inputs of a ``LeoNetwork``, picklable, so any process can
+    rebuild it.
 
     Attributes:
-        shells: The constellation's shell definitions, in id order.
-        constellation_name: Constellation label (kept for exports).
+        shells: The constellation's shell definitions, in id order.  A
+            rebuilt constellation takes its default name,
+            ``"+".join(shell names)``.
         epoch_offset_s: Constellation epoch offset at simulation time 0.
         ground_stations: The ground segment, gid order.
         min_elevation_deg: Minimum GS elevation angle.
-        isl_builder: :data:`ISL_BUILDERS` name of the ISL interconnect.
+        isl_builder: :data:`~repro.topology.isl.ISL_BUILDERS` name of the
+            ISL interconnect; ``build`` rejects any other.
         gsl_policy: GS satellite-selection policy.
-        failed_satellites: Satellites carrying no links.
-        faults: Optional fault schedule, rain included (plain data, so
-            it pickles) — carrying it here is what keeps faulted parallel
-            sweeps bit-identical to serial ones.
+        faults: Optional fault schedule, dead satellites and rain included
+            (plain data, so it pickles) — carrying it here is what keeps
+            faulted parallel sweeps bit-identical to serial ones.
         workload: Optional workload schedule (plain data as well).  The
             network build ignores it; it rides along so workload-driven
             sweeps track exactly the same pair set in every worker.
     """
 
     shells: Tuple[Shell, ...]
-    constellation_name: str
     epoch_offset_s: float
     ground_stations: Tuple[GroundStation, ...]
     min_elevation_deg: float
     isl_builder: str = "plus_grid"
     gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE
-    failed_satellites: Tuple[int, ...] = ()
     faults: Optional[FaultSchedule] = field(default=None)
     workload: Optional[WorkloadSchedule] = field(default=None)
 
@@ -100,74 +78,34 @@ class NetworkSpec:
         """A copy of this spec carrying ``workload``."""
         return replace(self, workload=workload)
 
-    def __post_init__(self) -> None:
-        if self.isl_builder not in ISL_BUILDERS:
-            raise ValueError(
-                f"unknown ISL builder {self.isl_builder!r}; "
-                f"known: {sorted(ISL_BUILDERS)}")
-
     @classmethod
     def from_network(cls, network: LeoNetwork) -> "NetworkSpec":
-        """The spec describing an existing network.
-
-        Raises:
-            ValueError: If the network's ISL builder is none of
-                :data:`ISL_BUILDERS`.
-        """
+        """The spec describing an existing network."""
         return cls(
             shells=tuple(network.constellation.shells),
-            constellation_name=network.constellation.name,
             epoch_offset_s=network.constellation.epoch_offset_s,
             ground_stations=tuple(network.ground_stations),
             min_elevation_deg=float(network.min_elevation_deg),
-            isl_builder=isl_builder_name(network.isl_builder),
+            isl_builder=network.isl_builder,
             gsl_policy=network.gsl_policy,
-            failed_satellites=tuple(sorted(network.failed_satellites)),
             faults=network.faults,
         )
 
-    def _constellation(self) -> Constellation:
-        return Constellation(
-            list(self.shells), name=self.constellation_name,
-            epoch_offset_s=self.epoch_offset_s)
-
-    def static_isl_pairs(self) -> np.ndarray:
-        """The ISL interconnect this spec's network would carry.
-
-        Computed without building the full network: a parallel sweep
-        ships this array in every chunk payload so workers can skip
-        re-running the ISL builder.
-        """
-        return np.asarray(ISL_BUILDERS[self.isl_builder](
-            self._constellation()))
-
-    def build(self, isl_pairs: Optional[np.ndarray] = None) -> LeoNetwork:
+    def build(self) -> LeoNetwork:
         """Rebuild the network this spec describes (bit-identical).
 
-        Args:
-            isl_pairs: Optional precomputed ISL pair array (e.g.
-                :meth:`static_isl_pairs` computed once by a sweep's
-                parent).  Must equal what the registered builder would
-                produce; the network keeps its own copy.
+        Raises:
+            ValueError: If :attr:`isl_builder` names no ISL builder.
         """
-        registered = builder = ISL_BUILDERS[self.isl_builder]
-        if isl_pairs is not None:
-            precomputed = np.array(isl_pairs)  # copy: never alias the caller's
-
-            def builder(constellation: Constellation) -> np.ndarray:
-                return precomputed
-        network = LeoNetwork(
-            self._constellation(), list(self.ground_stations),
+        return LeoNetwork(
+            Constellation(list(self.shells),
+                          epoch_offset_s=self.epoch_offset_s),
+            list(self.ground_stations),
             min_elevation_deg=self.min_elevation_deg,
-            isl_builder=builder,
+            isl_builder=self.isl_builder,
             gsl_policy=self.gsl_policy,
-            failed_satellites=self.failed_satellites,
             faults=self.faults,
         )
-        # The network names the registered builder whichever way its
-        # pairs arrived, so NetworkSpec.from_network round-trips.
-        network.isl_builder = registered
-        return network
 
     def fingerprint(self) -> str:
         """A stable sha256 content hash of this spec.
@@ -192,7 +130,6 @@ class NetworkSpec:
                 "inclination_deg": float(shell.inclination_deg),
                 "phase_offset_rel": float(shell.phase_offset_rel),
             } for shell in self.shells],
-            "constellation_name": self.constellation_name,
             "epoch_offset_s": float(self.epoch_offset_s),
             "ground_stations": [{
                 "gid": int(station.gid),
@@ -205,7 +142,6 @@ class NetworkSpec:
             "min_elevation_deg": float(self.min_elevation_deg),
             "isl_builder": self.isl_builder,
             "gsl_policy": self.gsl_policy.value,
-            "failed_satellites": [int(sat) for sat in self.failed_satellites],
             "faults": None if self.faults is None else self.faults.as_dict(),
             "workload_seed": None if workload is None else workload.seed,
         }

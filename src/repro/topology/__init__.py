@@ -8,6 +8,7 @@ from .dynamic_state import (
 )
 from .gsl import GslEdges, GslPolicy, compute_gsl_edges
 from .isl import (
+    ISL_BUILDERS,
     isl_lengths_m,
     no_isls,
     plus_grid_isls,
@@ -24,6 +25,7 @@ __all__ = [
     "GslEdges",
     "GslPolicy",
     "compute_gsl_edges",
+    "ISL_BUILDERS",
     "isl_lengths_m",
     "no_isls",
     "plus_grid_isls",

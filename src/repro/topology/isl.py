@@ -14,12 +14,14 @@ paper §3.1).  Only the link lengths change as satellites move.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 import numpy as np
 
 from ..constellations.builder import Constellation
 from ..orbits.shell import SatelliteIndex
 
-__all__ = ["plus_grid_isls", "no_isls", "single_ring_isls",
+__all__ = ["ISL_BUILDERS", "plus_grid_isls", "no_isls", "single_ring_isls",
            "validate_isl_pairs", "isl_lengths_m"]
 
 
@@ -87,8 +89,18 @@ def no_isls(constellation: Constellation) -> np.ndarray:
     return np.empty((0, 2), dtype=np.int64)
 
 
+#: The ISL interconnects a network may name: ``LeoNetwork(isl_builder=)``
+#: takes one of these keys, and a :class:`repro.sweep.NetworkSpec` carries
+#: it across the process boundary.
+ISL_BUILDERS: Dict[str, Callable[[Constellation], np.ndarray]] = {
+    "plus_grid": plus_grid_isls,
+    "single_ring": single_ring_isls,
+    "none": no_isls,
+}
+
+
 def validate_isl_pairs(pairs: np.ndarray, num_satellites: int) -> None:
-    """Sanity-check a custom ISL pair array.
+    """Sanity-check an ISL pair array.
 
     Raises:
         ValueError: On out-of-range ids, self-links, or duplicate links.

@@ -1,10 +1,10 @@
 """The time-varying LEO network model and its instantaneous snapshots.
 
-A :class:`LeoNetwork` bundles a constellation, a set of ground stations, an
-ISL interconnect, and GSL connectivity parameters.  Calling
-:meth:`LeoNetwork.snapshot` materializes the network at one instant: all
-satellite positions, every ISL with its current length, and every
-admissible GSL with its slant range.
+A :class:`LeoNetwork` bundles a constellation, a set of ground stations, a
+named ISL interconnect, GSL connectivity parameters and a fault schedule.
+Calling :meth:`LeoNetwork.snapshot` materializes the network at one
+instant: all satellite positions, every ISL with its current length, and
+every admissible GSL with its slant range.
 
 Node numbering convention used by every downstream component (routing,
 packet simulation, visualization):
@@ -17,8 +17,8 @@ packet simulation, visualization):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 from ..ground.stations import GroundStation
 from ..ground.visibility import station_frames
 from .gsl import GslEdges, GslPolicy, compute_gsl_edges
-from .isl import isl_lengths_m, plus_grid_isls, validate_isl_pairs
+from .isl import ISL_BUILDERS, isl_lengths_m, validate_isl_pairs
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -140,16 +140,22 @@ class LeoNetwork:
         ground_stations: The ground segment; gids must be 0..G-1 and match
             each station's position in the sequence.
         min_elevation_deg: Minimum GS elevation angle ``l``.
-        isl_builder: Callable building the static ISL pair array from the
-            constellation; defaults to +Grid.  Pass
-            :func:`repro.topology.isl.no_isls` for bent-pipe experiments.
+        isl_builder: The ISL interconnect, by its
+            :data:`~repro.topology.isl.ISL_BUILDERS` name: ``"plus_grid"``
+            (+Grid, the default), ``"single_ring"`` or ``"none"`` (bent
+            pipe, Appendix A).
         gsl_policy: Satellite-selection policy for ground stations.
-        failed_satellites: Satellites dead for the whole run (their ISLs
-            are dropped once, at construction).
         faults: Optional :class:`repro.faults.FaultSchedule` (rain
             included, as attenuation events); snapshots at time *t*
             exclude nodes/edges faulted at *t*, so routing reroutes at the
-            next forwarding tick and recovers when the event ends.
+            next forwarding tick and recovers when the event ends.  A
+            satellite dead for the whole run is an outage from 0 to
+            ``inf``.
+
+    Raises:
+        ValueError: On an unknown ``isl_builder`` name, gids out of order,
+            an elevation outside [0, 90] or a fault targeting a node
+            outside the network.
 
     Example:
         >>> from repro.constellations import Constellation, KUIPER_K1
@@ -165,11 +171,13 @@ class LeoNetwork:
     def __init__(self, constellation: Constellation,
                  ground_stations: Sequence[GroundStation],
                  min_elevation_deg: float,
-                 isl_builder: Callable[[Constellation], np.ndarray]
-                 = plus_grid_isls,
+                 isl_builder: str = "plus_grid",
                  gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
-                 failed_satellites: Sequence[int] = (),
                  faults: Optional["FaultSchedule"] = None) -> None:
+        if isl_builder not in ISL_BUILDERS:
+            raise ValueError(
+                f"unknown ISL builder {isl_builder!r}; "
+                f"known: {sorted(ISL_BUILDERS)}")
         for i, station in enumerate(ground_stations):
             if station.gid != i:
                 raise ValueError(
@@ -182,20 +190,10 @@ class LeoNetwork:
         self.ground_stations: List[GroundStation] = list(ground_stations)
         self.min_elevation_deg = min_elevation_deg
         self.gsl_policy = gsl_policy
-        #: The builder callable, kept so :class:`repro.sweep.NetworkSpec`
-        #: can reverse-map it to a picklable name for worker rebuilds.
         self.isl_builder = isl_builder
-        self.failed_satellites = frozenset(int(s) for s in failed_satellites)
-        for sat in self.failed_satellites:
-            if not 0 <= sat < constellation.num_satellites:
-                raise ValueError(f"failed satellite {sat} out of range")
         self.set_faults(faults)
-        self.isl_pairs = np.asarray(isl_builder(constellation))
+        self.isl_pairs = np.asarray(ISL_BUILDERS[isl_builder](constellation))
         validate_isl_pairs(self.isl_pairs, constellation.num_satellites)
-        if self.failed_satellites and len(self.isl_pairs):
-            failed = np.isin(self.isl_pairs,
-                             sorted(self.failed_satellites))
-            self.isl_pairs = self.isl_pairs[~failed.any(axis=1)]
         #: The stations' ECEF positions and local-up vectors, which every
         #: snapshot's visibility test reads.
         self._station_frames = station_frames(self.ground_stations)
@@ -284,12 +282,10 @@ class LeoNetwork:
         satellites lose their ISLs and GSLs, cut ISLs vanish, cut stations
         are disconnected, and attenuated (rained-on) stations see a higher
         effective minimum elevation.
-        Statically failed satellites carry no GSLs (their ISLs were
-        already dropped at construction).
         """
         positions = self.constellation.positions_ecef_m(time_s)
         isl_pairs = self.isl_pairs
-        excluded = self.failed_satellites
+        outaged: FrozenSet[int] = frozenset()
         elevation = self.min_elevation_deg
         faults = self._fault_view
         if faults is not None:
@@ -297,8 +293,6 @@ class LeoNetwork:
             cut_isls = faults.cut_isls_at(time_s)
             if outaged or cut_isls:
                 isl_pairs = self._masked_isl_pairs(outaged, cut_isls)
-            if outaged:
-                excluded = excluded | outaged
             cut_gids = faults.cut_gids_at(time_s)
             elevation = {
                 station.gid: float("inf") if station.gid in cut_gids
@@ -313,7 +307,7 @@ class LeoNetwork:
             gsl_edges=compute_gsl_edges(
                 self.ground_stations, positions,
                 elevation, self.gsl_policy,
-                excluded_satellites=excluded or None,
+                excluded_satellites=outaged or None,
                 frames=self._station_frames),
             num_satellites=self.num_satellites,
             num_ground_stations=self.num_ground_stations,

@@ -16,7 +16,6 @@ from repro.ground.stations import GroundStation
 from repro.orbits.tle import generate_tle, write_tle_file
 from repro.orbits.kepler import KeplerianElements
 from repro.routing.engine import RoutingEngine
-from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
 from _orbit_oracle import TLEFormatError, read_tle_file
@@ -105,7 +104,7 @@ class TestGeoSupport:
             GroundStation(1, "manaus", GeodeticPosition(-3.1, -60.0)),
         ]
         network = LeoNetwork(belt, stations, min_elevation_deg=10.0,
-                             isl_builder=no_isls)
+                             isl_builder="none")
         engine = RoutingEngine(network)
         rtt = engine.pair_rtt_s(network.snapshot(0.0), 0, 1)
         assert np.isfinite(rtt)
@@ -202,6 +201,29 @@ class TestCli:
         """An infinite duration used to overflow (``rtt``) or loop
         forever (``traffic``); a NaN one slipped past ``<= 0`` checks."""
         monkeypatch.chdir(tmp_path)
+        assert _within(30, lambda: main(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["checkpoint", "K1", "--horizon", "nan"],
+        ["checkpoint", "K1", "--horizon", "inf"],
+        ["checkpoint", "K1", "--epoch", "nan"],
+        ["checkpoint", "K1", "--epoch", "inf"],
+        ["checkpoint", "K1", "--at", "nan"],
+        ["checkpoint", "K1", "--at", "inf"],
+        ["serve", "K1", "--horizon", "nan", "--port", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_finite_service_times_are_refused(self, argv, capsys,
+                                                  tmp_path, monkeypatch):
+        """A NaN horizon, epoch or ``--at`` used to checkpoint at
+        ``t=0.0s of nans`` (exit 0), and an infinite horizon wrote a
+        checkpoint that ``repro resume`` ran forever."""
+        monkeypatch.chdir(tmp_path)
+        argv = argv + ["--cities", "8"] + (
+            ["-o", "a.ckpt"] if argv[0] == "checkpoint" else [])
         assert _within(30, lambda: main(argv)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

@@ -239,15 +239,19 @@ class TestDoppler:
             doppler_shift_hz(0.0, np.array([1.0]))
 
 
+def _dead(*satellites):
+    """Satellites dead for the whole run: outages from 0 to inf."""
+    return FaultSchedule([FaultEvent.satellite_outage(sat, 0.0, np.inf)
+                          for sat in satellites])
+
+
 class TestFailureInjection:
     def test_failed_satellite_loses_links(self, small_constellation,
                                           small_stations):
         network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=10.0,
-                             failed_satellites=[5])
-        assert not any(5 in pair for pair in
-                       network.isl_pairs.tolist())
+                             min_elevation_deg=10.0, faults=_dead(5))
         snap = network.snapshot(0.0)
+        assert not any(5 in pair for pair in snap.isl_pairs.tolist())
         for edges in snap.gsl_edges.values():
             assert 5 not in edges.satellite_ids
 
@@ -266,8 +270,7 @@ class TestFailureInjection:
         healthy_rtt = engine.pair_rtt_s(snap, 0, 3)
 
         degraded = LeoNetwork(small_constellation, small_stations,
-                              min_elevation_deg=10.0,
-                              failed_satellites=[victim])
+                              min_elevation_deg=10.0, faults=_dead(victim))
         degraded_engine = RoutingEngine(degraded)
         degraded_snap = degraded.snapshot(0.0)
         degraded_rtt = degraded_engine.pair_rtt_s(degraded_snap, 0, 3)
@@ -281,7 +284,7 @@ class TestFailureInjection:
         # Kill 90% of satellites: the network falls apart.
         network = LeoNetwork(small_constellation, small_stations,
                              min_elevation_deg=10.0,
-                             failed_satellites=list(range(90)))
+                             faults=_dead(*range(90)))
         engine = RoutingEngine(network)
         snap = network.snapshot(0.0)
         rtts = [engine.pair_rtt_s(snap, 0, dst) for dst in range(1, 6)]
@@ -289,7 +292,7 @@ class TestFailureInjection:
 
     def test_out_of_range_failure_rejected(self, small_constellation,
                                            small_stations):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fault satellite 1000 out "
+                                             "of range"):
             LeoNetwork(small_constellation, small_stations,
-                       min_elevation_deg=10.0,
-                       failed_satellites=[1000])
+                       min_elevation_deg=10.0, faults=_dead(1000))

@@ -661,7 +661,6 @@ def _walk_network():
     from repro.constellations.builder import Constellation
     from repro.ground.stations import GroundStation
     from repro.orbits.shell import Shell
-    from repro.topology.isl import no_isls
     from repro.topology.network import LeoNetwork
     shell = Shell(name="W", num_orbits=2, satellites_per_orbit=4,
                   altitude_m=600_000.0, inclination_deg=53.0)
@@ -672,7 +671,7 @@ def _walk_network():
     # The snapshots below carry their own (random) links; the network
     # only supplies the node numbering.
     return LeoNetwork(Constellation([shell]), stations,
-                      min_elevation_deg=10.0, isl_builder=no_isls)
+                      min_elevation_deg=10.0, isl_builder="none")
 
 
 @st.composite
@@ -829,58 +828,81 @@ def _station_frame(latitude_deg, longitude_deg):
     return position, up
 
 
+def _walker_network(data, faults=None):
+    """A random 1-3-shell Walker constellation (the draws of
+    ``test_random_walker_shells_match_loop_oracle``) with 2-6 random
+    sea-level stations and a random minimum elevation, as
+    ``(network, sites, min_elevation_deg)``."""
+    from repro.constellations.builder import Constellation
+    from repro.ground.stations import GroundStation
+    from repro.orbits.shell import Shell
+    from repro.topology.network import LeoNetwork
+
+    shells = [Shell(
+        name=f"W{index}",
+        num_orbits=data.draw(st.integers(4, 20)),
+        satellites_per_orbit=data.draw(st.integers(4, 20)),
+        altitude_m=data.draw(st.floats(400_000.0, 1_500_000.0)),
+        inclination_deg=data.draw(st.floats(30.0, 98.0)),
+        phase_offset_rel=data.draw(st.floats(0.0, 1.0,
+                                             exclude_max=True)))
+        for index in range(data.draw(st.integers(1, 3)))]
+    constellation = Constellation(
+        shells, epoch_offset_s=data.draw(st.floats(
+            -1e7, 1e7, allow_nan=False, allow_infinity=False)))
+    sites = data.draw(st.lists(st.tuples(latitude, longitude),
+                               min_size=2, max_size=6))
+    stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                              position=GeodeticPosition(lat, lon, 0.0))
+                for gid, (lat, lon) in enumerate(sites)]
+    min_elevation_deg = data.draw(st.floats(0.0, 45.0))
+    network = LeoNetwork(constellation, stations,
+                         min_elevation_deg=min_elevation_deg, faults=faults)
+    return network, sites, min_elevation_deg
+
+
+def _ranges_and_elevations(satellites, frame):
+    """Slant ranges (m) and elevations (deg) of every satellite from one
+    station frame."""
+    position, up = frame
+    delta = satellites - position
+    ranges = np.linalg.norm(delta, axis=1)
+    return ranges, np.degrees(np.arcsin(delta @ up / ranges))
+
+
+def _assert_gsls(edges, satellites, frame, elevation_deg, dead=()):
+    """``edges`` are exactly the satellites at or above
+    ``elevation_deg`` (to 1e-9 deg) that are not ``dead``, at their
+    slant ranges."""
+    ranges, elevations = _ranges_and_elevations(satellites, frame)
+    linked = np.asarray(edges.satellite_ids)
+    assert not set(linked.tolist()) & set(dead)
+    assert (elevations[linked] >= elevation_deg - 1e-9).all()
+    assert set(np.flatnonzero(elevations >= elevation_deg + 1e-9)) \
+        - set(dead) <= set(linked)
+    np.testing.assert_allclose(edges.lengths_m, ranges[linked], rtol=1e-9)
+
+
 class TestIndependentGeometry:
-    """Random Walker shells (the draws of
-    ``test_random_walker_shells_match_loop_oracle``) and random stations,
-    checked against geometry recomputed here: every GSL is above the
-    minimum elevation and every satellite above it gets a GSL, and every
-    routed distance is its path's length and no shorter than the chord
-    between its endpoints."""
+    """Random Walker shells and random stations, checked against
+    geometry recomputed here: every GSL is above the minimum elevation
+    and every satellite above it gets a GSL, and every routed distance
+    is its path's length and no shorter than the chord between its
+    endpoints — healthy, and under a random fault schedule."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_gsls_and_routed_distances(self, data):
-        from repro.constellations.builder import Constellation
-        from repro.ground.stations import GroundStation
-        from repro.orbits.shell import Shell
         from repro.routing.engine import RoutingEngine
-        from repro.topology.network import LeoNetwork
 
-        shells = [Shell(
-            name=f"W{index}",
-            num_orbits=data.draw(st.integers(4, 20)),
-            satellites_per_orbit=data.draw(st.integers(4, 20)),
-            altitude_m=data.draw(st.floats(400_000.0, 1_500_000.0)),
-            inclination_deg=data.draw(st.floats(30.0, 98.0)),
-            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
-                                                 exclude_max=True)))
-            for index in range(data.draw(st.integers(1, 3)))]
-        constellation = Constellation(
-            shells, epoch_offset_s=data.draw(st.floats(
-                -1e7, 1e7, allow_nan=False, allow_infinity=False)))
-        sites = data.draw(st.lists(st.tuples(latitude, longitude),
-                                   min_size=2, max_size=6))
-        stations = [GroundStation(gid=gid, name=f"gs{gid}",
-                                  position=GeodeticPosition(lat, lon, 0.0))
-                    for gid, (lat, lon) in enumerate(sites)]
-        min_elevation_deg = data.draw(st.floats(0.0, 45.0))
-        network = LeoNetwork(constellation, stations,
-                             min_elevation_deg=min_elevation_deg)
+        network, sites, min_elevation_deg = _walker_network(data)
         snapshot = network.snapshot(data.draw(st.floats(0.0, 6000.0)))
         satellites = snapshot.satellite_positions_m
         frames = [_station_frame(lat, lon) for lat, lon in sites]
 
-        for gid, (position, up) in enumerate(frames):
-            delta = satellites - position
-            ranges = np.linalg.norm(delta, axis=1)
-            elevations = np.degrees(np.arcsin(delta @ up / ranges))
-            edges = snapshot.gsl_edges[gid]
-            linked = np.asarray(edges.satellite_ids)
-            assert (elevations[linked] >= min_elevation_deg - 1e-9).all()
-            assert set(np.flatnonzero(
-                elevations >= min_elevation_deg + 1e-9)) <= set(linked)
-            np.testing.assert_allclose(edges.lengths_m, ranges[linked],
-                                       rtol=1e-9)
+        for gid, frame in enumerate(frames):
+            _assert_gsls(snapshot.gsl_edges[gid], satellites, frame,
+                         min_elevation_deg)
 
         def node_position(node):
             if node < network.num_satellites:
@@ -888,7 +910,7 @@ class TestIndependentGeometry:
             return frames[node - network.num_satellites][0]
 
         engine = RoutingEngine(network)
-        gids = list(range(len(stations)))
+        gids = list(range(len(sites)))
         pairs = [(src, dst) for src in gids for dst in gids if src != dst]
         multi = engine.route_to_many(snapshot, gids)
         paths, distances = engine.paths_and_distances(multi, snapshot,
@@ -903,3 +925,117 @@ class TestIndependentGeometry:
             assert distance == pytest.approx(length, rel=1e-9)
             chord = float(np.linalg.norm(frames[dst][0] - frames[src][0]))
             assert distance >= chord * (1.0 - 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_fault_schedule(self, data):
+        """Outages, ISL cuts, GSL cuts and attenuation, some active at the
+        snapshot instant and some not: the ISLs are the healthy ones
+        minus every link touching an outaged satellite and every cut
+        one, in order; a cut station has no GSL; every other station
+        links exactly the live satellites at or above its minimum
+        elevation plus its summed active penalty (capped at 90°)."""
+        from repro.topology.network import LeoNetwork
+
+        healthy, sites, min_elevation_deg = _walker_network(data)
+        num_satellites = healthy.num_satellites
+        grid = healthy.isl_pairs
+        time_s = data.draw(st.floats(300.0, 6000.0))
+
+        def window():
+            """A ``[start, end)`` holding ``time_s``, or wholly before
+            or after it."""
+            where = data.draw(st.sampled_from(["active", "before",
+                                               "after"]))
+            if where == "active":
+                return (time_s - data.draw(st.floats(0.0, 200.0)),
+                        time_s + data.draw(st.floats(1e-3, 200.0)))
+            if where == "before":
+                end = time_s - data.draw(st.floats(0.0, 100.0))
+                return end - data.draw(st.floats(1e-3, 100.0)), end
+            start = time_s + data.draw(st.floats(1e-3, 100.0))
+            return start, start + data.draw(st.floats(1e-3, 100.0))
+
+        gids = st.integers(0, len(sites) - 1)
+        events = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            events.append(FaultEvent.satellite_outage(
+                data.draw(st.integers(0, num_satellites - 1)), *window()))
+        for _ in range(data.draw(st.integers(0, 6)) if len(grid) else 0):
+            a, b = grid[data.draw(st.integers(0, len(grid) - 1))].tolist()
+            events.append(FaultEvent.isl_cut(a, b, *window()))
+        for _ in range(data.draw(st.integers(0, 2))):
+            events.append(FaultEvent.gsl_cut(data.draw(gids), *window()))
+        for _ in range(data.draw(st.integers(0, 4))):
+            events.append(FaultEvent.gsl_attenuation(
+                data.draw(gids), *window(),
+                data.draw(st.floats(0.5, 60.0))))
+
+        def active(event):
+            return event.start_s <= time_s < event.end_s
+
+        outaged = {event.satellite for event in events
+                   if event.kind is FaultKind.SATELLITE_OUTAGE
+                   and active(event)}
+        cut_isls = {event.isl for event in events
+                    if event.kind is FaultKind.ISL_CUT and active(event)}
+        cut_gids = {event.gid for event in events
+                    if event.kind is FaultKind.GSL_CUT and active(event)}
+        penalty = [sum(event.elevation_penalty_deg for event in events
+                       if event.kind is FaultKind.GSL_ATTENUATION
+                       and event.gid == gid and active(event))
+                   for gid in range(len(sites))]
+
+        network = LeoNetwork(healthy.constellation, healthy.ground_stations,
+                             min_elevation_deg=min_elevation_deg,
+                             faults=FaultSchedule(events))
+        snapshot = network.snapshot(time_s)
+        satellites = snapshot.satellite_positions_m
+        expected = [pair for pair in grid.tolist()
+                    if not set(pair) & outaged and tuple(pair) not in cut_isls]
+        assert snapshot.isl_pairs.tolist() == expected
+        np.testing.assert_allclose(
+            snapshot.isl_lengths_m,
+            np.linalg.norm(satellites[snapshot.isl_pairs[:, 0]]
+                           - satellites[snapshot.isl_pairs[:, 1]], axis=1)
+            if len(expected) else np.empty(0), rtol=1e-12)
+        for gid, (lat, lon) in enumerate(sites):
+            edges = snapshot.gsl_edges[gid]
+            if gid in cut_gids:
+                assert len(edges.satellite_ids) == 0
+                continue
+            _assert_gsls(edges, satellites, _station_frame(lat, lon),
+                         min(90.0, min_elevation_deg + penalty[gid]),
+                         dead=outaged)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_permanent_outage_removes_only_its_links(self, data):
+        """A satellite dead from 0 to inf: its snapshot is the healthy
+        one with that satellite's ISLs and GSLs removed, every remaining
+        link, length and position in the healthy order."""
+        from repro.topology.network import LeoNetwork
+
+        healthy, _, min_elevation_deg = _walker_network(data)
+        victim = data.draw(st.integers(0, healthy.num_satellites - 1))
+        dead = LeoNetwork(
+            healthy.constellation, healthy.ground_stations,
+            min_elevation_deg=min_elevation_deg,
+            faults=FaultSchedule([FaultEvent.satellite_outage(
+                victim, 0.0, math.inf)]))
+        for time_s in (0.0, data.draw(st.floats(0.0, 6000.0))):
+            before, after = healthy.snapshot(time_s), dead.snapshot(time_s)
+            assert np.array_equal(after.satellite_positions_m,
+                                  before.satellite_positions_m)
+            keep = (before.isl_pairs != victim).all(axis=1) \
+                if len(before.isl_pairs) else np.empty(0, dtype=bool)
+            assert np.array_equal(after.isl_pairs, before.isl_pairs[keep])
+            assert np.array_equal(after.isl_lengths_m,
+                                  before.isl_lengths_m[keep])
+            assert list(after.gsl_edges) == list(before.gsl_edges)
+            for gid, edges in before.gsl_edges.items():
+                alive = edges.satellite_ids != victim
+                assert np.array_equal(after.gsl_edges[gid].satellite_ids,
+                                      edges.satellite_ids[alive])
+                assert np.array_equal(after.gsl_edges[gid].lengths_m,
+                                      edges.lengths_m[alive])

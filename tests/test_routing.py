@@ -21,7 +21,6 @@ from repro.topology.dynamic_state import (
     satellites_of_path,
     snapshot_times,
 )
-from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
 from _routing_oracle import (scalar_path_and_distance,
@@ -224,7 +223,7 @@ class TestStationEdgeGather:
         relays = _relay_grid(small_stations[5].position,
                              small_stations[1].position, rows=3, columns=3)
         network = LeoNetwork(small_constellation, small_stations + relays,
-                             min_elevation_deg=10.0, isl_builder=no_isls)
+                             min_elevation_deg=10.0, isl_builder="none")
         snap = network.snapshot(100.0)
         relay_gids = sorted(snap.relay_gids)
         assert relay_gids
@@ -303,7 +302,7 @@ class TestPairQueries:
         # Without ISLs and without relays, distant GSes cannot reach
         # each other through a single bent pipe.
         network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=15.0, isl_builder=no_isls)
+                             min_elevation_deg=15.0, isl_builder="none")
         engine = RoutingEngine(network)
         snap = network.snapshot(0.0)
         # Quito (0) and Singapore (2) are on opposite sides of the Earth:
@@ -334,7 +333,7 @@ def _extraction_network(mode):
     relays = _relay_grid(stations[5].position, stations[1].position,
                          rows=4, columns=4)
     return LeoNetwork(Constellation([shell]), stations + relays,
-                      min_elevation_deg=10.0, isl_builder=no_isls)
+                      min_elevation_deg=10.0, isl_builder="none")
 
 
 @functools.lru_cache(maxsize=None)

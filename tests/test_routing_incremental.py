@@ -28,7 +28,6 @@ from repro.routing.incremental import (IncrementalPerfCounters,
                                        IncrementalRouter, diff_graphs)
 from repro.sweep.engine import sweep_timelines
 from repro.topology.dynamic_state import compute_pair_chunk, snapshot_times
-from repro.topology.isl import no_isls
 from repro.topology.network import LeoNetwork
 
 DESTINATIONS = [1, 2, 4, 5]
@@ -367,7 +366,7 @@ class TestReweightRepair:
         relays = _relay_grid(small_stations[5].position,
                              small_stations[1].position, rows=4, columns=4)
         network = LeoNetwork(small_constellation, small_stations + relays,
-                             min_elevation_deg=10.0, isl_builder=no_isls)
+                             min_elevation_deg=10.0, isl_builder="none")
         destinations = [1, 5, 6, 11, 21]
         router = IncrementalRouter(network)
         results = walk(network, router, 100.0 + 2.0 * np.arange(8),

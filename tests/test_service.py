@@ -201,7 +201,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 8
+        assert CHECKPOINT_FORMAT_VERSION == 9
         service = _make_service("packet")
         service.advance_epoch(1)
         ckpt = service.checkpoint()
@@ -284,7 +284,7 @@ class TestCheckpointContainer:
         built = service.network.constellation.satellites
         Counting(io.BytesIO()).dump(service.checkpoint().payload)
         assert satellites == []
-        path = tmp_path / "v8.ckpt"
+        path = tmp_path / "v9.ckpt"
         service.save(str(path))
         restored = LiveSimulationService.resume(str(path))
         assert restored.network.constellation.satellites == built
@@ -307,6 +307,21 @@ class TestCheckpointContainer:
         save_checkpoint(str(path), ckpt)
         with pytest.raises(CheckpointVersionError, match="format v7"):
             LiveSimulationService.resume(str(path))
+
+    def test_v8_checkpoint_is_refused(self, tmp_path):
+        """A v8 body pickles a spec with ``constellation_name`` and
+        ``failed_satellites`` and a network holding its ISL builder
+        callable, and its header hashes that record: the version gate
+        must name the cause before the spec check could blame
+        tampering."""
+        for engine in ENGINES:
+            ckpt = _make_service(engine).checkpoint()
+            ckpt.format_version = 8
+            ckpt.spec_hash = "0" * 64
+            path = tmp_path / f"v8-{engine}.ckpt"
+            save_checkpoint(str(path), ckpt)
+            with pytest.raises(CheckpointVersionError, match="format v8"):
+                LiveSimulationService.resume(str(path))
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
         """Routers pickle without their per-snapshot caches: the transit
@@ -490,15 +505,15 @@ class TestCheckpointContainer:
         assert with_faults.fingerprint() != _small_spec().fingerprint()
 
     def test_fingerprint_of_a_fixed_spec_is_pinned(self):
-        """Workload + faults (rain included), pinned for format v8 — the
+        """Workload + faults (rain included), pinned for format v9 — the
         explicit field record plus packed request arrays: checkpoints of
         one build must keep passing the spec gate of the next."""
         rain = FaultSchedule([FaultEvent.gsl_attenuation(2, 1.0, 6.0, 12.5)])
         spec = _small_spec(faults=_FAULTS.merged(rain)).with_workload(
             _small_workload())
         assert spec.fingerprint() == (
-            "706a436f4aadf0a99fb2c8a75690f46f"
-            "f18d44cb9675c4ffdbe17a7fb41d57ad")
+            "d432eca9560f03ee1b0ff90280ca3364"
+            "4bfc4a7b328b5f7a302f09982c02bb3c")
 
     def test_header_hash_is_checked_against_the_pickled_spec(self,
                                                              tmp_path):
@@ -569,11 +584,12 @@ from repro.topology.network import LeoNetwork
 from repro.traffic import FlowArrivalProcess, TrafficMatrix
 
 faults = FaultSchedule.storms(6, 10.0, seed=2, probability=0.5).merged(
-    FaultSchedule([FaultEvent.isl_cut(3, 4, 1.0, 5.0)]))
+    FaultSchedule([FaultEvent.isl_cut(3, 4, 1.0, 5.0),
+                   FaultEvent.satellite_outage(9, 0.0, float("inf"))]))
 network = LeoNetwork(
     Constellation([Shell("X1", 8, 8, 600_000.0, 53.0)]),
     ground_stations_from_cities(count=6), min_elevation_deg=10.0,
-    failed_satellites=(9, 3), faults=faults)
+    faults=faults)
 workload = FlowArrivalProcess(
     TrafficMatrix.gravity(count=6, total_offered_bps=1e8),
     seed=4).generate(10.0)
@@ -592,22 +608,19 @@ class TestSpecFingerprint:
         """A spec with every field set; ``probe`` is its last request."""
         spec = _small_spec(faults=FaultSchedule(_EVERY_KIND, seed=3))
         workload = _small_workload()
-        spec = spec.with_workload(WorkloadSchedule(
+        return spec.with_workload(WorkloadSchedule(
             workload.requests + (probe,), seed=workload.seed))
-        return dataclasses.replace(spec, failed_satellites=(5,))
 
     def test_every_spec_field_reaches_the_fingerprint(self):
         spec = self._spec()
         shell = spec.shells[0]
         variants = {
             "shells": (shell, dataclasses.replace(shell, name="X2")),
-            "constellation_name": spec.constellation_name + "x",
             "epoch_offset_s": spec.epoch_offset_s + 1.0,
             "ground_stations": spec.ground_stations[:-1],
             "min_elevation_deg": spec.min_elevation_deg + 1.0,
             "isl_builder": "single_ring",
             "gsl_policy": GslPolicy.NEAREST_ONLY,
-            "failed_satellites": (5, 6),
             "faults": None,
             "workload": None,
         }
@@ -856,6 +869,26 @@ class TestRoundTripDeterminism:
             LiveSimulationService(
                 _small_spec().with_workload(_small_workload()),
                 engine="warp", horizon_s=HORIZON_S)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0,
+                                     -1.0])
+    def test_horizon_and_epoch_must_be_finite_and_positive(self, bad):
+        spec = _small_spec().with_workload(_small_workload())
+        for times in ({"horizon_s": bad}, {"epoch_s": bad}):
+            with pytest.raises(ServiceError, match="finite and positive"):
+                LiveSimulationService(spec, engine="packet", **times)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_advance_to_refuses_a_time_that_is_not_finite(self, engine):
+        """``advance_to(nan)`` used to set the clock to NaN, after which
+        every ``advance_epoch`` failed to convert it to an integer."""
+        service = _make_service(engine)
+        service.advance_epoch(1)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ServiceError, match="not finite"):
+                service.advance_to(bad)
+            assert service.clock_s == EPOCH_S
+        assert service.advance_epoch(1)["time_s"] == 2 * EPOCH_S
 
     def test_fluid_report_needs_horizon(self):
         service = _make_service("fluid")

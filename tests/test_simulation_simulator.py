@@ -196,10 +196,9 @@ class TestDropAccounting:
                                              small_stations):
         """Packets addressed across a bent-pipe gap are dropped and
         counted (paper: disconnections surface as loss to transport)."""
-        from repro.topology.isl import no_isls
         from repro.topology.network import LeoNetwork
         network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=15.0, isl_builder=no_isls)
+                             min_elevation_deg=15.0, isl_builder="none")
         sim = PacketSimulator(network)
         sim.register_handler(sim.gs_node_id(2), 1, lambda p: None)
         # Quito (0) -> Singapore (2): no ISLs, no common satellite.

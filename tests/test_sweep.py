@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from repro.sweep import (
     NetworkSpec,
     engine,
-    isl_builder_name,
     resolve_workers,
     shard_snapshots,
     sweep_timelines,
 )
 from repro.topology.dynamic_state import snapshot_times
-from repro.topology.isl import no_isls, plus_grid_isls, single_ring_isls
+from repro.topology.isl import ISL_BUILDERS, plus_grid_isls
 
 
 class TestShardSnapshots:
@@ -84,30 +83,43 @@ class TestNetworkSpec:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
-    def test_builtin_builders_resolve_by_name(self):
-        assert isl_builder_name(plus_grid_isls) == "plus_grid"
-        assert isl_builder_name(single_ring_isls) == "single_ring"
-        assert isl_builder_name(no_isls) == "none"
+    def test_builtin_builders_resolve_by_name(self, small_constellation,
+                                              small_stations):
+        """A network names its interconnect; the spec copies the name,
+        and the rebuild runs that builder to the same pairs."""
+        from repro.topology.network import LeoNetwork
+        assert sorted(ISL_BUILDERS) == ["none", "plus_grid", "single_ring"]
+        for name, builder in ISL_BUILDERS.items():
+            network = LeoNetwork(small_constellation, small_stations,
+                                 min_elevation_deg=10.0, isl_builder=name)
+            assert network.isl_builder == name
+            assert np.array_equal(network.isl_pairs,
+                                  builder(small_constellation))
+            spec = NetworkSpec.from_network(network)
+            assert spec.isl_builder == name
+            rebuilt = spec.build()
+            assert np.array_equal(rebuilt.isl_pairs, network.isl_pairs)
+            assert NetworkSpec.from_network(rebuilt) == spec
 
     def test_unregistered_builder_raises(self, small_constellation,
                                          small_stations):
+        """The interconnect is a name: a builder callable, even a
+        registered one, is refused."""
         from repro.topology.network import LeoNetwork
 
         def custom_builder(constellation):
             return plus_grid_isls(constellation)
 
-        network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=10.0,
-                             isl_builder=custom_builder)
-        with pytest.raises(ValueError, match="not spec-expressible; run "
-                                             "with workers=1"):
-            NetworkSpec.from_network(network)
+        for builder in (custom_builder, plus_grid_isls):
+            with pytest.raises(ValueError, match="unknown ISL builder"):
+                LeoNetwork(small_constellation, small_stations,
+                           min_elevation_deg=10.0, isl_builder=builder)
 
     def test_unknown_builder_name_rejected(self, small_network):
         spec = NetworkSpec.from_network(small_network)
         import dataclasses
         with pytest.raises(ValueError, match="unknown ISL builder"):
-            dataclasses.replace(spec, isl_builder="no_such_builder")
+            dataclasses.replace(spec, isl_builder="no_such_builder").build()
 
 
 class TestSweepTimelines:
@@ -203,22 +215,6 @@ class TestSweepTimelines:
         assert "sweep.worker.0.wall_s" in registry.series_logs
 
 
-class TestSharedMemoryArrays:
-    """The static ISL array every chunk payload carries by value (the
-    class keeps the name it had when a shared-memory transport carried
-    it, so the test id is stable)."""
-
-    def test_spec_static_isl_pairs_matches_build(self, small_network):
-        spec = NetworkSpec.from_network(small_network)
-        assert np.array_equal(spec.static_isl_pairs(),
-                              small_network.isl_pairs)
-        rebuilt = spec.build(isl_pairs=spec.static_isl_pairs())
-        assert np.array_equal(rebuilt.isl_pairs, small_network.isl_pairs)
-        # Regression: the rebuilt network carried an unregistered closure
-        # as its ISL builder and could not be turned back into a spec.
-        assert NetworkSpec.from_network(rebuilt) == spec
-
-
 class TestWorkerFailure:
     """A dying worker must fail the sweep loudly and leave nothing behind."""
 
@@ -295,17 +291,11 @@ class TestDynamicStateWorkers:
                                       equal_nan=True)
                 assert other[pair].paths == serial[pair].paths
 
-    def test_unregistered_builder_walks_serially(self, small_constellation,
-                                                 small_stations):
+    def test_serial_walk_is_one_compute_pair_chunk(self, small_network):
+        """The serial path walks the caller's network as one chunk: its
+        timelines are that chunk's rows, over the caller's schedule."""
         from repro.topology.dynamic_state import compute_pair_chunk
-        from repro.topology.network import LeoNetwork
-
-        def custom_builder(constellation):
-            return plus_grid_isls(constellation)
-
-        network = LeoNetwork(small_constellation, small_stations,
-                             min_elevation_deg=10.0,
-                             isl_builder=custom_builder)
+        network = small_network
         pairs = [(0, 3), (2, 4)]
         times = snapshot_times(4.0, 1.0)
         walked = sweep_timelines(network, pairs, times)
@@ -317,9 +307,6 @@ class TestDynamicStateWorkers:
             assert np.array_equal(walked[pair].distances_m, distances[row])
             assert walked[pair].paths == [step[row] for step in paths]
             assert walked[pair].times_s is times
-        with pytest.raises(ValueError, match="not spec-expressible; run "
-                                             "with workers=1"):
-            sweep_timelines(network, pairs, times, workers=2)
 
     def test_needs_a_spec_or_a_network(self, small_network):
         times = snapshot_times(2.0, 1.0)
