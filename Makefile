@@ -61,6 +61,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwI "failed_satellites" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "class Checkpoint\b|from_checkpoint|use_isls|repro profile" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

@@ -31,7 +31,7 @@ def test_fig16_17_isl_vs_bent_pipe_paths(benchmark):
     def build_and_route():
         isl = Hypatia.from_shell_name("K1", num_cities=100)
         bent = Hypatia.from_shell_name("K1", num_cities=100,
-                                       use_isls=False,
+                                       isl_builder="none",
                                        extra_stations=_relay_grid())
         holder["isl"] = (isl, isl.pair("Paris", "Moscow"))
         holder["bent"] = (bent, bent.pair("Paris", "Moscow"))

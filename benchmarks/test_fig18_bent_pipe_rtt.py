@@ -29,7 +29,7 @@ def studies():
     return {
         "isl": Hypatia.from_shell_name("K1", num_cities=100),
         "bent": Hypatia.from_shell_name("K1", num_cities=100,
-                                        use_isls=False,
+                                        isl_builder="none",
                                         extra_stations=relays),
     }
 

@@ -30,7 +30,7 @@ def test_fig19_tcp_isl_vs_bent_pipe(benchmark):
     studies = {
         "isl": Hypatia.from_shell_name("K1", num_cities=100),
         "bent": Hypatia.from_shell_name("K1", num_cities=100,
-                                        use_isls=False,
+                                        isl_builder="none",
                                         extra_stations=relays),
     }
     holder = {}

@@ -36,7 +36,7 @@ def main() -> None:
           f"Paris and Moscow")
 
     isl = Hypatia.from_shell_name("K1", num_cities=100)
-    bent = Hypatia.from_shell_name("K1", num_cities=100, use_isls=False,
+    bent = Hypatia.from_shell_name("K1", num_cities=100, isl_builder="none",
                                    extra_stations=relays)
 
     for label, hypatia in [("with ISLs", isl), ("bent pipe", bent)]:

@@ -18,7 +18,7 @@ Usage (installed as ``python -m repro``):
    python -m repro traffic -o workload.json --seed 7   # gravity workload
    python -m repro report K1 --engine maxmin --workload workload.json
    python -m repro sweep K1 --workload workload.json --workers 4
-   python -m repro profile K1 Manila Dalian -o trace.json  # Perfetto trace
+   python -m repro report K1 Manila Dalian --profile-out trace.json
    python -m repro sweep K1 --workers 4 --profile-out trace.json
    python -m repro serve K1 --workload w.json --port 7600 --pace 2
    python -m repro checkpoint K1 --workload w.json --at 30 -o state.ckpt
@@ -40,7 +40,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    """The scenario arguments ``report`` and ``profile`` share."""
+    """The scenario arguments of ``report``."""
     parser.add_argument("shell")
     parser.add_argument("src_city", nargs="?", default=None,
                         help="source city (optional with --workload)")
@@ -166,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run under the span profiler and write the "
                              "Chrome trace-event JSON here (load in "
                              "Perfetto)")
-
-    profile = sub.add_parser(
-        "profile", help="run a scenario under the span profiler and "
-                        "export a Perfetto-loadable Chrome trace")
-    _add_scenario_args(profile)
-    profile.add_argument("-o", "--output", required=True,
-                         help="write the Chrome trace-event JSON here "
-                              "(open at https://ui.perfetto.dev)")
-    profile.add_argument("--report-out", default=None, metavar="JSON",
-                         help="also write the full RunReport JSON here")
 
     serve = sub.add_parser(
         "serve", help="run a live, checkpointable simulation behind a "
@@ -386,7 +376,7 @@ def _cmd_sweep(args) -> int:
     else:
         pairs = random_permutation_pairs(args.cities)
     registry = MetricsRegistry()
-    profile_out = getattr(args, "profile_out", None)
+    profile_out = args.profile_out
     profiler = spans.install() if profile_out else None
     try:
         timelines = hypatia.compute_timelines(
@@ -493,7 +483,7 @@ def _cmd_sky(args) -> int:
 
 
 def _run_provenance(args, faults, workload) -> dict:
-    """Run-identity fields for the report/profile provenance header."""
+    """Run-identity fields for the report's provenance header."""
     provenance = {
         "shell": args.shell,
         "duration_s": args.duration,
@@ -525,8 +515,8 @@ def _cmd_report(args) -> int:
             else None)
     provenance = _run_provenance(args, faults, workload)
 
-    trace_out = getattr(args, "trace", None)
-    profile_out = getattr(args, "profile_out", None)
+    trace_out = args.trace
+    profile_out = args.profile_out
     profiler = spans.install() if profile_out else None
     try:
         if args.engine == "packet":
@@ -568,10 +558,10 @@ def _cmd_report(args) -> int:
 
     report.provenance = {**(report.provenance or {}), **provenance}
     print(report.describe())
-    if getattr(args, "output", None):
+    if args.output:
         report.to_json(args.output)
         print(f"wrote report to {args.output}")
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         registry.to_json(args.metrics_out)
         print(f"wrote metrics to {args.metrics_out}")
     if profiler is not None:
@@ -580,14 +570,6 @@ def _cmd_report(args) -> int:
         print(f"wrote {events} span events to {profile_out} "
               f"(open at https://ui.perfetto.dev)")
     return 0
-
-
-def _cmd_profile(args) -> int:
-    """``repro profile`` is ``repro report`` with the profiler on and the
-    Chrome trace as the primary output."""
-    args.profile_out = args.output
-    args.output = args.report_out
-    return _cmd_report(args)
 
 
 def _build_service(args):
@@ -778,7 +760,6 @@ _COMMANDS = {
     "czml": _cmd_czml,
     "sky": _cmd_sky,
     "report": _cmd_report,
-    "profile": _cmd_profile,
     "serve": _cmd_serve,
     "checkpoint": _cmd_checkpoint,
     "resume": _cmd_resume,

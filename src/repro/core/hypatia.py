@@ -53,8 +53,10 @@ class Hypatia:
         constellation: The satellites.
         ground_stations: The ground segment.
         min_elevation_deg: Minimum GS elevation angle.
-        use_isls: True for +Grid ISLs (default), False for bent-pipe
-            (Appendix A) connectivity through GS relays only.
+        isl_builder: The ISL interconnect, by its
+            :data:`~repro.topology.isl.ISL_BUILDERS` name: ``"plus_grid"``
+            (+Grid, the default), ``"single_ring"`` or ``"none"`` (bent
+            pipe, Appendix A: connectivity through GS relays only).
         gsl_policy: GS satellite-selection policy.
         faults: Optional :class:`repro.faults.FaultSchedule` — dynamic
             outages/cuts/rain/loss, applied at every topology snapshot
@@ -64,13 +66,13 @@ class Hypatia:
     def __init__(self, constellation: Constellation,
                  ground_stations: Sequence[GroundStation],
                  min_elevation_deg: float,
-                 use_isls: bool = True,
+                 isl_builder: str = "plus_grid",
                  gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
                  faults=None) -> None:
         self.network = LeoNetwork(
             constellation, ground_stations,
             min_elevation_deg=min_elevation_deg,
-            isl_builder="plus_grid" if use_isls else "none",
+            isl_builder=isl_builder,
             gsl_policy=gsl_policy,
             faults=faults,
         )
@@ -83,7 +85,7 @@ class Hypatia:
     @classmethod
     def from_shell_name(cls, shell_name: str, num_cities: int = 100,
                         min_elevation_deg: Optional[float] = None,
-                        use_isls: bool = True,
+                        isl_builder: str = "plus_grid",
                         extra_stations: Sequence[GroundStation] = (),
                         gsl_policy: GslPolicy = GslPolicy.ALL_VISIBLE,
                         epoch_offset_s: float = 0.0,
@@ -95,7 +97,8 @@ class Hypatia:
             num_cities: Top-N most populous cities as GSes.
             min_elevation_deg: Override; defaults to the operator's filing
                 value (Starlink 25, Kuiper 30, Telesat 10).
-            use_isls: +Grid ISLs vs bent-pipe.
+            isl_builder: The ISL interconnect by name, as for
+                :class:`Hypatia` (``"none"`` is the bent pipe).
             extra_stations: Appended after the city stations (e.g. a relay
                 grid); their gids are rewritten to stay consecutive.
             gsl_policy: GS satellite-selection policy.
@@ -115,7 +118,7 @@ class Hypatia:
         return cls(Constellation([shell], epoch_offset_s=epoch_offset_s),
                    stations,
                    min_elevation_deg=min_elevation_deg,
-                   use_isls=use_isls, gsl_policy=gsl_policy,
+                   isl_builder=isl_builder, gsl_policy=gsl_policy,
                    faults=faults)
 
     # ------------------------------------------------------------------

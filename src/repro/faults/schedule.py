@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterator, List,
                     Optional, Sequence, Tuple)
 
-__all__ = ["FaultKind", "FaultEvent", "FaultSchedule"]
+__all__ = ["FaultKind", "FaultEvent", "FaultSchedule", "exact_int"]
 
 #: Mean of :meth:`FaultSchedule.synthetic`'s exponential loss-rate draws.
 MEAN_LOSS_RATE = 0.05
@@ -74,13 +74,14 @@ _TARGET_KINDS = {
 }
 
 
-def _index(value: Any, name: str) -> int:
-    """A satellite or station index: an int, or an integral float (JSON
-    may spell 3 as 3.0) — never a bool or a fraction to truncate."""
+def exact_int(value: Any, name: str) -> int:
+    """An index or count read from outside input: an int, or an integral
+    float (JSON may spell 3 as 3.0) — never a bool or a fraction to
+    truncate.  ``name`` labels the ``ValueError``."""
     if isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
             or (isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"fault {name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -127,7 +128,8 @@ class FaultEvent:
         if self.kind not in _TARGET_KINDS[target]:
             raise ValueError(f"{self.kind.value} cannot target a {target}")
         if target == "isl":
-            a, b = (_index(end, "isl endpoint") for end in self.isl)
+            a, b = (exact_int(end, "fault isl endpoint")
+                    for end in self.isl)
             if a == b:
                 raise ValueError("ISL endpoints must differ")
             if a > b:
@@ -135,8 +137,8 @@ class FaultEvent:
                     f"isl pair must be normalized (min, max), got {self.isl}")
             object.__setattr__(self, "isl", (a, b))
         else:
-            object.__setattr__(self, target,
-                               _index(getattr(self, target), target))
+            object.__setattr__(self, target, exact_int(
+                getattr(self, target), f"fault {target}"))
         if self.kind is FaultKind.PACKET_LOSS:
             if not 0.0 < self.rate <= 1.0:
                 raise ValueError(

@@ -370,8 +370,8 @@ class SpanProfiler(SpanProfilerBase):
 def format_phases(summary: Dict[str, Any], top: int = 10) -> List[str]:
     """Human-readable lines of a :meth:`SpanProfiler.phase_summary`.
 
-    The ``repro profile`` CLI and :meth:`RunReport.describe` both print
-    this "top phases" table.
+    :meth:`RunReport.describe` prints this "top phases" table, so every
+    CLI run with ``--profile-out`` does.
     """
     phases: Sequence[Dict[str, Any]] = summary.get("phases", [])
     lines = [f"top phases by self-time "

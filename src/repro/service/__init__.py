@@ -17,17 +17,16 @@ The backbone guarantee, enforced by ``tests/test_service.py`` and the
 for bit, across the packet engine and the max-min fluid engine.
 """
 
-from .checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
-                         CheckpointError, CheckpointSpecError,
-                         CheckpointVersionError, load_checkpoint,
-                         read_checkpoint_header, save_checkpoint)
+from .checkpoint import (CHECKPOINT_FORMAT_VERSION, CheckpointError,
+                         CheckpointSpecError, CheckpointVersionError,
+                         load_checkpoint, read_checkpoint_header,
+                         save_checkpoint)
 from .client import ServiceClient, ServiceClientError
 from .driver import LiveSimulationService, ServiceError
 from .server import ServiceServer, serve_forever
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
-    "Checkpoint",
     "CheckpointError",
     "CheckpointSpecError",
     "CheckpointVersionError",

@@ -5,21 +5,26 @@ A checkpoint file is::
     MAGIC | header-length (8 bytes, big-endian) | JSON header | pickle
 
 The JSON header carries everything a reader needs *before* trusting the
-payload — format version, engine, simulated time, and the
+body — format version, engine, simulated time, and the
 :meth:`~repro.sweep.spec.NetworkSpec.fingerprint` of the spec that built
-the simulator — so version and spec-compatibility checks
-never unpickle anything.  The pickle payload is the live object graph
-(event queue, devices, transports, fluid run state, RNG streams, ...);
-determinism of the restore is what ``tests/test_service.py`` proves.
+the simulator — so version and spec-compatibility checks never unpickle
+anything.  The body is the pickled
+:class:`~repro.service.driver.LiveSimulationService` itself, with its
+whole object graph (event queue, devices, transports, fluid run state,
+RNG streams, ...); determinism of the restore is what
+``tests/test_service.py`` proves.
 
 Compatibility contract:
 
 * :data:`CHECKPOINT_FORMAT_VERSION` bumps on any layout change; loading
   a mismatched version raises :class:`CheckpointVersionError`.
 * Resuming against a different network spec (different shells, ground
-  segment, faults, workload, ...) raises :class:`CheckpointSpecError`
-  unless the caller explicitly opts out — silently resuming a Kuiper
-  checkpoint on a Starlink network is the failure mode this guards.
+  segment, faults, workload, ...) than the caller expects raises
+  :class:`CheckpointSpecError` — silently resuming a Kuiper checkpoint
+  on a Starlink network is the failure mode this guards.
+* A body that is not a service is refused before its spec is hashed;
+  a service whose spec does not hash to the header's ``spec_hash`` is
+  refused as corrupt.
 """
 
 from __future__ import annotations
@@ -28,18 +33,20 @@ import json
 import math
 import os
 import pickle
-from typing import Any, BinaryIO, Dict, Optional
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Optional
 
 from ..sweep.spec import NetworkSpec
 
+if TYPE_CHECKING:
+    from .driver import LiveSimulationService
+
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION", "CHECKPOINT_MAGIC",
-    "Checkpoint", "CheckpointError", "CheckpointVersionError",
-    "CheckpointSpecError",
+    "CHECKPOINT_FORMAT_VERSION", "CHECKPOINT_MAGIC", "ENGINES",
+    "CheckpointError", "CheckpointVersionError", "CheckpointSpecError",
     "save_checkpoint", "load_checkpoint", "read_checkpoint_header",
 ]
 
-#: Bump on any change to the file layout or the pickled payload shape.
+#: Bump on any change to the file layout or the pickled body's shape.
 #: v2: the packet engine's pending events became 5-field records.
 #: v3: fluid run states carry ``flow_class`` (and an object-array
 #: ``frozen_paths``); the simulation keeps classes, not per-flow pairs.
@@ -58,28 +65,30 @@ __all__ = [
 #: label, no static dead-satellite set: a dead satellite is an outage
 #: fault), and ``LeoNetwork`` names its ISL builder instead of holding
 #: the callable, so every spec pickles and hashes otherwise.
-CHECKPOINT_FORMAT_VERSION = 9
+#: v10: the body is the pickled ``LiveSimulationService`` itself, not a
+#: ``{"spec": ..., "payload": {"service": ...}}`` dict.
+CHECKPOINT_FORMAT_VERSION = 10
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
 
-#: The engines a checkpoint may hold.
-_ENGINES = ("packet", "fluid", "aimd")
+#: The engines a service runs, and so a checkpoint header may name.
+ENGINES = ("packet", "fluid", "aimd")
 
 #: ``(field, what it must be, test)`` of every header field a load reads,
 #: checked before anything is unpickled.  The writer stamps ``time_s`` as
 #: a float, so JSON hands it back as one.
 _HEADER_FIELDS = (
     ("format_version", "an integer", lambda value: type(value) is int),
-    ("engine", f"one of {', '.join(_ENGINES)}",
-     lambda value: value in _ENGINES),
+    ("engine", f"one of {', '.join(ENGINES)}",
+     lambda value: value in ENGINES),
     ("time_s", "a finite number",
      lambda value: type(value) is float and math.isfinite(value)),
     ("meta", "a JSON object", lambda value: isinstance(value, dict)),
 )
 
 _HEADER_LEN_BYTES = 8
-#: What unpickling, indexing and fingerprinting a corrupt or foreign body
+#: What unpickling and fingerprinting a corrupt or foreign body
 #: raises (bit flips reach string decoding, object construction, length
 #: fields and attribute lookup as well as the pickle opcodes themselves).
 _BODY_ERRORS = (pickle.UnpicklingError, EOFError, ImportError,
@@ -102,91 +111,45 @@ class CheckpointSpecError(CheckpointError):
 
 
 # ----------------------------------------------------------------------
-# The checkpoint container
-# ----------------------------------------------------------------------
-
-class Checkpoint:
-    """One restorable simulator state plus its identifying header.
-
-    Args:
-        spec: The network spec the simulator was built from.
-        engine: ``"packet"``, ``"fluid"`` or ``"aimd"``.
-        time_s: Simulated time the state was captured at.
-        payload: The picklable live object graph — for the packet
-            engine the simulator and its applications, for the fluid
-            engines the simulation plus its
-            :class:`~repro.fluid.engine.FluidRunState`.
-        meta: Free-form provenance (scenario name, epoch length, ...);
-            must be JSON-expressible.
-        format_version: Stamped automatically; only loads override it.
-        spec_hash: Stamped automatically from ``spec``; only loads
-            override it.
-    """
-
-    def __init__(self, spec: NetworkSpec, engine: str, time_s: float,
-                 payload: Dict[str, Any],
-                 meta: Optional[Dict[str, Any]] = None,
-                 format_version: int = CHECKPOINT_FORMAT_VERSION,
-                 spec_hash: Optional[str] = None) -> None:
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'packet', 'fluid' or 'aimd'")
-        self.spec = spec
-        self.engine = engine
-        self.time_s = float(time_s)
-        self.payload = payload
-        self.meta = dict(meta or {})
-        self.format_version = int(format_version)
-        self.spec_hash = (spec.fingerprint() if spec_hash is None
-                          else spec_hash)
-
-    def header(self) -> Dict[str, Any]:
-        """The JSON header identifying this checkpoint."""
-        return {
-            "format_version": self.format_version,
-            "spec_hash": self.spec_hash,
-            "engine": self.engine,
-            "time_s": self.time_s,
-            "meta": self.meta,
-        }
-
-    def __repr__(self) -> str:
-        return (f"Checkpoint(engine={self.engine!r}, t={self.time_s}, "
-                f"v{self.format_version}, "
-                f"spec={self.spec_hash[:12]})")
-
-
-# ----------------------------------------------------------------------
 # File I/O
 # ----------------------------------------------------------------------
 
-def _write(stream: BinaryIO, checkpoint: Checkpoint) -> None:
-    header = json.dumps(checkpoint.header(), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
-    stream.write(CHECKPOINT_MAGIC)
-    stream.write(len(header).to_bytes(_HEADER_LEN_BYTES, "big"))
-    stream.write(header)
-    pickle.dump({"spec": checkpoint.spec, "payload": checkpoint.payload},
-                stream, protocol=pickle.HIGHEST_PROTOCOL)
+def save_checkpoint(path: str, service: LiveSimulationService,
+                    meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """Write ``service`` to a checkpoint file; returns the stamped header.
 
-
-def save_checkpoint(path: str, checkpoint: Checkpoint) -> Dict[str, Any]:
-    """Write a checkpoint file; returns the header that was stamped.
-
+    The header is read off the service: its spec's fingerprint, its
+    engine, its clock, and its own ``meta`` updated with ``meta`` (and
+    given ``horizon_s`` / ``epoch_s`` unless either is named already).
     The bytes go to a temporary file beside ``path`` that replaces it
-    only once complete: a write that fails (unpicklable payload, full
+    only once complete: a write that fails (unpicklable state, full
     disk, killed process) leaves the previous checkpoint as it was.
     """
+    merged_meta = {**service.meta, **(meta or {})}
+    merged_meta.setdefault("horizon_s", service.horizon_s)
+    merged_meta.setdefault("epoch_s", service.epoch_s)
+    header = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "spec_hash": service.spec.fingerprint(),
+        "engine": service.engine,
+        "time_s": float(service.clock_s),
+        "meta": merged_meta,
+    }
+    raw = json.dumps(header, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
     temp_path = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp_path, "wb") as stream:
-            _write(stream, checkpoint)
+            stream.write(CHECKPOINT_MAGIC)
+            stream.write(len(raw).to_bytes(_HEADER_LEN_BYTES, "big"))
+            stream.write(raw)
+            pickle.dump(service, stream, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
         raise
-    return checkpoint.header()
+    return header
 
 
 def _read_header(stream: BinaryIO, path: str) -> Dict[str, Any]:
@@ -233,8 +196,8 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
 
 def load_checkpoint(path: str,
                     expected_spec: Optional[NetworkSpec] = None
-                    ) -> Checkpoint:
-    """Read, validate, and unpickle a checkpoint file.
+                    ) -> LiveSimulationService:
+    """Read, validate, and unpickle the service a checkpoint file holds.
 
     Args:
         path: The checkpoint file.
@@ -245,11 +208,13 @@ def load_checkpoint(path: str,
         CheckpointVersionError: Header format version differs from
             :data:`CHECKPOINT_FORMAT_VERSION`.
         CheckpointSpecError: ``expected_spec``'s fingerprint or the
-            pickled spec's does not match the header's ``spec_hash``.
-        CheckpointError: Bad magic, truncation, corrupt header, or a
-            body this build cannot unpickle (e.g. it names a class that
-            has since been removed).
+            unpickled service spec's does not match the header's
+            ``spec_hash``.
+        CheckpointError: Bad magic, truncation, corrupt header, a body
+            this build cannot unpickle (e.g. it names a class that has
+            since been removed), or a body that is not a service.
     """
+    from .driver import LiveSimulationService
     with open(path, "rb") as stream:
         header = _read_header(stream, path)
         version = header["format_version"]
@@ -268,11 +233,14 @@ def load_checkpoint(path: str,
                     f"expected {expected_hash[:12]}); resume against "
                     f"the original spec")
         # A damaged body can fail anywhere between the first opcode and
-        # the fingerprint of whatever object took the spec's place.
+        # the fingerprint of a spec whose fields took bit flips.
         try:
-            body = pickle.load(stream)
-            spec, payload = body["spec"], body["payload"]
-            pickled_hash = spec.fingerprint()
+            service = pickle.load(stream)
+            if not isinstance(service, LiveSimulationService):
+                raise CheckpointError(
+                    f"{path}: body is a {type(service).__name__!r}, not "
+                    f"a live service")
+            pickled_hash = service.spec.fingerprint()
         except _BODY_ERRORS as error:
             raise CheckpointError(
                 f"{path}: body cannot be unpickled by this build "
@@ -281,7 +249,4 @@ def load_checkpoint(path: str,
         raise CheckpointSpecError(
             f"{path}: header spec hash does not match the pickled spec "
             f"(file corrupt or tampered)")
-    return Checkpoint(spec=spec, engine=header["engine"],
-                      time_s=header["time_s"], payload=payload,
-                      meta=header["meta"], format_version=version,
-                      spec_hash=spec_hash)
+    return service

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
@@ -86,9 +86,8 @@ class ServiceClient:
     def advance(self, epochs: int = 1) -> Dict[str, Any]:
         return self.command("advance", epochs=epochs)["status"]
 
-    def checkpoint(self, path: str,
-                   meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        return self.command("checkpoint", path=path, meta=meta)["header"]
+    def checkpoint(self, path: str) -> Dict[str, Any]:
+        return self.command("checkpoint", path=path)["header"]
 
     def metrics(self) -> Dict[str, Any]:
         return self.command("metrics")["metrics"]

@@ -11,11 +11,10 @@ operations a long-lived service needs:
 * **live mutation** — :meth:`attach_workload` /
   :meth:`detach_workload` / :meth:`inject_fault` change traffic and
   faults *between* epochs while the constellation flies;
-* **checkpoint/restore** — :meth:`checkpoint` captures the entire
-  object graph (DES event queue, device/transport state, fluid run
-  state, RNG stream positions) behind a versioned header;
-  :meth:`from_checkpoint` / :meth:`resume` bring it back
-  bit-identically in any process.
+* **checkpoint/restore** — :meth:`save` pickles the service itself, so
+  the entire object graph (DES event queue, device/transport state,
+  fluid run state, RNG stream positions) goes behind a versioned
+  header; :meth:`resume` brings it back bit-identically in any process.
 
 Determinism contract (proven by ``tests/test_service.py``): a service
 that is checkpointed at an epoch boundary, restored, and advanced to
@@ -48,8 +47,7 @@ from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowRequest, WorkloadSchedule
 from ..traffic.spawner import WorkloadSpawner, packet_fct_section
 from ..transport.base import ensure_flow_ids_above
-from .checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import ENGINES, load_checkpoint, save_checkpoint
 
 __all__ = ["LiveSimulationService", "ServiceError"]
 
@@ -84,10 +82,9 @@ class LiveSimulationService:
                  epoch_s: float = 1.0,
                  link_capacity_bps: float = 10_000_000.0,
                  meta: Optional[Dict[str, Any]] = None) -> None:
-        if engine != "packet" and engine not in _FLUID_ENGINES:
-            raise ServiceError(
-                f"unknown engine {engine!r}; the service supports "
-                f"'packet', 'fluid' (max-min) and 'aimd'")
+        if engine not in ENGINES:
+            raise ServiceError(f"unknown engine {engine!r}; the service "
+                               f"supports {', '.join(ENGINES)}")
         if not 0.0 < horizon_s < math.inf:
             raise ServiceError(
                 f"horizon must be finite and positive, got {horizon_s}")
@@ -402,56 +399,30 @@ class LiveSimulationService:
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint(self, meta: Optional[Dict[str, Any]] = None
-                   ) -> Checkpoint:
-        """Capture the whole live state as a versioned checkpoint.
-
-        The payload is this service object itself — one pickle
-        memoizes the shared references (scheduler queue entries, device
-        graphs, RNG streams, run state), so restore reconstructs the
-        identical object graph.
-        """
-        merged_meta = dict(self.meta)
-        if meta:
-            merged_meta.update(meta)
-        merged_meta.setdefault("horizon_s", self.horizon_s)
-        merged_meta.setdefault("epoch_s", self.epoch_s)
-        return Checkpoint(spec=self.spec, engine=self.engine,
-                          time_s=self.clock_s,
-                          payload={"service": self}, meta=merged_meta)
-
     def save(self, path: str,
              meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Checkpoint to a file; returns the stamped header."""
-        return save_checkpoint(path, self.checkpoint(meta=meta))
+        """Checkpoint to a file; returns the stamped header.
 
-    @classmethod
-    def from_checkpoint(cls, checkpoint: Checkpoint
-                        ) -> "LiveSimulationService":
-        """Rehydrate the live service a checkpoint captured."""
-        payload = checkpoint.payload
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                f"checkpoint payload is a {type(payload).__name__!r}, "
-                f"not the dict LiveSimulationService.save writes")
-        service = payload.get("service")
-        if not isinstance(service, cls):
-            raise CheckpointError(
-                f"checkpoint payload holds "
-                f"{type(service).__name__!r}, not a live service "
-                f"(was it written by LiveSimulationService.save?)")
-        if service.engine == "packet" and service.sim is not None:
-            # The flow-id allocator restarted with this process; push it
-            # past every restored flow so post-restore attachments are
-            # collision-free.
-            restored = [flow for _, flow in service.sim._handlers]
+        The body is this service object itself — one pickle memoizes
+        the shared references (scheduler queue entries, device graphs,
+        RNG streams, run state), so restore reconstructs the identical
+        object graph.  ``meta`` adds to the service's own :attr:`meta` in
+        the header.
+        """
+        return save_checkpoint(path, self, meta)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self.sim is not None:
+            # The flow-id allocator restarts with each process; push it
+            # past every restored flow so later attachments cannot
+            # collide with restored handler registrations.
+            restored = [flow for _, flow in self.sim._handlers]
             ensure_flow_ids_above(max(restored, default=0))
-        return service
 
     @classmethod
     def resume(cls, path: str,
                expected_spec: Optional[NetworkSpec] = None
                ) -> "LiveSimulationService":
         """Load a checkpoint file and rehydrate its service."""
-        return cls.from_checkpoint(
-            load_checkpoint(path, expected_spec=expected_spec))
+        return load_checkpoint(path, expected_spec=expected_spec)

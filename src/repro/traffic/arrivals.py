@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
+from ..faults.schedule import exact_int
 from .matrix import TrafficMatrix
 
 __all__ = ["FlowRequest", "WorkloadSchedule", "FlowArrivalProcess",
@@ -50,6 +51,11 @@ PARETO_ALPHA = 2.5
 
 #: Per-flow size floor after drawing.
 MIN_SIZE_BYTES = 1_000
+
+#: A request's integer fields, and their bound: a spec fingerprint
+#: packs them as int64.
+_INTEGER_FIELDS = ("src_gid", "dst_gid", "size_bytes")
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,17 @@ class FlowRequest:
         if self.t_start_s < 0.0 or not math.isfinite(self.t_start_s):
             raise ValueError(
                 f"start time must be finite and >= 0, got {self.t_start_s}")
+        # Outside input (a JSON workload) may spell 3 as 3.0, but a
+        # fraction or a bool is refused, not truncated.
+        if not (type(self.src_gid) is type(self.dst_gid)
+                is type(self.size_bytes) is int):
+            for name in _INTEGER_FIELDS:
+                object.__setattr__(self, name, exact_int(
+                    getattr(self, name), f"flow {name}"))
+        if max(self.src_gid, self.dst_gid, self.size_bytes) > _INT64_MAX:
+            raise ValueError(
+                f"flow gids and size must fit in 64 bits, got "
+                f"{self.src_gid} -> {self.dst_gid}, {self.size_bytes} bytes")
         if self.src_gid == self.dst_gid:
             raise ValueError("flow endpoints must differ")
         if self.src_gid < 0 or self.dst_gid < 0:
@@ -95,9 +112,8 @@ class FlowRequest:
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FlowRequest":
         return cls(t_start_s=float(record["t_start_s"]),
-                   src_gid=int(record["src_gid"]),
-                   dst_gid=int(record["dst_gid"]),
-                   size_bytes=int(record["size_bytes"]))
+                   src_gid=record["src_gid"], dst_gid=record["dst_gid"],
+                   size_bytes=record["size_bytes"])
 
 
 def _sort_key(request: FlowRequest) -> tuple:

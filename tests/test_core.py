@@ -74,7 +74,7 @@ class TestHypatiaFacade:
 
     def test_bent_pipe_mode_has_no_isls(self):
         hypatia = Hypatia.from_shell_name("K1", num_cities=5,
-                                          use_isls=False)
+                                          isl_builder="none")
         assert len(hypatia.network.isl_pairs) == 0
 
     def test_extra_stations_get_consecutive_gids(self):

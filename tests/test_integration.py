@@ -62,7 +62,7 @@ class TestBentPipeRelays:
                                     GeodeticPosition(55.76, 37.62),
                                     rows=3, columns=5)
         return Hypatia.from_shell_name("K1", num_cities=100,
-                                       use_isls=False,
+                                       isl_builder="none",
                                        extra_stations=relays)
 
     def test_relay_path_exists_and_alternates(self):

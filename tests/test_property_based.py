@@ -1039,3 +1039,100 @@ class TestIndependentGeometry:
                                       edges.satellite_ids[alive])
                 assert np.array_equal(after.gsl_edges[gid].lengths_m,
                                       edges.lengths_m[alive])
+
+
+class TestFluidMaxMinInvariants:
+    """A finite, staggered workload on a random Walker network under a
+    random fault schedule, run by ``FluidSimulation``.  At every
+    snapshot the device loads are recomputed from the recorded paths and
+    rates, and the allocation is checked to be max-min fair: no device
+    carries more than its fault-scaled capacity, each load is the one
+    recorded, and every flow in play crosses a saturated device on which
+    no flow is faster."""
+
+    CAPACITY_BPS = 1e6
+    DURATION_S = 20.0
+    STEP_S = 5.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_snapshot_allocations_are_max_min_fair(self, data):
+        from repro.fluid.engine import FluidFlow, FluidSimulation, \
+            path_devices
+        from repro.topology.network import LeoNetwork
+
+        healthy, sites, min_elevation_deg = _walker_network(data)
+        num_satellites = healthy.num_satellites
+        grid = healthy.isl_pairs
+        gids = st.integers(0, len(sites) - 1)
+
+        def window():
+            start = data.draw(st.floats(0.0, self.DURATION_S))
+            return start, start + data.draw(st.floats(1.0, 15.0))
+
+        events = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            events.append(FaultEvent.packet_loss(
+                *window(), data.draw(st.floats(0.1, 0.9)),
+                gid=data.draw(gids)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            events.append(FaultEvent.satellite_outage(
+                data.draw(st.integers(0, num_satellites - 1)), *window()))
+        for _ in range(data.draw(st.integers(0, 3)) if len(grid) else 0):
+            a, b = grid[data.draw(st.integers(0, len(grid) - 1))].tolist()
+            events.append(FaultEvent.isl_cut(a, b, *window()))
+        for _ in range(data.draw(st.integers(0, 1))):
+            events.append(FaultEvent.gsl_cut(data.draw(gids), *window()))
+        for _ in range(data.draw(st.integers(0, 2))):
+            events.append(FaultEvent.gsl_attenuation(
+                data.draw(gids), *window(), data.draw(st.floats(1.0, 30.0))))
+        faults = FaultSchedule(events)
+        network = LeoNetwork(healthy.constellation, healthy.ground_stations,
+                             min_elevation_deg=min_elevation_deg,
+                             faults=faults)
+
+        flows = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            src, dst = data.draw(st.lists(gids, min_size=2, max_size=2,
+                                          unique=True))
+            flows.append(FluidFlow(
+                src, dst,
+                size_bytes=data.draw(st.floats(1e4, 2e6)),
+                start_s=data.draw(st.floats(0.0, self.DURATION_S))))
+        result = FluidSimulation(
+            network, flows, link_capacity_bps=self.CAPACITY_BPS).run(
+                self.DURATION_S, step_s=self.STEP_S)
+
+        for t_index, time_s in enumerate(result.times_s.tolist()):
+            rates = result.flow_rates_bps[t_index].tolist()
+            # The devices of each flow in play: routed, and started by
+            # the snapshot instant (to the engine's 1 ns tolerance).
+            devices = [
+                None if path is None or flow.start_s > time_s + 1e-9
+                else path_devices(path, num_satellites)
+                for flow, path in zip(flows, result.flow_paths[t_index])]
+            loads, fastest = {}, {}
+            for rate, on in zip(rates, devices):
+                if on is None:
+                    assert rate == 0.0
+                for device in on or ():
+                    loads[device] = loads.get(device, 0.0) + rate
+                    fastest[device] = max(fastest.get(device, 0.0), rate)
+            recorded = result.device_load_bps[t_index]
+            assert set(recorded) == set(loads)
+            for device, load in loads.items():
+                assert load == pytest.approx(recorded[device], rel=1e-9,
+                                             abs=1e-6), device
+            keys = list(loads)
+            capacity = dict(zip(keys, (
+                self.CAPACITY_BPS * factor for factor in
+                faults.capacity_factors(keys, num_satellites, time_s))))
+            for device, load in loads.items():
+                assert load <= capacity[device] * (1 + 1e-9) + 1e-6, device
+            saturated = {device for device, load in loads.items()
+                         if load >= capacity[device] * (1 - 1e-9) - 1e-6}
+            for flow, rate, on in zip(flows, rates, devices):
+                assert on is None or any(
+                    device in saturated
+                    and rate >= fastest[device] * (1 - 1e-9)
+                    for device in on), (flow, rate)

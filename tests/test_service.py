@@ -35,12 +35,11 @@ from repro.fluid.engine import FluidSimulation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
 from repro.orbits.shell import Shell
-from repro.service import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
-                           CheckpointError, CheckpointSpecError,
-                           CheckpointVersionError, LiveSimulationService,
-                           ServiceClient, ServiceClientError, ServiceError,
-                           ServiceServer, load_checkpoint,
-                           read_checkpoint_header, save_checkpoint)
+from repro.service import (CHECKPOINT_FORMAT_VERSION, CheckpointError,
+                           CheckpointSpecError, CheckpointVersionError,
+                           LiveSimulationService, ServiceClient,
+                           ServiceClientError, ServiceError, ServiceServer,
+                           load_checkpoint, read_checkpoint_header)
 from repro.service.checkpoint import CHECKPOINT_MAGIC
 from repro.sweep.spec import NetworkSpec
 from repro.topology.gsl import GslPolicy
@@ -130,6 +129,38 @@ def _round_trip(service: LiveSimulationService, path) -> LiveSimulationService:
     return LiveSimulationService.resume(str(path))
 
 
+def _checkpoint_parts(path):
+    """A checkpoint file's JSON header and its pickled body's bytes."""
+    whole = path.read_bytes()
+    header_start = len(CHECKPOINT_MAGIC) + 8
+    header_end = header_start + int.from_bytes(
+        whole[len(CHECKPOINT_MAGIC):header_start], "big")
+    return json.loads(whole[header_start:header_end]), whole[header_end:]
+
+
+def _write_checkpoint(path, header, body: bytes) -> None:
+    """Lay ``header`` and ``body`` out as ``save_checkpoint`` does — how
+    the guard tests write files the product never writes."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "big") + raw
+                     + body)
+
+
+def _rewrite_header(path, **fields) -> None:
+    """Change some header fields of the checkpoint file at ``path``."""
+    header, body = _checkpoint_parts(path)
+    _write_checkpoint(path, {**header, **fields}, body)
+
+
+def _saved(engine: str, path, epochs: int = 0) -> LiveSimulationService:
+    """A service advanced ``epochs`` epochs and saved to ``path``."""
+    service = _make_service(engine)
+    if epochs:
+        service.advance_epoch(epochs)
+    service.save(str(path))
+    return service
+
+
 ENGINES = ["packet", "fluid"]
 #: Test ids keep the suffix they had while the fluid engine still had a
 #: second kernel, so results stay comparable across PRs.
@@ -137,42 +168,43 @@ ENGINE_IDS = ["packet-vectorized", "fluid-vectorized"]
 
 
 # ----------------------------------------------------------------------
-# Checkpoint container + compatibility guards
+# Checkpoint files + compatibility guards
 # ----------------------------------------------------------------------
 
 class TestCheckpointContainer:
+    """The checkpoint file and every guard of its load (the class keeps
+    the name it had while a container class existed, so test ids are
+    stable)."""
+
     def test_header_round_trip(self, tmp_path):
-        spec = _small_spec()
+        service = _make_service("packet")
+        service.advance_to(3.5)
         path = tmp_path / "c.ckpt"
-        ckpt = Checkpoint(spec=spec, engine="packet", time_s=3.5,
-                          payload={"x": np.arange(4)},
-                          meta={"note": "hello"})
-        header = save_checkpoint(str(path), ckpt)
+        header = service.save(str(path), meta={"note": "hello"})
         assert header["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert header["spec_hash"] == spec.fingerprint()
+        assert header["spec_hash"] == service.spec.fingerprint()
         assert header["time_s"] == 3.5
-        assert header["meta"] == {"note": "hello"}
+        assert header["meta"] == {"note": "hello", "horizon_s": HORIZON_S,
+                                  "epoch_s": EPOCH_S}
         # Header reads back without unpickling anything.
         assert read_checkpoint_header(str(path)) == header
         loaded = load_checkpoint(str(path))
-        assert loaded.engine == "packet"
-        assert np.array_equal(loaded.payload["x"], np.arange(4))
-        assert loaded.spec.fingerprint() == spec.fingerprint()
+        assert isinstance(loaded, LiveSimulationService)
+        assert (loaded.engine, loaded.clock_s) == ("packet", 3.5)
+        assert loaded.spec.fingerprint() == header["spec_hash"]
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         class Unpicklable:
             def __reduce__(self):
                 raise RuntimeError("cannot pickle this")
 
-        spec = _small_spec()
         path = tmp_path / "c.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=spec, engine="packet", time_s=1.0, payload={"x": 1}))
+        service = _saved("packet", path)
         good = path.read_bytes()
+        service.advance_epoch(1)
+        service.unpicklable = Unpicklable()
         with pytest.raises(RuntimeError, match="cannot pickle this"):
-            save_checkpoint(str(path), Checkpoint(
-                spec=spec, engine="packet", time_s=2.0,
-                payload={"x": Unpicklable()}))
+            service.save(str(path))
         assert path.read_bytes() == good
         assert [entry.name for entry in tmp_path.iterdir()] == ["c.ckpt"]
 
@@ -186,10 +218,8 @@ class TestCheckpointContainer:
 
     def test_version_mismatch_fails_clearly(self, tmp_path):
         path = tmp_path / "future.ckpt"
-        ckpt = Checkpoint(spec=_small_spec(), engine="packet", time_s=0.0,
-                          payload={},
-                          format_version=CHECKPOINT_FORMAT_VERSION + 1)
-        save_checkpoint(str(path), ckpt)
+        _saved("packet", path)
+        _rewrite_header(path, format_version=CHECKPOINT_FORMAT_VERSION + 1)
         with pytest.raises(CheckpointVersionError,
                            match="does not match this build"):
             load_checkpoint(str(path))
@@ -201,13 +231,10 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 9
-        service = _make_service("packet")
-        service.advance_epoch(1)
-        ckpt = service.checkpoint()
-        ckpt.format_version = 1
+        assert CHECKPOINT_FORMAT_VERSION == 10
         path = tmp_path / "v1.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _saved("packet", path, epochs=1)
+        _rewrite_header(path, format_version=1)
         with pytest.raises(CheckpointVersionError, match="format v1"):
             LiveSimulationService.resume(str(path))
 
@@ -215,13 +242,10 @@ class TestCheckpointContainer:
         """Format v2 fluid states carry no ``flow_class`` (and per-flow
         pair lists this build no longer reads): the header gate must
         stop the load rather than let ``advance`` fail later."""
-        service = _make_service("fluid")
-        service.advance_epoch(1)
-        ckpt = service.checkpoint()
-        assert service.state.flow_class.shape == (len(service.fluid.flows),)
-        ckpt.format_version = 2
         path = tmp_path / "v2.ckpt"
-        save_checkpoint(str(path), ckpt)
+        service = _saved("fluid", path, epochs=1)
+        assert service.state.flow_class.shape == (len(service.fluid.flows),)
+        _rewrite_header(path, format_version=2)
         with pytest.raises(CheckpointVersionError, match="format v2"):
             LiveSimulationService.resume(str(path))
 
@@ -229,11 +253,9 @@ class TestCheckpointContainer:
         """A v3 body pickles a ``NetworkSpec`` with a ``weather`` field
         this build lacks: the version gate must name the cause before the
         spec-hash check could blame corruption."""
-        service = _make_service("packet")
-        ckpt = service.checkpoint()
-        ckpt.format_version = 3
         path = tmp_path / "v3.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _saved("packet", path)
+        _rewrite_header(path, format_version=3)
         with pytest.raises(CheckpointVersionError, match="format v3"):
             LiveSimulationService.resume(str(path))
 
@@ -242,11 +264,9 @@ class TestCheckpointContainer:
         service lacks (their streams name a deleted class), and a v4 file
         may hold the deleted ``"sweep"`` engine: the version gate must
         refuse it before anything is unpickled."""
-        service = _make_service("packet")
-        ckpt = service.checkpoint()
-        ckpt.format_version = 4
         path = tmp_path / "v4.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _saved("packet", path)
+        _rewrite_header(path, format_version=4)
         with pytest.raises(CheckpointVersionError, match="format v4"):
             LiveSimulationService.resume(str(path))
 
@@ -255,12 +275,9 @@ class TestCheckpointContainer:
         name ``_engine`` and per-flow static-baseline paths; this build's
         would fail on its first ``advance``.  The version gate refuses it
         before anything is unpickled."""
-        service = _make_service("fluid")
-        service.advance_epoch(1)
-        ckpt = service.checkpoint()
-        ckpt.format_version = 5
         path = tmp_path / "v5.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _saved("fluid", path, epochs=1)
+        _rewrite_header(path, format_version=5)
         with pytest.raises(CheckpointVersionError, match="format v5"):
             LiveSimulationService.resume(str(path))
 
@@ -282,16 +299,13 @@ class TestCheckpointContainer:
 
         service = _make_service("packet")
         built = service.network.constellation.satellites
-        Counting(io.BytesIO()).dump(service.checkpoint().payload)
+        Counting(io.BytesIO()).dump(service)
         assert satellites == []
-        path = tmp_path / "v9.ckpt"
+        path = tmp_path / "v10.ckpt"
         service.save(str(path))
         restored = LiveSimulationService.resume(str(path))
         assert restored.network.constellation.satellites == built
-        ckpt = service.checkpoint()
-        ckpt.format_version = 6
-        path = tmp_path / "v6.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _rewrite_header(path, format_version=6)
         with pytest.raises(CheckpointVersionError, match="format v6"):
             LiveSimulationService.resume(str(path))
 
@@ -300,11 +314,9 @@ class TestCheckpointContainer:
         no longer equals ``NetworkSpec.fingerprint``: the version gate
         must name the cause before the spec check could blame
         tampering."""
-        ckpt = _make_service("fluid").checkpoint()
-        ckpt.format_version = 7
-        ckpt.spec_hash = "0" * 64
         path = tmp_path / "v7.ckpt"
-        save_checkpoint(str(path), ckpt)
+        _saved("fluid", path)
+        _rewrite_header(path, format_version=7, spec_hash="0" * 64)
         with pytest.raises(CheckpointVersionError, match="format v7"):
             LiveSimulationService.resume(str(path))
 
@@ -315,12 +327,24 @@ class TestCheckpointContainer:
         must name the cause before the spec check could blame
         tampering."""
         for engine in ENGINES:
-            ckpt = _make_service(engine).checkpoint()
-            ckpt.format_version = 8
-            ckpt.spec_hash = "0" * 64
             path = tmp_path / f"v8-{engine}.ckpt"
-            save_checkpoint(str(path), ckpt)
+            _saved(engine, path)
+            _rewrite_header(path, format_version=8, spec_hash="0" * 64)
             with pytest.raises(CheckpointVersionError, match="format v8"):
+                LiveSimulationService.resume(str(path))
+
+    def test_v9_checkpoint_is_refused(self, tmp_path):
+        """A v9 body is a ``{"spec": ..., "payload": {"service": ...}}``
+        dict: the version gate must name the cause before the body-type
+        check could call the file foreign."""
+        for engine in ENGINES:
+            path = tmp_path / f"v9-{engine}.ckpt"
+            service = _saved(engine, path)
+            header, _ = _checkpoint_parts(path)
+            _write_checkpoint(path, {**header, "format_version": 9},
+                              pickle.dumps({"spec": service.spec,
+                                            "payload": {"service": service}}))
+            with pytest.raises(CheckpointVersionError, match="format v9"):
                 LiveSimulationService.resume(str(path))
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
@@ -345,7 +369,7 @@ class TestCheckpointContainer:
         router = service.fluid._router
         assert router._prev_result is not None
         assert router._cached_snapshot is not None
-        Counting(io.BytesIO()).dump(service.checkpoint().payload)
+        Counting(io.BytesIO()).dump(service)
         assert snapshots == []
         path = tmp_path / "fluid.ckpt"
         service.save(str(path))
@@ -365,17 +389,8 @@ class TestCheckpointContainer:
         """One patched header field of a valid checkpoint used to escape
         as ``ValueError`` / ``TypeError``, after the body was unpickled."""
         path = tmp_path / "patched.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=_small_spec(), engine="packet", time_s=1.0, payload={}))
-        whole = path.read_bytes()
-        header_start = len(CHECKPOINT_MAGIC) + 8
-        header_end = header_start + int.from_bytes(
-            whole[len(CHECKPOINT_MAGIC):header_start], "big")
-        header = json.loads(whole[header_start:header_end])
-        header[field] = value
-        raw = json.dumps(header).encode("utf-8")
-        path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "big")
-                         + raw + whole[header_end:])
+        _saved("packet", path, epochs=1)
+        _rewrite_header(path, **{field: value})
 
         def no_unpickling(stream):
             raise AssertionError("the body was unpickled")
@@ -384,11 +399,44 @@ class TestCheckpointContainer:
             with pytest.raises(CheckpointError, match=f"field '{field}'"):
                 read(str(path))
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda whole, start, length: whole[:start - 5],
+         "truncated checkpoint header"),
+        (lambda whole, start, length: whole[:start - 8]
+         + (0).to_bytes(8, "big") + whole[start:],
+         "implausible header length 0"),
+        (lambda whole, start, length: whole[:start - 8]
+         + (1 << 40).to_bytes(8, "big") + whole[start:],
+         "implausible header length"),
+        (lambda whole, start, length: whole[:start + length // 2],
+         "truncated checkpoint header"),
+        (lambda whole, start, length: whole[:start - 8]
+         + (5).to_bytes(8, "big") + b"{oops", "corrupt checkpoint header"),
+        (lambda whole, start, length: whole[:start - 8]
+         + (2).to_bytes(8, "big") + b"[]", "not a JSON object"),
+    ], ids=["length-cut", "length-zero", "length-huge", "header-cut",
+            "header-not-json", "header-not-object"])
+    def test_damaged_header_is_refused_before_unpickling(
+            self, tmp_path, monkeypatch, damage, message):
+        """Each way the header length or the JSON header can be damaged
+        is a ``CheckpointError`` naming it, before any unpickling."""
+        path = tmp_path / "damaged.ckpt"
+        _saved("packet", path)
+        whole = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        length = int.from_bytes(whole[start - 8:start], "big")
+        path.write_bytes(damage(whole, start, length))
+
+        def no_unpickling(stream):
+            raise AssertionError("the body was unpickled")
+        monkeypatch.setattr(pickle, "load", no_unpickling)
+        for read in (load_checkpoint, read_checkpoint_header):
+            with pytest.raises(CheckpointError, match=message):
+                read(str(path))
+
     def test_spec_mismatch_fails_clearly(self, tmp_path):
         path = tmp_path / "spec.ckpt"
-        spec = _small_spec()
-        save_checkpoint(str(path), Checkpoint(
-            spec=spec, engine="packet", time_s=0.0, payload={}))
+        spec = _saved("packet", path).spec
         other = spec.with_workload(_small_workload(seed=99))
         with pytest.raises(CheckpointSpecError,
                            match="different network spec"):
@@ -406,14 +454,11 @@ class TestCheckpointContainer:
         service = _make_service("fluid")
         service.advance_epoch(5)
         service.kernel = service.fluid.kernel = "reference"
-        ckpt = service.checkpoint()
-        legacy_header = dict(ckpt.header(), kernel="reference")
-        ckpt.header = lambda: legacy_header
         path = tmp_path / "legacy.ckpt"
-        save_checkpoint(str(path), ckpt)
+        service.save(str(path))
+        _rewrite_header(path, kernel="reference")
 
         assert read_checkpoint_header(str(path))["kernel"] == "reference"
-        assert "kernel" not in load_checkpoint(str(path)).header()
         restored = LiveSimulationService.resume(str(path))
         assert restored.clock_s == 5.0
         assert "kernel" not in restored.status()
@@ -424,9 +469,7 @@ class TestCheckpointContainer:
         """A file cut short inside the pickle used to surface as a raw
         ``EOFError`` / ``UnpicklingError``."""
         path = tmp_path / "cut.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=_small_spec(), engine="packet", time_s=0.0,
-            payload={"x": np.arange(1000)}))
+        _saved("packet", path)
         whole = path.read_bytes()
         for keep in (len(whole) - 1, len(whole) - 4000):
             path.write_bytes(whole[:keep])
@@ -439,7 +482,7 @@ class TestCheckpointContainer:
         """300 seeded mutations of a fluid-service checkpoint's body
         (bit flip / truncation / 8 random bytes): 16 used to escape as
         ``UnicodeDecodeError``, ``AttributeError`` (after the unpickle,
-        on ``body["spec"]`` or its fingerprint), ``ValueError``,
+        on the body's spec or its fingerprint), ``ValueError``,
         ``TypeError`` or ``MemoryError``.  A mutant may still load —
         detecting those needs a body checksum — but nothing other than a
         :class:`CheckpointError` may come back."""
@@ -484,12 +527,12 @@ class TestCheckpointContainer:
         TcpNewRenoFlow.__module__ = tcp.__name__
         TcpNewRenoFlow.__qualname__ = "TcpNewRenoFlow"
         path = tmp_path / "old.ckpt"
+        service = _make_service("packet")
         with monkeypatch.context() as patch:
             patch.setattr(tcp, "TcpNewRenoFlow", TcpNewRenoFlow,
                           raising=False)
-            save_checkpoint(str(path), Checkpoint(
-                spec=_small_spec(), engine="packet", time_s=0.0,
-                payload={"flows": [TcpNewRenoFlow()]}))
+            service.legacy_flows = [TcpNewRenoFlow()]
+            service.save(str(path))
             load_checkpoint(str(path))  # loadable while the class exists
         with pytest.raises(CheckpointError,
                            match="cannot be unpickled by this build.*"
@@ -505,7 +548,7 @@ class TestCheckpointContainer:
         assert with_faults.fingerprint() != _small_spec().fingerprint()
 
     def test_fingerprint_of_a_fixed_spec_is_pinned(self):
-        """Workload + faults (rain included), pinned for format v9 — the
+        """Workload + faults (rain included), pinned since format v9 — the
         explicit field record plus packed request arrays: checkpoints of
         one build must keep passing the spec gate of the next."""
         rain = FaultSchedule([FaultEvent.gsl_attenuation(2, 1.0, 6.0, 12.5)])
@@ -517,14 +560,12 @@ class TestCheckpointContainer:
 
     def test_header_hash_is_checked_against_the_pickled_spec(self,
                                                              tmp_path):
-        """``spec_hash=`` carries a loaded header's hash into the
-        container; the load recomputes it from the pickled spec, so a
-        wrong one cannot slip through."""
+        """The load recomputes the header's ``spec_hash`` from the
+        unpickled service's spec, so a wrong one cannot slip through."""
         path = tmp_path / "tampered.ckpt"
         for engine in ("packet", "fluid"):
-            save_checkpoint(str(path), Checkpoint(
-                spec=_small_spec(), engine=engine, time_s=0.0, payload={},
-                spec_hash="0" * 64))
+            _saved(engine, path)
+            _rewrite_header(path, spec_hash="0" * 64)
             with pytest.raises(CheckpointSpecError,
                                match="corrupt or tampered"):
                 load_checkpoint(str(path))
@@ -729,15 +770,19 @@ class TestSpecFingerprint:
         every checkpoint stamps the fingerprint of the spec it holds,
         a restored service's included."""
         service = _make_service("fluid")
-        first = service.checkpoint().spec_hash
+
+        def stamped():
+            return service.save(str(tmp_path / "x.ckpt"))["spec_hash"]
+
+        first = stamped()
         service.advance_epoch(2)
-        assert service.checkpoint().spec_hash == first
+        assert stamped() == first
         service.inject_fault(FaultEvent.satellite_outage(3, 4.0, 6.0))
-        faulted = service.checkpoint().spec_hash
+        faulted = stamped()
         assert faulted == service.spec.fingerprint()
         service.attach_workload(_small_workload(seed=5, start_s=3.0,
                                                 horizon_s=6.0))
-        attached = service.checkpoint().spec_hash
+        attached = stamped()
         assert attached == service.spec.fingerprint()
         assert len({first, faulted, attached}) == 3
         restored = _round_trip(service, tmp_path / "a.ckpt")
@@ -804,8 +849,8 @@ class TestRoundTripDeterminism:
 
         spec = lab_network("8x8")
 
-        def build():
-            sim = PacketSimulator(spec.build(), LinkConfig(
+        def build(network):
+            sim = PacketSimulator(network, LinkConfig(
                 isl_rate_bps=2e6, gsl_rate_bps=2e6,
                 isl_queue_packets=25, gsl_queue_packets=25))
             flows = [TcpFlow(src, (src + 3) % 6).install(sim)
@@ -825,22 +870,21 @@ class TestRoundTripDeterminism:
                             for device in sim.iter_devices()],
             }, sort_keys=True)
 
-        baseline_sim, baseline_flows = build()
+        baseline_sim, baseline_flows = build(spec.build())
         baseline_sim.run(1.5)
 
-        sim, flows = build()
-        sim.run(0.45)
+        # The body is a service, so the configured simulator and its
+        # flows ride in one.
+        service = LiveSimulationService(spec, horizon_s=1.5)
+        service.sim, service.flows = build(service.network)
+        service.advance_to(0.45)
         pending = {getattr(record[2], "func", record[2]).__name__
-                   for record in sim.scheduler._queue}
+                   for record in service.sim.scheduler._queue}
         assert pending >= {"_finish_transmission", "_receive", "_on_rto",
                            "_update"}
-        path = tmp_path / "pending.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=spec, engine="packet", time_s=sim.now,
-            payload={"sim": sim, "flows": flows}))
-        payload = load_checkpoint(str(path)).payload
-        payload["sim"].run(1.5)
-        assert outcome(payload["sim"], payload["flows"]) == outcome(
+        restored = _round_trip(service, tmp_path / "pending.ckpt")
+        restored.run_to_horizon()
+        assert outcome(restored.sim, restored.flows) == outcome(
             baseline_sim, baseline_flows)
         assert baseline_sim.stats.packets_dropped_queue > 0
 
@@ -926,9 +970,7 @@ class TestRandomBoundaryProperty:
         service.advance_epoch(epoch)
         # In-memory pickle round trip == file round trip (same bytes
         # path), without hypothesis needing a per-example tmp dir.
-        blob = pickle.dumps(service.checkpoint())
-        restored = LiveSimulationService.from_checkpoint(
-            pickle.loads(blob))
+        restored = pickle.loads(pickle.dumps(service))
         restored.run_to_horizon()
         assert _report_json(restored) == expected_report
         assert np.array_equal(restored.fct_values(), expected_fct,
@@ -1057,6 +1099,28 @@ class TestLiveMutation:
         assert service.advance_epoch()["time_s"] == boundary
         assert service.advance_epoch(2)["time_s"] == boundary + 2.0
 
+    def test_attach_after_an_unpickle_gets_fresh_flow_ids(self,
+                                                          monkeypatch):
+        """Unpickling a packet service pushes the flow-id allocator past
+        every restored flow, so a workload attached afterwards cannot
+        collide with one — also in a process whose allocator restarted
+        at 1, as a resuming one does."""
+        import itertools
+
+        import repro.transport.base as base
+        service = _make_service("packet")
+        service.advance_epoch(3)
+        blob = pickle.dumps(service)
+        monkeypatch.setattr(base, "_flow_ids", itertools.count(1))
+        restored = pickle.loads(blob)
+        before = {flow for _, flow in restored.sim._handlers}
+        restored.attach_workload(_small_workload(seed=5, start_s=4.0,
+                                                 horizon_s=4.0))
+        added = {flow for _, flow in restored.sim._handlers} - before
+        assert len(added) == 24
+        assert min(added) > max(before)
+        restored.run_to_horizon()
+
     def test_attach_then_checkpoint_round_trip(self, tmp_path):
         """Mutations compose with the checkpoint contract: mutate,
         checkpoint, restore, finish == mutate and never stop."""
@@ -1128,23 +1192,26 @@ class TestOutOfRangeGids:
 
 
 class TestSweepWarmStart:
-    """``from_checkpoint`` refuses payloads it did not write (the class
-    keeps the name it had while sweep checkpoints existed, so the test id
-    is stable)."""
+    """A load refuses a body that is not a service (the class keeps the
+    name it had while sweep checkpoints existed, so the test id is
+    stable)."""
 
     def test_sweep_checkpoint_rejects_service_resume(self, tmp_path):
-        spec = _small_spec()
         path = tmp_path / "foreign.ckpt"
-        save_checkpoint(str(path), Checkpoint(
-            spec=spec, engine="fluid", time_s=3.0,
-            payload={"next_index": 3, "prefix": {}}))
-        with pytest.raises(CheckpointError, match="not a live service"):
-            LiveSimulationService.resume(str(path))
-        # A damaged body can leave any object where the payload dict was.
-        damaged = Checkpoint(spec=spec, engine="packet", time_s=0.0,
-                             payload=["service"])
-        with pytest.raises(CheckpointError, match="payload is a 'list'"):
-            LiveSimulationService.from_checkpoint(damaged)
+        _saved("fluid", path, epochs=3)
+        header, _ = _checkpoint_parts(path)
+        # A sweep warm-start payload, and what a damaged body can leave;
+        # the type is checked before the (here wrong) spec hash.
+        for body, spec_hash in (({"next_index": 3, "prefix": {}},
+                                 header["spec_hash"]),
+                                (["service"], "0" * 64)):
+            _write_checkpoint(path, {**header, "spec_hash": spec_hash},
+                              pickle.dumps(body))
+            name = type(body).__name__
+            with pytest.raises(CheckpointError,
+                               match=f"body is a '{name}', not a live "
+                                     f"service"):
+                LiveSimulationService.resume(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -1204,6 +1271,26 @@ class TestServerClient:
         # The checkpoint written over the wire restores like any other.
         restored = LiveSimulationService.resume(str(tmp_path / "live.ckpt"))
         assert restored.clock_s == 3.0
+
+    def test_a_refused_flow_size_leaves_checkpoints_working(self, tmp_path):
+        """A size past int64 used to be accepted by ``attach_workload``,
+        after which every save raised ``OverflowError`` in the spec
+        fingerprint.  Now the request itself is refused."""
+        huge = {"seed": 0, "flows": [{
+            "t_start_s": 5.0, "src_gid": 0, "dst_gid": 1,
+            "size_bytes": 2 ** 70}]}
+        service = _make_service("fluid")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client.advance(2)
+                with pytest.raises(ServiceClientError, match="64 bits"):
+                    client.command("attach_workload", workload=huge)
+                for name in ("a.ckpt", "b.ckpt"):
+                    header = client.checkpoint(str(tmp_path / name))
+                    assert header["time_s"] == 2.0
+                client.stop()
+        restored = LiveSimulationService.resume(str(tmp_path / "b.ckpt"))
+        assert restored.spec == _make_service("fluid").spec
 
     def test_checkpoint_into_a_missing_directory_is_answered(self,
                                                              tmp_path):

@@ -295,10 +295,10 @@ class TestCli:
         trace = tmp_path / "trace.json"
         report = tmp_path / "report.json"
         metrics = tmp_path / "metrics.json"
-        code = main(["profile", "S1", "New York", "London",
+        code = main(["report", "S1", "New York", "London",
                      "--engine", "maxmin", "--duration", "4",
-                     "--step", "2", "-o", str(trace),
-                     "--report-out", str(report),
+                     "--step", "2", "--profile-out", str(trace),
+                     "-o", str(report),
                      "--metrics-out", str(metrics)])
         assert code == 0
         _assert_ambient_is_null()  # profiler must not leak past the run

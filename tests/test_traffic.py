@@ -149,6 +149,34 @@ class TestFlowRequest:
         request = FlowRequest(1.5, 2, 3, 4096)
         assert FlowRequest.from_dict(request.as_dict()) == request
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("src_gid", 0.7, "src_gid must be an integer"),
+        ("dst_gid", True, "dst_gid must be an integer"),
+        ("size_bytes", 1.9, "size_bytes must be an integer"),
+        ("size_bytes", "5", "size_bytes must be an integer"),
+        ("size_bytes", 2 ** 70, "must fit in 64 bits"),
+        ("src_gid", 2 ** 63, "must fit in 64 bits"),
+    ])
+    def test_from_dict_refuses_what_it_used_to_truncate(self, field, value,
+                                                        message):
+        """``from_dict`` ran every integer field through ``int()``:
+        gid 0.7 became 0, size 1.9 became 1.  A size past int64 was
+        accepted, and broke every later fingerprint of a spec holding
+        it."""
+        record = dict(FlowRequest(1.5, 2, 3, 4096).as_dict(),
+                      **{field: value})
+        with pytest.raises(ValueError, match=message):
+            FlowRequest.from_dict(record)
+
+    def test_integral_floats_are_integers(self):
+        """JSON may spell 3 as 3.0; the request holds the int."""
+        request = FlowRequest.from_dict({"t_start_s": 0.0, "src_gid": 2.0,
+                                         "dst_gid": 3, "size_bytes": 4096.0})
+        assert request == FlowRequest(0.0, 2, 3, 4096)
+        assert type(request.src_gid) is type(request.size_bytes) is int
+        assert FlowRequest(0.0, 0, 1, (1 << 63) - 1).size_bytes == (
+            (1 << 63) - 1)
+
 
 class TestWorkloadSchedule:
     def _schedule(self):
