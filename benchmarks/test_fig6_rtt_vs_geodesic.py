@@ -39,9 +39,10 @@ def test_fig6_max_rtt_over_geodesic(benchmark):
                     f"geodesic: {np.mean(ratio < 2.0):.3f}")
 
     # Shape assertions (paper §5.1): the geodesic is a hard lower bound
-    # and the bulk of pairs sit under 2x it for every constellation.
+    # and, as in the paper, more than 80 % of pairs sit under 2x it for
+    # every constellation.
     for shell in SHELLS:
-        assert np.mean(ratios[shell] < 2.0) > 0.6, shell
+        assert np.mean(ratios[shell] < 2.0) > 0.8, shell
         assert (ratios[shell] >= 1.0).all(), "geodesic RTT is a lower bound"
     # The paper additionally orders the constellations T1 < K1 < S1 at the
     # median; that ordering is sensitive to inter-plane phasing details

@@ -18,6 +18,13 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   `bench-sweep` speedup gate, the throughput thresholds are only
   enforced on machines with >= 4 cores; the numbers are measured and
   reported everywhere.
+* **Step reuse is exact.**  A step re-walks only the class paths its
+  routing repair can have moved and keeps the rest from the step before.
+  The scale workload's first ``REUSE_STEPS`` 1 s steps must equal, bit
+  for bit in rates, loads and paths, the same steps with the simulation
+  and its state pickled and restored before each one — a restored step
+  has nothing to reuse and walks every row.  The rows walked per step go
+  to ``results/fluid_scale.txt``.
 * **The small-solve bound is measured.**  ``waterfill`` runs solves of
   at most ``SMALL_SOLVE_ENTRIES`` rows and traversal entries on Python
   scalars.  Both kernels are timed from 8 to 2048 entries on K1 path
@@ -28,6 +35,7 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
 """
 
 import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -38,7 +46,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro import Hypatia
-from repro.fluid.engine import (FluidFlow, FluidSimulation,
+from repro.fluid.engine import (DeviceIndex, FluidFlow, FluidSimulation,
                                 first_appearance_rows,
                                 flow_link_matrix_from_paths, path_devices)
 from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
@@ -58,6 +66,7 @@ MIN_SPEEDUP = 10.0
 MAX_SOLVE_S = 2.0  # "interactive speed": one snapshot allocation budget
 SPEEDUP_CORES = 4
 SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+REUSE_STEPS = 6
 
 _CACHE = {}
 
@@ -95,7 +104,41 @@ def _gravity_paths():
         _CACHE["flow_class"] = state.flow_class[routed]
         _CACHE["num_sats"] = hypatia.network.num_satellites
         _CACHE["num_nodes"] = hypatia.network.num_nodes
+        _CACHE["network"], _CACHE["flows"] = hypatia.network, flows
     return _CACHE
+
+
+def _reuse_run():
+    """The scale workload's first ``REUSE_STEPS`` 1 s steps, twice:
+    stepped as is, each step walking only the class rows whose path can
+    have moved, and with the simulation and its state pickled and
+    restored before every step, each step walking every row.  Returns
+    ``(reused, restored, walked)``: both results and the rows the first
+    run walked at each step, out of its class rows."""
+    if "reuse" not in _CACHE:
+        cache = _gravity_paths()
+
+        def simulation():
+            return FluidSimulation(cache["network"], cache["flows"],
+                                   link_capacity_bps=LINK_CAPACITY_BPS)
+
+        reused = simulation()
+        state = reused.start_run(float(REUSE_STEPS))
+        walked = []
+        for _ in range(REUSE_STEPS):
+            reused.advance(state, max_steps=1)
+            walk = reused._last_step.walk
+            walked.append((int(np.count_nonzero(~walk.kept)),
+                           len(walk.kept)))
+        restored = simulation()
+        restored_state = restored.start_run(float(REUSE_STEPS))
+        for _ in range(REUSE_STEPS):
+            restored, restored_state = pickle.loads(
+                pickle.dumps((restored, restored_state)))
+            restored.advance(restored_state, max_steps=1)
+        _CACHE["reuse"] = (reused.finish(state),
+                           restored.finish(restored_state), walked)
+    return _CACHE["reuse"]
 
 
 def _matrix(cache, rows):
@@ -103,7 +146,7 @@ def _matrix(cache, rows):
     each), as the engine's step builds it."""
     return flow_link_matrix_from_paths(
         cache["table"][rows], cache["counts"][rows], cache["num_sats"],
-        cache["num_nodes"], _uniform_capacities)[0]
+        DeviceIndex(cache["num_nodes"]), _uniform_capacities)[0]
 
 
 def _uniform_capacities(keys):
@@ -205,7 +248,10 @@ def test_gravity_scale():
         f"max_solve_s           {MAX_SOLVE_S:10.2f}",
         f"bit_identical         {'yes':>10}",
         f"thresholds_enforced   {('yes' if capable else 'no'):>10}",
-    ]
+        "# step reuse: class rows walked per 1 s step, of "
+        f"{_reuse_run()[2][0][1]} (the first step walks every row)",
+    ] + [f"rows_walked_step_{step}     {walked:10d}"
+         for step, (walked, _) in enumerate(_reuse_run()[2])]
     write_result("fluid_scale", rows)
 
     assert len(paths) >= NUM_FLOWS, "scale gate lost workload rows"
@@ -218,6 +264,20 @@ def test_gravity_scale():
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized kernel reached only {speedup:.1f}x over the "
         f"Python solver (gate {MIN_SPEEDUP:.0f}x)")
+
+
+def test_step_reuse_equals_a_cold_walk_every_step():
+    """Reusing the previous step's rows, walk and tuples is exact: the
+    reused run equals, bit for bit, the one restored from a pickle
+    before every step — which walks every row — and reuse walked fewer
+    rows than a cold walk on every step after the first."""
+    reused, restored, walked = _reuse_run()
+    assert np.array_equal(reused.flow_rates_bps, restored.flow_rates_bps)
+    assert ([list(loads.items()) for loads in reused.device_load_bps]
+            == [list(loads.items()) for loads in restored.device_load_bps])
+    assert reused.flow_paths == restored.flow_paths
+    assert walked[0][0] == walked[0][1]
+    assert all(rows < total for rows, total in walked[1:])
 
 
 def _best_us(solve, repeats):

@@ -42,8 +42,7 @@ from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..topology.network import LeoNetwork
 from .engine import (ClassPaths, FluidFlow, FluidRunState, FluidSimulation,
-                     decode_device, first_appearance_columns, no_flows,
-                     table_devices)
+                     first_appearance_columns, no_flows, table_devices)
 
 __all__ = ["AimdFluidSimulation", "AimdRunState"]
 
@@ -208,12 +207,11 @@ class AimdFluidSimulation(FluidSimulation):
         codes = row_codes[np.repeat(row_start[flow_rows] - flow_start,
                                     hop_counts)
                           + np.arange(int(hop_counts.sum()))]
-        columns, dev_codes = first_appearance_columns(
-            np.concatenate([codes, state.backlog_codes]))
+        columns, dev_codes, dev_keys = first_appearance_columns(
+            np.concatenate([codes, state.backlog_codes]), step.devices)
         ent_flow = np.repeat(np.arange(num_flows), hop_counts)
         ent_col = columns[:codes.size]
         num_devs = dev_codes.size
-        dev_keys = [decode_device(code, num_nodes) for code in dev_codes]
         backlog = np.zeros(num_devs)
         backlog[columns[codes.size:]] = state.backlog_bits
         dev_cap_dt = np.full(num_devs, capacity * dt)

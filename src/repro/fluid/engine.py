@@ -26,20 +26,22 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 from math import isfinite
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport, fct_summary, fluid_run_report
-from ..routing.engine import PathRows, path_tuples
+from ..routing.engine import UNREACHABLE, PathWalk, path_tuples
 from ..topology.dynamic_state import make_routing_engine, snapshot_times
 from ..topology.network import LeoNetwork
 from .vectorized import FlowLinkMatrix, waterfill
 
-__all__ = ["ClassPaths", "FluidFlow", "FluidResult", "FluidRunState",
-           "FluidSimulation", "path_devices", "table_devices",
+__all__ = ["ClassPaths", "DeviceIndex", "FluidFlow", "FluidResult",
+           "FluidRunState", "FluidSimulation", "path_devices",
+           "table_devices",
            "decode_device", "first_appearance_columns",
            "flow_link_matrix_from_paths"]
 
@@ -150,31 +152,119 @@ def decode_device(code: int, num_nodes: int) -> Hashable:
     return ("gsl", code - num_nodes * num_nodes)
 
 
-def first_appearance_columns(codes: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
+#: Fibonacci hashing: 2**64 over the golden ratio; a code's home slot is
+#: the top bits of its product with this, modulo 2**64.
+_FIBONACCI_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+class DeviceIndex:
+    """Every device code a simulation's paths have crossed, each in its
+    own slot of an open-addressing hash table, with its decoded key.
+
+    A slot is a compact per-device index: the table keeps at least
+    four slots per device and stays far below the ``N*N + N`` code
+    space of :func:`table_devices`, so :func:`first_appearance_columns`
+    numbers a step's codes with one scatter-min over slots instead of a
+    sort, and each device's key is decoded once per simulation instead
+    of once per step.
+
+    Args:
+        num_nodes: Total node count of the encoding (satellites plus
+            ground stations).
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.num_nodes = num_nodes
+        #: Per slot the code it holds; -1 while empty.
+        self._codes = np.full(16, -1, dtype=np.int64)
+        self._keys: List[Hashable] = [None] * 16
+
+    @property
+    def size(self) -> int:
+        """Number of slots (every slot index lies below it)."""
+        return len(self._codes)
+
+    def slots(self, codes: np.ndarray) -> np.ndarray:
+        """Each code's slot, adding the codes not seen before."""
+        codes = np.asarray(codes, dtype=np.int64)
+        slots, missing = self._probe(codes)
+        if missing.any():
+            fresh = np.unique(codes[missing])
+            known = self._codes[self._codes != -1]
+            if 4 * (known.size + fresh.size) > self.size:
+                # Rehash into a table four times the devices: every slot
+                # moves.
+                size = 4 * (known.size + fresh.size)
+                self._codes = np.full(1 << size.bit_length(), -1,
+                                      dtype=np.int64)
+                self._keys = [None] * len(self._codes)
+                self._insert(np.concatenate([known, fresh]))
+                return self._probe(codes)[0]
+            self._insert(fresh)
+            slots[missing] = self._probe(codes[missing])[0]
+        return slots
+
+    def keys(self, slots: np.ndarray) -> List[Hashable]:
+        """The :func:`path_devices`-style keys of the devices in ``slots``."""
+        keys = self._keys
+        return [keys[slot] for slot in slots.tolist()]
+
+    def _probe(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, missing)``: each code's slot — for a code not in the
+        table, the empty slot its linear probe ends at — and which codes
+        are not in the table."""
+        # Codes are non-negative: their int64 bits are their uint64 ones.
+        slots = codes.view(np.uint64) * _FIBONACCI_HASH
+        slots >>= np.uint64(65 - self.size.bit_length())
+        slots = slots.view(np.int64)
+        held = self._codes[slots]
+        missing = held == -1
+        probing = np.flatnonzero(~missing & (held != codes))
+        while probing.size:
+            slots[probing] = (slots[probing] + 1) & (self.size - 1)
+            held = self._codes[slots[probing]]
+            missing[probing[held == -1]] = True
+            probing = probing[(held != codes[probing]) & (held != -1)]
+        return slots, missing
+
+    def _insert(self, codes: np.ndarray) -> None:
+        """Add distinct codes that are not in the table yet."""
+        while codes.size:
+            # Codes whose probes end at one empty slot: the first takes
+            # it, the others probe on next round.
+            taken, first = np.unique(self._probe(codes)[0],
+                                     return_index=True)
+            self._codes[taken] = codes[first]
+            for slot, code in zip(taken.tolist(), codes[first].tolist()):
+                self._keys[slot] = decode_device(code, self.num_nodes)
+            codes = np.delete(codes, first)
+
+
+def first_appearance_columns(codes: np.ndarray, devices: DeviceIndex
+                             ) -> Tuple[np.ndarray, np.ndarray,
+                                        List[Hashable]]:
     """Number the distinct device codes in first-appearance order.
 
-    Returns ``(columns, column_codes)``: each entry's column, and the
-    code each column stands for — the order a dict keyed by device
-    would have after inserting ``codes`` one by one.
+    A scatter-min over the codes' slots in ``devices``
+    (:func:`first_appearance_rows`), with no sort of the codes.
+
+    Returns ``(columns, column_codes, keys)``: each entry's column, and
+    the code and decoded key each column stands for — the order a dict
+    keyed by device would have after inserting ``codes`` one by one.
     """
-    if not codes.size:
-        return codes, codes
-    uniq, first_pos, inverse = np.unique(
-        codes, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    return rank[inverse.reshape(-1)], uniq[order]
+    slots = devices.slots(codes)
+    columns, first = first_appearance_rows(slots, devices.size)
+    return columns, codes[first], devices.keys(slots[first])
 
 
 def first_appearance_rows(ids: np.ndarray, num_ids: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`first_appearance_columns` for small dense ids, sort-free.
+    """Number small dense ids in first-appearance order, sort-free.
 
-    ``ids`` lie in ``[0, num_ids)`` (flow classes, matrix rows), so one
-    scatter-min over a ``num_ids`` table finds every id's first position
-    in O(len(ids)) — this runs over every candidate flow each step.
+    ``ids`` lie in ``[0, num_ids)`` (flow classes, matrix rows, device
+    slots), so one scatter-min over a ``num_ids`` table finds every id's
+    first position in O(len(ids)) — this runs over every candidate flow
+    and every traversal each step.
 
     Returns ``(rows, first)``: each entry's row in first-appearance
     order, and the position in ``ids`` where each row first appears.
@@ -190,7 +280,7 @@ def first_appearance_rows(ids: np.ndarray, num_ids: int
 
 def flow_link_matrix_from_paths(
         table: np.ndarray, counts: np.ndarray, num_satellites: int,
-        num_nodes: int, capacities_of
+        devices: DeviceIndex, capacities_of
         ) -> Tuple["FlowLinkMatrix", np.ndarray]:
     """Build one snapshot's flows-on-links CSR from a path table.
 
@@ -206,7 +296,8 @@ def flow_link_matrix_from_paths(
             :meth:`~repro.routing.engine.RoutingEngine.path_table`
             returns them (count 0 for disconnected rows).
         num_satellites: Node-numbering split point.
-        num_nodes: Total node count (satellites + ground stations).
+        devices: The device index the columns are numbered in (its
+            ``num_nodes`` is the encoding's).
         capacities_of: Callable mapping the list of device keys (one per
             matrix column) to their capacities (bps), all at once.
 
@@ -215,11 +306,10 @@ def flow_link_matrix_from_paths(
         device count (0 marks disconnected rows).
     """
     codes, hop_counts = table_devices(table, counts, num_satellites,
-                                      num_nodes)
+                                      devices.num_nodes)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(hop_counts, out=indptr[1:])
-    link_index, step_codes = first_appearance_columns(codes)
-    keys = [decode_device(code, num_nodes) for code in step_codes]
+    link_index, _, keys = first_appearance_columns(codes, devices)
     matrix = FlowLinkMatrix(keys, capacities_of(keys), indptr, link_index)
     return matrix, hop_counts
 
@@ -240,6 +330,12 @@ class ClassPaths:
             :meth:`~repro.routing.engine.RoutingEngine.path_table`
             returns them (count 0: no path).
         paths: (R,) the same paths as node tuples (``None``: no path).
+        devices: The simulation's device index, which numbers the
+            step's matrix columns.
+        previous: When the step has the previous step's candidates and
+            rows: that step's :meth:`flow_paths` and which rows kept
+            their tuple since; None otherwise.
+        recorded: What :meth:`flow_paths` returned, once called.
     """
 
     candidates: np.ndarray
@@ -248,6 +344,10 @@ class ClassPaths:
     table: np.ndarray
     counts: np.ndarray
     paths: List[Optional[Tuple[int, ...]]]
+    devices: DeviceIndex
+    previous: Optional[Tuple[List[Optional[Tuple[int, ...]]],
+                             np.ndarray]] = None
+    recorded: Optional[List[Optional[Tuple[int, ...]]]] = None
 
     def flow_rows(self, num_flows: int) -> np.ndarray:
         """(F,) each flow's row; the extra row ``R`` off the candidates."""
@@ -256,10 +356,34 @@ class ClassPaths:
         return rows
 
     def flow_paths(self, num_flows: int) -> List[Optional[Tuple[int, ...]]]:
-        """Per flow its row's path tuple, ``None`` off the candidates."""
-        row_paths = np.fromiter(chain(self.paths, [None]), dtype=object,
-                                count=len(self.paths) + 1)
-        return row_paths[self.flow_rows(num_flows)].tolist()
+        """Per flow its row's path tuple, ``None`` off the candidates:
+        a copy of the previous step's list with the flows of moved rows
+        replaced, when the step has ``previous``."""
+        if self.previous is not None and len(self.previous[0]) == num_flows:
+            last_paths, kept = self.previous
+            paths = list(last_paths)
+            moved = np.flatnonzero(~kept[self.row_of_cand])
+            row_paths = self.paths
+            for flow, row in zip(self.candidates[moved].tolist(),
+                                 self.row_of_cand[moved].tolist()):
+                paths[flow] = row_paths[row]
+        else:
+            row_paths = np.fromiter(chain(self.paths, [None]), dtype=object,
+                                    count=len(self.paths) + 1)
+            paths = row_paths[self.flow_rows(num_flows)].tolist()
+        self.previous, self.recorded = None, paths
+        return paths
+
+
+class _LastStep(NamedTuple):
+    """What one step leaves for the next (see
+    :meth:`FluidSimulation._step_paths`): its paths, each row's flow
+    class, and its walk (None without candidates or when the topology is
+    frozen)."""
+
+    step: ClassPaths
+    classes: np.ndarray
+    walk: Optional[PathWalk]
 
 
 @dataclass
@@ -506,38 +630,23 @@ class FluidSimulation:
         self._class_pairs = np.empty((0, 2), dtype=np.int64)
         #: Sorted destination gids of every class.
         self._destinations: List[int] = []
-        #: ``(classes, (table, counts, tuples))`` of the previous step's
-        #: rows (see :meth:`_path_tuples`); None before the first.
-        self._last_step: Optional[Tuple[np.ndarray, PathRows]] = None
+        #: What the previous step left for the next (see
+        #: :meth:`_step_paths`); None before the first.
+        self._last_step: Optional[_LastStep] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        # The last step's tuples only save time: a restored run cuts its
-        # first step's anew.
+        # The last step only saves time: a restored run walks its first
+        # step's rows afresh and cuts their tuples anew.
         state = dict(vars(self))
         state["_last_step"] = None
         return state
 
-    def _path_tuples(self, classes: np.ndarray, table: np.ndarray,
-                     counts: np.ndarray) -> List[Optional[Tuple[int, ...]]]:
-        """The rows' paths as node tuples (``None``: no path); a class
-        whose path is the one it had in the previous step keeps that
-        step's tuple (:func:`~repro.routing.engine.path_tuples`)."""
-        previous = previous_row = None
-        if self._last_step is not None:
-            last_classes, previous = self._last_step
-            previous_row = np.full(len(self._class_of), -1, dtype=np.int64)
-            previous_row[last_classes] = np.arange(len(last_classes))
-            previous_row = previous_row[classes]
-        paths = path_tuples(table, counts, previous, previous_row)
-        self._last_step = (classes, (table, counts, paths))
-        return paths
-
-    def _class_table(self, time_s: float, classes: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The path table of flow classes ``classes`` at ``time_s``:
-        ``(table, counts)`` as
-        :meth:`~repro.routing.engine.RoutingEngine.path_table` returns
-        them, one row per class.
+    def _class_walk(self, time_s: float, classes: np.ndarray,
+                    previous: Optional[PathWalk]) -> PathWalk:
+        """The path walk of flow classes ``classes`` at ``time_s``, one
+        row per class
+        (:meth:`~repro.routing.engine.RoutingEngine.path_table`, given
+        ``previous``: an earlier walk of the same classes, or None).
 
         The router solves every known class's destination, sorted: the
         set then only changes when a flow brings a new destination, so
@@ -545,35 +654,72 @@ class FluidSimulation:
         solving afresh.  Each tree is independent of the others, so the
         extra rows change no bit of the ones read.
         """
-        if not classes.size:
-            return (np.empty((0, 1), dtype=np.int64),
-                    np.zeros(0, dtype=np.int64))
         snapshot = self.network.snapshot(time_s)
         multi = self._router.route_to_many(snapshot, self._destinations)
-        table, counts, _ = self._router.path_table(
-            multi, snapshot, self._class_pairs[classes])
-        return table, counts
+        return self._router.path_table(multi, snapshot,
+                                       self._class_pairs[classes], previous)
 
     def _step_paths(self, state: "FluidRunState", time_s: float,
                     candidates: np.ndarray) -> ClassPaths:
         """The step's paths: one row per class among ``candidates``, in
         first-candidate order, routed at ``time_s`` (read from the
-        static baseline's table when the topology is frozen)."""
-        row_of_cand, first = first_appearance_rows(
-            state.flow_class[candidates], len(self._class_of))
-        lead = candidates[first]
-        classes = state.flow_class[lead]
-        if state.frozen_table is None:
-            profiler = spans.ACTIVE
-            span = profiler.begin("fluid.paths") if profiler.enabled else -1
-            table, counts = self._class_table(time_s, classes)
-            if span != -1:
-                profiler.end(span)
+        static baseline's table when the topology is frozen).
+
+        Only what changed since the previous step is recomputed: its
+        rows stand while the candidates are the same flows, its walk is
+        the previous walk of every class it routed (the walk then
+        re-walks only rows whose path can have moved), and a kept row
+        keeps its node tuple.  A class the previous step did not route
+        is walked afresh; a frozen class's row never moves.
+        """
+        last = self._last_step
+        if last is not None and np.array_equal(last.step.candidates,
+                                               candidates):
+            candidates, row_of_cand, lead = (last.step.candidates,
+                                             last.step.row_of_cand,
+                                             last.step.lead)
+            classes = last.classes
+            previous_row = None  # row i is row i of the last step
         else:
+            row_of_cand, first = first_appearance_rows(
+                state.flow_class[candidates], len(self._class_of))
+            lead = candidates[first]
+            classes = state.flow_class[lead]
+            row_in_last = np.full(len(self._class_of), -1, dtype=np.int64)
+            if last is not None:
+                row_in_last[last.classes] = np.arange(len(last.classes))
+            previous_row = row_in_last[classes]
+        walk = None
+        if state.frozen_table is not None:
             table = state.frozen_table[classes]
             counts = state.frozen_counts[classes]
-        return ClassPaths(candidates, row_of_cand, lead, table, counts,
-                          self._path_tuples(classes, table, counts))
+            kept = (np.ones(len(classes), dtype=bool) if previous_row is None
+                    else previous_row >= 0)
+        elif not classes.size:
+            table = np.full((0, 1), UNREACHABLE, dtype=np.int64)
+            counts = np.zeros(0, dtype=np.int64)
+            kept = np.zeros(0, dtype=bool)
+        else:
+            previous = None if last is None else last.walk
+            if previous is not None and previous_row is not None:
+                previous = previous.take(previous_row)
+            profiler = spans.ACTIVE
+            span = profiler.begin("fluid.paths") if profiler.enabled else -1
+            walk = self._class_walk(time_s, classes, previous)
+            if span != -1:
+                profiler.end(span)
+            table, counts, kept = walk.table, walk.counts, walk.kept
+        step = ClassPaths(
+            candidates, row_of_cand, lead, table, counts,
+            path_tuples(table, counts, kept,
+                        None if last is None else last.step.paths,
+                        previous_row),
+            (DeviceIndex(self.network.num_nodes) if last is None
+             else last.step.devices))
+        if previous_row is None and last.step.recorded is not None:
+            step.previous = (last.step.recorded, kept)
+        self._last_step = _LastStep(step, classes, walk)
+        return step
 
     def run(self, duration_s: float, step_s: float = 1.0) -> FluidResult:
         """Simulate ``duration_s`` at ``step_s`` granularity.
@@ -620,14 +766,14 @@ class FluidSimulation:
         self.flows.extend(flows)
         first = len(state.starts)
         new = self.flows[first:]
-        starts = np.array([flow.start_s for flow in new])
+        starts = np.array([flow.start_s for flow in new], dtype=float)
         offered_bits = np.array([
-            flow.size_bytes * 8.0 if flow.size_bytes is not None else np.inf
-            for flow in new])
+            np.inf if flow.size_bytes is None else flow.size_bytes
+            for flow in new], dtype=float) * 8.0
         # Invariant per-flow rate caps, hoisted out of the sub-event loop
         # (elastic flows capped far above any device capacity).
         demand_caps = np.minimum(
-            np.array([flow.demand_bps for flow in new]),
+            np.array([flow.demand_bps for flow in new], dtype=float),
             _ELASTIC_DEMAND_CAPACITIES * self.link_capacity_bps)
         state.starts = np.concatenate([state.starts, starts])
         state.offered_bits = np.concatenate([state.offered_bits,
@@ -639,15 +785,11 @@ class FluidSimulation:
         state.fct_s = np.concatenate([state.fct_s,
                                       np.full(len(new), np.nan)])
         state.demand_caps = np.concatenate([state.demand_caps, demand_caps])
-        class_of = self._class_of
-        state.flow_class = np.concatenate([state.flow_class, np.array(
-            [class_of.setdefault(((flow.src_gid, flow.dst_gid), cap),
-                                 len(class_of))
-             for flow, cap in zip(new, demand_caps.tolist())],
-            dtype=np.int32)])
-        self._class_pairs = np.array([pair for pair, _ in class_of],
-                                     dtype=np.int64).reshape(-1, 2)
-        self._destinations = sorted(set(self._class_pairs[:, 1].tolist()))
+        state.flow_class = np.concatenate([state.flow_class, self._classes(
+            np.array([flow.src_gid for flow in new], dtype=np.int64),
+            np.array([flow.dst_gid for flow in new], dtype=np.int64),
+            demand_caps)])
+        self._destinations = np.unique(self._class_pairs[:, 1]).tolist()
         rates = np.zeros((len(state.times), len(self.flows)))
         rates[:, :first] = state.rates
         state.rates = rates
@@ -656,9 +798,41 @@ class FluidSimulation:
         state.dynamic = bool(state.dynamic or (starts > 0.0).any()
                              or np.isfinite(offered_bits).any())
         if self.freeze_topology_at_s is not None:
-            state.frozen_table, state.frozen_counts = self._class_table(
-                self.freeze_topology_at_s, np.arange(len(class_of)))
+            walk = self._class_walk(self.freeze_topology_at_s,
+                                    np.arange(len(self._class_of)), None)
+            state.frozen_table, state.frozen_counts = walk.table, walk.counts
         return first
+
+    def _classes(self, src: np.ndarray, dst: np.ndarray, caps: np.ndarray
+                 ) -> np.ndarray:
+        """The int32 class id of each new flow, adding its class where
+        it has none yet.
+
+        The distinct ``(src, dst, cap)`` triples, in first-flow order,
+        go through ``_class_of`` one each: a known triple keeps its id,
+        a new one takes the next — the ids a per-flow ``setdefault``
+        would give.
+        """
+        if not src.size:
+            return np.zeros(0, dtype=np.int32)
+        low = min(src.min(), dst.min())
+        span = max(src.max(), dst.max()) - low + 1
+        cap_values, cap_of = np.unique(caps, return_inverse=True)
+        triples, triple_of = np.unique(
+            ((src - low) * span + dst - low) * len(cap_values) + cap_of,
+            return_inverse=True)
+        rank, leads = first_appearance_rows(triple_of, len(triples))
+        class_of = self._class_of
+        known = len(class_of)
+        ids = np.array([class_of.setdefault(((s, d), cap), len(class_of))
+                        for s, d, cap in zip(src[leads].tolist(),
+                                             dst[leads].tolist(),
+                                             caps[leads].tolist())],
+                       dtype=np.int32)
+        added = leads[ids >= known]
+        self._class_pairs = np.concatenate([
+            self._class_pairs, np.column_stack([src[added], dst[added]])])
+        return ids[rank]
 
     def advance(self, state: FluidRunState,
                 max_steps: Optional[int] = None) -> FluidRunState:
@@ -753,7 +927,7 @@ class FluidSimulation:
         build_span = (profiler.begin("fluid.matrix_build")
                       if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
-            step.table, step.counts, self._num_sats, self.network.num_nodes,
+            step.table, step.counts, self._num_sats, step.devices,
             lambda keys: self._device_capacities(keys, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)
@@ -805,8 +979,9 @@ class FluidSimulation:
         crossed = np.zeros(matrix.num_links, dtype=bool)
         crossed[matrix.link_index[np.repeat(
             members > 0, np.diff(matrix.indptr))]] = True
-        loads = {keys[j]: float(load_arr[j])
-                 for j in np.flatnonzero(crossed)}
+        crossed = np.flatnonzero(crossed)
+        loads = dict(zip(map(keys.__getitem__, crossed.tolist()),
+                         load_arr[crossed].tolist()))
         state.rates[t_index, global_active] = allocated
         self._record_snapshot(state, t_index, time_s, step, loads,
                               active_count=len(active))
@@ -821,10 +996,10 @@ class FluidSimulation:
         if dt > 0.0 and active.size:
             positive = allocated > 0.0
             g_pos = global_active[positive]
-            served = np.minimum(allocated[positive] * dt,
-                                residual_bits[g_pos])
+            res_pos = res_act[positive]
+            served = np.minimum(allocated[positive] * dt, res_pos)
             delivered_bits[g_pos] += served
-            finite = np.isfinite(residual_bits[g_pos])
+            finite = np.isfinite(res_pos)
             g_fin = g_pos[finite]
             residual_bits[g_fin] -= served[finite]
             completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS

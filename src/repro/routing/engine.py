@@ -62,8 +62,9 @@ from ..topology.gsl import GslEdges
 from ..topology.network import LeoNetwork, TopologySnapshot
 
 __all__ = ["DestinationRouting", "MultiDestinationRouting",
-           "RoutingEngine", "RoutingPerfCounters", "UNREACHABLE",
-           "canonical_next_hops", "cut_paths", "path_tuples"]
+           "PathWalk", "RoutingEngine", "RoutingPerfCounters",
+           "UNREACHABLE", "canonical_next_hops", "cut_paths",
+           "path_tuples"]
 
 #: Marker used in next-hop arrays for "no route".
 UNREACHABLE = -1
@@ -120,52 +121,79 @@ def cut_paths(table: np.ndarray, counts: np.ndarray
                                   counts.tolist())]
 
 
-#: ``(table, counts, tuples)`` of one :func:`path_tuples` call, kept for
-#: the next.
-PathRows = Tuple[np.ndarray, np.ndarray, List[Optional[Tuple[int, ...]]]]
-
-
-def path_tuples(table: np.ndarray, counts: np.ndarray,
-                previous: Optional[PathRows] = None,
+def path_tuples(table: np.ndarray, counts: np.ndarray, kept: np.ndarray,
+                previous: Optional[Sequence[Optional[Tuple[int, ...]]]],
                 previous_row: Optional[np.ndarray] = None
                 ) -> List[Optional[Tuple[int, ...]]]:
     """The node tuples of a :meth:`RoutingEngine.path_table` table (one
     per row, ``None`` where the count is 0), sharing unchanged ones.
 
-    A row whose path equals its row in ``previous`` keeps that call's
-    tuple, with no cut and no new object: between nearby snapshots
-    paths move for a few rows, so a history of them holds each path
-    once for as long as it lasts (and pickles it once).
+    A row the walk kept (:attr:`PathWalk.kept`: its path is the one it
+    had in the previous walk) takes that walk's tuple, with no cut and
+    no new object: between nearby snapshots paths move for a few rows,
+    so a history of them holds each path once for as long as it lasts
+    (and pickles it once).
 
     Args:
-        table / counts: This call's rows.
-        previous: ``(table, counts, tuples)`` of an earlier call, or
-            None to cut every row.
-        previous_row: Row ``i``'s row in ``previous`` (-1: none); the
-            same row when omitted.
+        table / counts / kept: This walk's rows.
+        previous: The previous walk's tuples (unread when nothing is
+            kept).
+        previous_row: Row ``i``'s row in ``previous``; the same row when
+            omitted.
     """
     paths: List[Optional[Tuple[int, ...]]] = [None] * len(counts)
-    kept = np.zeros(len(counts), dtype=bool)
-    if previous is not None:
-        last_table, last_counts, last_paths = previous
-        if previous_row is None:
-            previous_row = np.arange(len(counts))
-        kept = previous_row >= 0
-        # Cells past a path's end hold UNREACHABLE: equal counts and
-        # equal cells up to the narrower table are equal paths.
-        width = min(table.shape[1], last_table.shape[1])
-        rows = previous_row[kept]
-        kept[kept] = ((counts[kept] == last_counts[rows])
-                      & (table[kept, :width]
-                         == last_table[rows, :width]).all(axis=1))
-        for row, last in zip(np.flatnonzero(kept).tolist(),
-                             previous_row[kept].tolist()):
-            paths[row] = last_paths[last]
+    if kept.any():
+        assert previous is not None
+        # Every row takes some previous tuple; the fresh ones are cut
+        # over theirs below.
+        paths = (list(previous) if previous_row is None
+                 else list(map(previous.__getitem__,
+                               np.where(kept, previous_row, 0).tolist())))
     fresh = np.flatnonzero(~kept)
     for row, path in zip(fresh.tolist(),
                          cut_paths(table[fresh], counts[fresh])):
         paths[row] = None if path is None else tuple(path)
     return paths
+
+
+@dataclass
+class PathWalk:
+    """One :meth:`RoutingEngine.path_table` walk, and what the next walk
+    over the same pairs reuses of it.
+
+    Attributes:
+        table: (P, L) int64: row ``i`` holds pair ``i``'s path
+            ``[src_node, ingress_sat, ..., dst_node]`` (relay GS nodes
+            included in bent-pipe mode) in its first ``counts[i]``
+            cells and ``UNREACHABLE`` after them.
+        counts: (P,) node count of each path; 0 for a disconnected pair.
+        distances: (P,) path lengths (m); inf while disconnected.
+        ingress: (P,) the satellite each source enters at (arbitrary
+            while disconnected).
+        kept: (P,) rows copied from the previous walk instead of walked:
+            their path is the one they had there.
+        next_hop: (D, N) the trees walked, one row per ``dst_gids``.
+        dst_gids: The trees' destinations.
+    """
+
+    table: np.ndarray
+    counts: np.ndarray
+    distances: np.ndarray
+    ingress: np.ndarray
+    kept: np.ndarray
+    next_hop: np.ndarray
+    dst_gids: Tuple[int, ...]
+
+    def take(self, rows: np.ndarray) -> "PathWalk":
+        """This walk as the previous walk of other pairs: row ``i`` is
+        row ``rows[i]`` here, or — at -1 — a pair this walk did not
+        cover, which the next walk walks afresh (count 0)."""
+        covered = rows >= 0
+        picked = np.where(covered, rows, 0)
+        return PathWalk(self.table[picked],
+                        np.where(covered, self.counts[picked], 0),
+                        self.distances[picked], self.ingress[picked],
+                        covered, self.next_hop, self.dst_gids)
 
 
 @dataclass
@@ -320,7 +348,8 @@ class MultiDestinationRouting:
         uplink_sat[station, column] = sat_ids
         uplink_m[station, column] = lengths
         sats = uplink_sat[slot]
-        totals = uplink_m[slot] + self.distance_m[rows[:, np.newaxis], sats]
+        totals = uplink_m[slot] + self.distance_m.reshape(-1)[
+            (rows * self.distance_m.shape[1])[:, np.newaxis] + sats]
         best = np.argmin(totals, axis=1)
         pick = np.arange(len(rows))
         return rows, sats[pick, best], totals[pick, best]
@@ -606,13 +635,13 @@ class RoutingEngine:
             included in bent-pipe mode) and its length; ``None`` and
             ``inf`` while the pair is disconnected.
         """
-        table, counts, distances = self.path_table(multi, snapshot, pairs)
-        return cut_paths(table, counts), distances
+        walk = self.path_table(multi, snapshot, pairs)
+        return cut_paths(walk.table, walk.counts), walk.distances
 
     def path_table(self, multi: MultiDestinationRouting,
                    snapshot: TopologySnapshot,
-                   pairs: Sequence[Tuple[int, int]]
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   pairs: Sequence[Tuple[int, int]],
+                   previous: Optional[PathWalk] = None) -> PathWalk:
         """Shortest paths and distances of many pairs, one batched walk.
 
         Every pair enters at the satellite
@@ -620,28 +649,51 @@ class RoutingEngine:
         pairs then follow their destination's ``next_hop`` row together,
         one hop per iteration.
 
+        Given ``previous``, the walk of the same pairs over earlier
+        trees, a row is walked only if its path can have moved: its
+        ingress changed, it had no path, or its old path reads a
+        ``(tree, node)`` next hop that differs between ``previous``'s
+        trees and ``multi``'s.  A walk reads nothing else, so every
+        other row walks its old path again and is copied instead
+        (:attr:`PathWalk.kept`).  The result is the full walk's, bit
+        for bit.  Without ``previous``, or when its trees lead to
+        another destination set, every row is walked.
+
         Args:
             multi: Trees covering every destination in ``pairs``.
             snapshot: The snapshot ``multi`` was computed on.
             pairs: (src_gid, dst_gid) pairs; duplicates are fine.
-
-        Returns:
-            ``(table, counts, distances_m)``: row ``i`` of the (P, L)
-            int64 ``table`` holds pair ``i``'s path ``[src_node,
-            ingress_sat, ..., dst_node]`` (relay GS nodes included in
-            bent-pipe mode) in its first ``counts[i]`` cells and
-            ``UNREACHABLE`` after them; ``distances_m[i]`` is its
-            length.  A disconnected pair has count 0 and distance inf.
+            previous: An earlier walk of ``pairs``, row for row.
         """
         num_pairs = len(pairs)
-        distances = np.full(num_pairs, np.inf)
         if not num_pairs:
-            return (np.empty((0, 1), dtype=np.int64),
-                    np.zeros(0, dtype=np.int64), distances)
+            return PathWalk(np.full((0, 1), UNREACHABLE, dtype=np.int64),
+                            np.zeros(0, dtype=np.int64), np.empty(0),
+                            np.zeros(0, dtype=np.int64),
+                            np.zeros(0, dtype=bool), multi.next_hop,
+                            multi.dst_gids)
         src_gids, dst_gids = np.asarray(pairs, dtype=np.int64).T
         rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
                                                         dst_gids)
-        walking = np.flatnonzero(np.isfinite(best_totals))
+        walk = np.isfinite(best_totals)
+        kept = np.zeros(num_pairs, dtype=bool)
+        if previous is not None and previous.dst_gids == multi.dst_gids:
+            kept = walk & (previous.counts > 0) & (previous.ingress == ingress)
+            # Per tree, a first column that never moves, then where its
+            # next hops moved.  Only rows of a tree with a moved next hop
+            # can have moved.  Cell c of such a row reads next hop
+            # (tree, c), at flat position tree * (N + 1) + 1 + c of
+            # ``moved``; past the path's end (c = -1) that is the tree's
+            # first column.  The source cell reads no next hop.
+            moved = np.zeros((len(multi.dst_gids), 1 + self._num_nodes),
+                             dtype=bool)
+            np.not_equal(previous.next_hop, multi.next_hop, out=moved[:, 1:])
+            check = np.flatnonzero(kept & moved.any(axis=1)[rows])
+            kept[check] = ~moved.reshape(-1)[
+                (rows[check] * (self._num_nodes + 1) + 1)[:, np.newaxis]
+                + previous.table[check, 1:]].any(axis=1)
+            walk &= ~kept
+        walking = np.flatnonzero(walk)
         current = ingress[walking]
         rows, dst_nodes = rows[walking], multi.dst_nodes[rows[walking]]
         # Level i holds the (i+1)-th node of every pair still walking.
@@ -659,17 +711,27 @@ class RoutingEngine:
             keep = ~arrived & (current != UNREACHABLE)
             walking, current = walking[keep], current[keep]
             rows, dst_nodes = rows[keep], dst_nodes[keep]
-        table = np.empty((num_pairs, len(levels) + 1), dtype=np.int64)
-        table[:, 0] = self._num_sats + src_gids
+        width = len(levels) + 1
+        if kept.any():
+            hops[kept] = previous.counts[kept] - 1
+            width = max(width, int(hops[kept].max()) + 1)
+        table = np.full((num_pairs, width), UNREACHABLE, dtype=np.int64)
+        if kept.any():
+            copied = min(width, previous.table.shape[1])
+            table[:, :copied] = previous.table[:, :copied]
+            table[np.flatnonzero(~kept)] = UNREACHABLE
         for level, (members, nodes) in enumerate(levels, start=1):
             table[members, level] = nodes
         routed = hops > 0
+        # A dead end wrote cells of a row that has no path.
+        table[np.flatnonzero(walk & ~routed)] = UNREACHABLE
+        fresh = np.flatnonzero(routed & ~kept)
+        table[fresh, 0] = self._num_sats + src_gids[fresh]
+        distances = np.full(num_pairs, np.inf)
         distances[routed] = best_totals[routed]
         counts = hops + routed
-        # Dead ends and disconnected sources wrote cells too.
-        table[np.arange(table.shape[1]) >= counts[:, np.newaxis]] = \
-            UNREACHABLE
-        return table, counts, distances
+        return PathWalk(table, counts, distances, ingress, kept,
+                        multi.next_hop, multi.dst_gids)
 
     def paths_many(self, snapshot: TopologySnapshot,
                    pairs: Sequence[Tuple[int, int]]

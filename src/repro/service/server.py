@@ -153,7 +153,7 @@ class ServiceServer:
                         break
                     response = self._dispatch(json.loads(line.decode()))
                 except (ServiceError, ValueError, KeyError, TypeError,
-                        OverflowError, OSError) as error:
+                        OverflowError, RecursionError, OSError) as error:
                     response = {"ok": False,
                                 "error": f"{type(error).__name__}: {error}"}
                     if isinstance(error, LineTooLong):
@@ -176,7 +176,7 @@ class ServiceServer:
             epochs = command.get("epochs", 1)
             if isinstance(epochs, float) and epochs.is_integer():
                 epochs = int(epochs)
-            if not isinstance(epochs, int):
+            if isinstance(epochs, bool) or not isinstance(epochs, int):
                 raise ServiceError(
                     f"epochs must be a finite integer, got {epochs!r}")
             return {"ok": True, "status": service.advance_epoch(epochs)}
@@ -189,10 +189,11 @@ class ServiceServer:
                     "path": str(command["path"])}
         if name == "metrics":
             return {"ok": True, "metrics": service.metrics_dict(
-                include_series=bool(command.get("include_series", True)))}
+                include_series=_flag(command, "include_series", True))}
         if name == "report":
+            deterministic = _flag(command, "deterministic", False)
             return {"ok": True, "report": service.report().as_dict(
-                deterministic=bool(command.get("deterministic", False)))}
+                deterministic=deterministic)}
         if name == "spans":
             profiler = spans.ACTIVE
             if profiler.enabled and isinstance(profiler,
@@ -202,8 +203,7 @@ class ServiceServer:
         if name == "attach_workload":
             workload = WorkloadSchedule.from_dict(command["workload"])
             handle = service.attach_workload(
-                workload, shift_to_now=bool(command.get("shift_to_now",
-                                                        False)))
+                workload, shift_to_now=_flag(command, "shift_to_now", False))
             return {"ok": True, "handle": handle}
         if name == "detach_workload":
             return {"ok": True,
@@ -218,6 +218,16 @@ class ServiceServer:
             return {"ok": True, "bye": True,
                     "status": service.status()}
         return {"ok": False, "error": f"unknown command {name!r}"}
+
+
+def _flag(command: Dict[str, Any], name: str, default: bool) -> bool:
+    """A boolean field of a command: a JSON ``true``/``false``, or
+    ``default`` when absent — anything else is refused (``"false"`` is
+    truthy, and would silently read as ``True``)."""
+    value = command.get(name, default)
+    if not isinstance(value, bool):
+        raise ServiceError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 async def serve_forever(service: LiveSimulationService,

@@ -153,7 +153,8 @@ def compute_pair_chunk(network: LeoNetwork,
     snapshot come from a single batched Dijkstra
     (:meth:`RoutingEngine.route_to_many`), repaired incrementally between
     snapshots, and all paths from one batched walk
-    (:meth:`RoutingEngine.path_table`).
+    (:meth:`RoutingEngine.path_table`) that walks only the pairs whose
+    path can have moved since the previous snapshot.
 
     Args:
         network: The LEO network to snapshot.
@@ -179,12 +180,13 @@ def compute_pair_chunk(network: LeoNetwork,
     distances = np.full((len(pairs), len(times_s)), np.inf)
     paths: List[List[Optional[Tuple[int, ...]]]] = []
     destinations = sorted({dst for _, dst in pairs})
-    previous = None
+    pair_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    walk = None
     for t_index, time_s in enumerate(times_s):
         snapshot = network.snapshot(float(time_s))
         multi = engine.route_to_many(snapshot, destinations)
-        table, counts, distances[:, t_index] = engine.path_table(
-            multi, snapshot, pairs)
-        paths.append(path_tuples(table, counts, previous))
-        previous = (table, counts, paths[-1])
+        walk = engine.path_table(multi, snapshot, pair_array, walk)
+        distances[:, t_index] = walk.distances
+        paths.append(path_tuples(walk.table, walk.counts, walk.kept,
+                                 paths[-1] if paths else None))
     return pairs, distances, paths

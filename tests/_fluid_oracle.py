@@ -156,6 +156,31 @@ def max_min_fair_allocation(
     return rates
 
 
+def first_appearance_columns(codes):
+    """The sort-based column numbering the product's
+    :func:`repro.fluid.engine.first_appearance_columns` replaced:
+    ``(columns, column_codes)`` from one ``np.unique``, columns in
+    first-appearance order."""
+    if not codes.size:
+        return codes, codes
+    uniq, first_pos, inverse = np.unique(
+        codes, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return rank[inverse.reshape(-1)], uniq[order]
+
+
+def setdefault_classes(class_of, flows, elastic_cap_bps):
+    """Flow class ids the per-flow way ``extend_flows`` assigned them
+    before they were built from arrays: one ``setdefault`` per flow on
+    ``class_of`` (``((src_gid, dst_gid), cap) -> id``, updated in
+    place), caps clipped to ``elastic_cap_bps``."""
+    return [class_of.setdefault(
+        ((flow.src_gid, flow.dst_gid), min(flow.demand_bps, elastic_cap_bps)),
+        len(class_of)) for flow in flows]
+
+
 def assert_result_matches_oracle(result, flows):
     """Every row of ``flow_rates_bps`` / ``device_load_bps`` must equal
     the oracle allocation over ``flow_paths`` at that snapshot.
@@ -213,7 +238,7 @@ class RescanningFluidSimulation(FluidSimulation):
         build_span = (profiler.begin("fluid.matrix_build")
                       if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
-            step.table, step.counts, self._num_sats, self.network.num_nodes,
+            step.table, step.counts, self._num_sats, step.devices,
             lambda keys: self._device_capacities(keys, faults, time_s))
         if build_span != -1:
             profiler.end(build_span)

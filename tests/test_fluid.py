@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from repro import Hypatia, random_permutation_pairs
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.fluid.aimd import AimdFluidSimulation, AimdRunState
-from repro.fluid.engine import (_TIME_EPS_S, FluidFlow, FluidSimulation,
+from repro.fluid.engine import (_TIME_EPS_S, DeviceIndex, FluidFlow,
+                                FluidSimulation, decode_device,
                                 first_appearance_columns,
                                 first_appearance_rows, path_devices)
-from repro.routing.engine import UNREACHABLE, RoutingEngine
+from repro.routing.engine import UNREACHABLE, PathWalk, RoutingEngine
 from repro.topology.network import LeoNetwork
 from repro.traffic.arrivals import FlowRequest, WorkloadSchedule
 from repro.fluid import vectorized
@@ -24,7 +25,8 @@ from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     max_min_fair_allocation, waterfill)
 
 from _fluid_oracle import (RescanningFluidSimulation,
-                           assert_result_matches_oracle)
+                           assert_result_matches_oracle, setdefault_classes)
+from _fluid_oracle import first_appearance_columns as oracle_columns
 from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 
 # The reference oracle, then the product's allocator (test ids date from
@@ -624,10 +626,83 @@ class TestWaterfillOverClasses:
         for size in (0, 1, 7, 200):
             ids = rng.integers(0, 12, size=size)
             rows, first = first_appearance_rows(ids, 12)
-            columns, codes = first_appearance_columns(ids)
+            columns, codes = oracle_columns(ids)
             assert np.array_equal(rows, columns)
             assert np.array_equal(ids[first], codes)
             assert (np.diff(first) > 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sort_free_columns_equal_the_unique_oracle(self, data):
+        """``first_appearance_columns`` over a ``DeviceIndex`` that
+        learns codes across calls (and outgrows its table) numbers every
+        call's codes as one ``np.unique`` does, with the keys
+        ``decode_device`` gives."""
+        num_nodes = data.draw(st.integers(2, 40))
+        pool = data.draw(st.lists(
+            st.integers(0, num_nodes * num_nodes + num_nodes - 1),
+            min_size=1, max_size=120, unique=True))
+        devices = DeviceIndex(num_nodes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            codes = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                                max_size=300)),
+                             dtype=np.int64)
+            columns, column_codes, keys = first_appearance_columns(
+                codes, devices)
+            expected_columns, expected_codes = oracle_columns(codes)
+            assert np.array_equal(columns, expected_columns)
+            assert np.array_equal(column_codes, expected_codes)
+            assert keys == [decode_device(code, num_nodes)
+                            for code in expected_codes.tolist()]
+            assert devices.size >= 4 * len(set(codes.tolist()))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_array_built_class_ids_equal_setdefault(self, small_network,
+                                                    data):
+        """Class ids built from arrays equal one ``setdefault`` per flow,
+        at construction and across an attach — known classes keep their
+        ids, new ones count on, two caps on one pair are two classes and
+        a cap above the elastic one joins the uncapped class."""
+        pairs = st.sampled_from([(0, 1), (1, 0), (2, 1), (0, 2), (5, 3)])
+        caps = st.sampled_from([np.inf, 1e6, 2.5e6, 1e12])
+
+        def flows(min_size):
+            return [FluidFlow(src, dst, demand_bps=cap)
+                    for (src, dst), cap in data.draw(st.lists(
+                        st.tuples(pairs, caps), min_size=min_size,
+                        max_size=12))]
+
+        early, late = flows(1), flows(0)
+        simulation = FluidSimulation(small_network, early)
+        state = simulation.start_run(2.0)
+        elastic = 100.0 * simulation.link_capacity_bps
+        class_of = {}
+        expected = setdefault_classes(class_of, early, elastic)
+        assert state.flow_class.tolist() == expected
+        simulation.extend_flows(state, late)
+        expected += setdefault_classes(class_of, late, elastic)
+        assert state.flow_class.tolist() == expected
+        assert state.flow_class.dtype == np.int32
+        assert list(simulation._class_of.items()) == list(class_of.items())
+        assert simulation._class_pairs.tolist() == [
+            list(pair) for pair, _ in class_of]
+        assert simulation._destinations == sorted(
+            {dst for (_, dst), _ in class_of})
+
+    def test_attach_mixing_known_and_new_classes(self, small_network):
+        simulation = FluidSimulation(small_network, [
+            FluidFlow(0, 3), FluidFlow(1, 3, demand_bps=1e6)])
+        state = simulation.start_run(2.0)
+        simulation.extend_flows(state, [
+            FluidFlow(2, 4), FluidFlow(1, 3, demand_bps=1e6),
+            FluidFlow(0, 3, demand_bps=1e12), FluidFlow(0, 3, demand_bps=2e6),
+            FluidFlow(2, 4)])
+        assert state.flow_class.tolist() == [0, 1, 2, 1, 0, 3, 2]
+        assert simulation._class_pairs.tolist() == [[0, 3], [1, 3], [2, 4],
+                                                    [0, 3]]
+        assert simulation._destinations == [3, 4]
 
     def test_mixed_caps_on_one_pair_are_two_classes(self, small_network):
         flows = [FluidFlow(0, 3), FluidFlow(0, 3, demand_bps=1e6),
@@ -1071,9 +1146,9 @@ def test_one_step_solves_on_both_sides_of_the_small_solve_bound(
 
 class FreshRouting(FluidSimulation):
     """The class step fed, every step, by a new ``RoutingEngine``'s
-    ``paths_many`` — no repair, no table walk of its own."""
+    ``paths_many`` — no repair, no reuse of the previous walk."""
 
-    def _class_table(self, time_s, classes):
+    def _class_walk(self, time_s, classes, previous):
         pairs = [tuple(pair) for pair in self._class_pairs[classes].tolist()]
         paths = RoutingEngine(self.network).paths_many(
             self.network.snapshot(time_s), pairs)
@@ -1082,7 +1157,10 @@ class FreshRouting(FluidSimulation):
                         UNREACHABLE, dtype=np.int64)
         for row, path in enumerate(paths):
             table[row, :counts[row]] = path or []
-        return table, counts
+        # The next step ignores it: no trees for it to compare with.
+        return PathWalk(table, counts, np.full(len(paths), np.inf),
+                        np.zeros(len(paths), dtype=np.int64),
+                        np.zeros(len(paths), dtype=bool), None, ())
 
 
 @pytest.fixture(scope="module")

@@ -1041,6 +1041,96 @@ class TestIndependentGeometry:
                                       edges.lengths_m[alive])
 
 
+class TestIncrementalWalk:
+    """``RoutingEngine.path_table`` given the previous walk walks only
+    the rows whose path can have moved.  On random Walker networks under
+    random fault schedules — outages and GSL cuts disconnect pairs and
+    move ingress satellites — over snapshots repaired one from the next,
+    with destination sets that stay, grow, shrink and reorder and pair
+    sets that change, it equals the full walk of the same trees at every
+    step, and it keeps exactly the rows whose path did not change (none
+    when the destination set changed: those walks start cold)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_incremental_walk_equals_full_walk(self, data):
+        from repro.routing.engine import cut_paths, path_tuples
+        from repro.topology.dynamic_state import make_routing_engine
+        from repro.topology.network import LeoNetwork
+
+        healthy, sites, min_elevation_deg = _walker_network(data)
+        grid = healthy.isl_pairs
+        gids = list(range(len(sites)))
+
+        def window():
+            start = data.draw(st.floats(0.0, 60.0))
+            return start, start + data.draw(st.floats(0.5, 60.0))
+
+        events = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            events.append(FaultEvent.satellite_outage(data.draw(
+                st.integers(0, healthy.num_satellites - 1)), *window()))
+        for _ in range(data.draw(st.integers(0, 4)) if len(grid) else 0):
+            a, b = grid[data.draw(st.integers(0, len(grid) - 1))].tolist()
+            events.append(FaultEvent.isl_cut(a, b, *window()))
+        for _ in range(data.draw(st.integers(0, 2))):
+            events.append(FaultEvent.gsl_cut(data.draw(st.sampled_from(gids)),
+                                             *window()))
+        network = LeoNetwork(healthy.constellation, healthy.ground_stations,
+                             min_elevation_deg=min_elevation_deg,
+                             faults=FaultSchedule(events))
+        router = make_routing_engine(network)
+        pool = [(src, dst) for src in gids for dst in gids if src != dst]
+        walk = pairs = paths = destinations = None
+        time_s = data.draw(st.floats(0.0, 30.0))
+        for _ in range(data.draw(st.integers(2, 6))):
+            time_s += data.draw(st.sampled_from([0.5, 1.0, 4.0, 30.0]))
+            if pairs is None or data.draw(st.booleans()):
+                new_pairs = data.draw(st.lists(st.sampled_from(pool),
+                                               min_size=1, max_size=12))
+            else:
+                new_pairs = pairs
+            needed = {dst for _, dst in new_pairs}
+            if (destinations is None or not needed <= set(destinations)
+                    or data.draw(st.booleans())):
+                destinations = data.draw(st.permutations(sorted(
+                    needed | set(data.draw(st.lists(st.sampled_from(gids),
+                                                    max_size=2))))))
+            snapshot = network.snapshot(time_s)
+            multi = router.route_to_many(snapshot, destinations)
+            full = router.path_table(multi, snapshot, new_pairs)
+            previous = previous_row = None
+            if walk is not None:
+                previous = walk
+                if new_pairs is not pairs:
+                    row_of = {pair: row for row, pair in enumerate(pairs)}
+                    previous_row = np.array([row_of.get(pair, -1)
+                                             for pair in new_pairs])
+                    previous = walk.take(previous_row)
+            got = router.path_table(multi, snapshot, new_pairs, previous)
+            assert np.array_equal(got.table, full.table)
+            assert np.array_equal(got.counts, full.counts)
+            assert np.array_equal(got.distances, full.distances)
+            assert not full.kept.any()
+            new_paths = path_tuples(got.table, got.counts, got.kept, paths,
+                                    previous_row)
+            assert new_paths == [None if path is None else tuple(path)
+                                 for path in cut_paths(full.table,
+                                                       full.counts)]
+            if previous is not None:
+                # Kept are exactly the rows whose path is the one they
+                # had: no row is walked that could have been copied —
+                # unless the trees lead to another destination set, when
+                # every row is walked.
+                reused = previous.dst_gids == multi.dst_gids
+                old = cut_paths(previous.table, previous.counts)
+                same = [reused and path is not None
+                        and tuple(path) == new_paths[row]
+                        for row, path in enumerate(old)]
+                assert got.kept.tolist() == same
+            walk, pairs, paths = got, new_pairs, new_paths
+
+
 class TestFluidMaxMinInvariants:
     """A finite, staggered workload on a random Walker network under a
     random fault schedule, run by ``FluidSimulation``.  At every

@@ -1331,6 +1331,47 @@ class TestServerClient:
                 assert client.advance(2.0)["time_s"] == 2.0
                 client.stop()
 
+    def test_deeply_nested_line_is_answered(self):
+        """100 000 ``[`` then as many ``]`` fit under ``MAX_LINE_BYTES``,
+        and ``json.loads`` raises ``RecursionError`` on them, which used
+        to escape the handler: the client saw EOF."""
+        from repro.service.server import MAX_LINE_BYTES
+        line = b"[" * 100_000 + b"]" * 100_000
+        assert len(line) < MAX_LINE_BYTES
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client._stream.write(line + b"\n")
+                client._stream.flush()
+                response = json.loads(client._stream.readline())
+                assert response["ok"] is False
+                assert response["error"].startswith("RecursionError")
+                assert client.status()["time_s"] == 0.0
+                client.stop()
+
+    @pytest.mark.parametrize("field, command", [
+        ("deterministic", {"cmd": "report", "deterministic": "false"}),
+        ("include_series", {"cmd": "metrics", "include_series": 0}),
+        ("shift_to_now", {"cmd": "attach_workload", "shift_to_now": "no",
+                          "workload": _small_workload(seed=3).as_dict()}),
+        ("epochs", {"cmd": "advance", "epochs": True}),
+    ], ids=["deterministic", "include_series", "shift_to_now", "epochs"])
+    def test_a_flag_takes_only_a_json_boolean(self, field, command):
+        """``bool(...)`` read ``"deterministic": "false"`` as true, and a
+        boolean passed the integer check of ``epochs`` (``true``: one
+        epoch).  Each is a ``ServiceError``, and nothing runs."""
+        service = _make_service("fluid")
+        spec = service.spec
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                fields = dict(command)
+                with pytest.raises(ServiceClientError,
+                                   match=f"ServiceError: {field} must be"):
+                    client.command(fields.pop("cmd"), **fields)
+                assert client.status()["time_s"] == 0.0
+                client.stop()
+        assert service.spec == spec
+
     def test_overlong_line_is_answered_and_only_its_connection_closed(self):
         """A line past the stream limit used to raise out of the handler
         (``readline`` sat outside the ``try``): the client saw EOF."""
