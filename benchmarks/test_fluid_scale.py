@@ -17,7 +17,9 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   to the one-row-per-flow kernel and the oracle first.  Like the
   `bench-sweep` speedup gate, the throughput thresholds are only
   enforced on machines with >= 4 cores; the numbers are measured and
-  reported everywhere.
+  reported everywhere, with the solve's freezing events (counted by the
+  oracle, which takes the same ones) and the array kernel's time per
+  event.
 * **Step reuse is exact.**  A step re-walks only the class paths its
   routing repair can have moved and keeps the rest from the step before.
   The scale workload's first ``REUSE_STEPS`` 1 s steps must equal, bit
@@ -58,6 +60,7 @@ from repro.traffic import TrafficMatrix
 from _common import scaled, write_result
 from _fluid_oracle import assert_result_matches_oracle
 from _fluid_oracle import max_min_fair_allocation as oracle_allocation
+from _fluid_oracle import progressive_filling
 
 NUM_CITIES = 100
 NUM_FLOWS = scaled(100_000, 1_000_000)
@@ -222,7 +225,7 @@ def test_gravity_scale():
     capacity = {key: LINK_CAPACITY_BPS for key in matrix.link_keys}
     ref_build_s = time.perf_counter() - conv_start
     start = time.perf_counter()
-    rates_ref = oracle_allocation(capacity, flow_links)
+    rates_ref, events = progressive_filling(capacity, flow_links)
     ref_solve_s = time.perf_counter() - start
 
     assert np.array_equal(rates_ref, rates_vec), (
@@ -240,6 +243,8 @@ def test_gravity_scale():
         f"paths_wall_s          {cache['paths_s']:10.3f}",
         f"matrix_build_s        {build_s:10.3f}",
         f"vectorized_solve_s    {vec_solve_s:10.3f}",
+        f"freezing_events       {events:10d}",
+        f"array_solve_ms_per_event {vec_solve_s * 1e3 / events:7.4f}",
         f"per_flow_rows_solve_s {per_flow_solve_s:10.3f}",
         f"reference_build_s     {ref_build_s:10.3f}",
         f"reference_solve_s     {ref_solve_s:10.3f}",

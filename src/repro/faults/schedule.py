@@ -226,6 +226,9 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FaultEvent":
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"a fault event must be a JSON object, got {record!r}")
         isl = record.get("isl")
         return cls(
             kind=FaultKind(record["kind"]),

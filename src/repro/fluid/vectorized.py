@@ -12,8 +12,9 @@ concurrent flows.  This module holds the million-flow representation:
   repeated link (the bug the set-based allocator had).
 * :func:`waterfill` runs progressive filling over flat arrays: per-link
   fill rates (traversal-weighted flow counts) and residual capacities are
-  float64 vectors, each freezing event is one ``argmin`` over live links,
-  and demand caps are consumed through one pre-sorted order.
+  float64 vectors, each freezing event is a handful of whole-array calls
+  (one ``argmin`` over every link), and demand caps are consumed through
+  one pre-sorted order.
 
 The kernel is an exact replica of the oracle, not an approximation: link
 columns are numbered in first-appearance order (the oracle's dict
@@ -35,6 +36,7 @@ constant is set from (DESIGN.md "Small solves").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,9 +188,6 @@ class FlowLinkMatrix:
         out_ptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=out_ptr[1:])
         total = int(out_ptr[-1])
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), out_ptr,
-                    np.empty(0, dtype=np.int64))
         gather = (np.repeat(self.indptr[rows] - out_ptr[:-1], counts)
                   + np.arange(total, dtype=np.int64))
         entry_rows = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
@@ -212,6 +211,7 @@ def waterfill(matrix: FlowLinkMatrix,
         multiplicity: Optional positive integer counts aligned with
             ``active``: row ``i`` stands for that many identical flows
             (same links, same cap), each of which gets the row's rate.
+            Any other length or count is a ``ValueError``.
 
     Returns:
         Per-flow rates aligned with ``active`` (or with all rows when
@@ -230,6 +230,13 @@ def waterfill(matrix: FlowLinkMatrix,
     else:
         act = np.asarray(active, dtype=np.int64)
     n = act.size
+    if multiplicity is not None:
+        multiplicity = np.asarray(multiplicity, dtype=float)
+        if multiplicity.shape != (n,) or not (
+                np.isfinite(multiplicity) & (multiplicity >= 1.0)
+                & (np.floor(multiplicity) == multiplicity)).all():
+            raise ValueError("multiplicity must be one finite positive "
+                             "integer count per active row")
     if n == 0:
         return np.zeros(0)
 
@@ -360,7 +367,9 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
                       multiplicity: Optional[np.ndarray]) -> np.ndarray:
     """:func:`waterfill`'s kernel for large solves, on flat arrays.
 
-    ``dem`` is the validated (n,) cap of each row of ``act``.
+    ``dem`` is the validated (n,) cap of each row of ``act``.  A link
+    whose weight reaches 0 gets residual +inf, so every event runs over
+    all links bit-identically (DESIGN.md "Batched waterfilling").
     """
     n = act.size
     rates = np.zeros(n)
@@ -368,7 +377,7 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
     # Active traversal entries, compacted to first-appearance column
     # order over the active rows (== the oracle's dict order restricted
     # to these flows).
-    cols, out_ptr, _ = matrix._gather(act)
+    cols, out_ptr, entry_rows = matrix._gather(act)
     counts = np.diff(out_ptr)
     if _in_first_appearance_order(cols):
         # Already numbered 0, 1, 2, ... as they first appear (a solve of
@@ -388,94 +397,83 @@ def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,
 
     # Per-link fill weight: traversal count of unfrozen flows — an
     # integer-valued float64, so adding m once is adding 1.0 m times.
-    entry_copies = (1.0 if multiplicity is None else np.repeat(
-        np.asarray(multiplicity, dtype=float), counts))
-    weight = np.zeros(num_links)
-    np.add.at(weight, lcol, entry_copies)
-    # Per-link flow groups (for freezing a bottleneck's flows).
-    grp_order = np.argsort(lcol, kind="stable")
-    grp_rows = np.repeat(np.arange(n, dtype=np.int64), counts)[grp_order]
-    grp_ptr = np.zeros(num_links + 1, dtype=np.int64)
-    if num_links:
-        np.cumsum(np.bincount(lcol, minlength=num_links), out=grp_ptr[1:])
+    entry_copies = (None if multiplicity is None
+                    else np.repeat(multiplicity, counts))
+    weight = np.bincount(lcol, entry_copies, num_links).astype(float)
+    # Per-link row groups: an LSD radix sort of the column ids, 16 bits a
+    # pass (a stable uint16 sort counts).  Rows ascend within a group, so
+    # a row crossing a link twice is adjacent to itself and kept once.
+    by_link = np.argsort(lcol.astype(np.uint16), kind="stable")
+    for shift in range(16, int(num_links - 1).bit_length(), 16):
+        by_link = by_link[np.argsort(
+            (lcol[by_link] >> shift).astype(np.uint16), kind="stable")]
+    grp_links = lcol[by_link]
+    grp_rows = entry_rows[by_link]
+    once = np.ones(grp_rows.size, dtype=bool)
+    once[1:] = ((grp_rows[1:] != grp_rows[:-1])
+                | (grp_links[1:] != grp_links[:-1]))
+    grp_rows = grp_rows[once]
+    grp_ptr = np.searchsorted(grp_links[once], np.arange(num_links + 1))
 
     frozen = np.zeros(n, dtype=bool)
     # Flows limited only by demand (no capacity-constrained links).
     nolink = np.flatnonzero(counts == 0)
-    if nolink.size:
-        finite = np.isfinite(dem[nolink])
-        if not finite.all():
-            bad = int(nolink[np.flatnonzero(~finite)[0]])
-            raise ValueError(
-                f"flow {bad} has no links and infinite demand")
-        rates[nolink] = dem[nolink]
-        frozen[nolink] = True
+    unbounded = nolink[dem[nolink] == _INF]
+    if unbounded.size:
+        raise ValueError(
+            f"flow {unbounded[0]} has no links and infinite demand")
+    rates[nolink] = dem[nolink]
+    frozen[nolink] = True
 
-    demand_order = np.argsort(dem, kind="stable")
+    # Rows by cap.  Every row before ``pointer`` is frozen, so the cap
+    # under it is a lower bound: walk only when that cap could bind.
+    by_cap = np.argsort(dem, kind="stable")
+    cap_rows = by_cap.tolist()
+    caps = dem[by_cap].tolist()
     pointer = 0
-    unfrozen = int(n - frozen.sum())
-    live = np.arange(num_links, dtype=np.int64)
+    unfrozen = n - nolink.size
     level = 0.0
+    shares = np.empty(num_links)
+    drained = np.empty(num_links)
     while unfrozen:
-        live = live[weight[live] > 0.0]
-        if live.size:
-            shares = level + residual[live] / weight[live]
-            k = int(np.argmin(shares))
-            best = float(shares[k])
-            bottleneck = int(live[k])
-        else:
-            best = np.inf
-            bottleneck = -1
-        while pointer < n and frozen[demand_order[pointer]]:
-            pointer += 1
-        capped = dem[demand_order[pointer]] if pointer < n else np.inf
-        if capped < best:
-            best = float(capped)
-            bottleneck = -1
+        np.divide(residual, weight, out=shares)
+        np.add(shares, level, out=shares)
+        bottleneck = int(shares.argmin())
+        best = shares.item(bottleneck)
+        if pointer < n and caps[pointer] < best:
+            while frozen[cap_rows[pointer]]:
+                pointer += 1
+            if caps[pointer] < best:
+                best = caps[pointer]
+                bottleneck = -1
 
-        if not np.isfinite(best):
+        if best == _INF:
             raise ValueError(_UNCONSTRAINED)
 
-        increment = best - level
-        if live.size:
-            residual[live] = np.maximum(
-                residual[live] - increment * weight[live], 0.0)
+        np.multiply(weight, best - level, out=drained)
+        np.subtract(residual, drained, out=residual)
+        np.maximum(residual, 0.0, out=residual)
 
-        newly: List[np.ndarray] = []
-        if bottleneck >= 0:
-            group = grp_rows[grp_ptr[bottleneck]:grp_ptr[bottleneck + 1]]
-            group = group[~frozen[group]]
-            if group.size:
-                group = np.unique(group)
-                rates[group] = np.minimum(best, dem[group])
-                frozen[group] = True
-                unfrozen -= int(group.size)
-                newly.append(group)
-        while pointer < n:
-            flow = demand_order[pointer]
-            if frozen[flow]:
-                pointer += 1
-                continue
-            if dem[flow] <= best:
-                rates[flow] = dem[flow]
-                frozen[flow] = True
-                unfrozen -= 1
-                newly.append(np.array([flow], dtype=np.int64))
-                pointer += 1
-            else:
-                break
-        if newly:
-            rows = np.concatenate(newly)
-            widths = counts[rows]
-            total = int(widths.sum())
-            if total:
-                prefix = np.zeros(rows.size, dtype=np.int64)
-                np.cumsum(widths[:-1], out=prefix[1:])
-                gather = (np.repeat(out_ptr[rows] - prefix, widths)
-                          + np.arange(total, dtype=np.int64))
-                np.subtract.at(weight, lcol[gather],
-                               1.0 if multiplicity is None
-                               else entry_copies[gather])
+        # The bottleneck's rows, and the rows capped at ``best`` or below.
+        rows = (grp_rows[grp_ptr[bottleneck]:grp_ptr[bottleneck + 1]]
+                if bottleneck >= 0 else grp_rows[:0])
+        end = bisect_right(caps, best, pointer)
+        if end > pointer:
+            rows = np.unique(np.concatenate((rows, by_cap[pointer:end])))
+            pointer = end
+        rows = rows[~frozen[rows]]
+        rates[rows] = np.minimum(best, dem[rows])
+        frozen[rows] = True
+        unfrozen -= rows.size
+        # The frozen rows' traversal entries: entry k of the j-th row
+        # sits at out_ptr[row] + k, and at ends[j] - widths[j] + k here.
+        widths = counts[rows]
+        ends = widths.cumsum()
+        gather = ((out_ptr[rows + 1] - ends).repeat(widths)
+                  + np.arange(ends[-1], dtype=np.int64))
+        copies = None if entry_copies is None else entry_copies[gather]
+        weight -= np.bincount(lcol[gather], copies, num_links)
+        residual[weight == 0.0] = _INF
         level = best
     return rates
 

@@ -152,8 +152,8 @@ class ServiceServer:
                     if not line:
                         break
                     response = self._dispatch(json.loads(line.decode()))
-                except (ServiceError, ValueError, KeyError, TypeError,
-                        OverflowError, RecursionError, OSError) as error:
+                except (ArithmeticError, AttributeError, LookupError, OSError,
+                        RuntimeError, TypeError, ValueError) as error:
                     response = {"ok": False,
                                 "error": f"{type(error).__name__}: {error}"}
                     if isinstance(error, LineTooLong):
@@ -183,10 +183,9 @@ class ServiceServer:
         if name == "run_to_horizon":
             return {"ok": True, "status": service.run_to_horizon()}
         if name == "checkpoint":
-            header = service.save(str(command["path"]),
-                                  meta=command.get("meta"))
-            return {"ok": True, "header": header,
-                    "path": str(command["path"])}
+            path = str(command["path"])
+            header = service.save(path, meta=command.get("meta"))
+            return {"ok": True, "header": header, "path": path}
         if name == "metrics":
             return {"ok": True, "metrics": service.metrics_dict(
                 include_series=_flag(command, "include_series", True))}

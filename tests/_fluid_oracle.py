@@ -18,7 +18,7 @@ Shared by ``tests/`` and ``benchmarks/`` (which put this directory on
 ``sys.path``, as they do for ``_seed_transport``).
 """
 
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,18 @@ def max_min_fair_allocation(
         flow_links: Sequence[Sequence[Hashable]],
         demands: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Progressive-filling max-min fair rates.
+    """Progressive-filling max-min fair rates (see
+    :func:`progressive_filling`)."""
+    return progressive_filling(link_capacity, flow_links, demands)[0]
+
+
+def progressive_filling(
+        link_capacity: Dict[Hashable, float],
+        flow_links: Sequence[Sequence[Hashable]],
+        demands: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, int]:
+    """Progressive-filling max-min fair rates, and the freezing events
+    it took to find them.
 
     A flow listing the same link more than once (a loop path) consumes
     capacity once per traversal, so it is weighted by its traversal
@@ -52,7 +63,9 @@ def max_min_fair_allocation(
             rate); ``None`` means every flow is elastic (infinite demand).
 
     Returns:
-        (F,) array of allocated rates.
+        ``(rates, events)``: the (F,) allocated rates and the number of
+        freezing events — one per water level reached, which the
+        product's kernels take too.
 
     Raises:
         ValueError: On negative capacities/demands or links missing from
@@ -61,7 +74,7 @@ def max_min_fair_allocation(
     num_flows = len(flow_links)
     rates = np.zeros(num_flows)
     if num_flows == 0:
-        return rates
+        return rates, 0
     for link, capacity in link_capacity.items():
         if capacity < 0.0:
             raise ValueError(f"negative capacity on link {link!r}")
@@ -106,7 +119,9 @@ def max_min_fair_allocation(
             unfrozen.discard(flow_index)
 
     current_level = 0.0
+    events = 0
     while unfrozen:
+        events += 1
         # The next freezing event: either a link saturates at its equal
         # share, or a flow reaches its demand cap.  A link's share grows
         # with slope 1/weight where weight is the total traversal count of
@@ -153,7 +168,7 @@ def max_min_fair_allocation(
                      if not members]:
             del active_on_link[link]
         current_level = best_share
-    return rates
+    return rates, events
 
 
 def first_appearance_columns(codes):

@@ -538,6 +538,116 @@ class TestVectorizedKernel:
                         rates, kernel(matrix, caps[rows], rows, None))
 
 
+PRODUCT_KERNELS = [pytest.param(kernel, id=kernel.__name__)
+                   for kernel in (_waterfill_scalars, _waterfill_arrays)]
+
+
+def _kernel_equals_oracle(kernel, capacity, flow_links, demands=None):
+    """``kernel``'s rates over every row of ``flow_links``, asserted
+    bit-equal to the oracle's."""
+    matrix = FlowLinkMatrix.from_paths(capacity, flow_links)
+    rows = np.arange(len(flow_links))
+    caps = (np.full(rows.size, np.inf) if demands is None
+            else np.asarray(demands, dtype=float))
+    rates = kernel(matrix, caps, rows, None)
+    expected = oracle_allocation(capacity, flow_links, demands)
+    assert rates.tobytes() == expected.tobytes(), (rates, expected)
+    return rates
+
+
+@pytest.mark.parametrize("kernel", PRODUCT_KERNELS)
+class TestPinnedKernelCases:
+    """Edge cases of the array kernel's whole-array shares (a link whose
+    weight reaches 0 gets residual +inf) and of its link → rows groups,
+    each pinned on both product kernels against the oracle."""
+
+    def test_zero_over_zero_share(self, kernel):
+        """Y and X tie at share 2; Y, first in column order, is the
+        bottleneck.  X's one flow freezes on its cap of 2 in the same
+        event, when X's residual reaches exactly 0: X is then 0 / 0 and
+        must drop out like any link whose weight reached 0."""
+        rates = _kernel_equals_oracle(
+            kernel, {"Y": 2.0, "X": 2.0, "Z": 10.0},
+            [["Y"], ["X"], ["Z"]], demands=[np.inf, 2.0, np.inf])
+        assert rates.tolist() == [2.0, 2.0, 10.0]
+
+    def test_infinite_capacity_column_first(self, kernel):
+        """The infinite link is column 0, beside a finite one: its share
+        is +inf like a saturated link's, so a cap or the finite link
+        binds first, and the last event is a cap with no finite share
+        left."""
+        rates = _kernel_equals_oracle(
+            kernel, {"inf": np.inf, "a": 4.0},
+            [["inf", "a"], ["inf"], ["inf"]],
+            demands=[np.inf, 3.0, 6.0])
+        assert rates.tolist() == [4.0, 3.0, 6.0]
+
+    def test_row_crossing_the_bottleneck_twice(self, kernel):
+        """Row 0 crosses ``a`` twice: it freezes once, its weight leaves
+        both links once per traversal, and row 2 still gets ``b``'s
+        remaining 10 - 2·2."""
+        rates = _kernel_equals_oracle(
+            kernel, {"a": 6.0, "b": 10.0},
+            [["a", "b", "a"], ["a"], ["b"]])
+        assert rates.tolist() == [2.0, 2.0, 8.0]
+
+    def test_finite_caps_that_never_bind(self, kernel):
+        """Every cap finite and far above any share, like the engine's
+        1e9 elastic caps: the same rates as no caps at all."""
+        rng = np.random.default_rng(37)
+        capacity = {f"l{j}": float(rng.uniform(1.0, 9.0)) for j in range(12)}
+        flow_links = [list(rng.choice(list(capacity), size=4))
+                      for _ in range(80)]
+        capped = _kernel_equals_oracle(kernel, capacity, flow_links,
+                                       demands=np.full(80, 1e9))
+        elastic = _kernel_equals_oracle(kernel, capacity, flow_links)
+        assert capped.tobytes() == elastic.tobytes()
+        assert np.unique(capped).size > 5
+
+    def test_more_links_than_one_radix_digit(self, kernel):
+        """70 000 links: link 66 000 (the bottleneck) and link 464 share
+        their low 16 bits, so its rows are only right if the link → rows
+        grouping also sorts on the next digit."""
+        capacity = dict.fromkeys(range(70_000), 100.0)
+        capacity[66_000] = 1.0
+        rates = _kernel_equals_oracle(
+            kernel, capacity,
+            [list(range(35_000)), list(range(35_000, 70_000)),
+             [66_000, 464]])
+        assert rates.tolist() == [99.5, 0.5, 0.5]
+
+
+class TestMultiplicityIsValidated:
+    """A count that is not a finite positive integer, or a count array
+    of another length than ``active``, is refused on either kernel."""
+
+    @pytest.mark.parametrize("rows", [3, SMALL_SOLVE_ENTRIES + 1])
+    @pytest.mark.parametrize("first, extra, message", [
+        (1.5, 0, "finite positive integer count"),
+        (0, 0, "finite positive integer count"),
+        (-1, 0, "finite positive integer count"),
+        (np.inf, 0, "finite positive integer count"),
+        (np.nan, 0, "finite positive integer count"),
+        (1, -1, "count per active row"),
+        (1, 1, "count per active row"),
+    ])
+    def test_bad_counts_are_refused(self, kernel_calls, rows, first, extra,
+                                    message):
+        """``[1.5, 1, 1]`` used to return rates, ``[0, 1, 1]`` to be
+        called unconstrained, and a short array to raise ``IndexError``
+        in the scalar kernel."""
+        matrix = FlowLinkMatrix.from_paths(
+            {"a": 10.0, "b": 14.0}, [["a"]] * (rows - 1) + [["b"]])
+        counts = [first] + [1] * (rows - 1 + extra)
+        with pytest.raises(ValueError, match=message):
+            waterfill(matrix, multiplicity=counts)
+        assert kernel_calls == []
+        good = waterfill(matrix, multiplicity=[2] + [1] * (rows - 1))
+        assert kernel_calls == ["_waterfill_scalars" if rows <= 3
+                                else "_waterfill_arrays"]
+        assert good[0] == 10.0 / rows
+
+
 @st.composite
 def _class_workloads(draw):
     """Flows grouped in classes (same links, same cap) over a few links.

@@ -1481,6 +1481,46 @@ class TestServerClient:
                 assert service.network.faults is None
                 client.stop()
 
+    def test_non_object_fault_records_are_answered(self):
+        """``FaultEvent.from_dict`` read a non-object record with
+        ``.get`` and raised ``AttributeError``, which the handler did not
+        catch: the connection closed without an answer.  Both lines are
+        now answered, and the connection keeps serving."""
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                for events in ([1], "x"):
+                    with pytest.raises(ServiceClientError,
+                                       match="ValueError: a fault event "
+                                             "must be a JSON object"):
+                        client.command("inject_fault", events=events)
+                assert client.status()["time_s"] == 0.0
+                assert service.network.faults is None
+                client.stop()
+
+    def test_an_error_family_is_answered_by_its_type(self, monkeypatch):
+        """The handler answers whole error families (``LookupError``,
+        ``AttributeError``, ...), not only the six types it listed, and
+        keeps the connection."""
+        service = _make_service("packet")
+        status = service.status
+        calls = []
+
+        def flaky_status():
+            calls.append(None)
+            if len(calls) == 1:
+                raise LookupError("no such thing")
+            return status()
+
+        monkeypatch.setattr(service, "status", flaky_status)
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceClientError,
+                                   match="LookupError: no such thing"):
+                    client.status()
+                assert client.status()["time_s"] == 0.0
+                client.stop()
+
     def test_paced_server_advances_by_itself(self):
         service = _make_service("packet")
         with _ServerThread(service, pace=50.0) as server:
