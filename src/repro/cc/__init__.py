@@ -6,8 +6,7 @@ lab"):
 1. the plug-in API (:mod:`repro.cc.api`): the
    :class:`CongestionController` interface, the shared RFC 6298
    :class:`RttEstimator`, and the string-keyed :data:`CONTROLLERS`
-   table, filled here with the three classics (:mod:`repro.cc.classic`)
-   and the learned bandit (:mod:`repro.cc.learned`);
+   table, filled here with the three classics (:mod:`repro.cc.classic`);
 2. the evaluation harness (:mod:`repro.cc.lab`, import as a
    submodule): every registered controller head-to-head across the
    fault x weather x churn scenario matrix — the `repro cc-lab` CLI.
@@ -19,10 +18,9 @@ from .api import (CONTROLLERS, CongestionController, RttEstimator,
                   controller_names, make_controller, resolve_controller)
 from .classic import BbrController, NewRenoController, VegasController
 from .factory import ControllerFlowFactory
-from .learned import ARMS, BanditBrain, BanditController
 
 CONTROLLERS.update(newreno=NewRenoController, vegas=VegasController,
-                   bbr=BbrController, bandit=BanditController)
+                   bbr=BbrController)
 
 __all__ = [
     "CONTROLLERS",
@@ -34,8 +32,5 @@ __all__ = [
     "NewRenoController",
     "VegasController",
     "BbrController",
-    "BanditBrain",
-    "BanditController",
-    "ARMS",
     "ControllerFlowFactory",
 ]

@@ -11,7 +11,7 @@ controller as a swappable experiment axis rather than a class hierarchy:
   out; controllers are plain objects that :mod:`repro.service`
   checkpoints pickle along with their flows;
 * :data:`CONTROLLERS` / :func:`make_controller` form a string-keyed
-  table of the four controllers, so controller choices travel across
+  table of the three controllers, so controller choices travel across
   process boundaries by name;
 * :class:`RttEstimator` is the one shared RFC 6298 srtt/rttvar/RTO
   estimator (with Karn-style exponential backoff) that every controller
@@ -27,7 +27,7 @@ read from.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 __all__ = [
     "CongestionController", "RttEstimator", "CONTROLLERS",
@@ -175,23 +175,10 @@ class CongestionController:
         """Current pacing rate; only meaningful when :attr:`paced`."""
         return None
 
-    @classmethod
-    def make_shared_state(cls) -> Dict[str, Any]:
-        """Attributes shared by all flows of one scenario: the
-        :class:`~repro.cc.factory.ControllerFlowFactory` sets them on
-        every controller it builds, in place of the controller's own.
-
-        Learned controllers override this to build one brain that every
-        flow's controller instance updates (see
-        :class:`repro.cc.learned.BanditController`); classic controllers
-        share nothing.
-        """
-        return {}
-
 
 #: Named controller classes a flow (or a lab cell in another process)
 #: may reference.  Keys travel across process boundaries; values never
-#: leave this process.  :mod:`repro.cc` fills it with the four
+#: leave this process.  :mod:`repro.cc` fills it with the three
 #: controllers on import, before anything can look a name up.
 CONTROLLERS: Dict[str, Callable[[], CongestionController]] = {}
 

@@ -4,17 +4,14 @@
 (which spawns one finite transfer per
 :class:`~repro.traffic.arrivals.FlowRequest`) and the controller
 registry: it builds :class:`~repro.transport.tcp.TcpFlow` applications
-running a *named* controller, holding any cross-flow shared state (a
-learned controller's brain) so it rides along when the spawners are
-pickled.  Instances carry only the controller name and that shared
-state — they pickle and travel to sweep/lab worker
-processes.
+running a *named* controller.  Instances carry only the controller
+name, so they pickle and travel to sweep/lab worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING
 
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from .api import CONTROLLERS, make_controller
@@ -32,10 +29,6 @@ class ControllerFlowFactory:
     Args:
         controller: A controller name.
 
-    The controller class's shared state (``make_shared_state``) is built
-    once and handed to every flow — for the bandit this is the brain all
-    flows learn through; classic controllers share nothing.
-
     Usage: ``WorkloadSpawner(schedule, flow_factory=factory)``.
     """
 
@@ -45,9 +38,6 @@ class ControllerFlowFactory:
             # construction time rather than first flow arrival.
             make_controller(controller)
         self.controller = controller
-        maker = getattr(CONTROLLERS[controller], "make_shared_state", None)
-        self.shared_state: Dict[str, Any] = (maker() if maker is not None
-                                             else {})
 
     def __call__(self, request: FlowRequest):
         """The one request → flow rule (``WorkloadSpawner``'s default
@@ -57,11 +47,8 @@ class ControllerFlowFactory:
         # for the registry, so a module-level import here would cycle.
         from ..transport.tcp import TcpFlow
         payload = DEFAULT_MTU_BYTES - DEFAULT_HEADER_BYTES
-        controller = make_controller(self.controller)
-        for name, value in self.shared_state.items():
-            setattr(controller, name, value)
         return TcpFlow(
             request.src_gid, request.dst_gid,
             start_s=request.t_start_s,
             max_packets=max(1, math.ceil(request.size_bytes / payload)),
-            controller=controller)
+            controller=self.controller)

@@ -3,10 +3,9 @@
 The lab runs every registered congestion controller through the same
 scenario matrix — fault x weather x churn — and scores each (scenario,
 controller) cell by flow-completion-time percentiles and delivered vs
-offered load.  It is how a new controller (the UCB bandit, or any other
-registered plug-in) earns its place next to the classics: same
-constellation, same seeded workload, same injected impairments, one
-comparison table.
+offered load.  It is how a registered plug-in earns its place next to
+the others: same constellation, same seeded workload, same injected
+impairments, one comparison table.
 
 Everything here is deterministic given ``(base spec, seed)``: workloads
 come from seeded :class:`~repro.traffic.arrivals.FlowArrivalProcess`
@@ -21,9 +20,10 @@ serial run.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..obs.report import fct_summary
@@ -44,12 +44,7 @@ __all__ = [
     "build_scenarios",
     "run_cell",
     "run_lab",
-    "CLASSIC_CONTROLLERS",
 ]
-
-#: The controllers ported verbatim from the seed TCP flows — the
-#: yardstick a learned policy is scored against.
-CLASSIC_CONTROLLERS = ("newreno", "vegas", "bbr")
 
 #: Six well-spread cities, the lab's ground segment (small enough that
 #: every cell stays cheap, far enough apart that paths cross many ISLs).
@@ -71,6 +66,12 @@ MEAN_FLOW_BYTES = 40_000.0
 
 #: Stochastic loss rate on impaired ground uplinks in faulty scenarios.
 FAULT_LOSS_RATE = 0.03
+
+#: Every cell's queues (packets per device) and forwarding-state
+#: refresh interval (seconds).
+GSL_QUEUE_PACKETS = 25
+ISL_QUEUE_PACKETS = 25
+FORWARDING_INTERVAL_S = 0.1
 
 
 def lab_network(shell: str = "8x8") -> NetworkSpec:
@@ -157,33 +158,26 @@ def _storms(spec: NetworkSpec, duration_s: float,
 
 def build_scenarios(base: Optional[NetworkSpec] = None,
                     duration_s: float = 8.0,
-                    seed: int = 0,
-                    fault_axis: Sequence[str] = ("clean", "faulty"),
-                    weather_axis: Sequence[str] = ("clear", "storm"),
-                    churn_axis: Sequence[str] = ("light", "heavy"),
-                    ) -> List[LabScenario]:
-    """The fault x weather x churn matrix over ``base``.
+                    seed: int = 0) -> List[LabScenario]:
+    """The fault x weather x churn matrix over ``base``: eight scenarios,
+    named ``"{fault}-{weather}-{churn}"`` with fault in ``{"clean",
+    "faulty"}``, weather in ``{"clear", "storm"}`` and churn in
+    ``{"light", "heavy"}``.
 
     Every scenario reuses the same constellation and ground segment and
     differs only in its injected impairments and seeded workload, so
-    controller comparisons isolate rate-control policy.  Axis values:
-    fault in ``{"clean", "faulty"}``, weather in ``{"clear", "storm"}``,
-    churn in ``{"light", "heavy"}``; pass shorter sequences to shrink
-    the matrix (tests do).
+    controller comparisons isolate rate-control policy.
     """
+    if not (math.isfinite(duration_s) and duration_s > 0.0):
+        raise ValueError(
+            f"duration must be positive and finite, got {duration_s}")
     if base is None:
         base = lab_network()
     scenarios: List[LabScenario] = []
     num_sites = len(base.ground_stations)
-    for fault in fault_axis:
-        if fault not in ("clean", "faulty"):
-            raise ValueError(f"unknown fault axis value {fault!r}")
-        for weather in weather_axis:
-            if weather not in ("clear", "storm"):
-                raise ValueError(f"unknown weather axis value {weather!r}")
-            for churn in churn_axis:
-                if churn not in CHURN_RATE_BPS:
-                    raise ValueError(f"unknown churn axis value {churn!r}")
+    for fault in ("clean", "faulty"):
+        for weather in ("clear", "storm"):
+            for churn in ("light", "heavy"):
                 matrix = TrafficMatrix.permutation(
                     num_stations=num_sites,
                     rate_bps=CHURN_RATE_BPS[churn], seed=seed)
@@ -245,9 +239,7 @@ class CcCellResult:
         }
 
 
-def run_cell(scenario: LabScenario, controller: str,
-             gsl_queue_packets: int = 25, isl_queue_packets: int = 25,
-             forwarding_interval_s: float = 0.1) -> CcCellResult:
+def run_cell(scenario: LabScenario, controller: str) -> CcCellResult:
     """Run one (scenario, controller) cell to completion.
 
     Module-level and argument-picklable on purpose: the parallel path
@@ -255,9 +247,9 @@ def run_cell(scenario: LabScenario, controller: str,
     """
     sim = PacketSimulator(
         scenario.spec.build(),
-        link_config=LinkConfig(gsl_queue_packets=gsl_queue_packets,
-                               isl_queue_packets=isl_queue_packets),
-        forwarding_interval_s=forwarding_interval_s)
+        link_config=LinkConfig(gsl_queue_packets=GSL_QUEUE_PACKETS,
+                               isl_queue_packets=ISL_QUEUE_PACKETS),
+        forwarding_interval_s=FORWARDING_INTERVAL_S)
     workload = scenario.spec.workload
     assert workload is not None, "lab scenarios always carry a workload"
     spawner = WorkloadSpawner(
@@ -286,11 +278,10 @@ def _run_cell_star(args: Tuple[LabScenario, str]) -> CcCellResult:
 
 @dataclass
 class CcLabReport:
-    """All cells of one lab run plus the derived comparisons."""
+    """All cells of one lab run plus the winners table."""
 
     cells: List[CcCellResult]
     seed: int = 0
-    learned: str = "bandit"
 
     @property
     def scenarios(self) -> List[str]:
@@ -334,42 +325,14 @@ class CcLabReport:
                 winners[scenario] = best.controller
         return winners
 
-    def learned_vs_best_classic(self) -> Dict[str, Dict[str, Any]]:
-        """Per scenario: the learned controller against the best classic.
-
-        ``wins`` is true where the learned p50 matches or beats the best
-        classic's — the lab's acceptance criterion is that this holds in
-        at least one scenario of the full matrix.
-        """
-        rows: Dict[str, Dict[str, Any]] = {}
-        for scenario in self.scenarios:
-            learned = self.cell(scenario, self.learned)
-            classics = [c for c in self.cells
-                        if c.scenario == scenario and c.flows_completed
-                        and c.controller in CLASSIC_CONTROLLERS]
-            if learned is None or not classics:
-                continue
-            best = min(classics, key=lambda c: c.fct_p50_s)
-            wins = bool(learned.flows_completed
-                        and learned.fct_p50_s <= best.fct_p50_s)
-            rows[scenario] = {
-                "learned_fct_p50_s": learned.fct_p50_s,
-                "best_classic": best.controller,
-                "best_classic_fct_p50_s": best.fct_p50_s,
-                "wins": wins,
-            }
-        return rows
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "kind": "cc_lab_report",
             "seed": self.seed,
-            "learned": self.learned,
             "scenarios": self.scenarios,
             "controllers": self.controllers,
             "cells": [cell.as_dict() for cell in self.cells],
             "winners": self.winners(),
-            "learned_vs_best_classic": self.learned_vs_best_classic(),
         }
 
     def to_json(self, path: str) -> None:
@@ -395,12 +358,6 @@ class CcLabReport:
                     row += f"{cell.fct_p50_s * 1000.0:>10.1f}ms"
             row += f"  {winners.get(scenario, '-')}"
             lines.append(row)
-        lines.append("")
-        versus = self.learned_vs_best_classic()
-        won = sum(1 for row in versus.values() if row["wins"])
-        lines.append(
-            f"{self.learned} matches or beats the best classic FCT p50 "
-            f"in {won}/{len(versus)} scenarios (p50, lower is better)")
         return lines
 
 
@@ -409,32 +366,28 @@ def run_lab(scenarios: Optional[Sequence[LabScenario]] = None,
             seed: int = 0,
             duration_s: float = 8.0,
             workers: int = 1,
-            learned: str = "bandit",
-            base: Optional[NetworkSpec] = None,
-            **axes: Sequence[str]) -> CcLabReport:
+            base: Optional[NetworkSpec] = None) -> CcLabReport:
     """Run the whole matrix, serially or across a process pool.
 
     Args:
         scenarios: Pre-built scenario list (default: the full
             :func:`build_scenarios` matrix over ``base`` with ``seed``
-            and ``duration_s``; trim it with ``fault_axis=`` /
-            ``weather_axis=`` / ``churn_axis=`` keyword arguments).
+            and ``duration_s``).
         controllers: Registry names to race (default: every registered
-            controller).
+            controller); an empty list is a ``ValueError``.
         workers: Process-pool width; ``<= 1`` runs serially.  Cells are
             enumerated in a fixed (scenario, controller) order and
             ``Executor.map`` preserves it, so the report is identical
             either way.
-        learned: Which controller the comparison rows treat as the
-            learned policy.
     """
-    if scenarios is None:
-        scenarios = build_scenarios(base=base, duration_s=duration_s,
-                                    seed=seed, **axes)
-    elif axes:
-        raise ValueError("axis overrides only apply to built scenarios")
     if controllers is None:
         controllers = controller_names()
+    elif not controllers:
+        raise ValueError(
+            "controllers is empty; name at least one registered controller")
+    if scenarios is None:
+        scenarios = build_scenarios(base=base, duration_s=duration_s,
+                                    seed=seed)
     jobs = [(scenario, controller) for scenario in scenarios
             for controller in controllers]
     if workers <= 1:
@@ -443,4 +396,4 @@ def run_lab(scenarios: Optional[Sequence[LabScenario]] = None,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell_star, jobs))
-    return CcLabReport(cells=cells, seed=seed, learned=learned)
+    return CcLabReport(cells=cells, seed=seed)

@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     cc_lab.add_argument("--workers", type=int, default=1,
                         help="process-pool width (cells are independent; "
                              "the report is identical at any width)")
-    cc_lab.add_argument("--learned", default="bandit",
-                        help="controller scored against the classics")
     cc_lab.add_argument("-o", "--output", default=None, metavar="JSON",
                         help="write the full cell-by-cell report here")
     return parser
@@ -743,7 +741,7 @@ def _cmd_cc_lab(args) -> int:
         raise KeyError(str(error))
     report = run_lab(controllers=controllers, seed=args.seed,
                      duration_s=args.duration, workers=args.workers,
-                     learned=args.learned, base=base)
+                     base=base)
     for line in report.format_lines():
         print(line)
     if args.output:

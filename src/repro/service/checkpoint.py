@@ -67,7 +67,9 @@ __all__ = [
 #: the callable, so every spec pickles and hashes otherwise.
 #: v10: the body is the pickled ``LiveSimulationService`` itself, not a
 #: ``{"spec": ..., "payload": {"service": ...}}`` dict.
-CHECKPOINT_FORMAT_VERSION = 10
+#: v11: ``ControllerFlowFactory`` carries only a controller name (no
+#: ``shared_state``), and the learned controller that used it is gone.
+CHECKPOINT_FORMAT_VERSION = 11
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

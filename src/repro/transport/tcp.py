@@ -71,7 +71,7 @@ class TcpFlow(Application):
         max_packets: Total data packets to send (default: unbounded, a
             "long-running flow").
         controller: A registered controller name (``"newreno"``,
-            ``"vegas"``, ``"bbr"``, ``"bandit"``, ...) or an unattached
+            ``"vegas"``, ``"bbr"``) or an unattached
             :class:`~repro.cc.CongestionController` instance.
 
     Logs (inspect after :meth:`PacketSimulator.run`):

@@ -5,8 +5,8 @@ lives in ``benchmarks/test_cc_matrix.py``; here we prove the API
 semantics — registry, estimator arithmetic, pickled controller state,
 the controller inspection surface —
 plus one light parity run per classic against the frozen seed classes in
-``tests/_seed_transport.py``, and learned-controller checkpoint/restore
-parity through a pickled mid-run simulation.
+``tests/_seed_transport.py``, and checkpoint/restore parity of a
+factory-spawned BBR workload through a pickled mid-run simulation.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.cc.api import (RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S,
                           resolve_controller)
 from repro.cc.classic import BbrController, NewRenoController, VegasController
 from repro.cc.factory import ControllerFlowFactory
-from repro.cc.learned import BanditBrain, BanditController
 from repro.constellations.builder import Constellation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
@@ -77,10 +76,8 @@ class TestRttEstimator:
 
 
 class TestRegistry:
-    def test_classics_and_learned_registered(self):
-        names = controller_names()
-        for expected in ("newreno", "vegas", "bbr", "bandit"):
-            assert expected in names
+    def test_classics_registered(self):
+        assert controller_names() == ["bbr", "newreno", "vegas"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown congestion"):
@@ -135,21 +132,6 @@ class TestStateDicts:
             json.dumps(list(restored))  # plain numbers, nothing opaque
         assert clone.btl_bw_bps == bbr.btl_bw_bps
         assert clone.flow.controller is clone
-
-    def test_bandit_shares_brain_and_roundtrips(self):
-        factory = ControllerFlowFactory("bandit")
-        request = FlowRequest(t_start_s=0.0, src_gid=0, dst_gid=1,
-                              size_bytes=10_000)
-        a, b = (factory(request).controller for _ in range(2))
-        assert isinstance(a, BanditController)
-        assert a.brain is b.brain
-        assert BanditController().brain is not a.brain
-        a.brain.update(1, 2.5)
-        a2, b2 = pickle.loads(pickle.dumps((a, b)))
-        assert a2.brain is b2.brain
-        assert a2.brain.totals == a.brain.totals
-        a2.brain.update(0, 1.0)  # one brain: both flows see the credit
-        assert b2.brain.counts == [1, 1, 0, 0]
 
 
 class TestShimSurface:
@@ -270,18 +252,25 @@ def _service_spec() -> NetworkSpec:
         requests.append(FlowRequest(t_start_s=rng.uniform(0.0, 6.0),
                                     src_gid=src, dst_gid=dst,
                                     size_bytes=rng.randint(20_000, 60_000)))
+    # Two long transfers are mid-flight at the 5 s checkpoint, in BBR's
+    # PROBE_BW cycle with populated bandwidth and RTT filters.
+    requests += [FlowRequest(t_start_s=2.0, src_gid=0, dst_gid=4,
+                             size_bytes=3_000_000),
+                 FlowRequest(t_start_s=2.5, src_gid=2, dst_gid=5,
+                             size_bytes=3_000_000)]
     return NetworkSpec.from_network(network).with_workload(
         WorkloadSchedule(requests, seed=17))
 
 
-def _bandit_run(spec: NetworkSpec):
-    """A packet run of ``spec``'s workload with every flow on the bandit,
-    one brain shared through the factory."""
+def _bbr_run(spec: NetworkSpec):
+    """A packet run of ``spec``'s workload with every flow on BBR, spawned
+    through the factory: BBR carries the most mid-flight controller state
+    (pacing rate, windowed bandwidth and RTT filters, state machine)."""
     sim = PacketSimulator(spec.build())
     metrics = MetricsRegistry()
     spawner = WorkloadSpawner(
         spec.workload, metrics=metrics,
-        flow_factory=ControllerFlowFactory("bandit")).install(sim)
+        flow_factory=ControllerFlowFactory("bbr")).install(sim)
     return sim, spawner, metrics
 
 
@@ -293,28 +282,32 @@ def _parity_form(sim, spawner, metrics) -> str:
 
 @pytest.mark.service
 class TestLearnedControllerService:
-    """A learned controller's run pickles mid-flight like a service
-    checkpoint does (class name kept for stable test ids)."""
+    """A factory-spawned workload's controllers pickle mid-flight like a
+    service checkpoint does (class name kept for stable test ids; the
+    learned controller it was written for is gone)."""
 
     def test_checkpoint_restore_continue_parity(self):
-        """A mid-run learned controller (shared bandit brain included)
-        survives checkpoint -> restore -> continue bit-identically."""
+        """Mid-run BBR controllers survive checkpoint -> restore ->
+        continue bit-identically."""
         horizon = 10.0
-        reference = _bandit_run(_service_spec())
+        reference = _bbr_run(_service_spec())
         reference[0].run(horizon)
 
-        interrupted = _bandit_run(_service_spec())
+        interrupted = _bbr_run(_service_spec())
         interrupted[0].run(5.0)
+        assert any(flow.completed_at_s is None
+                   and flow.controller._mode == "probe_bw"
+                   for flow in interrupted[1].flows)
         restored = pickle.loads(pickle.dumps(interrupted))
         restored[0].run(horizon)
 
         assert _parity_form(*restored) == _parity_form(*reference)
 
     def test_per_controller_fct_rows(self):
-        sim, spawner, metrics = _bandit_run(_service_spec())
+        sim, spawner, metrics = _bbr_run(_service_spec())
         sim.run(10.0)
         fct = packet_fct_section([spawner], metrics)
-        assert set(fct["by_controller"]) == {"bandit"}
-        row = fct["by_controller"]["bandit"]
+        assert set(fct["by_controller"]) == {"bbr"}
+        row = fct["by_controller"]["bbr"]
         assert row["flows_completed"] > 0
         assert row["fct_p50_s"] <= row["fct_p99_s"]

@@ -250,9 +250,10 @@ class TestCli:
         ("import repro.transport.vegas", ImportError),
         ("import repro.obs.bench", ImportError),
         ("from repro.cli import main; main(['bench-report'])", SystemExit),
+        ("import repro.cc.learned", ImportError),
     ], ids=["transport.TcpNewRenoFlow", "tcp.TcpNewRenoFlow",
             "transport.bbr", "transport.vegas", "obs.bench",
-            "cli-bench-report"])
+            "cli-bench-report", "cc.learned"])
     def test_superseded_names_stay_removed(self, statement, error, capsys):
         """The transport shim classes and the ``bench-report`` stack were
         replaced by ``TcpFlow(controller=...)`` and

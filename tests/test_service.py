@@ -231,7 +231,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 10
+        assert CHECKPOINT_FORMAT_VERSION == 11
         path = tmp_path / "v1.ckpt"
         _saved("packet", path, epochs=1)
         _rewrite_header(path, format_version=1)
@@ -346,6 +346,19 @@ class TestCheckpointContainer:
                                             "payload": {"service": service}}))
             with pytest.raises(CheckpointVersionError, match="format v9"):
                 LiveSimulationService.resume(str(path))
+
+    def test_v10_checkpoint_is_refused(self, tmp_path):
+        """A v10 packet body may pickle a ``ControllerFlowFactory`` whose
+        ``shared_state`` holds the deleted bandit's brain: the version
+        gate must refuse it before unpickling reaches the missing
+        ``repro.cc.learned``, not at the next flow arrival."""
+        path = tmp_path / "v10.ckpt"
+        _saved("packet", path)
+        header, _ = _checkpoint_parts(path)
+        _write_checkpoint(path, {**header, "format_version": 10},
+                          b"crepro.cc.learned\nBanditBrain\n.")
+        with pytest.raises(CheckpointVersionError, match="format v10"):
+            LiveSimulationService.resume(str(path))
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
         """Routers pickle without their per-snapshot caches: the transit
