@@ -39,6 +39,8 @@ smoke:
 	! grep -rnwI "mp_context" src/repro/service/ examples/ README.md .claude/
 	! grep -rnwIE "BanditController|BanditBrain|make_shared_state|learned_vs_best_classic|CLASSIC_CONTROLLERS" \
 	    src/ examples/ README.md .claude/
+	! grep -rnwIE "ControllerFlowFactory|resolve_controller|make_controller|flow_factory|_on_attach" \
+	    src/ examples/ README.md .claude/
 	! grep -rnwIE "rtt_extremes|upper_pairs_mask|DynamicState|all_pairs_distance_m|_scalar_eci|_all_circular|_combined_fct_extras|pair_rtt_stats_over_time|pair_path_stats_over_time" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "propagate_to_ec|parse_tle|read_tle_file|max_min_fair_allocation_vectorized|batched_elevation_angles_deg|max_slant_range_m|topocentric_enu|pairs_by_name|repro\.fluid\.maxmin|repro\.orbits\.propagation" \

@@ -10,9 +10,9 @@ controller as a swappable experiment axis rather than a class hierarchy:
   loss / timeout / RTT-sample hooks in, cwnd / pacing-rate decisions
   out; controllers are plain objects that :mod:`repro.service`
   checkpoints pickle along with their flows;
-* :data:`CONTROLLERS` / :func:`make_controller` form a string-keyed
-  table of the three controllers, so controller choices travel across
-  process boundaries by name;
+* a flow names its controller: :data:`repro.cc.classic.CONTROLLERS`
+  maps the three names to their classes, so controller choices travel
+  across process boundaries as strings;
 * :class:`RttEstimator` is the one shared RFC 6298 srtt/rttvar/RTO
   estimator (with Karn-style exponential backoff) that every controller
   rides on — previously duplicated knowledge of the NewReno base class.
@@ -27,12 +27,11 @@ read from.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Optional
 
 __all__ = [
-    "CongestionController", "RttEstimator", "CONTROLLERS",
-    "make_controller", "controller_names",
-    "resolve_controller", "RTO_MIN_S", "RTO_MAX_S", "RTO_INITIAL_S",
+    "CongestionController", "RttEstimator",
+    "RTO_MIN_S", "RTO_MAX_S", "RTO_INITIAL_S",
 ]
 
 #: RFC 6298 parameters (shared by every controller's estimator).
@@ -83,9 +82,9 @@ class RttEstimator:
 class CongestionController:
     """Base class of congestion-control plug-ins.
 
-    Lifecycle: construct (pure parameters), :meth:`attach` to exactly
-    one flow, then receive event hooks for the flow's lifetime.  The
-    controller expresses its decisions by mutating ``flow.cwnd`` and
+    Lifecycle: a flow builds its own controller as ``cls(flow)`` and
+    calls its event hooks for the flow's lifetime.  The controller
+    expresses its decisions by mutating ``flow.cwnd`` and
     ``flow.ssthresh`` (window-based control) and/or by returning a
     rate from :attr:`pacing_rate_bps` with :attr:`paced` True
     (rate-based control, e.g. BBR).
@@ -105,8 +104,8 @@ class CongestionController:
       opportunities were taken (model-based controllers refresh their
       cwnd/pacing decisions here).
 
-    Subclasses must be constructible with keyword arguments only — the
-    registry builds them as ``cls(**kwargs)``.
+    Subclasses take the flow as their one constructor argument; the
+    flow's fields (packet size, initial cwnd) are set by then.
     """
 
     #: Registry key; subclasses override.
@@ -115,26 +114,8 @@ class CongestionController:
     #: :attr:`pacing_rate_bps` instead of window-bursting.
     paced = False
 
-    def __init__(self) -> None:
-        self.flow = None  # set by attach()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def attach(self, flow) -> "CongestionController":
-        """Bind to the flow this controller steers; returns self."""
-        if self.flow is not None:
-            raise RuntimeError(
-                f"controller {self.name!r} is already attached to a flow; "
-                f"construct one controller per flow")
+    def __init__(self, flow) -> None:
         self.flow = flow
-        self._on_attach()
-        return self
-
-    def _on_attach(self) -> None:
-        """Subclass hook: finish initialization that needs flow fields
-        (packet size, initial cwnd)."""
 
     # ------------------------------------------------------------------
     # Event hooks (policy in)
@@ -175,43 +156,3 @@ class CongestionController:
         """Current pacing rate; only meaningful when :attr:`paced`."""
         return None
 
-
-#: Named controller classes a flow (or a lab cell in another process)
-#: may reference.  Keys travel across process boundaries; values never
-#: leave this process.  :mod:`repro.cc` fills it with the three
-#: controllers on import, before anything can look a name up.
-CONTROLLERS: Dict[str, Callable[[], CongestionController]] = {}
-
-
-def make_controller(name: str) -> CongestionController:
-    """Instantiate a controller by name."""
-    try:
-        factory = CONTROLLERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown congestion controller {name!r}; known: "
-            f"{controller_names()}") from None
-    return factory()
-
-
-def controller_names() -> List[str]:
-    """Controller names, sorted."""
-    return sorted(CONTROLLERS)
-
-
-def resolve_controller(spec: Union[str, CongestionController, None],
-                       ) -> CongestionController:
-    """A controller instance from a name, an instance, or None.
-
-    ``None`` resolves to the default (``"newreno"``); a string goes
-    through the registry; an unattached instance passes through.
-    """
-    if spec is None:
-        spec = "newreno"
-    if isinstance(spec, str):
-        return make_controller(spec)
-    if isinstance(spec, CongestionController):
-        return spec
-    raise TypeError(
-        f"controller must be a registered name or a CongestionController "
-        f"instance, got {type(spec).__name__}")

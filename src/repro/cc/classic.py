@@ -9,6 +9,9 @@ seed class (``tests/_seed_transport.py``) on scenarios exercising fast
 recovery and timeouts; do not "improve" the arithmetic here without
 updating that contract.
 
+:data:`CONTROLLERS` maps each controller's name to its class; a flow
+names the one it runs and builds it as ``CONTROLLERS[name](flow)``.
+
 The algorithm rationale — why NewReno halves on LEO path shortening, why
 Vegas collapses on path lengthening, why BBR's expiring min-RTT filter
 does not — is in the :mod:`repro.transport.tcp` module docstring and the
@@ -19,14 +22,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple, Type
 
 from ..obs.trace import FLOW_STATE
 from .api import CongestionController
 
 __all__ = ["NewRenoController", "VegasController", "BbrController",
-           "STARTUP_GAIN", "DRAIN_GAIN", "PROBE_BW_GAINS",
-           "BW_WINDOW_ROUNDS", "MIN_RTT_WINDOW_S"]
+           "CONTROLLERS", "controller_class", "STARTUP_GAIN", "DRAIN_GAIN",
+           "PROBE_BW_GAINS", "BW_WINDOW_ROUNDS", "MIN_RTT_WINDOW_S"]
 
 #: BBR STARTUP/DRAIN pacing gains (2/ln2 and its inverse).
 STARTUP_GAIN = 2.885
@@ -93,8 +96,8 @@ class VegasController(NewRenoController):
     BETA = 4.0
     GAMMA = 1.0
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, flow) -> None:
+        super().__init__(flow)
         self.base_rtt_s = math.inf
         self._window_min_rtt_s = math.inf
         self._next_adjust_s: Optional[float] = None
@@ -183,10 +186,10 @@ class BbrController(CongestionController):
     paced = True
     MIN_CWND = 4.0
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, flow) -> None:
+        super().__init__(flow)
         self._mode = "startup"
-        self._pacing_rate_bps = 0.0  # bootstrap set at attach
+        self._pacing_rate_bps = 10.0 * flow.packet_bytes * 8.0
         self._bw_filter: Deque[Tuple[float, float]] = deque()
         self._rtt_filter: Deque[Tuple[float, float]] = deque()
         self._cycle_index = 0
@@ -196,9 +199,6 @@ class BbrController(CongestionController):
         self._delivered_at_round_start = 0
         self._round_start_s = 0.0
         self._cwnd_before_rto = 0.0
-
-    def _on_attach(self) -> None:
-        self._pacing_rate_bps = 10.0 * self.flow.packet_bytes * 8.0
 
     # ------------------------------------------------------------------
     # Filters and model
@@ -319,3 +319,18 @@ class BbrController(CongestionController):
     def pacing_rate_bps(self) -> float:
         return self._pacing_rate_bps
 
+
+#: The controllers a flow may name.  Keys travel across process
+#: boundaries (lab cells, checkpoints); values never leave this process.
+CONTROLLERS: Dict[str, Type[CongestionController]] = {
+    cls.name: cls
+    for cls in (NewRenoController, VegasController, BbrController)}
+
+
+def controller_class(name: str) -> Type[CongestionController]:
+    """The controller class ``name`` selects; an unknown name is a
+    ``ValueError`` that lists the known ones."""
+    if name not in CONTROLLERS:
+        raise ValueError(f"unknown controller {name!r}; known: "
+                         f"{', '.join(sorted(CONTROLLERS))}")
+    return CONTROLLERS[name]

@@ -1,10 +1,9 @@
 """Head-to-head congestion-controller evaluation (``repro cc-lab``).
 
-The lab runs every registered congestion controller through the same
+The lab runs every named congestion controller through the same
 scenario matrix — fault x weather x churn — and scores each (scenario,
 controller) cell by flow-completion-time percentiles and delivered vs
-offered load.  It is how a registered plug-in earns its place next to
-the others: same constellation, same seeded workload, same injected
+offered load: same constellation, same seeded workload, same injected
 impairments, one comparison table.
 
 Everything here is deterministic given ``(base spec, seed)``: workloads
@@ -28,12 +27,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..obs.report import fct_summary
 from ..simulation.simulator import LinkConfig, PacketSimulator
+from ..sweep.engine import resolve_workers
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowArrivalProcess
 from ..traffic.matrix import TrafficMatrix
 from ..traffic.spawner import WorkloadSpawner
-from .api import controller_names
-from .factory import ControllerFlowFactory
+from .classic import CONTROLLERS, controller_class
 
 __all__ = [
     "SITES",
@@ -252,9 +251,8 @@ def run_cell(scenario: LabScenario, controller: str) -> CcCellResult:
         forwarding_interval_s=FORWARDING_INTERVAL_S)
     workload = scenario.spec.workload
     assert workload is not None, "lab scenarios always carry a workload"
-    spawner = WorkloadSpawner(
-        workload,
-        flow_factory=ControllerFlowFactory(controller)).install(sim)
+    spawner = WorkloadSpawner(workload,
+                              controller=controller).install(sim)
     sim.run(scenario.duration_s)
 
     result = CcCellResult(scenario=scenario.name, controller=controller,
@@ -373,24 +371,30 @@ def run_lab(scenarios: Optional[Sequence[LabScenario]] = None,
         scenarios: Pre-built scenario list (default: the full
             :func:`build_scenarios` matrix over ``base`` with ``seed``
             and ``duration_s``).
-        controllers: Registry names to race (default: every registered
-            controller); an empty list is a ``ValueError``.
-        workers: Process-pool width; ``<= 1`` runs serially.  Cells are
-            enumerated in a fixed (scenario, controller) order and
-            ``Executor.map`` preserves it, so the report is identical
-            either way.
+        controllers: Controller names to race (default: every key of
+            :data:`~repro.cc.CONTROLLERS`); an empty list or an unknown
+            name is a ``ValueError``.
+        workers: Process-pool width, as in ``repro sweep``
+            (:func:`~repro.sweep.engine.resolve_workers`): 1 runs
+            serially, 0 uses every core, a negative count is a
+            ``ValueError``.  Cells are enumerated in a fixed (scenario,
+            controller) order and ``Executor.map`` preserves it, so the
+            report is identical either way.
     """
     if controllers is None:
-        controllers = controller_names()
+        controllers = sorted(CONTROLLERS)
     elif not controllers:
         raise ValueError(
-            "controllers is empty; name at least one registered controller")
+            "controllers is empty; name at least one known controller")
+    for name in controllers:
+        controller_class(name)
+    workers = resolve_workers(workers)
     if scenarios is None:
         scenarios = build_scenarios(base=base, duration_s=duration_s,
                                     seed=seed)
     jobs = [(scenario, controller) for scenario in scenarios
             for controller in controllers]
-    if workers <= 1:
+    if workers == 1:
         cells = [run_cell(scenario, controller)
                  for scenario, controller in jobs]
     else:

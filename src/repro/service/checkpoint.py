@@ -67,9 +67,11 @@ __all__ = [
 #: the callable, so every spec pickles and hashes otherwise.
 #: v10: the body is the pickled ``LiveSimulationService`` itself, not a
 #: ``{"spec": ..., "payload": {"service": ...}}`` dict.
-#: v11: ``ControllerFlowFactory`` carries only a controller name (no
-#: ``shared_state``), and the learned controller that used it is gone.
-CHECKPOINT_FORMAT_VERSION = 11
+#: v11: the spawner's flow-factory object carries only a controller name
+#: (no shared state), and the learned controller that used it is gone.
+#: v12: a ``WorkloadSpawner`` holds its controller's name instead of a
+#: flow-factory object (``repro.cc.factory`` is gone).
+CHECKPOINT_FORMAT_VERSION = 12
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

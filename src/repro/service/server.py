@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Dict, Optional
 
 from ..faults.schedule import FaultEvent
@@ -89,8 +90,8 @@ class ServiceServer:
 
     def __init__(self, service: LiveSimulationService, host: str = "127.0.0.1",
                  port: int = 0, pace: float = 0.0) -> None:
-        if pace < 0.0:
-            raise ValueError(f"pace must be >= 0, got {pace}")
+        if not 0.0 <= pace < math.inf:
+            raise ValueError(f"pace must be finite and >= 0, got {pace}")
         self.service = service
         self.host = host
         self.port = port

@@ -16,6 +16,7 @@ station nodes and exchange packets identified by flow ids.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -239,7 +240,12 @@ class PacketSimulator:
         self._forward(packet.src_node, packet)
 
     def run(self, duration_s: float) -> None:
-        """Start (if needed) and run the simulation until ``duration_s``."""
+        """Start (if needed) and run the simulation until ``duration_s``,
+        a finite, non-negative simulated time (anything else is a
+        ``ValueError``: the forwarding refresh re-arms forever)."""
+        if not 0.0 <= duration_s < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, "
+                             f"got {duration_s}")
         profiler = spans.ACTIVE
         span = (profiler.begin("packet.event_loop")
                 if profiler.enabled else -1)

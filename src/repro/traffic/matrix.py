@@ -24,6 +24,7 @@ churn) as well as directly convertible to long-running fluid flows.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -147,8 +148,9 @@ class TrafficMatrix:
             raise ValueError("gravity model needs at least two cities")
         if total_offered_bps <= 0.0:
             raise ValueError("aggregate offered load must be positive")
-        if distance_exponent < 0.0:
-            raise ValueError("distance exponent must be non-negative")
+        if not 0.0 <= distance_exponent < math.inf:
+            raise ValueError(f"distance exponent must be finite and "
+                             f"non-negative, got {distance_exponent}")
         n = len(cities)
         populations = np.array([float(c.population) for c in cities])
         if (populations <= 0.0).any():

@@ -3,8 +3,10 @@
 The fluid engines consume a :class:`~repro.traffic.arrivals.
 WorkloadSchedule` directly (finite flows with start times); the packet
 simulator consumes it through this module: a :class:`WorkloadSpawner`
-installs one finite TCP transfer per :class:`~repro.traffic.arrivals.
-FlowRequest` and records flow-completion times as they happen.
+installs one finite :class:`~repro.transport.tcp.TcpFlow` per
+:class:`~repro.traffic.arrivals.FlowRequest`, every one running the
+spawner's named congestion controller, and records flow-completion
+times as they happen.
 
 Observability: given a :class:`~repro.obs.metrics.MetricsRegistry`, the
 spawner maintains the ``traffic.*`` instruments — an FCT histogram, the
@@ -15,14 +17,16 @@ at every arrival and completion — which flow into the packet run's
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..cc.factory import ControllerFlowFactory
+from ..cc.classic import controller_class
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import FCT_BUCKETS, fct_summary
+from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES
 from ..simulation.simulator import PacketSimulator
-from ..transport.base import Application
+from ..transport.tcp import TcpFlow
 from .arrivals import FlowRequest, WorkloadSchedule
 
 __all__ = ["WorkloadSpawner", "FCT_BUCKETS", "packet_fct_section"]
@@ -44,8 +48,9 @@ def packet_fct_section(spawners: Sequence["WorkloadSpawner"],
     """
     by_controller: Dict[str, List[float]] = {}
     for spawner in spawners:
-        for name, fcts in spawner.fcts_by_controller.items():
-            by_controller.setdefault(name, []).extend(fcts)
+        if spawner.fcts_s:
+            by_controller.setdefault(spawner.controller,
+                                     []).extend(spawner.fcts_s)
     rows: Dict[str, Dict[str, float]] = {}
     for name, fcts in sorted(by_controller.items()):
         stats = fct_summary(fcts)
@@ -70,11 +75,9 @@ class WorkloadSpawner:
         schedule: The flow requests to spawn.
         metrics: Optional registry receiving the ``traffic.*``
             instruments.
-        flow_factory: Optional override building the application of one
-            request (default: a NewReno
-            :class:`~repro.cc.factory.ControllerFlowFactory`).  The
-            factory's application must expose
-            ``on_complete`` and ``completed_at_s`` like the TCP flows do.
+        controller: The congestion controller every flow runs, a key
+            of :data:`repro.cc.CONTROLLERS`; an unknown name is a
+            ``ValueError`` here, not at the first arrival.
 
     Example::
 
@@ -86,16 +89,13 @@ class WorkloadSpawner:
 
     def __init__(self, schedule: WorkloadSchedule,
                  metrics: Optional[MetricsRegistry] = None,
-                 flow_factory: Optional[
-                     Callable[[FlowRequest], Application]] = None) -> None:
+                 controller: str = "newreno") -> None:
+        controller_class(controller)
         self.schedule = schedule
         self.metrics = metrics
-        self._factory = flow_factory or ControllerFlowFactory()
-        self.flows: List[Application] = []
+        self.controller = controller
+        self.flows: List[TcpFlow] = []
         self.fcts_s: List[float] = []
-        #: Completion times keyed by the flow's congestion-controller
-        #: registry name (``controller_name``; class name fallback).
-        self.fcts_by_controller: Dict[str, List[float]] = {}
         self.started = 0
         self.completed = 0
         self._active = 0
@@ -128,14 +128,19 @@ class WorkloadSpawner:
                          request: FlowRequest) -> None:
         """Install one request's transfer and its start/complete hooks.
 
-        Both hooks are ``partial``s of bound methods rather than
-        closures, so an installed spawner — including its pending start
-        events on the scheduler — pickles into a service checkpoint.
+        The transfer is ``ceil(size_bytes / payload)`` full-size packets,
+        never fewer than one.  Both hooks are ``partial``s of bound
+        methods rather than closures, so an installed spawner —
+        including its pending start events on the scheduler — pickles
+        into a service checkpoint.
         """
-        app = self._factory(request).install(sim)
-        app.on_complete = partial(self._on_flow_complete,  # type: ignore
-                                  request, app)
-        self.flows.append(app)
+        payload = DEFAULT_MTU_BYTES - DEFAULT_HEADER_BYTES
+        flow = TcpFlow(
+            request.src_gid, request.dst_gid, start_s=request.t_start_s,
+            max_packets=max(1, math.ceil(request.size_bytes / payload)),
+            controller=self.controller).install(sim)
+        flow.on_complete = partial(self._on_flow_complete, request)
+        self.flows.append(flow)
         sim.scheduler.schedule_at(request.t_start_s, self._on_flow_started)
 
     def _on_flow_started(self) -> None:
@@ -147,15 +152,12 @@ class WorkloadSpawner:
             registry.counter("traffic.flows_started").inc()
             self._sample_active(self.sim.now, +1.0)
 
-    def _on_flow_complete(self, request: FlowRequest, app: Application,
-                          now_s: float) -> None:
+    def _on_flow_complete(self, request: FlowRequest, now_s: float) -> None:
         fct = now_s - request.t_start_s
         self.completed += 1
         self._active -= 1
         self._delivered_bytes += float(request.size_bytes)
         self.fcts_s.append(fct)
-        label = getattr(app, "controller_name", None) or type(app).__name__
-        self.fcts_by_controller.setdefault(label, []).append(fct)
         registry = self.metrics
         if registry is not None:
             registry.counter("traffic.flows_completed").inc()

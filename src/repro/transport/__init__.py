@@ -1,6 +1,6 @@
-"""Transport protocols and applications: ping, UDP, and TCP with
-pluggable congestion control (NewReno, Vegas, BBR, and anything in the
-:mod:`repro.cc` registry via ``TcpFlow(..., controller=name)``)."""
+"""Transport protocols and applications: ping, UDP, and TCP with a
+congestion controller chosen by name (NewReno, Vegas or BBR, via
+``TcpFlow(..., controller=name)``; see :data:`repro.cc.CONTROLLERS`)."""
 
 from .base import Application, allocate_flow_id
 from .ping import PingSession

@@ -13,8 +13,9 @@ This reproduces the ns-3 TCP behaviour the paper's §4 experiments rely on
 
 The *policy* half — what to do with cwnd and the pacing rate on each ACK,
 loss, RTT sample, or timeout — is delegated to a
-:class:`repro.cc.CongestionController` plug-in selected by registry name
-(``TcpFlow(..., controller="bbr")``; ``"newreno"`` when none is given).
+:class:`repro.cc.CongestionController` the flow builds from its name, a
+key of :data:`repro.cc.CONTROLLERS` (``TcpFlow(..., controller="bbr")``;
+``"newreno"`` by default).
 The three classic controllers are bit-identical to the pre-plug-in flow
 classes (gated by ``benchmarks/test_cc_matrix.py``).
 
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, List, Optional, Set, Tuple, Union
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cc.api import (CongestionController, RttEstimator, RTO_INITIAL_S,
-                      RTO_MAX_S, RTO_MIN_S, resolve_controller)
+from ..cc.api import RttEstimator
+from ..cc.classic import controller_class
 from ..obs.metrics import TimeSeriesLog
 from ..obs.trace import FLOW_CWND, FLOW_RTT
 from ..simulation.packet import DEFAULT_HEADER_BYTES, DEFAULT_MTU_BYTES, Packet
@@ -62,7 +63,7 @@ THROUGHPUT_BIN_S = 0.1
 
 class TcpFlow(Application):
     """A unidirectional TCP flow (sender at src, receiver at dst) driving
-    any registered congestion controller.
+    one of the named congestion controllers.
 
     Args:
         src_gid: Sending ground station.
@@ -70,9 +71,9 @@ class TcpFlow(Application):
         start_s: Connection start time.
         max_packets: Total data packets to send (default: unbounded, a
             "long-running flow").
-        controller: A registered controller name (``"newreno"``,
-            ``"vegas"``, ``"bbr"``) or an unattached
-            :class:`~repro.cc.CongestionController` instance.
+        controller: A controller name, a key of
+            :data:`repro.cc.CONTROLLERS` (``"newreno"``, ``"vegas"``,
+            ``"bbr"``); anything else is a ``ValueError``.
 
     Logs (inspect after :meth:`PacketSimulator.run`):
         * :attr:`cwnd_log` — (time, cwnd in packets) on every change;
@@ -82,8 +83,7 @@ class TcpFlow(Application):
 
     def __init__(self, src_gid: int, dst_gid: int, start_s: float = 0.0,
                  max_packets: Optional[int] = None,
-                 controller: Union[str, CongestionController, None] = None,
-                 ) -> None:
+                 controller: str = "newreno") -> None:
         super().__init__()
         if src_gid == dst_gid:
             raise ValueError("source and destination must differ")
@@ -143,12 +143,7 @@ class TcpFlow(Application):
         self._dst_node = -1
 
         #: The congestion-control plug-in steering this flow.
-        self.controller = resolve_controller(controller).attach(self)
-
-    @property
-    def controller_name(self) -> str:
-        """Registry name of the attached controller (report labels)."""
-        return self.controller.name
+        self.controller = controller_class(controller)(self)
 
     # ------------------------------------------------------------------
     # Shared RTT/RTO estimator (RFC 6298 + Karn backoff)

@@ -2,11 +2,11 @@
 
 The heavyweight bit-identity gate (full anchor scenarios, every classic)
 lives in ``benchmarks/test_cc_matrix.py``; here we prove the API
-semantics — registry, estimator arithmetic, pickled controller state,
-the controller inspection surface —
+semantics — controller names, estimator arithmetic, pickled controller
+state, the controller inspection surface —
 plus one light parity run per classic against the frozen seed classes in
 ``tests/_seed_transport.py``, and checkpoint/restore parity of a
-factory-spawned BBR workload through a pickled mid-run simulation.
+spawner-built BBR workload through a pickled mid-run simulation.
 """
 
 import json
@@ -17,12 +17,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.cc.api import (RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S,
-                          CongestionController, RttEstimator,
-                          controller_names, make_controller,
-                          resolve_controller)
-from repro.cc.classic import BbrController, NewRenoController, VegasController
-from repro.cc.factory import ControllerFlowFactory
+from repro.cc import CONTROLLERS
+from repro.cc.api import RTO_INITIAL_S, RTO_MAX_S, RTO_MIN_S, RttEstimator
+from repro.cc.classic import NewRenoController, VegasController
 from repro.constellations.builder import Constellation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
@@ -76,29 +73,34 @@ class TestRttEstimator:
 
 
 class TestRegistry:
+    """A controller is chosen by name only (class name kept for stable
+    test ids)."""
+
     def test_classics_registered(self):
-        assert controller_names() == ["bbr", "newreno", "vegas"]
+        assert sorted(CONTROLLERS) == ["bbr", "newreno", "vegas"]
+        assert all(name == cls.name for name, cls in CONTROLLERS.items())
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown congestion"):
-            make_controller("no-such-controller")
+        with pytest.raises(ValueError, match="unknown controller "
+                           "'no-such-controller'; known: bbr, newreno, "
+                           "vegas"):
+            TcpFlow(0, 3, controller="no-such-controller")
+
+    def test_spawner_unknown_name_rejected(self):
+        """At construction, not at the first flow arrival."""
+        schedule = WorkloadSchedule([FlowRequest(1.0, 0, 3, 10_000)])
+        with pytest.raises(ValueError, match="unknown controller 'cubic'"):
+            WorkloadSpawner(schedule, controller="cubic")
 
     def test_resolve_default_is_newreno(self):
-        assert isinstance(resolve_controller(None), NewRenoController)
-
-    def test_resolve_instance_passthrough(self):
-        ctrl = BbrController()
-        assert resolve_controller(ctrl) is ctrl
+        assert isinstance(TcpFlow(0, 3).controller, NewRenoController)
 
     def test_resolve_bad_type(self):
-        with pytest.raises(TypeError):
-            resolve_controller(42)
-
-    def test_double_attach_rejected(self, small_network):
-        sim = PacketSimulator(small_network)
-        flow = TcpFlow(0, 3, controller="newreno").install(sim)
-        with pytest.raises(RuntimeError, match="already attached"):
-            flow.controller.attach(flow)
+        """A controller class or instance is not a name."""
+        flow = TcpFlow(0, 3, controller="vegas")
+        for spec in (VegasController, flow.controller, 42):
+            with pytest.raises(ValueError, match="unknown controller"):
+                TcpFlow(0, 3, controller=spec)
 
 
 class TestStateDicts:
@@ -140,16 +142,16 @@ class TestShimSurface:
 
     def test_controller_names(self, small_network):
         sim = PacketSimulator(small_network)
-        assert TcpFlow(0, 3).install(sim).controller_name == "newreno"
+        assert TcpFlow(0, 3).install(sim).controller.name == "newreno"
         for gid, name in ((4, "vegas"), (5, "bbr")):
             flow = TcpFlow(0, gid, controller=name).install(sim)
-            assert flow.controller_name == name
+            assert flow.controller.name == name
 
     def test_vegas_parameters_delegate(self, small_network):
         sim = PacketSimulator(small_network)
-        vegas = make_controller("vegas")
-        flow = TcpFlow(0, 3, controller=vegas).install(sim)
-        assert flow.controller is vegas
+        flow = TcpFlow(0, 3, controller="vegas").install(sim)
+        assert type(flow.controller) is VegasController
+        assert flow.controller.flow is flow
         assert (flow.controller.ALPHA, flow.controller.BETA,
                 flow.controller.GAMMA) == (2.0, 4.0, 1.0)
 
@@ -263,14 +265,13 @@ def _service_spec() -> NetworkSpec:
 
 
 def _bbr_run(spec: NetworkSpec):
-    """A packet run of ``spec``'s workload with every flow on BBR, spawned
-    through the factory: BBR carries the most mid-flight controller state
+    """A packet run of ``spec``'s workload with every flow on BBR, built
+    by the spawner: BBR carries the most mid-flight controller state
     (pacing rate, windowed bandwidth and RTT filters, state machine)."""
     sim = PacketSimulator(spec.build())
     metrics = MetricsRegistry()
-    spawner = WorkloadSpawner(
-        spec.workload, metrics=metrics,
-        flow_factory=ControllerFlowFactory("bbr")).install(sim)
+    spawner = WorkloadSpawner(spec.workload, metrics=metrics,
+                              controller="bbr").install(sim)
     return sim, spawner, metrics
 
 
@@ -282,7 +283,7 @@ def _parity_form(sim, spawner, metrics) -> str:
 
 @pytest.mark.service
 class TestLearnedControllerService:
-    """A factory-spawned workload's controllers pickle mid-flight like a
+    """A spawned workload's controllers pickle mid-flight like a
     service checkpoint does (class name kept for stable test ids; the
     learned controller it was written for is gone)."""
 

@@ -177,7 +177,9 @@ class TestCli:
         ["faults", "K1", "-o", "faults.json", "--duration", "-5"],
         ["traffic", "-o", "workload.json", "--cities", "1"],
         ["cc-lab", "--duration", "0"],
+        ["cc-lab", "--workers", "-3"],
         ["sky", "K1", "Paris", "--time", "nan"],
+        ["report", "K1", "Manila", "Dalian", "--duration", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_bad_numbers_are_usage_errors(self, argv, capsys, tmp_path,
                                           monkeypatch):
@@ -195,11 +197,16 @@ class TestCli:
         ["rtt", "K1", "Manila", "Dalian", "--step", "nan"],
         ["traffic", "-o", "workload.json", "--duration", "inf"],
         ["traffic", "-o", "workload.json", "--mean-size", "nan"],
+        ["traffic", "-o", "workload.json", "--distance-exponent", "nan"],
+        ["report", "K1", "Manila", "Dalian", "--duration", "inf"],
+        ["report", "K1", "Manila", "Dalian", "--duration", "nan"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_non_finite_numbers_are_usage_errors(self, argv, capsys,
                                                  tmp_path, monkeypatch):
         """An infinite duration used to overflow (``rtt``) or loop
-        forever (``traffic``); a NaN one slipped past ``<= 0`` checks."""
+        forever (``traffic``, the packet ``report``); a NaN one slipped
+        past ``<= 0`` checks (a NaN distance exponent wrote a
+        population-only workload)."""
         monkeypatch.chdir(tmp_path)
         assert _within(30, lambda: main(argv)) == 2
         captured = capsys.readouterr()
@@ -215,6 +222,7 @@ class TestCli:
         ["checkpoint", "K1", "--at", "nan"],
         ["checkpoint", "K1", "--at", "inf"],
         ["serve", "K1", "--horizon", "nan", "--port", "0"],
+        ["serve", "K1", "--port", "0", "--pace", "nan"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_non_finite_service_times_are_refused(self, argv, capsys,
                                                   tmp_path, monkeypatch):
@@ -251,9 +259,10 @@ class TestCli:
         ("import repro.obs.bench", ImportError),
         ("from repro.cli import main; main(['bench-report'])", SystemExit),
         ("import repro.cc.learned", ImportError),
+        ("import repro.cc.factory", ImportError),
     ], ids=["transport.TcpNewRenoFlow", "tcp.TcpNewRenoFlow",
             "transport.bbr", "transport.vegas", "obs.bench",
-            "cli-bench-report", "cc.learned"])
+            "cli-bench-report", "cc.learned", "cc.factory"])
     def test_superseded_names_stay_removed(self, statement, error, capsys):
         """The transport shim classes and the ``bench-report`` stack were
         replaced by ``TcpFlow(controller=...)`` and

@@ -1,9 +1,11 @@
-"""Packet conservation, per flow and per device, on a traced lab cell.
+"""Packet conservation, per flow and per device, on traced packet runs.
 
-The run is the cc lab's ``faulty-storm-heavy`` scenario: stochastic
-uplink loss on two stations, one ISL cut, storms over about half the
-sites and heavy churn into 25-packet queues.  It is stopped while
-traffic is still live, so every term of the books is in play:
+The fixed run is the cc lab's ``faulty-storm-heavy`` scenario:
+stochastic uplink loss on two stations, one ISL cut, storms over about
+half the sites and heavy churn into 25-packet queues.  It is stopped
+while traffic is still live, so every term of the books is in play.
+The same books are then kept on random Walker constellations with
+random stations, faults, queues and workloads (hypothesis):
 
 * per flow, every packet the endpoints hand to ``PacketSimulator.send``
   is delivered, dropped for a named reason, waiting in (or being
@@ -20,15 +22,21 @@ records are checked against state they do not come from.
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cc.factory import ControllerFlowFactory
 from repro.cc.lab import (FORWARDING_INTERVAL_S, GSL_QUEUE_PACKETS,
                           ISL_QUEUE_PACKETS, build_scenarios, lab_network)
+from repro.faults import FaultEvent, FaultSchedule
 from repro.obs.trace import (PKT_DELIVER, PKT_DROP, PKT_ENQUEUE,
                              PKT_TX_FINISH, RingBufferTracer)
 from repro.simulation.devices import LinkDevice
 from repro.simulation.simulator import LinkConfig, PacketSimulator
+from repro.topology.network import LeoNetwork
+from repro.traffic import FlowRequest, WorkloadSchedule
 from repro.traffic.spawner import WorkloadSpawner
+
+from test_property_based import _walker_network
 
 #: Scenario length (s); the run stops at :data:`STOP_S`, inside the ISL
 #: cut (``duration / 3`` to ``2 duration / 3``) and the uplink-loss window
@@ -50,8 +58,13 @@ def traced_cell():
                                isl_queue_packets=ISL_QUEUE_PACKETS),
         forwarding_interval_s=FORWARDING_INTERVAL_S, tracer=tracer)
     WorkloadSpawner(scenario.spec.workload,
-                    flow_factory=ControllerFlowFactory("newreno")
-                    ).install(sim)
+                    controller="newreno").install(sim)
+    return sim, tracer, _run_counting_sends(sim, tracer, STOP_S)
+
+
+def _run_counting_sends(sim, tracer, stop_s):
+    """Run ``sim`` to ``stop_s``, counting per flow every packet the
+    endpoints hand to ``PacketSimulator.send``."""
     sent = Counter()
     send = sim.send
 
@@ -60,9 +73,9 @@ def traced_cell():
         send(packet)
 
     sim.send = counting_send
-    sim.run(STOP_S)
+    sim.run(stop_s)
     assert tracer.evicted == 0, "the trace ring overflowed"
-    return sim, tracer, sent
+    return sent
 
 
 def _held_and_propagating(sim):
@@ -96,7 +109,18 @@ def test_the_cell_exercises_every_term(traced_cell):
 def test_per_flow_conservation(traced_cell):
     """sent = delivered + drops by reason + held + propagating, and
     hops accepted = hops transmitted + held, for every flow."""
-    sim, tracer, sent = traced_cell
+    _assert_flow_books(*traced_cell)
+
+
+def test_per_device_conservation(traced_cell):
+    """Every device transmitted or holds each packet it accepted, its
+    own counters match the trace, and the devices together were offered
+    every packet the network layer forwarded."""
+    sim, tracer, _ = traced_cell
+    _assert_device_books(sim, tracer)
+
+
+def _assert_flow_books(sim, tracer, sent):
     delivered = Counter(e.flow for e in tracer.events_of(PKT_DELIVER))
     drops = Counter((e.flow, e.reason) for e in tracer.events_of(PKT_DROP))
     enqueued = Counter(e.flow for e in tracer.events_of(PKT_ENQUEUE))
@@ -116,11 +140,7 @@ def test_per_flow_conservation(traced_cell):
         assert enqueued[flow] == transmitted[flow] + held[flow], flow
 
 
-def test_per_device_conservation(traced_cell):
-    """Every device transmitted or holds each packet it accepted, its
-    own counters match the trace, and the devices together were offered
-    every packet the network layer forwarded."""
-    sim, tracer, _ = traced_cell
+def _assert_device_books(sim, tracer):
     enqueued = Counter(e.link for e in tracer.events_of(PKT_ENQUEUE))
     transmitted = Counter(e.link for e in tracer.events_of(PKT_TX_FINISH))
     dropped = Counter(e.link for e in tracer.events_of(PKT_DROP) if e.link)
@@ -133,3 +153,62 @@ def test_per_device_conservation(traced_cell):
                 + device.stats.packets_dropped_fault) == dropped[name], name
     assert (sum(enqueued.values()) + sum(dropped.values())
             == sim.stats.packets_forwarded)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_conservation_on_random_networks(data):
+    """Both books balance on a random 1-3-shell Walker constellation
+    with random stations, a random fault schedule (outages, ISL and GSL
+    cuts, rain, uplink loss), random queues and a random NewReno
+    workload, stopped at a random instant."""
+    healthy, sites, min_elevation_deg = _walker_network(data)
+    stop_s = data.draw(st.floats(0.2, 1.5))
+    gids = st.integers(0, len(sites) - 1)
+
+    def window():
+        start = data.draw(st.floats(0.0, stop_s))
+        return start, start + data.draw(st.floats(1e-3, stop_s))
+
+    satellites = st.integers(0, healthy.num_satellites - 1)
+    grid = healthy.isl_pairs.tolist()
+    events = [FaultEvent.satellite_outage(data.draw(satellites), *window())
+              for _ in range(data.draw(st.integers(0, 4)))]
+    events += [FaultEvent.isl_cut(*data.draw(st.sampled_from(grid)),
+                                  *window())
+               for _ in range(data.draw(st.integers(0, 4)) if grid else 0)]
+    events += [FaultEvent.gsl_cut(data.draw(gids), *window())
+               for _ in range(data.draw(st.integers(0, 1)))]
+    events += [FaultEvent.gsl_attenuation(data.draw(gids), *window(),
+                                          data.draw(st.floats(0.5, 30.0)))
+               for _ in range(data.draw(st.integers(0, 2)))]
+    events += [FaultEvent.packet_loss(*window(),
+                                      data.draw(st.floats(0.01, 1.0)),
+                                      data.draw(gids))
+               for _ in range(data.draw(st.integers(0, 2)))]
+    network = LeoNetwork(
+        healthy.constellation, healthy.ground_stations,
+        min_elevation_deg=min_elevation_deg,
+        faults=FaultSchedule(events, seed=data.draw(st.integers(0, 99))))
+
+    requests = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        src = data.draw(gids)
+        dst = data.draw(gids.filter(lambda gid: gid != src))
+        requests.append(FlowRequest(
+            t_start_s=data.draw(st.floats(0.0, stop_s)), src_gid=src,
+            dst_gid=dst, size_bytes=data.draw(st.integers(1, 400_000))))
+    rate_bps = data.draw(st.floats(1e6, 1e7))
+    tracer = RingBufferTracer(capacity=1_000_000)
+    sim = PacketSimulator(
+        network,
+        link_config=LinkConfig(
+            isl_rate_bps=rate_bps, gsl_rate_bps=rate_bps,
+            isl_queue_packets=data.draw(st.integers(1, 30)),
+            gsl_queue_packets=data.draw(st.integers(1, 30))),
+        tracer=tracer)
+    WorkloadSpawner(WorkloadSchedule(requests),
+                    controller="newreno").install(sim)
+    sent = _run_counting_sends(sim, tracer, stop_s)
+    _assert_flow_books(sim, tracer, sent)
+    _assert_device_books(sim, tracer)

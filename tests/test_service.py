@@ -231,7 +231,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 11
+        assert CHECKPOINT_FORMAT_VERSION == 12
         path = tmp_path / "v1.ckpt"
         _saved("packet", path, epochs=1)
         _rewrite_header(path, format_version=1)
@@ -358,6 +358,18 @@ class TestCheckpointContainer:
         _write_checkpoint(path, {**header, "format_version": 10},
                           b"crepro.cc.learned\nBanditBrain\n.")
         with pytest.raises(CheckpointVersionError, match="format v10"):
+            LiveSimulationService.resume(str(path))
+
+    def test_v11_checkpoint_is_refused(self, tmp_path):
+        """A v11 packet body pickles each workload spawner's
+        ``repro.cc.factory.ControllerFlowFactory``: the version gate must
+        refuse it before unpickling reaches the deleted module."""
+        path = tmp_path / "v11.ckpt"
+        _saved("packet", path)
+        header, _ = _checkpoint_parts(path)
+        _write_checkpoint(path, {**header, "format_version": 11},
+                          b"crepro.cc.factory\nControllerFlowFactory\n.")
+        with pytest.raises(CheckpointVersionError, match="format v11"):
             LiveSimulationService.resume(str(path))
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):

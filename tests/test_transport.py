@@ -268,8 +268,8 @@ class TestShimMigrationPins:
     """Digests recorded on the last commit that still had the
     ``TcpNewRenoFlow`` / ``TcpVegasFlow`` / ``TcpBbrFlow`` classes, from
     runs built through those classes (and, for the spawner, through its
-    own NewReno factory): ``TcpFlow(controller=...)`` and the shared
-    ``ControllerFlowFactory`` must reproduce them bit for bit."""
+    own NewReno factory): ``TcpFlow(controller=...)`` and
+    ``WorkloadSpawner`` must reproduce them bit for bit."""
 
     LOSSY = LinkConfig(gsl_queue_packets=25, isl_queue_packets=25)
 
@@ -311,7 +311,8 @@ class TestShimMigrationPins:
         # ceil(size / payload), never below one packet.
         assert [flow.max_packets for flow in spawner.flows] == \
             [103, 28, 1, 62, 206]
-        assert spawner.fcts_by_controller == {"newreno": spawner.fcts_s}
+        assert {flow.controller.name for flow in spawner.flows} == \
+            {"newreno"}
         assert hashlib.sha256(repr(spawner.fcts_s).encode()).hexdigest() \
             == ("a92401d5b8c4969e0259fd328b2ac8c3"
                 "47e0268b7c74b54e192c1b7e874f7f93")
