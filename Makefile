@@ -67,6 +67,8 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "class Checkpoint\b|from_checkpoint|use_isls|repro profile" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "WALL_CLOCK_KEYS|events_per_wall_s|routing_compute_s|repair_wall_s|snapshots_per_wall_s|ROUTING_COMPUTE|_record_metrics|allocate_flow_id|ensure_flow_ids_above|packet_id" \
+	    src/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 

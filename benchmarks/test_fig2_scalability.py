@@ -6,6 +6,10 @@ paced UDP), uniform line rates swept to control goodput.  Slowdown is
 wall-clock seconds per simulated second; the paper's key finding — the
 goodput alone determines the slowdown, with UDP cheaper than TCP — is what
 this bench reproduces.  Absolute numbers differ (pure Python vs C++ ns-3).
+
+Slowdown and event rate come from this bench's own timer around
+``sim.run``; the routing column is the span profiler's inclusive time in
+``routing.route_to_many`` over the same run.
 """
 
 import time
@@ -13,6 +17,7 @@ import time
 import pytest
 
 from repro import Hypatia, random_permutation_pairs
+from repro.obs import spans
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
@@ -39,9 +44,12 @@ def _run_workload(protocol: str, line_rate: float) -> dict:
             flows.append(TcpFlow(src, dst).install(sim))
         else:
             flows.append(UdpFlow(src, dst, rate_bps=line_rate).install(sim))
-    start = time.perf_counter()
-    sim.run(VIRTUAL_SECONDS)
-    wall = time.perf_counter() - start
+    with spans.profiled() as profiler:
+        start = time.perf_counter()
+        sim.run(VIRTUAL_SECONDS)
+        wall = time.perf_counter() - start
+    phases = {phase["name"]: phase
+              for phase in profiler.phase_summary()["phases"]}
     if protocol == "tcp":
         payload = sum(flow.acked_payload_bytes for flow in flows)
     else:
@@ -53,8 +61,8 @@ def _run_workload(protocol: str, line_rate: float) -> dict:
         "slowdown": wall / VIRTUAL_SECONDS,
         "goodput_bps": goodput,
         "events": sim.scheduler.events_processed,
-        "events_per_s": perf["events_per_wall_s"],
-        "routing_s": perf["routing_compute_s"],
+        "events_per_s": sim.scheduler.events_processed / wall,
+        "routing_s": phases["routing.route_to_many"]["total_s"],
         "trees": perf["trees_computed"],
         "csr_avoided": perf["csr_rebuilds_avoided"],
     }

@@ -63,7 +63,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                              "WorkloadSchedule.to_json)")
     parser.add_argument("--metrics-out", default=None, metavar="JSON",
                         help="dump the run's MetricsRegistry "
-                             "(counters/gauges/histograms/series) here")
+                             "(counters/histograms/series) here")
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="snapshot-sweep worker processes "
                             "(1 = serial, 0 = all cores)")
     sweep.add_argument("-o", "--output", default=None,
-                       help="write per-pair stats + sweep metrics JSON")
+                       help="write per-pair stats JSON")
     sweep.add_argument("--faults", default=None, metavar="SPEC_JSON",
                        help="apply a fault schedule "
                             "(JSON written by 'repro faults' or "
@@ -362,7 +362,7 @@ def _cmd_sweep(args) -> int:
     from .analysis.paths import pair_path_stats
     from .core.hypatia import Hypatia
     from .core.workloads import random_permutation_pairs
-    from .obs import MetricsRegistry, spans
+    from .obs import spans
 
     hypatia = Hypatia.from_shell_name(args.shell, num_cities=args.cities,
                                       faults=_load_faults(args.faults))
@@ -373,13 +373,12 @@ def _cmd_sweep(args) -> int:
             raise KeyError(f"workload {args.workload!r} has no flows")
     else:
         pairs = random_permutation_pairs(args.cities)
-    registry = MetricsRegistry()
     profile_out = args.profile_out
     profiler = spans.install() if profile_out else None
     try:
         timelines = hypatia.compute_timelines(
             pairs, duration_s=args.duration, step_s=args.step,
-            workers=args.workers, metrics=registry)
+            workers=args.workers)
     finally:
         if profiler is not None:
             spans.uninstall()
@@ -403,30 +402,18 @@ def _cmd_sweep(args) -> int:
               f"{changes.max()}")
         print(f"  hop spread median/max:   {np.median(spreads):.0f} / "
               f"{spreads.max()}")
-    wall = registry.gauges["sweep.wall_s"].value
-    workers = int(registry.gauges["sweep.workers"].value)
-    print(f"  sweep: {workers} worker(s), {wall:.2f}s wall")
-    for name in registry.series_names(prefix="sweep.worker.",
-                                      suffix=".wall_s"):
-        log = registry.series_logs[name]
-        index = name[len("sweep.worker."):-len(".wall_s")]
-        count_log = registry.series_logs[
-            f"sweep.worker.{index}.snapshots"]
-        print(f"    worker {index}: {int(count_log.values[0])} snapshots "
-              f"in {log.values[0]:.2f}s (from t={log.times_s[0]:.1f}s)")
     if args.output:
         payload = {
             "shell": args.shell,
             "duration_s": args.duration,
             "step_s": args.step,
-            "workers": workers,
+            "workers": args.workers,
             "pairs": [
                 {"src_gid": s.src_gid, "dst_gid": s.dst_gid,
                  "num_path_changes": s.num_path_changes,
                  "min_hops": s.min_hops, "max_hops": s.max_hops}
                 for s in stats
             ],
-            "metrics": registry.as_dict(),
         }
         with open(args.output, "w", encoding="utf-8") as stream:
             json.dump(payload, stream, indent=1)

@@ -152,7 +152,6 @@ class Hypatia:
     def compute_timelines(self, pairs: Sequence[Tuple[int, int]],
                           duration_s: float, step_s: float = 0.1,
                           workers: Optional[int] = None,
-                          metrics: Optional["MetricsRegistry"] = None,
                           ) -> Dict[Tuple[int, int], PairTimeline]:
         """Shortest-path RTT/path timelines for the given pairs.
 
@@ -163,12 +162,10 @@ class Hypatia:
             workers: Snapshot-sweep worker processes (``None``/1 serial,
                 0 = all cores); parallel results are bit-identical to
                 serial — see :mod:`repro.sweep`.
-            metrics: Optional registry receiving per-worker ``sweep.*``
-                timing series.
         """
         return sweep_timelines(self.network, pairs,
                                snapshot_times(duration_s, step_s),
-                               workers=workers, metrics=metrics)
+                               workers=workers)
 
     def build_packet_simulator(self, link_config: Optional[LinkConfig] = None,
                                tracer: Optional["Tracer"] = None,

@@ -503,11 +503,17 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultSchedule":
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a fault schedule must be a JSON object, got {payload!r}")
         if "events" not in payload:
             raise ValueError("fault schedule payload has no 'events' key")
-        return cls([FaultEvent.from_dict(record)
-                    for record in payload["events"]],
-                   seed=int(payload.get("seed", 0)))
+        events = payload["events"]
+        if not isinstance(events, list):
+            raise ValueError(
+                f"fault schedule 'events' must be a list, got {events!r}")
+        return cls([FaultEvent.from_dict(record) for record in events],
+                   seed=exact_int(payload.get("seed", 0), "fault seed"))
 
     def to_json(self, path: str) -> None:
         """Write the schedule as JSON (the ``--faults`` file format)."""

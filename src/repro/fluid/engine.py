@@ -21,7 +21,6 @@ checks the two engines agree on small scenarios.
 
 from __future__ import annotations
 
-import time
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
@@ -402,8 +401,10 @@ class FluidResult:
         kernel: Constant provenance label of the max-min engine's
             allocator ("vectorized"; "" for AIMD), kept so run reports
             stay byte-identical.
-        perf: Wall-clock accounting of the run (wall_time_s,
-            snapshots_computed), filled by the engines.
+        perf: Work accounting of the run (``snapshots_computed``, and
+            ``allocations_solved`` for dynamic max-min runs), filled by
+            the engines; wall-clock time is the span profiler's
+            (``fluid.run``).
         duration_s: Simulated horizon of the run.
         flow_offered_bits: (F,) per-flow offered volume — ``inf`` for
             long-running flows; ``None`` for fully static workloads.
@@ -469,9 +470,6 @@ class FluidResult:
                             self.flow_delivered_bits[finite].sum()
                         ) / self.duration_s
         summary.update(self.perf)
-        wall = self.perf.get("wall_time_s", 0.0)
-        if wall > 0.0:
-            summary["snapshots_per_wall_s"] = num_snapshots / wall
         return summary
 
     def report(self, registry: Optional[MetricsRegistry] = None
@@ -548,9 +546,6 @@ class FluidRunState:
             (``freeze_topology_at_s``), one row per flow class, as
             :meth:`~repro.routing.engine.RoutingEngine.path_table`
             returns them.
-        wall_time_s: Wall-clock seconds accumulated across ``advance``
-            calls (survives checkpoints; perf-only, excluded from
-            parity comparisons).
     """
 
     duration_s: float
@@ -572,7 +567,6 @@ class FluidRunState:
     solves: int = 0
     frozen_table: Optional[np.ndarray] = None
     frozen_counts: Optional[np.ndarray] = None
-    wall_time_s: float = 0.0
 
     @property
     def done(self) -> bool:
@@ -844,7 +838,6 @@ class FluidSimulation:
         ``advance(s)`` — and a ``state`` pickled between calls resumes
         identically in another process.
         """
-        wall_start = time.perf_counter()
         stop = len(state.times)
         if max_steps is not None:
             if max_steps < 0:
@@ -866,7 +859,6 @@ class FluidSimulation:
             state.next_index = t_index + 1
         if run_span != -1:
             profiler.end(run_span)
-        state.wall_time_s += time.perf_counter() - wall_start
         return state
 
     def finish(self, state: FluidRunState) -> FluidResult:
@@ -876,8 +868,7 @@ class FluidSimulation:
                 f"run has {len(state.times) - state.next_index} steps left; "
                 f"advance() it to completion before finish()")
         dynamic = state.dynamic
-        perf = {"wall_time_s": state.wall_time_s,
-                "snapshots_computed": float(len(state.times))}
+        perf = {"snapshots_computed": float(len(state.times))}
         if dynamic and state.solves:  # AIMD solves no allocation
             perf["allocations_solved"] = float(state.solves)
         return FluidResult(times_s=state.times,

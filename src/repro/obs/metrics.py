@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, histograms, time series.
+"""Metrics primitives: counters, histograms, time series.
 
 A :class:`MetricsRegistry` is the single sink a run's instruments write
 into — periodic sampling probes (:mod:`repro.obs.probes`), the fluid
@@ -17,7 +17,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeriesLog",
+__all__ = ["Counter", "Histogram", "TimeSeriesLog",
            "MetricsRegistry", "DEFAULT_BUCKETS", "EXACT_QUANTILE_SAMPLES"]
 
 #: Default histogram bucket upper bounds (log-spaced, seconds-friendly).
@@ -80,22 +80,6 @@ class Counter:
             raise ValueError(f"counter increments must be >= 0, "
                              f"got {amount}")
         self.value += amount
-
-
-class Gauge:
-    """A value that can move either way (queue depth, mode, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -209,7 +193,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeriesLog] = {}
         #: name -> instrument kind; one name binds to exactly one kind.
@@ -232,13 +215,6 @@ class MetricsRegistry:
         if instrument is None:
             self._claim(name, "counter")
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            self._claim(name, "gauge")
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str,
@@ -265,10 +241,6 @@ class MetricsRegistry:
         return dict(self._counters)
 
     @property
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
-
-    @property
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)
 
@@ -286,7 +258,9 @@ class MetricsRegistry:
         """The whole registry as a JSON-serializable dict."""
         payload: Dict[str, Any] = {
             "counters": {name: c.value for name, c in self._counters.items()},
-            "gauges": {name: g.value for name, g in self._gauges.items()},
+            # No instrument writes a gauge; the empty section keeps the
+            # pinned run-report digests until outcomes are re-pinned.
+            "gauges": {},
             "histograms": {name: h.as_dict()
                            for name, h in self._histograms.items()},
         }

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # runtime-import-free: obs must not depend on the layers
     from ..simulation.simulator import PacketSimulator
 
 __all__ = ["RunReport", "packet_run_report", "fluid_run_report",
-           "fct_summary", "WALL_CLOCK_KEYS", "FCT_BUCKETS"]
+           "fct_summary", "FCT_BUCKETS"]
 
 #: Canonical flow-completion-time histogram bounds (seconds) — wider than
 #: the generic latency buckets because FCTs span millisecond pings to
@@ -53,15 +53,6 @@ def fct_summary(fcts) -> Dict[str, float]:
 #: Report schema version (bump on breaking shape changes).
 REPORT_VERSION = 1
 
-#: Summary keys measuring *wall-clock* performance.  They legitimately
-#: differ between two otherwise identical runs, so the determinism
-#: regression tests compare reports with ``as_dict(deterministic=True)``,
-#: which drops them.
-WALL_CLOCK_KEYS = frozenset({
-    "wall_time_s", "events_per_wall_s", "routing_compute_s",
-    "snapshots_per_wall_s",
-})
-
 
 @dataclass
 class RunReport:
@@ -70,7 +61,8 @@ class RunReport:
     Attributes:
         kind: ``"packet"``, ``"fluid.maxmin"``, or ``"fluid.aimd"``.
         duration_s: Simulated duration the report covers.
-        summary: Flat performance/accounting numbers (always present).
+        summary: Flat work/accounting numbers (always present); no
+            wall-clock value — that is :attr:`phases`.
         metrics: ``MetricsRegistry.as_dict()`` contents, if a registry
             was attached to the run.
         trace: Tracer summary (event counts), if tracing was enabled.
@@ -96,20 +88,16 @@ class RunReport:
         """The report as one JSON-ready dict.
 
         Args:
-            deterministic: Drop the wall-clock summary keys
-                (:data:`WALL_CLOCK_KEYS`) so two runs of the same seeded
-                scenario serialize byte-identically — the form the
-                determinism regression tests compare.
+            deterministic: Drop :attr:`phases`, the one wall-clock
+                section, so two runs of the same seeded scenario
+                serialize byte-identically — the form the determinism
+                regression tests compare.
         """
-        summary = self.summary
-        if deterministic:
-            summary = {key: value for key, value in summary.items()
-                       if key not in WALL_CLOCK_KEYS}
         payload: Dict[str, Any] = {
             "report_version": REPORT_VERSION,
             "kind": self.kind,
             "duration_s": self.duration_s,
-            "summary": summary,
+            "summary": self.summary,
         }
         if self.provenance is not None:
             payload["provenance"] = self.provenance
@@ -117,8 +105,6 @@ class RunReport:
             payload["metrics"] = self.metrics
         if self.trace is not None:
             payload["trace"] = self.trace
-        # Phase timings are wall-clock measurements, like
-        # WALL_CLOCK_KEYS — drop them from the deterministic form.
         if self.phases is not None and not deterministic:
             payload["phases"] = self.phases
         payload.update(self.extras)

@@ -31,8 +31,8 @@ __all__ = [
     "TraceEvent", "TraceFilter", "Tracer", "NullTracer", "RingBufferTracer",
     "NULL_TRACER",
     "PKT_ENQUEUE", "PKT_TX_START", "PKT_TX_FINISH", "PKT_DELIVER",
-    "PKT_DROP", "FWD_UPDATE", "ROUTE_CHANGE", "ROUTING_COMPUTE",
-    "FLOW_CWND", "FLOW_RTT", "FLOW_STATE", "WARNING",
+    "PKT_DROP", "FWD_UPDATE", "ROUTE_CHANGE",
+    "FLOW_CWND", "FLOW_RTT", "FLOW_STATE",
 ]
 
 # ----------------------------------------------------------------------
@@ -55,16 +55,12 @@ PKT_DROP = "pkt.drop"
 FWD_UPDATE = "fwd.update"
 #: One destination's installed next-hop tree changed entries.
 ROUTE_CHANGE = "fwd.route_change"
-#: The routing engine computed a batch of destination trees.
-ROUTING_COMPUTE = "routing.compute"
 #: A flow's congestion window changed (``value`` = cwnd in packets).
 FLOW_CWND = "flow.cwnd"
 #: A flow measured an RTT (or one-way delay; ``value`` in seconds).
 FLOW_RTT = "flow.rtt"
 #: A congestion-control state transition (Vegas backlog, BBR mode, ...).
 FLOW_STATE = "flow.state"
-#: An accounting anomaly (e.g. device utilization above 1.0).
-WARNING = "warn"
 
 
 @dataclass

@@ -47,7 +47,6 @@ the next hops bit-for-bit through the same derivation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 from ..obs import spans
-from ..obs.trace import NULL_TRACER, ROUTING_COMPUTE, Tracer
 from ..topology.gsl import GslEdges
 from ..topology.network import LeoNetwork, TopologySnapshot
 
@@ -205,7 +203,6 @@ class RoutingPerfCounters:
     scalability benchmark records these alongside slowdown).
 
     Attributes:
-        routing_compute_s: Wall-clock seconds spent computing trees.
         trees_computed: Destination trees computed (one per destination
             per forwarding update).
         dijkstra_calls: scipy ``dijkstra`` invocations (batched: one per
@@ -215,7 +212,6 @@ class RoutingPerfCounters:
         transit_cache_hits: Times they were reused from the snapshot cache.
     """
 
-    routing_compute_s: float = 0.0
     trees_computed: int = 0
     dijkstra_calls: int = 0
     transit_builds: int = 0
@@ -233,7 +229,6 @@ class RoutingPerfCounters:
     def as_dict(self) -> Dict[str, float]:
         """Flat summary (the benchmark-facing hook)."""
         return {
-            "routing_compute_s": self.routing_compute_s,
             "trees_computed": self.trees_computed,
             "dijkstra_calls": self.dijkstra_calls,
             "transit_builds": self.transit_builds,
@@ -371,11 +366,9 @@ class RoutingEngine:
     """
 
     def __init__(self, network: LeoNetwork,
-                 perf: Optional[RoutingPerfCounters] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 perf: Optional[RoutingPerfCounters] = None) -> None:
         self.network = network
         self.perf = perf if perf is not None else RoutingPerfCounters()
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._num_sats = network.num_satellites
         self._num_nodes = network.num_nodes
         self._relay_gids = [
@@ -415,17 +408,10 @@ class RoutingEngine:
         profiler = spans.ACTIVE
         span = (profiler.begin("routing.route_to_many")
                 if profiler.enabled else -1)
-        start = time.perf_counter()
         graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
                                                            unique_gids)
         distances, next_hop = self._trees(graph, dst_nodes, coo, unique_gids)
-        elapsed = time.perf_counter() - start
         self.perf.trees_computed += len(unique_gids)
-        self.perf.routing_compute_s += elapsed
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(float(snapshot.time_s), ROUTING_COMPUTE,
-                        seq=len(unique_gids), value=elapsed)
         if span != -1:
             profiler.end(span)
         return MultiDestinationRouting(

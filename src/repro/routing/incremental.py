@@ -47,7 +47,6 @@ exact equality against the from-scratch engine on every path.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -204,8 +203,9 @@ class IncrementalPerfCounters:
             affected-vertex repairs.
         edges_violated: Violating offers ``dist[u] + w < dist[v]`` the
             verify pass found across re-sum repairs.
-        repair_wall_s: Wall-clock seconds spent in the repair code of
-            both kinds (diff included, and attempts that gave up).
+
+    Wall-clock time in the repairs is the span profiler's
+    (``routing.incremental_repair``; see :mod:`repro.obs.spans`).
     """
 
     full_solves: int = 0
@@ -217,7 +217,6 @@ class IncrementalPerfCounters:
     edges_changed: int = 0
     vertices_invalidated: int = 0
     edges_violated: int = 0
-    repair_wall_s: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary (benchmark-facing, like RoutingPerfCounters)."""
@@ -346,7 +345,6 @@ class IncrementalRouter(RoutingEngine):
         profiler = spans.ACTIVE
         span = (profiler.begin("routing.incremental_repair")
                 if profiler.enabled else -1)
-        started = time.perf_counter()
         assert self._prev_coo is not None
         delta = diff_graphs(*self._prev_coo, *coo, self._num_nodes)
         counters = self.inc_perf
@@ -361,7 +359,6 @@ class IncrementalRouter(RoutingEngine):
                 counters.reweight_repairs += 1
         if solved is not None:
             counters.repairs += 1
-        counters.repair_wall_s += time.perf_counter() - started
         if span != -1:
             profiler.end(span)
         return solved

@@ -71,7 +71,10 @@ __all__ = [
 #: (no shared state), and the learned controller that used it is gone.
 #: v12: a ``WorkloadSpawner`` holds its controller's name instead of a
 #: flow-factory object (``repro.cc.factory`` is gone).
-CHECKPOINT_FORMAT_VERSION = 12
+#: v13: no wall-clock fields (the simulator's stats, the fluid run
+#: state); the ``PacketSimulator`` numbers its flows itself, packets
+#: carry no global id, and the event queue's sequence is a plain int.
+CHECKPOINT_FORMAT_VERSION = 13
 
 #: File signature; also rejects accidental non-checkpoint files early.
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"

@@ -46,7 +46,6 @@ from ..simulation.simulator import PacketSimulator
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowRequest, WorkloadSchedule
 from ..traffic.spawner import WorkloadSpawner, packet_fct_section
-from ..transport.base import ensure_flow_ids_above
 from .checkpoint import ENGINES, load_checkpoint, save_checkpoint
 
 __all__ = ["LiveSimulationService", "ServiceError"]
@@ -410,15 +409,6 @@ class LiveSimulationService:
         the header.
         """
         return save_checkpoint(path, self, meta)
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self.sim is not None:
-            # The flow-id allocator restarts with each process; push it
-            # past every restored flow so later attachments cannot
-            # collide with restored handler registrations.
-            restored = [flow for _, flow in self.sim._handlers]
-            ensure_flow_ids_above(max(restored, default=0))
 
     @classmethod
     def resume(cls, path: str,

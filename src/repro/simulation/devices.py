@@ -23,7 +23,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
 from ..obs.trace import (NULL_TRACER, PKT_DROP, PKT_ENQUEUE, PKT_TX_FINISH,
-                         PKT_TX_START, WARNING, Tracer)
+                         PKT_TX_START, Tracer)
 from .events import EventScheduler
 from .packet import Packet
 from .positions import PositionService
@@ -61,33 +61,6 @@ class DeviceStats:
         self.packets_dropped = 0
         self.packets_dropped_fault = 0
         self.busy_time_s = 0.0
-
-    def utilization(self, duration_s: float,
-                    tracer: Optional[Tracer] = None,
-                    link_name: str = "",
-                    busy_time_s: Optional[float] = None) -> float:
-        """Fraction of ``duration_s`` the transmitter was busy.
-
-        Returns the *raw* busy-time ratio.  A ratio above 1.0 means the
-        busy-time accounting and the measurement window disagree (true
-        oversubscription, e.g. a window shorter than the busy time fed
-        into it) — it is reported as-is, with a
-        :data:`~repro.obs.trace.WARNING` trace event when an enabled
-        ``tracer`` is given, instead of being silently clamped.
-
-        Args:
-            busy_time_s: Busy-time override; pass
-                :meth:`LinkDevice.busy_time_s` to pro-rate a still
-                in-flight serialization at the measurement boundary.
-        """
-        if duration_s <= 0.0:
-            return 0.0
-        busy = self.busy_time_s if busy_time_s is None else busy_time_s
-        ratio = busy / duration_s
-        if ratio > 1.0 and tracer is not None and tracer.enabled:
-            tracer.emit(duration_s, WARNING, link=link_name, value=ratio,
-                        reason="utilization_above_1")
-        return ratio
 
 
 class LinkDevice:
@@ -167,19 +140,6 @@ class LinkDevice:
                 now = self._scheduler.now
             total += max(0.0, now - self._tx_start_s)
         return total
-
-    def utilization(self, duration_s: float,
-                    tracer: Optional[Tracer] = None) -> float:
-        """Busy fraction of ``[0, duration_s]``, pro-rating any in-flight
-        serialization at the measurement boundary.
-
-        A result above 1.0 now indicates true oversubscription and emits
-        a ``utilization_above_1`` WARNING through ``tracer`` (see
-        :meth:`DeviceStats.utilization`).
-        """
-        return self.stats.utilization(
-            duration_s, tracer=tracer, link_name=self.name,
-            busy_time_s=self.busy_time_s())
 
     def enqueue(self, packet: Packet, to_node: int):
         """Submit a packet for transmission to ``to_node``.

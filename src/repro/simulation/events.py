@@ -13,7 +13,6 @@ is part of a :mod:`repro.service` checkpoint.
 
 from __future__ import annotations
 
-import itertools
 from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, List, Optional, Tuple
@@ -37,7 +36,9 @@ class EventScheduler:
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callable[..., Any],
                                 Any, Any]] = []
-        self._counter = itertools.count()
+        #: Insertion sequence number of the last scheduled event: a
+        #: plain int, so the queue pickles without ``itertools`` state.
+        self._seq = 0
         #: Current simulation time in seconds.  A plain attribute (the
         #: per-event paths read it several times per event); only
         #: :meth:`run` advances it.
@@ -67,16 +68,16 @@ class EventScheduler:
         if not 0.0 <= delay_s < inf:
             raise ValueError(
                 f"delay must be finite and not in the past: {delay_s}")
-        heappush(self._queue,
-                 (self.now + delay_s, next(self._counter), fn, a, b))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + delay_s, seq, fn, a, b))
 
     def schedule_at(self, time_s: float, callback: Callable[[], Any]) -> None:
         """Run ``callback`` at absolute time ``time_s``."""
         if not self.now <= time_s < inf:
             raise ValueError(
                 f"cannot schedule at {time_s}, already at {self.now}")
-        heappush(self._queue,
-                 (time_s, next(self._counter), callback, None, None))
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (time_s, seq, callback, None, None))
 
     def run(self, until_s: Optional[float] = None) -> None:
         """Process events in order until the queue drains or ``until_s``.

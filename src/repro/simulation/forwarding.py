@@ -64,8 +64,7 @@ class ForwardingController:
         self.update_interval_s = update_interval_s
         self._scheduler = scheduler
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._engine = RoutingEngine(network, perf=perf,
-                                     tracer=self._tracer)
+        self._engine = RoutingEngine(network, perf=perf)
         self._destinations: Set[int] = set()
         self._routing: Dict[int, DestinationRouting] = {}
         #: ``(node, dst_node) -> (device, next_hop)`` for the pairs the

@@ -9,7 +9,6 @@ and ``size_bytes``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Tuple
 
 __all__ = ["Packet", "DEFAULT_HEADER_BYTES", "DEFAULT_MTU_BYTES"]
@@ -20,14 +19,11 @@ DEFAULT_HEADER_BYTES = 40
 #: Total packet size used by the paper's experiments (bytes).
 DEFAULT_MTU_BYTES = 1500
 
-_packet_ids = itertools.count()
-
 
 class Packet:
     """One simulated packet.
 
     Attributes:
-        packet_id: Globally unique id (debugging / tracing).
         flow_id: The flow this packet belongs to; the destination node uses
             it to hand the packet to the right application.
         src_node: Originating node id.
@@ -43,7 +39,7 @@ class Packet:
         hops: Incremented at every forwarding step.
     """
 
-    __slots__ = ("packet_id", "flow_id", "src_node", "dst_node",
+    __slots__ = ("flow_id", "src_node", "dst_node",
                  "size_bytes", "payload_bytes", "kind", "seq", "ack",
                  "ts_echo", "sent_at_s", "retransmit", "hops", "sack")
 
@@ -54,7 +50,6 @@ class Packet:
                  retransmit: bool = False) -> None:
         if size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {size_bytes}")
-        self.packet_id = next(_packet_ids)
         self.flow_id = flow_id
         self.src_node = src_node
         self.dst_node = dst_node
@@ -71,6 +66,6 @@ class Packet:
         self.sack: Tuple[Tuple[int, int], ...] = ()
 
     def __repr__(self) -> str:
-        return (f"Packet(id={self.packet_id}, flow={self.flow_id}, "
-                f"{self.kind}, seq={self.seq}, ack={self.ack}, "
+        return (f"Packet(flow={self.flow_id}, {self.kind}, "
+                f"seq={self.seq}, ack={self.ack}, "
                 f"{self.src_node}->{self.dst_node})")

@@ -17,7 +17,6 @@ station nodes and exchange packets identified by flow ids.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -66,11 +65,11 @@ class LinkConfig:
 
 
 class SimulationStats:
-    """Network-layer counters and perf accounting of one simulation run.
+    """Network-layer counters and work accounting of one simulation run.
 
-    Besides packet counters, carries the scalability-facing metrics the
-    Fig. 2 benchmark records: wall-clock time inside :meth:`run`, events
-    processed, and the routing engine's shared perf counters.
+    Besides packet counters, carries the events processed and the
+    routing engine's shared perf counters.  Wall-clock time is the span
+    profiler's (``packet.event_loop``; see :mod:`repro.obs.spans`).
     """
 
     def __init__(self) -> None:
@@ -81,7 +80,6 @@ class SimulationStats:
         self.packets_dropped_ttl = 0
         self.packets_dropped_no_handler = 0
         self.packets_dropped_fault = 0
-        self.wall_time_s = 0.0
         self.events_processed = 0
         self.routing = RoutingPerfCounters()
 
@@ -92,13 +90,6 @@ class SimulationStats:
                 + self.packets_dropped_ttl
                 + self.packets_dropped_no_handler
                 + self.packets_dropped_fault)
-
-    @property
-    def events_per_wall_s(self) -> float:
-        """Scheduler throughput (events per wall-clock second)."""
-        if self.wall_time_s <= 0.0:
-            return 0.0
-        return self.events_processed / self.wall_time_s
 
     def as_dict(self) -> Dict[str, int]:
         """The packet counters as a flat dict (report-facing)."""
@@ -114,12 +105,8 @@ class SimulationStats:
         }
 
     def perf_summary(self) -> Dict[str, float]:
-        """Flat benchmark-facing summary of the run's performance."""
-        summary = {
-            "wall_time_s": self.wall_time_s,
-            "events_processed": self.events_processed,
-            "events_per_wall_s": self.events_per_wall_s,
-        }
+        """Flat benchmark-facing summary of the run's work."""
+        summary = {"events_processed": self.events_processed}
         summary.update(self.routing.as_dict())
         return summary
 
@@ -187,6 +174,10 @@ class PacketSimulator:
                 fault_injector=self._injector_for_gsl(node))
         # (node_id, flow_id) -> packet handler of the application endpoint.
         self._handlers: Dict[Tuple[int, int], Callable[[Packet], None]] = {}
+        #: The last flow id :meth:`next_flow_id` handed out.  It lives
+        #: (and pickles) with the simulation, so two identical runs
+        #: number their flows identically in one process.
+        self._last_flow_id = 0
         self._started = False
 
     def _injector_for_gsl(self, node: int) -> Optional[LinkFaultInjector]:
@@ -223,6 +214,11 @@ class PacketSimulator:
             raise ValueError(f"node {node_id} is a satellite")
         return node_id - self._num_sats
 
+    def next_flow_id(self) -> int:
+        """A flow id no application installed here holds (1, 2, ...)."""
+        self._last_flow_id += 1
+        return self._last_flow_id
+
     def register_handler(self, node_id: int, flow_id: int,
                          handler: Callable[[Packet], None]) -> None:
         """Receive packets of ``flow_id`` arriving at ``node_id``."""
@@ -249,12 +245,10 @@ class PacketSimulator:
         profiler = spans.ACTIVE
         span = (profiler.begin("packet.event_loop")
                 if profiler.enabled else -1)
-        start = time.perf_counter()
         if not self._started:
             self._started = True
             self.forwarding.start()
         self.scheduler.run(until_s=duration_s)
-        self.stats.wall_time_s += time.perf_counter() - start
         self.stats.events_processed = self.scheduler.events_processed
         if span != -1:
             profiler.end(span)

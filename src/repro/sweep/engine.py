@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,31 +57,6 @@ def splice_timelines(times_s: np.ndarray,
                            times_s=times_s, distances_m=row,
                            paths=list(history))
         for pair, row, history in zip(pairs, distances, zip(*snapshots))}
-
-
-def _record_metrics(metrics, times_s: np.ndarray,
-                    shards: Sequence[Tuple[int, int]],
-                    outcomes: Sequence[tuple], wall_s: float) -> None:
-    """Publish a sweep's timing breakdown to a metrics registry.
-
-    One ``sweep.worker.<k>.*`` point per chunk, keyed by the chunk's
-    first snapshot time: its timings, the OS pid of the process that ran
-    it and its half-open snapshot-index range, so merged span profiles
-    can be attributed to the worker/chunk that produced them.
-    """
-    metrics.gauge("sweep.workers").set(float(len(outcomes)))
-    metrics.gauge("sweep.wall_s").set(wall_s)
-    metrics.counter("sweep.snapshots").inc(float(len(times_s)))
-    for (index, _, build_wall_s, total_wall_s, worker_pid, _), \
-            (start, stop) in zip(outcomes, shards):
-        at = float(times_s[start]) if start < len(times_s) else 0.0
-        prefix = f"sweep.worker.{index}."
-        metrics.series(prefix + "wall_s").append(at, total_wall_s)
-        metrics.series(prefix + "build_s").append(at, build_wall_s)
-        metrics.series(prefix + "snapshots").append(at, float(stop - start))
-        metrics.series(prefix + "pid").append(at, float(worker_pid))
-        metrics.series(prefix + "chunk_start").append(at, float(start))
-        metrics.series(prefix + "chunk_stop").append(at, float(stop))
 
 
 def shard_snapshots(num_snapshots: int,
@@ -129,44 +103,40 @@ def _mp_context():
 
 def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
                    pairs: List[PairKey], times_s: np.ndarray
-                   ) -> Tuple[ChunkResult, float, float]:
+                   ) -> ChunkResult:
     """Build (unless given) the network and sweep one chunk of snapshots.
 
     The one build → compute → record sequence behind both the serial
-    walk and every worker, under the ambient span profiler.  Returns
-    ``(chunk_result, build_wall_s, total_wall_s)``.
+    walk and every worker, timed by the ambient span profiler
+    (``sweep.chunk`` around ``sweep.build`` and ``sweep.compute``).
     """
     profiler = spans.ACTIVE
     profiling = profiler.enabled
-    started = time.perf_counter()
     chunk_span = profiler.begin("sweep.chunk") if profiling else -1
     build_span = profiler.begin("sweep.build") if profiling else -1
     network = source.build() if isinstance(source, NetworkSpec) else source
     if build_span != -1:
         profiler.end(build_span)
-    build_wall_s = time.perf_counter() - started
     compute_span = profiler.begin("sweep.compute") if profiling else -1
     result = compute_pair_chunk(network, pairs, times_s)
     if compute_span != -1:
         profiler.end(compute_span)
     if chunk_span != -1:
         profiler.end(chunk_span)
-    return result, build_wall_s, time.perf_counter() - started
+    return result
 
 
 def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
                               bool]
-               ) -> Tuple[int, ChunkResult, float, float, int,
-                          Optional[dict]]:
+               ) -> Tuple[ChunkResult, Optional[dict]]:
     """One worker's unit of work: rebuild the network, sweep one chunk.
 
     Module-level so multiprocessing pickles it by reference.  The
     payload carries the chunk's snapshot times by value; the worker
-    runs the spec's named ISL builder itself.  Returns ``(chunk_index,
-    chunk_result, build_wall_s, total_wall_s, os_pid, span_profile)``
-    — the profile is the worker's serialized span tree
-    (:meth:`SpanProfiler.as_dict`) when the parent asked for profiling,
-    else None.
+    runs the spec's named ISL builder itself.  Returns ``(chunk_result,
+    span_profile)`` — the profile is the worker's serialized span tree
+    (:meth:`SpanProfiler.as_dict`, which carries its OS pid) when the
+    parent asked for profiling, else None.
     """
     chunk_index, spec, pairs, times_s, profile = payload
     profiler = None
@@ -177,21 +147,17 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
         profiler = spans.SpanProfiler(label=f"sweep worker {chunk_index}")
         spans.install(profiler)
     try:
-        result, build_wall_s, total_wall_s = _compute_chunk(
-            spec, pairs, times_s)
+        result = _compute_chunk(spec, pairs, times_s)
     finally:
         if profile:
             spans.uninstall()
-    profile_dict = profiler.as_dict() if profiler is not None else None
-    return (chunk_index, result, build_wall_s, total_wall_s, os.getpid(),
-            profile_dict)
+    return result, (profiler.as_dict() if profiler is not None else None)
 
 
 def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
                     pairs: Sequence[PairKey],
                     times_s: np.ndarray,
                     workers: Optional[int] = None,
-                    metrics=None,
                     ) -> Dict[PairKey, PairTimeline]:
     """Evaluate a snapshot sweep, optionally across worker processes.
 
@@ -208,12 +174,11 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
         workers: Worker process count; ``None``/1 runs in-process, 0 uses
             every core.  Short schedules get at most one chunk per
             snapshot.
-        metrics: Optional :class:`repro.obs.MetricsRegistry` receiving
-            per-worker timing series (``sweep.worker.<k>.wall_s`` /
-            ``.build_s`` / ``.snapshots`` / ``.pid`` / ``.chunk_start``
-            / ``.chunk_stop``, keyed by each chunk's first snapshot
-            time) plus ``sweep.workers`` / ``sweep.wall_s`` gauges and
-            a ``sweep.snapshots`` counter.
+
+    Under an installed :class:`~repro.obs.spans.SpanProfiler`, each
+    worker's span tree is adopted in chunk order with its snapshot
+    bounds (``chunk_index``, ``snapshot_start``, ``snapshot_stop``) and
+    its OS pid — where every chunk's wall-clock went.
 
     Returns:
         pair -> :class:`PairTimeline` over the full schedule, bit-identical
@@ -230,16 +195,14 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
         raise ValueError(f"need a NetworkSpec or a built LeoNetwork to "
                          f"sweep, got {type(source).__name__}")
     workers = resolve_workers(workers)
-    sweep_started = time.perf_counter()
     profiler = spans.ACTIVE
     profiling = profiler.enabled
 
-    # One outcome per chunk, in schedule order: ``(chunk_index,
-    # chunk_result, build_wall_s, total_wall_s, os_pid, span_profile)``.
+    # One outcome per chunk, in schedule order: ``(chunk_result,
+    # span_profile)``.
     if workers <= 1 or len(times_s) <= 1:
         shards = [(0, len(times_s))]
-        outcomes = [(0, *_compute_chunk(source, pair_keys, times_s),
-                     os.getpid(), None)]
+        outcomes = [(_compute_chunk(source, pair_keys, times_s), None)]
     else:
         spec = (source if isinstance(source, NetworkSpec)
                 else NetworkSpec.from_network(source))
@@ -260,16 +223,13 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
     # scheduling.
     merge_span = profiler.begin("sweep.merge") if profiling else -1
     timelines = splice_timelines(times_s,
-                                 [outcome[1] for outcome in outcomes])
+                                 [outcome[0] for outcome in outcomes])
     if profiling and isinstance(profiler, spans.SpanProfiler):
-        for (index, _, _, _, _, profile), (start, stop) in zip(
-                outcomes, shards):
+        for index, ((_, profile), (start, stop)) in enumerate(
+                zip(outcomes, shards)):
             if profile is not None:
                 profiler.adopt(profile, chunk_index=index,
                                snapshot_start=start, snapshot_stop=stop)
     if merge_span != -1:
         profiler.end(merge_span)
-    if metrics is not None:
-        _record_metrics(metrics, times_s, shards, outcomes,
-                        time.perf_counter() - sweep_started)
     return timelines

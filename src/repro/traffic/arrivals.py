@@ -111,6 +111,9 @@ class FlowRequest:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FlowRequest":
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"a flow request must be a JSON object, got {record!r}")
         return cls(t_start_s=float(record["t_start_s"]),
                    src_gid=record["src_gid"], dst_gid=record["dst_gid"],
                    size_bytes=record["size_bytes"])
@@ -226,11 +229,17 @@ class WorkloadSchedule:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "WorkloadSchedule":
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"a workload must be a JSON object, got {payload!r}")
         if "flows" not in payload:
             raise ValueError("workload payload has no 'flows' key")
-        return cls([FlowRequest.from_dict(record)
-                    for record in payload["flows"]],
-                   seed=int(payload.get("seed", 0)))
+        flows = payload["flows"]
+        if not isinstance(flows, list):
+            raise ValueError(
+                f"workload 'flows' must be a list, got {flows!r}")
+        return cls([FlowRequest.from_dict(record) for record in flows],
+                   seed=exact_int(payload.get("seed", 0), "workload seed"))
 
     def to_json(self, path: str) -> None:
         """Write the schedule as JSON (the ``--workload`` file format)."""

@@ -18,7 +18,7 @@ ground stations, with two builders:
 
 A matrix is plain data: picklable, JSON round-trippable, and the input of
 :class:`repro.traffic.arrivals.FlowArrivalProcess` (stochastic flow
-churn) as well as directly convertible to long-running fluid flows.
+churn).
 """
 
 from __future__ import annotations
@@ -112,14 +112,6 @@ class TrafficMatrix:
             raise ValueError("cannot rescale an all-zero matrix")
         return TrafficMatrix(self.demand_bps * (total_offered_bps / current),
                              kind=self.kind)
-
-    def as_fluid_flows(self) -> list:
-        """The matrix as long-running :class:`~repro.fluid.engine.FluidFlow` s,
-        one per pair with positive demand, each flow's demand capped at its
-        matrix rate."""
-        from ..fluid.engine import FluidFlow
-        return [FluidFlow(src, dst, demand_bps=self.rate_bps(src, dst))
-                for src, dst in self.pairs()]
 
     # -- builders --------------------------------------------------------
 

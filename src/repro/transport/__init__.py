@@ -2,14 +2,13 @@
 congestion controller chosen by name (NewReno, Vegas or BBR, via
 ``TcpFlow(..., controller=name)``; see :data:`repro.cc.CONTROLLERS`)."""
 
-from .base import Application, allocate_flow_id
+from .base import Application
 from .ping import PingSession
 from .tcp import TcpFlow
 from .udp import UdpFlow
 
 __all__ = [
     "Application",
-    "allocate_flow_id",
     "PingSession",
     "TcpFlow",
     "UdpFlow",

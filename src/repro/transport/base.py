@@ -2,40 +2,21 @@
 
 An application attaches to ground station endpoints of a
 :class:`~repro.simulation.simulator.PacketSimulator` and exchanges packets
-under a flow id.  Flow ids are allocated globally so that several
-applications can coexist in one simulation (the constellation-wide
-experiments of paper §5.4 run one TCP flow per GS pair).
+under a flow id.  The simulator numbers the flows installed on it
+(:meth:`~repro.simulation.simulator.PacketSimulator.next_flow_id`), so
+several applications can coexist in one simulation (the
+constellation-wide experiments of paper §5.4 run one TCP flow per GS
+pair) and the numbering travels with a checkpointed simulation.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from ..obs.trace import NULL_TRACER, Tracer
 from ..simulation.simulator import PacketSimulator
 
-__all__ = ["Application", "allocate_flow_id", "ensure_flow_ids_above"]
-
-_flow_ids = itertools.count(1)
-
-
-def allocate_flow_id() -> int:
-    """A process-wide unique flow id."""
-    return next(_flow_ids)
-
-
-def ensure_flow_ids_above(min_id: int) -> None:
-    """Advance the allocator past ``min_id`` if it is not already.
-
-    Restoring a checkpoint brings applications with already-allocated
-    flow ids into a fresh process whose counter restarted at 1; the
-    service calls this so workloads attached *after* the restore cannot
-    collide with restored flows' handler registrations.
-    """
-    global _flow_ids
-    probe = next(_flow_ids)
-    _flow_ids = itertools.count(max(probe, min_id + 1))
+__all__ = ["Application"]
 
 
 class Application:
@@ -46,14 +27,15 @@ class Application:
 
     Attributes:
         sim: The simulator, set by :meth:`install`.
-        flow_id: This application's flow id.
+        flow_id: This application's flow id, numbered by the simulator
+            at :meth:`install` (-1 before).
         _tracer: The simulator's tracer after installation (the no-op
             ``NULL_TRACER`` before); transports guard flow-level events
             (cwnd, RTT, congestion-control state) behind its ``enabled``.
     """
 
     def __init__(self) -> None:
-        self.flow_id = allocate_flow_id()
+        self.flow_id = -1
         self.sim: Optional[PacketSimulator] = None
         self._tracer: Tracer = NULL_TRACER
 
@@ -62,6 +44,7 @@ class Application:
         if self.sim is not None:
             raise RuntimeError("application is already installed")
         self.sim = sim
+        self.flow_id = sim.next_flow_id()
         self._tracer = sim.tracer
         self._install(sim)
         return self

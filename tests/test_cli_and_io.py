@@ -1,5 +1,6 @@
 """Tests for the CLI, TLE file I/O, and GEO support."""
 
+import json
 import signal
 
 import numpy as np
@@ -190,6 +191,41 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,payload,complaint", [
+        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+         {"flows": [1, 2]}, "must be a JSON object"),
+        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+         {"flows": 5}, "must be a list"),
+        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+         [{"flows": []}], "must be a JSON object"),
+        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+         {"flows": [], "seed": 2.5}, "seed must be an integer"),
+        (["sweep", "K1", "--cities", "5", "--duration", "2",
+          "--faults", "s.json"], {"events": 7}, "must be a list"),
+        (["sweep", "K1", "--cities", "5", "--duration", "2",
+          "--faults", "s.json"], "events", "must be a JSON object"),
+        (["report", "K1", "Manila", "Dalian", "--duration", "1",
+          "--faults", "s.json"], {"events": [], "seed": 1.5},
+         "seed must be an integer"),
+        (["report", "K1", "Manila", "Dalian", "--duration", "1",
+          "--faults", "s.json"], {"events": [], "seed": True},
+         "seed must be an integer"),
+    ], ids=["flows-not-objects", "flows-not-a-list", "workload-not-object",
+            "fractional-workload-seed", "events-not-a-list",
+            "faults-not-object", "fractional-fault-seed", "boolean-seed"])
+    def test_malformed_schedule_files_are_usage_errors(
+            self, argv, payload, complaint, capsys, tmp_path, monkeypatch):
+        """Each used to escape as a ``TypeError`` traceback (exit 1), or
+        — a fractional or boolean seed — to run with the seed
+        truncated."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(json.dumps(payload))
+        assert _within(30, lambda: main(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert complaint in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["rtt", "K1", "Manila", "Dalian", "--duration", "inf"],

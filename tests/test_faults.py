@@ -96,6 +96,24 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match=message):
             FaultEvent(kind, isl=tuple(isl) if isl else None, **kwargs)
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"events": [], "seed": 1.5}, "seed must be an integer"),
+        ({"events": [], "seed": True}, "seed must be an integer"),
+        ({"events": 7}, "'events' must be a list"),
+        ({"events": {"kind": "isl_cut"}}, "'events' must be a list"),
+        ([], "must be a JSON object"),
+    ], ids=["fractional-seed", "boolean-seed", "events-not-a-list",
+            "events-an-object", "not-an-object"])
+    def test_schedule_from_dict_refuses_malformed_payloads(self, payload,
+                                                           message):
+        """The fault seed drives every loss stream: ``int(seed)`` ran
+        1.5 as 1 and ``true`` as 1.  A non-list ``events`` was a
+        ``TypeError`` past the CLI's ``ValueError`` handler."""
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.from_dict(payload)
+        assert FaultSchedule.from_dict(
+            {"events": [], "seed": 7.0}).seed == 7
+
     @pytest.mark.parametrize("record,message", [
         ({"kind": "isl_cut", "isl": [1, 2], "rate": 0.3},
          "isl_cut carries no rate"),
@@ -622,21 +640,23 @@ class TestDeterminism:
 
     def test_deterministic_dict_strips_wall_clock_keys(
             self, small_constellation, small_stations):
-        from repro.obs.report import WALL_CLOCK_KEYS
+        """The one wall-clock section of a report is the span profile's
+        ``phases``; the deterministic form drops it and nothing else."""
+        from repro.obs import spans
         from repro.simulation.simulator import PacketSimulator
         from repro.transport.ping import PingSession
         network = _lossy_network(small_constellation, small_stations)
         sim = PacketSimulator(network)
         PingSession(0, 3, interval_s=0.01).install(sim)
-        sim.run(2.0)
-        report = sim.report()
-        full = report.as_dict()["summary"]
-        deterministic = report.as_dict(deterministic=True)["summary"]
-        assert WALL_CLOCK_KEYS & set(full)
-        assert not WALL_CLOCK_KEYS & set(deterministic)
+        with spans.profiled():
+            sim.run(2.0)
+            report = sim.report()
+        full = report.as_dict()
+        deterministic = report.as_dict(deterministic=True)
+        assert "phases" in full and "phases" not in deterministic
         # Everything else is untouched.
-        for key, value in deterministic.items():
-            assert full[key] == value
+        del full["phases"]
+        assert full == deterministic
 
     def test_sweep_parallel_equals_serial_under_faults(
             self, small_constellation, small_stations):

@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import (NULL_TRACER, FLOW_RTT, PKT_DELIVER, PKT_DROP,
-                       PKT_ENQUEUE, ROUTE_CHANGE, ROUTING_COMPUTE, WARNING,
-                       Counter, Gauge, Histogram, MetricsRegistry,
-                       NullTracer, RingBufferTracer, SimulatorProbe,
+from repro.obs import (NULL_TRACER, FLOW_RTT, FWD_UPDATE, PKT_DELIVER,
+                       PKT_DROP, PKT_ENQUEUE, ROUTE_CHANGE, Counter,
+                       Histogram, MetricsRegistry, NullTracer,
+                       RingBufferTracer, SimulatorProbe,
                        TimeSeriesLog, TraceEvent, TraceFilter,
                        isl_utilization_from_registry)
-from repro.simulation.devices import DeviceStats
 from repro.simulation.packet import Packet
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.transport.udp import UdpFlow
@@ -85,12 +84,12 @@ class TestRingBufferTracer:
     def test_summary_shape(self):
         tracer = RingBufferTracer(capacity=2)
         for _ in range(3):
-            tracer.emit(0.0, WARNING, reason="x")
+            tracer.emit(0.0, FLOW_RTT, reason="x")
         summary = tracer.summary()
         assert summary["emitted"] == 3
         assert summary["retained"] == 2
         assert summary["evicted"] == 1
-        assert summary["by_kind"] == {WARNING: 3}
+        assert summary["by_kind"] == {FLOW_RTT: 3}
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -105,12 +104,6 @@ class TestMetrics:
         assert counter.value == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-    def test_gauge(self):
-        gauge = Gauge("depth")
-        gauge.set(3.0)
-        gauge.add(-1.0)
-        assert gauge.value == 2.0
 
     def test_histogram(self):
         hist = Histogram("rtt", buckets=(0.1, 1.0))
@@ -166,10 +159,10 @@ class TestMetrics:
     def test_registry_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.histogram("h") is registry.histogram("h")
         assert registry.series("s") is registry.series("s")
         with pytest.raises(TypeError):
-            registry.gauge("a")  # name already bound to a counter
+            registry.series("a")  # name already bound to a counter
 
     def test_registry_series_names(self):
         registry = MetricsRegistry()
@@ -199,32 +192,6 @@ class TestMetrics:
                                  "values": [1.0, 2.0]}
 
 
-class TestUtilizationAccounting:
-    def test_raw_ratio_not_clamped(self):
-        stats = DeviceStats()
-        stats.busy_time_s = 2.0
-        assert stats.utilization(1.0) == pytest.approx(2.0)
-
-    def test_overload_emits_warning(self):
-        stats = DeviceStats()
-        stats.busy_time_s = 1.5
-        tracer = RingBufferTracer()
-        ratio = stats.utilization(1.0, tracer=tracer,
-                                  link_name="isl-0-1")
-        assert ratio == pytest.approx(1.5)
-        warnings = tracer.events_of(WARNING)
-        assert len(warnings) == 1
-        assert warnings[0].link == "isl-0-1"
-        assert warnings[0].reason == "utilization_above_1"
-
-    def test_no_warning_below_1(self):
-        stats = DeviceStats()
-        stats.busy_time_s = 0.5
-        tracer = RingBufferTracer()
-        stats.utilization(1.0, tracer=tracer, link_name="isl-0-1")
-        assert tracer.events_of(WARNING) == []
-
-
 class TestTracedSimulation:
     def test_run_produces_trace_and_series(self, small_network, tmp_path):
         """The acceptance scenario: one traced run yields a JSONL trace
@@ -239,7 +206,7 @@ class TestTracedSimulation:
         counts = tracer.counts
         assert counts[PKT_ENQUEUE] > 0
         assert counts[PKT_DELIVER] > 0
-        assert counts[ROUTING_COMPUTE] > 0
+        assert counts[FWD_UPDATE] > 0
         path = tmp_path / "run.jsonl"
         lines = tracer.to_jsonl(str(path))
         assert lines == len(tracer)
@@ -321,7 +288,7 @@ class TestRunReports:
         report = sim.report(registry=registry)
         assert report.kind == "packet"
         assert report.summary["packets_delivered"] > 0
-        assert report.summary["events_per_wall_s"] > 0.0
+        assert report.summary["events_processed"] > 0
         assert report.trace is not None and report.trace["emitted"] > 0
         assert report.metrics is not None
         payload = report.as_dict()
@@ -340,10 +307,32 @@ class TestRunReports:
                          metrics=registry).run(3.0, step_s=1.0)
             report = result.report(registry=registry)
             assert report.kind == kind
-            assert report.summary["wall_time_s"] > 0.0
             assert report.summary["snapshots"] == 3.0  # t = 0, 1, 2
             assert "fluid.peak_utilization" in registry.series_logs
             json.dumps(report.as_dict())
+
+    def test_no_wall_clock_outside_the_span_profiler(self, small_network):
+        """The span profiler is the one clock: without one installed the
+        full report form equals the deterministic one, for a packet run
+        and both fluid engines; with one, only ``phases`` differs."""
+        from repro.fluid.aimd import AimdFluidSimulation
+        from repro.fluid.engine import FluidFlow, FluidSimulation
+        from repro.obs import spans
+        sim = PacketSimulator(small_network)
+        UdpFlow(0, 3, rate_bps=1_000_000.0).install(sim)
+        sim.run(1.0)
+        reports = [sim.report()]
+        for cls in (FluidSimulation, AimdFluidSimulation):
+            reports.append(cls(small_network, [FluidFlow(0, 3)]).run(
+                2.0, step_s=1.0).report())
+        for report in reports:
+            assert report.phases is None
+            assert report.as_dict() == report.as_dict(deterministic=True)
+        with spans.profiled():
+            profiled = sim.report()
+        full = profiled.as_dict()
+        assert full.pop("phases")["num_spans"] >= 0
+        assert full == profiled.as_dict(deterministic=True)
 
     def test_report_json_export(self, small_network, tmp_path):
         sim = PacketSimulator(small_network)

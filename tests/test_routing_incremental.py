@@ -264,7 +264,7 @@ class TestIncrementalParity:
             "full_solves", "repairs", "reweight_repairs",
             "fallbacks_large_delta", "destination_changes",
             "snapshot_cache_hits", "edges_changed",
-            "vertices_invalidated", "edges_violated", "repair_wall_s"}
+            "vertices_invalidated", "edges_violated"}
         assert summary["reweight_repairs"] == 2
         assert summary["edges_violated"] == 7
 

@@ -231,7 +231,7 @@ class TestCheckpointContainer:
         """Format v1 held 3-field pending-event tuples; this build's
         scheduler would mis-dispatch them, so the header gate must stop
         the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 12
+        assert CHECKPOINT_FORMAT_VERSION == 13
         path = tmp_path / "v1.ckpt"
         _saved("packet", path, epochs=1)
         _rewrite_header(path, format_version=1)
@@ -371,6 +371,38 @@ class TestCheckpointContainer:
                           b"crepro.cc.factory\nControllerFlowFactory\n.")
         with pytest.raises(CheckpointVersionError, match="format v11"):
             LiveSimulationService.resume(str(path))
+
+    def test_v12_checkpoint_is_refused(self, tmp_path):
+        """A v12 packet body pickles the scheduler's ``itertools.count``
+        and the simulator's wall time, and numbers its flows from a
+        process-global counter this build lacks: the version gate must
+        refuse it before anything is unpickled."""
+        path = tmp_path / "v12.ckpt"
+        _saved("packet", path)
+        _rewrite_header(path, format_version=12)
+        with pytest.raises(CheckpointVersionError, match="format v12"):
+            LiveSimulationService.resume(str(path))
+
+    def test_identical_services_write_identical_bytes(self, tmp_path):
+        """Two services of each engine, built from one spec in one
+        process and advanced to the same epochs, write byte-identical
+        checkpoints: no wall-clock time and no process-global id reaches
+        the pickle.  (Before, five wall-time fields and the global
+        flow/packet id counters made them differ.)"""
+        spec = _small_spec().with_workload(_small_workload())
+        for engine in ENGINES:
+            services = [LiveSimulationService(spec, engine=engine,
+                                              horizon_s=HORIZON_S,
+                                              epoch_s=EPOCH_S)
+                        for _ in range(2)]
+            for epoch in (2.0, 4.0):
+                files = []
+                for index, service in enumerate(services):
+                    service.advance_to(epoch)
+                    path = tmp_path / f"{engine}-{epoch}-{index}.ckpt"
+                    service.save(str(path))
+                    files.append(path.read_bytes())
+                assert files[0] == files[1], (engine, epoch)
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
         """Routers pickle without their per-snapshot caches: the transit
@@ -1124,20 +1156,14 @@ class TestLiveMutation:
         assert service.advance_epoch()["time_s"] == boundary
         assert service.advance_epoch(2)["time_s"] == boundary + 2.0
 
-    def test_attach_after_an_unpickle_gets_fresh_flow_ids(self,
-                                                          monkeypatch):
-        """Unpickling a packet service pushes the flow-id allocator past
-        every restored flow, so a workload attached afterwards cannot
-        collide with one — also in a process whose allocator restarted
-        at 1, as a resuming one does."""
-        import itertools
-
-        import repro.transport.base as base
+    def test_attach_after_an_unpickle_gets_fresh_flow_ids(self):
+        """The simulator numbers its flows and pickles the count with
+        them, so a workload attached after an unpickle cannot collide
+        with a restored flow — in any process, with no restore-time
+        fixup."""
         service = _make_service("packet")
         service.advance_epoch(3)
-        blob = pickle.dumps(service)
-        monkeypatch.setattr(base, "_flow_ids", itertools.count(1))
-        restored = pickle.loads(blob)
+        restored = pickle.loads(pickle.dumps(service))
         before = {flow for _, flow in restored.sim._handlers}
         restored.attach_workload(_small_workload(seed=5, start_s=4.0,
                                                  horizon_s=4.0))
@@ -1393,6 +1419,33 @@ class TestServerClient:
                 with pytest.raises(ServiceClientError,
                                    match=f"ServiceError: {field} must be"):
                     client.command(fields.pop("cmd"), **fields)
+                assert client.status()["time_s"] == 0.0
+                client.stop()
+        assert service.spec == spec
+
+    @pytest.mark.parametrize("workload, complaint", [
+        ({**_small_workload(seed=3).as_dict(), "seed": 1.5},
+         "workload seed must be an integer"),
+        ({**_small_workload(seed=3).as_dict(), "seed": True},
+         "workload seed must be an integer"),
+        ({"flows": 5}, "'flows' must be a list"),
+        ({"flows": [1, 2]}, "flow request must be a JSON object"),
+        ([], "workload must be a JSON object"),
+    ], ids=["fractional-seed", "boolean-seed", "flows-not-a-list",
+            "flow-not-an-object", "workload-not-an-object"])
+    def test_attach_workload_refuses_a_malformed_payload(self, workload,
+                                                         complaint):
+        """``int(payload["seed"])`` ran a seed of 1.5 (or ``true``) as 1,
+        and a non-list ``flows`` or a non-object record was a
+        ``TypeError``.  Each is now a ``ValueError`` naming the field,
+        and nothing is attached."""
+        service = _make_service("packet")
+        spec = service.spec
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                with pytest.raises(ServiceClientError,
+                                   match=f"ValueError: .*{complaint}"):
+                    client.command("attach_workload", workload=workload)
                 assert client.status()["time_s"] == 0.0
                 client.stop()
         assert service.spec == spec

@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.obs.report import WALL_CLOCK_KEYS
 from repro.service import ServiceClient, read_checkpoint_header
 
 pytestmark = pytest.mark.service
@@ -52,9 +51,6 @@ def _deterministic(report_path) -> str:
     """A report JSON file, canonicalized for cross-process comparison."""
     with open(report_path, "r", encoding="utf-8") as stream:
         payload = json.load(stream)
-    summary = payload.get("summary", {})
-    for key in WALL_CLOCK_KEYS:
-        summary.pop(key, None)
     payload.pop("phases", None)
     return json.dumps(payload, sort_keys=True)
 

@@ -245,16 +245,16 @@ class TestPerfAccounting:
                    size_bytes=100)))
         sim.run(1.0)
         summary = sim.stats.perf_summary()
-        assert summary["wall_time_s"] > 0.0
         assert summary["events_processed"] == \
             sim.scheduler.events_processed > 0
-        assert summary["events_per_wall_s"] > 0.0
         # ~10 forwarding updates over 1 s at 0.1 s granularity (float
         # accumulation may squeeze in one more just below the horizon),
         # one registered destination, one batched dijkstra each.
         assert summary["trees_computed"] in (10, 11)
         assert summary["dijkstra_calls"] == summary["trees_computed"]
-        assert summary["routing_compute_s"] > 0.0
+        # Work counts only: wall-clock time is the span profiler's.
+        assert not any("wall" in key or key.endswith("_s")
+                       for key in summary)
 
     def test_routing_counters_shared_with_engine(self, small_network):
         sim = PacketSimulator(small_network)

@@ -188,31 +188,41 @@ class TestSweepTimelines:
                 sweep([(0, 3), (2, 2)])
 
     def test_metrics_recorded(self, small_network):
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
+        """The sweep's timing metrics are its span profile: each worker's
+        adopted span tree holds one ``sweep.chunk`` around one
+        ``sweep.build``, with the worker's OS pid and its snapshot
+        bounds, and the bounds cover the schedule."""
+        from repro.obs import spans
         spec = NetworkSpec.from_network(small_network)
         times = snapshot_times(8.0, 1.0)
-        sweep_timelines(spec, [(0, 3)], times, workers=2,
-                        metrics=registry)
-        assert registry.gauges["sweep.workers"].value == 2.0
-        assert registry.gauges["sweep.wall_s"].value > 0.0
-        assert registry.counters["sweep.snapshots"].value == len(times)
-        counts = 0.0
-        for index in range(2):
-            prefix = f"sweep.worker.{index}."
-            assert len(registry.series_logs[prefix + "wall_s"].values) == 1
-            assert len(registry.series_logs[prefix + "build_s"].values) == 1
-            counts += registry.series_logs[prefix + "snapshots"].values[0]
-        assert counts == len(times)
+        with spans.profiled() as profiler:
+            sweep_timelines(spec, [(0, 3)], times, workers=2)
+        children = profiler.children
+        assert [meta["chunk_index"] for _, meta in children] == [0, 1]
+        covered = 0
+        for profile, meta in children:
+            names = [span[0] for span in profile["spans"]]
+            assert names.count("sweep.chunk") == 1
+            assert names.count("sweep.build") == 1
+            assert profile["os_pid"] != os.getpid()
+            assert meta["snapshot_start"] == covered
+            covered = meta["snapshot_stop"]
+        assert covered == len(times)
 
     def test_serial_path_also_records_metrics(self, small_network):
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
+        """A serial sweep is one chunk timed on the caller's profiler:
+        one ``sweep.chunk`` around ``sweep.build`` and ``sweep.compute``,
+        and no adopted child."""
+        from repro.obs import spans
         spec = NetworkSpec.from_network(small_network)
-        sweep_timelines(spec, [(0, 3)], snapshot_times(3.0, 1.0),
-                        workers=1, metrics=registry)
-        assert registry.gauges["sweep.workers"].value == 1.0
-        assert "sweep.worker.0.wall_s" in registry.series_logs
+        with spans.profiled() as profiler:
+            sweep_timelines(spec, [(0, 3)], snapshot_times(3.0, 1.0),
+                            workers=1)
+        counts = {phase["name"]: phase["count"]
+                  for phase in profiler.phase_summary()["phases"]}
+        assert counts["sweep.chunk"] == counts["sweep.build"] \
+            == counts["sweep.compute"] == 1
+        assert profiler.children == []
 
 
 class TestWorkerFailure:
@@ -266,7 +276,8 @@ class TestWorkerFailure:
     def test_removed_transport_switch_rejected(self, small_network):
         spec = NetworkSpec.from_network(small_network)
         for removed in ({"use_shared_memory": False},
-                        {"mp_context": multiprocessing.get_context("fork")}):
+                        {"mp_context": multiprocessing.get_context("fork")},
+                        {"metrics": None}):
             with pytest.raises(TypeError):
                 sweep_timelines(spec, self.PAIRS, self.TIMES, **removed)
         with pytest.raises(TypeError):
@@ -318,25 +329,24 @@ class TestDynamicStateWorkers:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_compute_publishes_the_sweep_instruments(self, small_network,
                                                      workers):
-        from repro.obs import MetricsRegistry
+        """A built network and its spec publish the same span profile:
+        the same span names, and the same adopted chunks."""
+        from repro.obs import spans
         pairs = [(0, 3), (2, 4)]
         times = snapshot_times(6.0, 1.0)
-        from_state, from_sweep = MetricsRegistry(), MetricsRegistry()
-        sweep_timelines(small_network, pairs, times, workers=workers,
-                        metrics=from_state)
-        sweep_timelines(NetworkSpec.from_network(small_network), pairs,
-                        times, workers=workers, metrics=from_sweep)
-        for kind in ("gauges", "counters", "series_logs"):
-            assert sorted(getattr(from_state, kind)) \
-                == sorted(getattr(from_sweep, kind))
-        chunks = workers or 1
-        assert sorted(from_state.series_logs) == sorted(
-            f"sweep.worker.{index}.{name}" for index in range(chunks)
-            for name in ("wall_s", "build_s", "snapshots", "pid",
-                         "chunk_start", "chunk_stop"))
-        for registry in (from_state, from_sweep):
-            assert registry.counters["sweep.snapshots"].value == 6.0
-            assert registry.gauges["sweep.workers"].value == chunks
+        shapes = []
+        for source in (small_network, NetworkSpec.from_network(
+                small_network)):
+            with spans.profiled() as profiler:
+                sweep_timelines(source, pairs, times, workers=workers)
+            phases = profiler.phase_summary()["phases"]
+            shapes.append((
+                sorted(phase["name"] for phase in phases),
+                [meta for _, meta in profiler.children]))
+        assert shapes[0] == shapes[1]
+        names, chunks = shapes[0]
+        assert "sweep.chunk" in names and "sweep.compute" in names
+        assert len(chunks) == (0 if workers is None else 2)
 
     def test_compute_rejects_negative_workers(self, small_network):
         with pytest.raises(ValueError):
@@ -448,9 +458,10 @@ class TestSweepCli:
         assert code == 0
         captured = capsys.readouterr().out
         assert "6 pairs x 2 snapshots" in captured
-        assert "1 worker(s)" in captured
+        # Wall-clock timings are --profile-out's, not the summary's.
+        assert "wall" not in captured
         import json
         payload = json.loads(out.read_text())
         assert payload["workers"] == 1
         assert len(payload["pairs"]) == 6
-        assert "sweep.wall_s" in payload["metrics"]["gauges"]
+        assert "metrics" not in payload

@@ -123,14 +123,6 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError, match="demand_bps"):
             TrafficMatrix.from_dict({"kind": "gravity"})
 
-    def test_as_fluid_flows(self):
-        matrix = TrafficMatrix.permutation(10)
-        capped = matrix.as_fluid_flows()
-        assert len(capped) == 10
-        assert all(f.demand_bps == 10_000_000.0 for f in capped)
-        assert ([(f.src_gid, f.dst_gid) for f in capped]
-                == matrix.pairs())
-
 
 class TestFlowRequest:
     def test_validation(self):
@@ -234,6 +226,24 @@ class TestWorkloadSchedule:
         assert clone == schedule
         with pytest.raises(ValueError, match="flows"):
             WorkloadSchedule.from_dict({"seed": 3})
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"flows": [], "seed": 1.5}, "seed must be an integer"),
+        ({"flows": [], "seed": True}, "seed must be an integer"),
+        ({"flows": [], "seed": "7"}, "seed must be an integer"),
+        ({"flows": 5}, "'flows' must be a list"),
+        ({"flows": [1, 2]}, "must be a JSON object"),
+        ([{"flows": []}], "must be a JSON object"),
+    ], ids=["fractional-seed", "boolean-seed", "string-seed",
+            "flows-not-a-list", "flow-not-an-object", "not-an-object"])
+    def test_from_dict_refuses_malformed_payloads(self, payload, message):
+        """``int(seed)`` truncated 1.5 to 1 and took ``true`` as 1; a
+        non-list ``flows`` or a non-object record was a ``TypeError``
+        past the CLI's ``ValueError`` handler."""
+        with pytest.raises(ValueError, match=message):
+            WorkloadSchedule.from_dict(payload)
+        assert WorkloadSchedule.from_dict(
+            {"flows": [], "seed": 7.0}).seed == 7
 
     def test_schedule_pickles(self):
         import pickle
@@ -418,7 +428,7 @@ class TestFiniteFluidFlows:
         :func:`repro.obs.report.fct_summary`."""
         import random
 
-        from repro.obs.report import WALL_CLOCK_KEYS, fluid_run_report
+        from repro.obs.report import fluid_run_report
         rng = random.Random(5)
         requests = []
         for _ in range(16):
@@ -448,10 +458,7 @@ class TestFiniteFluidFlows:
             "snapshots_computed": 5.0,
             "allocations_solved": 37.0,
         }
-        measured = {key: value
-                    for key, value in result.perf_summary().items()
-                    if key not in WALL_CLOCK_KEYS}
-        assert list(measured.items()) == list(summary.items())
+        assert list(result.perf_summary().items()) == list(summary.items())
         report = fluid_run_report(result).as_dict(deterministic=True)
         assert list(report) == ["report_version", "kind", "duration_s",
                                 "summary", "provenance", "fct"]

@@ -11,7 +11,6 @@ from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.traffic import FlowRequest, WorkloadSchedule, WorkloadSpawner
 from repro.obs.metrics import TimeSeriesLog
-from repro.transport.base import allocate_flow_id
 from repro.transport.ping import PingSession
 from repro.transport.tcp import TcpFlow
 from repro.transport.udp import UdpFlow
@@ -23,8 +22,17 @@ def sim(small_network) -> PacketSimulator:
 
 
 class TestBase:
-    def test_flow_ids_unique(self):
-        assert allocate_flow_id() != allocate_flow_id()
+    def test_flow_ids_unique(self, small_network):
+        """The simulator numbers the flows installed on it 1, 2, ...:
+        unique within it, and alike in two identical simulations of one
+        process (no process-global counter)."""
+        for _ in range(2):
+            sim = PacketSimulator(small_network)
+            flows = [UdpFlow(0, 3, rate_bps=100_000.0), TcpFlow(1, 4)]
+            assert [flow.flow_id for flow in flows] == [-1, -1]
+            for flow in flows:
+                flow.install(sim)
+            assert [flow.flow_id for flow in flows] == [1, 2]
 
     def test_time_series_log(self):
         log = TimeSeriesLog()
