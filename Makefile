@@ -69,6 +69,9 @@ smoke:
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "WALL_CLOCK_KEYS|events_per_wall_s|routing_compute_s|repair_wall_s|snapshots_per_wall_s|ROUTING_COMPUTE|_record_metrics|allocate_flow_id|ensure_flow_ids_above|packet_id" \
 	    src/ examples/ README.md .claude/
+	! grep -rnw pickle src/repro/service/
+	! grep -rnwIE "CHECKPOINT_MAGIC|_BODY_ERRORS" \
+	    src/ examples/ README.md .claude/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 
@@ -128,8 +131,10 @@ bench-routing:
 	$(PYTHON) -m pytest benchmarks/test_routing_incremental.py \
 	    benchmarks/test_batched_routing.py -q -o testpaths=
 
-# Live-service gate: checkpoint -> restore -> continue must be
-# bit-identical to never stopping (packet + max-min fluid engines).
+# Live-service gate: checkpoint -> restore (replay) -> continue must be
+# bit-identical to never stopping (packet + max-min fluid engines), and
+# a restore may cost at most 2x building the service and advancing it
+# to the checkpoint's clock (results/service_restore.txt).
 bench-service:
 	$(PYTHON) -m pytest benchmarks/test_service_restore.py -q -o testpaths=
 

@@ -24,7 +24,7 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   routing repair can have moved and keeps the rest from the step before.
   The scale workload's first ``REUSE_STEPS`` 1 s steps must equal, bit
   for bit in rates, loads and paths, the same steps with the simulation
-  and its state pickled and restored before each one — a restored step
+  made cold before each one (``_fluid_oracle.go_cold``) — a cold step
   has nothing to reuse and walks every row.  The rows walked per step go
   to ``results/fluid_scale.txt``.
 * **The small-solve bound is measured.**  ``waterfill`` runs solves of
@@ -37,7 +37,6 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
 """
 
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -58,7 +57,7 @@ from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
 from repro.traffic import TrafficMatrix
 
 from _common import scaled, write_result
-from _fluid_oracle import assert_result_matches_oracle
+from _fluid_oracle import assert_result_matches_oracle, go_cold
 from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 from _fluid_oracle import progressive_filling
 
@@ -114,10 +113,10 @@ def _gravity_paths():
 def _reuse_run():
     """The scale workload's first ``REUSE_STEPS`` 1 s steps, twice:
     stepped as is, each step walking only the class rows whose path can
-    have moved, and with the simulation and its state pickled and
-    restored before every step, each step walking every row.  Returns
-    ``(reused, restored, walked)``: both results and the rows the first
-    run walked at each step, out of its class rows."""
+    have moved, and with the simulation made cold before every step,
+    each step walking every row.  Returns ``(reused, cold,
+    walked)``: both results and the rows the first run walked at each
+    step, out of its class rows."""
     if "reuse" not in _CACHE:
         cache = _gravity_paths()
 
@@ -133,14 +132,13 @@ def _reuse_run():
             walk = reused._last_step.walk
             walked.append((int(np.count_nonzero(~walk.kept)),
                            len(walk.kept)))
-        restored = simulation()
-        restored_state = restored.start_run(float(REUSE_STEPS))
+        cold = simulation()
+        cold_state = cold.start_run(float(REUSE_STEPS))
         for _ in range(REUSE_STEPS):
-            restored, restored_state = pickle.loads(
-                pickle.dumps((restored, restored_state)))
-            restored.advance(restored_state, max_steps=1)
+            go_cold(cold)
+            cold.advance(cold_state, max_steps=1)
         _CACHE["reuse"] = (reused.finish(state),
-                           restored.finish(restored_state), walked)
+                           cold.finish(cold_state), walked)
     return _CACHE["reuse"]
 
 
@@ -273,14 +271,14 @@ def test_gravity_scale():
 
 def test_step_reuse_equals_a_cold_walk_every_step():
     """Reusing the previous step's rows, walk and tuples is exact: the
-    reused run equals, bit for bit, the one restored from a pickle
-    before every step — which walks every row — and reuse walked fewer
+    reused run equals, bit for bit, the one made cold before every
+    step — which walks every row — and reuse walked fewer
     rows than a cold walk on every step after the first."""
-    reused, restored, walked = _reuse_run()
-    assert np.array_equal(reused.flow_rates_bps, restored.flow_rates_bps)
+    reused, cold, walked = _reuse_run()
+    assert np.array_equal(reused.flow_rates_bps, cold.flow_rates_bps)
     assert ([list(loads.items()) for loads in reused.device_load_bps]
-            == [list(loads.items()) for loads in restored.device_load_bps])
-    assert reused.flow_paths == restored.flow_paths
+            == [list(loads.items()) for loads in cold.device_load_bps])
+    assert reused.flow_paths == cold.flow_paths
     assert walked[0][0] == walked[0][1]
     assert all(rows < total for rows, total in walked[1:])
 

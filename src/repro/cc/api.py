@@ -8,8 +8,7 @@ controller as a swappable experiment axis rather than a class hierarchy:
 
 * :class:`CongestionController` is the formal interface — per-ACK /
   loss / timeout / RTT-sample hooks in, cwnd / pacing-rate decisions
-  out; controllers are plain objects that :mod:`repro.service`
-  checkpoints pickle along with their flows;
+  out; controllers are plain objects, one per flow;
 * a flow names its controller: :data:`repro.cc.classic.CONTROLLERS`
   maps the three names to their classes, so controller choices travel
   across process boundaries as strings;

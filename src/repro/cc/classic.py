@@ -321,7 +321,7 @@ class BbrController(CongestionController):
 
 
 #: The controllers a flow may name.  Keys travel across process
-#: boundaries (lab cells, checkpoints); values never leave this process.
+#: boundaries (lab cells); values never leave this process.
 CONTROLLERS: Dict[str, Type[CongestionController]] = {
     cls.name: cls
     for cls in (NewRenoController, VegasController, BbrController)}

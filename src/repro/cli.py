@@ -23,7 +23,7 @@ Usage (installed as ``python -m repro``):
    python -m repro serve K1 --workload w.json --port 7600 --pace 2
    python -m repro checkpoint K1 --workload w.json --at 30 -o state.ckpt
    python -m repro checkpoint --connect 127.0.0.1:7600 -o state.ckpt
-   python -m repro checkpoint --inspect state.ckpt      # header only
+   python -m repro checkpoint --inspect state.ckpt  # header, no spec/log
    python -m repro resume state.ckpt -o report.json
 """
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "real time; 0 = advance only on command)")
 
     checkpoint = sub.add_parser(
-        "checkpoint", help="capture a simulation checkpoint — offline "
+        "checkpoint", help="capture a JSON replay checkpoint — offline "
                            "(build + advance + save), from a live server "
                            "(--connect), or inspect one (--inspect)")
     _add_service_args(checkpoint)
@@ -200,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="with --connect: advance this many epochs "
                                  "first")
     checkpoint.add_argument("--inspect", default=None, metavar="CKPT",
-                            help="print an existing checkpoint's JSON "
-                                 "header (no unpickling) and exit")
+                            help="print an existing checkpoint's header "
+                                 "(no spec, no log) and exit")
 
     resume = sub.add_parser(
-        "resume", help="restore a checkpoint, run it to the horizon, and "
-                       "dump its RunReport")
+        "resume", help="restore a checkpoint by replaying it, run it to "
+                       "the horizon, and dump its RunReport")
     resume.add_argument("checkpoint", help="checkpoint file to restore")
     resume.add_argument("-o", "--output", default=None,
                         help="write the full report JSON here")

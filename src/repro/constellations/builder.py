@@ -125,17 +125,12 @@ class Constellation:
             self._shell_id_offset[shell.name] = count
             count += shell.total_satellites
         self._num_satellites = count
-        #: Built on first access (:attr:`satellites`), never pickled.
+        #: Built on first access (:attr:`satellites`).
         self._satellites: Optional[List[Satellite]] = None
         columns = [_shell_element_arrays(shell) for shell in self.shells]
         (self._radius_m, self._raan_rad, self._inclination_rad,
          self._anomaly_rad, self._mean_motion) = (
             np.concatenate(arrays) for arrays in zip(*columns))
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(vars(self))
-        state["_satellites"] = None
-        return state
 
     @property
     def satellites(self) -> List[Satellite]:

@@ -92,14 +92,6 @@ class FluidFlow:
             raise ValueError(
                 f"start time must be finite and >= 0, got {self.start_s}")
 
-    def __reduce__(self):
-        # Pickled by value: the default pickling reads ``__dict__``, which
-        # on CPython >= 3.11 gives every flow an instance dict that
-        # outlives the pickle (64 bytes per flow, for every checkpoint's
-        # flows).
-        return (FluidFlow, (self.src_gid, self.dst_gid, self.demand_bps,
-                            self.size_bytes, self.start_s))
-
 
 def path_devices(path: Sequence[int], num_satellites: int
                  ) -> List[Hashable]:
@@ -517,10 +509,10 @@ def no_flows(dtype=float):
 class FluidRunState:
     """Resumable mid-run state of a :class:`FluidSimulation`.
 
-    Everything the snapshot loop carries between steps, in picklable
-    form, so a run can stop at any snapshot boundary, be checkpointed
-    by :mod:`repro.service`, and continue in another process with
-    bit-identical results.  Snapshot boundaries are the natural cut:
+    Everything the snapshot loop carries between steps, so a run can
+    stop at any snapshot boundary (a live service advancing epoch by
+    epoch) and continue with bit-identical results.  Snapshot
+    boundaries are the natural cut:
     the sub-event loop (intra-step arrivals/completions) is fully
     contained within one step, so no sub-event cursor survives a
     boundary — the residuals, delivered bits and FCTs *are* the cursor.
@@ -538,8 +530,7 @@ class FluidRunState:
         demand_caps: (F,) invariant per-flow rate caps.
         flow_class: (F,) int32 id of each flow's class — flows with the
             same endpoints and demand cap, which therefore share a path
-            and a max-min rate; ids count up in first-flow order (four
-            bytes per flow in a checkpoint).
+            and a max-min rate; ids count up in first-flow order.
         dynamic: Whether the workload has arrivals or finite sizes.
         solves: Allocations solved so far.
         frozen_table / frozen_counts: Static-baseline paths
@@ -627,13 +618,6 @@ class FluidSimulation:
         #: What the previous step left for the next (see
         #: :meth:`_step_paths`); None before the first.
         self._last_step: Optional[_LastStep] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The last step only saves time: a restored run walks its first
-        # step's rows afresh and cuts their tuples anew.
-        state = dict(vars(self))
-        state["_last_step"] = None
-        return state
 
     def _class_walk(self, time_s: float, classes: np.ndarray,
                     previous: Optional[PathWalk]) -> PathWalk:
@@ -728,8 +712,9 @@ class FluidSimulation:
         at the snapshot instant.
 
         Composed of :meth:`start_run` → :meth:`advance` → :meth:`finish`,
-        so an uninterrupted run and a checkpointed-and-resumed one go
-        through the exact same code path (the determinism tests in
+        so an uninterrupted run and one advanced a step at a time (a
+        live service, or its replayed checkpoint) go through the exact
+        same code path (the determinism tests in
         ``tests/test_service.py`` assert bit-identical results).
         """
         state = self.start_run(duration_s, step_s)
@@ -835,8 +820,7 @@ class FluidSimulation:
 
         Each call picks up exactly where the previous one stopped, so
         ``advance(s, k)`` repeated to exhaustion is bit-identical to one
-        ``advance(s)`` — and a ``state`` pickled between calls resumes
-        identically in another process.
+        ``advance(s)``.
         """
         stop = len(state.times)
         if max_steps is not None:

@@ -154,12 +154,6 @@ class NullTracer(Tracer):
 
     __slots__ = ()
 
-    def __reduce__(self):
-        # Pickle by reference to the module-level singleton, so simulator
-        # graphs restored from a service checkpoint keep sharing one
-        # instance instead of sprouting a copy per reference.
-        return "NULL_TRACER"
-
 
 #: Shared default tracer instance; safe to reuse everywhere (stateless).
 NULL_TRACER = NullTracer()

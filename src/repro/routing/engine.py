@@ -129,8 +129,7 @@ def path_tuples(table: np.ndarray, counts: np.ndarray, kept: np.ndarray,
     A row the walk kept (:attr:`PathWalk.kept`: its path is the one it
     had in the previous walk) takes that walk's tuple, with no cut and
     no new object: between nearby snapshots paths move for a few rows,
-    so a history of them holds each path once for as long as it lasts
-    (and pickles it once).
+    so a history of them holds each path once for as long as it lasts.
 
     Args:
         table / counts / kept: This walk's rows.
@@ -379,13 +378,6 @@ class RoutingEngine:
         self._cached_snapshot: Optional[TopologySnapshot] = None
         self._cached_transit: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The transit cache only saves time: a restored engine starts
-        # cold, and a cold build is the same arrays by construction.
-        state = dict(vars(self))
-        state["_cached_snapshot"] = state["_cached_transit"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Core batched computation

@@ -251,11 +251,6 @@ class IncrementalRouter(RoutingEngine):
     _REMEMBERED = ("_prev_snapshot", "_prev_coo", "_prev_result",
                    "_prev_parent_edge")
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = super().__getstate__()
-        state.update(dict.fromkeys(self._REMEMBERED))
-        return state
-
     def _forget(self) -> None:
         """Drop the remembered update (the next one solves afresh)."""
         for name in self._REMEMBERED:

@@ -2,9 +2,8 @@
 
 The batch pipeline (build → run → report) becomes a *platform* here:
 
-* :mod:`repro.service.checkpoint` — versioned, spec-hashed state files
-  capturing a whole live simulator (DES event queue, transports, fluid
-  run state, RNG stream positions);
+* :mod:`repro.service.checkpoint` — JSON replay checkpoints: the
+  initial spec, the mutation log and a state digest;
 * :mod:`repro.service.driver` — :class:`LiveSimulationService`, the
   sync core that advances epochs, mutates traffic/faults in flight,
   and checkpoints/restores bit-identically;
@@ -17,7 +16,7 @@ The backbone guarantee, enforced by ``tests/test_service.py`` and the
 for bit, across the packet engine and the max-min fluid engine.
 """
 
-from .checkpoint import (CHECKPOINT_FORMAT_VERSION, CheckpointError,
+from .checkpoint import (CHECKPOINT_FORMAT, CheckpointError,
                          CheckpointSpecError, CheckpointVersionError,
                          load_checkpoint, read_checkpoint_header,
                          save_checkpoint)
@@ -26,7 +25,7 @@ from .driver import LiveSimulationService, ServiceError
 from .server import ServiceServer, serve_forever
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
+    "CHECKPOINT_FORMAT",
     "CheckpointError",
     "CheckpointSpecError",
     "CheckpointVersionError",

@@ -1,30 +1,22 @@
-"""Versioned simulator checkpoints: one file, resumable anywhere.
+"""Service checkpoints: one JSON document that replays to the live state.
 
-A checkpoint file is::
+A live service is a deterministic function of its initial spec and of the
+mutations applied to it since, so a checkpoint is the document
+``{format, engine, horizon_s, epoch_s, link_capacity_bps, time_s, meta,
+spec_hash, spec, log, state_digest}``: ``spec`` the initial
+:class:`~repro.sweep.spec.NetworkSpec` and ``spec_hash`` its fingerprint,
+``log`` the service's mutation log (``[clock_s, method, args]``) and
+``state_digest`` its ``LiveSimulationService.state_digest()``.  The
+header is the document without ``spec`` and ``log``.
 
-    MAGIC | header-length (8 bytes, big-endian) | JSON header | pickle
-
-The JSON header carries everything a reader needs *before* trusting the
-body — format version, engine, simulated time, and the
-:meth:`~repro.sweep.spec.NetworkSpec.fingerprint` of the spec that built
-the simulator — so version and spec-compatibility checks never unpickle
-anything.  The body is the pickled
-:class:`~repro.service.driver.LiveSimulationService` itself, with its
-whole object graph (event queue, devices, transports, fluid run state,
-RNG streams, ...); determinism of the restore is what
-``tests/test_service.py`` proves.
-
-Compatibility contract:
-
-* :data:`CHECKPOINT_FORMAT_VERSION` bumps on any layout change; loading
-  a mismatched version raises :class:`CheckpointVersionError`.
-* Resuming against a different network spec (different shells, ground
-  segment, faults, workload, ...) than the caller expects raises
-  :class:`CheckpointSpecError` — silently resuming a Kuiper checkpoint
-  on a Starlink network is the failure mode this guards.
-* A body that is not a service is refused before its spec is hashed;
-  a service whose spec does not hash to the header's ``spec_hash`` is
-  refused as corrupt.
+A restore refuses another format (:class:`CheckpointVersionError`), a bad
+spec (:class:`CheckpointSpecError`) and a malformed field or log record
+(:class:`CheckpointError`) before anything is built; then it rebuilds the
+service, replays each entry (advance to its clock, call the same public
+method), advances to ``time_s`` and refuses a service that digests
+otherwise.  The replayed service rebuilds its own log.  A restore costs
+the simulate time up to the checkpoint (DESIGN.md, "Live service &
+checkpointing").
 """
 
 from __future__ import annotations
@@ -32,77 +24,61 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
-from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from ..faults.schedule import FaultEvent, exact_int
 from ..sweep.spec import NetworkSpec
+from ..traffic.arrivals import WorkloadSchedule
 
 if TYPE_CHECKING:
     from .driver import LiveSimulationService
 
 __all__ = [
-    "CHECKPOINT_FORMAT_VERSION", "CHECKPOINT_MAGIC", "ENGINES",
+    "CHECKPOINT_FORMAT", "ENGINES",
     "CheckpointError", "CheckpointVersionError", "CheckpointSpecError",
     "save_checkpoint", "load_checkpoint", "read_checkpoint_header",
 ]
 
-#: Bump on any change to the file layout or the pickled body's shape.
-#: v2: the packet engine's pending events became 5-field records.
-#: v3: fluid run states carry ``flow_class`` (and an object-array
-#: ``frozen_paths``); the simulation keeps classes, not per-flow pairs.
-#: v4: ``NetworkSpec`` and ``LeoNetwork`` lost ``weather`` (rain is a
-#: fault event), so a v3 spec no longer fingerprints as it was saved.
-#: v5: the pickled service lost ``_arrival_streams``, and the ``"sweep"``
-#: engine (sweep warm-start payloads) is gone.
-#: v6: fluid run states hold the static baseline as a class path table
-#: (``frozen_table`` / ``frozen_counts``, no ``frozen_paths``), and the
-#: fluid simulation a repairing router (``_router``) plus class pairs.
-#: v7: a pickled ``Constellation`` holds element arrays only; its
-#: per-satellite objects are built on demand and never pickled.
-#: v8: ``spec_hash`` is :meth:`NetworkSpec.fingerprint` (an explicit
-#: field record plus packed request arrays), not a reflective JSON hash.
-#: v9: ``NetworkSpec`` records only a network's inputs (no constellation
-#: label, no static dead-satellite set: a dead satellite is an outage
-#: fault), and ``LeoNetwork`` names its ISL builder instead of holding
-#: the callable, so every spec pickles and hashes otherwise.
-#: v10: the body is the pickled ``LiveSimulationService`` itself, not a
-#: ``{"spec": ..., "payload": {"service": ...}}`` dict.
-#: v11: the spawner's flow-factory object carries only a controller name
-#: (no shared state), and the learned controller that used it is gone.
-#: v12: a ``WorkloadSpawner`` holds its controller's name instead of a
-#: flow-factory object (``repro.cc.factory`` is gone).
-#: v13: no wall-clock fields (the simulator's stats, the fluid run
-#: state); the ``PacketSimulator`` numbers its flows itself, packets
-#: carry no global id, and the event queue's sequence is a plain int.
-CHECKPOINT_FORMAT_VERSION = 13
+#: The document layout and log vocabulary this build writes and reads.
+CHECKPOINT_FORMAT = "repro-service-replay/1"
 
-#: File signature; also rejects accidental non-checkpoint files early.
-CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-
-#: The engines a service runs, and so a checkpoint header may name.
+#: The engines a service runs, and so a checkpoint may name.
 ENGINES = ("packet", "fluid", "aimd")
 
-#: ``(field, what it must be, test)`` of every header field a load reads,
-#: checked before anything is unpickled.  The writer stamps ``time_s`` as
-#: a float, so JSON hands it back as one.
-_HEADER_FIELDS = (
-    ("format_version", "an integer", lambda value: type(value) is int),
+
+#: The mutating service methods a log entry may name, each with the
+#: parser of its JSON argument.
+_COMMANDS: Dict[str, Callable[[Any], Any]] = {
+    "attach_workload": WorkloadSchedule.from_dict,
+    "detach_workload": lambda args: exact_int(args, "workload handle"),
+    "inject_fault": lambda args: [FaultEvent.from_dict(record)
+                                  for record in args],
+}
+
+
+def _positive(value: Any) -> bool:
+    return type(value) is float and 0.0 < value < math.inf
+
+
+#: ``(field, what it must be, test)`` of every document field; the writer
+#: stamps times and rates as floats, so JSON hands them back as floats.
+_FIELDS = (
     ("engine", f"one of {', '.join(ENGINES)}",
      lambda value: value in ENGINES),
-    ("time_s", "a finite number",
-     lambda value: type(value) is float and math.isfinite(value)),
+    ("horizon_s", "a finite positive number", _positive),
+    ("epoch_s", "a finite positive number", _positive),
+    ("link_capacity_bps", "a finite positive number", _positive),
+    ("time_s", "a finite number >= 0",
+     lambda value: type(value) is float and 0.0 <= value < math.inf),
     ("meta", "a JSON object", lambda value: isinstance(value, dict)),
+    ("spec_hash", "a string", lambda value: isinstance(value, str)),
+    ("state_digest", "a string", lambda value: isinstance(value, str)),
+    ("spec", "a JSON object", lambda value: isinstance(value, dict)),
+    ("log", "a list", lambda value: isinstance(value, list)),
 )
 
-_HEADER_LEN_BYTES = 8
-#: What unpickling and fingerprinting a corrupt or foreign body
-#: raises (bit flips reach string decoding, object construction, length
-#: fields and attribute lookup as well as the pickle opcodes themselves).
-_BODY_ERRORS = (pickle.UnpicklingError, EOFError, ImportError,
-                AttributeError, LookupError, TypeError, ValueError,
-                ArithmeticError, MemoryError)
-#: Sanity bound on the JSON header (a header is a few hundred bytes).
-_MAX_HEADER_BYTES = 1 << 20
+#: What parsing outside input, or replaying a command, can fail with.
+_INPUT_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
 
 
 class CheckpointError(RuntimeError):
@@ -110,47 +86,37 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointVersionError(CheckpointError):
-    """The checkpoint's format version does not match this build."""
+    """The checkpoint's format is not the one this build writes."""
 
 
 class CheckpointSpecError(CheckpointError):
     """The checkpoint's network spec does not match the expected one."""
 
 
-# ----------------------------------------------------------------------
-# File I/O
-# ----------------------------------------------------------------------
-
 def save_checkpoint(path: str, service: LiveSimulationService,
                     meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """Write ``service`` to a checkpoint file; returns the stamped header.
-
-    The header is read off the service: its spec's fingerprint, its
-    engine, its clock, and its own ``meta`` updated with ``meta`` (and
-    given ``horizon_s`` / ``epoch_s`` unless either is named already).
-    The bytes go to a temporary file beside ``path`` that replaces it
-    only once complete: a write that fails (unpicklable state, full
-    disk, killed process) leaves the previous checkpoint as it was.
-    """
-    merged_meta = {**service.meta, **(meta or {})}
-    merged_meta.setdefault("horizon_s", service.horizon_s)
-    merged_meta.setdefault("epoch_s", service.epoch_s)
+    """Write ``service`` to a checkpoint file; returns its header (whose
+    ``meta`` is the service's own updated with ``meta``).  A temporary
+    file beside ``path`` replaces it only once complete: a failed write
+    (meta that is not JSON, full disk, killed process) leaves the
+    previous checkpoint as it was."""
     header = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "spec_hash": service.spec.fingerprint(),
-        "engine": service.engine,
-        "time_s": float(service.clock_s),
-        "meta": merged_meta,
+        "format": CHECKPOINT_FORMAT, "engine": service.engine,
+        "horizon_s": service.horizon_s, "epoch_s": service.epoch_s,
+        "link_capacity_bps": service.link_capacity_bps,
+        "time_s": service.clock_s,
+        "meta": {**service.meta, **(meta or {})},
+        "spec_hash": service.initial_spec.fingerprint(),
+        "state_digest": service.state_digest(),
     }
-    raw = json.dumps(header, sort_keys=True,
-                     separators=(",", ":")).encode("utf-8")
+    # The spec goes in last, as the service's cached JSON text.
+    text = json.dumps({**header, "log": service.log}, sort_keys=True,
+                      separators=(",", ":"))
+    text = f'{text[:-1]},"spec":{service.initial_spec_json}}}'
     temp_path = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp_path, "wb") as stream:
-            stream.write(CHECKPOINT_MAGIC)
-            stream.write(len(raw).to_bytes(_HEADER_LEN_BYTES, "big"))
-            stream.write(raw)
-            pickle.dump(service, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(temp_path, "w", encoding="utf-8") as stream:
+            stream.write(text)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -159,101 +125,105 @@ def save_checkpoint(path: str, service: LiveSimulationService,
     return header
 
 
-def _read_header(stream: BinaryIO, path: str) -> Dict[str, Any]:
-    magic = stream.read(len(CHECKPOINT_MAGIC))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a repro checkpoint "
-                              f"(bad magic {magic!r})")
-    raw_len = stream.read(_HEADER_LEN_BYTES)
-    if len(raw_len) != _HEADER_LEN_BYTES:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    header_len = int.from_bytes(raw_len, "big")
-    if not 0 < header_len <= _MAX_HEADER_BYTES:
-        raise CheckpointError(
-            f"{path}: implausible header length {header_len}")
-    raw = stream.read(header_len)
-    if len(raw) != header_len:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as error:
-        raise CheckpointError(
-            f"{path}: corrupt checkpoint header: {error}") from error
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: checkpoint header is not a JSON "
-                              f"object")
-    for field, expected, valid in _HEADER_FIELDS:
-        if not valid(header.get(field)):
+def _read_document(path: str) -> Dict[str, Any]:
+    """The checkpoint document at ``path``, format and fields checked."""
+    with open(path, "rb") as stream:
+        try:
+            document = json.load(stream)
+        except (ValueError, RecursionError) as error:
+            raise CheckpointError(f"{path}: not a repro checkpoint (not a "
+                                  f"JSON document: {error})") from error
+    if not isinstance(document, dict) or not isinstance(
+            document.get("format"), str):
+        raise CheckpointError(f"{path}: not a repro checkpoint (no "
+                              f"'format' field)")
+    if document["format"] != CHECKPOINT_FORMAT:
+        raise CheckpointVersionError(
+            f"{path}: checkpoint format {document['format']!r} is not "
+            f"this build's {CHECKPOINT_FORMAT!r}; re-create the "
+            f"checkpoint with this version")
+    for field, expected, valid in _FIELDS:
+        if not valid(document.get(field)):
             raise CheckpointError(
-                f"{path}: checkpoint header field {field!r} is "
-                f"{header.get(field)!r}, not {expected}")
-    return header
+                f"{path}: checkpoint field {field!r} is "
+                f"{document.get(field)!r}, not {expected}")
+    return document
 
 
 def read_checkpoint_header(path: str) -> Dict[str, Any]:
-    """The JSON header of a checkpoint file, *without* unpickling.
+    """A checkpoint's header — the document without ``spec`` and
+    ``log`` — checked as a load checks it, with nothing built or
+    replayed (spec checks are the caller's)."""
+    document = _read_document(path)
+    return {key: value for key, value in document.items()
+            if key not in ("spec", "log")}
 
-    Safe on any file: raises :class:`CheckpointError` (never an
-    unpickling side effect) on non-checkpoints, and performs version or
-    spec checks only when the caller does.
-    """
-    with open(path, "rb") as stream:
-        return _read_header(stream, path)
+
+def _parse_log(path: str, document: Dict[str, Any]) -> List[tuple]:
+    """``(clock_s, command, parsed args)`` of every log entry, refusing a
+    malformed one or a clock that runs backwards or past ``time_s``."""
+    entries: List[tuple] = []
+    previous, time_s = 0.0, document["time_s"]
+    for index, entry in enumerate(document["log"]):
+        try:
+            clock_s, command, args = entry
+            if not (type(clock_s) is float
+                    and previous <= clock_s <= time_s):
+                raise ValueError(f"clock {clock_s!r} is not in "
+                                 f"[{previous}, {time_s}]")
+            entries.append((clock_s, command, _COMMANDS[command](args)))
+        except _INPUT_ERRORS as error:
+            raise CheckpointError(f"{path}: checkpoint log entry {index} "
+                                  f"is malformed ({error!r})") from error
+        previous = clock_s
+    return entries
 
 
 def load_checkpoint(path: str,
                     expected_spec: Optional[NetworkSpec] = None
                     ) -> LiveSimulationService:
-    """Read, validate, and unpickle the service a checkpoint file holds.
-
-    Args:
-        path: The checkpoint file.
-        expected_spec: When given, the spec the caller is about to
-            resume against; its fingerprint must match the header's.
-
-    Raises:
-        CheckpointVersionError: Header format version differs from
-            :data:`CHECKPOINT_FORMAT_VERSION`.
-        CheckpointSpecError: ``expected_spec``'s fingerprint or the
-            unpickled service spec's does not match the header's
-            ``spec_hash``.
-        CheckpointError: Bad magic, truncation, corrupt header, a body
-            this build cannot unpickle (e.g. it names a class that has
-            since been removed), or a body that is not a service.
-    """
+    """Read a checkpoint file and replay it into a live service (raising
+    as the module docstring describes).  ``expected_spec``, when given,
+    is the spec the caller resumes against: it must hash to
+    ``spec_hash``."""
     from .driver import LiveSimulationService
-    with open(path, "rb") as stream:
-        header = _read_header(stream, path)
-        version = header["format_version"]
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointVersionError(
-                f"{path}: checkpoint format v{version} does not match "
-                f"this build's v{CHECKPOINT_FORMAT_VERSION}; re-create "
-                f"the checkpoint with this version")
-        spec_hash = str(header.get("spec_hash", ""))
-        if expected_spec is not None:
-            expected_hash = expected_spec.fingerprint()
-            if expected_hash != spec_hash:
-                raise CheckpointSpecError(
-                    f"{path}: checkpoint was taken on a different "
-                    f"network spec (checkpoint {spec_hash[:12]}, "
-                    f"expected {expected_hash[:12]}); resume against "
-                    f"the original spec")
-        # A damaged body can fail anywhere between the first opcode and
-        # the fingerprint of a spec whose fields took bit flips.
-        try:
-            service = pickle.load(stream)
-            if not isinstance(service, LiveSimulationService):
-                raise CheckpointError(
-                    f"{path}: body is a {type(service).__name__!r}, not "
-                    f"a live service")
-            pickled_hash = service.spec.fingerprint()
-        except _BODY_ERRORS as error:
-            raise CheckpointError(
-                f"{path}: body cannot be unpickled by this build "
-                f"({type(error).__name__}: {error})") from error
-    if pickled_hash != spec_hash:
+    document = _read_document(path)
+    spec_hash = document["spec_hash"]
+    if expected_spec is not None:
+        expected_hash = expected_spec.fingerprint()
+        if expected_hash != spec_hash:
+            raise CheckpointSpecError(
+                f"{path}: checkpoint was taken on a different network "
+                f"spec (checkpoint {spec_hash[:12]}, expected "
+                f"{expected_hash[:12]}); resume against the original spec")
+    try:
+        spec = NetworkSpec.from_dict(document["spec"])
+    except _INPUT_ERRORS as error:
         raise CheckpointSpecError(
-            f"{path}: header spec hash does not match the pickled spec "
+            f"{path}: checkpoint spec is malformed ({error!r})") from error
+    if spec.fingerprint() != spec_hash:
+        raise CheckpointSpecError(
+            f"{path}: spec_hash does not match the checkpoint's spec "
             f"(file corrupt or tampered)")
+    log = _parse_log(path, document)
+
+    try:
+        service = LiveSimulationService(
+            spec, engine=document["engine"],
+            horizon_s=document["horizon_s"], epoch_s=document["epoch_s"],
+            link_capacity_bps=document["link_capacity_bps"],
+            meta=document["meta"])
+        for clock_s, command, args in log:
+            service.advance_to(clock_s)
+            getattr(service, command)(args)
+        service.advance_to(document["time_s"])
+    except _INPUT_ERRORS + (RuntimeError,) as error:
+        raise CheckpointError(
+            f"{path}: replay failed ({error!r})") from error
+    digest = service.state_digest()
+    if digest != document["state_digest"]:
+        raise CheckpointError(
+            f"{path}: replay diverged: the replayed service digests to "
+            f"{digest[:12]}, the checkpoint recorded "
+            f"{document['state_digest'][:12]}")
     return service

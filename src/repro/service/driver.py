@@ -2,8 +2,8 @@
 
 A :class:`LiveSimulationService` wraps one engine — the packet
 simulator or one of the fluid engines (max-min, AIMD) — built from a
-picklable :class:`~repro.sweep.spec.NetworkSpec`, and exposes the
-operations a long-lived service needs:
+:class:`~repro.sweep.spec.NetworkSpec`, and exposes the operations a
+long-lived service needs:
 
 * **epoch advancement** — :meth:`advance_epoch` / :meth:`advance_to`
   move simulated time forward in bounded increments, so a server can
@@ -11,27 +11,28 @@ operations a long-lived service needs:
 * **live mutation** — :meth:`attach_workload` /
   :meth:`detach_workload` / :meth:`inject_fault` change traffic and
   faults *between* epochs while the constellation flies;
-* **checkpoint/restore** — :meth:`save` pickles the service itself, so
-  the entire object graph (DES event queue, device/transport state,
-  fluid run state, RNG stream positions) goes behind a versioned
-  header; :meth:`resume` brings it back bit-identically in any process.
+* **checkpoint/restore** — :meth:`save` writes the initial spec, the
+  mutation :attr:`log` and a :meth:`state_digest`; :meth:`resume`
+  rebuilds the service and replays the log through these same methods
+  (:mod:`repro.service.checkpoint`).
 
 Determinism contract (proven by ``tests/test_service.py``): a service
-that is checkpointed at an epoch boundary, restored, and advanced to
-the horizon produces stats, reports, and per-flow FCTs bit-identical
-to one that never stopped.  Mutations keep a weaker but precise
-promise: attaching traffic or injecting faults that only act in the
-*future* yields the same traffic outcomes — packet events, deliveries,
-drops, FCTs, ``traffic.*`` metrics — as having built the service with
-them present from t=0 (only the demand-driven routing *work* counters
-may differ, since mid-run installs compute their destination trees at
-install time instead of inside a scheduled refresh batch).
+that is checkpointed, restored, and advanced to the horizon produces
+stats, reports, and per-flow FCTs bit-identical to one that never
+stopped.  Mutations that only act in the *future* yield the same
+traffic outcomes — packet events, deliveries, drops, FCTs,
+``traffic.*`` metrics — as building the service with them from t=0
+(only the demand-driven routing *work* counters may differ, since
+mid-run installs compute their destination trees at install time).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -74,6 +75,11 @@ class LiveSimulationService:
         link_capacity_bps: Fluid device capacity.
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
+
+    Attributes:
+        initial_spec: The spec the service was built from.
+        spec: ``initial_spec`` with every mutation merged in.
+        log: Every mutation in order: ``[clock_s, method, JSON arg]``.
     """
 
     def __init__(self, spec: NetworkSpec, engine: str = "packet",
@@ -90,10 +96,12 @@ class LiveSimulationService:
         if not 0.0 < epoch_s < math.inf:
             raise ServiceError(
                 f"epoch must be finite and positive, got {epoch_s}")
-        self.spec = spec
+        self.initial_spec = self.spec = spec
+        self.log: List[list] = []
         self.engine = engine
         self.horizon_s = float(horizon_s)
         self.epoch_s = float(epoch_s)
+        self.link_capacity_bps = float(link_capacity_bps)
         self.meta = dict(meta or {})
         self.clock_s = 0.0
         self.metrics = MetricsRegistry()
@@ -125,7 +133,7 @@ class LiveSimulationService:
             self._spawners = []
             self.fluid = _FLUID_ENGINES[engine](
                 self.network, spec.workload.as_fluid_flows(),
-                link_capacity_bps=link_capacity_bps,
+                link_capacity_bps=self.link_capacity_bps,
                 metrics=self.metrics)
             self.state = self.fluid.start_run(self.horizon_s,
                                               step_s=self.epoch_s)
@@ -133,11 +141,6 @@ class LiveSimulationService:
     # ------------------------------------------------------------------
     # Time
     # ------------------------------------------------------------------
-
-    @property
-    def time_s(self) -> float:
-        """Simulated time the service has advanced to."""
-        return self.clock_s
 
     @property
     def done(self) -> bool:
@@ -149,7 +152,9 @@ class LiveSimulationService:
 
         Both engines partition time cleanly, so one big
         ``advance_to(horizon)`` is bit-identical to the paced server's
-        epoch-by-epoch advancement.  Returns the post-advance
+        epoch-by-epoch advancement, and an advance to the current clock
+        leaves the engine alone (so a replay's one advance per logged
+        mutation is the live run).  Returns the post-advance
         :meth:`status`.
 
         Raises:
@@ -166,7 +171,8 @@ class LiveSimulationService:
                 f"{target_s}); restore an earlier checkpoint instead")
         if self.engine == "packet":
             assert self.sim is not None
-            self.sim.run(target_s)
+            if target_s > self.clock_s:
+                self.sim.run(target_s)
         else:
             assert self.fluid is not None and self.state is not None
             state = self.state
@@ -236,6 +242,7 @@ class LiveSimulationService:
         merged = (workload if self.spec.workload is None
                   else self.spec.workload.merged(workload))
         self.spec = self.spec.with_workload(merged)
+        self.log.append([self.clock_s, "attach_workload", workload.as_dict()])
         return handle
 
     def _check_gids(self, requests: Sequence[FlowRequest]) -> None:
@@ -260,6 +267,7 @@ class LiveSimulationService:
         if attached is None:
             raise ServiceError(f"unknown workload handle {handle}")
         now = self.clock_s
+        self.log.append([now, "detach_workload", handle])
         if self.engine == "packet":
             cancelled = 0
             for app in attached.flows:
@@ -308,6 +316,8 @@ class LiveSimulationService:
         self.spec = replace(self.spec, faults=merged)
         if self.engine == "packet":
             self._extend_packet_injectors(events, merged, now)
+        self.log.append([now, "inject_fault",
+                         [event.as_dict() for event in events]])
         return len(events)
 
     def _extend_packet_injectors(self, events: Sequence[FaultEvent],
@@ -398,21 +408,41 @@ class LiveSimulationService:
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
+    @cached_property
+    def initial_spec_json(self) -> str:
+        """:attr:`initial_spec` as JSON, made at the first save: it never
+        changes, and encoding its workload costs milliseconds and MBs."""
+        return json.dumps(self.initial_spec.as_dict(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def state_digest(self) -> str:
+        """A sha256 of what a restore must reproduce: :attr:`log`,
+        :meth:`status`, the link capacity, the attach handles, the packet
+        counters or fluid residuals, and the FCTs so far."""
+        record = {
+            "status": self.status(), "log": self.log,
+            "link_capacity_bps": self.link_capacity_bps,
+            "handles": sorted(self._attached),
+            "packets": None if self.sim is None else self.sim.stats.as_dict(),
+        }
+        digest = hashlib.sha256(json.dumps(
+            record, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        if self.state is not None:
+            digest.update(self.state.residual_bits.tobytes())
+        digest.update(self.fct_values().tobytes())
+        return digest.hexdigest()
+
     def save(self, path: str,
              meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Checkpoint to a file; returns the stamped header.
-
-        The body is this service object itself — one pickle memoizes
-        the shared references (scheduler queue entries, device graphs,
-        RNG streams, run state), so restore reconstructs the identical
-        object graph.  ``meta`` adds to the service's own :attr:`meta` in
-        the header.
-        """
+        """Checkpoint to a file (:mod:`repro.service.checkpoint`);
+        returns its header.  ``meta`` adds to the service's own
+        :attr:`meta` in the header."""
         return save_checkpoint(path, self, meta)
 
     @classmethod
     def resume(cls, path: str,
                expected_spec: Optional[NetworkSpec] = None
                ) -> "LiveSimulationService":
-        """Load a checkpoint file and rehydrate its service."""
+        """Rebuild the service a checkpoint file describes and replay
+        its log (:func:`~repro.service.checkpoint.load_checkpoint`)."""
         return load_checkpoint(path, expected_spec=expected_spec)

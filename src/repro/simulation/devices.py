@@ -194,8 +194,8 @@ class LinkDevice:
             tracer.emit(self._scheduler.now, PKT_TX_START, node=self.node_id,
                         flow=packet.flow_id, link=self.name, seq=packet.seq,
                         value=tx_time)
-        # A bound method plus record fields, not a closure: pending
-        # events must survive checkpoint pickling (repro.service).
+        # A bound method plus record fields, not a closure: no callable
+        # is allocated per packet.
         self._scheduler.schedule_call(
             tx_time, self._finish_transmission, packet, to_node)
 

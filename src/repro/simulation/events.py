@@ -7,8 +7,7 @@ so same-time events run FIFO, which keeps packet orderings deterministic.
 A pending event is one flat record ``(time, seq, fn, a, b)``: :meth:`run`
 calls ``fn(a, b)``, or ``fn()`` when ``a`` is ``None`` (a plain timer).
 The per-packet events carry their ``(packet, to_node)`` as record fields
-rather than inside a closure, and every field pickles, because the queue
-is part of a :mod:`repro.service` checkpoint.
+rather than inside a closure, so no callable is allocated per packet.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ class EventScheduler:
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callable[..., Any],
                                 Any, Any]] = []
-        #: Insertion sequence number of the last scheduled event: a
-        #: plain int, so the queue pickles without ``itertools`` state.
+        #: Insertion sequence number of the last scheduled event.
         self._seq = 0
         #: Current simulation time in seconds.  A plain attribute (the
         #: per-event paths read it several times per event); only

@@ -15,8 +15,7 @@ simulation, so this service:
 * evaluates them on a configurable time quantum (default 1 ms — over
   1 ms a satellite moves ~7.6 m, i.e. a delay error < 0.03 microseconds).
   No memo sits behind the grid: packet runs rarely repeat a (satellite,
-  bucket), so one costs more CPU and memory than it saves and would be
-  pickled into every packet checkpoint.  A caller whose lookups share one
+  bucket), so one costs more CPU and memory than it saves.  A caller whose lookups share one
   timestamp (an AIMD step) keeps its own step-local dict.
 """
 

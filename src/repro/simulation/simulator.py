@@ -175,8 +175,8 @@ class PacketSimulator:
         # (node_id, flow_id) -> packet handler of the application endpoint.
         self._handlers: Dict[Tuple[int, int], Callable[[Packet], None]] = {}
         #: The last flow id :meth:`next_flow_id` handed out.  It lives
-        #: (and pickles) with the simulation, so two identical runs
-        #: number their flows identically in one process.
+        #: with the simulation, so two identical runs number their flows
+        #: identically in one process.
         self._last_flow_id = 0
         self._started = False
 

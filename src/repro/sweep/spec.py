@@ -16,8 +16,9 @@ satellite's elements purely from its shells and
 rebuilt network produces bit-identical snapshots — the property the sweep
 engine's serial-equals-parallel contract rests on.
 
-:meth:`NetworkSpec.fingerprint` is the spec's content hash: checkpoint
-headers carry it, and a resume refuses a spec that hashes otherwise.
+:meth:`NetworkSpec.as_dict` / :meth:`~NetworkSpec.from_dict` are its JSON
+form and :meth:`NetworkSpec.fingerprint` its content hash, both in every
+service checkpoint.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..constellations.builder import Constellation
-from ..faults.schedule import FaultSchedule
+from ..faults.schedule import FaultSchedule, exact_int
+from ..geo.coordinates import GeodeticPosition
 from ..ground.stations import GroundStation
 from ..traffic.arrivals import WorkloadSchedule
 from ..orbits.shell import Shell
@@ -107,21 +109,9 @@ class NetworkSpec:
             faults=self.faults,
         )
 
-    def fingerprint(self) -> str:
-        """A stable sha256 content hash of this spec.
-
-        Specs describing the same network and traffic hash equally in any
-        process, on any platform, under any ``PYTHONHASHSEED``; the hash
-        goes into every checkpoint header and gates every resume.  It
-        covers a key-sorted JSON record of every field (the faults as
-        :meth:`FaultSchedule.as_dict`), then the workload's requests in
-        schedule order as little-endian arrays: ``<f8`` starts, ``<i8``
-        sources, destinations and sizes.  A field added to the spec or to
-        a type it holds must be added here too; ``tests/test_service.py``
-        fails until it is.
-        """
-        workload = self.workload
-        record = {
+    def _record(self) -> Dict[str, Any]:
+        """Every field but the workload as a JSON-expressible record."""
+        return {
             "shells": [{
                 "name": shell.name,
                 "num_orbits": int(shell.num_orbits),
@@ -143,8 +133,63 @@ class NetworkSpec:
             "isl_builder": self.isl_builder,
             "gsl_policy": self.gsl_policy.value,
             "faults": None if self.faults is None else self.faults.as_dict(),
-            "workload_seed": None if workload is None else workload.seed,
         }
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The spec as a JSON-expressible record: the fields
+        :meth:`fingerprint` hashes, the workload as
+        :meth:`WorkloadSchedule.as_dict` (or None)."""
+        workload = self.workload
+        return {**self._record(),
+                "workload": None if workload is None else workload.as_dict()}
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, Any]) -> "NetworkSpec":
+        """The spec an :meth:`as_dict` record describes.  Outside input
+        goes through the constructors of every part (counts and ids
+        through ``exact_int``), so a malformed record is a
+        ``ValueError``, ``TypeError`` or ``KeyError``."""
+        faults, workload = record["faults"], record["workload"]
+        return cls(
+            shells=tuple(Shell(
+                shell["name"], exact_int(shell["num_orbits"], "num_orbits"),
+                exact_int(shell["satellites_per_orbit"],
+                          "satellites_per_orbit"),
+                float(shell["altitude_m"]), float(shell["inclination_deg"]),
+                float(shell["phase_offset_rel"]))
+                for shell in record["shells"]),
+            epoch_offset_s=float(record["epoch_offset_s"]),
+            ground_stations=tuple(GroundStation(
+                exact_int(station["gid"], "station gid"), station["name"],
+                GeodeticPosition(float(station["latitude_deg"]),
+                                 float(station["longitude_deg"]),
+                                 float(station["altitude_m"])),
+                is_relay=bool(station["is_relay"]))
+                for station in record["ground_stations"]),
+            min_elevation_deg=float(record["min_elevation_deg"]),
+            isl_builder=record["isl_builder"],
+            gsl_policy=GslPolicy(record["gsl_policy"]),
+            faults=None if faults is None else FaultSchedule.from_dict(faults),
+            workload=(None if workload is None
+                      else WorkloadSchedule.from_dict(workload)),
+        )
+
+    def fingerprint(self) -> str:
+        """A stable sha256 content hash of this spec.
+
+        Specs describing the same network and traffic hash equally in any
+        process, on any platform, under any ``PYTHONHASHSEED``; the hash
+        goes into every checkpoint and gates every resume.  It covers
+        the key-sorted :meth:`as_dict` record with the workload's seed
+        for the workload, then its requests in schedule order as
+        little-endian arrays: ``<f8`` starts, ``<i8`` sources,
+        destinations and sizes.  A field added to the spec or to a type
+        it holds must be added here too; ``tests/test_service.py`` fails
+        until it is.
+        """
+        workload = self.workload
+        record = {**self._record(),
+                  "workload_seed": None if workload is None else workload.seed}
         digest = hashlib.sha256(json.dumps(
             record, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         if workload is not None:

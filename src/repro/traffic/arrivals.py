@@ -99,9 +99,9 @@ class FlowRequest:
                 f"flow size must be positive, got {self.size_bytes}")
 
     def __reduce__(self):
-        # Pickled by value, like repro.fluid.engine.FluidFlow: the default
-        # pickling leaves every request with an instance dict (CPython
-        # >= 3.11), and a checkpoint pickles ~10^4 of them.
+        # Pickled by value: the default pickling leaves every request
+        # with an instance dict (CPython >= 3.11), and a parallel sweep
+        # ships a workload's ~10^4 of them in every worker's spec.
         return (FlowRequest, (self.t_start_s, self.src_gid, self.dst_gid,
                               self.size_bytes))
 

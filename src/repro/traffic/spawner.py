@@ -130,9 +130,7 @@ class WorkloadSpawner:
 
         The transfer is ``ceil(size_bytes / payload)`` full-size packets,
         never fewer than one.  Both hooks are ``partial``s of bound
-        methods rather than closures, so an installed spawner —
-        including its pending start events on the scheduler — pickles
-        into a service checkpoint.
+        methods.
         """
         payload = DEFAULT_MTU_BYTES - DEFAULT_HEADER_BYTES
         flow = TcpFlow(

@@ -6,7 +6,7 @@ under a flow id.  The simulator numbers the flows installed on it
 (:meth:`~repro.simulation.simulator.PacketSimulator.next_flow_id`), so
 several applications can coexist in one simulation (the
 constellation-wide experiments of paper §5.4 run one TCP flow per GS
-pair) and the numbering travels with a checkpointed simulation.
+pair) and two identical simulations number their flows identically.
 """
 
 from __future__ import annotations

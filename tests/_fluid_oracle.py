@@ -1,8 +1,9 @@
 """Fluid oracle: the pure-Python progressive-filling reference allocator,
 a check that recomputes every recorded snapshot row of a
 :class:`~repro.fluid.engine.FluidResult` with it and demands bit-equality,
-and :class:`RescanningFluidSimulation`, the max-min step that re-solves
-over every candidate at every sub-event.
+:class:`RescanningFluidSimulation`, the max-min step that re-solves
+over every candidate at every sub-event, and :func:`go_cold`, which
+makes a simulation's next step start from nothing it remembered.
 
 The fluid engine models long-running TCP flows as attaining the max-min
 fair share of their paths — the classic idealization of TCP-like transport
@@ -169,6 +170,17 @@ def progressive_filling(
             del active_on_link[link]
         current_level = best_share
     return rates, events
+
+
+def go_cold(simulation: FluidSimulation) -> None:
+    """Drop everything a fluid simulation keeps only to save time — the
+    previous step's rows and walk, the router's remembered update and
+    its transit cache — so its next step walks every row and solves its
+    routing afresh, as a freshly built simulation would."""
+    simulation._last_step = None
+    router = simulation._router
+    router._forget()
+    router._cached_snapshot = router._cached_transit = None
 
 
 def first_appearance_columns(codes):

@@ -2,15 +2,15 @@
 
 The heavyweight bit-identity gate (full anchor scenarios, every classic)
 lives in ``benchmarks/test_cc_matrix.py``; here we prove the API
-semantics — controller names, estimator arithmetic, pickled controller
-state, the controller inspection surface —
+semantics — controller names, estimator arithmetic, JSON-expressible
+controller state, the controller inspection surface —
 plus one light parity run per classic against the frozen seed classes in
-``tests/_seed_transport.py``, and checkpoint/restore parity of a
-spawner-built BBR workload through a pickled mid-run simulation.
+``tests/_seed_transport.py``, and stop-and-continue parity of a
+spawner-built BBR workload, the property a replayed service checkpoint
+rests on.
 """
 
 import json
-import pickle
 import random
 from collections import deque
 
@@ -104,20 +104,8 @@ class TestRegistry:
 
 
 class TestStateDicts:
-    """Controller state survives the pickling service checkpoints do
-    (class name kept for stable test ids)."""
-
-    def test_classic_state_roundtrips(self, small_network):
-        sim = PacketSimulator(small_network)
-        flow = TcpFlow(0, 3, max_packets=50, controller="vegas").install(sim)
-        sim.run(4.0)
-        vegas = flow.controller
-        clone = pickle.loads(pickle.dumps(vegas))
-        assert isinstance(clone, VegasController)
-        assert (clone._in_vegas_slow_start, clone._next_adjust_s) == \
-            (vegas._in_vegas_slow_start, vegas._next_adjust_s)
-        assert clone.base_rtt_s == vegas.base_rtt_s < float("inf")
-        assert clone.flow.controller is clone
+    """Controller state is plain data (class name kept for stable test
+    ids)."""
 
     def test_bbr_deques_json_expressible(self, small_network):
         import json
@@ -125,15 +113,13 @@ class TestStateDicts:
         flow = TcpFlow(0, 3, max_packets=80, controller="bbr").install(sim)
         sim.run(4.0)
         bbr = flow.controller
-        clone = pickle.loads(pickle.dumps(bbr))
         # BBR's windowed max/min filters are deques of (time, value).
         for name in ("_bw_filter", "_rtt_filter"):
-            original, restored = getattr(bbr, name), getattr(clone, name)
-            assert isinstance(restored, deque) and restored
-            assert list(restored) == list(original)
-            json.dumps(list(restored))  # plain numbers, nothing opaque
-        assert clone.btl_bw_bps == bbr.btl_bw_bps
-        assert clone.flow.controller is clone
+            window = getattr(bbr, name)
+            assert isinstance(window, deque) and window
+            json.dumps(list(window))  # plain numbers, nothing opaque
+        assert bbr.btl_bw_bps > 0.0
+        assert bbr.flow.controller is bbr
 
 
 class TestShimSurface:
@@ -283,13 +269,14 @@ def _parity_form(sim, spawner, metrics) -> str:
 
 @pytest.mark.service
 class TestLearnedControllerService:
-    """A spawned workload's controllers pickle mid-flight like a
-    service checkpoint does (class name kept for stable test ids; the
-    learned controller it was written for is gone)."""
+    """A spawned workload stopped mid-flight continues bit-identically
+    (class name kept for stable test ids; the learned controller it was
+    written for is gone)."""
 
     def test_checkpoint_restore_continue_parity(self):
-        """Mid-run BBR controllers survive checkpoint -> restore ->
-        continue bit-identically."""
+        """A service checkpoint restores by rebuilding the run and
+        advancing it to the checkpoint's clock: stopping at 5 s with BBR
+        controllers mid-flight and continuing is never stopping."""
         horizon = 10.0
         reference = _bbr_run(_service_spec())
         reference[0].run(horizon)
@@ -299,10 +286,9 @@ class TestLearnedControllerService:
         assert any(flow.completed_at_s is None
                    and flow.controller._mode == "probe_bw"
                    for flow in interrupted[1].flows)
-        restored = pickle.loads(pickle.dumps(interrupted))
-        restored[0].run(horizon)
+        interrupted[0].run(horizon)
 
-        assert _parity_form(*restored) == _parity_form(*reference)
+        assert _parity_form(*interrupted) == _parity_form(*reference)
 
     def test_per_controller_fct_rows(self):
         sim, spawner, metrics = _bbr_run(_service_spec())

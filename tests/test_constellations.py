@@ -352,15 +352,13 @@ class TestArrayBuildOracle:
              if pair[0] not in failed and pair[1] not in failed],
             dtype=np.int64).reshape(-1, 2))
 
-    def test_satellites_are_built_on_demand_and_never_pickled(
-            self, small_constellation):
-        import pickle
+    def test_satellites_are_built_on_demand(self, small_constellation,
+                                            small_shell):
         assert small_constellation._satellites is None
         assert small_constellation.satellite(37).satellite_id == 37
         assert small_constellation._satellites is not None
-        clone = pickle.loads(pickle.dumps(small_constellation))
-        assert clone._satellites is None
-        assert clone.satellites == small_constellation.satellites
-        for mine, theirs in zip(_element_arrays(clone),
+        rebuilt = Constellation([small_shell])
+        assert rebuilt.satellites == small_constellation.satellites
+        for mine, theirs in zip(_element_arrays(rebuilt),
                                 _element_arrays(small_constellation)):
             assert _bits(mine) == _bits(theirs)

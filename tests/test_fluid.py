@@ -1,7 +1,6 @@
 """Tests for the fluid engines: max-min allocation, AIMD dynamics."""
 
 import hashlib
-import pickle
 import sys
 
 import numpy as np
@@ -25,7 +24,8 @@ from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     max_min_fair_allocation, waterfill)
 
 from _fluid_oracle import (RescanningFluidSimulation,
-                           assert_result_matches_oracle, setdefault_classes)
+                           assert_result_matches_oracle, go_cold,
+                           setdefault_classes)
 from _fluid_oracle import first_appearance_columns as oracle_columns
 from _fluid_oracle import max_min_fair_allocation as oracle_allocation
 
@@ -1021,7 +1021,9 @@ class TestAimdOnSharedSkeleton:
                              indirect=True)
     def test_sliced_advance_through_pickle_matches_run(self, aimd_scenario):
         """No transient lives outside AimdRunState: stepping one snapshot
-        at a time, with the state pickled halfway, is ``run()``."""
+        at a time, with the simulation made cold halfway, is ``run()``
+        (the test keeps the name it had while a pickle round trip of the
+        state stood halfway)."""
         simulation, duration_s = aimd_scenario
         expected = simulation.run(duration_s, step_s=1.0)
         state = simulation.start_run(duration_s, step_s=1.0)
@@ -1029,7 +1031,7 @@ class TestAimdOnSharedSkeleton:
         steps = len(state.times)
         for step in range(steps):
             if step == steps // 2:
-                state = pickle.loads(pickle.dumps(state))
+                go_cold(simulation)
             simulation.advance(state, max_steps=1)
         assert state.done
         _assert_same_result(simulation.finish(state), expected)
@@ -1194,6 +1196,9 @@ class TestMaxMinOverFlowClasses:
 
     def test_sliced_advance_through_pickle_matches_run(self,
                                                        maxmin_scenario):
+        """Stepping one snapshot at a time, with the simulation made cold
+        halfway, is ``run()`` (the name is the one the test had while a
+        pickle round trip stood halfway)."""
         network, flows, freeze_at_s, duration_s = maxmin_scenario
         simulation = FluidSimulation(network, flows,
                                      freeze_topology_at_s=freeze_at_s)
@@ -1201,8 +1206,7 @@ class TestMaxMinOverFlowClasses:
         state = simulation.start_run(duration_s, step_s=1.0)
         for step in range(len(state.times)):
             if step == len(state.times) // 2:
-                simulation, state = pickle.loads(
-                    pickle.dumps((simulation, state)))
+                go_cold(simulation)
             simulation.advance(state, max_steps=1)
         _assert_same_result(simulation.finish(state), expected)
 
@@ -1293,7 +1297,7 @@ class TestClassStepDifferential:
     attached at t = 2 s that start from 4 s, bring two destinations no
     flow had and run through a satellite outage that begins and ends
     mid-run.  Rates, loads and ``flow_paths`` are compared bit for bit;
-    the repairing router is pickled away (cold) halfway through."""
+    the simulation is made cold (:func:`go_cold`) halfway through."""
 
     EARLY = [FluidFlow(0, 1, size_bytes=400_000.0),
              FluidFlow(2, 1, size_bytes=250_000.0, start_s=0.4),
@@ -1305,16 +1309,15 @@ class TestClassStepDifferential:
             FluidFlow(7, 10, size_bytes=900_000.0, start_s=4.5),
             FluidFlow(2, 1, start_s=5.0, demand_bps=3e6)]
 
-    def _run(self, engine, network, freeze_at_s, pickled):
+    def _run(self, engine, network, freeze_at_s, cold):
         simulation = engine(network, self.EARLY,
                             freeze_topology_at_s=freeze_at_s)
         state = simulation.start_run(10.0, step_s=1.0)
         simulation.advance(state, max_steps=2)
         simulation.extend_flows(state, self.LATE)
         simulation.advance(state, max_steps=3)
-        if pickled:
-            simulation, state = pickle.loads(pickle.dumps((simulation,
-                                                           state)))
+        if cold:
+            go_cold(simulation)
         simulation.advance(state)
         return simulation, simulation.finish(state)
 
@@ -1323,9 +1326,9 @@ class TestClassStepDifferential:
     def test_equals_fresh_routing_and_the_oracle(self, outage_k1,
                                                  freeze_at_s):
         _, expected = self._run(FreshRouting, outage_k1, freeze_at_s,
-                                pickled=False)
+                                cold=False)
         simulation, got = self._run(FluidSimulation, outage_k1,
-                                    freeze_at_s, pickled=True)
+                                    freeze_at_s, cold=True)
         _assert_same_result(got, expected)
         flows = self.EARLY + self.LATE
         assert_result_matches_oracle(got, flows)

@@ -1,19 +1,19 @@
 """The live-service determinism contract (`repro.service`).
 
 The backbone guarantee: a simulation checkpointed at an epoch boundary,
-restored (in this or any process), and advanced to the horizon produces
-stats, reports, and per-flow FCT arrays bit-identical to one that never
-stopped — across the packet engine and the max-min fluid engine.
-Plus the compatibility guards (format version, header fields, spec
-hash), RNG stream survival through mid-fault-window checkpoints, live
-mutation equivalence, and the JSON-over-TCP server.
+restored (in this or any process) by replaying its spec and mutation
+log, and advanced to the horizon produces stats, reports, and per-flow
+FCT arrays bit-identical to one that never stopped — across the packet
+engine and the fluid engines.  Plus the compatibility guards (format,
+header fields, spec hash), the tamper and damage checks (log records,
+state digest), RNG stream survival through mid-fault-window
+checkpoints, live mutation equivalence, and the JSON-over-TCP server.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import io
 import json
 import os
 import pickle
@@ -35,12 +35,12 @@ from repro.fluid.engine import FluidSimulation
 from repro.geo.coordinates import GeodeticPosition
 from repro.ground.stations import GroundStation
 from repro.orbits.shell import Shell
-from repro.service import (CHECKPOINT_FORMAT_VERSION, CheckpointError,
+from repro.service import (CHECKPOINT_FORMAT, CheckpointError,
                            CheckpointSpecError, CheckpointVersionError,
                            LiveSimulationService, ServiceClient,
                            ServiceClientError, ServiceError, ServiceServer,
                            load_checkpoint, read_checkpoint_header)
-from repro.service.checkpoint import CHECKPOINT_MAGIC
+
 from repro.sweep.spec import NetworkSpec
 from repro.topology.gsl import GslPolicy
 from repro.topology.network import LeoNetwork
@@ -129,27 +129,15 @@ def _round_trip(service: LiveSimulationService, path) -> LiveSimulationService:
     return LiveSimulationService.resume(str(path))
 
 
-def _checkpoint_parts(path):
-    """A checkpoint file's JSON header and its pickled body's bytes."""
-    whole = path.read_bytes()
-    header_start = len(CHECKPOINT_MAGIC) + 8
-    header_end = header_start + int.from_bytes(
-        whole[len(CHECKPOINT_MAGIC):header_start], "big")
-    return json.loads(whole[header_start:header_end]), whole[header_end:]
+def _document(path) -> dict:
+    """The JSON document of the checkpoint file at ``path``."""
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _write_checkpoint(path, header, body: bytes) -> None:
-    """Lay ``header`` and ``body`` out as ``save_checkpoint`` does — how
-    the guard tests write files the product never writes."""
-    raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(CHECKPOINT_MAGIC + len(raw).to_bytes(8, "big") + raw
-                     + body)
-
-
-def _rewrite_header(path, **fields) -> None:
-    """Change some header fields of the checkpoint file at ``path``."""
-    header, body = _checkpoint_parts(path)
-    _write_checkpoint(path, {**header, **fields}, body)
+def _rewrite(path, **fields) -> None:
+    """Change some top-level fields of the checkpoint file at ``path``."""
+    path.write_text(json.dumps({**_document(path), **fields}),
+                    encoding="utf-8")
 
 
 def _saved(engine: str, path, epochs: int = 0) -> LiveSimulationService:
@@ -159,6 +147,21 @@ def _saved(engine: str, path, epochs: int = 0) -> LiveSimulationService:
         service.advance_epoch(epochs)
     service.save(str(path))
     return service
+
+
+def _forbid_building(monkeypatch) -> None:
+    """Make reading a spec or building a service fail loudly: the guard
+    tests prove a file is refused before either happens."""
+    def built(*args, **kwargs):
+        raise AssertionError("the checkpoint's spec was read")
+    monkeypatch.setattr(NetworkSpec, "from_dict", built)
+    monkeypatch.setattr(LiveSimulationService, "__init__", built)
+
+
+#: Every field a checkpoint document has.
+_DOCUMENT_FIELDS = {"format", "engine", "horizon_s", "epoch_s",
+                    "link_capacity_bps", "time_s", "meta", "spec_hash",
+                    "spec", "log", "state_digest"}
 
 
 ENGINES = ["packet", "fluid"]
@@ -173,7 +176,8 @@ ENGINE_IDS = ["packet-vectorized", "fluid-vectorized"]
 
 class TestCheckpointContainer:
     """The checkpoint file and every guard of its load (the class keeps
-    the name it had while a container class existed, so test ids are
+    the name it had while a container class existed, and several tests
+    the names they had while the body was a pickle, so test ids are
     stable)."""
 
     def test_header_round_trip(self, tmp_path):
@@ -181,37 +185,40 @@ class TestCheckpointContainer:
         service.advance_to(3.5)
         path = tmp_path / "c.ckpt"
         header = service.save(str(path), meta={"note": "hello"})
-        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert header["format"] == CHECKPOINT_FORMAT
         assert header["spec_hash"] == service.spec.fingerprint()
         assert header["time_s"] == 3.5
-        assert header["meta"] == {"note": "hello", "horizon_s": HORIZON_S,
-                                  "epoch_s": EPOCH_S}
-        # Header reads back without unpickling anything.
+        assert (header["horizon_s"], header["epoch_s"]) == (HORIZON_S,
+                                                            EPOCH_S)
+        assert header["meta"] == {"note": "hello"}
+        assert header["state_digest"] == service.state_digest()
+        # One JSON document: the header plus the spec and the log.
+        document = _document(path)
+        assert set(document) == _DOCUMENT_FIELDS
+        assert document["spec"] == service.initial_spec.as_dict()
+        assert document["log"] == []
+        # The header reads back without building anything.
         assert read_checkpoint_header(str(path)) == header
         loaded = load_checkpoint(str(path))
         assert isinstance(loaded, LiveSimulationService)
         assert (loaded.engine, loaded.clock_s) == ("packet", 3.5)
         assert loaded.spec.fingerprint() == header["spec_hash"]
+        assert loaded.meta == {"note": "hello"}
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
-        class Unpicklable:
-            def __reduce__(self):
-                raise RuntimeError("cannot pickle this")
-
         path = tmp_path / "c.ckpt"
         service = _saved("packet", path)
         good = path.read_bytes()
         service.advance_epoch(1)
-        service.unpicklable = Unpicklable()
-        with pytest.raises(RuntimeError, match="cannot pickle this"):
-            service.save(str(path))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            service.save(str(path), meta={"handle": object()})
         assert path.read_bytes() == good
         assert [entry.name for entry in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"definitely not a checkpoint")
-        with pytest.raises(CheckpointError, match="bad magic"):
+        with pytest.raises(CheckpointError, match="not a repro checkpoint"):
             read_checkpoint_header(str(path))
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
@@ -219,176 +226,49 @@ class TestCheckpointContainer:
     def test_version_mismatch_fails_clearly(self, tmp_path):
         path = tmp_path / "future.ckpt"
         _saved("packet", path)
-        _rewrite_header(path, format_version=CHECKPOINT_FORMAT_VERSION + 1)
-        with pytest.raises(CheckpointVersionError,
-                           match="does not match this build"):
-            load_checkpoint(str(path))
-        # The header itself stays readable for forensics.
-        header = read_checkpoint_header(str(path))
-        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION + 1
+        _rewrite(path, format="repro-service-replay/2")
+        for read in (load_checkpoint, read_checkpoint_header):
+            with pytest.raises(CheckpointVersionError,
+                               match="is not this build's"):
+                read(str(path))
+        # The file itself stays plain JSON for forensics.
+        assert _document(path)["format"] == "repro-service-replay/2"
 
-    def test_v1_packet_checkpoint_is_refused(self, tmp_path):
-        """Format v1 held 3-field pending-event tuples; this build's
-        scheduler would mis-dispatch them, so the header gate must stop
-        the load before anything is unpickled."""
-        assert CHECKPOINT_FORMAT_VERSION == 13
-        path = tmp_path / "v1.ckpt"
+    @pytest.mark.parametrize("case", ["v13-pickle", "other-format",
+                                      "no-format"])
+    def test_foreign_format_is_refused(self, tmp_path, monkeypatch, case):
+        """A pickled checkpoint of the last build that wrote them (magic,
+        length-prefixed JSON header, pickle body), a document of another
+        format, and one with no format are refused before anything is
+        built; each older pickle format (v1-v12) was a case of the
+        first."""
+        path = tmp_path / f"{case}.ckpt"
         _saved("packet", path, epochs=1)
-        _rewrite_header(path, format_version=1)
-        with pytest.raises(CheckpointVersionError, match="format v1"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v2_fluid_checkpoint_is_refused(self, tmp_path):
-        """Format v2 fluid states carry no ``flow_class`` (and per-flow
-        pair lists this build no longer reads): the header gate must
-        stop the load rather than let ``advance`` fail later."""
-        path = tmp_path / "v2.ckpt"
-        service = _saved("fluid", path, epochs=1)
-        assert service.state.flow_class.shape == (len(service.fluid.flows),)
-        _rewrite_header(path, format_version=2)
-        with pytest.raises(CheckpointVersionError, match="format v2"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v3_checkpoint_is_refused(self, tmp_path):
-        """A v3 body pickles a ``NetworkSpec`` with a ``weather`` field
-        this build lacks: the version gate must name the cause before the
-        spec-hash check could blame corruption."""
-        path = tmp_path / "v3.ckpt"
-        _saved("packet", path)
-        _rewrite_header(path, format_version=3)
-        with pytest.raises(CheckpointVersionError, match="format v3"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v4_checkpoint_is_refused(self, tmp_path):
-        """A v4 service pickles the ``_arrival_streams`` this build's
-        service lacks (their streams name a deleted class), and a v4 file
-        may hold the deleted ``"sweep"`` engine: the version gate must
-        refuse it before anything is unpickled."""
-        path = tmp_path / "v4.ckpt"
-        _saved("packet", path)
-        _rewrite_header(path, format_version=4)
-        with pytest.raises(CheckpointVersionError, match="format v4"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v5_fluid_checkpoint_is_refused(self, tmp_path):
-        """A v5 fluid simulation pickles a plain routing engine under the
-        name ``_engine`` and per-flow static-baseline paths; this build's
-        would fail on its first ``advance``.  The version gate refuses it
-        before anything is unpickled."""
-        path = tmp_path / "v5.ckpt"
-        _saved("fluid", path, epochs=1)
-        _rewrite_header(path, format_version=5)
-        with pytest.raises(CheckpointVersionError, match="format v5"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v6_checkpoint_is_refused(self, tmp_path):
-        """A v6 body pickles every ``Constellation`` with one
-        ``Satellite`` object per satellite; this build's pickles element
-        arrays only, and builds the objects on demand.  The version gate
-        refuses the old layout; this build's body holds no ``Satellite``
-        even after the list was built, and the resumed constellation
-        builds the same objects."""
-        from repro.constellations.builder import Satellite
-        satellites = []
-
-        class Counting(pickle.Pickler):
-            def reducer_override(self, obj):
-                if isinstance(obj, Satellite):
-                    satellites.append(obj)
-                return NotImplemented
-
-        service = _make_service("packet")
-        built = service.network.constellation.satellites
-        Counting(io.BytesIO()).dump(service)
-        assert satellites == []
-        path = tmp_path / "v10.ckpt"
-        service.save(str(path))
-        restored = LiveSimulationService.resume(str(path))
-        assert restored.network.constellation.satellites == built
-        _rewrite_header(path, format_version=6)
-        with pytest.raises(CheckpointVersionError, match="format v6"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v7_checkpoint_is_refused(self, tmp_path):
-        """A v7 header carries the reflective JSON hash of its spec, which
-        no longer equals ``NetworkSpec.fingerprint``: the version gate
-        must name the cause before the spec check could blame
-        tampering."""
-        path = tmp_path / "v7.ckpt"
-        _saved("fluid", path)
-        _rewrite_header(path, format_version=7, spec_hash="0" * 64)
-        with pytest.raises(CheckpointVersionError, match="format v7"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v8_checkpoint_is_refused(self, tmp_path):
-        """A v8 body pickles a spec with ``constellation_name`` and
-        ``failed_satellites`` and a network holding its ISL builder
-        callable, and its header hashes that record: the version gate
-        must name the cause before the spec check could blame
-        tampering."""
-        for engine in ENGINES:
-            path = tmp_path / f"v8-{engine}.ckpt"
-            _saved(engine, path)
-            _rewrite_header(path, format_version=8, spec_hash="0" * 64)
-            with pytest.raises(CheckpointVersionError, match="format v8"):
-                LiveSimulationService.resume(str(path))
-
-    def test_v9_checkpoint_is_refused(self, tmp_path):
-        """A v9 body is a ``{"spec": ..., "payload": {"service": ...}}``
-        dict: the version gate must name the cause before the body-type
-        check could call the file foreign."""
-        for engine in ENGINES:
-            path = tmp_path / f"v9-{engine}.ckpt"
-            service = _saved(engine, path)
-            header, _ = _checkpoint_parts(path)
-            _write_checkpoint(path, {**header, "format_version": 9},
-                              pickle.dumps({"spec": service.spec,
-                                            "payload": {"service": service}}))
-            with pytest.raises(CheckpointVersionError, match="format v9"):
-                LiveSimulationService.resume(str(path))
-
-    def test_v10_checkpoint_is_refused(self, tmp_path):
-        """A v10 packet body may pickle a ``ControllerFlowFactory`` whose
-        ``shared_state`` holds the deleted bandit's brain: the version
-        gate must refuse it before unpickling reaches the missing
-        ``repro.cc.learned``, not at the next flow arrival."""
-        path = tmp_path / "v10.ckpt"
-        _saved("packet", path)
-        header, _ = _checkpoint_parts(path)
-        _write_checkpoint(path, {**header, "format_version": 10},
-                          b"crepro.cc.learned\nBanditBrain\n.")
-        with pytest.raises(CheckpointVersionError, match="format v10"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v11_checkpoint_is_refused(self, tmp_path):
-        """A v11 packet body pickles each workload spawner's
-        ``repro.cc.factory.ControllerFlowFactory``: the version gate must
-        refuse it before unpickling reaches the deleted module."""
-        path = tmp_path / "v11.ckpt"
-        _saved("packet", path)
-        header, _ = _checkpoint_parts(path)
-        _write_checkpoint(path, {**header, "format_version": 11},
-                          b"crepro.cc.factory\nControllerFlowFactory\n.")
-        with pytest.raises(CheckpointVersionError, match="format v11"):
-            LiveSimulationService.resume(str(path))
-
-    def test_v12_checkpoint_is_refused(self, tmp_path):
-        """A v12 packet body pickles the scheduler's ``itertools.count``
-        and the simulator's wall time, and numbers its flows from a
-        process-global counter this build lacks: the version gate must
-        refuse it before anything is unpickled."""
-        path = tmp_path / "v12.ckpt"
-        _saved("packet", path)
-        _rewrite_header(path, format_version=12)
-        with pytest.raises(CheckpointVersionError, match="format v12"):
-            LiveSimulationService.resume(str(path))
+        document = _document(path)
+        if case == "v13-pickle":
+            header = json.dumps({"format_version": 13, "engine": "packet",
+                                 "time_s": 1.0, "meta": {}}).encode()
+            path.write_bytes(b"REPRO-CKPT\n" + len(header).to_bytes(8, "big")
+                             + header + b"\x80\x04N.")
+            error, message = CheckpointError, "not a JSON document"
+        elif case == "other-format":
+            _rewrite(path, format="repro-service-replay/0")
+            error, message = CheckpointVersionError, "is not this build's"
+        else:
+            del document["format"]
+            path.write_text(json.dumps(document), encoding="utf-8")
+            error, message = CheckpointError, "no 'format' field"
+        _forbid_building(monkeypatch)
+        for read in (load_checkpoint, read_checkpoint_header,
+                     LiveSimulationService.resume):
+            with pytest.raises(error, match=message):
+                read(str(path))
 
     def test_identical_services_write_identical_bytes(self, tmp_path):
         """Two services of each engine, built from one spec in one
         process and advanced to the same epochs, write byte-identical
         checkpoints: no wall-clock time and no process-global id reaches
-        the pickle.  (Before, five wall-time fields and the global
-        flow/packet id counters made them differ.)"""
+        the document or its state digest."""
         spec = _small_spec().with_workload(_small_workload())
         for engine in ENGINES:
             services = [LiveSimulationService(spec, engine=engine,
@@ -405,88 +285,62 @@ class TestCheckpointContainer:
                 assert files[0] == files[1], (engine, epoch)
 
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
-        """Routers pickle without their per-snapshot caches: the transit
-        arrays, and the repairing router's remembered update (snapshot,
-        graph, trees, tree edges).  They only save time, so a restored
-        router starts cold — and resumes bit-identically
-        (``TestRoundTripDeterminism``).  Before, the fluid engine's router
-        pickled the last ``TopologySnapshot`` with the service; this file
-        was 33 698 bytes then."""
-        from repro.topology.network import TopologySnapshot
-        snapshots = []
-
-        class Counting(pickle.Pickler):
-            def reducer_override(self, obj):
-                if isinstance(obj, TopologySnapshot):
-                    snapshots.append(obj)
-                return NotImplemented
-
+        """A checkpoint holds the spec, the mutation log and scalars: no
+        router cache, snapshot or engine array reaches the file.  (A
+        pickled fluid service once held its router's last
+        ``TopologySnapshot``; that file was 33 698 bytes.)  The restored
+        service's router is the replay's own, and resumes
+        bit-identically (``TestRoundTripDeterminism``)."""
         service = _make_service("fluid")
         service.advance_epoch(4)
-        router = service.fluid._router
-        assert router._prev_result is not None
-        assert router._cached_snapshot is not None
-        Counting(io.BytesIO()).dump(service)
-        assert snapshots == []
         path = tmp_path / "fluid.ckpt"
         service.save(str(path))
+        document = _document(path)
+        assert set(document) == _DOCUMENT_FIELDS
+        assert document["log"] == []
         assert path.stat().st_size <= 33_698
-        restored = LiveSimulationService.resume(str(path)).fluid._router
-        assert all(getattr(restored, name) is None
-                   for name in type(restored)._REMEMBERED)
-        assert restored._cached_snapshot is None
+        restored = LiveSimulationService.resume(str(path))
+        assert np.array_equal(restored.state.residual_bits,
+                              service.state.residual_bits)
 
     @pytest.mark.parametrize("field,value", [
         ("engine", "bogus"), ("time_s", "abc"), ("time_s", None),
-        ("meta", [1, 2]), ("format_version", "4x")],
+        ("meta", [1, 2]), ("horizon_s", 0.0), ("epoch_s", 2),
+        ("link_capacity_bps", -1.0), ("spec_hash", None),
+        ("state_digest", 7)],
         ids=["engine-bogus", "time_s-abc", "time_s-null", "meta-list",
-             "format_version-4x"])
+             "horizon_s-zero", "epoch_s-int", "link_capacity_bps-negative",
+             "spec_hash-null", "state_digest-int"])
     def test_malformed_header_field_is_refused_before_unpickling(
             self, tmp_path, monkeypatch, field, value):
-        """One patched header field of a valid checkpoint used to escape
-        as ``ValueError`` / ``TypeError``, after the body was unpickled."""
+        """One patched header field of a valid checkpoint is refused,
+        naming it, before the spec is read or anything is built (the
+        name is the one the test had while the body was a pickle)."""
         path = tmp_path / "patched.ckpt"
         _saved("packet", path, epochs=1)
-        _rewrite_header(path, **{field: value})
-
-        def no_unpickling(stream):
-            raise AssertionError("the body was unpickled")
-        monkeypatch.setattr(pickle, "load", no_unpickling)
+        _rewrite(path, **{field: value})
+        _forbid_building(monkeypatch)
         for read in (load_checkpoint, read_checkpoint_header):
             with pytest.raises(CheckpointError, match=f"field '{field}'"):
                 read(str(path))
 
     @pytest.mark.parametrize("damage,message", [
-        (lambda whole, start, length: whole[:start - 5],
-         "truncated checkpoint header"),
-        (lambda whole, start, length: whole[:start - 8]
-         + (0).to_bytes(8, "big") + whole[start:],
-         "implausible header length 0"),
-        (lambda whole, start, length: whole[:start - 8]
-         + (1 << 40).to_bytes(8, "big") + whole[start:],
-         "implausible header length"),
-        (lambda whole, start, length: whole[:start + length // 2],
-         "truncated checkpoint header"),
-        (lambda whole, start, length: whole[:start - 8]
-         + (5).to_bytes(8, "big") + b"{oops", "corrupt checkpoint header"),
-        (lambda whole, start, length: whole[:start - 8]
-         + (2).to_bytes(8, "big") + b"[]", "not a JSON object"),
-    ], ids=["length-cut", "length-zero", "length-huge", "header-cut",
-            "header-not-json", "header-not-object"])
+        (lambda whole: whole[:len(whole) // 2], "not a JSON document"),
+        (lambda whole: b"", "not a JSON document"),
+        (lambda whole: whole[:-1], "not a JSON document"),
+        (lambda whole: b"{oops", "not a JSON document"),
+        (lambda whole: b"\xff" + whole, "not a JSON document"),
+        (lambda whole: b"[]", "no 'format' field"),
+    ], ids=["length-cut", "length-zero", "header-cut", "header-not-json",
+            "header-not-utf8", "header-not-object"])
     def test_damaged_header_is_refused_before_unpickling(
             self, tmp_path, monkeypatch, damage, message):
-        """Each way the header length or the JSON header can be damaged
-        is a ``CheckpointError`` naming it, before any unpickling."""
+        """Each way the document can be cut or garbled is a
+        ``CheckpointError`` naming it, before anything is built."""
         path = tmp_path / "damaged.ckpt"
         _saved("packet", path)
-        whole = path.read_bytes()
-        start = len(CHECKPOINT_MAGIC) + 8
-        length = int.from_bytes(whole[start - 8:start], "big")
-        path.write_bytes(damage(whole, start, length))
-
-        def no_unpickling(stream):
-            raise AssertionError("the body was unpickled")
-        monkeypatch.setattr(pickle, "load", no_unpickling)
+        path.write_bytes(damage(path.read_bytes()))
+        _forbid_building(monkeypatch)
         for read in (load_checkpoint, read_checkpoint_header):
             with pytest.raises(CheckpointError, match=message):
                 read(str(path))
@@ -503,17 +357,15 @@ class TestCheckpointContainer:
 
     def test_loads_checkpoint_written_with_kernel_key(self, tmp_path):
         """Builds that still had a second fluid kernel stamped ``kernel``
-        into the header and onto the pickled objects; those files must
-        keep loading and resume bit-identically."""
+        into their checkpoint headers.  A top-level key this build does
+        not read, that one say, is carried in the header and changes
+        nothing: the file resumes bit-identically."""
         baseline = _make_service("fluid")
         baseline.run_to_horizon()
 
-        service = _make_service("fluid")
-        service.advance_epoch(5)
-        service.kernel = service.fluid.kernel = "reference"
         path = tmp_path / "legacy.ckpt"
-        service.save(str(path))
-        _rewrite_header(path, kernel="reference")
+        _saved("fluid", path, epochs=5)
+        _rewrite(path, kernel="reference")
 
         assert read_checkpoint_header(str(path))["kernel"] == "reference"
         restored = LiveSimulationService.resume(str(path))
@@ -523,81 +375,18 @@ class TestCheckpointContainer:
         assert _report_json(restored) == _report_json(baseline)
 
     def test_truncated_body_fails_clearly(self, tmp_path):
-        """A file cut short inside the pickle used to surface as a raw
-        ``EOFError`` / ``UnpicklingError``."""
+        """A file cut short anywhere is not a JSON document (a cut pickle
+        body used to surface as a raw ``EOFError`` /
+        ``UnpicklingError``)."""
         path = tmp_path / "cut.ckpt"
         _saved("packet", path)
         whole = path.read_bytes()
         for keep in (len(whole) - 1, len(whole) - 4000):
             path.write_bytes(whole[:keep])
-            assert read_checkpoint_header(str(path))["engine"] == "packet"
-            with pytest.raises(CheckpointError,
-                               match="body cannot be unpickled"):
-                load_checkpoint(str(path))
-
-    def test_damaged_body_only_raises_checkpoint_errors(self, tmp_path):
-        """300 seeded mutations of a fluid-service checkpoint's body
-        (bit flip / truncation / 8 random bytes): 16 used to escape as
-        ``UnicodeDecodeError``, ``AttributeError`` (after the unpickle,
-        on the body's spec or its fingerprint), ``ValueError``,
-        ``TypeError`` or ``MemoryError``.  A mutant may still load —
-        detecting those needs a body checksum — but nothing other than a
-        :class:`CheckpointError` may come back."""
-        path = tmp_path / "fluid.ckpt"
-        service = _make_service("fluid")
-        service.advance_to(4.0)
-        service.save(str(path))
-        whole = path.read_bytes()
-        header_end = len(CHECKPOINT_MAGIC) + 8
-        body_start = header_end + int.from_bytes(
-            whole[len(CHECKPOINT_MAGIC):header_end], "big")
-        rng = random.Random(0)
-        refused = 0
-        for _ in range(300):
-            data = bytearray(whole)
-            kind = rng.randrange(3)
-            position = rng.randrange(body_start, len(data))
-            if kind == 0:
-                data[position] ^= 1 << rng.randrange(8)
-            elif kind == 1:
-                del data[position:]
-            else:
-                data[position:position + 8] = rng.randbytes(8)
-            path.write_bytes(bytes(data))
-            try:
-                load_checkpoint(str(path))
-            except CheckpointError as error:
-                assert str(path) in str(error)
-                refused += 1
-        assert refused > 100
-
-    def test_body_naming_a_removed_class_fails_clearly(self, tmp_path,
-                                                       monkeypatch):
-        """Packet checkpoints from builds that still had the transport
-        shim classes pickle their flows as
-        ``repro.transport.tcp.TcpNewRenoFlow``; loading one must name
-        that cause instead of raising ``AttributeError``."""
-        import repro.transport.tcp as tcp
-
-        class TcpNewRenoFlow:
-            pass
-        TcpNewRenoFlow.__module__ = tcp.__name__
-        TcpNewRenoFlow.__qualname__ = "TcpNewRenoFlow"
-        path = tmp_path / "old.ckpt"
-        service = _make_service("packet")
-        with monkeypatch.context() as patch:
-            patch.setattr(tcp, "TcpNewRenoFlow", TcpNewRenoFlow,
-                          raising=False)
-            service.legacy_flows = [TcpNewRenoFlow()]
-            service.save(str(path))
-            load_checkpoint(str(path))  # loadable while the class exists
-        with pytest.raises(CheckpointError,
-                           match="cannot be unpickled by this build.*"
-                                 "TcpNewRenoFlow"):
-            load_checkpoint(str(path))
-        with pytest.raises(CheckpointError):
-            LiveSimulationService.resume(str(path))
-
+            for read in (load_checkpoint, read_checkpoint_header):
+                with pytest.raises(CheckpointError,
+                                   match="not a JSON document"):
+                    read(str(path))
     def test_spec_fingerprint_is_content_hash(self):
         assert _small_spec().fingerprint() == _small_spec().fingerprint()
         with_faults = _small_spec(faults=FaultSchedule(
@@ -617,15 +406,21 @@ class TestCheckpointContainer:
 
     def test_header_hash_is_checked_against_the_pickled_spec(self,
                                                              tmp_path):
-        """The load recomputes the header's ``spec_hash`` from the
-        unpickled service's spec, so a wrong one cannot slip through."""
+        """The load recomputes ``spec_hash`` from the document's spec, so
+        a wrong hash, or a spec edited under the right one, cannot slip
+        through (the name is the one the test had while the spec came
+        from a pickle)."""
         path = tmp_path / "tampered.ckpt"
         for engine in ("packet", "fluid"):
             _saved(engine, path)
-            _rewrite_header(path, spec_hash="0" * 64)
+            _rewrite(path, spec_hash="0" * 64)
             with pytest.raises(CheckpointSpecError,
                                match="corrupt or tampered"):
                 load_checkpoint(str(path))
+        _saved("fluid", path)
+        spec = _document(path)["spec"]
+        spec["ground_stations"][2]["name"] = "Atlantis"
+        _rewrite(path, spec=spec)
         with pytest.raises(CheckpointSpecError, match="corrupt or tampered"):
             LiveSimulationService.resume(str(path))
         with pytest.raises(TypeError):  # the check has no off switch
@@ -800,9 +595,27 @@ class TestSpecFingerprint:
         assert covered == {field.name
                            for field in dataclasses.fields(FaultEvent)}
 
+    def test_spec_round_trips_through_json(self):
+        """``from_dict(as_dict())`` through JSON text is the same spec,
+        every field set; the relay flag and a fault at ``inf`` included."""
+        spec = self._spec()
+        spec = dataclasses.replace(spec, ground_stations=spec.ground_stations
+                                   + (dataclasses.replace(
+                                       spec.ground_stations[0], gid=6,
+                                       is_relay=True),),
+                                   faults=spec.faults.merged(FaultSchedule(
+                                       [FaultEvent.satellite_outage(
+                                           9, 0.0, float("inf"))])))
+        for spec in (spec, _small_spec()):
+            clone = NetworkSpec.from_dict(json.loads(json.dumps(
+                spec.as_dict())))
+            assert clone == spec
+            assert clone.fingerprint() == spec.fingerprint()
+
     def test_fingerprint_is_process_independent(self):
         """Equal in processes with different ``PYTHONHASHSEED``s, equal
-        to this process's, and unchanged by a pickle round trip."""
+        to this process's, and unchanged by the pickle round trip a
+        parallel sweep gives its spec."""
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -823,28 +636,30 @@ class TestSpecFingerprint:
             spec.fingerprint()
 
     def test_each_replaced_spec_is_hashed_afresh(self, tmp_path):
-        """``inject_fault`` and ``attach_workload`` replace the spec;
-        every checkpoint stamps the fingerprint of the spec it holds,
-        a restored service's included."""
+        """``inject_fault`` and ``attach_workload`` replace the spec, and
+        each replacement hashes afresh; a checkpoint stamps the spec the
+        service was built from, and a restored service replays its way
+        to the same current spec."""
         service = _make_service("fluid")
+        initial = service.spec.fingerprint()
 
         def stamped():
             return service.save(str(tmp_path / "x.ckpt"))["spec_hash"]
 
-        first = stamped()
         service.advance_epoch(2)
-        assert stamped() == first
+        assert stamped() == initial
         service.inject_fault(FaultEvent.satellite_outage(3, 4.0, 6.0))
-        faulted = stamped()
-        assert faulted == service.spec.fingerprint()
+        faulted = service.spec.fingerprint()
         service.attach_workload(_small_workload(seed=5, start_s=3.0,
                                                 horizon_s=6.0))
-        attached = stamped()
-        assert attached == service.spec.fingerprint()
-        assert len({first, faulted, attached}) == 3
+        attached = service.spec.fingerprint()
+        assert len({initial, faulted, attached}) == 3
+        assert stamped() == initial
+        assert service.initial_spec.fingerprint() == initial
         restored = _round_trip(service, tmp_path / "a.ckpt")
+        assert restored.spec.fingerprint() == attached
         header = restored.save(str(tmp_path / "b.ckpt"))
-        assert header["spec_hash"] == attached
+        assert header["spec_hash"] == initial
 
     def test_faulted_fluid_steps_leave_the_fingerprint_alone(self):
         """The engine evaluates the spec's own schedule object every
@@ -856,6 +671,166 @@ class TestSpecFingerprint:
         service.advance_epoch(6)
         assert service.state.next_index == 6
         assert service.spec.fingerprint() == before
+
+# ----------------------------------------------------------------------
+# A damaged or tampered checkpoint is refused, never misread
+# ----------------------------------------------------------------------
+
+def _mutated_service() -> LiveSimulationService:
+    """A fluid service at t=5 whose log holds every command: two
+    attaches, an injection of two faults, and a detach."""
+    service = _make_service("fluid")
+    service.advance_epoch(2)
+    service.attach_workload(_small_workload(seed=5, horizon_s=4.0),
+                            shift_to_now=True)
+    service.advance_to(2.5)
+    late = service.attach_workload(_small_workload(seed=6, start_s=4.0,
+                                                   horizon_s=4.0))
+    service.advance_epoch(1)
+    service.inject_fault([FaultEvent.satellite_outage(9, 4.0, 8.0),
+                          FaultEvent.isl_cut(34, 35, 3.5, 6.0)])
+    service.detach_workload(late)
+    service.advance_to(5.0)
+    return service
+
+
+_TAMPER: dict = {}
+
+
+def _tamper_source(tmp_path_factory):
+    """``(file bytes, state digest, scratch path)`` of
+    :func:`_mutated_service`'s checkpoint, made once."""
+    if not _TAMPER:
+        directory = tmp_path_factory.mktemp("tamper")
+        service = _mutated_service()
+        service.save(str(directory / "source.ckpt"))
+        _TAMPER.update(whole=(directory / "source.ckpt").read_bytes(),
+                       digest=service.state_digest(),
+                       path=directory / "tampered.ckpt")
+    return _TAMPER["whole"], _TAMPER["digest"], _TAMPER["path"]
+
+
+def _edit_args(entry) -> None:
+    """Change a log entry's argument, keeping it well-formed."""
+    command, args = entry[1], entry[2]
+    if command == "attach_workload":
+        args["flows"][0]["size_bytes"] += 1
+    elif command == "detach_workload":
+        entry[2] = args - 1
+    else:
+        args[0]["end_s"] += 1.0
+
+
+class TestTamperedCheckpoint:
+    """Damage to a checkpoint is refused with a :class:`CheckpointError`
+    and nothing else: the document's JSON, its header fields and log
+    records are checked before anything is built, ``spec_hash`` covers
+    the spec, and ``state_digest`` covers the log and the replayed
+    state."""
+
+    def test_the_source_round_trips(self, tmp_path_factory):
+        whole, digest, path = _tamper_source(tmp_path_factory)
+        assert [entry[1] for entry in json.loads(whole)["log"]] == [
+            "attach_workload", "attach_workload", "inject_fault",
+            "detach_workload"]
+        path.write_bytes(whole)
+        assert load_checkpoint(str(path)).state_digest() == digest
+
+    @given(damage=st.tuples(st.sampled_from(["flip", "cut"]),
+                            st.integers(min_value=0),
+                            st.integers(min_value=0, max_value=7)))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_damage_raises_only_checkpoint_errors(
+            self, tmp_path_factory, damage):
+        """A bit flip or a cut anywhere is refused; a flip the reader
+        cannot tell from the original (a key whose value it defaults)
+        restores the same service."""
+        whole, digest, path = _tamper_source(tmp_path_factory)
+        kind, position, bit = damage
+        data = bytearray(whole)
+        position %= len(data)
+        if kind == "flip":
+            data[position] ^= 1 << bit
+        else:
+            del data[position:]
+        path.write_bytes(bytes(data))
+        try:
+            restored = load_checkpoint(str(path))
+        except CheckpointError as error:
+            assert str(path) in str(error)
+        else:
+            assert restored.state_digest() == digest
+
+    @given(edit=st.sampled_from(["drop", "swap", "clock", "args",
+                                 "digest"]),
+           index=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_log_and_digest_edits_are_refused(self, tmp_path_factory,
+                                              edit, index):
+        """A dropped, reordered or edited log entry, or an edited
+        ``state_digest``: the spec still hashes right, so each is a
+        :class:`CheckpointError` from the log check or the replay, never
+        a spec error."""
+        whole, _, path = _tamper_source(tmp_path_factory)
+        document = json.loads(whole)
+        log = document["log"]
+        if edit == "drop":
+            del log[index]
+        elif edit == "swap":
+            other = (index + 1) % len(log)
+            log[index], log[other] = log[other], log[index]
+        elif edit == "clock":
+            log[index][0] += 0.25
+        elif edit == "args":
+            _edit_args(log[index])
+        else:
+            document["state_digest"] = "0" * 64
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(CheckpointError) as refused:
+            load_checkpoint(str(path))
+        assert not isinstance(refused.value, CheckpointSpecError)
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.update(min_elevation_deg=11.0),
+        lambda spec: spec["ground_stations"][0].update(name="Quitoo"),
+        lambda spec: spec["workload"]["flows"][3].update(size_bytes=1),
+        lambda spec: spec.update(faults={"seed": 0, "events": []}),
+        lambda spec: spec["shells"][0].update(num_orbits="eight"),
+    ], ids=["elevation", "station", "flow", "faults", "malformed"])
+    def test_edited_spec_raises_a_spec_error(self, tmp_path_factory,
+                                             edit):
+        whole, _, path = _tamper_source(tmp_path_factory)
+        document = json.loads(whole)
+        edit(document["spec"])
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(CheckpointSpecError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("record", [
+        "attach", [2.0, "attach_workload"], [2.0, "warp", {}],
+        ["2.0", "detach_workload", 1], [2, "detach_workload", 1],
+        [99.0, "detach_workload", 1], [1.0, "detach_workload", 1],
+        [4.0, "attach_workload", []], [4.0, "detach_workload", 1.5],
+        [4.0, "inject_fault", {"kind": "isl_cut"}],
+        [4.0, "inject_fault", [{"kind": "warp"}]],
+    ], ids=["not-a-list", "two-fields", "unknown-command", "clock-text",
+            "clock-int", "clock-past-time", "clock-backwards",
+            "workload-list", "handle-fraction", "events-object",
+            "event-kind"])
+    def test_malformed_log_records_are_refused_before_replay(
+            self, tmp_path_factory, monkeypatch, record):
+        whole, _, path = _tamper_source(tmp_path_factory)
+        document = json.loads(whole)
+        document["log"].append(record)
+        path.write_text(json.dumps(document), encoding="utf-8")
+
+        def built(*args, **kwargs):
+            raise AssertionError("a service was built")
+        monkeypatch.setattr(LiveSimulationService, "__init__", built)
+        with pytest.raises(CheckpointError,
+                           match="log entry 4 is malformed"):
+            load_checkpoint(str(path))
+
 
 # ----------------------------------------------------------------------
 # Checkpoint -> restore -> continue is bit-identical
@@ -899,51 +874,37 @@ class TestRoundTripDeterminism:
     def test_every_pending_record_kind_round_trips(self, tmp_path):
         """A packet checkpoint taken while tx-finish and arrival records
         (bound method + packet + node fields) and RTO and forwarding
-        timers are all pending resumes ≡ never stopping."""
+        timers are all pending resumes ≡ never stopping: the replay
+        reaches the same pending events by running to the same clock."""
         from repro.cc.lab import lab_network
-        from repro.simulation.simulator import LinkConfig, PacketSimulator
-        from repro.transport.tcp import TcpFlow
 
-        spec = lab_network("8x8")
+        spec = lab_network("8x8").with_workload(WorkloadSchedule(
+            [FlowRequest(0.0, src, (src + 3) % 6, 5_000_000)
+             for src in range(6)], seed=1))
 
-        def build(network):
-            sim = PacketSimulator(network, LinkConfig(
-                isl_rate_bps=2e6, gsl_rate_bps=2e6,
-                isl_queue_packets=25, gsl_queue_packets=25))
-            flows = [TcpFlow(src, (src + 3) % 6).install(sim)
-                     for src in range(6)]
-            return sim, flows
+        def service():
+            return LiveSimulationService(spec, horizon_s=1.5)
 
-        def outcome(sim, flows):
-            summary = sim.report(include_series=False).as_dict(
-                deterministic=True)["summary"]
+        def outcome(service):
             return json.dumps({
-                "summary": summary,
-                "flows": [(flow.snd_una, flow.retransmissions,
-                           flow.timeouts, flow.cwnd_log.as_dict(),
-                           flow.rtt_log.as_dict()) for flow in flows],
+                "report": service.report().as_dict(deterministic=True),
                 "devices": [(device.name, device.stats.packets_sent,
                              device.stats.busy_time_s.hex())
-                            for device in sim.iter_devices()],
+                            for device in service.sim.iter_devices()],
             }, sort_keys=True)
 
-        baseline_sim, baseline_flows = build(spec.build())
-        baseline_sim.run(1.5)
-
-        # The body is a service, so the configured simulator and its
-        # flows ride in one.
-        service = LiveSimulationService(spec, horizon_s=1.5)
-        service.sim, service.flows = build(service.network)
-        service.advance_to(0.45)
+        baseline = service()
+        baseline.run_to_horizon()
+        interrupted = service()
+        interrupted.advance_to(0.45)
         pending = {getattr(record[2], "func", record[2]).__name__
-                   for record in service.sim.scheduler._queue}
+                   for record in interrupted.sim.scheduler._queue}
         assert pending >= {"_finish_transmission", "_receive", "_on_rto",
                            "_update"}
-        restored = _round_trip(service, tmp_path / "pending.ckpt")
+        restored = _round_trip(interrupted, tmp_path / "pending.ckpt")
         restored.run_to_horizon()
-        assert outcome(restored.sim, restored.flows) == outcome(
-            baseline_sim, baseline_flows)
-        assert baseline_sim.stats.packets_dropped_queue > 0
+        assert outcome(restored) == outcome(baseline)
+        assert baseline.sim.stats.packets_dropped_queue > 0
 
     def test_double_restore_same_file(self, tmp_path):
         """One checkpoint file seeds any number of identical futures."""
@@ -1020,14 +981,14 @@ def _baseline_outputs(engine: str):
 class TestRandomBoundaryProperty:
     @given(_boundary_scenario())
     @settings(max_examples=10, deadline=None)
-    def test_round_trip_at_any_event_boundary(self, scenario):
+    def test_round_trip_at_any_event_boundary(self, tmp_path_factory,
+                                              scenario):
         engine, epoch = scenario
         expected_report, expected_fct = _baseline_outputs(engine)
         service = _make_service(engine)
         service.advance_epoch(epoch)
-        # In-memory pickle round trip == file round trip (same bytes
-        # path), without hypothesis needing a per-example tmp dir.
-        restored = pickle.loads(pickle.dumps(service))
+        restored = _round_trip(
+            service, tmp_path_factory.mktemp("boundary") / "b.ckpt")
         restored.run_to_horizon()
         assert _report_json(restored) == expected_report
         assert np.array_equal(restored.fct_values(), expected_fct,
@@ -1039,16 +1000,6 @@ class TestRandomBoundaryProperty:
 # ----------------------------------------------------------------------
 
 class TestRngStreamSurvival:
-    def test_injector_stream_position_survives_pickle(self):
-        event = FaultEvent.packet_loss(0.0, 1_000.0, 0.3, gid=3)
-        injector = LinkFaultInjector("isl-3-4", [event], seed=7)
-        for i in range(137):  # mid-window: stream position 137
-            injector.drop_reason(float(i % 900))
-        clone = pickle.loads(pickle.dumps(injector))
-        tail = [injector.drop_reason(float(i)) for i in range(200)]
-        clone_tail = [clone.drop_reason(float(i)) for i in range(200)]
-        assert tail == clone_tail
-
     def test_injector_extend_keeps_draw_sequence(self):
         """Injecting a future window == having baked it in from t=0."""
         e1 = FaultEvent.packet_loss(0.0, 50.0, 0.4, gid=3)
@@ -1156,15 +1107,16 @@ class TestLiveMutation:
         assert service.advance_epoch()["time_s"] == boundary
         assert service.advance_epoch(2)["time_s"] == boundary + 2.0
 
-    def test_attach_after_an_unpickle_gets_fresh_flow_ids(self):
-        """The simulator numbers its flows and pickles the count with
-        them, so a workload attached after an unpickle cannot collide
-        with a restored flow — in any process, with no restore-time
-        fixup."""
+    def test_attach_after_a_resume_gets_fresh_flow_ids(self, tmp_path):
+        """The simulator numbers its flows itself and the replay installs
+        them again in order, so a workload attached after a resume
+        cannot collide with a restored flow — in any process, with no
+        restore-time fixup."""
         service = _make_service("packet")
         service.advance_epoch(3)
-        restored = pickle.loads(pickle.dumps(service))
+        restored = _round_trip(service, tmp_path / "c.ckpt")
         before = {flow for _, flow in restored.sim._handlers}
+        assert before == {flow for _, flow in service.sim._handlers}
         restored.attach_workload(_small_workload(seed=5, start_s=4.0,
                                                  horizon_s=4.0))
         added = {flow for _, flow in restored.sim._handlers} - before
@@ -1173,21 +1125,42 @@ class TestLiveMutation:
         restored.run_to_horizon()
 
     def test_attach_then_checkpoint_round_trip(self, tmp_path):
-        """Mutations compose with the checkpoint contract: mutate,
-        checkpoint, restore, finish == mutate and never stop."""
+        """Mutations compose with the checkpoint contract on every
+        engine: mutate, checkpoint, restore, mutate again, checkpoint
+        the restored service, restore that, finish == mutate and never
+        stop."""
         extra = _small_workload(seed=41, start_s=3.0, horizon_s=5.0)
-        baseline = _make_service("packet")
-        baseline.advance_epoch(2)
-        baseline.attach_workload(extra)
-        baseline.run_to_horizon()
+        later = _small_workload(seed=43, start_s=7.0, horizon_s=3.0)
+        outage = FaultEvent.satellite_outage(12, 5.0, 8.0)
 
-        interrupted = _make_service("packet")
-        interrupted.advance_epoch(2)
-        interrupted.attach_workload(extra)
-        interrupted.advance_epoch(4)
-        restored = _round_trip(interrupted, tmp_path / "mutated.ckpt")
-        restored.run_to_horizon()
-        assert _report_json(restored) == _report_json(baseline)
+        def first_half(service):
+            service.advance_epoch(2)
+            handle = service.attach_workload(extra)
+            service.inject_fault(outage)
+            service.advance_epoch(4)
+            return handle
+
+        def second_half(service, handle):
+            service.detach_workload(handle)
+            service.attach_workload(later)
+            service.advance_epoch(1)
+
+        for engine in ("packet", "fluid", "aimd"):
+            baseline = _make_service(engine)
+            second_half(baseline, first_half(baseline))
+            baseline.run_to_horizon()
+
+            interrupted = _make_service(engine)
+            handle = first_half(interrupted)
+            restored = _round_trip(interrupted, tmp_path / "mutated.ckpt")
+            assert restored.log == interrupted.log
+            second_half(restored, handle)
+            again = _round_trip(restored, tmp_path / "again.ckpt")
+            assert len(again.log) == 4
+            again.run_to_horizon()
+            assert _report_json(again) == _report_json(baseline), engine
+            assert np.array_equal(again.fct_values(),
+                                  baseline.fct_values()), engine
 
 
 class TestOutOfRangeGids:
@@ -1240,29 +1213,6 @@ class TestOutOfRangeGids:
                 assert client.advance(3) == untouched.status()
                 assert client.metrics() == untouched.metrics_dict()
                 client.stop()
-
-
-class TestSweepWarmStart:
-    """A load refuses a body that is not a service (the class keeps the
-    name it had while sweep checkpoints existed, so the test id is
-    stable)."""
-
-    def test_sweep_checkpoint_rejects_service_resume(self, tmp_path):
-        path = tmp_path / "foreign.ckpt"
-        _saved("fluid", path, epochs=3)
-        header, _ = _checkpoint_parts(path)
-        # A sweep warm-start payload, and what a damaged body can leave;
-        # the type is checked before the (here wrong) spec hash.
-        for body, spec_hash in (({"next_index": 3, "prefix": {}},
-                                 header["spec_hash"]),
-                                (["service"], "0" * 64)):
-            _write_checkpoint(path, {**header, "spec_hash": spec_hash},
-                              pickle.dumps(body))
-            name = type(body).__name__
-            with pytest.raises(CheckpointError,
-                               match=f"body is a '{name}', not a live "
-                                     f"service"):
-                LiveSimulationService.resume(str(path))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Tests for the discrete-event core: scheduler, packets, devices,
 positions."""
 
-import functools
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -12,19 +10,6 @@ from repro.simulation.devices import LinkDevice
 from repro.simulation.events import EventScheduler
 from repro.simulation.packet import DEFAULT_HEADER_BYTES, Packet
 from repro.simulation.positions import PositionService
-
-
-class _Sink:
-    """Picklable event target (module level, so pickle can name it)."""
-
-    def __init__(self):
-        self.seen = []
-
-    def tick(self):
-        self.seen.append("tick")
-
-    def take(self, a, b):
-        self.seen.append((a, b))
 
 
 class TestEventScheduler:
@@ -36,20 +21,6 @@ class TestEventScheduler:
         sched.schedule(3.0, lambda: fired.append("c"))
         sched.run()
         assert fired == ["a", "b", "c"]
-
-    def test_pickle_references_no_itertools(self):
-        """The insertion sequence is a plain int: pickling ``itertools``
-        objects is deprecated since Python 3.12 (gone in 3.14), and the
-        queue is part of every packet checkpoint."""
-        fired = []
-        sched = EventScheduler()
-        for label, delay in (("c", 2.0), ("a", 1.0), ("b", 1.0)):
-            sched.schedule(delay, functools.partial(fired.append, label))
-        blob = pickle.dumps((sched, fired))
-        assert b"itertools" not in blob
-        restored, restored_fired = pickle.loads(blob)
-        restored.run()
-        assert restored_fired == ["a", "b", "c"]  # same-time FIFO kept
 
     def test_fifo_for_same_time(self):
         sched = EventScheduler()
@@ -172,21 +143,6 @@ class TestEventScheduler:
         sched.run()
         assert fired == [(0, None), "timer", ("p", 7)]
         assert sched.events_processed == 3
-
-    def test_pending_records_pickle(self):
-        """The queue is part of a service checkpoint: bound methods plus
-        plain fields must round-trip and fire in the same order."""
-        import pickle
-
-        sched = EventScheduler()
-        sink = _Sink()
-        sched.schedule_call(2.0, sink.take, "late", 2)
-        sched.schedule(1.0, sink.tick)
-        sched.schedule_call(1.0, sink.take, "early", 1)
-        restored, restored_sink = pickle.loads(pickle.dumps((sched, sink)))
-        restored.run()
-        assert restored_sink.seen == ["tick", ("early", 1), ("late", 2)]
-        assert sink.seen == []
 
     def test_events_processed_is_live_inside_an_event(self):
         sched = EventScheduler()
