@@ -72,6 +72,8 @@ smoke:
 	! grep -rnw pickle src/repro/service/
 	! grep -rnwIE "CHECKPOINT_MAGIC|_BODY_ERRORS" \
 	    src/ examples/ README.md .claude/
+	! grep -rnIE 'engine="aimd"|--engine aimd|--engine maxmin|_FLUID_ENGINES|active_mask' \
+	    src/ examples/ README.md .claude/ .github/
 	wc -l src/repro/routing/*.py
 	find src -name '*.py' | xargs wc -l | tail -1
 
@@ -132,7 +134,8 @@ bench-routing:
 	    benchmarks/test_batched_routing.py -q -o testpaths=
 
 # Live-service gate: checkpoint -> restore (replay) -> continue must be
-# bit-identical to never stopping (packet + max-min fluid engines), and
+# bit-identical to never stopping (the service's two engines, packet and
+# fluid, i.e. max-min), and
 # a restore may cost at most 2x building the service and advancing it
 # to the checkpoint's clock (results/service_restore.txt).
 bench-service:
@@ -151,9 +154,11 @@ bench-cc:
 bench-e2e:
 	$(PYTHON) -m pytest benchmarks/e2e/test_selfcheck.py -q -o testpaths=
 
-# AIMD gate (~9 s): the paper's Fig. 10 run — the one fluid engine no
-# other gate or BENCHMARK.json workload executes — must keep the dynamic
-# network leaving more bandwidth unused than the frozen one.
+# AIMD gate (~9 s): the paper's Fig. 10 run — the fluid AIMD model of
+# long-running flows, which only Fig. 10 and the fluid-vs-packet
+# ablation build (no service, CLI or BENCHMARK.json workload runs it) —
+# must keep the dynamic network leaving more bandwidth unused than the
+# frozen one.
 bench-fig10:
 	$(PYTHON) -m pytest benchmarks/test_fig10_unused_bandwidth.py -q \
 	    -o testpaths=

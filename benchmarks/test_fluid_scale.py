@@ -67,7 +67,7 @@ LINK_CAPACITY_BPS = 10e6
 MIN_SPEEDUP = 10.0
 MAX_SOLVE_S = 2.0  # "interactive speed": one snapshot allocation budget
 SPEEDUP_CORES = 4
-SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 192, 256, 512, 1024, 1536, 2048]
 REUSE_STEPS = 6
 
 _CACHE = {}

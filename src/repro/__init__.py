@@ -12,7 +12,7 @@ reimplements the full system from scratch:
   time-varying shortest-path forwarding state;
 * :mod:`repro.simulation` / :mod:`repro.transport` — packet-level
   discrete-event simulation with TCP NewReno, TCP Vegas, UDP, ping;
-* :mod:`repro.fluid` — flow-level max-min and AIMD engines;
+* :mod:`repro.fluid` — flow-level max-min engine and Fig. 10's AIMD model;
 * :mod:`repro.faults` — deterministic, seeded fault schedules (outages,
   link cuts, stochastic loss) applied across every engine;
 * :mod:`repro.traffic` — gravity-model demand matrices and seeded

@@ -16,7 +16,7 @@ Usage (installed as ``python -m repro``):
    python -m repro report K1 Manila Dalian --faults faults.json
    python -m repro sweep K1 --faults faults.json --workers 4
    python -m repro traffic -o workload.json --seed 7   # gravity workload
-   python -m repro report K1 --engine maxmin --workload workload.json
+   python -m repro report K1 --engine fluid --workload workload.json
    python -m repro sweep K1 --workload workload.json --workers 4
    python -m repro report K1 Manila Dalian --profile-out trace.json
    python -m repro sweep K1 --workers 4 --profile-out trace.json
@@ -36,6 +36,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .service.checkpoint import ENGINES
+
 __all__ = ["main", "build_parser"]
 
 
@@ -46,9 +48,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="source city (optional with --workload)")
     parser.add_argument("dst_city", nargs="?", default=None,
                         help="destination city (optional with --workload)")
-    parser.add_argument("--engine", choices=("packet", "aimd", "maxmin"),
-                        default="packet",
-                        help="packet simulator (default) or a fluid engine")
+    parser.add_argument("--engine", choices=ENGINES, default="packet",
+                        help="packet simulator (default) or the max-min "
+                             "fluid engine")
     parser.add_argument("--duration", type=float, default=10.0)
     parser.add_argument("--step", type=float, default=1.0,
                         help="probe/snapshot interval (seconds)")
@@ -71,10 +73,9 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("shell", nargs="?", default=None,
                         help="shell name (optional with --connect / "
                              "--inspect / --resume)")
-    parser.add_argument("--engine", choices=("packet", "fluid", "aimd"),
-                        default="packet",
-                        help="packet simulator (default), the max-min "
-                             "fluid engine or the AIMD fluid engine")
+    parser.add_argument("--engine", choices=ENGINES, default="packet",
+                        help="packet simulator (default) or the max-min "
+                             "fluid engine")
     parser.add_argument("--cities", type=int, default=100,
                         help="ground stations (top-N cities)")
     parser.add_argument("--horizon", type=float, default=60.0,
@@ -533,8 +534,7 @@ def _cmd_report(args) -> int:
             flows = ([FluidFlow(pair[0], pair[1])] if pair is not None
                      else [])
             fluid = hypatia.build_fluid_simulation(
-                flows, mode=args.engine, metrics=registry,
-                workload=workload)
+                flows, metrics=registry, workload=workload)
             result = fluid.run(args.duration, step_s=args.step)
             report = result.report(registry=registry)
     finally:

@@ -7,7 +7,7 @@ paper's experiments run on:
 * **geometry**: snapshots, pair RTT/path timelines (`compute_timelines`);
 * **packet simulation**: a ready-to-run :class:`PacketSimulator`
   (`build_packet_simulator`) to attach ping/TCP/UDP applications to;
-* **fluid simulation**: constellation-wide max-min or AIMD traffic
+* **fluid simulation**: constellation-wide max-min traffic
   (`build_fluid_simulation`).
 
 Example:
@@ -25,7 +25,6 @@ import numpy as np
 
 from ..constellations.builder import Constellation
 from ..constellations.definitions import ALL_SHELLS, shell_by_name
-from ..fluid.aimd import AimdFluidSimulation
 from ..fluid.engine import FluidFlow, FluidSimulation
 from ..ground.stations import GroundStation, ground_stations_from_cities
 from ..obs.metrics import MetricsRegistry
@@ -182,35 +181,32 @@ class Hypatia:
 
     def build_fluid_simulation(self, flows: Sequence[FluidFlow] = (),
                                link_capacity_bps: float = 10_000_000.0,
-                               mode: str = "aimd",
+                               mode: str = "maxmin",
                                metrics: Optional["MetricsRegistry"] = None,
-                               workload=None):
-        """A fluid traffic engine over this network.
+                               workload=None) -> FluidSimulation:
+        """The max-min fluid traffic engine over this network.
 
         Args:
             flows: Long-running flows (may be empty when ``workload``
                 supplies the traffic).
             link_capacity_bps: Uniform device capacity.
-            mode: ``"aimd"`` (TCP-like dynamics, default) or ``"maxmin"``
-                (instant fair-share equilibrium).
+            mode: ``"maxmin"``, the only fluid mode this facade builds
+                (the AIMD model of Fig. 10 is
+                :class:`~repro.fluid.aimd.AimdFluidSimulation`).
             metrics: Optional registry receiving per-snapshot series.
             workload: Optional :class:`repro.traffic.WorkloadSchedule`;
                 its finite flows are appended after ``flows`` and the
                 engine re-solves on every arrival/completion.
         """
+        if mode != "maxmin":
+            raise ValueError(f"unknown fluid mode {mode!r}; the facade "
+                             f"builds 'maxmin' only")
         flows = list(flows)
         if workload is not None:
             flows.extend(workload.as_fluid_flows())
-        if mode == "aimd":
-            return AimdFluidSimulation(
-                self.network, flows, link_capacity_bps=link_capacity_bps,
-                metrics=metrics)
-        if mode == "maxmin":
-            return FluidSimulation(
-                self.network, flows, link_capacity_bps=link_capacity_bps,
-                metrics=metrics)
-        raise ValueError(f"unknown fluid mode {mode!r}; "
-                         f"use 'aimd' or 'maxmin'")
+        return FluidSimulation(
+            self.network, flows, link_capacity_bps=link_capacity_bps,
+            metrics=metrics)
 
 
 def _default_elevation_for(shell: Shell) -> float:

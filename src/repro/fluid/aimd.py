@@ -28,6 +28,10 @@ newly shared.  This module models those dynamics in fluid form:
 
 Slight per-flow desynchronization of the additive slope avoids the
 lockstep halving a perfectly symmetric fluid model would produce.
+
+The engine models long-running flows only (paper Fig. 10 and the
+fluid-vs-packet ablation): a workload of arrivals and finite transfers
+runs on the max-min engine.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import spans
-from ..obs.metrics import MetricsRegistry
 from ..topology.network import LeoNetwork
 from .engine import (ClassPaths, FluidFlow, FluidRunState, FluidSimulation,
                      first_appearance_columns, no_flows, table_devices)
@@ -67,7 +70,6 @@ class AimdRunState(FluidRunState):
     Attributes:
         send_rates: (F,) current sending rate of each flow.
         last_decrease: (F,) time of each flow's last multiplicative decrease.
-        active_mask: (F,) whether the flow has started and not completed.
         previous_sat_sets: Per-flow satellites of the previous path.
         backlog_codes / backlog_bits: The non-empty drop-tail backlogs as
             parallel (device code, bits) arrays, in column order.
@@ -75,7 +77,6 @@ class AimdRunState(FluidRunState):
 
     send_rates: np.ndarray = no_flows()
     last_decrease: np.ndarray = no_flows()
-    active_mask: np.ndarray = no_flows(bool)
     previous_sat_sets: List[Optional[frozenset]] = field(default_factory=list)
     backlog_codes: np.ndarray = no_flows(np.int64)
     backlog_bits: np.ndarray = no_flows()
@@ -85,11 +86,7 @@ class AimdFluidSimulation(FluidSimulation):
     """TCP-like AIMD rate evolution over shifting shortest paths.
 
     Supplies only the per-snapshot dynamics to the inherited snapshot
-    loop.  Finite flows (``size_bytes`` set) integrate their residual at
-    substep granularity: a flow entering at ``start_s`` begins at the
-    rate floor (slow-start restart), transfers at its AIMD rate, and
-    leaves the offered load once its residual reaches zero — the
-    completion time lands on the substep grid (within one RTT).
+    loop.  Every flow is long-running and active from t = 0.
 
     Args:
         network: The LEO network.
@@ -97,8 +94,10 @@ class AimdFluidSimulation(FluidSimulation):
         link_capacity_bps: Uniform device capacity (paper: 10 Mbit/s).
         freeze_topology_at_s: If set, routes are frozen at this time — the
             "static network" baseline (gray line of Fig. 10).
-        metrics: Optional registry; when given, the run records the same
-            per-snapshot series as :class:`~repro.fluid.engine.FluidSimulation`.
+
+    Raises:
+        ValueError: A flow starts after t = 0 or has a finite size (run
+            such a workload on the max-min engine).
     """
 
     ENGINE = "aimd"
@@ -107,15 +106,16 @@ class AimdFluidSimulation(FluidSimulation):
 
     def __init__(self, network: LeoNetwork, flows: Sequence[FluidFlow],
                  link_capacity_bps: float = 10_000_000.0,
-                 freeze_topology_at_s: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 freeze_topology_at_s: Optional[float] = None) -> None:
+        _refuse_workload(flows)
         super().__init__(network, flows, link_capacity_bps,
-                         freeze_topology_at_s, metrics=metrics)
+                         freeze_topology_at_s)
         from ..simulation.positions import PositionService
         self._positions = PositionService(network, quantum_s=0.1)
 
     def extend_flows(self, state: AimdRunState,
                      flows: Sequence[FluidFlow]) -> int:
+        _refuse_workload(flows)
         first = super().extend_flows(state, flows)
         count = len(self.flows) - first
 
@@ -123,12 +123,9 @@ class AimdFluidSimulation(FluidSimulation):
             return np.concatenate([array, np.full(count, fill)])
 
         # Start every flow at its fair-share guess: capacity split by a
-        # nominal contention of 2 (flows converge within a few steps);
-        # flows arriving later enter at the rate floor when they activate.
+        # nominal contention of 2 (flows converge within a few steps).
         state.send_rates = grown(state.send_rates,
                                  self.link_capacity_bps / 2.0)
-        state.active_mask = np.concatenate([state.active_mask,
-                                            state.starts[first:] <= 0.0])
         state.last_decrease = grown(state.last_decrease, -np.inf)
         state.previous_sat_sets.extend([None] * count)
         return first
@@ -138,13 +135,10 @@ class AimdFluidSimulation(FluidSimulation):
         """One snapshot step: ``substeps`` RTT-granularity AIMD updates
         over the step's flat (flow, device) incidence."""
         profiler = spans.ACTIVE
-        candidates = step.candidates
         num_flows = len(state.starts)
         flow_rows = step.flow_rows(num_flows)
         capacity = self.link_capacity_bps
         rates, last_decrease = state.send_rates, state.last_decrease
-        active_mask, starts = state.active_mask, state.starts
-        residual_bits = state.residual_bits
         # Invariant per-flow rate ceiling (demand- and capacity-capped).
         rate_cap = np.minimum(capacity, state.demand_caps)
         # AIMD and queue dynamics integrate at RTT granularity; paths only
@@ -235,20 +229,11 @@ class AimdFluidSimulation(FluidSimulation):
                     if profiler.enabled else -1)
         for sub in range(substeps):
             sub_time = time_s + sub * dt
-            if state.dynamic:
-                # Activate flows whose start time has arrived; they
-                # enter at the floor (slow-start restart semantics).
-                newly = candidates[~active_mask[candidates]
-                                   & (starts[candidates] <= sub_time)]
-                active_mask[newly] = True
-                rates[newly] = FLOOR_BPS
             # Offered load per device from current rates.
-            ent_active = active_mask[ent_flow]
-            act_cols = ent_col[ent_active]
             loads = np.zeros(num_devs)
-            np.add.at(loads, act_cols, rates[ent_flow[ent_active]])
+            np.add.at(loads, ent_col, rates[ent_flow])
             loaded = np.zeros(num_devs, dtype=bool)
-            loaded[act_cols] = True
+            loaded[ent_col] = True
             touched |= loaded | (backlog > 0.0)
             # Virtual drop-tail queues: overload builds backlog, spare
             # capacity drains it; hitting the cap signals drops.
@@ -259,41 +244,18 @@ class AimdFluidSimulation(FluidSimulation):
             overflow = loaded & (leftover > QUEUE_BITS)
             backlog = np.minimum(leftover, QUEUE_BITS)
             served_bits_arr += served
-            if state.dynamic:
-                # Residual-size integration: a flow transfers at its
-                # sending rate; a finite one completes (leaving the
-                # offered load) once its residual is gone.
-                act = candidates[active_mask[candidates]
-                                 & has_dev[candidates]]
-                served_f = np.minimum(rates[act] * dt, residual_bits[act])
-                state.delivered_bits[act] += served_f
-                residual_bits[act] -= served_f
-                done_local = residual_bits[act] <= 1e-3
-                done = act[done_local]
-                if done.size:
-                    residual_bits[done] = 0.0
-                    done_rates = rates[done]
-                    positive = done_rates > 0.0
-                    safe = np.where(positive, done_rates, 1.0)
-                    end_time = np.where(
-                        positive,
-                        sub_time + served_f[done_local] / safe,
-                        sub_time + dt)
-                    state.fct_s[done] = end_time - starts[done]
-                    active_mask[done] = False
-            # AIMD reaction.
+            # AIMD reaction of every connected flow.
             rates[~has_dev] = FLOOR_BPS  # restart on reconnection
-            react = active_mask & has_dev
             drop_hit = np.zeros(num_flows, dtype=bool)
             drop_hit[ent_flow[overflow[ent_col]]] = True
-            decrease = (react & drop_hit
+            decrease = (has_dev & drop_hit
                         & (sub_time - last_decrease >= flow_rtt))
             rates[decrease] = np.maximum(rates[decrease] / 2.0,
                                          FLOOR_BPS)
             last_decrease[decrease] = sub_time
-            grow = react & ~decrease
+            grow = has_dev & ~decrease
             rates[grow] += increase_dt[grow]
-            rates[react] = np.minimum(rates[react], rate_cap[react])
+            rates[has_dev] = np.minimum(rates[has_dev], rate_cap[has_dev])
         if sub_span != -1:
             profiler.end(sub_span)
         held = np.flatnonzero(backlog > 0.0)
@@ -302,6 +264,16 @@ class AimdFluidSimulation(FluidSimulation):
         # Utilization over the step is what a 1 s monitor would report.
         utilization = {dev_keys[j]: float(served_bits_arr[j]) / state.step_s
                        for j in np.flatnonzero(touched)}
-        state.rates[t_index] = np.where(has_dev & active_mask, rates, 0.0)
+        state.rates[t_index] = np.where(has_dev, rates, 0.0)
         self._record_snapshot(state, t_index, time_s, step, utilization,
-                              active_count=int(active_mask.sum()))
+                              active_count=num_flows)
+
+
+def _refuse_workload(flows: Sequence[FluidFlow]) -> None:
+    """Refuse a flow that is not long-running from t = 0."""
+    for flow in flows:
+        if flow.start_s > 0.0 or flow.size_bytes is not None:
+            raise ValueError(
+                f"the AIMD engine runs long-running flows from t = 0 "
+                f"only; {flow} arrives late or is finite: run it on the "
+                f"max-min engine (FluidSimulation)")

@@ -577,11 +577,12 @@ class FluidSimulation:
 
     Args:
         network: The LEO network.
-        flows: The long-running flows.
-        link_capacity_bps: Uniform device capacity (paper: 10 Mbit/s).
+        flows: The flows.
+        link_capacity_bps: Uniform device capacity (paper: 10 Mbit/s),
+            finite and positive.
         freeze_topology_at_s: If not None, routes and geometry are frozen
-            at this time — the "static network" baseline (gray line of
-            Fig. 10).
+            at this finite time — the "static network" baseline (gray
+            line of Fig. 10).
         metrics: Optional registry; when given, the run records the
             per-snapshot series ``fluid.connected_flows``,
             ``fluid.mean_rate_bps`` and ``fluid.peak_utilization``.
@@ -599,8 +600,13 @@ class FluidSimulation:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if not flows:
             raise ValueError("need at least one flow")
-        if link_capacity_bps <= 0.0:
-            raise ValueError("capacity must be positive")
+        if not 0.0 < link_capacity_bps < float("inf"):
+            raise ValueError(f"capacity must be finite and positive, "
+                             f"got {link_capacity_bps}")
+        if freeze_topology_at_s is not None and not isfinite(
+                freeze_topology_at_s):
+            raise ValueError(f"freeze time must be finite, "
+                             f"got {freeze_topology_at_s}")
         self.network = network
         self.flows = list(flows)
         self.link_capacity_bps = link_capacity_bps
@@ -853,7 +859,7 @@ class FluidSimulation:
                 f"advance() it to completion before finish()")
         dynamic = state.dynamic
         perf = {"snapshots_computed": float(len(state.times))}
-        if dynamic and state.solves:  # AIMD solves no allocation
+        if dynamic:
             perf["allocations_solved"] = float(state.solves)
         return FluidResult(times_s=state.times,
                            flow_rates_bps=state.rates,

@@ -49,11 +49,10 @@ __all__ = [
 
 #: Largest solve — rows, and traversal entries over those rows — that
 #: :func:`waterfill` runs on Python scalars instead of arrays.  Measured
-#: (``make bench-fluid-scale``): the scalar kernel is >= 1.5x faster
-#: here, level at 512-1024 entries, and >= 1.5x slower at 2048 — its worst
-#: case is freezing events x live links, so the bound sits below the
-#: crossover.
-SMALL_SOLVE_ENTRIES = 256
+#: (``make bench-fluid-scale``): the scalar kernel is >= 1.25x faster
+#: here on every row source, loses on some at 192-256 entries, and is
+#: >= 1.6x slower at 1024 (8x the bound).
+SMALL_SOLVE_ENTRIES = 128
 
 _INF = float("inf")
 _UNCONSTRAINED = ("some flows are unconstrained (infinite demand and no "

@@ -42,8 +42,9 @@ __all__ = [
 #: The document layout and log vocabulary this build writes and reads.
 CHECKPOINT_FORMAT = "repro-service-replay/1"
 
-#: The engines a service runs, and so a checkpoint may name.
-ENGINES = ("packet", "fluid", "aimd")
+#: The engines a service runs, a checkpoint may name and the CLI offers:
+#: the packet simulator and the max-min fluid engine.
+ENGINES = ("packet", "fluid")
 
 
 #: The mutating service methods a log entry may name, each with the

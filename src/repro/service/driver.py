@@ -1,7 +1,7 @@
 """The live simulation core: build, advance, mutate, checkpoint.
 
 A :class:`LiveSimulationService` wraps one engine — the packet
-simulator or one of the fluid engines (max-min, AIMD) — built from a
+simulator or the max-min fluid engine — built from a
 :class:`~repro.sweep.spec.NetworkSpec`, and exposes the operations a
 long-lived service needs:
 
@@ -39,7 +39,6 @@ import numpy as np
 
 from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
-from ..fluid.aimd import AimdFluidSimulation
 from ..fluid.engine import FluidRunState, FluidSimulation
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
@@ -50,10 +49,6 @@ from ..traffic.spawner import WorkloadSpawner, packet_fct_section
 from .checkpoint import ENGINES, load_checkpoint, save_checkpoint
 
 __all__ = ["LiveSimulationService", "ServiceError"]
-
-#: The fluid engines by ``engine`` name; they share one resumable loop
-#: and run state, so everything past construction is common.
-_FLUID_ENGINES = {"fluid": FluidSimulation, "aimd": AimdFluidSimulation}
 
 
 class ServiceError(RuntimeError):
@@ -66,13 +61,12 @@ class LiveSimulationService:
     Args:
         spec: The network recipe; its fingerprint identifies the
             network in every checkpoint.
-        engine: ``"packet"``, ``"fluid"`` (the max-min engine) or
-            ``"aimd"``.
+        engine: ``"packet"`` or ``"fluid"`` (the max-min engine).
         horizon_s: Simulated end of the run, finite and positive.  Both
             engines pre-commit their snapshot/epoch schedule to it.
         epoch_s: Epoch granularity of :meth:`advance_epoch`, finite and
             positive; for the fluid engine also the snapshot step.
-        link_capacity_bps: Fluid device capacity.
+        link_capacity_bps: Fluid device capacity, finite and positive.
         meta: Free-form JSON-expressible provenance stamped into every
             checkpoint header.
 
@@ -96,6 +90,9 @@ class LiveSimulationService:
         if not 0.0 < epoch_s < math.inf:
             raise ServiceError(
                 f"epoch must be finite and positive, got {epoch_s}")
+        if not 0.0 < link_capacity_bps < math.inf:
+            raise ServiceError(f"link capacity must be finite and "
+                               f"positive, got {link_capacity_bps}")
         self.initial_spec = self.spec = spec
         self.log: List[list] = []
         self.engine = engine
@@ -109,7 +106,7 @@ class LiveSimulationService:
         if spec.workload is not None:
             self._check_gids(spec.workload.requests)
         #: attach handle -> its spawner (packet) or ``(first flow index,
-        #: flow count)`` (fluid engines).
+        #: flow count)`` (fluid).
         self._attached: Dict[int, Any] = {}
         self._next_handle = 1
 
@@ -131,7 +128,7 @@ class LiveSimulationService:
                     "on the spec (NetworkSpec.with_workload)")
             self.sim = None
             self._spawners = []
-            self.fluid = _FLUID_ENGINES[engine](
+            self.fluid = FluidSimulation(
                 self.network, spec.workload.as_fluid_flows(),
                 link_capacity_bps=self.link_capacity_bps,
                 metrics=self.metrics)
@@ -374,7 +371,7 @@ class LiveSimulationService:
         """The unified run report of the simulation so far.
 
         The packet engine reports at any epoch boundary; the fluid
-        engines report once the horizon is reached (a fluid
+        engine reports once the horizon is reached (a fluid
         :class:`~repro.fluid.engine.FluidResult` is only defined over
         the full committed snapshot schedule).
         """

@@ -193,13 +193,13 @@ class TestCli:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,payload,complaint", [
-        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+        (["report", "K1", "--engine", "fluid", "--workload", "s.json"],
          {"flows": [1, 2]}, "must be a JSON object"),
-        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+        (["report", "K1", "--engine", "fluid", "--workload", "s.json"],
          {"flows": 5}, "must be a list"),
-        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+        (["report", "K1", "--engine", "fluid", "--workload", "s.json"],
          [{"flows": []}], "must be a JSON object"),
-        (["report", "K1", "--engine", "maxmin", "--workload", "s.json"],
+        (["report", "K1", "--engine", "fluid", "--workload", "s.json"],
          {"flows": [], "seed": 2.5}, "seed must be an integer"),
         (["sweep", "K1", "--cities", "5", "--duration", "2",
           "--faults", "s.json"], {"events": 7}, "must be a list"),
@@ -277,7 +277,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["rtt", "K1", "Manila", "Dalian", "--routing", "scratch"],
         ["sweep", "K1", "--routing", "incremental"],
-        ["report", "K1", "Manila", "Dalian", "--engine", "maxmin",
+        ["report", "K1", "Manila", "Dalian", "--engine", "fluid",
          "--kernel", "reference"],
         ["serve", "K1", "--engine", "fluid", "--kernel", "vectorized"],
     ])
@@ -286,6 +286,19 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "K1", "Manila", "Dalian", "--engine", "aimd"],
+        ["report", "K1", "Manila", "Dalian", "--engine", "maxmin"],
+        ["serve", "K1", "--engine", "aimd"],
+        ["checkpoint", "K1", "--engine", "aimd", "-o", "a.ckpt"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[argv.index('--engine') + 1]}")
+    def test_engines_are_packet_and_fluid(self, argv, capsys):
+        """Every command names the two engines the same way."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("statement,error", [
         ("from repro.transport import TcpNewRenoFlow", ImportError),

@@ -105,17 +105,17 @@ class TestHypatiaFacade:
         assert sim.network is hypatia.network
 
     def test_build_fluid_modes(self):
+        """The facade builds the max-min engine only; the AIMD model of
+        Fig. 10 is built as ``AimdFluidSimulation`` directly."""
         hypatia = Hypatia.from_shell_name("K1", num_cities=10)
         flows = [FluidFlow(0, 5)]
-        from repro.fluid.aimd import AimdFluidSimulation
         from repro.fluid.engine import FluidSimulation
-        assert isinstance(hypatia.build_fluid_simulation(flows),
-                          AimdFluidSimulation)
-        assert isinstance(
-            hypatia.build_fluid_simulation(flows, mode="maxmin"),
-            FluidSimulation)
-        with pytest.raises(ValueError):
-            hypatia.build_fluid_simulation(flows, mode="quantum")
+        for built in (hypatia.build_fluid_simulation(flows),
+                      hypatia.build_fluid_simulation(flows, mode="maxmin")):
+            assert type(built) is FluidSimulation
+        for mode in ("aimd", "quantum"):
+            with pytest.raises(ValueError, match="'maxmin' only"):
+                hypatia.build_fluid_simulation(flows, mode=mode)
 
     def test_gsl_policy_passthrough(self):
         hypatia = Hypatia.from_shell_name(

@@ -764,7 +764,7 @@ class TestFaultsCli:
                       seed=2).to_json(spec)
         out_path = str(tmp_path / "report.json")
         code = main(["report", "K1", "Manila", "Dalian",
-                     "--engine", "maxmin", "--duration", "2",
+                     "--engine", "fluid", "--duration", "2",
                      "--faults", spec, "-o", out_path])
         assert code == 0
         payload = json.loads(open(out_path).read())

@@ -40,7 +40,7 @@ from repro.service import (CHECKPOINT_FORMAT, CheckpointError,
                            LiveSimulationService, ServiceClient,
                            ServiceClientError, ServiceError, ServiceServer,
                            load_checkpoint, read_checkpoint_header)
-
+from repro.service.checkpoint import ENGINES
 from repro.sweep.spec import NetworkSpec
 from repro.topology.gsl import GslPolicy
 from repro.topology.network import LeoNetwork
@@ -164,7 +164,6 @@ _DOCUMENT_FIELDS = {"format", "engine", "horizon_s", "epoch_s",
                     "spec", "log", "state_digest"}
 
 
-ENGINES = ["packet", "fluid"]
 #: Test ids keep the suffix they had while the fluid engine still had a
 #: second kernel, so results stay comparable across PRs.
 ENGINE_IDS = ["packet-vectorized", "fluid-vectorized"]
@@ -304,13 +303,14 @@ class TestCheckpointContainer:
                               service.state.residual_bits)
 
     @pytest.mark.parametrize("field,value", [
-        ("engine", "bogus"), ("time_s", "abc"), ("time_s", None),
-        ("meta", [1, 2]), ("horizon_s", 0.0), ("epoch_s", 2),
-        ("link_capacity_bps", -1.0), ("spec_hash", None),
+        ("engine", "bogus"), ("engine", "aimd"), ("time_s", "abc"),
+        ("time_s", None), ("meta", [1, 2]), ("horizon_s", 0.0),
+        ("epoch_s", 2), ("link_capacity_bps", -1.0), ("spec_hash", None),
         ("state_digest", 7)],
-        ids=["engine-bogus", "time_s-abc", "time_s-null", "meta-list",
-             "horizon_s-zero", "epoch_s-int", "link_capacity_bps-negative",
-             "spec_hash-null", "state_digest-int"])
+        ids=["engine-bogus", "engine-aimd", "time_s-abc", "time_s-null",
+             "meta-list", "horizon_s-zero", "epoch_s-int",
+             "link_capacity_bps-negative", "spec_hash-null",
+             "state_digest-int"])
     def test_malformed_header_field_is_refused_before_unpickling(
             self, tmp_path, monkeypatch, field, value):
         """One patched header field of a valid checkpoint is refused,
@@ -852,25 +852,6 @@ class TestRoundTripDeterminism:
         assert np.array_equal(restored.fct_values(),
                               baseline.fct_values(), equal_nan=True)
 
-    def test_aimd_epoch_boundary_round_trip(self, tmp_path):
-        """The AIMD engine's extra run state (sending rates, holdoffs,
-        drop-tail backlogs) rides in the checkpoint like max-min's."""
-        baseline = _make_service("aimd")
-        baseline.run_to_horizon()
-        assert baseline.report().as_dict()["kind"] == "fluid.aimd"
-
-        interrupted = _make_service("aimd")
-        interrupted.advance_epoch(5)
-        restored = _round_trip(interrupted, tmp_path / "mid.ckpt")
-        assert (restored.engine, restored.clock_s) == ("aimd", 5.0)
-        restored.run_to_horizon()
-
-        assert np.array_equal(restored.state.rates, baseline.state.rates)
-        assert baseline.state.rates.any()
-        assert np.array_equal(restored.fct_values(), baseline.fct_values())
-        assert len(baseline.fct_values()) > 0
-        assert _report_json(restored) == _report_json(baseline)
-
     def test_every_pending_record_kind_round_trips(self, tmp_path):
         """A packet checkpoint taken while tx-finish and arrival records
         (bound method + packet + node fields) and RTO and forwarding
@@ -931,6 +912,25 @@ class TestRoundTripDeterminism:
             LiveSimulationService(
                 _small_spec().with_workload(_small_workload()),
                 engine="warp", horizon_s=HORIZON_S)
+
+    def test_aimd_engine_rejected(self):
+        """The AIMD fluid model runs long-running flows for Fig. 10
+        only; a service names the packet or the max-min engine."""
+        with pytest.raises(ServiceError,
+                           match="unknown engine 'aimd'.*packet, fluid"):
+            _make_service("aimd")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0,
+                                     -1.0])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_link_capacity_must_be_finite_and_positive(self, engine, bad):
+        """A service used to build, advance and save with any capacity,
+        then refuse to resume its own checkpoint (and write NaN as
+        non-standard JSON)."""
+        with pytest.raises(ServiceError, match="finite and positive"):
+            LiveSimulationService(
+                _small_spec().with_workload(_small_workload()),
+                engine=engine, horizon_s=HORIZON_S, link_capacity_bps=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0,
                                      -1.0])
@@ -1145,7 +1145,7 @@ class TestLiveMutation:
             service.attach_workload(later)
             service.advance_epoch(1)
 
-        for engine in ("packet", "fluid", "aimd"):
+        for engine in ENGINES:
             baseline = _make_service(engine)
             second_half(baseline, first_half(baseline))
             baseline.run_to_horizon()
@@ -1170,13 +1170,12 @@ class TestOutOfRangeGids:
     request); on the packet engine the requests sorted before the bad
     one ran as flows no status, FCT or report ever showed."""
 
-    ALL_ENGINES = ["packet", "fluid", "aimd"]
     #: Six stations: gid 99 does not exist.  The good request sorts
     #: first, so a per-request install would have started it.
     BAD = WorkloadSchedule([FlowRequest(4.0, 0, 1, 30_000),
                             FlowRequest(5.0, 0, 99, 1_000)], seed=5)
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_rejected_attach_leaves_no_trace(self, engine):
         untouched = _make_service(engine)
         service = _make_service(engine)
@@ -1193,7 +1192,7 @@ class TestOutOfRangeGids:
         assert _report_json(service) == _report_json(untouched)
         assert service.metrics_dict() == untouched.metrics_dict()
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_constructor_rejects_it_too(self, engine):
         with pytest.raises(ServiceError, match="outside"):
             _make_service(engine,

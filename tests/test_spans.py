@@ -296,7 +296,7 @@ class TestCli:
         report = tmp_path / "report.json"
         metrics = tmp_path / "metrics.json"
         code = main(["report", "S1", "New York", "London",
-                     "--engine", "maxmin", "--duration", "4",
+                     "--engine", "fluid", "--duration", "4",
                      "--step", "2", "--profile-out", str(trace),
                      "-o", str(report),
                      "--metrics-out", str(metrics)])

@@ -377,17 +377,13 @@ class TestFiniteFluidFlows:
             duration_s=6.0, step_s=1.0)
         assert result.flow_fct_s[0] == pytest.approx(0.2, abs=1e-6)
 
-    def test_aimd_completes_finite_flows(self, small_network):
-        sim = AimdFluidSimulation(small_network,
-                                  self._workload().as_fluid_flows(),
-                                  link_capacity_bps=self.RATE)
-        result = sim.run(duration_s=30.0, step_s=1.0)
-        assert result.flow_fct_s is not None
-        assert np.isfinite(result.flow_fct_s).all()
-        # AIMD delivers every byte, at substep resolution.
-        np.testing.assert_allclose(result.flow_delivered_bits,
-                                   result.flow_offered_bits, rtol=1e-6)
-        assert result.perf_summary()["flows_completed"] == 3.0
+    def test_aimd_refuses_finite_flows(self, small_network):
+        """Finite flows run on the max-min engine: AIMD models the
+        long-running flows of Fig. 10 only."""
+        with pytest.raises(ValueError, match="max-min"):
+            AimdFluidSimulation(small_network,
+                                self._workload().as_fluid_flows(),
+                                link_capacity_bps=self.RATE)
 
     def test_static_run_reports_no_fct(self, small_network):
         result = FluidSimulation(small_network, [FluidFlow(0, 3)],
@@ -648,7 +644,7 @@ class TestTrafficCli:
         WorkloadSchedule([FlowRequest(0.0, 0, 40, 50_000)],
                          seed=0).to_json(str(workload))
         out = tmp_path / "report.json"
-        code = main(["report", "K1", "--engine", "maxmin",
+        code = main(["report", "K1", "--engine", "fluid",
                      "--workload", str(workload), "--duration", "4",
                      "--step", "2", "-o", str(out)])
         assert code == 0
@@ -699,7 +695,7 @@ class TestTrafficCli:
 
     def test_report_without_pair_or_workload_fails(self, capsys):
         from repro.cli import main
-        code = main(["report", "K1", "--engine", "maxmin"])
+        code = main(["report", "K1", "--engine", "fluid"])
         assert code != 0
 
     def test_fct_buckets_exported(self):

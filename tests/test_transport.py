@@ -221,6 +221,34 @@ class TestTcpLossRecovery:
         assert not tcp._out_of_order
 
 
+class TestNewRenoFairness:
+    """Textbook anchor: NewReno flows of one RTT sharing one bottleneck
+    (all from Quito to Honolulu, through Quito's 10 Mbit/s uplink and
+    its 100-packet queue) split it fairly — Jain's index of the goodputs
+    over the second half of an 8 s run is >= 0.95."""
+
+    DURATION_S = 8.0
+
+    @pytest.mark.parametrize("num_flows", [
+        2,
+        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+            "finding: after the synchronized slow-start overshoot the "
+            "first flow keeps about twice the others' share for several "
+            "sawtooth cycles (~4 s each): Jain over 4-8 s reads 0.85 "
+            "(EXPERIMENTS.md)")))])
+    def test_second_half_jain_index(self, small_network, num_flows):
+        sim = PacketSimulator(small_network)
+        flows = [TcpFlow(0, 3).install(sim) for _ in range(num_flows)]
+        sim.run(self.DURATION_S / 2)
+        half = np.array([flow.acked_payload_bytes for flow in flows])
+        sim.run(self.DURATION_S)
+        goodput = np.array([flow.acked_payload_bytes
+                            for flow in flows]) - half
+        jain = goodput.sum() ** 2 / (num_flows * (goodput ** 2).sum())
+        assert goodput.sum() * 8 / (self.DURATION_S / 2) > 8e6
+        assert jain >= 0.95, f"Jain {jain:.3f} over {goodput.tolist()}"
+
+
 class TestVegas:
     def test_keeps_queue_nearly_empty(self, small_network):
         """Vegas' RTT stays near the base RTT (paper Fig. 5(a) before the
