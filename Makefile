@@ -6,11 +6,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-e2e bench-fig10 clean
+	bench-service bench-cc bench-e2e bench-fig10 bench-transport clean
 
 check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
 	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e \
-	bench-fig10
+	bench-fig10 bench-transport
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -113,8 +113,9 @@ bench-traffic:
 # >= 1e5 concurrent flows at >= 10x the per-flow solver; waterfill's
 # scalar and array kernels must agree bit-for-bit from 8 to 2048
 # traversal entries, the scalar one no slower at SMALL_SOLVE_ENTRIES and
-# the array one no slower at 8x that (results/fluid_small_solves.txt;
-# timing halves auto-skip below 4 cores).
+# the array one no slower at 8x that, both timed through waterfill_lists
+# in interleaved rounds (results/fluid_small_solves.txt; timing halves
+# auto-skip below 4 cores).
 bench-fluid-scale:
 	$(PYTHON) -m pytest benchmarks/test_fluid_scale.py -q -o testpaths=
 
@@ -162,6 +163,13 @@ bench-e2e:
 bench-fig10:
 	$(PYTHON) -m pytest benchmarks/test_fig10_unused_bandwidth.py -q \
 	    -o testpaths=
+
+# Transport anchor (~20 s): NewReno goodput under random uplink loss at
+# p = 0.005, 0.01, 0.02 (60 s, five fault seeds) must keep its median
+# ratio to the Mathis et al. bound within [0.7, 1.4]
+# (results/transport_mathis.txt).
+bench-transport:
+	$(PYTHON) -m pytest benchmarks/test_transport_anchors.py -q -o testpaths=
 
 # The scalability benches touched by the batched routing path.
 bench-fig2:

@@ -29,11 +29,13 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   to ``results/fluid_scale.txt``.
 * **The small-solve bound is measured.**  ``waterfill`` runs solves of
   at most ``SMALL_SOLVE_ENTRIES`` rows and traversal entries on Python
-  scalars.  Both kernels are timed from 8 to 2048 entries on K1 path
-  rows and on random sparse rows (equality asserted at every size), the
-  table goes to ``results/fluid_small_solves.txt``, and — on capable
-  machines — the scalar kernel must not be slower at the bound, nor the
-  array kernel at 8x the bound.
+  scalars.  Both kernels are timed through ``waterfill_lists`` (the
+  entry the fluid step's re-solves call) from 8 to 2048 entries on K1
+  path rows and on random sparse rows (equality asserted at every size),
+  interleaved round by round so that the shared machine's slow spells
+  hit both; the table goes to ``results/fluid_small_solves.txt``, and —
+  on capable machines — the scalar kernel must not be slower at the
+  bound, nor the array kernel at 8x the bound.
 """
 
 import os
@@ -50,10 +52,11 @@ from repro import Hypatia
 from repro.fluid.engine import (DeviceIndex, FluidFlow, FluidSimulation,
                                 first_appearance_rows,
                                 flow_link_matrix_from_paths, path_devices)
+from repro.fluid import vectorized
 from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
-                                    _waterfill_arrays, _waterfill_scalars,
-                                    max_min_fair_allocation,
-                                    waterfill)
+                                    _waterfill_arrays,
+                                    max_min_fair_allocation, waterfill,
+                                    waterfill_lists)
 from repro.traffic import TrafficMatrix
 
 from _common import scaled, write_result
@@ -68,6 +71,7 @@ MIN_SPEEDUP = 10.0
 MAX_SOLVE_S = 2.0  # "interactive speed": one snapshot allocation budget
 SPEEDUP_CORES = 4
 SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 192, 256, 512, 1024, 1536, 2048]
+CROSSOVER_ROUNDS = 15
 REUSE_STEPS = 6
 
 _CACHE = {}
@@ -283,20 +287,35 @@ def test_step_reuse_equals_a_cold_walk_every_step():
     assert all(rows < total for rows, total in walked[1:])
 
 
-def _best_us(solve, repeats):
-    """Best-of-5 mean microseconds of ``solve()`` over ``repeats`` calls."""
-    best = np.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            solve()
-        best = min(best, (time.perf_counter() - start) / repeats)
-    return best * 1e6
+def _interleaved_us(kernels, repeats):
+    """Microseconds per call of ``waterfill_lists`` on each of
+    ``kernels`` — ``(bound, solve)``: ``solve`` run with the small-solve
+    bound moved to ``bound`` — timed in turn inside every one of
+    ``CROSSOVER_ROUNDS`` rounds (the order reversed every other round),
+    so that a slow spell of a shared machine hits both alike.  Returns
+    each kernel's median over the rounds and the median of the rounds'
+    ratios first / second."""
+    samples = [[] for _ in kernels]
+    for round_index in range(CROSSOVER_ROUNDS):
+        order = list(enumerate(kernels))
+        for k, (bound, solve) in order[::-1] if round_index % 2 else order:
+            vectorized.SMALL_SOLVE_ENTRIES = bound
+            start = time.perf_counter()
+            for _ in range(repeats):
+                solve()
+            samples[k].append((time.perf_counter() - start) / repeats * 1e6)
+    first, second = (np.array(times) for times in samples)
+    return (float(np.median(first)), float(np.median(second)),
+            float(np.median(first / second)))
 
 
-def test_small_solve_crossover():
+def test_small_solve_crossover(monkeypatch):
     """Where the scalar kernel stops paying: SMALL_SOLVE_ENTRIES is set
     from this table, and must stay on the right side of the crossover.
+
+    Both kernels are timed through ``waterfill_lists`` — the entry the
+    fluid step's re-solves call, lists in and out — with the bound moved
+    so that it runs the one kernel or the other.
 
     Three row sources: K1 gravity class rows with the engine's elastic
     cap (few freezing events, links shared by many rows), random sparse
@@ -319,8 +338,13 @@ def test_small_solve_crossover():
     sources = [("k1_paths", k1, elastic), ("sparse", sparse, elastic),
                ("sparse_distinct_caps", sparse, distinct)]
 
+    # Restored when the test ends, whatever bound a timing left behind.
+    monkeypatch.setattr(vectorized, "SMALL_SOLVE_ENTRIES",
+                        SMALL_SOLVE_ENTRIES)
     lines = [
-        "# fluid small-solve crossover (microseconds per solve, best of 5)",
+        f"# fluid small-solve crossover (microseconds per solve through "
+        f"waterfill_lists: medians of {CROSSOVER_ROUNDS} interleaved rounds,",
+        "# arrays/scalars the median of the rounds' ratios)",
         f"# SMALL_SOLVE_ENTRIES = {SMALL_SOLVE_ENTRIES}: waterfill solves "
         "at most that many rows and traversal",
         "# entries on Python scalars, anything larger on arrays; rates are "
@@ -338,9 +362,18 @@ def test_small_solve_crossover():
             rows = np.arange(int(np.searchsorted(reach, size)) + 1)
             entries = int(reach[rows[-1]])
             dem = caps[rows]
+            row_list, cap_list = rows.tolist(), dem.tolist()
+
+            def solve():
+                return waterfill_lists(matrix, row_list, cap_list, None)
+
+            # Bound -1 runs every solve on arrays, nnz every one on
+            # scalars.
+            kernels = [(-1, solve), (matrix.nnz, solve)]
             rates = _waterfill_arrays(matrix, dem, rows, None)
-            assert np.array_equal(
-                rates, _waterfill_scalars(matrix, dem, rows, None))
+            for bound, _ in kernels:
+                vectorized.SMALL_SOLVE_ENTRIES = bound
+                assert solve() == rates.tolist()
             assert np.array_equal(
                 rates, waterfill(matrix, demands=caps[:matrix.num_flows],
                                  active=rows))
@@ -350,15 +383,11 @@ def test_small_solve_crossover():
                     matrix.indptr[row]:matrix.indptr[row + 1]]]
                  for row in rows], dem))
             repeats = max(3, 2048 // entries)
-            arrays_us = _best_us(
-                lambda: _waterfill_arrays(matrix, dem, rows, None), repeats)
-            scalars_us = _best_us(
-                lambda: _waterfill_scalars(matrix, dem, rows, None), repeats)
-            ratios[name, size] = arrays_us / scalars_us
+            arrays_us, scalars_us, ratio = _interleaved_us(kernels, repeats)
+            ratios[name, size] = ratio
             lines.append(
                 f"{entries:7d} {rows.size:6d} {np.unique(rates).size:6d} "
-                f"{arrays_us:10.1f} {scalars_us:10.1f} "
-                f"{arrays_us / scalars_us:14.2f}")
+                f"{arrays_us:10.1f} {scalars_us:10.1f} {ratio:14.2f}")
     capable = (os.cpu_count() or 1) >= SPEEDUP_CORES
     lines += ["bit_identical                yes",
               f"thresholds_enforced   {('yes' if capable else 'no'):>10}"]

@@ -36,7 +36,7 @@ from ..obs.report import RunReport, fct_summary, fluid_run_report
 from ..routing.engine import UNREACHABLE, PathWalk, path_tuples
 from ..topology.dynamic_state import make_routing_engine, snapshot_times
 from ..topology.network import LeoNetwork
-from .vectorized import FlowLinkMatrix, waterfill
+from .vectorized import FlowLinkMatrix, waterfill, waterfill_lists
 
 __all__ = ["ClassPaths", "DeviceIndex", "FluidFlow", "FluidResult",
            "FluidRunState", "FluidSimulation", "path_devices",
@@ -994,6 +994,9 @@ class FluidSimulation:
             cand = candidates.tolist()
             row_of = row_of_cand.tolist()
             path_of = has_path.tolist()
+            # Valid caps (``FluidFlow`` checks each, the snapshot solve
+            # the rows): the re-solves pass them on unchecked.
+            cap_of = row_demands.tolist()
             arrival_pos = later.tolist()
             kept = active[residual_bits[global_active] > 0.0].tolist()
             arrived = 0
@@ -1015,11 +1018,10 @@ class FluidSimulation:
                     for row in rows:
                         copies[row] += 1
                     solved = list(copies)
-                    rate_of = dict(zip(solved, waterfill(
-                        matrix, demands=row_demands, active=solved,
-                        multiplicity=(None if len(solved) == len(rows)
-                                      else list(copies.values()))
-                        ).tolist()))
+                    rate_of = dict(zip(solved, waterfill_lists(
+                        matrix, solved, [cap_of[row] for row in solved],
+                        None if len(solved) == len(rows)
+                        else list(copies.values()))))
                     rates = [rate_of[row] for row in rows]
                     if solve_span != -1:
                         profiler.end(solve_span)

@@ -31,7 +31,9 @@ solves of at most :data:`SMALL_SOLVE_ENTRIES` rows and traversal entries:
 the same float64 operations in the same order on Python floats and
 lists (5-10x cheaper at 1-16 rows).  It picks by the solve's size alone;
 ``results/fluid_small_solves.txt`` holds the measured crossover the
-constant is set from (DESIGN.md "Small solves").
+constant is set from (DESIGN.md "Small solves").  :func:`waterfill_lists`
+is the same choice for a caller that holds its solve as Python lists
+and checked it once: it skips the checks and the numpy round trips.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ import numpy as np
 __all__ = [
     "FlowLinkMatrix",
     "waterfill",
+    "waterfill_lists",
     "max_min_fair_allocation",
 ]
 
 #: Largest solve — rows, and traversal entries over those rows — that
 #: :func:`waterfill` runs on Python scalars instead of arrays.  Measured
-#: (``make bench-fluid-scale``): the scalar kernel is >= 1.25x faster
-#: here on every row source, loses on some at 192-256 entries, and is
-#: >= 1.6x slower at 1024 (8x the bound).
+#: (``make bench-fluid-scale``): the scalar kernel is >= 1.38x faster
+#: here on every row source, still ahead at 192 entries, loses on some
+#: at 256, and is >= 1.9x slower at 1024 (8x the bound).
 SMALL_SOLVE_ENTRIES = 128
 
 _INF = float("inf")
@@ -250,34 +253,66 @@ def waterfill(matrix: FlowLinkMatrix,
             raise ValueError("demands must be non-negative")
         dem = dem[act]
 
-    if n <= SMALL_SOLVE_ENTRIES:
-        row_columns = matrix._as_lists()[0]
-        if sum(len(row_columns[row])
-               for row in act.tolist()) <= SMALL_SOLVE_ENTRIES:
-            return _waterfill_scalars(matrix, dem, act, multiplicity)
+    if _is_small(matrix, act):
+        row_columns, capacity = matrix._as_lists()
+        return np.array(_waterfill_scalars(
+            row_columns, capacity, act.tolist(), dem.tolist(),
+            None if multiplicity is None else multiplicity.tolist()))
     return _waterfill_arrays(matrix, dem, act, multiplicity)
 
 
-def _waterfill_scalars(matrix: FlowLinkMatrix, dem: np.ndarray,
-                       act: np.ndarray,
-                       multiplicity: Optional[np.ndarray]) -> np.ndarray:
-    """:func:`waterfill`'s kernel for small solves, on Python scalars.
+def waterfill_lists(matrix: FlowLinkMatrix, rows: List[int],
+                    caps: List[float],
+                    copies: Optional[List[int]]) -> List[float]:
+    """:func:`waterfill` for a caller that re-solves one matrix many
+    times and checked its inputs once (the fluid step's sub-events).
 
-    ``dem`` is the validated (n,) cap of each row of ``act``.  Mirrors
+    ``rows`` are distinct row indices, ``caps`` their demand caps
+    (non-negative, not NaN) and ``copies`` their positive integer
+    multiplicities, or ``None`` for one flow each; all aligned with
+    ``rows``.  The same kernels and size rule as :func:`waterfill`, the
+    same rates, as a list; a small solve touches no numpy.
+    """
+    if _is_small(matrix, rows):
+        row_columns, capacity = matrix._as_lists()
+        return _waterfill_scalars(row_columns, capacity, rows, caps, copies)
+    return _waterfill_arrays(
+        matrix, np.array(caps, dtype=float), np.array(rows, dtype=np.int64),
+        None if copies is None else np.array(copies, dtype=float)).tolist()
+
+
+def _is_small(matrix: FlowLinkMatrix, rows: Sequence[int]) -> bool:
+    """Whether a solve of ``rows`` runs on the scalar kernel: at most
+    :data:`SMALL_SOLVE_ENTRIES` rows and traversal entries over them.
+    The row count is tested first, so a large solve never builds the
+    matrix's list view."""
+    if len(rows) > SMALL_SOLVE_ENTRIES:
+        return False
+    row_columns = matrix._as_lists()[0]
+    return sum(len(row_columns[row]) for row in rows) <= SMALL_SOLVE_ENTRIES
+
+
+def _waterfill_scalars(row_columns: List[List[int]], capacity: List[float],
+                       rows: List[int], caps: List[float],
+                       copies: Optional[List[float]]) -> List[float]:
+    """The kernel for small solves, on Python lists and floats.
+
+    ``row_columns`` and ``capacity`` are a matrix's list view
+    (:meth:`FlowLinkMatrix._as_lists`), ``caps`` and ``copies`` the
+    checked caps and multiplicities of ``rows`` (``None``: one each);
+    returns the rates aligned with ``rows``.  Mirrors
     :func:`_waterfill_arrays` operation for operation — links numbered
-    as they first appear along ``act``, the strict-``<`` scan keeping
+    as they first appear along ``rows``, the strict-``<`` scan keeping
     the first minimum share like ``argmin``, one stable demand order,
     ``max(residual - increment * weight, 0)`` per live link — so every
     share and residual goes through the same float64 roundings.  Weights
     are integer-valued, so the order rows are frozen in within one event
-    cannot change them.
+    cannot change them (an integer count adds to a float weight exactly
+    as its float does).
     """
-    row_columns, capacity = matrix._as_lists()
-    rows = act.tolist()
-    caps = dem.tolist()
     n = len(rows)
-    copies = ([1.0] * n if multiplicity is None
-              else [float(m) for m in np.asarray(multiplicity).tolist()])
+    if copies is None:
+        copies = [1.0] * n
     rates = [0.0] * n
     frozen = [False] * n
     unfrozen = n
@@ -358,7 +393,7 @@ def _waterfill_scalars(matrix: FlowLinkMatrix, dem: np.ndarray,
             for link in row_links[i]:
                 weight[link] -= copies[i]
         level = best
-    return np.array(rates)
+    return rates
 
 
 def _waterfill_arrays(matrix: FlowLinkMatrix, dem: np.ndarray,

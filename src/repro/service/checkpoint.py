@@ -57,6 +57,22 @@ _COMMANDS: Dict[str, Callable[[Any], Any]] = {
 }
 
 
+def json_text(value: Any) -> str:
+    """``value`` as this module's JSON: keys sorted, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def json_text_with(fields: Dict[str, Any], key: str, text: str) -> str:
+    """``json_text({**fields, key: value})`` where ``text`` is already
+    ``json_text(value)``: the keys sort, so ``text`` is spliced between
+    the fields that sort before ``key`` and those after, and ``value`` is
+    not encoded again."""
+    parts = (json_text({k: v for k, v in fields.items() if k < key}),
+             f'{{"{key}":{text}}}',
+             json_text({k: v for k, v in fields.items() if k > key}))
+    return "{" + ",".join(part[1:-1] for part in parts if part != "{}") + "}"
+
+
 def _positive(value: Any) -> bool:
     return type(value) is float and 0.0 < value < math.inf
 
@@ -107,12 +123,13 @@ def save_checkpoint(path: str, service: LiveSimulationService,
         "link_capacity_bps": service.link_capacity_bps,
         "time_s": service.clock_s,
         "meta": {**service.meta, **(meta or {})},
-        "spec_hash": service.initial_spec.fingerprint(),
-        "state_digest": service.state_digest(),
+        "spec_hash": service.initial_spec_hash,
     }
-    # The spec goes in last, as the service's cached JSON text.
-    text = json.dumps({**header, "log": service.log}, sort_keys=True,
-                      separators=(",", ":"))
+    # The log is encoded once, for the digest and the file; the spec goes
+    # in last, as the service's cached JSON text.
+    log_text = json_text(service.log)
+    header["state_digest"] = service.state_digest(log_text)
+    text = json_text_with(header, "log", log_text)
     text = f'{text[:-1]},"spec":{service.initial_spec_json}}}'
     temp_path = f"{path}.{os.getpid()}.tmp"
     try:

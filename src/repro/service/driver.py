@@ -29,9 +29,7 @@ mid-run installs compute their destination trees at install time).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import replace
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -46,7 +44,8 @@ from ..simulation.simulator import PacketSimulator
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import FlowRequest, WorkloadSchedule
 from ..traffic.spawner import WorkloadSpawner, packet_fct_section
-from .checkpoint import ENGINES, load_checkpoint, save_checkpoint
+from .checkpoint import (ENGINES, json_text, json_text_with,
+                         load_checkpoint, save_checkpoint)
 
 __all__ = ["LiveSimulationService", "ServiceError"]
 
@@ -72,8 +71,9 @@ class LiveSimulationService:
 
     Attributes:
         initial_spec: The spec the service was built from.
-        spec: ``initial_spec`` with every mutation merged in.
         log: Every mutation in order: ``[clock_s, method, JSON arg]``.
+            With ``initial_spec`` it is the service's record: what a
+            checkpoint holds and a restore replays.
     """
 
     def __init__(self, spec: NetworkSpec, engine: str = "packet",
@@ -93,7 +93,7 @@ class LiveSimulationService:
         if not 0.0 < link_capacity_bps < math.inf:
             raise ServiceError(f"link capacity must be finite and "
                                f"positive, got {link_capacity_bps}")
-        self.initial_spec = self.spec = spec
+        self.initial_spec = spec
         self.log: List[list] = []
         self.engine = engine
         self.horizon_s = float(horizon_s)
@@ -234,11 +234,6 @@ class LiveSimulationService:
             start = self.fluid.extend_flows(self.state,
                                             workload.as_fluid_flows())
             self._attached[handle] = (start, workload.num_flows)
-        # The spec keeps describing the *whole* offered traffic, so a
-        # from-scratch rebuild of the current spec reproduces this run.
-        merged = (workload if self.spec.workload is None
-                  else self.spec.workload.merged(workload))
-        self.spec = self.spec.with_workload(merged)
         self.log.append([self.clock_s, "attach_workload", workload.as_dict()])
         return handle
 
@@ -310,7 +305,6 @@ class LiveSimulationService:
         merged = (addition if existing is None
                   else existing.merged(addition))
         self.network.set_faults(merged)
-        self.spec = replace(self.spec, faults=merged)
         if self.engine == "packet":
             self._extend_packet_injectors(events, merged, now)
         self.log.append([now, "inject_fault",
@@ -409,21 +403,29 @@ class LiveSimulationService:
     def initial_spec_json(self) -> str:
         """:attr:`initial_spec` as JSON, made at the first save: it never
         changes, and encoding its workload costs milliseconds and MBs."""
-        return json.dumps(self.initial_spec.as_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return json_text(self.initial_spec.as_dict())
 
-    def state_digest(self) -> str:
+    @cached_property
+    def initial_spec_hash(self) -> str:
+        """:attr:`initial_spec`'s fingerprint, made at the first save for
+        the same reasons."""
+        return self.initial_spec.fingerprint()
+
+    def state_digest(self, log_text: Optional[str] = None) -> str:
         """A sha256 of what a restore must reproduce: :attr:`log`,
         :meth:`status`, the link capacity, the attach handles, the packet
-        counters or fluid residuals, and the FCTs so far."""
+        counters or fluid residuals, and the FCTs so far.  ``log_text``
+        is ``json_text(self.log)`` when the caller has encoded it."""
         record = {
-            "status": self.status(), "log": self.log,
+            "status": self.status(),
             "link_capacity_bps": self.link_capacity_bps,
             "handles": sorted(self._attached),
             "packets": None if self.sim is None else self.sim.stats.as_dict(),
         }
-        digest = hashlib.sha256(json.dumps(
-            record, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        if log_text is None:
+            log_text = json_text(self.log)
+        digest = hashlib.sha256(
+            json_text_with(record, "log", log_text).encode("utf-8"))
         if self.state is not None:
             digest.update(self.state.residual_bits.tobytes())
         digest.update(self.fct_values().tobytes())

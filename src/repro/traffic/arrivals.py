@@ -192,11 +192,6 @@ class WorkloadSchedule:
         """Distinct (src, dst) pairs, sorted — the sweep-facing pair set."""
         return sorted({(r.src_gid, r.dst_gid) for r in self.requests})
 
-    def merged(self, other: "WorkloadSchedule") -> "WorkloadSchedule":
-        """Union of two schedules (keeps this schedule's seed)."""
-        return WorkloadSchedule(self.requests + other.requests,
-                                seed=self.seed)
-
     def shifted(self, dt_s: float) -> "WorkloadSchedule":
         """The same requests, every start time moved by ``dt_s``.
 

@@ -20,7 +20,8 @@ from repro.topology.network import LeoNetwork
 from repro.fluid import vectorized
 from repro.fluid.vectorized import (SMALL_SOLVE_ENTRIES, FlowLinkMatrix,
                                     _waterfill_arrays, _waterfill_scalars,
-                                    max_min_fair_allocation, waterfill)
+                                    max_min_fair_allocation, waterfill,
+                                    waterfill_lists)
 
 from _fluid_oracle import (RescanningFluidSimulation,
                            assert_result_matches_oracle, go_cold,
@@ -428,9 +429,19 @@ class TestRepeatedLinkRegression:
         np.testing.assert_allclose(rates, [2.5, 7.5])
 
 
+def _scalars(matrix, caps, rows, copies):
+    """The list kernel called like ``_waterfill_arrays``: arrays in, the
+    matrix's list view and lists passed on, an array out."""
+    row_columns, capacity = matrix._as_lists()
+    return np.array(_waterfill_scalars(
+        row_columns, capacity, rows.tolist(), caps.tolist(),
+        None if copies is None else copies.tolist()))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The names of ``waterfill``'s kernels, in the order it ran them."""
+    """The names of the kernels ``waterfill`` and ``waterfill_lists``
+    (the fluid step's re-solves) ran, in order."""
     calls = []
     for kernel in (_waterfill_scalars, _waterfill_arrays):
         def spy(*args, kernel=kernel):
@@ -515,7 +526,7 @@ class TestVectorizedKernel:
         rows = np.arange(len(flow_links))
         for solve in (
                 lambda: oracle_allocation(capacity, flow_links),
-                lambda: _waterfill_scalars(
+                lambda: _scalars(
                     matrix, np.full(rows.size, np.inf), rows, None),
                 lambda: _waterfill_arrays(
                     matrix, np.full(rows.size, np.inf), rows, None)):
@@ -571,13 +582,18 @@ class TestVectorizedKernel:
             assert calls == ([expected] if expected else [])
             rows = np.arange(matrix.num_flows) if active is None else active
             if rows.size:
-                for kernel in (_waterfill_scalars, _waterfill_arrays):
+                for kernel in (_scalars, _waterfill_arrays):
                     assert np.array_equal(
                         rates, kernel(matrix, caps[rows], rows, None))
+                del calls[:]
+                assert waterfill_lists(matrix, rows.tolist(),
+                                       caps[rows].tolist(),
+                                       None) == rates.tolist()
+                assert calls == [expected]
 
 
-PRODUCT_KERNELS = [pytest.param(kernel, id=kernel.__name__)
-                   for kernel in (_waterfill_scalars, _waterfill_arrays)]
+PRODUCT_KERNELS = [pytest.param(_scalars, id="_waterfill_scalars"),
+                   pytest.param(_waterfill_arrays, id="_waterfill_arrays")]
 
 
 def _kernel_equals_oracle(kernel, capacity, flow_links, demands=None):

@@ -259,9 +259,10 @@ class TestMaxMinProperties:
         got = max_min_fair_allocation(capacities, flows, demands)
         assert np.array_equal(expected, got)
 
-    # --- The two waterfill kernels, each called directly, against each
-    # other and the oracle: whatever SMALL_SOLVE_ENTRIES is, both sides
-    # of it are covered (ISSUE 19).
+    # --- The two waterfill kernels, each called directly, and both
+    # entries (``waterfill`` on arrays, ``waterfill_lists`` on lists)
+    # against each other and the oracle: whatever SMALL_SOLVE_ENTRIES is,
+    # both sides of it are covered.
 
     @st.composite
     def _kernel_scenario(draw):
@@ -323,7 +324,8 @@ class TestMaxMinProperties:
         active rows' columns were already in first-appearance order."""
         from repro.fluid.vectorized import (FlowLinkMatrix,
                                             _waterfill_arrays,
-                                            _waterfill_scalars, waterfill)
+                                            _waterfill_scalars, waterfill,
+                                            waterfill_lists)
         capacities, flows, demands, active, copies = scenario
         matrix = FlowLinkMatrix.from_paths(capacities, flows)
         columns = [column for row in active.tolist()
@@ -341,12 +343,16 @@ class TestMaxMinProperties:
             except ValueError as error:
                 return str(error)
 
-        scalars, arrays, public, oracle = (outcome(solve) for solve in (
-            lambda: _waterfill_scalars(matrix, demands[active], active,
-                                       weights),
-            lambda: _waterfill_arrays(matrix, demands[active], active,
-                                      weights),
-            lambda: waterfill(matrix, demands, active, weights),
+        rows, caps = active.tolist(), demands[active].tolist()
+        scalars, lists, arrays, public, oracle = (
+            outcome(solve) for solve in (
+                lambda: np.array(_waterfill_scalars(
+                    *matrix._as_lists(), rows, caps, copies)),
+                lambda: np.array(waterfill_lists(matrix, rows, caps,
+                                                 copies)),
+                lambda: _waterfill_arrays(matrix, demands[active], active,
+                                          weights),
+                lambda: waterfill(matrix, demands, active, weights),
             lambda: oracle_allocation(
                 capacities,
                 [flows[i] for i in np.repeat(active, repeat)],
@@ -354,14 +360,14 @@ class TestMaxMinProperties:
         if isinstance(oracle, str):
             assert "no links and infinite demand" in oracle \
                 or "unconstrained" in oracle
-            assert scalars == arrays == public
+            assert scalars == lists == arrays == public
             # Same text as the oracle, whose flow numbers count copies.
             assert scalars == oracle or copies is not None
             assert scalars.split(" has ")[-1] == oracle.split(" has ")[-1]
         else:
             assert np.array_equal(np.repeat(oracle[first], repeat), oracle)
-            for got in (scalars, arrays, public):
-                assert np.array_equal(got, oracle[first])
+            for got in (scalars, lists, arrays, public):
+                assert got.tobytes() == oracle[first].tobytes()
         return (list(dict.fromkeys(columns))
                 == list(range(len(set(columns)))))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -87,6 +88,13 @@ def _small_workload(seed: int = 11, start_s: float = 0.0,
             src_gid=src, dst_gid=dst,
             size_bytes=rng.randint(20_000, 120_000)))
     return WorkloadSchedule(requests, seed=seed)
+
+
+def _union(first: WorkloadSchedule,
+           second: WorkloadSchedule) -> WorkloadSchedule:
+    """Both schedules' requests as one, with ``first``'s seed."""
+    return WorkloadSchedule(first.requests + second.requests,
+                            seed=first.seed)
 
 
 def _make_service(engine: str, faults=None, workload=None
@@ -185,7 +193,7 @@ class TestCheckpointContainer:
         path = tmp_path / "c.ckpt"
         header = service.save(str(path), meta={"note": "hello"})
         assert header["format"] == CHECKPOINT_FORMAT
-        assert header["spec_hash"] == service.spec.fingerprint()
+        assert header["spec_hash"] == service.initial_spec.fingerprint()
         assert header["time_s"] == 3.5
         assert (header["horizon_s"], header["epoch_s"]) == (HORIZON_S,
                                                             EPOCH_S)
@@ -201,7 +209,7 @@ class TestCheckpointContainer:
         loaded = load_checkpoint(str(path))
         assert isinstance(loaded, LiveSimulationService)
         assert (loaded.engine, loaded.clock_s) == ("packet", 3.5)
-        assert loaded.spec.fingerprint() == header["spec_hash"]
+        assert loaded.initial_spec.fingerprint() == header["spec_hash"]
         assert loaded.meta == {"note": "hello"}
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
@@ -283,6 +291,63 @@ class TestCheckpointContainer:
                     files.append(path.read_bytes())
                 assert files[0] == files[1], (engine, epoch)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_encoding_per_save_writes_the_same_bytes(self, tmp_path,
+                                                         monkeypatch,
+                                                         engine):
+        """A save encodes the log once, for the digest and the file, and
+        a service fingerprints its spec once; the file and the digest
+        are byte for byte what encoding every field afresh gives."""
+        if engine == "fluid":
+            service = _mutated_service()
+        else:
+            service = _make_service("packet")
+            service.advance_epoch(2)
+            service.attach_workload(_small_workload(seed=5, horizon_s=4.0),
+                                    shift_to_now=True)
+            service.inject_fault(FaultEvent.packet_loss(3.0, 6.0, 0.3,
+                                                        gid=1))
+            service.advance_to(5.0)
+        dumps, fingerprint = json.dumps, NetworkSpec.fingerprint
+        encoded, hashed = [], []
+
+        def counting_dumps(value, *args, **kwargs):
+            encoded.append(value is service.log)
+            return dumps(value, *args, **kwargs)
+
+        def counting_fingerprint(spec):
+            hashed.append(spec)
+            return fingerprint(spec)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr(NetworkSpec, "fingerprint", counting_fingerprint)
+        headers = [service.save(str(tmp_path / name))
+                   for name in ("a.ckpt", "b.ckpt")]
+        monkeypatch.undo()
+        assert sum(encoded) == 2 and hashed == [service.initial_spec]
+
+        def encode(value):
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+        digest = hashlib.sha256(encode({
+            "status": service.status(), "log": service.log,
+            "link_capacity_bps": service.link_capacity_bps,
+            "handles": sorted(service._attached),
+            "packets": (None if service.sim is None
+                        else service.sim.stats.as_dict()),
+        }).encode("utf-8"))
+        if service.state is not None:
+            digest.update(service.state.residual_bits.tobytes())
+        digest.update(service.fct_values().tobytes())
+        assert headers[1]["state_digest"] == digest.hexdigest() \
+            == service.state_digest()
+        assert headers[0] == headers[1]
+        expected = (encode({**headers[1], "log": service.log})[:-1]
+                    + ',"spec":' + encode(service.initial_spec.as_dict())
+                    + "}")
+        for name in ("a.ckpt", "b.ckpt"):
+            assert (tmp_path / name).read_text() == expected
+
     def test_fluid_checkpoint_holds_no_router_state(self, tmp_path):
         """A checkpoint holds the spec, the mutation log and scalars: no
         router cache, snapshot or engine array reaches the file.  (A
@@ -347,7 +412,7 @@ class TestCheckpointContainer:
 
     def test_spec_mismatch_fails_clearly(self, tmp_path):
         path = tmp_path / "spec.ckpt"
-        spec = _saved("packet", path).spec
+        spec = _saved("packet", path).initial_spec
         other = spec.with_workload(_small_workload(seed=99))
         with pytest.raises(CheckpointSpecError,
                            match="different network spec"):
@@ -635,13 +700,12 @@ class TestSpecFingerprint:
         assert pickle.loads(pickle.dumps(spec)).fingerprint() == \
             spec.fingerprint()
 
-    def test_each_replaced_spec_is_hashed_afresh(self, tmp_path):
-        """``inject_fault`` and ``attach_workload`` replace the spec, and
-        each replacement hashes afresh; a checkpoint stamps the spec the
-        service was built from, and a restored service replays its way
-        to the same current spec."""
+    def test_mutations_leave_the_stamped_spec_alone(self, tmp_path):
+        """``inject_fault`` and ``attach_workload`` only append to the
+        log: every checkpoint, and a restored service's, stamps the spec
+        the service was built from."""
         service = _make_service("fluid")
-        initial = service.spec.fingerprint()
+        initial = service.initial_spec.fingerprint()
 
         def stamped():
             return service.save(str(tmp_path / "x.ckpt"))["spec_hash"]
@@ -649,15 +713,14 @@ class TestSpecFingerprint:
         service.advance_epoch(2)
         assert stamped() == initial
         service.inject_fault(FaultEvent.satellite_outage(3, 4.0, 6.0))
-        faulted = service.spec.fingerprint()
         service.attach_workload(_small_workload(seed=5, start_s=3.0,
                                                 horizon_s=6.0))
-        attached = service.spec.fingerprint()
-        assert len({initial, faulted, attached}) == 3
         assert stamped() == initial
-        assert service.initial_spec.fingerprint() == initial
+        assert [entry[1] for entry in service.log] == [
+            "inject_fault", "attach_workload"]
         restored = _round_trip(service, tmp_path / "a.ckpt")
-        assert restored.spec.fingerprint() == attached
+        assert restored.initial_spec.fingerprint() == initial
+        assert restored.log == service.log
         header = restored.save(str(tmp_path / "b.ckpt"))
         assert header["spec_hash"] == initial
 
@@ -666,11 +729,11 @@ class TestSpecFingerprint:
         step; doing so must not change any later checkpoint's
         ``spec_hash``."""
         service = _make_service("fluid", faults=_FAULTS)
-        assert service.network.fault_view is service.spec.faults
-        before = service.spec.fingerprint()
+        assert service.network.fault_view is service.initial_spec.faults
+        before = service.initial_spec.fingerprint()
         service.advance_epoch(6)
         assert service.state.next_index == 6
-        assert service.spec.fingerprint() == before
+        assert service.initial_spec.fingerprint() == before
 
 # ----------------------------------------------------------------------
 # A damaged or tampered checkpoint is refused, never misread
@@ -1051,7 +1114,7 @@ class TestLiveMutation:
     def test_attach_workload_equals_baked(self, engine):
         extra = _small_workload(seed=31, start_s=4.0, horizon_s=6.0)
         baked = _make_service(
-            engine, workload=_small_workload().merged(extra))
+            engine, workload=_union(_small_workload(), extra))
         baked.run_to_horizon()
 
         live = _make_service(engine)
@@ -1183,7 +1246,7 @@ class TestOutOfRangeGids:
             each.advance_epoch(3)
         with pytest.raises(ServiceError, match="outside"):
             service.attach_workload(self.BAD)
-        assert service.spec == untouched.spec
+        assert service.log == untouched.log == []
         for each in (untouched, service):
             each.advance_epoch(2)  # used to raise on the fluid engines
         assert service.status() == untouched.status()
@@ -1196,7 +1259,7 @@ class TestOutOfRangeGids:
     def test_constructor_rejects_it_too(self, engine):
         with pytest.raises(ServiceError, match="outside"):
             _make_service(engine,
-                          workload=_small_workload().merged(self.BAD))
+                          workload=_union(_small_workload(), self.BAD))
 
     def test_no_ghost_flow_over_the_wire(self):
         """``ok: false`` means nothing happened: the packet session
@@ -1290,7 +1353,8 @@ class TestServerClient:
                     assert header["time_s"] == 2.0
                 client.stop()
         restored = LiveSimulationService.resume(str(tmp_path / "b.ckpt"))
-        assert restored.spec == _make_service("fluid").spec
+        assert restored.initial_spec == _make_service("fluid").initial_spec
+        assert restored.log == []
 
     def test_checkpoint_into_a_missing_directory_is_answered(self,
                                                              tmp_path):
@@ -1361,7 +1425,6 @@ class TestServerClient:
         boolean passed the integer check of ``epochs`` (``true``: one
         epoch).  Each is a ``ServiceError``, and nothing runs."""
         service = _make_service("fluid")
-        spec = service.spec
         with _ServerThread(service) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
                 fields = dict(command)
@@ -1370,7 +1433,7 @@ class TestServerClient:
                     client.command(fields.pop("cmd"), **fields)
                 assert client.status()["time_s"] == 0.0
                 client.stop()
-        assert service.spec == spec
+        assert service.log == []
 
     @pytest.mark.parametrize("workload, complaint", [
         ({**_small_workload(seed=3).as_dict(), "seed": 1.5},
@@ -1389,7 +1452,6 @@ class TestServerClient:
         ``TypeError``.  Each is now a ``ValueError`` naming the field,
         and nothing is attached."""
         service = _make_service("packet")
-        spec = service.spec
         with _ServerThread(service) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
                 with pytest.raises(ServiceClientError,
@@ -1397,7 +1459,7 @@ class TestServerClient:
                     client.command("attach_workload", workload=workload)
                 assert client.status()["time_s"] == 0.0
                 client.stop()
-        assert service.spec == spec
+        assert service.log == []
 
     def test_overlong_line_is_answered_and_only_its_connection_closed(self):
         """A line past the stream limit used to raise out of the handler

@@ -200,15 +200,6 @@ class TestWorkloadSchedule:
             schedule.offered_load_bps(0.0)
         assert schedule.pairs() == [(0, 1), (0, 3), (2, 3)]
 
-    def test_merged(self):
-        schedule = self._schedule()
-        extra = WorkloadSchedule([FlowRequest(1.0, 4, 5, 10)], seed=1)
-        union = schedule.merged(extra)
-        assert union.num_flows == 4
-        assert union.seed == 9
-        assert union == WorkloadSchedule(
-            list(schedule) + list(extra), seed=9)
-
     def test_as_fluid_flows_index_aligned(self):
         schedule = self._schedule()
         flows = schedule.as_fluid_flows()
@@ -294,10 +285,11 @@ class TestFlowArrivalProcess:
         left[0, 1] = 2e6
         right = np.zeros((4, 4))
         right[2, 3] = 3e6
-        parts = FlowArrivalProcess(TrafficMatrix(left),
-                                   seed=5).generate(60.0).merged(
-            FlowArrivalProcess(TrafficMatrix(right), seed=5).generate(60.0))
-        assert parts == union
+        parts = [FlowArrivalProcess(TrafficMatrix(part),
+                                    seed=5).generate(60.0)
+                 for part in (left, right)]
+        assert WorkloadSchedule(parts[0].requests + parts[1].requests,
+                                seed=5) == union
 
     def test_offered_load_tracks_matrix(self):
         matrix = TrafficMatrix.gravity(count=20, total_offered_bps=1e8)

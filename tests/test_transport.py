@@ -249,6 +249,43 @@ class TestNewRenoFairness:
         assert jain >= 0.95, f"Jain {jain:.3f} over {goodput.tolist()}"
 
 
+class TestSackRecovery:
+    """RFC 6675 §5 step (4.3): on entering loss recovery the sender
+    retransmits the first segment presumed lost at once, whatever the
+    pipe.  Probed on the fairness anchor's first loss episode (four
+    NewReno flows through Quito's 100-packet uplink, 1 s)."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "finding: the first retransmission of an episode waits for pipe < "
+        "cwnd; cwnd was just halved and pipe is still about the whole "
+        "flight, so it leaves late or never, and the RTO (about srtt "
+        "under a standing queue) fires first (EXPERIMENTS.md)"))
+    def test_entering_recovery_resends_the_first_hole_at_once(
+            self, small_network):
+        sim = PacketSimulator(small_network)
+        entries, resent = [], set()
+        for _ in range(4):
+            flow = TcpFlow(0, 3).install(sim)
+
+            def enter(flow=flow, enter=flow._enter_fast_recovery):
+                entries.append((flow.flow_id, flow._next_retransmission(),
+                                sim.now))
+                enter()
+
+            def transmit(seq, retransmit, flow=flow,
+                         transmit=flow._transmit):
+                if retransmit:
+                    resent.add((flow.flow_id, seq, sim.now))
+                transmit(seq, retransmit)
+
+            flow._enter_fast_recovery = enter
+            flow._transmit = transmit
+        sim.run(1.0)
+        assert len(entries) >= 4
+        late = [entry for entry in entries if entry not in resent]
+        assert not late, f"first hole not resent on entering recovery: {late}"
+
+
 class TestVegas:
     def test_keeps_queue_nearly_empty(self, small_network):
         """Vegas' RTT stays near the base RTT (paper Fig. 5(a) before the
