@@ -20,6 +20,13 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   reported everywhere, with the solve's freezing events (counted by the
   oracle, which takes the same ones) and the array kernel's time per
   event.
+* **Link loads stay one block's worth of memory.**  The step's
+  ``link_loads`` call over the 1e5-flow snapshot (class rows, one per
+  flow) must equal the per-flow matrix's loads bit for bit, and its
+  tracemalloc peak must stay under ``MAX_LOADS_PEAK_MB`` — a bound that
+  does not grow with the flow count, so ``HYPATIA_FULL_SCALE=1`` holds
+  the 1e6-flow call to it too.  The peak goes to
+  ``results/fluid_scale.txt``.
 * **Step reuse is exact.**  A step re-walks only the class paths its
   routing repair can have moved and keeps the rest from the step before.
   The scale workload's first ``REUSE_STEPS`` 1 s steps must equal, bit
@@ -41,6 +48,7 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +81,11 @@ SPEEDUP_CORES = 4
 SMALL_SOLVE_SIZES = [8, 16, 32, 64, 128, 192, 256, 512, 1024, 1536, 2048]
 CROSSOVER_ROUNDS = 15
 REUSE_STEPS = 6
+#: One ``link_loads`` call's allocation peak (MiB), whatever the flow
+#: count: it gathers one block of ``vectorized.LOAD_BLOCK_FLOWS`` flows'
+#: entries at a time (≈3.3 MiB on K1 paths; every entry at once would
+#: take ≈12 MiB at 1e5 flows and ≈120 MiB at 1e6).
+MAX_LOADS_PEAK_MB = 6.0
 
 _CACHE = {}
 
@@ -158,6 +171,17 @@ def _uniform_capacities(keys):
     return np.full(len(keys), LINK_CAPACITY_BPS)
 
 
+def _traced_peak_mb(call):
+    """``call()``'s result and the peak memory it allocated, in MiB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
 def test_kernels_bit_identical_on_random_scenarios():
     """Random capacities/paths/demands — loop paths included."""
     rng = np.random.default_rng(7)
@@ -220,6 +244,11 @@ def test_gravity_scale():
     assert per_flow.link_keys == matrix.link_keys
     assert np.array_equal(rates_per_flow, rates_vec), (
         "class rows with multiplicity diverged from per-flow rows")
+    # The step's load call: class rows, one per flow.
+    loads, loads_peak_mb = _traced_peak_mb(
+        lambda: matrix.link_loads(rates_vec, row_of_flow))
+    assert loads.tobytes() == per_flow.link_loads(rates_per_flow).tobytes(), (
+        "class-row loads diverged from per-flow loads")
 
     # Reference: the per-flow Python solver on the same workload.
     conv_start = time.perf_counter()
@@ -254,6 +283,8 @@ def test_gravity_scale():
         f"min_speedup           {MIN_SPEEDUP:10.1f}",
         f"max_solve_s           {MAX_SOLVE_S:10.2f}",
         f"bit_identical         {'yes':>10}",
+        f"loads_peak_mb         {loads_peak_mb:10.2f}",
+        f"max_loads_peak_mb     {MAX_LOADS_PEAK_MB:10.2f}",
         f"thresholds_enforced   {('yes' if capable else 'no'):>10}",
         "# step reuse: class rows walked per 1 s step, of "
         f"{_reuse_run()[2][0][1]} (the first step walks every row)",
@@ -262,6 +293,9 @@ def test_gravity_scale():
     write_result("fluid_scale", rows)
 
     assert len(paths) >= NUM_FLOWS, "scale gate lost workload rows"
+    assert loads_peak_mb <= MAX_LOADS_PEAK_MB, (
+        f"one link_loads call allocated {loads_peak_mb:.1f} MiB at "
+        f"{len(paths)} flows (bound {MAX_LOADS_PEAK_MB:.0f} MiB)")
     if not capable:
         pytest.skip(f"throughput gate needs >= {SPEEDUP_CORES} cores "
                     f"(measured {speedup:.1f}x, {vec_solve_s:.3f}s)")

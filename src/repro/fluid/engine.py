@@ -952,6 +952,7 @@ class FluidSimulation:
             profiler.end(solve_span)
         state.solves += 1
         global_active = candidates[active]
+        span = profiler.begin("fluid.loads") if profiler.enabled else -1
         # Flow by flow in traversal order: the bits of a load depend on
         # the order its rates were added in.
         load_arr = matrix.link_loads(allocated, rows)
@@ -963,9 +964,12 @@ class FluidSimulation:
         crossed = np.flatnonzero(crossed)
         loads = dict(zip(map(keys.__getitem__, crossed.tolist()),
                          load_arr[crossed].tolist()))
+        if span != -1:
+            profiler.end(span)
         state.rates[t_index, global_active] = allocated
         self._record_snapshot(state, t_index, time_s, step, loads,
                               active_count=len(active))
+        span = profiler.begin("fluid.integrate") if profiler.enabled else -1
         next_tau = arrival_s[0] if arrival_s else step_end
         res_act = residual_bits[global_active]
         finishing = np.isfinite(res_act) & (allocated > 0.0)
@@ -975,18 +979,22 @@ class FluidSimulation:
             next_tau = min(next_tau, float(done.min()))
         dt = next_tau - time_s
         if dt > 0.0 and active.size:
-            positive = allocated > 0.0
-            g_pos = global_active[positive]
-            res_pos = res_act[positive]
-            served = np.minimum(allocated[positive] * dt, res_pos)
-            delivered_bits[g_pos] += served
-            finite = np.isfinite(res_pos)
-            g_fin = g_pos[finite]
-            residual_bits[g_fin] -= served[finite]
-            completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
-            g_done = g_fin[completed]
-            residual_bits[g_done] = 0.0
-            fct_s[g_done] = next_tau - starts[g_done]
+            # Nothing is compressed: a flow at rate 0 is served +0.0,
+            # which leaves its delivered bits (+0.0 or more) as they are.
+            # Without a finishing flow (a static workload) no residual is
+            # cut or kept: min(served, +inf) is served.
+            served = allocated * dt
+            if finishing.any():
+                np.minimum(served, res_act, out=served)
+                g_fin = global_active[finishing]
+                residual_bits[g_fin] -= served[finishing]
+                completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
+                g_done = g_fin[completed]
+                residual_bits[g_done] = 0.0
+                fct_s[g_done] = next_tau - starts[g_done]
+            delivered_bits[global_active] += served
+        if span != -1:
+            profiler.end(span)
         tau = next_tau
         if tau < step_end - _TIME_EPS_S:
             # Re-solves, on scalars over the kept active set: candidate

@@ -57,6 +57,10 @@ __all__ = [
 #: at 256, and is >= 1.9x slower at 1024 (8x the bound).
 SMALL_SOLVE_ENTRIES = 128
 
+#: Flows per block of :meth:`FlowLinkMatrix.link_loads`, whose memory
+#: is then bounded by one block's traversal entries, not by the flows'.
+LOAD_BLOCK_FLOWS = 16_384
+
 _INF = float("inf")
 _UNCONSTRAINED = ("some flows are unconstrained (infinite demand and no "
                   "saturating link)")
@@ -155,13 +159,24 @@ class FlowLinkMatrix:
         ``rates`` is aligned with ``rows`` when given (else with all
         rows).  ``rows`` may repeat — one entry per flow when several
         flows share a row.  Additions happen entry by entry in traversal
-        order, matching the oracle-path accounting bit for bit.
+        order, matching the oracle-path accounting bit for bit: blocks of
+        :data:`LOAD_BLOCK_FLOWS` flows, in flow order, each gather their
+        own entries and add them sequentially onto the one ``loads``.
+
+        Raises:
+            ValueError: If ``rates`` is not one value per flow.
         """
+        rates = np.asarray(rates, dtype=float)
+        rows = None if rows is None else np.asarray(rows, dtype=np.int64)
+        num = self.num_flows if rows is None else rows.size
+        if rates.shape != (num,):
+            raise ValueError(f"{rates.size} rates for {num} flows")
         loads = np.zeros(self.num_links)
-        if rows is None:
-            rows = np.arange(self.num_flows)
-        cols, _, entry_rows = self._gather(np.asarray(rows, dtype=np.int64))
-        np.add.at(loads, cols, np.asarray(rates, dtype=float)[entry_rows])
+        for start in range(0, num, LOAD_BLOCK_FLOWS):
+            stop = min(start + LOAD_BLOCK_FLOWS, num)
+            cols, _, entry_rows = self._gather(
+                np.arange(start, stop) if rows is None else rows[start:stop])
+            np.add.at(loads, cols, rates[start:stop][entry_rows])
         return loads
 
     def _as_lists(self) -> Tuple[List[List[int]], List[float]]:

@@ -208,9 +208,13 @@ def setdefault_classes(class_of, flows, elastic_cap_bps):
         len(class_of)) for flow in flows]
 
 
-def assert_result_matches_oracle(result, flows):
+def assert_result_matches_oracle(result, flows, faults=None):
     """Every row of ``flow_rates_bps`` / ``device_load_bps`` must equal
     the oracle allocation over ``flow_paths`` at that snapshot.
+
+    Links run at ``link_capacity_bps``, scaled by ``faults``'
+    capacity factors at the snapshot time when a schedule is given (a
+    cut or dark device then has capacity 0, as in the engine).
 
     A flow is active at snapshot time ``t`` when it has started, has not
     completed before ``t`` (``flow_fct_s``), and has a path.  Link and
@@ -232,6 +236,11 @@ def assert_result_matches_oracle(result, flows):
                       for i, path in enumerate(paths) if path is not None}
         capacities = {link: result.link_capacity_bps
                       for links in flow_links.values() for link in links}
+        if faults is not None:
+            factors = faults.capacity_factors(
+                list(capacities), result.num_satellites, float(time_s))
+            capacities = {link: result.link_capacity_bps * factor
+                          for link, factor in zip(capacities, factors)}
         active = [i for i in flow_links
                   if starts[i] <= time_s + _TIME_EPS_S
                   and ends[i] > time_s + _TIME_EPS_S]

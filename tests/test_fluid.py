@@ -592,6 +592,68 @@ class TestVectorizedKernel:
                 assert calls == [expected]
 
 
+def _per_flow_loads(matrix, rates, rows):
+    """Loads summed one traversal at a time on Python floats, flow by
+    flow in traversal order — no blocks, no numpy."""
+    loads = [0.0] * matrix.num_links
+    for row, rate in zip(rows, rates):
+        for col in matrix.link_index[
+                matrix.indptr[row]:matrix.indptr[row + 1]].tolist():
+            loads[col] += rate
+    return np.array(loads)
+
+
+class TestBlockedLinkLoads:
+    """``link_loads`` adds block by block onto one array, blocks in flow
+    order: the bits are those of one per-flow accumulation."""
+
+    #: Row 0 crosses ``a`` twice (a loop path); row 2 has no entries.
+    PATHS = [["a", "b", "a"], ["b", "c"], [], ["c", "a", "d"], ["d"]]
+
+    @pytest.fixture
+    def case(self):
+        matrix = FlowLinkMatrix.from_paths(dict.fromkeys("abcd", 10.0),
+                                           self.PATHS)
+        rng = np.random.default_rng(3)
+        # Runs of one row, so small blocks end inside a run.
+        rows = np.repeat(rng.integers(0, len(self.PATHS), size=24),
+                         rng.integers(1, 4, size=24))
+        rates = rng.uniform(0.0, 1e7, size=rows.size)
+        rates[::5] = 0.0
+        return matrix, rows, rates
+
+    @pytest.mark.parametrize("block", [1, 2, 3, None])
+    def test_equal_to_a_per_flow_accumulation(self, monkeypatch, case,
+                                              block):
+        if block is not None:
+            monkeypatch.setattr(vectorized, "LOAD_BLOCK_FLOWS", block)
+        matrix, rows, rates = case
+        expected = _per_flow_loads(matrix, rates, rows)
+        # The rates' order shows in the low bits, so a block taken out of
+        # order would too.
+        assert (_per_flow_loads(matrix, rates[::-1], rows[::-1]).tobytes()
+                != expected.tobytes())
+        assert matrix.link_loads(rates, rows).tobytes() == expected.tobytes()
+        assert (matrix.link_loads(rates, rows.tolist()).tobytes()
+                == expected.tobytes())
+        every = np.arange(matrix.num_flows)
+        assert (matrix.link_loads(rates[:every.size]).tobytes()
+                == _per_flow_loads(matrix, rates[:every.size],
+                                   every).tobytes())
+
+    @pytest.mark.parametrize("rates, rows", [
+        ([1.0, 2.0, 99.0], None),
+        ([1.0], None),
+        ([1.0, 2.0], [1]),
+        ([2.0], [0, 1]),
+        ([[1.0, 2.0]], None),
+    ])
+    def test_misaligned_rates_are_refused(self, rates, rows):
+        matrix = FlowLinkMatrix.from_paths({"a": 10.0}, [["a", "a"], ["a"]])
+        with pytest.raises(ValueError, match="rates for"):
+            matrix.link_loads(rates, rows)
+
+
 PRODUCT_KERNELS = [pytest.param(_scalars, id="_waterfill_scalars"),
                    pytest.param(_waterfill_arrays, id="_waterfill_arrays")]
 
@@ -1482,6 +1544,56 @@ class TestEventDrivenSubEvents:
             assert all(path is None
                        for path, flow in zip(got.flow_paths[at_2s], flows)
                        if 2 in (flow.src_gid, flow.dst_gid))
+
+
+class TestSnapshotIntegration:
+    """The snapshot solve's integration compresses nothing (a flow at
+    rate 0 is served +0.0) and keeps no residual when no flow with a
+    finite residual has a rate (a static workload); neither may change a
+    bit against the rescanning loop, which compresses, or the oracle."""
+
+    def _run(self, engine, network, flows, frozen_at_s):
+        simulation = engine(network, flows, link_capacity_bps=10e6,
+                            freeze_topology_at_s=frozen_at_s)
+        return simulation.run(3.0, step_s=1.0)
+
+    def test_static_run(self, small_network):
+        flows = [FluidFlow(src, dst) for src, dst in EVENT_PAIRS]
+        got = self._run(FluidSimulation, small_network, flows, None)
+        _assert_same_result(got, self._run(RescanningFluidSimulation,
+                                           small_network, flows, None))
+        assert_result_matches_oracle(got, flows)
+        # No residual is finite, and every rate is positive.
+        assert (got.flow_rates_bps > 0.0).all()
+        assert got.flow_fct_s is None
+
+    def test_faulted_dynamic_run(self, small_network):
+        faults = FaultSchedule(TestEventDrivenSubEvents.FAULTS, seed=0)
+        small_network.set_faults(faults)
+        # Flow 0 is frozen on the ISL cut from 1.5 s: at 2 s it has rate
+        # 0 and a finite residual, beside a finite flow still running
+        # (2) and an infinite one (4); flows 1 and 3 finish earlier.
+        # Until 1.5 s every active flow is finite.  Flow 1 ends first, in
+        # the 0 s snapshot's integration, where rate x (residual / rate)
+        # rounds one ulp above its residual.
+        flows = [FluidFlow(0, 3, size_bytes=1e7),
+                 FluidFlow(1, 4, size_bytes=125_026.0),
+                 FluidFlow(4, 2, size_bytes=4e6, start_s=0.3),
+                 FluidFlow(5, 1, size_bytes=2e6),
+                 FluidFlow(1, 2, start_s=1.5)]
+        got = self._run(FluidSimulation, small_network, flows, 1.0)
+        _assert_same_result(got, self._run(RescanningFluidSimulation,
+                                           small_network, flows, 1.0))
+        assert_result_matches_oracle(got, flows, faults)
+        at_2s = got.flow_rates_bps[2]
+        assert at_2s[0] == 0.0 and got.flow_paths[2][0] is not None
+        assert at_2s[2] > 0.0 and at_2s[4] > 0.0
+        assert np.isnan(got.flow_fct_s[[0, 2, 4]]).all()
+        assert not np.isnan(got.flow_fct_s[[1, 3]]).any()
+        rate = got.flow_rates_bps[0, 1]
+        assert rate * (got.flow_offered_bits[1] / rate) > 1_000_208.0
+        assert (got.flow_delivered_bits[1] == got.flow_offered_bits[1]
+                == 1_000_208.0)
 
 
 class TestExtendFlows:
