@@ -18,6 +18,14 @@ Gates:
   remembers trees by destination set); every 1 s step of the moving
   timeline is repaired, and the 15 s walk gives up and says so in
   ``fallbacks_large_delta``.
+* **Allocation** (always runs): the tracemalloc peak of one sparse
+  what-if step — S1 x 100 at a frozen epoch with ``WHATIF_FAILED_ISLS``
+  failed ISLs, one healing and one failing per step, ``paths_many`` on
+  a warm router, as ``fault_whatif`` runs it — stays within
+  ``MAX_WHATIF_STEP_PEAK_MB``: nobody but the router holds the trees
+  ``paths_many`` walked, so the next step repairs them in place instead
+  of copying two (D, num_nodes) arrays.  Its paths equal a fresh
+  engine's.
 * **Speedup** (needs >= 4 cores, like `make bench-sweep`): on S1 with
   the paper's 100 city ground stations, per-snapshot routing under
   sparse topology deltas — cumulative ISL failures at a frozen epoch,
@@ -34,12 +42,13 @@ the share of violated (tree, vertex) pairs) is what
 import dataclasses
 import os
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import Hypatia
+from repro import Hypatia, random_permutation_pairs
 from repro.faults import FaultEvent, FaultSchedule
 from repro.routing import incremental
 from repro.routing.engine import RoutingEngine
@@ -61,6 +70,14 @@ MOVING_START_S = 20.0    # past the symmetric t = 0 start
 MOVING_REPS = 3
 MIN_MOVING_SPEEDUP = 1.3
 MOVING_HEADER = "# moving timeline"
+WHATIF_FAILED_ISLS = 50  # failed at once in the what-if scenario
+WHATIF_STEPS = 9         # measured what-if steps (the median is gated)
+#: Gate on the median tracemalloc peak of one what-if step, in MiB.
+#: Repairing copies of the two (D, num_nodes) arrays (2 x 1.35 MB on
+#: S1 x 100) peaked at 3.4-4.6 MiB (median 3.8); in place at 0.9-2.0
+#: (median 1.2).
+MAX_WHATIF_STEP_PEAK_MB = 2.0
+WHATIF_HEADER = "# what-if step allocation"
 
 _CACHE = {}
 
@@ -177,6 +194,51 @@ def test_incremental_speedup_on_sparse_deltas():
     assert speedup >= MIN_SPEEDUP, (
         f"incremental repair reached only {speedup:.2f}x over scratch "
         f"per snapshot (gate {MIN_SPEEDUP:.1f}x)")
+
+
+def test_whatif_step_allocation():
+    network, base = _network()
+    window = WHATIF_FAILED_ISLS
+    order = np.random.default_rng(0).permutation(len(base.isl_pairs))
+    snapshots = [_masked(base, order[step:step + window])
+                 for step in range(WHATIF_STEPS + 1)]
+    pairs = random_permutation_pairs(NUM_CITIES)
+    router = IncrementalRouter(network)
+    router.paths_many(snapshots[0], pairs)
+    peaks = []
+    for snapshot in snapshots[1:]:
+        tracemalloc.start()
+        try:
+            paths = router.paths_many(snapshot, pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+        assert paths == RoutingEngine(network).paths_many(snapshot, pairs)
+    assert router.inc_perf.repairs == WHATIF_STEPS
+    assert router.inc_perf.full_solves == 1
+    peak = float(np.median(peaks))
+
+    rows = [
+        f"{WHATIF_HEADER} (S1 x {NUM_CITIES}, {window} failed ISLs, "
+        f"paths_many on a warm router, tracemalloc MiB over "
+        f"{WHATIF_STEPS} steps)",
+        f"whatif_step_peak_mb   {peak:10.2f}",
+        f"whatif_step_peak_max  {max(peaks):10.2f}",
+        f"max_whatif_peak_mb    {MAX_WHATIF_STEP_PEAK_MB:10.2f}",
+    ]
+    # Between the sparse-delta section and the moving-timeline one.
+    path = RESULTS_DIR / "routing_incremental.txt"
+    text = path.read_text() if path.exists() else ""
+    head = text.split(WHATIF_HEADER)[0].split(MOVING_HEADER)[0]
+    tail = (MOVING_HEADER + text.split(MOVING_HEADER, 1)[1]
+            if MOVING_HEADER in text else "")
+    write_result("routing_incremental",
+                 head.splitlines() + rows + tail.splitlines())
+
+    assert peak <= MAX_WHATIF_STEP_PEAK_MB, (
+        f"a what-if step peaked at {peak:.2f} MiB (gate "
+        f"{MAX_WHATIF_STEP_PEAK_MB:.1f} MiB): is the repair copying the "
+        f"remembered trees?")
 
 
 def _timed_walk(network, snapshots, destinations, expected=None):

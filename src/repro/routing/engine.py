@@ -422,6 +422,11 @@ class RoutingEngine:
         self.perf.dijkstra_calls += 1
         return self.solve_trees(graph, dst_nodes, coo)
 
+    def _hand_back(self, multi: MultiDestinationRouting) -> None:
+        """Return a result of :meth:`route_to_many` that the caller has
+        walked and dropped.  A plain engine keeps no result: nothing to
+        do."""
+
     @staticmethod
     def _unique_gids(dst_gids: Sequence[int]) -> Tuple[int, ...]:
         """Deduplicated int destination gids, first occurrence wins."""
@@ -561,8 +566,11 @@ class RoutingEngine:
         if src_gid == dst_gid:
             return 0.0
         multi = self.route_to_many(snapshot, [dst_gid])
-        return float(multi.pair_ingress(
-            snapshot, np.array([src_gid]), np.array([dst_gid]))[2][0])
+        try:
+            return float(multi.pair_ingress(
+                snapshot, np.array([src_gid]), np.array([dst_gid]))[2][0])
+        finally:
+            self._hand_back(multi)
 
     def pair_rtt_s(self, snapshot: TopologySnapshot,
                    src_gid: int, dst_gid: int) -> float:
@@ -650,6 +658,8 @@ class RoutingEngine:
                             np.zeros(0, dtype=np.int64),
                             np.zeros(0, dtype=bool), multi.next_hop,
                             multi.dst_gids)
+        profiler = spans.ACTIVE
+        span = profiler.begin("routing.paths") if profiler.enabled else -1
         src_gids, dst_gids = np.asarray(pairs, dtype=np.int64).T
         rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
                                                         dst_gids)
@@ -708,6 +718,8 @@ class RoutingEngine:
         distances = np.full(num_pairs, np.inf)
         distances[routed] = best_totals[routed]
         counts = hops + routed
+        if span != -1:
+            profiler.end(span)
         return PathWalk(table, counts, distances, ingress, kept,
                         multi.next_hop, multi.dst_gids)
 
@@ -723,4 +735,7 @@ class RoutingEngine:
         if not pairs:
             return []
         multi = self.route_to_many(snapshot, [dst for _, dst in pairs])
-        return self.paths_and_distances(multi, snapshot, pairs)[0]
+        try:
+            return self.paths_and_distances(multi, snapshot, pairs)[0]
+        finally:
+            self._hand_back(multi)

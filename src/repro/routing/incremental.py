@@ -244,6 +244,10 @@ class IncrementalRouter(RoutingEngine):
         #: Per (tree, vertex) the tree edge's index in ``_prev_coo``;
         #: derived on demand (None) after a full solve.
         self._prev_parent_edge: Optional[np.ndarray] = None
+        #: Callers that may still hold ``_prev_result`` itself: each
+        #: return of it lends it, :meth:`_hand_back` returns a loan.  At
+        #: zero the repairs write its arrays in place.
+        self._loans = 0
 
     #: The remembered update.  Like the transit cache it only saves time:
     #: without it the next update is a full solve, which yields the
@@ -255,6 +259,12 @@ class IncrementalRouter(RoutingEngine):
         """Drop the remembered update (the next one solves afresh)."""
         for name in self._REMEMBERED:
             setattr(self, name, None)
+        self._loans = 0
+
+    def _hand_back(self, multi: MultiDestinationRouting) -> None:
+        """Return one loan of the remembered result."""
+        if multi is self._prev_result and self._loans:
+            self._loans -= 1
 
     # ------------------------------------------------------------------
     # The incremental update
@@ -271,15 +281,24 @@ class IncrementalRouter(RoutingEngine):
         :meth:`repro.routing.engine.RoutingEngine.route_to_many` on the
         same snapshot, whichever path (cache hit, either repair, or full
         solve) runs.
+
+        Returning the remembered result itself lends it: the next
+        repair copies its arrays rather than write them while the caller
+        may still read them, unless the caller handed it back
+        (:meth:`_hand_back`).  A cache hit in another order is a gathered
+        copy and lends nothing.
         """
         unique_gids = self._unique_gids(dst_gids)
         if snapshot is self._prev_snapshot:
             rows = _row_order(self._prev_result, unique_gids)
             if rows is not None:
                 self.inc_perf.snapshot_cache_hits += 1
-                return _take_rows(self._prev_result, rows, unique_gids)
+                hit = _take_rows(self._prev_result, rows, unique_gids)
+                self._loans += hit is self._prev_result
+                return hit
         self._prev_result = self._update(snapshot, unique_gids)
         self._prev_snapshot = snapshot
+        self._loans = 1
         return self._prev_result
 
     def _trees(self, graph: csr_matrix, dst_nodes: np.ndarray,
@@ -320,6 +339,7 @@ class IncrementalRouter(RoutingEngine):
         if recalled is self._prev_result:
             return
         self._prev_result = recalled
+        self._loans = 0
         if self._prev_parent_edge is not None:
             self._prev_parent_edge = self._prev_parent_edge.reshape(
                 len(rows), -1)[rows].reshape(-1)
@@ -382,26 +402,38 @@ class IncrementalRouter(RoutingEngine):
         3. *Next hops*: re-derived sparsely from the repaired distances
            (:meth:`_sparse_next_hops`).
 
-        Past the two copies, no phase touches all (D, num_nodes) cells:
-        a distance can only have moved where it was invalidated or the
-        settle lowered it, so those keys alone are compared with the old
-        values.
+        The remembered result is repaired in place unless a caller may
+        still hold it (a loan is outstanding: :meth:`route_to_many`),
+        in which case its two (D, num_nodes) arrays are copied first.
+        In place, the router forgets the remembered update before the
+        first write, so a repair that raises is followed by a full
+        solve, never by a repair from half-written arrays.
+
+        No other phase touches all (D, num_nodes) cells: a distance can
+        only have moved where it was invalidated or the settle lowered
+        it.  The settle only lowers, so a lowered key outside the
+        invalidated set moved; an invalidated key moved where it did not
+        settle back on the value it had before the reset.
         """
         assert self._prev_result is not None
         prev = self._prev_result
         num_trees = len(prev.dst_nodes)
-        # Callers hold zero-copy views of the previous result's arrays:
-        # repair fresh copies, never the cached matrices in place.
-        distances = prev.distance_m.copy()
-        next_hop = prev.next_hop.copy()
+        distances, next_hop = prev.distance_m, prev.next_hop
+        if self._loans:
+            distances, next_hop = distances.copy(), next_hop.copy()
+        else:
+            self._forget()
         csc = graph.tocsc()
-        invalid = self._invalidated_keys(prev.next_hop, delta, graph)
+        invalid = self._invalidated_keys(next_hop, delta, graph)
         self.inc_perf.vertices_invalidated += len(invalid)
+        flat = distances.reshape(-1)
+        invalid_before = flat[invalid]
         keys, offers = self._stranded_seeds(distances, invalid, delta, csc)
         lowered = self._settle(distances, keys, offers, graph)
-        touched = _dedup(np.concatenate([lowered, invalid]))
-        moved = touched[distances.reshape(-1)[touched]
-                        != prev.distance_m.reshape(-1)[touched]]
+        moved = np.concatenate([
+            lowered[~np.isin(lowered, invalid, assume_unique=True,
+                             kind="sort")],
+            invalid[flat[invalid] != invalid_before]])
         # Besides moved distances, an added, removed or reweighted edge
         # changes what its head can choose from, in every tree.
         changed_heads = _dedup(np.concatenate([delta.worsened_v,
@@ -513,12 +545,15 @@ class IncrementalRouter(RoutingEngine):
         Returns None — solve from scratch — when step 2 finds more than
         ``MAX_VIOLATED_SHARE`` of the (tree, vertex) pairs violated.
 
-        The remembered update is only read, so the router lets go of it
-        first: unless a caller still holds the old result, its distances
-        are freed once the re-sum has its levels, before the re-sum's
-        own (D, num_nodes) arrays exist, and its next hops once copied.
+        The router lets go of the remembered update first: unless a
+        caller still holds the old result, its distances are freed once
+        the re-sum has its levels, before the re-sum's own
+        (D, num_nodes) arrays exist.  Its next hops are repaired in
+        place when no loan of it is outstanding (see
+        :meth:`_repair_trees`), and copied first otherwise.
         """
         assert self._prev_result is not None and self._prev_coo is not None
+        in_place = not self._loans
         prev_rows, prev_cols, prev_data = self._prev_coo
         old_dist = self._prev_result.distance_m
         old_next_hop = self._prev_result.next_hop
@@ -545,7 +580,7 @@ class IncrementalRouter(RoutingEngine):
         keys, offers, tie_keys = verdict
         self.inc_perf.edges_violated += len(keys)
         lowered = self._settle(cand, keys, offers, graph)
-        next_hop = old_next_hop.copy()
+        next_hop = old_next_hop if in_place else old_next_hop.copy()
         del old_next_hop
         # Vertices that had a next hop and are left without a path.
         lost = np.flatnonzero(cand.reshape(-1) == np.inf)

@@ -208,6 +208,11 @@ def setdefault_classes(class_of, flows, elastic_cap_bps):
         len(class_of)) for flow in flows]
 
 
+#: How far ``start_s + flow_fct_s`` may round above the completion
+#: instant: ``fct = done - start`` and back lose at most an ulp each.
+_END_ROUNDING_ULPS = 4
+
+
 def assert_result_matches_oracle(result, flows, faults=None):
     """Every row of ``flow_rates_bps`` / ``device_load_bps`` must equal
     the oracle allocation over ``flow_paths`` at that snapshot.
@@ -216,8 +221,12 @@ def assert_result_matches_oracle(result, flows, faults=None):
     capacity factors at the snapshot time when a schedule is given (a
     cut or dark device then has capacity 0, as in the engine).
 
-    A flow is active at snapshot time ``t`` when it has started, has not
-    completed before ``t`` (``flow_fct_s``), and has a path.  Link and
+    A flow is active at snapshot time ``t`` when it has started, has a
+    path and still has bits to send at ``t`` — the engine's rule: it
+    completes (``start_s + flow_fct_s``) after ``t``, even if only
+    within ``_TIME_EPS_S`` of it.  The sum may round a few ulps off
+    the completion instant the FCT was cut from, so a flow completing
+    within ``_END_ROUNDING_ULPS`` ulps of ``t`` counts as ended.  Link and
     flow order follow the recorded paths, which is the order the engine
     numbers its matrix columns in — so equality is exact, not approximate.
     """
@@ -241,9 +250,10 @@ def assert_result_matches_oracle(result, flows, faults=None):
                 list(capacities), result.num_satellites, float(time_s))
             capacities = {link: result.link_capacity_bps * factor
                           for link, factor in zip(capacities, factors)}
+        ended_by = time_s + _END_ROUNDING_ULPS * np.spacing(time_s)
         active = [i for i in flow_links
                   if starts[i] <= time_s + _TIME_EPS_S
-                  and ends[i] > time_s + _TIME_EPS_S]
+                  and ends[i] > ended_by]
         allocated = max_min_fair_allocation(
             capacities, [flow_links[i] for i in active],
             demands=demands[active])

@@ -1596,6 +1596,24 @@ class TestSnapshotIntegration:
                 == 1_000_208.0)
 
 
+    def test_flow_due_just_after_a_snapshot_is_active_there(
+            self, small_network):
+        # Flow 0 runs alone at 10 Mbit/s until 1 s and is sized to end
+        # 0.5 ns later: its residual is still positive at the 1 s
+        # snapshot, so it is active there and shares the path with flow
+        # 1, which starts then; it ends ε later.
+        flows = [FluidFlow(0, 3, size_bytes=1.25e6 * (1.0 + 0.5e-9)),
+                 FluidFlow(0, 3, start_s=1.0)]
+        got = self._run(FluidSimulation, small_network, flows, 1.0)
+        _assert_same_result(got, self._run(RescanningFluidSimulation,
+                                           small_network, flows, 1.0))
+        assert_result_matches_oracle(got, flows)
+        assert got.flow_rates_bps[0].tolist() == [10e6, 0.0]
+        assert got.flow_rates_bps[1].tolist() == [5e6, 5e6]
+        assert got.flow_rates_bps[2].tolist() == [0.0, 10e6]
+        assert 1.0 < got.flow_fct_s[0] <= 1.0 + _TIME_EPS_S
+
+
 class TestExtendFlows:
     """Build-time and attach-time flow construction are one method."""
 

@@ -443,6 +443,128 @@ class TestReweightRepair:
         assert counters.repairs > counters.reweight_repairs
 
 
+class TestResultOwnership:
+    """The router repairs its remembered result in place only while no
+    caller holds it: a result returned by ``route_to_many`` is lent until
+    handed back, and ``paths_many`` hands back what it walked."""
+
+    #: Destinations in first-occurrence order: DESTINATIONS.
+    PAIRS = [(0, 1), (3, 2), (1, 4), (2, 5)]
+
+    @staticmethod
+    def assert_fresh_paths(network, router, snapshot, pairs):
+        assert router.paths_many(snapshot, pairs) == RoutingEngine(
+            network).paths_many(snapshot, pairs)
+
+    @staticmethod
+    def isolated_cross(snapshot):
+        """A satellite no destination sees whose ISL neighbours no
+        destination sees either, and the ISLs that cut the five off from
+        every other satellite.  Every tree loses them; the centre keeps
+        all its in-edges, so only the moved distances name it."""
+        _, seen, _ = snapshot.gsl_edge_arrays(DESTINATIONS)
+        pairs = snapshot.isl_pairs
+        for centre in range(snapshot.num_satellites):
+            links = np.isin(pairs, [centre]).any(axis=1)
+            cross = np.unique(pairs[links])
+            if np.isin(cross, seen).any():
+                continue
+            cut = np.isin(pairs, cross).any(axis=1) & ~links
+            return centre, np.flatnonzero(cut)
+        raise AssertionError("no satellite is out of every destination's sight")
+
+    def test_held_result_survives_later_updates(self, small_network):
+        base = small_network.snapshot(3.0)
+        router = IncrementalRouter(small_network)
+        held = router.route_to_many(base, DESTINATIONS)
+        view = held.routing_for(DESTINATIONS[1])
+        saved = [array.tobytes() for array in (
+            held.distance_m, held.next_hop, view.distance_m, view.next_hop)]
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            drop = rng.choice(len(base.isl_pairs), size=4, replace=False)
+            self.assert_fresh_paths(small_network, router,
+                                    masked_variant(base, drop), self.PAIRS)
+        for time_s in (4.0, 5.0, 6.0):
+            self.assert_fresh_paths(small_network, router,
+                                    small_network.snapshot(time_s),
+                                    self.PAIRS)
+        counters = router.inc_perf
+        assert counters.repairs - counters.reweight_repairs == 3
+        assert counters.reweight_repairs >= 2
+        assert saved == [array.tobytes() for array in (
+            held.distance_m, held.next_hop, view.distance_m, view.next_hop)]
+
+    def test_walked_results_are_repaired_in_place(self, small_network):
+        base = small_network.snapshot(3.0)
+        centre, isolating = self.isolated_cross(base)
+        rng = np.random.default_rng(9)
+        snapshots = [masked_variant(base, rng.choice(
+            len(base.isl_pairs), size=4, replace=False)) for _ in range(3)]
+        snapshots.insert(1, masked_variant(base, isolating))
+        router = IncrementalRouter(small_network)
+        self.assert_fresh_paths(small_network, router, base, self.PAIRS)
+        buffers = (router._prev_result.distance_m,
+                   router._prev_result.next_hop)
+        for snapshot in snapshots:
+            self.assert_fresh_paths(small_network, router, snapshot,
+                                    self.PAIRS)
+            repaired = router._prev_result
+            assert np.shares_memory(repaired.distance_m, buffers[0])
+            assert np.shares_memory(repaired.next_hop, buffers[1])
+            assert_same_routing(RoutingEngine(small_network).route_to_many(
+                snapshot, DESTINATIONS), repaired)
+        # The isolating step reached the case where a vertex loses its
+        # path without heading a changed edge.
+        assert np.all(RoutingEngine(small_network).route_to_many(
+            snapshots[1], DESTINATIONS).distance_m[:, centre] == np.inf)
+        assert router.inc_perf.repairs == len(snapshots)
+
+    @pytest.mark.parametrize("order", [DESTINATIONS, DESTINATIONS[::-1]])
+    def test_whatif_pattern_keeps_the_sampled_result(self, small_network,
+                                                     order):
+        # fault_whatif: walk a step, keep the trees of that step (a
+        # cache hit: in the walk's order the remembered result itself,
+        # in another a gathered copy), walk the next step.
+        base = small_network.snapshot(3.0)
+        first, second = (masked_variant(base, drop)
+                         for drop in ([3, 17, 40], [5, 17, 41, 60]))
+        router = IncrementalRouter(small_network)
+        router.paths_many(base, self.PAIRS)
+        self.assert_fresh_paths(small_network, router, first, self.PAIRS)
+        kept = router.route_to_many(first, order)
+        assert router.inc_perf.snapshot_cache_hits == 1
+        self.assert_fresh_paths(small_network, router, second, self.PAIRS)
+        assert_same_routing(
+            RoutingEngine(small_network).route_to_many(first, order), kept)
+        assert router.inc_perf.repairs == 2
+
+    def test_repair_that_raises_is_followed_by_a_full_solve(
+            self, small_network, monkeypatch):
+        base = small_network.snapshot(3.0)
+        router = IncrementalRouter(small_network)
+        router.paths_many(base, self.PAIRS)
+        settle = IncrementalRouter._settle
+
+        def half_written(dist, keys, offers, graph):
+            dist[:, ::2] = 0.0
+            raise RuntimeError("settle failed midway")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IncrementalRouter, "_settle",
+                          staticmethod(half_written))
+            with pytest.raises(RuntimeError, match="midway"):
+                router.paths_many(masked_variant(base, [3, 17, 40]),
+                                  self.PAIRS)
+        assert IncrementalRouter._settle is settle
+        later = masked_variant(base, [5, 17, 41, 60])
+        self.assert_fresh_paths(small_network, router, later, self.PAIRS)
+        assert_same_routing(
+            RoutingEngine(small_network).route_to_many(later, DESTINATIONS),
+            router.route_to_many(later, DESTINATIONS))
+        assert router.inc_perf.full_solves == 2
+
+
 class TestTimelineIntegration:
     PAIRS = [(0, 4), (1, 5), (3, 2)]
 

@@ -287,6 +287,31 @@ class TestSweepProfileMerge:
         assert {"sweep.chunk", "sweep.build", "sweep.compute"} <= names
 
 
+class TestRoutingSpans:
+    def test_whatif_step_names_its_repair_and_its_walk(self, small_network):
+        import dataclasses
+
+        from repro.routing.incremental import IncrementalRouter
+
+        base = small_network.snapshot(0.0)
+        keep = np.ones(len(base.isl_pairs), dtype=bool)
+        keep[[3, 17, 40]] = False
+        faulted = dataclasses.replace(base, isl_pairs=base.isl_pairs[keep],
+                                      isl_lengths_m=base.isl_lengths_m[keep])
+        pairs = [(0, 1), (3, 2), (1, 4)]
+        router = IncrementalRouter(small_network)
+        router.paths_many(base, pairs)
+        with profiled() as profiler:
+            router.paths_many(faulted, pairs)
+        recorded = _spans(profiler)
+        names = [span[0] for span in recorded]
+        assert names.count("routing.paths") == 1
+        assert "routing.incremental_repair" in names
+        # The walk is the update's sibling, not part of it.
+        walk = recorded[names.index("routing.paths")]
+        assert walk[3] == -1
+
+
 class TestCli:
     def test_profile_command_exports_trace_report_metrics(self, tmp_path,
                                                           capsys):
