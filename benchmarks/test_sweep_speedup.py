@@ -116,7 +116,7 @@ def test_parallel_sweep_speedup():
     for profile, meta in profiler.children:
         count = meta["snapshot_stop"] - meta["snapshot_start"]
         wall = _span_seconds(profile, "sweep.chunk")
-        build = _span_seconds(profile, "sweep.build")
+        build = _span_seconds(profile, "sweep.spec_build")
         rows.append(f"worker_{meta['chunk_index']}  {count:4d} snapshots  "
                     f"wall {wall:7.3f}s  (build {build:6.3f}s)")
     write_result("sweep_speedup", rows)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -375,14 +376,10 @@ def _cmd_sweep(args) -> int:
     else:
         pairs = random_permutation_pairs(args.cities)
     profile_out = args.profile_out
-    profiler = spans.install() if profile_out else None
-    try:
+    with spans.profiled() if profile_out else nullcontext() as profiler:
         timelines = hypatia.compute_timelines(
             pairs, duration_s=args.duration, step_s=args.step,
             workers=args.workers)
-    finally:
-        if profiler is not None:
-            spans.uninstall()
     if profiler is not None:
         events = profiler.write_chrome_trace(
             profile_out,
@@ -503,8 +500,7 @@ def _cmd_report(args) -> int:
 
     trace_out = args.trace
     profile_out = args.profile_out
-    profiler = spans.install() if profile_out else None
-    try:
+    with spans.profiled() if profile_out else nullcontext() as profiler:
         if args.engine == "packet":
             from .traffic.spawner import (WorkloadSpawner,
                                           packet_fct_section)
@@ -537,9 +533,6 @@ def _cmd_report(args) -> int:
                 flows, metrics=registry, workload=workload)
             result = fluid.run(args.duration, step_s=args.step)
             report = result.report(registry=registry)
-    finally:
-        if profiler is not None:
-            spans.uninstall()
 
     report.provenance = {**(report.provenance or {}), **provenance}
     print(report.describe())

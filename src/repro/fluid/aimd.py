@@ -134,7 +134,6 @@ class AimdFluidSimulation(FluidSimulation):
               step: ClassPaths, faults) -> None:
         """One snapshot step: ``substeps`` RTT-granularity AIMD updates
         over the step's flat (flow, device) incidence."""
-        profiler = spans.ACTIVE
         num_flows = len(state.starts)
         flow_rows = step.flow_rows(num_flows)
         capacity = self.link_capacity_bps
@@ -225,39 +224,36 @@ class AimdFluidSimulation(FluidSimulation):
         # flow_rtt only changes at snapshot granularity).
         increase_dt = (MSS_BYTES * 8.0 / flow_rtt ** 2
                        * slope_jitter * dt)
-        sub_span = (profiler.begin("fluid.aimd.substeps")
-                    if profiler.enabled else -1)
-        for sub in range(substeps):
-            sub_time = time_s + sub * dt
-            # Offered load per device from current rates.
-            loads = np.zeros(num_devs)
-            np.add.at(loads, ent_col, rates[ent_flow])
-            loaded = np.zeros(num_devs, dtype=bool)
-            loaded[ent_col] = True
-            touched |= loaded | (backlog > 0.0)
-            # Virtual drop-tail queues: overload builds backlog, spare
-            # capacity drains it; hitting the cap signals drops.
-            # Devices no flow uses anymore (zero load) still drain.
-            arriving = backlog + loads * dt
-            served = np.minimum(dev_cap_dt, arriving)
-            leftover = arriving - served
-            overflow = loaded & (leftover > QUEUE_BITS)
-            backlog = np.minimum(leftover, QUEUE_BITS)
-            served_bits_arr += served
-            # AIMD reaction of every connected flow.
-            rates[~has_dev] = FLOOR_BPS  # restart on reconnection
-            drop_hit = np.zeros(num_flows, dtype=bool)
-            drop_hit[ent_flow[overflow[ent_col]]] = True
-            decrease = (has_dev & drop_hit
-                        & (sub_time - last_decrease >= flow_rtt))
-            rates[decrease] = np.maximum(rates[decrease] / 2.0,
-                                         FLOOR_BPS)
-            last_decrease[decrease] = sub_time
-            grow = has_dev & ~decrease
-            rates[grow] += increase_dt[grow]
-            rates[has_dev] = np.minimum(rates[has_dev], rate_cap[has_dev])
-        if sub_span != -1:
-            profiler.end(sub_span)
+        with spans.span("fluid.aimd.substeps"):
+            for sub in range(substeps):
+                sub_time = time_s + sub * dt
+                # Offered load per device from current rates.
+                loads = np.zeros(num_devs)
+                np.add.at(loads, ent_col, rates[ent_flow])
+                loaded = np.zeros(num_devs, dtype=bool)
+                loaded[ent_col] = True
+                touched |= loaded | (backlog > 0.0)
+                # Virtual drop-tail queues: overload builds backlog, spare
+                # capacity drains it; hitting the cap signals drops.
+                # Devices no flow uses anymore (zero load) still drain.
+                arriving = backlog + loads * dt
+                served = np.minimum(dev_cap_dt, arriving)
+                leftover = arriving - served
+                overflow = loaded & (leftover > QUEUE_BITS)
+                backlog = np.minimum(leftover, QUEUE_BITS)
+                served_bits_arr += served
+                # AIMD reaction of every connected flow.
+                rates[~has_dev] = FLOOR_BPS  # restart on reconnection
+                drop_hit = np.zeros(num_flows, dtype=bool)
+                drop_hit[ent_flow[overflow[ent_col]]] = True
+                decrease = (has_dev & drop_hit
+                            & (sub_time - last_decrease >= flow_rtt))
+                rates[decrease] = np.maximum(rates[decrease] / 2.0,
+                                             FLOOR_BPS)
+                last_decrease[decrease] = sub_time
+                grow = has_dev & ~decrease
+                rates[grow] += increase_dt[grow]
+                rates[has_dev] = np.minimum(rates[has_dev], rate_cap[has_dev])
         held = np.flatnonzero(backlog > 0.0)
         state.backlog_codes = dev_codes[held]
         state.backlog_bits = backlog[held]

@@ -269,6 +269,7 @@ def first_appearance_rows(ids: np.ndarray, num_ids: int
     return rank[ids], first[order]
 
 
+@spans.timed("fluid.matrix_build")
 def flow_link_matrix_from_paths(
         table: np.ndarray, counts: np.ndarray, num_satellites: int,
         devices: DeviceIndex, capacities_of
@@ -396,7 +397,10 @@ class FluidResult:
         perf: Work accounting of the run (``snapshots_computed``, and
             ``allocations_solved`` for dynamic max-min runs), filled by
             the engines; wall-clock time is the span profiler's
-            (``fluid.run``).
+            (``fluid.advance``, around ``fluid.paths`` /
+            ``fluid.matrix_build`` / ``fluid.waterfill`` /
+            ``fluid.loads`` / ``fluid.integrate``, or AIMD's
+            ``fluid.aimd.substeps``).
         duration_s: Simulated horizon of the run.
         flow_offered_bits: (F,) per-flow offered volume — ``inf`` for
             long-running flows; ``None`` for fully static workloads.
@@ -625,6 +629,7 @@ class FluidSimulation:
         #: :meth:`_step_paths`); None before the first.
         self._last_step: Optional[_LastStep] = None
 
+    @spans.timed("fluid.paths")
     def _class_walk(self, time_s: float, classes: np.ndarray,
                     previous: Optional[PathWalk]) -> PathWalk:
         """The path walk of flow classes ``classes`` at ``time_s``, one
@@ -687,11 +692,7 @@ class FluidSimulation:
             previous = None if last is None else last.walk
             if previous is not None and previous_row is not None:
                 previous = previous.take(previous_row)
-            profiler = spans.ACTIVE
-            span = profiler.begin("fluid.paths") if profiler.enabled else -1
             walk = self._class_walk(time_s, classes, previous)
-            if span != -1:
-                profiler.end(span)
             table, counts, kept = walk.table, walk.counts, walk.kept
         step = ClassPaths(
             candidates, row_of_cand, lead, table, counts,
@@ -819,6 +820,7 @@ class FluidSimulation:
             self._class_pairs, np.column_stack([src[added], dst[added]])])
         return ids[rank]
 
+    @spans.timed("fluid.advance")
     def advance(self, state: FluidRunState,
                 max_steps: Optional[int] = None) -> FluidRunState:
         """Process up to ``max_steps`` snapshot steps (all remaining by
@@ -834,8 +836,6 @@ class FluidSimulation:
                 raise ValueError(f"max_steps must be >= 0, got {max_steps}")
             stop = min(stop, state.next_index + max_steps)
         faults = self.network.fault_view
-        profiler = spans.ACTIVE
-        run_span = profiler.begin("fluid.run") if profiler.enabled else -1
         for t_index in range(state.next_index, stop):
             time_s = float(state.times[t_index])
             # Flows that could take capacity somewhere in this step:
@@ -847,8 +847,6 @@ class FluidSimulation:
             self._step(state, t_index, time_s,
                        self._step_paths(state, time_s, candidates), faults)
             state.next_index = t_index + 1
-        if run_span != -1:
-            profiler.end(run_span)
         return state
 
     def finish(self, state: FluidRunState) -> FluidResult:
@@ -902,16 +900,11 @@ class FluidSimulation:
         the arrays made, so the outcome is bit-identical to re-solving
         over all candidates at every event.
         """
-        profiler = spans.ACTIVE
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
                                          step.lead)
-        build_span = (profiler.begin("fluid.matrix_build")
-                      if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
             step.table, step.counts, self._num_sats, step.devices,
             lambda keys: self._device_capacities(keys, faults, time_s))
-        if build_span != -1:
-            profiler.end(build_span)
         keys = matrix.link_keys
 
         starts, residual_bits = state.starts, state.residual_bits
@@ -920,8 +913,6 @@ class FluidSimulation:
         starts_c = starts[candidates]
         row_demands = state.demand_caps[lead]
         has_path = (hop_counts > 0)[row_of_cand]
-        loop_span = (profiler.begin("fluid.subevents")
-                     if profiler.enabled else -1)
         # The step's arrivals by start, ties in candidate order.  Every
         # candidate starts before ``step_end``; path-less ones stay in
         # the list, since their arrival splits the interval all the same.
@@ -933,8 +924,6 @@ class FluidSimulation:
         active = np.flatnonzero((starts_c <= time_s + _TIME_EPS_S)
                                 & (residual_bits[candidates] > 0.0)
                                 & has_path)
-        solve_span = (profiler.begin("fluid.waterfill")
-                      if profiler.enabled else -1)
         # Solve each row once, weighted by its active members, rows
         # ordered by their first *active* member so the columns keep the
         # per-flow first-appearance order.  With one member per row
@@ -948,53 +937,47 @@ class FluidSimulation:
             copies = members[solved]
         allocated = waterfill(matrix, demands=row_demands, active=solved,
                               multiplicity=copies)[slot]
-        if solve_span != -1:
-            profiler.end(solve_span)
         state.solves += 1
         global_active = candidates[active]
-        span = profiler.begin("fluid.loads") if profiler.enabled else -1
-        # Flow by flow in traversal order: the bits of a load depend on
-        # the order its rates were added in.
-        load_arr = matrix.link_loads(allocated, rows)
-        # A link is recorded iff a row with an active member crosses it,
-        # carrying rate or not.
-        crossed = np.zeros(matrix.num_links, dtype=bool)
-        crossed[matrix.link_index[np.repeat(
-            members > 0, np.diff(matrix.indptr))]] = True
-        crossed = np.flatnonzero(crossed)
-        loads = dict(zip(map(keys.__getitem__, crossed.tolist()),
-                         load_arr[crossed].tolist()))
-        if span != -1:
-            profiler.end(span)
+        with spans.span("fluid.loads"):
+            # Flow by flow in traversal order: the bits of a load depend
+            # on the order its rates were added in.
+            load_arr = matrix.link_loads(allocated, rows)
+            # A link is recorded iff a row with an active member crosses
+            # it, carrying rate or not.
+            crossed = np.zeros(matrix.num_links, dtype=bool)
+            crossed[matrix.link_index[np.repeat(
+                members > 0, np.diff(matrix.indptr))]] = True
+            crossed = np.flatnonzero(crossed)
+            loads = dict(zip(map(keys.__getitem__, crossed.tolist()),
+                             load_arr[crossed].tolist()))
         state.rates[t_index, global_active] = allocated
         self._record_snapshot(state, t_index, time_s, step, loads,
                               active_count=len(active))
-        span = profiler.begin("fluid.integrate") if profiler.enabled else -1
-        next_tau = arrival_s[0] if arrival_s else step_end
-        res_act = residual_bits[global_active]
-        finishing = np.isfinite(res_act) & (allocated > 0.0)
-        if finishing.any():
-            done = time_s + np.maximum(
-                res_act[finishing] / allocated[finishing], _TIME_EPS_S)
-            next_tau = min(next_tau, float(done.min()))
-        dt = next_tau - time_s
-        if dt > 0.0 and active.size:
-            # Nothing is compressed: a flow at rate 0 is served +0.0,
-            # which leaves its delivered bits (+0.0 or more) as they are.
-            # Without a finishing flow (a static workload) no residual is
-            # cut or kept: min(served, +inf) is served.
-            served = allocated * dt
+        with spans.span("fluid.integrate"):
+            next_tau = arrival_s[0] if arrival_s else step_end
+            res_act = residual_bits[global_active]
+            finishing = np.isfinite(res_act) & (allocated > 0.0)
             if finishing.any():
-                np.minimum(served, res_act, out=served)
-                g_fin = global_active[finishing]
-                residual_bits[g_fin] -= served[finishing]
-                completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
-                g_done = g_fin[completed]
-                residual_bits[g_done] = 0.0
-                fct_s[g_done] = next_tau - starts[g_done]
-            delivered_bits[global_active] += served
-        if span != -1:
-            profiler.end(span)
+                done = time_s + np.maximum(
+                    res_act[finishing] / allocated[finishing], _TIME_EPS_S)
+                next_tau = min(next_tau, float(done.min()))
+            dt = next_tau - time_s
+            if dt > 0.0 and active.size:
+                # Nothing is compressed: a flow at rate 0 is served +0.0,
+                # which leaves its delivered bits (+0.0 or more) as they
+                # are.  Without a finishing flow (a static workload) no
+                # residual is cut or kept: min(served, +inf) is served.
+                served = allocated * dt
+                if finishing.any():
+                    np.minimum(served, res_act, out=served)
+                    g_fin = global_active[finishing]
+                    residual_bits[g_fin] -= served[finishing]
+                    completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
+                    g_done = g_fin[completed]
+                    residual_bits[g_done] = 0.0
+                    fct_s[g_done] = next_tau - starts[g_done]
+                delivered_bits[global_active] += served
         tau = next_tau
         if tau < step_end - _TIME_EPS_S:
             # Re-solves, on scalars over the kept active set: candidate
@@ -1019,8 +1002,6 @@ class FluidSimulation:
                 rows = [row_of[pos] for pos in kept]
                 rates = []
                 if kept:
-                    solve_span = (profiler.begin("fluid.waterfill")
-                                  if profiler.enabled else -1)
                     # Row -> active members, in first-active order.
                     copies = dict.fromkeys(rows, 0)
                     for row in rows:
@@ -1031,8 +1012,6 @@ class FluidSimulation:
                         None if len(solved) == len(rows)
                         else list(copies.values()))))
                     rates = [rate_of[row] for row in rows]
-                    if solve_span != -1:
-                        profiler.end(solve_span)
                 state.solves += 1
                 next_tau = (arrival_s[arrived] if arrived < len(arrival_s)
                             else step_end)
@@ -1065,8 +1044,6 @@ class FluidSimulation:
                         left.append(pos)
                     kept = left
                 tau = next_tau
-        if loop_span != -1:
-            profiler.end(loop_span)
 
     def _device_capacities(self, keys: Sequence[Hashable], faults,
                            time_s: float) -> np.ndarray:

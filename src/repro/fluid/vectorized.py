@@ -43,6 +43,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import spans
+
 __all__ = [
     "FlowLinkMatrix",
     "waterfill",
@@ -211,6 +213,7 @@ class FlowLinkMatrix:
         return self.link_index[gather], out_ptr, entry_rows
 
 
+@spans.timed("fluid.waterfill")
 def waterfill(matrix: FlowLinkMatrix,
               demands: Optional[Sequence[float]] = None,
               active: Optional[np.ndarray] = None,
@@ -276,6 +279,7 @@ def waterfill(matrix: FlowLinkMatrix,
     return _waterfill_arrays(matrix, dem, act, multiplicity)
 
 
+@spans.timed("fluid.waterfill")
 def waterfill_lists(matrix: FlowLinkMatrix, rows: List[int],
                     caps: List[float],
                     copies: Optional[List[int]]) -> List[float]:

@@ -28,8 +28,7 @@ from .metrics import Counter, Histogram, MetricsRegistry, TimeSeriesLog
 from .probes import SimulatorProbe, isl_utilization_from_registry
 from .report import RunReport, fluid_run_report, packet_run_report
 from .spans import (NULL_PROFILER, NullSpanProfiler, SpanProfiler,
-                    SpanProfilerBase, format_phases, install, profiled,
-                    uninstall)
+                    SpanProfilerBase, format_phases, profiled)
 from .trace import (NULL_TRACER, FLOW_CWND, FLOW_RTT, FLOW_STATE,
                     FWD_UPDATE, PKT_DELIVER, PKT_DROP, PKT_ENQUEUE,
                     PKT_TX_FINISH, PKT_TX_START, ROUTE_CHANGE, NullTracer,
@@ -40,7 +39,7 @@ __all__ = [
     "SimulatorProbe", "isl_utilization_from_registry",
     "RunReport", "fluid_run_report", "packet_run_report",
     "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler",
-    "NULL_PROFILER", "install", "uninstall", "profiled", "format_phases",
+    "NULL_PROFILER", "profiled", "format_phases",
     "Tracer", "NullTracer", "RingBufferTracer", "TraceEvent", "TraceFilter",
     "NULL_TRACER",
     "PKT_ENQUEUE", "PKT_TX_START", "PKT_TX_FINISH", "PKT_DELIVER",

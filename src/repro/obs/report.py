@@ -153,7 +153,7 @@ def _active_phase_summary() -> Optional[Dict[str, Any]]:
     """Phase summary of the ambient span profiler, if one is installed."""
     from . import spans
     profiler = spans.ACTIVE
-    if profiler.enabled and isinstance(profiler, spans.SpanProfiler):
+    if isinstance(profiler, spans.SpanProfiler):
         return profiler.phase_summary()
     return None
 

@@ -7,18 +7,19 @@ waterfill solve", "one sweep chunk" — and a :class:`SpanProfiler` holds
 one process's span tree as flat parallel arrays.
 
 The hook discipline mirrors :class:`~repro.obs.trace.NullTracer`: the
-ambient profiler (:data:`ACTIVE`, default :data:`NULL_PROFILER`) has an
-``enabled`` class attribute, every instrumented site guards with one
-attribute check, and the disabled path never allocates::
+ambient profiler (:data:`ACTIVE`, default :data:`NULL_PROFILER`) is read
+when a span opens, and the disabled path allocates nothing.  A span
+opens in one of two ways::
 
-    profiler = spans.ACTIVE
-    handle = profiler.begin("fluid.waterfill") if profiler.enabled else -1
-    ...                     # the timed work
-    if handle != -1:
-        profiler.end(handle)
+    @spans.timed("fluid.waterfill")     # around every call of a function
+    def waterfill(...): ...
 
-``make bench-obs`` enforces that disabled-span instrumentation costs
-less than 2% of a 1e5-flow vectorized fluid solve.
+    with spans.span("fluid.loads"):     # around a segment of one
+        ...
+
+:func:`profiled` is the one way to install a profiler.  ``make
+bench-obs`` enforces that disabled spans cost less than 2% of a
+1e5-flow vectorized fluid solve.
 
 Cross-process merging: sweep workers install their own profiler, run
 their chunk, and serialize the resulting span tree (:meth:`SpanProfiler.
@@ -33,16 +34,18 @@ self-time phase summary (:meth:`~SpanProfiler.phase_summary`) feeds the
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import (Any, Callable, ContextManager, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 __all__ = [
     "SpanProfilerBase", "NullSpanProfiler", "SpanProfiler",
-    "NULL_PROFILER", "ACTIVE", "active", "install", "uninstall", "profiled",
+    "NULL_PROFILER", "ACTIVE", "span", "timed", "profiled",
     "format_phases",
 ]
 
@@ -57,10 +60,13 @@ DEFAULT_CAPACITY = 1 << 20
 MAIN_PID = 1
 
 
-class SpanProfilerBase:
-    """Profiler interface; ``enabled`` gates every instrumented site."""
+#: The disabled span: one shared, stateless no-op context.
+_NO_SPAN = nullcontext()
 
-    #: Hot paths read this before doing anything else.
+
+class SpanProfilerBase:
+    """Profiler interface; ``enabled`` says whether spans are recorded."""
+
     enabled: bool = False
 
     def begin(self, name: str) -> int:
@@ -70,14 +76,10 @@ class SpanProfilerBase:
     def end(self, handle: int) -> None:
         """Close the span opened as ``handle`` (no-op on -1)."""
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Context-manager convenience over :meth:`begin`/:meth:`end`."""
-        handle = self.begin(name)
-        try:
-            yield
-        finally:
-            self.end(handle)
+    def span(self, name: str) -> ContextManager[None]:
+        """A context manager timing its block as span ``name`` (here:
+        the one shared no-op)."""
+        return _NO_SPAN
 
 
 class NullSpanProfiler(SpanProfilerBase):
@@ -89,41 +91,45 @@ class NullSpanProfiler(SpanProfilerBase):
 #: Shared default profiler instance; safe to reuse everywhere (stateless).
 NULL_PROFILER = NullSpanProfiler()
 
-#: The ambient profiler every instrumented site reads.  Rebound by
-#: :func:`install`/:func:`uninstall`; hot sites read ``spans.ACTIVE``
-#: through the module attribute so rebinding is always visible.
+#: The ambient profiler every span reads when it opens.  Rebound only by
+#: :func:`profiled`.
 ACTIVE: SpanProfilerBase = NULL_PROFILER
 
 
-def active() -> SpanProfilerBase:
-    """The currently installed ambient profiler."""
-    return ACTIVE
+def span(name: str) -> ContextManager[None]:
+    """``with spans.span(name):`` times a segment on the ambient profiler."""
+    return ACTIVE.span(name)
 
 
-def install(profiler: Optional["SpanProfiler"] = None) -> "SpanProfiler":
-    """Make ``profiler`` (a fresh one if omitted) the ambient profiler."""
-    global ACTIVE
-    if profiler is None:
-        profiler = SpanProfiler()
-    ACTIVE = profiler
-    return profiler
-
-
-def uninstall() -> SpanProfilerBase:
-    """Restore the null profiler; returns the previously active one."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = NULL_PROFILER
-    return previous
+def timed(name: str) -> Callable[[Callable], Callable]:
+    """Decorator: every call of the function is a span ``name`` on the
+    profiler that is ambient when the call starts.  A call that raises
+    closes its span on the way out."""
+    def decorate(function: Callable) -> Callable:
+        @functools.wraps(function)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            profiler = ACTIVE
+            if not profiler.enabled:
+                return function(*args, **kwargs)
+            handle = profiler.begin(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                profiler.end(handle)
+        return wrapper
+    return decorate
 
 
 @contextmanager
 def profiled(profiler: Optional["SpanProfiler"] = None
              ) -> Iterator["SpanProfiler"]:
-    """Install a profiler for the duration of a ``with`` block."""
+    """Make ``profiler`` (a fresh one if omitted) the ambient profiler
+    for the duration of a ``with`` block; the previous one comes back
+    however the block ends."""
     global ACTIVE
     previous = ACTIVE
-    installed = install(profiler)
+    installed = SpanProfiler() if profiler is None else profiler
+    ACTIVE = installed
     try:
         yield installed
     finally:
@@ -180,6 +186,14 @@ class SpanProfiler(SpanProfilerBase):
         self._parents.append(self._stack[-1] if self._stack else -1)
         self._stack.append(index)
         return index
+
+    @contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        handle = self.begin(name)
+        try:
+            yield
+        finally:
+            self.end(handle)
 
     def end(self, handle: int) -> None:
         if handle < 0:

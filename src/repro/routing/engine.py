@@ -394,18 +394,14 @@ class RoutingEngine:
         """
         return self._update(snapshot, self._unique_gids(dst_gids))
 
+    @spans.timed("routing.route_to_many")
     def _update(self, snapshot: TopologySnapshot,
                 unique_gids: Tuple[int, ...]) -> MultiDestinationRouting:
         """One forwarding update: graph, trees (:meth:`_trees`), accounting."""
-        profiler = spans.ACTIVE
-        span = (profiler.begin("routing.route_to_many")
-                if profiler.enabled else -1)
         graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
                                                            unique_gids)
         distances, next_hop = self._trees(graph, dst_nodes, coo, unique_gids)
         self.perf.trees_computed += len(unique_gids)
-        if span != -1:
-            profiler.end(span)
         return MultiDestinationRouting(
             dst_gids=unique_gids,
             dst_nodes=dst_nodes,
@@ -523,9 +519,6 @@ class RoutingEngine:
             self.perf.transit_cache_hits += 1
             assert self._cached_transit is not None
             return self._cached_transit
-        profiler = spans.ACTIVE
-        span = (profiler.begin("routing.transit_build")
-                if profiler.enabled else -1)
         rows, cols, data = self._transit_edges(snapshot)
         directed = (np.concatenate([rows, cols]),
                     np.concatenate([cols, rows]),
@@ -533,10 +526,9 @@ class RoutingEngine:
         self._cached_snapshot = snapshot
         self._cached_transit = directed
         self.perf.transit_builds += 1
-        if span != -1:
-            profiler.end(span)
         return directed
 
+    @spans.timed("routing.transit_build")
     def _transit_edges(self, snapshot: TopologySnapshot
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One-way edge arrays of the transit graph (ISLs + relay GSLs)."""
@@ -624,6 +616,7 @@ class RoutingEngine:
         walk = self.path_table(multi, snapshot, pairs)
         return cut_paths(walk.table, walk.counts), walk.distances
 
+    @spans.timed("routing.paths")
     def path_table(self, multi: MultiDestinationRouting,
                    snapshot: TopologySnapshot,
                    pairs: Sequence[Tuple[int, int]],
@@ -658,8 +651,6 @@ class RoutingEngine:
                             np.zeros(0, dtype=np.int64),
                             np.zeros(0, dtype=bool), multi.next_hop,
                             multi.dst_gids)
-        profiler = spans.ACTIVE
-        span = profiler.begin("routing.paths") if profiler.enabled else -1
         src_gids, dst_gids = np.asarray(pairs, dtype=np.int64).T
         rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
                                                         dst_gids)
@@ -718,8 +709,6 @@ class RoutingEngine:
         distances = np.full(num_pairs, np.inf)
         distances[routed] = best_totals[routed]
         counts = hops + routed
-        if span != -1:
-            profiler.end(span)
         return PathWalk(table, counts, distances, ingress, kept,
                         multi.next_hop, multi.dst_gids)
 

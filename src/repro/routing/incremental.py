@@ -344,6 +344,7 @@ class IncrementalRouter(RoutingEngine):
             self._prev_parent_edge = self._prev_parent_edge.reshape(
                 len(rows), -1)[rows].reshape(-1)
 
+    @spans.timed("routing.incremental_repair")
     def _repair(self, graph: csr_matrix, dst_nodes: np.ndarray,
                 coo: Tuple[np.ndarray, np.ndarray, np.ndarray]
                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -357,9 +358,6 @@ class IncrementalRouter(RoutingEngine):
         which gives up (returns None) when that pass finds more than
         ``MAX_VIOLATED_SHARE`` of the (tree, vertex) pairs violated.
         """
-        profiler = spans.ACTIVE
-        span = (profiler.begin("routing.incremental_repair")
-                if profiler.enabled else -1)
         assert self._prev_coo is not None
         delta = diff_graphs(*self._prev_coo, *coo, self._num_nodes)
         counters = self.inc_perf
@@ -374,8 +372,6 @@ class IncrementalRouter(RoutingEngine):
                 counters.reweight_repairs += 1
         if solved is not None:
             counters.repairs += 1
-        if span != -1:
-            profiler.end(span)
         return solved
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..faults.schedule import FaultEvent, exact_int
+from ..obs import spans
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import WorkloadSchedule
 
@@ -110,6 +111,7 @@ class CheckpointSpecError(CheckpointError):
     """The checkpoint's network spec does not match the expected one."""
 
 
+@spans.timed("service.checkpoint_save")
 def save_checkpoint(path: str, service: LiveSimulationService,
                     meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Write ``service`` to a checkpoint file; returns its header (whose
@@ -197,6 +199,7 @@ def _parse_log(path: str, document: Dict[str, Any]) -> List[tuple]:
     return entries
 
 
+@spans.timed("service.checkpoint_load")
 def load_checkpoint(path: str,
                     expected_spec: Optional[NetworkSpec] = None
                     ) -> LiveSimulationService:

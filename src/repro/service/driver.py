@@ -38,6 +38,7 @@ import numpy as np
 from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..fluid.engine import FluidRunState, FluidSimulation
+from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.report import RunReport
 from ..simulation.simulator import PacketSimulator
@@ -144,6 +145,7 @@ class LiveSimulationService:
         """Whether the service reached its horizon."""
         return self.clock_s >= self.horizon_s
 
+    @spans.timed("service.advance")
     def advance_to(self, target_s: float) -> Dict[str, Any]:
         """Advance simulated time to ``min(target_s, horizon_s)``.
 
@@ -197,6 +199,7 @@ class LiveSimulationService:
     # Live mutation
     # ------------------------------------------------------------------
 
+    @spans.timed("service.attach")
     def attach_workload(self, workload: WorkloadSchedule,
                         shift_to_now: bool = False) -> int:
         """Add a finite-flow workload to the running simulation.
@@ -261,12 +264,10 @@ class LiveSimulationService:
         now = self.clock_s
         self.log.append([now, "detach_workload", handle])
         if self.engine == "packet":
-            cancelled = 0
-            for app in attached.flows:
-                if getattr(app, "completed_at_s", None) is None:
-                    app.stop_s = min(getattr(app, "stop_s", np.inf), now)
-                    cancelled += 1
-            return {"handle": handle, "cancelled": cancelled}
+            future = [flow for flow in attached.flows if flow.start_s > now]
+            for flow in future:
+                flow.stop_s = now
+            return {"handle": handle, "cancelled": len(future)}
         assert self.state is not None
         start, count = attached
         state = self.state
@@ -275,6 +276,7 @@ class LiveSimulationService:
         state.residual_bits[future] = 0.0
         return {"handle": handle, "cancelled": int(len(future))}
 
+    @spans.timed("service.inject")
     def inject_fault(self, events: Union[FaultEvent,
                                          Sequence[FaultEvent]]) -> int:
         """Inject fault events into the flying constellation.
@@ -333,6 +335,7 @@ class LiveSimulationService:
     # Observation
     # ------------------------------------------------------------------
 
+    @spans.timed("service.query")
     def status(self) -> Dict[str, Any]:
         """A compact JSON-expressible view of the service state."""
         status: Dict[str, Any] = {
@@ -357,10 +360,12 @@ class LiveSimulationService:
             status["allocations_solved"] = self.state.solves
         return status
 
+    @spans.timed("service.query")
     def metrics_dict(self, include_series: bool = True) -> Dict[str, Any]:
         """The live metrics registry contents (``repro.obs`` form)."""
         return self.metrics.as_dict(include_series=include_series)
 
+    @spans.timed("service.report")
     def report(self) -> RunReport:
         """The unified run report of the simulation so far.
 

@@ -166,6 +166,7 @@ class ServiceServer:
         finally:
             writer.close()
 
+    @spans.timed("service.dispatch")
     def _dispatch(self, command: Dict[str, Any]) -> Dict[str, Any]:
         if not isinstance(command, dict):
             raise ServiceError("a command must be a JSON object")
@@ -196,10 +197,9 @@ class ServiceServer:
                 deterministic=deterministic)}
         if name == "spans":
             profiler = spans.ACTIVE
-            if profiler.enabled and isinstance(profiler,
-                                               spans.SpanProfiler):
-                return {"ok": True, "phases": profiler.phase_summary()}
-            return {"ok": True, "phases": None}
+            return {"ok": True, "phases": (
+                profiler.phase_summary()
+                if isinstance(profiler, spans.SpanProfiler) else None)}
         if name == "attach_workload":
             workload = WorkloadSchedule.from_dict(command["workload"])
             handle = service.attach_workload(

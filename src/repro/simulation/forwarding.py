@@ -117,11 +117,9 @@ class ForwardingController:
             self._epoch_s + self._update_count * self.update_interval_s,
             self._update)
 
+    @spans.timed("fwd.refresh_routing")
     def _refresh_routing(self) -> None:
         """Recompute all destination trees against the current snapshot."""
-        profiler = spans.ACTIVE
-        span = (profiler.begin("fwd.refresh_routing")
-                if profiler.enabled else -1)
         tracer = self._tracer
         old_routing = self._routing if tracer.enabled else {}
         if self._destinations:
@@ -147,8 +145,6 @@ class ForwardingController:
                 if changed:
                     tracer.emit(now, ROUTE_CHANGE, node=routing.dst_node,
                                 seq=dst_gid, value=float(changed))
-        if span != -1:
-            profiler.end(span)
 
     # ------------------------------------------------------------------
     # Lookup API used by the packet forwarder

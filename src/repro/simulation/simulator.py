@@ -69,7 +69,8 @@ class SimulationStats:
 
     Besides packet counters, carries the events processed and the
     routing engine's shared perf counters.  Wall-clock time is the span
-    profiler's (``packet.event_loop``; see :mod:`repro.obs.spans`).
+    profiler's (``simulation.run``, around ``fwd.refresh_routing`` and
+    its ``routing.*`` spans; see :mod:`repro.obs.spans`).
     """
 
     def __init__(self) -> None:
@@ -235,6 +236,7 @@ class PacketSimulator:
         """Inject a packet at its source node (called by applications)."""
         self._forward(packet.src_node, packet)
 
+    @spans.timed("simulation.run")
     def run(self, duration_s: float) -> None:
         """Start (if needed) and run the simulation until ``duration_s``,
         a finite, non-negative simulated time (anything else is a
@@ -242,16 +244,11 @@ class PacketSimulator:
         if not 0.0 <= duration_s < math.inf:
             raise ValueError(f"duration must be finite and >= 0, "
                              f"got {duration_s}")
-        profiler = spans.ACTIVE
-        span = (profiler.begin("packet.event_loop")
-                if profiler.enabled else -1)
         if not self._started:
             self._started = True
             self.forwarding.start()
         self.scheduler.run(until_s=duration_s)
         self.stats.events_processed = self.scheduler.events_processed
-        if span != -1:
-            profiler.end(span)
 
     def gsl_device(self, node_id: int) -> LinkDevice:
         """The shared GSL device of a node (for stats inspection)."""

@@ -101,29 +101,18 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
+@spans.timed("sweep.chunk")
 def _compute_chunk(source: Union[NetworkSpec, LeoNetwork],
                    pairs: List[PairKey], times_s: np.ndarray
                    ) -> ChunkResult:
     """Build (unless given) the network and sweep one chunk of snapshots.
 
-    The one build → compute → record sequence behind both the serial
-    walk and every worker, timed by the ambient span profiler
-    (``sweep.chunk`` around ``sweep.build`` and ``sweep.compute``).
+    The one build → compute sequence behind both the serial walk and
+    every worker: ``sweep.chunk`` around ``sweep.spec_build`` (a spec
+    only) and ``topology.timeline``.
     """
-    profiler = spans.ACTIVE
-    profiling = profiler.enabled
-    chunk_span = profiler.begin("sweep.chunk") if profiling else -1
-    build_span = profiler.begin("sweep.build") if profiling else -1
     network = source.build() if isinstance(source, NetworkSpec) else source
-    if build_span != -1:
-        profiler.end(build_span)
-    compute_span = profiler.begin("sweep.compute") if profiling else -1
-    result = compute_pair_chunk(network, pairs, times_s)
-    if compute_span != -1:
-        profiler.end(compute_span)
-    if chunk_span != -1:
-        profiler.end(chunk_span)
-    return result
+    return compute_pair_chunk(network, pairs, times_s)
 
 
 def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
@@ -139,21 +128,18 @@ def _run_chunk(payload: Tuple[int, NetworkSpec, List[PairKey], np.ndarray,
     parent asked for profiling, else None.
     """
     chunk_index, spec, pairs, times_s, profile = payload
-    profiler = None
-    if profile:
-        # A fresh local profiler: the fork child inherits the parent's
-        # installed profiler, whose spans would be lost with the child —
-        # replace it so this chunk's spans travel back in the return.
-        profiler = spans.SpanProfiler(label=f"sweep worker {chunk_index}")
-        spans.install(profiler)
-    try:
+    if not profile:
+        return _compute_chunk(spec, pairs, times_s), None
+    # A fresh local profiler: the fork child inherits the parent's
+    # installed profiler, whose spans would be lost with the child —
+    # replace it so this chunk's spans travel back in the return.
+    with spans.profiled(spans.SpanProfiler(
+            label=f"sweep worker {chunk_index}")) as profiler:
         result = _compute_chunk(spec, pairs, times_s)
-    finally:
-        if profile:
-            spans.uninstall()
-    return result, (profiler.as_dict() if profiler is not None else None)
+    return result, profiler.as_dict()
 
 
+@spans.timed("sweep.total")
 def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
                     pairs: Sequence[PairKey],
                     times_s: np.ndarray,
@@ -196,7 +182,6 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
                          f"sweep, got {type(source).__name__}")
     workers = resolve_workers(workers)
     profiler = spans.ACTIVE
-    profiling = profiler.enabled
 
     # One outcome per chunk, in schedule order: ``(chunk_result,
     # span_profile)``.
@@ -207,29 +192,24 @@ def sweep_timelines(source: Union[NetworkSpec, LeoNetwork],
         spec = (source if isinstance(source, NetworkSpec)
                 else NetworkSpec.from_network(source))
         shards = shard_snapshots(len(times_s), workers)
-        payloads = [(index, spec, pair_keys, times_s[start:stop], profiling)
+        payloads = [(index, spec, pair_keys, times_s[start:stop],
+                     profiler.enabled)
                     for index, (start, stop) in enumerate(shards)]
-        scatter_span = (profiler.begin("sweep.scatter_gather")
-                        if profiling else -1)
-        with ProcessPoolExecutor(max_workers=len(payloads),
-                                 mp_context=_mp_context()) as pool:
+        with spans.span("sweep.scatter_gather"), ProcessPoolExecutor(
+                max_workers=len(payloads), mp_context=_mp_context()) as pool:
             outcomes = list(pool.map(_run_chunk, payloads))
-        if scatter_span != -1:
-            profiler.end(scatter_span)
 
     # Deterministic time-order merge: shard order is schedule order by
     # construction.  The same order governs span-profile adoption, so
     # merged traces are identical run-to-run regardless of worker
     # scheduling.
-    merge_span = profiler.begin("sweep.merge") if profiling else -1
-    timelines = splice_timelines(times_s,
-                                 [outcome[0] for outcome in outcomes])
-    if profiling and isinstance(profiler, spans.SpanProfiler):
-        for index, ((_, profile), (start, stop)) in enumerate(
-                zip(outcomes, shards)):
-            if profile is not None:
-                profiler.adopt(profile, chunk_index=index,
-                               snapshot_start=start, snapshot_stop=stop)
-    if merge_span != -1:
-        profiler.end(merge_span)
+    with spans.span("sweep.merge"):
+        timelines = splice_timelines(times_s,
+                                     [outcome[0] for outcome in outcomes])
+        if isinstance(profiler, spans.SpanProfiler):
+            for index, ((_, profile), (start, stop)) in enumerate(
+                    zip(outcomes, shards)):
+                if profile is not None:
+                    profiler.adopt(profile, chunk_index=index,
+                                   snapshot_start=start, snapshot_stop=stop)
     return timelines

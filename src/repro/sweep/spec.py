@@ -35,6 +35,7 @@ from ..constellations.builder import Constellation
 from ..faults.schedule import FaultSchedule, exact_int
 from ..geo.coordinates import GeodeticPosition
 from ..ground.stations import GroundStation
+from ..obs import spans
 from ..traffic.arrivals import WorkloadSchedule
 from ..orbits.shell import Shell
 from ..topology.gsl import GslPolicy
@@ -81,6 +82,7 @@ class NetworkSpec:
         return replace(self, workload=workload)
 
     @classmethod
+    @spans.timed("sweep.spec_build")
     def from_network(cls, network: LeoNetwork) -> "NetworkSpec":
         """The spec describing an existing network."""
         return cls(
@@ -93,6 +95,7 @@ class NetworkSpec:
             faults=network.faults,
         )
 
+    @spans.timed("sweep.spec_build")
     def build(self) -> LeoNetwork:
         """Rebuild the network this spec describes (bit-identical).
 

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
+from ..obs import spans
 from .network import LeoNetwork
 
 __all__ = ["snapshot_times", "PairTimeline", "satellites_of_path",
@@ -139,6 +140,7 @@ def make_routing_engine(network: LeoNetwork):
     return IncrementalRouter(network)
 
 
+@spans.timed("topology.timeline")
 def compute_pair_chunk(network: LeoNetwork,
                        pairs: Sequence[Tuple[int, int]],
                        times_s: np.ndarray,

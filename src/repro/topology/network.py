@@ -26,6 +26,7 @@ from ..constellations.builder import Constellation
 from ..geo.constants import SPEED_OF_LIGHT_M_PER_S
 from ..ground.stations import GroundStation
 from ..ground.visibility import station_frames
+from ..obs import spans
 from .gsl import GslEdges, GslPolicy, compute_gsl_edges
 from .isl import ISL_BUILDERS, isl_lengths_m, validate_isl_pairs
 
@@ -275,6 +276,7 @@ class LeoNetwork:
             if len(self.isl_pairs) else self.isl_pairs
         return self._isl_mask_pairs
 
+    @spans.timed("topology.snapshot")
     def snapshot(self, time_s: float) -> TopologySnapshot:
         """Materialize the topology at ``time_s``.
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..faults.schedule import exact_int
+from ..obs import spans
 from .matrix import TrafficMatrix
 
 __all__ = ["FlowRequest", "WorkloadSchedule", "FlowArrivalProcess",
@@ -205,6 +206,7 @@ class WorkloadSchedule:
              for r in self.requests],
             seed=self.seed)
 
+    @spans.timed("traffic.as_fluid_flows")
     def as_fluid_flows(self) -> list:
         """The schedule as finite, elastic
         :class:`~repro.fluid.engine.FluidFlow` s (flow *f* is request *f*,
@@ -307,6 +309,7 @@ class FlowArrivalProcess:
             size = self._pareto_xm * rng.paretovariate(PARETO_ALPHA)
         return max(MIN_SIZE_BYTES, int(round(size)))
 
+    @spans.timed("traffic.generate")
     def generate(self, duration_s: float) -> WorkloadSchedule:
         """A deterministic workload over ``[0, duration_s)``.
 

@@ -139,10 +139,13 @@ class WorkloadSpawner:
             controller=self.controller).install(sim)
         flow.on_complete = partial(self._on_flow_complete, request)
         self.flows.append(flow)
-        sim.scheduler.schedule_at(request.t_start_s, self._on_flow_started)
+        sim.scheduler.schedule_at(request.t_start_s,
+                                  partial(self._on_flow_started, flow))
 
-    def _on_flow_started(self) -> None:
+    def _on_flow_started(self, flow: TcpFlow) -> None:
         assert self.sim is not None
+        if flow.stop_s <= flow.start_s:
+            return  # cancelled before it started (a detached workload)
         self.started += 1
         self._active += 1
         registry = self.metrics

@@ -28,7 +28,6 @@ from repro.fluid.engine import (_ELASTIC_DEMAND_CAPACITIES,
                                 FluidSimulation, first_appearance_rows,
                                 flow_link_matrix_from_paths, path_devices)
 from repro.fluid.vectorized import waterfill
-from repro.obs import spans
 
 
 def max_min_fair_allocation(
@@ -278,16 +277,11 @@ class RescanningFluidSimulation(FluidSimulation):
     same number of solves."""
 
     def _step(self, state, t_index, time_s, step, faults):
-        profiler = spans.ACTIVE
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
                                          step.lead)
-        build_span = (profiler.begin("fluid.matrix_build")
-                      if profiler.enabled else -1)
         matrix, hop_counts = flow_link_matrix_from_paths(
             step.table, step.counts, self._num_sats, step.devices,
             lambda keys: self._device_capacities(keys, faults, time_s))
-        if build_span != -1:
-            profiler.end(build_span)
         keys = matrix.link_keys
 
         starts, residual_bits = state.starts, state.residual_bits
@@ -295,16 +289,12 @@ class RescanningFluidSimulation(FluidSimulation):
         starts_c = starts[candidates]
         row_demands = state.demand_caps[lead]
         has_path = (hop_counts > 0)[row_of_cand]
-        loop_span = (profiler.begin("fluid.subevents")
-                     if profiler.enabled else -1)
         tau = time_s
         recorded = False
         while True:
             active = np.flatnonzero((starts_c <= tau + _TIME_EPS_S)
                                     & (residual_bits[candidates] > 0.0)
                                     & has_path)
-            solve_span = (profiler.begin("fluid.waterfill")
-                          if profiler.enabled else -1)
             # Solve each row once, weighted by its active members, rows
             # ordered by their first *active* member so the columns keep
             # the per-flow first-appearance order.  With one member per
@@ -318,8 +308,6 @@ class RescanningFluidSimulation(FluidSimulation):
                 copies = members[solved]
             allocated = waterfill(matrix, demands=row_demands, active=solved,
                                   multiplicity=copies)[slot]
-            if solve_span != -1:
-                profiler.end(solve_span)
             state.solves += 1
             global_active = candidates[active]
             if not recorded:
@@ -367,5 +355,3 @@ class RescanningFluidSimulation(FluidSimulation):
             tau = next_tau
             if tau >= step_end - _TIME_EPS_S:
                 break
-        if loop_span != -1:
-            profiler.end(loop_span)

@@ -1225,6 +1225,51 @@ class TestLiveMutation:
             assert np.array_equal(again.fct_values(),
                                   baseline.fct_values()), engine
 
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    def test_detach_cancels_only_unstarted_flows(self, engine, tmp_path):
+        """Detaching mid-transfer lets the started flow drain and
+        complete; only the flow that has not started is cancelled, and
+        it is never counted as started."""
+        base = WorkloadSchedule([FlowRequest(0.0, 2, 3, 20_000)], seed=0)
+        running, future = (FlowRequest(0.5, 0, 1, 1_000_000),
+                           FlowRequest(5.0, 1, 0, 200_000))
+        service = _make_service(engine, workload=base)
+        handle = service.attach_workload(
+            WorkloadSchedule([running, future], seed=0))
+        service.advance_to(1.0)
+        if engine == "packet":
+            (spawner,) = service._spawners[1:]
+            in_flight, unstarted = spawner.flows
+            assert in_flight.snd_nxt > 0
+            assert in_flight.completed_at_s is None
+        else:
+            in_flight, unstarted = 1, 2
+            assert 0.0 < service.state.residual_bits[in_flight] < 8e6
+        assert service.detach_workload(handle) == {"handle": handle,
+                                                   "cancelled": 1}
+        restored = _round_trip(service, tmp_path / "detached.ckpt")
+        for live in (service, restored):
+            live.run_to_horizon()
+        assert _report_json(restored) == _report_json(service)
+        assert restored.state_digest() == service.state_digest()
+        if engine == "packet":
+            assert in_flight.completed_at_s is not None
+            assert unstarted.snd_nxt == 0
+            assert spawner.fcts_s == [in_flight.completed_at_s
+                                      - running.t_start_s]
+            assert (spawner.started, spawner.active) == (1, 0)
+            counters = service.metrics_dict()["counters"]
+            assert counters["traffic.flows_started"] == 2.0
+            assert counters["traffic.flows_completed"] == 2.0
+            series = service.metrics.series("traffic.active_flows")
+            assert series.values[-1] == 0.0
+        else:
+            fct = service.state.fct_s
+            assert np.isfinite(fct[in_flight])
+            assert service.state.delivered_bits[in_flight] == 8e6
+            assert np.isnan(fct[unstarted])
+            assert service.state.delivered_bits[unstarted] == 0.0
+
 
 class TestOutOfRangeGids:
     """A request naming a station the network lacks is refused before

@@ -12,9 +12,8 @@ from repro.obs.spans import (
     NullSpanProfiler,
     SpanProfiler,
     format_phases,
-    install,
     profiled,
-    uninstall,
+    timed,
 )
 
 
@@ -53,6 +52,18 @@ class TestNullProfiler:
 
     def test_ambient_default_is_null(self):
         _assert_ambient_is_null()
+
+    def test_null_span_is_one_shared_object(self):
+        # The disabled path allocates nothing: every span() of the null
+        # profiler, through the ambient helper or not, is the same
+        # stateless context.
+        _assert_ambient_is_null()
+        first = NULL_PROFILER.span("a")
+        assert NULL_PROFILER.span("b") is first
+        assert spans.span("c") is first
+        assert NullSpanProfiler().span("d") is first
+        with spans.span("e"):
+            pass
 
 
 class TestSpanProfiler:
@@ -117,18 +128,52 @@ class TestSpanProfiler:
         assert end > start
 
 
-class TestAmbientInstall:
-    def test_install_uninstall_round_trip(self):
-        _assert_ambient_is_null()
-        profiler = install()
-        try:
-            assert spans.ACTIVE is profiler
-            assert profiler.enabled
-        finally:
-            previous = uninstall()
-        assert previous is profiler
-        _assert_ambient_is_null()
+class TestTimed:
+    def test_records_each_call_on_the_ambient_profiler(self):
+        @timed("work")
+        def work(x, scale=1):
+            """Doc kept."""
+            return x * scale
 
+        assert work(2, scale=3) == 6  # no profiler: no span, same result
+        assert work.__name__ == "work" and work.__doc__ == "Doc kept."
+        with profiled(SpanProfiler(clock=FakeClock())) as profiler:
+            with spans.span("outer"):
+                assert work(4) == 4
+        (outer, inner) = _spans(profiler)
+        assert (outer[0], outer[3]) == ("outer", -1)
+        assert (inner[0], inner[3]) == ("work", 0)
+
+    def test_a_call_that_raises_closes_its_own_span(self):
+        @timed("doomed")
+        def doomed():
+            raise RuntimeError("boom")
+
+        with profiled(SpanProfiler(clock=FakeClock())) as profiler:
+            with pytest.raises(RuntimeError):
+                doomed()
+            with spans.span("after"):
+                pass
+        (dead, after) = _spans(profiler)
+        assert dead[0] == "doomed" and dead[2] is not None
+        assert dead[2] > dead[1]
+        # The next span is a root, not a child of the dead one.
+        assert (after[0], after[3]) == ("after", -1)
+
+    def test_reads_the_profiler_ambient_at_call_time(self):
+        @timed("late")
+        def late():
+            return spans.ACTIVE
+
+        with profiled() as first:
+            late()
+        with profiled() as second:
+            assert late() is second
+        assert [span[0] for span in _spans(first)] == ["late"]
+        assert [span[0] for span in _spans(second)] == ["late"]
+
+
+class TestAmbientInstall:
     def test_profiled_restores_previous_even_on_error(self):
         _assert_ambient_is_null()
         with pytest.raises(RuntimeError):
@@ -175,12 +220,12 @@ class TestPhaseSummary:
     def test_aggregates_adopted_children(self):
         parent = SpanProfiler(clock=FakeClock())
         child = SpanProfiler(label="worker", clock=FakeClock())
-        handle = child.begin("sweep.compute")
+        handle = child.begin("topology.timeline")
         child.end(handle)
         parent.adopt(child.as_dict(), chunk_index=0)
         summary = parent.phase_summary()
         assert summary["num_spans"] == 1
-        assert summary["phases"][0]["name"] == "sweep.compute"
+        assert summary["phases"][0]["name"] == "topology.timeline"
 
     def test_format_phases_lines(self):
         profiler = SpanProfiler(clock=FakeClock())
@@ -204,7 +249,7 @@ def _assert_trace_event_schema(document):
 class TestChromeTrace:
     def test_schema_and_process_metadata(self):
         parent = SpanProfiler(clock=FakeClock())
-        handle = parent.begin("fluid.run")
+        handle = parent.begin("fluid.advance")
         parent.end(handle)
         child = SpanProfiler(label="sweep worker 0", clock=FakeClock())
         chunk = child.begin("sweep.chunk")
@@ -284,7 +329,35 @@ class TestSweepProfileMerge:
         with profiled() as profiler:
             sweep_timelines(spec, [(0, 1)], np.array([0.0, 5.0]), workers=1)
         names = {span[0] for span in _spans(profiler)}
-        assert {"sweep.chunk", "sweep.build", "sweep.compute"} <= names
+        assert {"sweep.total", "sweep.chunk", "sweep.spec_build",
+                "topology.timeline"} <= names
+
+    def test_worker_spans_are_adopted_in_chunk_order(self, small_network):
+        # Each worker records on its own profiler, installed through
+        # profiled(); the parent adopts the trees in chunk order, each
+        # with sweep.chunk at its root around the build and the walk.
+        from repro.sweep import NetworkSpec, sweep_timelines
+
+        spec = NetworkSpec.from_network(small_network)
+        times = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0])
+        with profiled() as profiler:
+            sweep_timelines(spec, [(0, 1)], times, workers=2)
+        _assert_ambient_is_null()
+        children = profiler.children
+        assert [meta["chunk_index"] for _, meta in children] == [0, 1]
+        assert [(meta["snapshot_start"], meta["snapshot_stop"])
+                for _, meta in children] == [(0, 3), (3, 6)]
+        for index, (profile, _) in enumerate(children):
+            assert profile["label"] == f"sweep worker {index}"
+            recorded = profile["spans"]
+            names = [span[0] for span in recorded]
+            root = names.index("sweep.chunk")
+            assert recorded[root][3] == -1
+            for child in ("sweep.spec_build", "topology.timeline"):
+                assert recorded[names.index(child)][3] == root
+        parent_names = [span[0] for span in _spans(profiler)]
+        assert parent_names[0] == "sweep.total"
+        assert "sweep.chunk" not in parent_names
 
 
 class TestRoutingSpans:
@@ -330,7 +403,7 @@ class TestCli:
         document = json.loads(trace.read_text())
         _assert_trace_event_schema(document)
         names = {event["name"] for event in document["traceEvents"]}
-        assert "fluid.run" in names
+        assert "fluid.advance" in names
         assert "routing.route_to_many" in names
         # Satellite: provenance header in the run report.
         payload = json.loads(report.read_text())

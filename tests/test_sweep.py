@@ -190,7 +190,7 @@ class TestSweepTimelines:
     def test_metrics_recorded(self, small_network):
         """The sweep's timing metrics are its span profile: each worker's
         adopted span tree holds one ``sweep.chunk`` around one
-        ``sweep.build``, with the worker's OS pid and its snapshot
+        ``sweep.spec_build``, with the worker's OS pid and its snapshot
         bounds, and the bounds cover the schedule."""
         from repro.obs import spans
         spec = NetworkSpec.from_network(small_network)
@@ -203,7 +203,7 @@ class TestSweepTimelines:
         for profile, meta in children:
             names = [span[0] for span in profile["spans"]]
             assert names.count("sweep.chunk") == 1
-            assert names.count("sweep.build") == 1
+            assert names.count("sweep.spec_build") == 1
             assert profile["os_pid"] != os.getpid()
             assert meta["snapshot_start"] == covered
             covered = meta["snapshot_stop"]
@@ -211,8 +211,8 @@ class TestSweepTimelines:
 
     def test_serial_path_also_records_metrics(self, small_network):
         """A serial sweep is one chunk timed on the caller's profiler:
-        one ``sweep.chunk`` around ``sweep.build`` and ``sweep.compute``,
-        and no adopted child."""
+        one ``sweep.chunk`` around ``sweep.spec_build`` and
+        ``topology.timeline``, and no adopted child."""
         from repro.obs import spans
         spec = NetworkSpec.from_network(small_network)
         with spans.profiled() as profiler:
@@ -220,8 +220,8 @@ class TestSweepTimelines:
                             workers=1)
         counts = {phase["name"]: phase["count"]
                   for phase in profiler.phase_summary()["phases"]}
-        assert counts["sweep.chunk"] == counts["sweep.build"] \
-            == counts["sweep.compute"] == 1
+        assert counts["sweep.chunk"] == counts["sweep.spec_build"] \
+            == counts["topology.timeline"] == 1
         assert profiler.children == []
 
 
@@ -330,7 +330,9 @@ class TestDynamicStateWorkers:
     def test_compute_publishes_the_sweep_instruments(self, small_network,
                                                      workers):
         """A built network and its spec publish the same span profile:
-        the same span names, and the same adopted chunks."""
+        the same span names, and the same adopted chunks — except that
+        a serial walk of a built network builds nothing, so it has no
+        ``sweep.spec_build``."""
         from repro.obs import spans
         pairs = [(0, 3), (2, 4)]
         times = snapshot_times(6.0, 1.0)
@@ -343,9 +345,13 @@ class TestDynamicStateWorkers:
             shapes.append((
                 sorted(phase["name"] for phase in phases),
                 [meta for _, meta in profiler.children]))
-        assert shapes[0] == shapes[1]
-        names, chunks = shapes[0]
-        assert "sweep.chunk" in names and "sweep.compute" in names
+        (built, built_chunks), (names, chunks) = shapes
+        assert built_chunks == chunks
+        assert "sweep.spec_build" in names
+        if workers is None:
+            names = [name for name in names if name != "sweep.spec_build"]
+        assert built == names
+        assert "sweep.chunk" in names and "topology.timeline" in names
         assert len(chunks) == (0 if workers is None else 2)
 
     def test_compute_rejects_negative_workers(self, small_network):
