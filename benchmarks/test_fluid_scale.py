@@ -27,6 +27,14 @@ The vectorized fluid-core contract (DESIGN.md "Vectorized fluid core"):
   does not grow with the flow count, so ``HYPATIA_FULL_SCALE=1`` holds
   the 1e6-flow call to it too.  The peak goes to
   ``results/fluid_scale.txt``.
+* **A recorded snapshot costs classes, not flows.**  A run keeps one
+  rate and one path per flow class per snapshot, and the flow sets only
+  when they change.  The retained tracemalloc growth per recorded
+  snapshot over ``GROWTH_STEPS`` 1 s steps of the 1e5-flow workload must
+  stay under ``MAX_SNAPSHOT_GROWTH_MB``, and the same run with 4e5 flows
+  drawn over the same classes may grow at most
+  ``MAX_SNAPSHOT_GROWTH_RATIO`` times as much; both on every machine.
+  Both growths go to ``results/fluid_scale.txt``.
 * **Step reuse is exact.**  A step re-walks only the class paths its
   routing repair can have moved and keeps the rest from the step before.
   The scale workload's first ``REUSE_STEPS`` 1 s steps must equal, bit
@@ -86,6 +94,21 @@ REUSE_STEPS = 6
 #: entries at a time (≈3.3 MiB on K1 paths; every entry at once would
 #: take ≈12 MiB at 1e5 flows and ≈120 MiB at 1e6).
 MAX_LOADS_PEAK_MB = 6.0
+#: Steps whose retained growth ``_snapshot_growth_mb`` averages, the flow
+#: count it runs at, and how many times that many flows the second run
+#: draws over the same classes.
+GROWTH_STEPS = 12
+GROWTH_FLOWS = 100_000
+GROWTH_MULTIPLE = 4
+#: Retained memory per recorded snapshot (MiB) at ``GROWTH_FLOWS``
+#: flows: class rates and paths, the path tuples that moved, the device
+#: loads.  ≈0.51 MiB measured; a per-flow path list per snapshot made it
+#: ≈1.14 MiB (2.98x that at 4x the flows), with the per-flow rate rows
+#: allocated up front, outside the trace.
+MAX_SNAPSHOT_GROWTH_MB = 0.6
+#: Growth at ``GROWTH_MULTIPLE`` times the flows over the growth at
+#: ``GROWTH_FLOWS``: the history does not grow with the flow count.
+MAX_SNAPSHOT_GROWTH_RATIO = 1.3
 
 _CACHE = {}
 
@@ -182,6 +205,28 @@ def _traced_peak_mb(call):
     return result, peak / 2**20
 
 
+def _snapshot_growth_mb(flows):
+    """The retained tracemalloc growth per recorded snapshot (MiB) of a
+    run of ``flows`` on the scale network, over ``GROWTH_STEPS`` 1 s
+    steps after two warm ones (the first walks every class row and
+    fills the device index).  Each side of the difference holds one
+    step's transient state, so what is left is what the steps kept."""
+    cache = _gravity_paths()
+    simulation = FluidSimulation(cache["network"], flows,
+                                 link_capacity_bps=LINK_CAPACITY_BPS)
+    state = simulation.start_run(float(GROWTH_STEPS + 2))
+    simulation.advance(state, max_steps=1)
+    tracemalloc.start()
+    try:
+        simulation.advance(state, max_steps=1)
+        before = tracemalloc.get_traced_memory()[0]
+        simulation.advance(state, max_steps=GROWTH_STEPS)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / GROWTH_STEPS / 2**20
+
+
 def test_kernels_bit_identical_on_random_scenarios():
     """Random capacities/paths/demands — loop paths included."""
     rng = np.random.default_rng(7)
@@ -250,6 +295,16 @@ def test_gravity_scale():
     assert loads.tobytes() == per_flow.link_loads(rates_per_flow).tobytes(), (
         "class-row loads diverged from per-flow loads")
 
+    # History growth per snapshot, at GROWTH_FLOWS flows and at
+    # GROWTH_MULTIPLE times as many drawn over the same classes.
+    flows = cache["flows"][:GROWTH_FLOWS]
+    growth_mb = _snapshot_growth_mb(flows)
+    drawn = np.random.default_rng(5).integers(
+        len(flows), size=GROWTH_MULTIPLE * len(flows))
+    growth_multiple_mb = _snapshot_growth_mb(
+        [flows[index] for index in drawn.tolist()])
+    growth_ratio = growth_multiple_mb / growth_mb
+
     # Reference: the per-flow Python solver on the same workload.
     conv_start = time.perf_counter()
     flow_links = [path_devices(path, num_sats) for path in paths]
@@ -285,6 +340,14 @@ def test_gravity_scale():
         f"bit_identical         {'yes':>10}",
         f"loads_peak_mb         {loads_peak_mb:10.2f}",
         f"max_loads_peak_mb     {MAX_LOADS_PEAK_MB:10.2f}",
+        f"# retained growth per recorded snapshot, {GROWTH_STEPS} steps, "
+        f"{len(flows)} flows and {GROWTH_MULTIPLE}x as many over the "
+        "same classes",
+        f"snapshot_growth_mb    {growth_mb:10.3f}",
+        f"snapshot_growth_{GROWTH_MULTIPLE}x_mb {growth_multiple_mb:10.3f}",
+        f"snapshot_growth_ratio {growth_ratio:10.2f}",
+        f"max_snapshot_growth_mb {MAX_SNAPSHOT_GROWTH_MB:9.2f}",
+        f"max_snapshot_growth_ratio {MAX_SNAPSHOT_GROWTH_RATIO:5.2f}",
         f"thresholds_enforced   {('yes' if capable else 'no'):>10}",
         "# step reuse: class rows walked per 1 s step, of "
         f"{_reuse_run()[2][0][1]} (the first step walks every row)",
@@ -296,6 +359,13 @@ def test_gravity_scale():
     assert loads_peak_mb <= MAX_LOADS_PEAK_MB, (
         f"one link_loads call allocated {loads_peak_mb:.1f} MiB at "
         f"{len(paths)} flows (bound {MAX_LOADS_PEAK_MB:.0f} MiB)")
+    assert growth_mb <= MAX_SNAPSHOT_GROWTH_MB, (
+        f"a recorded snapshot kept {growth_mb:.2f} MiB at {len(flows)} "
+        f"flows (bound {MAX_SNAPSHOT_GROWTH_MB:.2f} MiB)")
+    assert growth_ratio <= MAX_SNAPSHOT_GROWTH_RATIO, (
+        f"a recorded snapshot kept {growth_ratio:.2f}x as much at "
+        f"{GROWTH_MULTIPLE}x the flows over the same classes (bound "
+        f"{MAX_SNAPSHOT_GROWTH_RATIO:.1f}x)")
     if not capable:
         pytest.skip(f"throughput gate needs >= {SPEEDUP_CORES} cores "
                     f"(measured {speedup:.1f}x, {vec_solve_s:.3f}s)")

@@ -130,8 +130,19 @@ class AimdFluidSimulation(FluidSimulation):
         state.previous_sat_sets.extend([None] * count)
         return first
 
-    def _step(self, state: AimdRunState, t_index: int, time_s: float,
-              step: ClassPaths, faults) -> None:
+    def _classes(self, src: np.ndarray, dst: np.ndarray, caps: np.ndarray
+                 ) -> np.ndarray:
+        """Every flow its own class, numbered as the flow: AIMD rates
+        differ between flows with the same endpoints (each has its own
+        additive slope), so the run's history keeps a row per flow.  The
+        new flows are the last of :attr:`flows`."""
+        first = len(self.flows) - len(src)
+        self._class_pairs = np.concatenate([self._class_pairs[:first],
+                                            np.column_stack([src, dst])])
+        return np.arange(first, len(self.flows), dtype=np.int32)
+
+    def _step(self, state: AimdRunState, time_s: float, step: ClassPaths,
+              faults) -> None:
         """One snapshot step: ``substeps`` RTT-granularity AIMD updates
         over the step's flat (flow, device) incidence."""
         num_flows = len(state.starts)
@@ -260,9 +271,11 @@ class AimdFluidSimulation(FluidSimulation):
         # Utilization over the step is what a 1 s monitor would report.
         utilization = {dev_keys[j]: float(served_bits_arr[j]) / state.step_s
                        for j in np.flatnonzero(touched)}
-        state.rates[t_index] = np.where(has_dev, rates, 0.0)
-        self._record_snapshot(state, t_index, time_s, step, utilization,
-                              active_count=num_flows)
+        # Every flow is its own class, so its row's rate is its own.
+        self._record_snapshot(
+            state, time_s, step, np.where(has_dev, rates, 0.0)[step.lead],
+            np.ones(num_flows, dtype=bool), utilization,
+            active_count=num_flows)
 
 
 def _refuse_workload(flows: Sequence[FluidFlow]) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import isfinite
 from typing import (Dict, Hashable, List, NamedTuple, Optional, Sequence,
@@ -39,7 +40,8 @@ from ..topology.network import LeoNetwork
 from .vectorized import FlowLinkMatrix, waterfill, waterfill_lists
 
 __all__ = ["ClassPaths", "DeviceIndex", "FluidFlow", "FluidResult",
-           "FluidRunState", "FluidSimulation", "path_devices",
+           "FluidRunState", "FluidSimulation", "SnapshotRecord",
+           "path_devices",
            "table_devices",
            "decode_device", "first_appearance_columns",
            "flow_link_matrix_from_paths"]
@@ -318,28 +320,23 @@ class ClassPaths:
         candidates: (K,) flows that could take capacity in the step.
         row_of_cand: (K,) each candidate's row.
         lead: (R,) each row's first candidate.
+        classes: (R,) each row's flow class.
         table / counts: The rows' node paths, as
             :meth:`~repro.routing.engine.RoutingEngine.path_table`
             returns them (count 0: no path).
         paths: (R,) the same paths as node tuples (``None``: no path).
         devices: The simulation's device index, which numbers the
             step's matrix columns.
-        previous: When the step has the previous step's candidates and
-            rows: that step's :meth:`flow_paths` and which rows kept
-            their tuple since; None otherwise.
-        recorded: What :meth:`flow_paths` returned, once called.
     """
 
     candidates: np.ndarray
     row_of_cand: np.ndarray
     lead: np.ndarray
+    classes: np.ndarray
     table: np.ndarray
     counts: np.ndarray
     paths: List[Optional[Tuple[int, ...]]]
     devices: DeviceIndex
-    previous: Optional[Tuple[List[Optional[Tuple[int, ...]]],
-                             np.ndarray]] = None
-    recorded: Optional[List[Optional[Tuple[int, ...]]]] = None
 
     def flow_rows(self, num_flows: int) -> np.ndarray:
         """(F,) each flow's row; the extra row ``R`` off the candidates."""
@@ -347,46 +344,82 @@ class ClassPaths:
         rows[self.candidates] = self.row_of_cand
         return rows
 
-    def flow_paths(self, num_flows: int) -> List[Optional[Tuple[int, ...]]]:
-        """Per flow its row's path tuple, ``None`` off the candidates:
-        a copy of the previous step's list with the flows of moved rows
-        replaced, when the step has ``previous``."""
-        if self.previous is not None and len(self.previous[0]) == num_flows:
-            last_paths, kept = self.previous
-            paths = list(last_paths)
-            moved = np.flatnonzero(~kept[self.row_of_cand])
-            row_paths = self.paths
-            for flow, row in zip(self.candidates[moved].tolist(),
-                                 self.row_of_cand[moved].tolist()):
-                paths[flow] = row_paths[row]
-        else:
-            row_paths = np.fromiter(chain(self.paths, [None]), dtype=object,
-                                    count=len(self.paths) + 1)
-            paths = row_paths[self.flow_rows(num_flows)].tolist()
-        self.previous, self.recorded = None, paths
-        return paths
-
 
 class _LastStep(NamedTuple):
     """What one step leaves for the next (see
-    :meth:`FluidSimulation._step_paths`): its paths, each row's flow
-    class, and its walk (None without candidates or when the topology is
-    frozen)."""
+    :meth:`FluidSimulation._step_paths`): its paths and its walk (None
+    without candidates or when the topology is frozen)."""
 
     step: ClassPaths
-    classes: np.ndarray
     walk: Optional[PathWalk]
+
+
+class SnapshotRecord(NamedTuple):
+    """What a run keeps of one recorded snapshot: a rate and a path per
+    row — a flow class among the step's candidates — and which flows
+    hold them.  Arrays a snapshot shares with the one before are the
+    same objects, so a static workload holds its flow sets once.
+
+    Attributes:
+        candidates: (K,) ascending flows the step routed; each holds
+            its row's path, every other flow ``None``.
+        row_of_cand: (K,) each candidate's row (:class:`ClassPaths`).
+        eligible: (K,) which candidates take their row's rate: started
+            and not yet done at the snapshot instant; every other flow
+            has rate 0.
+        row_rates: (R,) each row's rate at the snapshot instant, 0 for
+            a row without an active member (none eligible, or no path).
+        row_paths: (R,) each row's node tuple (``None``: no path).
+    """
+
+    candidates: np.ndarray
+    row_of_cand: np.ndarray
+    eligible: np.ndarray
+    row_rates: np.ndarray
+    row_paths: List[Optional[Tuple[int, ...]]]
+
+    def rates(self, num_flows: int) -> np.ndarray:
+        """(F,) each flow's rate at the snapshot."""
+        rates = np.zeros(num_flows)
+        eligible = self.eligible
+        rates[self.candidates[eligible]] = self.row_rates[
+            self.row_of_cand[eligible]]
+        return rates
+
+    def paths(self, num_flows: int) -> List[Optional[Tuple[int, ...]]]:
+        """Per flow its row's path tuple, ``None`` off the candidates."""
+        rows = np.full(num_flows, len(self.row_paths), dtype=np.int64)
+        rows[self.candidates] = self.row_of_cand
+        row_paths = np.fromiter(chain(self.row_paths, [None]), dtype=object,
+                                count=len(self.row_paths) + 1)
+        return row_paths[rows].tolist()
+
+
+#: Values :meth:`FluidResult.perf_summary` hands numpy in one sum.
+_SUM_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
 class FluidResult:
     """Output of a fluid simulation.
 
+    A run keeps per snapshot one rate and one path per flow class among
+    the step's candidates, and each candidate's row
+    (:class:`SnapshotRecord`).  The per-flow views are built from them
+    on first read — the same values, bits and path tuple objects a
+    per-flow history would hold: every member of a class that is
+    eligible at a snapshot was allocated its class row's rate, and every
+    candidate took its class row's tuple.
+
     Attributes:
         times_s: (T,) snapshot times.
+        num_flows: How many flows the run held (F).
+        snapshots: (T,) what each snapshot recorded.
         flow_rates_bps: (T, F) allocated rate of each flow over time;
-            zero while a flow's endpoints are disconnected.
-        flow_paths: ``flow_paths[t][f]`` node-id path or None.
+            zero while a flow's endpoints are disconnected.  Expanded
+            on first read.
+        flow_paths: ``flow_paths[t][f]`` node-id path or None.  Expanded
+            on first read.
         device_load_bps: per snapshot, mapping device-key -> allocated load.
         num_satellites: Node-numbering split point (satellites below it).
         link_capacity_bps: The uniform device capacity of the run.
@@ -399,11 +432,12 @@ class FluidResult:
             the engines; wall-clock time is the span profiler's
             (``fluid.advance``, around ``fluid.paths`` /
             ``fluid.matrix_build`` / ``fluid.waterfill`` /
-            ``fluid.loads`` / ``fluid.integrate``, or AIMD's
-            ``fluid.aimd.substeps``).
+            ``fluid.loads`` / ``fluid.integrate`` /
+            ``fluid.subevents``, or AIMD's ``fluid.aimd.substeps``).
         duration_s: Simulated horizon of the run.
         flow_offered_bits: (F,) per-flow offered volume — ``inf`` for
-            long-running flows; ``None`` for fully static workloads.
+            long-running flows, 0 for a flow cancelled before it
+            started; ``None`` for fully static workloads.
         flow_delivered_bits: (F,) bits each flow actually transferred
             over the run; ``None`` for fully static workloads.
         flow_fct_s: (F,) flow completion time (completion − start);
@@ -412,8 +446,8 @@ class FluidResult:
     """
 
     times_s: np.ndarray
-    flow_rates_bps: np.ndarray
-    flow_paths: List[List[Optional[Tuple[int, ...]]]]
+    num_flows: int
+    snapshots: List[SnapshotRecord]
     device_load_bps: List[Dict[Hashable, float]]
     num_satellites: int
     link_capacity_bps: float
@@ -425,23 +459,50 @@ class FluidResult:
     flow_delivered_bits: Optional[np.ndarray] = None
     flow_fct_s: Optional[np.ndarray] = None
 
+    @cached_property
+    def flow_rates_bps(self) -> np.ndarray:
+        rates = np.zeros((len(self.snapshots), self.num_flows))
+        for row, record in zip(rates, self.snapshots):
+            row[:] = record.rates(self.num_flows)
+        return rates
+
+    @cached_property
+    def flow_paths(self) -> List[List[Optional[Tuple[int, ...]]]]:
+        return [record.paths(self.num_flows) for record in self.snapshots]
+
     def fct_values(self) -> np.ndarray:
         """Completed flows' completion times (empty for static runs)."""
         if self.flow_fct_s is None:
             return np.empty(0)
         return self.flow_fct_s[np.isfinite(self.flow_fct_s)]
 
+    def finite_flows(self) -> Optional[np.ndarray]:
+        """(F,) which flows are finite transfers that were offered — not
+        long-running (``inf``) and not cancelled before they started
+        (0); ``None`` for fully static workloads."""
+        offered = self.flow_offered_bits
+        if offered is None:
+            return None
+        return np.isfinite(offered) & (offered > 0.0)
+
     def perf_summary(self) -> Dict[str, float]:
         """Flat performance/accounting summary (report-facing) — the
-        fluid counterpart of :meth:`SimulationStats.perf_summary`."""
-        num_snapshots = len(self.times_s)
-        rates = self.flow_rates_bps
-        connected = (rates > 0.0).any(axis=0).sum() if rates.size else 0
+        fluid counterpart of :meth:`SimulationStats.perf_summary`.
+
+        Worked out from the per-class records, a row of rates at a time:
+        nothing here builds :attr:`flow_rates_bps`."""
+        connected = np.zeros(self.num_flows, dtype=bool)
+        for record in self.snapshots:
+            flowing = record.eligible & (
+                record.row_rates[record.row_of_cand] > 0.0)
+            connected[record.candidates[flowing]] = True
+        size = len(self.snapshots) * self.num_flows
         summary: Dict[str, float] = {
-            "snapshots": float(num_snapshots),
-            "flows": float(rates.shape[1]) if rates.ndim == 2 else 0.0,
-            "flows_ever_connected": float(connected),
-            "mean_rate_bps": float(rates.mean()) if rates.size else 0.0,
+            "snapshots": float(len(self.times_s)),
+            "flows": float(self.num_flows),
+            "flows_ever_connected": float(np.count_nonzero(connected)),
+            "mean_rate_bps": float(self._rates_sum() / size) if size
+            else 0.0,
             "link_capacity_bps": self.link_capacity_bps,
         }
         if self.device_load_bps:
@@ -454,8 +515,8 @@ class FluidResult:
             summary.update((key, value)
                            for key, value in fct_summary(fct).items()
                            if key != "fct_p90_s")
-            if self.flow_offered_bits is not None:
-                finite = np.isfinite(self.flow_offered_bits)
+            finite = self.finite_flows()
+            if finite is not None:
                 summary["flows_finite"] = float(finite.sum())
                 if self.duration_s > 0.0:
                     summary["offered_load_bps"] = float(
@@ -467,6 +528,38 @@ class FluidResult:
                         ) / self.duration_s
         summary.update(self.perf)
         return summary
+
+    def _rates_sum(self) -> np.float64:
+        """``flow_rates_bps.sum()``, bit for bit, holding a few rows of it
+        at a time.
+
+        numpy (1.x and 2.x up to at least 2.4, the version the benchmark
+        goldens are pinned on) adds a contiguous float64 array pairwise:
+        a range of more than 128 values is cut at the multiple of 8 at or
+        below its middle, and the halves' sums are added.  That is an
+        implementation detail, not an API: cutting the flattened (T, F)
+        rates the same way down to ranges of at most
+        ``_SUM_BLOCK_VALUES`` values, and handing each range to numpy
+        whole, adds the same values in the same order only while numpy
+        keeps it.  ``tests/test_fluid.py::TestPerfSummaryEdgeCases::
+        test_mean_rate_equals_the_expanded_mean`` pins the equality on
+        the installed numpy.
+        """
+        num_flows = self.num_flows
+        row = lru_cache(maxsize=2)(
+            lambda t: self.snapshots[t].rates(num_flows))
+
+        def total(start: int, count: int) -> np.float64:
+            if count <= _SUM_BLOCK_VALUES:
+                first = start // num_flows
+                block = np.concatenate([row(t) for t in range(
+                    first, (start + count - 1) // num_flows + 1)])
+                start -= first * num_flows
+                return np.add.reduce(block[start:start + count])
+            half = count // 2 - count // 2 % 8
+            return total(start, half) + total(start + half, count - half)
+
+        return total(0, len(self.snapshots) * num_flows)
 
     def report(self, registry: Optional[MetricsRegistry] = None
                ) -> RunReport:
@@ -527,14 +620,15 @@ class FluidRunState:
         times: (T,) snapshot times of the whole run.
         next_index: Index into ``times`` of the next unprocessed step;
             ``next_index == len(times)`` means the run is done.
-        rates: (T, F) allocated rates (rows >= ``next_index`` unset).
-        all_paths / all_loads: Per-processed-snapshot paths and loads.
+        snapshots / all_loads: Per-processed-snapshot class rates and
+            paths (:class:`SnapshotRecord`), and device loads.
         starts / offered_bits / residual_bits / delivered_bits / fct_s:
             (F,) per-flow workload cursors.
         demand_caps: (F,) invariant per-flow rate caps.
         flow_class: (F,) int32 id of each flow's class — flows with the
             same endpoints and demand cap, which therefore share a path
-            and a max-min rate; ids count up in first-flow order.
+            and a max-min rate; ids count up in first-flow order (AIMD:
+            every flow its own class).
         dynamic: Whether the workload has arrivals or finite sizes.
         solves: Allocations solved so far.
         frozen_table / frozen_counts: Static-baseline paths
@@ -546,10 +640,8 @@ class FluidRunState:
     duration_s: float
     step_s: float
     times: np.ndarray
-    rates: np.ndarray
     next_index: int = 0
-    all_paths: List[List[Optional[Tuple[int, ...]]]] = field(
-        default_factory=list)
+    snapshots: List[SnapshotRecord] = field(default_factory=list)
     all_loads: List[Dict[Hashable, float]] = field(default_factory=list)
     starts: np.ndarray = no_flows()
     offered_bits: np.ndarray = no_flows()
@@ -619,7 +711,7 @@ class FluidSimulation:
         self._router = make_routing_engine(network)
         self._num_sats = network.num_satellites
         #: ((src_gid, dst_gid), demand cap) -> class id, in first-flow
-        #: order (filled by :meth:`extend_flows`).
+        #: order (filled by :meth:`_classes`).
         self._class_of: Dict[Tuple[Tuple[int, int], float], int] = {}
         #: (C, 2) (src_gid, dst_gid) of every class, by class id.
         self._class_pairs = np.empty((0, 2), dtype=np.int64)
@@ -667,16 +759,18 @@ class FluidSimulation:
             candidates, row_of_cand, lead = (last.step.candidates,
                                              last.step.row_of_cand,
                                              last.step.lead)
-            classes = last.classes
+            classes = last.step.classes
             previous_row = None  # row i is row i of the last step
         else:
+            num_classes = len(self._class_pairs)
             row_of_cand, first = first_appearance_rows(
-                state.flow_class[candidates], len(self._class_of))
+                state.flow_class[candidates], num_classes)
             lead = candidates[first]
             classes = state.flow_class[lead]
-            row_in_last = np.full(len(self._class_of), -1, dtype=np.int64)
+            row_in_last = np.full(num_classes, -1, dtype=np.int64)
             if last is not None:
-                row_in_last[last.classes] = np.arange(len(last.classes))
+                row_in_last[last.step.classes] = np.arange(
+                    len(last.step.classes))
             previous_row = row_in_last[classes]
         walk = None
         if state.frozen_table is not None:
@@ -695,15 +789,13 @@ class FluidSimulation:
             walk = self._class_walk(time_s, classes, previous)
             table, counts, kept = walk.table, walk.counts, walk.kept
         step = ClassPaths(
-            candidates, row_of_cand, lead, table, counts,
+            candidates, row_of_cand, lead, classes, table, counts,
             path_tuples(table, counts, kept,
                         None if last is None else last.step.paths,
                         previous_row),
             (DeviceIndex(self.network.num_nodes) if last is None
              else last.step.devices))
-        if previous_row is None and last.step.recorded is not None:
-            step.previous = (last.step.recorded, kept)
-        self._last_step = _LastStep(step, classes, walk)
+        self._last_step = _LastStep(step, walk)
         return step
 
     def run(self, duration_s: float, step_s: float = 1.0) -> FluidResult:
@@ -733,8 +825,7 @@ class FluidSimulation:
         """Initialize a resumable run (no steps processed yet): an empty
         state grown to this simulation's flows by :meth:`extend_flows`."""
         times = snapshot_times(duration_s, step_s)
-        state = self.STATE(float(duration_s), float(step_s), times,
-                           rates=np.zeros((len(times), 0)))
+        state = self.STATE(float(duration_s), float(step_s), times)
         self.extend_flows(state, ())
         return state
 
@@ -743,11 +834,12 @@ class FluidSimulation:
         """Add ``flows`` to the simulation and grow ``state`` to cover
         every flow it holds; returns the index of the first new flow.
 
-        The one place the per-flow array layout lives.  History rows
-        gain ``None`` paths and zero rates — exactly what a from-t=0 run
-        records for flows that have not arrived yet — so attaching flows
-        to a live run at a snapshot boundary is bit-identical to having
-        built the simulation with them.
+        The one place the per-flow array layout lives.  The recorded
+        snapshots stay as they are: a flow off a snapshot's candidates
+        reads as a ``None`` path and a zero rate there — exactly what a
+        from-t=0 run records for flows that have not arrived yet — so
+        attaching flows to a live run at a snapshot boundary is
+        bit-identical to having built the simulation with them.
         """
         self.flows.extend(flows)
         first = len(state.starts)
@@ -776,16 +868,11 @@ class FluidSimulation:
             np.array([flow.dst_gid for flow in new], dtype=np.int64),
             demand_caps)])
         self._destinations = np.unique(self._class_pairs[:, 1]).tolist()
-        rates = np.zeros((len(state.times), len(self.flows)))
-        rates[:, :first] = state.rates
-        state.rates = rates
-        for row in state.all_paths:
-            row.extend([None] * len(new))
         state.dynamic = bool(state.dynamic or (starts > 0.0).any()
                              or np.isfinite(offered_bits).any())
         if self.freeze_topology_at_s is not None:
             walk = self._class_walk(self.freeze_topology_at_s,
-                                    np.arange(len(self._class_of)), None)
+                                    np.arange(len(self._class_pairs)), None)
             state.frozen_table, state.frozen_counts = walk.table, walk.counts
         return first
 
@@ -844,7 +931,7 @@ class FluidSimulation:
             candidates = np.flatnonzero(
                 (state.residual_bits > 0.0)
                 & (state.starts < time_s + state.step_s))
-            self._step(state, t_index, time_s,
+            self._step(state, time_s,
                        self._step_paths(state, time_s, candidates), faults)
             state.next_index = t_index + 1
         return state
@@ -860,8 +947,8 @@ class FluidSimulation:
         if dynamic:
             perf["allocations_solved"] = float(state.solves)
         return FluidResult(times_s=state.times,
-                           flow_rates_bps=state.rates,
-                           flow_paths=state.all_paths,
+                           num_flows=len(state.starts),
+                           snapshots=state.snapshots,
                            device_load_bps=state.all_loads,
                            num_satellites=self._num_sats,
                            link_capacity_bps=self.link_capacity_bps,
@@ -875,8 +962,8 @@ class FluidSimulation:
                                                 if dynamic else None),
                            flow_fct_s=state.fct_s if dynamic else None)
 
-    def _step(self, state: FluidRunState, t_index: int, time_s: float,
-              step: ClassPaths, faults) -> None:
+    def _step(self, state: FluidRunState, time_s: float, step: ClassPaths,
+              faults) -> None:
         """One snapshot step on the flat incidence representation.
 
         Flows of one class share a path and a max-min rate, so the
@@ -889,16 +976,9 @@ class FluidSimulation:
         weighted by its active members — not a rebuild.
 
         The first solve, at the snapshot instant, runs on arrays over
-        every candidate and is the one recorded; a static workload makes
-        no other.  Every later one is driven by events: arrivals come off
-        one start-sorted list, the active set is kept rather than
-        recomputed (a flow joins when it arrives, leaves when its
-        residual reaches 0 — the only times either changes within a
-        step), and the re-solve, next event and integration run on
-        Python scalars over the active flows alone.  Python floats are
-        IEEE doubles and every update is the same elementwise operation
-        the arrays made, so the outcome is bit-identical to re-solving
-        over all candidates at every event.
+        every candidate and is the one recorded, one rate per row; a
+        static workload makes no other.  The re-solves after it are
+        :meth:`_subevents`.
         """
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
                                          step.lead)
@@ -920,10 +1000,11 @@ class FluidSimulation:
         later = later[np.argsort(starts_c[later], kind="stable")]
         arrival_s = starts_c[later].tolist()
 
-        # The snapshot solve, on arrays over every active candidate.
-        active = np.flatnonzero((starts_c <= time_s + _TIME_EPS_S)
-                                & (residual_bits[candidates] > 0.0)
-                                & has_path)
+        # The snapshot solve, on arrays over every active candidate:
+        # eligible (started, bits left) and routed.
+        eligible = ((starts_c <= time_s + _TIME_EPS_S)
+                    & (residual_bits[candidates] > 0.0))
+        active = np.flatnonzero(eligible & has_path)
         # Solve each row once, weighted by its active members, rows
         # ordered by their first *active* member so the columns keep the
         # per-flow first-appearance order.  With one member per row
@@ -935,8 +1016,9 @@ class FluidSimulation:
             slot, opener = first_appearance_rows(rows, members.size)
             solved = rows[opener]
             copies = members[solved]
-        allocated = waterfill(matrix, demands=row_demands, active=solved,
-                              multiplicity=copies)[slot]
+        solved_rates = waterfill(matrix, demands=row_demands, active=solved,
+                                 multiplicity=copies)
+        allocated = solved_rates[slot]
         state.solves += 1
         global_active = candidates[active]
         with spans.span("fluid.loads"):
@@ -951,9 +1033,10 @@ class FluidSimulation:
             crossed = np.flatnonzero(crossed)
             loads = dict(zip(map(keys.__getitem__, crossed.tolist()),
                              load_arr[crossed].tolist()))
-        state.rates[t_index, global_active] = allocated
-        self._record_snapshot(state, t_index, time_s, step, loads,
-                              active_count=len(active))
+        row_rates = np.zeros(matrix.num_flows)
+        row_rates[solved] = solved_rates
+        self._record_snapshot(state, time_s, step, row_rates, eligible,
+                              loads, active_count=len(active))
         with spans.span("fluid.integrate"):
             next_tau = arrival_s[0] if arrival_s else step_end
             res_act = residual_bits[global_active]
@@ -978,10 +1061,35 @@ class FluidSimulation:
                     residual_bits[g_done] = 0.0
                     fct_s[g_done] = next_tau - starts[g_done]
                 delivered_bits[global_active] += served
-        tau = next_tau
+        if state.dynamic:  # a static step has no event after the first
+            self._subevents(state, step, matrix, has_path, row_demands,
+                            later, arrival_s, active, next_tau, step_end)
+
+    @spans.timed("fluid.subevents")
+    def _subevents(self, state: FluidRunState, step: ClassPaths,
+                   matrix: FlowLinkMatrix, has_path: np.ndarray,
+                   row_demands: np.ndarray, later: np.ndarray,
+                   arrival_s: List[float], active: np.ndarray, tau: float,
+                   step_end: float) -> None:
+        """The step's re-solves after the snapshot instant ``tau``, up to
+        ``step_end``: one at every arrival (``arrival_s``, the candidate
+        positions ``later`` by start) and every predicted completion.
+
+        Driven by events: the active set is kept rather than recomputed
+        (a flow joins when it arrives, leaves when its residual reaches
+        0 — the only times either changes within a step), and the
+        re-solve, next event and integration run on Python scalars over
+        the active flows alone.  Python floats are IEEE doubles and
+        every update is the same elementwise operation the arrays made,
+        so the outcome is bit-identical to re-solving over all
+        candidates at every event.
+        """
+        candidates, row_of_cand = step.candidates, step.row_of_cand
+        starts, residual_bits = state.starts, state.residual_bits
+        delivered_bits, fct_s = state.delivered_bits, state.fct_s
         if tau < step_end - _TIME_EPS_S:
             # Re-solves, on scalars over the kept active set: candidate
-            # positions in candidate order, as the mask above lists them.
+            # positions in candidate order, as ``active`` lists them.
             cand = candidates.tolist()
             row_of = row_of_cand.tolist()
             path_of = has_path.tolist()
@@ -989,7 +1097,7 @@ class FluidSimulation:
             # the rows): the re-solves pass them on unchecked.
             cap_of = row_demands.tolist()
             arrival_pos = later.tolist()
-            kept = active[residual_bits[global_active] > 0.0].tolist()
+            kept = active[residual_bits[candidates[active]] > 0.0].tolist()
             arrived = 0
             while tau < step_end - _TIME_EPS_S:
                 while (arrived < len(arrival_s)
@@ -1057,18 +1165,31 @@ class FluidSimulation:
                                                   time_s)
         return capacities
 
-    def _record_snapshot(self, state: FluidRunState, t_index: int,
-                         time_s: float, step: ClassPaths,
-                         loads: Dict[Hashable, float],
+    def _record_snapshot(self, state: FluidRunState, time_s: float,
+                         step: ClassPaths, row_rates: np.ndarray,
+                         eligible: np.ndarray, loads: Dict[Hashable, float],
                          active_count: int) -> None:
-        """Append one snapshot (``state.rates[t_index]`` already set) to
-        the run history and to the metric series."""
-        state.all_paths.append(step.flow_paths(len(state.starts)))
+        """Append one snapshot to the run history and to the metric
+        series: ``row_rates`` (one per row of ``step``) and which of its
+        candidates take them (``eligible``).
+
+        The candidate set, their rows and the eligible mask are kept as
+        the previous snapshot's objects while they are equal to them, so
+        a static workload holds them once.
+        """
+        candidates = step.candidates
+        if state.snapshots:
+            last = state.snapshots[-1]
+            if (candidates is last.candidates
+                    and np.array_equal(eligible, last.eligible)):
+                eligible = last.eligible
+        state.snapshots.append(SnapshotRecord(
+            candidates, step.row_of_cand, eligible, row_rates, step.paths))
         state.all_loads.append(loads)
         registry = self.metrics
         if registry is None:
             return
-        rates_row = state.rates[t_index]
+        rates_row = state.snapshots[-1].rates(len(state.starts))
         connected = int((rates_row > 0.0).sum())
         registry.series("fluid.connected_flows").append(time_s, connected)
         registry.series("fluid.mean_rate_bps").append(

@@ -204,8 +204,7 @@ def fluid_run_report(result: "FluidResult",
         histogram = Histogram("traffic.fct_s", buckets=FCT_BUCKETS)
         for value in result.fct_values():
             histogram.observe(float(value))
-        finite = (np.isfinite(result.flow_offered_bits)
-                  if result.flow_offered_bits is not None else None)
+        finite = result.finite_flows()
         extras["fct"] = {
             "histogram": histogram.as_dict(),
             "flows_finite": int(finite.sum()) if finite is not None else 0,

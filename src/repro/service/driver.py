@@ -264,16 +264,17 @@ class LiveSimulationService:
         now = self.clock_s
         self.log.append([now, "detach_workload", handle])
         if self.engine == "packet":
-            future = [flow for flow in attached.flows if flow.start_s > now]
-            for flow in future:
-                flow.stop_s = now
-            return {"handle": handle, "cancelled": len(future)}
+            return {"handle": handle,
+                    "cancelled": attached.cancel_unstarted(now)}
         assert self.state is not None
         start, count = attached
         state = self.state
         indices = np.arange(start, start + count)
         future = indices[state.starts[indices] > now]
+        # A cancelled flow has nothing left to send and offered nothing
+        # (``FluidResult.finite_flows`` leaves it out of the volumes).
         state.residual_bits[future] = 0.0
+        state.offered_bits[future] = 0.0
         return {"handle": handle, "cancelled": int(len(future))}
 
     @spans.timed("service.inject")

@@ -10,9 +10,11 @@ times as they happen.
 
 Observability: given a :class:`~repro.obs.metrics.MetricsRegistry`, the
 spawner maintains the ``traffic.*`` instruments — an FCT histogram, the
-offered/delivered byte counters, and an active-flow-count series sampled
-at every arrival and completion — which flow into the packet run's
-:class:`~repro.obs.report.RunReport` like any other registry contents.
+offered/delivered byte counters (a flow's bytes count as offered when it
+starts, so a flow cancelled before then never does), and an
+active-flow-count series sampled at every arrival and completion — which
+flow into the packet run's :class:`~repro.obs.report.RunReport` like any
+other registry contents.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ def packet_fct_section(spawners: Sequence["WorkloadSpawner"],
     own ``traffic.fct_s`` — every spawner observes into it in completion
     order, so its float accumulation is identical no matter how the same
     flows were split across spawners (one baked-in schedule vs several
-    live attachments).
+    live attachments).  A flow counts as offered (``flows_finite``,
+    ``offered_bits``) once it has started, as in the
+    ``traffic.offered_bytes`` counter: a report taken mid-run leaves out
+    the flows still to come, and a cancelled flow never counts.
     """
     by_controller: Dict[str, List[float]] = {}
     for spawner in spawners:
@@ -59,9 +64,10 @@ def packet_fct_section(spawners: Sequence["WorkloadSpawner"],
     return {
         "histogram": metrics.histogram("traffic.fct_s",
                                        buckets=FCT_BUCKETS).as_dict(),
-        "flows_finite": sum(s.schedule.num_flows for s in spawners),
+        "flows_finite": sum(s.started for s in spawners),
         "flows_completed": sum(s.completed for s in spawners),
-        "offered_bits": sum(s.schedule.offered_bits for s in spawners),
+        "offered_bits": sum(float(s._offered_bytes) * 8.0
+                            for s in spawners),
         "delivered_bits": sum(float(s._delivered_bytes) * 8.0
                               for s in spawners),
         "by_controller": rows,
@@ -99,6 +105,7 @@ class WorkloadSpawner:
         self.started = 0
         self.completed = 0
         self._active = 0
+        self._offered_bytes = 0.0
         self._delivered_bytes = 0.0
         self.sim: Optional[PacketSimulator] = None
 
@@ -116,8 +123,7 @@ class WorkloadSpawner:
             registry.histogram("traffic.fct_s", buckets=FCT_BUCKETS)
             registry.counter("traffic.flows_started")
             registry.counter("traffic.flows_completed")
-            registry.counter("traffic.offered_bytes").inc(
-                float(sum(r.size_bytes for r in self.schedule)))
+            registry.counter("traffic.offered_bytes")
             registry.counter("traffic.delivered_bytes")
             registry.series("traffic.active_flows")
         for request in self.schedule:
@@ -139,18 +145,32 @@ class WorkloadSpawner:
             controller=self.controller).install(sim)
         flow.on_complete = partial(self._on_flow_complete, request)
         self.flows.append(flow)
-        sim.scheduler.schedule_at(request.t_start_s,
-                                  partial(self._on_flow_started, flow))
+        sim.scheduler.schedule_at(
+            request.t_start_s, partial(self._on_flow_started, request, flow))
 
-    def _on_flow_started(self, flow: TcpFlow) -> None:
+    def cancel_unstarted(self, now_s: float) -> int:
+        """Cancel every flow that starts after ``now_s`` (a detached
+        workload): it never starts, and is no longer offered.  Returns
+        how many flows were cancelled."""
+        cancelled = 0
+        for flow in self.flows:
+            if flow.start_s > now_s:
+                flow.stop_s = now_s
+                cancelled += 1
+        return cancelled
+
+    def _on_flow_started(self, request: FlowRequest, flow: TcpFlow) -> None:
         assert self.sim is not None
         if flow.stop_s <= flow.start_s:
             return  # cancelled before it started (a detached workload)
         self.started += 1
         self._active += 1
+        self._offered_bytes += float(request.size_bytes)
         registry = self.metrics
         if registry is not None:
             registry.counter("traffic.flows_started").inc()
+            registry.counter("traffic.offered_bytes").inc(
+                float(request.size_bytes))
             self._sample_active(self.sim.now, +1.0)
 
     def _on_flow_complete(self, request: FlowRequest, now_s: float) -> None:

@@ -276,7 +276,7 @@ class RescanningFluidSimulation(FluidSimulation):
     The product's event-driven step must equal it bit for bit, with the
     same number of solves."""
 
-    def _step(self, state, t_index, time_s, step, faults):
+    def _step(self, state, time_s, step, faults):
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
                                          step.lead)
         matrix, hop_counts = flow_link_matrix_from_paths(
@@ -306,8 +306,9 @@ class RescanningFluidSimulation(FluidSimulation):
                 slot, opener = first_appearance_rows(rows, members.size)
                 solved = rows[opener]
                 copies = members[solved]
-            allocated = waterfill(matrix, demands=row_demands, active=solved,
-                                  multiplicity=copies)[slot]
+            solved_rates = waterfill(matrix, demands=row_demands,
+                                     active=solved, multiplicity=copies)
+            allocated = solved_rates[slot]
             state.solves += 1
             global_active = candidates[active]
             if not recorded:
@@ -321,8 +322,12 @@ class RescanningFluidSimulation(FluidSimulation):
                     members > 0, np.diff(matrix.indptr))]] = True
                 loads = {keys[j]: float(load_arr[j])
                          for j in np.flatnonzero(crossed)}
-                state.rates[t_index, global_active] = allocated
-                self._record_snapshot(state, t_index, time_s, step, loads,
+                row_rates = np.zeros(matrix.num_flows)
+                row_rates[solved] = solved_rates
+                eligible = ((starts_c <= tau + _TIME_EPS_S)
+                            & (residual_bits[candidates] > 0.0))
+                self._record_snapshot(state, time_s, step, row_rates,
+                                      eligible, loads,
                                       active_count=len(active))
                 recorded = True
             next_tau = step_end
@@ -355,3 +360,45 @@ class RescanningFluidSimulation(FluidSimulation):
             tau = next_tau
             if tau >= step_end - _TIME_EPS_S:
                 break
+
+
+class PerFlowRecording:
+    """Mixin for a fluid simulation class that also keeps the per-flow
+    history the engines kept before they kept one rate and one path per
+    flow class: at every snapshot a rate per flow — its row's rate when
+    it has started and has bits left at the snapshot, read off the
+    run state rather than the engine's eligible mask, else 0 — and a
+    path per flow, its row's tuple when the step routed it, else None.
+    Rows recorded before flows were added lack them; :meth:`per_flow`
+    pads those with 0 and None, as the old history did when it grew.
+
+    Use as ``class Recorded(PerFlowRecording, FluidSimulation)``.
+    """
+
+    def start_run(self, duration_s, step_s=1.0):
+        self.recorded_rates, self.recorded_paths = [], []
+        return super().start_run(duration_s, step_s)
+
+    def _record_snapshot(self, state, time_s, step, row_rates, eligible,
+                         loads, active_count):
+        rates = np.zeros(len(state.starts))
+        paths = [None] * len(state.starts)
+        for flow, row in zip(step.candidates.tolist(),
+                             step.row_of_cand.tolist()):
+            paths[flow] = step.paths[row]
+            if (state.starts[flow] <= time_s + _TIME_EPS_S
+                    and state.residual_bits[flow] > 0.0):
+                rates[flow] = row_rates[row]
+        self.recorded_rates.append(rates)
+        self.recorded_paths.append(paths)
+        super()._record_snapshot(state, time_s, step, row_rates, eligible,
+                                 loads, active_count)
+
+    def per_flow(self, num_flows):
+        """``(rates, paths)``: the (T, F) rates and the per-snapshot path
+        lists of the run, every row padded to ``num_flows`` flows."""
+        rates = np.zeros((len(self.recorded_rates), num_flows))
+        for row, recorded in zip(rates, self.recorded_rates):
+            row[:len(recorded)] = recorded
+        return rates, [paths + [None] * (num_flows - len(paths))
+                       for paths in self.recorded_paths]

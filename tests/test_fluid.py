@@ -337,12 +337,17 @@ class TestPerfSummaryEdgeCases:
     """FluidResult.perf_summary on degenerate results."""
 
     @staticmethod
-    def _result(**overrides):
-        from repro.fluid.engine import FluidResult
+    def _result(num_flows=0, **overrides):
+        """A two-snapshot result whose ``num_flows`` flows were never
+        candidates: no path, rate 0."""
+        from repro.fluid.engine import FluidResult, SnapshotRecord
+        none = np.empty(0, dtype=np.int64)
+        unrouted = SnapshotRecord(none, none, np.empty(0, dtype=bool),
+                                  np.empty(0), [])
         defaults = dict(
             times_s=np.array([0.0, 1.0]),
-            flow_rates_bps=np.zeros((2, 0)),
-            flow_paths=[[], []],
+            num_flows=num_flows,
+            snapshots=[unrouted, unrouted],
             device_load_bps=[{}, {}],
             num_satellites=100,
             link_capacity_bps=10e6,
@@ -358,13 +363,41 @@ class TestPerfSummaryEdgeCases:
         assert "fct_mean_s" not in summary
 
     def test_all_disconnected_flows(self):
-        result = self._result(
-            flow_rates_bps=np.zeros((2, 3)),
-            flow_paths=[[None] * 3, [None] * 3])
+        result = self._result(num_flows=3)
+        assert result.flow_paths == [[None] * 3, [None] * 3]
+        assert not result.flow_rates_bps.any()
         summary = result.perf_summary()
         assert summary["flows"] == 3.0
         assert summary["flows_ever_connected"] == 0.0
         assert summary["peak_utilization"] == 0.0
+
+    @pytest.mark.parametrize("shape", [(5, 7), (40, 3_000), (3, 70_000)])
+    def test_mean_rate_equals_the_expanded_mean(self, shape):
+        """``mean_rate_bps`` adds the class records' rates a few rows at a
+        time, in numpy's pairwise order over the whole ``(T, F)`` array:
+        the bits of ``flow_rates_bps.mean()``, across blocks that cut
+        rows.  ``FluidResult._rates_sum`` copies numpy's cut points (an
+        implementation detail): a numpy that moves them fails here."""
+        from repro.fluid.engine import SnapshotRecord
+        num_snapshots, num_flows = shape
+        rng = np.random.default_rng(num_flows)
+        records = []
+        for _ in range(num_snapshots):
+            candidates = np.sort(rng.choice(num_flows, num_flows * 3 // 4,
+                                            replace=False))
+            rows = rng.integers(0, 50, candidates.size)
+            records.append(SnapshotRecord(
+                candidates, rows, rng.random(candidates.size) < 0.8,
+                rng.random(50) * 1e7 / 3, [None] * 50))
+        result = self._result(
+            times_s=np.arange(num_snapshots, dtype=float),
+            num_flows=num_flows, snapshots=records,
+            device_load_bps=[{}] * num_snapshots)
+        summary = result.perf_summary()
+        assert summary["mean_rate_bps"] == float(
+            result.flow_rates_bps.mean())
+        assert summary["flows_ever_connected"] == float(
+            (result.flow_rates_bps > 0.0).any(axis=0).sum())
 
     def test_empty_device_load(self):
         summary = self._result(device_load_bps=[]).perf_summary()
@@ -372,8 +405,7 @@ class TestPerfSummaryEdgeCases:
 
     def test_no_completions_reports_zero_fct(self):
         result = self._result(
-            flow_rates_bps=np.zeros((2, 1)),
-            flow_paths=[[None], [None]],
+            num_flows=1,
             duration_s=2.0,
             flow_offered_bits=np.array([8000.0]),
             flow_delivered_bits=np.array([0.0]),
@@ -1441,7 +1473,8 @@ class TestClassStepDifferential:
         simulation.advance(state, max_steps=3)
         before = simulation._router.perf.trees_computed
         simulation.advance(state, max_steps=1)
-        assert state.all_paths[3] == [None] * len(self.EARLY)
+        assert state.snapshots[3].paths(len(self.EARLY)) == [
+            None] * len(self.EARLY)
         assert simulation._router.perf.trees_computed == before
 
 
@@ -1635,8 +1668,9 @@ class TestExtendFlows:
         state = simulation.start_run(8.0, step_s=1.0)
         simulation.advance(state, max_steps=3)
         assert simulation.extend_flows(state, self.LATE) == len(base)
-        assert state.rates.shape == (8, 6)
-        assert all(len(row) == 6 for row in state.all_paths)
+        assert len(state.flow_class) == 6 and len(state.snapshots) == 3
+        assert all(record.rates(6).shape == (6,)
+                   for record in state.snapshots)
         simulation.advance(state)
         _assert_same_result(simulation.finish(state), expected)
 
@@ -1646,3 +1680,39 @@ class TestExtendFlows:
         again = simulation.run(2.0)
         assert len(simulation.flows) == 1
         _assert_same_result(again, first)
+
+
+class TestStaticRunTurnsDynamic:
+    """Flows that make a faulted static run dynamic mid-run: the result,
+    the earlier flows' delivered bits included, equals a run that is
+    dynamic from t = 0 and the rescanning loop."""
+
+    #: Loss windows that move the rates from snapshot to snapshot.
+    FAULTS = [FaultEvent.packet_loss(0.5, 2.5, 0.3, gid=0),
+              FaultEvent.packet_loss(1.5, 4.5, 0.55, gid=1),
+              FaultEvent.isl_cut(35, 34, 3.0, 6.0)]
+    LATE = [FluidFlow(1, 2, start_s=5.5, size_bytes=400_000.0),
+            FluidFlow(0, 3, start_s=6.0)]
+
+    def _extended(self, engine, network):
+        base = [FluidFlow(src, dst) for src, dst in EVENT_PAIRS]
+        base += [FluidFlow(0, 3), FluidFlow(2, 5, demand_bps=2e6)]
+        simulation = engine(network, base, link_capacity_bps=1e8 / 3)
+        state = simulation.start_run(8.0, step_s=1.0)
+        simulation.advance(state, max_steps=5)
+        assert not state.dynamic
+        simulation.extend_flows(state, self.LATE)
+        assert state.dynamic
+        simulation.advance(state)
+        return base, simulation.finish(state)
+
+    def test_delivered_bits_equal_a_dynamic_run_from_t0(self,
+                                                        small_network):
+        small_network.set_faults(FaultSchedule(self.FAULTS, seed=0))
+        base, got = self._extended(FluidSimulation, small_network)
+        expected = FluidSimulation(
+            small_network, base + self.LATE,
+            link_capacity_bps=1e8 / 3).run(8.0, step_s=1.0)
+        _assert_same_result(got, expected)
+        _assert_same_result(got, self._extended(RescanningFluidSimulation,
+                                                small_network)[1])

@@ -1232,3 +1232,160 @@ class TestFluidMaxMinInvariants:
                     device in saturated
                     and rate >= fastest[device] * (1 - 1e-9)
                     for device in on), (flow, rate)
+
+
+class TestFluidClassHistory:
+    """A fluid run keeps, per snapshot, one rate and one path per flow
+    class among the step's candidates; ``FluidResult`` expands them per
+    flow on read.  On random Walker scenarios — static flows or churn,
+    with or without a fault schedule or a frozen topology, extended
+    mid-run or not, max-min or AIMD (each flow its own class) — the
+    expansion must equal the per-flow history recorded alongside
+    (``_fluid_oracle.PerFlowRecording``) bit for bit, path tuple for
+    path tuple, and so must the run's summary and metric series.  A
+    max-min run whose late flows are attached at a snapshot boundary
+    must equal the same flows built from t = 0, delivered bits
+    included."""
+
+    CAPACITY_BPS = 1e6
+    DURATION_S = 15.0
+    STEP_S = 2.5
+
+    @staticmethod
+    def _network(data):
+        """One random Walker shell dense enough to cover 2-5 random
+        stations between ±55° latitude most of the time, with or
+        without a random outage and ISL cut."""
+        from repro.constellations.builder import Constellation
+        from repro.ground.stations import GroundStation
+        from repro.orbits.shell import Shell
+        from repro.topology.network import LeoNetwork
+
+        shell = Shell(
+            name="W0", num_orbits=data.draw(st.integers(10, 20)),
+            satellites_per_orbit=data.draw(st.integers(10, 20)),
+            altitude_m=data.draw(st.floats(500_000.0, 1_200_000.0)),
+            inclination_deg=data.draw(st.floats(50.0, 90.0)),
+            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
+                                                 exclude_max=True)))
+        constellation = Constellation([shell], epoch_offset_s=data.draw(
+            st.floats(0.0, 1e5)))
+        sites = data.draw(st.lists(
+            st.tuples(st.floats(-55.0, 55.0), longitude),
+            min_size=2, max_size=5))
+        stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                                  position=GeodeticPosition(lat, lon, 0.0))
+                    for gid, (lat, lon) in enumerate(sites)]
+        faults = None
+        if data.draw(st.booleans()):
+            num_satellites = shell.num_orbits * shell.satellites_per_orbit
+            satellite = data.draw(st.integers(0, num_satellites - 1))
+            faults = FaultSchedule([
+                FaultEvent.satellite_outage(satellite, 3.0, 9.0),
+                FaultEvent.isl_cut(satellite, (satellite + 1)
+                                   % num_satellites, 5.0, 12.0)])
+        return LeoNetwork(constellation, stations,
+                          min_elevation_deg=data.draw(st.floats(0.0, 20.0)),
+                          faults=faults), len(sites)
+
+    @pytest.mark.parametrize("kind, extension", [
+        ("static", None), ("static", "static"), ("static", "dynamic"),
+        ("churn", None), ("churn", "static"), ("churn", "dynamic"),
+        ("aimd", None), ("aimd", "static")])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_expansion_equals_the_per_flow_history(self, kind, extension,
+                                                   data):
+        """``kind``: static flows, churn (finite sizes, staggered
+        starts) or AIMD; ``extension``: flows attached at a random
+        snapshot boundary — none, static or dynamic ones."""
+        from repro.fluid.aimd import AimdFluidSimulation
+        from repro.fluid.engine import FluidFlow, FluidSimulation
+        from repro.obs import MetricsRegistry
+        from _fluid_oracle import PerFlowRecording
+
+        network, num_sites = self._network(data)
+        freeze_at_s = data.draw(st.one_of(
+            st.none(), st.floats(0.0, self.DURATION_S)))
+        # A few endpoint pairs, so classes have several members.
+        pairs = data.draw(st.lists(
+            st.lists(st.integers(0, num_sites - 1), min_size=2, max_size=2,
+                     unique=True), min_size=1, max_size=3))
+        steps = round(self.DURATION_S / self.STEP_S)
+        extend_at = data.draw(st.integers(1, steps - 1))
+
+        def flows(count, dynamic, earliest_s):
+            drawn = []
+            for _ in range(count):
+                src, dst = data.draw(st.sampled_from(pairs))
+                demand = (np.inf if kind == "aimd" else data.draw(
+                    st.sampled_from([np.inf, 3e5])))
+                if not dynamic:
+                    drawn.append(FluidFlow(src, dst, demand_bps=demand))
+                    continue
+                drawn.append(FluidFlow(
+                    src, dst, demand_bps=demand,
+                    size_bytes=data.draw(st.one_of(
+                        st.none(), st.floats(1e4, 2e6))),
+                    start_s=data.draw(st.floats(earliest_s,
+                                                self.DURATION_S))))
+            return drawn
+
+        base = flows(data.draw(st.integers(1, 8)), kind == "churn", 0.0)
+        late = [] if extension is None else flows(
+            data.draw(st.integers(1, 4)), extension == "dynamic",
+            extend_at * self.STEP_S)
+
+        if kind == "aimd":
+            class Recorded(PerFlowRecording, AimdFluidSimulation):
+                pass
+            simulation = Recorded(network, base,
+                                  link_capacity_bps=self.CAPACITY_BPS,
+                                  freeze_topology_at_s=freeze_at_s)
+        else:
+            class Recorded(PerFlowRecording, FluidSimulation):
+                pass
+            simulation = Recorded(network, base,
+                                  link_capacity_bps=self.CAPACITY_BPS,
+                                  freeze_topology_at_s=freeze_at_s,
+                                  metrics=MetricsRegistry())
+        state = simulation.start_run(self.DURATION_S, step_s=self.STEP_S)
+        if extension is not None:
+            simulation.advance(state, max_steps=extend_at)
+            simulation.extend_flows(state, late)
+        simulation.advance(state)
+        got = simulation.finish(state)
+
+        rates, paths = simulation.per_flow(len(base) + len(late))
+        assert got.flow_rates_bps.tobytes() == rates.tobytes()
+        assert len(got.flow_paths) == len(paths)
+        for got_row, row in zip(got.flow_paths, paths):
+            assert len(got_row) == len(row)
+            assert all(a is b for a, b in zip(got_row, row))
+        summary = got.perf_summary()
+        assert summary["mean_rate_bps"] == float(rates.mean())
+        assert summary["flows_ever_connected"] == float(
+            (rates > 0.0).any(axis=0).sum())
+        if kind != "aimd":
+            # Each snapshot's series are over the flows it knew.
+            series = simulation.metrics.series_logs
+            assert series["fluid.mean_rate_bps"].values == [
+                float(row.mean()) for row in simulation.recorded_rates]
+            assert series["fluid.connected_flows"].values == [
+                int((row > 0.0).sum()) for row in simulation.recorded_rates]
+
+        if extension == "dynamic":
+            expected = FluidSimulation(
+                network, base + late, link_capacity_bps=self.CAPACITY_BPS,
+                freeze_topology_at_s=freeze_at_s).run(
+                    self.DURATION_S, step_s=self.STEP_S)
+            assert got.flow_rates_bps.tobytes() == (
+                expected.flow_rates_bps.tobytes())
+            assert got.flow_paths == expected.flow_paths
+            assert ([list(loads.items()) for loads in got.device_load_bps]
+                    == [list(loads.items())
+                        for loads in expected.device_load_bps])
+            for name in ("flow_delivered_bits", "flow_fct_s",
+                         "flow_offered_bits"):
+                assert getattr(got, name).tobytes() == (
+                    getattr(expected, name).tobytes()), name

@@ -1270,6 +1270,44 @@ class TestLiveMutation:
             assert np.isnan(fct[unstarted])
             assert service.state.delivered_bits[unstarted] == 0.0
 
+    @pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+    def test_cancelled_flows_are_not_offered(self, engine, tmp_path):
+        """A flow cancelled by a detach counts neither as offered volume
+        nor as a finite flow: every flow that was offered completes, so
+        the report reads all of the offered bits delivered.  A packet
+        report taken before the detach counts the flows started so far,
+        in its ``fct`` section and its counter alike."""
+        base = WorkloadSchedule([FlowRequest(0.0, 2, 3, 20_000)], seed=0)
+        running, future = (FlowRequest(0.5, 0, 1, 1_000_000),
+                           FlowRequest(5.0, 1, 0, 200_000))
+        service = _make_service(engine, workload=base)
+        handle = service.attach_workload(
+            WorkloadSchedule([running, future], seed=0))
+        service.advance_to(1.0)
+        offered = (20_000 + 1_000_000) * 8.0
+        if engine == "packet":
+            fct = service.report().extras["fct"]
+            counters = service.metrics_dict()["counters"]
+            assert fct["flows_finite"] == 2
+            assert fct["offered_bits"] == offered
+            assert counters["traffic.offered_bytes"] == offered / 8.0
+        service.detach_workload(handle)
+        restored = _round_trip(service, tmp_path / "detached.ckpt")
+        for live in (service, restored):
+            live.run_to_horizon()
+        report = service.report()
+        fct = report.extras["fct"]
+        assert fct["flows_finite"] == fct["flows_completed"] == 2
+        assert fct["offered_bits"] == fct["delivered_bits"] == offered
+        assert _report_json(restored) == _report_json(service)
+        if engine == "packet":
+            counters = service.metrics_dict()["counters"]
+            assert counters["traffic.offered_bytes"] == offered / 8.0
+        else:
+            assert report.summary["flows_finite"] == 2.0
+            assert report.summary["offered_load_bps"] == (
+                report.summary["delivered_load_bps"])
+
 
 class TestOutOfRangeGids:
     """A request naming a station the network lacks is refused before

@@ -385,6 +385,31 @@ class TestRoutingSpans:
         assert walk[3] == -1
 
 
+class TestFluidSpans:
+    def test_subevent_resolves_are_named_under_the_step(self,
+                                                        small_network):
+        """A dynamic step's re-solves run inside ``fluid.subevents``, a
+        child of ``fluid.advance``; a static step makes none."""
+        from repro.fluid.engine import FluidFlow, FluidSimulation
+
+        flows = [FluidFlow(0, 3, size_bytes=200_000.0),
+                 FluidFlow(1, 4, start_s=0.4, size_bytes=300_000.0)]
+        with profiled() as profiler:
+            FluidSimulation(small_network, flows).run(2.0, step_s=1.0)
+        recorded = _spans(profiler)
+        names = [span[0] for span in recorded]
+        subevents = [span for span in recorded if span[0] == "fluid.subevents"]
+        assert len(subevents) == 2
+        for span in subevents:
+            assert names[span[3]] == "fluid.advance"
+        assert any(names[span[3]] == "fluid.subevents"
+                   for span in recorded if span[0] == "fluid.waterfill")
+        with profiled() as profiler:
+            FluidSimulation(small_network, [FluidFlow(0, 3)]).run(2.0)
+        assert "fluid.subevents" not in {span[0] for span in
+                                         _spans(profiler)}
+
+
 class TestCli:
     def test_profile_command_exports_trace_report_metrics(self, tmp_path,
                                                           capsys):
