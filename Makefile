@@ -13,7 +13,7 @@ check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
 	bench-fig10 bench-transport
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 smoke:
 	$(PYTHON) -c "import importlib, pkgutil, repro; \
@@ -54,6 +54,8 @@ smoke:
 	! grep -rnwI "_invalidated_mask" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnwI "_build_vectorized_state" \
+	    src/ benchmarks/*.py examples/ README.md .claude/
+	! grep -rnIE "_row_order|_take_rows|_reorder|snapshot_cache_hits|full_solves" \
 	    src/ benchmarks/*.py examples/ README.md .claude/
 	! grep -rnIE "_canonical_json|_canonical\(|_fingerprinted|spec_fingerprint" \
 	    src/ examples/ README.md .claude/

@@ -137,7 +137,7 @@ def test_sparse_delta_parity_on_every_snapshot():
         assert np.array_equal(expected.next_hop, repaired.next_hop)
     assert router.inc_perf.repairs == NUM_STEPS
     assert router.inc_perf.fallbacks_large_delta == 0
-    assert router.inc_perf.full_solves == 1
+    assert router.perf.dijkstra_calls == 1
     assert router.inc_perf.destination_changes == 0
 
 
@@ -169,7 +169,7 @@ def test_incremental_speedup_on_sparse_deltas():
 
     speedup = scratch_best / incremental_best
     assert counters.repairs == NUM_STEPS
-    assert counters.full_solves == 1
+    assert router.perf.dijkstra_calls == 1
     assert counters.destination_changes == 0
 
     rows = [
@@ -215,7 +215,7 @@ def test_whatif_step_allocation():
             tracemalloc.stop()
         assert paths == RoutingEngine(network).paths_many(snapshot, pairs)
     assert router.inc_perf.repairs == WHATIF_STEPS
-    assert router.inc_perf.full_solves == 1
+    assert router.perf.dijkstra_calls == 1
     peak = float(np.median(peaks))
 
     rows = [
@@ -243,7 +243,7 @@ def test_whatif_step_allocation():
 
 def _timed_walk(network, snapshots, destinations, expected=None):
     """Seconds per update (the cold first one excluded) of a fresh
-    incremental router over ``snapshots``, and its counters; with
+    incremental router over ``snapshots``, and the router; with
     ``expected`` every update is asserted equal to it."""
     router = IncrementalRouter(network)
     elapsed = 0.0
@@ -257,7 +257,7 @@ def _timed_walk(network, snapshots, destinations, expected=None):
                                   routed.distance_m), index
             assert np.array_equal(expected[index].next_hop,
                                   routed.next_hop), index
-    return elapsed / (len(snapshots) - 1), router.inc_perf
+    return elapsed / (len(snapshots) - 1), router
 
 
 def test_moving_timeline_repair_and_crossover():
@@ -299,17 +299,19 @@ def test_moving_timeline_repair_and_crossover():
             per_update, shipped = _timed_walk(
                 network, snapshots, destinations, check)
             shipped_best = min(shipped_best, per_update)
-        assert lifted.reweight_repairs == MOVING_UPDATES
-        assert (shipped.reweight_repairs + shipped.fallbacks_large_delta
+        assert lifted.inc_perf.reweight_repairs == MOVING_UPDATES
+        counters = shipped.inc_perf
+        assert (counters.reweight_repairs + counters.fallbacks_large_delta
                 == MOVING_UPDATES)
-        assert shipped.full_solves == 1 + shipped.fallbacks_large_delta
-        violated = lifted.edges_violated / (MOVING_UPDATES * pairs)
-        measured[step_s] = (full_best, shipped_best, shipped)
+        assert shipped.perf.dijkstra_calls == (
+            1 + counters.fallbacks_large_delta)
+        violated = lifted.inc_perf.edges_violated / (MOVING_UPDATES * pairs)
+        measured[step_s] = (full_best, shipped_best, counters)
         rows.append(
             f"{step_s:7.1f} {100 * violated:10.2f} {1e3 * full_best:8.2f} "
             f"{1e3 * repair_best:9.2f} {1e3 * shipped_best:10.2f} "
-            f"{shipped.reweight_repairs:8d} "
-            f"{shipped.fallbacks_large_delta:7d}")
+            f"{counters.reweight_repairs:8d} "
+            f"{counters.fallbacks_large_delta:7d}")
     full_s, shipped_s, counters = measured[1.0]
     speedup = full_s / shipped_s
     rows.append(f"speedup_at_1s         {speedup:10.2f}")

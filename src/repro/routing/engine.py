@@ -281,11 +281,12 @@ class MultiDestinationRouting:
     """Shortest-path state toward many destinations at one instant.
 
     The batched result of :meth:`RoutingEngine.route_to_many`: row ``i``
-    of the matrices is the destination tree of ``dst_gids[i]`` (duplicate
-    input gids are deduplicated, first occurrence wins).
+    of the matrices is the destination tree of ``dst_gids[i]``.  A
+    request is its destination *set*: the rows follow ascending gids,
+    whatever the order (and repeats) of the gids asked for.
 
     Attributes:
-        dst_gids: The (deduplicated) destination gids, in input order.
+        dst_gids: The distinct destination gids, ascending.
         dst_nodes: (D,) their graph node ids.
         distance_m: (D, num_nodes) distances toward each destination.
         next_hop: (D, num_nodes) next hops toward each destination,
@@ -358,10 +359,11 @@ class RoutingEngine:
             when omitted (exposed as :attr:`perf`).
 
     Apart from the static edge index arrays (ISL endpoints, relay
-    identities), which it precomputes once, the engine keeps exactly one
-    piece of dynamic state: the transit edge arrays of the most recent
-    snapshot, keyed by snapshot identity, so that the many destination
-    trees of one forwarding update share a single graph construction.
+    identities), which it precomputes once, the engine keeps two pieces
+    of dynamic state, both keyed by snapshot identity: the transit edge
+    arrays of the most recent snapshot, so that the many destination
+    trees of one forwarding update share a single graph construction,
+    and the most recent answer (:meth:`route_to_many`).
     """
 
     def __init__(self, network: LeoNetwork,
@@ -378,6 +380,13 @@ class RoutingEngine:
         self._cached_snapshot: Optional[TopologySnapshot] = None
         self._cached_transit: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: The last update's snapshot and answer.
+        self._prev_snapshot: Optional[TopologySnapshot] = None
+        self._prev_result: Optional[MultiDestinationRouting] = None
+        #: Callers that may still hold ``_prev_result`` itself: each
+        #: return of it lends it, :meth:`_hand_back` returns a loan.  At
+        #: zero a repairing subclass may write its arrays in place.
+        self._loans = 0
 
     # ------------------------------------------------------------------
     # Core batched computation
@@ -391,8 +400,25 @@ class RoutingEngine:
         destinations' GSL edges — directed out of each destination node —
         into one sparse matrix, and computes every destination tree with a
         single multi-index Dijkstra call.
+
+        The request is the destination *set* (rows ascending by gid).
+        The engine remembers its last answer: the same snapshot and set
+        again, in any order, return that very object.  Every return of
+        the remembered answer lends it until the caller hands it back
+        (:meth:`_hand_back`); a repairing subclass copies a lent answer
+        rather than write it.
         """
-        return self._update(snapshot, self._unique_gids(dst_gids))
+        unique_gids = self._unique_gids(dst_gids)
+        if (snapshot is self._prev_snapshot
+                and self._prev_result.dst_gids == unique_gids):
+            self._loans += 1
+            return self._prev_result
+        # No local holds the old answer through the update: a repair may
+        # free it early.
+        self._prev_result = self._update(snapshot, unique_gids)
+        self._prev_snapshot = snapshot
+        self._loans = 1
+        return self._prev_result
 
     @spans.timed("routing.route_to_many")
     def _update(self, snapshot: TopologySnapshot,
@@ -419,14 +445,15 @@ class RoutingEngine:
         return self.solve_trees(graph, dst_nodes, coo)
 
     def _hand_back(self, multi: MultiDestinationRouting) -> None:
-        """Return a result of :meth:`route_to_many` that the caller has
-        walked and dropped.  A plain engine keeps no result: nothing to
-        do."""
+        """Return one loan of a result of :meth:`route_to_many` that the
+        caller has walked and dropped."""
+        if multi is self._prev_result and self._loans:
+            self._loans -= 1
 
     @staticmethod
     def _unique_gids(dst_gids: Sequence[int]) -> Tuple[int, ...]:
-        """Deduplicated int destination gids, first occurrence wins."""
-        unique_gids = tuple(dict.fromkeys(int(gid) for gid in dst_gids))
+        """The destination set: distinct int gids, ascending."""
+        unique_gids = tuple(sorted({int(gid) for gid in dst_gids}))
         if not unique_gids:
             raise ValueError("need at least one destination gid")
         return unique_gids
@@ -449,14 +476,19 @@ class RoutingEngine:
         slower on the per-snapshot hot path.  The sorted triplets are
         returned as well (the next-hop derivation reads them and the
         incremental layer diffs them), so callers never pay a ``tocoo``
-        round trip.  In the never-observed case of duplicate entries the
-        build falls back to scipy's duplicate-summing constructor to
-        preserve the canonical form.
+        round trip.
 
         Returns:
             ``(graph, dst_nodes, (rows, cols, data))`` — the (num_nodes,
             num_nodes) CSR matrix, the (D,) graph node ids of the
             destinations and the matrix's COO triplets.
+
+        Raises:
+            ValueError: An edge appears twice.  scipy would add the two
+                lengths, where two parallel links are as long as the
+                shorter one; the topology layer never builds one
+                (``validate_isl_pairs`` refuses duplicate ISLs, and relay
+                and destination GSLs are disjoint).
         """
         num_nodes = self._num_nodes
         rows, cols, data = self._transit_arrays(snapshot)
@@ -475,21 +507,16 @@ class RoutingEngine:
         order = np.argsort(rows * np.int64(num_nodes) + cols,
                            kind="stable")
         rows, cols, data = rows[order], cols[order], data[order]
-        duplicates = (len(rows) > 1
-                      and bool(np.any((rows[1:] == rows[:-1])
-                                      & (cols[1:] == cols[:-1]))))
-        if duplicates:
-            graph = csr_matrix((data, (rows, cols)),
-                               shape=(num_nodes, num_nodes))
-            coo = graph.tocoo()
-            rows = coo.row.astype(np.int64)
-            cols = coo.col.astype(np.int64)
-            data = coo.data
-        else:
-            counts = np.bincount(rows, minlength=num_nodes)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            graph = csr_matrix((data, cols, indptr),
-                               shape=(num_nodes, num_nodes))
+        repeated = np.flatnonzero((rows[1:] == rows[:-1])
+                                  & (cols[1:] == cols[:-1]))
+        if len(repeated):
+            raise ValueError(
+                f"routing edge {int(rows[repeated[0]])} -> "
+                f"{int(cols[repeated[0]])} appears twice")
+        counts = np.bincount(rows, minlength=num_nodes)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        graph = csr_matrix((data, cols, indptr),
+                           shape=(num_nodes, num_nodes))
         return graph, dst_nodes, (rows, cols, data)
 
     @staticmethod

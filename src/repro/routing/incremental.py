@@ -21,12 +21,13 @@ module repairs the previous update's trees in both cases:
   few violating offers to the same frontier rounds — work proportional
   to edges x trees, about half a full solve on a 1 s step;
 * a new destination set, or a dense delta whose verify pass finds too
-  many violations, runs the batched from-scratch
-  :meth:`~repro.routing.engine.RoutingEngine.route_to_many`.
+  many violations, runs the batched from-scratch solve
+  (:meth:`~repro.routing.engine.RoutingEngine.solve_trees`).
 
-The memory is keyed by destination *set*: the same gids in another order
-are the remembered rows gathered into that order (on the remembered
-snapshot) or repaired after permuting them (on a new one).
+The answer it repairs is the one
+:meth:`~repro.routing.engine.RoutingEngine.route_to_many` remembers,
+keyed by destination *set* with rows ascending by gid, so the same gids
+in any order repair the same rows.
 
 Bit-identical by construction: the final distance array of Dijkstra
 with positive weights is the unique fixed point of
@@ -48,14 +49,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from ..obs import spans
-from ..topology.network import LeoNetwork, TopologySnapshot
-from .engine import MultiDestinationRouting, RoutingEngine, UNREACHABLE
+from ..topology.network import LeoNetwork
+from .engine import RoutingEngine, UNREACHABLE
 
 __all__ = ["GraphDelta", "IncrementalPerfCounters", "IncrementalRouter",
            "diff_graphs"]
@@ -178,15 +179,15 @@ def diff_graphs(old_rows: np.ndarray, old_cols: np.ndarray,
 class IncrementalPerfCounters:
     """Accounting of the incremental layer's decisions and work.
 
-    Every update is exactly one of: a snapshot cache hit, a repair
-    (``repairs``, of which ``reweight_repairs`` took the re-sum path and
-    the rest the affected-vertex path) or a full solve; a full solve is
-    the cold first one, or forced by a new destination set
+    Every update is either a repair (``repairs``, of which
+    ``reweight_repairs`` took the re-sum path and the rest the
+    affected-vertex path) or a full solve (``perf.dijkstra_calls``); a
+    full solve is the cold first one, or forced by a new destination set
     (``destination_changes``) or by a re-sum repair that gave up
-    (``fallbacks_large_delta``).
+    (``fallbacks_large_delta``).  A repeated snapshot and destination set
+    is no update: ``route_to_many`` returns the remembered answer.
 
     Attributes:
-        full_solves: From-scratch batched Dijkstra runs.
         repairs: Updates served by either repair.
         reweight_repairs: Updates served by the re-sum repair (dense
             deltas: the moving timeline).
@@ -196,8 +197,6 @@ class IncrementalPerfCounters:
         destination_changes: Full solves forced by a destination set
             other than the previous update's (the same gids in another
             order are the same set).
-        snapshot_cache_hits: Updates answered from the per-snapshot
-            result cache without any graph work.
         edges_changed: Directed edges changed across all diffed updates.
         vertices_invalidated: Tree vertices invalidated across
             affected-vertex repairs.
@@ -208,12 +207,10 @@ class IncrementalPerfCounters:
     (``routing.incremental_repair``; see :mod:`repro.obs.spans`).
     """
 
-    full_solves: int = 0
     repairs: int = 0
     reweight_repairs: int = 0
     fallbacks_large_delta: int = 0
     destination_changes: int = 0
-    snapshot_cache_hits: int = 0
     edges_changed: int = 0
     vertices_invalidated: int = 0
     edges_violated: int = 0
@@ -227,27 +224,21 @@ class IncrementalRouter(RoutingEngine):
     """A :class:`RoutingEngine` that repairs trees between snapshots.
 
     Drop-in replacement: every inherited query (``paths_many``,
-    ``pair_distance_m``, ...) funnels through :meth:`route_to_many`,
-    whose :meth:`_trees` hook diffs the update's routing graph against
-    the previous one and repairs the remembered destination trees (see
-    the module docstring for the two repairs).  :attr:`inc_perf` counts
+    ``pair_distance_m``, ...) funnels through ``route_to_many``, whose
+    :meth:`_trees` hook diffs the update's routing graph against the
+    previous one and repairs the remembered destination trees (see the
+    module docstring for the two repairs).  :attr:`inc_perf` counts
     which path each update took.
     """
 
     def __init__(self, network: LeoNetwork) -> None:
         super().__init__(network)
         self.inc_perf = IncrementalPerfCounters()
-        self._prev_snapshot: Optional[TopologySnapshot] = None
         self._prev_coo: Optional[Tuple[np.ndarray, np.ndarray,
                                        np.ndarray]] = None
-        self._prev_result: Optional[MultiDestinationRouting] = None
         #: Per (tree, vertex) the tree edge's index in ``_prev_coo``;
         #: derived on demand (None) after a full solve.
         self._prev_parent_edge: Optional[np.ndarray] = None
-        #: Callers that may still hold ``_prev_result`` itself: each
-        #: return of it lends it, :meth:`_hand_back` returns a loan.  At
-        #: zero the repairs write its arrays in place.
-        self._loans = 0
 
     #: The remembered update.  Like the transit cache it only saves time:
     #: without it the next update is a full solve, which yields the
@@ -261,45 +252,9 @@ class IncrementalRouter(RoutingEngine):
             setattr(self, name, None)
         self._loans = 0
 
-    def _hand_back(self, multi: MultiDestinationRouting) -> None:
-        """Return one loan of the remembered result."""
-        if multi is self._prev_result and self._loans:
-            self._loans -= 1
-
     # ------------------------------------------------------------------
     # The incremental update
     # ------------------------------------------------------------------
-
-    def route_to_many(self, snapshot: TopologySnapshot,
-                      dst_gids: Sequence[int]) -> MultiDestinationRouting:
-        """Forwarding state toward every destination, repaired when cheap.
-
-        Rows are listed in input order, like the base class's; the
-        remembered update keeps the order it was computed in, so a
-        repeat of its snapshot and destination set in another order is
-        a cache hit gathered into that order.  Bit-identical to
-        :meth:`repro.routing.engine.RoutingEngine.route_to_many` on the
-        same snapshot, whichever path (cache hit, either repair, or full
-        solve) runs.
-
-        Returning the remembered result itself lends it: the next
-        repair copies its arrays rather than write them while the caller
-        may still read them, unless the caller handed it back
-        (:meth:`_hand_back`).  A cache hit in another order is a gathered
-        copy and lends nothing.
-        """
-        unique_gids = self._unique_gids(dst_gids)
-        if snapshot is self._prev_snapshot:
-            rows = _row_order(self._prev_result, unique_gids)
-            if rows is not None:
-                self.inc_perf.snapshot_cache_hits += 1
-                hit = _take_rows(self._prev_result, rows, unique_gids)
-                self._loans += hit is self._prev_result
-                return hit
-        self._prev_result = self._update(snapshot, unique_gids)
-        self._prev_snapshot = snapshot
-        self._loans = 1
-        return self._prev_result
 
     def _trees(self, graph: csr_matrix, dst_nodes: np.ndarray,
                coo: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -307,42 +262,20 @@ class IncrementalRouter(RoutingEngine):
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Repair the remembered trees onto ``graph``, or solve afresh.
 
-        The remembered destination *set* decides: in another order its
-        rows are permuted into this update's order first.  The routing
-        graph does not depend on the order (its triplets are sorted), so
-        the repair sees the graph it would have seen.
+        The remembered destination *set* decides; its rows are ascending
+        by gid like this update's.
         """
         solved = None
         if self._prev_coo is not None:  # else cold: nothing to repair
-            rows = _row_order(self._prev_result, unique_gids)
-            if rows is None:
-                self.inc_perf.destination_changes += 1
-            else:
-                self._reorder(rows, unique_gids)
+            if self._prev_result.dst_gids == unique_gids:
                 solved = self._repair(graph, dst_nodes, coo)
+            else:
+                self.inc_perf.destination_changes += 1
         if solved is None:
             solved = super()._trees(graph, dst_nodes, coo, unique_gids)
             self._prev_parent_edge = None
-            self.inc_perf.full_solves += 1
         self._prev_coo = coo
         return solved
-
-    def _reorder(self, rows: List[int], unique_gids: Tuple[int, ...]
-                 ) -> None:
-        """Lay the remembered update's rows (and kept tree edges) out in
-        ``unique_gids`` order.
-
-        A method, so no caller's local holds the old result through the
-        repair: the re-sum frees it early (see :meth:`_reweight_trees`).
-        """
-        recalled = _take_rows(self._prev_result, rows, unique_gids)
-        if recalled is self._prev_result:
-            return
-        self._prev_result = recalled
-        self._loans = 0
-        if self._prev_parent_edge is not None:
-            self._prev_parent_edge = self._prev_parent_edge.reshape(
-                len(rows), -1)[rows].reshape(-1)
 
     @spans.timed("routing.incremental_repair")
     def _repair(self, graph: csr_matrix, dst_nodes: np.ndarray,
@@ -399,7 +332,7 @@ class IncrementalRouter(RoutingEngine):
            (:meth:`_sparse_next_hops`).
 
         The remembered result is repaired in place unless a caller may
-        still hold it (a loan is outstanding: :meth:`route_to_many`),
+        still hold it (a loan is outstanding: ``route_to_many``),
         in which case its two (D, num_nodes) arrays are copied first.
         In place, the router forgets the remembered update before the
         first write, so a repair that raises is followed by a full
@@ -680,34 +613,6 @@ class IncrementalRouter(RoutingEngine):
         hops[keys] = UNREACHABLE
         hops[parent_keys] = csc.indices[parent_pos]
         return keys, parent_keys, parent_pos
-
-
-def _row_order(result: MultiDestinationRouting,
-               unique_gids: Tuple[int, ...]) -> Optional[List[int]]:
-    """Where each of ``unique_gids`` sits in ``result``: its rows in that
-    order, or None when ``unique_gids`` is another destination set."""
-    if len(unique_gids) != len(result.dst_gids):
-        return None
-    rows = [result._row_of.get(gid) for gid in unique_gids]
-    return None if None in rows else rows
-
-
-def _take_rows(result: MultiDestinationRouting, rows: List[int],
-               unique_gids: Tuple[int, ...]) -> MultiDestinationRouting:
-    """``result`` with its rows gathered into ``unique_gids`` order.
-
-    Exact: every row is an independent single-root tree, so another
-    order of the same destinations holds the same rows.
-    """
-    if unique_gids == result.dst_gids:
-        return result
-    return MultiDestinationRouting(
-        dst_gids=unique_gids,
-        dst_nodes=result.dst_nodes[rows],
-        distance_m=result.distance_m[rows],
-        next_hop=result.next_hop[rows],
-        _row_of={gid: i for i, gid in enumerate(unique_gids)},
-    )
 
 
 def _parent_edges(next_hop: np.ndarray, rows: np.ndarray,

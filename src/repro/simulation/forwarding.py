@@ -124,8 +124,8 @@ class ForwardingController:
         old_routing = self._routing if tracer.enabled else {}
         if self._destinations:
             assert self._snapshot is not None
-            multi = self._engine.route_to_many(
-                self._snapshot, sorted(self._destinations))
+            multi = self._engine.route_to_many(self._snapshot,
+                                               self._destinations)
             self._routing = {
                 dst_gid: multi.routing_for(dst_gid)
                 for dst_gid in self._destinations

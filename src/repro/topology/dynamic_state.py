@@ -181,7 +181,7 @@ def compute_pair_chunk(network: LeoNetwork,
     pairs = list(dict.fromkeys((int(src), int(dst)) for src, dst in pairs))
     distances = np.full((len(pairs), len(times_s)), np.inf)
     paths: List[List[Optional[Tuple[int, ...]]]] = []
-    destinations = sorted({dst for _, dst in pairs})
+    destinations = {dst for _, dst in pairs}
     pair_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     walk = None
     for t_index, time_s in enumerate(times_s):

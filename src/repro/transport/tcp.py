@@ -124,7 +124,7 @@ class TcpFlow(Application):
         # --- receiver state ---
         self.rcv_nxt = 0
         self._out_of_order: Set[int] = set()
-        self._reordered_arrivals = 0
+        self._arrivals_out_of_order = 0
         self._bins: List[float] = []
 
         # --- completion ---
@@ -470,7 +470,7 @@ class TcpFlow(Application):
                 self._out_of_order.discard(self.rcv_nxt)
                 self.rcv_nxt += 1
         elif seq > self.rcv_nxt:
-            self._reordered_arrivals += 1
+            self._arrivals_out_of_order += 1
             self._out_of_order.add(seq)
         # Every segment is acknowledged at once: an out-of-order one with
         # a duplicate ACK, a stale one with a re-ACK.
@@ -517,7 +517,7 @@ class TcpFlow(Application):
     @property
     def reordered_arrivals(self) -> int:
         """Count of out-of-order data arrivals observed by the receiver."""
-        return self._reordered_arrivals
+        return self._arrivals_out_of_order
 
     def throughput_series_bps(self) -> np.ndarray:
         """(B,) receiver payload goodput per bin (bits/second) — the

@@ -759,16 +759,23 @@ class TestIncrementalRoutingProperties:
                 snapshot = _walk_snapshot(index, link_lengths, gsl_lengths)
                 # The same set in a fresh order each step: still repairs.
                 order = data.draw(st.permutations(destinations))
-                expected = RoutingEngine(network).route_to_many(
-                    snapshot, order)
+                engine = RoutingEngine(network)
+                expected = engine.route_to_many(snapshot, order)
                 repaired = router.route_to_many(snapshot, order)
+                assert repaired.dst_gids == tuple(sorted(destinations))
                 assert expected.dst_gids == repaired.dst_gids
                 assert np.array_equal(expected.distance_m,
                                       repaired.distance_m)
                 assert np.array_equal(expected.next_hop, repaired.next_hop)
+                # The same snapshot and set again, in another order: the
+                # remembered answer itself, from either engine.
+                again = data.draw(st.permutations(destinations))
+                assert router.route_to_many(snapshot, again) is repaired
+                assert engine.route_to_many(snapshot, again) is expected
         counters = router.inc_perf
-        assert counters.full_solves == 1 + counters.fallbacks_large_delta
-        assert counters.repairs + counters.full_solves == len(steps)
+        solves = router.perf.dijkstra_calls
+        assert solves == 1 + counters.fallbacks_large_delta
+        assert counters.repairs + solves == len(steps)
         if never_give_up:
             assert counters.fallbacks_large_delta == 0
 
@@ -865,6 +872,31 @@ def _walker_network(data, faults=None):
     network = LeoNetwork(constellation, stations,
                          min_elevation_deg=min_elevation_deg, faults=faults)
     return network, sites, min_elevation_deg
+
+
+def _dense_walker(data):
+    """One random Walker shell dense enough to cover 2-5 random stations
+    between ±55° latitude most of the time, as ``(constellation,
+    stations)``: unlike :func:`_walker_network`'s draws, most of these
+    route flows."""
+    from repro.constellations.builder import Constellation
+    from repro.ground.stations import GroundStation
+    from repro.orbits.shell import Shell
+
+    shell = Shell(
+        name="W0", num_orbits=data.draw(st.integers(10, 20)),
+        satellites_per_orbit=data.draw(st.integers(10, 20)),
+        altitude_m=data.draw(st.floats(500_000.0, 1_200_000.0)),
+        inclination_deg=data.draw(st.floats(50.0, 90.0)),
+        phase_offset_rel=data.draw(st.floats(0.0, 1.0, exclude_max=True)))
+    constellation = Constellation([shell], epoch_offset_s=data.draw(
+        st.floats(0.0, 1e5)))
+    sites = data.draw(st.lists(st.tuples(st.floats(-55.0, 55.0), longitude),
+                               min_size=2, max_size=5))
+    stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                              position=GeodeticPosition(lat, lon, 0.0))
+                for gid, (lat, lon) in enumerate(sites)]
+    return constellation, stations
 
 
 def _ranges_and_elevations(satellites, frame):
@@ -1138,8 +1170,9 @@ class TestIncrementalWalk:
 
 
 class TestFluidMaxMinInvariants:
-    """A finite, staggered workload on a random Walker network under a
-    random fault schedule, run by ``FluidSimulation``.  At every
+    """A finite, staggered workload on a random dense Walker shell
+    (:func:`_dense_walker`: most draws route flows) under a random fault
+    schedule, run by ``FluidSimulation``.  At every
     snapshot the device loads are recomputed from the recorded paths and
     rates, and the allocation is checked to be max-min fair: no device
     carries more than its fault-scaled capacity, each load is the one
@@ -1157,10 +1190,13 @@ class TestFluidMaxMinInvariants:
             path_devices
         from repro.topology.network import LeoNetwork
 
-        healthy, sites, min_elevation_deg = _walker_network(data)
+        constellation, stations = _dense_walker(data)
+        min_elevation_deg = data.draw(st.floats(0.0, 20.0))
+        healthy = LeoNetwork(constellation, stations,
+                             min_elevation_deg=min_elevation_deg)
         num_satellites = healthy.num_satellites
         grid = healthy.isl_pairs
-        gids = st.integers(0, len(sites) - 1)
+        gids = st.integers(0, len(stations) - 1)
 
         def window():
             start = data.draw(st.floats(0.0, self.DURATION_S))
@@ -1253,32 +1289,14 @@ class TestFluidClassHistory:
 
     @staticmethod
     def _network(data):
-        """One random Walker shell dense enough to cover 2-5 random
-        stations between ±55° latitude most of the time, with or
-        without a random outage and ISL cut."""
-        from repro.constellations.builder import Constellation
-        from repro.ground.stations import GroundStation
-        from repro.orbits.shell import Shell
+        """A :func:`_dense_walker` scenario, with or without a random
+        outage and ISL cut."""
         from repro.topology.network import LeoNetwork
 
-        shell = Shell(
-            name="W0", num_orbits=data.draw(st.integers(10, 20)),
-            satellites_per_orbit=data.draw(st.integers(10, 20)),
-            altitude_m=data.draw(st.floats(500_000.0, 1_200_000.0)),
-            inclination_deg=data.draw(st.floats(50.0, 90.0)),
-            phase_offset_rel=data.draw(st.floats(0.0, 1.0,
-                                                 exclude_max=True)))
-        constellation = Constellation([shell], epoch_offset_s=data.draw(
-            st.floats(0.0, 1e5)))
-        sites = data.draw(st.lists(
-            st.tuples(st.floats(-55.0, 55.0), longitude),
-            min_size=2, max_size=5))
-        stations = [GroundStation(gid=gid, name=f"gs{gid}",
-                                  position=GeodeticPosition(lat, lon, 0.0))
-                    for gid, (lat, lon) in enumerate(sites)]
+        constellation, stations = _dense_walker(data)
         faults = None
         if data.draw(st.booleans()):
-            num_satellites = shell.num_orbits * shell.satellites_per_orbit
+            num_satellites = constellation.num_satellites
             satellite = data.draw(st.integers(0, num_satellites - 1))
             faults = FaultSchedule([
                 FaultEvent.satellite_outage(satellite, 3.0, 9.0),
@@ -1286,7 +1304,7 @@ class TestFluidClassHistory:
                                    % num_satellites, 5.0, 12.0)])
         return LeoNetwork(constellation, stations,
                           min_elevation_deg=data.draw(st.floats(0.0, 20.0)),
-                          faults=faults), len(sites)
+                          faults=faults), len(stations)
 
     @pytest.mark.parametrize("kind, extension", [
         ("static", None), ("static", "static"), ("static", "dynamic"),

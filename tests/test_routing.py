@@ -121,10 +121,40 @@ class TestBatchedRouting:
 
     def test_duplicate_destinations_deduplicated(self, small_network,
                                                  engine):
+        # A request is its destination set: rows ascending by gid, and a
+        # repeat of the set in any order, with duplicates, on the same
+        # snapshot is the remembered answer itself, lent once more.
         snap = small_network.snapshot(0.0)
         multi = engine.route_to_many(snap, [3, 1, 3, 1, 3])
-        assert multi.dst_gids == (3, 1)
+        assert multi.dst_gids == (1, 3)
         assert multi.distance_m.shape[0] == 2
+        for row, gid in enumerate(multi.dst_gids):
+            alone = RoutingEngine(small_network).route_to_many(snap, [gid])
+            assert np.array_equal(alone.distance_m[0], multi.distance_m[row])
+            assert np.array_equal(alone.next_hop[0], multi.next_hop[row])
+        assert engine.route_to_many(snap, [1, 3, 3, 1]) is multi
+        assert engine._loans == 2
+        assert engine.perf.dijkstra_calls == 1
+        assert engine.perf.trees_computed == 2
+        # Another set, or the same set on another snapshot, is solved.
+        assert engine.route_to_many(snap, [1]) is not multi
+        assert engine.route_to_many(small_network.snapshot(1.0),
+                                    [3, 1]) is not multi
+        assert engine.perf.dijkstra_calls == 3
+
+    def test_duplicated_edge_rejected(self, small_network, engine):
+        # scipy would add the lengths of a doubled edge, where two
+        # parallel links are as long as the shorter one.  The topology
+        # never builds one; the engine refuses it and names it.
+        snap = small_network.snapshot(0.0)
+        doubled = dataclasses.replace(
+            snap, isl_pairs=np.vstack([snap.isl_pairs, snap.isl_pairs[:1]]),
+            isl_lengths_m=np.append(snap.isl_lengths_m,
+                                    snap.isl_lengths_m[0]))
+        low, high = sorted(snap.isl_pairs[0].tolist())
+        with pytest.raises(ValueError,
+                           match=f"edge {low} -> {high} appears twice"):
+            engine.route_to_many(doubled, [1])
 
     def test_empty_destinations_rejected(self, small_network, engine):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """Parity and unit tests for the incremental routing layer.
 
 The contract under test (see :mod:`repro.routing.incremental`): whatever
-path the :class:`IncrementalRouter` takes — snapshot cache, affected-
-vertex repair, re-sum repair, or full solve — its distances and next
-hops are bit-identical to a from-scratch :class:`RoutingEngine` on the
-same snapshot.  ``TestIncrementalParity`` forces the affected-vertex
+path the :class:`IncrementalRouter` takes — the remembered answer,
+affected-vertex repair, re-sum repair, or full solve — its distances and
+next hops are bit-identical to a from-scratch :class:`RoutingEngine` on
+the same snapshot.  ``TestIncrementalParity`` forces the affected-vertex
 path on *dense* deltas (every ISL length changes between snapshots)
 by patching ``SPARSE_DELTA_SHARE`` and exercises its natural sparse-delta
 case with fault-style masked topologies; ``TestReweightRepair`` walks
@@ -142,7 +142,7 @@ class TestIncrementalParity:
             assert_same_routing(scratch.route_to_many(snapshot, DESTINATIONS),
                                 router.route_to_many(snapshot, DESTINATIONS))
         assert router.inc_perf.repairs == 5
-        assert router.inc_perf.full_solves == 1  # the t=0 warm-up
+        assert router.perf.dijkstra_calls == 1  # the t=0 warm-up
 
     def test_dense_deltas_are_repaired_by_default(self, small_network):
         router = IncrementalRouter(small_network)
@@ -155,9 +155,9 @@ class TestIncrementalParity:
         assert (counters.reweight_repairs
                 + counters.fallbacks_large_delta) == 3
         assert counters.repairs == counters.reweight_repairs
-        assert counters.full_solves == 1 + counters.fallbacks_large_delta
         # scipy runs only for full solves; every update computes trees.
-        assert router.perf.dijkstra_calls == counters.full_solves
+        assert (router.perf.dijkstra_calls
+                == 1 + counters.fallbacks_large_delta)
         assert router.perf.trees_computed == 4 * len(DESTINATIONS)
         assert counters.vertices_invalidated == 0
 
@@ -200,32 +200,46 @@ class TestIncrementalParity:
         assert router.inc_perf.repairs > 0
 
     def test_snapshot_cache_hit(self, small_network):
+        # The same snapshot and set again is no update: the remembered
+        # answer itself, lent once more.
         router = IncrementalRouter(small_network)
         snapshot = small_network.snapshot(0.0)
         first = router.route_to_many(snapshot, DESTINATIONS)
         second = router.route_to_many(snapshot, DESTINATIONS)
         assert second is first
-        assert router.inc_perf.snapshot_cache_hits == 1
+        assert router._loans == 2
+        assert router.perf.dijkstra_calls == 1
+        assert router.perf.trees_computed == len(DESTINATIONS)
+        assert router.inc_perf.as_dict() == IncrementalPerfCounters(
+            ).as_dict()
 
     def test_same_set_in_another_order(self, small_network):
-        # The memory is keyed by destination set: a reordered request is
-        # the remembered rows gathered (same snapshot) or permuted and
-        # repaired (next snapshot), never a solve.
+        # The memory is keyed by destination set, rows ascending: a
+        # reordered request with repeats is the remembered answer itself
+        # (same snapshot, lent again) or a repair (next snapshot), which
+        # copies while the answer is lent.  Never a solve.
         router = IncrementalRouter(small_network)
         snapshot = small_network.snapshot(0.0)
-        router.route_to_many(snapshot, DESTINATIONS)
-        reverse = DESTINATIONS[::-1]
+        first = router.route_to_many(snapshot, DESTINATIONS)
+        assert first.dst_gids == tuple(sorted(DESTINATIONS))
+        saved = first.distance_m.copy(), first.next_hop.copy()
+        reverse = DESTINATIONS[::-1] + DESTINATIONS[:2]
         hit = router.route_to_many(snapshot, reverse)
-        assert router.inc_perf.snapshot_cache_hits == 1
-        assert router.inc_perf.full_solves == 1
+        assert hit is first
+        assert router._loans == 2
+        assert router.perf.dijkstra_calls == 1
         assert_same_routing(
             RoutingEngine(small_network).route_to_many(snapshot, reverse), hit)
         third = [DESTINATIONS[i] for i in (2, 0, 3, 1)]
         later = masked_variant(snapshot, [3, 17, 40])
         repaired = router.route_to_many(later, third)
         counters = router.inc_perf
-        assert (counters.repairs, counters.full_solves,
+        assert (counters.repairs, router.perf.dijkstra_calls,
                 counters.destination_changes) == (1, 1, 0)
+        assert not np.shares_memory(repaired.distance_m, first.distance_m)
+        assert not np.shares_memory(repaired.next_hop, first.next_hop)
+        assert np.array_equal(first.distance_m, saved[0])
+        assert np.array_equal(first.next_hop, saved[1])
         assert_same_routing(
             RoutingEngine(small_network).route_to_many(later, third),
             repaired)
@@ -242,7 +256,7 @@ class TestIncrementalParity:
                 router.route_to_many(snapshot, order))
         counters = router.inc_perf
         assert counters.reweight_repairs == 2
-        assert counters.full_solves == 1
+        assert router.perf.dijkstra_calls == 1
         assert counters.destination_changes == 0
 
     def test_destination_change_forces_full_solve(self, small_network,
@@ -251,7 +265,7 @@ class TestIncrementalParity:
         snapshot = small_network.snapshot(0.0)
         router.route_to_many(snapshot, [1, 2])
         router.route_to_many(small_network.snapshot(1.0), [1, 3])
-        assert router.inc_perf.full_solves == 2
+        assert router.perf.dijkstra_calls == 2
         assert router.inc_perf.repairs == 0
         assert router.inc_perf.destination_changes == 1
         assert router.inc_perf.fallbacks_large_delta == 0
@@ -260,11 +274,12 @@ class TestIncrementalParity:
         counters = IncrementalPerfCounters(reweight_repairs=2,
                                            edges_violated=7)
         summary = counters.as_dict()
+        # No count of full solves (``perf.dijkstra_calls`` is one) or of
+        # repeated requests (the answer returned ``is`` the last one).
         assert set(summary) == {
-            "full_solves", "repairs", "reweight_repairs",
+            "repairs", "reweight_repairs",
             "fallbacks_large_delta", "destination_changes",
-            "snapshot_cache_hits", "edges_changed",
-            "vertices_invalidated", "edges_violated"}
+            "edges_changed", "vertices_invalidated", "edges_violated"}
         assert summary["reweight_repairs"] == 2
         assert summary["edges_violated"] == 7
 
@@ -329,9 +344,10 @@ class TestReweightRepair:
         results = walk(network, router, 3.0 + np.arange(6),
                        destinations=[1, 6, 4])
         for result in results:
-            row = result.distance_m[1]
+            assert result.dst_gids == (1, 4, 6)  # the pole's row is last
+            row = result.distance_m[2]
             assert np.count_nonzero(np.isfinite(row)) == 1  # the root
-            assert (result.next_hop[1] == UNREACHABLE).all()
+            assert (result.next_hop[2] == UNREACHABLE).all()
         assert router.inc_perf.reweight_repairs == 5
 
     def test_faults_begin_and_end_mid_timeline(self, small_constellation,
@@ -385,8 +401,8 @@ class TestReweightRepair:
         assert counters.fallbacks_large_delta > 0
         assert (counters.reweight_repairs
                 + counters.fallbacks_large_delta) == 7
-        assert counters.full_solves == 1 + counters.fallbacks_large_delta
-        assert router.perf.dijkstra_calls == counters.full_solves
+        assert (router.perf.dijkstra_calls
+                == 1 + counters.fallbacks_large_delta)
 
     def test_previous_result_is_not_mutated(self, small_network):
         router = IncrementalRouter(small_network)
@@ -523,21 +539,33 @@ class TestResultOwnership:
     @pytest.mark.parametrize("order", [DESTINATIONS, DESTINATIONS[::-1]])
     def test_whatif_pattern_keeps_the_sampled_result(self, small_network,
                                                      order):
-        # fault_whatif: walk a step, keep the trees of that step (a
-        # cache hit: in the walk's order the remembered result itself,
-        # in another a gathered copy), walk the next step.
+        # fault_whatif: walk a step, keep the trees of that step (in any
+        # order the remembered result itself, lent), walk the next step:
+        # that repair copies, and the one after it, with nothing lent,
+        # writes in place again.
         base = small_network.snapshot(3.0)
-        first, second = (masked_variant(base, drop)
-                         for drop in ([3, 17, 40], [5, 17, 41, 60]))
+        first, second, third = (masked_variant(base, drop) for drop in (
+            [3, 17, 40], [5, 17, 41, 60], [5, 18, 41, 60]))
         router = IncrementalRouter(small_network)
         router.paths_many(base, self.PAIRS)
         self.assert_fresh_paths(small_network, router, first, self.PAIRS)
         kept = router.route_to_many(first, order)
-        assert router.inc_perf.snapshot_cache_hits == 1
+        assert kept is router._prev_result
+        assert kept.dst_gids == tuple(sorted(order))
+        assert router._loans == 1
+        saved = kept.distance_m.tobytes(), kept.next_hop.tobytes()
         self.assert_fresh_paths(small_network, router, second, self.PAIRS)
+        copied = router._prev_result
+        assert not np.shares_memory(copied.distance_m, kept.distance_m)
+        assert not np.shares_memory(copied.next_hop, kept.next_hop)
+        assert (kept.distance_m.tobytes(), kept.next_hop.tobytes()) == saved
         assert_same_routing(
             RoutingEngine(small_network).route_to_many(first, order), kept)
-        assert router.inc_perf.repairs == 2
+        self.assert_fresh_paths(small_network, router, third, self.PAIRS)
+        assert np.shares_memory(router._prev_result.distance_m,
+                                copied.distance_m)
+        assert router.inc_perf.repairs == 3
+        assert router.perf.dijkstra_calls == 1
 
     def test_repair_that_raises_is_followed_by_a_full_solve(
             self, small_network, monkeypatch):
@@ -562,7 +590,7 @@ class TestResultOwnership:
         assert_same_routing(
             RoutingEngine(small_network).route_to_many(later, DESTINATIONS),
             router.route_to_many(later, DESTINATIONS))
-        assert router.inc_perf.full_solves == 2
+        assert router.perf.dijkstra_calls == 2
 
 
 class TestTimelineIntegration:

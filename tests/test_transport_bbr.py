@@ -3,11 +3,41 @@
 import numpy as np
 import pytest
 
+from repro.constellations.builder import Constellation
 from repro.faults import FaultEvent, FaultSchedule
+from repro.geo.coordinates import GeodeticPosition
+from repro.ground.stations import GroundStation
+from repro.orbits.shell import Shell
 from repro.routing.engine import RoutingEngine
 from repro.simulation.simulator import LinkConfig, PacketSimulator
 from repro.topology.network import LeoNetwork
 from repro.transport.tcp import TcpFlow
+
+
+@pytest.fixture(scope="class")
+def bbr_run():
+    """One BBR flow, station 0 -> 3 on conftest's ``small_network``, run
+    to 10 s, 15 s and 20 s: what it reads at the first two stops, and the
+    flow at 20 s.  A run continues where it stopped, so this is the run
+    each reader would otherwise repeat on its own network."""
+    shell = Shell(name="X1", num_orbits=10, satellites_per_orbit=10,
+                  altitude_m=600_000.0, inclination_deg=53.0)
+    sites = [("Quito", 0.0, -78.5), ("Nairobi", -1.3, 36.8),
+             ("Singapore", 1.35, 103.8), ("Honolulu", 21.3, -157.9),
+             ("Sydney", -33.9, 151.2), ("Madrid", 40.4, -3.7)]
+    stations = [GroundStation(gid=i, name=name,
+                              position=GeodeticPosition(lat, lon, 0.0))
+                for i, (name, lat, lon) in enumerate(sites)]
+    network = LeoNetwork(Constellation([shell]), stations,
+                         min_elevation_deg=10.0)
+    sim = PacketSimulator(network)
+    bbr = TcpFlow(0, 3, controller="bbr").install(sim)
+    sim.run(10.0)
+    mode_at_10s = bbr.controller._mode
+    sim.run(15.0)
+    rt_prop_at_15s = bbr.controller.rt_prop_s
+    sim.run(20.0)
+    return mode_at_10s, rt_prop_at_15s, bbr
 
 
 class TestBbrBasics:
@@ -18,36 +48,27 @@ class TestBbrBasics:
         assert bbr.snd_una == 300
         assert bbr.rcv_nxt == 300
 
-    def test_reaches_bottleneck_bandwidth(self, small_network):
-        sim = PacketSimulator(small_network)
-        bbr = TcpFlow(0, 3, controller="bbr").install(sim)
-        sim.run(20.0)
+    def test_reaches_bottleneck_bandwidth(self, bbr_run):
+        bbr = bbr_run[2]
         assert bbr.controller.btl_bw_bps == pytest.approx(10e6, rel=0.15)
         assert bbr.goodput_bps(20.0) > 6e6
 
-    def test_exits_startup(self, small_network):
-        sim = PacketSimulator(small_network)
-        bbr = TcpFlow(0, 3, controller="bbr").install(sim)
-        sim.run(10.0)
-        assert bbr.controller._mode == "probe_bw"
+    def test_exits_startup(self, bbr_run):
+        assert bbr_run[0] == "probe_bw"  # at 10 s
 
-    def test_rt_prop_near_path_rtt(self, small_network):
+    def test_rt_prop_near_path_rtt(self, small_network, bbr_run):
         engine = RoutingEngine(small_network)
         base = engine.pair_rtt_s(small_network.snapshot(0.0), 0, 3)
-        sim = PacketSimulator(small_network)
-        bbr = TcpFlow(0, 3, controller="bbr").install(sim)
-        sim.run(15.0)
-        # rt_prop includes per-hop serialization, so allow headroom above
-        # the propagation-only figure.
-        assert base * 0.95 < bbr.controller.rt_prop_s < base + 0.08
+        # rt_prop (at 15 s) includes per-hop serialization, so allow
+        # headroom above the propagation-only figure.
+        assert base * 0.95 < bbr_run[1] < base + 0.08
 
-    def test_keeps_queue_shallower_than_newreno(self, small_network):
-        sim_a = PacketSimulator(small_network)
-        bbr = TcpFlow(0, 3, controller="bbr").install(sim_a)
-        sim_a.run(20.0)
-        sim_b = PacketSimulator(small_network)
-        reno = TcpFlow(0, 3).install(sim_b)
-        sim_b.run(20.0)
+    def test_keeps_queue_shallower_than_newreno(self, small_network,
+                                                bbr_run):
+        bbr = bbr_run[2]
+        sim = PacketSimulator(small_network)
+        reno = TcpFlow(0, 3).install(sim)
+        sim.run(20.0)
         _, bbr_rtt = bbr.rtt_log.as_arrays()
         _, reno_rtt = reno.rtt_log.as_arrays()
         later = slice(len(bbr_rtt) // 2, None)
@@ -71,10 +92,8 @@ class TestBbrBasics:
             bbr._on_rtt_sample(old_rt_prop + 0.03)
         assert bbr.controller.rt_prop_s >= old_rt_prop + 0.029
 
-    def test_cwnd_tracks_two_bdp(self, small_network):
-        sim = PacketSimulator(small_network)
-        bbr = TcpFlow(0, 3, controller="bbr").install(sim)
-        sim.run(20.0)
+    def test_cwnd_tracks_two_bdp(self, bbr_run):
+        bbr = bbr_run[2]
         model = bbr.controller
         expected = 2.0 * model.btl_bw_bps * model.rt_prop_s / (1500 * 8)
         assert bbr.cwnd == pytest.approx(max(4.0, expected), rel=0.01)
