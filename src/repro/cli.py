@@ -504,7 +504,8 @@ def _cmd_report(args) -> int:
         if args.engine == "packet":
             from .traffic.spawner import (WorkloadSpawner,
                                           packet_fct_section)
-            tracer = RingBufferTracer()
+            # Tracing costs the run; only --trace pays for it.
+            tracer = RingBufferTracer() if trace_out else None
             sim = hypatia.build_packet_simulator(tracer=tracer)
             registry = MetricsRegistry()
             sim.attach_probe(registry=registry, interval_s=args.step)

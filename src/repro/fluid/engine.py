@@ -432,8 +432,9 @@ class FluidResult:
             the engines; wall-clock time is the span profiler's
             (``fluid.advance``, around ``fluid.paths`` /
             ``fluid.matrix_build`` / ``fluid.waterfill`` /
-            ``fluid.loads`` / ``fluid.integrate`` /
-            ``fluid.subevents``, or AIMD's ``fluid.aimd.substeps``).
+            ``fluid.loads``, then a static step's ``fluid.integrate`` or
+            a dynamic step's event loop ``fluid.subevents``, or AIMD's
+            ``fluid.aimd.substeps``).
         duration_s: Simulated horizon of the run.
         flow_offered_bits: (F,) per-flow offered volume — ``inf`` for
             long-running flows, 0 for a flow cancelled before it
@@ -975,10 +976,11 @@ class FluidSimulation:
         step is a row activation over that fixed matrix — each row
         weighted by its active members — not a rebuild.
 
-        The first solve, at the snapshot instant, runs on arrays over
-        every candidate and is the one recorded, one rate per row; a
-        static workload makes no other.  The re-solves after it are
-        :meth:`_subevents`.
+        The snapshot solve runs on arrays over every candidate and is
+        the one recorded, one rate per row.  A static step (no arrival,
+        no finite residual) serves those rates to the step's end; a
+        dynamic one hands them to its event loop, :meth:`_subevents`,
+        as the first interval's.
         """
         candidates, row_of_cand, lead = (step.candidates, step.row_of_cand,
                                          step.lead)
@@ -987,23 +989,14 @@ class FluidSimulation:
             lambda keys: self._device_capacities(keys, faults, time_s))
         keys = matrix.link_keys
 
-        starts, residual_bits = state.starts, state.residual_bits
-        delivered_bits, fct_s = state.delivered_bits, state.fct_s
         step_end = time_s + state.step_s
-        starts_c = starts[candidates]
         row_demands = state.demand_caps[lead]
         has_path = (hop_counts > 0)[row_of_cand]
-        # The step's arrivals by start, ties in candidate order.  Every
-        # candidate starts before ``step_end``; path-less ones stay in
-        # the list, since their arrival splits the interval all the same.
-        later = np.flatnonzero(starts_c > time_s + _TIME_EPS_S)
-        later = later[np.argsort(starts_c[later], kind="stable")]
-        arrival_s = starts_c[later].tolist()
 
         # The snapshot solve, on arrays over every active candidate:
         # eligible (started, bits left) and routed.
-        eligible = ((starts_c <= time_s + _TIME_EPS_S)
-                    & (residual_bits[candidates] > 0.0))
+        eligible = ((state.starts[candidates] <= time_s + _TIME_EPS_S)
+                    & (state.residual_bits[candidates] > 0.0))
         active = np.flatnonzero(eligible & has_path)
         # Solve each row once, weighted by its active members, rows
         # ordered by their first *active* member so the columns keep the
@@ -1020,7 +1013,6 @@ class FluidSimulation:
                                  multiplicity=copies)
         allocated = solved_rates[slot]
         state.solves += 1
-        global_active = candidates[active]
         with spans.span("fluid.loads"):
             # Flow by flow in traversal order: the bits of a load depend
             # on the order its rates were added in.
@@ -1037,43 +1029,27 @@ class FluidSimulation:
         row_rates[solved] = solved_rates
         self._record_snapshot(state, time_s, step, row_rates, eligible,
                               loads, active_count=len(active))
-        with spans.span("fluid.integrate"):
-            next_tau = arrival_s[0] if arrival_s else step_end
-            res_act = residual_bits[global_active]
-            finishing = np.isfinite(res_act) & (allocated > 0.0)
-            if finishing.any():
-                done = time_s + np.maximum(
-                    res_act[finishing] / allocated[finishing], _TIME_EPS_S)
-                next_tau = min(next_tau, float(done.min()))
-            dt = next_tau - time_s
-            if dt > 0.0 and active.size:
-                # Nothing is compressed: a flow at rate 0 is served +0.0,
-                # which leaves its delivered bits (+0.0 or more) as they
-                # are.  Without a finishing flow (a static workload) no
-                # residual is cut or kept: min(served, +inf) is served.
-                served = allocated * dt
-                if finishing.any():
-                    np.minimum(served, res_act, out=served)
-                    g_fin = global_active[finishing]
-                    residual_bits[g_fin] -= served[finishing]
-                    completed = residual_bits[g_fin] <= _RESIDUAL_EPS_BITS
-                    g_done = g_fin[completed]
-                    residual_bits[g_done] = 0.0
-                    fct_s[g_done] = next_tau - starts[g_done]
-                delivered_bits[global_active] += served
-        if state.dynamic:  # a static step has no event after the first
+        if state.dynamic:
             self._subevents(state, step, matrix, has_path, row_demands,
-                            later, arrival_s, active, next_tau, step_end)
+                            active, allocated, time_s, step_end)
+            return
+        with spans.span("fluid.integrate"):
+            # No arrival and no finite residual: the snapshot rates hold
+            # to the step's end.
+            state.delivered_bits[candidates[active]] += (
+                allocated * (step_end - time_s))
 
     @spans.timed("fluid.subevents")
     def _subevents(self, state: FluidRunState, step: ClassPaths,
                    matrix: FlowLinkMatrix, has_path: np.ndarray,
-                   row_demands: np.ndarray, later: np.ndarray,
-                   arrival_s: List[float], active: np.ndarray, tau: float,
+                   row_demands: np.ndarray, active: np.ndarray,
+                   allocated: np.ndarray, tau: float,
                    step_end: float) -> None:
-        """The step's re-solves after the snapshot instant ``tau``, up to
-        ``step_end``: one at every arrival (``arrival_s``, the candidate
-        positions ``later`` by start) and every predicted completion.
+        """A dynamic step's event loop, from the snapshot instant ``tau``
+        to ``step_end``: the snapshot solve's ``allocated`` rates of the
+        ``active`` candidates serve the first interval; every later
+        event — an arrival or a predicted completion — admits the
+        arrivals due and re-solves.
 
         Driven by events: the active set is kept rather than recomputed
         (a flow joins when it arrives, leaves when its residual reaches
@@ -1087,71 +1063,79 @@ class FluidSimulation:
         candidates, row_of_cand = step.candidates, step.row_of_cand
         starts, residual_bits = state.starts, state.residual_bits
         delivered_bits, fct_s = state.delivered_bits, state.fct_s
-        if tau < step_end - _TIME_EPS_S:
-            # Re-solves, on scalars over the kept active set: candidate
-            # positions in candidate order, as ``active`` lists them.
-            cand = candidates.tolist()
-            row_of = row_of_cand.tolist()
-            path_of = has_path.tolist()
-            # Valid caps (``FluidFlow`` checks each, the snapshot solve
-            # the rows): the re-solves pass them on unchecked.
-            cap_of = row_demands.tolist()
-            arrival_pos = later.tolist()
-            kept = active[residual_bits[candidates[active]] > 0.0].tolist()
-            arrived = 0
-            while tau < step_end - _TIME_EPS_S:
-                while (arrived < len(arrival_s)
-                       and arrival_s[arrived] <= tau + _TIME_EPS_S):
-                    pos = arrival_pos[arrived]
-                    if path_of[pos] and residual_bits.item(cand[pos]) > 0.0:
-                        insort(kept, pos)
-                    arrived += 1
-                flows = [cand[pos] for pos in kept]
-                rows = [row_of[pos] for pos in kept]
-                rates = []
-                if kept:
-                    # Row -> active members, in first-active order.
-                    copies = dict.fromkeys(rows, 0)
-                    for row in rows:
-                        copies[row] += 1
-                    solved = list(copies)
-                    rate_of = dict(zip(solved, waterfill_lists(
-                        matrix, solved, [cap_of[row] for row in solved],
-                        None if len(solved) == len(rows)
-                        else list(copies.values()))))
-                    rates = [rate_of[row] for row in rows]
-                state.solves += 1
-                next_tau = (arrival_s[arrived] if arrived < len(arrival_s)
-                            else step_end)
-                residuals = [residual_bits.item(flow) for flow in flows]
-                for res, rate in zip(residuals, rates):
-                    if rate > 0.0 and isfinite(res):
-                        wait = res / rate
-                        done = tau + (wait if wait > _TIME_EPS_S
-                                      else _TIME_EPS_S)
-                        if done < next_tau:
-                            next_tau = done
-                dt = next_tau - tau
-                if dt > 0.0 and kept:
-                    left = []
-                    for pos, flow, res, rate in zip(kept, flows, residuals,
-                                                    rates):
-                        if rate > 0.0:
-                            served = rate * dt
-                            if res < served:
-                                served = res
-                            delivered_bits[flow] = (
-                                delivered_bits.item(flow) + served)
-                            if isfinite(res):
-                                res -= served
-                                if res <= _RESIDUAL_EPS_BITS:
-                                    residual_bits[flow] = 0.0
-                                    fct_s[flow] = next_tau - starts.item(flow)
-                                    continue
-                                residual_bits[flow] = res
-                        left.append(pos)
-                    kept = left
-                tau = next_tau
+        # The step's arrivals by start, ties in candidate order.  Every
+        # candidate starts before ``step_end``; path-less ones stay in
+        # the list, since their arrival splits the interval all the same.
+        starts_c = starts[candidates]
+        later = np.flatnonzero(starts_c > tau + _TIME_EPS_S)
+        later = later[np.argsort(starts_c[later], kind="stable")]
+        arrival_s = starts_c[later].tolist()
+        arrival_pos = later.tolist()
+        cand = candidates.tolist()
+        row_of = row_of_cand.tolist()
+        path_of = has_path.tolist()
+        # Valid caps (``FluidFlow`` checks each, the snapshot solve the
+        # rows): the re-solves pass them on unchecked.
+        cap_of = row_demands.tolist()
+        # The kept active set: candidate positions in candidate order.
+        kept = active.tolist()
+        rates = allocated.tolist()
+        arrived = 0
+        while True:
+            flows = [cand[pos] for pos in kept]
+            next_tau = (arrival_s[arrived] if arrived < len(arrival_s)
+                        else step_end)
+            residuals = [residual_bits.item(flow) for flow in flows]
+            for res, rate in zip(residuals, rates):
+                if rate > 0.0 and isfinite(res):
+                    wait = res / rate
+                    done = tau + (wait if wait > _TIME_EPS_S
+                                  else _TIME_EPS_S)
+                    if done < next_tau:
+                        next_tau = done
+            dt = next_tau - tau
+            if dt > 0.0 and kept:
+                left = []
+                for pos, flow, res, rate in zip(kept, flows, residuals,
+                                                rates):
+                    if rate > 0.0:
+                        served = rate * dt
+                        if res < served:
+                            served = res
+                        delivered_bits[flow] = (
+                            delivered_bits.item(flow) + served)
+                        if isfinite(res):
+                            res -= served
+                            if res <= _RESIDUAL_EPS_BITS:
+                                residual_bits[flow] = 0.0
+                                fct_s[flow] = next_tau - starts.item(flow)
+                                continue
+                            residual_bits[flow] = res
+                    left.append(pos)
+                kept = left
+            tau = next_tau
+            if tau >= step_end - _TIME_EPS_S:
+                return
+            while (arrived < len(arrival_s)
+                   and arrival_s[arrived] <= tau + _TIME_EPS_S):
+                pos = arrival_pos[arrived]
+                if path_of[pos] and residual_bits.item(cand[pos]) > 0.0:
+                    insort(kept, pos)
+                arrived += 1
+            rows = [row_of[pos] for pos in kept]
+            rates = []
+            if kept:
+                # Row -> active members, in first-active order.
+                copies = dict.fromkeys(rows, 0)
+                for row in rows:
+                    copies[row] += 1
+                solved = list(copies)
+                rate_of = dict(zip(solved, waterfill_lists(
+                    matrix, solved, [cap_of[row] for row in solved],
+                    None if len(solved) == len(rows)
+                    else list(copies.values()))))
+                rates = [rate_of[row] for row in rows]
+            state.solves += 1
 
     def _device_capacities(self, keys: Sequence[Hashable], faults,
                            time_s: float) -> np.ndarray:

@@ -33,9 +33,8 @@ import json
 import math
 from typing import Any, Dict, Optional
 
-from ..faults.schedule import FaultEvent
 from ..obs import spans
-from ..traffic.arrivals import WorkloadSchedule
+from .checkpoint import _COMMANDS
 from .driver import LiveSimulationService, ServiceError
 
 __all__ = ["MAX_LINE_BYTES", "ServiceServer", "serve_forever"]
@@ -200,18 +199,19 @@ class ServiceServer:
             return {"ok": True, "phases": (
                 profiler.phase_summary()
                 if isinstance(profiler, spans.SpanProfiler) else None)}
+        # A mutating command's argument goes through the parser a
+        # checkpoint replays its log entry with: live and replay refuse
+        # the same inputs.
         if name == "attach_workload":
-            workload = WorkloadSchedule.from_dict(command["workload"])
+            workload = _COMMANDS[name](command["workload"])
             handle = service.attach_workload(
                 workload, shift_to_now=_flag(command, "shift_to_now", False))
             return {"ok": True, "handle": handle}
         if name == "detach_workload":
-            return {"ok": True,
-                    **service.detach_workload(int(command["handle"]))}
+            return {"ok": True, **service.detach_workload(
+                _COMMANDS[name](command["handle"]))}
         if name == "inject_fault":
-            events = [FaultEvent.from_dict(record)
-                      for record in command["events"]]
-            injected = service.inject_fault(events)
+            injected = service.inject_fault(_COMMANDS[name](command["events"]))
             return {"ok": True, "injected": injected}
         if name == "stop":
             self.stop()

@@ -152,6 +152,40 @@ class TestCli:
         document = json.loads(output.read_text())
         assert len(document) == 1 + 351
 
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    def test_packet_report_traces_only_when_asked(self, traced, tmp_path,
+                                                  monkeypatch, capsys):
+        """A packet report used to run under a ring-buffer tracer with or
+        without ``--trace``; now only ``--trace`` installs one."""
+        from repro.core.hypatia import Hypatia
+        from repro.obs import NULL_TRACER
+
+        built = []
+        build = Hypatia.build_packet_simulator
+
+        def recording(self, **kwargs):
+            built.append(build(self, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Hypatia, "build_packet_simulator", recording)
+        report, trace = tmp_path / "report.json", tmp_path / "trace.jsonl"
+        argv = ["report", "T1", "Manila", "Dalian", "--duration", "0.2",
+                "-o", str(report)]
+        assert main(argv + (["--trace", str(trace)] if traced else [])) == 0
+        (sim,) = built
+        document = json.loads(report.read_text())
+        if not traced:
+            assert sim.tracer is NULL_TRACER
+            assert "trace" not in document
+            assert not trace.exists()
+            return
+        retained = document["trace"]["retained"]
+        assert retained > 0
+        assert len(trace.read_text().splitlines()) == retained
+        assert (f"wrote {retained} trace events to {trace}"
+                in capsys.readouterr().out)
+
     def test_sky_command(self, capsys):
         assert main(["sky", "K1", "Saint Petersburg", "--time", "0"]) == 0
         out = capsys.readouterr().out

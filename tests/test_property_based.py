@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
@@ -1172,7 +1172,8 @@ class TestIncrementalWalk:
 class TestFluidMaxMinInvariants:
     """A finite, staggered workload on a random dense Walker shell
     (:func:`_dense_walker`: most draws route flows) under a random fault
-    schedule, run by ``FluidSimulation``.  At every
+    schedule, run by ``FluidSimulation``; its first flow is in play at a
+    snapshot instant, so no example checks nothing.  At every
     snapshot the device loads are recomputed from the recorded paths and
     rates, and the allocation is checked to be max-min fair: no device
     carries more than its fault-scaled capacity, each load is the one
@@ -1223,17 +1224,32 @@ class TestFluidMaxMinInvariants:
                              min_elevation_deg=min_elevation_deg,
                              faults=faults)
 
+        # The first flow is in play at a snapshot instant: it starts on
+        # or less than a step before it, and no link carries its size
+        # in one step.  The others start and end anywhere.
+        instants = np.arange(0.0, self.DURATION_S, self.STEP_S).tolist()
+        instant = data.draw(st.sampled_from(instants))
+        outlasting_bytes = self.CAPACITY_BPS * self.STEP_S / 8.0
         flows = []
-        for _ in range(data.draw(st.integers(1, 8))):
+        for index in range(data.draw(st.integers(1, 8))):
             src, dst = data.draw(st.lists(gids, min_size=2, max_size=2,
                                           unique=True))
-            flows.append(FluidFlow(
-                src, dst,
-                size_bytes=data.draw(st.floats(1e4, 2e6)),
-                start_s=data.draw(st.floats(0.0, self.DURATION_S))))
+            if index == 0:
+                size = data.draw(st.floats(outlasting_bytes, 2e6))
+                start = max(instant - data.draw(st.floats(
+                    0.0, self.STEP_S, exclude_max=True)), 0.0)
+            else:
+                size = data.draw(st.floats(1e4, 2e6))
+                start = data.draw(st.floats(0.0, self.DURATION_S))
+            flows.append(FluidFlow(src, dst, size_bytes=size,
+                                   start_s=start))
         result = FluidSimulation(
             network, flows, link_capacity_bps=self.CAPACITY_BPS).run(
                 self.DURATION_S, step_s=self.STEP_S)
+        event("a flow eligible at a snapshot: " + str(any(
+            record.eligible.any() for record in result.snapshots)))
+        event("some rate positive: "
+              + str(bool((result.flow_rates_bps > 0.0).any())))
 
         for t_index, time_s in enumerate(result.times_s.tolist()):
             rates = result.flow_rates_bps[t_index].tolist()
@@ -1407,3 +1423,138 @@ class TestFluidClassHistory:
                          "flow_offered_bits"):
                 assert getattr(got, name).tobytes() == (
                     getattr(expected, name).tobytes()), name
+
+
+class TestFluidEventLoopDifferential:
+    """A max-min step solves its snapshot on arrays, then runs one event
+    loop whose first interval takes the snapshot rates.  On random
+    dense Walker shells under a random fault schedule, with a staggered
+    finite workload and more flows attached at a random snapshot
+    boundary, it must equal ``_fluid_oracle.RescanningFluidSimulation``
+    — which re-solves over every candidate at every event, the snapshot
+    instant included — bit for bit: rates, paths, loads in dict order,
+    FCTs, delivered and residual bits, and the solve count.  Starts on
+    and just after snapshot instants, transfers shorter than a step and
+    a frozen topology over dying devices make the snapshot interval end
+    in a completion or an arrival, and hold active flows at rate 0."""
+
+    CAPACITY_BPS = 1e6
+    DURATION_S = 6.0
+    STEP_S = 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_rescanning_loop(self, data):
+        from repro.fluid.engine import _TIME_EPS_S, FluidFlow, \
+            FluidSimulation
+        from repro.topology.network import LeoNetwork
+        from _fluid_oracle import RescanningFluidSimulation
+
+        constellation, stations = _dense_walker(data)
+        min_elevation_deg = data.draw(st.floats(0.0, 20.0))
+        healthy = LeoNetwork(constellation, stations,
+                             min_elevation_deg=min_elevation_deg)
+        grid = healthy.isl_pairs
+        gids = st.integers(0, len(stations) - 1)
+
+        def window():
+            start = data.draw(st.floats(0.0, self.DURATION_S))
+            return start, start + data.draw(st.floats(0.5, 4.0))
+
+        events = [FaultEvent.satellite_outage(data.draw(st.integers(
+            0, healthy.num_satellites - 1)), *window())]
+        for _ in range(data.draw(st.integers(0, 2)) if len(grid) else 0):
+            a, b = grid[data.draw(st.integers(0, len(grid) - 1))].tolist()
+            events.append(FaultEvent.isl_cut(a, b, *window()))
+        for _ in range(data.draw(st.integers(0, 1))):
+            events.append(FaultEvent.packet_loss(
+                *window(), data.draw(st.floats(0.1, 0.9)),
+                gid=data.draw(gids)))
+        # A few endpoint pairs, so classes have several members.  One
+        # endpoint's GSL is cut over a later snapshot instant: frozen
+        # before the cut, its flows keep their path at rate 0.
+        pairs = data.draw(st.lists(
+            st.lists(gids, min_size=2, max_size=2, unique=True),
+            min_size=1, max_size=3))
+        steps = round(self.DURATION_S / self.STEP_S)
+        cut_from = (data.draw(st.integers(1, steps - 1)) * self.STEP_S
+                    - data.draw(st.floats(0.0, self.STEP_S / 4)))
+        events.append(FaultEvent.gsl_cut(
+            data.draw(st.sampled_from(pairs))[0], cut_from,
+            cut_from + data.draw(st.floats(0.5, 4.0))))
+        network = LeoNetwork(constellation, stations,
+                             min_elevation_deg=min_elevation_deg,
+                             faults=FaultSchedule(events))
+        freeze_at_s = data.draw(st.one_of(
+            st.none(), st.floats(0.0, self.STEP_S / 2)))
+        attach_at = data.draw(st.integers(1, steps - 1))
+
+        def flows(count, first_step):
+            drawn = []
+            for _ in range(count):
+                src, dst = data.draw(st.sampled_from(pairs))
+                instant = data.draw(st.integers(first_step, steps - 1)) \
+                    * self.STEP_S
+                start = instant + data.draw(st.one_of(
+                    st.sampled_from([0.0, 0.5 * _TIME_EPS_S,
+                                     2.0 * _TIME_EPS_S, 1e-6, 1e-3]),
+                    st.floats(0.0, self.STEP_S, exclude_max=True)))
+                drawn.append(FluidFlow(
+                    src, dst,
+                    demand_bps=data.draw(st.sampled_from(
+                        [np.inf, 3e5, 1e6 / 3])),
+                    size_bytes=data.draw(st.one_of(
+                        st.floats(1e2, 2e4), st.floats(1e2, 1e6))),
+                    start_s=start))
+            return drawn
+
+        base = flows(data.draw(st.integers(1, 6)), 0)
+        late = flows(data.draw(st.integers(1, 4)), attach_at)
+
+        def run(engine):
+            simulation = engine(network, base,
+                                link_capacity_bps=self.CAPACITY_BPS,
+                                freeze_topology_at_s=freeze_at_s)
+            state = simulation.start_run(self.DURATION_S,
+                                         step_s=self.STEP_S)
+            simulation.advance(state, max_steps=attach_at)
+            simulation.extend_flows(state, late)
+            simulation.advance(state)
+            return state, simulation.finish(state)
+
+        state, got = run(FluidSimulation)
+        expected_state, expected = run(RescanningFluidSimulation)
+        assert got.flow_rates_bps.tobytes() == (
+            expected.flow_rates_bps.tobytes())
+        assert got.flow_paths == expected.flow_paths
+        assert ([list(loads.items()) for loads in got.device_load_bps]
+                == [list(loads.items())
+                    for loads in expected.device_load_bps])
+        for name in ("flow_fct_s", "flow_delivered_bits",
+                     "flow_offered_bits"):
+            assert getattr(got, name).tobytes() == (
+                getattr(expected, name).tobytes()), name
+        assert state.residual_bits.tobytes() == (
+            expected_state.residual_bits.tobytes())
+        assert (got.perf["allocations_solved"]
+                == expected.perf["allocations_solved"])
+
+        # What ended each snapshot interval, and who sat at rate 0.
+        starts = np.array([flow.start_s for flow in base + late])
+        ends = starts + got.flow_fct_s
+        for time_s, record in zip(got.times_s.tolist(), state.snapshots):
+            step_end = time_s + self.STEP_S
+            arriving = starts[(starts > time_s + _TIME_EPS_S)
+                              & (starts < step_end)]
+            first_arrival = arriving.min() if arriving.size else step_end
+            ending = ends[(ends > time_s) & (ends < step_end)]
+            first_end = ending.min() if ending.size else step_end
+            if min(first_end, first_arrival) < step_end:
+                event("snapshot interval ends in: "
+                      + ("completion" if first_end <= first_arrival
+                         else "arrival"))
+            rows = record.row_of_cand[record.eligible]
+            if any(record.row_paths[row] is not None
+                   and record.row_rates[row] == 0.0
+                   for row in rows.tolist()):
+                event("an active flow at rate 0")

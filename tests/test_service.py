@@ -1609,6 +1609,30 @@ class TestServerClient:
                 assert client.status()["done"]
                 client.stop()
 
+    @pytest.mark.parametrize("handle", [1.5, True, "1"],
+                             ids=["fraction", "boolean", "string"])
+    def test_detach_refuses_a_handle_its_replay_would(self, handle):
+        """``int(command["handle"])`` detached workload 1 for each of
+        these, while a checkpoint replay refuses the same log entry.
+        The server parses with the replay's parser: ``ok: false``,
+        nothing detached, nothing logged."""
+        service = _make_service("fluid")
+        extra = _small_workload(seed=51, start_s=2.0, horizon_s=4.0)
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert client.command(
+                    "attach_workload", workload=extra.as_dict())[
+                        "handle"] == 1
+                log = [list(entry) for entry in service.log]
+                with pytest.raises(ServiceClientError,
+                                   match="ValueError: workload handle "
+                                         "must be an integer"):
+                    client.command("detach_workload", handle=handle)
+                assert service.log == log
+                assert client.command("detach_workload",
+                                      handle=1)["handle"] == 1
+                client.stop()
+
     def test_out_of_range_isl_injection_is_refused(self):
         """A wire ``inject_fault`` naming an ISL endpoint beyond the
         constellation used to be accepted and never matched a link."""
