@@ -24,8 +24,10 @@ Gates:
   a warm router, as ``fault_whatif`` runs it — stays within
   ``MAX_WHATIF_STEP_PEAK_MB``: nobody but the router holds the trees
   ``paths_many`` walked, so the next step repairs them in place instead
-  of copying two (D, num_nodes) arrays.  Its paths equal a fresh
-  engine's.
+  of copying two (D, num_nodes) arrays.  With every step's result held,
+  what a step leaves behind stays within ``MAX_WHATIF_STEP_GROWTH_KB``:
+  a pair whose path did not move gets back the tuple it had.  Its paths
+  equal a fresh engine's.
 * **Speedup** (needs >= 4 cores, like `make bench-sweep`): on S1 with
   the paper's 100 city ground stations, per-snapshot routing under
   sparse topology deltas — cumulative ISL failures at a frozen epoch,
@@ -71,12 +73,19 @@ MOVING_REPS = 3
 MIN_MOVING_SPEEDUP = 1.3
 MOVING_HEADER = "# moving timeline"
 WHATIF_FAILED_ISLS = 50  # failed at once in the what-if scenario
-WHATIF_STEPS = 9         # measured what-if steps (the median is gated)
+WHATIF_STEPS = 25        # measured what-if steps (the median is gated)
 #: Gate on the median tracemalloc peak of one what-if step, in MiB.
 #: Repairing copies of the two (D, num_nodes) arrays (2 x 1.35 MB on
 #: S1 x 100) peaked at 3.4-4.6 MiB (median 3.8); in place at 0.9-2.0
 #: (median 1.2).
 MAX_WHATIF_STEP_PEAK_MB = 2.0
+#: Gate on the memory a what-if step leaves behind while every step's
+#: ``paths_many`` result is held, in KiB per step (tracemalloc, mean
+#: over the steps after the first).  Fresh lists of fresh ints for
+#: every pair retained ~44 KiB per step on S1 x 100; a list of 100
+#: shared tuples, with new tuples only for the few pairs that moved,
+#: retains ~1.
+MAX_WHATIF_STEP_GROWTH_KB = 8.0
 WHATIF_HEADER = "# what-if step allocation"
 
 _CACHE = {}
@@ -205,26 +214,37 @@ def test_whatif_step_allocation():
     pairs = random_permutation_pairs(NUM_CITIES)
     router = IncrementalRouter(network)
     router.paths_many(snapshots[0], pairs)
-    peaks = []
-    for snapshot in snapshots[1:]:
-        tracemalloc.start()
-        try:
-            paths = router.paths_many(snapshot, pairs)
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
-        finally:
-            tracemalloc.stop()
+    # Every step's result is held, as a what-if study keeps its history.
+    held, peaks, traced = [], [], []
+    tracemalloc.start()
+    try:
+        for snapshot in snapshots[1:]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            held.append(router.paths_many(snapshot, pairs))
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append((peak - before) / 2 ** 20)
+            traced.append(current)
+    finally:
+        tracemalloc.stop()
+    for snapshot, paths in zip(snapshots[1:], held):
         assert paths == RoutingEngine(network).paths_many(snapshot, pairs)
     assert router.inc_perf.repairs == WHATIF_STEPS
     assert router.perf.dijkstra_calls == 1
     peak = float(np.median(peaks))
+    # The first step also replaces the walk remembered before tracing
+    # began; from then on a step's new walk frees a traced one.
+    growth = (traced[-1] - traced[0]) / (len(traced) - 1) / 2 ** 10
 
     rows = [
         f"{WHATIF_HEADER} (S1 x {NUM_CITIES}, {window} failed ISLs, "
-        f"paths_many on a warm router, tracemalloc MiB over "
-        f"{WHATIF_STEPS} steps)",
+        f"paths_many on a warm router, every result held, tracemalloc "
+        f"over {WHATIF_STEPS} steps)",
         f"whatif_step_peak_mb   {peak:10.2f}",
         f"whatif_step_peak_max  {max(peaks):10.2f}",
         f"max_whatif_peak_mb    {MAX_WHATIF_STEP_PEAK_MB:10.2f}",
+        f"whatif_step_growth_kb {growth:10.2f}",
+        f"max_whatif_growth_kb  {MAX_WHATIF_STEP_GROWTH_KB:10.2f}",
     ]
     # Between the sparse-delta section and the moving-timeline one.
     path = RESULTS_DIR / "routing_incremental.txt"
@@ -239,6 +259,10 @@ def test_whatif_step_allocation():
         f"a what-if step peaked at {peak:.2f} MiB (gate "
         f"{MAX_WHATIF_STEP_PEAK_MB:.1f} MiB): is the repair copying the "
         f"remembered trees?")
+    assert growth <= MAX_WHATIF_STEP_GROWTH_KB, (
+        f"a what-if step retained {growth:.1f} KiB (gate "
+        f"{MAX_WHATIF_STEP_GROWTH_KB:.0f} KiB): are unchanged paths "
+        f"cut afresh instead of shared?")
 
 
 def _timed_walk(network, snapshots, destinations, expected=None):

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterator, List,
                     Optional, Sequence, Tuple)
 
-__all__ = ["FaultKind", "FaultEvent", "FaultSchedule", "exact_int"]
+__all__ = ["FaultKind", "FaultEvent", "FaultSchedule", "each", "exact_int",
+           "real", "required"]
 
 #: Mean of :meth:`FaultSchedule.synthetic`'s exponential loss-rate draws.
 MEAN_LOSS_RATE = 0.05
@@ -83,6 +84,41 @@ def exact_int(value: Any, name: str) -> int:
             or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(value: Any, name: str) -> float:
+    """A number read from outside input, as ``float`` reads it; whatever
+    ``float`` refuses is a ``ValueError`` labelled ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def required(record: Any, key: str, what: str) -> Any:
+    """Field ``key`` of ``what``, a JSON object read from outside input.
+    A record that is no object, or lacks the field, is a ``ValueError``
+    naming both."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object, got {record!r}")
+    if key not in record:
+        raise ValueError(f"{what} has no {key!r} field")
+    return record[key]
+
+
+def each(records: Any, parse: Callable[[Any], Any], name: str
+         ) -> List[Any]:
+    """``parse`` of every record of the JSON list field ``name``; its
+    ``ValueError`` is re-raised naming the record's index."""
+    if not isinstance(records, list):
+        raise ValueError(f"{name!r} must be a list, got {records!r}")
+    parsed = []
+    for index, record in enumerate(records):
+        try:
+            parsed.append(parse(record))
+        except ValueError as error:
+            raise ValueError(f"{name}[{index}]: {error}") from None
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -226,20 +262,24 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FaultEvent":
-        if not isinstance(record, dict):
-            raise ValueError(
-                f"a fault event must be a JSON object, got {record!r}")
+        """The event an :meth:`as_dict` record describes; a missing or
+        mistyped field is a ``ValueError`` naming it."""
+        what = "a fault event"
+        kind = FaultKind(required(record, "kind", what))
         isl = record.get("isl")
+        if not (isl is None or isinstance(isl, (list, tuple))):
+            raise ValueError(f"isl must be a satellite pair, got {isl!r}")
         return cls(
-            kind=FaultKind(record["kind"]),
-            start_s=float(record["start_s"]),
-            end_s=float(record["end_s"]),
+            kind=kind,
+            start_s=real(required(record, "start_s", what), "start_s"),
+            end_s=real(required(record, "end_s", what), "end_s"),
             satellite=record.get("satellite"),
-            isl=tuple(isl) if isl is not None else None,
+            isl=None if isl is None else tuple(isl),
             gid=record.get("gid"),
-            rate=float(record.get("rate", 1.0)),
-            elevation_penalty_deg=float(
-                record.get("elevation_penalty_deg", 0.0)),
+            rate=real(record.get("rate", 1.0), "rate"),
+            elevation_penalty_deg=real(
+                record.get("elevation_penalty_deg", 0.0),
+                "elevation_penalty_deg"),
         )
 
 
@@ -503,16 +543,11 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultSchedule":
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"a fault schedule must be a JSON object, got {payload!r}")
-        if "events" not in payload:
-            raise ValueError("fault schedule payload has no 'events' key")
-        events = payload["events"]
-        if not isinstance(events, list):
-            raise ValueError(
-                f"fault schedule 'events' must be a list, got {events!r}")
-        return cls([FaultEvent.from_dict(record) for record in events],
+        """The schedule an :meth:`as_dict` payload describes; a missing
+        or mistyped field is a ``ValueError`` naming it (and the event's
+        index)."""
+        return cls(each(required(payload, "events", "a fault schedule"),
+                        FaultEvent.from_dict, "events"),
                    seed=exact_int(payload.get("seed", 0), "fault seed"))
 
     def to_json(self, path: str) -> None:

@@ -738,8 +738,11 @@ class FluidSimulation:
         """
         snapshot = self.network.snapshot(time_s)
         multi = self._router.route_to_many(snapshot, self._destinations)
-        return self._router.path_table(multi, snapshot,
+        walk = self._router.path_table(multi, snapshot,
                                        self._class_pairs[classes], previous)
+        # Nothing holds the trees now: the next update repairs in place.
+        self._router._hand_back(multi)
+        return walk
 
     def _step_paths(self, state: "FluidRunState", time_s: float,
                     candidates: np.ndarray) -> ClassPaths:

@@ -47,6 +47,7 @@ the next hops bit-for-bit through the same derivation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,11 +62,14 @@ from ..topology.network import LeoNetwork, TopologySnapshot
 
 __all__ = ["DestinationRouting", "MultiDestinationRouting",
            "PathWalk", "RoutingEngine", "RoutingPerfCounters",
-           "UNREACHABLE", "canonical_next_hops", "cut_paths",
-           "path_tuples"]
+           "UNREACHABLE", "canonical_next_hops", "path_tuples"]
 
 #: Marker used in next-hop arrays for "no route".
 UNREACHABLE = -1
+
+#: Ids of forwarding updates, unique in the process, so a walk can name
+#: the update it read (:attr:`PathWalk.update`) whatever router ran it.
+_UPDATE_IDS = itertools.count(1)
 
 
 def canonical_next_hops(rows: np.ndarray, cols: np.ndarray,
@@ -105,16 +109,14 @@ def canonical_next_hops(rows: np.ndarray, cols: np.ndarray,
     return next_hop
 
 
-def cut_paths(table: np.ndarray, counts: np.ndarray
-              ) -> List[Optional[List[int]]]:
-    """The node lists of a :meth:`RoutingEngine.path_table` table.
-
-    One list per row — its first ``counts[i]`` cells, ``None`` where the
-    count is 0 — cut from the used cells with one flat conversion.
-    """
+def _cut_paths(table: np.ndarray, counts: np.ndarray
+               ) -> List[Optional[Tuple[int, ...]]]:
+    """One node tuple per row of a :meth:`RoutingEngine.path_table`
+    table — its first ``counts[i]`` cells, ``None`` where the count is 0
+    — cut from the used cells with one flat conversion."""
     flat = table[np.arange(table.shape[1])
                  < counts[:, np.newaxis]].tolist()
-    return [flat[end - count:end] if count else None
+    return [tuple(flat[end - count:end]) if count else None
             for end, count in zip(np.cumsum(counts).tolist(),
                                   counts.tolist())]
 
@@ -126,30 +128,29 @@ def path_tuples(table: np.ndarray, counts: np.ndarray, kept: np.ndarray,
     """The node tuples of a :meth:`RoutingEngine.path_table` table (one
     per row, ``None`` where the count is 0), sharing unchanged ones.
 
-    A row the walk kept (:attr:`PathWalk.kept`: its path is the one it
-    had in the previous walk) takes that walk's tuple, with no cut and
-    no new object: between nearby snapshots paths move for a few rows,
-    so a history of them holds each path once for as long as it lasts.
+    A row whose path is the one it had in the previous walk takes that
+    walk's tuple, so between nearby snapshots, where paths move for a
+    few rows, a history of them holds each path once for as long as it
+    lasts.  A row the walk kept (:attr:`PathWalk.kept`) takes it with no
+    cut; a walked row is cut and compared.
 
     Args:
         table / counts / kept: This walk's rows.
-        previous: The previous walk's tuples (unread when nothing is
+        previous: The previous walk's tuples, or None (then nothing is
             kept).
-        previous_row: Row ``i``'s row in ``previous``; the same row when
-            omitted.
+        previous_row: Row ``i``'s row in ``previous``, -1 for a row it
+            does not cover; the same row when omitted.
     """
-    paths: List[Optional[Tuple[int, ...]]] = [None] * len(counts)
-    if kept.any():
-        assert previous is not None
-        # Every row takes some previous tuple; the fresh ones are cut
-        # over theirs below.
-        paths = (list(previous) if previous_row is None
-                 else list(map(previous.__getitem__,
-                               np.where(kept, previous_row, 0).tolist())))
+    if previous is None:
+        return _cut_paths(table, counts)
+    paths = (list(previous) if previous_row is None
+             else [previous[row] if row >= 0 else None
+                   for row in previous_row.tolist()])
     fresh = np.flatnonzero(~kept)
     for row, path in zip(fresh.tolist(),
-                         cut_paths(table[fresh], counts[fresh])):
-        paths[row] = None if path is None else tuple(path)
+                         _cut_paths(table[fresh], counts[fresh])):
+        if path != paths[row]:
+            paths[row] = path
     return paths
 
 
@@ -169,7 +170,10 @@ class PathWalk:
             while disconnected).
         kept: (P,) rows copied from the previous walk instead of walked:
             their path is the one they had there.
-        next_hop: (D, N) the trees walked, one row per ``dst_gids``.
+        update: The forwarding update whose trees were walked — the
+            router's remembered answer then — or None for trees the
+            router does not remember.  The walk holds no trees: the next
+            walk learns what moved since from the router.
         dst_gids: The trees' destinations.
     """
 
@@ -178,7 +182,7 @@ class PathWalk:
     distances: np.ndarray
     ingress: np.ndarray
     kept: np.ndarray
-    next_hop: np.ndarray
+    update: Optional[int]
     dst_gids: Tuple[int, ...]
 
     def take(self, rows: np.ndarray) -> "PathWalk":
@@ -190,7 +194,7 @@ class PathWalk:
         return PathWalk(self.table[picked],
                         np.where(covered, self.counts[picked], 0),
                         self.distances[picked], self.ingress[picked],
-                        covered, self.next_hop, self.dst_gids)
+                        covered, self.update, self.dst_gids)
 
 
 @dataclass
@@ -363,7 +367,8 @@ class RoutingEngine:
     of dynamic state, both keyed by snapshot identity: the transit edge
     arrays of the most recent snapshot, so that the many destination
     trees of one forwarding update share a single graph construction,
-    and the most recent answer (:meth:`route_to_many`).
+    and the most recent answer (:meth:`route_to_many`), with what its
+    update changed and the last :meth:`paths_many` walk over it.
     """
 
     def __init__(self, network: LeoNetwork,
@@ -387,6 +392,17 @@ class RoutingEngine:
         #: return of it lends it, :meth:`_hand_back` returns a loan.  At
         #: zero a repairing subclass may write its arrays in place.
         self._loans = 0
+        #: The id of ``_prev_result``'s update, and of the update before.
+        self._update_id = 0
+        self._moved_from = 0
+        #: Sorted flat keys ``tree * num_nodes + vertex`` of every next
+        #: hop the last update re-derived from ``_moved_from``'s trees —
+        #: a superset of those that changed — or None: it solved, so
+        #: everything moved.
+        self._moved: Optional[np.ndarray] = None
+        #: The last :meth:`paths_many` call's pairs, walk and paths.
+        self._last_paths: Optional[Tuple[
+            np.ndarray, PathWalk, List[Optional[Tuple[int, ...]]]]] = None
 
     # ------------------------------------------------------------------
     # Core batched computation
@@ -423,10 +439,17 @@ class RoutingEngine:
     @spans.timed("routing.route_to_many")
     def _update(self, snapshot: TopologySnapshot,
                 unique_gids: Tuple[int, ...]) -> MultiDestinationRouting:
-        """One forwarding update: graph, trees (:meth:`_trees`), accounting."""
+        """One forwarding update: graph, trees (:meth:`_trees`), accounting.
+
+        A repair of the remembered trees records the next hops it
+        re-derived in ``_moved``; a solve leaves it None.
+        """
+        self._moved = None
         graph, dst_nodes, coo = self.destination_graph_coo(snapshot,
                                                            unique_gids)
         distances, next_hop = self._trees(graph, dst_nodes, coo, unique_gids)
+        self._moved_from, self._update_id = (self._update_id,
+                                             next(_UPDATE_IDS))
         self.perf.trees_computed += len(unique_gids)
         return MultiDestinationRouting(
             dst_gids=unique_gids,
@@ -598,18 +621,20 @@ class RoutingEngine:
         return 2.0 * distance / SPEED_OF_LIGHT_M_PER_S
 
     def path(self, snapshot: TopologySnapshot, src_gid: int,
-             dst_gid: int) -> Optional[List[int]]:
-        """Node-id list of the shortest path, or None if disconnected.
+             dst_gid: int) -> Optional[Tuple[int, ...]]:
+        """Node-id tuple of the shortest path, or None if disconnected.
 
-        The list runs ``[src_node, ingress_sat, ..., egress_sat, dst_node]``
-        and may include relay GS nodes in bent-pipe mode.
+        The tuple runs ``(src_node, ingress_sat, ..., egress_sat,
+        dst_node)`` and may include relay GS nodes in bent-pipe mode
+        (:meth:`paths_many` of the one pair).
         """
         return self.paths_many(snapshot, [(src_gid, dst_gid)])[0]
 
     def path_and_distance_via(self, routing: DestinationRouting,
                               snapshot: TopologySnapshot, src_gid: int
-                              ) -> Tuple[Optional[List[int]], float]:
-        """Shortest path *and* its distance over an existing tree.
+                              ) -> Tuple[Optional[Tuple[int, ...]], float]:
+        """Shortest path (a node tuple) *and* its distance over an
+        existing tree.
 
         Returns:
             ``(path, distance_m)``; ``(None, inf)`` while disconnected.
@@ -627,21 +652,22 @@ class RoutingEngine:
     def paths_and_distances(self, multi: MultiDestinationRouting,
                             snapshot: TopologySnapshot,
                             pairs: Sequence[Tuple[int, int]]
-                            ) -> Tuple[List[Optional[List[int]]],
+                            ) -> Tuple[List[Optional[Tuple[int, ...]]],
                                        np.ndarray]:
-        """Shortest paths and distances of many pairs, as lists.
+        """Shortest paths and distances of many pairs, as tuples.
 
-        :meth:`path_table`'s walk, with every row cut into a node list
-        (:func:`cut_paths`).
+        :meth:`path_table`'s walk, with every row cut into a node tuple
+        (:func:`path_tuples`).
 
         Returns:
-            ``(paths, distances_m)``: per pair the node-id list
-            ``[src_node, ingress_sat, ..., dst_node]`` (relay GS nodes
+            ``(paths, distances_m)``: per pair the node-id tuple
+            ``(src_node, ingress_sat, ..., dst_node)`` (relay GS nodes
             included in bent-pipe mode) and its length; ``None`` and
             ``inf`` while the pair is disconnected.
         """
         walk = self.path_table(multi, snapshot, pairs)
-        return cut_paths(walk.table, walk.counts), walk.distances
+        return (path_tuples(walk.table, walk.counts, walk.kept, None),
+                walk.distances)
 
     @spans.timed("routing.paths")
     def path_table(self, multi: MultiDestinationRouting,
@@ -655,15 +681,18 @@ class RoutingEngine:
         pairs then follow their destination's ``next_hop`` row together,
         one hop per iteration.
 
-        Given ``previous``, the walk of the same pairs over earlier
-        trees, a row is walked only if its path can have moved: its
-        ingress changed, it had no path, or its old path reads a
-        ``(tree, node)`` next hop that differs between ``previous``'s
-        trees and ``multi``'s.  A walk reads nothing else, so every
-        other row walks its old path again and is copied instead
-        (:attr:`PathWalk.kept`).  The result is the full walk's, bit
-        for bit.  Without ``previous``, or when its trees lead to
-        another destination set, every row is walked.
+        Given ``previous``, an earlier walk of the same pairs, a row is
+        walked only if its path can have moved: its ingress changed, it
+        had no path, or its old path reads a ``(tree, node)`` next hop
+        that moved since.  A walk reads nothing else, so every other row
+        walks its old path again and is copied instead
+        (:attr:`PathWalk.kept`).  What moved comes from the router, not
+        from old trees: nothing when ``previous`` walked this very
+        update of the remembered answer; the next hops this update
+        re-derived when it walked the update just before.  In every
+        other case — ``multi`` is not the remembered answer, or an
+        update went by unwalked, or the update solved afresh — every
+        row is walked.  The result is the full walk's, bit for bit.
 
         Args:
             multi: Trees covering every destination in ``pairs``.
@@ -672,32 +701,40 @@ class RoutingEngine:
             previous: An earlier walk of ``pairs``, row for row.
         """
         num_pairs = len(pairs)
+        update = self._update_id if multi is self._prev_result else None
         if not num_pairs:
             return PathWalk(np.full((0, 1), UNREACHABLE, dtype=np.int64),
                             np.zeros(0, dtype=np.int64), np.empty(0),
                             np.zeros(0, dtype=np.int64),
-                            np.zeros(0, dtype=bool), multi.next_hop,
+                            np.zeros(0, dtype=bool), update,
                             multi.dst_gids)
         src_gids, dst_gids = np.asarray(pairs, dtype=np.int64).T
         rows, ingress, best_totals = multi.pair_ingress(snapshot, src_gids,
                                                         dst_gids)
         walk = np.isfinite(best_totals)
         kept = np.zeros(num_pairs, dtype=bool)
-        if previous is not None and previous.dst_gids == multi.dst_gids:
+        moved_keys = self._moved_since(previous, update, multi.dst_gids)
+        if moved_keys is not None:
             kept = walk & (previous.counts > 0) & (previous.ingress == ingress)
-            # Per tree, a first column that never moves, then where its
-            # next hops moved.  Only rows of a tree with a moved next hop
-            # can have moved.  Cell c of such a row reads next hop
-            # (tree, c), at flat position tree * (N + 1) + 1 + c of
-            # ``moved``; past the path's end (c = -1) that is the tree's
-            # first column.  The source cell reads no next hop.
-            moved = np.zeros((len(multi.dst_gids), 1 + self._num_nodes),
-                             dtype=bool)
-            np.not_equal(previous.next_hop, multi.next_hop, out=moved[:, 1:])
-            check = np.flatnonzero(kept & moved.any(axis=1)[rows])
-            kept[check] = ~moved.reshape(-1)[
-                (rows[check] * (self._num_nodes + 1) + 1)[:, np.newaxis]
-                + previous.table[check, 1:]].any(axis=1)
+            if len(moved_keys):
+                # Per tree, a first column that never moves, then its
+                # moved next hops.  Only rows of a tree with a moved
+                # next hop can have moved.  Cell c of such a row reads
+                # next hop (tree, c), at flat position tree * (N + 1) +
+                # 1 + c of ``moved``; past the path's end (c = -1) that
+                # is the tree's first column.  The source cell reads no
+                # next hop.
+                num_nodes = self._num_nodes
+                trees = moved_keys // num_nodes
+                moved = np.zeros(len(multi.dst_gids) * (1 + num_nodes),
+                                 dtype=bool)
+                moved[moved_keys + trees + 1] = True
+                tree_moved = np.zeros(len(multi.dst_gids), dtype=bool)
+                tree_moved[trees] = True
+                check = np.flatnonzero(kept & tree_moved[rows])
+                kept[check] = ~moved[
+                    (rows[check] * (num_nodes + 1) + 1)[:, np.newaxis]
+                    + previous.table[check, 1:]].any(axis=1)
             walk &= ~kept
         walking = np.flatnonzero(walk)
         current = ingress[walking]
@@ -736,22 +773,56 @@ class RoutingEngine:
         distances = np.full(num_pairs, np.inf)
         distances[routed] = best_totals[routed]
         counts = hops + routed
-        return PathWalk(table, counts, distances, ingress, kept,
-                        multi.next_hop, multi.dst_gids)
+        return PathWalk(table, counts, distances, ingress, kept, update,
+                        multi.dst_gids)
+
+    def _moved_since(self, previous: Optional[PathWalk],
+                     update: Optional[int], dst_gids: Tuple[int, ...]
+                     ) -> Optional[np.ndarray]:
+        """The sorted ``tree * num_nodes + vertex`` keys of every next
+        hop that can have moved between ``previous``'s walk and a walk
+        of ``update`` over ``dst_gids`` — or None when that is unknown,
+        and every row must be walked."""
+        if (previous is None or update is None
+                or previous.dst_gids != dst_gids):
+            return None
+        if previous.update == update:
+            return np.empty(0, dtype=np.int64)
+        if previous.update == self._moved_from:
+            return self._moved
+        return None
 
     def paths_many(self, snapshot: TopologySnapshot,
                    pairs: Sequence[Tuple[int, int]]
-                   ) -> List[Optional[List[int]]]:
+                   ) -> List[Optional[Tuple[int, ...]]]:
         """Shortest paths of many (src_gid, dst_gid) pairs, batched.
 
-        All distinct destinations are routed in one Dijkstra call and all
-        pairs extracted in one walk (:meth:`paths_and_distances`).
-        Returns one path (or None) per input pair, in order.
+        All distinct destinations are routed in one Dijkstra call (or
+        one repair) and all pairs extracted in one walk
+        (:meth:`path_table`).  Returns one node tuple (or None) per
+        input pair, in order.
+
+        The engine remembers its last call's pairs, walk and tuples.
+        Called again with the same pairs, it walks only the pairs whose
+        path can have moved since, and a pair whose path did not change
+        gets back the very tuple it got last time
+        (:func:`path_tuples`), so a history of what-if steps holds each
+        path once for as long as it lasts.
         """
         if not pairs:
             return []
         multi = self.route_to_many(snapshot, [dst for _, dst in pairs])
         try:
-            return self.paths_and_distances(multi, snapshot, pairs)[0]
+            pair_array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            previous = previous_paths = None
+            if (self._last_paths is not None
+                    and np.array_equal(self._last_paths[0], pair_array)):
+                _, previous, previous_paths = self._last_paths
+            walk = self.path_table(multi, snapshot, pair_array, previous)
+            paths = path_tuples(walk.table, walk.counts, walk.kept,
+                                previous_paths)
+            self._last_paths = (pair_array, walk, paths)
+            # The caller's list is its own: the remembered one stays.
+            return list(paths)
         finally:
             self._hand_back(multi)

@@ -228,7 +228,10 @@ class IncrementalRouter(RoutingEngine):
     :meth:`_trees` hook diffs the update's routing graph against the
     previous one and repairs the remembered destination trees (see the
     module docstring for the two repairs).  :attr:`inc_perf` counts
-    which path each update took.
+    which path each update took.  Each repair records the next hops it
+    re-derived (``_moved``), so a walk over the repaired trees re-walks
+    only the pairs that read one
+    (:meth:`~repro.routing.engine.RoutingEngine.path_table`).
     """
 
     def __init__(self, network: LeoNetwork) -> None:
@@ -329,7 +332,9 @@ class IncrementalRouter(RoutingEngine):
            (:meth:`_stranded_seeds`), and frontier rounds relax the
            offers to the fixed point (:meth:`_settle`).
         3. *Next hops*: re-derived sparsely from the repaired distances
-           (:meth:`_sparse_next_hops`).
+           (:meth:`_sparse_next_hops`); the keys it looked at are the
+           update's record of what moved (``_moved``), which the next
+           path walk reads.
 
         The remembered result is repaired in place unless a caller may
         still hold it (a loan is outstanding: ``route_to_many``),
@@ -367,11 +372,11 @@ class IncrementalRouter(RoutingEngine):
         # changes what its head can choose from, in every tree.
         changed_heads = _dedup(np.concatenate([delta.worsened_v,
                                                delta.improved_v]))
-        self._sparse_next_hops(
+        self._moved = self._sparse_next_hops(
             next_hop, distances, moved,
             (np.arange(num_trees)[:, np.newaxis] * self._num_nodes
              + changed_heads).reshape(-1),
-            graph, csc)
+            graph, csc)[0]
         self._prev_parent_edge = None
         return distances, next_hop
 
@@ -469,7 +474,8 @@ class IncrementalRouter(RoutingEngine):
         3. *settle* the violating offers (:meth:`_settle`) and re-derive
            next hops (:meth:`_sparse_next_hops`) only where the settle
            lowered a distance, at ties, and where a vertex lost its
-           last path.
+           last path — the keys it looked at are recorded as what
+           moved (``_moved``).
 
         Returns None — solve from scratch — when step 2 finds more than
         ``MAX_VIOLATED_SHARE`` of the (tree, vertex) pairs violated.
@@ -525,6 +531,7 @@ class IncrementalRouter(RoutingEngine):
         parent_edge[rederived] = -1
         parent_edge[parent_keys] = csc_edge[parent_pos]
         self._prev_parent_edge = parent_edge
+        self._moved = rederived
         return cand, next_hop
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..constellations.builder import Constellation
-from ..faults.schedule import FaultSchedule, exact_int
+from ..faults.schedule import FaultSchedule, each, exact_int, real, required
 from ..geo.coordinates import GeodeticPosition
 from ..ground.stations import GroundStation
 from ..obs import spans
@@ -150,28 +150,45 @@ class NetworkSpec:
     def from_dict(cls, record: Dict[str, Any]) -> "NetworkSpec":
         """The spec an :meth:`as_dict` record describes.  Outside input
         goes through the constructors of every part (counts and ids
-        through ``exact_int``), so a malformed record is a
-        ``ValueError``, ``TypeError`` or ``KeyError``."""
-        faults, workload = record["faults"], record["workload"]
+        through ``exact_int``), so a malformed record — a missing or
+        mistyped field — is a ``ValueError`` naming the field."""
+        def shell(part: Any) -> Shell:
+            what = "a shell"
+            return Shell(
+                required(part, "name", what),
+                *(exact_int(required(part, key, what), key)
+                  for key in ("num_orbits", "satellites_per_orbit")),
+                *(real(required(part, key, what), key) for key in (
+                    "altitude_m", "inclination_deg", "phase_offset_rel")))
+
+        def station(part: Any) -> GroundStation:
+            what = "a ground station"
+            return GroundStation(
+                exact_int(required(part, "gid", what), "station gid"),
+                required(part, "name", what),
+                GeodeticPosition(*(real(required(part, key, what), key)
+                                   for key in ("latitude_deg",
+                                               "longitude_deg",
+                                               "altitude_m"))),
+                is_relay=bool(required(part, "is_relay", what)))
+
+        (shells, epoch_offset_s, stations, min_elevation_deg, isl_builder,
+         gsl_policy, faults, workload) = (
+            required(record, key, "a network spec") for key in (
+                "shells", "epoch_offset_s", "ground_stations",
+                "min_elevation_deg", "isl_builder", "gsl_policy", "faults",
+                "workload"))
+        if not isinstance(isl_builder, str):
+            raise ValueError(
+                f"isl_builder must be a name, got {isl_builder!r}")
         return cls(
-            shells=tuple(Shell(
-                shell["name"], exact_int(shell["num_orbits"], "num_orbits"),
-                exact_int(shell["satellites_per_orbit"],
-                          "satellites_per_orbit"),
-                float(shell["altitude_m"]), float(shell["inclination_deg"]),
-                float(shell["phase_offset_rel"]))
-                for shell in record["shells"]),
-            epoch_offset_s=float(record["epoch_offset_s"]),
-            ground_stations=tuple(GroundStation(
-                exact_int(station["gid"], "station gid"), station["name"],
-                GeodeticPosition(float(station["latitude_deg"]),
-                                 float(station["longitude_deg"]),
-                                 float(station["altitude_m"])),
-                is_relay=bool(station["is_relay"]))
-                for station in record["ground_stations"]),
-            min_elevation_deg=float(record["min_elevation_deg"]),
-            isl_builder=record["isl_builder"],
-            gsl_policy=GslPolicy(record["gsl_policy"]),
+            shells=tuple(each(shells, shell, "shells")),
+            epoch_offset_s=real(epoch_offset_s, "epoch_offset_s"),
+            ground_stations=tuple(each(stations, station,
+                                       "ground_stations")),
+            min_elevation_deg=real(min_elevation_deg, "min_elevation_deg"),
+            isl_builder=isl_builder,
+            gsl_policy=GslPolicy(gsl_policy),
             faults=None if faults is None else FaultSchedule.from_dict(faults),
             workload=(None if workload is None
                       else WorkloadSchedule.from_dict(workload)),

@@ -156,7 +156,8 @@ def compute_pair_chunk(network: LeoNetwork,
     (:meth:`RoutingEngine.route_to_many`), repaired incrementally between
     snapshots, and all paths from one batched walk
     (:meth:`RoutingEngine.path_table`) that walks only the pairs whose
-    path can have moved since the previous snapshot.
+    path can have moved since the previous snapshot.  The walk hands
+    its trees back at once, so each repair writes them in place.
 
     Args:
         network: The LEO network to snapshot.
@@ -188,6 +189,8 @@ def compute_pair_chunk(network: LeoNetwork,
         snapshot = network.snapshot(float(time_s))
         multi = engine.route_to_many(snapshot, destinations)
         walk = engine.path_table(multi, snapshot, pair_array, walk)
+        # Nothing holds the trees now: the next update repairs in place.
+        engine._hand_back(multi)
         distances[:, t_index] = walk.distances
         paths.append(path_tuples(walk.table, walk.counts, walk.kept,
                                  paths[-1] if paths else None))

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-from ..faults.schedule import exact_int
+from ..faults.schedule import each, exact_int, real, required
 from ..obs import spans
 from .matrix import TrafficMatrix
 
@@ -112,12 +112,12 @@ class FlowRequest:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FlowRequest":
-        if not isinstance(record, dict):
-            raise ValueError(
-                f"a flow request must be a JSON object, got {record!r}")
-        return cls(t_start_s=float(record["t_start_s"]),
-                   src_gid=record["src_gid"], dst_gid=record["dst_gid"],
-                   size_bytes=record["size_bytes"])
+        what = "a flow request"
+        return cls(t_start_s=real(required(record, "t_start_s", what),
+                                  "t_start_s"),
+                   src_gid=required(record, "src_gid", what),
+                   dst_gid=required(record, "dst_gid", what),
+                   size_bytes=required(record, "size_bytes", what))
 
 
 def _sort_key(request: FlowRequest) -> tuple:
@@ -226,16 +226,8 @@ class WorkloadSchedule:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "WorkloadSchedule":
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"a workload must be a JSON object, got {payload!r}")
-        if "flows" not in payload:
-            raise ValueError("workload payload has no 'flows' key")
-        flows = payload["flows"]
-        if not isinstance(flows, list):
-            raise ValueError(
-                f"workload 'flows' must be a list, got {flows!r}")
-        return cls([FlowRequest.from_dict(record) for record in flows],
+        return cls(each(required(payload, "flows", "a workload"),
+                        FlowRequest.from_dict, "flows"),
                    seed=exact_int(payload.get("seed", 0), "workload seed"))
 
     def to_json(self, path: str) -> None:

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from ..faults.schedule import required
 from ..geo.distance import great_circle_distance_m
 from ..ground.cities import top_cities
 
@@ -200,10 +201,13 @@ class TrafficMatrix:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TrafficMatrix":
-        if "demand_bps" not in payload:
-            raise ValueError("traffic matrix payload has no 'demand_bps'")
-        return cls(np.asarray(payload["demand_bps"], dtype=np.float64),
-                   kind=payload.get("kind", "custom"))
+        demand = required(payload, "demand_bps", "a traffic matrix")
+        try:
+            demand = np.asarray(demand, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"demand_bps must be a matrix of numbers, "
+                             f"got {demand!r}") from None
+        return cls(demand, kind=payload.get("kind", "custom"))
 
     def to_json(self, path: str) -> None:
         """Write the matrix as JSON (floats via ``repr``, so a round trip

@@ -245,14 +245,25 @@ class TestCli:
         (["report", "K1", "Manila", "Dalian", "--duration", "1",
           "--faults", "s.json"], {"events": [], "seed": True},
          "seed must be an integer"),
+        (["report", "K1", "Manila", "Dalian", "--duration", "1",
+          "--faults", "s.json"], {"events": [{}]},
+         "events[0]: a fault event has no 'kind' field"),
+        (["report", "K1", "Manila", "Dalian", "--duration", "1",
+          "--faults", "s.json"],
+         {"events": [{"kind": "gsl_cut", "gid": 0, "start_s": 0.0,
+                      "end_s": 1.0},
+                     {"kind": "isl_cut", "isl": [1, 2], "end_s": 3.0}]},
+         "events[1]: a fault event has no 'start_s' field"),
     ], ids=["flows-not-objects", "flows-not-a-list", "workload-not-object",
             "fractional-workload-seed", "events-not-a-list",
-            "faults-not-object", "fractional-fault-seed", "boolean-seed"])
+            "faults-not-object", "fractional-fault-seed", "boolean-seed",
+            "event-without-kind", "event-without-start"])
     def test_malformed_schedule_files_are_usage_errors(
             self, argv, payload, complaint, capsys, tmp_path, monkeypatch):
         """Each used to escape as a ``TypeError`` traceback (exit 1), or
         — a fractional or boolean seed — to run with the seed
-        truncated."""
+        truncated.  An event without a field printed only the bare
+        ``KeyError`` key (``error: start_s``)."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.json").write_text(json.dumps(payload))
         assert _within(30, lambda: main(argv)) == 2

@@ -214,6 +214,25 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultSchedule.from_dict({"bad": True})
 
+    @pytest.mark.parametrize("key", ["kind", "start_s", "end_s"])
+    def test_missing_event_field_is_named_with_its_index(self, key):
+        """A record without a field was a bare ``KeyError``."""
+        records = [event.as_dict() for event in self._schedule().events]
+        del records[1][key]
+        with pytest.raises(ValueError,
+                           match=rf"events\[1\]: .*'{key}' field"):
+            FaultSchedule.from_dict({"events": records})
+
+    @pytest.mark.parametrize("key,value", [
+        ("start_s", None), ("end_s", [1]), ("rate", {}), ("isl", 5),
+        ("elevation_penalty_deg", "x"), ("start_s", 10 ** 400)])
+    def test_mistyped_event_field_is_named(self, key, value):
+        """``float(None)`` or ``tuple(5)`` was a ``TypeError``."""
+        record = FaultEvent.isl_cut(1, 2, 0.0, 5.0).as_dict()
+        record[key] = value
+        with pytest.raises(ValueError, match=rf"events\[0\]: {key}"):
+            FaultSchedule.from_dict({"events": [record]})
+
     def test_merged_keeps_seed_and_unions_events(self):
         a = FaultSchedule([FaultEvent.gsl_cut(0, 0.0, 1.0)], seed=3)
         b = FaultSchedule([FaultEvent.gsl_cut(1, 0.0, 1.0)], seed=9)

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -1084,15 +1085,18 @@ class TestIncrementalWalk:
     the rows whose path can have moved.  On random Walker networks under
     random fault schedules — outages and GSL cuts disconnect pairs and
     move ingress satellites — over snapshots repaired one from the next,
-    with destination sets that stay, grow, shrink and reorder and pair
-    sets that change, it equals the full walk of the same trees at every
-    step, and it keeps exactly the rows whose path did not change (none
-    when the destination set changed: those walks start cold)."""
+    with destination sets that stay, grow, shrink and reorder, pair
+    sets that change, and updates that no walk reads, it equals the full
+    walk of the same trees at every step.  It keeps exactly the rows
+    whose path did not change and reads no next hop the update
+    re-derived (``router._moved``) — none when the destination set
+    changed, the update solved afresh or the previous walk is two
+    updates old: those walks start cold."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_incremental_walk_equals_full_walk(self, data):
-        from repro.routing.engine import cut_paths, path_tuples
+        from repro.routing.engine import path_tuples
         from repro.topology.dynamic_state import make_routing_engine
         from repro.topology.network import LeoNetwork
 
@@ -1134,6 +1138,12 @@ class TestIncrementalWalk:
                 destinations = data.draw(st.permutations(sorted(
                     needed | set(data.draw(st.lists(st.sampled_from(gids),
                                                     max_size=2))))))
+            # An update no walk reads: the previous walk is then two
+            # updates old.
+            unread = walk is not None and data.draw(st.booleans())
+            if unread:
+                router.route_to_many(network.snapshot(time_s - 0.25),
+                                     destinations)
             snapshot = network.snapshot(time_s)
             multi = router.route_to_many(snapshot, destinations)
             full = router.path_table(multi, snapshot, new_pairs)
@@ -1152,21 +1162,85 @@ class TestIncrementalWalk:
             assert not full.kept.any()
             new_paths = path_tuples(got.table, got.counts, got.kept, paths,
                                     previous_row)
-            assert new_paths == [None if path is None else tuple(path)
-                                 for path in cut_paths(full.table,
-                                                       full.counts)]
+            assert new_paths == path_tuples(full.table, full.counts,
+                                            full.kept, None)
             if previous is not None:
                 # Kept are exactly the rows whose path is the one they
-                # had: no row is walked that could have been copied —
-                # unless the trees lead to another destination set, when
-                # every row is walked.
-                reused = previous.dst_gids == multi.dst_gids
-                old = cut_paths(previous.table, previous.counts)
-                same = [reused and path is not None
-                        and tuple(path) == new_paths[row]
-                        for row, path in enumerate(old)]
-                assert got.kept.tolist() == same
+                # had and reads no next hop the update re-derived — when
+                # the walk is one repair old with the same destination
+                # set; otherwise no row is kept.
+                old = path_tuples(previous.table, previous.counts,
+                                  np.zeros(len(previous.counts), bool), None)
+                moved = router._moved
+                reused = (not unread and moved is not None
+                          and previous.dst_gids == multi.dst_gids)
+                num_nodes = network.num_nodes
+                expected = []
+                for row, path in enumerate(old):
+                    tree = multi.dst_gids.index(new_pairs[row][1])
+                    expected.append(
+                        reused and path is not None
+                        and path == new_paths[row]
+                        and not np.isin([tree * num_nodes + node
+                                         for node in path[1:]], moved).any())
+                assert got.kept.tolist() == expected
             walk, pairs, paths = got, new_pairs, new_paths
+
+
+class TestWarmPathsMany:
+    """A warm ``IncrementalRouter.paths_many`` on a random dense Walker
+    shell, over random sequences of ISL cuts, ISL heals and moving
+    snapshots, with pair lists that repeat pairs: every step equals a
+    fresh ``RoutingEngine``'s, every pair whose path equals the previous
+    call's gets back that very tuple, and the next hops the update
+    recorded as re-derived (``router._moved``) cover every next hop that
+    changed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_warm_paths_many_equals_fresh(self, data):
+        from repro.routing.engine import RoutingEngine
+        from repro.routing.incremental import IncrementalRouter
+        from repro.topology.network import LeoNetwork
+
+        constellation, stations = _dense_walker(data)
+        network = LeoNetwork(constellation, stations,
+                             min_elevation_deg=data.draw(st.floats(0.0, 20.0)))
+        gid = st.integers(0, len(stations) - 1)
+        pairs = data.draw(st.lists(st.tuples(gid, gid), min_size=1,
+                                   max_size=10))
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+        router = IncrementalRouter(network)
+        time_s = data.draw(st.floats(0.0, 6000.0))
+        grid = network.snapshot(time_s).isl_pairs
+        cut = set()
+        paths = hops = None
+        for _ in range(data.draw(st.integers(2, 8))):
+            action = data.draw(st.sampled_from(["cut", "heal", "move"]))
+            if action == "cut":
+                cut.add(data.draw(st.integers(0, len(grid) - 1)))
+            elif action == "heal" and cut:
+                cut.discard(data.draw(st.sampled_from(sorted(cut))))
+            else:
+                time_s += data.draw(st.sampled_from([0.5, 1.0, 5.0]))
+            snapshot = network.snapshot(time_s)
+            dead = grid[sorted(cut)]
+            keep = ~(snapshot.isl_pairs[:, np.newaxis]
+                     == dead[np.newaxis]).all(axis=2).any(axis=1)
+            snapshot = dataclasses.replace(
+                snapshot, isl_pairs=snapshot.isl_pairs[keep],
+                isl_lengths_m=snapshot.isl_lengths_m[keep])
+            got = router.paths_many(snapshot, pairs)
+            assert got == RoutingEngine(network).paths_many(snapshot, pairs)
+            if paths is not None:
+                for old, new in zip(paths, got):
+                    assert (new is old) == (new == old)
+            current = router._prev_result.next_hop
+            if hops is not None and router._moved is not None:
+                changed = np.flatnonzero(hops.reshape(-1)
+                                         != current.reshape(-1))
+                assert np.isin(changed, router._moved).all()
+            hops, paths = current.copy(), got
 
 
 class TestFluidMaxMinInvariants:
@@ -1558,3 +1632,95 @@ class TestFluidEventLoopDifferential:
                    and record.row_rates[row] == 0.0
                    for row in rows.tolist()):
                 event("an active flow at rate 0")
+
+
+#: JSON-shaped values: what a malformed document may hold anywhere.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def _json_paths(document, prefix=()):
+    """The path of every value inside a JSON document."""
+    if isinstance(document, dict):
+        items = list(document.items())
+    elif isinstance(document, list):
+        items = list(enumerate(document))
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+class TestDocumentLoaders:
+    """``FaultSchedule.from_dict``, ``NetworkSpec.from_dict`` and
+    ``TrafficMatrix.from_dict`` read outside documents.  From a valid
+    document — every fault kind; for the spec, a workload too — random
+    field deletions and values replaced by random JSON-shaped ones come
+    out as a loaded object or a ``ValueError``, never a ``KeyError``,
+    ``TypeError`` or anything else."""
+
+    @staticmethod
+    def _documents():
+        from repro.constellations.builder import Constellation
+        from repro.ground.stations import GroundStation
+        from repro.orbits.shell import Shell
+        from repro.sweep.spec import NetworkSpec
+        from repro.topology.network import LeoNetwork
+        from repro.traffic import FlowRequest, TrafficMatrix, \
+            WorkloadSchedule
+
+        faults = FaultSchedule([
+            FaultEvent.satellite_outage(3, 5.0, 10.0),
+            FaultEvent.isl_cut(1, 2, 0.0, 4.0),
+            FaultEvent.gsl_cut(2, 1.0, 4.0),
+            FaultEvent.gsl_attenuation(0, 2.0, 9.0, 25.0),
+            FaultEvent.packet_loss(2.0, 8.0, 0.25, gid=1)], seed=7)
+        stations = [GroundStation(gid=gid, name=f"gs{gid}",
+                                  position=GeodeticPosition(lat, lon, 0.0),
+                                  is_relay=gid == 2)
+                    for gid, (lat, lon) in enumerate(
+                        [(0.0, -78.5), (40.4, -3.7), (1.35, 103.8)])]
+        network = LeoNetwork(Constellation([Shell(
+            name="X1", num_orbits=4, satellites_per_orbit=4,
+            altitude_m=600_000.0, inclination_deg=53.0)]), stations,
+            min_elevation_deg=10.0, faults=faults)
+        spec = NetworkSpec.from_network(network).with_workload(
+            WorkloadSchedule([FlowRequest(0.5, 0, 1, 1000),
+                              FlowRequest(1.0, 1, 0, 2000)], seed=3))
+        matrix = TrafficMatrix(np.array([[0.0, 1e6], [2e6, 0.0]]))
+        return [(FaultSchedule.from_dict, faults.as_dict()),
+                (NetworkSpec.from_dict, spec.as_dict()),
+                (TrafficMatrix.from_dict, matrix.as_dict())]
+
+    @settings(max_examples=300, deadline=1000)
+    @given(st.data())
+    def test_only_value_errors_come_out(self, data):
+        import copy
+
+        load, document = data.draw(st.sampled_from(self._documents()))
+        document = copy.deepcopy(document)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_json_paths(document))
+            if not paths or data.draw(st.integers(0, 9)) == 0:
+                document = data.draw(json_values)
+                continue
+            path = data.draw(st.sampled_from(paths))
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(json_values)
+        try:
+            load(document)
+        except ValueError:
+            event("refused")
+        else:
+            event("loaded")

@@ -398,8 +398,13 @@ def _extraction_cases(draw):
 
 
 def _oracle(multi, snapshot, pairs):
-    return [scalar_path_and_distance(multi.routing_for(dst), snapshot, src)
-            for src, dst in pairs]
+    """The scalar walk per pair, its node list as the tuple the engine
+    returns."""
+    expected = [scalar_path_and_distance(multi.routing_for(dst), snapshot,
+                                         src)
+                for src, dst in pairs]
+    return [(None if path is None else tuple(path), distance)
+            for path, distance in expected]
 
 
 class TestBatchedExtraction:

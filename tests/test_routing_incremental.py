@@ -536,6 +536,63 @@ class TestResultOwnership:
             snapshots[1], DESTINATIONS).distance_m[:, centre] == np.inf)
         assert router.inc_perf.repairs == len(snapshots)
 
+    def test_record_covers_every_changed_next_hop(self, small_network):
+        # Each repair records the next hops it re-derived
+        # (``router._moved``): a superset of those that changed, which is
+        # what lets a walk re-walk only the pairs reading one.  A solve
+        # records None.  Both repairs, over a minute of 2 s steps; at
+        # each step's instant satellite 0 — whose next hops are the
+        # smallest keys — is cut off with two random ISLs, then healed.
+        router = IncrementalRouter(small_network)
+        rng = np.random.default_rng(4)
+        previous = None
+        repaired = {"sparse": 0, "resum": 0}
+        for step in range(90):
+            snapshot = small_network.snapshot(3.0 + step // 3 * 2.0)
+            if step % 3 == 1:
+                snapshot = masked_variant(snapshot, np.union1d(
+                    np.flatnonzero((snapshot.isl_pairs == 0).any(axis=1)),
+                    rng.choice(len(snapshot.isl_pairs), size=2,
+                               replace=False)))
+            counters = dataclasses.replace(router.inc_perf)
+            multi = router.route_to_many(snapshot, list(range(6)))
+            router._hand_back(multi)
+            next_hop = multi.next_hop.copy()
+            if router.inc_perf.repairs == counters.repairs:
+                assert router._moved is None
+            else:
+                repaired["resum" if router.inc_perf.reweight_repairs
+                         > counters.reweight_repairs else "sparse"] += 1
+                changed = np.flatnonzero(previous.reshape(-1)
+                                         != next_hop.reshape(-1))
+                assert np.isin(changed, router._moved).all(), step
+                assert np.all(np.diff(router._moved) > 0)
+            previous = next_hop
+        assert min(repaired.values()) >= 20, repaired
+
+    def test_timeline_walk_repairs_next_hops_in_place(self, small_network):
+        # A timeline walk hands back each update's trees once it has
+        # walked them, so every re-sum repair of a moving timeline writes
+        # the remembered next hops in place: one array throughout.
+        seen = []
+
+        class Spy(IncrementalRouter):
+            def route_to_many(self, snapshot, dst_gids):
+                multi = super().route_to_many(snapshot, dst_gids)
+                seen.append(multi.next_hop)
+                return multi
+
+        router = Spy(small_network)
+        times = 3.0 + np.arange(8.0)
+        _, _, paths = compute_pair_chunk(small_network, self.PAIRS, times,
+                                         engine=router)
+        assert router.inc_perf.reweight_repairs == len(times) - 1
+        assert len(seen) == len(times)
+        assert all(next_hop is seen[0] for next_hop in seen)
+        for step, time_s in zip(paths, times):
+            assert step == RoutingEngine(small_network).paths_many(
+                small_network.snapshot(time_s), self.PAIRS)
+
     @pytest.mark.parametrize("order", [DESTINATIONS, DESTINATIONS[::-1]])
     def test_whatif_pattern_keeps_the_sampled_result(self, small_network,
                                                      order):

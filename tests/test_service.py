@@ -19,6 +19,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -676,6 +677,35 @@ class TestSpecFingerprint:
                 spec.as_dict())))
             assert clone == spec
             assert clone.fingerprint() == spec.fingerprint()
+
+    @pytest.mark.parametrize("edit, complaint", [
+        (dict.clear, "a network spec has no 'shells' field"),
+        (lambda record: record.pop("faults"),
+         "a network spec has no 'faults' field"),
+        (lambda record: record["shells"][0].pop("altitude_m"),
+         "shells[0]: a shell has no 'altitude_m' field"),
+        (lambda record: record["ground_stations"][2].update(
+            latitude_deg=None),
+         "ground_stations[2]: latitude_deg must be a number"),
+        (lambda record: record["faults"]["events"][1].pop("end_s"),
+         "events[1]: a fault event has no 'end_s' field"),
+        (lambda record: record["workload"]["flows"][3].pop("src_gid"),
+         "flows[3]: a flow request has no 'src_gid' field"),
+        (lambda record: record.update(isl_builder=["plus_grid"]),
+         "isl_builder must be a name"),
+    ], ids=["empty", "no-faults", "no-altitude", "null-latitude",
+            "event-without-end", "flow-without-source", "builder-a-list"])
+    def test_spec_from_dict_names_the_field(self, edit, complaint):
+        """``from_dict({})`` raised ``KeyError: 'faults'`` and
+        ``from_dict([])`` a ``TypeError``; the checkpoint loader wrapped
+        both, so only the message was wrong."""
+        record = json.loads(json.dumps(self._spec().as_dict()))
+        edit(record)
+        with pytest.raises(ValueError, match=re.escape(complaint)):
+            NetworkSpec.from_dict(record)
+        with pytest.raises(ValueError,
+                           match="a network spec must be a JSON object"):
+            NetworkSpec.from_dict([])
 
     def test_fingerprint_is_process_independent(self):
         """Equal in processes with different ``PYTHONHASHSEED``s, equal
