@@ -6,11 +6,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test smoke bench bench-fig2 bench-obs bench-sweep \
 	bench-faults bench-traffic bench-fluid-scale bench-routing \
-	bench-service bench-cc bench-e2e bench-fig10 bench-transport clean
+	bench-service bench-cc bench-e2e bench-fig10 bench-transport \
+	bench-packet clean
 
 check: test smoke bench-obs bench-sweep bench-faults bench-traffic \
 	bench-fluid-scale bench-routing bench-service bench-cc bench-e2e \
-	bench-fig10 bench-transport
+	bench-fig10 bench-transport bench-packet
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
@@ -172,6 +173,14 @@ bench-fig10:
 # (results/transport_mathis.txt).
 bench-transport:
 	$(PYTHON) -m pytest benchmarks/test_transport_anchors.py -q -o testpaths=
+
+# Packet-device gate (~2 s): a packet simulator over all five Starlink
+# shells builds no device up front and stays under
+# MAX_PACKET_SIM_BUILD_MB to construct; after a short K1 NewReno run
+# every device that exists has carried a packet
+# (results/packet_devices.txt).
+bench-packet:
+	$(PYTHON) -m pytest benchmarks/test_packet_devices.py -q -o testpaths=
 
 # The scalability benches touched by the batched routing path.
 bench-fig2:

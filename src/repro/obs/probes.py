@@ -18,9 +18,11 @@ Fig. 14/15-style map straight from the registry.
 
 Only devices that have shown activity (a sent packet or a non-empty
 queue) are tracked — on a full constellation, recording every idle
-device would dominate memory.  Once a device becomes active it is
-sampled at every subsequent interval, so each series is regular from its
-first sample on.
+device would dominate memory.  The simulator builds a device when a
+packet first needs it, so every sample reads ``sim.iter_devices()``
+anew (link order: ISL directions, then GSLs by node id).  Once a device
+becomes active it is sampled at every subsequent interval, so each
+series is regular from its first sample on.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class SimulatorProbe:
         self.sim = sim
         self.registry = registry if registry is not None else MetricsRegistry()
         self.interval_s = interval_s
-        #: (name, device) pairs eligible for tracking.
-        self._devices = [(device.name, device)
-                         for device in sim.iter_devices()]
         # Cumulative-counter baselines per tracked device name.
         self._last: Dict[str, Tuple[float, int]] = {}
         self._tracked: Dict[str, bool] = {}
@@ -95,7 +94,8 @@ class SimulatorProbe:
         interval = self.interval_s
         self.samples_taken += 1
         self.sample_times_s.append(now)
-        for name, device in self._devices:
+        for device in self.sim.iter_devices():
+            name = device.name
             if not self._should_track(name, device):
                 continue
             stats = device.stats

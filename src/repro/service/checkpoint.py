@@ -26,7 +26,7 @@ import math
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..faults.schedule import FaultEvent, exact_int
+from ..faults.schedule import FaultEvent, each, exact_int
 from ..obs import spans
 from ..sweep.spec import NetworkSpec
 from ..traffic.arrivals import WorkloadSchedule
@@ -53,8 +53,7 @@ ENGINES = ("packet", "fluid")
 _COMMANDS: Dict[str, Callable[[Any], Any]] = {
     "attach_workload": WorkloadSchedule.from_dict,
     "detach_workload": lambda args: exact_int(args, "workload handle"),
-    "inject_fault": lambda args: [FaultEvent.from_dict(record)
-                                  for record in args],
+    "inject_fault": lambda args: each(args, FaultEvent.from_dict, "events"),
 }
 
 

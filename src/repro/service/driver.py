@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..faults.injector import LinkFaultInjector
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..fluid.engine import FluidRunState, FluidSimulation
 from ..obs import spans
@@ -309,28 +308,11 @@ class LiveSimulationService:
                   else existing.merged(addition))
         self.network.set_faults(merged)
         if self.engine == "packet":
-            self._extend_packet_injectors(events, merged, now)
+            assert self.sim is not None
+            self.sim.extend_faults(merged, events, now)
         self.log.append([now, "inject_fault",
                          [event.as_dict() for event in events]])
         return len(events)
-
-    def _extend_packet_injectors(self, events: Sequence[FaultEvent],
-                                 merged: FaultSchedule,
-                                 now: float) -> None:
-        """Wire new stochastic loss events into live station uplinks."""
-        assert self.sim is not None
-        sim = self.sim
-        sim._faults = merged if len(merged) else None
-        for event in events:
-            if not event.is_stochastic:
-                continue
-            device = sim.gsl_device(self.network.num_satellites + event.gid)
-            injector = device._fault_injector
-            if injector is None:
-                device._fault_injector = LinkFaultInjector(
-                    device.name, [event], seed=merged.seed)
-            else:
-                injector.extend([event], now)
 
     # ------------------------------------------------------------------
     # Observation

@@ -66,6 +66,10 @@ class DeviceStats:
 class LinkDevice:
     """One transmitting device of a node (an ISL endpoint or a GSL radio).
 
+    A :class:`~repro.simulation.simulator.PacketSimulator` builds one
+    when a packet first needs it (or ``gsl_device`` asks), so a device
+    exists only for a link that has been offered a packet.
+
     Args:
         scheduler: The simulation clock.
         positions: Geometry service for live propagation delays.

@@ -4,6 +4,7 @@ This is the reproduction of Hypatia's ns-3 module: a discrete-event
 simulator over the time-varying constellation topology, with
 
 * drop-tail devices per ISL direction and one shared GSL device per node,
+  each built when a packet first needs it,
 * live per-packet propagation delays from satellite geometry,
 * periodic forwarding-state updates injected as events (paper §3.1),
 * loss-free GS handoffs (in-flight packets are still delivered after a
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..faults.injector import LinkFaultInjector
+from ..faults.schedule import FaultEvent, FaultSchedule
 from ..obs import spans
 from ..obs.metrics import MetricsRegistry
 from ..obs.probes import SimulatorProbe
@@ -157,22 +161,19 @@ class PacketSimulator:
         # stream is derived from (schedule seed, device name).
         faults = network.faults
         self._faults = faults if faults is not None and len(faults) else None
+        # Devices are built the first time a packet needs one (most
+        # links of a constellation never carry a packet); ``_isl_keys``
+        # holds every directed ISL ``a * N + b`` sorted, and
+        # ``_isl_ranks`` its place in ``network.isl_pairs`` order, both
+        # directions: the one ISL table, kept as two int arrays.
+        pairs = np.asarray(network.isl_pairs, dtype=np.int64).reshape(-1, 2)
+        directed = np.empty(2 * len(pairs), dtype=np.int64)
+        directed[0::2] = pairs[:, 0] * self._num_sats + pairs[:, 1]
+        directed[1::2] = pairs[:, 1] * self._num_sats + pairs[:, 0]
+        self._isl_ranks = np.argsort(directed)
+        self._isl_keys = directed[self._isl_ranks]
         self._isl_devices: Dict[Tuple[int, int], LinkDevice] = {}
-        for a, b in network.isl_pairs:
-            a, b = int(a), int(b)
-            for src, dst in ((a, b), (b, a)):
-                self._isl_devices[(src, dst)] = LinkDevice(
-                    self.scheduler, self.positions, src,
-                    self.config.isl_rate_bps, self.config.isl_queue_packets,
-                    self._receive, name=f"isl-{src}-{dst}",
-                    tracer=self.tracer)
         self._gsl_devices: Dict[int, LinkDevice] = {}
-        for node in range(network.num_nodes):
-            self._gsl_devices[node] = LinkDevice(
-                self.scheduler, self.positions, node,
-                self.config.gsl_rate_bps, self.config.gsl_queue_packets,
-                self._receive, name=f"gsl-{node}", tracer=self.tracer,
-                fault_injector=self._injector_for_gsl(node))
         # (node_id, flow_id) -> packet handler of the application endpoint.
         self._handlers: Dict[Tuple[int, int], Callable[[Packet], None]] = {}
         #: The last flow id :meth:`next_flow_id` handed out.  It lives
@@ -180,6 +181,39 @@ class PacketSimulator:
         #: identically in one process.
         self._last_flow_id = 0
         self._started = False
+
+    def _isl_rank(self, src: int, dst: int) -> int:
+        """Place of the directed ISL ``src -> dst`` in link order; a pair
+        that is no ISL of the network is a ``KeyError``."""
+        key = src * self._num_sats + dst
+        index = int(np.searchsorted(self._isl_keys, key))
+        if index == len(self._isl_keys) or self._isl_keys[index] != key:
+            raise KeyError((src, dst))
+        return int(self._isl_ranks[index])
+
+    def _build_isl_device(self, src: int, dst: int) -> LinkDevice:
+        """Build the device of ISL direction ``src -> dst`` (refusing a
+        pair that is no ISL, so a routing bug cannot make a link)."""
+        self._isl_rank(src, dst)
+        device = LinkDevice(
+            self.scheduler, self.positions, src,
+            self.config.isl_rate_bps, self.config.isl_queue_packets,
+            self._receive, name=f"isl-{src}-{dst}", tracer=self.tracer)
+        self._isl_devices[(src, dst)] = device
+        return device
+
+    def _build_gsl_device(self, node: int) -> LinkDevice:
+        """Build a node's shared GSL device; its loss injector reads the
+        fault schedule as it stands now."""
+        if not 0 <= node < self.network.num_nodes:
+            raise KeyError(node)
+        device = LinkDevice(
+            self.scheduler, self.positions, node,
+            self.config.gsl_rate_bps, self.config.gsl_queue_packets,
+            self._receive, name=f"gsl-{node}", tracer=self.tracer,
+            fault_injector=self._injector_for_gsl(node))
+        self._gsl_devices[node] = device
+        return device
 
     def _injector_for_gsl(self, node: int) -> Optional[LinkFaultInjector]:
         """Seeded injector of a node's shared GSL device.
@@ -195,6 +229,27 @@ class PacketSimulator:
             return None
         return LinkFaultInjector(f"gsl-{node}", events,
                                  seed=self._faults.seed)
+
+    def extend_faults(self, faults: FaultSchedule,
+                      events: Sequence[FaultEvent], now_s: float) -> None:
+        """Make ``faults``, the schedule with ``events`` merged in, the
+        live one.  A station uplink built already extends its injector
+        by its new loss events (future windows only); one not built yet
+        reads them all from ``faults`` when a packet first needs it, so
+        no event is added twice."""
+        self._faults = faults if len(faults) else None
+        for event in events:
+            if not event.is_stochastic:
+                continue
+            device = self._gsl_devices.get(self._num_sats + event.gid)
+            if device is None:
+                continue
+            injector = device._fault_injector
+            if injector is None:
+                device._fault_injector = LinkFaultInjector(
+                    device.name, [event], seed=faults.seed)
+            else:
+                injector.extend([event], now_s)
 
     # ------------------------------------------------------------------
     # Application-facing API
@@ -251,13 +306,25 @@ class PacketSimulator:
         self.stats.events_processed = self.scheduler.events_processed
 
     def gsl_device(self, node_id: int) -> LinkDevice:
-        """The shared GSL device of a node (for stats inspection)."""
-        return self._gsl_devices[node_id]
+        """The shared GSL device of a node, built now if no packet has
+        needed it yet (a node id out of range is a ``KeyError``)."""
+        device = self._gsl_devices.get(node_id)
+        if device is None:
+            device = self._build_gsl_device(node_id)
+        return device
 
     def iter_devices(self) -> Iterator[LinkDevice]:
-        """All devices (ISL directions first, then GSLs)."""
-        yield from self._isl_devices.values()
-        yield from self._gsl_devices.values()
+        """The devices built so far, in link order: ISL directions in
+        ``network.isl_pairs`` order (``(a, b)`` then ``(b, a)``), then
+        GSLs by node id.  A device is built when a packet first needs it
+        (or :meth:`gsl_device` asks), so a link missing here has sent,
+        dropped and held nothing."""
+        isl = self._isl_devices
+        for pair in sorted(isl, key=lambda pair: self._isl_rank(*pair)):
+            yield isl[pair]
+        gsl = self._gsl_devices
+        for node in sorted(gsl):
+            yield gsl[node]
 
     # ------------------------------------------------------------------
     # Observability
@@ -331,9 +398,11 @@ class PacketSimulator:
                             reason="no_route")
             return None
         if node < self._num_sats and next_hop < self._num_sats:
-            device = self._isl_devices[(node, next_hop)]
+            device = self._isl_devices.get((node, next_hop))
+            if device is None:
+                device = self._build_isl_device(node, next_hop)
         else:
-            device = self._gsl_devices[node]
+            device = self.gsl_device(node)
         hop = (device, next_hop)
         self.forwarding.hop_memo[(node, packet.dst_node)] = hop
         return hop

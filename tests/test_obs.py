@@ -220,6 +220,45 @@ class TestTracedSimulation:
         series = registry.series_logs[util[0]]
         assert len(series) >= 3  # sampled at 0.5, 1.0, 1.5, (2.0)
 
+    def test_probe_tracks_a_link_first_used_after_its_first_sample(
+            self, small_network):
+        """A probe attached before any traffic reads the simulator's
+        devices at every sample, so an ISL a packet first needs later is
+        tracked from then on; every series (names, order, values) is the
+        one a simulator that built all its devices up front records."""
+        def probed(build_all):
+            sim = PacketSimulator(small_network)
+            if build_all:
+                for a, b in small_network.isl_pairs.tolist():
+                    sim._build_isl_device(a, b)
+                    sim._build_isl_device(b, a)
+                for node in range(small_network.num_nodes):
+                    sim.gsl_device(node)
+            registry = MetricsRegistry()
+            sim.attach_probe(registry=registry, interval_s=0.25)
+            UdpFlow(0, 3, rate_bps=2_000_000.0).install(sim)
+            sim.register_handler(sim.gs_node_id(4), 99, lambda p: None)
+            for k in range(20):
+                sim.scheduler.schedule_at(0.6 + 0.01 * k, lambda: sim.send(
+                    Packet(99, sim.gs_node_id(1), sim.gs_node_id(4),
+                           size_bytes=1500)))
+            sim.run(1.3)
+            return sim, registry
+
+        sim, registry = probed(build_all=False)
+        late = [name for name in registry.series_names(
+                    prefix="link.isl-", suffix=".utilization")
+                if registry.series_logs[name].times_s[0] > 0.5]
+        assert late, "no ISL was first used after the first samples"
+        built = {device.name for device in sim.iter_devices()}
+        assert all(name[len("link."):-len(".utilization")] in built
+                   for name in late)
+        eager_sim, eager = probed(build_all=True)
+        assert len(list(eager_sim.iter_devices())) > len(built)
+        assert list(registry.series_logs) == list(eager.series_logs)
+        for name, series in registry.series_logs.items():
+            assert series.as_dict() == eager.series_logs[name].as_dict()
+
     def test_probe_event_rate_series_is_pinned(self, small_network):
         """The probe reads ``events_processed`` from *inside* an event,
         so the scheduler must count per event, not once per ``run``;

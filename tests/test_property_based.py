@@ -1658,8 +1658,10 @@ def _json_paths(document, prefix=()):
 
 
 class TestDocumentLoaders:
-    """``FaultSchedule.from_dict``, ``NetworkSpec.from_dict`` and
-    ``TrafficMatrix.from_dict`` read outside documents.  From a valid
+    """``FaultSchedule.from_dict``, ``NetworkSpec.from_dict``,
+    ``TrafficMatrix.from_dict`` and the service's three command parsers
+    (``checkpoint._COMMANDS``: a live command's argument or a replayed
+    log entry's) read outside documents.  From a valid
     document — every fault kind; for the spec, a workload too — random
     field deletions and values replaced by random JSON-shaped ones come
     out as a loaded object or a ``ValueError``, never a ``KeyError``,
@@ -1690,13 +1692,18 @@ class TestDocumentLoaders:
             name="X1", num_orbits=4, satellites_per_orbit=4,
             altitude_m=600_000.0, inclination_deg=53.0)]), stations,
             min_elevation_deg=10.0, faults=faults)
-        spec = NetworkSpec.from_network(network).with_workload(
-            WorkloadSchedule([FlowRequest(0.5, 0, 1, 1000),
-                              FlowRequest(1.0, 1, 0, 2000)], seed=3))
+        from repro.service.checkpoint import _COMMANDS
+
+        workload = WorkloadSchedule([FlowRequest(0.5, 0, 1, 1000),
+                                     FlowRequest(1.0, 1, 0, 2000)], seed=3)
+        spec = NetworkSpec.from_network(network).with_workload(workload)
         matrix = TrafficMatrix(np.array([[0.0, 1e6], [2e6, 0.0]]))
         return [(FaultSchedule.from_dict, faults.as_dict()),
                 (NetworkSpec.from_dict, spec.as_dict()),
-                (TrafficMatrix.from_dict, matrix.as_dict())]
+                (TrafficMatrix.from_dict, matrix.as_dict()),
+                (_COMMANDS["attach_workload"], workload.as_dict()),
+                (_COMMANDS["detach_workload"], 1),
+                (_COMMANDS["inject_fault"], faults.as_dict()["events"])]
 
     @settings(max_examples=300, deadline=1000)
     @given(st.data())

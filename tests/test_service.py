@@ -1166,6 +1166,39 @@ class TestLiveMutation:
         live.run_to_horizon()
         assert _outcome_json(live) == _outcome_json(baked)
 
+    def test_live_loss_on_an_unused_uplink_equals_baked(self, tmp_path):
+        """A loss event injected live on a station whose uplink has
+        carried no packet yet draws once per offered packet, as when the
+        event is in the initial schedule; a checkpoint taken after the
+        injection resumes to the same outcome."""
+        workload = WorkloadSchedule([FlowRequest(0.5, 0, 1, 60_000),
+                                     FlowRequest(4.0, 5, 1, 400_000)],
+                                    seed=3)
+        event = FaultEvent.packet_loss(3.0, 10.0, 0.2, gid=5)
+
+        def outcome(service):
+            service.run_to_horizon()
+            acked = [flow.acked_payload_bytes
+                     for spawner in service._spawners
+                     for flow in spawner.flows]
+            return (service.sim.stats.packets_dropped_fault, acked,
+                    _outcome_json(service))
+
+        baked = _make_service("packet", faults=FaultSchedule([event]),
+                              workload=workload)
+        live = _make_service("packet", workload=workload)
+        live.advance_epoch(2)
+        uplink = f"gsl-{live.network.gs_node_id(5)}"
+        assert not any(device.name == uplink and device.stats.packets_sent
+                       for device in live.sim.iter_devices())
+        assert live.inject_fault([event]) == 1
+        resumed = _round_trip(live, tmp_path / "injected.ckpt")
+        expected = outcome(baked)
+        drops, acked, _ = expected
+        assert drops > 0 and acked[1] > 0
+        assert outcome(live) == expected
+        assert outcome(resumed) == expected
+
     def test_mutations_guard_the_past(self):
         service = _make_service("packet")
         service.advance_epoch(5)
@@ -1715,12 +1748,35 @@ class TestServerClient:
         service = _make_service("packet")
         with _ServerThread(service) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
-                for events in ([1], "x"):
-                    with pytest.raises(ServiceClientError,
-                                       match="ValueError: a fault event "
-                                             "must be a JSON object"):
+                for events, complaint in (
+                        ([1], r"ValueError: events\[0\]: a fault event "
+                              r"must be a JSON object"),
+                        ("x", "ValueError: 'events' must be a list")):
+                    with pytest.raises(ServiceClientError, match=complaint):
                         client.command("inject_fault", events=events)
                 assert client.status()["time_s"] == 0.0
+                assert service.network.faults is None
+                client.stop()
+
+    @pytest.mark.parametrize("events", [{}, None, 5],
+                             ids=["object", "null", "number"])
+    def test_fault_events_must_be_a_list(self, events):
+        """The parser iterated whatever it was given: ``{}`` went through
+        as an empty injection, a string character by character, and
+        ``null`` or a number raised ``TypeError``.  Every one is now the
+        parser's ``ValueError`` naming the field, and nothing is logged."""
+        service = _make_service("packet")
+        with _ServerThread(service) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                client._stream.write(json.dumps(
+                    {"cmd": "inject_fault", "events": events}).encode()
+                    + b"\n")
+                client._stream.flush()
+                answer = json.loads(client._stream.readline())
+                assert answer["ok"] is False
+                assert answer["error"] == (
+                    f"ValueError: 'events' must be a list, got {events!r}")
+                assert service.log == []
                 assert service.network.faults is None
                 client.stop()
 

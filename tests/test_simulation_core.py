@@ -450,6 +450,15 @@ class TestBusyTimeAccounting:
             device.busy_time_s(sched.now))
 
 
+def _device_row(name, device):
+    """A link's row of the pinned payload; no device is zero stats."""
+    if device is None:
+        return (name, 0, 0, (0.0).hex())
+    stats = device.stats
+    return (name, stats.packets_sent, stats.bytes_sent,
+            stats.busy_time_s.hex())
+
+
 class TestEventStreamPin:
     """The packet engine's whole observable outcome on one small run,
     pinned as a digest: the golden ``packet_fig2`` digest says the same
@@ -496,14 +505,19 @@ class TestEventStreamPin:
         assert refresh >= 5 and route_changes >= 1
         assert summary["packets_dropped_queue"] >= 1
         assert sum(flow.timeouts for flow in flows) >= 1
+        # One row per link in link order, as when every device was built
+        # up front: a link no packet needed has no device and zero stats.
+        built = {device.name: device for device in sim.iter_devices()}
+        names = [name for a, b in network.isl_pairs.tolist()
+                 for name in (f"isl-{a}-{b}", f"isl-{b}-{a}")]
+        names += [f"gsl-{node}" for node in range(network.num_nodes)]
+        assert set(built) < set(names)
         payload = {
             "summary": summary,
             "flows": [(flow.snd_una, flow.retransmissions, flow.timeouts)
                       for flow in flows],
-            "devices": [(device.name, device.stats.packets_sent,
-                         device.stats.bytes_sent,
-                         device.stats.busy_time_s.hex())
-                        for device in sim.iter_devices()],
+            "devices": [_device_row(name, built.get(name))
+                        for name in names],
         }
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode())

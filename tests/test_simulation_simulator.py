@@ -176,13 +176,66 @@ class TestPacketDelivery:
         assert sim.stats.packets_dropped_queue == 7  # 1 in tx + 2 queued
 
     def test_device_accessors(self, small_network):
+        """Devices are built when first needed: none before traffic,
+        ``gsl_device`` builds its node's, a forwarded packet builds the
+        ISL directions it crosses, in link order."""
         sim = PacketSimulator(small_network)
-        a, b = (int(x) for x in small_network.isl_pairs[0])
-        devices = {device.name: device for device in sim.iter_devices()}
-        assert devices[f"isl-{a}-{b}"].node_id == a
-        assert devices[f"isl-{b}-{a}"].node_id == b
-        assert sim.gsl_device(sim.gs_node_id(0)).node_id == \
-            sim.gs_node_id(0)
+        assert list(sim.iter_devices()) == []
+        station = sim.gs_node_id(0)
+        assert sim.gsl_device(station).node_id == station
+        assert sim.gsl_device(station) is sim.gsl_device(station)
+        assert [device.name for device in sim.iter_devices()] == \
+            [f"gsl-{station}"]
+
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        sim.scheduler.schedule_at(0.0, lambda: sim.send(
+            Packet(1, station, sim.gs_node_id(3), size_bytes=100)))
+        sim.run(1.0)
+        assert sim.stats.packets_delivered == 1
+        order = {}
+        for a, b in small_network.isl_pairs.tolist():
+            order[f"isl-{a}-{b}"], order[f"isl-{b}-{a}"] = len(order), \
+                len(order) + 1
+        isls = [device for device in sim.iter_devices()
+                if device.name.startswith("isl-")]
+        assert isls, "the packet crossed no ISL"
+        assert [order[device.name] for device in isls] == \
+            sorted(order[device.name] for device in isls)
+        for device in isls:
+            a, b = (int(x) for x in device.name.split("-")[1:])
+            assert device.node_id == a
+            assert device.stats.packets_sent == 1
+        gsls = [device.node_id for device in sim.iter_devices()
+                if device.name.startswith("gsl-")]
+        assert gsls == sorted(gsls) and station in gsls
+
+        for node in (-1, small_network.num_nodes):
+            with pytest.raises(KeyError):
+                sim.gsl_device(node)
+
+    def test_a_non_isl_next_hop_is_refused(self, small_network):
+        """A routing bug that names a satellite no ISL reaches raises,
+        as it did when every device existed: no phantom link is built."""
+        sim = PacketSimulator(small_network)
+        neighbours = {}
+        for a, b in small_network.isl_pairs.tolist():
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+
+        def stranger(sat_id, dst_gid):
+            return next(other for other in range(sim.network.num_satellites)
+                        if other != sat_id
+                        and other not in neighbours[sat_id])
+
+        sim.forwarding.next_hop_from_satellite = stranger
+        sim.register_handler(sim.gs_node_id(3), 1, lambda p: None)
+        sim.scheduler.schedule_at(0.0, lambda: sim.send(
+            Packet(1, sim.gs_node_id(0), sim.gs_node_id(3),
+                   size_bytes=100)))
+        with pytest.raises(KeyError):
+            sim.run(1.0)
+        assert not any(device.name.startswith("isl-")
+                       for device in sim.iter_devices())
 
     def test_gid_of_node(self, small_network):
         sim = PacketSimulator(small_network)
